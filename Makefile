@@ -26,6 +26,7 @@ check:
 check-short:
 	SHORT=1 ./scripts/check.sh
 
-# Record the hot-path access benchmark under results/.
+# The repository benchmark (BENCHMARK.json): five workloads, calibrated host
+# cost and exact virtual results; see bench/README.md.
 bench:
-	$(GO) test -run '^$$' -bench BenchmarkAccessPath -benchmem . | tee results/bench-access-latest.txt
+	bash bench/run.sh

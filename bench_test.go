@@ -259,7 +259,7 @@ func BenchmarkRunRedis(b *testing.B) {
 	sc.DurationNs = 4e9
 	sc.WarmupNs = 1e9
 	for i := 0; i < b.N; i++ {
-		out, err := harness.RunThermostat(workload.Redis(), sc, 3)
+		out, err := harness.Run(workload.Redis(), sc, harness.Plan{SlowdownPct: 3})
 		if err != nil {
 			b.Fatal(err)
 		}

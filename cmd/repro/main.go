@@ -69,16 +69,9 @@ func main() {
 	}
 	logger, _ = obsv.NewLogger(os.Stderr, *logFormat) // format vetted above
 
-	sc, err := scaleByName(*scaleFlag)
+	sc, err := harness.ResolveScale(*scaleFlag, *seed, *duration)
 	if err != nil {
 		fatal(err)
-	}
-	sc.Seed = *seed
-	if *duration > 0 {
-		sc.DurationNs = int64(*duration * 1e9)
-		if sc.WarmupNs >= sc.DurationNs {
-			sc.WarmupNs = sc.DurationNs / 5
-		}
 	}
 
 	opt := harness.Options{Scale: sc, SlowdownPct: *slowdown, Workers: *workers}
@@ -88,15 +81,9 @@ func main() {
 			Binary: "repro", App: *appsFlag, Policy: "thermostat",
 			Scale: *scaleFlag, Seed: *seed, Workers: *workers,
 		})
-		var servers []*obsv.Server
-		for _, addr := range serveAddrs(*serveAddr, *pprofAddr) {
-			srv, bound, err := obsv.Serve(addr, pub)
-			if err != nil {
-				fatal(err)
-			}
-			servers = append(servers, srv)
-			logger.Info("observability server listening",
-				"addr", "http://"+bound, "endpoints", "/metrics /healthz /status /tenants /dump /debug/pprof")
+		servers, err := obsv.ServeAll(pub, logger, *serveAddr, *pprofAddr)
+		if err != nil {
+			fatal(err)
 		}
 		// ^C or SIGTERM drains in-flight scrapes before exiting instead of
 		// cutting connections mid-response.
@@ -485,19 +472,6 @@ func runAblations(opt harness.Options, emit func(string, *report.Table)) {
 	}
 }
 
-func scaleByName(name string) (harness.Scale, error) {
-	switch name {
-	case "tiny":
-		return harness.Tiny(), nil
-	case "bench":
-		return harness.Bench(), nil
-	case "repro":
-		return harness.Repro(), nil
-	default:
-		return harness.Scale{}, fmt.Errorf("unknown scale %q (tiny, bench, repro)", name)
-	}
-}
-
 func writeSVG(dir, name string, plot interface{ WriteSVG(io.Writer) error }) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		fatal(err)
@@ -522,20 +496,6 @@ func writeCSV(dir, name string, t *report.Table) error {
 	}
 	defer f.Close()
 	return t.WriteCSV(f)
-}
-
-// serveAddrs deduplicates the -serve/-pprof addresses, preserving order.
-func serveAddrs(addrs ...string) []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, a := range addrs {
-		if a == "" || seen[a] {
-			continue
-		}
-		seen[a] = true
-		out = append(out, a)
-	}
-	return out
 }
 
 func fatal(err error) {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"thermostat/internal/daemon"
@@ -29,15 +30,6 @@ var experiments = []string{
 	"ntier", "matrix", "fleet", "scale",
 }
 
-func knownExperiment(name string) bool {
-	for _, e := range experiments {
-		if e == name {
-			return true
-		}
-	}
-	return false
-}
-
 // validate rejects inconsistent flag combinations before any simulation
 // state is built, with a one-line usage error per defect. The experiment
 // list is repro's own; everything else defers to daemon.Config.Validate,
@@ -47,7 +39,7 @@ func knownExperiment(name string) bool {
 func validate(o options) error {
 	for _, e := range strings.Split(o.Exps, ",") {
 		e = strings.TrimSpace(e)
-		if !knownExperiment(e) {
+		if !slices.Contains(experiments, e) {
 			return fmt.Errorf("unknown experiment %q (experiments: %s)",
 				e, strings.Join(experiments, ", "))
 		}

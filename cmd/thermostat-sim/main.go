@@ -38,7 +38,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"os"
 	"strings"
@@ -115,29 +114,16 @@ func main() {
 		tracker = "poison"
 	}
 
-	spec, _ := workload.ByName(*appFlag)
-	if *footprint != "" {
-		target, _ := workload.ParseSize(*footprint) // vetted above
-		spec = spec.WithFootprint(target)
+	spec, err := harness.ResolveSpec(*appFlag, *footprint)
+	if err != nil {
+		fatal(err)
 	}
-	var sc harness.Scale
-	switch *scaleName {
-	case "tiny":
-		sc = harness.Tiny()
-	case "bench":
-		sc = harness.Bench()
-	default:
-		sc = harness.Repro()
+	sc, err := harness.ResolveScale(*scaleName, *seed, *duration)
+	if err != nil {
+		fatal(err)
 	}
-	sc.Seed = *seed
 	sc.Sparse = *sparse
 	sc.ShardWorkers = *shardWork
-	if *duration > 0 {
-		sc.DurationNs = int64(*duration * 1e9)
-		if sc.WarmupNs >= sc.DurationNs {
-			sc.WarmupNs = sc.DurationNs / 5
-		}
-	}
 
 	// The observability plane serves on every requested address (-serve and
 	// -pprof are the same full server: metrics + status + pprof + expvar).
@@ -148,15 +134,9 @@ func main() {
 			Binary: "thermostat-sim", App: *appFlag, Tracker: tracker,
 			Policy: *polFlag, Scale: *scaleName, Seed: *seed, Workers: *workers,
 		})
-		var servers []*obsv.Server
-		for _, addr := range serveAddrs(*serveAddr, *pprofAddr) {
-			srv, bound, err := obsv.Serve(addr, pub)
-			if err != nil {
-				fatal(err)
-			}
-			servers = append(servers, srv)
-			logger.Info("observability server listening",
-				"addr", "http://"+bound, "endpoints", "/metrics /healthz /status /tenants /dump /debug/pprof")
+		servers, err := obsv.ServeAll(pub, logger, *serveAddr, *pprofAddr)
+		if err != nil {
+			fatal(err)
 		}
 		// ^C or SIGTERM drains in-flight scrapes before exiting instead of
 		// cutting connections mid-response.
@@ -166,17 +146,33 @@ func main() {
 		defer pub.SetPhase(obsv.PhaseDone)
 	}
 
+	// A zero -chaos-rate builds no injector, so the config attaches
+	// unconditionally.
+	chaosCfg := chaos.Config{Seed: *chaosSeed, Rate: *chaosRate, PermanentFraction: *chaosPerm}
+
 	if *tenFlag != "" {
 		runFleet(*tenFlag, sc, tracker, *polFlag, *slowdown, *workers, fleetIO{
 			trace: *traceOut, metrics: *metrics, epochs: *epochs,
-			chaosRate: *chaosRate, chaosSeed: *chaosSeed, chaosPerm: *chaosPerm,
-			pub: pub,
+			chaos: chaosCfg, pub: pub,
 		})
 		return
 	}
 
+	// One plan per -policy arm; the hooks below attach to whichever it is.
+	plan := harness.Plan{SlowdownPct: *slowdown, Placement: *polFlag, Tracker: *trkFlag}
+	switch *polFlag {
+	case "idle-demote":
+		interval := int64(*idleSecs * 1e9 * float64(sc.TimeDilate) / 4)
+		plan = harness.Plan{Policy: &core.IdleDemote{Interval: interval, IdleScans: 4}}
+	case "all-dram":
+		plan = harness.Plan{}
+	}
+
 	if *tiersFlag != "" {
-		runNTier(spec, sc, *tiersFlag, tracker, *polFlag, *slowdown)
+		if plan.Tiers, err = harness.ResolveTiers(splitList(*tiersFlag)); err != nil {
+			fatal(err)
+		}
+		runNTier(spec, sc, *tiersFlag, plan)
 		return
 	}
 
@@ -195,44 +191,18 @@ func main() {
 	} else if col != nil {
 		rec = col
 	}
-	attach := func(cfg *sim.Config) {
+	plan.Config = func(cfg *sim.Config) {
 		if rec != nil {
 			cfg.Recorder = rec
 		}
 		// Chaos applies only to the policy run; the all-DRAM baseline arm
 		// below never migrates and stays uninjected.
-		if *chaosRate > 0 {
-			cfg.Chaos = chaos.Config{
-				Seed: *chaosSeed, Rate: *chaosRate, PermanentFraction: *chaosPerm,
-			}
-		}
+		cfg.Chaos = chaosCfg
 	}
-	var engHook func(*cgroup.Group, *core.Engine)
 	if pub != nil {
-		engHook = func(_ *cgroup.Group, eng *core.Engine) {
+		plan.Engine = func(_ *cgroup.Group, eng *core.Engine) {
 			eng.EnablePublish()
 			pub.AttachEngine(runLabel, eng)
-		}
-	}
-
-	var runPolicy func() (*harness.Outcome, error)
-	switch *polFlag {
-	case "thermostat":
-		runPolicy = func() (*harness.Outcome, error) {
-			return harness.RunThermostatWith(spec, sc, *slowdown, attach, engHook)
-		}
-	case "idle-demote":
-		interval := int64(*idleSecs * 1e9 * float64(sc.TimeDilate) / 4)
-		runPolicy = func() (*harness.Outcome, error) {
-			return harness.RunPolicyWith(spec, sc, &core.IdleDemote{Interval: interval, IdleScans: 4}, attach)
-		}
-	case "all-dram":
-		runPolicy = func() (*harness.Outcome, error) { return harness.RunBaselineWith(spec, sc, attach) }
-	default:
-		// validate() already vetted the name: a composition policy from the
-		// core registry, paired with -tracker (default poison).
-		runPolicy = func() (*harness.Outcome, error) {
-			return harness.RunComposedHooked(spec, sc, tracker, *polFlag, *slowdown, attach, engHook)
 		}
 	}
 
@@ -243,30 +213,16 @@ func main() {
 		{Label: spec.Name + "/baseline", Run: func() (*harness.Outcome, error) {
 			return harness.RunBaseline(spec, sc)
 		}},
-		{Label: runLabel, Run: runPolicy},
+		{Label: runLabel, Run: func() (*harness.Outcome, error) {
+			return harness.Run(spec, sc, plan)
+		}},
 	})
 	if err != nil {
 		fatal(err)
 	}
 	base, outcome := outs[0], outs[1]
 
-	if col != nil {
-		if *traceOut != "" {
-			if err := writeFile(*traceOut, col.WriteChromeTrace); err != nil {
-				fatal(err)
-			}
-			logger.Info("wrote Chrome trace (open at https://ui.perfetto.dev)", "path", *traceOut)
-		}
-		if *metrics != "" {
-			if err := writeFile(*metrics, col.WriteJSONL); err != nil {
-				fatal(err)
-			}
-			logger.Info("wrote per-epoch metrics", "path", *metrics)
-		}
-		if *epochs {
-			fmt.Println(col.EpochTable())
-		}
-	}
+	emitTelemetry(col, *traceOut, *metrics, *epochs)
 
 	res := outcome.Result
 	fp := res.FinalFootprint
@@ -313,28 +269,12 @@ func main() {
 		res.Cold2M, res.Cold4K, res.Hot2M, res.Hot4K).String())
 }
 
-// serveAddrs deduplicates the -serve/-pprof addresses, preserving order.
-func serveAddrs(addrs ...string) []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, a := range addrs {
-		if a == "" || seen[a] {
-			continue
-		}
-		seen[a] = true
-		out = append(out, a)
-	}
-	return out
-}
-
 // fleetIO bundles the output, chaos, and observability hooks the fleet
 // mode honors.
 type fleetIO struct {
 	trace, metrics string
 	epochs         bool
-	chaosRate      float64
-	chaosSeed      uint64
-	chaosPerm      float64
+	chaos          chaos.Config
 	pub            *obsv.Publisher
 }
 
@@ -359,17 +299,11 @@ func runFleet(names string, sc harness.Scale, tracker, policy string, slowdown f
 	}
 	opt := harness.FleetOptions{
 		Scale: sc, Tenants: tenants, Workers: workers, Baselines: true,
-		Publisher: fio.pub,
+		Publisher:    fio.pub,
+		ConfigMutate: func(cfg *sim.Config) { cfg.Chaos = fio.chaos },
 	}
 	if fio.trace != "" || fio.metrics != "" || fio.epochs {
 		opt.Telemetry = &harness.TelemetryOptions{}
-	}
-	if fio.chaosRate > 0 {
-		opt.ConfigMutate = func(cfg *sim.Config) {
-			cfg.Chaos = chaos.Config{
-				Seed: fio.chaosSeed, Rate: fio.chaosRate, PermanentFraction: fio.chaosPerm,
-			}
-		}
 	}
 	logger.Info("running tenants under fleet arbitration",
 		"tenants", len(tenants), "apps", names)
@@ -378,23 +312,7 @@ func runFleet(names string, sc harness.Scale, tracker, policy string, slowdown f
 		fatal(err)
 	}
 
-	if col := fo.Telemetry; col != nil {
-		if fio.trace != "" {
-			if err := writeFile(fio.trace, col.WriteChromeTrace); err != nil {
-				fatal(err)
-			}
-			logger.Info("wrote Chrome trace (open at https://ui.perfetto.dev)", "path", fio.trace)
-		}
-		if fio.metrics != "" {
-			if err := writeFile(fio.metrics, col.WriteJSONL); err != nil {
-				fatal(err)
-			}
-			logger.Info("wrote per-epoch metrics", "path", fio.metrics)
-		}
-		if fio.epochs {
-			fmt.Println(col.EpochTable())
-		}
-	}
+	emitTelemetry(fo.Telemetry, fio.trace, fio.metrics, fio.epochs)
 
 	// The fleet interleave time-shares the machine, so tenant throughput is
 	// not comparable to the solo baseline's (that deficit is mostly
@@ -434,27 +352,12 @@ func runFleet(names string, sc harness.Scale, tracker, policy string, slowdown f
 	}
 }
 
-// runNTier runs spec on the named device hierarchy and prints the N-tier
+// runNTier runs spec on the plan's device hierarchy and prints the N-tier
 // reports: run summary, per-tier-pair migration traffic, per-tier cost.
-func runNTier(spec workload.Spec, sc harness.Scale, names, tracker, policy string, slowdown float64) {
-	var tiers []mem.Spec
-	for _, name := range strings.Split(names, ",") {
-		name = strings.TrimSpace(name)
-		spec, ok := mem.Preset(name, 0) // capacities sized by the harness
-		if !ok {
-			fatal(fmt.Errorf("unknown device preset %q (presets: %s)", name, strings.Join(mem.PresetNames(), ", ")))
-		}
-		tiers = append(tiers, spec)
-	}
+func runNTier(spec workload.Spec, sc harness.Scale, names string, plan harness.Plan) {
 	logger.Info("running N-tier hierarchy",
-		"app", spec.Name, "tiers", names, "target_pct", slowdown)
-	var out *harness.Outcome
-	var err error
-	if policy == "thermostat" {
-		out, err = harness.RunNTier(spec, sc, tiers, slowdown)
-	} else {
-		out, err = harness.RunNTierComposed(spec, sc, tiers, tracker, policy, slowdown)
-	}
+		"app", spec.Name, "tiers", names, "target_pct", plan.SlowdownPct)
+	out, err := harness.Run(spec, sc, plan)
 	if err != nil {
 		fatal(err)
 	}
@@ -481,17 +384,24 @@ func runNTier(spec workload.Spec, sc harness.Scale, names, tracker, policy strin
 	fmt.Println(rep.CostTable().String())
 }
 
-// writeFile creates path and streams write into it.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// emitTelemetry writes the requested exports of a run's collector (nil when
+// no telemetry output was requested) and prints the per-epoch table.
+func emitTelemetry(col *telemetry.Collector, trace, metrics string, epochs bool) {
+	if col == nil {
+		return
 	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
+	if err := col.WriteFiles(trace, metrics); err != nil {
+		fatal(err)
 	}
-	return f.Close()
+	if trace != "" {
+		logger.Info("wrote Chrome trace (open at https://ui.perfetto.dev)", "path", trace)
+	}
+	if metrics != "" {
+		logger.Info("wrote per-epoch metrics", "path", metrics)
+	}
+	if epochs {
+		fmt.Println(col.EpochTable())
+	}
 }
 
 func fatal(err error) {

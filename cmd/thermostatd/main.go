@@ -102,19 +102,15 @@ func run() int {
 			Policy: cfg.Policy, Scale: cfg.Scale, Seed: cfg.Seed,
 		})
 		runner.Publisher = pub
-		var servers []*obsv.Server
-		for _, addr := range serveAddrs(cfg.Serve, cfg.Pprof) {
-			srv, bound, err := obsv.Serve(addr, pub)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "thermostatd: %v\n", err)
-				return 1
-			}
+		servers, err := obsv.ServeAll(pub, logger, cfg.Serve, cfg.Pprof)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "thermostatd: %v\n", err)
+			return 1
+		}
+		for _, srv := range servers {
 			srv.SetReloadHandler(func() ([]string, error) {
 				return reloadFromFile(runner, *configPath)
 			})
-			servers = append(servers, srv)
-			logger.Info("observability server listening",
-				"addr", "http://"+bound, "endpoints", "/metrics /healthz /status /reload /dump /debug/pprof")
 		}
 		pub.SetPhase(obsv.PhaseRunning)
 		defer pub.SetPhase(obsv.PhaseDone)
@@ -186,18 +182,4 @@ func reloadFromFile(r *daemon.Runner, path string) ([]string, error) {
 		return nil, err
 	}
 	return r.Reload(next)
-}
-
-// serveAddrs deduplicates the serve/pprof addresses, preserving order.
-func serveAddrs(addrs ...string) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, a := range addrs {
-		if a == "" || seen[a] {
-			continue
-		}
-		seen[a] = true
-		out = append(out, a)
-	}
-	return out
 }

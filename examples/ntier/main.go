@@ -82,7 +82,7 @@ func main() {
 	for _, p := range meter.Pairs() {
 		tr := meter.PairTraffic(p.Src, p.Dst)
 		fmt.Printf("moved %s -> %s: %d MB (%d huge pages)\n",
-			p.Src, p.Dst, tr.Bytes>>20, tr.Pages2M)
+			sys.Tier(p.Src).Name(), sys.Tier(p.Dst).Name(), tr.Bytes>>20, tr.Pages2M)
 	}
 
 	st := engine.Stats()

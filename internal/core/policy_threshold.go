@@ -248,17 +248,16 @@ func (p *ThresholdPolicy) promote(base addr.Virt) error {
 // Place implements the §3.4 placement rule: demote the coldest of this
 // period's top-tier estimates while their cumulative rate stays within the
 // coverage-scaled slow-access budget. Quarantined pages are not placement
-// candidates while their sentence runs.
+// candidates while their sentence runs, and neither is a page already in the
+// cold set: Engine.Squeeze can demote a page the tracker has mid-sample, and
+// the estimate that sample later yields still describes it as top-tier.
 func (p *ThresholdPolicy) Place(ests []Estimate) error {
 	params := p.group.Params()
 	budget := p.tr.Coverage() * params.TargetSlowAccessRate()
-	eligible := ests
-	if len(p.mv.quarUntil) > 0 {
-		eligible = make([]Estimate, 0, len(ests))
-		for _, est := range ests {
-			if !p.mv.isQuarantined(est.Base) {
-				eligible = append(eligible, est)
-			}
+	eligible := make([]Estimate, 0, len(ests))
+	for _, est := range ests {
+		if !p.cold[est.Base] && !p.mv.isQuarantined(est.Base) {
+			eligible = append(eligible, est)
 		}
 	}
 	coldSet := SelectColdSet(eligible, budget)

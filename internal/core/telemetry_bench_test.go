@@ -46,9 +46,8 @@ func benchLoop(b *testing.B, m *sim.Machine) {
 }
 
 // BenchmarkEngineTelemetryOff measures the engine+machine hot loop with no
-// recorder installed (the default). Compare against the pre-telemetry
-// baseline in results/bench-telemetry.txt: the disabled path must stay
-// within 1%.
+// recorder installed (the default). What an attached recorder adds is the
+// repository benchmark's telemetry.* rows (see bench/README.md).
 func BenchmarkEngineTelemetryOff(b *testing.B) {
 	cfg := sim.DefaultConfig(256<<20, 256<<20)
 	cfg.TLB.L1Entries, cfg.TLB.L2Entries = 2, 8

@@ -12,10 +12,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"thermostat/internal/core"
-	"thermostat/internal/mem"
+	"thermostat/internal/harness"
 	"thermostat/internal/obsv"
 	"thermostat/internal/workload"
 )
@@ -185,12 +186,7 @@ func (c Config) Normalize() Config {
 // isCompositionPolicy reports whether name is a placement policy from the
 // core registry (a tracker × policy composition) rather than a fixed arm.
 func isCompositionPolicy(name string) bool {
-	for _, p := range core.PolicyNames() {
-		if p == name {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(core.PolicyNames(), name)
 }
 
 // MigratesPages reports whether the policy arm moves pages between tiers
@@ -202,11 +198,6 @@ func MigratesPages(policy string) bool { return policy != "all-dram" }
 // the daemon's quarantine ladder and checkpoint digests.
 func EnginePolicy(policy string) bool {
 	return policy == "thermostat" || isCompositionPolicy(policy)
-}
-
-// ValidScale reports whether name is a known scale profile.
-func ValidScale(name string) bool {
-	return name == "tiny" || name == "bench" || name == "repro"
 }
 
 // Validate rejects inconsistent configurations with a one-line usage error
@@ -234,14 +225,7 @@ func (c Config) Validate() error {
 			c.Policy, strings.Join(core.PolicyNames(), ", "))
 	}
 	if c.Tracker != "" {
-		known := false
-		for _, t := range core.TrackerNames() {
-			if t == c.Tracker {
-				known = true
-				break
-			}
-		}
-		if !known {
+		if !slices.Contains(core.TrackerNames(), c.Tracker) {
 			return fmt.Errorf("unknown tracker %q (trackers: %s)",
 				c.Tracker, strings.Join(core.TrackerNames(), ", "))
 		}
@@ -250,7 +234,7 @@ func (c Config) Validate() error {
 				c.Tracker, strings.Join(core.PolicyNames(), " or "), c.Policy)
 		}
 	}
-	if !ValidScale(c.Scale) {
+	if _, ok := harness.ScaleByName(c.Scale); !ok {
 		return fmt.Errorf("unknown scale %q (tiny, bench, or repro)", c.Scale)
 	}
 	if c.DurationS < 0 {
@@ -321,12 +305,8 @@ func (c Config) Validate() error {
 		if c.Chaos.Rate > 0 {
 			return fmt.Errorf("-chaos-rate is not supported with -tiers")
 		}
-		for _, name := range c.Tiers {
-			name = strings.TrimSpace(name)
-			if _, ok := mem.Preset(name, 0); !ok {
-				return fmt.Errorf("unknown device preset %q (presets: %s)",
-					name, strings.Join(mem.PresetNames(), ", "))
-			}
+		if _, err := harness.ResolveTiers(c.Tiers); err != nil {
+			return err
 		}
 	}
 	d := c.Daemon

@@ -15,11 +15,9 @@ import (
 	"thermostat/internal/chaos"
 	"thermostat/internal/core"
 	"thermostat/internal/harness"
-	"thermostat/internal/mem"
 	"thermostat/internal/obsv"
 	"thermostat/internal/sim"
 	"thermostat/internal/telemetry"
-	"thermostat/internal/workload"
 )
 
 // ErrSimulatedCrash is returned by Run when CrashAfterEpoch fires: the run
@@ -215,19 +213,13 @@ func (r *Runner) run() (*RunOutcome, error) {
 	r.epoch = 0
 	r.mu.Unlock()
 
-	rs, app, err := r.assemble(cfg)
+	rs, asm, err := r.assemble(cfg)
 	if err != nil {
 		return nil, err
 	}
 	r.setPublishedHealth(Healthy)
 
-	rc := sim.RunConfig{
-		DurationNs: rs.sc.DurationNs,
-		WarmupNs:   rs.sc.WarmupNs,
-		WindowNs:   rs.sc.PeriodNs,
-		TickHook:   func(now int64) error { return r.tick(rs, now) },
-	}
-	res, err := sim.Run(rs.m, app, rs.eng, rc)
+	res, err := asm.Run(func(now int64) error { return r.tick(rs, now) })
 	if err != nil {
 		return nil, err
 	}
@@ -238,7 +230,7 @@ func (r *Runner) run() (*RunOutcome, error) {
 	journal := append([]TimelineEntry(nil), r.journal...)
 	r.mu.Unlock()
 	out := &RunOutcome{
-		Result: res, Machine: rs.m, Engine: rs.eng, Collector: r.col,
+		Result: res.Result, Machine: rs.m, Engine: rs.eng, Collector: r.col,
 		Config: finalCfg, Timeline: journal, Epochs: epochs, Health: finalHealth,
 	}
 	if rs.crashed {
@@ -246,63 +238,34 @@ func (r *Runner) run() (*RunOutcome, error) {
 	}
 	// A run that completed (rather than halting) has no further use for its
 	// checkpoint; leaving it would make the next start "restore" a finished
-	// run.
+	// run. Best-effort: a file that was never written, or cannot be removed,
+	// only costs a failed restore later.
 	if !rs.halted && finalCfg.Daemon.CheckpointPath != "" {
-		removeCheckpoint(finalCfg.Daemon.CheckpointPath)
+		_ = os.Remove(finalCfg.Daemon.CheckpointPath)
 	}
 	return out, nil
 }
 
-// assemble builds the machine, app, engine and telemetry chain from cfg,
-// mirroring the CLI harness assembly exactly (same seeds, same order) so a
+// assemble resolves cfg into a workload, scale and harness.Plan and builds
+// the run through harness.Assemble — the same function the CLIs use, so a
 // daemon run of a config is bit-identical to the equivalent CLI run.
-func (r *Runner) assemble(cfg Config) (*runState, sim.App, error) {
-	spec, _ := workload.ByName(cfg.App) // vetted by ValidateForDaemon
-	if cfg.Footprint != "" {
-		target, _ := workload.ParseSize(cfg.Footprint) // vetted
-		spec = spec.WithFootprint(target)
+func (r *Runner) assemble(cfg Config) (*runState, *harness.Assembly, error) {
+	spec, err := harness.ResolveSpec(cfg.App, cfg.Footprint)
+	if err != nil {
+		return nil, nil, err
 	}
-	var sc harness.Scale
-	switch cfg.Scale {
-	case "tiny":
-		sc = harness.Tiny()
-	case "bench":
-		sc = harness.Bench()
-	default:
-		sc = harness.Repro()
+	sc, err := harness.ResolveScale(cfg.Scale, cfg.Seed, cfg.DurationS)
+	if err != nil {
+		return nil, nil, err
 	}
-	sc.Seed = cfg.Seed
 	sc.Sparse = cfg.Sparse
 	sc.ShardWorkers = cfg.ShardWorkers
-	if cfg.DurationS > 0 {
-		sc.DurationNs = int64(cfg.DurationS * 1e9)
-		if sc.WarmupNs >= sc.DurationNs {
-			sc.WarmupNs = sc.DurationNs / 5
-		}
-	}
 	if cfg.PeriodS > 0 {
 		sc.PeriodNs = int64(cfg.PeriodS * 1e9)
 	}
-	if err := sc.Validate(); err != nil {
+	tiers, err := harness.ResolveTiers(cfg.Tiers)
+	if err != nil {
 		return nil, nil, err
-	}
-
-	var simCfg sim.Config
-	if len(cfg.Tiers) > 0 {
-		var tiers []mem.Spec
-		for _, name := range cfg.Tiers {
-			t, _ := mem.Preset(strings.TrimSpace(name), 0) // vetted
-			tiers = append(tiers, t)
-		}
-		simCfg = sc.TieredMachineConfig(spec, tiers)
-	} else {
-		simCfg = sc.MachineConfig(spec, true)
-	}
-	if cfg.Chaos.Rate > 0 {
-		simCfg.Chaos = chaos.Config{
-			Seed: cfg.Chaos.Seed, Rate: cfg.Chaos.Rate,
-			PermanentFraction: cfg.Chaos.PermanentFraction,
-		}
 	}
 
 	// The daemon always collects telemetry (bounded ring), so a reload can
@@ -314,49 +277,37 @@ func (r *Runner) assemble(cfg Config) (*runState, sim.App, error) {
 		inner = r.Publisher.Recorder(label, r.col)
 	}
 	shed := &shedRecorder{inner: inner}
-	simCfg.Recorder = shed
 
-	m, err := sim.New(simCfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	app, err := sc.NewApp(spec, sc.Seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	g, err := sc.Group(cfg.SlowdownPct)
-	if err != nil {
-		return nil, nil, err
-	}
-	var eng *core.Engine
-	if cfg.Policy == "thermostat" {
-		eng = core.NewEngine(g, sc.Seed+0x7e)
-	} else {
-		tracker := cfg.Tracker
-		if tracker == "" {
-			tracker = "poison"
-		}
-		eng, err = core.ComposeByName(g, tracker, cfg.Policy, sc.Seed+0x7e)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	if sc.ShardWorkers > 1 {
-		eng.SetSharding(sc.ShardWorkers, sc.ShardWorkers)
+	plan := harness.Plan{
+		SlowdownPct: cfg.SlowdownPct, Placement: cfg.Policy, Tracker: cfg.Tracker, Tiers: tiers,
+		Config: func(c *sim.Config) {
+			c.Recorder = shed
+			// A zero rate builds no injector.
+			c.Chaos = chaos.Config{
+				Seed: cfg.Chaos.Seed, Rate: cfg.Chaos.Rate,
+				PermanentFraction: cfg.Chaos.PermanentFraction,
+			}
+		},
 	}
 	if r.Publisher != nil {
-		eng.EnablePublish()
-		r.Publisher.AttachEngine(label, eng)
+		plan.Engine = func(_ *cgroup.Group, eng *core.Engine) {
+			eng.EnablePublish()
+			r.Publisher.AttachEngine(label, eng)
+		}
+	}
+	asm, err := harness.Assemble(spec, sc, plan)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	rs := &runState{
-		sc: sc, m: m, eng: eng, group: g, shed: shed,
+		sc: sc, m: asm.Machine, eng: asm.Engine, group: asm.Engine.Group(), shed: shed,
 		ladder:       &ladder{cfg: cfg.Daemon.Degrade},
 		basePeriodNs: sc.PeriodNs,
 		preload:      append([]TimelineEntry(nil), r.Timeline...),
 		replaying:    r.Restore != nil,
 	}
-	return rs, app, nil
+	return rs, asm, nil
 }
 
 // tick is the deterministic control point, called by sim.Run after every
@@ -541,20 +492,16 @@ func (r *Runner) writeExports() error {
 	r.mu.Lock()
 	t := r.cfg.Telemetry
 	r.mu.Unlock()
-	col := r.col
-	if col == nil {
+	if r.col == nil {
 		return nil
 	}
+	if err := r.col.WriteFiles(t.Trace, t.Metrics); err != nil {
+		return fmt.Errorf("daemon: write telemetry exports: %w", err)
+	}
 	if t.Trace != "" {
-		if err := writeFileTo(t.Trace, col.WriteChromeTrace); err != nil {
-			return fmt.Errorf("daemon: write trace: %w", err)
-		}
 		r.logger().Info("wrote Chrome trace", "path", t.Trace)
 	}
 	if t.Metrics != "" {
-		if err := writeFileTo(t.Metrics, col.WriteJSONL); err != nil {
-			return fmt.Errorf("daemon: write metrics: %w", err)
-		}
 		r.logger().Info("wrote per-epoch metrics", "path", t.Metrics)
 	}
 	return nil
@@ -575,25 +522,3 @@ func (r *Runner) setPublishedHealth(h Health) {
 
 // discardLogger swallows records when no Logger was configured.
 var discardLogger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError + 4}))
-
-// writeFileTo creates path and streams write into it.
-func writeFileTo(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// removeCheckpoint deletes a completed run's checkpoint, ignoring a file
-// that was never written.
-func removeCheckpoint(path string) {
-	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-		// Best-effort: a stale checkpoint only costs a failed restore later.
-		_ = err
-	}
-}

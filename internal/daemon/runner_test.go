@@ -1,11 +1,17 @@
 package daemon
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
+
+	"thermostat/internal/harness"
+	"thermostat/internal/sim"
+	"thermostat/internal/telemetry"
 )
 
 // tinyConfig is the base test config: redis under the paper's arm at the
@@ -302,5 +308,79 @@ func TestLadderUnit(t *testing.T) {
 	l3 := &ladder{cfg: DegradeConfig{Disabled: true, DegradeAfter: 1}}
 	if h, changed := l3.Observe(true); h != Healthy || changed {
 		t.Fatalf("disabled ladder moved: %v", h)
+	}
+}
+
+// TestRunnerMatchesHarnessRun pins the one-assembly contract from the
+// daemon's side: a Runner run of a config and harness.Run of the plan that
+// config resolves to — on the two-tier machine and on a named three-tier
+// hierarchy with a composed engine — finish in the same state (equal
+// RunResult, equal state digest, byte-equal telemetry exports).
+func TestRunnerMatchesHarnessRun(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"thermostat-two-tier", func(*Config) {}},
+		{"composed-three-tier", func(c *Config) {
+			c.Policy, c.Tracker = "heat", "idlebit"
+			c.Tiers = []string{"dram", "cxl", "nvm"}
+			c.ShardWorkers = 4
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tinyConfig(t, t.TempDir())
+			tc.mutate(&cfg)
+			got, err := (&Runner{Config: cfg, NoPacing: true}).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			spec, err := harness.ResolveSpec(cfg.App, cfg.Footprint)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, err := harness.ResolveScale(cfg.Scale, cfg.Seed, cfg.DurationS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc.ShardWorkers = cfg.ShardWorkers
+			tiers, err := harness.ResolveTiers(cfg.Tiers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			col := telemetry.NewCollector()
+			want, err := harness.Run(spec, sc, harness.Plan{
+				SlowdownPct: cfg.SlowdownPct, Placement: cfg.Policy, Tracker: cfg.Tracker, Tiers: tiers,
+				Config: func(c *sim.Config) { c.Recorder = col },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			if !reflect.DeepEqual(got.Result, want.Result) {
+				t.Errorf("RunResult differs: daemon ops %d clock %d, harness ops %d clock %d",
+					got.Result.Ops, got.Result.Metrics.ClockNs, want.Result.Ops, want.Result.Metrics.ClockNs)
+			}
+			clock := got.Result.Metrics.ClockNs
+			gd := stateDigest(got.Epochs, clock, got.Machine, got.Engine, got.Collector.EventCount())
+			wd := stateDigest(got.Epochs, clock, want.Machine, want.Engine, col.EventCount())
+			if gd != wd {
+				t.Errorf("state digest: daemon %s, harness %s", gd, wd)
+			}
+			var trace, metrics bytes.Buffer
+			if err := col.WriteChromeTrace(&trace); err != nil {
+				t.Fatal(err)
+			}
+			if err := col.WriteJSONL(&metrics); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(trace.Bytes(), readFileT(t, cfg.Telemetry.Trace)) {
+				t.Error("Chrome trace differs between the daemon run and harness.Run")
+			}
+			if !bytes.Equal(metrics.Bytes(), readFileT(t, cfg.Telemetry.Metrics)) {
+				t.Error("metrics JSONL differs between the daemon run and harness.Run")
+			}
+		})
 	}
 }

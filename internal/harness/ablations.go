@@ -33,11 +33,11 @@ func ablationTable(title string, rows []AblationRow) *report.Table {
 	return t
 }
 
-// ablationArm is one configuration of a design-choice sweep.
+// ablationArm is one configuration of a design-choice sweep: a label and
+// the config/engine hooks that set it up (the grid fills in the 3% target).
 type ablationArm struct {
-	config    string
-	cfgMutate func(*sim.Config)
-	engMutate func(*cgroup.Group, *core.Engine)
+	config string
+	plan   Plan
 }
 
 // runAblationGrid runs the sweep's all-DRAM reference plus every arm as one
@@ -56,7 +56,8 @@ func runAblationGrid(title string, spec workload.Spec, opt Options, arms []ablat
 		tasks = append(tasks, pool.Task[*Outcome]{
 			Label: title + "/" + arm.config,
 			Run: func() (*Outcome, error) {
-				return RunThermostatWith(spec, sc, 3, arm.cfgMutate, arm.engMutate)
+				arm.plan.SlowdownPct = 3
+				return Run(spec, sc, arm.plan)
 			},
 		})
 	}
@@ -79,6 +80,17 @@ func runAblationGrid(title string, spec workload.Spec, opt Options, arms []ablat
 	return rows, ablationTable(title, rows), nil
 }
 
+// tuneGroup returns an engine hook that edits the run's group parameters.
+func tuneGroup(edit func(*cgroup.Params)) func(*cgroup.Group, *core.Engine) {
+	return func(g *cgroup.Group, _ *core.Engine) {
+		p := g.Params()
+		edit(&p)
+		if err := g.Update(p); err != nil {
+			panic(err)
+		}
+	}
+}
+
 // AblationPoisonBudget sweeps K, the per-huge-page poison budget (§3.2's
 // "at most 50"): small K is cheap but noisy, large K costs more faults for
 // little extra accuracy.
@@ -89,13 +101,7 @@ func AblationPoisonBudget(spec workload.Spec, opt Options) ([]AblationRow, *repo
 		k := k
 		arms = append(arms, ablationArm{
 			config: fmt.Sprintf("K=%d", k),
-			engMutate: func(g *cgroup.Group, _ *core.Engine) {
-				p := g.Params()
-				p.MaxPoisonPerHuge = k
-				if err := g.Update(p); err != nil {
-					panic(err)
-				}
-			},
+			plan:   Plan{Engine: tuneGroup(func(p *cgroup.Params) { p.MaxPoisonPerHuge = k })},
 		})
 	}
 	return runAblationGrid(
@@ -112,13 +118,7 @@ func AblationSampleFraction(spec workload.Spec, opt Options) ([]AblationRow, *re
 		f := f
 		arms = append(arms, ablationArm{
 			config: fmt.Sprintf("f=%.0f%%", f*100),
-			engMutate: func(g *cgroup.Group, _ *core.Engine) {
-				p := g.Params()
-				p.SampleFraction = f
-				if err := g.Update(p); err != nil {
-					panic(err)
-				}
-			},
+			plan:   Plan{Engine: tuneGroup(func(p *cgroup.Params) { p.SampleFraction = f })},
 		})
 	}
 	return runAblationGrid(
@@ -137,8 +137,8 @@ func AblationPrefilter(spec workload.Spec, opt Options) ([]AblationRow, *report.
 			config = "uniform children (naive)"
 		}
 		arms = append(arms, ablationArm{
-			config:    config,
-			engMutate: func(_ *cgroup.Group, e *core.Engine) { e.SetPrefilter(on) },
+			config: config,
+			plan:   Plan{Engine: func(_ *cgroup.Group, e *core.Engine) { e.SetPrefilter(on) }},
 		})
 	}
 	return runAblationGrid(
@@ -177,8 +177,8 @@ func AblationCorrection(opt Options) ([]AblationRow, *report.Table, error) {
 			config = "corrector off"
 		}
 		arms = append(arms, ablationArm{
-			config:    config,
-			engMutate: func(_ *cgroup.Group, e *core.Engine) { e.SetCorrection(on) },
+			config: config,
+			plan:   Plan{Engine: func(_ *cgroup.Group, e *core.Engine) { e.SetCorrection(on) }},
 		})
 	}
 	return runAblationGrid(
@@ -197,8 +197,8 @@ func AblationTrapPlacement(spec workload.Spec, opt Options) ([]AblationRow, *rep
 			config = "trap in host (vmexit per fault)"
 		}
 		arms = append(arms, ablationArm{
-			config:    config,
-			cfgMutate: func(cfg *sim.Config) { cfg.VM.TrapInHost = inHost },
+			config: config,
+			plan:   Plan{Config: func(cfg *sim.Config) { cfg.VM.TrapInHost = inHost }},
 		})
 	}
 	return runAblationGrid(
@@ -213,8 +213,8 @@ func AblationSlowMemMode(spec workload.Spec, opt Options) ([]AblationRow, *repor
 	for _, mode := range []sim.SlowMemMode{sim.EmulatedFault, sim.Device} {
 		mode := mode
 		arms = append(arms, ablationArm{
-			config:    mode.String(),
-			cfgMutate: func(cfg *sim.Config) { cfg.Mode = mode },
+			config: mode.String(),
+			plan:   Plan{Config: func(cfg *sim.Config) { cfg.Mode = mode }},
 		})
 	}
 	return runAblationGrid(
@@ -251,15 +251,13 @@ func AblationCounters(opt Options) ([]CounterRow, *report.Table, error) {
 	}
 
 	run := func(mk func(m *sim.Machine) counter.Backend) (float64, float64, error) {
-		m, err := sim.New(sc.MachineConfig(spec, true))
+		// Assembled like any run, then driven by hand: the backends arm
+		// pages between Init and the first access, which sim.Run cannot do.
+		a, err := Assemble(spec, sc, Plan{Machine: (*sim.Machine).EnablePageCounts})
 		if err != nil {
 			return 0, 0, err
 		}
-		m.EnablePageCounts()
-		app, err := sc.NewApp(spec, sc.Seed)
-		if err != nil {
-			return 0, 0, err
-		}
+		m, app := a.Machine, a.App
 		if err := app.Init(m); err != nil {
 			return 0, 0, err
 		}

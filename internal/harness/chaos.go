@@ -64,8 +64,8 @@ func ChaosSweep(spec workload.Spec, rates []float64, opt ChaosOptions) ([]ChaosP
 		tasks[i] = pool.Task[*Outcome]{
 			Label: fmt.Sprintf("chaos/%s/rate=%g", spec.Name, rate),
 			Run: func() (*Outcome, error) {
-				return RunThermostatWith(spec, opt.Scale, opt.SlowdownPct,
-					func(c *sim.Config) { c.Chaos = cfg }, nil)
+				return Run(spec, opt.Scale, Plan{SlowdownPct: opt.SlowdownPct,
+					Config: func(c *sim.Config) { c.Chaos = cfg }})
 			},
 		}
 	}

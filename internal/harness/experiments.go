@@ -75,43 +75,42 @@ func RunAll(opt Options) (map[string]*AppRun, error) {
 	for i, spec := range opt.Apps {
 		spec := spec
 		tasks[i] = pool.Task[*AppRun]{Label: "runall/" + spec.Name, Run: func() (*AppRun, error) {
-			var baseCol, thCol *telemetry.Collector
-			var baseMutate, thMutate func(*sim.Config)
-			var engMutate func(*cgroup.Group, *core.Engine)
-			if opt.Telemetry != nil {
-				baseCol = opt.Telemetry.NewCollector()
-				thCol = opt.Telemetry.NewCollector()
-				baseMutate = func(cfg *sim.Config) { cfg.Recorder = baseCol }
-				thMutate = func(cfg *sim.Config) { cfg.Recorder = thCol }
-			}
-			if opt.Publisher != nil {
-				// Tee through the publisher (collector may be nil; the
-				// tee forwards only when it isn't).
-				baseRec := opt.Publisher.Recorder(spec.Name+"/baseline", baseCol)
-				thRec := opt.Publisher.Recorder(spec.Name+"/thermostat", thCol)
-				baseMutate = func(cfg *sim.Config) { cfg.Recorder = baseRec }
-				thMutate = func(cfg *sim.Config) { cfg.Recorder = thRec }
-				engMutate = func(_ *cgroup.Group, eng *core.Engine) {
-					eng.EnablePublish()
-					opt.Publisher.AttachEngine(spec.Name+"/thermostat", eng)
+			// arm runs one side of the pair with its own collector and, when
+			// a publisher is attached, a tee into the live plane (the tee
+			// forwards to the collector only when there is one).
+			arm := func(name string, plan Plan) (*Outcome, error) {
+				label := spec.Name + "/" + name
+				var col *telemetry.Collector
+				var rec telemetry.Recorder
+				if opt.Telemetry != nil {
+					col = opt.Telemetry.NewCollector()
+					rec = col
 				}
+				if opt.Publisher != nil {
+					rec = opt.Publisher.Recorder(label, col)
+					plan.Engine = func(_ *cgroup.Group, eng *core.Engine) {
+						eng.EnablePublish()
+						opt.Publisher.AttachEngine(label, eng)
+					}
+				}
+				if rec != nil {
+					plan.Config = func(cfg *sim.Config) { cfg.Recorder = rec }
+				}
+				out, err := Run(spec, opt.Scale, plan)
+				if err != nil || col == nil {
+					return out, err
+				}
+				out.Telemetry = col
+				_, _, err = opt.Telemetry.Export("runall-"+spec.Name+"-"+name, col)
+				return out, err
 			}
-			base, err := RunBaselineWith(spec, opt.Scale, baseMutate)
+			base, err := arm("baseline", Plan{})
 			if err != nil {
 				return nil, err
 			}
-			th, err := RunThermostatWith(spec, opt.Scale, opt.SlowdownPct, thMutate, engMutate)
+			th, err := arm("thermostat", Plan{SlowdownPct: opt.SlowdownPct})
 			if err != nil {
 				return nil, err
-			}
-			if opt.Telemetry != nil {
-				base.Telemetry, th.Telemetry = baseCol, thCol
-				if _, _, err := opt.Telemetry.Export("runall-"+spec.Name+"-baseline", baseCol); err != nil {
-					return nil, err
-				}
-				if _, _, err := opt.Telemetry.Export("runall-"+spec.Name+"-thermostat", thCol); err != nil {
-					return nil, err
-				}
 			}
 			return &AppRun{
 				Base:         base,
@@ -154,18 +153,13 @@ func Fig1(opt Options) (*Fig1Result, error) {
 	sc := opt.Scale
 	sc.PeriodNs = window / idleScans
 	// The run must span several idle windows regardless of profile.
-	if sc.DurationNs < 3*window {
-		sc.DurationNs = 3 * window
-	}
-	if sc.WarmupNs >= sc.DurationNs {
-		sc.WarmupNs = sc.DurationNs / 5
-	}
+	sc = sc.WithDuration(max(sc.DurationNs, 3*window))
 	tasks := make([]pool.Task[float64], len(opt.Apps))
 	for i, spec := range opt.Apps {
 		spec := spec
 		tasks[i] = pool.Task[float64]{Label: "fig1/" + spec.Name, Run: func() (float64, error) {
 			pol := &scanOnly{interval: sc.PeriodNs}
-			if _, err := RunPolicy(spec, sc, pol); err != nil {
+			if _, err := Run(spec, sc, Plan{Policy: pol}); err != nil {
 				return 0, err
 			}
 			return pol.scanner.IdleFraction(idleScans), nil
@@ -247,7 +241,7 @@ func NaivePlacement(spec workload.Spec, opt Options) (*NaiveResult, error) {
 			return RunBaseline(spec, sc)
 		}},
 		{Label: "naive/" + spec.Name + "/idle-demote", Run: func() (*Outcome, error) {
-			return RunPolicy(spec, sc, pol)
+			return Run(spec, sc, Plan{Policy: pol})
 		}},
 	})
 	if err != nil {
@@ -290,27 +284,13 @@ func Fig2(opt Options) (*Fig2Result, error) {
 	opt = opt.withDefaults()
 	spec := workload.Redis()
 	sc := opt.Scale
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	m, err := sim.New(sc.MachineConfig(spec, true))
+	pol := &splitScan{scanOnly: scanOnly{interval: sc.PeriodNs}}
+	run, err := Run(spec, sc, Plan{Policy: pol, Machine: (*sim.Machine).EnablePageCounts})
 	if err != nil {
 		return nil, err
 	}
-	m.EnablePageCounts()
-	app, err := sc.NewApp(spec, sc.Seed)
-	if err != nil {
-		return nil, err
-	}
-	pol := &splitScan{interval: sc.PeriodNs}
-	res, err := sim.Run(m, app, pol, sim.RunConfig{
-		DurationNs: sc.DurationNs, WarmupNs: sc.WarmupNs, WindowNs: sc.PeriodNs,
-	})
-	if err != nil {
-		return nil, err
-	}
-	counts := m.PageCounts()
-	durSec := float64(res.DurationNs) / 1e9
+	counts := run.Machine.PageCounts()
+	durSec := float64(run.Result.DurationNs) / 1e9
 	out := &Fig2Result{}
 	var xs, ys []float64
 	for _, base := range pol.bases {
@@ -351,20 +331,16 @@ type Table1Row struct {
 func Table1(opt Options) ([]Table1Row, error) {
 	opt = opt.withDefaults()
 	// Placement plays no role here; shorten the schedule.
-	sc := opt.Scale
-	sc.DurationNs /= 3
-	if sc.WarmupNs >= sc.DurationNs {
-		sc.WarmupNs = sc.DurationNs / 5
-	}
+	sc := opt.Scale.WithDuration(opt.Scale.DurationNs / 3)
 	grid := make([][]pool.Task[*Outcome], len(opt.Apps))
 	for i, spec := range opt.Apps {
 		spec := spec
 		grid[i] = []pool.Task[*Outcome]{
 			{Label: "table1/" + spec.Name + "/2M", Run: func() (*Outcome, error) {
-				return RunPageMode(spec, sc, true)
+				return RunBaseline(spec, sc)
 			}},
 			{Label: "table1/" + spec.Name + "/4K", Run: func() (*Outcome, error) {
-				return RunPageMode(spec, sc, false)
+				return Run(spec, sc, Plan{SmallPages: true})
 			}},
 		}
 	}
@@ -562,7 +538,7 @@ func Fig11(opt Options) ([]Fig11Row, error) {
 			row = append(row, pool.Task[*Outcome]{
 				Label: fmt.Sprintf("fig11/%s/%g%%", spec.Name, pct),
 				Run: func() (*Outcome, error) {
-					return RunThermostat(spec, opt.Scale, pct)
+					return Run(spec, opt.Scale, Plan{SlowdownPct: pct})
 				}})
 		}
 		grid[i] = row

@@ -6,10 +6,8 @@ import (
 	"thermostat/internal/cgroup"
 	"thermostat/internal/core"
 	"thermostat/internal/fleet"
-	"thermostat/internal/mem"
 	"thermostat/internal/obsv"
 	"thermostat/internal/pool"
-	"thermostat/internal/pricing"
 	"thermostat/internal/sim"
 	"thermostat/internal/telemetry"
 	"thermostat/internal/workload"
@@ -39,7 +37,7 @@ type FleetTenant struct {
 	DepartNs int64
 	// SeedDelta offsets this tenant's app seed from Scale.Seed so tenants
 	// draw independent streams. Tenant 0 defaults to 0 — its app and
-	// engine then seed exactly as RunComposed would, which is what the
+	// engine then seed exactly as a solo Run would, which is what the
 	// degenerate-fleet differential test pins — and tenant i>0 defaults
 	// to i spaced by a large odd constant.
 	SeedDelta uint64
@@ -73,14 +71,8 @@ func (t FleetTenant) withDefaults(i int) FleetTenant {
 // scaledFootprint estimates the tenant's mapped bytes under sc: the spec's
 // committed bytes divided down, plus per-segment huge-page rounding slop.
 func (t FleetTenant) scaledFootprint(sc Scale) uint64 {
-	var fp uint64
-	for _, seg := range t.Spec.Segments {
-		fp += seg.Bytes
-	}
-	if g := t.Spec.Growth; g != nil {
-		fp += g.ChunkBytes * uint64(g.MaxChunks)
-	}
-	return fp/sc.Div + uint64(len(t.Spec.Segments)+1)*(2<<20)
+	fp, _ := sc.footprint(t.Spec)
+	return fp + uint64(len(t.Spec.Segments)+1)*(2<<20)
 }
 
 // FleetOptions configures a FleetRun.
@@ -152,7 +144,7 @@ func FleetRun(opt FleetOptions) (*FleetOutcome, error) {
 
 	// Machine: tenant 0's solo sizing (TLB/LLC reach depend only on the
 	// scale) widened by every further tenant's memory, so a one-tenant
-	// fleet gets exactly the RunComposed machine.
+	// fleet gets exactly the solo Run machine.
 	cfg := sc.MachineConfig(tens[0].Spec, true)
 	for _, t := range tens[1:] {
 		extra := sc.MachineConfig(t.Spec, true)
@@ -169,7 +161,7 @@ func FleetRun(opt FleetOptions) (*FleetOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Note: no EnablePageCounts here — the solo RunComposedWith runs the
+	// Note: no EnablePageCounts here — the solo composed runs the
 	// differential tests compare against attach a bare Recorder, and the
 	// confusion-matrix columns must agree (absent) for byte-identity.
 	var col *telemetry.Collector
@@ -203,7 +195,7 @@ func FleetRun(opt FleetOptions) (*FleetOutcome, error) {
 		if err != nil {
 			return nil, err
 		}
-		eng, err := core.ComposeByName(g, t.Tracker, t.Policy, sc.Seed+t.SeedDelta+0x7e)
+		eng, err := core.ComposeByName(g, t.Tracker, t.Policy, sc.Seed+t.SeedDelta+engineSeedOffset)
 		if err != nil {
 			return nil, err
 		}
@@ -293,23 +285,5 @@ func (o *FleetOutcome) ExportTenantTraces(topt *TelemetryOptions) (map[string][2
 // all-DRAM system of the same footprint (the paper's cost model applied to
 // the whole pool).
 func FleetSavings(o *FleetOutcome) (float64, error) {
-	fp := o.Result.Global.FinalFootprint
-	if fp.ByTier == nil || fp.Total() == 0 {
-		return 0, fmt.Errorf("harness: fleet result has no per-tier footprint")
-	}
-	sys := o.Machine.Memory()
-	topCost := sys.Tier(mem.Fast).Spec().CostPerGB
-	if topCost <= 0 {
-		return 0, fmt.Errorf("harness: top tier has no cost")
-	}
-	var shares []pricing.TierShare
-	for i := 0; i < sys.NumTiers(); i++ {
-		t := sys.Tier(mem.TierID(i))
-		shares = append(shares, pricing.TierShare{
-			Name:      t.Name(),
-			Fraction:  float64(fp.ByTier[i].Total()) / float64(fp.Total()),
-			CostRatio: t.Spec().CostPerGB / topCost,
-		})
-	}
-	return pricing.SavingsTiered(shares)
+	return placementSavings(o.Machine.Memory(), o.Result.Global.FinalFootprint)
 }

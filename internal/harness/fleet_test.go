@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 
 // TestFleetSingleTenantMatchesRunComposed is the fleet layer's differential
 // anchor: one tenant holding the full DRAM pool with no churn must replay
-// the solo RunComposed run exactly — identical engine counters, identical
+// the solo composed run exactly — identical engine counters, identical
 // RunResult, byte-identical trace and metrics exports. The arbiter runs
 // every period but, with nothing to redistribute, must leave no trace.
 func TestFleetSingleTenantMatchesRunComposed(t *testing.T) {
@@ -26,8 +27,8 @@ func TestFleetSingleTenantMatchesRunComposed(t *testing.T) {
 	sc := matrixScale()
 
 	soloCol := telemetry.NewCollector()
-	solo, err := RunComposedWith(spec, sc, "poison", "threshold", 3,
-		func(cfg *sim.Config) { cfg.Recorder = soloCol })
+	solo, err := Run(spec, sc, Plan{SlowdownPct: 3, Tracker: "poison", Placement: "threshold",
+		Config: func(cfg *sim.Config) { cfg.Recorder = soloCol }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,6 +159,35 @@ func TestFleetNightScenario(t *testing.T) {
 	}
 	if _, err := res.TenantCSV(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFleetNightSqueezedSampleSeeds is the regression for the fleet double
+// demotion: at these seeds Engine.Squeeze demotes a page the poison tracker
+// has mid-sample, and the estimate that sample yields two ticks later used
+// to be demoted a second time ("already in the bottom (slow) tier"),
+// aborting the whole fleet. The night cast must now run to completion.
+func TestFleetNightSqueezedSampleSeeds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second scaled runs")
+	}
+	t.Parallel()
+	for _, seed := range []uint64{10, 13, 26} {
+		seed := seed
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			sc := Tiny()
+			sc.Seed = seed
+			res, err := FleetNight(Options{Scale: sc, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tr := range res.Outcome.Result.Tenants {
+				if !tr.Rejected && tr.Ops == 0 {
+					t.Errorf("tenant %s made no progress", tr.Name)
+				}
+			}
+		})
 	}
 }
 

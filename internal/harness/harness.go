@@ -15,10 +15,12 @@ package harness
 
 import (
 	"fmt"
+	"strings"
 
 	"thermostat/internal/cgroup"
 	"thermostat/internal/chaos"
 	"thermostat/internal/core"
+	"thermostat/internal/mem"
 	"thermostat/internal/sim"
 	"thermostat/internal/telemetry"
 	"thermostat/internal/workload"
@@ -65,14 +67,6 @@ func (s Scale) Validate() error {
 	return nil
 }
 
-// applyEngineScale applies the profile's engine-level knobs (intra-run scan
-// sharding) to a freshly composed engine.
-func (s Scale) applyEngineScale(eng *core.Engine) {
-	if s.ShardWorkers > 1 {
-		eng.SetSharding(s.ShardWorkers, s.ShardWorkers)
-	}
-}
-
 // Repro is the full-fidelity profile cmd/repro uses: 1/16 footprints, 4x
 // time dilation, 2s scan intervals over a 100s run (the equivalent of a 30s
 // interval over a 1500s run at paper scale).
@@ -111,46 +105,36 @@ func (s Scale) PeriodCompression() float64 {
 	return 30e9 / float64(s.PeriodNs)
 }
 
-// MachineConfig builds a machine sized for the spec's footprint under this
-// scale. fourKHost selects 4KB host mappings (the THP-off configuration).
-func (s Scale) MachineConfig(spec workload.Spec, hugeHost bool) sim.Config {
-	var footprint uint64
+// footprint returns spec's committed bytes (segments plus full growth) under
+// this scale, and the headroom that covers rounding each segment up to a
+// huge page.
+func (s Scale) footprint(spec workload.Spec) (bytes, headroom uint64) {
 	for _, seg := range spec.Segments {
-		footprint += seg.Bytes
+		bytes += seg.Bytes
 	}
 	if g := spec.Growth; g != nil {
-		footprint += g.ChunkBytes * uint64(g.MaxChunks)
+		bytes += g.ChunkBytes * uint64(g.MaxChunks)
 	}
-	footprint /= s.Div
-	// Headroom for rounding each segment up to a huge page.
-	headroom := uint64(len(spec.Segments)+8) * (2 << 20)
+	return bytes / s.Div, uint64(len(spec.Segments)+8) * (2 << 20)
+}
+
+// MachineConfig builds a machine sized for the spec's footprint under this
+// scale. hugeHost=false selects 4KB host mappings (the THP-off configuration).
+func (s Scale) MachineConfig(spec workload.Spec, hugeHost bool) sim.Config {
+	footprint, headroom := s.footprint(spec)
 	fast := footprint + footprint/4 + headroom
 	slow := footprint + headroom
 
 	cfg := sim.DefaultConfig(fast, slow)
-	cfg.TLB.L1Entries = intMax(2, int(64/s.Div))
-	cfg.TLB.L2Entries = intMax(8, int(1024/s.Div))
-	cfg.LLC.SizeBytes = maxU64(1<<20, (45<<20)/s.Div)
+	cfg.TLB.L1Entries = max(2, int(64/s.Div))
+	cfg.TLB.L2Entries = max(8, int(1024/s.Div))
+	cfg.LLC.SizeBytes = max(1<<20, (45<<20)/s.Div)
 	cfg.FaultLatencyNs = 1000 * s.TimeDilate
 	cfg.SlowSpec.ReadLatency = 1000 * s.TimeDilate
 	cfg.SlowSpec.WriteLatency = 1000 * s.TimeDilate
 	cfg.VM.HostHugePages = hugeHost
 	cfg.Sparse = s.Sparse
 	return cfg
-}
-
-func intMax(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // NewApp instantiates spec under this scale: footprint divided, compute
@@ -179,191 +163,238 @@ func (s Scale) Group(slowdownPct float64) (*cgroup.Group, error) {
 	return cgroup.NewGroup("thermostat", p)
 }
 
-// Outcome bundles one policy run with everything analyses need.
+// engineSeedOffset separates an engine's sampling stream from the access
+// stream its app draws from the same Scale.Seed.
+const engineSeedOffset = 0x7e
+
+// Plan says what runs on the machine a Scale sizes for a workload. The zero
+// Plan is the all-DRAM baseline on the paper's two-tier machine; every other
+// experiment arm is a field or two away from it.
+type Plan struct {
+	// Policy, when set, is a ready-made non-engine policy (idle-demote, a
+	// scanner, a static placement). When nil, SlowdownPct decides: non-zero
+	// builds a core.Engine at that target, zero runs sim.NullPolicy.
+	Policy sim.Policy
+	// SlowdownPct is the engine's tolerable-slowdown target in percent.
+	SlowdownPct float64
+	// Placement and Tracker pick the engine: "" or "thermostat" is the
+	// paper's engine (core.NewEngine); any other Placement is a policy from
+	// the core registry composed with Tracker (default "poison").
+	Placement, Tracker string
+	// Tiers, when non-empty, replaces the two-tier machine with this
+	// hierarchy in Device mode (see TieredMachineConfig).
+	Tiers []mem.Spec
+	// SmallPages maps 4KB pages at guest and host — Table 1's THP-off arm.
+	SmallPages bool
+	// Config, Engine and Machine, when non-nil, adjust the machine config
+	// before the machine is built, the engine after it is composed, and the
+	// machine after it is built (recorders, chaos, ablation knobs,
+	// ground-truth page counting, the observability census).
+	Config  func(*sim.Config)
+	Engine  func(*cgroup.Group, *core.Engine)
+	Machine func(*sim.Machine)
+}
+
+// Assembly is a run built but not yet started.
+type Assembly struct {
+	Spec    workload.Spec
+	Scale   Scale
+	Machine *sim.Machine
+	App     *workload.App
+	// Engine is nil unless the plan selected one.
+	Engine *core.Engine
+	// Policy is what the run drives: Engine when there is one.
+	Policy sim.Policy
+}
+
+// Assemble builds the machine, app and policy for spec under sc as plan
+// describes — the one place a single-run experiment is put together, shared
+// by every harness experiment, both CLIs and the daemon.
+func Assemble(spec workload.Spec, sc Scale, plan Plan) (*Assembly, error) {
+	if err := sc.Validate(); err != nil {
+		return nil, err
+	}
+	var cfg sim.Config
+	switch {
+	case len(plan.Tiers) == 1:
+		return nil, fmt.Errorf("harness: N-tier run needs at least two tiers, got 1")
+	case len(plan.Tiers) > 0:
+		cfg = sc.TieredMachineConfig(spec, plan.Tiers)
+	default:
+		cfg = sc.MachineConfig(spec, !plan.SmallPages)
+	}
+	if plan.Config != nil {
+		plan.Config(&cfg)
+	}
+	m, err := sim.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if plan.Machine != nil {
+		plan.Machine(m)
+	}
+	app, err := sc.NewApp(spec, sc.Seed)
+	if err != nil {
+		return nil, err
+	}
+	if plan.SmallPages {
+		app.DisableHugePages()
+	}
+	a := &Assembly{Spec: spec, Scale: sc, Machine: m, App: app, Policy: plan.Policy}
+	switch {
+	case plan.Policy != nil:
+	case plan.SlowdownPct == 0:
+		if plan.Placement != "" || plan.Tracker != "" {
+			return nil, fmt.Errorf("harness: plan names engine %q/%q but no slowdown target", plan.Tracker, plan.Placement)
+		}
+		a.Policy = sim.NullPolicy{Interval: sc.PeriodNs}
+	default:
+		g, err := sc.Group(plan.SlowdownPct)
+		if err != nil {
+			return nil, err
+		}
+		seed := sc.Seed + engineSeedOffset
+		if plan.Placement == "" || plan.Placement == "thermostat" {
+			a.Engine = core.NewEngine(g, seed)
+		} else {
+			tracker := plan.Tracker
+			if tracker == "" {
+				tracker = "poison"
+			}
+			if a.Engine, err = core.ComposeByName(g, tracker, plan.Placement, seed); err != nil {
+				return nil, err
+			}
+		}
+		if sc.ShardWorkers > 1 {
+			a.Engine.SetSharding(sc.ShardWorkers, sc.ShardWorkers)
+		}
+		if plan.Engine != nil {
+			plan.Engine(g, a.Engine)
+		}
+		a.Policy = a.Engine
+	}
+	return a, nil
+}
+
+// Outcome bundles one finished run with everything analyses need.
 type Outcome struct {
 	Spec    workload.Spec
 	Scale   Scale
 	Machine *sim.Machine
 	App     *workload.App
-	Engine  *core.Engine // nil for non-Thermostat policies
+	Engine  *core.Engine // nil for non-engine policies
 	Result  *sim.RunResult
 	// Telemetry is the run's collector when the experiment enabled
 	// telemetry (nil otherwise).
 	Telemetry *telemetry.Collector
 	// Faults summarizes chaos fault handling over the whole run: all
-	// zeros unless the machine config installed an injector. Thermostat
-	// runs report through the engine (adding retry/quarantine counts);
-	// other policies report the machine-level injector view.
+	// zeros unless the machine config installed an injector. Engine runs
+	// report through the engine (adding retry/quarantine counts); other
+	// policies report the machine-level injector view.
 	Faults chaos.Report
 }
 
-// RunThermostat runs spec under Thermostat at the given slowdown target.
-func RunThermostat(spec workload.Spec, sc Scale, slowdownPct float64) (*Outcome, error) {
-	return RunThermostatWith(spec, sc, slowdownPct, nil, nil)
-}
-
-// RunThermostatWith is RunThermostat with hooks to mutate the machine
-// config and group parameters before the run — the ablation entry point.
-func RunThermostatWith(spec workload.Spec, sc Scale, slowdownPct float64,
-	cfgMutate func(*sim.Config), engMutate func(*cgroup.Group, *core.Engine)) (*Outcome, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	cfg := sc.MachineConfig(spec, true)
-	if cfgMutate != nil {
-		cfgMutate(&cfg)
-	}
-	m, err := sim.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	app, err := sc.NewApp(spec, sc.Seed)
-	if err != nil {
-		return nil, err
-	}
-	g, err := sc.Group(slowdownPct)
-	if err != nil {
-		return nil, err
-	}
-	eng := core.NewEngine(g, sc.Seed+0x7e)
-	sc.applyEngineScale(eng)
-	if engMutate != nil {
-		engMutate(g, eng)
-	}
-	res, err := sim.Run(m, app, eng, sim.RunConfig{
+// Run drives the assembled run for the scale's schedule. tickHook, when
+// non-nil, is sim.RunConfig.TickHook — the daemon's control point.
+func (a *Assembly) Run(tickHook func(nowNs int64) error) (*Outcome, error) {
+	sc := a.Scale
+	res, err := sim.Run(a.Machine, a.App, a.Policy, sim.RunConfig{
 		DurationNs: sc.DurationNs, WarmupNs: sc.WarmupNs, WindowNs: sc.PeriodNs,
+		TickHook: tickHook,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("harness: %s under thermostat: %w", spec.Name, err)
+		return nil, fmt.Errorf("harness: %s under %s: %w", a.Spec.Name, a.Policy.Name(), err)
 	}
-	return &Outcome{Spec: spec, Scale: sc, Machine: m, App: app, Engine: eng,
-		Result: res, Faults: eng.FaultReport()}, nil
+	faults := a.Machine.FaultReport
+	if a.Engine != nil {
+		faults = a.Engine.FaultReport
+	}
+	return &Outcome{Spec: a.Spec, Scale: sc, Machine: a.Machine, App: a.App,
+		Engine: a.Engine, Result: res, Faults: faults()}, nil
 }
 
-// RunComposed runs spec under an arbitrary tracker × policy composition
-// (see core.TrackerNames / core.PolicyNames) at the given slowdown target.
-func RunComposed(spec workload.Spec, sc Scale, tracker, policy string, slowdownPct float64) (*Outcome, error) {
-	return RunComposedWith(spec, sc, tracker, policy, slowdownPct, nil)
+// Run assembles plan for spec under sc and runs it to completion.
+func Run(spec workload.Spec, sc Scale, plan Plan) (*Outcome, error) {
+	a, err := Assemble(spec, sc, plan)
+	if err != nil {
+		return nil, err
+	}
+	return a.Run(nil)
 }
 
-// RunComposedWith is RunComposed with a machine-config hook.
-func RunComposedWith(spec workload.Spec, sc Scale, tracker, policy string, slowdownPct float64,
-	cfgMutate func(*sim.Config)) (*Outcome, error) {
-	return RunComposedHooked(spec, sc, tracker, policy, slowdownPct, cfgMutate, nil)
-}
-
-// RunComposedHooked is RunComposedWith with an additional engine hook,
-// called after composition and before the run (e.g. to enable the
-// observability census).
-func RunComposedHooked(spec workload.Spec, sc Scale, tracker, policy string, slowdownPct float64,
-	cfgMutate func(*sim.Config), engMutate func(*cgroup.Group, *core.Engine)) (*Outcome, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	cfg := sc.MachineConfig(spec, true)
-	if cfgMutate != nil {
-		cfgMutate(&cfg)
-	}
-	m, err := sim.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	app, err := sc.NewApp(spec, sc.Seed)
-	if err != nil {
-		return nil, err
-	}
-	g, err := sc.Group(slowdownPct)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := core.ComposeByName(g, tracker, policy, sc.Seed+0x7e)
-	if err != nil {
-		return nil, err
-	}
-	sc.applyEngineScale(eng)
-	if engMutate != nil {
-		engMutate(g, eng)
-	}
-	res, err := sim.Run(m, app, eng, sim.RunConfig{
-		DurationNs: sc.DurationNs, WarmupNs: sc.WarmupNs, WindowNs: sc.PeriodNs,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s under %s: %w", spec.Name, eng.Name(), err)
-	}
-	return &Outcome{Spec: spec, Scale: sc, Machine: m, App: app, Engine: eng,
-		Result: res, Faults: eng.FaultReport()}, nil
-}
-
-// RunBaseline runs spec with everything in fast memory (all-DRAM).
+// RunBaseline runs spec with everything in fast memory (all-DRAM): the zero
+// Plan, named because every experiment pairs its arms with it.
 func RunBaseline(spec workload.Spec, sc Scale) (*Outcome, error) {
-	return runWithPolicy(spec, sc, sim.NullPolicy{Interval: sc.PeriodNs}, true, nil)
+	return Run(spec, sc, Plan{})
 }
 
-// RunBaselineWith is RunBaseline with a hook to mutate the machine config
-// first (e.g. to attach a telemetry recorder).
-func RunBaselineWith(spec workload.Spec, sc Scale, cfgMutate func(*sim.Config)) (*Outcome, error) {
-	return runWithPolicy(spec, sc, sim.NullPolicy{Interval: sc.PeriodNs}, true, cfgMutate)
+// ScaleByName returns the named profile: "tiny", "bench" or "repro".
+func ScaleByName(name string) (Scale, bool) {
+	switch name {
+	case "tiny":
+		return Tiny(), true
+	case "bench":
+		return Bench(), true
+	case "repro":
+		return Repro(), true
+	}
+	return Scale{}, false
 }
 
-// RunPolicy runs spec under an arbitrary policy (e.g. core.IdleDemote).
-func RunPolicy(spec workload.Spec, sc Scale, pol sim.Policy) (*Outcome, error) {
-	return runWithPolicy(spec, sc, pol, true, nil)
+// ResolveScale turns the run selection every front end carries — profile
+// name, seed, optional run-length override in simulated seconds — into a
+// Scale. A shortened run keeps its warm-up inside it.
+func ResolveScale(name string, seed uint64, durationS float64) (Scale, error) {
+	sc, ok := ScaleByName(name)
+	if !ok {
+		return Scale{}, fmt.Errorf("unknown scale %q (tiny, bench, repro)", name)
+	}
+	sc.Seed = seed
+	if durationS > 0 {
+		sc = sc.WithDuration(int64(durationS * 1e9))
+	}
+	return sc, nil
 }
 
-// RunPolicyWith is RunPolicy with a machine-config hook.
-func RunPolicyWith(spec workload.Spec, sc Scale, pol sim.Policy, cfgMutate func(*sim.Config)) (*Outcome, error) {
-	return runWithPolicy(spec, sc, pol, true, cfgMutate)
+// WithDuration returns s running for ns with its warm-up kept inside the run.
+func (s Scale) WithDuration(ns int64) Scale {
+	s.DurationNs = ns
+	if s.WarmupNs >= ns {
+		s.WarmupNs = ns / 5
+	}
+	return s
 }
 
-func runWithPolicy(spec workload.Spec, sc Scale, pol sim.Policy, hugeHost bool, cfgMutate func(*sim.Config)) (*Outcome, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
+// ResolveSpec looks up an application model by name and, when footprint is
+// non-empty ("64G", "1T"), rescales it to that total size.
+func ResolveSpec(app, footprint string) (workload.Spec, error) {
+	spec, ok := workload.ByName(app)
+	if !ok {
+		return workload.Spec{}, fmt.Errorf("unknown application %q", app)
 	}
-	cfg := sc.MachineConfig(spec, hugeHost)
-	if cfgMutate != nil {
-		cfgMutate(&cfg)
+	if footprint != "" {
+		target, err := workload.ParseSize(footprint)
+		if err != nil {
+			return workload.Spec{}, err
+		}
+		spec = spec.WithFootprint(target)
 	}
-	m, err := sim.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	app, err := sc.NewApp(spec, sc.Seed)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sim.Run(m, app, pol, sim.RunConfig{
-		DurationNs: sc.DurationNs, WarmupNs: sc.WarmupNs, WindowNs: sc.PeriodNs,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s under %s: %w", spec.Name, pol.Name(), err)
-	}
-	return &Outcome{Spec: spec, Scale: sc, Machine: m, App: app,
-		Result: res, Faults: m.FaultReport()}, nil
+	return spec, nil
 }
 
-// RunPageMode runs spec with no placement policy and the given page-size
-// configuration at both guest and host — the Table 1 comparison arms.
-func RunPageMode(spec workload.Spec, sc Scale, huge bool) (*Outcome, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
+// ResolveTiers maps device preset names ("dram", "cxl", "nvm"), fastest
+// first, to the tier list of an N-tier Plan. Capacities are left zero:
+// TieredMachineConfig sizes them per workload.
+func ResolveTiers(names []string) ([]mem.Spec, error) {
+	var tiers []mem.Spec
+	for _, name := range names {
+		name = strings.TrimSpace(name)
+		t, ok := mem.Preset(name, 0)
+		if !ok {
+			return nil, fmt.Errorf("unknown device preset %q (presets: %s)",
+				name, strings.Join(mem.PresetNames(), ", "))
+		}
+		tiers = append(tiers, t)
 	}
-	m, err := sim.New(sc.MachineConfig(spec, huge))
-	if err != nil {
-		return nil, err
-	}
-	app, err := sc.NewApp(spec, sc.Seed)
-	if err != nil {
-		return nil, err
-	}
-	if !huge {
-		app.DisableHugePages()
-	}
-	res, err := sim.Run(m, app, sim.NullPolicy{Interval: sc.PeriodNs}, sim.RunConfig{
-		DurationNs: sc.DurationNs, WarmupNs: sc.WarmupNs, WindowNs: sc.PeriodNs,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s page-mode: %w", spec.Name, err)
-	}
-	return &Outcome{Spec: spec, Scale: sc, Machine: m, App: app,
-		Result: res, Faults: m.FaultReport()}, nil
+	return tiers, nil
 }

@@ -113,55 +113,17 @@ type MatrixReport struct {
 // enabled so the confusion matrix is available.
 func RunMatrixCell(spec workload.Spec, sc Scale, topo MatrixTopology,
 	tracker, policy string, slowdownPct float64) (*Outcome, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	var cfg sim.Config
-	if topo.Tiers == nil {
-		cfg = sc.MachineConfig(spec, true)
-	} else {
-		cfg = sc.TieredMachineConfig(spec, topo.Tiers)
-	}
 	col := telemetry.NewCollector()
-	cfg.Recorder = col
-	m, err := sim.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	m.EnablePageCounts()
-	app, err := sc.NewApp(spec, sc.Seed)
-	if err != nil {
-		return nil, err
-	}
-	g, err := sc.Group(slowdownPct)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := core.ComposeByName(g, tracker, policy, sc.Seed+0x7e)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sim.Run(m, app, eng, sim.RunConfig{
-		DurationNs: sc.DurationNs, WarmupNs: sc.WarmupNs, WindowNs: sc.PeriodNs,
+	out, err := Run(spec, sc, Plan{
+		SlowdownPct: slowdownPct, Tracker: tracker, Placement: policy, Tiers: topo.Tiers,
+		Config:  func(cfg *sim.Config) { cfg.Recorder = col },
+		Machine: (*sim.Machine).EnablePageCounts,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("harness: %s under %s on %s: %w",
-			spec.Name, eng.Name(), topo.Name, err)
+		return nil, err
 	}
-	return &Outcome{Spec: spec, Scale: sc, Machine: m, App: app, Engine: eng,
-		Result: res, Telemetry: col, Faults: eng.FaultReport()}, nil
-}
-
-// matrixBaseline runs the all-top-tier baseline for one app × topology.
-func matrixBaseline(spec workload.Spec, sc Scale, topo MatrixTopology) (*Outcome, error) {
-	if topo.Tiers == nil {
-		return RunBaseline(spec, sc)
-	}
-	return runWithPolicy(spec, sc, sim.NullPolicy{Interval: sc.PeriodNs}, true,
-		func(cfg *sim.Config) {
-			tiered := sc.TieredMachineConfig(spec, topo.Tiers)
-			*cfg = tiered
-		})
+	out.Telemetry = col
+	return out, nil
 }
 
 // confusionAccuracy folds the post-warmup confusion-matrix epochs into one
@@ -182,14 +144,12 @@ func confusionAccuracy(col *telemetry.Collector, warmupNs int64) (float64, bool)
 	return float64(right) / float64(total), true
 }
 
-// placementSavings prices the final placement against an all-top-tier
+// placementSavings prices a final placement on sys against an all-top-tier
 // system of the same footprint, using each tier's cost model.
-func placementSavings(out *Outcome) (float64, error) {
-	fp := out.Result.FinalFootprint
+func placementSavings(sys *mem.System, fp sim.Footprint) (float64, error) {
 	if fp.ByTier == nil || fp.Total() == 0 {
-		return 0, fmt.Errorf("harness: outcome has no per-tier footprint")
+		return 0, fmt.Errorf("harness: placement has no per-tier footprint")
 	}
-	sys := out.Machine.Memory()
 	topCost := sys.Tier(mem.Fast).Spec().CostPerGB
 	if topCost <= 0 {
 		return 0, fmt.Errorf("harness: top tier has no cost")
@@ -227,7 +187,7 @@ func PolicyMatrix(opt MatrixOptions) (*MatrixReport, error) {
 			baseTasks = append(baseTasks, pool.Task[*Outcome]{
 				Label: fmt.Sprintf("matrix/%s/%s/baseline", spec.Name, topo.Name),
 				Run: func() (*Outcome, error) {
-					return matrixBaseline(spec, opt.Scale, topo)
+					return Run(spec, opt.Scale, Plan{Tiers: topo.Tiers})
 				},
 			})
 		}
@@ -271,7 +231,7 @@ func PolicyMatrix(opt MatrixOptions) (*MatrixReport, error) {
 							}
 							cell.Accuracy, cell.ConfusionValid =
 								confusionAccuracy(out.Telemetry, opt.Scale.WarmupNs)
-							if sv, err := placementSavings(out); err == nil {
+							if sv, err := placementSavings(out.Machine.Memory(), out.Result.FinalFootprint); err == nil {
 								cell.Savings = sv
 							}
 							return cell, nil

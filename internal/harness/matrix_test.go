@@ -35,9 +35,9 @@ func TestComposedThermostatMatchesSeedEngine(t *testing.T) {
 		var out *Outcome
 		var err error
 		if composed {
-			out, err = RunComposedWith(spec, sc, "poison", "threshold", 3, attach)
+			out, err = Run(spec, sc, Plan{SlowdownPct: 3, Tracker: "poison", Placement: "threshold", Config: attach})
 		} else {
-			out, err = RunThermostatWith(spec, sc, 3, attach, nil)
+			out, err = Run(spec, sc, Plan{SlowdownPct: 3, Config: attach})
 		}
 		if err != nil {
 			t.Fatal(err)

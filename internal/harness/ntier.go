@@ -7,11 +7,9 @@ package harness
 import (
 	"fmt"
 
-	"thermostat/internal/cgroup"
 	"thermostat/internal/core"
 	"thermostat/internal/mem"
 	"thermostat/internal/pool"
-	"thermostat/internal/pricing"
 	"thermostat/internal/report"
 	"thermostat/internal/sim"
 	"thermostat/internal/workload"
@@ -35,16 +33,7 @@ func DefaultThreeTier(capacity uint64) []mem.Spec {
 // runs in Device mode so each tier's own latency is charged — with more than
 // one slow tier the single-latency fault emulation can't distinguish them.
 func (s Scale) TieredMachineConfig(spec workload.Spec, tiers []mem.Spec) sim.Config {
-	var footprint uint64
-	for _, seg := range spec.Segments {
-		footprint += seg.Bytes
-	}
-	if g := spec.Growth; g != nil {
-		footprint += g.ChunkBytes * uint64(g.MaxChunks)
-	}
-	footprint /= s.Div
-	headroom := uint64(len(spec.Segments)+8) * (2 << 20)
-
+	footprint, headroom := s.footprint(spec)
 	cfg := s.MachineConfig(spec, true)
 	cfg.Mode = sim.Device
 	cfg.Tiers = make([]mem.Spec, len(tiers))
@@ -61,62 +50,12 @@ func (s Scale) TieredMachineConfig(spec workload.Spec, tiers []mem.Spec) sim.Con
 	return cfg
 }
 
-// RunNTier runs spec under Thermostat on the given hierarchy at the given
-// slowdown target. The engine's demote/promote mechanics are tier-relative
-// (cold pages sink one tier at a time, reheated pages climb back), so no
-// policy changes are needed — only the machine differs from RunThermostat.
-func RunNTier(spec workload.Spec, sc Scale, tiers []mem.Spec, slowdownPct float64) (*Outcome, error) {
-	return runNTierEngine(spec, sc, tiers, slowdownPct, func(g *cgroup.Group) (*core.Engine, error) {
-		return core.NewEngine(g, sc.Seed+0x7e), nil
-	})
-}
-
-// RunNTierComposed is RunNTier with an arbitrary tracker × policy
-// composition in place of the paper's engine.
-func RunNTierComposed(spec workload.Spec, sc Scale, tiers []mem.Spec,
-	tracker, policy string, slowdownPct float64) (*Outcome, error) {
-	return runNTierEngine(spec, sc, tiers, slowdownPct, func(g *cgroup.Group) (*core.Engine, error) {
-		return core.ComposeByName(g, tracker, policy, sc.Seed+0x7e)
-	})
-}
-
-func runNTierEngine(spec workload.Spec, sc Scale, tiers []mem.Spec, slowdownPct float64,
-	build func(*cgroup.Group) (*core.Engine, error)) (*Outcome, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	if len(tiers) < 2 {
-		return nil, fmt.Errorf("harness: N-tier run needs at least two tiers, got %d", len(tiers))
-	}
-	cfg := sc.TieredMachineConfig(spec, tiers)
-	m, err := sim.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	app, err := sc.NewApp(spec, sc.Seed)
-	if err != nil {
-		return nil, err
-	}
-	g, err := sc.Group(slowdownPct)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := build(g)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sim.Run(m, app, eng, sim.RunConfig{
-		DurationNs: sc.DurationNs, WarmupNs: sc.WarmupNs, WindowNs: sc.PeriodNs,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s on %d tiers: %w", spec.Name, len(tiers), err)
-	}
-	return &Outcome{Spec: spec, Scale: sc, Machine: m, App: app, Engine: eng, Result: res}, nil
-}
-
-// NTierSweep runs every app in opt.Apps through RunNTier on the given
-// hierarchy and returns the analyzed reports in app order. The per-app runs
-// are independent and fan out across opt.Workers goroutines.
+// NTierSweep runs every app in opt.Apps under Thermostat on the given
+// hierarchy and returns the analyzed reports in app order. The engine's
+// demote/promote mechanics are tier-relative (cold pages sink one tier at a
+// time, reheated pages climb back), so only the machine differs from a
+// two-tier run. The per-app runs are independent and fan out across
+// opt.Workers goroutines.
 func NTierSweep(opt Options, tiers []mem.Spec) ([]*NTierReport, error) {
 	opt = opt.withDefaults()
 	tasks := make([]pool.Task[*NTierReport], len(opt.Apps))
@@ -125,7 +64,7 @@ func NTierSweep(opt Options, tiers []mem.Spec) ([]*NTierReport, error) {
 		tasks[i] = pool.Task[*NTierReport]{
 			Label: fmt.Sprintf("ntier/%s/%d-tiers", spec.Name, len(tiers)),
 			Run: func() (*NTierReport, error) {
-				out, err := RunNTier(spec, opt.Scale, tiers, opt.SlowdownPct)
+				out, err := Run(spec, opt.Scale, Plan{SlowdownPct: opt.SlowdownPct, Tiers: tiers})
 				if err != nil {
 					return nil, err
 				}
@@ -149,9 +88,12 @@ type TierUsage struct {
 // PairTrafficRow is one cell of the migration traffic matrix.
 type PairTrafficRow struct {
 	Src, Dst mem.TierID
-	Bytes    uint64
-	Pages2M  uint64
-	Pages4K  uint64
+	// SrcName and DstName are the tiers' device-class names, taken from the
+	// machine that moved the pages.
+	SrcName, DstName string
+	Bytes            uint64
+	Pages2M          uint64
+	Pages4K          uint64
 	// PaperMBps is the migration rate converted back to paper time units.
 	PaperMBps float64
 }
@@ -175,41 +117,23 @@ func AnalyzeNTier(out *Outcome) (*NTierReport, error) {
 	m := out.Machine
 	sys := m.Memory()
 	fp := out.Result.FinalFootprint
-	if fp.ByTier == nil {
-		return nil, fmt.Errorf("harness: outcome has no per-tier footprint")
-	}
 	met := out.Result.Metrics
 
 	rep := &NTierReport{App: out.Spec.Name, Stats: out.Engine.Stats()}
-	total := fp.Total()
-	topCost := sys.Tier(mem.Fast).Spec().CostPerGB
-	if topCost <= 0 {
-		return nil, fmt.Errorf("harness: top tier has no cost")
-	}
-	var shares []pricing.TierShare
-	for i := 0; i < sys.NumTiers(); i++ {
-		t := sys.Tier(mem.TierID(i))
-		u := TierUsage{
-			ID: t.ID(), Name: t.Name(),
-			Bytes:     fp.ByTier[i].Total(),
-			CostPerGB: t.Spec().CostPerGB,
-		}
-		if total > 0 {
-			u.Fraction = float64(u.Bytes) / float64(total)
-		}
-		if i < len(met.TierAccesses) {
-			u.Accesses = met.TierAccesses[i]
-		}
-		rep.Tiers = append(rep.Tiers, u)
-		shares = append(shares, pricing.TierShare{
-			Name: u.Name, Fraction: u.Fraction, CostRatio: u.CostPerGB / topCost,
-		})
-	}
-	savings, err := pricing.SavingsTiered(shares)
-	if err != nil {
+	var err error
+	if rep.Savings, err = placementSavings(sys, fp); err != nil {
 		return nil, fmt.Errorf("harness: N-tier savings: %w", err)
 	}
-	rep.Savings = savings
+	for i := 0; i < sys.NumTiers(); i++ {
+		t := sys.Tier(mem.TierID(i))
+		rep.Tiers = append(rep.Tiers, TierUsage{
+			ID: t.ID(), Name: t.Name(),
+			Bytes:     fp.ByTier[i].Total(),
+			Fraction:  float64(fp.ByTier[i].Total()) / float64(fp.Total()),
+			CostPerGB: t.Spec().CostPerGB,
+			Accesses:  met.TierAccesses[i],
+		})
+	}
 
 	meter := m.Migrator().Meter()
 	// Convert to paper-scale MB/s like Table 3: undo scan-interval
@@ -219,6 +143,7 @@ func AnalyzeNTier(out *Outcome) (*NTierReport, error) {
 		tr := meter.PairTraffic(p.Src, p.Dst)
 		rep.Pairs = append(rep.Pairs, PairTrafficRow{
 			Src: p.Src, Dst: p.Dst,
+			SrcName: sys.Tier(p.Src).Name(), DstName: sys.Tier(p.Dst).Name(),
 			Bytes: tr.Bytes, Pages2M: tr.Pages2M, Pages4K: tr.Pages4K,
 			PaperMBps: meter.PairRateMBps(p.Src, p.Dst, met.ClockNs) / conv,
 		})
@@ -231,7 +156,7 @@ func (r *NTierReport) TrafficTable() *report.Table {
 	t := report.NewTable(fmt.Sprintf("%s: per-tier-pair migration traffic", r.App),
 		"src", "dst", "MB moved", "2M pages", "4K pages", "MB/s (paper)")
 	for _, p := range r.Pairs {
-		t.AddF(p.Src, p.Dst, fmt.Sprintf("%.1f", float64(p.Bytes)/1e6),
+		t.AddF(p.SrcName, p.DstName, fmt.Sprintf("%.1f", float64(p.Bytes)/1e6),
 			p.Pages2M, p.Pages4K, fmt.Sprintf("%.2f", p.PaperMBps))
 	}
 	return t

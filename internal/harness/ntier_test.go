@@ -13,7 +13,7 @@ func TestRunNTierThreeTierEndToEnd(t *testing.T) {
 	}
 	t.Parallel()
 	sc := Tiny()
-	out, err := RunNTier(workload.Redis(), sc, DefaultThreeTier(0), 3)
+	out, err := Run(workload.Redis(), sc, Plan{SlowdownPct: 3, Tiers: DefaultThreeTier(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,55 @@ func TestTieredMachineConfigDilation(t *testing.T) {
 	if cfg.Mode.String() != "device" {
 		t.Errorf("mode = %v, want device", cfg.Mode)
 	}
-	if _, err := RunNTier(workload.Redis(), sc, DefaultThreeTier(0)[:1], 3); err == nil {
+	if _, err := Run(workload.Redis(), sc, Plan{SlowdownPct: 3, Tiers: DefaultThreeTier(0)[:1]}); err == nil {
 		t.Error("single-tier hierarchy accepted")
+	}
+}
+
+// TestTierNamesFollowTheMachine is the regression for the process-wide tier
+// name table: a dram,cxl,nvm machine and a two-tier machine built in the
+// same process — in either order — must each render their own tier names.
+// The registry used to let whichever hierarchy was built last rename the
+// other's tiers ("slow" printed for "cxl").
+func TestTierNamesFollowTheMachine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second scaled runs")
+	}
+	t.Parallel()
+	sc := Tiny()
+	tiers, err := ResolveTiers([]string{"dram", "cxl", "nvm"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(plan Plan) string {
+		out, err := Run(workload.Redis(), sc, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := AnalyzeNTier(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.TrafficTable().String() + "\n" + rep.CostTable().String()
+	}
+	three, two := Plan{SlowdownPct: 3, Tiers: tiers}, Plan{SlowdownPct: 3}
+	for _, order := range [][]Plan{{three, two}, {two, three}} {
+		for _, plan := range order {
+			got := render(plan)
+			want, foreign := []string{"fast", "slow"}, []string{"cxl", "nvm"}
+			if plan.Tiers != nil {
+				want, foreign = []string{"fast", "cxl", "nvm"}, []string{"slow"}
+			}
+			for _, name := range want {
+				if !strings.Contains(got, name) {
+					t.Errorf("%d-tier report missing %q:\n%s", len(want), name, got)
+				}
+			}
+			for _, name := range foreign {
+				if strings.Contains(got, name) {
+					t.Errorf("%d-tier report shows another machine's tier %q:\n%s", len(want), name, got)
+				}
+			}
+		}
 	}
 }

@@ -38,22 +38,17 @@ func (p *scanOnly) Footprint(m *sim.Machine) sim.Footprint {
 	return sim.AllHotFootprint(m.PageTable())
 }
 
-// splitScan is the Figure 2 instrument: it splits every huge page at attach
-// time and scans Accessed bits each interval, tracking per-child hot
+// splitScan is the Figure 2 instrument: scanOnly over a table whose every
+// huge page was split at attach time, so the scanner tracks per-child hot
 // streaks. No pages move.
 type splitScan struct {
-	interval int64
-	scanner  *kstaled.Scanner
-	bases    []addr.Virt
+	scanOnly
+	bases []addr.Virt
 }
 
-func (p *splitScan) Name() string      { return "split-scan" }
-func (p *splitScan) IntervalNs() int64 { return p.interval }
+func (p *splitScan) Name() string { return "split-scan" }
 
 func (p *splitScan) Attach(m *sim.Machine) error {
-	if p.interval <= 0 {
-		return fmt.Errorf("harness: splitScan needs an interval")
-	}
 	pt := m.PageTable()
 	pt.Scan(func(base addr.Virt, e *pagetable.Entry, lvl pagetable.Level) {
 		if lvl == pagetable.Level2M {
@@ -66,16 +61,5 @@ func (p *splitScan) Attach(m *sim.Machine) error {
 		}
 		m.TLB().Invalidate(base, m.VPID())
 	}
-	p.scanner = kstaled.New(pt, m.TLB(), m.VPID(), 0)
-	return nil
-}
-
-func (p *splitScan) Tick(m *sim.Machine, now int64) error {
-	res := p.scanner.Scan()
-	m.ChargeDaemon(res.CostNs)
-	return nil
-}
-
-func (p *splitScan) Footprint(m *sim.Machine) sim.Footprint {
-	return sim.AllHotFootprint(m.PageTable())
+	return p.scanOnly.Attach(m)
 }

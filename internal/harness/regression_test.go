@@ -3,6 +3,7 @@ package harness
 import (
 	"testing"
 
+	"thermostat/internal/core"
 	"thermostat/internal/workload"
 )
 
@@ -44,7 +45,7 @@ func TestTwoTierGoldenRegression(t *testing.T) {
 		g := g
 		t.Run(g.spec.Name, func(t *testing.T) {
 			t.Parallel()
-			out, err := RunThermostat(g.spec, Tiny(), 3)
+			out, err := Run(g.spec, Tiny(), Plan{SlowdownPct: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,7 +105,7 @@ func TestTwoTierGoldenRegression(t *testing.T) {
 // the two-tier configuration.
 func TestThreeTierGoldenRegression(t *testing.T) {
 	t.Parallel()
-	out, err := RunNTier(workload.Redis(), Tiny(), DefaultThreeTier(0), 3)
+	out, err := Run(workload.Redis(), Tiny(), Plan{SlowdownPct: 3, Tiers: DefaultThreeTier(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,5 +174,102 @@ func TestThreeTierGoldenRegression(t *testing.T) {
 			p.Bytes != w.bytes || p.Pages2M != w.pages2M || p.Pages4K != w.pages4K {
 			t.Errorf("pair %d = %+v, want %+v", i, p, w)
 		}
+	}
+}
+
+// TestPlanShapesMatchSeedEntryPoints runs every Plan shape the thirteen old
+// entry points covered (RunThermostat, RunComposed, RunBaseline, RunPolicy,
+// RunPageMode, RunNTier{,Composed}, RunMatrixCell, the matrix's tiered
+// baseline, RunProfileGuided) on redis at Tiny scale, seed 1, and pins each
+// to the numbers those entry points produced at the commit before the
+// collapse. One assembly must mean the same runs, not similar ones.
+func TestPlanShapesMatchSeedEntryPoints(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a dozen multi-second scaled runs")
+	}
+	t.Parallel()
+	spec, sc := workload.Redis(), Tiny()
+	plan := func(p Plan) func() (*Outcome, error) {
+		return func() (*Outcome, error) { return Run(spec, sc, p) }
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() (*Outcome, error)
+
+		policy                      string
+		ops, slow, poison, coldByte uint64
+		clockNs                     int64
+		// pages/misses are the ground-truth page-count census and events the
+		// telemetry event count, for the shapes that turn them on.
+		pages  int
+		misses uint64
+		events int
+	}{
+		{name: "thermostat", run: plan(Plan{SlowdownPct: 3}),
+			policy: "thermostat", ops: 6413283, slow: 2228, poison: 151390, coldByte: 4194304, clockNs: 8000001045},
+		{name: "composed", run: plan(Plan{SlowdownPct: 3, Tracker: "poison", Placement: "threshold"}),
+			policy: "poison+threshold", ops: 6413283, slow: 2228, poison: 151390, coldByte: 4194304, clockNs: 8000001045},
+		{name: "composed-idlebit-heat", run: plan(Plan{SlowdownPct: 3, Tracker: "idlebit", Placement: "heat"}),
+			policy: "idlebit+heat", ops: 6542321, coldByte: 10485760, clockNs: 8000001201},
+		{name: "baseline", run: plan(Plan{}),
+			policy: "all-dram", ops: 6542321, clockNs: 8000000117},
+		{name: "idle-demote-policy", run: plan(Plan{Policy: &core.IdleDemote{Interval: sc.PeriodNs, IdleScans: 4, NoPromote: true}}),
+			policy: "idle-demote", ops: 6542321, coldByte: 10485760, clockNs: 8000001201},
+		{name: "4k-page-mode", run: plan(Plan{SmallPages: true}),
+			policy: "all-dram", ops: 6427985, clockNs: 8000001147},
+		{name: "three-tier", run: plan(Plan{SlowdownPct: 3, Tiers: DefaultThreeTier(0)}),
+			policy: "thermostat", ops: 6412880, slow: 2228, poison: 151366, coldByte: 4194304, clockNs: 8000001084},
+		{name: "three-tier-composed", run: plan(Plan{SlowdownPct: 3, Tracker: "damon", Placement: "heat", Tiers: DefaultThreeTier(0)}),
+			policy: "damon+heat", ops: 6542321, clockNs: 8000000241},
+		{name: "three-tier-baseline", run: plan(Plan{Tiers: DefaultThreeTier(0)}),
+			policy: "all-dram", ops: 6542321, clockNs: 8000000117},
+		{name: "matrix-cell-two-tier", run: func() (*Outcome, error) {
+			return RunMatrixCell(spec, sc, TwoTierTopology(), "poison", "threshold", 3)
+		}, policy: "poison+threshold", ops: 6413283, slow: 2228, poison: 151390, coldByte: 4194304, clockNs: 8000001045,
+			pages: 31, misses: 34192, events: 151530},
+		{name: "matrix-cell-three-tier", run: func() (*Outcome, error) {
+			return RunMatrixCell(spec, sc, ThreeTierTopology(), "softdirty", "heat", 3)
+		}, policy: "softdirty+heat", ops: 6540684, slow: 1629, poison: 1620, coldByte: 12582912, clockNs: 8000000475,
+			pages: 31, misses: 34825, events: 2349},
+		{name: "profile-guided", run: func() (*Outcome, error) { return RunProfileGuided(spec, sc, 3) },
+			policy: "profile-guided", ops: 4380478, slow: 3777083, poison: 2643511, coldByte: 73400320, clockNs: 8000000581},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			out, err := tc.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			met := out.Result.Metrics
+			if out.Result.PolicyName != tc.policy {
+				t.Errorf("policy = %q, want %q", out.Result.PolicyName, tc.policy)
+			}
+			for _, c := range []struct {
+				what      string
+				got, want uint64
+			}{
+				{"ops", out.Result.Ops, tc.ops},
+				{"slow_accesses", met.SlowAccesses, tc.slow},
+				{"poison_faults", met.PoisonFaults, tc.poison},
+				{"cold_bytes", out.Result.FinalFootprint.Cold(), tc.coldByte},
+				{"clock_ns", uint64(met.ClockNs), uint64(tc.clockNs)},
+			} {
+				if c.got != c.want {
+					t.Errorf("%s = %d, want %d", c.what, c.got, c.want)
+				}
+			}
+			var misses uint64
+			counts := out.Machine.PageCounts()
+			for _, c := range counts {
+				misses += c
+			}
+			if len(counts) != tc.pages || misses != tc.misses {
+				t.Errorf("page counts: %d pages / %d misses, want %d / %d", len(counts), misses, tc.pages, tc.misses)
+			}
+			if tc.events > 0 && (out.Telemetry == nil || out.Telemetry.EventCount() != tc.events) {
+				t.Errorf("telemetry collector %v does not hold the expected %d events", out.Telemetry != nil, tc.events)
+			}
+		})
 	}
 }

@@ -22,35 +22,49 @@ func shardProfile() Scale {
 // TestShardWorkersIdentical pins the sharding determinism contract: the
 // same run at shard-workers 0 (serial path), 1, and 8 must produce
 // reflect.DeepEqual results and byte-identical JSON exports — sharding is
-// a wall-clock knob, never a semantics knob.
+// a wall-clock knob, never a semantics knob. The three-tier plan covers the
+// path that used to drop Scale.ShardWorkers on the floor.
 func TestShardWorkersIdentical(t *testing.T) {
 	spec := workload.ScaleSynthetic().WithFootprint(1 << 30)
-	var ref *Outcome
-	var refJSON []byte
-	for _, w := range []int{0, 1, 8} {
-		sc := shardProfile()
-		sc.ShardWorkers = w
-		out, err := RunThermostat(spec, sc, 3)
-		if err != nil {
-			t.Fatalf("shard-workers %d: %v", w, err)
-		}
-		js, err := json.Marshal(out.Result)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref, refJSON = out, js
-			continue
-		}
-		if !reflect.DeepEqual(ref.Result, out.Result) {
-			t.Fatalf("shard-workers %d diverged from serial run result", w)
-		}
-		if !reflect.DeepEqual(ref.Engine.Stats(), out.Engine.Stats()) {
-			t.Fatalf("shard-workers %d diverged in engine stats", w)
-		}
-		if string(refJSON) != string(js) {
-			t.Fatalf("shard-workers %d JSON export not byte-identical", w)
-		}
+	for _, tc := range []struct {
+		name string
+		plan Plan
+	}{
+		{"two-tier", Plan{SlowdownPct: 3}},
+		{"three-tier", Plan{SlowdownPct: 3, Tiers: DefaultThreeTier(0)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var ref *Outcome
+			var refJSON []byte
+			for _, w := range []int{0, 1, 8} {
+				sc := shardProfile()
+				sc.ShardWorkers = w
+				out, err := Run(spec, sc, tc.plan)
+				if err != nil {
+					t.Fatalf("shard-workers %d: %v", w, err)
+				}
+				js, err := json.Marshal(out.Result)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ref == nil {
+					ref, refJSON = out, js
+					continue
+				}
+				if !reflect.DeepEqual(ref.Result, out.Result) {
+					t.Fatalf("shard-workers %d diverged from serial run result", w)
+				}
+				if !reflect.DeepEqual(ref.Engine.Stats(), out.Engine.Stats()) {
+					t.Fatalf("shard-workers %d diverged in engine stats", w)
+				}
+				if string(refJSON) != string(js) {
+					t.Fatalf("shard-workers %d JSON export not byte-identical", w)
+				}
+			}
+			if ref.Engine.Stats().Sampled == 0 {
+				t.Fatal("engine never sampled: the sharded scan path was not exercised")
+			}
+		})
 	}
 }
 
@@ -60,12 +74,12 @@ func TestShardWorkersIdenticalDense(t *testing.T) {
 	spec := workload.ScaleSynthetic().WithFootprint(1 << 30)
 	sc := shardProfile()
 	sc.Sparse = false
-	serial, err := RunThermostat(spec, sc, 3)
+	serial, err := Run(spec, sc, Plan{SlowdownPct: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc.ShardWorkers = 8
-	sharded, err := RunThermostat(spec, sc, 3)
+	sharded, err := Run(spec, sc, Plan{SlowdownPct: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"thermostat/internal/report"
-	"thermostat/internal/sim"
 	"thermostat/internal/workload"
 )
 
@@ -98,7 +97,7 @@ func RunScalePoint(sc Scale, footprint uint64, sparse bool, shardWorkers int) (*
 	sc.ShardWorkers = shardWorkers
 	spec := scaleSpec(footprint)
 	start := time.Now()
-	out, err := RunThermostat(spec, sc, 3)
+	out, err := Run(spec, sc, Plan{SlowdownPct: 3})
 	if err != nil {
 		return nil, fmt.Errorf("harness: scale point %s: %w", workload.FormatSize(footprint), err)
 	}
@@ -254,6 +253,3 @@ func ScaleTable(points []*ScalePoint) *report.Table {
 	}
 	return t
 }
-
-// The machine the bench builds must expose its state accounting.
-var _ interface{ StateBytes() uint64 } = (*sim.Machine)(nil)

@@ -64,25 +64,5 @@ func (t *TelemetryOptions) Export(label string, c *telemetry.Collector) (tracePa
 	tracePath = filepath.Join(dir, stem+".trace.json")
 	metricsPath = filepath.Join(dir, stem+".metrics.jsonl")
 
-	tf, err := os.Create(tracePath)
-	if err != nil {
-		return "", "", err
-	}
-	if err := c.WriteChromeTrace(tf); err != nil {
-		tf.Close()
-		return "", "", err
-	}
-	if err := tf.Close(); err != nil {
-		return "", "", err
-	}
-
-	mf, err := os.Create(metricsPath)
-	if err != nil {
-		return "", "", err
-	}
-	if err := c.WriteJSONL(mf); err != nil {
-		mf.Close()
-		return "", "", err
-	}
-	return tracePath, metricsPath, mf.Close()
+	return tracePath, metricsPath, c.WriteFiles(tracePath, metricsPath)
 }

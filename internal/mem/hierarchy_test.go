@@ -92,29 +92,30 @@ func TestTierOfBounds(t *testing.T) {
 }
 
 func TestTierNames(t *testing.T) {
-	// The registry is seeded with the paper's two tiers.
-	if Fast.String() != "fast" || Slow.String() != "slow" {
-		t.Fatalf("seed names = %q/%q", Fast.String(), Slow.String())
-	}
-	// Building a named hierarchy registers deeper tier names so TierID
-	// renders them instead of the positional fallback.
-	if _, err := NewHierarchy(DefaultDRAM(2<<20), DefaultCXL(2<<20), DefaultNVM(2<<20)); err != nil {
-		t.Fatal(err)
-	}
-	if got := TierID(2).String(); got != "nvm" {
-		t.Errorf("TierID(2).String() = %q, want %q", got, "nvm")
-	}
-	// Tiers no hierarchy has named render positionally.
-	if got := TierID(7).String(); got != "tier7" {
-		t.Errorf("TierID(7).String() = %q, want %q", got, "tier7")
-	}
-	// An unnamed spec keeps the tier's positional name.
-	s, err := NewHierarchy(Spec{Capacity: 2 << 20})
+	// TierID renders by position only; building a named hierarchy does not
+	// change what any TierID in the process prints.
+	named, err := NewHierarchy(DefaultDRAM(2<<20), DefaultCXL(2<<20), DefaultNVM(2<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Tier(0).Name(); got != "fast" {
-		t.Errorf("unnamed tier 0 Name() = %q, want registry name %q", got, "fast")
+	for id, want := range map[TierID]string{Fast: "fast", Slow: "slow", 2: "tier2", 7: "tier7"} {
+		if got := id.String(); got != want {
+			t.Errorf("TierID(%d).String() = %q, want %q", int(id), got, want)
+		}
+	}
+	// Device-class names come from the system that owns the tiers, so two
+	// hierarchies in one process keep their own, whichever was built last.
+	plain := NewSystem(Spec{Capacity: 2 << 20}, Spec{Capacity: 2 << 20})
+	for i, want := range []string{"fast", "cxl", "nvm"} {
+		if got := named.Tier(TierID(i)).Name(); got != want {
+			t.Errorf("named tier %d Name() = %q, want %q", i, got, want)
+		}
+	}
+	// An unnamed spec keeps the tier's positional name.
+	for i, want := range []string{"fast", "slow"} {
+		if got := plain.Tier(TierID(i)).Name(); got != want {
+			t.Errorf("unnamed tier %d Name() = %q, want %q", i, got, want)
+		}
 	}
 }
 

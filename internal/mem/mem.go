@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	mathbits "math/bits"
-	"sync"
 
 	"thermostat/internal/addr"
 )
@@ -44,34 +43,15 @@ const (
 // corrupt physical addresses.
 const MaxTiers = 8
 
-// tierNames is the process-wide name table TierID.String renders from. It
-// is seeded with the paper's two tiers and extended by NewHierarchy when a
-// system with named specs is built.
-var (
-	tierNamesMu sync.RWMutex
-	tierNames   = map[TierID]string{Fast: "fast", Slow: "slow"}
-)
-
-// registerTierNames records the names of a hierarchy's tiers so String can
-// render them (e.g. "nvm" instead of a "tier2" fallback).
-func registerTierNames(specs []Spec) {
-	tierNamesMu.Lock()
-	defer tierNamesMu.Unlock()
-	for i, s := range specs {
-		if s.Name != "" {
-			tierNames[TierID(i)] = s.Name
-		}
-	}
-}
-
-// String names the tier from the registered tier table, falling back to
-// "tierN" for tiers no built hierarchy has named.
+// String names the tier by position: "fast" and "slow" for the paper's two
+// tiers, "tierN" below them. Device-class names ("cxl", "nvm") belong to a
+// hierarchy's specs, not to the process — ask the owning System's Tier.Name.
 func (id TierID) String() string {
-	tierNamesMu.RLock()
-	name, ok := tierNames[id]
-	tierNamesMu.RUnlock()
-	if ok {
-		return name
+	switch id {
+	case Fast:
+		return "fast"
+	case Slow:
+		return "slow"
 	}
 	return fmt.Sprintf("tier%d", int(id))
 }
@@ -411,8 +391,7 @@ func NewSystem(fast, slow Spec) *System {
 }
 
 // NewHierarchy builds an N-tier system from an ordered spec list, fastest
-// first. Between 1 and MaxTiers tiers are supported; spec names are
-// registered into the tier name table.
+// first. Between 1 and MaxTiers tiers are supported.
 func NewHierarchy(specs ...Spec) (*System, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("mem: hierarchy needs at least one tier")
@@ -420,7 +399,6 @@ func NewHierarchy(specs ...Spec) (*System, error) {
 	if len(specs) > MaxTiers {
 		return nil, fmt.Errorf("mem: %d tiers exceed the physical map's %d-tier bound", len(specs), MaxTiers)
 	}
-	registerTierNames(specs)
 	s := &System{tiers: make([]*Tier, len(specs))}
 	for i, spec := range specs {
 		s.tiers[i] = NewTier(TierID(i), spec)

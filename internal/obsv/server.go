@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"expvar"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -116,6 +117,28 @@ func Serve(addr string, pub *Publisher) (*Server, string, error) {
 		return nil, "", err
 	}
 	return s, bound, nil
+}
+
+// ServeAll starts one full server on pub per distinct non-empty address
+// (-serve and -pprof name the same plane: metrics, status, pprof, expvar),
+// logging each bound listener.
+func ServeAll(pub *Publisher, logger *slog.Logger, addrs ...string) ([]*Server, error) {
+	var servers []*Server
+	seen := map[string]bool{}
+	for _, addr := range addrs {
+		if addr == "" || seen[addr] {
+			continue
+		}
+		seen[addr] = true
+		srv, bound, err := Serve(addr, pub)
+		if err != nil {
+			return servers, err
+		}
+		servers = append(servers, srv)
+		logger.Info("observability server listening", "addr", "http://"+bound,
+			"endpoints", "/metrics /healthz /status /tenants /reload /dump /debug/pprof")
+	}
+	return servers, nil
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -8,15 +9,18 @@ import (
 	"thermostat/internal/mem"
 	"thermostat/internal/pagetable"
 	"thermostat/internal/rng"
+	"thermostat/internal/telemetry"
 )
 
 // batchUniformApp is uniformApp plus the BatchApp fast path. NextBatch must
 // consume the RNG in exactly the order Next does.
 type batchUniformApp struct {
 	uniformApp
+	batches int // NextBatch calls, so the differential can tell its two sides apart
 }
 
 func (a *batchUniformApp) NextBatch(reqs []Req) int {
+	a.batches++
 	for i := range reqs {
 		off := a.r.Uint64n(a.region.Size())
 		reqs[i] = Req{V: a.region.Start + addr.Virt(off), Write: a.r.Bool(0.1)}
@@ -61,40 +65,71 @@ func (p *churnPolicy) Tick(m *Machine, now int64) error {
 	return nil
 }
 
+// perOp hides NextBatch: embedding the App interface promotes only App's
+// own methods, so sim.Run sees an app that cannot batch and issues blocks of
+// one — the reference the batched run is compared against.
+type perOp struct{ App }
+
+// batchRun is one side of the differential: the result, the machine, the
+// (virtual time, accesses so far) pair at every policy tick, and the
+// telemetry exports.
+type batchRun struct {
+	res        *RunResult
+	m          *Machine
+	trajectory [][2]uint64
+	trace      []byte
+	metrics    []byte
+	batches    int
+}
+
 // runPair executes the same seeded workload twice — once batched, once with
-// DisableBatch — and returns both results and machines.
-func runPair(t *testing.T, rc RunConfig, mode SlowMemMode) (batched, serial *RunResult, mb, ms *Machine) {
+// NextBatch hidden behind perOp — and returns both sides.
+func runPair(t *testing.T, rc RunConfig, mode SlowMemMode) (batched, serial batchRun) {
 	t.Helper()
-	run := func(disable bool) (*RunResult, *Machine) {
+	run := func(hide bool) batchRun {
 		cfg := DefaultConfig(64<<20, 64<<20)
 		cfg.Mode = mode
+		col := telemetry.NewCollector()
+		cfg.Recorder = col
 		m, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		m.EnablePageCounts()
-		app := &batchUniformApp{uniformApp{
+		pol := &churnPolicy{interval: 1e8}
+		inner := &batchUniformApp{uniformApp: uniformApp{
 			name: "batch-uniform", size: 8 << 20, huge: true,
 			r: rng.New(42), compute: 300,
 		}}
-		pol := &churnPolicy{interval: 1e8}
-		// The app allocates in Init; give the policy the region afterwards
-		// via a wrapper policy Attach is too early for, so hook Tick lazily.
+		var app App = &regionWire{app: inner, pol: pol}
+		if hide {
+			app = perOp{app}
+		}
+		out := batchRun{m: m}
 		rc := rc
-		rc.DisableBatch = disable
-		res, err := Run(m, &regionWire{app: app, pol: pol}, pol, rc)
-		if err != nil {
+		rc.TickHook = func(now int64) error {
+			out.trajectory = append(out.trajectory, [2]uint64{uint64(now), m.Metrics().Accesses})
+			return nil
+		}
+		if out.res, err = Run(m, app, pol, rc); err != nil {
 			t.Fatal(err)
 		}
-		return res, m
+		var tr, mt bytes.Buffer
+		if err := col.WriteChromeTrace(&tr); err != nil {
+			t.Fatal(err)
+		}
+		if err := col.WriteJSONL(&mt); err != nil {
+			t.Fatal(err)
+		}
+		out.trace, out.metrics, out.batches = tr.Bytes(), mt.Bytes(), inner.batches
+		return out
 	}
-	batched, mb = run(false)
-	serial, ms = run(true)
-	return batched, serial, mb, ms
+	return run(false), run(true)
 }
 
 // regionWire forwards App calls and points the policy at the app's region
-// once Init has allocated it.
+// once Init has allocated it (Attach is too early: the app allocates in
+// Init).
 type regionWire struct {
 	app *batchUniformApp
 	pol *churnPolicy
@@ -113,8 +148,12 @@ func (w *regionWire) NextBatch(reqs []Req) int         { return w.app.NextBatch(
 func (w *regionWire) ComputeNs() int64                 { return w.app.ComputeNs() }
 func (w *regionWire) Tick(m *Machine, now int64) error { return w.app.Tick(m, now) }
 
-func checkRunPairEqual(t *testing.T, batched, serial *RunResult, mb, ms *Machine) {
+func checkRunPairEqual(t *testing.T, b, s batchRun) {
 	t.Helper()
+	batched, serial := b.res, s.res
+	if b.batches == 0 || s.batches != 0 {
+		t.Errorf("NextBatch calls: batched side %d (want > 0), per-op side %d (want 0)", b.batches, s.batches)
+	}
 	if batched.Ops != serial.Ops {
 		t.Errorf("ops: batched %d serial %d", batched.Ops, serial.Ops)
 	}
@@ -130,14 +169,21 @@ func checkRunPairEqual(t *testing.T, batched, serial *RunResult, mb, ms *Machine
 	if !reflect.DeepEqual(batched, serial) {
 		t.Error("run results diverge beyond summarized fields (series or histograms)")
 	}
-	if !reflect.DeepEqual(mb.PageCounts(), ms.PageCounts()) {
+	if !reflect.DeepEqual(b.m.PageCounts(), s.m.PageCounts()) {
 		t.Error("ground-truth page counts diverge")
+	}
+	if !reflect.DeepEqual(b.trajectory, s.trajectory) {
+		t.Error("clock trajectory diverges at a policy tick")
+	}
+	if !bytes.Equal(b.trace, s.trace) || !bytes.Equal(b.metrics, s.metrics) {
+		t.Error("telemetry exports diverge")
 	}
 }
 
-// TestBatchSerialEquivalence is the differential proof that the batched
-// access engine is bit-identical to the per-op path: same seeded run, same
-// policy churn, compared field by field including histograms and series.
+// TestBatchSerialEquivalence is the differential proof that blocks of N are
+// bit-identical to blocks of one: same seeded run, same policy churn,
+// compared field by field including histograms, series, the clock at every
+// tick and the telemetry exports.
 func TestBatchSerialEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second differential run")
@@ -145,9 +191,12 @@ func TestBatchSerialEquivalence(t *testing.T) {
 	t.Parallel()
 	rc := RunConfig{DurationNs: 8e8, WindowNs: 1e8, WarmupNs: 3e8, OpsPerRequest: 16}
 	for _, mode := range []SlowMemMode{EmulatedFault, Device} {
-		batched, serial, mb, ms := runPair(t, rc, mode)
-		checkRunPairEqual(t, batched, serial, mb, ms)
-		if batched.Metrics.PoisonFaults == 0 {
+		batched, serial := runPair(t, rc, mode)
+		checkRunPairEqual(t, batched, serial)
+		if len(batched.trajectory) == 0 || len(batched.trace) == 0 {
+			t.Errorf("%s: no ticks or no trace recorded — differential run too weak", mode)
+		}
+		if batched.res.Metrics.PoisonFaults == 0 {
 			t.Errorf("%s: no poison faults — differential run not exercising the fault path", mode)
 		}
 	}
@@ -159,10 +208,10 @@ func TestBatchSerialEquivalence(t *testing.T) {
 func TestBatchSerialEquivalenceMaxOps(t *testing.T) {
 	t.Parallel()
 	rc := RunConfig{DurationNs: 1e12, WindowNs: 1e8, MaxOps: 12345}
-	batched, serial, mb, ms := runPair(t, rc, EmulatedFault)
-	checkRunPairEqual(t, batched, serial, mb, ms)
-	if batched.Ops != 12345 {
-		t.Errorf("ops = %d, want MaxOps 12345", batched.Ops)
+	batched, serial := runPair(t, rc, EmulatedFault)
+	checkRunPairEqual(t, batched, serial)
+	if batched.res.Ops != 12345 {
+		t.Errorf("ops = %d, want MaxOps 12345", batched.res.Ops)
 	}
 }
 

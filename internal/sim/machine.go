@@ -195,8 +195,6 @@ type Machine struct {
 	// maxAccessLat is a lazily computed conservative upper bound on one
 	// access's modeled latency (see MaxOpAdvanceNs).
 	maxAccessLat int64
-	// batchTierAcc is AccessBatch's scratch per-tier counter block.
-	batchTierAcc []uint64
 
 	accesses     stats.Counter
 	slowAccesses stats.Counter
@@ -279,7 +277,6 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m.tierReadLat = make([]int64, sys.NumTiers())
 	m.tierWriteLat = make([]int64, sys.NumTiers())
-	m.batchTierAcc = make([]uint64, sys.NumTiers())
 	for t := 0; t < sys.NumTiers(); t++ {
 		spec := sys.Tier(mem.TierID(t)).Spec()
 		m.tierReadLat[t] = spec.ReadLatency
@@ -530,7 +527,7 @@ func (m *Machine) Demote(v addr.Virt) (int64, error) {
 		return 0, err
 	}
 	if src >= m.sys.Bottom() {
-		return 0, fmt.Errorf("sim: %s already in the bottom (%s) tier", v.Base2M(), src)
+		return 0, fmt.Errorf("sim: %s already in the bottom (%s) tier", v.Base2M(), m.sys.Tier(src).Name())
 	}
 	// Whether monitoring must be armed is decided up front so an injected
 	// poison failure strikes before any state changes (the demotion is then
@@ -569,7 +566,7 @@ func (m *Machine) Promote(v addr.Virt) (int64, error) {
 		return 0, err
 	}
 	if src == mem.Fast {
-		return 0, fmt.Errorf("sim: %s already in the top (%s) tier", base, mem.Fast)
+		return 0, fmt.Errorf("sim: %s already in the top (%s) tier", base, m.sys.Tier(mem.Fast).Name())
 	}
 	armed := m.trap.IsPoisoned(base)
 	if m.chaos != nil {
@@ -615,11 +612,18 @@ func (m *Machine) Promote(v addr.Virt) (int64, error) {
 // and advancing the virtual clock by latency/threads. Returns the modeled
 // latency of this access.
 func (m *Machine) Access(v addr.Virt, write bool) (int64, error) {
+	return m.access(v, write, m.guest.VPID())
+}
+
+// access is the one per-op path every simulated access takes, whether it
+// arrives through Access or AccessBatch: TLB lookup, hardware page walk,
+// poison-fault dispatch, LLC, miss hook, tier latency; then the counters,
+// the latency histogram and the virtual clock.
+func (m *Machine) access(v addr.Virt, write bool, vpid tlb.VPID) (int64, error) {
 	var lat int64
 	var frame addr.Phys
 	var lvl pagetable.Level
 
-	vpid := m.guest.VPID()
 	if res, ok := m.tl.Lookup(v, vpid); ok {
 		lat += m.cfg.TLBHitNs
 		frame, lvl = res.Frame, res.Level
@@ -707,17 +711,13 @@ type Req struct {
 	Write bool
 }
 
-// BatchSafe reports whether AccessBatch currently follows the exact same
-// code path as per-op Access calls. A miss hook is the one per-access
-// callback that could observe the difference, so it disables batching.
-func (m *Machine) BatchSafe() bool { return m.missHook == nil }
-
 // MaxOpAdvanceNs returns a conservative upper bound on how far one access
 // followed by computeNs of application compute can advance the virtual
 // clock. The runner sizes batches so that (n-1) ops at this bound cannot
 // reach the next tick/window boundary, which makes batched execution
 // boundary-exact (see DESIGN.md "Hot path"). Overestimating only shrinks
-// batches; it never affects results.
+// batches; it never affects results. A miss hook adds latency this bound
+// cannot see, so the runner issues one op at a time while one is installed.
 func (m *Machine) MaxOpAdvanceNs(computeNs int64) int64 {
 	if m.maxAccessLat == 0 {
 		walkMax := m.wm.Latency(m.guest.Nested(), 4, m.guest.HostWalkDepth())
@@ -737,108 +737,19 @@ func (m *Machine) MaxOpAdvanceNs(computeNs int64) int64 {
 	return m.maxAccessLat/threads + computeNs/threads + 1
 }
 
-// AccessBatch simulates len(reqs) consecutive accesses, equivalent to
-// calling Access for each request followed by AdvanceClock(computeNs) when
-// computeNs > 0 — same latencies, same clock trajectory, same fault and
-// telemetry behavior — but with the per-op bookkeeping amortized: the VPID
-// is fetched once, tier and access counters accumulate locally and flush
-// once per batch (Metrics is only read at boundaries, which the runner
-// keeps outside batches). lats[i] receives each op's modeled latency;
-// clocks, when non-nil, receives the virtual time after each op.
-func (m *Machine) AccessBatch(reqs []Req, computeNs int64, lats, clocks []int64) (err error) {
-	threads := int64(m.cfg.Threads)
+// AccessBatch simulates len(reqs) consecutive accesses: each request takes
+// the same per-op path as Access, followed by AdvanceClock(computeNs) when
+// computeNs > 0. lats[i] receives each op's modeled latency; clocks, when
+// non-nil, receives the virtual time after each op.
+func (m *Machine) AccessBatch(reqs []Req, computeNs int64, lats, clocks []int64) error {
 	vpid := m.guest.VPID()
-	var nAcc, nSlow uint64
-	tierAcc := m.batchTierAcc
-	for i := range tierAcc {
-		tierAcc[i] = 0
-	}
-	defer func() {
-		m.accesses.Add(nAcc)
-		m.slowAccesses.Add(nSlow)
-		for t, n := range tierAcc {
-			if n > 0 {
-				m.tierAccesses[t].Add(n)
-			}
-		}
-	}()
-
 	for i := range reqs {
-		v, write := reqs[i].V, reqs[i].Write
-		var lat int64
-		var frame addr.Phys
-		var lvl pagetable.Level
-
-		if res, ok := m.tl.Lookup(v, vpid); ok {
-			lat += m.cfg.TLBHitNs
-			frame, lvl = res.Frame, res.Level
-		} else {
-			wr := m.pt.Walk(v, write)
-			if !wr.Found {
-				return fmt.Errorf("sim: access to unmapped %s", v)
-			}
-			lat += m.wm.Latency(m.guest.Nested(), wr.Depth, m.guest.HostWalkDepth())
-			if wr.Poisoned {
-				fl, ferr := m.reg.Dispatch(fault.Fault{
-					Kind: fault.Poison, Virt: v, Write: write,
-					VPID: vpid, TimeNs: m.clock,
-				})
-				if ferr != nil {
-					return ferr
-				}
-				lat += fl + m.guest.FaultOverheadNs()
-				if m.rec != nil {
-					m.rec.Event(telemetry.Event{
-						Kind: telemetry.KindFaultInjected, TimeNs: m.clock,
-						Page: v.Base4K(), Count: 1,
-					})
-				}
-				res, ok := m.tl.Lookup(v, vpid)
-				if !ok {
-					return fmt.Errorf("sim: fault handler left %s untranslated", v)
-				}
-				frame, lvl = res.Frame, res.Level
-			} else {
-				frame, lvl = wr.Entry.Frame, wr.Level
-				m.tl.Insert(v, lvl, frame, vpid)
-			}
+		lat, err := m.access(reqs[i].V, reqs[i].Write, vpid)
+		if err != nil {
+			return err
 		}
-
-		var pa addr.Phys
-		if lvl == pagetable.Level2M {
-			pa = frame + addr.Phys(v.Offset2M())
-		} else {
-			pa = frame + addr.Phys(v.Offset4K())
-		}
-		tier := m.sys.TierOf(pa)
-		tierAcc[tier]++
-		if tier != mem.Fast {
-			nSlow++
-		}
-
-		if m.llc.Access(pa) {
-			lat += m.cfg.LLCHitNs
-		} else {
-			if m.pcEnabled {
-				m.countPage(v)
-			}
-			switch {
-			case m.cfg.Mode == EmulatedFault && tier != mem.Fast:
-				lat += m.fastReadLat
-			case write:
-				lat += m.tierWriteLat[tier]
-			default:
-				lat += m.tierReadLat[tier]
-			}
-		}
-
-		nAcc++
-		m.latHist.Observe(uint64(lat))
-		// Two separate floored divisions, exactly as Access followed by
-		// AdvanceClock performs them.
-		m.clock += lat / threads
 		if computeNs > 0 {
-			m.clock += computeNs / threads
+			m.AdvanceClock(computeNs)
 		}
 		lats[i] = lat
 		if clocks != nil {

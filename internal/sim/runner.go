@@ -206,11 +206,6 @@ type RunConfig struct {
 	// request latencies, enabling tail-latency comparisons (the paper
 	// reports 95th/99th percentile read/write latencies). 0 disables.
 	OpsPerRequest int
-	// DisableBatch forces the per-op access path even when the app
-	// implements BatchApp. Batched and serial execution are bit-identical
-	// by construction; this switch exists so the differential tests can
-	// prove it.
-	DisableBatch bool
 	// TickHook, when non-nil, runs after every policy tick (and after the
 	// telemetry epoch rolls), on the simulation goroutine at virtual time
 	// now. It is the daemon's deterministic control point: config-reload
@@ -323,35 +318,34 @@ func Run(m *Machine, app App, pol Policy, rc RunConfig) (*RunResult, error) {
 	var reqLat int64
 	var reqOps int
 
-	// Batched fast path: when the app can pregenerate requests and no miss
-	// hook observes individual accesses, ops run through AccessBatch in
-	// blocks sized so that no tick, window, warmup or end boundary can fire
-	// before the batch's last op — the block is then exactly equivalent to
-	// that many serial iterations (see DESIGN.md "Hot path").
+	// Ops run through AccessBatch in blocks sized so that no tick, window,
+	// warmup or end boundary can fire before the block's last op — the block
+	// is then exactly that many serial iterations (see DESIGN.md "Hot path").
+	// An app without NextBatch, or a machine whose miss hook escapes the
+	// per-op bound, runs blocks of one.
 	const maxBatch = 2048
 	computeNs := app.ComputeNs()
-	batcher, canBatch := app.(BatchApp)
-	canBatch = canBatch && !rc.DisableBatch && m.BatchSafe()
-	var reqs []Req
-	var lats, clks []int64
-	var maxAdv int64
-	if canBatch {
-		reqs = make([]Req, maxBatch)
-		lats = make([]int64, maxBatch)
-		if rc.OpsPerRequest > 0 {
-			clks = make([]int64, maxBatch)
-		}
-		maxAdv = m.MaxOpAdvanceNs(computeNs)
+	batcher, _ := app.(BatchApp)
+	if m.missHook != nil {
+		batcher = nil
 	}
+	reqs := make([]Req, maxBatch)
+	lats := make([]int64, maxBatch)
+	var clks []int64
+	if rc.OpsPerRequest > 0 {
+		clks = make([]int64, maxBatch)
+	}
+	maxAdv := m.MaxOpAdvanceNs(computeNs)
 
 	for m.Clock() < end {
 		if rc.MaxOps > 0 && res.Ops >= rc.MaxOps {
 			break
 		}
-		batched := false
-		if canBatch {
-			now := m.Clock()
-			// Nearest boundary the batch must not cross before its last op.
+		now := m.Clock()
+		inWarmup := rc.WarmupNs > 0 && now <= warmupClock
+		got := 0
+		if batcher != nil {
+			// Nearest boundary the block must not cross before its last op.
 			limit := nextTick
 			if nextWindow < limit {
 				limit = nextWindow
@@ -359,7 +353,6 @@ func Run(m *Machine, app App, pol Policy, rc RunConfig) (*RunResult, error) {
 			if end < limit {
 				limit = end
 			}
-			inWarmup := rc.WarmupNs > 0 && now <= warmupClock
 			if inWarmup && warmupClock+1 < limit {
 				limit = warmupClock + 1
 			}
@@ -374,63 +367,40 @@ func Run(m *Machine, app App, pol Policy, rc RunConfig) (*RunResult, error) {
 				n = int64(rc.MaxOps - res.Ops)
 			}
 			if n >= 2 {
-				got := batcher.NextBatch(reqs[:n])
-				if got > 0 {
-					if err := m.AccessBatch(reqs[:got], computeNs, lats[:got], clks); err != nil {
-						return nil, fmt.Errorf("sim: %s op %d: %w", app.Name(), res.Ops, err)
-					}
-					if rc.OpsPerRequest > 0 {
-						for i := 0; i < got; i++ {
-							reqLat += lats[i] + computeNs
-							reqOps++
-							if reqOps >= rc.OpsPerRequest {
-								if clks[i] >= warmupClock {
-									res.RequestLatency.Observe(uint64(reqLat))
-								}
-								reqLat, reqOps = 0, 0
-							}
-						}
-					}
-					res.Ops += uint64(got)
-					if inWarmup {
-						// Ops 1..got-1 ended at or before warmupClock by
-						// construction; only the last can have crossed.
-						if m.Clock() <= warmupClock {
-							warmupOps = res.Ops
-						} else {
-							warmupOps = res.Ops - 1
-						}
-					}
-					batched = true
-				}
+				got = batcher.NextBatch(reqs[:n])
 			}
 		}
-		if !batched {
-			v, write := app.Next()
-			lat, err := m.Access(v, write)
-			if err != nil {
-				return nil, fmt.Errorf("sim: %s op %d: %w", app.Name(), res.Ops, err)
-			}
-			if computeNs > 0 {
-				m.AdvanceClock(computeNs)
-			}
-			if rc.OpsPerRequest > 0 {
-				reqLat += lat + computeNs
+		if got == 0 {
+			reqs[0].V, reqs[0].Write = app.Next()
+			got = 1
+		}
+		if err := m.AccessBatch(reqs[:got], computeNs, lats[:got], clks); err != nil {
+			return nil, fmt.Errorf("sim: %s op %d: %w", app.Name(), res.Ops, err)
+		}
+		if rc.OpsPerRequest > 0 {
+			for i := 0; i < got; i++ {
+				reqLat += lats[i] + computeNs
 				reqOps++
 				if reqOps >= rc.OpsPerRequest {
-					if m.Clock() >= warmupClock {
+					if clks[i] >= warmupClock {
 						res.RequestLatency.Observe(uint64(reqLat))
 					}
 					reqLat, reqOps = 0, 0
 				}
 			}
-			res.Ops++
-			if rc.WarmupNs > 0 && m.Clock() <= warmupClock {
+		}
+		res.Ops += uint64(got)
+		if inWarmup {
+			// Ops 1..got-1 ended at or before warmupClock by construction;
+			// only the last can have crossed.
+			if m.Clock() <= warmupClock {
 				warmupOps = res.Ops
+			} else {
+				warmupOps = res.Ops - 1
 			}
 		}
 
-		now := m.Clock()
+		now = m.Clock()
 		for now >= nextWindow {
 			slow := m.Metrics().SlowAccesses
 			rate := stats.Rate(slow-windowStartSlow, window)

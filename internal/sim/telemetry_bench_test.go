@@ -40,8 +40,6 @@ func (benchColdPolicy) IsCold(addr.Virt) bool { return false }
 //   - dense-confusion: page counts enabled and a policy exposing a cold
 //     set, so the per-2MB-page map is materialized — the O(pages) path,
 //     now only taken when the confusion matrix actually consumes it.
-//
-// Measured numbers are pinned in results/bench-telemetry-epoch.txt.
 func BenchmarkEpochSnapshot(b *testing.B) {
 	const footprint = 64 << 30
 	cases := []struct {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 
 	"thermostat/internal/chaos"
@@ -250,6 +251,31 @@ func (c *Collector) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// WriteFiles writes the Chrome trace to tracePath and the per-epoch JSONL to
+// metricsPath; an empty path skips that export.
+func (c *Collector) WriteFiles(tracePath, metricsPath string) error {
+	for _, out := range []struct {
+		path  string
+		write func(io.Writer) error
+	}{{tracePath, c.WriteChromeTrace}, {metricsPath, c.WriteJSONL}} {
+		if out.path == "" {
+			continue
+		}
+		f, err := os.Create(out.path)
+		if err != nil {
+			return err
+		}
+		if err := out.write(f); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // EpochTable renders the retained snapshots as a fixed-width human-readable

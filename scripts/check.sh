@@ -15,13 +15,20 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+echo "== benchmark module (bench/): build, vet, test"
+# bench/ is its own module, outside ./...: an API change that breaks it must
+# fail this gate, not the benchmark run.
+go build -C bench -o /dev/null ./...
+go vet -C bench ./...
+go test -C bench ./...
+
 if [ "${SHORT:-0}" = "1" ]; then
 	echo "== go test -short -race ./..."
 	go test -short -race -timeout 10m ./...
 	echo "== hot-path benchmarks (smoke)"
 	# One quick pass over the hot-path micro-benchmarks: catches bit-rot in
-	# the flat leaf index and batched access engine without the full
-	# results/bench-hotpath-*.txt measurement runs.
+	# the flat leaf index and the access path. The measured numbers come
+	# from `make bench` (see bench/README.md).
 	go test -run=NONE -bench 'BenchmarkPT' -benchtime=100x ./internal/pagetable
 	go test -run=NONE -bench 'BenchmarkAccess' -benchtime=100x .
 else
