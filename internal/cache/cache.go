@@ -28,15 +28,26 @@ func DefaultConfig() Config {
 	return Config{SizeBytes: 45 << 20, LineSize: 64, Ways: 16}
 }
 
+// Tags are allocated lazily in slabs of slabSets consecutive sets (a power
+// of two, so the slab lookup is a shift and a mask).
+const (
+	slabShift = 8
+	slabSets  = 1 << slabShift
+)
+
 // Cache is a set-associative LRU cache of physical line addresses.
 type Cache struct {
 	lineShift uint
 	nSets     uint64
 	ways      int
-	// tags[set*ways : (set+1)*ways] holds line tags biased by +1, most
-	// recent first; 0 marks an invalid way, so no separate valid bitmap is
-	// needed on the per-access path.
-	tags []uint64
+	// slabs[set>>slabShift] holds the tags of slabSets consecutive sets,
+	// ways per set: line tags biased by +1, most recent first; 0 marks an
+	// invalid way, so no separate valid bitmap is needed on the per-access
+	// path. A slab is nil until Access first touches one of its sets, so
+	// building a cache costs the slab table, not the zeroed tag array — a
+	// machine's set-up time does not depend on the LLC size or on what the
+	// heap has lying around.
+	slabs [][]uint64
 
 	hits   stats.Counter
 	misses stats.Counter
@@ -69,7 +80,7 @@ func New(cfg Config) *Cache {
 		lineShift: shift,
 		nSets:     nSets,
 		ways:      cfg.Ways,
-		tags:      make([]uint64, nSets*uint64(cfg.Ways)),
+		slabs:     make([][]uint64, (nSets+slabSets-1)>>slabShift),
 	}
 }
 
@@ -78,8 +89,12 @@ func New(cfg Config) *Cache {
 func (c *Cache) Access(p addr.Phys) bool {
 	line := uint64(p) >> c.lineShift
 	set := line % c.nSets
-	base := int(set) * c.ways
-	ways := c.tags[base : base+c.ways]
+	slab := c.slabs[set>>slabShift]
+	if slab == nil {
+		return c.accessNewSlab(set, line+1)
+	}
+	base := int(set&(slabSets-1)) * c.ways
+	ways := slab[base : base+c.ways]
 	tag := line + 1
 	if ways[0] == tag {
 		c.hits.Inc()
@@ -102,24 +117,47 @@ func (c *Cache) Access(p addr.Phys) bool {
 	return false
 }
 
+// accessNewSlab is Access for a set whose slab has never been touched: the
+// set is empty, so the access is a miss that fills way 0. The last slab
+// covers only the sets that exist. Kept out of line, in tail position, so
+// the allocation adds nothing to Access's hit path.
+//
+//go:noinline
+func (c *Cache) accessNewSlab(set, tag uint64) bool {
+	i := set >> slabShift
+	sets := c.nSets - i<<slabShift
+	if sets > slabSets {
+		sets = slabSets
+	}
+	slab := make([]uint64, sets*uint64(c.ways))
+	slab[int(set&(slabSets-1))*c.ways] = tag
+	c.slabs[i] = slab
+	c.misses.Inc()
+	return false
+}
+
 // Contains reports whether the line holding p is cached, without updating
 // LRU state or counters.
 func (c *Cache) Contains(p addr.Phys) bool {
 	line := uint64(p) >> c.lineShift
 	set := line % c.nSets
-	base := int(set) * c.ways
-	for i := 0; i < c.ways; i++ {
-		if c.tags[base+i] == line+1 {
+	slab := c.slabs[set>>slabShift]
+	if slab == nil {
+		return false
+	}
+	base := int(set&(slabSets-1)) * c.ways
+	for _, t := range slab[base : base+c.ways] {
+		if t == line+1 {
 			return true
 		}
 	}
 	return false
 }
 
-// Flush invalidates every line.
+// Flush invalidates every line by dropping the slabs.
 func (c *Cache) Flush() {
-	for i := range c.tags {
-		c.tags[i] = 0
+	for i := range c.slabs {
+		c.slabs[i] = nil
 	}
 }
 

@@ -150,7 +150,7 @@ func TestReaccessHitsProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkAccessHit(b *testing.B) {
+func BenchmarkCacheAccessHit(b *testing.B) {
 	c := New(DefaultConfig())
 	c.Access(addr.Phys(0))
 	b.ResetTimer()
@@ -159,7 +159,7 @@ func BenchmarkAccessHit(b *testing.B) {
 	}
 }
 
-func BenchmarkAccessStream(b *testing.B) {
+func BenchmarkCacheAccessStream(b *testing.B) {
 	c := New(DefaultConfig())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

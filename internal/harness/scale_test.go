@@ -129,19 +129,14 @@ func TestScaleSweepGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 128 GB is beyond DenseMaxFootprint only in the real sweep; here every
-	// dense point is measured (128 GB <= 64 GB is false — so extrapolated).
-	var extrapolated bool
-	for _, p := range points {
-		if p.Extrapolated {
-			extrapolated = true
-			if p.Sparse {
-				t.Fatal("sparse point marked extrapolated")
-			}
-		}
+	// Both arms are measured at every footprint, dense first.
+	if len(points) != 6 {
+		t.Fatalf("sweep returned %d points, want 6", len(points))
 	}
-	if !extrapolated {
-		t.Fatal("no extrapolated dense point at 128 GB")
+	for i, p := range points {
+		if p.Sparse != (i%2 == 1) || p.Ops == 0 || p.Regions == 0 {
+			t.Fatalf("point %d: sparse=%v ops=%d regions=%d", i, p.Sparse, p.Ops, p.Regions)
+		}
 	}
 	if err := CheckScaleGate(points, 0.10, 2.0); err != nil {
 		t.Fatal(err)

@@ -11,13 +11,12 @@
 //     trap + engine metadata), which must *shrink* with footprint in
 //     sparse mode because cold terabytes collapse into span summaries.
 //
-// Dense tables are measured only up to DenseMaxFootprint: beyond that the
-// per-tick split scan splices hundred-thousand-entry leaf slices and the
-// run stops being benchmarkable — which is the point of the sparse
-// representation. Dense per-GB unit costs are linear in footprint (one
-// leafRef per mapped 2MB page), so the dense 1 TB baseline the acceptance
-// gate compares against is extrapolated from the measured dense points and
-// marked Extrapolated in the output.
+// Both arms are measured at every footprint. A dense table's per-tick cost
+// follows the regions the engine samples, not the footprint (Split and
+// Collapse never touch the slot index), so its ns/op stays within a small
+// factor of sparse up to a terabyte; what the sparse representation buys is
+// state — dense keeps one index ref plus a radix share per mapped 2MB page,
+// about 1.2 MB per simulated GB, against a constant ~150 KB for sparse.
 package harness
 
 import (
@@ -27,10 +26,6 @@ import (
 	"thermostat/internal/report"
 	"thermostat/internal/workload"
 )
-
-// DenseMaxFootprint is the largest footprint the dense arm of the sweep is
-// measured at; larger dense points are extrapolated.
-const DenseMaxFootprint = 64 << 30
 
 // ScalePoint is one (footprint, representation) cell of the scaling sweep.
 type ScalePoint struct {
@@ -44,9 +39,6 @@ type ScalePoint struct {
 	StatePerGB   float64 `json:"state_bytes_per_gb"`
 	Regions      int     `json:"regions"`
 	Spans        int     `json:"spans"`
-	// Extrapolated marks points not measured but projected from the
-	// measured dense unit costs (see package comment).
-	Extrapolated bool `json:"extrapolated,omitempty"`
 }
 
 // ScaleBenchProfile is the profile every sweep point runs under: no
@@ -119,61 +111,24 @@ func RunScalePoint(sc Scale, footprint uint64, sparse bool, shardWorkers int) (*
 	return p, nil
 }
 
-// ExtrapolateDense projects a dense point at footprint from measured dense
-// points: dense state is one leafRef + radix share per mapped 2MB page, so
-// state bytes per GB are constant and total state is linear in footprint;
-// ns/op is dominated by the per-tick O(pages) scans, so it is projected
-// linearly in footprint from the largest measured point. The result is
-// marked Extrapolated.
-func ExtrapolateDense(measured []*ScalePoint, footprint uint64) (*ScalePoint, error) {
-	var last *ScalePoint
-	for _, m := range measured {
-		if !m.Sparse && !m.Extrapolated && (last == nil || m.Footprint > last.Footprint) {
-			last = m
-		}
-	}
-	if last == nil {
-		return nil, fmt.Errorf("harness: no measured dense points to extrapolate from")
-	}
-	ratio := float64(footprint) / float64(last.Footprint)
-	return &ScalePoint{
-		Footprint:    footprint,
-		Sparse:       false,
-		ShardWorkers: last.ShardWorkers,
-		NsPerOp:      last.NsPerOp * ratio,
-		StateBytes:   uint64(float64(last.StateBytes) * ratio),
-		StatePerGB:   last.StatePerGB,
-		Extrapolated: true,
-	}, nil
-}
-
-// ScaleSweep runs the full scaling benchmark: the sparse arm across every
-// footprint in footprints, the dense arm up to DenseMaxFootprint with
-// larger points extrapolated. shardWorkers applies to the sparse arm (the
-// dense arm stays serial — its baseline is the pre-sharding configuration).
+// ScaleSweep runs the full scaling benchmark: the dense and the sparse arm
+// at every footprint in footprints. shardWorkers applies to the sparse arm
+// (the dense arm stays serial — its baseline is the pre-sharding
+// configuration).
 func ScaleSweep(sc Scale, footprints []uint64, shardWorkers int) ([]*ScalePoint, error) {
 	var points []*ScalePoint
-	var denseMeasured []*ScalePoint
 	for _, fp := range footprints {
-		if fp <= DenseMaxFootprint {
-			p, err := RunScalePoint(sc, fp, false, 1)
-			if err != nil {
-				return nil, err
+		for _, sparse := range []bool{false, true} {
+			workers := 1
+			if sparse {
+				workers = shardWorkers
 			}
-			points = append(points, p)
-			denseMeasured = append(denseMeasured, p)
-		} else {
-			p, err := ExtrapolateDense(denseMeasured, fp)
+			p, err := RunScalePoint(sc, fp, sparse, workers)
 			if err != nil {
 				return nil, err
 			}
 			points = append(points, p)
 		}
-		sp, err := RunScalePoint(sc, fp, true, shardWorkers)
-		if err != nil {
-			return nil, err
-		}
-		points = append(points, sp)
 	}
 	return points, nil
 }
@@ -182,7 +137,7 @@ func ScaleSweep(sc Scale, footprints []uint64, shardWorkers int) ([]*ScalePoint,
 // sweep and describes any violation:
 //
 //  1. at the largest footprint, sparse state bytes per simulated GB are at
-//     most maxStateFrac of the dense baseline's (measured or extrapolated);
+//     most maxStateFrac of the dense baseline's;
 //  2. sparse ns/op at the largest footprint is within maxNsOpRatio of the
 //     sparse ns/op at the smallest footprint.
 func CheckScaleGate(points []*ScalePoint, maxStateFrac, maxNsOpRatio float64) error {
@@ -237,19 +192,15 @@ const ScaleShardWorkers = 8
 func ScaleTable(points []*ScalePoint) *report.Table {
 	t := report.NewTable("Scaling sweep: simulator cost vs simulated footprint",
 		"footprint", "table", "shards", "ops", "ns/op",
-		"state_bytes", "state_B/GB", "regions", "spans", "measured")
+		"state_bytes", "state_B/GB", "regions", "spans")
 	for _, p := range points {
 		kind := "dense"
 		if p.Sparse {
 			kind = "sparse"
 		}
-		measured := "yes"
-		if p.Extrapolated {
-			measured = "extrapolated"
-		}
 		t.AddF(workload.FormatSize(p.Footprint), kind, p.ShardWorkers, p.Ops,
 			fmt.Sprintf("%.0f", p.NsPerOp), p.StateBytes,
-			fmt.Sprintf("%.0f", p.StatePerGB), p.Regions, p.Spans, measured)
+			fmt.Sprintf("%.0f", p.StatePerGB), p.Regions, p.Spans)
 	}
 	return t
 }

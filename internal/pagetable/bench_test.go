@@ -31,23 +31,37 @@ func benchTable(b *testing.B, nHuge, splitEvery int) *Table {
 	return t
 }
 
+// benchShape names one benchTable shape for a sub-benchmark.
+type benchShape struct {
+	name              string
+	nHuge, splitEvery int
+}
+
+// bigmemShape is the bigmem-scan end state — 16 GiB of huge pages with a
+// tenth of them split, about 400k leaves — where a cost that grows with the
+// footprint shows; the 512-page tables beside it are the scaled harness runs.
+var bigmemShape = benchShape{"8192huge-10pct-split", 8192, 10}
+
 // BenchmarkPTScan measures one full-table leaf scan — the operation every
 // policy tick, kstaled pass, footprint classification, and telemetry epoch
 // performs, usually several times per tick.
 func BenchmarkPTScan(b *testing.B) {
-	t := benchTable(b, 512, 16)
-	var leaves int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		leaves = 0
-		t.Scan(func(base addr.Virt, e *Entry, lvl Level) { leaves++ })
+	for _, sh := range []benchShape{{"512huge", 512, 16}, bigmemShape} {
+		b.Run(sh.name, func(b *testing.B) {
+			t := benchTable(b, sh.nHuge, sh.splitEvery)
+			var leaves int
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				leaves = 0
+				t.Scan(func(base addr.Virt, e *Entry, lvl Level) { leaves++ })
+			}
+			b.ReportMetric(float64(leaves), "leaves")
+		})
 	}
-	b.ReportMetric(float64(leaves), "leaves")
 }
 
 // BenchmarkPTScanRadix measures the same full scan through the radix-walk
-// reference path the flat leaf index replaced — the before/after comparison
-// for the hot-path overhaul (flat Scan is the production path).
+// reference path, the oracle the slot index is checked against.
 func BenchmarkPTScanRadix(b *testing.B) {
 	t := benchTable(b, 512, 16)
 	var leaves int
@@ -77,17 +91,23 @@ func BenchmarkPTScanRange(b *testing.B) {
 }
 
 // BenchmarkPTSplitCollapse measures the sampling cycle's structural cost:
-// split one huge page and collapse it back.
+// split one huge page in the middle of the table and collapse it back. The
+// cost must not depend on how many leaves the rest of the table holds.
 func BenchmarkPTSplitCollapse(b *testing.B) {
-	t := benchTable(b, 512, 0)
-	v := addr.Virt(1)<<40 + addr.Virt(uint64(100)*addr.PageSize2M)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := t.Split(v); err != nil {
-			b.Fatal(err)
-		}
-		if err := t.Collapse(v); err != nil {
-			b.Fatal(err)
-		}
+	for _, sh := range []benchShape{{"512huge", 512, 0}, bigmemShape} {
+		b.Run(sh.name, func(b *testing.B) {
+			t := benchTable(b, sh.nHuge, sh.splitEvery)
+			// An unsplit page near the middle (splitEvery divides neither).
+			v := addr.Virt(1)<<40 + addr.Virt(uint64(sh.nHuge/2+1)*addr.PageSize2M)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := t.Split(v); err != nil {
+					b.Fatal(err)
+				}
+				if err := t.Collapse(v); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

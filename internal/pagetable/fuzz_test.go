@@ -1,6 +1,7 @@
 package pagetable
 
 import (
+	"slices"
 	"testing"
 
 	"thermostat/internal/addr"
@@ -13,38 +14,247 @@ type visit struct {
 	lvl  Level
 }
 
-// checkLeafIndex asserts the flat leaf index reproduces the reference radix
-// walk exactly: same leaves, same order, same entry pointers.
-func checkLeafIndex(t *testing.T, pt *Table) {
-	t.Helper()
+// probeFlag is a flag bit no table code reads or writes: the sweep checks
+// set it, clear it through the sweep under test, and see exactly which leaves
+// lost it, leaving the table as they found it.
+const probeFlag Flags = 1 << 15
+
+// radixLeaves returns the reference leaf sequence from the radix walk.
+func radixLeaves(pt *Table) []visit {
 	var ref []visit
-	pt.scanRadix(func(b addr.Virt, e *Entry, l Level) {
-		ref = append(ref, visit{b, e, l})
-	})
+	pt.scanRadix(func(b addr.Virt, e *Entry, l Level) { ref = append(ref, visit{b, e, l}) })
+	return ref
+}
+
+// checkLeafIndex asserts the slot index reproduces the reference radix walk
+// exactly — same leaves, same order, same entry pointers — holds one ref per
+// PD slot with a leaf and no other, and that every range sweep and shard
+// window over it agrees with a filter over the radix walk. salt varies the
+// range bounds and shard counts from one call to the next.
+func checkLeafIndex(t *testing.T, pt *Table, salt uint64) {
+	t.Helper()
+	ref := radixLeaves(pt)
 	i := 0
 	pt.Scan(func(b addr.Virt, e *Entry, l Level) {
 		if i >= len(ref) {
-			t.Fatalf("flat index visit %d beyond radix walk's %d leaves", i, len(ref))
+			t.Fatalf("index visit %d beyond radix walk's %d leaves", i, len(ref))
 		}
 		w := ref[i]
 		if b != w.base || e != w.e || l != w.lvl {
-			t.Fatalf("flat index visit %d: got (%s, %p, %d), radix walk has (%s, %p, %d)",
+			t.Fatalf("index visit %d: got (%s, %p, %d), radix walk has (%s, %p, %d)",
 				i, b, e, l, w.base, w.e, w.lvl)
 		}
 		i++
 	})
 	if i != len(ref) {
-		t.Fatalf("flat index visited %d leaves, radix walk %d", i, len(ref))
+		t.Fatalf("index visited %d leaves, radix walk %d", i, len(ref))
 	}
 	// Radix-only counts: span-held pages (pt.spanPages) have no leaf refs.
 	if got := len(ref); got != pt.count4K+pt.count2M {
 		t.Fatalf("scan visited %d leaves, counts say %d", got, pt.count4K+pt.count2M)
 	}
+	checkSlots(t, pt, ref)
+	checkRangeSweeps(t, pt, ref, salt)
+	checkShardWindows(t, pt, ref, salt)
+}
+
+// checkSlots: the index holds exactly the PD slots the radix walk found
+// leaves in, in order, each pointing at its PD node and slot. A slot whose
+// last 4KB leaf was unmapped is therefore gone, and back after the next
+// Map4K.
+func checkSlots(t *testing.T, pt *Table, ref []visit) {
+	t.Helper()
+	n := 0
+	for k, w := range ref {
+		hv := w.base.Base2M()
+		if k > 0 && ref[k-1].base.Base2M() == hv {
+			continue
+		}
+		if n >= len(pt.index) {
+			t.Fatalf("index has %d slots, radix walk has more (next %s)", len(pt.index), hv)
+		}
+		r := pt.index[n]
+		if r.base != hv || r.pd != pt.pdNode(hv, false) || int(r.slot) != addr.Index(hv, 2) {
+			t.Fatalf("index slot %d = {%s %p %d}, want {%s %p %d}",
+				n, r.base, r.pd, r.slot, hv, pt.pdNode(hv, false), addr.Index(hv, 2))
+		}
+		n++
+	}
+	if n != len(pt.index) {
+		t.Fatalf("index has %d slots, radix walk found leaves in %d", len(pt.index), n)
+	}
+}
+
+// checkRangeSweeps compares ScanRange, ScanRegionsRange and ClearFlagsRange
+// against a filter over the radix walk, on ranges whose bounds are not 2MB-
+// (or even 4KB-) aligned and so cut through split regions.
+func checkRangeSweeps(t *testing.T, pt *Table, ref []visit, salt uint64) {
+	t.Helper()
+	const universe = 26 * addr.PageSize2M // the fuzzers map regions 0..23
+	for k := uint64(0); k < 3; k++ {
+		h := (salt*3 + k + 1) * 0x9e3779b97f4a7c15
+		start := addr.Virt(h % universe)
+		size := (h >> 32) % (3 * addr.PageSize2M)
+		if k == 2 {
+			size %= 64 * addr.PageSize4K // a window inside one region
+		}
+		r := addr.NewRange(start, size)
+		var want []visit
+		for _, w := range ref {
+			if w.base >= r.Start && w.base < r.End {
+				want = append(want, w)
+			}
+		}
+		var got []visit
+		pt.ScanRange(r, func(b addr.Virt, e *Entry, l Level) { got = append(got, visit{b, e, l}) })
+		if !slices.Equal(got, want) {
+			t.Fatalf("ScanRange(%s): %d visits, radix filter has %d", r, len(got), len(want))
+		}
+		// ScanRegionsRange: the same leaves with pages == 1, then the spans
+		// based in r.
+		got = got[:0]
+		var gotSpans []addr.Virt
+		pt.ScanRegionsRange(r, func(b addr.Virt, pages int, e *Entry, l Level) {
+			if len(gotSpans) == 0 && pt.spanOf(b) == nil {
+				if pages != 1 {
+					t.Fatalf("ScanRegionsRange(%s): leaf %s has %d pages", r, b, pages)
+				}
+				got = append(got, visit{b, e, l})
+				return
+			}
+			gotSpans = append(gotSpans, b)
+		})
+		if !slices.Equal(got, want) {
+			t.Fatalf("ScanRegionsRange(%s): %d leaf visits, radix filter has %d", r, len(got), len(want))
+		}
+		var wantSpans []addr.Virt
+		spanPages := 0
+		for si := range pt.spans {
+			sp := &pt.spans[si]
+			if sp.vbase >= r.Start && sp.vbase < r.End {
+				wantSpans = append(wantSpans, sp.vbase)
+			}
+			lo, hi := sp.vbase, sp.end()
+			if lo < r.Start {
+				lo = r.Start
+			}
+			if hi > r.End {
+				hi = r.End
+			}
+			if hi > lo {
+				spanPages += int(uint64(hi-lo) >> addr.PageShift2M)
+			}
+		}
+		if !slices.Equal(gotSpans, wantSpans) {
+			t.Fatalf("ScanRegionsRange(%s): spans %v, want %v", r, gotSpans, wantSpans)
+		}
+		// ClearFlagsRange clears the probe bit from exactly the leaves in r.
+		for _, w := range ref {
+			w.e.Flags |= probeFlag
+		}
+		if n := pt.ClearFlagsRange(r, probeFlag); n != len(want)+spanPages {
+			t.Fatalf("ClearFlagsRange(%s) visited %d pages, want %d leaves + %d span pages",
+				r, n, len(want), spanPages)
+		}
+		for _, w := range ref {
+			inRange := w.base >= r.Start && w.base < r.End
+			if w.e.Flags.Has(probeFlag) == inRange {
+				t.Fatalf("ClearFlagsRange(%s): leaf %s in range %v, probe still set %v",
+					r, w.base, inRange, !inRange)
+			}
+			w.e.Flags &^= probeFlag
+		}
+	}
+}
+
+// checkShardWindows: RegionCount equals the number of ScanRegions visits,
+// and for every shard count 1..7 the shard windows of ScanRegionsShard and
+// ScanClearRegionsShard, concatenated in shard order, reproduce the full
+// scan — including the counts whose cut points fall inside a split region or
+// a partially unmapped PT node.
+func checkShardWindows(t *testing.T, pt *Table, ref []visit, salt uint64) {
+	t.Helper()
+	type region struct {
+		base  addr.Virt
+		pages int
+		e     *Entry // nil for a span (its entry is synthesized per visit)
+		flags Flags
+		lvl   Level
+	}
+	collect := func(scan func(RegionVisitor)) []region {
+		var out []region
+		scan(func(b addr.Virt, pages int, e *Entry, l Level) {
+			r := region{b, pages, e, e.Flags, l}
+			if pt.spanOf(b) != nil {
+				r.e = nil
+			}
+			out = append(out, r)
+		})
+		return out
+	}
+	full := collect(pt.ScanRegions)
+	if pt.RegionCount() != len(full) {
+		t.Fatalf("RegionCount = %d, ScanRegions visited %d", pt.RegionCount(), len(full))
+	}
+	if len(full) != len(ref)+len(pt.spans) {
+		t.Fatalf("ScanRegions visited %d regions, want %d leaves + %d spans", len(full), len(ref), len(pt.spans))
+	}
+	for k := 1; k < len(full); k++ {
+		if full[k-1].base >= full[k].base {
+			t.Fatalf("ScanRegions out of order: %s then %s", full[k-1].base, full[k].base)
+		}
+	}
+	for n := 1; n <= 7; n++ {
+		var got []region
+		for s := 0; s < n; s++ {
+			got = append(got, collect(func(fn RegionVisitor) { pt.ScanRegionsShard(s, n, fn) })...)
+		}
+		if len(got) != len(full) {
+			t.Fatalf("nShards=%d: %d visits, ScanRegions has %d", n, len(got), len(full))
+		}
+		for k := range full {
+			if got[k] != full[k] {
+				t.Fatalf("nShards=%d visit %d: got %+v, ScanRegions has %+v", n, k, got[k], full[k])
+			}
+		}
+	}
+	// Sharded clear, one shard count per call: every leaf carries the probe
+	// bit going in, every visit must report it as prior (a leaf visited
+	// twice would not), and none carries it coming out.
+	n := int(salt%7) + 1
+	for _, w := range ref {
+		w.e.Flags |= probeFlag
+	}
+	k := 0
+	for s := 0; s < n; s++ {
+		pt.ScanClearRegionsShard(s, n, probeFlag, func(b addr.Virt, pages int, prior Flags, l Level) {
+			if k >= len(full) || b != full[k].base || pages != full[k].pages || l != full[k].lvl {
+				t.Fatalf("nShards=%d clear visit %d: got (%s, %d, %d), ScanRegions has %d regions",
+					n, k, b, pages, l, len(full))
+			}
+			want := full[k].flags
+			if full[k].e != nil {
+				want |= probeFlag
+			}
+			if prior != want {
+				t.Fatalf("nShards=%d clear visit %d at %s: prior %b, want %b", n, k, b, prior, want)
+			}
+			k++
+		})
+	}
+	if k != len(full) {
+		t.Fatalf("nShards=%d clear visited %d regions, want %d", n, k, len(full))
+	}
+	for _, w := range ref {
+		if w.e.Flags.Has(probeFlag) {
+			t.Fatalf("nShards=%d clear left the probe bit on %s", n, w.base)
+		}
+	}
 }
 
 // FuzzLeafIndex drives random interleavings of the structural mutators and
-// checks after every operation that Scan over the flat index yields the
-// identical visit sequence to the reference radix walk. Errors from
+// checks after every operation that the slot index and every sweep over it
+// agree with the reference radix walk (checkLeafIndex). Errors from
 // individual operations are expected (the fuzzer generates invalid ones) and
 // ignored — only index consistency matters.
 func FuzzLeafIndex(f *testing.F) {
@@ -82,7 +292,7 @@ func FuzzLeafIndex(f *testing.F) {
 			case 5:
 				pt.Remap(cv, addr.Phys2M(reg+100))
 			}
-			checkLeafIndex(t, pt)
+			checkLeafIndex(t, pt, uint64(i)+uint64(data[i+2]))
 		}
 	})
 }

@@ -14,6 +14,7 @@ package pagetable
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"thermostat/internal/addr"
@@ -75,31 +76,35 @@ type node struct {
 	liveChildren int
 }
 
-// leafRef locates one present leaf entry: the node holding it, the slot
-// within that node, and the leaf's virtual base. Entry pointers derived from
-// a leafRef stay valid for the leaf's lifetime because nodes are never
-// reallocated, only unlinked.
-type leafRef struct {
+// regionRef locates one PD slot that holds at least one present leaf: either
+// a 2MB huge leaf in pd.entries[slot], or a PT node at pd.children[slot] with
+// one or more present 4KB leaves. base is the slot's 2MB-aligned virtual
+// base. Entry pointers derived from a regionRef stay valid for the leaf's
+// lifetime because nodes are never reallocated, only unlinked.
+type regionRef struct {
 	base addr.Virt
-	n    *node
+	pd   *node
 	slot int32
-	lvl  Level
 }
 
 // Table is a 4-level page table.
 //
-// Alongside the radix tree it maintains leaves, an ordered flat index of all
-// present leaf entries sorted by virtual base address. The index is updated
-// incrementally by every structural mutation (Map4K, Map2M, Unmap, Split,
-// Collapse) and lets Scan/ScanRange run as linear sweeps instead of radix
-// descents. Invariant: leaves holds exactly one entry per present leaf, in
-// strictly increasing base order — the same order a depth-first radix walk
+// Alongside the radix tree it maintains index, an ordered list of the PD
+// slots that hold any leaf. Sweeps (Scan, ScanRange, the region scans in
+// spans.go) walk the index linearly and expand each slot in place: a slot
+// with no PT node under it is one 2MB leaf, otherwise the PT node is walked
+// for its present 4KB leaves. Invariant: index holds exactly one ref
+// per PD slot with at least one present leaf, in strictly increasing base
+// order, so a sweep visits leaves in the order a depth-first radix walk
 // produces (scanRadix is kept as the reference walk and the fuzz oracle).
+// Split and Collapse change what a slot holds, never whether it holds
+// something, so they leave the index alone; Map2M/Unmap of a huge leaf and
+// the first Map4K into / last Unmap out of a PT node insert or remove one ref.
 type Table struct {
 	root    *node
 	count4K int
 	count2M int
-	leaves  []leafRef
+	index   []regionRef
 	// nodes counts allocated radix nodes (root included) for StateBytes.
 	nodes int
 	// Hybrid sparse mode (spans.go): spansOn arms it, spans is the ordered
@@ -112,49 +117,36 @@ type Table struct {
 // New returns an empty table.
 func New() *Table { return &Table{root: &node{}, nodes: 1} }
 
-// leafPos returns the index of the first flat-index entry with base >= b.
-func (t *Table) leafPos(b addr.Virt) int {
-	return sort.Search(len(t.leaves), func(i int) bool { return t.leaves[i].base >= b })
+// slotPos returns the position of the first index ref with base >= b.
+func (t *Table) slotPos(b addr.Virt) int {
+	return sort.Search(len(t.index), func(i int) bool { return t.index[i].base >= b })
 }
 
-// spliceLeaves replaces t.leaves[pos:pos+del] with ins.
-func (t *Table) spliceLeaves(pos, del int, ins []leafRef) {
-	old := t.leaves
-	nl := len(old) - del + len(ins)
-	if nl > cap(old) {
-		grown := make([]leafRef, nl, nl+nl/2+8)
-		copy(grown, old[:pos])
-		copy(grown[pos:], ins)
-		copy(grown[pos+len(ins):], old[pos+del:])
-		t.leaves = grown
-		return
-	}
-	t.leaves = old[:nl]
-	copy(t.leaves[pos+len(ins):], old[pos+del:])
-	copy(t.leaves[pos:], ins)
-	// Zero any abandoned tail so pruned nodes can be collected.
-	for k := nl; k < len(old); k++ {
-		old[k] = leafRef{}
-	}
-}
-
-// insertLeaf adds one leaf to the flat index. Mappings are installed by a
+// insertSlot adds one PD slot to the index. Mappings are installed by a
 // bump-pointer allocator in practice, so appending at the end is the common
-// case; anything else falls back to a binary search and splice.
-func (t *Table) insertLeaf(r leafRef) {
-	if n := len(t.leaves); n == 0 || t.leaves[n-1].base < r.base {
-		t.leaves = append(t.leaves, r)
+// case; anything else falls back to a binary search and a shift.
+func (t *Table) insertSlot(r regionRef) {
+	if n := len(t.index); n == 0 || t.index[n-1].base < r.base {
+		t.index = append(t.index, r)
 		return
 	}
-	t.spliceLeaves(t.leafPos(r.base), 0, []leafRef{r})
+	t.index = slices.Insert(t.index, t.slotPos(r.base), r)
 }
 
-// removeLeaf drops the leaf with the given base from the flat index.
-func (t *Table) removeLeaf(b addr.Virt) {
-	pos := t.leafPos(b)
-	if pos < len(t.leaves) && t.leaves[pos].base == b {
-		t.spliceLeaves(pos, 1, nil)
+// removeSlot drops the PD slot based at b from the index. An index emptied
+// by the removal is released, so a fully unmapped table holds no index
+// memory.
+func (t *Table) removeSlot(b addr.Virt) {
+	pos := t.slotPos(b)
+	if pos == len(t.index) || t.index[pos].base != b {
+		return
 	}
+	if len(t.index) == 1 {
+		t.index = nil
+		return
+	}
+	// Delete zeroes the vacated tail, so a pruned PD node can be collected.
+	t.index = slices.Delete(t.index, pos, pos+1)
 }
 
 // Count4K returns the number of present 4KB leaf entries.
@@ -169,17 +161,13 @@ func (t *Table) MappedBytes() uint64 {
 	return uint64(t.count4K)*addr.PageSize4K + uint64(t.count2M+t.spanPages)*addr.PageSize2M
 }
 
-// descend returns the node at the given level for v, allocating intermediate
-// nodes when create is set. Level 4 is the root; descend(v, 1, true) returns
-// the PT node whose entries map 4KB pages.
-func (t *Table) descend(v addr.Virt, level int, create bool) *node {
+// pdNode returns the PD node covering v — the node whose entries are 2MB
+// huge leaves and whose children are PT nodes — allocating the PDPT and PD
+// nodes on the way when create is set.
+func (t *Table) pdNode(v addr.Virt, create bool) *node {
 	n := t.root
-	for l := 4; l > level; l-- {
+	for l := 4; l > 2; l-- {
 		i := addr.Index(v, l)
-		// A huge leaf blocks descent below level 2.
-		if l == 2 && n.entries[i].Flags.Has(Present|Huge) {
-			return nil
-		}
 		child := n.children[i]
 		if child == nil {
 			if !create {
@@ -201,15 +189,23 @@ func (t *Table) Map4K(v addr.Virt, p addr.Phys, flags Flags) error {
 	if e, _, ok := t.Lookup(v); ok {
 		return fmt.Errorf("pagetable: %s already mapped to %s", v, e.Frame)
 	}
-	pt := t.descend(v, 1, true)
+	// Lookup ruled out a huge leaf over v, so the PD slot is empty or holds
+	// a PT node.
+	pd := t.pdNode(v, true)
+	slot := addr.Index(v, 2)
+	pt := pd.children[slot]
 	if pt == nil {
-		return fmt.Errorf("pagetable: %s covered by a huge mapping", v)
+		pt = &node{}
+		pd.children[slot] = pt
+		pd.liveChildren++
+		t.nodes++
 	}
-	i := addr.Index(v, 1)
-	pt.entries[i] = Entry{Frame: p.Base4K(), Flags: flags | Present}
+	pt.entries[addr.Index(v, 1)] = Entry{Frame: p.Base4K(), Flags: flags | Present}
 	pt.liveLeaves++
 	t.count4K++
-	t.insertLeaf(leafRef{base: v.Base4K(), n: pt, slot: int32(i), lvl: Level4K})
+	if pt.liveLeaves == 1 {
+		t.insertSlot(regionRef{base: v.Base2M(), pd: pd, slot: int32(slot)})
+	}
 	return nil
 }
 
@@ -225,10 +221,7 @@ func (t *Table) Map2M(v addr.Virt, p addr.Phys, flags Flags) error {
 	if len(t.spans) != 0 && t.spanIdx(v) >= 0 {
 		return fmt.Errorf("pagetable: %s already span-mapped", v)
 	}
-	pd := t.descend(v, 2, true)
-	if pd == nil {
-		return fmt.Errorf("pagetable: %s covered by a huge mapping", v)
-	}
+	pd := t.pdNode(v, true)
 	i := addr.Index(v, 2)
 	if pd.entries[i].Flags.Has(Present) {
 		return fmt.Errorf("pagetable: %s already huge-mapped", v)
@@ -239,7 +232,7 @@ func (t *Table) Map2M(v addr.Virt, p addr.Phys, flags Flags) error {
 	pd.entries[i] = Entry{Frame: p, Flags: flags | Present | Huge}
 	pd.liveLeaves++
 	t.count2M++
-	t.insertLeaf(leafRef{base: v, n: pd, slot: int32(i), lvl: Level2M})
+	t.insertSlot(regionRef{base: v, pd: pd, slot: int32(i)})
 	return nil
 }
 
@@ -450,7 +443,7 @@ func (t *Table) Unmap(v addr.Virt) (Entry, Level, error) {
 			n.entries[i] = Entry{}
 			n.liveLeaves--
 			t.count2M--
-			t.removeLeaf(v.Base2M())
+			t.removeSlot(v.Base2M())
 			t.prune(path[:4-l+1])
 			return e, Level2M, nil
 		}
@@ -462,7 +455,9 @@ func (t *Table) Unmap(v addr.Virt) (Entry, Level, error) {
 			n.entries[i] = Entry{}
 			n.liveLeaves--
 			t.count4K--
-			t.removeLeaf(v.Base4K())
+			if n.liveLeaves == 0 {
+				t.removeSlot(v.Base2M())
+			}
 			t.prune(path[:])
 			return e, Level4K, nil
 		}
@@ -503,7 +498,7 @@ func (t *Table) Split(v addr.Virt) error {
 	if len(t.spans) != 0 {
 		t.carve(hv)
 	}
-	pd := t.descend(hv, 2, false)
+	pd := t.pdNode(hv, false)
 	if pd == nil {
 		return fmt.Errorf("pagetable: Split of unmapped %s", hv)
 	}
@@ -528,17 +523,6 @@ func (t *Table) Split(v addr.Virt) error {
 	t.nodes++
 	t.count2M--
 	t.count4K += addr.PagesPerHuge
-	// Flat index: the huge leaf's slot becomes 512 contiguous child refs.
-	children := make([]leafRef, addr.PagesPerHuge)
-	for j := range children {
-		children[j] = leafRef{
-			base: hv + addr.Virt(uint64(j)*addr.PageSize4K),
-			n:    pt,
-			slot: int32(j),
-			lvl:  Level4K,
-		}
-	}
-	t.spliceLeaves(t.leafPos(hv), 1, children)
 	return nil
 }
 
@@ -548,7 +532,7 @@ func (t *Table) Split(v addr.Virt) error {
 // Poisoned children block collapse (unpoison first).
 func (t *Table) Collapse(v addr.Virt) error {
 	hv := v.Base2M()
-	pd := t.descend(hv, 2, false)
+	pd := t.pdNode(hv, false)
 	if pd == nil {
 		return fmt.Errorf("pagetable: Collapse of unmapped %s", hv)
 	}
@@ -583,9 +567,6 @@ func (t *Table) Collapse(v addr.Virt) error {
 	pd.liveLeaves++
 	t.count2M++
 	t.count4K -= addr.PagesPerHuge
-	// Flat index: 512 contiguous child refs collapse back to one huge ref.
-	t.spliceLeaves(t.leafPos(hv), addr.PagesPerHuge,
-		[]leafRef{{base: hv, n: pd, slot: int32(i), lvl: Level2M}})
 	return nil
 }
 
@@ -602,18 +583,15 @@ func (t *Table) IsSplit(v addr.Virt) bool {
 type LeafVisitor func(base addr.Virt, e *Entry, lvl Level)
 
 // Scan visits every present leaf in the table in address order. It sweeps
-// the flat leaf index linearly; the visitor must not structurally mutate the
+// the slot index linearly; the visitor must not structurally mutate the
 // table (Map/Unmap/Split/Collapse) mid-scan — collect first, mutate after,
 // as with the radix walk this replaces.
 func (t *Table) Scan(fn LeafVisitor) {
-	ls := t.leaves
-	for i := range ls {
-		fn(ls[i].base, &ls[i].n.entries[ls[i].slot], ls[i].lvl)
-	}
+	t.ScanRange(addr.Range{End: ^addr.Virt(0)}, fn)
 }
 
 // scanRadix is the original depth-first radix walk. It is retained as the
-// reference visit order the flat index must reproduce (see FuzzLeafIndex)
+// reference visit order the slot index must reproduce (see FuzzLeafIndex)
 // and as the radix side of BenchmarkPTScan.
 func (t *Table) scanRadix(fn LeafVisitor) {
 	t.scanNode(t.root, 4, 0, fn)
@@ -639,11 +617,36 @@ func (t *Table) scanNode(n *node, level int, prefix uint64, fn LeafVisitor) {
 }
 
 // ScanRange visits present leaves whose base addresses fall in r: a binary
-// search to the first leaf at or above r.Start, then a linear sweep to r.End.
+// search to the PD slot holding r.Start, then a linear sweep to r.End. The
+// bounds need not be 2MB-aligned; a split slot they cut through is walked
+// only between them.
 func (t *Table) ScanRange(r addr.Range, fn LeafVisitor) {
-	ls := t.leaves
-	for i := t.leafPos(r.Start); i < len(ls) && ls[i].base < r.End; i++ {
-		fn(ls[i].base, &ls[i].n.entries[ls[i].slot], ls[i].lvl)
+	idx := t.index
+	for i := t.slotPos(r.Start.Base2M()); i < len(idx) && idx[i].base < r.End; i++ {
+		ref := &idx[i]
+		pt := ref.pd.children[ref.slot]
+		if pt == nil {
+			if ref.base >= r.Start {
+				fn(ref.base, &ref.pd.entries[ref.slot], Level2M)
+			}
+			continue
+		}
+		// First and one-past-last PT entry whose 4KB base lies in r.
+		lo, hi := 0, addr.PagesPerHuge
+		if ref.base < r.Start {
+			lo = int((uint64(r.Start-ref.base) + addr.PageSize4K - 1) >> addr.PageShift4K)
+		}
+		if uint64(r.End-ref.base) < addr.PageSize2M {
+			hi = int((uint64(r.End-ref.base) + addr.PageSize4K - 1) >> addr.PageShift4K)
+		}
+		base := ref.base + addr.Virt(uint64(lo)<<addr.PageShift4K)
+		ents := pt.entries[lo:hi]
+		for j := range ents {
+			if e := &ents[j]; e.Flags&Present != 0 {
+				fn(base, e, Level4K)
+			}
+			base += addr.Virt(addr.PageSize4K)
+		}
 	}
 }
 
@@ -652,36 +655,32 @@ func (t *Table) ScanRange(r addr.Range, fn LeafVisitor) {
 // mask bit set are not written, so a scan over mostly-idle leaves stays
 // read-mostly. fn may be nil to clear without observing.
 func (t *Table) ScanClear(mask Flags, fn func(base addr.Virt, prior Flags, lvl Level)) {
-	ls := t.leaves
-	for i := range ls {
-		e := &ls[i].n.entries[ls[i].slot]
+	t.Scan(func(base addr.Virt, e *Entry, lvl Level) {
 		prior := e.Flags
 		if prior&mask != 0 {
 			e.Flags = prior &^ mask
 		}
 		if fn != nil {
-			fn(ls[i].base, prior, ls[i].lvl)
+			fn(base, prior, lvl)
 		}
-	}
+	})
 }
 
 // ClearFlagsRange clears mask from every present leaf whose base falls in r
 // and returns the number of pages visited. It is the batched form of
-// per-page ClearFlags for the engine's restore pass: one index splice-free
-// sweep instead of one radix descent per page. Spans overlapping r have the
-// mask cleared from their whole aggregate (conservative: region-grain flags
-// cannot be cleared for part of a region) and contribute their overlapping
-// page count to the return value.
+// per-page ClearFlags for the engine's restore pass: one sweep instead of
+// one radix descent per page. Spans overlapping r have the mask cleared from
+// their whole aggregate (conservative: region-grain flags cannot be cleared
+// for part of a region) and contribute their overlapping page count to the
+// return value.
 func (t *Table) ClearFlagsRange(r addr.Range, mask Flags) int {
-	ls := t.leaves
 	visited := 0
-	for i := t.leafPos(r.Start); i < len(ls) && ls[i].base < r.End; i++ {
-		e := &ls[i].n.entries[ls[i].slot]
+	t.ScanRange(r, func(_ addr.Virt, e *Entry, _ Level) {
 		if e.Flags&mask != 0 {
 			e.Flags &^= mask
 		}
 		visited++
-	}
+	})
 	if len(t.spans) != 0 {
 		sp := t.spans
 		j := sort.Search(len(sp), func(k int) bool { return sp[k].end() > r.Start })

@@ -3,7 +3,7 @@
 //
 // A span is one record standing for a contiguous run of 2MB huge-page
 // mappings whose physical frames are contiguous too — count, aggregate flags
-// and a representative base instead of one radix leaf (plus flat-index entry)
+// and a representative base instead of one radix leaf (plus slot-index ref)
 // per page. Spans keep the table's state sublinear in footprint: a terabyte
 // of cold memory is a handful of span records until something touches it at
 // page grain.
@@ -110,10 +110,10 @@ func (t *Table) MapSpan(v addr.Virt, p addr.Phys, pages int, flags Flags) error 
 		return fmt.Errorf("pagetable: MapSpan of unaligned physical %s", p)
 	}
 	end := v + addr.Virt(uint64(pages)*addr.PageSize2M)
-	// Overlap checks: the flat leaf index covers every radix leaf, and the
-	// span list covers every span.
-	if pos := t.leafPos(v); pos < len(t.leaves) && t.leaves[pos].base < end {
-		return fmt.Errorf("pagetable: MapSpan %s overlaps existing leaf %s", v, t.leaves[pos].base)
+	// Overlap checks: the slot index covers every radix leaf, and the span
+	// list covers every span.
+	if pos := t.slotPos(v); pos < len(t.index) && t.index[pos].base < end {
+		return fmt.Errorf("pagetable: MapSpan %s overlaps existing leaves at %s", v, t.index[pos].base)
 	}
 	i := sort.Search(len(t.spans), func(k int) bool { return t.spans[k].vbase > v })
 	if i > 0 && v < t.spans[i-1].end() {
@@ -324,56 +324,64 @@ type RegionVisitor func(base addr.Virt, pages int, e *Entry, lvl Level)
 // address order. On a dense table it is exactly Scan with pages == 1. The
 // visitor must not structurally mutate the table.
 func (t *Table) ScanRegions(fn RegionVisitor) {
-	if len(t.spans) == 0 {
-		ls := t.leaves
-		for i := range ls {
-			fn(ls[i].base, 1, &ls[i].n.entries[ls[i].slot], ls[i].lvl)
-		}
-		return
-	}
-	t.scanRegionsWindow(0, len(t.leaves)+len(t.spans), fn)
+	t.scanRegionsWindow(0, t.RegionCount(), fn)
 }
 
 // RegionCount returns the number of regions ScanRegions visits.
-func (t *Table) RegionCount() int { return len(t.leaves) + len(t.spans) }
+func (t *Table) RegionCount() int { return t.count4K + t.count2M + len(t.spans) }
 
 // ScanRegionsShard visits the shard-th of nShards contiguous chunks of the
 // merged region sequence. Concatenating the visits of shards 0..nShards-1
 // in shard order reproduces ScanRegions exactly — the deterministic-merge
-// contract intra-run sharding relies on. Distinct shards touch distinct
-// regions, so concurrent shard scans that only mutate visited entries are
-// race-free.
+// contract intra-run sharding relies on. Chunks are cut at PD-slot
+// boundaries (see scanRegionsWindow), so distinct shards touch distinct
+// regions and never the same PT node: concurrent shard scans that only
+// mutate visited entries are race-free.
 func (t *Table) ScanRegionsShard(shard, nShards int, fn RegionVisitor) {
 	total := t.RegionCount()
-	lo := shard * total / nShards
-	hi := (shard + 1) * total / nShards
-	t.scanRegionsWindow(lo, hi, fn)
+	t.scanRegionsWindow(shard*total/nShards, (shard+1)*total/nShards, fn)
 }
 
-// scanRegionsWindow visits merged regions with positions in [lo, hi).
+// scanRegionsWindow visits the merged regions of every span and PD slot
+// whose first region has a position in [lo, hi). A split slot is never
+// divided between windows: it goes whole to the window its first leaf falls
+// in, and windows before it skip it by liveLeaves without reading an entry
+// another window's visitor may be writing.
 func (t *Table) scanRegionsWindow(lo, hi int, fn RegionVisitor) {
-	ls, sp := t.leaves, t.spans
+	idx, sp := t.index, t.spans
 	i, j := 0, 0
-	for k := 0; k < hi && (i < len(ls) || j < len(sp)); k++ {
-		leafNext := j >= len(sp) || (i < len(ls) && ls[i].base < sp[j].vbase)
-		if k < lo {
-			if leafNext {
-				i++
-			} else {
-				j++
+	for k := 0; k < hi && (i < len(idx) || j < len(sp)); {
+		if i == len(idx) || (j < len(sp) && sp[j].vbase < idx[i].base) {
+			if k >= lo {
+				s := &sp[j]
+				tmp := Entry{Frame: s.pbase, Flags: s.flags}
+				fn(s.vbase, s.pages, &tmp, Level2M)
+				s.flags = tmp.Flags
 			}
+			j++
+			k++
 			continue
 		}
-		if leafNext {
-			fn(ls[i].base, 1, &ls[i].n.entries[ls[i].slot], ls[i].lvl)
-			i++
-		} else {
-			s := &sp[j]
-			tmp := Entry{Frame: s.pbase, Flags: s.flags}
-			fn(s.vbase, s.pages, &tmp, Level2M)
-			s.flags = tmp.Flags
-			j++
+		ref := &idx[i]
+		i++
+		pt := ref.pd.children[ref.slot]
+		if pt == nil {
+			if k >= lo {
+				fn(ref.base, 1, &ref.pd.entries[ref.slot], Level2M)
+			}
+			k++
+			continue
 		}
+		if k >= lo {
+			base := ref.base
+			for c := range pt.entries {
+				if e := &pt.entries[c]; e.Flags&Present != 0 {
+					fn(base, 1, e, Level4K)
+				}
+				base += addr.Virt(addr.PageSize4K)
+			}
+		}
+		k += pt.liveLeaves
 	}
 }
 
@@ -381,10 +389,7 @@ func (t *Table) scanRegionsWindow(lo, hi int, fn RegionVisitor) {
 // region-grain analogue of ScanRange; a span overlapping r but based before
 // it is not visited).
 func (t *Table) ScanRegionsRange(r addr.Range, fn RegionVisitor) {
-	ls := t.leaves
-	for i := t.leafPos(r.Start); i < len(ls) && ls[i].base < r.End; i++ {
-		fn(ls[i].base, 1, &ls[i].n.entries[ls[i].slot], ls[i].lvl)
-	}
+	t.ScanRange(r, func(base addr.Virt, e *Entry, lvl Level) { fn(base, 1, e, lvl) })
 	sp := t.spans
 	for j := sort.Search(len(sp), func(k int) bool { return sp[k].vbase >= r.Start }); j < len(sp) && sp[j].vbase < r.End; j++ {
 		s := &sp[j]
@@ -408,49 +413,27 @@ func (t *Table) ScanClearRegionsShard(shard, nShards int, mask Flags, fn func(ba
 	t.scanClearWindow(shard*total/nShards, (shard+1)*total/nShards, mask, fn)
 }
 
+// scanClearWindow is scanRegionsWindow with the clear-and-report visitor:
+// flags without any mask bit are not written, so a sweep over mostly-idle
+// regions stays read-mostly.
 func (t *Table) scanClearWindow(lo, hi int, mask Flags, fn func(base addr.Virt, pages int, prior Flags, lvl Level)) {
-	ls, sp := t.leaves, t.spans
-	i, j := 0, 0
-	for k := 0; k < hi && (i < len(ls) || j < len(sp)); k++ {
-		leafNext := j >= len(sp) || (i < len(ls) && ls[i].base < sp[j].vbase)
-		if k < lo {
-			if leafNext {
-				i++
-			} else {
-				j++
-			}
-			continue
+	t.scanRegionsWindow(lo, hi, func(base addr.Virt, pages int, e *Entry, lvl Level) {
+		prior := e.Flags
+		if prior&mask != 0 {
+			e.Flags = prior &^ mask
 		}
-		if leafNext {
-			e := &ls[i].n.entries[ls[i].slot]
-			prior := e.Flags
-			if prior&mask != 0 {
-				e.Flags = prior &^ mask
-			}
-			if fn != nil {
-				fn(ls[i].base, 1, prior, ls[i].lvl)
-			}
-			i++
-		} else {
-			s := &sp[j]
-			prior := s.flags
-			if prior&mask != 0 {
-				s.flags = prior &^ mask
-			}
-			if fn != nil {
-				fn(s.vbase, s.pages, prior, Level2M)
-			}
-			j++
+		if fn != nil {
+			fn(base, pages, prior, lvl)
 		}
-	}
+	})
 }
 
 // StateBytes returns the table's resident simulator-state footprint: radix
-// nodes, the flat leaf index and the span list. This is the numerator of the
+// nodes, the slot index and the span list. This is the numerator of the
 // scaling benchmark's state-bytes-per-simulated-GB metric.
 func (t *Table) StateBytes() uint64 {
 	return uint64(t.nodes)*uint64(unsafe.Sizeof(node{})) +
-		uint64(cap(t.leaves))*uint64(unsafe.Sizeof(leafRef{})) +
+		uint64(cap(t.index))*uint64(unsafe.Sizeof(regionRef{})) +
 		uint64(cap(t.spans))*uint64(unsafe.Sizeof(span{}))
 }
 

@@ -1,7 +1,9 @@
 package pagetable
 
 import (
+	"sync"
 	"testing"
+	"unsafe"
 
 	"thermostat/internal/addr"
 )
@@ -313,6 +315,72 @@ func TestScanClearRegionsShard(t *testing.T) {
 	}
 }
 
+// TestShardScansConcurrent runs the shard windows of a clearing scan from
+// one goroutine each, on a table whose position cuts fall inside a split
+// region and inside a partially unmapped PT node. Under -race this pins that
+// no window reads an entry another window writes; the concatenation must
+// still equal the serial scan.
+func TestShardScansConcurrent(t *testing.T) {
+	build := func() *Table {
+		pt := New()
+		pt.EnableSpans()
+		mustMapSpan(t, pt, 0, 3)
+		for i := uint64(3); i < 9; i++ {
+			if err := pt.Map2M(addr.Virt2M(i), addr.Phys2M(i), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, reg := range []uint64{4, 5, 7} {
+			if err := pt.Split(addr.Virt2M(reg)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for j := uint64(0); j < 300; j += 2 {
+			if _, _, err := pt.Unmap(addr.Virt2M(5) + addr.Virt(j*addr.PageSize4K)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pt.Scan(func(_ addr.Virt, e *Entry, _ Level) { e.Flags |= Accessed })
+		return pt
+	}
+	type clearVisit struct {
+		base  addr.Virt
+		pages int
+		prior Flags
+	}
+	var want []clearVisit
+	build().ScanClearRegions(Accessed, func(b addr.Virt, pages int, prior Flags, _ Level) {
+		want = append(want, clearVisit{b, pages, prior})
+	})
+	for _, shards := range []int{2, 3, 5, 8} {
+		pt := build()
+		parts := make([][]clearVisit, shards)
+		var wg sync.WaitGroup
+		for s := 0; s < shards; s++ {
+			wg.Add(1)
+			go func(s int) {
+				defer wg.Done()
+				pt.ScanClearRegionsShard(s, shards, Accessed, func(b addr.Virt, pages int, prior Flags, _ Level) {
+					parts[s] = append(parts[s], clearVisit{b, pages, prior})
+				})
+			}(s)
+		}
+		wg.Wait()
+		var got []clearVisit
+		for _, p := range parts {
+			got = append(got, p...)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("shards=%d: %d visits, serial scan %d", shards, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("shards=%d visit %d: got %+v, want %+v", shards, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 // TestClearFlagsRangeSpans: spans overlapping the range are cleared at
 // aggregate grain and counted by overlapping pages.
 func TestClearFlagsRangeSpans(t *testing.T) {
@@ -351,8 +419,60 @@ func TestStateBytes(t *testing.T) {
 	}
 }
 
+// TestStateBytesTracksStructure: the index is counted at cap × ref size, a
+// Split+Collapse round trip costs exactly the one PT node while split and
+// nothing after, and unmapping everything returns to the pre-map value.
+func TestStateBytesTracksStructure(t *testing.T) {
+	pt := New()
+	empty := pt.StateBytes()
+	const n = 300
+	for i := uint64(0); i < n; i++ {
+		if err := pt.Map2M(addr.Virt2M(i), addr.Phys2M(i), Writable); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mapped := pt.StateBytes()
+	// Root, PDPT, PD, and the index.
+	want := 3*uint64(unsafe.Sizeof(node{})) + uint64(cap(pt.index))*uint64(unsafe.Sizeof(regionRef{}))
+	if mapped != want || cap(pt.index) < n {
+		t.Fatalf("StateBytes = %d with index cap %d, want %d", mapped, cap(pt.index), want)
+	}
+	if err := pt.Split(addr.Virt2M(n / 2)); err != nil {
+		t.Fatal(err)
+	}
+	if got := pt.StateBytes(); got != mapped+uint64(unsafe.Sizeof(node{})) {
+		t.Fatalf("split added %d bytes, want one PT node (%d)", got-mapped, unsafe.Sizeof(node{}))
+	}
+	if err := pt.Collapse(addr.Virt2M(n / 2)); err != nil {
+		t.Fatal(err)
+	}
+	if got := pt.StateBytes(); got != mapped {
+		t.Fatalf("StateBytes after split+collapse = %d, before %d", got, mapped)
+	}
+	// Unmap through a split region too, so the last-4KB-leaf path runs.
+	if err := pt.Split(addr.Virt2M(7)); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < n; i++ {
+		if i == 7 {
+			for j := uint64(0); j < uint64(addr.PagesPerHuge); j++ {
+				if _, _, err := pt.Unmap(addr.Virt2M(i) + addr.Virt(j*addr.PageSize4K)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			continue
+		}
+		if _, _, err := pt.Unmap(addr.Virt2M(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := pt.StateBytes(); got != empty {
+		t.Fatalf("StateBytes after unmapping everything = %d, empty table %d", got, empty)
+	}
+}
+
 // checkSpanInvariants asserts structural health of the hybrid state.
-func checkSpanInvariants(t *testing.T, pt *Table) {
+func checkSpanInvariants(t *testing.T, pt *Table, salt uint64) {
 	t.Helper()
 	pages := 0
 	for i := range pt.spans {
@@ -372,7 +492,7 @@ func checkSpanInvariants(t *testing.T, pt *Table) {
 	if pages != pt.spanPages {
 		t.Fatalf("spanPages = %d, spans sum to %d", pt.spanPages, pages)
 	}
-	checkLeafIndex(t, pt)
+	checkLeafIndex(t, pt, salt)
 }
 
 // FuzzSparseVsDense drives the same randomized operation sequence against a
@@ -448,7 +568,7 @@ func FuzzSparseVsDense(f *testing.F) {
 				sp.Unmap(cv)
 				dn.Unmap(cv)
 			}
-			checkSpanInvariants(t, sp)
+			checkSpanInvariants(t, sp, uint64(i)+uint64(data[i+2]))
 			if sp.Count4K() != dn.Count4K() || sp.Count2M() != dn.Count2M() {
 				t.Fatalf("op %d: counts 4K %d/%d, 2M %d/%d",
 					i/3, sp.Count4K(), dn.Count4K(), sp.Count2M(), dn.Count2M())

@@ -830,7 +830,7 @@ func (m *Machine) ResetPageCounts() {
 func (m *Machine) Sparse() bool { return m.cfg.Sparse }
 
 // StateBytes estimates the machine's footprint-dependent simulator state:
-// page table (radix nodes, leaf index, spans), tier allocators, BadgerTrap
+// page table (radix nodes, PD-slot index, spans), tier allocators, BadgerTrap
 // fault counts, and the ground-truth page counters. Fixed-size components
 // (TLB, LLC, walk model) are excluded — the scaling gate tracks how state
 // grows with simulated footprint, and they don't.

@@ -27,9 +27,11 @@ if [ "${SHORT:-0}" = "1" ]; then
 	go test -short -race -timeout 10m ./...
 	echo "== hot-path benchmarks (smoke)"
 	# One quick pass over the hot-path micro-benchmarks: catches bit-rot in
-	# the flat leaf index and the access path. The measured numbers come
-	# from `make bench` (see bench/README.md).
+	# the page table's slot index (scan and split/collapse, at 512 pages and
+	# at the 16 GiB bigmem-scan shape), the LLC and the access path. The
+	# measured numbers come from `make bench` (see bench/README.md).
 	go test -run=NONE -bench 'BenchmarkPT' -benchtime=100x ./internal/pagetable
+	go test -run=NONE -bench 'BenchmarkCache' -benchtime=100x ./internal/cache
 	go test -run=NONE -bench 'BenchmarkAccess' -benchtime=100x .
 else
 	echo "== go test -race ./..."
