@@ -62,7 +62,8 @@ func (m SlowMemMode) String() string {
 type Config struct {
 	// VM is the virtualization setup (default: nested, huge host pages).
 	VM vm.Config
-	// TLB sizes the translation caches.
+	// TLB sizes the translation caches (L2Entries must be at least
+	// L1Entries: the hierarchy is inclusive).
 	TLB tlb.Config
 	// LLC sizes the last-level cache.
 	LLC cache.Config
@@ -242,6 +243,10 @@ func New(cfg Config) (*Machine, error) {
 	}
 	if cfg.VirtBase.Base2M() != cfg.VirtBase {
 		return nil, fmt.Errorf("sim: VirtBase %s not 2MB-aligned", cfg.VirtBase)
+	}
+	var err error
+	if cfg.TLB, err = cfg.TLB.Normalize(); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
 	wm, err := walk.NewModel(cfg.Walk)
 	if err != nil {

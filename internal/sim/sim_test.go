@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"thermostat/internal/addr"
@@ -580,4 +581,14 @@ func statsSeries(name string, vals ...float64) *stats.Series {
 		s.Append(int64(i)*1e9, v)
 	}
 	return s
+}
+
+func TestNewRejectsNonInclusiveTLB(t *testing.T) {
+	t.Parallel()
+	cfg := DefaultConfig(64<<20, 64<<20)
+	cfg.TLB.L1Entries, cfg.TLB.L2Entries = 8, 4
+	_, err := New(cfg)
+	if err == nil || !strings.Contains(err.Error(), "sim: TLB L2Entries 4 < L1Entries 8") {
+		t.Fatalf("New with L2Entries < L1Entries: err = %v", err)
+	}
 }

@@ -10,6 +10,9 @@
 package tlb
 
 import (
+	"fmt"
+	"math/bits"
+
 	"thermostat/internal/addr"
 	"thermostat/internal/pagetable"
 	"thermostat/internal/stats"
@@ -22,138 +25,24 @@ type VPID uint16
 // HostVPID is the host's VPID.
 const HostVPID VPID = 0
 
-// key identifies a cached translation.
-type key struct {
-	vpn  uint64
-	lvl  pagetable.Level
-	vpid VPID
-}
+// nilSlot is the null link: end of a list, empty index cell.
+const nilSlot int32 = -1
 
-// entry is a cached translation.
+// entry is one slot of the flat TLB: a cached translation plus its links.
+// prev/next thread the LRU list (most-recent at head); a free slot chains
+// through next alone.
 type entry struct {
-	key   key
+	vpn   uint64
 	frame addr.Phys
-
-	prev, next *entry // LRU list, most-recent at head
+	lvl   pagetable.Level
+	prev  int32
+	next  int32
+	vpid  VPID
+	inL1  bool // within the L1 prefix of the list
 }
 
-// lru is a fixed-capacity LRU map of translations. Evicted and removed
-// entries park on a freelist (chained through next) so a full TLB churns
-// translations without allocating.
-type lru struct {
-	cap   int
-	items map[key]*entry
-	head  *entry
-	tail  *entry
-	free  *entry
-}
-
-func newLRU(capacity int) *lru {
-	return &lru{cap: capacity, items: make(map[key]*entry, capacity)}
-}
-
-func (l *lru) get(k key) (*entry, bool) {
-	e, ok := l.items[k]
-	if ok {
-		l.moveToFront(e)
-	}
-	return e, ok
-}
-
-func (l *lru) put(k key, frame addr.Phys) {
-	if e, ok := l.items[k]; ok {
-		e.frame = frame
-		l.moveToFront(e)
-		return
-	}
-	if len(l.items) >= l.cap {
-		l.evict()
-	}
-	e := l.free
-	if e != nil {
-		l.free = e.next
-		*e = entry{key: k, frame: frame}
-	} else {
-		e = &entry{key: k, frame: frame}
-	}
-	l.items[k] = e
-	l.pushFront(e)
-}
-
-func (l *lru) remove(k key) bool {
-	e, ok := l.items[k]
-	if !ok {
-		return false
-	}
-	l.unlink(e)
-	delete(l.items, k)
-	l.release(e)
-	return true
-}
-
-func (l *lru) evict() {
-	if l.tail == nil {
-		return
-	}
-	victim := l.tail
-	l.unlink(victim)
-	delete(l.items, victim.key)
-	l.release(victim)
-}
-
-func (l *lru) release(e *entry) {
-	e.next = l.free
-	l.free = e
-}
-
-func (l *lru) pushFront(e *entry) {
-	e.prev = nil
-	e.next = l.head
-	if l.head != nil {
-		l.head.prev = e
-	}
-	l.head = e
-	if l.tail == nil {
-		l.tail = e
-	}
-}
-
-func (l *lru) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		l.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		l.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (l *lru) moveToFront(e *entry) {
-	if l.head == e {
-		return
-	}
-	l.unlink(e)
-	l.pushFront(e)
-}
-
-func (l *lru) clear() {
-	l.items = make(map[key]*entry, l.cap)
-	l.head, l.tail = nil, nil
-}
-
-func (l *lru) removeIf(pred func(key) bool) {
-	for k := range l.items {
-		if pred(k) {
-			l.remove(k)
-		}
-	}
-}
-
-// Config sizes the TLB hierarchy.
+// Config sizes the TLB hierarchy. The hierarchy is inclusive (L1 ⊆ L2), so
+// L2Entries must be at least L1Entries once defaults are applied.
 type Config struct {
 	// L1Entries is the per-level-1 capacity (default 64).
 	L1Entries int
@@ -163,6 +52,21 @@ type Config struct {
 
 // DefaultConfig matches the paper's Xeon E5-2699 v3 testbed.
 func DefaultConfig() Config { return Config{L1Entries: 64, L2Entries: 1024} }
+
+// Normalize applies the defaults for zero fields and rejects a hierarchy
+// that cannot be inclusive.
+func (c Config) Normalize() (Config, error) {
+	if c.L1Entries <= 0 {
+		c.L1Entries = 64
+	}
+	if c.L2Entries <= 0 {
+		c.L2Entries = 1024
+	}
+	if c.L2Entries < c.L1Entries {
+		return c, fmt.Errorf("TLB L2Entries %d < L1Entries %d", c.L2Entries, c.L1Entries)
+	}
+	return c, nil
+}
 
 // HitLevel says where a lookup was satisfied.
 type HitLevel int
@@ -177,25 +81,55 @@ const (
 	HitL2
 )
 
-// TLB is the two-level translation cache.
+// TLB is the two-level translation cache: both levels are fully associative
+// exact LRU, held in one preallocated slot array.
+//
+// Every operation applies one key to both levels, so L1 is not merely a
+// subset of L2: its LRU order is a prefix of L2's. A hit or insert puts the
+// entry at the front of both; an L1 eviction drops the last element of the
+// prefix; an L2 eviction drops the list tail, which lies in the prefix only
+// when the prefix is the whole list, and then capacities are equal and both
+// levels evict it (hence L2Entries >= L1Entries); an invalidation deletes
+// the entry from the list and, if it was there, from the prefix. So one
+// list serves both levels: its first n1 entries, ending at l1tail and
+// flagged inL1, are L1, and the whole list is L2. DESIGN.md "Flat TLB"
+// spells the argument out.
 type TLB struct {
-	l1 *lru
-	l2 *lru
+	entries []entry
+	// index is an open-addressed table of slot numbers over entries,
+	// linear probing, at most half full.
+	index []int32
+	shift uint   // 64 - log2(len(index))
+	mask  uint32 // len(index) - 1
+
+	head, tail int32 // LRU list of live entries (L2)
+	l1tail     int32 // last entry of the L1 prefix, nilSlot when n1 == 0
+	free       int32 // freelist head
+	n1, n2     int
+	cap1       int
 
 	hitsL1 stats.Counter
 	hitsL2 stats.Counter
 	misses stats.Counter
 }
 
-// New builds a TLB from cfg, applying defaults for zero fields.
+// New builds a TLB from cfg, applying defaults for zero fields. It panics
+// if cfg asks for an L2 smaller than L1 (sim.New reports that as an error).
 func New(cfg Config) *TLB {
-	if cfg.L1Entries <= 0 {
-		cfg.L1Entries = 64
+	cfg, err := cfg.Normalize()
+	if err != nil {
+		panic("tlb: " + err.Error())
 	}
-	if cfg.L2Entries <= 0 {
-		cfg.L2Entries = 1024
+	logCells := bits.Len(uint(2*cfg.L2Entries - 1)) // smallest power of two >= 2 x capacity
+	t := &TLB{
+		entries: make([]entry, cfg.L2Entries),
+		index:   make([]int32, 1<<logCells),
+		shift:   uint(64 - logCells),
+		mask:    1<<logCells - 1,
+		cap1:    cfg.L1Entries,
 	}
-	return &TLB{l1: newLRU(cfg.L1Entries), l2: newLRU(cfg.L2Entries)}
+	t.Flush()
+	return t
 }
 
 // Result is a successful lookup.
@@ -205,58 +139,201 @@ type Result struct {
 	Hit   HitLevel
 }
 
-// Lookup searches both grains at both levels for a translation of v under
-// vpid. On an L2 hit the entry is promoted to L1.
-func (t *TLB) Lookup(v addr.Virt, vpid VPID) (Result, bool) {
-	for _, lvl := range [2]pagetable.Level{pagetable.Level2M, pagetable.Level4K} {
-		k := keyFor(v, lvl, vpid)
-		if e, ok := t.l1.get(k); ok {
-			t.hitsL1.Inc()
-			t.l2.get(k) // keep L2 recency in sync (inclusive hierarchy)
-			return Result{Frame: e.frame, Level: lvl, Hit: HitL1}, true
+// home is the index cell a key's probe sequence starts at: a multiply-shift
+// hash of the page number mixed with the grain and VPID.
+func (t *TLB) home(vpn uint64, lvl pagetable.Level, vpid VPID) uint32 {
+	x := vpn ^ uint64(lvl)<<62 ^ uint64(vpid)<<40
+	return uint32((x * 0x9E3779B97F4A7C15) >> t.shift)
+}
+
+// find returns the slot caching (vpn, lvl, vpid), or nilSlot.
+func (t *TLB) find(vpn uint64, lvl pagetable.Level, vpid VPID) int32 {
+	for i := t.home(vpn, lvl, vpid); ; i = (i + 1) & t.mask {
+		s := t.index[i]
+		if s < 0 {
+			return nilSlot
+		}
+		if e := &t.entries[s]; e.vpn == vpn && e.lvl == lvl && e.vpid == vpid {
+			return s
 		}
 	}
-	for _, lvl := range [2]pagetable.Level{pagetable.Level2M, pagetable.Level4K} {
-		k := keyFor(v, lvl, vpid)
-		if e, ok := t.l2.get(k); ok {
-			t.hitsL2.Inc()
-			t.l1.put(k, e.frame)
-			return Result{Frame: e.frame, Level: lvl, Hit: HitL2}, true
+}
+
+// unindex removes slot s from the index, shifting later members of its
+// probe run back over the hole so no tombstone is left.
+func (t *TLB) unindex(s int32) {
+	e := &t.entries[s]
+	i := t.home(e.vpn, e.lvl, e.vpid)
+	for t.index[i] != s {
+		i = (i + 1) & t.mask
+	}
+	for j := (i + 1) & t.mask; t.index[j] >= 0; j = (j + 1) & t.mask {
+		r := &t.entries[t.index[j]]
+		h := t.home(r.vpn, r.lvl, r.vpid)
+		// An entry whose home lies in (i, j] would become unreachable
+		// from its home if moved to i.
+		if (j-h)&t.mask < (j-i)&t.mask {
+			continue
 		}
+		t.index[i] = t.index[j]
+		i = j
+	}
+	t.index[i] = nilSlot
+}
+
+func (t *TLB) pushFront(s int32) {
+	e := &t.entries[s]
+	e.prev, e.next = nilSlot, t.head
+	if t.head >= 0 {
+		t.entries[t.head].prev = s
+	} else {
+		t.tail = s
+	}
+	t.head = s
+}
+
+func (t *TLB) unlink(s int32) {
+	e := &t.entries[s]
+	if e.prev >= 0 {
+		t.entries[e.prev].next = e.next
+	} else {
+		t.head = e.next
+	}
+	if e.next >= 0 {
+		t.entries[e.next].prev = e.prev
+	} else {
+		t.tail = e.prev
+	}
+}
+
+// touch makes s the most recent entry of both levels, bringing it into L1
+// (and pushing L1's least recent out) if it was in L2 only.
+func (t *TLB) touch(s int32) {
+	e := &t.entries[s]
+	if s != t.head {
+		if s == t.l1tail {
+			t.l1tail = e.prev
+		}
+		t.unlink(s)
+		t.pushFront(s)
+	}
+	if e.inL1 {
+		return
+	}
+	e.inL1 = true
+	if t.n1 == 0 {
+		t.l1tail = s
+	}
+	t.n1++
+	if t.n1 > t.cap1 {
+		v := &t.entries[t.l1tail]
+		v.inL1 = false
+		t.l1tail = v.prev
+		t.n1--
+	}
+}
+
+// remove drops slot s from both levels and frees it.
+func (t *TLB) remove(s int32) {
+	e := &t.entries[s]
+	if e.inL1 {
+		if s == t.l1tail {
+			t.l1tail = e.prev
+		}
+		t.n1--
+	}
+	t.unlink(s)
+	t.unindex(s)
+	e.next = t.free
+	t.free = s
+	t.n2--
+}
+
+func (t *TLB) hit(s int32, at HitLevel) (Result, bool) {
+	t.touch(s)
+	e := &t.entries[s]
+	return Result{Frame: e.frame, Level: e.lvl, Hit: at}, true
+}
+
+// Lookup searches both grains at both levels for a translation of v under
+// vpid. An L1 hit at either grain beats an L2 hit (a transient 4KB
+// translation and a 2MB entry can coexist); within a level the 2MB grain is
+// tried first. On an L2 hit the entry is promoted to L1.
+func (t *TLB) Lookup(v addr.Virt, vpid VPID) (Result, bool) {
+	s2 := t.find(v.PageNum2M(), pagetable.Level2M, vpid)
+	if s2 >= 0 && t.entries[s2].inL1 {
+		t.hitsL1.Inc()
+		return t.hit(s2, HitL1)
+	}
+	s4 := t.find(v.PageNum4K(), pagetable.Level4K, vpid)
+	if s4 >= 0 && t.entries[s4].inL1 {
+		t.hitsL1.Inc()
+		return t.hit(s4, HitL1)
+	}
+	if s2 < 0 {
+		s2 = s4
+	}
+	if s2 >= 0 {
+		t.hitsL2.Inc()
+		return t.hit(s2, HitL2)
 	}
 	t.misses.Inc()
 	return Result{}, false
 }
 
-func keyFor(v addr.Virt, lvl pagetable.Level, vpid VPID) key {
+func pageNum(v addr.Virt, lvl pagetable.Level) uint64 {
 	if lvl == pagetable.Level2M {
-		return key{vpn: v.PageNum2M(), lvl: lvl, vpid: vpid}
+		return v.PageNum2M()
 	}
-	return key{vpn: v.PageNum4K(), lvl: lvl, vpid: vpid}
+	return v.PageNum4K()
 }
 
 // Insert caches a translation in both levels (inclusive hierarchy).
 func (t *TLB) Insert(v addr.Virt, lvl pagetable.Level, frame addr.Phys, vpid VPID) {
-	k := keyFor(v, lvl, vpid)
-	t.l1.put(k, frame)
-	t.l2.put(k, frame)
+	vpn := pageNum(v, lvl)
+	if s := t.find(vpn, lvl, vpid); s >= 0 {
+		t.entries[s].frame = frame
+		t.touch(s)
+		return
+	}
+	if t.n2 == len(t.entries) {
+		t.remove(t.tail)
+	}
+	s := t.free
+	e := &t.entries[s]
+	t.free = e.next
+	*e = entry{vpn: vpn, frame: frame, lvl: lvl, vpid: vpid}
+	i := t.home(vpn, lvl, vpid)
+	for t.index[i] >= 0 {
+		i = (i + 1) & t.mask
+	}
+	t.index[i] = s
+	t.n2++
+	t.pushFront(s)
+	t.touch(s)
 }
 
 // Invalidate drops any cached translation of v (both grains) under vpid —
 // the invlpg analogue, required after poisoning or remapping a page.
 func (t *TLB) Invalidate(v addr.Virt, vpid VPID) {
-	for _, lvl := range [2]pagetable.Level{pagetable.Level4K, pagetable.Level2M} {
-		k := keyFor(v, lvl, vpid)
-		t.l1.remove(k)
-		t.l2.remove(k)
+	if s := t.find(v.PageNum4K(), pagetable.Level4K, vpid); s >= 0 {
+		t.remove(s)
+	}
+	if s := t.find(v.PageNum2M(), pagetable.Level2M, vpid); s >= 0 {
+		t.remove(s)
 	}
 }
 
 // InvalidateVPID drops all translations tagged with vpid.
 func (t *TLB) InvalidateVPID(vpid VPID) {
-	pred := func(k key) bool { return k.vpid == vpid }
-	t.l1.removeIf(pred)
-	t.l2.removeIf(pred)
+	for s := t.head; s >= 0; {
+		e := &t.entries[s]
+		next := e.next
+		if e.vpid == vpid {
+			t.remove(s)
+		}
+		s = next
+	}
 }
 
 // InvalidateRange drops every cached translation under vpid whose virtual
@@ -264,26 +341,36 @@ func (t *TLB) InvalidateVPID(vpid VPID) {
 // Invalidate it also catches transient 4KB translations BadgerTrap installed
 // inside poisoned huge pages, whose bases the caller cannot enumerate.
 func (t *TLB) InvalidateRange(r addr.Range, vpid VPID) {
-	pred := func(k key) bool {
-		if k.vpid != vpid {
-			return false
+	for s := t.head; s >= 0; {
+		e := &t.entries[s]
+		next := e.next
+		if e.vpid == vpid && r.Contains(e.base()) {
+			t.remove(s)
 		}
-		var v addr.Virt
-		if k.lvl == pagetable.Level2M {
-			v = addr.Virt(k.vpn << addr.PageShift2M)
-		} else {
-			v = addr.Virt(k.vpn << addr.PageShift4K)
-		}
-		return r.Contains(v)
+		s = next
 	}
-	t.l1.removeIf(pred)
-	t.l2.removeIf(pred)
+}
+
+// base is the first virtual address the entry translates.
+func (e *entry) base() addr.Virt {
+	if e.lvl == pagetable.Level2M {
+		return addr.Virt2M(e.vpn)
+	}
+	return addr.Virt4K(e.vpn)
 }
 
 // Flush empties the whole TLB.
 func (t *TLB) Flush() {
-	t.l1.clear()
-	t.l2.clear()
+	for i := range t.index {
+		t.index[i] = nilSlot
+	}
+	for s := range t.entries {
+		t.entries[s].next = int32(s) + 1
+	}
+	t.entries[len(t.entries)-1].next = nilSlot
+	t.free = 0
+	t.head, t.tail, t.l1tail = nilSlot, nilSlot, nilSlot
+	t.n1, t.n2 = 0, 0
 }
 
 // Stats reports lookup outcome counts since construction.
@@ -318,4 +405,4 @@ func (t *TLB) ResetStats() {
 }
 
 // Size returns the number of live entries at each level.
-func (t *TLB) Size() (l1, l2 int) { return len(t.l1.items), len(t.l2.items) }
+func (t *TLB) Size() (l1, l2 int) { return t.n1, t.n2 }

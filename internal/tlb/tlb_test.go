@@ -1,6 +1,7 @@
 package tlb
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -204,19 +205,49 @@ func TestTLBConsistencyProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkLookupHit(b *testing.B) {
-	tl := New(DefaultConfig())
-	tl.Insert(addr.Virt2M(1), pagetable.Level2M, addr.Phys2M(1), 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tl.Lookup(addr.Virt2M(1)+4096, 1)
+// benchCaps are the sizes the runs use: harness.Tiny, harness.Bench and the
+// paper's testbed.
+var benchCaps = []Config{{2, 8}, {2, 16}, {64, 1024}}
+
+func benchEachCap(b *testing.B, fn func(b *testing.B, cfg Config, tl *TLB)) {
+	for _, cfg := range benchCaps {
+		b.Run(fmt.Sprintf("%d-%d", cfg.L1Entries, cfg.L2Entries), func(b *testing.B) {
+			fn(b, cfg, New(cfg))
+		})
 	}
 }
 
+var benchSink Result
+
+func BenchmarkLookupHit(b *testing.B) {
+	benchEachCap(b, func(b *testing.B, _ Config, tl *TLB) {
+		tl.Insert(addr.Virt2M(1), pagetable.Level2M, addr.Phys2M(1), 1)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchSink, _ = tl.Lookup(addr.Virt2M(1)+4096, 1)
+		}
+	})
+}
+
+// BenchmarkLookupMiss is the redis-walk case: a full TLB and a lookup that
+// probes both grains and finds neither.
+func BenchmarkLookupMiss(b *testing.B) {
+	benchEachCap(b, func(b *testing.B, cfg Config, tl *TLB) {
+		n := uint64(cfg.L2Entries)
+		for i := uint64(0); i < n; i++ {
+			tl.Insert(addr.Virt4K(i), pagetable.Level4K, addr.Phys4K(i), 1)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchSink, _ = tl.Lookup(addr.Virt2M(4096+uint64(i)&1023), 1)
+		}
+	})
+}
+
 func BenchmarkInsertEvict(b *testing.B) {
-	tl := New(DefaultConfig())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tl.Insert(addr.Virt4K(uint64(i)), pagetable.Level4K, addr.Phys4K(uint64(i)), 1)
-	}
+	benchEachCap(b, func(b *testing.B, _ Config, tl *TLB) {
+		for i := 0; i < b.N; i++ {
+			tl.Insert(addr.Virt4K(uint64(i)), pagetable.Level4K, addr.Phys4K(uint64(i)), 1)
+		}
+	})
 }

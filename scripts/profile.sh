@@ -17,6 +17,8 @@ SECS="${3:-10}"
 ADDR="localhost:${PPROF_PORT:-6060}"
 OUT=results/profiles
 mkdir -p "$OUT"
+# pprof keeps a copy of every profile it fetches; not in $HOME/pprof.
+export PPROF_TMPDIR="$OUT/.pprof-tmp"
 
 # Build first so `go run` startup doesn't eat into the profile window.
 go build -o "$OUT/.thermostat-sim" ./cmd/thermostat-sim
@@ -26,7 +28,7 @@ go build -o "$OUT/.thermostat-sim" ./cmd/thermostat-sim
 "$OUT/.thermostat-sim" -app "$APP" -scale "$SCALE" -duration 3600 \
 	-pprof "$ADDR" >/dev/null 2>&1 &
 SIM=$!
-trap 'kill "$SIM" 2>/dev/null || true; rm -f "$OUT/.thermostat-sim"' EXIT
+trap 'kill "$SIM" 2>/dev/null || true; rm -rf "$OUT/.thermostat-sim" "$PPROF_TMPDIR"' EXIT
 
 # Wait for the debug server to come up.
 i=0
