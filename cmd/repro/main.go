@@ -28,9 +28,11 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
+	"thermostat/internal/daemon"
 	"thermostat/internal/harness"
 	"thermostat/internal/obsv"
 	"thermostat/internal/report"
@@ -42,46 +44,74 @@ import (
 // in main before any run starts.
 var logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 
+// experiments is the set -exp accepts, including the opt-in extras 'all'
+// does not run.
+var experiments = []string{
+	"all", "fig1", "naive", "fig2", "table1", "table2", "fig3", "colddata",
+	"fig11", "table3", "table4", "baselines", "ablations",
+	"ntier", "matrix", "fleet", "scale",
+}
+
+// validate rejects inconsistent flag combinations before any simulation
+// state is built, with a one-line usage error per defect. The experiment
+// list is repro's own; everything else is daemon.Config.Validate, the one
+// copy of the rules shared with cmd/thermostat-sim and thermostatd.
+func validate(exps string, cfg daemon.Config) error {
+	for _, e := range strings.Split(exps, ",") {
+		e = strings.TrimSpace(e)
+		if !slices.Contains(experiments, e) {
+			return fmt.Errorf("unknown experiment %q (experiments: %s)",
+				e, strings.Join(experiments, ", "))
+		}
+	}
+	return cfg.Validate()
+}
+
 func main() {
+	// The flags are the CLI spelling of one daemon.Config. Every repro run
+	// drives the paper's thermostat arm, so the policy is fixed.
+	cfg := daemon.Config{Policy: "thermostat"}
 	var (
-		expFlag   = flag.String("exp", "all", "comma-separated experiments or 'all'")
-		scaleFlag = flag.String("scale", "repro", "scale profile: tiny, bench, repro")
-		appsFlag  = flag.String("apps", "", "comma-separated app subset (default: all six)")
-		slowdown  = flag.Float64("slowdown", 3, "tolerable slowdown percent for Thermostat runs")
-		csvDir    = flag.String("csv", "", "directory to also write CSV outputs into")
-		svgDir    = flag.String("svg", "", "directory to also render SVG figures into")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		duration  = flag.Float64("duration", 0, "override run length in simulated seconds")
-		workers   = flag.Int("workers", 0, "goroutines fanning independent runs out (0 = all cores, 1 = serial; results are identical at any setting)")
-		outDir    = flag.String("results", "results", "directory the fleet and scale experiments write their committed artifacts into")
-		serveAddr = flag.String("serve", "", "serve the live observability plane (/metrics, /status, /tenants, /dump, pprof) on this address (e.g. localhost:9090) for the duration of the run")
-		pprofAddr = flag.String("pprof", "", "additional address for the same observability server (e.g. localhost:6060)")
-		logFormat = flag.String("log-format", "text", "progress log format: text or json")
+		expFlag = flag.String("exp", "all", "comma-separated experiments or 'all'")
+		csvDir  = flag.String("csv", "", "directory to also write CSV outputs into")
+		svgDir  = flag.String("svg", "", "directory to also render SVG figures into")
+		outDir  = flag.String("results", "results", "directory the fleet and scale experiments write their committed artifacts into")
 	)
+	flag.StringVar(&cfg.Scale, "scale", "repro", "scale profile: tiny, bench, repro")
+	flag.Func("apps", "comma-separated `apps` to run instead of all six", func(s string) error {
+		cfg.Apps = nil
+		if s != "" {
+			cfg.Apps = strings.Split(s, ",")
+		}
+		return nil
+	})
+	flag.Float64Var(&cfg.SlowdownPct, "slowdown", 3, "tolerable slowdown percent for Thermostat runs")
+	flag.Uint64Var(&cfg.Seed, "seed", 1, "random seed")
+	flag.Float64Var(&cfg.DurationS, "duration", 0, "override run length in simulated seconds")
+	flag.IntVar(&cfg.Workers, "workers", 0, "goroutines fanning independent runs out (0 = all cores, 1 = serial; results are identical at any setting)")
+	flag.StringVar(&cfg.Serve, "serve", "", "serve the live observability plane (/metrics, /status, /tenants, /dump, pprof) on this address (e.g. localhost:9090) for the duration of the run")
+	flag.StringVar(&cfg.Pprof, "pprof", "", "additional address for the same observability server (e.g. localhost:6060)")
+	flag.StringVar(&cfg.LogFormat, "log-format", "text", "progress log format: text or json")
 	flag.Parse()
 
-	if err := validate(options{
-		Exps: *expFlag, Scale: *scaleFlag, Apps: *appsFlag,
-		Slowdown: *slowdown, Duration: *duration,
-		Serve: *serveAddr, Pprof: *pprofAddr, LogFormat: *logFormat,
-	}); err != nil {
+	if err := validate(*expFlag, cfg); err != nil {
 		fatal(err)
 	}
-	logger, _ = obsv.NewLogger(os.Stderr, *logFormat) // format vetted above
+	logger, _ = obsv.NewLogger(os.Stderr, cfg.LogFormat) // format vetted above
 
-	sc, err := harness.ResolveScale(*scaleFlag, *seed, *duration)
+	sc, err := harness.ResolveScale(cfg.Scale, cfg.Seed, cfg.DurationS)
 	if err != nil {
 		fatal(err)
 	}
 
-	opt := harness.Options{Scale: sc, SlowdownPct: *slowdown, Workers: *workers}
-	if *serveAddr != "" || *pprofAddr != "" {
+	opt := harness.Options{Scale: sc, SlowdownPct: cfg.SlowdownPct, Workers: cfg.Workers}
+	if cfg.Serve != "" || cfg.Pprof != "" {
 		pub := obsv.NewPublisher()
 		pub.SetInfo(obsv.Info{
-			Binary: "repro", App: *appsFlag, Policy: "thermostat",
-			Scale: *scaleFlag, Seed: *seed, Workers: *workers,
+			Binary: "repro", App: strings.Join(cfg.Apps, ","), Policy: cfg.Policy,
+			Scale: cfg.Scale, Seed: cfg.Seed, Workers: cfg.Workers,
 		})
-		servers, err := obsv.ServeAll(pub, logger, *serveAddr, *pprofAddr)
+		servers, err := obsv.ServeAll(pub, logger, cfg.Serve, cfg.Pprof)
 		if err != nil {
 			fatal(err)
 		}
@@ -93,14 +123,12 @@ func main() {
 		defer pub.SetPhase(obsv.PhaseDone)
 		opt.Publisher = pub
 	}
-	if *appsFlag != "" {
-		for _, name := range strings.Split(*appsFlag, ",") {
-			spec, ok := workload.ByName(strings.TrimSpace(name))
-			if !ok {
-				fatal(fmt.Errorf("unknown application %q", name))
-			}
-			opt.Apps = append(opt.Apps, spec)
+	for _, name := range cfg.Apps {
+		spec, ok := workload.ByName(strings.TrimSpace(name))
+		if !ok {
+			fatal(fmt.Errorf("unknown application %q", name))
 		}
+		opt.Apps = append(opt.Apps, spec)
 	}
 
 	want := map[string]bool{}
@@ -332,11 +360,11 @@ func main() {
 		logger.Info("wrote fleet night artifacts", "txt", txt, "csv", csvPath)
 	}
 	// The scaling sweep is opt-in: it benchmarks the simulator itself
-	// (1 GB -> 1 TB, dense vs sparse tables, sharded scans) rather than the
+	// (1 GB -> 1 TB, dense vs sparse tables) rather than the
 	// paper's evaluation, applies the acceptance gate, and writes the
 	// committed artifact pair results/BENCH_scale.{json,txt}.
 	if want["scale"] {
-		runScale(*seed, *outDir, emit)
+		runScale(cfg.Seed, *outDir, emit)
 	}
 	// The N-tier sweep is opt-in: it is not part of the paper's evaluation,
 	// so 'all' (the paper regeneration) does not include it.
@@ -365,7 +393,6 @@ const (
 type scaleArtifact struct {
 	Workload      string                `json:"workload"`
 	Seed          uint64                `json:"seed"`
-	ShardWorkers  int                   `json:"shard_workers"`
 	GateStateFrac float64               `json:"gate_max_state_frac"`
 	GateNsOpRatio float64               `json:"gate_max_nsop_ratio"`
 	GatePass      bool                  `json:"gate_pass"`
@@ -379,7 +406,7 @@ func runScale(seed uint64, outDir string, emit func(string, *report.Table)) {
 	logger.Info("running scale (simulator scaling sweep, 1 GB -> 1 TB)")
 	sc := harness.ScaleBenchProfile()
 	sc.Seed = seed
-	points, err := harness.ScaleSweep(sc, harness.ScaleFootprints(), harness.ScaleShardWorkers)
+	points, err := harness.ScaleSweep(sc, harness.ScaleFootprints())
 	if err != nil {
 		fatal(err)
 	}
@@ -395,7 +422,6 @@ func runScale(seed uint64, outDir string, emit func(string, *report.Table)) {
 
 	art := scaleArtifact{
 		Workload: "scale-synth", Seed: seed,
-		ShardWorkers:  harness.ScaleShardWorkers,
 		GateStateFrac: scaleGateStateFrac, GateNsOpRatio: scaleGateNsOpRatio,
 		GatePass: gateErr == nil, Points: points,
 	}

@@ -3,30 +3,32 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"thermostat/internal/daemon"
 )
 
-// valid returns an option set that passes validation; each case mutates one
-// field off it.
-func valid() options {
-	return options{Exps: "all", Scale: "repro", Slowdown: 3}
+// valid returns a config that passes validation under -exp all; each case
+// mutates one field off it.
+func valid() daemon.Config {
+	return daemon.Config{Policy: "thermostat", Scale: "repro", SlowdownPct: 3}
 }
 
 func TestValidateAcceptsDefaults(t *testing.T) {
-	if err := validate(valid()); err != nil {
-		t.Fatalf("default-shaped options rejected: %v", err)
+	if err := validate("all", valid()); err != nil {
+		t.Fatalf("default-shaped config rejected: %v", err)
 	}
 }
 
 func TestValidateAcceptsCombos(t *testing.T) {
 	o := valid()
-	o.Exps, o.Apps = "fig1, table1 ,fleet", "redis, web-search"
+	o.Apps = []string{"redis", " web-search"}
 	o.Serve, o.Pprof, o.LogFormat = "localhost:9090", "localhost:6060", "json"
-	if err := validate(o); err != nil {
-		t.Fatalf("options rejected: %v", err)
+	if err := validate("fig1, table1 ,fleet", o); err != nil {
+		t.Fatalf("config rejected: %v", err)
 	}
 	o = valid()
 	o.LogFormat = "" // empty means the text default
-	if err := validate(o); err != nil {
+	if err := validate("all", o); err != nil {
 		t.Fatalf("empty log format rejected: %v", err)
 	}
 }
@@ -34,16 +36,17 @@ func TestValidateAcceptsCombos(t *testing.T) {
 func TestValidateRejections(t *testing.T) {
 	cases := []struct {
 		name   string
-		mutate func(*options)
+		exps   string
+		mutate func(*daemon.Config)
 		want   string // substring of the one-line usage error
 	}{
-		{"unknown experiment", func(o *options) { o.Exps = "fig1,nope" }, "unknown experiment"},
-		{"unknown scale", func(o *options) { o.Scale = "huge" }, "unknown scale"},
-		{"unknown app", func(o *options) { o.Apps = "redis,nope" }, "unknown application"},
-		{"nonpositive slowdown", func(o *options) { o.Slowdown = 0 }, "-slowdown"},
-		{"negative duration", func(o *options) { o.Duration = -1 }, "negative"},
-		{"unknown log format", func(o *options) { o.LogFormat = "yaml" }, "-log-format"},
-		{"serve and pprof collide", func(o *options) {
+		{"unknown experiment", "fig1,nope", func(*daemon.Config) {}, "unknown experiment"},
+		{"unknown scale", "all", func(o *daemon.Config) { o.Scale = "huge" }, "unknown scale"},
+		{"unknown app", "all", func(o *daemon.Config) { o.Apps = []string{"redis", "nope"} }, "unknown application"},
+		{"nonpositive slowdown", "all", func(o *daemon.Config) { o.SlowdownPct = 0 }, "-slowdown"},
+		{"negative duration", "all", func(o *daemon.Config) { o.DurationS = -1 }, "negative"},
+		{"unknown log format", "all", func(o *daemon.Config) { o.LogFormat = "yaml" }, "-log-format"},
+		{"serve and pprof collide", "all", func(o *daemon.Config) {
 			o.Serve = "localhost:9090"
 			o.Pprof = "localhost:9090"
 		}, "one listener per address"},
@@ -52,9 +55,9 @@ func TestValidateRejections(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			o := valid()
 			tc.mutate(&o)
-			err := validate(o)
+			err := validate(tc.exps, o)
 			if err == nil {
-				t.Fatalf("options %+v accepted", o)
+				t.Fatalf("-exp %s with config %+v accepted", tc.exps, o)
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)

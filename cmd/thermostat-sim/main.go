@@ -7,11 +7,10 @@
 //	thermostat-sim -app mysql-tpcc -policy all-dram -duration 60
 //
 // Passing -footprint rescales the application model to a target total size,
-// and -sparse/-shard-workers select the region-grain page table and sharded
-// tracker scans that keep terabyte footprints simulable (see DESIGN.md,
-// "Scaling to terabytes"; results are identical at any -shard-workers):
+// and -sparse selects the region-grain page table that keeps terabyte
+// footprints simulable (see DESIGN.md, "Scaling to terabytes"):
 //
-//	thermostat-sim -app scale-synth -footprint 1T -sparse -shard-workers 8
+//	thermostat-sim -app scale-synth -footprint 1T -sparse
 //
 // Passing -tiers runs the engine over an N-tier hierarchy instead of the
 // paper's two tiers, and additionally reports the per-tier-pair migration
@@ -46,6 +45,7 @@ import (
 	"thermostat/internal/cgroup"
 	"thermostat/internal/chaos"
 	"thermostat/internal/core"
+	"thermostat/internal/daemon"
 	"thermostat/internal/harness"
 	"thermostat/internal/mem"
 	"thermostat/internal/obsv"
@@ -61,80 +61,70 @@ import (
 var logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 
 func main() {
-	var (
-		appFlag   = flag.String("app", "redis", "application model (see -list)")
-		polFlag   = flag.String("policy", "thermostat", "thermostat, idle-demote, all-dram, or a placement policy ("+strings.Join(core.PolicyNames(), ", ")+") composed with -tracker")
-		trkFlag   = flag.String("tracker", "", "access tracker for composition policies ("+strings.Join(core.TrackerNames(), ", ")+"; default poison)")
-		slowdown  = flag.Float64("slowdown", 3, "tolerable slowdown percent (thermostat)")
-		idleSecs  = flag.Float64("idle-window", 10, "idle window seconds (idle-demote)")
-		scaleName = flag.String("scale", "repro", "scale profile: tiny, bench, repro")
-		footprint = flag.String("footprint", "", "rescale the application model to this total footprint (e.g. 64G, 1T; binary units)")
-		sparse    = flag.Bool("sparse", false, "use the sparse region-grain page table (cold spans collapse into summaries; exports unchanged)")
-		shardWork = flag.Int("shard-workers", 0, "goroutines for sharded tracker scans (0/1 = serial; results are identical at any setting)")
-		duration  = flag.Float64("duration", 0, "override run length in (simulated) seconds")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		tiersFlag = flag.String("tiers", "", "comma-separated device presets for an N-tier run, fastest first (presets: "+strings.Join(mem.PresetNames(), ", ")+")")
-		tenFlag   = flag.String("tenants", "", "comma-separated application models to run as co-located tenants under fleet DRAM arbitration (-slowdown is each tenant's SLO)")
-		workers   = flag.Int("workers", 0, "goroutines for the baseline+policy run pair (0 = all cores, 1 = serial; results are identical at any setting)")
-		list      = flag.Bool("list", false, "list application models and exit")
-		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON file of the policy run (open in Perfetto)")
-		metrics   = flag.String("metrics", "", "write per-epoch metric snapshots of the policy run as JSONL")
-		epochs    = flag.Bool("epochs", false, "print the per-epoch metric table for the policy run")
-		serveAddr = flag.String("serve", "", "serve the live observability plane (/metrics, /status, /tenants, /dump, pprof) on this address (e.g. localhost:9090) for the duration of the run")
-		pprofAddr = flag.String("pprof", "", "additional address for the same observability server (kept for compatibility; e.g. localhost:6060)")
-		logFormat = flag.String("log-format", "text", "progress log format: text or json")
-		chaosRate = flag.Float64("chaos-rate", 0, "per-site fault injection probability for the policy run, 0..1 (0 disables; needs a migrating policy)")
-		chaosSeed = flag.Uint64("chaos-seed", 1, "seed for the fault injector's dedicated RNG stream")
-		chaosPerm = flag.Float64("chaos-permanent", 0, "fraction of injected migration faults that are permanent, 0..1")
-	)
+	// The flags are the CLI spelling of one daemon.Config: each writes its
+	// field directly and validate holds the rules.
+	var cfg daemon.Config
+	flag.StringVar(&cfg.App, "app", "redis", "application model (see -list)")
+	flag.StringVar(&cfg.Policy, "policy", "thermostat", "thermostat, idle-demote, all-dram, or a placement policy ("+strings.Join(core.PolicyNames(), ", ")+") composed with -tracker")
+	flag.StringVar(&cfg.Tracker, "tracker", "", "access tracker for composition policies ("+strings.Join(core.TrackerNames(), ", ")+"; default poison)")
+	flag.Float64Var(&cfg.SlowdownPct, "slowdown", 3, "tolerable slowdown percent (thermostat)")
+	flag.Float64Var(&cfg.IdleWindowS, "idle-window", 10, "idle window seconds (idle-demote)")
+	flag.StringVar(&cfg.Scale, "scale", "repro", "scale profile: tiny, bench, repro")
+	flag.StringVar(&cfg.Footprint, "footprint", "", "rescale the application model to this total footprint (e.g. 64G, 1T; binary units)")
+	flag.BoolVar(&cfg.Sparse, "sparse", false, "use the sparse region-grain page table (cold spans collapse into summaries; exports unchanged)")
+	flag.Float64Var(&cfg.DurationS, "duration", 0, "override run length in (simulated) seconds")
+	flag.Uint64Var(&cfg.Seed, "seed", 1, "random seed")
+	flag.Func("tiers", "comma-separated device `presets` for an N-tier run, fastest first (presets: "+strings.Join(mem.PresetNames(), ", ")+")", listFlag(&cfg.Tiers))
+	flag.Func("tenants", "comma-separated application `models` to run as co-located tenants under fleet DRAM arbitration (-slowdown is each tenant's SLO)", listFlag(&cfg.Tenants))
+	flag.IntVar(&cfg.Workers, "workers", 0, "goroutines for the baseline+policy run pair (0 = all cores, 1 = serial; results are identical at any setting)")
+	list := flag.Bool("list", false, "list application models and exit")
+	flag.StringVar(&cfg.Telemetry.Trace, "trace", "", "write a Chrome trace_event JSON file of the policy run (open in Perfetto)")
+	flag.StringVar(&cfg.Telemetry.Metrics, "metrics", "", "write per-epoch metric snapshots of the policy run as JSONL")
+	flag.BoolVar(&cfg.Telemetry.Epochs, "epochs", false, "print the per-epoch metric table for the policy run")
+	flag.StringVar(&cfg.Serve, "serve", "", "serve the live observability plane (/metrics, /status, /tenants, /dump, pprof) on this address (e.g. localhost:9090) for the duration of the run")
+	flag.StringVar(&cfg.Pprof, "pprof", "", "additional address for the same observability server (kept for compatibility; e.g. localhost:6060)")
+	flag.StringVar(&cfg.LogFormat, "log-format", "text", "progress log format: text or json")
+	flag.Float64Var(&cfg.Chaos.Rate, "chaos-rate", 0, "per-site fault injection probability for the policy run, 0..1 (0 disables; needs a migrating policy)")
+	flag.Uint64Var(&cfg.Chaos.Seed, "chaos-seed", 1, "seed for the fault injector's dedicated RNG stream")
+	flag.Float64Var(&cfg.Chaos.PermanentFraction, "chaos-permanent", 0, "fraction of injected migration faults that are permanent, 0..1")
 	flag.Parse()
 
 	if *list {
-		for _, s := range workload.All() {
-			fmt.Println(s.Name)
+		for _, name := range workload.Names() {
+			fmt.Println(name)
 		}
-		fmt.Println("aerospike-write-heavy")
-		fmt.Println("cassandra-read-heavy")
 		return
 	}
 
-	if err := validate(options{
-		App: *appFlag, Policy: *polFlag, Tracker: *trkFlag, Scale: *scaleName,
-		Slowdown: *slowdown, IdleSecs: *idleSecs, Duration: *duration,
-		Tiers: *tiersFlag, Tenants: *tenFlag,
-		ChaosRate: *chaosRate, ChaosPerm: *chaosPerm,
-		Serve: *serveAddr, Pprof: *pprofAddr, LogFormat: *logFormat,
-		Footprint: *footprint, ShardWorkers: *shardWork,
-	}); err != nil {
+	if err := validate(cfg); err != nil {
 		fatal(err)
 	}
-	logger, _ = obsv.NewLogger(os.Stderr, *logFormat) // format vetted above
-	tracker := *trkFlag
+	logger, _ = obsv.NewLogger(os.Stderr, cfg.LogFormat) // format vetted above
+	tracker := cfg.Tracker
 	if tracker == "" {
 		tracker = "poison"
 	}
 
-	spec, err := harness.ResolveSpec(*appFlag, *footprint)
+	spec, err := harness.ResolveSpec(cfg.App, cfg.Footprint)
 	if err != nil {
 		fatal(err)
 	}
-	sc, err := harness.ResolveScale(*scaleName, *seed, *duration)
+	sc, err := harness.ResolveScale(cfg.Scale, cfg.Seed, cfg.DurationS)
 	if err != nil {
 		fatal(err)
 	}
-	sc.Sparse = *sparse
-	sc.ShardWorkers = *shardWork
+	sc.Sparse = cfg.Sparse
 
 	// The observability plane serves on every requested address (-serve and
 	// -pprof are the same full server: metrics + status + pprof + expvar).
 	var pub *obsv.Publisher
-	if *serveAddr != "" || *pprofAddr != "" {
+	if cfg.Serve != "" || cfg.Pprof != "" {
 		pub = obsv.NewPublisher()
 		pub.SetInfo(obsv.Info{
-			Binary: "thermostat-sim", App: *appFlag, Tracker: tracker,
-			Policy: *polFlag, Scale: *scaleName, Seed: *seed, Workers: *workers,
+			Binary: "thermostat-sim", App: cfg.App, Tracker: tracker,
+			Policy: cfg.Policy, Scale: cfg.Scale, Seed: cfg.Seed, Workers: cfg.Workers,
 		})
-		servers, err := obsv.ServeAll(pub, logger, *serveAddr, *pprofAddr)
+		servers, err := obsv.ServeAll(pub, logger, cfg.Serve, cfg.Pprof)
 		if err != nil {
 			fatal(err)
 		}
@@ -148,31 +138,31 @@ func main() {
 
 	// A zero -chaos-rate builds no injector, so the config attaches
 	// unconditionally.
-	chaosCfg := chaos.Config{Seed: *chaosSeed, Rate: *chaosRate, PermanentFraction: *chaosPerm}
+	chaosCfg := chaos.Config{Seed: cfg.Chaos.Seed, Rate: cfg.Chaos.Rate, PermanentFraction: cfg.Chaos.PermanentFraction}
 
-	if *tenFlag != "" {
-		runFleet(*tenFlag, sc, tracker, *polFlag, *slowdown, *workers, fleetIO{
-			trace: *traceOut, metrics: *metrics, epochs: *epochs,
-			chaos: chaosCfg, pub: pub,
+	tel := cfg.Telemetry
+	if len(cfg.Tenants) > 0 {
+		runFleet(cfg.Tenants, sc, tracker, cfg.Policy, cfg.SlowdownPct, cfg.Workers, fleetIO{
+			tel: tel, chaos: chaosCfg, pub: pub,
 		})
 		return
 	}
 
 	// One plan per -policy arm; the hooks below attach to whichever it is.
-	plan := harness.Plan{SlowdownPct: *slowdown, Placement: *polFlag, Tracker: *trkFlag}
-	switch *polFlag {
+	plan := harness.Plan{SlowdownPct: cfg.SlowdownPct, Placement: cfg.Policy, Tracker: cfg.Tracker}
+	switch cfg.Policy {
 	case "idle-demote":
-		interval := int64(*idleSecs * 1e9 * float64(sc.TimeDilate) / 4)
+		interval := int64(cfg.IdleWindowS * 1e9 * float64(sc.TimeDilate) / 4)
 		plan = harness.Plan{Policy: &core.IdleDemote{Interval: interval, IdleScans: 4}}
 	case "all-dram":
 		plan = harness.Plan{}
 	}
 
-	if *tiersFlag != "" {
-		if plan.Tiers, err = harness.ResolveTiers(splitList(*tiersFlag)); err != nil {
+	if len(cfg.Tiers) > 0 {
+		if plan.Tiers, err = harness.ResolveTiers(cfg.Tiers); err != nil {
 			fatal(err)
 		}
-		runNTier(spec, sc, *tiersFlag, plan)
+		runNTier(spec, sc, strings.Join(cfg.Tiers, ","), plan)
 		return
 	}
 
@@ -181,10 +171,10 @@ func main() {
 	// byte-identical at any -workers setting — and unchanged by -serve,
 	// whose publisher tee is strictly read-side.
 	var col *telemetry.Collector
-	if *traceOut != "" || *metrics != "" || *epochs {
+	if tel.Trace != "" || tel.Metrics != "" || tel.Epochs {
 		col = telemetry.NewCollector()
 	}
-	runLabel := spec.Name + "/" + *polFlag
+	runLabel := spec.Name + "/" + cfg.Policy
 	var rec telemetry.Recorder
 	if pub != nil {
 		rec = pub.Recorder(runLabel, col)
@@ -208,8 +198,8 @@ func main() {
 
 	// The all-DRAM baseline and the policy run are independent simulations;
 	// fan the pair out across -workers goroutines.
-	logger.Info("running baseline + policy pair", "app", spec.Name, "policy", *polFlag)
-	outs, err := pool.Map(*workers, []pool.Task[*harness.Outcome]{
+	logger.Info("running baseline + policy pair", "app", spec.Name, "policy", cfg.Policy)
+	outs, err := pool.Map(cfg.Workers, []pool.Task[*harness.Outcome]{
 		{Label: spec.Name + "/baseline", Run: func() (*harness.Outcome, error) {
 			return harness.RunBaseline(spec, sc)
 		}},
@@ -222,7 +212,7 @@ func main() {
 	}
 	base, outcome := outs[0], outs[1]
 
-	emitTelemetry(col, *traceOut, *metrics, *epochs)
+	emitTelemetry(col, tel)
 
 	res := outcome.Result
 	fp := res.FinalFootprint
@@ -251,7 +241,7 @@ func main() {
 		summary.AddF("demotions", st.Demotions)
 		summary.AddF("promotions_corrections", st.Promotions)
 	}
-	if *chaosRate > 0 {
+	if cfg.Chaos.Rate > 0 {
 		f := outcome.Faults
 		summary.AddF("chaos_faults_injected", f.Injected)
 		summary.AddF("chaos_faults_permanent", f.Permanent)
@@ -269,13 +259,39 @@ func main() {
 		res.Cold2M, res.Cold4K, res.Hot2M, res.Hot4K).String())
 }
 
+// listFlag is the flag.Func setter of a comma-separated list flag. Entries
+// keep their padding; the config layer trims.
+func listFlag(dst *[]string) func(string) error {
+	return func(s string) error {
+		*dst = nil
+		if s != "" {
+			*dst = strings.Split(s, ",")
+		}
+		return nil
+	}
+}
+
+// validate rejects inconsistent flag combinations before any simulation
+// state is built, with a one-line usage error per defect. The rules are
+// daemon.Config.Validate's — one copy shared with cmd/repro and thermostatd
+// — plus the CLI's own two: it needs an app (the config layer leaves it
+// optional for repro's multi-app runs) and a named policy.
+func validate(cfg daemon.Config) error {
+	if _, ok := workload.ByName(cfg.App); !ok {
+		return fmt.Errorf("unknown application %q (try -list)", cfg.App)
+	}
+	if cfg.Policy == "" {
+		return fmt.Errorf("unknown policy %q (thermostat, idle-demote, all-dram, or a composition policy)", cfg.Policy)
+	}
+	return cfg.Validate()
+}
+
 // fleetIO bundles the output, chaos, and observability hooks the fleet
 // mode honors.
 type fleetIO struct {
-	trace, metrics string
-	epochs         bool
-	chaos          chaos.Config
-	pub            *obsv.Publisher
+	tel   daemon.TelemetryConfig
+	chaos chaos.Config
+	pub   *obsv.Publisher
 }
 
 // runFleet runs the named application models as co-located tenants of one
@@ -283,13 +299,13 @@ type fleetIO struct {
 // each tenant's SLO is -slowdown, its engine the -tracker × -policy
 // composition, and its measured slowdown comes from a solo all-DRAM
 // baseline of the same workload (fanned across -workers).
-func runFleet(names string, sc harness.Scale, tracker, policy string, slowdown float64, workers int, fio fleetIO) {
+func runFleet(names []string, sc harness.Scale, tracker, policy string, slowdown float64, workers int, fio fleetIO) {
 	if policy == "thermostat" {
 		// The paper's arm is the poison+threshold composition.
 		tracker, policy = "poison", "threshold"
 	}
 	var tenants []harness.FleetTenant
-	for _, name := range strings.Split(names, ",") {
+	for _, name := range names {
 		spec, _ := workload.ByName(strings.TrimSpace(name))
 		// Leave Name empty: the harness default ("<spec>-<i>") keeps cgroup
 		// names unique even when the same model is listed twice.
@@ -302,17 +318,17 @@ func runFleet(names string, sc harness.Scale, tracker, policy string, slowdown f
 		Publisher:    fio.pub,
 		ConfigMutate: func(cfg *sim.Config) { cfg.Chaos = fio.chaos },
 	}
-	if fio.trace != "" || fio.metrics != "" || fio.epochs {
+	if fio.tel.Trace != "" || fio.tel.Metrics != "" || fio.tel.Epochs {
 		opt.Telemetry = &harness.TelemetryOptions{}
 	}
 	logger.Info("running tenants under fleet arbitration",
-		"tenants", len(tenants), "apps", names)
+		"tenants", len(tenants), "apps", strings.Join(names, ","))
 	fo, err := harness.FleetRun(opt)
 	if err != nil {
 		fatal(err)
 	}
 
-	emitTelemetry(fo.Telemetry, fio.trace, fio.metrics, fio.epochs)
+	emitTelemetry(fo.Telemetry, fio.tel)
 
 	// The fleet interleave time-shares the machine, so tenant throughput is
 	// not comparable to the solo baseline's (that deficit is mostly
@@ -386,20 +402,20 @@ func runNTier(spec workload.Spec, sc harness.Scale, names string, plan harness.P
 
 // emitTelemetry writes the requested exports of a run's collector (nil when
 // no telemetry output was requested) and prints the per-epoch table.
-func emitTelemetry(col *telemetry.Collector, trace, metrics string, epochs bool) {
+func emitTelemetry(col *telemetry.Collector, tel daemon.TelemetryConfig) {
 	if col == nil {
 		return
 	}
-	if err := col.WriteFiles(trace, metrics); err != nil {
+	if err := col.WriteFiles(tel.Trace, tel.Metrics); err != nil {
 		fatal(err)
 	}
-	if trace != "" {
-		logger.Info("wrote Chrome trace (open at https://ui.perfetto.dev)", "path", trace)
+	if tel.Trace != "" {
+		logger.Info("wrote Chrome trace (open at https://ui.perfetto.dev)", "path", tel.Trace)
 	}
-	if metrics != "" {
-		logger.Info("wrote per-epoch metrics", "path", metrics)
+	if tel.Metrics != "" {
+		logger.Info("wrote per-epoch metrics", "path", tel.Metrics)
 	}
-	if epochs {
+	if tel.Epochs {
 		fmt.Println(col.EpochTable())
 	}
 }

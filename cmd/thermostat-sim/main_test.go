@@ -3,88 +3,96 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"thermostat/internal/daemon"
 )
 
-// valid returns an option set that passes validation; each case mutates one
+// valid returns a config that passes validation; each case mutates one
 // field off it.
-func valid() options {
-	return options{
+func valid() daemon.Config {
+	return daemon.Config{
 		App: "redis", Policy: "thermostat", Scale: "tiny",
-		Slowdown: 3, IdleSecs: 10,
+		SlowdownPct: 3, IdleWindowS: 10,
 	}
+}
+
+// list is the value the -tiers and -tenants flags store for s.
+func list(s string) []string {
+	var out []string
+	listFlag(&out)(s)
+	return out
 }
 
 func TestValidateAcceptsDefaults(t *testing.T) {
 	if err := validate(valid()); err != nil {
-		t.Fatalf("default-shaped options rejected: %v", err)
+		t.Fatalf("default-shaped config rejected: %v", err)
 	}
 }
 
 func TestValidateRejections(t *testing.T) {
 	cases := []struct {
 		name   string
-		mutate func(*options)
+		mutate func(*daemon.Config)
 		want   string // substring of the one-line usage error
 	}{
-		{"unknown app", func(o *options) { o.App = "nope" }, "unknown application"},
-		{"unknown policy", func(o *options) { o.Policy = "nope" }, "unknown policy"},
-		{"unknown scale", func(o *options) { o.Scale = "nope" }, "unknown scale"},
-		{"negative duration", func(o *options) { o.Duration = -1 }, "negative"},
-		{"nonpositive slowdown", func(o *options) { o.Slowdown = 0 }, "-slowdown"},
-		{"nonpositive idle window", func(o *options) {
+		{"unknown app", func(o *daemon.Config) { o.App = "nope" }, "unknown application"},
+		{"unknown policy", func(o *daemon.Config) { o.Policy = "nope" }, "unknown policy"},
+		{"unknown scale", func(o *daemon.Config) { o.Scale = "nope" }, "unknown scale"},
+		{"negative duration", func(o *daemon.Config) { o.DurationS = -1 }, "negative"},
+		{"nonpositive slowdown", func(o *daemon.Config) { o.SlowdownPct = 0 }, "-slowdown"},
+		{"nonpositive idle window", func(o *daemon.Config) {
 			o.Policy = "idle-demote"
-			o.IdleSecs = -2
+			o.IdleWindowS = -2
 		}, "-idle-window"},
-		{"negative chaos rate", func(o *options) { o.ChaosRate = -0.1 }, "-chaos-rate"},
-		{"chaos rate above one", func(o *options) { o.ChaosRate = 1.5 }, "-chaos-rate"},
-		{"negative permanent fraction", func(o *options) { o.ChaosPerm = -1 }, "-chaos-permanent"},
-		{"permanent fraction above one", func(o *options) { o.ChaosPerm = 2 }, "-chaos-permanent"},
-		{"chaos without migrating policy", func(o *options) {
+		{"negative chaos rate", func(o *daemon.Config) { o.Chaos.Rate = -0.1 }, "-chaos-rate"},
+		{"chaos rate above one", func(o *daemon.Config) { o.Chaos.Rate = 1.5 }, "-chaos-rate"},
+		{"negative permanent fraction", func(o *daemon.Config) { o.Chaos.PermanentFraction = -1 }, "-chaos-permanent"},
+		{"permanent fraction above one", func(o *daemon.Config) { o.Chaos.PermanentFraction = 2 }, "-chaos-permanent"},
+		{"chaos without migrating policy", func(o *daemon.Config) {
 			o.Policy = "all-dram"
-			o.ChaosRate = 0.1
+			o.Chaos.Rate = 0.1
 		}, "migrating policy"},
-		{"tiers under non-migrating policy", func(o *options) {
+		{"tiers under non-migrating policy", func(o *daemon.Config) {
 			o.Policy = "idle-demote"
-			o.Tiers = "dram,cxl"
+			o.Tiers = list("dram,cxl")
 		}, "-tiers needs a migrating engine"},
-		{"unknown tracker", func(o *options) {
+		{"unknown tracker", func(o *daemon.Config) {
 			o.Policy = "threshold"
 			o.Tracker = "nosuch"
 		}, "unknown tracker"},
-		{"tracker under fixed arm", func(o *options) {
+		{"tracker under fixed arm", func(o *daemon.Config) {
 			o.Tracker = "damon" // policy stays "thermostat"
 		}, "needs a composition policy"},
-		{"tracker under all-dram", func(o *options) {
+		{"tracker under all-dram", func(o *daemon.Config) {
 			o.Policy = "all-dram"
 			o.Tracker = "idlebit"
 		}, "needs a composition policy"},
-		{"nonpositive slowdown for composition", func(o *options) {
+		{"nonpositive slowdown for composition", func(o *daemon.Config) {
 			o.Policy = "heat"
-			o.Slowdown = 0
+			o.SlowdownPct = 0
 		}, "-slowdown"},
-		{"tiers with chaos", func(o *options) {
-			o.Tiers = "dram,cxl"
-			o.ChaosRate = 0.1
+		{"tiers with chaos", func(o *daemon.Config) {
+			o.Tiers = list("dram,cxl")
+			o.Chaos.Rate = 0.1
 		}, "not supported with -tiers"},
-		{"unknown tier preset", func(o *options) { o.Tiers = "dram,quantum" }, "unknown device preset"},
-		{"tenants with tiers", func(o *options) {
-			o.Tenants = "redis,web-search"
-			o.Tiers = "dram,cxl"
+		{"unknown tier preset", func(o *daemon.Config) { o.Tiers = list("dram,quantum") }, "unknown device preset"},
+		{"tenants with tiers", func(o *daemon.Config) {
+			o.Tenants = list("redis,web-search")
+			o.Tiers = list("dram,cxl")
 		}, "not supported with -tiers"},
-		{"tenants under non-migrating policy", func(o *options) {
-			o.Tenants = "redis,web-search"
+		{"tenants under non-migrating policy", func(o *daemon.Config) {
+			o.Tenants = list("redis,web-search")
 			o.Policy = "all-dram"
 		}, "-tenants needs a migrating per-tenant engine"},
-		{"unknown tenant app", func(o *options) { o.Tenants = "redis, nope" }, "unknown tenant application"},
-		{"unknown log format", func(o *options) { o.LogFormat = "yaml" }, "-log-format"},
-		{"unparseable footprint", func(o *options) { o.Footprint = "lots" }, "-footprint"},
-		{"nonpositive footprint", func(o *options) { o.Footprint = "-4G" }, "-footprint"},
-		{"footprint with tenants", func(o *options) {
+		{"unknown tenant app", func(o *daemon.Config) { o.Tenants = list("redis, nope") }, "unknown tenant application"},
+		{"unknown log format", func(o *daemon.Config) { o.LogFormat = "yaml" }, "-log-format"},
+		{"unparseable footprint", func(o *daemon.Config) { o.Footprint = "lots" }, "-footprint"},
+		{"nonpositive footprint", func(o *daemon.Config) { o.Footprint = "-4G" }, "-footprint"},
+		{"footprint with tenants", func(o *daemon.Config) {
 			o.Footprint = "64G"
-			o.Tenants = "redis,web-search"
+			o.Tenants = list("redis,web-search")
 		}, "ambiguous"},
-		{"negative shard workers", func(o *options) { o.ShardWorkers = -1 }, "-shard-workers"},
-		{"serve and pprof collide", func(o *options) {
+		{"serve and pprof collide", func(o *daemon.Config) {
 			o.Serve = "localhost:9090"
 			o.Pprof = "localhost:9090"
 		}, "one listener per address"},
@@ -95,7 +103,7 @@ func TestValidateRejections(t *testing.T) {
 			tc.mutate(&o)
 			err := validate(o)
 			if err == nil {
-				t.Fatalf("options %+v accepted", o)
+				t.Fatalf("config %+v accepted", o)
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
@@ -134,33 +142,26 @@ func TestValidateAcceptsScalingCombos(t *testing.T) {
 		}
 	}
 	o := valid()
-	o.App, o.Footprint, o.ShardWorkers = "scale-synth", "1T", 8
+	o.App, o.Footprint = "scale-synth", "1T"
 	if err := validate(o); err != nil {
 		t.Fatalf("scaling combo rejected: %v", err)
-	}
-	// Sharded scans compose with deep hierarchies and fleets: the knob is
-	// plumbed through Scale, and unsharded paths simply ignore it.
-	o = valid()
-	o.Tenants, o.ShardWorkers = "redis,web-search", 4
-	if err := validate(o); err != nil {
-		t.Fatalf("shard workers with tenants rejected: %v", err)
 	}
 }
 
 func TestValidateAcceptsChaosAndTierCombos(t *testing.T) {
 	o := valid()
-	o.ChaosRate, o.ChaosPerm = 0.5, 1
+	o.Chaos.Rate, o.Chaos.PermanentFraction = 0.5, 1
 	if err := validate(o); err != nil {
 		t.Fatalf("chaos under thermostat rejected: %v", err)
 	}
 	o = valid()
 	o.Policy = "idle-demote"
-	o.ChaosRate = 0.2
+	o.Chaos.Rate = 0.2
 	if err := validate(o); err != nil {
 		t.Fatalf("chaos under idle-demote rejected: %v", err)
 	}
 	o = valid()
-	o.Tiers = "dram, cxl ,nvm"
+	o.Tiers = list("dram, cxl ,nvm")
 	if err := validate(o); err != nil {
 		t.Fatalf("whitespace-padded presets rejected: %v", err)
 	}
@@ -178,12 +179,12 @@ func TestValidateAcceptsCompositions(t *testing.T) {
 	}
 	// Compositions migrate, so deep hierarchies and chaos both apply.
 	o := valid()
-	o.Policy, o.Tracker, o.Tiers = "heat", "damon", "dram,cxl,nvm"
+	o.Policy, o.Tracker, o.Tiers = "heat", "damon", list("dram,cxl,nvm")
 	if err := validate(o); err != nil {
 		t.Fatalf("composition with -tiers rejected: %v", err)
 	}
 	o = valid()
-	o.Policy, o.ChaosRate = "threshold", 0.2
+	o.Policy, o.Chaos.Rate = "threshold", 0.2
 	if err := validate(o); err != nil {
 		t.Fatalf("composition with chaos rejected: %v", err)
 	}
@@ -191,19 +192,19 @@ func TestValidateAcceptsCompositions(t *testing.T) {
 
 func TestValidateAcceptsTenantCombos(t *testing.T) {
 	o := valid()
-	o.Tenants = "redis, web-search ,mysql-tpcc"
+	o.Tenants = list("redis, web-search ,mysql-tpcc")
 	if err := validate(o); err != nil {
 		t.Fatalf("tenant fleet under thermostat rejected: %v", err)
 	}
 	// Fleet tenants run composition engines, so -tracker/-policy pairs and
 	// machine-wide chaos both apply.
 	o = valid()
-	o.Tenants, o.Policy, o.Tracker = "redis,redis", "heat", "damon"
+	o.Tenants, o.Policy, o.Tracker = list("redis,redis"), "heat", "damon"
 	if err := validate(o); err != nil {
 		t.Fatalf("tenant fleet with composition rejected: %v", err)
 	}
 	o = valid()
-	o.Tenants, o.ChaosRate, o.ChaosPerm = "redis,web-search", 0.3, 0.5
+	o.Tenants, o.Chaos.Rate, o.Chaos.PermanentFraction = list("redis,web-search"), 0.3, 0.5
 	if err := validate(o); err != nil {
 		t.Fatalf("tenant fleet with chaos rejected: %v", err)
 	}

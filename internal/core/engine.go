@@ -144,18 +144,6 @@ func (e *Engine) SetCorrection(on bool) {
 	}
 }
 
-// SetSharding partitions the composed tracker's scans into shards contiguous
-// chunks of the page-table's region sequence, collected on up to workers
-// goroutines, when the tracker supports it (a no-op for the rest). The
-// shard merge is in shard-index order and every rng draw happens after the
-// merge, so any setting — including the serial default — produces
-// bit-identical runs.
-func (e *Engine) SetSharding(shards, workers int) {
-	if sh, ok := e.tr.(interface{ SetSharding(int, int) }); ok {
-		sh.SetSharding(shards, workers)
-	}
-}
-
 // StateBytes reports the engine's own resident metadata — tracker and policy
 // state, when they account for it. The machine's page table, allocator and
 // trap state are counted separately by sim.Machine.StateBytes; together the

@@ -38,11 +38,6 @@ type BitTracker struct {
 	flag    pagetable.Flags
 	scanner *kstaled.Scanner
 
-	// shards/shardWorkers are forwarded to the kstaled scanner (which may
-	// not exist yet when SetSharding is called — Attach re-applies them).
-	shards       int
-	shardWorkers int
-
 	scope func() []addr.Range
 
 	// scannedTick guards the one scan-and-clear pass per sampling period;
@@ -74,18 +69,7 @@ func (t *BitTracker) Attach(m *sim.Machine, view View) error {
 	t.m = m
 	t.view = view
 	t.scanner = kstaled.NewWithFlag(m.PageTable(), m.TLB(), m.VPID(), 0, t.flag)
-	t.scanner.SetSharding(t.shards, t.shardWorkers)
 	return nil
-}
-
-// SetSharding partitions the scanner's clear-and-record pass into shards
-// contiguous region-sequence chunks collected on up to workers goroutines;
-// results are bit-identical at any setting (see kstaled.Scanner.SetSharding).
-func (t *BitTracker) SetSharding(shards, workers int) {
-	t.shards, t.shardWorkers = shards, workers
-	if t.scanner != nil {
-		t.scanner.SetSharding(shards, workers)
-	}
 }
 
 // StateBytes reports the tracker's resident metadata (the scanner's

@@ -8,7 +8,6 @@ import (
 	"thermostat/internal/cgroup"
 	"thermostat/internal/kstaled"
 	"thermostat/internal/pagetable"
-	"thermostat/internal/pool"
 	"thermostat/internal/rng"
 	"thermostat/internal/sim"
 	"thermostat/internal/stats"
@@ -68,13 +67,6 @@ type PoisonTracker struct {
 	// noPrefilter disables the §3.2 Accessed-bit pre-filter (ablation).
 	noPrefilter bool
 
-	// shards/shardWorkers partition the split scan's candidate collection
-	// into contiguous region-sequence chunks run concurrently (<= 1 =
-	// serial). Chunks merge in shard-index order and every rng draw happens
-	// after the merge, so runs are bit-identical at any setting.
-	shards       int
-	shardWorkers int
-
 	// idleStreak counts consecutive samples in which a restored fast-tier
 	// page showed zero accessed children; at reabsorbStreak the page folds
 	// back into a span summary (sparse tables only).
@@ -96,13 +88,6 @@ func NewPoisonTracker(group *cgroup.Group, seed uint64) *PoisonTracker {
 		seen:           make(map[addr.Virt]uint64),
 		idleStreak:     make(map[addr.Virt]int),
 	}
-}
-
-// SetSharding partitions the tracker's split scan into shards contiguous
-// chunks of the region sequence, collected on up to workers goroutines.
-// Values <= 1 select the serial path.
-func (t *PoisonTracker) SetSharding(shards, workers int) {
-	t.shards, t.shardWorkers = shards, workers
 }
 
 // Name implements Tracker.
@@ -312,46 +297,15 @@ func (t *PoisonTracker) Arm() error {
 // candidates in address order. On a dense table this is exactly the old
 // per-leaf sweep; on a sparse table a multi-page span contributes one
 // candidate — its base page, which Split carves out if selected — so the
-// scan costs O(regions), not O(pages). With sharding enabled the region
-// sequence is collected in contiguous chunks concurrently and concatenated
-// in shard-index order, which by the ScanRegionsShard contract reproduces
-// the serial sequence exactly.
+// scan costs O(regions), not O(pages).
 func (t *PoisonTracker) splitCandidates() []addr.Virt {
-	pt := t.m.PageTable()
 	ranges := t.scopeRanges()
-	want := func(base addr.Virt, lvl pagetable.Level) bool {
-		return lvl == pagetable.Level2M && !t.inflight(base) && scopeContains(base, ranges)
-	}
-	if t.shards <= 1 {
-		var out []addr.Virt
-		pt.ScanRegions(func(base addr.Virt, pages int, e *pagetable.Entry, lvl pagetable.Level) {
-			if want(base, lvl) {
-				out = append(out, base)
-			}
-		})
-		return out
-	}
-	tasks := make([]pool.Task[[]addr.Virt], t.shards)
-	for i := 0; i < t.shards; i++ {
-		shard := i
-		tasks[i] = pool.Task[[]addr.Virt]{
-			Label: fmt.Sprintf("split-shard/%d", shard),
-			Run: func() ([]addr.Virt, error) {
-				var out []addr.Virt
-				pt.ScanRegionsShard(shard, t.shards, func(base addr.Virt, pages int, e *pagetable.Entry, lvl pagetable.Level) {
-					if want(base, lvl) {
-						out = append(out, base)
-					}
-				})
-				return out, nil
-			},
-		}
-	}
-	parts, _ := pool.Map(t.shardWorkers, tasks) // collect-only tasks cannot fail
 	var out []addr.Virt
-	for _, p := range parts {
-		out = append(out, p...)
-	}
+	t.m.PageTable().ScanRegions(func(base addr.Virt, pages int, e *pagetable.Entry, lvl pagetable.Level) {
+		if lvl == pagetable.Level2M && !t.inflight(base) && scopeContains(base, ranges) {
+			out = append(out, base)
+		}
+	})
 	return out
 }
 
@@ -359,7 +313,7 @@ func (t *PoisonTracker) splitCandidates() []addr.Virt {
 // the sampler is agnostic (§3.2) — and splits them so their 4KB children can
 // be profiled individually. Pages already mid-pipeline are excluded. All
 // mutations (splits, cohort inserts, rng draws) happen after the candidate
-// merge, serially in sampled order.
+// scan, in sampled order.
 func (t *PoisonTracker) scanSplit() error {
 	pt := t.m.PageTable()
 	candidates := t.splitCandidates()

@@ -26,8 +26,9 @@ import (
 // observability listeners, and the daemon lifecycle knobs. Keys mirror the
 // CLI flags (config files use snake_case); the zero value of most fields
 // means "use the default" and Normalize fills them in. Config doubles as
-// the shared validator for cmd/thermostat-sim and cmd/repro: their flag
-// sets map onto this struct and Validate holds the one copy of the rules.
+// the shared validator for cmd/thermostat-sim and cmd/repro: their flags
+// write straight into this struct and Validate holds the one copy of the
+// rules.
 type Config struct {
 	// App is the application model (see thermostat-sim -list).
 	App string `json:"app,omitempty"`
@@ -56,8 +57,6 @@ type Config struct {
 	Footprint string `json:"footprint,omitempty"`
 	// Sparse selects the region-grain page table.
 	Sparse bool `json:"sparse,omitempty"`
-	// ShardWorkers shards tracker scans (0/1 = serial, bit-identical).
-	ShardWorkers int `json:"shard_workers,omitempty"`
 	// Workers fans independent runs out (CLI baseline+policy pair).
 	Workers int `json:"workers,omitempty"`
 	// Tiers is an N-tier device hierarchy, fastest first.
@@ -251,9 +250,6 @@ func (c Config) Validate() error {
 			return fmt.Errorf("-footprint is ambiguous with -tenants; size each tenant's model instead")
 		}
 	}
-	if c.ShardWorkers < 0 {
-		return fmt.Errorf("-shard-workers %d is negative (0 = serial)", c.ShardWorkers)
-	}
 	if EnginePolicy(c.Policy) && c.Policy != "" && c.SlowdownPct <= 0 {
 		return fmt.Errorf("-slowdown %g must be positive for -policy %s", c.SlowdownPct, c.Policy)
 	}
@@ -444,7 +440,6 @@ func DiffReload(old, new Config) ([]string, error) {
 		{"seed", old.Seed, new.Seed},
 		{"footprint", old.Footprint, new.Footprint},
 		{"sparse", old.Sparse, new.Sparse},
-		{"shard_workers", old.ShardWorkers, new.ShardWorkers},
 		{"workers", old.Workers, new.Workers},
 		{"tiers", strings.Join(old.Tiers, ","), strings.Join(new.Tiers, ",")},
 		{"tenants", strings.Join(old.Tenants, ","), strings.Join(new.Tenants, ",")},

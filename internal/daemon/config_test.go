@@ -92,6 +92,8 @@ func TestDecodeRejects(t *testing.T) {
 	cases := []struct{ name, in, want string }{
 		{"unknown key", "app: redis\nbogus: 1\n", "unknown field"},
 		{"unknown nested key", "chaos:\n  frequency: 1\n", "unknown field"},
+		{"removed key", "app: redis\nshard_workers: 8\n", `unknown field "shard_workers"`},
+		{"removed key json", `{"app": "redis", "shard_workers": 8}`, `unknown field "shard_workers"`},
 		{"duplicate key", "app: redis\napp: memcached\n", "duplicate key"},
 		{"type mismatch", "app: 3\n", "cannot unmarshal"},
 		{"tab indent", "daemon:\n\tepoch_wall_ms: 1\n", "tab in indentation"},

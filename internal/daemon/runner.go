@@ -259,7 +259,6 @@ func (r *Runner) assemble(cfg Config) (*runState, *harness.Assembly, error) {
 		return nil, nil, err
 	}
 	sc.Sparse = cfg.Sparse
-	sc.ShardWorkers = cfg.ShardWorkers
 	if cfg.PeriodS > 0 {
 		sc.PeriodNs = int64(cfg.PeriodS * 1e9)
 	}

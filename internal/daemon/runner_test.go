@@ -325,7 +325,6 @@ func TestRunnerMatchesHarnessRun(t *testing.T) {
 		{"composed-three-tier", func(c *Config) {
 			c.Policy, c.Tracker = "heat", "idlebit"
 			c.Tiers = []string{"dram", "cxl", "nvm"}
-			c.ShardWorkers = 4
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -344,7 +343,6 @@ func TestRunnerMatchesHarnessRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sc.ShardWorkers = cfg.ShardWorkers
 			tiers, err := harness.ResolveTiers(cfg.Tiers)
 			if err != nil {
 				t.Fatal(err)

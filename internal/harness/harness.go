@@ -45,12 +45,6 @@ type Scale struct {
 	// profile builds. Off by default: dense tables are the pinned-golden
 	// configuration.
 	Sparse bool
-	// ShardWorkers > 1 shards the engine's tracker scans across that many
-	// contiguous region-sequence chunks collected on as many goroutines.
-	// Any value — including the 0 serial default — produces bit-identical
-	// runs (the shard merge is order-preserving and all rng draws happen
-	// after it), so this is purely a wall-clock knob.
-	ShardWorkers int
 }
 
 // Validate rejects degenerate profiles.
@@ -60,9 +54,6 @@ func (s Scale) Validate() error {
 	}
 	if s.WarmupNs < 0 || s.WarmupNs >= s.DurationNs {
 		return fmt.Errorf("harness: warmup %d outside run %d", s.WarmupNs, s.DurationNs)
-	}
-	if s.ShardWorkers < 0 {
-		return fmt.Errorf("harness: negative shard workers %d", s.ShardWorkers)
 	}
 	return nil
 }
@@ -264,9 +255,6 @@ func Assemble(spec workload.Spec, sc Scale, plan Plan) (*Assembly, error) {
 			if a.Engine, err = core.ComposeByName(g, tracker, plan.Placement, seed); err != nil {
 				return nil, err
 			}
-		}
-		if sc.ShardWorkers > 1 {
-			a.Engine.SetSharding(sc.ShardWorkers, sc.ShardWorkers)
 		}
 		if plan.Engine != nil {
 			plan.Engine(g, a.Engine)

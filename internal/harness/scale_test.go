@@ -1,92 +1,6 @@
 package harness
 
-import (
-	"encoding/json"
-	"reflect"
-	"testing"
-
-	"thermostat/internal/workload"
-)
-
-// shardProfile is the quick profile the determinism and gate tests run
-// under: small simulated duration, Div=1 so the footprint override is taken
-// literally, sparse tables on.
-func shardProfile() Scale {
-	return Scale{
-		Name: "shard-test", Div: 1, TimeDilate: 8,
-		PeriodNs: 500e6, DurationNs: 4e9, WarmupNs: 1e9, Seed: 1,
-		Sparse: true,
-	}
-}
-
-// TestShardWorkersIdentical pins the sharding determinism contract: the
-// same run at shard-workers 0 (serial path), 1, and 8 must produce
-// reflect.DeepEqual results and byte-identical JSON exports — sharding is
-// a wall-clock knob, never a semantics knob. The three-tier plan covers the
-// path that used to drop Scale.ShardWorkers on the floor.
-func TestShardWorkersIdentical(t *testing.T) {
-	spec := workload.ScaleSynthetic().WithFootprint(1 << 30)
-	for _, tc := range []struct {
-		name string
-		plan Plan
-	}{
-		{"two-tier", Plan{SlowdownPct: 3}},
-		{"three-tier", Plan{SlowdownPct: 3, Tiers: DefaultThreeTier(0)}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var ref *Outcome
-			var refJSON []byte
-			for _, w := range []int{0, 1, 8} {
-				sc := shardProfile()
-				sc.ShardWorkers = w
-				out, err := Run(spec, sc, tc.plan)
-				if err != nil {
-					t.Fatalf("shard-workers %d: %v", w, err)
-				}
-				js, err := json.Marshal(out.Result)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ref == nil {
-					ref, refJSON = out, js
-					continue
-				}
-				if !reflect.DeepEqual(ref.Result, out.Result) {
-					t.Fatalf("shard-workers %d diverged from serial run result", w)
-				}
-				if !reflect.DeepEqual(ref.Engine.Stats(), out.Engine.Stats()) {
-					t.Fatalf("shard-workers %d diverged in engine stats", w)
-				}
-				if string(refJSON) != string(js) {
-					t.Fatalf("shard-workers %d JSON export not byte-identical", w)
-				}
-			}
-			if ref.Engine.Stats().Sampled == 0 {
-				t.Fatal("engine never sampled: the sharded scan path was not exercised")
-			}
-		})
-	}
-}
-
-// TestShardWorkersIdenticalDense re-pins the same contract on a dense
-// table, where shard windows partition plain leaf sequences.
-func TestShardWorkersIdenticalDense(t *testing.T) {
-	spec := workload.ScaleSynthetic().WithFootprint(1 << 30)
-	sc := shardProfile()
-	sc.Sparse = false
-	serial, err := Run(spec, sc, Plan{SlowdownPct: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.ShardWorkers = 8
-	sharded, err := Run(spec, sc, Plan{SlowdownPct: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial.Result, sharded.Result) {
-		t.Fatal("dense sharded run diverged from serial")
-	}
-}
+import "testing"
 
 // TestScaleStateShrinks is the short-mode gate: growing the footprint
 // 1 GB -> 16 GB must shrink sparse state bytes per simulated GB (the
@@ -95,11 +9,11 @@ func TestShardWorkersIdenticalDense(t *testing.T) {
 func TestScaleStateShrinks(t *testing.T) {
 	sc := ScaleBenchProfile()
 	sc.DurationNs, sc.WarmupNs = 4e9, 1e9
-	oneGB, err := RunScalePoint(sc, 1<<30, true, 1)
+	oneGB, err := RunScalePoint(sc, 1<<30, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sixteenGB, err := RunScalePoint(sc, 16<<30, true, 1)
+	sixteenGB, err := RunScalePoint(sc, 16<<30, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +21,7 @@ func TestScaleStateShrinks(t *testing.T) {
 		t.Fatalf("state bytes/GB did not shrink: 1GB=%.0f 16GB=%.0f",
 			oneGB.StatePerGB, sixteenGB.StatePerGB)
 	}
-	dense, err := RunScalePoint(sc, 1<<30, false, 1)
+	dense, err := RunScalePoint(sc, 1<<30, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +39,7 @@ func TestScaleSweepGate(t *testing.T) {
 	}
 	sc := ScaleBenchProfile()
 	sc.DurationNs, sc.WarmupNs = 4e9, 1e9
-	points, err := ScaleSweep(sc, []uint64{1 << 30, 4 << 30, 128 << 30}, 4)
+	points, err := ScaleSweep(sc, []uint64{1 << 30, 4 << 30, 128 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +63,7 @@ func BenchmarkScalePoint(b *testing.B) {
 	sc := ScaleBenchProfile()
 	sc.DurationNs, sc.WarmupNs = 2e9, 500e6
 	for i := 0; i < b.N; i++ {
-		if _, err := RunScalePoint(sc, 1<<30, true, 1); err != nil {
+		if _, err := RunScalePoint(sc, 1<<30, true); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -29,16 +29,15 @@ import (
 
 // ScalePoint is one (footprint, representation) cell of the scaling sweep.
 type ScalePoint struct {
-	Footprint    uint64  `json:"footprint_bytes"`
-	Sparse       bool    `json:"sparse"`
-	ShardWorkers int     `json:"shard_workers"`
-	Ops          uint64  `json:"ops"`
-	WallNs       int64   `json:"wall_ns"`
-	NsPerOp      float64 `json:"ns_per_op"`
-	StateBytes   uint64  `json:"state_bytes"`
-	StatePerGB   float64 `json:"state_bytes_per_gb"`
-	Regions      int     `json:"regions"`
-	Spans        int     `json:"spans"`
+	Footprint  uint64  `json:"footprint_bytes"`
+	Sparse     bool    `json:"sparse"`
+	Ops        uint64  `json:"ops"`
+	WallNs     int64   `json:"wall_ns"`
+	NsPerOp    float64 `json:"ns_per_op"`
+	StateBytes uint64  `json:"state_bytes"`
+	StatePerGB float64 `json:"state_bytes_per_gb"`
+	Regions    int     `json:"regions"`
+	Spans      int     `json:"spans"`
 }
 
 // ScaleBenchProfile is the profile every sweep point runs under: no
@@ -78,15 +77,13 @@ func scaleSpec(footprint uint64) workload.Spec {
 }
 
 // RunScalePoint measures one sweep cell: footprint simulated bytes under the
-// Thermostat engine, dense or sparse, with the given scan-shard worker count
-// (<= 1 = serial). The profile's Div must be 1 — the footprint is not
-// re-divided.
-func RunScalePoint(sc Scale, footprint uint64, sparse bool, shardWorkers int) (*ScalePoint, error) {
+// Thermostat engine, dense or sparse. The profile's Div must be 1 — the
+// footprint is not re-divided.
+func RunScalePoint(sc Scale, footprint uint64, sparse bool) (*ScalePoint, error) {
 	if sc.Div != 1 {
 		return nil, fmt.Errorf("harness: scale bench needs Div=1, got %d", sc.Div)
 	}
 	sc.Sparse = sparse
-	sc.ShardWorkers = shardWorkers
 	spec := scaleSpec(footprint)
 	start := time.Now()
 	out, err := Run(spec, sc, Plan{SlowdownPct: 3})
@@ -95,14 +92,13 @@ func RunScalePoint(sc Scale, footprint uint64, sparse bool, shardWorkers int) (*
 	}
 	wall := time.Since(start)
 	p := &ScalePoint{
-		Footprint:    footprint,
-		Sparse:       sparse,
-		ShardWorkers: shardWorkers,
-		Ops:          out.Result.Ops,
-		WallNs:       wall.Nanoseconds(),
-		StateBytes:   out.Machine.StateBytes() + out.Engine.StateBytes(),
-		Regions:      out.Machine.PageTable().RegionCount(),
-		Spans:        out.Machine.PageTable().SpanCount(),
+		Footprint:  footprint,
+		Sparse:     sparse,
+		Ops:        out.Result.Ops,
+		WallNs:     wall.Nanoseconds(),
+		StateBytes: out.Machine.StateBytes() + out.Engine.StateBytes(),
+		Regions:    out.Machine.PageTable().RegionCount(),
+		Spans:      out.Machine.PageTable().SpanCount(),
 	}
 	if p.Ops > 0 {
 		p.NsPerOp = float64(p.WallNs) / float64(p.Ops)
@@ -112,18 +108,12 @@ func RunScalePoint(sc Scale, footprint uint64, sparse bool, shardWorkers int) (*
 }
 
 // ScaleSweep runs the full scaling benchmark: the dense and the sparse arm
-// at every footprint in footprints. shardWorkers applies to the sparse arm
-// (the dense arm stays serial — its baseline is the pre-sharding
-// configuration).
-func ScaleSweep(sc Scale, footprints []uint64, shardWorkers int) ([]*ScalePoint, error) {
+// at every footprint in footprints.
+func ScaleSweep(sc Scale, footprints []uint64) ([]*ScalePoint, error) {
 	var points []*ScalePoint
 	for _, fp := range footprints {
 		for _, sparse := range []bool{false, true} {
-			workers := 1
-			if sparse {
-				workers = shardWorkers
-			}
-			p, err := RunScalePoint(sc, fp, sparse, workers)
+			p, err := RunScalePoint(sc, fp, sparse)
 			if err != nil {
 				return nil, err
 			}
@@ -183,22 +173,17 @@ func ScaleFootprints() []uint64 {
 	return []uint64{1 << 30, 4 << 30, 16 << 30, 64 << 30, 256 << 30, 1 << 40}
 }
 
-// ScaleShardWorkers is the shard-worker count the committed sweep's sparse
-// arm runs at (results are identical at any setting; this one is the
-// wall-clock configuration the pinned numbers were measured under).
-const ScaleShardWorkers = 8
-
 // ScaleTable renders a completed sweep as the repro report table.
 func ScaleTable(points []*ScalePoint) *report.Table {
 	t := report.NewTable("Scaling sweep: simulator cost vs simulated footprint",
-		"footprint", "table", "shards", "ops", "ns/op",
+		"footprint", "table", "ops", "ns/op",
 		"state_bytes", "state_B/GB", "regions", "spans")
 	for _, p := range points {
 		kind := "dense"
 		if p.Sparse {
 			kind = "sparse"
 		}
-		t.AddF(workload.FormatSize(p.Footprint), kind, p.ShardWorkers, p.Ops,
+		t.AddF(workload.FormatSize(p.Footprint), kind, p.Ops,
 			fmt.Sprintf("%.0f", p.NsPerOp), p.StateBytes,
 			fmt.Sprintf("%.0f", p.StatePerGB), p.Regions, p.Spans)
 	}

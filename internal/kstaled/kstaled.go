@@ -11,11 +11,8 @@
 package kstaled
 
 import (
-	"fmt"
-
 	"thermostat/internal/addr"
 	"thermostat/internal/pagetable"
-	"thermostat/internal/pool"
 	"thermostat/internal/stats"
 	"thermostat/internal/tlb"
 )
@@ -56,11 +53,6 @@ type Scanner struct {
 
 	state map[addr.Virt]*PageState
 
-	// shards/workers partition the collect half of a scan pass into
-	// contiguous region-sequence chunks run concurrently (<= 1 = serial).
-	shards  int
-	workers int
-
 	scans       stats.Counter
 	entryCostNs int64
 }
@@ -86,16 +78,6 @@ func NewWithFlag(pt *pagetable.Table, tl *tlb.TLB, vpid tlb.VPID, entryCostNs in
 	}
 }
 
-// SetSharding partitions the scan-and-clear pass into shards contiguous
-// chunks of the region sequence, collected on up to workers goroutines.
-// Chunk results are concatenated in shard-index order and all scan-history
-// and TLB updates are applied serially from the merged sequence, so any
-// (shards, workers) setting — including the serial default — produces
-// bit-identical scan results. Values <= 1 select the serial path.
-func (s *Scanner) SetSharding(shards, workers int) {
-	s.shards, s.workers = shards, workers
-}
-
 // Result summarizes one scan pass.
 type Result struct {
 	// Scanned is the number of regions (leaf entries and span summaries)
@@ -107,79 +89,32 @@ type Result struct {
 	CostNs int64
 }
 
-// scanHit is one region observation from the collect half of a scan pass.
-type scanHit struct {
-	base  addr.Virt
-	pages int
-	prior pagetable.Flags
-	lvl   pagetable.Level
-}
-
-// collect runs the clear-and-record sweep and returns the observations in
-// address order. With sharding enabled the sweep is split into contiguous
-// region-sequence chunks cleared concurrently — distinct shards touch
-// distinct regions — and concatenated in shard-index order, which by the
-// ScanClearRegionsShard contract reproduces the serial sequence exactly.
-func (s *Scanner) collect() []scanHit {
-	if s.shards <= 1 {
-		var hits []scanHit
-		s.pt.ScanClearRegions(s.flag, func(base addr.Virt, pages int, prior pagetable.Flags, lvl pagetable.Level) {
-			hits = append(hits, scanHit{base, pages, prior, lvl})
-		})
-		return hits
-	}
-	tasks := make([]pool.Task[[]scanHit], s.shards)
-	for i := 0; i < s.shards; i++ {
-		shard := i
-		tasks[i] = pool.Task[[]scanHit]{
-			Label: fmt.Sprintf("kstaled-shard/%d", shard),
-			Run: func() ([]scanHit, error) {
-				var hits []scanHit
-				s.pt.ScanClearRegionsShard(shard, s.shards, s.flag, func(base addr.Virt, pages int, prior pagetable.Flags, lvl pagetable.Level) {
-					hits = append(hits, scanHit{base, pages, prior, lvl})
-				})
-				return hits, nil
-			},
-		}
-	}
-	parts, _ := pool.Map(s.workers, tasks) // collect-only tasks cannot fail
-	var hits []scanHit
-	for _, p := range parts {
-		hits = append(hits, p...)
-	}
-	return hits
-}
-
 // Scan performs one pass: for every mapped region, record whether Accessed
 // was set, clear it, and flush the region's TLB entry so the next touch
 // re-sets it. Pages that disappeared since the last pass are forgotten.
-// The pass is collect-then-apply: flag clearing (optionally sharded) only
-// records observations, and all scan-history and TLB side effects are
-// applied serially in address order afterwards.
 func (s *Scanner) Scan() Result {
-	hits := s.collect()
 	var res Result
 	seen := make(map[addr.Virt]struct{}, len(s.state))
-	for _, h := range hits {
+	s.pt.ScanClearRegions(s.flag, func(base addr.Virt, pages int, prior pagetable.Flags, lvl pagetable.Level) {
 		res.Scanned++
-		st := s.state[h.base]
+		st := s.state[base]
 		if st == nil {
 			st = &PageState{}
-			s.state[h.base] = st
+			s.state[base] = st
 		}
-		st.Level = h.lvl
-		st.Pages = h.pages
-		seen[h.base] = struct{}{}
-		if h.prior.Has(s.flag) {
+		st.Level = lvl
+		st.Pages = pages
+		seen[base] = struct{}{}
+		if prior.Has(s.flag) {
 			res.AccessedSet++
 			st.IdleScans = 0
 			st.HotStreak++
-			s.tl.Invalidate(h.base, s.vpid)
+			s.tl.Invalidate(base, s.vpid)
 		} else {
 			st.IdleScans++
 			st.HotStreak = 0
 		}
-	}
+	})
 	// Forget unmapped pages.
 	for base := range s.state {
 		if _, ok := seen[base]; !ok {

@@ -19,6 +19,32 @@ type visit struct {
 // lost it, leaving the table as they found it.
 const probeFlag Flags = 1 << 15
 
+// scanRadix is the depth-first radix walk the slot index replaced: the
+// reference visit order the index must reproduce (checkLeafIndex) and the
+// radix side of BenchmarkPTScan.
+func (t *Table) scanRadix(fn LeafVisitor) {
+	t.scanNode(t.root, 4, 0, fn)
+}
+
+func (t *Table) scanNode(n *node, level int, prefix uint64, fn LeafVisitor) {
+	for i := 0; i < 512; i++ {
+		va := prefix | uint64(i)<<uint(addr.PageShift4K+9*(level-1))
+		if level == 2 && n.entries[i].Flags.Has(Present|Huge) {
+			fn(addr.Virt(va), &n.entries[i], Level2M)
+			continue
+		}
+		if level == 1 {
+			if n.entries[i].Flags.Has(Present) {
+				fn(addr.Virt(va), &n.entries[i], Level4K)
+			}
+			continue
+		}
+		if n.children[i] != nil {
+			t.scanNode(n.children[i], level-1, va, fn)
+		}
+	}
+}
+
 // radixLeaves returns the reference leaf sequence from the radix walk.
 func radixLeaves(pt *Table) []visit {
 	var ref []visit
@@ -28,9 +54,9 @@ func radixLeaves(pt *Table) []visit {
 
 // checkLeafIndex asserts the slot index reproduces the reference radix walk
 // exactly — same leaves, same order, same entry pointers — holds one ref per
-// PD slot with a leaf and no other, and that every range sweep and shard
-// window over it agrees with a filter over the radix walk. salt varies the
-// range bounds and shard counts from one call to the next.
+// PD slot with a leaf and no other, and that every range sweep and region
+// scan over it agrees with a filter over the radix walk. salt varies the
+// range bounds from one call to the next.
 func checkLeafIndex(t *testing.T, pt *Table, salt uint64) {
 	t.Helper()
 	ref := radixLeaves(pt)
@@ -55,7 +81,7 @@ func checkLeafIndex(t *testing.T, pt *Table, salt uint64) {
 	}
 	checkSlots(t, pt, ref)
 	checkRangeSweeps(t, pt, ref, salt)
-	checkShardWindows(t, pt, ref, salt)
+	checkRegionScans(t, pt, ref)
 }
 
 // checkSlots: the index holds exactly the PD slots the radix walk found
@@ -167,32 +193,23 @@ func checkRangeSweeps(t *testing.T, pt *Table, ref []visit, salt uint64) {
 	}
 }
 
-// checkShardWindows: RegionCount equals the number of ScanRegions visits,
-// and for every shard count 1..7 the shard windows of ScanRegionsShard and
-// ScanClearRegionsShard, concatenated in shard order, reproduce the full
-// scan — including the counts whose cut points fall inside a split region or
-// a partially unmapped PT node.
-func checkShardWindows(t *testing.T, pt *Table, ref []visit, salt uint64) {
+// checkRegionScans: RegionCount equals the number of ScanRegions visits,
+// which are the radix leaves plus the spans in strictly increasing address
+// order, and ScanClearRegions visits the same sequence once each, reporting
+// prior flags and clearing the mask.
+func checkRegionScans(t *testing.T, pt *Table, ref []visit) {
 	t.Helper()
 	type region struct {
 		base  addr.Virt
 		pages int
-		e     *Entry // nil for a span (its entry is synthesized per visit)
+		span  bool // its entry is synthesized per visit
 		flags Flags
 		lvl   Level
 	}
-	collect := func(scan func(RegionVisitor)) []region {
-		var out []region
-		scan(func(b addr.Virt, pages int, e *Entry, l Level) {
-			r := region{b, pages, e, e.Flags, l}
-			if pt.spanOf(b) != nil {
-				r.e = nil
-			}
-			out = append(out, r)
-		})
-		return out
-	}
-	full := collect(pt.ScanRegions)
+	var full []region
+	pt.ScanRegions(func(b addr.Virt, pages int, e *Entry, l Level) {
+		full = append(full, region{b, pages, pt.spanOf(b) != nil, e.Flags, l})
+	})
 	if pt.RegionCount() != len(full) {
 		t.Fatalf("RegionCount = %d, ScanRegions visited %d", pt.RegionCount(), len(full))
 	}
@@ -204,52 +221,37 @@ func checkShardWindows(t *testing.T, pt *Table, ref []visit, salt uint64) {
 			t.Fatalf("ScanRegions out of order: %s then %s", full[k-1].base, full[k].base)
 		}
 	}
-	for n := 1; n <= 7; n++ {
-		var got []region
-		for s := 0; s < n; s++ {
-			got = append(got, collect(func(fn RegionVisitor) { pt.ScanRegionsShard(s, n, fn) })...)
-		}
-		if len(got) != len(full) {
-			t.Fatalf("nShards=%d: %d visits, ScanRegions has %d", n, len(got), len(full))
-		}
-		for k := range full {
-			if got[k] != full[k] {
-				t.Fatalf("nShards=%d visit %d: got %+v, ScanRegions has %+v", n, k, got[k], full[k])
-			}
-		}
-	}
-	// Sharded clear, one shard count per call: every leaf carries the probe
-	// bit going in, every visit must report it as prior (a leaf visited
-	// twice would not), and none carries it coming out.
-	n := int(salt%7) + 1
+	// Every leaf carries the probe bit going in, every visit must report it
+	// as prior (a leaf visited twice would not), and the clear takes that bit
+	// and no other.
 	for _, w := range ref {
 		w.e.Flags |= probeFlag
 	}
 	k := 0
-	for s := 0; s < n; s++ {
-		pt.ScanClearRegionsShard(s, n, probeFlag, func(b addr.Virt, pages int, prior Flags, l Level) {
-			if k >= len(full) || b != full[k].base || pages != full[k].pages || l != full[k].lvl {
-				t.Fatalf("nShards=%d clear visit %d: got (%s, %d, %d), ScanRegions has %d regions",
-					n, k, b, pages, l, len(full))
-			}
-			want := full[k].flags
-			if full[k].e != nil {
-				want |= probeFlag
-			}
-			if prior != want {
-				t.Fatalf("nShards=%d clear visit %d at %s: prior %b, want %b", n, k, b, prior, want)
-			}
-			k++
-		})
-	}
-	if k != len(full) {
-		t.Fatalf("nShards=%d clear visited %d regions, want %d", n, k, len(full))
-	}
-	for _, w := range ref {
-		if w.e.Flags.Has(probeFlag) {
-			t.Fatalf("nShards=%d clear left the probe bit on %s", n, w.base)
+	pt.ScanClearRegions(probeFlag, func(b addr.Virt, pages int, prior Flags, l Level) {
+		if k >= len(full) || b != full[k].base || pages != full[k].pages || l != full[k].lvl {
+			t.Fatalf("clear visit %d: got (%s, %d, %d), ScanRegions has %d regions",
+				k, b, pages, l, len(full))
 		}
+		want := full[k].flags
+		if !full[k].span {
+			want |= probeFlag
+		}
+		if prior != want {
+			t.Fatalf("clear visit %d at %s: prior %b, want %b", k, b, prior, want)
+		}
+		k++
+	})
+	if k != len(full) {
+		t.Fatalf("clear visited %d regions, want %d", k, len(full))
 	}
+	k = 0
+	pt.ScanRegions(func(b addr.Virt, _ int, e *Entry, _ Level) {
+		if e.Flags != full[k].flags {
+			t.Fatalf("after clear %s has flags %b, want %b (only the probe bit gone)", b, e.Flags, full[k].flags)
+		}
+		k++
+	})
 }
 
 // FuzzLeafIndex drives random interleavings of the structural mutators and

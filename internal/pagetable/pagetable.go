@@ -96,7 +96,7 @@ type regionRef struct {
 // for its present 4KB leaves. Invariant: index holds exactly one ref
 // per PD slot with at least one present leaf, in strictly increasing base
 // order, so a sweep visits leaves in the order a depth-first radix walk
-// produces (scanRadix is kept as the reference walk and the fuzz oracle).
+// produces (scanRadix in fuzz_test.go is that walk, kept as the fuzz oracle).
 // Split and Collapse change what a slot holds, never whether it holds
 // something, so they leave the index alone; Map2M/Unmap of a huge leaf and
 // the first Map4K into / last Unmap out of a PT node insert or remove one ref.
@@ -588,32 +588,6 @@ type LeafVisitor func(base addr.Virt, e *Entry, lvl Level)
 // as with the radix walk this replaces.
 func (t *Table) Scan(fn LeafVisitor) {
 	t.ScanRange(addr.Range{End: ^addr.Virt(0)}, fn)
-}
-
-// scanRadix is the original depth-first radix walk. It is retained as the
-// reference visit order the slot index must reproduce (see FuzzLeafIndex)
-// and as the radix side of BenchmarkPTScan.
-func (t *Table) scanRadix(fn LeafVisitor) {
-	t.scanNode(t.root, 4, 0, fn)
-}
-
-func (t *Table) scanNode(n *node, level int, prefix uint64, fn LeafVisitor) {
-	for i := 0; i < 512; i++ {
-		va := prefix | uint64(i)<<uint(addr.PageShift4K+9*(level-1))
-		if level == 2 && n.entries[i].Flags.Has(Present|Huge) {
-			fn(addr.Virt(va), &n.entries[i], Level2M)
-			continue
-		}
-		if level == 1 {
-			if n.entries[i].Flags.Has(Present) {
-				fn(addr.Virt(va), &n.entries[i], Level4K)
-			}
-			continue
-		}
-		if n.children[i] != nil {
-			t.scanNode(n.children[i], level-1, va, fn)
-		}
-	}
 }
 
 // ScanRange visits present leaves whose base addresses fall in r: a binary

@@ -324,66 +324,36 @@ type RegionVisitor func(base addr.Virt, pages int, e *Entry, lvl Level)
 // address order. On a dense table it is exactly Scan with pages == 1. The
 // visitor must not structurally mutate the table.
 func (t *Table) ScanRegions(fn RegionVisitor) {
-	t.scanRegionsWindow(0, t.RegionCount(), fn)
-}
-
-// RegionCount returns the number of regions ScanRegions visits.
-func (t *Table) RegionCount() int { return t.count4K + t.count2M + len(t.spans) }
-
-// ScanRegionsShard visits the shard-th of nShards contiguous chunks of the
-// merged region sequence. Concatenating the visits of shards 0..nShards-1
-// in shard order reproduces ScanRegions exactly — the deterministic-merge
-// contract intra-run sharding relies on. Chunks are cut at PD-slot
-// boundaries (see scanRegionsWindow), so distinct shards touch distinct
-// regions and never the same PT node: concurrent shard scans that only
-// mutate visited entries are race-free.
-func (t *Table) ScanRegionsShard(shard, nShards int, fn RegionVisitor) {
-	total := t.RegionCount()
-	t.scanRegionsWindow(shard*total/nShards, (shard+1)*total/nShards, fn)
-}
-
-// scanRegionsWindow visits the merged regions of every span and PD slot
-// whose first region has a position in [lo, hi). A split slot is never
-// divided between windows: it goes whole to the window its first leaf falls
-// in, and windows before it skip it by liveLeaves without reading an entry
-// another window's visitor may be writing.
-func (t *Table) scanRegionsWindow(lo, hi int, fn RegionVisitor) {
 	idx, sp := t.index, t.spans
 	i, j := 0, 0
-	for k := 0; k < hi && (i < len(idx) || j < len(sp)); {
+	for i < len(idx) || j < len(sp) {
 		if i == len(idx) || (j < len(sp) && sp[j].vbase < idx[i].base) {
-			if k >= lo {
-				s := &sp[j]
-				tmp := Entry{Frame: s.pbase, Flags: s.flags}
-				fn(s.vbase, s.pages, &tmp, Level2M)
-				s.flags = tmp.Flags
-			}
+			s := &sp[j]
+			tmp := Entry{Frame: s.pbase, Flags: s.flags}
+			fn(s.vbase, s.pages, &tmp, Level2M)
+			s.flags = tmp.Flags
 			j++
-			k++
 			continue
 		}
 		ref := &idx[i]
 		i++
 		pt := ref.pd.children[ref.slot]
 		if pt == nil {
-			if k >= lo {
-				fn(ref.base, 1, &ref.pd.entries[ref.slot], Level2M)
-			}
-			k++
+			fn(ref.base, 1, &ref.pd.entries[ref.slot], Level2M)
 			continue
 		}
-		if k >= lo {
-			base := ref.base
-			for c := range pt.entries {
-				if e := &pt.entries[c]; e.Flags&Present != 0 {
-					fn(base, 1, e, Level4K)
-				}
-				base += addr.Virt(addr.PageSize4K)
+		base := ref.base
+		for c := range pt.entries {
+			if e := &pt.entries[c]; e.Flags&Present != 0 {
+				fn(base, 1, e, Level4K)
 			}
+			base += addr.Virt(addr.PageSize4K)
 		}
-		k += pt.liveLeaves
 	}
 }
+
+// RegionCount returns the number of regions ScanRegions visits.
+func (t *Table) RegionCount() int { return t.count4K + t.count2M + len(t.spans) }
 
 // ScanRegionsRange visits mapped regions whose base addresses fall in r (the
 // region-grain analogue of ScanRange; a span overlapping r but based before
@@ -401,23 +371,11 @@ func (t *Table) ScanRegionsRange(r addr.Range, fn RegionVisitor) {
 
 // ScanClearRegions visits every mapped region in address order, clearing
 // mask from its flags (span aggregates included) and reporting the prior
-// flags. On a dense table it is exactly ScanClear with pages == 1.
+// flags. On a dense table it is exactly ScanClear with pages == 1. Flags
+// without any mask bit are not written, so a sweep over mostly-idle regions
+// stays read-mostly.
 func (t *Table) ScanClearRegions(mask Flags, fn func(base addr.Virt, pages int, prior Flags, lvl Level)) {
-	t.scanClearWindow(0, t.RegionCount(), mask, fn)
-}
-
-// ScanClearRegionsShard is the shard-th contiguous chunk of ScanClearRegions
-// under the same deterministic-merge contract as ScanRegionsShard.
-func (t *Table) ScanClearRegionsShard(shard, nShards int, mask Flags, fn func(base addr.Virt, pages int, prior Flags, lvl Level)) {
-	total := t.RegionCount()
-	t.scanClearWindow(shard*total/nShards, (shard+1)*total/nShards, mask, fn)
-}
-
-// scanClearWindow is scanRegionsWindow with the clear-and-report visitor:
-// flags without any mask bit are not written, so a sweep over mostly-idle
-// regions stays read-mostly.
-func (t *Table) scanClearWindow(lo, hi int, mask Flags, fn func(base addr.Virt, pages int, prior Flags, lvl Level)) {
-	t.scanRegionsWindow(lo, hi, func(base addr.Virt, pages int, e *Entry, lvl Level) {
+	t.ScanRegions(func(base addr.Virt, pages int, e *Entry, lvl Level) {
 		prior := e.Flags
 		if prior&mask != 0 {
 			e.Flags = prior &^ mask
@@ -436,20 +394,3 @@ func (t *Table) StateBytes() uint64 {
 		uint64(cap(t.index))*uint64(unsafe.Sizeof(regionRef{})) +
 		uint64(cap(t.spans))*uint64(unsafe.Sizeof(span{}))
 }
-
-// PageStateView is the read surface over the hybrid page-grain + region-grain
-// state. Engine ticks, censuses and telemetry snapshots consume mapped-page
-// information through it, so policies never observe whether a page is backed
-// by a radix leaf or a span summary. *Table implements it.
-type PageStateView interface {
-	// ScanRegions visits every mapped region in address order.
-	ScanRegions(fn RegionVisitor)
-	// ScanRegionsRange restricts the visit to regions based in r.
-	ScanRegionsRange(r addr.Range, fn RegionVisitor)
-	// RegionCount returns the number of regions a full scan visits.
-	RegionCount() int
-	// StateBytes returns the view's resident simulator-state bytes.
-	StateBytes() uint64
-}
-
-var _ PageStateView = (*Table)(nil)

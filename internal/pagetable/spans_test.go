@@ -1,7 +1,6 @@
 package pagetable
 
 import (
-	"sync"
 	"testing"
 	"unsafe"
 
@@ -212,172 +211,6 @@ func TestScanRegionsDense(t *testing.T) {
 	})
 	if i != len(ref) || pt.RegionCount() != len(ref) {
 		t.Fatalf("ScanRegions visited %d, Scan %d, RegionCount %d", i, len(ref), pt.RegionCount())
-	}
-}
-
-// regionVisit is one region observation (entry copied by value).
-type regionVisit struct {
-	base  addr.Virt
-	pages int
-	e     Entry
-	lvl   Level
-}
-
-func collectRegions(pt *Table) []regionVisit {
-	var out []regionVisit
-	pt.ScanRegions(func(b addr.Virt, pages int, e *Entry, l Level) {
-		out = append(out, regionVisit{b, pages, *e, l})
-	})
-	return out
-}
-
-// TestScanRegionsShard: concatenating shard visits in shard order reproduces
-// the full scan for every shard count — the deterministic-merge contract.
-func TestScanRegionsShard(t *testing.T) {
-	pt := New()
-	pt.EnableSpans()
-	mustMapSpan(t, pt, 0, 5)
-	mustMapSpan(t, pt, 10, 3)
-	for i := uint64(6); i < 9; i++ {
-		if err := pt.Map2M(addr.Virt2M(i), addr.Phys2M(i+50), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pt.Split(addr.Virt2M(7))
-	want := collectRegions(pt)
-	for _, shards := range []int{1, 2, 3, 7, 16, 1000} {
-		var got []regionVisit
-		for s := 0; s < shards; s++ {
-			pt.ScanRegionsShard(s, shards, func(b addr.Virt, pages int, e *Entry, l Level) {
-				got = append(got, regionVisit{b, pages, *e, l})
-			})
-		}
-		if len(got) != len(want) {
-			t.Fatalf("shards=%d: %d visits, want %d", shards, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("shards=%d visit %d: got %+v, want %+v", shards, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestScanClearRegionsShard: sharded clear visits every region once with the
-// same priors as the serial form.
-func TestScanClearRegionsShard(t *testing.T) {
-	build := func() *Table {
-		pt := New()
-		pt.EnableSpans()
-		mustMapSpan(t, pt, 0, 4)
-		for i := uint64(5); i < 8; i++ {
-			pt.Map2M(addr.Virt2M(i), addr.Phys2M(i), 0)
-		}
-		pt.Walk(addr.Virt2M(1), false) // span aggregate Accessed
-		pt.Walk(addr.Virt2M(6), true)  // leaf Accessed|Dirty
-		return pt
-	}
-	type clearVisit struct {
-		base  addr.Virt
-		pages int
-		prior Flags
-		lvl   Level
-	}
-	serial := build()
-	var want []clearVisit
-	serial.ScanClearRegions(Accessed, func(b addr.Virt, pages int, prior Flags, l Level) {
-		want = append(want, clearVisit{b, pages, prior, l})
-	})
-	sharded := build()
-	var got []clearVisit
-	for s := 0; s < 4; s++ {
-		sharded.ScanClearRegionsShard(s, 4, Accessed, func(b addr.Virt, pages int, prior Flags, l Level) {
-			got = append(got, clearVisit{b, pages, prior, l})
-		})
-	}
-	if len(got) != len(want) {
-		t.Fatalf("sharded clear: %d visits, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("visit %d: got %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	for _, pt := range []*Table{serial, sharded} {
-		pt.ScanRegions(func(b addr.Virt, pages int, e *Entry, l Level) {
-			if e.Flags.Has(Accessed) {
-				t.Fatalf("%s still Accessed", b)
-			}
-			if b == addr.Virt2M(6) && !e.Flags.Has(Dirty) {
-				t.Fatal("clear dropped Dirty")
-			}
-		})
-	}
-}
-
-// TestShardScansConcurrent runs the shard windows of a clearing scan from
-// one goroutine each, on a table whose position cuts fall inside a split
-// region and inside a partially unmapped PT node. Under -race this pins that
-// no window reads an entry another window writes; the concatenation must
-// still equal the serial scan.
-func TestShardScansConcurrent(t *testing.T) {
-	build := func() *Table {
-		pt := New()
-		pt.EnableSpans()
-		mustMapSpan(t, pt, 0, 3)
-		for i := uint64(3); i < 9; i++ {
-			if err := pt.Map2M(addr.Virt2M(i), addr.Phys2M(i), 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, reg := range []uint64{4, 5, 7} {
-			if err := pt.Split(addr.Virt2M(reg)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for j := uint64(0); j < 300; j += 2 {
-			if _, _, err := pt.Unmap(addr.Virt2M(5) + addr.Virt(j*addr.PageSize4K)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		pt.Scan(func(_ addr.Virt, e *Entry, _ Level) { e.Flags |= Accessed })
-		return pt
-	}
-	type clearVisit struct {
-		base  addr.Virt
-		pages int
-		prior Flags
-	}
-	var want []clearVisit
-	build().ScanClearRegions(Accessed, func(b addr.Virt, pages int, prior Flags, _ Level) {
-		want = append(want, clearVisit{b, pages, prior})
-	})
-	for _, shards := range []int{2, 3, 5, 8} {
-		pt := build()
-		parts := make([][]clearVisit, shards)
-		var wg sync.WaitGroup
-		for s := 0; s < shards; s++ {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				pt.ScanClearRegionsShard(s, shards, Accessed, func(b addr.Virt, pages int, prior Flags, _ Level) {
-					parts[s] = append(parts[s], clearVisit{b, pages, prior})
-				})
-			}(s)
-		}
-		wg.Wait()
-		var got []clearVisit
-		for _, p := range parts {
-			got = append(got, p...)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("shards=%d: %d visits, serial scan %d", shards, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("shards=%d visit %d: got %+v, want %+v", shards, i, got[i], want[i])
-			}
-		}
 	}
 }
 

@@ -229,21 +229,40 @@ func All() []Spec {
 	}
 }
 
+// variants are the names ByName accepts beyond the six in All: the explicit
+// mix spellings of the NoSQL stores and the synthetic scaling workload.
+var variants = []struct {
+	name string
+	spec func() Spec
+}{
+	{"aerospike-read-heavy", func() Spec { return Aerospike(ReadHeavy) }},
+	{"aerospike-write-heavy", func() Spec { return Aerospike(WriteHeavy) }},
+	{"cassandra-read-heavy", func() Spec { return Cassandra(ReadHeavy) }},
+	{"cassandra-write-heavy", func() Spec { return Cassandra(WriteHeavy) }},
+	{"scale-synth", ScaleSynthetic},
+}
+
+// Names returns every application name ByName accepts: the six of All, then
+// the variants.
+func Names() []string {
+	var names []string
+	for _, s := range All() {
+		names = append(names, s.Name)
+	}
+	for _, v := range variants {
+		names = append(names, v.name)
+	}
+	return names
+}
+
 // ByName returns the spec for an application name. The NoSQL stores accept
 // "-read-heavy" / "-write-heavy" suffixes to select the mix; bare names get
 // the default mixes from All.
 func ByName(name string) (Spec, bool) {
-	switch name {
-	case "aerospike-read-heavy":
-		return Aerospike(ReadHeavy), true
-	case "aerospike-write-heavy":
-		return Aerospike(WriteHeavy), true
-	case "cassandra-read-heavy":
-		return Cassandra(ReadHeavy), true
-	case "cassandra-write-heavy":
-		return Cassandra(WriteHeavy), true
-	case "scale-synth":
-		return ScaleSynthetic(), true
+	for _, v := range variants {
+		if v.name == name {
+			return v.spec(), true
+		}
 	}
 	for _, s := range All() {
 		if s.Name == name {

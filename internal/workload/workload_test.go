@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"thermostat/internal/addr"
@@ -62,13 +63,17 @@ func TestSpecValidationRejects(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range []string{
-		"aerospike", "cassandra", "in-memory-analytics",
-		"mysql-tpcc", "redis", "web-search",
-		"aerospike-write-heavy", "cassandra-read-heavy",
-	} {
+	// Names is what thermostat-sim -list prints: every entry must resolve,
+	// and the names the docs tell users to run must be among them.
+	names := Names()
+	for _, name := range names {
 		if _, ok := ByName(name); !ok {
 			t.Errorf("ByName(%q) failed", name)
+		}
+	}
+	for _, name := range []string{"redis", "aerospike-write-heavy", "cassandra-read-heavy", "scale-synth"} {
+		if !slices.Contains(names, name) {
+			t.Errorf("Names() omits %q", name)
 		}
 	}
 	if _, ok := ByName("memcached"); ok {

@@ -102,10 +102,9 @@ go run ./cmd/thermostat-sim -tenants redis,web-search -scale tiny -duration 4 \
 echo "fleet: arbiter invariants hold; single-tenant fleet is bit-identical to solo"
 
 echo "== scaling gate"
-# Sparse region-grain state + sharded scans: state bytes per simulated GB
-# shrink as the footprint grows, and the same seeded run is byte-identical
-# at any -shard-workers count, test- and CLI-level (see
-# scripts/scale_gate.sh; the full 1 GB -> 1 TB sweep is `repro -exp scale`).
+# Sparse region-grain state: state bytes per simulated GB shrink as the
+# footprint grows (see scripts/scale_gate.sh; the full 1 GB -> 1 TB sweep is
+# `repro -exp scale`).
 ./scripts/scale_gate.sh
 
 echo "== observability gate"
