@@ -12,8 +12,8 @@
 // matrix (tracker × policy × workload × topology zoo; not part of 'all'),
 // fleet (multi-tenant datacenter-night arbitration scenario; not part of
 // 'all' — writes results/fleet_night.{txt,csv}), scale (simulator scaling
-// sweep, 1 GB to 1 TB dense vs sparse; not part of 'all' — writes
-// results/BENCH_scale.{json,txt} and applies the scaling acceptance gate).
+// sweep, 1 GB to 1 TB; not part of 'all' — writes
+// results/BENCH_scale.{json,txt}).
 //
 // Independent runs fan out across -workers goroutines (default: all cores).
 // Results are bit-for-bit identical at any worker count; -workers 1 is the
@@ -90,7 +90,6 @@ func main() {
 	flag.Float64Var(&cfg.DurationS, "duration", 0, "override run length in simulated seconds")
 	flag.IntVar(&cfg.Workers, "workers", 0, "goroutines fanning independent runs out (0 = all cores, 1 = serial; results are identical at any setting)")
 	flag.StringVar(&cfg.Serve, "serve", "", "serve the live observability plane (/metrics, /status, /tenants, /dump, pprof) on this address (e.g. localhost:9090) for the duration of the run")
-	flag.StringVar(&cfg.Pprof, "pprof", "", "additional address for the same observability server (e.g. localhost:6060)")
 	flag.StringVar(&cfg.LogFormat, "log-format", "text", "progress log format: text or json")
 	flag.Parse()
 
@@ -105,13 +104,13 @@ func main() {
 	}
 
 	opt := harness.Options{Scale: sc, SlowdownPct: cfg.SlowdownPct, Workers: cfg.Workers}
-	if cfg.Serve != "" || cfg.Pprof != "" {
+	if cfg.Serve != "" {
 		pub := obsv.NewPublisher()
 		pub.SetInfo(obsv.Info{
 			Binary: "repro", App: strings.Join(cfg.Apps, ","), Policy: cfg.Policy,
 			Scale: cfg.Scale, Seed: cfg.Seed, Workers: cfg.Workers,
 		})
-		servers, err := obsv.ServeAll(pub, logger, cfg.Serve, cfg.Pprof)
+		servers, err := obsv.ServeAll(pub, logger, cfg.Serve)
 		if err != nil {
 			fatal(err)
 		}
@@ -360,8 +359,7 @@ func main() {
 		logger.Info("wrote fleet night artifacts", "txt", txt, "csv", csvPath)
 	}
 	// The scaling sweep is opt-in: it benchmarks the simulator itself
-	// (1 GB -> 1 TB, dense vs sparse tables) rather than the
-	// paper's evaluation, applies the acceptance gate, and writes the
+	// (1 GB -> 1 TB) rather than the paper's evaluation, and writes the
 	// committed artifact pair results/BENCH_scale.{json,txt}.
 	if want["scale"] {
 		runScale(cfg.Seed, *outDir, emit)
@@ -381,27 +379,15 @@ func main() {
 	}
 }
 
-// The scaling acceptance gate (ISSUE criteria): at 1 TB, sparse state
-// bytes per simulated GB within 10% of the dense baseline's, and sparse
-// ns/op within 2x of the 1 GB figure.
-const (
-	scaleGateStateFrac = 0.10
-	scaleGateNsOpRatio = 2.0
-)
-
 // scaleArtifact is the machine-readable shape results/BENCH_scale.json pins.
 type scaleArtifact struct {
-	Workload      string                `json:"workload"`
-	Seed          uint64                `json:"seed"`
-	GateStateFrac float64               `json:"gate_max_state_frac"`
-	GateNsOpRatio float64               `json:"gate_max_nsop_ratio"`
-	GatePass      bool                  `json:"gate_pass"`
-	GateError     string                `json:"gate_error,omitempty"`
-	Points        []*harness.ScalePoint `json:"points"`
+	Workload string                `json:"workload"`
+	Seed     uint64                `json:"seed"`
+	Points   []*harness.ScalePoint `json:"points"`
 }
 
-// runScale runs the 1 GB -> 1 TB scaling sweep, prints the table, applies
-// the acceptance gate, and pins results/BENCH_scale.{json,txt}.
+// runScale runs the 1 GB -> 1 TB scaling sweep, prints the table, and pins
+// results/BENCH_scale.{json,txt}.
 func runScale(seed uint64, outDir string, emit func(string, *report.Table)) {
 	logger.Info("running scale (simulator scaling sweep, 1 GB -> 1 TB)")
 	sc := harness.ScaleBenchProfile()
@@ -412,26 +398,11 @@ func runScale(seed uint64, outDir string, emit func(string, *report.Table)) {
 	}
 	tbl := harness.ScaleTable(points)
 	emit("scale", tbl)
-	gateErr := harness.CheckScaleGate(points, scaleGateStateFrac, scaleGateNsOpRatio)
-	gateLine := fmt.Sprintf("gate: PASS (sparse state/GB <= %.0f%% of dense at 1 TB; ns/op <= %.1fx the 1 GB figure)",
-		scaleGateStateFrac*100, scaleGateNsOpRatio)
-	if gateErr != nil {
-		gateLine = "gate: FAIL: " + gateErr.Error()
-	}
-	fmt.Println(gateLine)
 
-	art := scaleArtifact{
-		Workload: "scale-synth", Seed: seed,
-		GateStateFrac: scaleGateStateFrac, GateNsOpRatio: scaleGateNsOpRatio,
-		GatePass: gateErr == nil, Points: points,
-	}
-	if gateErr != nil {
-		art.GateError = gateErr.Error()
-	}
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		fatal(err)
 	}
-	js, err := json.MarshalIndent(art, "", "  ")
+	js, err := json.MarshalIndent(scaleArtifact{Workload: "scale-synth", Seed: seed, Points: points}, "", "  ")
 	if err != nil {
 		fatal(err)
 	}
@@ -440,13 +411,10 @@ func runScale(seed uint64, outDir string, emit func(string, *report.Table)) {
 		fatal(err)
 	}
 	txtPath := filepath.Join(outDir, "BENCH_scale.txt")
-	if err := os.WriteFile(txtPath, []byte(tbl.String()+"\n"+gateLine+"\n"), 0o644); err != nil {
+	if err := os.WriteFile(txtPath, []byte(tbl.String()+"\n"), 0o644); err != nil {
 		fatal(err)
 	}
 	logger.Info("wrote scaling artifacts", "json", jsonPath, "txt", txtPath)
-	if gateErr != nil {
-		fatal(gateErr)
-	}
 }
 
 // runAblations regenerates the design-choice studies DESIGN.md indexes.

@@ -22,7 +22,7 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 func TestValidateAcceptsCombos(t *testing.T) {
 	o := valid()
 	o.Apps = []string{"redis", " web-search"}
-	o.Serve, o.Pprof, o.LogFormat = "localhost:9090", "localhost:6060", "json"
+	o.Serve, o.LogFormat = "localhost:9090", "json"
 	if err := validate("fig1, table1 ,fleet", o); err != nil {
 		t.Fatalf("config rejected: %v", err)
 	}
@@ -46,10 +46,6 @@ func TestValidateRejections(t *testing.T) {
 		{"nonpositive slowdown", "all", func(o *daemon.Config) { o.SlowdownPct = 0 }, "-slowdown"},
 		{"negative duration", "all", func(o *daemon.Config) { o.DurationS = -1 }, "negative"},
 		{"unknown log format", "all", func(o *daemon.Config) { o.LogFormat = "yaml" }, "-log-format"},
-		{"serve and pprof collide", "all", func(o *daemon.Config) {
-			o.Serve = "localhost:9090"
-			o.Pprof = "localhost:9090"
-		}, "one listener per address"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -6,11 +6,10 @@
 //	thermostat-sim -app cassandra-write-heavy -policy idle-demote
 //	thermostat-sim -app mysql-tpcc -policy all-dram -duration 60
 //
-// Passing -footprint rescales the application model to a target total size,
-// and -sparse selects the region-grain page table that keeps terabyte
-// footprints simulable (see DESIGN.md, "Scaling to terabytes"):
+// Passing -footprint rescales the application model to a target total size
+// (see DESIGN.md, "Scaling to terabytes"):
 //
-//	thermostat-sim -app scale-synth -footprint 1T -sparse
+//	thermostat-sim -app scale-synth -footprint 64G
 //
 // Passing -tiers runs the engine over an N-tier hierarchy instead of the
 // paper's two tiers, and additionally reports the per-tier-pair migration
@@ -25,7 +24,7 @@
 //
 //	thermostat-sim -tenants redis,mysql-tpcc,web-search -slowdown 5
 //
-// Passing -serve (or -pprof) starts the live observability plane for the
+// Passing -serve starts the live observability plane for the
 // duration of the run: Prometheus /metrics, /status, /tenants, a
 // memtierd-style /dump?what=accessed census, pprof and expvar — strictly
 // read-side, so exports stay byte-identical (see DESIGN.md):
@@ -71,7 +70,6 @@ func main() {
 	flag.Float64Var(&cfg.IdleWindowS, "idle-window", 10, "idle window seconds (idle-demote)")
 	flag.StringVar(&cfg.Scale, "scale", "repro", "scale profile: tiny, bench, repro")
 	flag.StringVar(&cfg.Footprint, "footprint", "", "rescale the application model to this total footprint (e.g. 64G, 1T; binary units)")
-	flag.BoolVar(&cfg.Sparse, "sparse", false, "use the sparse region-grain page table (cold spans collapse into summaries; exports unchanged)")
 	flag.Float64Var(&cfg.DurationS, "duration", 0, "override run length in (simulated) seconds")
 	flag.Uint64Var(&cfg.Seed, "seed", 1, "random seed")
 	flag.Func("tiers", "comma-separated device `presets` for an N-tier run, fastest first (presets: "+strings.Join(mem.PresetNames(), ", ")+")", listFlag(&cfg.Tiers))
@@ -82,7 +80,6 @@ func main() {
 	flag.StringVar(&cfg.Telemetry.Metrics, "metrics", "", "write per-epoch metric snapshots of the policy run as JSONL")
 	flag.BoolVar(&cfg.Telemetry.Epochs, "epochs", false, "print the per-epoch metric table for the policy run")
 	flag.StringVar(&cfg.Serve, "serve", "", "serve the live observability plane (/metrics, /status, /tenants, /dump, pprof) on this address (e.g. localhost:9090) for the duration of the run")
-	flag.StringVar(&cfg.Pprof, "pprof", "", "additional address for the same observability server (kept for compatibility; e.g. localhost:6060)")
 	flag.StringVar(&cfg.LogFormat, "log-format", "text", "progress log format: text or json")
 	flag.Float64Var(&cfg.Chaos.Rate, "chaos-rate", 0, "per-site fault injection probability for the policy run, 0..1 (0 disables; needs a migrating policy)")
 	flag.Uint64Var(&cfg.Chaos.Seed, "chaos-seed", 1, "seed for the fault injector's dedicated RNG stream")
@@ -113,18 +110,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	sc.Sparse = cfg.Sparse
 
-	// The observability plane serves on every requested address (-serve and
-	// -pprof are the same full server: metrics + status + pprof + expvar).
 	var pub *obsv.Publisher
-	if cfg.Serve != "" || cfg.Pprof != "" {
+	if cfg.Serve != "" {
 		pub = obsv.NewPublisher()
 		pub.SetInfo(obsv.Info{
 			Binary: "thermostat-sim", App: cfg.App, Tracker: tracker,
 			Policy: cfg.Policy, Scale: cfg.Scale, Seed: cfg.Seed, Workers: cfg.Workers,
 		})
-		servers, err := obsv.ServeAll(pub, logger, cfg.Serve, cfg.Pprof)
+		servers, err := obsv.ServeAll(pub, logger, cfg.Serve)
 		if err != nil {
 			fatal(err)
 		}

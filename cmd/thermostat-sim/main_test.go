@@ -92,10 +92,8 @@ func TestValidateRejections(t *testing.T) {
 			o.Footprint = "64G"
 			o.Tenants = list("redis,web-search")
 		}, "ambiguous"},
-		{"serve and pprof collide", func(o *daemon.Config) {
-			o.Serve = "localhost:9090"
-			o.Pprof = "localhost:9090"
-		}, "one listener per address"},
+		{"single tier", func(o *daemon.Config) { o.Tiers = list("dram") }, "at least two tiers"},
+		{"negative workers", func(o *daemon.Config) { o.Workers = -1 }, "-workers"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -120,16 +118,6 @@ func TestValidateAcceptsObservabilityCombos(t *testing.T) {
 	o.Serve, o.LogFormat = "localhost:9090", "json"
 	if err := validate(o); err != nil {
 		t.Fatalf("-serve with json logs rejected: %v", err)
-	}
-	o = valid()
-	o.Serve, o.Pprof = "localhost:9090", "localhost:6060"
-	if err := validate(o); err != nil {
-		t.Fatalf("distinct -serve/-pprof rejected: %v", err)
-	}
-	o = valid()
-	o.Pprof = "localhost:6060" // pprof alone, serve empty: no collision
-	if err := validate(o); err != nil {
-		t.Fatalf("-pprof alone rejected: %v", err)
 	}
 }
 

@@ -92,17 +92,16 @@ func run() int {
 		}
 	}
 
-	// The observability plane serves on every requested address; /status
-	// carries the daemon's health rung and POST /reload re-reads the config
-	// file exactly like SIGHUP.
-	if cfg.Serve != "" || cfg.Pprof != "" {
+	// On the observability plane /status carries the daemon's health rung
+	// and POST /reload re-reads the config file exactly like SIGHUP.
+	if cfg.Serve != "" {
 		pub := obsv.NewPublisher()
 		pub.SetInfo(obsv.Info{
 			Binary: "thermostatd", App: cfg.App, Tracker: cfg.Tracker,
 			Policy: cfg.Policy, Scale: cfg.Scale, Seed: cfg.Seed,
 		})
 		runner.Publisher = pub
-		servers, err := obsv.ServeAll(pub, logger, cfg.Serve, cfg.Pprof)
+		servers, err := obsv.ServeAll(pub, logger, cfg.Serve)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "thermostatd: %v\n", err)
 			return 1

@@ -25,13 +25,13 @@ type ThresholdPolicy struct {
 	tr    Tracker
 
 	// cold tracks every page below the top tier; in an N-tier hierarchy
-	// the page may sit in any lower tier (idleStreak drives it deeper).
+	// the page may sit in any lower tier (idleScans drives it deeper).
 	cold map[addr.Virt]bool
 
-	// idleStreak counts consecutive zero-access correction passes per
+	// idleScans counts consecutive zero-access correction passes per
 	// cold page; pages idle for sinkAfterIdleScans passes sink one tier
 	// deeper when the hierarchy has more than two tiers.
-	idleStreak map[addr.Virt]int
+	idleScans map[addr.Virt]int
 
 	// scope, when set, restricts footprint accounting.
 	scope func() []addr.Range
@@ -51,9 +51,9 @@ type ThresholdPolicy struct {
 // migration retry parameters.
 func NewThresholdPolicy() *ThresholdPolicy {
 	return &ThresholdPolicy{
-		cold:       make(map[addr.Virt]bool),
-		idleStreak: make(map[addr.Virt]int),
-		mv:         newMover(),
+		cold:      make(map[addr.Virt]bool),
+		idleScans: make(map[addr.Virt]int),
+		mv:        newMover(),
 	}
 }
 
@@ -64,7 +64,7 @@ func (p *ThresholdPolicy) Name() string { return "threshold" }
 // sink idle-streak map. Both hold one entry per cold page, not per mapped
 // page, so a mostly-untouched terabyte costs the policy almost nothing.
 func (p *ThresholdPolicy) StateBytes() uint64 {
-	return uint64(len(p.cold))*16 + uint64(len(p.idleStreak))*16
+	return uint64(len(p.cold))*16 + uint64(len(p.idleScans))*16
 }
 
 // Attach implements Policy.
@@ -185,11 +185,11 @@ func (p *ThresholdPolicy) sink(measured []Measured) error {
 			continue // promoted to the top tier this pass
 		}
 		if c.Rate > 0 {
-			delete(p.idleStreak, c.Base)
+			delete(p.idleScans, c.Base)
 			continue
 		}
-		p.idleStreak[c.Base]++
-		if p.idleStreak[c.Base] < sinkAfterIdleScans {
+		p.idleScans[c.Base]++
+		if p.idleScans[c.Base] < sinkAfterIdleScans {
 			continue
 		}
 		tier, err := p.m.Migrator().TierOfPage(c.Base)
@@ -210,7 +210,7 @@ func (p *ThresholdPolicy) sink(measured []Measured) error {
 			p.mv.demoteFailures.Inc()
 			continue
 		}
-		p.idleStreak[c.Base] = 0
+		p.idleScans[c.Base] = 0
 		p.tr.NotePlaced(c.Base)
 		p.mv.sinks.Inc()
 	}
@@ -241,7 +241,7 @@ func (p *ThresholdPolicy) promote(base addr.Virt) error {
 		return nil
 	}
 	delete(p.cold, base)
-	delete(p.idleStreak, base)
+	delete(p.idleScans, base)
 	return nil
 }
 

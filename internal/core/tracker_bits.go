@@ -139,16 +139,13 @@ func (t *BitTracker) MeasureCold(cold []addr.Virt, intervalSec float64) []Measur
 	return out
 }
 
-// Estimates implements Tracker: one estimate per in-scope top-tier 2MB
-// region, in ascending base order. On a dense table every region is one
-// leaf (the old per-leaf sweep exactly); on a sparse table a multi-page
-// span yields one estimate at its base — region-grain fidelity matching
-// the scanner's region-grain histories.
+// Estimates implements Tracker: one estimate per in-scope top-tier huge
+// page, in ascending base order.
 func (t *BitTracker) Estimates(intervalSec float64) ([]Estimate, error) {
 	t.ensureScanned()
 	ranges := scopeRangesOf(t.scope)
 	var ests []Estimate
-	t.m.PageTable().ScanRegions(func(base addr.Virt, pages int, e *pagetable.Entry, lvl pagetable.Level) {
+	t.m.PageTable().Scan(func(base addr.Virt, e *pagetable.Entry, lvl pagetable.Level) {
 		if lvl != pagetable.Level2M || !scopeContains(base, ranges) || t.view.IsCold(base) {
 			return
 		}

@@ -23,12 +23,6 @@ const (
 	perLeafScanNs  = kstaled.DefaultEntryCostNs
 )
 
-// reabsorbStreak is how many consecutive samples of a fast-tier page must
-// find zero accessed children before the tracker folds the page back into a
-// span summary (sparse tables only). Two consecutive empty samples span at
-// least one full scan interval of inactivity.
-const reabsorbStreak = 2
-
 // sample tracks one huge page through a sampling cycle.
 type sample struct {
 	base      addr.Virt
@@ -67,11 +61,6 @@ type PoisonTracker struct {
 	// noPrefilter disables the §3.2 Accessed-bit pre-filter (ablation).
 	noPrefilter bool
 
-	// idleStreak counts consecutive samples in which a restored fast-tier
-	// page showed zero accessed children; at reabsorbStreak the page folds
-	// back into a span summary (sparse tables only).
-	idleStreak map[addr.Virt]int
-
 	sampled stats.Counter
 }
 
@@ -86,7 +75,6 @@ func NewPoisonTracker(group *cgroup.Group, seed uint64) *PoisonTracker {
 		splitCohort:    make(map[addr.Virt]*sample),
 		poisonedCohort: make(map[addr.Virt]*sample),
 		seen:           make(map[addr.Virt]uint64),
-		idleStreak:     make(map[addr.Virt]int),
 	}
 }
 
@@ -255,32 +243,17 @@ func (t *PoisonTracker) restore(s *sample) error {
 		t.snapshot(s.base)
 		return nil
 	}
-	if pt.SpansEnabled() {
-		// Idle-streak reabsorb: a fast-tier page whose sample found no
-		// accessed children is a candidate to fold back into a span summary.
-		// Cold pages never qualify (they stay PMD-poisoned for monitoring,
-		// and spans carry no poison); an accessed page resets its streak.
-		if s.nAccessed == 0 {
-			t.idleStreak[s.base]++
-			if t.idleStreak[s.base] >= reabsorbStreak {
-				delete(t.idleStreak, s.base)
-				pt.Reabsorb(s.base)
-			}
-		} else {
-			delete(t.idleStreak, s.base)
-		}
-	}
 	return nil
 }
 
-// StateBytes reports the tracker's resident metadata: both pipeline cohorts,
-// the fault-count snapshot map and the idle-streak map. With region-grain
-// sampling the snapshot map holds entries only for pages that were actually
-// sampled or cold, so it stays far below one entry per mapped page.
+// StateBytes reports the tracker's resident metadata: both pipeline cohorts
+// and the fault-count snapshot map, which holds entries only for pages that
+// were actually sampled or cold, so it stays far below one entry per mapped
+// page.
 func (t *PoisonTracker) StateBytes() uint64 {
-	// sample record + map slot: ~64 bytes; uint64/int map slots: ~24/16.
+	// sample record + map slot: ~64 bytes; uint64 map slot: ~24.
 	return uint64(len(t.splitCohort)+len(t.poisonedCohort))*64 +
-		uint64(len(t.seen))*24 + uint64(len(t.idleStreak))*16
+		uint64(len(t.seen))*24
 }
 
 // Arm implements Tracker: run the poison scan over the cohort split last
@@ -293,15 +266,12 @@ func (t *PoisonTracker) Arm() error {
 	return t.scanSplit()
 }
 
-// splitCandidates returns the in-scope, non-inflight 2MB-grain sampling
-// candidates in address order. On a dense table this is exactly the old
-// per-leaf sweep; on a sparse table a multi-page span contributes one
-// candidate — its base page, which Split carves out if selected — so the
-// scan costs O(regions), not O(pages).
+// splitCandidates returns the in-scope, non-inflight huge pages in address
+// order.
 func (t *PoisonTracker) splitCandidates() []addr.Virt {
 	ranges := t.scopeRanges()
 	var out []addr.Virt
-	t.m.PageTable().ScanRegions(func(base addr.Virt, pages int, e *pagetable.Entry, lvl pagetable.Level) {
+	t.m.PageTable().Scan(func(base addr.Virt, e *pagetable.Entry, lvl pagetable.Level) {
 		if lvl == pagetable.Level2M && !t.inflight(base) && scopeContains(base, ranges) {
 			out = append(out, base)
 		}

@@ -55,8 +55,6 @@ type Config struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// Footprint rescales the application model ("64G", "1T", ...).
 	Footprint string `json:"footprint,omitempty"`
-	// Sparse selects the region-grain page table.
-	Sparse bool `json:"sparse,omitempty"`
 	// Workers fans independent runs out (CLI baseline+policy pair).
 	Workers int `json:"workers,omitempty"`
 	// Tiers is an N-tier device hierarchy, fastest first.
@@ -68,9 +66,8 @@ type Config struct {
 	Chaos ChaosConfig `json:"chaos"`
 	// Telemetry selects the run's export sinks.
 	Telemetry TelemetryConfig `json:"telemetry"`
-	// Serve and Pprof are observability listener addresses.
+	// Serve is the observability listener address.
 	Serve string `json:"serve,omitempty"`
-	Pprof string `json:"pprof,omitempty"`
 	// LogFormat is "text" or "json".
 	LogFormat string `json:"log_format,omitempty"`
 	// Daemon holds the thermostatd lifecycle knobs.
@@ -268,8 +265,8 @@ func (c Config) Validate() error {
 	if !obsv.ValidLogFormat(c.LogFormat) {
 		return fmt.Errorf("unknown -log-format %q (text or json)", c.LogFormat)
 	}
-	if c.Serve != "" && c.Serve == c.Pprof {
-		return fmt.Errorf("-serve and -pprof are both %q; one listener per address", c.Serve)
+	if c.Workers < 0 {
+		return fmt.Errorf("-workers %d is negative", c.Workers)
 	}
 	if len(c.Tenants) > 0 {
 		// The fleet path builds one two-tier machine per run and gives every
@@ -300,6 +297,9 @@ func (c Config) Validate() error {
 		}
 		if c.Chaos.Rate > 0 {
 			return fmt.Errorf("-chaos-rate is not supported with -tiers")
+		}
+		if len(c.Tiers) < 2 {
+			return fmt.Errorf("-tiers needs at least two tiers, got %d", len(c.Tiers))
 		}
 		if _, err := harness.ResolveTiers(c.Tiers); err != nil {
 			return err
@@ -439,13 +439,11 @@ func DiffReload(old, new Config) ([]string, error) {
 		{"duration_s", old.DurationS, new.DurationS},
 		{"seed", old.Seed, new.Seed},
 		{"footprint", old.Footprint, new.Footprint},
-		{"sparse", old.Sparse, new.Sparse},
 		{"workers", old.Workers, new.Workers},
 		{"tiers", strings.Join(old.Tiers, ","), strings.Join(new.Tiers, ",")},
 		{"tenants", strings.Join(old.Tenants, ","), strings.Join(new.Tenants, ",")},
 		{"chaos.seed", old.Chaos.Seed, new.Chaos.Seed},
 		{"serve", old.Serve, new.Serve},
-		{"pprof", old.Pprof, new.Pprof},
 		{"log_format", old.LogFormat, new.LogFormat},
 	}
 	for _, f := range fixed {

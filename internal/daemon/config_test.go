@@ -94,6 +94,10 @@ func TestDecodeRejects(t *testing.T) {
 		{"unknown nested key", "chaos:\n  frequency: 1\n", "unknown field"},
 		{"removed key", "app: redis\nshard_workers: 8\n", `unknown field "shard_workers"`},
 		{"removed key json", `{"app": "redis", "shard_workers": 8}`, `unknown field "shard_workers"`},
+		{"removed sparse", "app: redis\nsparse: true\n", `unknown field "sparse"`},
+		{"removed sparse json", `{"app": "redis", "sparse": true}`, `unknown field "sparse"`},
+		{"removed pprof", "app: redis\npprof: localhost:6060\n", `unknown field "pprof"`},
+		{"removed pprof json", `{"app": "redis", "pprof": "localhost:6060"}`, `unknown field "pprof"`},
 		{"duplicate key", "app: redis\napp: memcached\n", "duplicate key"},
 		{"type mismatch", "app: 3\n", "cannot unmarshal"},
 		{"tab indent", "daemon:\n\tepoch_wall_ms: 1\n", "tab in indentation"},
@@ -148,7 +152,8 @@ func TestValidateRules(t *testing.T) {
 		{"tiers non-engine", func(c *Config) { c.Policy = "idle-demote"; c.Tiers = []string{"dram", "nvm"} }, "migrating engine"},
 		{"tiers bad preset", func(c *Config) { c.Tiers = []string{"dram", "floppy"} }, "unknown device preset"},
 		{"tenants with tiers", func(c *Config) { c.Tenants = []string{"redis"}; c.Tiers = []string{"dram", "nvm"} }, "not supported with -tiers"},
-		{"same listener", func(c *Config) { c.Serve = ":9"; c.Pprof = ":9" }, "one listener per address"},
+		{"single tier", func(c *Config) { c.Tiers = []string{"dram"} }, "at least two tiers"},
+		{"negative workers", func(c *Config) { c.Workers = -1 }, "-workers"},
 		{"bad log format", func(c *Config) { c.LogFormat = "xml" }, "-log-format"},
 		{"negative ckpt cadence", func(c *Config) { c.Daemon.CheckpointEveryEpochs = -1 }, "checkpoint_every_epochs"},
 		{"negative degrade", func(c *Config) { c.Daemon.Degrade.DegradeAfter = -1 }, "non-negative"},

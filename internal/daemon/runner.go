@@ -258,7 +258,6 @@ func (r *Runner) assemble(cfg Config) (*runState, *harness.Assembly, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	sc.Sparse = cfg.Sparse
 	if cfg.PeriodS > 0 {
 		sc.PeriodNs = int64(cfg.PeriodS * 1e9)
 	}

@@ -41,10 +41,6 @@ type Scale struct {
 	WarmupNs   int64
 	// Seed drives all randomness.
 	Seed uint64
-	// Sparse enables region-grain (span) page state on the machines the
-	// profile builds. Off by default: dense tables are the pinned-golden
-	// configuration.
-	Sparse bool
 }
 
 // Validate rejects degenerate profiles.
@@ -124,7 +120,6 @@ func (s Scale) MachineConfig(spec workload.Spec, hugeHost bool) sim.Config {
 	cfg.SlowSpec.ReadLatency = 1000 * s.TimeDilate
 	cfg.SlowSpec.WriteLatency = 1000 * s.TimeDilate
 	cfg.VM.HostHugePages = hugeHost
-	cfg.Sparse = s.Sparse
 	return cfg
 }
 

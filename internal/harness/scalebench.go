@@ -2,21 +2,20 @@
 //
 // The sweep runs the synthetic scaling workload (workload.ScaleSynthetic,
 // stretched with WithFootprint) under the full Thermostat engine at
-// footprints from 1 GB to 1 TB, and reports two unit costs per point:
+// footprints from 1 GB to 1 TB, and reports per point:
 //
 //   - ns per simulated access (wall-clock over the whole run, allocation
-//     and engine ticks included), which must stay bounded as the footprint
-//     grows — the sparse table's O(regions) scans are what keep it flat;
+//     and engine ticks included). The access path does not see the
+//     footprint; the engine tick does — it samples a fraction of all huge
+//     pages and scans every leaf for candidates — but Split and Collapse
+//     never touch the slot index, so a sampled page costs the same at any
+//     size;
 //   - simulator state bytes per simulated GB (page table + allocator +
-//     trap + engine metadata), which must *shrink* with footprint in
-//     sparse mode because cold terabytes collapse into span summaries.
-//
-// Both arms are measured at every footprint. A dense table's per-tick cost
-// follows the regions the engine samples, not the footprint (Split and
-// Collapse never touch the slot index), so its ns/op stays within a small
-// factor of sparse up to a terabyte; what the sparse representation buys is
-// state — dense keeps one index ref plus a radix share per mapped 2MB page,
-// about 1.2 MB per simulated GB, against a constant ~150 KB for sparse.
+//     trap + engine metadata): one index ref plus a radix share per mapped
+//     2MB page, about 1.2 MB per simulated GB;
+//   - what the engine did — huge pages sampled, pages demoted, final cold
+//     fraction — so a row shows the mechanism ran, not only that accesses
+//     were issued.
 package harness
 
 import (
@@ -27,17 +26,18 @@ import (
 	"thermostat/internal/workload"
 )
 
-// ScalePoint is one (footprint, representation) cell of the scaling sweep.
+// ScalePoint is one footprint of the scaling sweep.
 type ScalePoint struct {
 	Footprint  uint64  `json:"footprint_bytes"`
-	Sparse     bool    `json:"sparse"`
 	Ops        uint64  `json:"ops"`
 	WallNs     int64   `json:"wall_ns"`
 	NsPerOp    float64 `json:"ns_per_op"`
 	StateBytes uint64  `json:"state_bytes"`
 	StatePerGB float64 `json:"state_bytes_per_gb"`
 	Regions    int     `json:"regions"`
-	Spans      int     `json:"spans"`
+	Sampled    uint64  `json:"sampled"`
+	Demotions  uint64  `json:"demotions"`
+	ColdPct    float64 `json:"cold_pct"`
 }
 
 // ScaleBenchProfile is the profile every sweep point runs under: no
@@ -76,14 +76,13 @@ func scaleSpec(footprint uint64) workload.Spec {
 	return spec
 }
 
-// RunScalePoint measures one sweep cell: footprint simulated bytes under the
-// Thermostat engine, dense or sparse. The profile's Div must be 1 — the
-// footprint is not re-divided.
-func RunScalePoint(sc Scale, footprint uint64, sparse bool) (*ScalePoint, error) {
+// RunScalePoint measures one sweep point: footprint simulated bytes under the
+// Thermostat engine. The profile's Div must be 1 — the footprint is not
+// re-divided.
+func RunScalePoint(sc Scale, footprint uint64) (*ScalePoint, error) {
 	if sc.Div != 1 {
 		return nil, fmt.Errorf("harness: scale bench needs Div=1, got %d", sc.Div)
 	}
-	sc.Sparse = sparse
 	spec := scaleSpec(footprint)
 	start := time.Now()
 	out, err := Run(spec, sc, Plan{SlowdownPct: 3})
@@ -91,14 +90,16 @@ func RunScalePoint(sc Scale, footprint uint64, sparse bool) (*ScalePoint, error)
 		return nil, fmt.Errorf("harness: scale point %s: %w", workload.FormatSize(footprint), err)
 	}
 	wall := time.Since(start)
+	st := out.Engine.Stats()
 	p := &ScalePoint{
 		Footprint:  footprint,
-		Sparse:     sparse,
 		Ops:        out.Result.Ops,
 		WallNs:     wall.Nanoseconds(),
 		StateBytes: out.Machine.StateBytes() + out.Engine.StateBytes(),
 		Regions:    out.Machine.PageTable().RegionCount(),
-		Spans:      out.Machine.PageTable().SpanCount(),
+		Sampled:    st.Sampled,
+		Demotions:  st.Demotions,
+		ColdPct:    100 * out.Result.FinalFootprint.ColdFraction(),
 	}
 	if p.Ops > 0 {
 		p.NsPerOp = float64(p.WallNs) / float64(p.Ops)
@@ -107,65 +108,17 @@ func RunScalePoint(sc Scale, footprint uint64, sparse bool) (*ScalePoint, error)
 	return p, nil
 }
 
-// ScaleSweep runs the full scaling benchmark: the dense and the sparse arm
-// at every footprint in footprints.
+// ScaleSweep runs the scaling benchmark at every footprint in footprints.
 func ScaleSweep(sc Scale, footprints []uint64) ([]*ScalePoint, error) {
 	var points []*ScalePoint
 	for _, fp := range footprints {
-		for _, sparse := range []bool{false, true} {
-			p, err := RunScalePoint(sc, fp, sparse)
-			if err != nil {
-				return nil, err
-			}
-			points = append(points, p)
+		p, err := RunScalePoint(sc, fp)
+		if err != nil {
+			return nil, err
 		}
+		points = append(points, p)
 	}
 	return points, nil
-}
-
-// CheckScaleGate asserts the scaling acceptance criteria over a completed
-// sweep and describes any violation:
-//
-//  1. at the largest footprint, sparse state bytes per simulated GB are at
-//     most maxStateFrac of the dense baseline's;
-//  2. sparse ns/op at the largest footprint is within maxNsOpRatio of the
-//     sparse ns/op at the smallest footprint.
-func CheckScaleGate(points []*ScalePoint, maxStateFrac, maxNsOpRatio float64) error {
-	var smallest, largest *ScalePoint
-	var denseAtLargest *ScalePoint
-	for _, p := range points {
-		if p.Sparse {
-			if smallest == nil || p.Footprint < smallest.Footprint {
-				smallest = p
-			}
-			if largest == nil || p.Footprint > largest.Footprint {
-				largest = p
-			}
-		}
-	}
-	if smallest == nil || largest == nil {
-		return fmt.Errorf("harness: sweep has no sparse points")
-	}
-	for _, p := range points {
-		if !p.Sparse && p.Footprint == largest.Footprint {
-			denseAtLargest = p
-		}
-	}
-	if denseAtLargest == nil {
-		return fmt.Errorf("harness: sweep has no dense baseline at %s",
-			workload.FormatSize(largest.Footprint))
-	}
-	if largest.StatePerGB > maxStateFrac*denseAtLargest.StatePerGB {
-		return fmt.Errorf("harness: sparse state %.0f B/GB at %s exceeds %.0f%% of dense %.0f B/GB",
-			largest.StatePerGB, workload.FormatSize(largest.Footprint),
-			maxStateFrac*100, denseAtLargest.StatePerGB)
-	}
-	if smallest.NsPerOp > 0 && largest.NsPerOp > maxNsOpRatio*smallest.NsPerOp {
-		return fmt.Errorf("harness: sparse %.0f ns/op at %s exceeds %.1fx the %.0f ns/op at %s",
-			largest.NsPerOp, workload.FormatSize(largest.Footprint),
-			maxNsOpRatio, smallest.NsPerOp, workload.FormatSize(smallest.Footprint))
-	}
-	return nil
 }
 
 // ScaleFootprints is the committed sweep's footprint ladder, 1 GB to 1 TB.
@@ -176,16 +129,13 @@ func ScaleFootprints() []uint64 {
 // ScaleTable renders a completed sweep as the repro report table.
 func ScaleTable(points []*ScalePoint) *report.Table {
 	t := report.NewTable("Scaling sweep: simulator cost vs simulated footprint",
-		"footprint", "table", "ops", "ns/op",
-		"state_bytes", "state_B/GB", "regions", "spans")
+		"footprint", "ops", "ns/op", "state_bytes", "state_B/GB", "regions",
+		"sampled", "demotions", "cold_pct")
 	for _, p := range points {
-		kind := "dense"
-		if p.Sparse {
-			kind = "sparse"
-		}
-		t.AddF(workload.FormatSize(p.Footprint), kind, p.Ops,
+		t.AddF(workload.FormatSize(p.Footprint), p.Ops,
 			fmt.Sprintf("%.0f", p.NsPerOp), p.StateBytes,
-			fmt.Sprintf("%.0f", p.StatePerGB), p.Regions, p.Spans)
+			fmt.Sprintf("%.0f", p.StatePerGB), p.Regions,
+			p.Sampled, p.Demotions, fmt.Sprintf("%.1f", p.ColdPct))
 	}
 	return t
 }

@@ -21,10 +21,7 @@ import (
 // clear the Accessed bit plus the amortized invlpg.
 const DefaultEntryCostNs = 150
 
-// PageState tracks one region's scan history. A region is a single radix
-// leaf on a dense table; on a sparse table it can also be a multi-page span
-// summary, in which case Pages > 1 and the history describes the whole span
-// through its aggregate Accessed bit.
+// PageState tracks one leaf page's scan history.
 type PageState struct {
 	// IdleScans is the number of consecutive completed scans in which the
 	// page's Accessed bit stayed clear.
@@ -35,9 +32,6 @@ type PageState struct {
 	HotStreak int
 	// Level is the leaf grain at the last scan.
 	Level pagetable.Level
-	// Pages is the region's size in Level-grain pages at the last scan
-	// (1 for every radix leaf, the span length for a span summary).
-	Pages int
 }
 
 // Scanner is one kstaled instance over an address space.
@@ -80,8 +74,7 @@ func NewWithFlag(pt *pagetable.Table, tl *tlb.TLB, vpid tlb.VPID, entryCostNs in
 
 // Result summarizes one scan pass.
 type Result struct {
-	// Scanned is the number of regions (leaf entries and span summaries)
-	// visited; on a dense table every region is one leaf.
+	// Scanned is the number of leaf entries visited.
 	Scanned int
 	// AccessedSet is how many had the Accessed bit set.
 	AccessedSet int
@@ -89,13 +82,13 @@ type Result struct {
 	CostNs int64
 }
 
-// Scan performs one pass: for every mapped region, record whether Accessed
-// was set, clear it, and flush the region's TLB entry so the next touch
+// Scan performs one pass: for every present leaf, record whether Accessed
+// was set, clear it, and flush the page's TLB entry so the next touch
 // re-sets it. Pages that disappeared since the last pass are forgotten.
 func (s *Scanner) Scan() Result {
 	var res Result
 	seen := make(map[addr.Virt]struct{}, len(s.state))
-	s.pt.ScanClearRegions(s.flag, func(base addr.Virt, pages int, prior pagetable.Flags, lvl pagetable.Level) {
+	s.pt.ScanClear(s.flag, func(base addr.Virt, prior pagetable.Flags, lvl pagetable.Level) {
 		res.Scanned++
 		st := s.state[base]
 		if st == nil {
@@ -103,7 +96,6 @@ func (s *Scanner) Scan() Result {
 			s.state[base] = st
 		}
 		st.Level = lvl
-		st.Pages = pages
 		seen[base] = struct{}{}
 		if prior.Has(s.flag) {
 			res.AccessedSet++
@@ -127,7 +119,7 @@ func (s *Scanner) Scan() Result {
 }
 
 // StateBytes reports the scanner's resident metadata: one history record
-// per tracked region.
+// per tracked page.
 func (s *Scanner) StateBytes() uint64 {
 	// map key + pointer + PageState: ~8 + 8 + 32 bytes per entry.
 	return uint64(len(s.state)) * 48
@@ -156,9 +148,6 @@ func (s *Scanner) IdleFraction(n int) float64 {
 		size := addr.PageSize4K
 		if st.Level == pagetable.Level2M {
 			size = addr.PageSize2M
-		}
-		if st.Pages > 1 {
-			size *= uint64(st.Pages)
 		}
 		total += size
 		if st.IdleScans >= n {

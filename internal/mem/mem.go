@@ -288,25 +288,6 @@ func (t *Tier) Alloc2M() (addr.Phys, error) {
 	return addr.Phys2M(fn), nil
 }
 
-// AllocContig2M allocates n physically contiguous 2MB frames and returns the
-// base of the run. It serves only from the never-allocated bump region (the
-// freed LIFO is not defragmented), so it is primarily an initial-population
-// path: before any Free2M it hands out exactly the frames n successive
-// Alloc2M calls would.
-func (t *Tier) AllocContig2M(n int) (addr.Phys, error) {
-	if n <= 0 {
-		return 0, fmt.Errorf("mem: AllocContig2M of %d frames", n)
-	}
-	if t.end2M-t.next2M < uint64(n) {
-		return 0, fmt.Errorf("%w: %s tier has %d contiguous frames, need %d",
-			ErrOutOfMemory, t.id, t.end2M-t.next2M, n)
-	}
-	fn := t.next2M
-	t.next2M += uint64(n)
-	t.used += uint64(n) * addr.PageSize2M
-	return addr.Phys2M(fn), nil
-}
-
 // Free2M releases a 2MB frame previously returned by Alloc2M.
 func (t *Tier) Free2M(p addr.Phys) {
 	if p.Base2M() != p {

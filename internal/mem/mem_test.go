@@ -236,35 +236,6 @@ func TestMeter(t *testing.T) {
 	}
 }
 
-// TestAllocContig2M serves contiguous runs from the bump region: before any
-// free it hands out exactly the frames successive Alloc2M calls would.
-func TestAllocContig2M(t *testing.T) {
-	tier := testTier(16 << 20) // eight 2MB frames
-	base, err := tier.AllocContig2M(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := tier.Alloc2M()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := base + addr.Phys(4*addr.PageSize2M); p != want {
-		t.Fatalf("Alloc2M after AllocContig2M(4) = %s, want %s", p, want)
-	}
-	if tier.Used() != 5*addr.PageSize2M {
-		t.Fatalf("Used = %d, want %d", tier.Used(), 5*addr.PageSize2M)
-	}
-	// Freed frames don't defragment into contiguous runs: three bump frames
-	// remain, and the freed one doesn't extend them.
-	tier.Free2M(base)
-	if _, err := tier.AllocContig2M(4); !errors.Is(err, ErrOutOfMemory) {
-		t.Fatalf("AllocContig2M beyond bump region = %v, want ErrOutOfMemory", err)
-	}
-	if _, err := tier.AllocContig2M(3); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestLazyAllocOrder pins the allocation sequence the lazy bump allocator
 // must preserve from the eager free list it replaced: frames hand out from
 // the tier base upward, and freed frames are reused LIFO before the bump

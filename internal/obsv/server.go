@@ -16,7 +16,7 @@ import (
 
 // Server exposes a Publisher over HTTP. It replaces the old sim-only debug
 // server: the same mux carries the observability endpoints plus pprof and
-// expvar, so one -serve (or -pprof) address inspects everything.
+// expvar, so one -serve address inspects everything.
 //
 // Endpoints:
 //
@@ -119,8 +119,7 @@ func Serve(addr string, pub *Publisher) (*Server, string, error) {
 	return s, bound, nil
 }
 
-// ServeAll starts one full server on pub per distinct non-empty address
-// (-serve and -pprof name the same plane: metrics, status, pprof, expvar),
+// ServeAll starts one full server on pub per distinct non-empty address,
 // logging each bound listener.
 func ServeAll(pub *Publisher, logger *slog.Logger, addrs ...string) ([]*Server, error) {
 	var servers []*Server

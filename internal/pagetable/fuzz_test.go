@@ -75,7 +75,6 @@ func checkLeafIndex(t *testing.T, pt *Table, salt uint64) {
 	if i != len(ref) {
 		t.Fatalf("index visited %d leaves, radix walk %d", i, len(ref))
 	}
-	// Radix-only counts: span-held pages (pt.spanPages) have no leaf refs.
 	if got := len(ref); got != pt.count4K+pt.count2M {
 		t.Fatalf("scan visited %d leaves, counts say %d", got, pt.count4K+pt.count2M)
 	}
@@ -111,9 +110,9 @@ func checkSlots(t *testing.T, pt *Table, ref []visit) {
 	}
 }
 
-// checkRangeSweeps compares ScanRange, ScanRegionsRange and ClearFlagsRange
-// against a filter over the radix walk, on ranges whose bounds are not 2MB-
-// (or even 4KB-) aligned and so cut through split regions.
+// checkRangeSweeps compares ScanRange and ClearFlagsRange against a filter
+// over the radix walk, on ranges whose bounds are not 2MB- (or even 4KB-)
+// aligned and so cut through split regions.
 func checkRangeSweeps(t *testing.T, pt *Table, ref []visit, salt uint64) {
 	t.Helper()
 	const universe = 26 * addr.PageSize2M // the fuzzers map regions 0..23
@@ -136,51 +135,12 @@ func checkRangeSweeps(t *testing.T, pt *Table, ref []visit, salt uint64) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("ScanRange(%s): %d visits, radix filter has %d", r, len(got), len(want))
 		}
-		// ScanRegionsRange: the same leaves with pages == 1, then the spans
-		// based in r.
-		got = got[:0]
-		var gotSpans []addr.Virt
-		pt.ScanRegionsRange(r, func(b addr.Virt, pages int, e *Entry, l Level) {
-			if len(gotSpans) == 0 && pt.spanOf(b) == nil {
-				if pages != 1 {
-					t.Fatalf("ScanRegionsRange(%s): leaf %s has %d pages", r, b, pages)
-				}
-				got = append(got, visit{b, e, l})
-				return
-			}
-			gotSpans = append(gotSpans, b)
-		})
-		if !slices.Equal(got, want) {
-			t.Fatalf("ScanRegionsRange(%s): %d leaf visits, radix filter has %d", r, len(got), len(want))
-		}
-		var wantSpans []addr.Virt
-		spanPages := 0
-		for si := range pt.spans {
-			sp := &pt.spans[si]
-			if sp.vbase >= r.Start && sp.vbase < r.End {
-				wantSpans = append(wantSpans, sp.vbase)
-			}
-			lo, hi := sp.vbase, sp.end()
-			if lo < r.Start {
-				lo = r.Start
-			}
-			if hi > r.End {
-				hi = r.End
-			}
-			if hi > lo {
-				spanPages += int(uint64(hi-lo) >> addr.PageShift2M)
-			}
-		}
-		if !slices.Equal(gotSpans, wantSpans) {
-			t.Fatalf("ScanRegionsRange(%s): spans %v, want %v", r, gotSpans, wantSpans)
-		}
 		// ClearFlagsRange clears the probe bit from exactly the leaves in r.
 		for _, w := range ref {
 			w.e.Flags |= probeFlag
 		}
-		if n := pt.ClearFlagsRange(r, probeFlag); n != len(want)+spanPages {
-			t.Fatalf("ClearFlagsRange(%s) visited %d pages, want %d leaves + %d span pages",
-				r, n, len(want), spanPages)
+		if n := pt.ClearFlagsRange(r, probeFlag); n != len(want) {
+			t.Fatalf("ClearFlagsRange(%s) visited %d pages, want %d leaves", r, n, len(want))
 		}
 		for _, w := range ref {
 			inRange := w.base >= r.Start && w.base < r.End
@@ -193,65 +153,50 @@ func checkRangeSweeps(t *testing.T, pt *Table, ref []visit, salt uint64) {
 	}
 }
 
-// checkRegionScans: RegionCount equals the number of ScanRegions visits,
-// which are the radix leaves plus the spans in strictly increasing address
-// order, and ScanClearRegions visits the same sequence once each, reporting
-// prior flags and clearing the mask.
+// checkRegionScans: ScanRegions visits exactly the radix leaves, each with
+// pages == 1, RegionCount equals the number of visits, and ScanClear visits
+// the same sequence once each, reporting prior flags and clearing the mask.
 func checkRegionScans(t *testing.T, pt *Table, ref []visit) {
 	t.Helper()
-	type region struct {
-		base  addr.Virt
-		pages int
-		span  bool // its entry is synthesized per visit
-		flags Flags
-		lvl   Level
-	}
-	var full []region
+	var full []visit
 	pt.ScanRegions(func(b addr.Virt, pages int, e *Entry, l Level) {
-		full = append(full, region{b, pages, pt.spanOf(b) != nil, e.Flags, l})
+		if pages != 1 {
+			t.Fatalf("ScanRegions: leaf %s has %d pages", b, pages)
+		}
+		full = append(full, visit{b, e, l})
 	})
+	if !slices.Equal(full, ref) {
+		t.Fatalf("ScanRegions visited %d regions, radix walk has %d leaves", len(full), len(ref))
+	}
 	if pt.RegionCount() != len(full) {
 		t.Fatalf("RegionCount = %d, ScanRegions visited %d", pt.RegionCount(), len(full))
-	}
-	if len(full) != len(ref)+len(pt.spans) {
-		t.Fatalf("ScanRegions visited %d regions, want %d leaves + %d spans", len(full), len(ref), len(pt.spans))
-	}
-	for k := 1; k < len(full); k++ {
-		if full[k-1].base >= full[k].base {
-			t.Fatalf("ScanRegions out of order: %s then %s", full[k-1].base, full[k].base)
-		}
 	}
 	// Every leaf carries the probe bit going in, every visit must report it
 	// as prior (a leaf visited twice would not), and the clear takes that bit
 	// and no other.
-	for _, w := range ref {
+	flags := make([]Flags, len(ref))
+	for k, w := range ref {
+		flags[k] = w.e.Flags
 		w.e.Flags |= probeFlag
 	}
 	k := 0
-	pt.ScanClearRegions(probeFlag, func(b addr.Virt, pages int, prior Flags, l Level) {
-		if k >= len(full) || b != full[k].base || pages != full[k].pages || l != full[k].lvl {
-			t.Fatalf("clear visit %d: got (%s, %d, %d), ScanRegions has %d regions",
-				k, b, pages, l, len(full))
+	pt.ScanClear(probeFlag, func(b addr.Virt, prior Flags, l Level) {
+		if k >= len(ref) || b != ref[k].base || l != ref[k].lvl {
+			t.Fatalf("clear visit %d: got (%s, %d), radix walk has %d leaves", k, b, l, len(ref))
 		}
-		want := full[k].flags
-		if !full[k].span {
-			want |= probeFlag
-		}
-		if prior != want {
-			t.Fatalf("clear visit %d at %s: prior %b, want %b", k, b, prior, want)
+		if prior != flags[k]|probeFlag {
+			t.Fatalf("clear visit %d at %s: prior %b, want %b", k, b, prior, flags[k]|probeFlag)
 		}
 		k++
 	})
-	if k != len(full) {
-		t.Fatalf("clear visited %d regions, want %d", k, len(full))
+	if k != len(ref) {
+		t.Fatalf("clear visited %d leaves, want %d", k, len(ref))
 	}
-	k = 0
-	pt.ScanRegions(func(b addr.Virt, _ int, e *Entry, _ Level) {
-		if e.Flags != full[k].flags {
-			t.Fatalf("after clear %s has flags %b, want %b (only the probe bit gone)", b, e.Flags, full[k].flags)
+	for k, w := range ref {
+		if w.e.Flags != flags[k] {
+			t.Fatalf("after clear %s has flags %b, want %b (only the probe bit gone)", w.base, w.e.Flags, flags[k])
 		}
-		k++
-	})
+	}
 }
 
 // FuzzLeafIndex drives random interleavings of the structural mutators and

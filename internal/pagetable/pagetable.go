@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"unsafe"
 
 	"thermostat/internal/addr"
 )
@@ -90,13 +91,13 @@ type regionRef struct {
 // Table is a 4-level page table.
 //
 // Alongside the radix tree it maintains index, an ordered list of the PD
-// slots that hold any leaf. Sweeps (Scan, ScanRange, the region scans in
-// spans.go) walk the index linearly and expand each slot in place: a slot
-// with no PT node under it is one 2MB leaf, otherwise the PT node is walked
-// for its present 4KB leaves. Invariant: index holds exactly one ref
-// per PD slot with at least one present leaf, in strictly increasing base
-// order, so a sweep visits leaves in the order a depth-first radix walk
-// produces (scanRadix in fuzz_test.go is that walk, kept as the fuzz oracle).
+// slots that hold any leaf. Sweeps (Scan, ScanRange) walk the index linearly
+// and expand each slot in place: a slot with no PT node under it is one 2MB
+// leaf, otherwise the PT node is walked for its present 4KB leaves.
+// Invariant: index holds exactly one ref per PD slot with at least one
+// present leaf, in strictly increasing base order, so a sweep visits leaves
+// in the order a depth-first radix walk produces (scanRadix in fuzz_test.go
+// is that walk, kept as the fuzz oracle).
 // Split and Collapse change what a slot holds, never whether it holds
 // something, so they leave the index alone; Map2M/Unmap of a huge leaf and
 // the first Map4K into / last Unmap out of a PT node insert or remove one ref.
@@ -107,11 +108,6 @@ type Table struct {
 	index   []regionRef
 	// nodes counts allocated radix nodes (root included) for StateBytes.
 	nodes int
-	// Hybrid sparse mode (spans.go): spansOn arms it, spans is the ordered
-	// region-summary list, spanPages counts the 2MB pages those spans hold.
-	spansOn   bool
-	spans     []span
-	spanPages int
 }
 
 // New returns an empty table.
@@ -152,13 +148,12 @@ func (t *Table) removeSlot(b addr.Virt) {
 // Count4K returns the number of present 4KB leaf entries.
 func (t *Table) Count4K() int { return t.count4K }
 
-// Count2M returns the number of present 2MB leaf entries, span-held pages
-// included.
-func (t *Table) Count2M() int { return t.count2M + t.spanPages }
+// Count2M returns the number of present 2MB leaf entries.
+func (t *Table) Count2M() int { return t.count2M }
 
 // MappedBytes returns the total bytes mapped.
 func (t *Table) MappedBytes() uint64 {
-	return uint64(t.count4K)*addr.PageSize4K + uint64(t.count2M+t.spanPages)*addr.PageSize2M
+	return uint64(t.count4K)*addr.PageSize4K + uint64(t.count2M)*addr.PageSize2M
 }
 
 // pdNode returns the PD node covering v — the node whose entries are 2MB
@@ -218,9 +213,6 @@ func (t *Table) Map2M(v addr.Virt, p addr.Phys, flags Flags) error {
 	if p.Base2M() != p {
 		return fmt.Errorf("pagetable: Map2M of unaligned physical %s", p)
 	}
-	if len(t.spans) != 0 && t.spanIdx(v) >= 0 {
-		return fmt.Errorf("pagetable: %s already span-mapped", v)
-	}
 	pd := t.pdNode(v, true)
 	i := addr.Index(v, 2)
 	if pd.entries[i].Flags.Has(Present) {
@@ -237,19 +229,8 @@ func (t *Table) Map2M(v addr.Virt, p addr.Phys, flags Flags) error {
 }
 
 // Lookup finds the translation for v without side effects (no Accessed
-// update, no poison fault). ok is false if v is unmapped. In sparse mode a
-// radix miss falls back to the span list.
+// update, no poison fault). ok is false if v is unmapped.
 func (t *Table) Lookup(v addr.Virt) (Entry, Level, bool) {
-	if e, lvl, ok := t.lookupRadix(v); ok {
-		return e, lvl, true
-	}
-	if len(t.spans) != 0 {
-		return t.lookupSpan(v)
-	}
-	return Entry{}, 0, false
-}
-
-func (t *Table) lookupRadix(v addr.Virt) (Entry, Level, bool) {
 	n := t.root
 	for l := 4; l >= 1; l-- {
 		i := addr.Index(v, l)
@@ -305,20 +286,8 @@ type WalkResult struct {
 // Walk performs a hardware page walk for v: finds the leaf, sets Accessed
 // (and Dirty for writes) unless the entry is poisoned, and reports the walk
 // depth. A poisoned leaf reports Poisoned=true and leaves flags untouched —
-// the MMU raises the fault before retiring the access. In sparse mode a
-// radix miss falls back to the span list: a span hit walks at the same depth
-// as a dense 2MB leaf and sets Accessed/Dirty on the span aggregate.
+// the MMU raises the fault before retiring the access.
 func (t *Table) Walk(v addr.Virt, write bool) WalkResult {
-	r := t.walkRadix(v, write)
-	if !r.Found && len(t.spans) != 0 {
-		if sr, ok := t.walkSpan(v, write); ok {
-			return sr
-		}
-	}
-	return r
-}
-
-func (t *Table) walkRadix(v addr.Virt, write bool) WalkResult {
 	n := t.root
 	depth := 0
 	for l := 4; l >= 1; l-- {
@@ -352,19 +321,8 @@ func (t *Table) finishWalk(e *Entry, lvl Level, depth int, write bool) WalkResul
 	return WalkResult{Entry: *e, Level: lvl, Found: true, Depth: depth}
 }
 
-// entryRef returns a pointer to the leaf entry mapping v, or nil. In sparse
-// mode a span-mapped page is carved into a radix leaf first: every
-// flag-mutating or migrating caller (SetFlags, ClearFlags, Remap, EntryRef —
-// hence poisoning) is a page-grain touch that re-splits its region.
+// entryRef returns a pointer to the leaf entry mapping v, or nil.
 func (t *Table) entryRef(v addr.Virt) (*Entry, Level) {
-	e, lvl := t.entryRefRadix(v)
-	if e == nil && len(t.spans) != 0 && t.carve(v) {
-		return t.entryRefRadix(v)
-	}
-	return e, lvl
-}
-
-func (t *Table) entryRefRadix(v addr.Virt) (*Entry, Level) {
 	n := t.root
 	for l := 4; l >= 1; l-- {
 		i := addr.Index(v, l)
@@ -426,12 +384,8 @@ func (t *Table) Remap(v addr.Virt, p addr.Phys) (addr.Phys, error) {
 }
 
 // Unmap removes the leaf mapping v at whichever grain it exists. Returns the
-// removed entry and its level. A span-mapped page is carved first (page-grain
-// unmap; UnmapSpan is the bulk path).
+// removed entry and its level.
 func (t *Table) Unmap(v addr.Virt) (Entry, Level, error) {
-	if len(t.spans) != 0 {
-		t.carve(v)
-	}
 	// Walk down remembering the path so empty nodes can be pruned.
 	var path [4]pruneStep
 	n := t.root
@@ -495,9 +449,6 @@ func (t *Table) prune(path []pruneStep) {
 // post-split scans observe fresh access information.
 func (t *Table) Split(v addr.Virt) error {
 	hv := v.Base2M()
-	if len(t.spans) != 0 {
-		t.carve(hv)
-	}
 	pd := t.pdNode(hv, false)
 	if pd == nil {
 		return fmt.Errorf("pagetable: Split of unmapped %s", hv)
@@ -643,10 +594,7 @@ func (t *Table) ScanClear(mask Flags, fn func(base addr.Virt, prior Flags, lvl L
 // ClearFlagsRange clears mask from every present leaf whose base falls in r
 // and returns the number of pages visited. It is the batched form of
 // per-page ClearFlags for the engine's restore pass: one sweep instead of
-// one radix descent per page. Spans overlapping r have the mask cleared from
-// their whole aggregate (conservative: region-grain flags cannot be cleared
-// for part of a region) and contribute their overlapping page count to the
-// return value.
+// one radix descent per page.
 func (t *Table) ClearFlagsRange(r addr.Range, mask Flags) int {
 	visited := 0
 	t.ScanRange(r, func(_ addr.Virt, e *Entry, _ Level) {
@@ -655,24 +603,6 @@ func (t *Table) ClearFlagsRange(r addr.Range, mask Flags) int {
 		}
 		visited++
 	})
-	if len(t.spans) != 0 {
-		sp := t.spans
-		j := sort.Search(len(sp), func(k int) bool { return sp[k].end() > r.Start })
-		for ; j < len(sp) && sp[j].vbase < r.End; j++ {
-			s := &sp[j]
-			if s.flags&mask != 0 {
-				s.flags &^= mask
-			}
-			lo, hi := s.vbase, s.end()
-			if lo < r.Start {
-				lo = r.Start
-			}
-			if hi > r.End {
-				hi = r.End
-			}
-			visited += int(uint64(hi-lo) >> addr.PageShift2M)
-		}
-	}
 	return visited
 }
 
@@ -687,4 +617,21 @@ func (t *Table) EntryRef(v addr.Virt) (*Entry, Level, bool) {
 		return nil, 0, false
 	}
 	return e, lvl, true
+}
+
+// ScanRegions is Scan with a page count that is always 1, kept because
+// bench/replay.go calls it; in-tree code uses Scan.
+func (t *Table) ScanRegions(fn func(base addr.Virt, pages int, e *Entry, lvl Level)) {
+	t.Scan(func(base addr.Virt, e *Entry, lvl Level) { fn(base, 1, e, lvl) })
+}
+
+// RegionCount returns the number of present leaves at either grain.
+func (t *Table) RegionCount() int { return t.count4K + t.count2M }
+
+// StateBytes returns the table's resident simulator-state footprint: radix
+// nodes and the slot index. This is the numerator of the scaling benchmark's
+// state-bytes-per-simulated-GB metric.
+func (t *Table) StateBytes() uint64 {
+	return uint64(t.nodes)*uint64(unsafe.Sizeof(node{})) +
+		uint64(cap(t.index))*uint64(unsafe.Sizeof(regionRef{}))
 }

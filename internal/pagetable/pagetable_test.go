@@ -3,6 +3,7 @@ package pagetable
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"thermostat/internal/addr"
 	"thermostat/internal/rng"
@@ -474,5 +475,86 @@ func BenchmarkSplit(b *testing.B) {
 		if err := pt.Split(addr.Virt2M(1)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestScanRegionsDense: ScanRegions is exactly Scan with pages == 1.
+func TestScanRegionsDense(t *testing.T) {
+	pt := New()
+	for i := uint64(0); i < 6; i++ {
+		if err := pt.Map2M(addr.Virt2M(i), addr.Phys2M(i), Writable); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pt.Split(addr.Virt2M(2)); err != nil {
+		t.Fatal(err)
+	}
+	var ref []visit
+	pt.Scan(func(b addr.Virt, e *Entry, l Level) { ref = append(ref, visit{b, e, l}) })
+	i := 0
+	pt.ScanRegions(func(b addr.Virt, pages int, e *Entry, l Level) {
+		if pages != 1 {
+			t.Fatalf("dense region at %s has %d pages", b, pages)
+		}
+		w := ref[i]
+		if b != w.base || e != w.e || l != w.lvl {
+			t.Fatalf("visit %d: got (%s, %p, %d), Scan has (%s, %p, %d)", i, b, e, l, w.base, w.e, w.lvl)
+		}
+		i++
+	})
+	if i != len(ref) || pt.RegionCount() != len(ref) {
+		t.Fatalf("ScanRegions visited %d, Scan %d, RegionCount %d", i, len(ref), pt.RegionCount())
+	}
+}
+
+// TestStateBytesTracksStructure: the index is counted at cap × ref size, a
+// Split+Collapse round trip costs exactly the one PT node while split and
+// nothing after, and unmapping everything returns to the pre-map value.
+func TestStateBytesTracksStructure(t *testing.T) {
+	pt := New()
+	empty := pt.StateBytes()
+	const n = 300
+	for i := uint64(0); i < n; i++ {
+		if err := pt.Map2M(addr.Virt2M(i), addr.Phys2M(i), Writable); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mapped := pt.StateBytes()
+	// Root, PDPT, PD, and the index.
+	want := 3*uint64(unsafe.Sizeof(node{})) + uint64(cap(pt.index))*uint64(unsafe.Sizeof(regionRef{}))
+	if mapped != want || cap(pt.index) < n {
+		t.Fatalf("StateBytes = %d with index cap %d, want %d", mapped, cap(pt.index), want)
+	}
+	if err := pt.Split(addr.Virt2M(n / 2)); err != nil {
+		t.Fatal(err)
+	}
+	if got := pt.StateBytes(); got != mapped+uint64(unsafe.Sizeof(node{})) {
+		t.Fatalf("split added %d bytes, want one PT node (%d)", got-mapped, unsafe.Sizeof(node{}))
+	}
+	if err := pt.Collapse(addr.Virt2M(n / 2)); err != nil {
+		t.Fatal(err)
+	}
+	if got := pt.StateBytes(); got != mapped {
+		t.Fatalf("StateBytes after split+collapse = %d, before %d", got, mapped)
+	}
+	// Unmap through a split region too, so the last-4KB-leaf path runs.
+	if err := pt.Split(addr.Virt2M(7)); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < n; i++ {
+		if i == 7 {
+			for j := uint64(0); j < uint64(addr.PagesPerHuge); j++ {
+				if _, _, err := pt.Unmap(addr.Virt2M(i) + addr.Virt(j*addr.PageSize4K)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			continue
+		}
+		if _, _, err := pt.Unmap(addr.Virt2M(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := pt.StateBytes(); got != empty {
+		t.Fatalf("StateBytes after unmapping everything = %d, empty table %d", got, empty)
 	}
 }

@@ -31,33 +31,6 @@ func (f *Footprint) AddLeaf(lvl pagetable.Level, tier mem.TierID) {
 	}
 }
 
-// AddRegion accumulates a pages-sized region of the given grain and tier —
-// the region-grain form of AddLeaf that hybrid (span-aware) scans feed.
-func (f *Footprint) AddRegion(lvl pagetable.Level, tier mem.TierID, pages int) {
-	size := uint64(pages) * addr.PageSize4K
-	if lvl == pagetable.Level2M {
-		size = uint64(pages) * addr.PageSize2M
-	}
-	slow := tier != mem.Fast
-	switch {
-	case lvl == pagetable.Level2M && slow:
-		f.Cold2M += size
-	case lvl == pagetable.Level2M:
-		f.Hot2M += size
-	case slow:
-		f.Cold4K += size
-	default:
-		f.Hot4K += size
-	}
-	if int(tier) < len(f.ByTier) {
-		if lvl == pagetable.Level2M {
-			f.ByTier[tier].Bytes2M += size
-		} else {
-			f.ByTier[tier].Bytes4K += size
-		}
-	}
-}
-
 // AllHotFootprint classifies every mapped leaf as top-tier resident — the
 // accounting for policies that never migrate (NullPolicy and the harness
 // scan baselines). It reads the page table's leaf counters instead of

@@ -24,7 +24,6 @@ import (
 	"thermostat/internal/stats"
 	"thermostat/internal/telemetry"
 	"thermostat/internal/tlb"
-	"thermostat/internal/vm"
 	"thermostat/internal/walk"
 )
 
@@ -61,7 +60,7 @@ func (m SlowMemMode) String() string {
 // Config assembles a machine.
 type Config struct {
 	// VM is the virtualization setup (default: nested, huge host pages).
-	VM vm.Config
+	VM VMConfig
 	// TLB sizes the translation caches (L2Entries must be at least
 	// L1Entries: the hierarchy is inclusive).
 	TLB tlb.Config
@@ -99,12 +98,6 @@ type Config struct {
 	// injector at all, so default machines are bit-identical to pre-chaos
 	// builds.
 	Chaos chaos.Config
-	// Sparse arms the hybrid span-compressed page-table representation:
-	// huge regions allocate as Telescope-style region summaries and carve
-	// to page grain on first page-grain touch (sampling, poisoning,
-	// migration). Off by default — dense machines are byte-identical to
-	// pre-sparse builds; see DESIGN.md "Scaling to terabytes".
-	Sparse bool
 }
 
 // DefaultConfig returns the paper's evaluated machine: KVM guest with huge
@@ -112,7 +105,7 @@ type Config struct {
 // slow-memory emulation.
 func DefaultConfig(fastBytes, slowBytes uint64) Config {
 	return Config{
-		VM:       vm.DefaultConfig(),
+		VM:       DefaultVMConfig(),
 		TLB:      tlb.DefaultConfig(),
 		LLC:      cache.DefaultConfig(),
 		Walk:     walk.DefaultConfig(),
@@ -169,7 +162,7 @@ type Machine struct {
 	tl    *tlb.TLB
 	llc   *cache.Cache
 	wm    *walk.Model
-	guest *vm.VM
+	guest *VM
 	trap  *badgertrap.Trap
 	reg   *fault.Registry
 	mig   *numa.Migrator
@@ -253,10 +246,10 @@ func New(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	vpid := tlb.VPID(1)
-	if cfg.VM.Mode == vm.Native {
+	if cfg.VM.Mode == Native {
 		vpid = tlb.HostVPID
 	}
-	guest, err := vm.New(cfg.VM, vpid)
+	guest, err := newVM(cfg.VM, vpid)
 	if err != nil {
 		return nil, err
 	}
@@ -264,14 +257,10 @@ func New(cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	pt := pagetable.New()
-	if cfg.Sparse {
-		pt.EnableSpans()
-	}
 	m := &Machine{
 		cfg:          cfg,
 		sys:          sys,
-		pt:           pt,
+		pt:           pagetable.New(),
 		tl:           tlb.New(cfg.TLB),
 		llc:          cache.New(cfg.LLC),
 		wm:           wm,
@@ -364,7 +353,7 @@ func (m *Machine) FaultReport() chaos.Report {
 }
 
 // Guest returns the virtualization layer.
-func (m *Machine) Guest() *vm.VM { return m.guest }
+func (m *Machine) Guest() *VM { return m.guest }
 
 // VPID returns the guest's TLB tag.
 func (m *Machine) VPID() tlb.VPID { return m.guest.VPID() }
@@ -402,19 +391,7 @@ func (m *Machine) AllocRegion(size uint64, huge bool) (addr.Range, error) {
 	start := m.next
 	r := addr.NewRange(start, size)
 	fast := m.sys.Tier(mem.Fast)
-	if huge && m.cfg.Sparse {
-		// Sparse mode: the whole region is one span record over one
-		// physically contiguous run — the same frames the per-page loop
-		// below would hand out from a fresh tier, at O(1) state.
-		pages := int(rounded / addr.PageSize2M)
-		p, err := fast.AllocContig2M(pages)
-		if err != nil {
-			return addr.Range{}, fmt.Errorf("sim: AllocRegion: %w", err)
-		}
-		if err := m.pt.MapSpan(start, p, pages, pagetable.Writable); err != nil {
-			return addr.Range{}, err
-		}
-	} else if huge {
+	if huge {
 		for v := start; v < start+addr.Virt(rounded); v += addr.Virt(addr.PageSize2M) {
 			p, err := fast.Alloc2M()
 			if err != nil {
@@ -458,16 +435,6 @@ func (m *Machine) FreeRegion(r addr.Range) ([]uint64, error) {
 		poi  bool
 		spl  bool
 	}
-	// Span-held pages first: whole cold runs return to their tier in bulk,
-	// trimming any span that accretion merged across the range boundary.
-	freed := make([]uint64, m.sys.NumTiers())
-	for _, run := range m.pt.UnmapSpansRange(r) {
-		tier := m.sys.TierOf(run.Pbase)
-		for i := 0; i < run.Pages; i++ {
-			m.sys.Tier(tier).Free2M(run.Pbase + addr.Phys(uint64(i)*addr.PageSize2M))
-		}
-		freed[tier] += uint64(run.Pages) * addr.PageSize2M
-	}
 	var leaves []leafInfo
 	m.pt.ScanRange(r, func(base addr.Virt, e *pagetable.Entry, lvl pagetable.Level) {
 		leaves = append(leaves, leafInfo{
@@ -500,6 +467,7 @@ func (m *Machine) FreeRegion(r addr.Range) ([]uint64, error) {
 	m.pt.ScanRange(r, func(base addr.Virt, e *pagetable.Entry, lvl pagetable.Level) {
 		final = append(final, leafInfo{base: base, lvl: lvl})
 	})
+	freed := make([]uint64, m.sys.NumTiers())
 	for _, l := range final {
 		e, lvl, err := m.pt.Unmap(l.base)
 		if err != nil {
@@ -830,14 +798,10 @@ func (m *Machine) ResetPageCounts() {
 	m.pcLow = nil
 }
 
-// Sparse reports whether the machine runs the hybrid span-compressed page
-// table.
-func (m *Machine) Sparse() bool { return m.cfg.Sparse }
-
 // StateBytes estimates the machine's footprint-dependent simulator state:
-// page table (radix nodes, PD-slot index, spans), tier allocators, BadgerTrap
+// page table (radix nodes, PD-slot index), tier allocators, BadgerTrap
 // fault counts, and the ground-truth page counters. Fixed-size components
-// (TLB, LLC, walk model) are excluded — the scaling gate tracks how state
+// (TLB, LLC, walk model) are excluded — the scaling sweep tracks how state
 // grows with simulated footprint, and they don't.
 func (m *Machine) StateBytes() uint64 {
 	return m.pt.StateBytes() + m.sys.StateBytes() + m.trap.StateBytes() +

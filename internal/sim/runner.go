@@ -477,7 +477,7 @@ func Slowdown(baseline, policy *RunResult) float64 {
 // tier into Cold.
 func ScanFootprint(m *Machine, ranges []addr.Range) Footprint {
 	fp := Footprint{ByTier: make([]TierBytes, m.Memory().NumTiers())}
-	m.PageTable().ScanRegions(func(base addr.Virt, pages int, e *pagetable.Entry, lvl pagetable.Level) {
+	m.PageTable().Scan(func(base addr.Virt, e *pagetable.Entry, lvl pagetable.Level) {
 		if ranges != nil {
 			in := false
 			for _, r := range ranges {
@@ -490,7 +490,7 @@ func ScanFootprint(m *Machine, ranges []addr.Range) Footprint {
 				return
 			}
 		}
-		fp.AddRegion(lvl, m.Memory().TierOf(e.Frame), pages)
+		fp.AddLeaf(lvl, m.Memory().TierOf(e.Frame))
 	})
 	return fp
 }

@@ -8,7 +8,6 @@ import (
 	"thermostat/internal/mem"
 	"thermostat/internal/rng"
 	"thermostat/internal/stats"
-	"thermostat/internal/vm"
 	"thermostat/internal/walk"
 )
 
@@ -230,7 +229,7 @@ func TestClockAdvancesByLatencyOverThreads(t *testing.T) {
 func TestNativeModeMachine(t *testing.T) {
 	t.Parallel()
 	cfg := DefaultConfig(64<<20, 64<<20)
-	cfg.VM = vm.Config{Mode: vm.Native}
+	cfg.VM = VMConfig{Mode: Native}
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

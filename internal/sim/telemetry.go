@@ -145,14 +145,10 @@ func (t *epochTracker) end(nowNs int64) {
 		snap.TierOccupancy[i] = tier.Used()
 	}
 
-	// One sweep of the hybrid region view gathers the poisoned-leaf count
-	// and the placement-based hot/cold byte split. On a dense table this
-	// visits exactly the leaves the old per-leaf Scan did; in sparse mode a
-	// cold terabyte is a handful of span summaries, not half a million
-	// visits. The per-2MB-page map is only materialized when the confusion
-	// matrix actually consumes it (page counts enabled + policy exposes a
-	// cold set) — for every other run the epoch boundary does no O(pages)
-	// work at all.
+	// One page-table sweep gathers the poisoned-leaf count and the
+	// placement-based hot/cold byte split. The per-2MB-page map is only
+	// materialized when the confusion matrix actually consumes it (page
+	// counts enabled + policy exposes a cold set).
 	var counts map[addr.Virt]uint64
 	if t.cc != nil && t.prevCounts != nil {
 		counts = t.m.PageCounts()
@@ -163,7 +159,7 @@ func (t *epochTracker) end(nowNs int64) {
 		pages = make(map[addr.Virt]bool)
 	}
 	sys := t.m.Memory()
-	t.m.PageTable().ScanRegions(func(base addr.Virt, n int, e *pagetable.Entry, lvl pagetable.Level) {
+	t.m.PageTable().Scan(func(base addr.Virt, e *pagetable.Entry, lvl pagetable.Level) {
 		if e.Flags.Has(pagetable.Poisoned) {
 			snap.PoisonedPages++
 		}
@@ -172,16 +168,10 @@ func (t *epochTracker) end(nowNs int64) {
 		if lvl == pagetable.Level2M {
 			grain = addr.PageSize2M
 		}
-		snap.ColdBytes += boolBytes(cold, uint64(n)*grain)
-		snap.HotBytes += boolBytes(!cold, uint64(n)*grain)
+		snap.ColdBytes += boolBytes(cold, grain)
+		snap.HotBytes += boolBytes(!cold, grain)
 		if pages != nil {
-			if n == 1 {
-				pages[base.Base2M()] = true
-			} else {
-				for i := 0; i < n; i++ {
-					pages[base+addr.Virt(uint64(i)*addr.PageSize2M)] = true
-				}
-			}
+			pages[base.Base2M()] = true
 		}
 	})
 

@@ -9,10 +9,9 @@ import (
 
 // benchEpochMachine builds a machine with footprint bytes mapped as one
 // contiguous huge-page region — the shape the epoch snapshot sweeps.
-func benchEpochMachine(b *testing.B, footprint uint64, sparse bool) *Machine {
+func benchEpochMachine(b *testing.B, footprint uint64) *Machine {
 	b.Helper()
 	cfg := DefaultConfig(footprint+64<<20, footprint+64<<20)
-	cfg.Sparse = sparse
 	cfg.Recorder = telemetry.Nop{}
 	m, err := New(cfg)
 	if err != nil {
@@ -33,27 +32,22 @@ func (benchColdPolicy) IsCold(addr.Virt) bool { return false }
 // BenchmarkEpochSnapshot measures one epoch-boundary close (the snapshot
 // sweep in epochTracker.end) over a 64 GB mapped footprint:
 //
-//   - dense: one visit per mapped 2MB leaf — the pre-rewrite cost shape,
-//     which every telemetry-enabled run used to pay at every boundary;
-//   - sparse: the idle footprint is span summaries, so the sweep is
-//     O(touched regions + spans);
+//   - dense: one visit per mapped 2MB leaf;
 //   - dense-confusion: page counts enabled and a policy exposing a cold
 //     set, so the per-2MB-page map is materialized — the O(pages) path,
-//     now only taken when the confusion matrix actually consumes it.
+//     only taken when the confusion matrix actually consumes it.
 func BenchmarkEpochSnapshot(b *testing.B) {
 	const footprint = 64 << 30
 	cases := []struct {
 		name      string
-		sparse    bool
 		confusion bool
 	}{
-		{"dense-64G", false, false},
-		{"sparse-64G", true, false},
-		{"dense-64G-confusion", false, true},
+		{"dense-64G", false},
+		{"dense-64G-confusion", true},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			m := benchEpochMachine(b, footprint, c.sparse)
+			m := benchEpochMachine(b, footprint)
 			var pol Policy
 			if c.confusion {
 				m.EnablePageCounts()

@@ -28,18 +28,8 @@ func (m *Machine) Verify() error {
 	owner := make(map[uint64]frameUse) // 4K frame number -> first user
 	mappedByTier := map[mem.TierID]uint64{}
 
-	// Span regions are checked at interval grain (a terabyte of spans must
-	// not materialize a per-4K map): alignment, tier, and pairwise frame
-	// disjointness against every other span and leaf.
-	type span struct {
-		v     addr.Virt
-		start uint64 // first 4K frame number
-		end   uint64 // one past last
-	}
-	var spans []span
-
 	var err error
-	m.pt.ScanRegions(func(base addr.Virt, pages int, e *pagetable.Entry, lvl pagetable.Level) {
+	m.pt.Scan(func(base addr.Virt, e *pagetable.Entry, lvl pagetable.Level) {
 		if err != nil {
 			return
 		}
@@ -47,16 +37,6 @@ func (m *Machine) Verify() error {
 		if int(tier) >= m.sys.NumTiers() {
 			err = fmt.Errorf("sim: leaf %s frame %s belongs to tier %d outside the %d-tier hierarchy",
 				base, e.Frame, int(tier), m.sys.NumTiers())
-			return
-		}
-		if pages > 1 {
-			if e.Frame.Base2M() != e.Frame {
-				err = fmt.Errorf("sim: span %s has unaligned frame base %s", base, e.Frame)
-				return
-			}
-			mappedByTier[tier] += uint64(pages) * addr.PageSize2M
-			spans = append(spans, span{v: base, start: e.Frame.FrameNum4K(),
-				end: e.Frame.FrameNum4K() + uint64(pages)*uint64(addr.PagesPerHuge)})
 			return
 		}
 		switch lvl {
@@ -96,18 +76,6 @@ func (m *Machine) Verify() error {
 	})
 	if err != nil {
 		return err
-	}
-	for i, s := range spans {
-		for _, o := range spans[i+1:] {
-			if s.start < o.end && o.start < s.end {
-				return fmt.Errorf("sim: spans %s and %s share physical frames", s.v, o.v)
-			}
-		}
-		for fn, use := range owner {
-			if fn >= s.start && fn < s.end {
-				return fmt.Errorf("sim: frame %#x mapped by both %s and span %s", fn, use.v, s.v)
-			}
-		}
 	}
 	for tier, mapped := range mappedByTier {
 		used := m.sys.Tier(tier).Used()

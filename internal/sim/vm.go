@@ -1,15 +1,4 @@
-// Package vm models the virtualization layer of the paper's testbed: KVM
-// guests with nested (two-dimensional) paging, VPID-tagged TLB entries, and
-// vmexit costs.
-//
-// The parts of virtualization that matter to Thermostat are (a) nested page
-// walks, which make 4KB page management drastically more expensive and
-// motivate huge-page awareness (Table 1), and (b) the placement of the
-// BadgerTrap fault handler: in the guest a poison fault costs ~1us, while in
-// the host every fault would vmexit, destroy the VPID-0-tagging invariant,
-// and cost far more — which is why the paper installs BadgerTrap in the
-// guest (§4.2).
-package vm
+package sim
 
 import (
 	"fmt"
@@ -46,8 +35,8 @@ func (m PagingMode) String() string {
 // host fault dispatch.
 const DefaultVMExitLatencyNs = 4000
 
-// Config describes one guest's virtualization setup.
-type Config struct {
+// VMConfig describes one guest's virtualization setup.
+type VMConfig struct {
 	// Mode selects native or nested paging.
 	Mode PagingMode
 	// HostHugePages selects 2MB host (EPT) mappings; false means the host
@@ -60,23 +49,32 @@ type Config struct {
 	VMExitLatencyNs int64
 }
 
-// DefaultConfig is the paper's evaluated configuration: KVM with huge pages
+// DefaultVMConfig is the paper's evaluated configuration: KVM with huge pages
 // at both levels and BadgerTrap in the guest.
-func DefaultConfig() Config {
-	return Config{Mode: Nested, HostHugePages: true}
+func DefaultVMConfig() VMConfig {
+	return VMConfig{Mode: Nested, HostHugePages: true}
 }
 
-// VM is one guest.
+// VM is one guest of the paper's testbed: KVM with nested (two-dimensional)
+// paging, VPID-tagged TLB entries, and vmexit costs.
+//
+// The parts of virtualization that matter to Thermostat are (a) nested page
+// walks, which make 4KB page management drastically more expensive and
+// motivate huge-page awareness (Table 1), and (b) the placement of the
+// BadgerTrap fault handler: in the guest a poison fault costs ~1us, while in
+// the host every fault would vmexit, destroy the VPID-0-tagging invariant,
+// and cost far more — which is why the paper installs BadgerTrap in the
+// guest (§4.2).
 type VM struct {
-	cfg  Config
+	cfg  VMConfig
 	vpid tlb.VPID
 }
 
-// New builds a guest with the given VPID (must be non-zero; VPID 0 is the
+// newVM builds a guest with the given VPID (must be non-zero; VPID 0 is the
 // host).
-func New(cfg Config, vpid tlb.VPID) (*VM, error) {
+func newVM(cfg VMConfig, vpid tlb.VPID) (*VM, error) {
 	if vpid == tlb.HostVPID && cfg.Mode == Nested {
-		return nil, fmt.Errorf("vm: guest VPID must be non-zero")
+		return nil, fmt.Errorf("sim: guest VPID must be non-zero")
 	}
 	if cfg.VMExitLatencyNs == 0 {
 		cfg.VMExitLatencyNs = DefaultVMExitLatencyNs
@@ -86,9 +84,6 @@ func New(cfg Config, vpid tlb.VPID) (*VM, error) {
 
 // VPID returns the guest's TLB tag.
 func (v *VM) VPID() tlb.VPID { return v.vpid }
-
-// Config returns the guest's configuration.
-func (v *VM) Config() Config { return v.cfg }
 
 // Nested reports whether translation is two-dimensional.
 func (v *VM) Nested() bool { return v.cfg.Mode == Nested }

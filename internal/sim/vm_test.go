@@ -1,4 +1,4 @@
-package vm
+package sim
 
 import (
 	"testing"
@@ -7,15 +7,15 @@ import (
 )
 
 func TestGuestVPIDValidation(t *testing.T) {
-	if _, err := New(DefaultConfig(), 0); err == nil {
+	if _, err := newVM(DefaultVMConfig(), 0); err == nil {
 		t.Fatal("nested guest with VPID 0 accepted")
 	}
-	g, err := New(DefaultConfig(), 1)
+	g, err := newVM(DefaultVMConfig(), 1)
 	if err != nil || g.VPID() != 1 {
 		t.Fatalf("New: %v", err)
 	}
 	// Native mode may use VPID 0 (bare metal host).
-	if _, err := New(Config{Mode: Native}, 0); err != nil {
+	if _, err := newVM(VMConfig{Mode: Native}, 0); err != nil {
 		t.Fatalf("native VPID 0 rejected: %v", err)
 	}
 }
@@ -23,19 +23,19 @@ func TestGuestVPIDValidation(t *testing.T) {
 func TestWalkAccessesMatrix(t *testing.T) {
 	cases := []struct {
 		name  string
-		cfg   Config
+		cfg   VMConfig
 		guest pagetable.Level
 		want  int
 	}{
-		{"native 4K", Config{Mode: Native}, pagetable.Level4K, 4},
-		{"native 2M", Config{Mode: Native}, pagetable.Level2M, 3},
-		{"nested 4K/4K", Config{Mode: Nested}, pagetable.Level4K, 24},
-		{"nested 2M/2M", Config{Mode: Nested, HostHugePages: true}, pagetable.Level2M, 15},
-		{"nested 2M/4K", Config{Mode: Nested}, pagetable.Level2M, 19},
-		{"nested 4K/2M", Config{Mode: Nested, HostHugePages: true}, pagetable.Level4K, 19},
+		{"native 4K", VMConfig{Mode: Native}, pagetable.Level4K, 4},
+		{"native 2M", VMConfig{Mode: Native}, pagetable.Level2M, 3},
+		{"nested 4K/4K", VMConfig{Mode: Nested}, pagetable.Level4K, 24},
+		{"nested 2M/2M", VMConfig{Mode: Nested, HostHugePages: true}, pagetable.Level2M, 15},
+		{"nested 2M/4K", VMConfig{Mode: Nested}, pagetable.Level2M, 19},
+		{"nested 4K/2M", VMConfig{Mode: Nested, HostHugePages: true}, pagetable.Level4K, 19},
 	}
 	for _, c := range cases {
-		g, err := New(c.cfg, 1)
+		g, err := newVM(c.cfg, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -46,20 +46,20 @@ func TestWalkAccessesMatrix(t *testing.T) {
 }
 
 func TestFaultOverhead(t *testing.T) {
-	guestTrap, _ := New(DefaultConfig(), 1)
+	guestTrap, _ := newVM(DefaultVMConfig(), 1)
 	if guestTrap.FaultOverheadNs() != 0 {
 		t.Fatal("guest-side trap should have no vmexit overhead")
 	}
-	hostTrap, _ := New(Config{Mode: Nested, TrapInHost: true}, 1)
+	hostTrap, _ := newVM(VMConfig{Mode: Nested, TrapInHost: true}, 1)
 	if hostTrap.FaultOverheadNs() != DefaultVMExitLatencyNs {
 		t.Fatalf("host-side trap overhead = %d", hostTrap.FaultOverheadNs())
 	}
-	custom, _ := New(Config{Mode: Nested, TrapInHost: true, VMExitLatencyNs: 9999}, 1)
+	custom, _ := newVM(VMConfig{Mode: Nested, TrapInHost: true, VMExitLatencyNs: 9999}, 1)
 	if custom.FaultOverheadNs() != 9999 {
 		t.Fatal("custom vmexit latency ignored")
 	}
 	// TrapInHost is meaningless without nesting.
-	native, _ := New(Config{Mode: Native, TrapInHost: true}, 0)
+	native, _ := newVM(VMConfig{Mode: Native, TrapInHost: true}, 0)
 	if native.FaultOverheadNs() != 0 {
 		t.Fatal("native mode should never charge vmexit")
 	}

@@ -102,10 +102,11 @@ go run ./cmd/thermostat-sim -tenants redis,web-search -scale tiny -duration 4 \
 echo "fleet: arbiter invariants hold; single-tenant fleet is bit-identical to solo"
 
 echo "== scaling gate"
-# Sparse region-grain state: state bytes per simulated GB shrink as the
-# footprint grows (see scripts/scale_gate.sh; the full 1 GB -> 1 TB sweep is
-# `repro -exp scale`).
-./scripts/scale_gate.sh
+# A scale point runs the paper's mechanism: sampled pages grow with the
+# footprint and pages are demoted (the full 1 GB -> 1 TB sweep is
+# `repro -exp scale`), and the sweep cell still benchmarks.
+go test -count=1 -short -run TestScalePointRunsThermostat ./internal/harness
+go test -run=NONE -bench 'BenchmarkScalePoint' -benchtime=1x ./internal/harness
 
 echo "== observability gate"
 # Live plane: mid-run /metrics satisfies the strict parser, /status and

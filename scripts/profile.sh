@@ -1,6 +1,6 @@
 #!/bin/sh
 # Capture CPU and allocation profiles of a seeded thermostat-sim run through
-# the CLI's -pprof debug server, writing pprof protos under results/profiles/.
+# the CLI's -serve debug server, writing pprof protos under results/profiles/.
 # View them with: go tool pprof -http=: results/profiles/cpu.pb.gz
 #
 # Usage: scripts/profile.sh [app] [scale] [cpu-profile-seconds]
@@ -26,7 +26,7 @@ go build -o "$OUT/.thermostat-sim" ./cmd/thermostat-sim
 # A long simulated duration keeps the process alive while profiles stream;
 # the run is killed once both captures finish.
 "$OUT/.thermostat-sim" -app "$APP" -scale "$SCALE" -duration 3600 \
-	-pprof "$ADDR" >/dev/null 2>&1 &
+	-serve "$ADDR" >/dev/null 2>&1 &
 SIM=$!
 trap 'kill "$SIM" 2>/dev/null || true; rm -rf "$OUT/.thermostat-sim" "$PPROF_TMPDIR"' EXIT
 
