@@ -250,6 +250,20 @@ func BenchmarkAccessBatch(b *testing.B) {
 	}
 }
 
+// benchRun times one seeded Thermostat run of spec at sc per iteration.
+func benchRun(b *testing.B, spec workload.Spec, sc harness.Scale) {
+	b.Helper()
+	for i := 0; i < b.N; i++ {
+		out, err := harness.Run(spec, sc, harness.Plan{SlowdownPct: 3})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			b.ReportMetric(float64(out.Result.Ops), "sim_ops")
+		}
+	}
+}
+
 // BenchmarkRunRedis measures the end-to-end wall-clock of one seeded
 // Thermostat run (redis at tiny scale): workload generation, the access
 // path, policy scans and migrations together. This is the single-run
@@ -258,13 +272,15 @@ func BenchmarkRunRedis(b *testing.B) {
 	sc := harness.Tiny()
 	sc.DurationNs = 4e9
 	sc.WarmupNs = 1e9
-	for i := 0; i < b.N; i++ {
-		out, err := harness.Run(workload.Redis(), sc, harness.Plan{SlowdownPct: 3})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(out.Result.Ops), "sim_ops")
-		}
-	}
+	benchRun(b, workload.Redis(), sc)
+}
+
+// BenchmarkRunWebSearch is BenchmarkRunRedis for a Zipfian app: web-search
+// at bench scale draws 99.6 % of its accesses through rng.Zipfian.Next,
+// redis none, so only this one sees what request generation costs.
+func BenchmarkRunWebSearch(b *testing.B) {
+	sc := harness.Bench()
+	sc.DurationNs = 20e9
+	sc.WarmupNs = 4e9
+	benchRun(b, workload.WebSearch(), sc)
 }

@@ -1,0 +1,230 @@
+package rng
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"testing"
+)
+
+var (
+	diffNs     = []uint64{3, 512, 2048, 2560, 4096, 83968, 1 << 20, 1 << 24}
+	diffThetas = []float64{0.5, 0.9, YCSBTheta}
+)
+
+// diffDraws compares z with the Pow reference on the same seeded stream.
+func diffDraws(z *Zipfian, seed uint64, draws int) error {
+	z.r = New(seed)
+	ref := newRefZipfian(New(seed), z)
+	for i := 0; i < draws; i++ {
+		if got, want := z.Next(), ref.Next(); got != want {
+			return fmt.Errorf("n=%d theta=%v seed=%d draw %d: got %d, reference %d", z.n, z.theta, seed, i, got, want)
+		}
+	}
+	return nil
+}
+
+// diffKs compares z with the Pow reference on chosen 53-bit draws.
+func diffKs(z *Zipfian, ks ...uint64) error {
+	ref := newRefZipfian(nil, z)
+	for _, k := range ks {
+		if got, want := z.draw(k), ref.draw(unit(k)); got != want {
+			return fmt.Errorf("n=%d theta=%v k=%#x (bucket %d): got %d, reference %d", z.n, z.theta, k, k>>guideShift, got, want)
+		}
+	}
+	return nil
+}
+
+// diffBucketEdges feeds z every bucket's first and last draw: the two draws
+// that decide its classification and the pair on either side of every
+// boundary between buckets.
+func diffBucketEdges(z *Zipfian) error {
+	ks := make([]uint64, 0, 2*guideBuckets)
+	for b := uint64(0); b < guideBuckets; b++ {
+		first := b << guideShift
+		ks = append(ks, first, first|(1<<guideShift-1))
+	}
+	return diffKs(z, ks...)
+}
+
+func TestZipfianMatchesPowReference(t *testing.T) {
+	draws := 1 << 22
+	if testing.Short() {
+		draws = 1 << 18
+	}
+	for _, n := range diffNs {
+		for _, theta := range diffThetas {
+			z := NewZipfian(nil, n, theta)
+			if z.guide == nil {
+				t.Fatalf("n=%d theta=%v: no guide table", n, theta)
+			}
+			// Random draws first, so the edges meet a partly filled table;
+			// then again, so every classified bucket is read back.
+			for pass := uint64(1); pass <= 2; pass++ {
+				if err := diffDraws(z, pass, draws/2); err != nil {
+					t.Fatal(err)
+				}
+				if err := diffBucketEdges(z); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// TestZipfianDiffCatchesLooseGuide seeds the mutation the margin and the
+// second endpoint exist to prevent — a bucket called constant from its first
+// draw alone — and requires the differential checks to notice.
+func TestZipfianDiffCatchesLooseGuide(t *testing.T) {
+	for _, n := range []uint64{512, 83968} {
+		loose := func() *Zipfian {
+			z := NewZipfian(nil, n, YCSBTheta)
+			for b := range z.guide {
+				lo := z.tail(unit(uint64(b) << guideShift))
+				z.guide[b] = guideConst + uint32(min(uint64(lo), z.n-1))
+			}
+			return z
+		}
+		if diffBucketEdges(loose()) == nil {
+			t.Errorf("n=%d: bucket edges agree with a guide built from first draws only", n)
+		}
+		if diffDraws(loose(), 1, 1<<16) == nil {
+			t.Errorf("n=%d: 2^16 draws agree with a guide built from first draws only", n)
+		}
+	}
+}
+
+// TestZipfianMarginRejectsCloseCall pins the margin on the one close call a
+// search of n < 6000 over the three thetas found away from the top bucket:
+// both endpoint values truncate to 3272, but the last is 2.1e-9 below 3273 —
+// inside (j+1)*2^-40 = 3.0e-9 — so the bucket stays on the Pow path.
+func TestZipfianMarginRejectsCloseCall(t *testing.T) {
+	const n, bucket = 5984, 61207
+	z := NewZipfian(nil, n, YCSBTheta)
+	first := uint64(bucket) << guideShift
+	last := first | (1<<guideShift - 1)
+	lo, hi := z.tail(unit(first)), z.tail(unit(last))
+	if math.Floor(lo) != 3272 || math.Floor(hi) != 3272 || 3273-hi >= 3273*guideMargin {
+		t.Fatalf("endpoints %v, %v are no longer a close call", lo, hi)
+	}
+	if err := diffKs(z, first, first+(last-first)/2, last); err != nil {
+		t.Fatal(err)
+	}
+	if z.guide[bucket] != guideMixed {
+		t.Errorf("guide[%d] = %d, want mixed", bucket, z.guide[bucket])
+	}
+}
+
+func TestZipfianTinyPopulations(t *testing.T) {
+	for n := uint64(1); n <= 3; n++ {
+		z := NewZipfian(New(n), n, YCSBTheta)
+		if math.IsNaN(z.eta) || math.IsNaN(z.head2) || math.IsNaN(z.zetan) {
+			t.Errorf("n=%d: NaN parameter: %+v", n, z)
+		}
+		if (z.guide != nil) != (n == 3) {
+			t.Errorf("n=%d: guide table present = %v", n, z.guide != nil)
+		}
+		seen := make([]int, n)
+		for i := 0; i < 1<<16; i++ {
+			v := z.Next()
+			if v >= n {
+				t.Fatalf("n=%d: draw %d out of range: %d", n, i, v)
+			}
+			seen[v]++
+		}
+		for item, c := range seen {
+			if c == 0 {
+				t.Errorf("n=%d: item %d never drawn in 2^16 draws", n, item)
+			}
+		}
+	}
+	// The largest draw is the one that used to reach the power branch for
+	// n = 2 when the two roundings of 2^-theta disagreed.
+	for _, theta := range diffThetas {
+		if v := NewZipfian(nil, 2, theta).draw(1<<53 - 1); v != 1 {
+			t.Errorf("n=2 theta=%v: largest draw = %d, want 1", theta, v)
+		}
+	}
+}
+
+// TestZipfianNextDoesNotAllocate pins 0 allocations per draw once
+// constructed, across first-touch classification, table hits and mixed
+// buckets.
+func TestZipfianNextDoesNotAllocate(t *testing.T) {
+	z := NewZipfian(New(1), 83968, YCSBTheta)
+	if allocs := testing.AllocsPerRun(1<<16, func() { z.Next() }); allocs != 0 {
+		t.Errorf("%v allocs per draw", allocs)
+	}
+	var unknown, mixed, constant int
+	for _, e := range z.guide {
+		switch {
+		case e == guideUnknown:
+			unknown++
+		case e == guideMixed:
+			mixed++
+		default:
+			constant++
+		}
+	}
+	if unknown == 0 || mixed == 0 || constant == 0 {
+		t.Errorf("draws did not leave all three kinds of bucket: %d unknown, %d mixed, %d constant", unknown, mixed, constant)
+	}
+}
+
+// fuzzZipfian decodes a FuzzZipfianVsPow input: one byte picking theta, eight
+// (little-endian) picking n, then eight per draw, of which the low 53 bits
+// count. n lands in [3, 2^26], or just past guideMaxN where no table is
+// built. zetan is a 2^13-term sum plus the integral of the rest: the exact
+// sum is up to 2^20 Pow calls per input, and a zetan within a fraction of a
+// percent of it exercises the same code.
+func fuzzZipfian(data []byte) (z *Zipfian, ks []uint64) {
+	if len(data) < 9 {
+		return nil, nil
+	}
+	theta := diffThetas[int(data[0])%len(diffThetas)]
+	raw := binary.LittleEndian.Uint64(data[1:])
+	n := 3 + raw%(1<<26-2)
+	if raw > guideMaxN {
+		n = guideMaxN + 1 + raw%(1<<20)
+	}
+	const head = 1 << 13
+	zetan := zeta(min(n, head), theta)
+	if n > head {
+		zetan += (math.Pow(float64(n), 1-theta) - math.Pow(head, 1-theta)) / (1 - theta)
+	}
+	for data = data[9:]; len(data) >= 8; data = data[8:] {
+		ks = append(ks, binary.LittleEndian.Uint64(data)&(1<<53-1))
+	}
+	return newZipfian(nil, n, theta, zetan), ks
+}
+
+// FuzzZipfianVsPow feeds raw draws to a fresh sampler and the Pow reference,
+// twice so that every bucket is first classified and then read back; seeds
+// are in testdata/fuzz/FuzzZipfianVsPow.
+func FuzzZipfianVsPow(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		z, ks := fuzzZipfian(data)
+		if z == nil {
+			return
+		}
+		for pass := 0; pass < 2; pass++ {
+			if err := diffKs(z, ks...); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
+func BenchmarkZipfianNext(b *testing.B) {
+	// The Zipf segments of websearch-tlbhit (512 and 4096 pages), bigmem-scan
+	// (83 968) and the 2^20 population this benchmark always had.
+	for _, n := range []uint64{512, 4096, 83968, 1 << 20} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			z := NewZipfian(New(1), n, YCSBTheta)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = z.Next()
+			}
+		})
+	}
+}

@@ -34,18 +34,66 @@ func (u *Uniform) N() uint64 { return u.n }
 // Zipfian draws from a Zipfian distribution over [0, n) with parameter theta,
 // using the Gray et al. rejection-free method popularized by YCSB. Item 0 is
 // the most popular.
+//
+// A draw is a 53-bit integer k, u = k/2^53, and (past the two head tests)
+// the item is trunc(n * Pow(eta*u-eta+1, alpha)). math.Pow is most of that
+// cost, so the inverse CDF is memoised in a guide table over k's top bits:
+// each of the guideBuckets equal slices of [0, 2^53) is unknown, mixed, or
+// constant v. A constant bucket answers from the table; a mixed one
+// evaluates the expression as before. The sequence is bit-for-bit the one
+// the expression alone produces, by this argument:
+//
+//   - With 0 < eta <= 1 the base x(k) = eta*u-eta+1 is computed by
+//     correctly rounded (or fused) operations that are each monotone in
+//     their varying operand, so as a float64 it is non-decreasing in k and
+//     stays in [0, 1]. The true power x^alpha is monotone on [0, 1], so
+//     every k inside a bucket has a true value between the true values at
+//     the bucket's two endpoints.
+//   - math.Pow(x, alpha) is Exp(yf*Log x), |yf| <= 1/2, times one
+//     square-and-multiply step per bit of alpha's integer part. The first
+//     factor is good to a few dozen ulp at worst (a value that can be
+//     classified is at least 2^-40, which bounds |yf*Log x|), the squarings
+//     add about one ulp per unit of alpha, and the product with n one more:
+//     a relative error under (alpha+64) ulp, below 2^-44 for
+//     alpha <= guideMaxAlpha.
+//   - A bucket is constant only when both endpoint values p truncate to the
+//     same j and lie in [j+m, j+1-m] with m = (j+1)*guideMargin. An
+//     interior value is then within 2*2^-44*(j+1) = m/8 of that interval,
+//     so it truncates to j as well.
+//
+// A bucket that fails any test is mixed and merely keeps paying for Pow;
+// parameters outside the argument (n <= 2, an item that does not fit the
+// entry, a very large alpha) get no table at all. Buckets are classified
+// on first touch, so a short run pays for the few it reaches.
 type Zipfian struct {
 	r     *PCG
 	n     uint64
+	nf    float64 // float64(n)
 	theta float64
 	alpha float64
 	zetan float64
 	eta   float64
 	zeta2 float64
+	head2 float64  // 1 + 0.5^theta: u*zetan below this is item 1
+	guide []uint32 // per bucket: guideUnknown, guideMixed, or guideConst+v
 }
 
 // YCSBTheta is the Zipfian skew YCSB uses by default.
 const YCSBTheta = 0.99
+
+const (
+	guideBits    = 16 // 2^16 uint32 entries: 256 KB per Zipfian
+	guideBuckets = 1 << guideBits
+	guideShift   = 53 - guideBits
+
+	guideUnknown = 0 // not classified yet (the zero value)
+	guideMixed   = 1 // draws in the bucket disagree, or too close to call
+	guideConst   = 2 // entry - guideConst is every draw's item
+
+	guideMargin   = 1.0 / (1 << 40)
+	guideMaxAlpha = 1 << 8
+	guideMaxN     = math.MaxUint32 - guideConst
+)
 
 // NewZipfian returns a Zipfian distribution over [0, n) with skew theta
 // (0 < theta < 1; larger is more skewed).
@@ -56,11 +104,26 @@ func NewZipfian(r *PCG, n uint64, theta float64) *Zipfian {
 	if theta <= 0 || theta >= 1 {
 		panic("rng: Zipfian theta must be in (0, 1)")
 	}
-	z := &Zipfian{r: r, n: n, theta: theta}
-	z.zetan = zeta(n, theta)
+	return newZipfian(r, n, theta, zeta(n, theta))
+}
+
+// newZipfian is NewZipfian given zetan = zeta(n, theta), its O(n) part.
+func newZipfian(r *PCG, n uint64, theta, zetan float64) *Zipfian {
+	z := &Zipfian{r: r, n: n, nf: float64(n), theta: theta, zetan: zetan}
 	z.zeta2 = zeta(2, theta)
 	z.alpha = 1 / (1 - theta)
-	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
+	if n <= 2 {
+		// The head tests cover both items: zetan is exactly 1 for n = 1, and
+		// for n = 2 an infinite head2 sends every other draw to item 1. eta
+		// would be 0/0 for n = 2 and is never needed.
+		z.head2 = math.Inf(1)
+		return z
+	}
+	z.head2 = 1 + math.Pow(0.5, theta)
+	z.eta = (1 - math.Pow(2/z.nf, 1-theta)) / (1 - z.zeta2/z.zetan)
+	if z.eta > 0 && z.eta <= 1 && z.alpha <= guideMaxAlpha && n <= guideMaxN {
+		z.guide = make([]uint32, guideBuckets)
+	}
 	return z
 }
 
@@ -82,20 +145,54 @@ func zeta(n uint64, theta float64) float64 {
 }
 
 // Next returns the next item index; 0 is hottest.
-func (z *Zipfian) Next() uint64 {
-	u := z.r.Float64()
+func (z *Zipfian) Next() uint64 { return z.draw(z.r.Uint64() >> 11) }
+
+// draw maps the 53-bit uniform k (PCG.Float64's numerator) to its item.
+func (z *Zipfian) draw(k uint64) uint64 {
+	u := unit(k)
 	uz := u * z.zetan
 	if uz < 1 {
 		return 0
 	}
-	if uz < 1+math.Pow(0.5, z.theta) {
+	if uz < z.head2 {
 		return 1
 	}
-	v := uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
+	if b := k >> guideShift; b < uint64(len(z.guide)) {
+		e := z.guide[b]
+		if e == guideUnknown {
+			e = z.classify(b)
+		}
+		if e >= guideConst {
+			return uint64(e - guideConst)
+		}
+	}
+	v := uint64(z.tail(u))
 	if v >= z.n {
 		v = z.n - 1
 	}
 	return v
+}
+
+// tail is the inverse CDF past the two head items, before truncation.
+func (z *Zipfian) tail(u float64) float64 {
+	return z.nf * math.Pow(z.eta*u-z.eta+1, z.alpha)
+}
+
+// classify fills in and returns guide entry b from the bucket's first and
+// last draw. NaN and infinite endpoint values fail the comparisons and
+// leave the bucket mixed.
+func (z *Zipfian) classify(b uint64) uint32 {
+	first := b << guideShift
+	lo := z.tail(unit(first))
+	hi := z.tail(unit(first | (1<<guideShift - 1)))
+	j := math.Floor(lo)
+	m := (j + 1) * guideMargin
+	e := uint32(guideMixed)
+	if lo-j >= m && hi-j >= m && j+1-lo >= m && j+1-hi >= m {
+		e = guideConst + uint32(min(uint64(j), z.n-1))
+	}
+	z.guide[b] = e
+	return e
 }
 
 // N returns the population size.

@@ -72,9 +72,10 @@ func (p *PCG) Intn(n int) int {
 }
 
 // Float64 returns a uniform float64 in [0, 1).
-func (p *PCG) Float64() float64 {
-	return float64(p.Uint64()>>11) / (1 << 53)
-}
+func (p *PCG) Float64() float64 { return unit(p.Uint64() >> 11) }
+
+// unit maps a 53-bit integer k to k/2^53 in [0, 1), exactly.
+func unit(k uint64) float64 { return float64(k) / (1 << 53) }
 
 // Bool returns true with probability prob.
 func (p *PCG) Bool(prob float64) bool {

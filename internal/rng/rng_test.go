@@ -239,11 +239,3 @@ func BenchmarkPCGUint64(b *testing.B) {
 		_ = r.Uint64()
 	}
 }
-
-func BenchmarkZipfianNext(b *testing.B) {
-	z := NewZipfian(New(1), 1<<20, YCSBTheta)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = z.Next()
-	}
-}

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Capture CPU and allocation profiles of a seeded thermostat-sim run through
-# the CLI's -serve debug server, writing pprof protos under results/profiles/.
-# View them with: go tool pprof -http=: results/profiles/cpu.pb.gz
+# the CLI's -serve debug server, writing pprof protos under results/profiles/
+# as cpu-<app>.pb.gz and allocs-<app>.pb.gz.
+# View them with: go tool pprof -http=: results/profiles/cpu-redis.pb.gz
 #
 # Usage: scripts/profile.sh [app] [scale] [cpu-profile-seconds]
 #   app    application model (default redis; see thermostat-sim -list)
@@ -39,12 +40,12 @@ until go tool pprof -proto -output=/dev/null "http://$ADDR/debug/pprof/heap" >/d
 done
 
 echo "== ${SECS}s CPU profile ($APP at $SCALE scale)"
-go tool pprof -proto -seconds "$SECS" -output "$OUT/cpu.pb.gz" \
+go tool pprof -proto -seconds "$SECS" -output "$OUT/cpu-$APP.pb.gz" \
 	"http://$ADDR/debug/pprof/profile" >/dev/null
 echo "== allocation profile"
-go tool pprof -proto -output "$OUT/allocs.pb.gz" \
+go tool pprof -proto -output "$OUT/allocs-$APP.pb.gz" \
 	"http://$ADDR/debug/pprof/allocs" >/dev/null
 
 echo "profiles written:"
-ls -l "$OUT"/cpu.pb.gz "$OUT"/allocs.pb.gz
-echo "inspect with: go tool pprof -http=: $OUT/cpu.pb.gz"
+ls -l "$OUT/cpu-$APP.pb.gz" "$OUT/allocs-$APP.pb.gz"
+echo "inspect with: go tool pprof -http=: $OUT/cpu-$APP.pb.gz"
