@@ -284,3 +284,21 @@ func BenchmarkRunWebSearch(b *testing.B) {
 	sc.WarmupNs = 4e9
 	benchRun(b, workload.WebSearch(), sc)
 }
+
+// BenchmarkFleetNight is the fleet's counterpart: the four-tenant night cast
+// on one machine under fleet.Run at tiny scale (no baselines, the default
+// unconstrained pool) — the planned WRR interleave, per-tenant request
+// draws, arbiter rounds, an arrival and a departure on top of what
+// BenchmarkRunRedis pays per access.
+func BenchmarkFleetNight(b *testing.B) {
+	sc := harness.Tiny()
+	for i := 0; i < b.N; i++ {
+		out, err := harness.FleetRun(harness.FleetOptions{Scale: sc, Tenants: harness.FleetNightTenants(sc)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			b.ReportMetric(float64(out.Result.Global.Ops), "sim_ops")
+		}
+	}
+}

@@ -101,6 +101,13 @@ type tenantState struct {
 	active   bool
 	rejected bool
 
+	// batcher is the app's NextBatch, nil when it has none; planned counts
+	// the tenant's picks while a block's interleave is planned, and reqs
+	// holds its requests of the block not yet issued.
+	batcher sim.BatchApp
+	planned int
+	reqs    []sim.Req
+
 	ops       uint64
 	warmupOps uint64
 	grant     uint64
@@ -126,19 +133,62 @@ type runner struct {
 	states []tenantState
 
 	start       int64
+	end         int64
 	warmupClock int64
+	window, arb int64
+	nextWindow  int64
+	nextArb     int64
 	totalShare  int
 	periods     uint64
 	series      []telemetry.TenantSnapshot
+
+	totalOps, warmupOps uint64
+	windowStartSlow     uint64
+	et                  *sim.EpochTracker
+	res                 *sim.RunResult
+
+	// maxAdv bounds one op's clock advance for any member (BlockOps' U);
+	// order is the block's planned interleave, as indexes into states, and
+	// reqs the block's requests, carved into one run per tenant.
+	maxAdv int64
+	order  []int32
+	reqs   []sim.Req
 }
 
 // Run executes the members' workloads concurrently on one machine under
-// fleet arbitration. The loop replicates sim.Run's serial ordering exactly
-// — access, clock advance, window drain, then boundary drain — with the
-// tenant interleave chosen by smooth weighted round-robin over Share and
-// the arbiter riding the boundary drain at its own period. One tenant with
+// fleet arbitration. The serial ordering is sim.Run's — access, clock
+// advance, window drain, then boundary drain — with the tenant interleave
+// chosen by smooth weighted round-robin over Share and the arbiter riding
+// the boundary drain at its own period. Like sim.Run it issues ops in
+// blocks that end on a boundary: a block is sized (sim.Machine.BlockOps) so
+// that only its last op can reach the horizon, the earliest time a window,
+// arbiter round, tick, arrival, departure or the end falls due, and the
+// drains run once after it — exactly when a loop that tested them after
+// every op would first find work. Within a block the interleave is planned
+// ahead and each tenant's requests are drawn with one NextBatch, which is
+// exact because a tenant's request stream depends only on its own app's
+// state and that changes only in App.Init and App.Tick, both boundary work.
+// While nobody is resident the clock jumps to the horizon. One tenant with
 // the full pool and no churn reduces to sim.Run verbatim.
 func Run(m *sim.Machine, cfg Config, members []Member) (*Result, error) {
+	r, err := newRunner(m, cfg, members)
+	if err != nil {
+		return nil, err
+	}
+	for m.Clock() < r.end && !r.opsSpent() {
+		if err := r.block(); err != nil {
+			return nil, err
+		}
+		if err := r.drain(m.Clock()); err != nil {
+			return nil, err
+		}
+	}
+	return r.result(), nil
+}
+
+// newRunner validates the members, admits the initial population and
+// assigns its grants: everything up to the first access.
+func newRunner(m *sim.Machine, cfg Config, members []Member) (*runner, error) {
 	if cfg.DurationNs <= 0 {
 		return nil, fmt.Errorf("fleet: non-positive duration %d", cfg.DurationNs)
 	}
@@ -150,7 +200,7 @@ func Run(m *sim.Machine, cfg Config, members []Member) (*Result, error) {
 		pool = m.Memory().Tier(0).Capacity()
 	}
 	r := &runner{m: m, cfg: cfg, pool: pool, states: make([]tenantState, len(members))}
-	maxInterval := int64(0)
+	var maxInterval, maxCompute int64
 	for i, mb := range members {
 		if mb.Tenant == nil {
 			return nil, fmt.Errorf("fleet: member %d has no tenant", i)
@@ -162,30 +212,36 @@ func Run(m *sim.Machine, cfg Config, members []Member) (*Result, error) {
 		if iv <= 0 {
 			return nil, fmt.Errorf("fleet: tenant %q interval %d <= 0", mb.Tenant.Name, iv)
 		}
-		if iv > maxInterval {
-			maxInterval = iv
-		}
-		r.states[i] = tenantState{
+		maxInterval = max(maxInterval, iv)
+		st := tenantState{
 			mem: mb, t: mb.Tenant,
 			interval:  iv,
 			computeNs: mb.Tenant.App.ComputeNs(),
 		}
+		st.batcher, _ = mb.Tenant.App.(sim.BatchApp)
+		maxCompute = max(maxCompute, st.computeNs)
+		r.states[i] = st
 	}
-	arb := cfg.ArbiterPeriodNs
-	if arb <= 0 {
-		arb = maxInterval
+	r.maxAdv = m.MaxOpAdvanceNs(maxCompute)
+	r.order = make([]int32, sim.MaxBlockOps)
+	r.reqs = make([]sim.Req, sim.MaxBlockOps)
+	r.arb = cfg.ArbiterPeriodNs
+	if r.arb <= 0 {
+		r.arb = maxInterval
 	}
-	window := cfg.WindowNs
-	if window <= 0 {
-		window = arb
+	r.window = cfg.WindowNs
+	if r.window <= 0 {
+		r.window = r.arb
 	}
 	if cfg.Root != nil {
 		cfg.Root.SetLimit(pool)
 	}
 
 	r.start = m.Clock()
-	end := r.start + cfg.DurationNs
+	r.end = r.start + cfg.DurationNs
 	r.warmupClock = r.start + cfg.WarmupNs
+	r.nextWindow = r.start + r.window
+	r.nextArb = r.start + r.arb
 
 	// Admit the initial population in member order, then assign initial
 	// grants silently (no telemetry: tenants present at start are part of
@@ -210,14 +266,13 @@ func Run(m *sim.Machine, cfg Config, members []Member) (*Result, error) {
 	// that tenant's engine so per-epoch confusion and fault columns match
 	// the solo run. With real multi-tenancy no single policy owns the
 	// machine and the tracker runs unbound.
-	var et *sim.EpochTracker
 	if len(r.states) == 1 && r.states[0].mem.ArriveNs <= 0 && r.states[0].mem.DepartNs == 0 {
-		et = sim.NewEpochTracker(m, r.states[0].t.Engine)
+		r.et = sim.NewEpochTracker(m, r.states[0].t.Engine)
 	} else {
-		et = sim.NewEpochTracker(m, nil)
+		r.et = sim.NewEpochTracker(m, nil)
 	}
 
-	res := &sim.RunResult{
+	r.res = &sim.RunResult{
 		AppName:    r.fleetName(),
 		PolicyName: "fleet",
 		SlowRate:   stats.NewSeries("slow-access-rate"),
@@ -226,133 +281,190 @@ func Run(m *sim.Machine, cfg Config, members []Member) (*Result, error) {
 		Hot2M:      stats.NewSeries("hot-2M-bytes"),
 		Hot4K:      stats.NewSeries("hot-4K-bytes"),
 	}
+	return r, nil
+}
 
-	nextWindow := r.start + window
-	nextArb := r.start + arb
-	var windowStartSlow uint64
-	var totalOps, warmupOps uint64
+// opsSpent reports whether the MaxOps safety valve has closed.
+func (r *runner) opsSpent() bool {
+	return r.cfg.MaxOps > 0 && r.totalOps >= r.cfg.MaxOps
+}
 
-	for m.Clock() < end {
-		if cfg.MaxOps > 0 && totalOps >= cfg.MaxOps {
-			break
-		}
-		if pick := r.pickTenant(); pick >= 0 {
-			st := &r.states[pick]
-			st.wrr -= r.totalShare
-			v, write := st.t.App.Next()
-			if _, err := m.Access(v, write); err != nil {
-				return nil, fmt.Errorf("fleet: %s op %d: %w", st.t.Name, st.ops, err)
+// horizon returns the earliest time at which drain has work — the next
+// window or arbiter round, the end, a resident tenant's tick or departure, a
+// pending arrival — and whether anybody is resident and every resident's
+// app can draw a batch. (The warm-up mark is not in it: block keeps the
+// warm-up counters op by op, so no block has to end there.)
+func (r *runner) horizon() (h int64, resident, batchable bool) {
+	h = min(r.nextWindow, r.nextArb, r.end)
+	batchable = true
+	for i := range r.states {
+		st := &r.states[i]
+		switch {
+		case st.active:
+			resident = true
+			h = min(h, st.nextTick)
+			if st.mem.DepartNs > 0 {
+				h = min(h, r.start+st.mem.DepartNs)
 			}
-			if st.computeNs > 0 {
-				m.AdvanceClock(st.computeNs)
+			if st.batcher == nil {
+				batchable = false
 			}
-			st.ops++
-			totalOps++
-			if cfg.WarmupNs > 0 && m.Clock() <= r.warmupClock {
-				warmupOps = totalOps
-				st.warmupOps = st.ops
-			}
-		} else {
-			// Nobody resident: idle forward to the next boundary or
-			// arrival so churn-only stretches cannot spin.
-			next := nextWindow
-			if nextArb < next {
-				next = nextArb
-			}
-			for i := range r.states {
-				st := &r.states[i]
-				if !st.arrived && !st.rejected {
-					if at := r.start + st.mem.ArriveNs; at > m.Clock() && at < next {
-						next = at
-					}
-				}
-			}
-			if end < next {
-				next = end
-			}
-			if d := next - m.Clock(); d > 0 {
-				m.AdvanceClock(d)
-			}
-		}
-
-		now := m.Clock()
-		// Window drain first, exactly as sim.Run: the metric series see
-		// machine state before any boundary work at the same instant.
-		for now >= nextWindow {
-			slow := m.Metrics().SlowAccesses
-			res.SlowRate.Append(nextWindow-r.start, stats.Rate(slow-windowStartSlow, window))
-			windowStartSlow = slow
-			fp := sim.ScanFootprint(m, nil)
-			res.Cold2M.Append(nextWindow-r.start, float64(fp.Cold2M))
-			res.Cold4K.Append(nextWindow-r.start, float64(fp.Cold4K))
-			res.Hot2M.Append(nextWindow-r.start, float64(fp.Hot2M))
-			res.Hot4K.Append(nextWindow-r.start, float64(fp.Hot4K))
-			nextWindow += window
-		}
-		// Churn: due arrivals then due departures, member order.
-		for i := range r.states {
-			st := &r.states[i]
-			if !st.arrived && !st.rejected && st.mem.ArriveNs > 0 && now >= r.start+st.mem.ArriveNs {
-				if err := r.admit(st, now); err != nil {
-					return nil, err
-				}
-			}
-		}
-		for i := range r.states {
-			st := &r.states[i]
-			if st.active && st.mem.DepartNs > 0 && now >= r.start+st.mem.DepartNs {
-				if err := r.depart(st, now); err != nil {
-					return nil, err
-				}
-			}
-		}
-		// Boundary drain: tenant ticks and arbiter rounds in time order,
-		// ties to the tenant (matching sim.Run, where the policy tick runs
-		// before the epoch roll at the same boundary).
-		for {
-			bi, bt := -1, int64(0)
-			for i := range r.states {
-				st := &r.states[i]
-				if st.active && now >= st.nextTick && (bi == -1 || st.nextTick < bt) {
-					bi, bt = i, st.nextTick
-				}
-			}
-			if now >= nextArb && (bi == -1 || nextArb < bt) {
-				if err := r.arbitrate(now); err != nil {
-					return nil, err
-				}
-				r.periods++
-				et.Roll(now)
-				nextArb += arb
-				continue
-			}
-			if bi == -1 {
-				break
-			}
-			st := &r.states[bi]
-			if err := st.t.App.Tick(m, now); err != nil {
-				return nil, fmt.Errorf("fleet: %s tick: %w", st.t.Name, err)
-			}
-			if err := st.t.Engine.Tick(m, now); err != nil {
-				return nil, fmt.Errorf("fleet: %s tick: %w", st.t.Name, err)
-			}
-			st.nextTick += st.interval
+		case !st.arrived && !st.rejected && st.mem.ArriveNs > 0:
+			h = min(h, r.start+st.mem.ArriveNs)
 		}
 	}
-	et.End(m.Clock())
+	return h, resident, batchable
+}
 
-	res.Ops = totalOps
+// block issues the ops up to the horizon, or idles to it when nobody is
+// resident: plan the interleave, draw each tenant's requests, issue them in
+// the planned order.
+func (r *runner) block() error {
+	m := r.m
+	now := m.Clock()
+	h, resident, batchable := r.horizon()
+	if !resident {
+		m.AdvanceClockTo(h)
+		return nil
+	}
+	n := 1
+	if batchable {
+		n = m.BlockOps(h, r.maxAdv, r.cfg.MaxOps, r.totalOps)
+	}
+	for k := 0; k < n; k++ {
+		pick := r.pickTenant()
+		st := &r.states[pick]
+		st.wrr -= r.totalShare
+		st.planned++
+		r.order[k] = int32(pick)
+	}
+	off := 0
+	for i := range r.states {
+		st := &r.states[i]
+		if st.planned == 0 {
+			continue
+		}
+		st.reqs = r.reqs[off : off+st.planned]
+		off += st.planned
+		st.planned = 0
+		// A NextBatch that stops short — or an app without one, in its
+		// block of one — is topped up with Next: the same stream.
+		got := 0
+		if st.batcher != nil {
+			got = st.batcher.NextBatch(st.reqs)
+		}
+		for k := got; k < len(st.reqs); k++ {
+			st.reqs[k].V, st.reqs[k].Write = st.t.App.Next()
+		}
+	}
+	inWarmup := r.cfg.WarmupNs > 0 && now <= r.warmupClock
+	for _, pick := range r.order[:n] {
+		st := &r.states[pick]
+		q := st.reqs[0]
+		st.reqs = st.reqs[1:]
+		if _, err := m.Access(q.V, q.Write); err != nil {
+			return fmt.Errorf("fleet: %s op %d: %w", st.t.Name, st.ops, err)
+		}
+		if st.computeNs > 0 {
+			m.AdvanceClock(st.computeNs)
+		}
+		st.ops++
+		r.totalOps++
+		if inWarmup && m.Clock() <= r.warmupClock {
+			r.warmupOps = r.totalOps
+			st.warmupOps = st.ops
+		}
+	}
+	return nil
+}
+
+// drain runs everything due at now, in sim.Run's order: metric windows,
+// then churn, then tenant ticks and arbiter rounds.
+func (r *runner) drain(now int64) error {
+	m, res := r.m, r.res
+	// Window drain first, exactly as sim.Run: the metric series see
+	// machine state before any boundary work at the same instant.
+	for now >= r.nextWindow {
+		slow := m.Metrics().SlowAccesses
+		res.SlowRate.Append(r.nextWindow-r.start, stats.Rate(slow-r.windowStartSlow, r.window))
+		r.windowStartSlow = slow
+		fp := sim.ScanFootprint(m, nil)
+		res.Cold2M.Append(r.nextWindow-r.start, float64(fp.Cold2M))
+		res.Cold4K.Append(r.nextWindow-r.start, float64(fp.Cold4K))
+		res.Hot2M.Append(r.nextWindow-r.start, float64(fp.Hot2M))
+		res.Hot4K.Append(r.nextWindow-r.start, float64(fp.Hot4K))
+		r.nextWindow += r.window
+	}
+	// Churn: due arrivals then due departures, member order.
+	for i := range r.states {
+		st := &r.states[i]
+		if !st.arrived && !st.rejected && st.mem.ArriveNs > 0 && now >= r.start+st.mem.ArriveNs {
+			if err := r.admit(st, now); err != nil {
+				return err
+			}
+		}
+	}
+	for i := range r.states {
+		st := &r.states[i]
+		if st.active && st.mem.DepartNs > 0 && now >= r.start+st.mem.DepartNs {
+			if err := r.depart(st, now); err != nil {
+				return err
+			}
+		}
+	}
+	// Boundary drain: tenant ticks and arbiter rounds in time order,
+	// ties to the tenant (matching sim.Run, where the policy tick runs
+	// before the epoch roll at the same boundary).
+	for {
+		bi, bt := -1, int64(0)
+		for i := range r.states {
+			st := &r.states[i]
+			if st.active && now >= st.nextTick && (bi == -1 || st.nextTick < bt) {
+				bi, bt = i, st.nextTick
+			}
+		}
+		if now >= r.nextArb && (bi == -1 || r.nextArb < bt) {
+			if err := r.arbitrate(now); err != nil {
+				return err
+			}
+			r.periods++
+			r.et.Roll(now)
+			r.nextArb += r.arb
+			continue
+		}
+		if bi == -1 {
+			return nil
+		}
+		st := &r.states[bi]
+		if err := st.t.App.Tick(m, now); err != nil {
+			return fmt.Errorf("fleet: %s tick: %w", st.t.Name, err)
+		}
+		if err := st.t.Engine.Tick(m, now); err != nil {
+			return fmt.Errorf("fleet: %s tick: %w", st.t.Name, err)
+		}
+		st.nextTick += st.interval
+	}
+}
+
+// result closes the run's telemetry and assembles the global and
+// per-tenant summaries.
+func (r *runner) result() *Result {
+	m, res, cfg := r.m, r.res, r.cfg
+	r.et.End(m.Clock())
+
+	res.Ops = r.totalOps
 	res.DurationNs = m.Clock() - r.start
 	span := res.DurationNs - cfg.WarmupNs
+	warmupOps := r.warmupOps
 	if span <= 0 {
 		span = res.DurationNs
 		warmupOps = 0
 	}
-	res.Throughput = stats.Rate(totalOps-warmupOps, span)
+	res.Throughput = stats.Rate(r.totalOps-warmupOps, span)
 	res.FinalFootprint = sim.ScanFootprint(m, nil)
 	res.Metrics = m.Metrics()
 
-	out := &Result{Global: res, PoolBytes: pool, Periods: r.periods, Series: r.series}
+	out := &Result{Global: res, PoolBytes: r.pool, Periods: r.periods, Series: r.series}
 	for i := range r.states {
 		st := &r.states[i]
 		if st.active {
@@ -390,7 +502,7 @@ func Run(m *sim.Machine, cfg Config, members []Member) (*Result, error) {
 		}
 		out.Tenants = append(out.Tenants, tr)
 	}
-	return out, nil
+	return out
 }
 
 // fleetName joins the member names for the global result.

@@ -215,6 +215,57 @@ func TestBatchSerialEquivalenceMaxOps(t *testing.T) {
 	}
 }
 
+// TestBlockOps pins the block-size arithmetic sim.Run and fleet.Run share:
+// n-1 ops at the per-op bound end strictly before the limit, a due limit is
+// a block of one, and the MaxBlockOps cap, the MaxOps clamp and the miss-hook
+// rule each take precedence where they bind.
+func TestBlockOps(t *testing.T) {
+	t.Parallel()
+	const now, u = 1000, 100
+	hook := func(addr.Virt, bool) int64 { return 0 }
+	for _, tc := range []struct {
+		name         string
+		limit        int64
+		maxOps, done uint64
+		hook         func(addr.Virt, bool) int64
+		want         int
+	}{
+		{name: "limit far behind", limit: now - 5*u, want: 1},
+		{name: "limit at now", limit: now, want: 1},
+		{name: "limit one past now", limit: now + 1, want: 1},
+		{name: "gap just below U", limit: now + u - 1, want: 1},
+		{name: "gap at U", limit: now + u, want: 1},
+		{name: "gap just above U", limit: now + u + 1, want: 2},
+		{name: "gap just below 7U", limit: now + 7*u - 1, want: 7},
+		{name: "gap at 7U", limit: now + 7*u, want: 7},
+		{name: "gap just above 7U", limit: now + 7*u + 1, want: 8},
+		{name: "one short of the cap", limit: now + (MaxBlockOps-1)*u, want: MaxBlockOps - 1},
+		{name: "at the cap", limit: now + (MaxBlockOps-1)*u + 1, want: MaxBlockOps},
+		{name: "capped", limit: now + 1e12, want: MaxBlockOps},
+		{name: "MaxOps looser than the block", limit: now + 7*u, maxOps: 50, done: 43, want: 7},
+		{name: "MaxOps clamps", limit: now + 7*u, maxOps: 50, done: 47, want: 3},
+		{name: "MaxOps clamps the cap", limit: now + 1e12, maxOps: 5000, done: 4000, want: 1000},
+		{name: "one op left", limit: now + 1e12, maxOps: 50, done: 49, want: 1},
+		{name: "miss hook", limit: now + 1e12, hook: hook, want: 1},
+	} {
+		m := newMachine(t)
+		m.AdvanceClockTo(now)
+		m.SetMissHook(tc.hook)
+		if got := m.BlockOps(tc.limit, u, tc.maxOps, tc.done); got != tc.want {
+			t.Errorf("%s: BlockOps(%d, %d, %d, %d) at clock %d = %d, want %d",
+				tc.name, tc.limit, u, tc.maxOps, tc.done, now, got, tc.want)
+		}
+		// The defining property, where nothing else binds: n-1 ops at the
+		// bound stay short of the limit and one more would not.
+		if tc.hook == nil && tc.maxOps == 0 && tc.limit > now && tc.want < MaxBlockOps {
+			n := int64(tc.want)
+			if (n-1)*u >= tc.limit-now || n*u < tc.limit-now {
+				t.Errorf("%s: n = %d is not the largest with (n-1)*U < limit-now", tc.name, n)
+			}
+		}
+	}
+}
+
 // TestPageCountsRegression pins the dense-counter PageCounts against the
 // original map semantics: counts key on 2MB bases, record LLC misses only,
 // include the below-base map fallback, and survive resets.

@@ -372,6 +372,15 @@ func (m *Machine) AdvanceClock(ns int64) {
 	m.clock += ns / int64(m.cfg.Threads)
 }
 
+// AdvanceClockTo moves the clock forward to t — a stretch in which the
+// machine is idle, so unlike AdvanceClock's compute time it is not divided
+// across threads. A t that is not ahead of the clock is a no-op.
+func (m *Machine) AdvanceClockTo(t int64) {
+	if t > m.clock {
+		m.clock = t
+	}
+}
+
 // ChargeDaemon accounts policy CPU time off the application critical path.
 func (m *Machine) ChargeDaemon(ns int64) { m.daemonNs += ns }
 
@@ -690,7 +699,7 @@ type Req struct {
 // reach the next tick/window boundary, which makes batched execution
 // boundary-exact (see DESIGN.md "Hot path"). Overestimating only shrinks
 // batches; it never affects results. A miss hook adds latency this bound
-// cannot see, so the runner issues one op at a time while one is installed.
+// cannot see, so BlockOps issues one op at a time while one is installed.
 func (m *Machine) MaxOpAdvanceNs(computeNs int64) int64 {
 	if m.maxAccessLat == 0 {
 		walkMax := m.wm.Latency(m.guest.Nested(), 4, m.guest.HostWalkDepth())
@@ -708,6 +717,30 @@ func (m *Machine) MaxOpAdvanceNs(computeNs int64) int64 {
 	}
 	threads := int64(m.cfg.Threads)
 	return m.maxAccessLat/threads + computeNs/threads + 1
+}
+
+// MaxBlockOps caps a run-loop block, and so sizes the request buffers the
+// run loops allocate.
+const MaxBlockOps = 2048
+
+// BlockOps sizes one run-loop block for sim.Run and fleet.Run: the largest
+// n with (n-1)*maxAdv < limit-now, so that with maxAdv an upper bound on one
+// op's clock advance (MaxOpAdvanceNs) ops 1..n-1 end strictly before limit
+// and only op n can reach it — the block is then exactly n serial
+// iterations of a loop that tests limit after every op. limit is the
+// caller's nearest boundary; one already due gives a block of one. n is
+// capped at MaxBlockOps and, when maxOps > 0, at the maxOps-done ops the run
+// has left (callers stop before asking once none are). A miss hook adds
+// latency maxAdv cannot see, so a machine with one runs blocks of one.
+func (m *Machine) BlockOps(limit, maxAdv int64, maxOps, done uint64) int {
+	if m.missHook != nil || limit <= m.clock {
+		return 1
+	}
+	n := min((limit-m.clock-1)/maxAdv, MaxBlockOps-1) + 1
+	if maxOps > 0 && uint64(n) > maxOps-done {
+		n = int64(maxOps - done)
+	}
+	return int(n)
 }
 
 // AccessBatch simulates len(reqs) consecutive accesses: each request takes

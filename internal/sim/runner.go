@@ -321,19 +321,14 @@ func Run(m *Machine, app App, pol Policy, rc RunConfig) (*RunResult, error) {
 	// Ops run through AccessBatch in blocks sized so that no tick, window,
 	// warmup or end boundary can fire before the block's last op — the block
 	// is then exactly that many serial iterations (see DESIGN.md "Hot path").
-	// An app without NextBatch, or a machine whose miss hook escapes the
-	// per-op bound, runs blocks of one.
-	const maxBatch = 2048
+	// An app without NextBatch runs blocks of one.
 	computeNs := app.ComputeNs()
 	batcher, _ := app.(BatchApp)
-	if m.missHook != nil {
-		batcher = nil
-	}
-	reqs := make([]Req, maxBatch)
-	lats := make([]int64, maxBatch)
+	reqs := make([]Req, MaxBlockOps)
+	lats := make([]int64, MaxBlockOps)
 	var clks []int64
 	if rc.OpsPerRequest > 0 {
-		clks = make([]int64, maxBatch)
+		clks = make([]int64, MaxBlockOps)
 	}
 	maxAdv := m.MaxOpAdvanceNs(computeNs)
 
@@ -346,27 +341,11 @@ func Run(m *Machine, app App, pol Policy, rc RunConfig) (*RunResult, error) {
 		got := 0
 		if batcher != nil {
 			// Nearest boundary the block must not cross before its last op.
-			limit := nextTick
-			if nextWindow < limit {
-				limit = nextWindow
+			limit := min(nextTick, nextWindow, end)
+			if inWarmup {
+				limit = min(limit, warmupClock+1)
 			}
-			if end < limit {
-				limit = end
-			}
-			if inWarmup && warmupClock+1 < limit {
-				limit = warmupClock + 1
-			}
-			// Largest n with (n-1)*maxAdv < limit-now: ops 1..n-1 finish
-			// strictly before the boundary, only op n may cross it.
-			n := (limit - now - 1) / maxAdv
-			if n >= maxBatch {
-				n = maxBatch - 1
-			}
-			n++
-			if rc.MaxOps > 0 && uint64(n) > rc.MaxOps-res.Ops {
-				n = int64(rc.MaxOps - res.Ops)
-			}
-			if n >= 2 {
+			if n := m.BlockOps(limit, maxAdv, rc.MaxOps, res.Ops); n >= 2 {
 				got = batcher.NextBatch(reqs[:n])
 			}
 		}

@@ -224,6 +224,14 @@ func TestClockAdvancesByLatencyOverThreads(t *testing.T) {
 	if got := m.Clock() - before; got != lat/4+100 {
 		t.Fatalf("AdvanceClock wrong: %d", got)
 	}
+	// Idle time is not compute: AdvanceClockTo lands on its target exactly
+	// whatever the thread count, and never moves the clock back.
+	at := m.Clock()
+	m.AdvanceClockTo(at + 3)
+	m.AdvanceClockTo(at - 50)
+	if got := m.Clock(); got != at+3 {
+		t.Fatalf("AdvanceClockTo: clock %d, want %d", got, at+3)
+	}
 }
 
 func TestNativeModeMachine(t *testing.T) {
