@@ -7,6 +7,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"thermostat/internal/addr"
 	"thermostat/internal/stats"
@@ -35,27 +36,14 @@ const (
 	slabSets  = 1 << slabShift
 )
 
-// Cache is a set-associative LRU cache of physical line addresses.
-type Cache struct {
-	lineShift uint
-	nSets     uint64
-	ways      int
-	// slabs[set>>slabShift] holds the tags of slabSets consecutive sets,
-	// ways per set: line tags biased by +1, most recent first; 0 marks an
-	// invalid way, so no separate valid bitmap is needed on the per-access
-	// path. A slab is nil until Access first touches one of its sets, so
-	// building a cache costs the slab table, not the zeroed tag array — a
-	// machine's set-up time does not depend on the LLC size or on what the
-	// heap has lying around.
-	slabs [][]uint64
+// maxQuotient is the largest line/nSets a way can hold: a tag is the
+// quotient biased by +1 in 32 bits, 0 marking an empty way.
+const maxQuotient = 1<<32 - 2
 
-	hits   stats.Counter
-	misses stats.Counter
-}
-
-// New builds a cache from cfg, applying defaults for zero fields. Panics if
-// the geometry is degenerate (fewer than one set).
-func New(cfg Config) *Cache {
+// Normalize applies the defaults for zero fields and rejects a geometry
+// that cannot build a cache or cannot tag top, the highest physical address
+// the cache will be handed.
+func (cfg Config) Normalize(top addr.Phys) (Config, error) {
 	if cfg.SizeBytes == 0 {
 		cfg.SizeBytes = DefaultConfig().SizeBytes
 	}
@@ -66,36 +54,69 @@ func New(cfg Config) *Cache {
 		cfg.Ways = 16
 	}
 	if cfg.LineSize&(cfg.LineSize-1) != 0 {
-		panic(fmt.Sprintf("cache: line size %d not a power of two", cfg.LineSize))
+		return cfg, fmt.Errorf("LLC line size %d not a power of two", cfg.LineSize)
 	}
 	nSets := cfg.SizeBytes / cfg.LineSize / uint64(cfg.Ways)
 	if nSets == 0 {
-		panic(fmt.Sprintf("cache: config %+v yields zero sets", cfg))
+		return cfg, fmt.Errorf("LLC config %+v yields zero sets", cfg)
 	}
-	shift := uint(0)
-	for l := cfg.LineSize; l > 1; l >>= 1 {
-		shift++
+	if last := uint64(top) / cfg.LineSize; last/nSets > maxQuotient {
+		return cfg, fmt.Errorf("LLC of %d sets cannot tag physical address %s in 32 bits (needs at least %d sets)",
+			nSets, top, last/(maxQuotient+1)+1)
 	}
+	return cfg, nil
+}
+
+// Cache is a set-associative LRU cache of physical line addresses.
+type Cache struct {
+	lineShift uint
+	nSets     uint64
+	ways      int
+	// slabs[set>>slabShift] holds the tags of slabSets consecutive sets,
+	// ways per set, most recent first. The set index is line % nSets, so a
+	// tag need only hold line / nSets: 32 bits, and a 16-way set is one
+	// 64-byte host cache line. A slab is nil until Access first touches one
+	// of its sets, so building a cache costs the slab table, not the zeroed
+	// tag array — a machine's set-up time does not depend on the LLC size or
+	// on what the heap has lying around.
+	slabs [][]uint32
+
+	hits   stats.Counter
+	misses stats.Counter
+}
+
+// New builds a cache from cfg, applying defaults for zero fields. It panics
+// on a geometry Normalize rejects (sim.New reports that as an error).
+func New(cfg Config) *Cache {
+	cfg, err := cfg.Normalize(0)
+	if err != nil {
+		panic("cache: " + err.Error())
+	}
+	nSets := cfg.SizeBytes / cfg.LineSize / uint64(cfg.Ways)
 	return &Cache{
-		lineShift: shift,
+		lineShift: uint(bits.TrailingZeros64(cfg.LineSize)),
 		nSets:     nSets,
 		ways:      cfg.Ways,
-		slabs:     make([][]uint64, (nSets+slabSets-1)>>slabShift),
+		slabs:     make([][]uint32, (nSets+slabSets-1)>>slabShift),
 	}
 }
 
 // Access looks up the line containing p, inserting it on a miss. Returns
-// true on a hit.
+// true on a hit. It panics, rather than alias two lines, on an address
+// beyond what Normalize was asked to cover.
 func (c *Cache) Access(p addr.Phys) bool {
 	line := uint64(p) >> c.lineShift
-	set := line % c.nSets
+	set, q := line%c.nSets, line/c.nSets
+	if q > maxQuotient {
+		panic(fmt.Sprintf("cache: %d sets cannot tag physical address %s in 32 bits", c.nSets, p))
+	}
+	tag := uint32(q) + 1
 	slab := c.slabs[set>>slabShift]
 	if slab == nil {
-		return c.accessNewSlab(set, line+1)
+		return c.accessNewSlab(set, tag)
 	}
 	base := int(set&(slabSets-1)) * c.ways
 	ways := slab[base : base+c.ways]
-	tag := line + 1
 	if ways[0] == tag {
 		c.hits.Inc()
 		return true
@@ -123,42 +144,17 @@ func (c *Cache) Access(p addr.Phys) bool {
 // the allocation adds nothing to Access's hit path.
 //
 //go:noinline
-func (c *Cache) accessNewSlab(set, tag uint64) bool {
+func (c *Cache) accessNewSlab(set uint64, tag uint32) bool {
 	i := set >> slabShift
 	sets := c.nSets - i<<slabShift
 	if sets > slabSets {
 		sets = slabSets
 	}
-	slab := make([]uint64, sets*uint64(c.ways))
+	slab := make([]uint32, sets*uint64(c.ways))
 	slab[int(set&(slabSets-1))*c.ways] = tag
 	c.slabs[i] = slab
 	c.misses.Inc()
 	return false
-}
-
-// Contains reports whether the line holding p is cached, without updating
-// LRU state or counters.
-func (c *Cache) Contains(p addr.Phys) bool {
-	line := uint64(p) >> c.lineShift
-	set := line % c.nSets
-	slab := c.slabs[set>>slabShift]
-	if slab == nil {
-		return false
-	}
-	base := int(set&(slabSets-1)) * c.ways
-	for _, t := range slab[base : base+c.ways] {
-		if t == line+1 {
-			return true
-		}
-	}
-	return false
-}
-
-// Flush invalidates every line by dropping the slabs.
-func (c *Cache) Flush() {
-	for i := range c.slabs {
-		c.slabs[i] = nil
-	}
 }
 
 // Stats reports hit/miss counts.

@@ -12,8 +12,9 @@ func newMachine(t *testing.T) (*sim.Machine, addr.Range) {
 	t.Helper()
 	cfg := sim.DefaultConfig(64<<20, 64<<20)
 	cfg.TLB.L1Entries, cfg.TLB.L2Entries = 2, 4
-	// Tiny LLC so every access to a fresh page misses.
-	cfg.LLC.SizeBytes = 64 << 10
+	// Tiny LLC so every access to a fresh page misses. 128 sets of 8 ways:
+	// 64 sets of 16 cannot tag a two-tier physical map in 32 bits.
+	cfg.LLC.SizeBytes, cfg.LLC.Ways = 64<<10, 8
 	m, err := sim.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +200,7 @@ func TestBackendsCompareOnSkew(t *testing.T) {
 	runWith := func(mk func(m *sim.Machine) Backend) (hot, cold uint64) {
 		cfg := sim.DefaultConfig(64<<20, 64<<20)
 		cfg.TLB.L1Entries, cfg.TLB.L2Entries = 2, 4
-		cfg.LLC.SizeBytes = 64 << 10
+		cfg.LLC.SizeBytes, cfg.LLC.Ways = 64<<10, 8
 		m, err := sim.New(cfg)
 		if err != nil {
 			t.Fatal(err)

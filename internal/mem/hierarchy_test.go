@@ -52,6 +52,13 @@ func TestNewHierarchy(t *testing.T) {
 			t.Errorf("tier %d allocated %s which TierOf maps to %d", i, p, got)
 		}
 	}
+	// Top is the last byte of the bottom tier's window that has capacity.
+	if got, want := s.Top(), addr.Phys(2<<TierShift+64<<20-1); got != want {
+		t.Errorf("Top = %s, want %s", got, want)
+	}
+	if empty, _ := NewHierarchy(Spec{}); empty.Top() != 0 {
+		t.Errorf("Top of a hierarchy without capacity = %s, want 0", empty.Top())
+	}
 	if _, err := NewHierarchy(); err == nil {
 		t.Error("empty hierarchy accepted")
 	}

@@ -417,6 +417,19 @@ func (s *System) TierOf(p addr.Phys) TierID {
 	return id
 }
 
+// Top returns the highest physical address any tier can hand out (0 for a
+// hierarchy with no capacity).
+func (s *System) Top() addr.Phys {
+	var end uint64
+	for _, t := range s.tiers {
+		end = max(end, t.end2M)
+	}
+	if end == 0 {
+		return 0
+	}
+	return addr.Phys2M(end) - 1
+}
+
 // StateBytes sums the allocator state of every tier.
 func (s *System) StateBytes() uint64 {
 	var b uint64

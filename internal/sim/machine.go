@@ -257,6 +257,9 @@ func New(cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
+	if cfg.LLC, err = cfg.LLC.Normalize(sys.Top()); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
 	m := &Machine{
 		cfg:          cfg,
 		sys:          sys,

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"thermostat/internal/addr"
+	"thermostat/internal/cache"
 	"thermostat/internal/mem"
 	"thermostat/internal/rng"
 	"thermostat/internal/stats"
@@ -597,5 +598,49 @@ func TestNewRejectsNonInclusiveTLB(t *testing.T) {
 	_, err := New(cfg)
 	if err == nil || !strings.Contains(err.Error(), "sim: TLB L2Entries 4 < L1Entries 8") {
 		t.Fatalf("New with L2Entries < L1Entries: err = %v", err)
+	}
+}
+
+// TestNewRejectsBadLLC: every LLC geometry cache.New would panic on, and
+// every one that could not tag the hierarchy's highest physical address in
+// 32 bits, is an error from New.
+func TestNewRejectsBadLLC(t *testing.T) {
+	t.Parallel()
+	full := make([]mem.Spec, mem.MaxTiers)
+	for i := range full {
+		full[i] = mem.DefaultSlow(1 << mem.TierShift)
+	}
+	for _, tc := range []struct {
+		name  string
+		tiers []mem.Spec
+		llc   cache.Config
+		want  string // "" = accepted
+	}{
+		{"line size", nil, cache.Config{SizeBytes: 1 << 20, LineSize: 48},
+			"sim: LLC line size 48 not a power of two"},
+		{"zero sets", nil, cache.Config{SizeBytes: 512, LineSize: 64, Ways: 16},
+			"sim: LLC config {SizeBytes:512 LineSize:64 Ways:16} yields zero sets"},
+		{"two tiers, 64 sets", nil, cache.Config{SizeBytes: 64 << 10},
+			"sim: LLC of 64 sets cannot tag physical address 0x100003ffffff in 32 bits (needs at least 65 sets)"},
+		{"two tiers, 65 sets", nil, cache.Config{SizeBytes: 65 << 10}, ""},
+		{"full map, 512 sets", full, cache.Config{SizeBytes: 512 << 10},
+			"sim: LLC of 512 sets cannot tag physical address 0x7fffffffffff in 32 bits (needs at least 513 sets)"},
+		{"full map, 513 sets", full, cache.Config{SizeBytes: 513 << 10}, ""},
+		{"full map, harness floor", full, cache.Config{SizeBytes: 1 << 20}, ""},
+		{"defaults", nil, cache.Config{}, ""},
+	} {
+		cfg := DefaultConfig(64<<20, 64<<20)
+		cfg.Tiers, cfg.LLC = tc.tiers, tc.llc
+		m, err := New(cfg)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: New: %v", tc.name, err)
+		case tc.want == "":
+			if got := m.Config().LLC; got.LineSize != 64 || got.Ways != 16 || got.SizeBytes == 0 {
+				t.Errorf("%s: defaults not applied: %+v", tc.name, got)
+			}
+		case err == nil || err.Error() != tc.want:
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }
