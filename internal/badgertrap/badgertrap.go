@@ -65,7 +65,7 @@ func (t *Trap) Poison(v addr.Virt, vpid tlb.VPID) error {
 	if !ok {
 		return fmt.Errorf("badgertrap: poison of unmapped %s", v)
 	}
-	e.Flags |= pagetable.Poisoned
+	e.Set(pagetable.Poisoned)
 	t.tl.Invalidate(v, vpid)
 	return nil
 }
@@ -95,7 +95,7 @@ func (t *Trap) IsPoisoned(v addr.Virt) bool {
 // documented over-estimation.
 func (t *Trap) Handle(f fault.Fault) (int64, error) {
 	e, lvl, ok := t.pt.EntryRef(f.Virt)
-	if !ok || !e.Flags.Has(pagetable.Poisoned) {
+	if !ok || !e.Has(pagetable.Poisoned) {
 		return 0, fmt.Errorf("badgertrap: spurious poison fault at %s", f.Virt)
 	}
 	// The handler unpoisons so the access can complete, marks the
@@ -107,8 +107,8 @@ func (t *Trap) Handle(f fault.Fault) (int64, error) {
 	if f.Write {
 		mark |= pagetable.Dirty
 	}
-	e.Flags |= mark
-	t.tl.Insert(f.Virt, lvl, e.Frame, f.VPID)
+	e.Set(mark)
+	t.tl.Insert(f.Virt, lvl, e.Frame(), f.VPID)
 
 	t.counts[leafBase(f.Virt, lvl)]++
 	t.faults.Inc()

@@ -265,6 +265,46 @@ func TestEngineSamplingRestoresHugeMappings(t *testing.T) {
 	}
 }
 
+// TestPoisonTrackerForgetsRestoredSamples: the fault-count snapshot map holds
+// a cold huge page's base and the poisoned children of the cohorts in flight
+// (all 512 of a cold sample's), and restore drops a sample's child keys with
+// its PT node — so after many intervals the map is bounded by the cold set
+// plus the pipeline, not by every child ever poisoned.
+func TestPoisonTrackerForgetsRestoredSamples(t *testing.T) {
+	m := testMachine(t)
+	g := testGroup(t, nil)
+	eng := NewEngine(g, 7)
+	app := &skewApp{r: rng.New(3), size: 64 << 20, hotPages: 4} // 32 pages, 4 hot
+	if _, err := sim.Run(m, app, eng, sim.RunConfig{DurationNs: 1.6e9}); err != nil {
+		t.Fatal(err)
+	}
+	st := eng.Stats()
+	tr := eng.Tracker().(*PoisonTracker)
+	// Cold pages get re-sampled (512 snapshots each) and hot ones poisoned,
+	// so a map that never forgot would be far past the bound by now.
+	if st.Periods < 8 || st.Demotions == 0 || st.Sampled < 64 {
+		t.Fatalf("run too short to tell: %+v", st)
+	}
+	bound := eng.ColdPages()
+	for _, s := range tr.poisonedCohort {
+		if s.wasCold {
+			bound += addr.PagesPerHuge
+		} else {
+			bound += len(s.poisoned)
+		}
+	}
+	if got := len(tr.seen); got > bound || bound > eng.ColdPages()+addr.PagesPerHuge*tr.InflightPages() {
+		t.Fatalf("seen holds %d snapshots after %d periods; %d cold pages and %d in flight allow %d",
+			got, st.Periods, eng.ColdPages(), tr.InflightPages(), bound)
+	}
+	// Every cold page not mid-sample still has its snapshot.
+	for base := range eng.pol.(*ThresholdPolicy).cold {
+		if _, ok := tr.seen[base]; !ok && !tr.inflight(base) {
+			t.Fatalf("cold page %s lost its snapshot", base)
+		}
+	}
+}
+
 func TestIdleDemotePolicy(t *testing.T) {
 	t.Parallel()
 	m := testMachine(t)

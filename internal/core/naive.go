@@ -8,7 +8,6 @@ import (
 	"thermostat/internal/chaos"
 	"thermostat/internal/kstaled"
 	"thermostat/internal/mem"
-	"thermostat/internal/pagetable"
 	"thermostat/internal/sim"
 	"thermostat/internal/stats"
 )
@@ -79,10 +78,7 @@ func (p *IdleDemote) Tick(m *sim.Machine, now int64) error {
 	m.ChargeDaemon(res.CostNs)
 
 	var toDemote, toPromote []addr.Virt
-	m.PageTable().Scan(func(base addr.Virt, e *pagetable.Entry, lvl pagetable.Level) {
-		if lvl != pagetable.Level2M {
-			return
-		}
+	m.PageTable().ScanHuge(func(base addr.Virt) {
 		st := p.scanner.State(base)
 		if st == nil {
 			return

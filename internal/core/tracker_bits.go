@@ -145,8 +145,8 @@ func (t *BitTracker) Estimates(intervalSec float64) ([]Estimate, error) {
 	t.ensureScanned()
 	ranges := scopeRangesOf(t.scope)
 	var ests []Estimate
-	t.m.PageTable().Scan(func(base addr.Virt, e *pagetable.Entry, lvl pagetable.Level) {
-		if lvl != pagetable.Level2M || !scopeContains(base, ranges) || t.view.IsCold(base) {
+	t.m.PageTable().ScanHuge(func(base addr.Virt) {
+		if !scopeContains(base, ranges) || t.view.IsCold(base) {
 			return
 		}
 		ests = append(ests, Estimate{Base: base, Rate: t.rateOf(base)})

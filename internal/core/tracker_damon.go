@@ -96,8 +96,8 @@ func (t *DamonTracker) Arm() error {
 func (t *DamonTracker) mappedPages() []addr.Virt {
 	ranges := scopeRangesOf(t.scope)
 	var pages []addr.Virt
-	t.m.PageTable().Scan(func(base addr.Virt, e *pagetable.Entry, lvl pagetable.Level) {
-		if lvl == pagetable.Level2M && scopeContains(base, ranges) {
+	t.m.PageTable().ScanHuge(func(base addr.Virt) {
+		if scopeContains(base, ranges) {
 			pages = append(pages, base)
 		}
 	})

@@ -236,20 +236,31 @@ func (t *PoisonTracker) restore(s *sample) error {
 			Kind: telemetry.KindHugePageCollapse, TimeNs: t.m.Clock(), Page: s.base,
 		})
 	}
+	// The children are gone, so their snapshots go too: scanPoison takes a
+	// fresh one before any later read. This comes before the re-arm because
+	// child 0 shares its key with the huge page's base.
+	if s.wasCold {
+		for i := 0; i < addr.PagesPerHuge; i++ {
+			delete(t.seen, s.base+addr.Virt(uint64(i)*addr.PageSize4K))
+		}
+	} else {
+		for _, child := range s.poisoned {
+			delete(t.seen, child)
+		}
+	}
 	if t.view.IsCold(s.base) {
 		if err := t.m.Trap().Poison(s.base, t.m.VPID()); err != nil {
 			return err
 		}
 		t.snapshot(s.base)
-		return nil
 	}
 	return nil
 }
 
 // StateBytes reports the tracker's resident metadata: both pipeline cohorts
-// and the fault-count snapshot map, which holds entries only for pages that
-// were actually sampled or cold, so it stays far below one entry per mapped
-// page.
+// and the fault-count snapshot map, which holds one entry per cold huge page
+// plus the poisoned children of the cohort in flight (all 512 of a cold
+// sample's) — restore drops a sample's child entries with its PT node.
 func (t *PoisonTracker) StateBytes() uint64 {
 	// sample record + map slot: ~64 bytes; uint64 map slot: ~24.
 	return uint64(len(t.splitCohort)+len(t.poisonedCohort))*64 +
@@ -271,8 +282,8 @@ func (t *PoisonTracker) Arm() error {
 func (t *PoisonTracker) splitCandidates() []addr.Virt {
 	ranges := t.scopeRanges()
 	var out []addr.Virt
-	t.m.PageTable().Scan(func(base addr.Virt, e *pagetable.Entry, lvl pagetable.Level) {
-		if lvl == pagetable.Level2M && !t.inflight(base) && scopeContains(base, ranges) {
+	t.m.PageTable().ScanHuge(func(base addr.Virt) {
+		if !t.inflight(base) && scopeContains(base, ranges) {
 			out = append(out, base)
 		}
 	})

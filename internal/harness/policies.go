@@ -5,7 +5,6 @@ import (
 
 	"thermostat/internal/addr"
 	"thermostat/internal/kstaled"
-	"thermostat/internal/pagetable"
 	"thermostat/internal/sim"
 )
 
@@ -50,11 +49,7 @@ func (p *splitScan) Name() string { return "split-scan" }
 
 func (p *splitScan) Attach(m *sim.Machine) error {
 	pt := m.PageTable()
-	pt.Scan(func(base addr.Virt, e *pagetable.Entry, lvl pagetable.Level) {
-		if lvl == pagetable.Level2M {
-			p.bases = append(p.bases, base)
-		}
-	})
+	pt.ScanHuge(func(base addr.Virt) { p.bases = append(p.bases, base) })
 	for _, base := range p.bases {
 		if err := pt.Split(base); err != nil {
 			return err

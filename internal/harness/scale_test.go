@@ -6,7 +6,10 @@ import "testing"
 // mechanism, not only a stream of accesses. The engine samples a fraction of
 // all huge pages each interval, so growing the footprint 1 GiB -> 16 GiB
 // grows the sampled count with it, pages are demoted at both sizes, and the
-// stretched cold reserve ends up in slow memory.
+// stretched cold reserve ends up in slow memory. What a simulated gigabyte may
+// cost the host is capped as well — one 4 KB PT node per in-flight sampled
+// page plus the cohort's snapshots comes to about 0.3 MB — so a fat node or a
+// map that never forgets fails the scaling gate.
 func TestScalePointRunsThermostat(t *testing.T) {
 	sc := ScaleBenchProfile()
 	sc.DurationNs, sc.WarmupNs = 4e9, 1e9
@@ -21,6 +24,10 @@ func TestScalePointRunsThermostat(t *testing.T) {
 	if small.Sampled == 0 || large.Sampled < 8*small.Sampled {
 		t.Fatalf("sampled pages did not follow the footprint: 1G=%d 16G=%d (want >= 8x)",
 			small.Sampled, large.Sampled)
+	}
+	if large.StatePerGB > 0.5*(1<<20) {
+		t.Fatalf("16 GiB point keeps %.0f state bytes per simulated GB (%d in all), want <= 0.5 MB",
+			large.StatePerGB, large.StateBytes)
 	}
 	for _, p := range []*ScalePoint{small, large} {
 		if p.Demotions == 0 {

@@ -7,12 +7,13 @@
 //   - ns per simulated access (wall-clock over the whole run, allocation
 //     and engine ticks included). The access path does not see the
 //     footprint; the engine tick does — it samples a fraction of all huge
-//     pages and scans every leaf for candidates — but Split and Collapse
-//     never touch the slot index, so a sampled page costs the same at any
-//     size;
+//     pages and sweeps every index slot for candidates — but Split and
+//     Collapse never touch the slot index, so a sampled page costs the same
+//     at any size;
 //   - simulator state bytes per simulated GB (page table + allocator +
-//     trap + engine metadata): one index ref plus a radix share per mapped
-//     2MB page, about 1.2 MB per simulated GB;
+//     trap + engine metadata): one 4 KB PT node per in-flight sampled page
+//     plus the poisoned cohort's fault-count snapshots, about 0.34 MB per
+//     simulated GB (the index ref and the PD node are 17 KB of it);
 //   - what the engine did — huge pages sampled, pages demoted, final cold
 //     fraction — so a row shows the mechanism ran, not only that accesses
 //     were issued.

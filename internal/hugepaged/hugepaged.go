@@ -84,7 +84,7 @@ func (d *Daemon) Tick(m *sim.Machine, now int64) error {
 	pt := m.PageTable()
 	cands := map[addr.Virt]*candidate{}
 	leaves := 0
-	pt.Scan(func(base addr.Virt, e *pagetable.Entry, lvl pagetable.Level) {
+	pt.Scan(func(base addr.Virt, e *pagetable.PTE, lvl pagetable.Level) {
 		leaves++
 		if lvl != pagetable.Level4K {
 			return
@@ -92,17 +92,17 @@ func (d *Daemon) Tick(m *sim.Machine, now int64) error {
 		hb := base.Base2M()
 		c := cands[hb]
 		if c == nil {
-			c = &candidate{tier: mem.TierOf(e.Frame)}
+			c = &candidate{tier: mem.TierOf(e.Frame())}
 			cands[hb] = c
 		}
 		c.children++
-		if e.Flags.Has(pagetable.Poisoned) {
+		if e.Has(pagetable.Poisoned) {
 			c.poisoned = true
 		}
-		if e.Flags.Has(pagetable.SplitSampled) {
+		if e.Has(pagetable.SplitSampled) {
 			c.sampled = true
 		}
-		if mem.TierOf(e.Frame) != c.tier {
+		if mem.TierOf(e.Frame()) != c.tier {
 			c.mixed = true
 		}
 	})

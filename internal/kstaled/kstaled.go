@@ -180,8 +180,8 @@ func (s *Scanner) HotSubpages(hugeBase addr.Virt, streak int) int {
 func AccessedSubpages(pt *pagetable.Table, hugeBase addr.Virt) []int {
 	var out []int
 	r := addr.NewRange(hugeBase, addr.PageSize2M)
-	pt.ScanRange(r, func(v addr.Virt, e *pagetable.Entry, lvl pagetable.Level) {
-		if lvl == pagetable.Level4K && e.Flags.Has(pagetable.Accessed) {
+	pt.ScanRange(r, func(v addr.Virt, e *pagetable.PTE, lvl pagetable.Level) {
+		if lvl == pagetable.Level4K && e.Has(pagetable.Accessed) {
 			out = append(out, int(uint64(v-hugeBase)>>addr.PageShift4K))
 		}
 	})

@@ -31,8 +31,8 @@ type leafSnap struct {
 
 func captureState(f *fixture) sysState {
 	var st sysState
-	f.pt.Scan(func(base addr.Virt, e *pagetable.Entry, lvl pagetable.Level) {
-		st.Leaves = append(st.Leaves, leafSnap{Base: base, Entry: *e, Level: lvl})
+	f.pt.Scan(func(base addr.Virt, e *pagetable.PTE, lvl pagetable.Level) {
+		st.Leaves = append(st.Leaves, leafSnap{Base: base, Entry: e.Entry(), Level: lvl})
 	})
 	for i := 0; i < f.sys.NumTiers(); i++ {
 		st.Used = append(st.Used, f.sys.Tier(mem.TierID(i)).Used())

@@ -106,7 +106,7 @@ func (m *Migrator) abort(dst mem.TierID, frame addr.Phys, huge bool, log []undoR
 			panic(fmt.Sprintf("numa: rollback remap of %s failed: %v", u.v, err))
 		}
 		if e, _, ok := m.pt.EntryRef(u.v); ok {
-			e.Flags = u.flags
+			e.Put(u.flags)
 		}
 		m.tl.Invalidate(u.v, vpid)
 	}

@@ -53,7 +53,7 @@ func BenchmarkPTScan(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				leaves = 0
-				t.Scan(func(base addr.Virt, e *Entry, lvl Level) { leaves++ })
+				t.Scan(func(base addr.Virt, e *PTE, lvl Level) { leaves++ })
 			}
 			b.ReportMetric(float64(leaves), "leaves")
 		})
@@ -68,7 +68,7 @@ func BenchmarkPTScanRadix(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		leaves = 0
-		t.scanRadix(func(base addr.Virt, e *Entry, lvl Level) { leaves++ })
+		t.scanRadix(func(base addr.Virt, e *PTE, lvl Level) { leaves++ })
 	}
 	b.ReportMetric(float64(leaves), "leaves")
 }
@@ -83,7 +83,7 @@ func BenchmarkPTScanRange(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		leaves = 0
-		t.ScanRange(r, func(base addr.Virt, e *Entry, lvl Level) { leaves++ })
+		t.ScanRange(r, func(base addr.Virt, e *PTE, lvl Level) { leaves++ })
 	}
 	if leaves != addr.PagesPerHuge {
 		b.Fatalf("scanned %d children, want %d", leaves, addr.PagesPerHuge)

@@ -7,10 +7,10 @@ import (
 	"thermostat/internal/addr"
 )
 
-// visit is one leaf observation during a scan.
+// visit is one leaf observation during a scan; e points into the table.
 type visit struct {
 	base addr.Virt
-	e    *Entry
+	e    *PTE
 	lvl  Level
 }
 
@@ -23,24 +23,30 @@ const probeFlag Flags = 1 << 15
 // reference visit order the index must reproduce (checkLeafIndex) and the
 // radix side of BenchmarkPTScan.
 func (t *Table) scanRadix(fn LeafVisitor) {
-	t.scanNode(t.root, 4, 0, fn)
-}
-
-func (t *Table) scanNode(n *node, level int, prefix uint64, fn LeafVisitor) {
-	for i := 0; i < 512; i++ {
-		va := prefix | uint64(i)<<uint(addr.PageShift4K+9*(level-1))
-		if level == 2 && n.entries[i].Flags.Has(Present|Huge) {
-			fn(addr.Virt(va), &n.entries[i], Level2M)
+	for i4, pdpt := range t.root {
+		if pdpt == nil {
 			continue
 		}
-		if level == 1 {
-			if n.entries[i].Flags.Has(Present) {
-				fn(addr.Virt(va), &n.entries[i], Level4K)
+		for i3, pd := range pdpt.pds {
+			if pd == nil {
+				continue
 			}
-			continue
-		}
-		if n.children[i] != nil {
-			t.scanNode(n.children[i], level-1, va, fn)
+			for i2 := range pd.ptes {
+				base := addr.Virt(uint64(i4)<<39 | uint64(i3)<<30 | uint64(i2)<<addr.PageShift2M)
+				if pd.ptes[i2].Has(Present | Huge) {
+					fn(base, &pd.ptes[i2], Level2M)
+					continue
+				}
+				pt := pd.pts[i2]
+				if pt == nil {
+					continue
+				}
+				for i1 := range pt {
+					if pt[i1].Has(Present) {
+						fn(base+addr.Virt(uint64(i1)<<addr.PageShift4K), &pt[i1], Level4K)
+					}
+				}
+			}
 		}
 	}
 }
@@ -48,20 +54,22 @@ func (t *Table) scanNode(n *node, level int, prefix uint64, fn LeafVisitor) {
 // radixLeaves returns the reference leaf sequence from the radix walk.
 func radixLeaves(pt *Table) []visit {
 	var ref []visit
-	pt.scanRadix(func(b addr.Virt, e *Entry, l Level) { ref = append(ref, visit{b, e, l}) })
+	pt.scanRadix(func(b addr.Virt, e *PTE, l Level) { ref = append(ref, visit{b, e, l}) })
 	return ref
 }
 
 // checkLeafIndex asserts the slot index reproduces the reference radix walk
-// exactly — same leaves, same order, same entry pointers — holds one ref per
-// PD slot with a leaf and no other, and that every range sweep and region
-// scan over it agrees with a filter over the radix walk. salt varies the
-// range bounds from one call to the next.
+// exactly — same leaves, same order, same pointers into storage — holds one
+// ref per PD slot with a leaf and no other, that every range sweep and region
+// scan over it agrees with a filter over the radix walk, and that the
+// per-node counts the tree keeps match its contents (checkTree). salt varies
+// the range bounds from one call to the next.
 func checkLeafIndex(t *testing.T, pt *Table, salt uint64) {
 	t.Helper()
+	checkTree(t, pt)
 	ref := radixLeaves(pt)
 	i := 0
-	pt.Scan(func(b addr.Virt, e *Entry, l Level) {
+	pt.Scan(func(b addr.Virt, e *PTE, l Level) {
 		if i >= len(ref) {
 			t.Fatalf("index visit %d beyond radix walk's %d leaves", i, len(ref))
 		}
@@ -84,9 +92,9 @@ func checkLeafIndex(t *testing.T, pt *Table, salt uint64) {
 }
 
 // checkSlots: the index holds exactly the PD slots the radix walk found
-// leaves in, in order, each pointing at its PD node and slot. A slot whose
-// last 4KB leaf was unmapped is therefore gone, and back after the next
-// Map4K.
+// leaves in, in order, each pointing at its PD node, the slot it derives
+// from its base being the one addr.Index names. A slot whose last 4KB leaf
+// was unmapped is therefore gone, and back after the next Map4K.
 func checkSlots(t *testing.T, pt *Table, ref []visit) {
 	t.Helper()
 	n := 0
@@ -99,9 +107,9 @@ func checkSlots(t *testing.T, pt *Table, ref []visit) {
 			t.Fatalf("index has %d slots, radix walk has more (next %s)", len(pt.index), hv)
 		}
 		r := pt.index[n]
-		if r.base != hv || r.pd != pt.pdNode(hv, false) || int(r.slot) != addr.Index(hv, 2) {
+		if r.base != hv || r.pd != pt.pd(hv) || idx2(r.base) != addr.Index(hv, 2) {
 			t.Fatalf("index slot %d = {%s %p %d}, want {%s %p %d}",
-				n, r.base, r.pd, r.slot, hv, pt.pdNode(hv, false), addr.Index(hv, 2))
+				n, r.base, r.pd, idx2(r.base), hv, pt.pd(hv), addr.Index(hv, 2))
 		}
 		n++
 	}
@@ -131,53 +139,71 @@ func checkRangeSweeps(t *testing.T, pt *Table, ref []visit, salt uint64) {
 			}
 		}
 		var got []visit
-		pt.ScanRange(r, func(b addr.Virt, e *Entry, l Level) { got = append(got, visit{b, e, l}) })
+		pt.ScanRange(r, func(b addr.Virt, e *PTE, l Level) { got = append(got, visit{b, e, l}) })
 		if !slices.Equal(got, want) {
 			t.Fatalf("ScanRange(%s): %d visits, radix filter has %d", r, len(got), len(want))
 		}
 		// ClearFlagsRange clears the probe bit from exactly the leaves in r.
 		for _, w := range ref {
-			w.e.Flags |= probeFlag
+			w.e.Set(probeFlag)
 		}
 		if n := pt.ClearFlagsRange(r, probeFlag); n != len(want) {
 			t.Fatalf("ClearFlagsRange(%s) visited %d pages, want %d leaves", r, n, len(want))
 		}
 		for _, w := range ref {
 			inRange := w.base >= r.Start && w.base < r.End
-			if w.e.Flags.Has(probeFlag) == inRange {
+			if w.e.Has(probeFlag) == inRange {
 				t.Fatalf("ClearFlagsRange(%s): leaf %s in range %v, probe still set %v",
 					r, w.base, inRange, !inRange)
 			}
-			w.e.Flags &^= probeFlag
+			w.e.Put(w.e.Flags() &^ probeFlag)
 		}
 	}
 }
 
 // checkRegionScans: ScanRegions visits exactly the radix leaves, each with
-// pages == 1, RegionCount equals the number of visits, and ScanClear visits
-// the same sequence once each, reporting prior flags and clearing the mask.
+// pages == 1 and the leaf's decoded entry, ScanHuge exactly the 2MB ones,
+// RegionCount equals the number of visits, and ScanClear visits the same
+// sequence once each, reporting prior flags and clearing the mask.
 func checkRegionScans(t *testing.T, pt *Table, ref []visit) {
 	t.Helper()
-	var full []visit
+	full := 0
 	pt.ScanRegions(func(b addr.Virt, pages int, e *Entry, l Level) {
 		if pages != 1 {
 			t.Fatalf("ScanRegions: leaf %s has %d pages", b, pages)
 		}
-		full = append(full, visit{b, e, l})
+		if full >= len(ref) {
+			t.Fatalf("ScanRegions visit %d beyond radix walk's %d leaves", full, len(ref))
+		}
+		if w := ref[full]; b != w.base || *e != w.e.Entry() || l != w.lvl {
+			t.Fatalf("ScanRegions visit %d: got (%s, %v, %d), radix walk has (%s, %v, %d)",
+				full, b, *e, l, w.base, w.e.Entry(), w.lvl)
+		}
+		full++
 	})
-	if !slices.Equal(full, ref) {
-		t.Fatalf("ScanRegions visited %d regions, radix walk has %d leaves", len(full), len(ref))
+	if full != len(ref) {
+		t.Fatalf("ScanRegions visited %d regions, radix walk has %d leaves", full, len(ref))
 	}
-	if pt.RegionCount() != len(full) {
-		t.Fatalf("RegionCount = %d, ScanRegions visited %d", pt.RegionCount(), len(full))
+	if pt.RegionCount() != full {
+		t.Fatalf("RegionCount = %d, ScanRegions visited %d", pt.RegionCount(), full)
+	}
+	var huge, wantHuge []addr.Virt
+	pt.ScanHuge(func(b addr.Virt) { huge = append(huge, b) })
+	for _, w := range ref {
+		if w.lvl == Level2M {
+			wantHuge = append(wantHuge, w.base)
+		}
+	}
+	if !slices.Equal(huge, wantHuge) || len(huge) != pt.count2M {
+		t.Fatalf("ScanHuge visited %v, radix walk has huge leaves %v (count2M %d)", huge, wantHuge, pt.count2M)
 	}
 	// Every leaf carries the probe bit going in, every visit must report it
 	// as prior (a leaf visited twice would not), and the clear takes that bit
 	// and no other.
 	flags := make([]Flags, len(ref))
 	for k, w := range ref {
-		flags[k] = w.e.Flags
-		w.e.Flags |= probeFlag
+		flags[k] = w.e.Flags()
+		w.e.Set(probeFlag)
 	}
 	k := 0
 	pt.ScanClear(probeFlag, func(b addr.Virt, prior Flags, l Level) {
@@ -193,8 +219,8 @@ func checkRegionScans(t *testing.T, pt *Table, ref []visit) {
 		t.Fatalf("clear visited %d leaves, want %d", k, len(ref))
 	}
 	for k, w := range ref {
-		if w.e.Flags != flags[k] {
-			t.Fatalf("after clear %s has flags %b, want %b (only the probe bit gone)", w.base, w.e.Flags, flags[k])
+		if w.e.Flags() != flags[k] {
+			t.Fatalf("after clear %s has flags %b, want %b (only the probe bit gone)", w.base, w.e.Flags(), flags[k])
 		}
 	}
 }
@@ -266,8 +292,8 @@ func TestScanClear(t *testing.T) {
 	if len(hot) != 2 || hot[0] != addr.Virt2M(1) || hot[1] != addr.Virt2M(3) {
 		t.Fatalf("hot = %v", hot)
 	}
-	pt.Scan(func(b addr.Virt, e *Entry, lvl Level) {
-		if e.Flags.Has(Accessed) {
+	pt.Scan(func(b addr.Virt, e *PTE, lvl Level) {
+		if e.Has(Accessed) {
 			t.Fatalf("%s still Accessed after ScanClear", b)
 		}
 	})
@@ -294,8 +320,8 @@ func TestClearFlagsRange(t *testing.T) {
 	if n := pt.ClearFlagsRange(r, Poisoned); n != addr.PagesPerHuge {
 		t.Fatalf("visited %d leaves, want %d", n, addr.PagesPerHuge)
 	}
-	pt.ScanRange(r, func(b addr.Virt, e *Entry, lvl Level) {
-		if e.Flags.Has(Poisoned) {
+	pt.ScanRange(r, func(b addr.Virt, e *PTE, lvl Level) {
+		if e.Has(Poisoned) {
 			t.Fatalf("%s still Poisoned", b)
 		}
 	})
@@ -305,7 +331,8 @@ func TestClearFlagsRange(t *testing.T) {
 	}
 }
 
-// TestEntryRef returns a stable pointer through which flag edits are seen.
+// TestEntryRef returns a pointer to the live entry: Set and Put through it
+// are seen by Lookup, and neither disturbs the frame.
 func TestEntryRef(t *testing.T) {
 	pt := New()
 	if err := pt.Map4K(addr.Virt4K(7), addr.Phys4K(3), Writable); err != nil {
@@ -315,9 +342,16 @@ func TestEntryRef(t *testing.T) {
 	if !ok || lvl != Level4K {
 		t.Fatalf("EntryRef = %v, %d, %v", e, lvl, ok)
 	}
-	e.Flags |= Poisoned
-	if got, _, _ := pt.Lookup(addr.Virt4K(7)); !got.Flags.Has(Poisoned) {
-		t.Fatal("flag edit through EntryRef not visible to Lookup")
+	e.Set(Poisoned)
+	if got, _, _ := pt.Lookup(addr.Virt4K(7)); !got.Flags.Has(Poisoned|Writable|Present) || got.Frame != addr.Phys4K(3) {
+		t.Fatalf("after Set(Poisoned) through EntryRef, Lookup = %+v", got)
+	}
+	if !e.Has(Poisoned|Writable) || e.Has(Dirty) || e.Frame() != addr.Phys4K(3) {
+		t.Fatalf("handle reads %v / %s after Set", e.Flags(), e.Frame())
+	}
+	e.Put(Present | Dirty | probeFlag)
+	if got, _, _ := pt.Lookup(addr.Virt4K(7)); got.Flags != Present|Dirty|probeFlag || got.Frame != addr.Phys4K(3) {
+		t.Fatalf("after Put through EntryRef, Lookup = %+v", got)
 	}
 	if _, _, ok := pt.EntryRef(addr.Virt4K(8)); ok {
 		t.Fatal("EntryRef of unmapped address reported ok")

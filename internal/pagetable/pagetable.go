@@ -13,6 +13,7 @@
 package pagetable
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -49,11 +50,71 @@ const (
 // Has reports whether all bits in mask are set.
 func (f Flags) Has(mask Flags) bool { return f&mask == mask }
 
-// Entry is one page-table entry.
+// Entry is one page-table entry, decoded: the value Lookup, Walk and Unmap
+// hand out. The table itself stores PTEs.
 type Entry struct {
 	Frame addr.Phys
 	Flags Flags
 }
+
+// PTE is one leaf as the table stores it, in the hardware's layout: the
+// 4KB-aligned physical frame in bits 12–51, Flags bits 0–11 (the seven
+// defined flags and five spare) in the twelve bits below the frame, and Flags
+// bits 12–15 in bits 52–55, which x86-64 leaves to software. Every Flags
+// value and every 4KB-aligned frame below 2^52 round-trips (TestPTERoundTrip);
+// the zero word is a non-present entry.
+//
+// A *PTE handed out by EntryRef or a sweep points into the table: it reads
+// and edits the live entry, and stays valid until the leaf is unmapped, split
+// or collapsed.
+type PTE uint64
+
+const (
+	lowFlagBits = addr.PageShift4K
+	lowFlagMask = 1<<lowFlagBits - 1
+	frameEnd    = 52
+	frameMask   = (1<<frameEnd - 1) &^ lowFlagMask
+)
+
+// ErrBadFrame rejects a physical frame a PTE cannot hold: not 4KB-aligned, or
+// reaching past bit 51.
+var ErrBadFrame = errors.New("pagetable: frame not 4KB-aligned below 2^52")
+
+func checkFrame(p addr.Phys) error {
+	if PTE(p)&^frameMask != 0 {
+		return fmt.Errorf("%w: %s", ErrBadFrame, p)
+	}
+	return nil
+}
+
+// flagBits places a flag word in its PTE bit positions.
+func flagBits(f Flags) PTE {
+	return PTE(f&lowFlagMask) | PTE(f>>lowFlagBits)<<frameEnd
+}
+
+// Frame returns the physical frame the entry maps.
+func (e PTE) Frame() addr.Phys { return addr.Phys(e & frameMask) }
+
+// Flags returns the entry's flag word.
+func (e PTE) Flags() Flags {
+	return Flags(e&lowFlagMask) | Flags(e>>frameEnd)<<lowFlagBits
+}
+
+// Has reports whether all bits in mask are set.
+func (e PTE) Has(mask Flags) bool {
+	m := flagBits(mask)
+	return e&m == m
+}
+
+// Entry decodes the PTE.
+func (e PTE) Entry() Entry { return Entry{Frame: e.Frame(), Flags: e.Flags()} }
+
+// Set ORs mask into the live entry's flags.
+func (e *PTE) Set(mask Flags) { *e |= flagBits(mask) }
+
+// Put replaces the live entry's whole flag word, keeping its frame. Present
+// and Huge must stay as found: the table's leaf counts and index follow them.
+func (e *PTE) Put(f Flags) { *e = *e&frameMask | flagBits(f) }
 
 // Level identifies where a translation terminated.
 type Level int
@@ -66,34 +127,54 @@ const (
 	Level2M Level = 2
 )
 
-// node is one 512-entry radix table.
-type node struct {
-	entries  [512]Entry
-	children [512]*node
-	// liveLeaves counts present leaf entries in this node (PT and PD-huge),
-	// so unmap can prune empty nodes.
-	liveLeaves int
-	// liveChildren counts non-nil children.
-	liveChildren int
+// Radix indices of v at each level. The masked result indexes a [512] array
+// without a bounds check.
+func idx4(v addr.Virt) int { return int(v>>39) & 511 }
+func idx3(v addr.Virt) int { return int(v>>30) & 511 }
+func idx2(v addr.Virt) int { return int(v>>addr.PageShift2M) & 511 }
+func idx1(v addr.Virt) int { return int(v>>addr.PageShift4K) & 511 }
+
+// Nodes are typed by level, each holding only what its level can hold.
+//
+// ptNode is a page-table page: 512 PTEs, 4096 bytes, no pointer, so it fills
+// its malloc size class exactly and the collector never scans it. It is what
+// a sampled (split) huge page costs. Its live-leaf count lives in the PD node
+// above it (pdNode.live) to keep it that size.
+type ptNode [512]PTE
+
+// pdNode is a page directory: a slot holds a 2MB leaf in ptes, or a PT node
+// in pts with live[slot] present 4KB leaves under it, or nothing.
+type pdNode struct {
+	ptes [512]PTE
+	pts  [512]*ptNode
+	live [512]uint16
+	// used counts slots holding a huge leaf or a PT node, so Unmap can prune
+	// an empty directory.
+	used int
+}
+
+// pdptNode is a page-directory-pointer table: pointers only.
+type pdptNode struct {
+	pds  [512]*pdNode
+	used int
 }
 
 // regionRef locates one PD slot that holds at least one present leaf: either
-// a 2MB huge leaf in pd.entries[slot], or a PT node at pd.children[slot] with
-// one or more present 4KB leaves. base is the slot's 2MB-aligned virtual
-// base. Entry pointers derived from a regionRef stay valid for the leaf's
-// lifetime because nodes are never reallocated, only unlinked.
+// a 2MB huge leaf in pd.ptes[slot], or a PT node at pd.pts[slot] with one or
+// more present 4KB leaves, where slot is idx2(base). base is the slot's
+// 2MB-aligned virtual base. PTE pointers derived from a regionRef stay valid
+// for the leaf's lifetime because nodes are never reallocated, only unlinked.
 type regionRef struct {
 	base addr.Virt
-	pd   *node
-	slot int32
+	pd   *pdNode
 }
 
 // Table is a 4-level page table.
 //
 // Alongside the radix tree it maintains index, an ordered list of the PD
-// slots that hold any leaf. Sweeps (Scan, ScanRange) walk the index linearly
-// and expand each slot in place: a slot with no PT node under it is one 2MB
-// leaf, otherwise the PT node is walked for its present 4KB leaves.
+// slots that hold any leaf. Sweeps (Scan, ScanRange, ScanHuge) walk the index
+// linearly and expand each slot in place: a slot with no PT node under it is
+// one 2MB leaf, otherwise the PT node is walked for its present 4KB leaves.
 // Invariant: index holds exactly one ref per PD slot with at least one
 // present leaf, in strictly increasing base order, so a sweep visits leaves
 // in the order a depth-first radix walk produces (scanRadix in fuzz_test.go
@@ -102,16 +183,17 @@ type regionRef struct {
 // something, so they leave the index alone; Map2M/Unmap of a huge leaf and
 // the first Map4K into / last Unmap out of a PT node insert or remove one ref.
 type Table struct {
-	root    *node
+	// root is the PML4, pointers only and never pruned.
+	root    [512]*pdptNode
 	count4K int
 	count2M int
 	index   []regionRef
-	// nodes counts allocated radix nodes (root included) for StateBytes.
-	nodes int
+	// Allocated nodes below the root, by kind, for StateBytes.
+	nPDPT, nPD, nPT int
 }
 
 // New returns an empty table.
-func New() *Table { return &Table{root: &node{}, nodes: 1} }
+func New() *Table { return &Table{} }
 
 // slotPos returns the position of the first index ref with base >= b.
 func (t *Table) slotPos(b addr.Virt) int {
@@ -156,51 +238,58 @@ func (t *Table) MappedBytes() uint64 {
 	return uint64(t.count4K)*addr.PageSize4K + uint64(t.count2M)*addr.PageSize2M
 }
 
-// pdNode returns the PD node covering v — the node whose entries are 2MB
-// huge leaves and whose children are PT nodes — allocating the PDPT and PD
-// nodes on the way when create is set.
-func (t *Table) pdNode(v addr.Virt, create bool) *node {
-	n := t.root
-	for l := 4; l > 2; l-- {
-		i := addr.Index(v, l)
-		child := n.children[i]
-		if child == nil {
-			if !create {
-				return nil
-			}
-			child = &node{}
-			n.children[i] = child
-			n.liveChildren++
-			t.nodes++
-		}
-		n = child
+// pd returns the PD node covering v, or nil.
+func (t *Table) pd(v addr.Virt) *pdNode {
+	if pdpt := t.root[idx4(v)]; pdpt != nil {
+		return pdpt.pds[idx3(v)]
 	}
-	return n
+	return nil
 }
 
-// Map4K installs a 4KB translation v -> p. Fails if v is already mapped at
-// either grain.
+// pdCreate returns the PD node covering v, allocating it and the PDPT node
+// above it as needed.
+func (t *Table) pdCreate(v addr.Virt) *pdNode {
+	pdpt := t.root[idx4(v)]
+	if pdpt == nil {
+		pdpt = &pdptNode{}
+		t.root[idx4(v)] = pdpt
+		t.nPDPT++
+	}
+	pd := pdpt.pds[idx3(v)]
+	if pd == nil {
+		pd = &pdNode{}
+		pdpt.pds[idx3(v)] = pd
+		pdpt.used++
+		t.nPD++
+	}
+	return pd
+}
+
+// Map4K installs a 4KB translation v -> p, p rounded down to its 4KB frame.
+// Fails if v is already mapped at either grain.
 func (t *Table) Map4K(v addr.Virt, p addr.Phys, flags Flags) error {
 	if e, _, ok := t.Lookup(v); ok {
 		return fmt.Errorf("pagetable: %s already mapped to %s", v, e.Frame)
 	}
+	p = p.Base4K()
+	if err := checkFrame(p); err != nil {
+		return fmt.Errorf("pagetable: Map4K of %s: %w", v, err)
+	}
 	// Lookup ruled out a huge leaf over v, so the PD slot is empty or holds
 	// a PT node.
-	pd := t.pdNode(v, true)
-	slot := addr.Index(v, 2)
-	pt := pd.children[slot]
+	pd := t.pdCreate(v)
+	slot := idx2(v)
+	pt := pd.pts[slot]
 	if pt == nil {
-		pt = &node{}
-		pd.children[slot] = pt
-		pd.liveChildren++
-		t.nodes++
+		pt = new(ptNode)
+		pd.pts[slot] = pt
+		pd.used++
+		t.nPT++
+		t.insertSlot(regionRef{base: v.Base2M(), pd: pd})
 	}
-	pt.entries[addr.Index(v, 1)] = Entry{Frame: p.Base4K(), Flags: flags | Present}
-	pt.liveLeaves++
+	pt[idx1(v)] = PTE(p) | flagBits(flags|Present)
+	pd.live[slot]++
 	t.count4K++
-	if pt.liveLeaves == 1 {
-		t.insertSlot(regionRef{base: v.Base2M(), pd: pd, slot: int32(slot)})
-	}
 	return nil
 }
 
@@ -213,46 +302,50 @@ func (t *Table) Map2M(v addr.Virt, p addr.Phys, flags Flags) error {
 	if p.Base2M() != p {
 		return fmt.Errorf("pagetable: Map2M of unaligned physical %s", p)
 	}
-	pd := t.pdNode(v, true)
-	i := addr.Index(v, 2)
-	if pd.entries[i].Flags.Has(Present) {
+	if err := checkFrame(p); err != nil {
+		return fmt.Errorf("pagetable: Map2M of %s: %w", v, err)
+	}
+	pd := t.pdCreate(v)
+	i := idx2(v)
+	if pd.ptes[i].Has(Present) {
 		return fmt.Errorf("pagetable: %s already huge-mapped", v)
 	}
-	if pd.children[i] != nil {
+	if pd.pts[i] != nil {
 		return fmt.Errorf("pagetable: %s overlaps existing 4KB mappings", v)
 	}
-	pd.entries[i] = Entry{Frame: p, Flags: flags | Present | Huge}
-	pd.liveLeaves++
+	pd.ptes[i] = PTE(p) | flagBits(flags|Present|Huge)
+	pd.used++
 	t.count2M++
-	t.insertSlot(regionRef{base: v, pd: pd, slot: int32(i)})
+	t.insertSlot(regionRef{base: v, pd: pd})
 	return nil
+}
+
+// entryRef returns a pointer to the leaf entry mapping v, or nil.
+func (t *Table) entryRef(v addr.Virt) (*PTE, Level) {
+	pd := t.pd(v)
+	if pd == nil {
+		return nil, 0
+	}
+	i := idx2(v)
+	if e := &pd.ptes[i]; e.Has(Present | Huge) {
+		return e, Level2M
+	}
+	if pt := pd.pts[i]; pt != nil {
+		if e := &pt[idx1(v)]; e.Has(Present) {
+			return e, Level4K
+		}
+	}
+	return nil, 0
 }
 
 // Lookup finds the translation for v without side effects (no Accessed
 // update, no poison fault). ok is false if v is unmapped.
 func (t *Table) Lookup(v addr.Virt) (Entry, Level, bool) {
-	n := t.root
-	for l := 4; l >= 1; l-- {
-		i := addr.Index(v, l)
-		if l == 2 {
-			e := n.entries[i]
-			if e.Flags.Has(Present | Huge) {
-				return e, Level2M, true
-			}
-		}
-		if l == 1 {
-			e := n.entries[i]
-			if e.Flags.Has(Present) {
-				return e, Level4K, true
-			}
-			return Entry{}, 0, false
-		}
-		if n.children[i] == nil {
-			return Entry{}, 0, false
-		}
-		n = n.children[i]
+	e, lvl := t.entryRef(v)
+	if e == nil {
+		return Entry{}, 0, false
 	}
-	return Entry{}, 0, false
+	return e.Entry(), lvl, true
 }
 
 // Translate resolves v to a physical address using Lookup (no side effects).
@@ -288,59 +381,40 @@ type WalkResult struct {
 // depth. A poisoned leaf reports Poisoned=true and leaves flags untouched —
 // the MMU raises the fault before retiring the access.
 func (t *Table) Walk(v addr.Virt, write bool) WalkResult {
-	n := t.root
-	depth := 0
-	for l := 4; l >= 1; l-- {
-		i := addr.Index(v, l)
-		depth++
-		if l == 2 && n.entries[i].Flags.Has(Present|Huge) {
-			return t.finishWalk(&n.entries[i], Level2M, depth, write)
-		}
-		if l == 1 {
-			if !n.entries[i].Flags.Has(Present) {
-				return WalkResult{Depth: depth}
-			}
-			return t.finishWalk(&n.entries[i], Level4K, depth, write)
-		}
-		if n.children[i] == nil {
-			return WalkResult{Depth: depth}
-		}
-		n = n.children[i]
+	pdpt := t.root[idx4(v)]
+	if pdpt == nil {
+		return WalkResult{Depth: 1}
 	}
-	return WalkResult{Depth: depth}
+	pd := pdpt.pds[idx3(v)]
+	if pd == nil {
+		return WalkResult{Depth: 2}
+	}
+	i := idx2(v)
+	if e := &pd.ptes[i]; e.Has(Present | Huge) {
+		return finishWalk(e, Level2M, 3, write)
+	}
+	pt := pd.pts[i]
+	if pt == nil {
+		return WalkResult{Depth: 3}
+	}
+	e := &pt[idx1(v)]
+	if !e.Has(Present) {
+		return WalkResult{Depth: 4}
+	}
+	return finishWalk(e, Level4K, 4, write)
 }
 
-func (t *Table) finishWalk(e *Entry, lvl Level, depth int, write bool) WalkResult {
-	if e.Flags.Has(Poisoned) {
-		return WalkResult{Entry: *e, Level: lvl, Found: true, Poisoned: true, Depth: depth}
+func finishWalk(e *PTE, lvl Level, depth int, write bool) WalkResult {
+	w := *e
+	if w.Has(Poisoned) {
+		return WalkResult{Entry: w.Entry(), Level: lvl, Found: true, Poisoned: true, Depth: depth}
 	}
-	e.Flags |= Accessed
+	w |= flagBits(Accessed)
 	if write {
-		e.Flags |= Dirty
+		w |= flagBits(Dirty)
 	}
-	return WalkResult{Entry: *e, Level: lvl, Found: true, Depth: depth}
-}
-
-// entryRef returns a pointer to the leaf entry mapping v, or nil.
-func (t *Table) entryRef(v addr.Virt) (*Entry, Level) {
-	n := t.root
-	for l := 4; l >= 1; l-- {
-		i := addr.Index(v, l)
-		if l == 2 && n.entries[i].Flags.Has(Present|Huge) {
-			return &n.entries[i], Level2M
-		}
-		if l == 1 {
-			if n.entries[i].Flags.Has(Present) {
-				return &n.entries[i], Level4K
-			}
-			return nil, 0
-		}
-		if n.children[i] == nil {
-			return nil, 0
-		}
-		n = n.children[i]
-	}
-	return nil, 0
+	*e = w
+	return WalkResult{Entry: w.Entry(), Level: lvl, Found: true, Depth: depth}
 }
 
 // SetFlags ORs mask into the leaf entry mapping v. Returns false if unmapped.
@@ -349,7 +423,7 @@ func (t *Table) SetFlags(v addr.Virt, mask Flags) bool {
 	if e == nil {
 		return false
 	}
-	e.Flags |= mask
+	e.Set(mask)
 	return true
 }
 
@@ -360,15 +434,16 @@ func (t *Table) ClearFlags(v addr.Virt, mask Flags) (Flags, bool) {
 	if e == nil {
 		return 0, false
 	}
-	prior := e.Flags
-	e.Flags &^= mask
-	return prior, true
+	prior := *e
+	*e = prior &^ flagBits(mask)
+	return prior.Flags(), true
 }
 
 // Remap changes the physical frame of the leaf mapping v (page migration).
 // The grain of the existing mapping is preserved; flags other than Accessed
 // and Dirty are kept, and Accessed/Dirty are cleared (fresh page, as after a
-// migration the kernel re-establishes the mapping). Returns the old frame.
+// migration the kernel re-establishes the mapping). p must be aligned to the
+// mapping's grain (ErrBadFrame for a 4KB leaf). Returns the old frame.
 func (t *Table) Remap(v addr.Virt, p addr.Phys) (addr.Phys, error) {
 	e, lvl := t.entryRef(v)
 	if e == nil {
@@ -377,70 +452,61 @@ func (t *Table) Remap(v addr.Virt, p addr.Phys) (addr.Phys, error) {
 	if lvl == Level2M && p.Base2M() != p {
 		return 0, fmt.Errorf("pagetable: Remap 2M to unaligned %s", p)
 	}
-	old := e.Frame
-	e.Frame = p
-	e.Flags &^= Accessed | Dirty
+	if err := checkFrame(p); err != nil {
+		return 0, fmt.Errorf("pagetable: Remap of %s: %w", v, err)
+	}
+	old := e.Frame()
+	*e = *e&^(frameMask|flagBits(Accessed|Dirty)) | PTE(p)
 	return old, nil
 }
 
-// Unmap removes the leaf mapping v at whichever grain it exists. Returns the
-// removed entry and its level.
+// Unmap removes the leaf mapping v at whichever grain it exists, pruning the
+// nodes it empties (never the root). Returns the removed entry and its level.
 func (t *Table) Unmap(v addr.Virt) (Entry, Level, error) {
-	// Walk down remembering the path so empty nodes can be pruned.
-	var path [4]pruneStep
-	n := t.root
-	for l := 4; l >= 1; l-- {
-		i := addr.Index(v, l)
-		path[4-l] = pruneStep{n, i}
-		if l == 2 && n.entries[i].Flags.Has(Present|Huge) {
-			e := n.entries[i]
-			n.entries[i] = Entry{}
-			n.liveLeaves--
-			t.count2M--
-			t.removeSlot(v.Base2M())
-			t.prune(path[:4-l+1])
-			return e, Level2M, nil
-		}
-		if l == 1 {
-			if !n.entries[i].Flags.Has(Present) {
-				return Entry{}, 0, fmt.Errorf("pagetable: Unmap of unmapped %s", v)
-			}
-			e := n.entries[i]
-			n.entries[i] = Entry{}
-			n.liveLeaves--
-			t.count4K--
-			if n.liveLeaves == 0 {
-				t.removeSlot(v.Base2M())
-			}
-			t.prune(path[:])
-			return e, Level4K, nil
-		}
-		if n.children[i] == nil {
+	pdpt := t.root[idx4(v)]
+	var pd *pdNode
+	if pdpt != nil {
+		pd = pdpt.pds[idx3(v)]
+	}
+	if pd == nil {
+		return Entry{}, 0, fmt.Errorf("pagetable: Unmap of unmapped %s", v)
+	}
+	i := idx2(v)
+	var old PTE
+	var lvl Level
+	if e := &pd.ptes[i]; e.Has(Present | Huge) {
+		old, lvl = *e, Level2M
+		*e = 0
+		t.count2M--
+		pd.used--
+		t.removeSlot(v.Base2M())
+	} else {
+		pt := pd.pts[i]
+		if pt == nil || !pt[idx1(v)].Has(Present) {
 			return Entry{}, 0, fmt.Errorf("pagetable: Unmap of unmapped %s", v)
 		}
-		n = n.children[i]
-	}
-	return Entry{}, 0, fmt.Errorf("pagetable: Unmap of unmapped %s", v)
-}
-
-type pruneStep = struct {
-	n *node
-	i int
-}
-
-func (t *Table) prune(path []pruneStep) {
-	// Remove empty nodes bottom-up (never the root).
-	for k := len(path) - 1; k >= 1; k-- {
-		child := path[k].n
-		if child.liveLeaves == 0 && child.liveChildren == 0 {
-			parent := path[k-1]
-			parent.n.children[parent.i] = nil
-			parent.n.liveChildren--
-			t.nodes--
-		} else {
-			break
+		e := &pt[idx1(v)]
+		old, lvl = *e, Level4K
+		*e = 0
+		t.count4K--
+		pd.live[i]--
+		if pd.live[i] == 0 {
+			pd.pts[i] = nil
+			pd.used--
+			t.nPT--
+			t.removeSlot(v.Base2M())
 		}
 	}
+	if pd.used == 0 {
+		pdpt.pds[idx3(v)] = nil
+		pdpt.used--
+		t.nPD--
+		if pdpt.used == 0 {
+			t.root[idx4(v)] = nil
+			t.nPDPT--
+		}
+	}
+	return old.Entry(), lvl, nil
 }
 
 // Split breaks the 2MB leaf mapping v into 512 4KB leaves over the same
@@ -449,29 +515,26 @@ func (t *Table) prune(path []pruneStep) {
 // post-split scans observe fresh access information.
 func (t *Table) Split(v addr.Virt) error {
 	hv := v.Base2M()
-	pd := t.pdNode(hv, false)
+	pd := t.pd(hv)
 	if pd == nil {
 		return fmt.Errorf("pagetable: Split of unmapped %s", hv)
 	}
-	i := addr.Index(hv, 2)
-	e := pd.entries[i]
-	if !e.Flags.Has(Present | Huge) {
+	i := idx2(hv)
+	e := pd.ptes[i]
+	if !e.Has(Present | Huge) {
 		return fmt.Errorf("pagetable: Split of non-huge mapping at %s", hv)
 	}
-	childFlags := (e.Flags &^ (Huge | Accessed | Dirty)) | SplitSampled
-	pt := &node{}
-	for j := 0; j < addr.PagesPerHuge; j++ {
-		pt.entries[j] = Entry{
-			Frame: e.Frame + addr.Phys(uint64(j)*addr.PageSize4K),
-			Flags: childFlags,
-		}
+	// The frame sits at its own bit positions in the word, so child j's entry
+	// is the first child's plus j pages.
+	child := e&^flagBits(Huge|Accessed|Dirty) | flagBits(SplitSampled)
+	pt := new(ptNode)
+	for j := range pt {
+		pt[j] = child + PTE(j)<<addr.PageShift4K
 	}
-	pt.liveLeaves = addr.PagesPerHuge
-	pd.entries[i] = Entry{}
-	pd.liveLeaves--
-	pd.children[i] = pt
-	pd.liveChildren++
-	t.nodes++
+	pd.ptes[i] = 0
+	pd.pts[i] = pt
+	pd.live[i] = uint16(addr.PagesPerHuge)
+	t.nPT++
 	t.count2M--
 	t.count4K += addr.PagesPerHuge
 	return nil
@@ -483,39 +546,37 @@ func (t *Table) Split(v addr.Virt) error {
 // Poisoned children block collapse (unpoison first).
 func (t *Table) Collapse(v addr.Virt) error {
 	hv := v.Base2M()
-	pd := t.pdNode(hv, false)
+	pd := t.pd(hv)
 	if pd == nil {
 		return fmt.Errorf("pagetable: Collapse of unmapped %s", hv)
 	}
-	i := addr.Index(hv, 2)
-	pt := pd.children[i]
+	i := idx2(hv)
+	pt := pd.pts[i]
 	if pt == nil {
 		return fmt.Errorf("pagetable: Collapse of %s: no 4KB mappings", hv)
 	}
-	base := pt.entries[0].Frame
+	first := pt[0]
+	base := first.Frame()
 	if base.Base2M() != base {
 		return fmt.Errorf("pagetable: Collapse of %s: frame %s not 2MB-aligned", hv, base)
 	}
-	var merged Flags
-	for j := 0; j < addr.PagesPerHuge; j++ {
-		e := pt.entries[j]
-		if !e.Flags.Has(Present) {
+	var merged PTE
+	for j, e := range pt {
+		if !e.Has(Present) {
 			return fmt.Errorf("pagetable: Collapse of %s: child %d absent", hv, j)
 		}
-		if e.Flags.Has(Poisoned) {
+		if e.Has(Poisoned) {
 			return fmt.Errorf("pagetable: Collapse of %s: child %d poisoned", hv, j)
 		}
-		if e.Frame != base+addr.Phys(uint64(j)*addr.PageSize4K) {
+		if e.Frame() != base+addr.Phys(uint64(j)*addr.PageSize4K) {
 			return fmt.Errorf("pagetable: Collapse of %s: child %d not contiguous", hv, j)
 		}
-		merged |= e.Flags & (Accessed | Dirty)
+		merged |= e & flagBits(Accessed|Dirty)
 	}
-	parentFlags := (pt.entries[0].Flags &^ SplitSampled) | Huge | merged
-	pd.children[i] = nil
-	pd.liveChildren--
-	t.nodes--
-	pd.entries[i] = Entry{Frame: base, Flags: parentFlags}
-	pd.liveLeaves++
+	pd.pts[i] = nil
+	pd.live[i] = 0
+	t.nPT--
+	pd.ptes[i] = first&^flagBits(SplitSampled) | flagBits(Huge) | merged
 	t.count2M++
 	t.count4K -= addr.PagesPerHuge
 	return nil
@@ -524,19 +585,18 @@ func (t *Table) Collapse(v addr.Virt) error {
 // IsSplit reports whether the 2MB region containing v is currently mapped by
 // 4KB leaves created from a split huge page.
 func (t *Table) IsSplit(v addr.Virt) bool {
-	e, _, ok := t.Lookup(v)
-	return ok && e.Flags.Has(SplitSampled)
+	e, _ := t.entryRef(v)
+	return e != nil && e.Has(SplitSampled)
 }
 
 // LeafVisitor receives each present leaf entry during a Scan. base is the
-// leaf's virtual base address. Mutations through the pointer are visible to
-// subsequent walks (this is how scanners clear Accessed bits).
-type LeafVisitor func(base addr.Virt, e *Entry, lvl Level)
+// leaf's virtual base address; e points at the live entry, so flag edits
+// through it are visible to subsequent walks.
+type LeafVisitor func(base addr.Virt, e *PTE, lvl Level)
 
 // Scan visits every present leaf in the table in address order. It sweeps
 // the slot index linearly; the visitor must not structurally mutate the
-// table (Map/Unmap/Split/Collapse) mid-scan — collect first, mutate after,
-// as with the radix walk this replaces.
+// table (Map/Unmap/Split/Collapse) mid-scan — collect first, mutate after.
 func (t *Table) Scan(fn LeafVisitor) {
 	t.ScanRange(addr.Range{End: ^addr.Virt(0)}, fn)
 }
@@ -548,11 +608,12 @@ func (t *Table) Scan(fn LeafVisitor) {
 func (t *Table) ScanRange(r addr.Range, fn LeafVisitor) {
 	idx := t.index
 	for i := t.slotPos(r.Start.Base2M()); i < len(idx) && idx[i].base < r.End; i++ {
-		ref := &idx[i]
-		pt := ref.pd.children[ref.slot]
+		ref := idx[i]
+		slot := idx2(ref.base)
+		pt := ref.pd.pts[slot]
 		if pt == nil {
 			if ref.base >= r.Start {
-				fn(ref.base, &ref.pd.entries[ref.slot], Level2M)
+				fn(ref.base, &ref.pd.ptes[slot], Level2M)
 			}
 			continue
 		}
@@ -565,12 +626,24 @@ func (t *Table) ScanRange(r addr.Range, fn LeafVisitor) {
 			hi = int((uint64(r.End-ref.base) + addr.PageSize4K - 1) >> addr.PageShift4K)
 		}
 		base := ref.base + addr.Virt(uint64(lo)<<addr.PageShift4K)
-		ents := pt.entries[lo:hi]
+		ents := pt[lo:hi]
 		for j := range ents {
-			if e := &ents[j]; e.Flags&Present != 0 {
+			if e := &ents[j]; e.Has(Present) {
 				fn(base, e, Level4K)
 			}
 			base += addr.Virt(addr.PageSize4K)
+		}
+	}
+}
+
+// ScanHuge visits the base of every 2MB leaf in address order — Scan's
+// Level2M visits and nothing else — without entering a PT node: a split
+// page costs one pointer test instead of 512 callbacks. The visitor must not
+// structurally mutate the table mid-scan.
+func (t *Table) ScanHuge(fn func(base addr.Virt)) {
+	for _, ref := range t.index {
+		if ref.pd.pts[idx2(ref.base)] == nil {
+			fn(ref.base)
 		}
 	}
 }
@@ -580,13 +653,14 @@ func (t *Table) ScanRange(r addr.Range, fn LeafVisitor) {
 // mask bit set are not written, so a scan over mostly-idle leaves stays
 // read-mostly. fn may be nil to clear without observing.
 func (t *Table) ScanClear(mask Flags, fn func(base addr.Virt, prior Flags, lvl Level)) {
-	t.Scan(func(base addr.Virt, e *Entry, lvl Level) {
-		prior := e.Flags
-		if prior&mask != 0 {
-			e.Flags = prior &^ mask
+	m := flagBits(mask)
+	t.Scan(func(base addr.Virt, e *PTE, lvl Level) {
+		prior := *e
+		if prior&m != 0 {
+			*e = prior &^ m
 		}
 		if fn != nil {
-			fn(base, prior, lvl)
+			fn(base, prior.Flags(), lvl)
 		}
 	})
 }
@@ -596,42 +670,61 @@ func (t *Table) ScanClear(mask Flags, fn func(base addr.Virt, prior Flags, lvl L
 // per-page ClearFlags for the engine's restore pass: one sweep instead of
 // one radix descent per page.
 func (t *Table) ClearFlagsRange(r addr.Range, mask Flags) int {
+	m := flagBits(mask)
 	visited := 0
-	t.ScanRange(r, func(_ addr.Virt, e *Entry, _ Level) {
-		if e.Flags&mask != 0 {
-			e.Flags &^= mask
+	t.ScanRange(r, func(_ addr.Virt, e *PTE, _ Level) {
+		if *e&m != 0 {
+			*e &^= m
 		}
 		visited++
 	})
 	return visited
 }
 
-// EntryRef returns a pointer to the leaf entry mapping v, its level, and
-// whether v is mapped. The pointer stays valid until the leaf is unmapped,
-// split, or collapsed; mutations through it are visible to later walks. It
-// exists so fault handlers can read and update several flag bits with one
-// descent instead of separate Lookup/SetFlags/ClearFlags calls.
-func (t *Table) EntryRef(v addr.Virt) (*Entry, Level, bool) {
+// EntryRef returns a pointer to the live leaf entry mapping v, its level, and
+// whether v is mapped. It exists so fault handlers can read and update
+// several flag bits with one descent instead of separate
+// Lookup/SetFlags/ClearFlags calls.
+func (t *Table) EntryRef(v addr.Virt) (*PTE, Level, bool) {
 	e, lvl := t.entryRef(v)
-	if e == nil {
-		return nil, 0, false
-	}
-	return e, lvl, true
+	return e, lvl, e != nil
 }
 
-// ScanRegions is Scan with a page count that is always 1, kept because
-// bench/replay.go calls it; in-tree code uses Scan.
+// ScanRegions is Scan with a page count that is always 1 and the entry
+// decoded into a per-call scratch copy (read-only: edits to it are lost),
+// kept because bench/replay.go calls it and times it as the table's cost per
+// scanned leaf; in-tree code uses Scan. It sweeps the index itself so that
+// number holds one callback per leaf, as Scan's does, not a closure calling a
+// closure.
 func (t *Table) ScanRegions(fn func(base addr.Virt, pages int, e *Entry, lvl Level)) {
-	t.Scan(func(base addr.Virt, e *Entry, lvl Level) { fn(base, 1, e, lvl) })
+	var scratch Entry
+	for _, ref := range t.index {
+		slot := idx2(ref.base)
+		pt := ref.pd.pts[slot]
+		if pt == nil {
+			scratch = ref.pd.ptes[slot].Entry()
+			fn(ref.base, 1, &scratch, Level2M)
+			continue
+		}
+		for j, e := range pt {
+			if e.Has(Present) {
+				scratch = e.Entry()
+				fn(ref.base+addr.Virt(j)<<addr.PageShift4K, 1, &scratch, Level4K)
+			}
+		}
+	}
 }
 
 // RegionCount returns the number of present leaves at either grain.
 func (t *Table) RegionCount() int { return t.count4K + t.count2M }
 
-// StateBytes returns the table's resident simulator-state footprint: radix
-// nodes and the slot index. This is the numerator of the scaling benchmark's
-// state-bytes-per-simulated-GB metric.
+// StateBytes returns the table's resident simulator-state footprint: the
+// root, every node below it at its own size, and the slot index. This is the
+// numerator of the scaling benchmark's state-bytes-per-simulated-GB metric.
 func (t *Table) StateBytes() uint64 {
-	return uint64(t.nodes)*uint64(unsafe.Sizeof(node{})) +
+	return uint64(unsafe.Sizeof(t.root)) +
+		uint64(t.nPDPT)*uint64(unsafe.Sizeof(pdptNode{})) +
+		uint64(t.nPD)*uint64(unsafe.Sizeof(pdNode{})) +
+		uint64(t.nPT)*uint64(unsafe.Sizeof(ptNode{})) +
 		uint64(cap(t.index))*uint64(unsafe.Sizeof(regionRef{}))
 }

@@ -1,6 +1,7 @@
 package pagetable
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -118,6 +119,14 @@ func TestWalkHugeDepth(t *testing.T) {
 	if r.Depth != 3 {
 		t.Fatalf("2M walk depth = %d, want 3", r.Depth)
 	}
+	// The huge leaf takes Accessed from a read and Dirty from a write, in the
+	// result and in the table.
+	if e, _, _ := pt.Lookup(v); !r.Entry.Flags.Has(Accessed) || e.Flags != Present|Huge|Accessed {
+		t.Fatalf("after a read walk: result flags %b, table flags %b", r.Entry.Flags, e.Flags)
+	}
+	if r = pt.Walk(v+123, true); r.Entry.Flags != Present|Huge|Accessed|Dirty || r.Entry.Frame != addr.Phys2M(3) {
+		t.Fatalf("write walk %+v", r)
+	}
 }
 
 func TestWalkUnmapped(t *testing.T) {
@@ -185,8 +194,13 @@ func TestUnmapAndPrune(t *testing.T) {
 		t.Fatal("double Unmap should fail")
 	}
 	// After pruning, the root should have no children.
-	if pt.root.liveChildren != 0 {
-		t.Fatalf("root has %d children after prune", pt.root.liveChildren)
+	for i, pdpt := range pt.root {
+		if pdpt != nil {
+			t.Fatalf("root still has a child at %d after prune", i)
+		}
+	}
+	if pt.nPDPT != 0 || pt.nPD != 0 || pt.nPT != 0 {
+		t.Fatalf("node counts after prune: %d/%d/%d", pt.nPDPT, pt.nPD, pt.nPT)
 	}
 }
 
@@ -301,6 +315,90 @@ func TestRemap(t *testing.T) {
 	}
 }
 
+// TestRemapRejectsBadFrame: a 4KB leaf refuses a frame that is not
+// 4KB-aligned or does not fit bits 12–51 — stored as given it would shift
+// every later Translate and overwrite flag bits — and is left as it was.
+// Map2M and Map4K refuse a frame beyond bit 51 the same way; Map4K still
+// rounds an unaligned address down to its frame.
+func TestRemapRejectsBadFrame(t *testing.T) {
+	pt := New()
+	v := addr.Virt4K(9)
+	if err := pt.Map4K(v, addr.Phys4K(5)+0x123, Writable); err != nil {
+		t.Fatal(err)
+	}
+	before, _, _ := pt.Lookup(v)
+	if before.Frame != addr.Phys4K(5) {
+		t.Fatalf("Map4K stored %s, want the round-down %s", before.Frame, addr.Phys4K(5))
+	}
+	for _, p := range []addr.Phys{addr.Phys4K(6) + 1, addr.Phys4K(6) + 0x800, 1 << 52, 1<<63 | addr.Phys4K(6)} {
+		if _, err := pt.Remap(v, p); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("Remap to %s: err = %v, want ErrBadFrame", p, err)
+		}
+		if after, _, _ := pt.Lookup(v); after != before {
+			t.Fatalf("refused Remap to %s changed the entry: %+v -> %+v", p, before, after)
+		}
+	}
+	if pa, _ := pt.Translate(v + 0x10); pa != addr.Phys4K(5)+0x10 {
+		t.Fatalf("Translate after refused remaps = %s", pa)
+	}
+	if err := pt.Map2M(addr.Virt2M(3), 1<<52, 0); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("Map2M beyond bit 51: err = %v, want ErrBadFrame", err)
+	}
+	if err := pt.Map4K(addr.Virt4K(10), 1<<52, 0); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("Map4K beyond bit 51: err = %v, want ErrBadFrame", err)
+	}
+	if pt.RegionCount() != 1 || pt.nPD != 1 {
+		t.Fatalf("refused maps left state behind: %d leaves, %d PD nodes", pt.RegionCount(), pt.nPD)
+	}
+}
+
+// TestPTERoundTrip: every Flags value — all 16 bits, so probeFlag and the
+// other bits no table code names — at frame 0, the tier-1 base 1<<44, and the
+// last 4KB frame of the 8 x 16 TB tier map survives pack -> unpack, and
+// neither half leaks into the other.
+func TestPTERoundTrip(t *testing.T) {
+	top := addr.Phys(8<<44) - addr.Phys(addr.PageSize4K)
+	for _, frame := range []addr.Phys{0, 1 << 44, top, frameMask} {
+		if err := checkFrame(frame); err != nil {
+			t.Fatalf("frame %s refused: %v", frame, err)
+		}
+		for f := 0; f <= 0xffff; f++ {
+			e := PTE(frame) | flagBits(Flags(f))
+			if e.Frame() != frame || e.Flags() != Flags(f) || e.Entry() != (Entry{frame, Flags(f)}) {
+				t.Fatalf("pack(%s, %#x) = %#x unpacks to (%s, %#x)", frame, f, uint64(e), e.Frame(), e.Flags())
+			}
+			if !e.Has(Flags(f)) || (f != 0xffff && e.Has(0xffff)) {
+				t.Fatalf("Has on %#x disagrees with its flags %#x", uint64(e), f)
+			}
+			e.Put(^Flags(f))
+			if e.Frame() != frame || e.Flags() != ^Flags(f) {
+				t.Fatalf("Put(%#x) on frame %s gives (%s, %#x)", ^Flags(f), frame, e.Frame(), e.Flags())
+			}
+		}
+	}
+	// Through the table: a tier-1 huge frame and every software flag bit come
+	// back from Lookup, Walk and Split's children.
+	pt := New()
+	soft := ^(Present | Writable | Accessed | Dirty | Huge | Poisoned | SplitSampled)
+	v, p := addr.Virt2M(3), addr.Phys(1<<44)+addr.Phys2M(5)
+	if err := pt.Map2M(v, p, Writable|soft); err != nil {
+		t.Fatal(err)
+	}
+	if e, _, _ := pt.Lookup(v); e.Frame != p || e.Flags != Present|Huge|Writable|soft {
+		t.Fatalf("Lookup = %+v", e)
+	}
+	if r := pt.Walk(v+0x5000, false); r.Entry.Frame != p || r.Entry.Flags != Present|Huge|Writable|Accessed|soft {
+		t.Fatalf("Walk = %+v", r)
+	}
+	if err := pt.Split(v); err != nil {
+		t.Fatal(err)
+	}
+	last := v + addr.Virt(addr.PageSize2M-addr.PageSize4K)
+	if e, _, _ := pt.Lookup(last); e.Frame != p+addr.Phys(addr.PageSize2M-addr.PageSize4K) || e.Flags != Present|Writable|SplitSampled|soft {
+		t.Fatalf("last split child = %+v", e)
+	}
+}
+
 func TestScanVisitsAllLeavesInOrder(t *testing.T) {
 	pt := New()
 	if err := pt.Map2M(addr.Virt2M(10), addr.Phys2M(1), 0); err != nil {
@@ -313,7 +411,7 @@ func TestScanVisitsAllLeavesInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	var bases []addr.Virt
-	pt.Scan(func(base addr.Virt, e *Entry, lvl Level) {
+	pt.Scan(func(base addr.Virt, e *PTE, lvl Level) {
 		bases = append(bases, base)
 	})
 	if len(bases) != 3 {
@@ -335,7 +433,7 @@ func TestScanRange(t *testing.T) {
 	}
 	r := addr.NewRange(addr.Virt2M(3), 4*addr.PageSize2M)
 	n := 0
-	pt.ScanRange(r, func(base addr.Virt, e *Entry, lvl Level) { n++ })
+	pt.ScanRange(r, func(base addr.Virt, e *PTE, lvl Level) { n++ })
 	if n != 4 {
 		t.Fatalf("ScanRange visited %d, want 4", n)
 	}
@@ -348,8 +446,8 @@ func TestScanMutationVisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	pt.Walk(v, false)
-	pt.Scan(func(base addr.Virt, e *Entry, lvl Level) {
-		e.Flags &^= Accessed // kstaled-style clearing
+	pt.Scan(func(base addr.Virt, e *PTE, lvl Level) {
+		e.Put(e.Flags() &^ Accessed) // kstaled-style clearing
 	})
 	e, _, _ := pt.Lookup(v)
 	if e.Flags.Has(Accessed) {
@@ -478,7 +576,8 @@ func BenchmarkSplit(b *testing.B) {
 	}
 }
 
-// TestScanRegionsDense: ScanRegions is exactly Scan with pages == 1.
+// TestScanRegionsDense: ScanRegions is exactly Scan with pages == 1 and the
+// entry decoded.
 func TestScanRegionsDense(t *testing.T) {
 	pt := New()
 	for i := uint64(0); i < 6; i++ {
@@ -490,15 +589,15 @@ func TestScanRegionsDense(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ref []visit
-	pt.Scan(func(b addr.Virt, e *Entry, l Level) { ref = append(ref, visit{b, e, l}) })
+	pt.Scan(func(b addr.Virt, e *PTE, l Level) { ref = append(ref, visit{b, e, l}) })
 	i := 0
 	pt.ScanRegions(func(b addr.Virt, pages int, e *Entry, l Level) {
 		if pages != 1 {
 			t.Fatalf("dense region at %s has %d pages", b, pages)
 		}
 		w := ref[i]
-		if b != w.base || e != w.e || l != w.lvl {
-			t.Fatalf("visit %d: got (%s, %p, %d), Scan has (%s, %p, %d)", i, b, e, l, w.base, w.e, w.lvl)
+		if b != w.base || *e != w.e.Entry() || l != w.lvl {
+			t.Fatalf("visit %d: got (%s, %v, %d), Scan has (%s, %v, %d)", i, b, *e, l, w.base, w.e.Entry(), w.lvl)
 		}
 		i++
 	})
@@ -521,15 +620,16 @@ func TestStateBytesTracksStructure(t *testing.T) {
 	}
 	mapped := pt.StateBytes()
 	// Root, PDPT, PD, and the index.
-	want := 3*uint64(unsafe.Sizeof(node{})) + uint64(cap(pt.index))*uint64(unsafe.Sizeof(regionRef{}))
+	want := uint64(unsafe.Sizeof(pt.root)+unsafe.Sizeof(pdptNode{})+unsafe.Sizeof(pdNode{})) +
+		uint64(cap(pt.index))*uint64(unsafe.Sizeof(regionRef{}))
 	if mapped != want || cap(pt.index) < n {
 		t.Fatalf("StateBytes = %d with index cap %d, want %d", mapped, cap(pt.index), want)
 	}
 	if err := pt.Split(addr.Virt2M(n / 2)); err != nil {
 		t.Fatal(err)
 	}
-	if got := pt.StateBytes(); got != mapped+uint64(unsafe.Sizeof(node{})) {
-		t.Fatalf("split added %d bytes, want one PT node (%d)", got-mapped, unsafe.Sizeof(node{}))
+	if got := pt.StateBytes(); got != mapped+uint64(unsafe.Sizeof(ptNode{})) {
+		t.Fatalf("split added %d bytes, want one PT node (%d)", got-mapped, unsafe.Sizeof(ptNode{}))
 	}
 	if err := pt.Collapse(addr.Virt2M(n / 2)); err != nil {
 		t.Fatal(err)

@@ -448,11 +448,11 @@ func (m *Machine) FreeRegion(r addr.Range) ([]uint64, error) {
 		spl  bool
 	}
 	var leaves []leafInfo
-	m.pt.ScanRange(r, func(base addr.Virt, e *pagetable.Entry, lvl pagetable.Level) {
+	m.pt.ScanRange(r, func(base addr.Virt, e *pagetable.PTE, lvl pagetable.Level) {
 		leaves = append(leaves, leafInfo{
 			base: base, lvl: lvl,
-			poi: e.Flags.Has(pagetable.Poisoned),
-			spl: e.Flags.Has(pagetable.SplitSampled),
+			poi: e.Has(pagetable.Poisoned),
+			spl: e.Has(pagetable.SplitSampled),
 		})
 	})
 	// Disarm monitoring, then restore sampled pages to their 2MB allocation
@@ -476,7 +476,7 @@ func (m *Machine) FreeRegion(r addr.Range) ([]uint64, error) {
 	}
 	// Re-scan (the leaf set changed shape), then unmap and free.
 	var final []leafInfo
-	m.pt.ScanRange(r, func(base addr.Virt, e *pagetable.Entry, lvl pagetable.Level) {
+	m.pt.ScanRange(r, func(base addr.Virt, e *pagetable.PTE, lvl pagetable.Level) {
 		final = append(final, leafInfo{base: base, lvl: lvl})
 	})
 	freed := make([]uint64, m.sys.NumTiers())

@@ -456,7 +456,7 @@ func Slowdown(baseline, policy *RunResult) float64 {
 // tier into Cold.
 func ScanFootprint(m *Machine, ranges []addr.Range) Footprint {
 	fp := Footprint{ByTier: make([]TierBytes, m.Memory().NumTiers())}
-	m.PageTable().Scan(func(base addr.Virt, e *pagetable.Entry, lvl pagetable.Level) {
+	m.PageTable().Scan(func(base addr.Virt, e *pagetable.PTE, lvl pagetable.Level) {
 		if ranges != nil {
 			in := false
 			for _, r := range ranges {
@@ -469,7 +469,7 @@ func ScanFootprint(m *Machine, ranges []addr.Range) Footprint {
 				return
 			}
 		}
-		fp.AddLeaf(lvl, m.Memory().TierOf(e.Frame))
+		fp.AddLeaf(lvl, m.Memory().TierOf(e.Frame()))
 	})
 	return fp
 }

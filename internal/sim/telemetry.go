@@ -159,11 +159,11 @@ func (t *epochTracker) end(nowNs int64) {
 		pages = make(map[addr.Virt]bool)
 	}
 	sys := t.m.Memory()
-	t.m.PageTable().Scan(func(base addr.Virt, e *pagetable.Entry, lvl pagetable.Level) {
-		if e.Flags.Has(pagetable.Poisoned) {
+	t.m.PageTable().Scan(func(base addr.Virt, e *pagetable.PTE, lvl pagetable.Level) {
+		if e.Has(pagetable.Poisoned) {
 			snap.PoisonedPages++
 		}
-		cold := sys.TierOf(e.Frame) != mem.Fast
+		cold := sys.TierOf(e.Frame()) != mem.Fast
 		grain := addr.PageSize4K
 		if lvl == pagetable.Level2M {
 			grain = addr.PageSize2M

@@ -29,10 +29,11 @@ func (m *Machine) Verify() error {
 	mappedByTier := map[mem.TierID]uint64{}
 
 	var err error
-	m.pt.Scan(func(base addr.Virt, e *pagetable.Entry, lvl pagetable.Level) {
+	m.pt.Scan(func(base addr.Virt, pte *pagetable.PTE, lvl pagetable.Level) {
 		if err != nil {
 			return
 		}
+		e := pte.Entry()
 		tier := mem.TierOf(e.Frame)
 		if int(tier) >= m.sys.NumTiers() {
 			err = fmt.Errorf("sim: leaf %s frame %s belongs to tier %d outside the %d-tier hierarchy",

@@ -28,13 +28,13 @@ if [ "${SHORT:-0}" = "1" ]; then
 	echo "== hot-path benchmarks (smoke)"
 	# One quick pass over the hot-path micro-benchmarks: catches bit-rot in
 	# the page table's slot index (scan and split/collapse, at 512 pages and
-	# at the 16 GiB bigmem-scan shape), the TLB (hit, miss and evicting
+	# at the 16 GiB bigmem-scan shape) and its walk at both grains, the TLB (hit, miss and evicting
 	# insert at the 2/8, 2/16 and 64/1024 sizes the runs use), the LLC, the
 	# Zipfian sampler's guide table (at the page counts of websearch-tlbhit
 	# and bigmem-scan), the access path, and one fleet-night run under
 	# fleet.Run's block loop. The measured numbers come from `make bench`
 	# (see bench/README.md).
-	go test -run=NONE -bench 'BenchmarkPT' -benchtime=100x ./internal/pagetable
+	go test -run=NONE -bench 'BenchmarkPT|BenchmarkWalk|BenchmarkSplit' -benchtime=100x ./internal/pagetable
 	go test -run=NONE -bench 'BenchmarkLookup|BenchmarkInsert' -benchtime=100x ./internal/tlb
 	go test -run=NONE -bench 'BenchmarkCache' -benchtime=100x ./internal/cache
 	go test -run=NONE -bench 'BenchmarkZipfian' -benchtime=100x ./internal/rng
