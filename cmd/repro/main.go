@@ -6,14 +6,8 @@
 //	repro -exp colddata -apps cassandra,redis
 //	repro -exp fig11 -csv out/         # also dump CSVs
 //
-// Experiments: fig1, naive, fig2, table1, table2, fig3, colddata (figures
-// 5-10), fig11, table3, table4, baselines (policy comparison), ablations
-// (design-choice studies), ntier (DRAM/CXL/NVM sweep; not part of 'all'),
-// matrix (tracker × policy × workload × topology zoo; not part of 'all'),
-// fleet (multi-tenant datacenter-night arbitration scenario; not part of
-// 'all' — writes results/fleet_night.{txt,csv}), scale (simulator scaling
-// sweep, 1 GB to 1 TB; not part of 'all' — writes
-// results/BENCH_scale.{json,txt}).
+// The experiments table below is the set -exp accepts; 'all' is the paper
+// regeneration and leaves out the rows marked opt-in.
 //
 // Independent runs fan out across -workers goroutines (default: all cores).
 // Results are bit-for-bit identical at any worker count; -workers 1 is the
@@ -44,12 +38,62 @@ import (
 // in main before any run starts.
 var logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 
-// experiments is the set -exp accepts, including the opt-in extras 'all'
-// does not run.
-var experiments = []string{
-	"all", "fig1", "naive", "fig2", "table1", "table2", "fig3", "colddata",
-	"fig11", "table3", "table4", "baselines", "ablations",
-	"ntier", "matrix", "fleet", "scale",
+// experiment is one name -exp accepts: whether 'all' includes it, whether it
+// reads the shared baseline/Thermostat pairs (run once, before the first
+// experiment), and what it runs.
+type experiment struct {
+	name      string
+	inAll     bool
+	needsRuns bool
+	run       func(*env)
+}
+
+// experiments drives validation, the shared runs and dispatch, which is in
+// this order whatever order -exp names them in. The last four are opt-in:
+// they are this repo's extensions, not part of the paper's evaluation.
+var experiments = []experiment{
+	{"fig1", true, false, runFig1},
+	{"naive", true, false, runNaive},
+	{"fig2", true, false, runFig2},
+	{"table1", true, false, runTable1},
+	{"table2", true, true, func(e *env) { e.emit("table2", harness.Table2Table(harness.Table2(e.runs, e.opt))) }},
+	{"fig3", true, true, runFig3},
+	{"colddata", true, true, runColdData},
+	{"fig11", true, false, runFig11},
+	{"table3", true, true, func(e *env) { e.emit("table3", harness.Table3Table(harness.Table3(e.runs, e.opt))) }},
+	{"table4", true, true, runTable4},
+	{"baselines", true, false, runBaselines},
+	{"ablations", true, false, runAblations},
+	// The tracker × policy zoo head-to-head, which the paper never did.
+	{"matrix", false, false, runMatrix},
+	// The seeded "datacenter night"; writes results/fleet_night.{txt,csv}.
+	{"fleet", false, false, runFleet},
+	// Benchmarks the simulator itself; writes results/BENCH_scale.{json,txt}.
+	{"scale", false, false, runScale},
+	{"ntier", false, false, runNTier},
+}
+
+// pick resolves an -exp value to the experiments it names, in table order.
+func pick(exps string) ([]experiment, error) {
+	want := map[string]bool{}
+	names := []string{"all"}
+	for _, x := range experiments {
+		names = append(names, x.name)
+	}
+	for _, e := range strings.Split(exps, ",") {
+		e = strings.TrimSpace(e)
+		if !slices.Contains(names, e) {
+			return nil, fmt.Errorf("unknown experiment %q (experiments: %s)", e, strings.Join(names, ", "))
+		}
+		want[e] = true
+	}
+	var picked []experiment
+	for _, x := range experiments {
+		if want[x.name] || x.inAll && want["all"] {
+			picked = append(picked, x)
+		}
+	}
+	return picked, nil
 }
 
 // validate rejects inconsistent flag combinations before any simulation
@@ -57,26 +101,64 @@ var experiments = []string{
 // list is repro's own; everything else is daemon.Config.Validate, the one
 // copy of the rules shared with cmd/thermostat-sim and thermostatd.
 func validate(exps string, cfg daemon.Config) error {
-	for _, e := range strings.Split(exps, ",") {
-		e = strings.TrimSpace(e)
-		if !slices.Contains(experiments, e) {
-			return fmt.Errorf("unknown experiment %q (experiments: %s)",
-				e, strings.Join(experiments, ", "))
-		}
+	if _, err := pick(exps); err != nil {
+		return err
 	}
 	return cfg.Validate()
+}
+
+// env is what an experiment runs with: the harness options, the shared
+// paired runs (nil unless a picked experiment needs them), the seed, and
+// where the optional CSV/SVG copies and the committed artifacts go.
+type env struct {
+	opt                    harness.Options
+	runs                   map[string]*harness.AppRun
+	seed                   uint64
+	csvDir, svgDir, outDir string
+}
+
+// emit prints a table and, under -csv, also writes it out.
+func (e *env) emit(name string, t *report.Table) {
+	fmt.Println(t.String())
+	write(e.csvDir, name+".csv", t.WriteCSV)
+}
+
+// write creates dir/name and fills it; an empty dir is an output nobody
+// asked for.
+func write(dir, name string, fill func(io.Writer) error) {
+	if dir == "" {
+		return
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		fatal(err)
+	}
+	f, err := os.Create(filepath.Join(dir, name))
+	if err != nil {
+		fatal(err)
+	}
+	defer f.Close()
+	if err := fill(f); err != nil {
+		fatal(err)
+	}
+}
+
+// apps is the -apps selection, or def when there is none.
+func (e *env) apps(def []workload.Spec) []workload.Spec {
+	if len(e.opt.Apps) > 0 {
+		return e.opt.Apps
+	}
+	return def
 }
 
 func main() {
 	// The flags are the CLI spelling of one daemon.Config. Every repro run
 	// drives the paper's thermostat arm, so the policy is fixed.
 	cfg := daemon.Config{Policy: "thermostat"}
-	var (
-		expFlag = flag.String("exp", "all", "comma-separated experiments or 'all'")
-		csvDir  = flag.String("csv", "", "directory to also write CSV outputs into")
-		svgDir  = flag.String("svg", "", "directory to also render SVG figures into")
-		outDir  = flag.String("results", "results", "directory the fleet and scale experiments write their committed artifacts into")
-	)
+	e := &env{}
+	expFlag := flag.String("exp", "all", "comma-separated experiments or 'all'")
+	flag.StringVar(&e.csvDir, "csv", "", "directory to also write CSV outputs into")
+	flag.StringVar(&e.svgDir, "svg", "", "directory to also render SVG figures into")
+	flag.StringVar(&e.outDir, "results", "results", "directory the fleet and scale experiments write their committed artifacts into")
 	flag.StringVar(&cfg.Scale, "scale", "repro", "scale profile: tiny, bench, repro")
 	flag.Func("apps", "comma-separated `apps` to run instead of all six", func(s string) error {
 		cfg.Apps = nil
@@ -96,6 +178,7 @@ func main() {
 	if err := validate(*expFlag, cfg); err != nil {
 		fatal(err)
 	}
+	picked, _ := pick(*expFlag)                          // names vetted above
 	logger, _ = obsv.NewLogger(os.Stderr, cfg.LogFormat) // format vetted above
 
 	sc, err := harness.ResolveScale(cfg.Scale, cfg.Seed, cfg.DurationS)
@@ -103,7 +186,8 @@ func main() {
 		fatal(err)
 	}
 
-	opt := harness.Options{Scale: sc, SlowdownPct: cfg.SlowdownPct, Workers: cfg.Workers}
+	e.seed = cfg.Seed
+	e.opt = harness.Options{Scale: sc, SlowdownPct: cfg.SlowdownPct, Workers: cfg.Workers}
 	if cfg.Serve != "" {
 		pub := obsv.NewPublisher()
 		pub.SetInfo(obsv.Info{
@@ -120,262 +204,198 @@ func main() {
 		defer stop()
 		pub.SetPhase(obsv.PhaseRunning)
 		defer pub.SetPhase(obsv.PhaseDone)
-		opt.Publisher = pub
+		e.opt.Publisher = pub
 	}
 	for _, name := range cfg.Apps {
 		spec, ok := workload.ByName(strings.TrimSpace(name))
 		if !ok {
 			fatal(fmt.Errorf("unknown application %q", name))
 		}
-		opt.Apps = append(opt.Apps, spec)
+		e.opt.Apps = append(e.opt.Apps, spec)
 	}
 
-	want := map[string]bool{}
-	for _, e := range strings.Split(*expFlag, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
-	all := want["all"]
-	selected := func(name string) bool { return all || want[name] }
-
-	emit := func(name string, t *report.Table) {
-		fmt.Println(t.String())
-		if *csvDir != "" {
-			if err := writeCSV(*csvDir, name, t); err != nil {
-				fatal(err)
-			}
-		}
-	}
-
-	// Experiments that share the paired baseline/Thermostat runs.
-	needRuns := selected("fig3") || selected("table2") || selected("colddata") ||
-		selected("table3") || selected("table4")
-	var runs map[string]*harness.AppRun
-	if needRuns {
+	if slices.ContainsFunc(picked, func(x experiment) bool { return x.needsRuns }) {
 		logger.Info("running baseline + thermostat pairs", "scale", sc.Name)
-		runs, err = harness.RunAll(opt)
-		if err != nil {
+		if e.runs, err = harness.RunAll(e.opt); err != nil {
 			fatal(err)
 		}
 	}
+	for _, x := range picked {
+		x.run(e)
+	}
+}
 
-	if selected("fig1") {
-		logger.Info("running fig1 (Accessed-bit idle fractions)")
-		r, err := harness.Fig1(opt)
+func runFig1(e *env) {
+	logger.Info("running fig1 (Accessed-bit idle fractions)")
+	r, err := harness.Fig1(e.opt)
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Println(r.Bar())
+	e.emit("fig1", r.Table())
+	var labels []string
+	var vals []float64
+	for _, spec := range e.apps(workload.All()) {
+		labels = append(labels, spec.Name)
+		vals = append(vals, r.IdleFrac[spec.Name]*100)
+	}
+	write(e.svgDir, "fig1.svg", (&report.BarPlot{
+		Title: "Figure 1: 2MB pages idle for 10s", YLabel: "idle fraction (%)",
+		Labels: labels, Groups: [][]float64{vals},
+	}).WriteSVG)
+}
+
+func runNaive(e *env) {
+	logger.Info("running naive idle-bit placement on redis")
+	n, err := harness.NaivePlacement(workload.Redis(), e.opt)
+	if err != nil {
+		fatal(err)
+	}
+	t := report.NewTable("Naive Accessed-bit placement (Figure 1 caption check)",
+		"application", "slowdown_pct", "cold_fraction_pct", "demotions", "promotions")
+	t.AddF(n.App, n.Slowdown*100, n.ColdFraction*100, n.Demotions, n.Promotions)
+	e.emit("naive", t)
+}
+
+func runFig2(e *env) {
+	logger.Info("running fig2 (Accessed-bit correlation scatter)")
+	r, err := harness.Fig2(e.opt)
+	if err != nil {
+		fatal(err)
+	}
+	e.emit("fig2", r.Table())
+	var xs, ys []float64
+	for _, pt := range r.Points {
+		xs = append(xs, float64(pt.HotRegions))
+		ys = append(ys, pt.RatePerSec)
+	}
+	write(e.svgDir, "fig2.svg", (&report.ScatterPlot{
+		Title:  fmt.Sprintf("Figure 2: Redis (Pearson r = %.2f)", r.Pearson),
+		XLabel: "hot 4KB regions per 2MB page", YLabel: "true accesses/sec",
+		X: xs, Y: ys,
+	}).WriteSVG)
+}
+
+func runTable1(e *env) {
+	logger.Info("running table1 (huge page gains)")
+	rows, err := harness.Table1(e.opt)
+	if err != nil {
+		fatal(err)
+	}
+	e.emit("table1", harness.Table1Table(rows))
+}
+
+func runFig3(e *env) {
+	series := harness.Fig3(e.runs, e.opt)
+	e.emit("fig3", harness.Fig3Table(series))
+	var ss []*stats.Series
+	for _, s := range series {
+		ss = append(ss, s.Rate)
+	}
+	target := 0.0
+	if len(series) > 0 {
+		target = series[0].TargetRate
+	}
+	write(e.svgDir, "fig3.svg", (&report.LinePlot{
+		Title:  "Figure 3: slow memory access rate over time",
+		XLabel: "time (s)", YLabel: "accesses/sec (paper units)",
+		Series: ss, HLine: target,
+	}).WriteSVG)
+}
+
+func runColdData(e *env) {
+	for _, f := range harness.ColdData(e.runs, e.opt) {
+		e.emit("colddata-"+f.App, f.Table())
+		write(e.svgDir, "colddata-"+f.App+".svg", (&report.LinePlot{
+			Title: fmt.Sprintf("Cold data over time: %s (slowdown %.1f%%)",
+				f.App, f.Slowdown*100),
+			XLabel: "time (s)", YLabel: "memory footprint (GB)",
+			Series:  []*stats.Series{f.Cold2M, f.Cold4K, f.Hot2M, f.Hot4K},
+			Stacked: true,
+		}).WriteSVG)
+	}
+}
+
+func runFig11(e *env) {
+	logger.Info("running fig11 (slowdown sweep)")
+	rows, err := harness.Fig11(e.opt)
+	if err != nil {
+		fatal(err)
+	}
+	e.emit("fig11", harness.Fig11Table(rows))
+	byTarget := map[float64][]float64{}
+	var labels []string
+	for _, r := range rows {
+		if !slices.Contains(labels, r.App) {
+			labels = append(labels, r.App)
+		}
+		byTarget[r.SlowdownPct] = append(byTarget[r.SlowdownPct], r.ColdFraction*100)
+	}
+	write(e.svgDir, "fig11.svg", (&report.BarPlot{
+		Title:  "Figure 11: cold fraction vs tolerable slowdown",
+		YLabel: "cold fraction (%)", Labels: labels,
+		Groups:     [][]float64{byTarget[3], byTarget[6], byTarget[10]},
+		GroupNames: []string{"3%", "6%", "10%"},
+	}).WriteSVG)
+}
+
+func runTable4(e *env) {
+	rows, err := harness.Table4(e.runs, e.opt)
+	if err != nil {
+		fatal(err)
+	}
+	e.emit("table4", harness.Table4Table(rows))
+}
+
+func runBaselines(e *env) {
+	logger.Info("running baseline policy comparison")
+	for _, spec := range e.apps([]workload.Spec{workload.Cassandra(workload.WriteHeavy), workload.Redis()}) {
+		_, t, err := harness.CompareBaselines(spec, e.opt)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Println(r.Bar())
-		emit("fig1", r.Table())
-		if *svgDir != "" {
-			apps := opt.Apps
-			if len(apps) == 0 {
-				apps = workload.All()
-			}
-			var labels []string
-			var vals []float64
-			for _, spec := range apps {
-				labels = append(labels, spec.Name)
-				vals = append(vals, r.IdleFrac[spec.Name]*100)
-			}
-			writeSVG(*svgDir, "fig1", &report.BarPlot{
-				Title: "Figure 1: 2MB pages idle for 10s", YLabel: "idle fraction (%)",
-				Labels: labels, Groups: [][]float64{vals},
-			})
-		}
+		e.emit("baselines-"+spec.Name, t)
 	}
-	if selected("naive") {
-		logger.Info("running naive idle-bit placement on redis")
-		n, err := harness.NaivePlacement(workload.Redis(), opt)
-		if err != nil {
-			fatal(err)
-		}
-		t := report.NewTable("Naive Accessed-bit placement (Figure 1 caption check)",
-			"application", "slowdown_pct", "cold_fraction_pct", "demotions", "promotions")
-		t.AddF(n.App, n.Slowdown*100, n.ColdFraction*100, n.Demotions, n.Promotions)
-		emit("naive", t)
+}
+
+func runMatrix(e *env) {
+	logger.Info("running policy matrix (tracker × policy × workload × topology)")
+	rep, err := harness.PolicyMatrix(harness.MatrixOptions{
+		Scale: e.opt.Scale, Apps: e.opt.Apps,
+		SlowdownPct: e.opt.SlowdownPct, Workers: e.opt.Workers,
+	})
+	if err != nil {
+		fatal(err)
 	}
-	if selected("fig2") {
-		logger.Info("running fig2 (Accessed-bit correlation scatter)")
-		r, err := harness.Fig2(opt)
-		if err != nil {
-			fatal(err)
-		}
-		emit("fig2", r.Table())
-		if *svgDir != "" {
-			var xs, ys []float64
-			for _, pt := range r.Points {
-				xs = append(xs, float64(pt.HotRegions))
-				ys = append(ys, pt.RatePerSec)
-			}
-			writeSVG(*svgDir, "fig2", &report.ScatterPlot{
-				Title:  fmt.Sprintf("Figure 2: Redis (Pearson r = %.2f)", r.Pearson),
-				XLabel: "hot 4KB regions per 2MB page", YLabel: "true accesses/sec",
-				X: xs, Y: ys,
-			})
-		}
+	e.emit("policy_matrix", rep.Table())
+}
+
+func runFleet(e *env) {
+	logger.Info("running fleet (datacenter night: one hierarchy, four tenants, churn)")
+	res, err := harness.FleetNight(e.opt)
+	if err != nil {
+		fatal(err)
 	}
-	if selected("table1") {
-		logger.Info("running table1 (huge page gains)")
-		rows, err := harness.Table1(opt)
-		if err != nil {
-			fatal(err)
-		}
-		emit("table1", harness.Table1Table(rows))
+	fmt.Println(res.Text)
+	write(e.csvDir, "fleet_night.csv", res.Table.WriteCSV)
+	csv, err := res.TenantCSV()
+	if err != nil {
+		fatal(err)
 	}
-	if selected("table2") {
-		emit("table2", harness.Table2Table(harness.Table2(runs, opt)))
+	txt := e.artifact("fleet_night.txt", []byte(res.Text))
+	csvPath := e.artifact("fleet_night.csv", csv)
+	logger.Info("wrote fleet night artifacts", "txt", txt, "csv", csvPath)
+}
+
+func runNTier(e *env) {
+	logger.Info("running ntier (DRAM/CXL/NVM sweep)")
+	reps, err := harness.NTierSweep(e.opt, harness.DefaultThreeTier(0))
+	if err != nil {
+		fatal(err)
 	}
-	if selected("fig3") {
-		series := harness.Fig3(runs, opt)
-		emit("fig3", harness.Fig3Table(series))
-		if *svgDir != "" {
-			var ss []*stats.Series
-			for _, s := range series {
-				ss = append(ss, s.Rate)
-			}
-			target := 0.0
-			if len(series) > 0 {
-				target = series[0].TargetRate
-			}
-			writeSVG(*svgDir, "fig3", &report.LinePlot{
-				Title:  "Figure 3: slow memory access rate over time",
-				XLabel: "time (s)", YLabel: "accesses/sec (paper units)",
-				Series: ss, HLine: target,
-			})
-		}
-	}
-	if selected("colddata") {
-		for _, f := range harness.ColdData(runs, opt) {
-			emit("colddata-"+f.App, f.Table())
-			if *svgDir != "" {
-				writeSVG(*svgDir, "colddata-"+f.App, &report.LinePlot{
-					Title: fmt.Sprintf("Cold data over time: %s (slowdown %.1f%%)",
-						f.App, f.Slowdown*100),
-					XLabel: "time (s)", YLabel: "memory footprint (GB)",
-					Series:  []*stats.Series{f.Cold2M, f.Cold4K, f.Hot2M, f.Hot4K},
-					Stacked: true,
-				})
-			}
-		}
-	}
-	if selected("fig11") {
-		logger.Info("running fig11 (slowdown sweep)")
-		rows, err := harness.Fig11(opt)
-		if err != nil {
-			fatal(err)
-		}
-		emit("fig11", harness.Fig11Table(rows))
-		if *svgDir != "" {
-			byTarget := map[float64][]float64{}
-			var labels []string
-			seen := map[string]bool{}
-			for _, r := range rows {
-				if !seen[r.App] {
-					seen[r.App] = true
-					labels = append(labels, r.App)
-				}
-				byTarget[r.SlowdownPct] = append(byTarget[r.SlowdownPct], r.ColdFraction*100)
-			}
-			writeSVG(*svgDir, "fig11", &report.BarPlot{
-				Title:  "Figure 11: cold fraction vs tolerable slowdown",
-				YLabel: "cold fraction (%)", Labels: labels,
-				Groups:     [][]float64{byTarget[3], byTarget[6], byTarget[10]},
-				GroupNames: []string{"3%", "6%", "10%"},
-			})
-		}
-	}
-	if selected("table3") {
-		emit("table3", harness.Table3Table(harness.Table3(runs, opt)))
-	}
-	if selected("table4") {
-		rows, err := harness.Table4(runs, opt)
-		if err != nil {
-			fatal(err)
-		}
-		emit("table4", harness.Table4Table(rows))
-	}
-	if selected("baselines") {
-		logger.Info("running baseline policy comparison")
-		apps := opt.Apps
-		if len(apps) == 0 {
-			apps = []workload.Spec{workload.Cassandra(workload.WriteHeavy), workload.Redis()}
-		}
-		for _, spec := range apps {
-			_, t, err := harness.CompareBaselines(spec, opt)
-			if err != nil {
-				fatal(err)
-			}
-			emit("baselines-"+spec.Name, t)
-		}
-	}
-	if selected("ablations") {
-		runAblations(opt, emit)
-	}
-	// The policy matrix is opt-in like ntier: it compares this repo's
-	// tracker × policy zoo head-to-head, which the paper never did.
-	if want["matrix"] {
-		logger.Info("running policy matrix (tracker × policy × workload × topology)")
-		mopt := harness.MatrixOptions{
-			Scale: opt.Scale, Apps: opt.Apps,
-			SlowdownPct: opt.SlowdownPct, Workers: opt.Workers,
-		}
-		rep, err := harness.PolicyMatrix(mopt)
-		if err != nil {
-			fatal(err)
-		}
-		emit("policy_matrix", rep.Table())
-	}
-	// The fleet scenario is opt-in like ntier: multi-tenant arbitration is
-	// this repo's extension, not part of the paper's evaluation. It renders
-	// the seeded "datacenter night" report and writes the committed artifact
-	// pair results/fleet_night.{txt,csv}.
-	if want["fleet"] {
-		logger.Info("running fleet (datacenter night: one hierarchy, four tenants, churn)")
-		res, err := harness.FleetNight(opt)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(res.Text)
-		if *csvDir != "" {
-			if err := writeCSV(*csvDir, "fleet_night", res.Table); err != nil {
-				fatal(err)
-			}
-		}
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			fatal(err)
-		}
-		txt := filepath.Join(*outDir, "fleet_night.txt")
-		if err := os.WriteFile(txt, []byte(res.Text), 0o644); err != nil {
-			fatal(err)
-		}
-		csv, err := res.TenantCSV()
-		if err != nil {
-			fatal(err)
-		}
-		csvPath := filepath.Join(*outDir, "fleet_night.csv")
-		if err := os.WriteFile(csvPath, csv, 0o644); err != nil {
-			fatal(err)
-		}
-		logger.Info("wrote fleet night artifacts", "txt", txt, "csv", csvPath)
-	}
-	// The scaling sweep is opt-in: it benchmarks the simulator itself
-	// (1 GB -> 1 TB) rather than the paper's evaluation, and writes the
-	// committed artifact pair results/BENCH_scale.{json,txt}.
-	if want["scale"] {
-		runScale(cfg.Seed, *outDir, emit)
-	}
-	// The N-tier sweep is opt-in: it is not part of the paper's evaluation,
-	// so 'all' (the paper regeneration) does not include it.
-	if want["ntier"] {
-		logger.Info("running ntier (DRAM/CXL/NVM sweep)")
-		reps, err := harness.NTierSweep(opt, harness.DefaultThreeTier(0))
-		if err != nil {
-			fatal(err)
-		}
-		for _, rep := range reps {
-			emit("ntier-traffic-"+rep.App, rep.TrafficTable())
-			emit("ntier-cost-"+rep.App, rep.CostTable())
-		}
+	for _, rep := range reps {
+		e.emit("ntier-traffic-"+rep.App, rep.TrafficTable())
+		e.emit("ntier-cost-"+rep.App, rep.CostTable())
 	}
 }
 
@@ -388,108 +408,71 @@ type scaleArtifact struct {
 
 // runScale runs the 1 GB -> 1 TB scaling sweep, prints the table, and pins
 // results/BENCH_scale.{json,txt}.
-func runScale(seed uint64, outDir string, emit func(string, *report.Table)) {
+func runScale(e *env) {
 	logger.Info("running scale (simulator scaling sweep, 1 GB -> 1 TB)")
 	sc := harness.ScaleBenchProfile()
-	sc.Seed = seed
+	sc.Seed = e.seed
 	points, err := harness.ScaleSweep(sc, harness.ScaleFootprints())
 	if err != nil {
 		fatal(err)
 	}
 	tbl := harness.ScaleTable(points)
-	emit("scale", tbl)
+	e.emit("scale", tbl)
 
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		fatal(err)
-	}
-	js, err := json.MarshalIndent(scaleArtifact{Workload: "scale-synth", Seed: seed, Points: points}, "", "  ")
+	js, err := json.MarshalIndent(scaleArtifact{Workload: "scale-synth", Seed: e.seed, Points: points}, "", "  ")
 	if err != nil {
 		fatal(err)
 	}
-	jsonPath := filepath.Join(outDir, "BENCH_scale.json")
-	if err := os.WriteFile(jsonPath, append(js, '\n'), 0o644); err != nil {
-		fatal(err)
-	}
-	txtPath := filepath.Join(outDir, "BENCH_scale.txt")
-	if err := os.WriteFile(txtPath, []byte(tbl.String()+"\n"), 0o644); err != nil {
-		fatal(err)
-	}
+	jsonPath := e.artifact("BENCH_scale.json", append(js, '\n'))
+	txtPath := e.artifact("BENCH_scale.txt", []byte(tbl.String()+"\n"))
 	logger.Info("wrote scaling artifacts", "json", jsonPath, "txt", txtPath)
 }
 
-// runAblations regenerates the design-choice studies DESIGN.md indexes.
-func runAblations(opt harness.Options, emit func(string, *report.Table)) {
+// runAblations regenerates the design-choice studies DESIGN.md indexes. Each
+// study also returns its rows; only the table is printed.
+func runAblations(e *env) {
 	cassandra := workload.Cassandra(workload.WriteHeavy)
 	aerospike := workload.Aerospike(workload.ReadHeavy)
-
+	emit := func(name string, t *report.Table, err error) {
+		if err != nil {
+			fatal(err)
+		}
+		e.emit(name, t)
+	}
 	logger.Info("ablation: poison budget K")
-	if _, t, err := harness.AblationPoisonBudget(cassandra, opt); err != nil {
-		fatal(err)
-	} else {
-		emit("ablation-k", t)
-	}
+	_, t, err := harness.AblationPoisonBudget(cassandra, e.opt)
+	emit("ablation-k", t, err)
 	logger.Info("ablation: sample fraction")
-	if _, t, err := harness.AblationSampleFraction(cassandra, opt); err != nil {
-		fatal(err)
-	} else {
-		emit("ablation-fraction", t)
-	}
+	_, t, err = harness.AblationSampleFraction(cassandra, e.opt)
+	emit("ablation-fraction", t, err)
 	logger.Info("ablation: accessed-bit prefilter")
-	if _, t, err := harness.AblationPrefilter(aerospike, opt); err != nil {
-		fatal(err)
-	} else {
-		emit("ablation-prefilter", t)
-	}
+	_, t, err = harness.AblationPrefilter(aerospike, e.opt)
+	emit("ablation-prefilter", t, err)
 	logger.Info("ablation: correction under rotation")
-	if _, t, err := harness.AblationCorrection(opt); err != nil {
-		fatal(err)
-	} else {
-		emit("ablation-correction", t)
-	}
+	_, t, err = harness.AblationCorrection(e.opt)
+	emit("ablation-correction", t, err)
 	logger.Info("ablation: trap placement")
-	if _, t, err := harness.AblationTrapPlacement(cassandra, opt); err != nil {
-		fatal(err)
-	} else {
-		emit("ablation-trap", t)
-	}
+	_, t, err = harness.AblationTrapPlacement(cassandra, e.opt)
+	emit("ablation-trap", t, err)
 	logger.Info("ablation: slow-memory model")
-	if _, t, err := harness.AblationSlowMemMode(cassandra, opt); err != nil {
-		fatal(err)
-	} else {
-		emit("ablation-slowmode", t)
-	}
+	_, t, err = harness.AblationSlowMemMode(cassandra, e.opt)
+	emit("ablation-slowmode", t, err)
 	logger.Info("ablation: §6.1 counters")
-	if _, t, err := harness.AblationCounters(opt); err != nil {
-		fatal(err)
-	} else {
-		emit("ablation-counters", t)
-	}
+	_, t, err = harness.AblationCounters(e.opt)
+	emit("ablation-counters", t, err)
 }
 
-func writeSVG(dir, name string, plot interface{ WriteSVG(io.Writer) error }) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// artifact writes one committed result file under -results and returns its
+// path.
+func (e *env) artifact(name string, data []byte) string {
+	if err := os.MkdirAll(e.outDir, 0o755); err != nil {
 		fatal(err)
 	}
-	f, err := os.Create(filepath.Join(dir, name+".svg"))
-	if err != nil {
+	path := filepath.Join(e.outDir, name)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		fatal(err)
 	}
-	defer f.Close()
-	if err := plot.WriteSVG(f); err != nil {
-		fatal(err)
-	}
-}
-
-func writeCSV(dir, name string, t *report.Table) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, name+".csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return t.WriteCSV(f)
+	return path
 }
 
 func fatal(err error) {

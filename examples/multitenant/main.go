@@ -1,8 +1,9 @@
 // multitenant: the cloud-provider scenario from the paper's introduction —
 // a host co-locates two customers' workloads and wants to substitute cheap
 // memory transparently, per customer, with per-cgroup slowdown SLAs. Each
-// tenant gets its own Thermostat engine scoped to its own pages; both share
-// one machine (one TLB, one LLC, one pair of memory tiers).
+// tenant is a cgroup with its own Thermostat engine scoped to its own pages;
+// both share one machine (one TLB, one LLC, one pair of memory tiers) under
+// the fleet runner.
 //
 //	go run ./examples/multitenant
 package main
@@ -11,74 +12,36 @@ import (
 	"fmt"
 	"log"
 
-	"thermostat"
+	"thermostat/internal/harness"
+	"thermostat/internal/workload"
 )
 
 func main() {
-	const scale = 32
-
-	cfg := thermostat.DefaultMachineConfig(1300<<20, 1200<<20)
-	cfg.TLB.L1Entries, cfg.TLB.L2Entries = 2, 32
-	cfg.LLC.SizeBytes = 2 << 20
-	m, err := thermostat.NewMachine(cfg)
+	out, err := harness.FleetRun(harness.FleetOptions{
+		Scale: harness.Bench(),
+		Tenants: []harness.FleetTenant{
+			// An OLTP database with a strict 1% SLA.
+			{Name: "tenant-db", Spec: workload.MySQLTPCC(), SLOPct: 1},
+			// A batch analytics job that tolerates 10%.
+			{Name: "tenant-batch", Spec: workload.InMemAnalytics(), SLOPct: 10},
+		},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// Tenant 1: an OLTP database with a strict 1% SLA.
-	dbApp, err := thermostat.NewWorkload(thermostat.MySQLTPCC(), scale, 21)
-	if err != nil {
-		log.Fatal(err)
-	}
-	dbParams := thermostat.DefaultParams()
-	dbParams.TolerableSlowdownPct = 1
-	dbParams.SamplePeriodNs = 1e9
-	dbGroup, err := thermostat.NewGroup("tenant-db", dbParams)
-	if err != nil {
-		log.Fatal(err)
-	}
-	dbEngine := thermostat.NewEngineInGroup(dbGroup, 1)
-	dbEngine.SetScope(dbApp.Regions)
-
-	// Tenant 2: a batch analytics job that tolerates 10%.
-	batchApp, err := thermostat.NewWorkload(thermostat.InMemAnalytics(), scale, 22)
-	if err != nil {
-		log.Fatal(err)
-	}
-	batchParams := thermostat.DefaultParams()
-	batchParams.TolerableSlowdownPct = 10
-	batchParams.SamplePeriodNs = 1e9
-	batchGroup, err := thermostat.NewGroup("tenant-batch", batchParams)
-	if err != nil {
-		log.Fatal(err)
-	}
-	batchEngine := thermostat.NewEngineInGroup(batchGroup, 2)
-	batchEngine.SetScope(batchApp.Regions)
-
-	res, err := thermostat.RunMulti(m, []thermostat.Tenant{
-		{App: dbApp, Policy: dbEngine},
-		{App: batchApp, Policy: batchEngine},
-	}, thermostat.RunConfig{DurationNs: 30e9, WindowNs: 1e9})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	fmt.Println("tenant      sla    throughput   cold    demoted  corrected")
-	for i, t := range res.Tenants {
-		eng := dbEngine
-		sla := "1%"
-		if i == 1 {
-			eng = batchEngine
-			sla = "10%"
-		}
-		st := eng.Stats()
-		fmt.Printf("%-10s  %-4s  %9.0f/s  %5.1f%%  %7d  %9d\n",
-			t.AppName, sla, t.Throughput,
-			t.Footprint.ColdFraction()*100, st.Demotions, st.Promotions)
+	var slow uint64
+	fmt.Println("tenant        sla    throughput   cold    demoted  corrected")
+	for _, t := range out.Result.Tenants {
+		cold := t.FootprintBytes - t.FastBytes
+		slow += cold
+		fmt.Printf("%-12s  %-4s  %9.0f/s  %5.1f%%  %7d  %9d\n",
+			t.Name, fmt.Sprintf("%g%%", t.SLOPct), t.Throughput,
+			100*float64(cold)/float64(t.FootprintBytes),
+			t.Stats.Demotions, t.Stats.Promotions)
 	}
 	fmt.Println()
-	fmt.Printf("shared slow tier now holds %d MB across both tenants\n",
-		(res.Tenants[0].Footprint.Cold()+res.Tenants[1].Footprint.Cold())>>20)
+	fmt.Printf("shared slow tier now holds %d MB across both tenants\n", slow>>20)
 	fmt.Println()
 	fmt.Println("Each engine samples, classifies, and corrects only inside its own cgroup's")
 	fmt.Println("address ranges; fault counts on the shared trap are consumed as per-engine")

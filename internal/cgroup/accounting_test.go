@@ -140,7 +140,6 @@ func TestConcurrentChargesBalance(t *testing.T) {
 	root.SetLimit(0)
 	var wg sync.WaitGroup
 	for _, g := range []*Group{a, b} {
-		g := g
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -17,80 +17,6 @@ type scopedApp struct {
 
 func (a *scopedApp) Regions() []addr.Range { return []addr.Range{a.region} }
 
-func TestMultiTenantEnginesStayInTheirLane(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second scaled run")
-	}
-	t.Parallel()
-	// Two tenants share one machine: tenant A is half idle (demotable),
-	// tenant B is uniformly hot (nothing demotable). Each has its own
-	// scoped engine with its own cgroup. A's engine must demote only A's
-	// pages; B's engine must demote (almost) nothing.
-	cfg := sim.DefaultConfig(256<<20, 256<<20)
-	cfg.TLB.L1Entries, cfg.TLB.L2Entries = 2, 8
-	m, err := sim.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	appA := &scopedApp{skewApp{r: rng.New(1), size: 32 << 20, hotPages: 4}} // 16 pages, 4 hot
-	appB := &scopedApp{skewApp{r: rng.New(2), size: 16 << 20, hotPages: 8}} // all 8 hot
-
-	mkEngine := func(seed uint64, app *scopedApp) *Engine {
-		p := cgroup.Default()
-		p.SamplePeriodNs = 100e6
-		p.SampleFraction = 0.25
-		g, err := cgroup.NewGroup("tenant", p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := NewEngine(g, seed)
-		e.SetScope(app.Regions)
-		return e
-	}
-	engA := mkEngine(11, appA)
-	engB := mkEngine(13, appB)
-
-	res, err := sim.RunMulti(m, []sim.Tenant{
-		{App: appA, Policy: engA},
-		{App: appB, Policy: engB},
-	}, sim.RunConfig{DurationNs: 5e9, WindowNs: 5e8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Tenants) != 2 {
-		t.Fatalf("tenants = %d", len(res.Tenants))
-	}
-	if res.Tenants[0].Ops == 0 || res.Tenants[1].Ops == 0 {
-		t.Fatal("a tenant made no progress")
-	}
-
-	// Tenant A found its idle pages.
-	fpA := res.Tenants[0].Footprint
-	if fpA.ColdFraction() < 0.3 {
-		t.Errorf("tenant A cold fraction = %v, want >= 0.3", fpA.ColdFraction())
-	}
-	// Tenant B stayed hot.
-	fpB := res.Tenants[1].Footprint
-	if fpB.ColdFraction() > 0.2 {
-		t.Errorf("tenant B cold fraction = %v, want <= 0.2", fpB.ColdFraction())
-	}
-	// Scope isolation: every page engine A demoted lies in A's region,
-	// and footprints are disjoint: total of both == machine total.
-	var machineTotal sim.Footprint
-	machineTotal = sim.NullPolicy{}.Footprint(m)
-	sum := fpA.Total() + fpB.Total()
-	if sum != machineTotal.Total() {
-		t.Errorf("scoped footprints %d don't partition machine %d", sum, machineTotal.Total())
-	}
-	if engB.Stats().Demotions > 1 {
-		t.Errorf("tenant B engine demoted %d pages", engB.Stats().Demotions)
-	}
-	if engA.Stats().Demotions == 0 {
-		t.Error("tenant A engine demoted nothing")
-	}
-}
-
 func TestMultiTenantSharedTrapNoInterference(t *testing.T) {
 	t.Parallel()
 	// The regression the delta-count design prevents: engine A's reads

@@ -53,7 +53,6 @@ func TestEngineInvariantsUnderRandomWorkloads(t *testing.T) {
 		t.Skip("integration property test")
 	}
 	for seed := uint64(1); seed <= 6; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			r := rng.New(seed * 7919)
 			spec := randomSpec(r)

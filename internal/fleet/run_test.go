@@ -323,7 +323,6 @@ func TestFleetBlocksMatchPerOp(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			if testing.Short() && !tc.short {
 				t.Skip("multi-second scaled run")

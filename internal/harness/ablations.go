@@ -52,7 +52,6 @@ func runAblationGrid(title string, spec workload.Spec, opt Options, arms []ablat
 		Run:   func() (*Outcome, error) { return RunBaseline(spec, sc) },
 	})
 	for _, arm := range arms {
-		arm := arm
 		tasks = append(tasks, pool.Task[*Outcome]{
 			Label: title + "/" + arm.config,
 			Run: func() (*Outcome, error) {
@@ -98,7 +97,6 @@ func AblationPoisonBudget(spec workload.Spec, opt Options) ([]AblationRow, *repo
 	opt = opt.withDefaults()
 	var arms []ablationArm
 	for _, k := range []int{10, 25, 50, 100} {
-		k := k
 		arms = append(arms, ablationArm{
 			config: fmt.Sprintf("K=%d", k),
 			plan:   Plan{Engine: tuneGroup(func(p *cgroup.Params) { p.MaxPoisonPerHuge = k })},
@@ -115,7 +113,6 @@ func AblationSampleFraction(spec workload.Spec, opt Options) ([]AblationRow, *re
 	opt = opt.withDefaults()
 	var arms []ablationArm
 	for _, f := range []float64{0.01, 0.05, 0.20} {
-		f := f
 		arms = append(arms, ablationArm{
 			config: fmt.Sprintf("f=%.0f%%", f*100),
 			plan:   Plan{Engine: tuneGroup(func(p *cgroup.Params) { p.SampleFraction = f })},
@@ -131,7 +128,6 @@ func AblationPrefilter(spec workload.Spec, opt Options) ([]AblationRow, *report.
 	opt = opt.withDefaults()
 	var arms []ablationArm
 	for _, on := range []bool{true, false} {
-		on := on
 		config := "accessed-bit prefilter"
 		if !on {
 			config = "uniform children (naive)"
@@ -171,7 +167,6 @@ func AblationCorrection(opt Options) ([]AblationRow, *report.Table, error) {
 
 	var arms []ablationArm
 	for _, on := range []bool{true, false} {
-		on := on
 		config := "corrector on"
 		if !on {
 			config = "corrector off"
@@ -191,7 +186,6 @@ func AblationTrapPlacement(spec workload.Spec, opt Options) ([]AblationRow, *rep
 	opt = opt.withDefaults()
 	var arms []ablationArm
 	for _, inHost := range []bool{false, true} {
-		inHost := inHost
 		config := "trap in guest"
 		if inHost {
 			config = "trap in host (vmexit per fault)"
@@ -211,7 +205,6 @@ func AblationSlowMemMode(spec workload.Spec, opt Options) ([]AblationRow, *repor
 	opt = opt.withDefaults()
 	var arms []ablationArm
 	for _, mode := range []sim.SlowMemMode{sim.EmulatedFault, sim.Device} {
-		mode := mode
 		arms = append(arms, ablationArm{
 			config: mode.String(),
 			plan:   Plan{Config: func(cfg *sim.Config) { cfg.Mode = mode }},
@@ -325,7 +318,6 @@ func AblationCounters(opt Options) ([]CounterRow, *report.Table, error) {
 		},
 	}}
 	for _, s := range setups {
-		s := s
 		tasks = append(tasks, pool.Task[measurement]{
 			Label: "ablation-counters/" + s.name,
 			Run: func() (measurement, error) {

@@ -58,7 +58,6 @@ func ChaosSweep(spec workload.Spec, rates []float64, opt ChaosOptions) ([]ChaosP
 	}
 	tasks := make([]pool.Task[*Outcome], len(rates))
 	for i, rate := range rates {
-		rate := rate
 		cfg := opt.Base
 		cfg.Rate = rate
 		tasks[i] = pool.Task[*Outcome]{

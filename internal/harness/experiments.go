@@ -73,7 +73,6 @@ func RunAll(opt Options) (map[string]*AppRun, error) {
 	opt = opt.withDefaults()
 	tasks := make([]pool.Task[*AppRun], len(opt.Apps))
 	for i, spec := range opt.Apps {
-		spec := spec
 		tasks[i] = pool.Task[*AppRun]{Label: "runall/" + spec.Name, Run: func() (*AppRun, error) {
 			// arm runs one side of the pair with its own collector and, when
 			// a publisher is attached, a tee into the live plane (the tee
@@ -156,7 +155,6 @@ func Fig1(opt Options) (*Fig1Result, error) {
 	sc = sc.WithDuration(max(sc.DurationNs, 3*window))
 	tasks := make([]pool.Task[float64], len(opt.Apps))
 	for i, spec := range opt.Apps {
-		spec := spec
 		tasks[i] = pool.Task[float64]{Label: "fig1/" + spec.Name, Run: func() (float64, error) {
 			pol := &scanOnly{interval: sc.PeriodNs}
 			if _, err := Run(spec, sc, Plan{Policy: pol}); err != nil {
@@ -334,7 +332,6 @@ func Table1(opt Options) ([]Table1Row, error) {
 	sc := opt.Scale.WithDuration(opt.Scale.DurationNs / 3)
 	grid := make([][]pool.Task[*Outcome], len(opt.Apps))
 	for i, spec := range opt.Apps {
-		spec := spec
 		grid[i] = []pool.Task[*Outcome]{
 			{Label: "table1/" + spec.Name + "/2M", Run: func() (*Outcome, error) {
 				return RunBaseline(spec, sc)
@@ -527,14 +524,12 @@ func Fig11(opt Options) ([]Fig11Row, error) {
 	opt = opt.withDefaults()
 	grid := make([][]pool.Task[*Outcome], len(opt.Apps))
 	for i, spec := range opt.Apps {
-		spec := spec
 		row := []pool.Task[*Outcome]{
 			{Label: "fig11/" + spec.Name + "/baseline", Run: func() (*Outcome, error) {
 				return RunBaseline(spec, opt.Scale)
 			}},
 		}
 		for _, pct := range fig11Targets {
-			pct := pct
 			row = append(row, pool.Task[*Outcome]{
 				Label: fmt.Sprintf("fig11/%s/%g%%", spec.Name, pct),
 				Run: func() (*Outcome, error) {

@@ -231,7 +231,6 @@ func FleetRun(opt FleetOptions) (*FleetOutcome, error) {
 	if opt.Baselines {
 		tasks := make([]pool.Task[*sim.RunResult], len(tens))
 		for i, t := range tens {
-			t := t
 			scb := sc
 			scb.Seed = sc.Seed + t.SeedDelta
 			tasks[i] = pool.Task[*sim.RunResult]{

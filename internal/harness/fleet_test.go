@@ -173,7 +173,6 @@ func TestFleetNightSqueezedSampleSeeds(t *testing.T) {
 	}
 	t.Parallel()
 	for _, seed := range []uint64{10, 13, 26} {
-		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
 			sc := Tiny()

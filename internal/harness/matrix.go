@@ -182,7 +182,6 @@ func PolicyMatrix(opt MatrixOptions) (*MatrixReport, error) {
 	var baseKeys []baseKey
 	for _, spec := range opt.Apps {
 		for _, topo := range opt.Topologies {
-			spec, topo := spec, topo
 			baseKeys = append(baseKeys, baseKey{spec.Name, topo.Name})
 			baseTasks = append(baseTasks, pool.Task[*Outcome]{
 				Label: fmt.Sprintf("matrix/%s/%s/baseline", spec.Name, topo.Name),
@@ -207,7 +206,6 @@ func PolicyMatrix(opt MatrixOptions) (*MatrixReport, error) {
 		for _, topo := range opt.Topologies {
 			for _, tracker := range opt.Trackers {
 				for _, policy := range opt.Policies {
-					spec, topo, tracker, policy := spec, topo, tracker, policy
 					base := baselines[baseKey{spec.Name, topo.Name}]
 					tasks = append(tasks, pool.Task[MatrixCell]{
 						Label: fmt.Sprintf("matrix/%s/%s/%s+%s",

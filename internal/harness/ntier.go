@@ -60,7 +60,6 @@ func NTierSweep(opt Options, tiers []mem.Spec) ([]*NTierReport, error) {
 	opt = opt.withDefaults()
 	tasks := make([]pool.Task[*NTierReport], len(opt.Apps))
 	for i, spec := range opt.Apps {
-		spec := spec
 		tasks[i] = pool.Task[*NTierReport]{
 			Label: fmt.Sprintf("ntier/%s/%d-tiers", spec.Name, len(tiers)),
 			Run: func() (*NTierReport, error) {

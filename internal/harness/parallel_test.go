@@ -126,7 +126,6 @@ func TestPoolMapPropertyUnderHarness(t *testing.T) {
 		panicking := map[int]bool{}
 		tasks := make([]pool.Task[int], n)
 		for i := range tasks {
-			i := i
 			delay := time.Duration(r.Uint64n(200)) * time.Microsecond
 			mode := r.Uint64n(6)
 			if mode == 4 {

@@ -42,7 +42,6 @@ var goldenTwoTier = []struct {
 func TestTwoTierGoldenRegression(t *testing.T) {
 	t.Parallel()
 	for _, g := range goldenTwoTier {
-		g := g
 		t.Run(g.spec.Name, func(t *testing.T) {
 			t.Parallel()
 			out, err := Run(g.spec, Tiny(), Plan{SlowdownPct: 3})
@@ -234,7 +233,6 @@ func TestPlanShapesMatchSeedEntryPoints(t *testing.T) {
 		{name: "profile-guided", run: func() (*Outcome, error) { return RunProfileGuided(spec, sc, 3) },
 			policy: "profile-guided", ops: 4380478, slow: 3777083, poison: 2643511, coldByte: 73400320, clockNs: 8000000581},
 	} {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			out, err := tc.run()

@@ -68,7 +68,6 @@ func TestParsePromRejections(t *testing.T) {
 		{"trailing fields", "# HELP x h\n# TYPE x gauge\nx 1 1234567\n", "trailing fields"},
 	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			_, err := ParseProm(strings.NewReader(tc.in))

@@ -27,7 +27,6 @@ func TestWorkers(t *testing.T) {
 func squares(n int) []Task[int] {
 	tasks := make([]Task[int], n)
 	for i := range tasks {
-		i := i
 		tasks[i] = Task[int]{
 			Label: fmt.Sprintf("sq/%d", i),
 			Run:   func() (int, error) { return i * i, nil },
@@ -65,7 +64,6 @@ func TestMapCollectsErrorsAndKeepsRunning(t *testing.T) {
 	ran := make([]bool, 6)
 	tasks := make([]Task[int], 6)
 	for i := range tasks {
-		i := i
 		tasks[i] = Task[int]{Label: fmt.Sprintf("t%d", i), Run: func() (int, error) {
 			ran[i] = true
 			if i%2 == 1 {
@@ -109,7 +107,6 @@ func TestMapOptsDefaultRunsEverything(t *testing.T) {
 	var ran [4]atomic.Bool
 	tasks := make([]Task[int], 4)
 	for i := range tasks {
-		i := i
 		tasks[i] = Task[int]{Label: fmt.Sprintf("t%d", i), Run: func() (int, error) {
 			ran[i].Store(true)
 			if i == 0 {
@@ -165,7 +162,6 @@ func TestMapOptsFailFastSerial(t *testing.T) {
 	ran := make([]bool, 5)
 	tasks := make([]Task[int], 5)
 	for i := range tasks {
-		i := i
 		tasks[i] = Task[int]{Label: fmt.Sprintf("t%d", i), Run: func() (int, error) {
 			ran[i] = true
 			if i == 1 {
@@ -212,7 +208,6 @@ func TestMapOptsFailFastParallelDrainsInFlight(t *testing.T) {
 		return 1, nil
 	}}
 	for i := 2; i < len(tasks); i++ {
-		i := i
 		tasks[i] = Task[int]{Label: fmt.Sprintf("t%d", i), Run: func() (int, error) {
 			// Give the failing worker ample time to publish the flag
 			// before the dispatcher can commit another task.
@@ -283,7 +278,6 @@ func TestGridShapeAndOrder(t *testing.T) {
 	for r := 0; r < 4; r++ {
 		var row []Task[int]
 		for c := 0; c <= r; c++ { // ragged: row r has r+1 cells
-			r, c := r, c
 			row = append(row, Task[int]{
 				Label: fmt.Sprintf("cell/%d/%d", r, c),
 				Run:   func() (int, error) { return 10*r + c, nil },
@@ -325,7 +319,6 @@ func TestMapPropertyRandomLatencies(t *testing.T) {
 		wantPanic := map[int]bool{}
 		tasks := make([]Task[int], n)
 		for i := range tasks {
-			i := i
 			delay := time.Duration(r.Uint64n(300)) * time.Microsecond
 			kind := r.Uint64n(5)
 			switch kind {

@@ -124,72 +124,6 @@ func (NullPolicy) Footprint(m *Machine) Footprint {
 	return AllHotFootprint(m.PageTable())
 }
 
-// Stack composes several policies into one: each member ticks at its own
-// interval (the stack's interval is their gcd-like minimum), and the first
-// member provides the footprint classification. Use it to run a placement
-// policy together with background daemons (e.g. Thermostat + khugepaged).
-type Stack struct {
-	Policies []Policy
-
-	next []int64
-}
-
-// Name implements Policy.
-func (s *Stack) Name() string {
-	names := ""
-	for i, p := range s.Policies {
-		if i > 0 {
-			names += "+"
-		}
-		names += p.Name()
-	}
-	return names
-}
-
-// IntervalNs implements Policy: the smallest member interval.
-func (s *Stack) IntervalNs() int64 {
-	min := int64(0)
-	for _, p := range s.Policies {
-		if iv := p.IntervalNs(); min == 0 || iv < min {
-			min = iv
-		}
-	}
-	return min
-}
-
-// Attach implements Policy.
-func (s *Stack) Attach(m *Machine) error {
-	if len(s.Policies) == 0 {
-		return fmt.Errorf("sim: empty policy stack")
-	}
-	s.next = make([]int64, len(s.Policies))
-	for i, p := range s.Policies {
-		if err := p.Attach(m); err != nil {
-			return err
-		}
-		s.next[i] = m.Clock() + p.IntervalNs()
-	}
-	return nil
-}
-
-// Tick implements Policy: runs each member whose own interval has elapsed.
-func (s *Stack) Tick(m *Machine, now int64) error {
-	for i, p := range s.Policies {
-		for now >= s.next[i] {
-			if err := p.Tick(m, now); err != nil {
-				return err
-			}
-			s.next[i] += p.IntervalNs()
-		}
-	}
-	return nil
-}
-
-// Footprint implements Policy: the first member's classification.
-func (s *Stack) Footprint(m *Machine) Footprint {
-	return s.Policies[0].Footprint(m)
-}
-
 // RunConfig controls a simulation run.
 type RunConfig struct {
 	// DurationNs is the virtual run length.
@@ -303,10 +237,7 @@ func Run(m *Machine, app App, pol Policy, rc RunConfig) (*RunResult, error) {
 
 	// Telemetry epochs follow the policy tick: one epoch per scan interval,
 	// recorded in virtual time so traces are deterministic.
-	var et *epochTracker
-	if m.Recorder() != nil {
-		et = newEpochTracker(m, pol)
-	}
+	et := NewEpochTracker(m, pol)
 
 	start := m.Clock()
 	end := start + rc.DurationNs
@@ -400,9 +331,7 @@ func Run(m *Machine, app App, pol Policy, rc RunConfig) (*RunResult, error) {
 			if err := pol.Tick(m, now); err != nil {
 				return nil, fmt.Errorf("sim: %s tick: %w", pol.Name(), err)
 			}
-			if et != nil {
-				et.roll(now)
-			}
+			et.Roll(now)
 			if rc.TickHook != nil {
 				if err := rc.TickHook(now); err != nil {
 					if errors.Is(err, ErrStopRun) {
@@ -423,9 +352,7 @@ func Run(m *Machine, app App, pol Policy, rc RunConfig) (*RunResult, error) {
 			break
 		}
 	}
-	if et != nil {
-		et.end(m.Clock())
-	}
+	et.End(m.Clock())
 
 	res.DurationNs = m.Clock() - start
 	span := res.DurationNs - rc.WarmupNs

@@ -39,11 +39,13 @@ type epochBase struct {
 	chaos        chaos.Report
 }
 
-// epochTracker drives the telemetry epoch protocol for one run: it brackets
-// every policy interval with EpochStart/End events and emits one metric
-// Snapshot per epoch. It only exists when a Recorder is installed, so the
-// disabled path costs nothing.
-type epochTracker struct {
+// EpochTracker drives the telemetry epoch protocol for one run loop (Run
+// here, the fleet runner outside this package): it brackets every policy
+// interval with EpochStart/End events and emits one metric Snapshot per
+// epoch. It only exists when a Recorder is installed, and Roll and End on a
+// nil tracker are no-ops, so the disabled path costs nothing and callers
+// need no telemetry-enabled check.
+type EpochTracker struct {
 	m   *Machine
 	rec telemetry.Recorder
 	cc  ColdChecker   // nil when the policy has no cold set
@@ -55,31 +57,33 @@ type epochTracker struct {
 	prevCounts map[addr.Virt]uint64 // LLC ground truth at epoch start
 }
 
-// newEpochTracker starts epoch 1 at the machine's current clock.
-func newEpochTracker(m *Machine, pol Policy) *epochTracker {
-	t := &epochTracker{m: m, rec: m.Recorder()}
-	if st, ok := pol.(*Stack); ok && len(st.Policies) > 0 {
-		pol = st.Policies[0] // the placement policy owns the cold set
+// NewEpochTracker starts epoch 1 at the machine's current clock, recording
+// into the machine's installed Recorder; it returns nil when there is none.
+// pol, when non-nil, supplies the cold set (confusion matrix) and fault
+// report; pass nil when no single policy owns the whole machine.
+func NewEpochTracker(m *Machine, pol Policy) *EpochTracker {
+	if m.Recorder() == nil {
+		return nil
 	}
+	t := &EpochTracker{m: m, rec: m.Recorder(), epoch: 1}
 	if pol != nil {
 		t.cc, _ = pol.(ColdChecker)
 		t.fr, _ = pol.(FaultReporter)
 	}
-	t.epoch = 1
 	t.begin(m.Clock())
 	return t
 }
 
 // faultReport reads the richest available chaos summary: the policy's (which
 // includes retries/quarantines) when it reports one, else the machine's.
-func (t *epochTracker) faultReport() chaos.Report {
+func (t *EpochTracker) faultReport() chaos.Report {
 	if t.fr != nil {
 		return t.fr.FaultReport()
 	}
 	return t.m.FaultReport()
 }
 
-func (t *epochTracker) capture() epochBase {
+func (t *EpochTracker) capture() epochBase {
 	met := t.m.Metrics()
 	meter := t.m.Meter()
 	return epochBase{
@@ -96,7 +100,7 @@ func (t *epochTracker) capture() epochBase {
 	}
 }
 
-func (t *epochTracker) begin(nowNs int64) {
+func (t *EpochTracker) begin(nowNs int64) {
 	t.startNs = nowNs
 	t.base = t.capture()
 	if t.m.PageCounts() != nil && t.cc != nil {
@@ -105,16 +109,22 @@ func (t *epochTracker) begin(nowNs int64) {
 	t.rec.Event(telemetry.Event{Kind: telemetry.KindEpochStart, TimeNs: nowNs, Epoch: t.epoch})
 }
 
-// roll closes the current epoch at nowNs (summary event + snapshot) and
+// Roll closes the current epoch at nowNs (summary event + snapshot) and
 // opens the next.
-func (t *epochTracker) roll(nowNs int64) {
-	t.end(nowNs)
+func (t *EpochTracker) Roll(nowNs int64) {
+	if t == nil {
+		return
+	}
+	t.End(nowNs)
 	t.epoch++
 	t.begin(nowNs)
 }
 
-// end closes the current epoch without opening a new one (run teardown).
-func (t *epochTracker) end(nowNs int64) {
+// End closes the current epoch without opening a new one (run teardown).
+func (t *EpochTracker) End(nowNs int64) {
+	if t == nil {
+		return
+	}
 	cur := t.capture()
 	snap := telemetry.Snapshot{
 		Epoch:          t.epoch,
@@ -208,37 +218,4 @@ func boolBytes(b bool, n uint64) uint64 {
 		return n
 	}
 	return 0
-}
-
-// EpochTracker is the exported handle to the epoch protocol for run loops
-// that live outside this package (the fleet runner). It brackets policy
-// intervals with EpochStart/End events and emits one Snapshot per epoch,
-// exactly as Run does internally.
-type EpochTracker struct{ t *epochTracker }
-
-// NewEpochTracker starts epoch 1 at the machine's current clock, recording
-// into the machine's installed Recorder. pol, when non-nil, supplies the
-// cold set (confusion matrix) and fault report; pass nil when no single
-// policy owns the whole machine. Returns nil when the machine has no
-// recorder, and every method on a nil tracker is a no-op — callers need no
-// telemetry-enabled check.
-func NewEpochTracker(m *Machine, pol Policy) *EpochTracker {
-	if m.Recorder() == nil {
-		return nil
-	}
-	return &EpochTracker{t: newEpochTracker(m, pol)}
-}
-
-// Roll closes the current epoch at nowNs and opens the next.
-func (e *EpochTracker) Roll(nowNs int64) {
-	if e != nil {
-		e.t.roll(nowNs)
-	}
-}
-
-// End closes the current epoch without opening a new one (run teardown).
-func (e *EpochTracker) End(nowNs int64) {
-	if e != nil {
-		e.t.end(nowNs)
-	}
 }

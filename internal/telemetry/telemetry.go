@@ -50,7 +50,7 @@ const (
 	// KindHugePageSplit records a 2MB mapping split into 4KB children.
 	KindHugePageSplit
 	// KindHugePageCollapse records 512 children collapsed back to one 2MB
-	// mapping (engine restore or khugepaged).
+	// mapping (the poison tracker restoring a sampled page).
 	KindHugePageCollapse
 	// KindChaosFault records one injected chaos fault observed by the
 	// policy: Site identifies the injection point, Count the attempt number

@@ -9,6 +9,27 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# named run|bench PATTERN PKG [FLAGS...] is `go test FLAGS -run PATTERN PKG`
+# or `go test -run=NONE FLAGS -bench PATTERN PKG`, after checking that every
+# |-alternative of PATTERN names a test or benchmark of PKG: go test exits 0
+# when a pattern matches nothing ("no tests to run", or for -bench no word at
+# all), so a renamed or deleted test would turn its gate vacuous.
+named() {
+	kind="$1" pattern="$2" pkg="$3"
+	shift 3
+	listed="$(go test -list "$pattern" "$pkg")"
+	for name in $(echo "$pattern" | tr '|' ' '); do
+		if ! echo "$listed" | grep -q "^$name"; then
+			echo "check: '$name' names no test or benchmark in $pkg" >&2
+			exit 1
+		fi
+	done
+	case "$kind" in
+	run) go test "$@" -run "$pattern" "$pkg" ;;
+	bench) go test -run=NONE "$@" -bench "$pattern" "$pkg" ;;
+	esac
+}
+
 echo "== go build ./..."
 go build ./...
 
@@ -34,12 +55,12 @@ if [ "${SHORT:-0}" = "1" ]; then
 	# and bigmem-scan), the access path, and one fleet-night run under
 	# fleet.Run's block loop. The measured numbers come from `make bench`
 	# (see bench/README.md).
-	go test -run=NONE -bench 'BenchmarkPT|BenchmarkWalk|BenchmarkSplit' -benchtime=100x ./internal/pagetable
-	go test -run=NONE -bench 'BenchmarkLookup|BenchmarkInsert' -benchtime=100x ./internal/tlb
-	go test -run=NONE -bench 'BenchmarkCache' -benchtime=100x ./internal/cache
-	go test -run=NONE -bench 'BenchmarkZipfian' -benchtime=100x ./internal/rng
-	go test -run=NONE -bench 'BenchmarkAccess' -benchtime=100x .
-	go test -run=NONE -bench 'BenchmarkFleetNight' -benchtime=1x .
+	named bench 'BenchmarkPT|BenchmarkWalk|BenchmarkSplit' ./internal/pagetable -benchtime=100x
+	named bench 'BenchmarkLookup|BenchmarkInsert' ./internal/tlb -benchtime=100x
+	named bench 'BenchmarkCache' ./internal/cache -benchtime=100x
+	named bench 'BenchmarkZipfian' ./internal/rng -benchtime=100x
+	named bench 'BenchmarkAccess' . -benchtime=100x
+	named bench 'BenchmarkFleetNight' . -benchtime=1x
 else
 	echo "== go test -race ./..."
 	# The harness package runs full scaled experiments; under the race
@@ -67,9 +88,9 @@ echo "== policy matrix smoke gate"
 # short-mode duration), then the golden byte-identity pins: the composed
 # poison+threshold engine must still replay the seed Thermostat's trace and
 # metrics exports byte-for-byte.
-go test -short -count=1 -run 'TestMatrixSmoke' ./internal/harness
-go test -count=1 -run 'TestRunAllTelemetryWorkerInvariance|TestComposedThermostatMatchesSeedEngine' \
-	./internal/harness
+named run 'TestMatrixSmoke' ./internal/harness -short -count=1
+named run 'TestRunAllTelemetryWorkerInvariance|TestComposedThermostatMatchesSeedEngine' \
+	./internal/harness -count=1
 echo "matrix: all tracker x policy cells run; seed composition byte-identical"
 
 echo "== chaos gates"
@@ -99,8 +120,8 @@ echo "== fleet smoke gate"
 # exactly to the pool, floors honored, oversubscription rejected), the
 # degenerate differential (a single-tenant fleet replays the solo run
 # bit-for-bit, traces included), and one two-tenant CLI run end-to-end.
-go test -count=1 -run 'TestArbitrate' ./internal/fleet
-go test -count=1 -run 'TestFleetSingleTenantMatchesRunComposed' ./internal/harness
+named run 'TestArbitrate' ./internal/fleet -count=1
+named run 'TestFleetSingleTenantMatchesRunComposed' ./internal/harness -count=1
 go run ./cmd/thermostat-sim -tenants redis,web-search -scale tiny -duration 4 \
 	-slowdown 5 >/dev/null
 echo "fleet: arbiter invariants hold; single-tenant fleet is bit-identical to solo"
@@ -109,14 +130,14 @@ echo "== scaling gate"
 # A scale point runs the paper's mechanism: sampled pages grow with the
 # footprint and pages are demoted (the full 1 GB -> 1 TB sweep is
 # `repro -exp scale`), and the sweep cell still benchmarks.
-go test -count=1 -short -run TestScalePointRunsThermostat ./internal/harness
-go test -run=NONE -bench 'BenchmarkScalePoint' -benchtime=1x ./internal/harness
+named run 'TestScalePointRunsThermostat' ./internal/harness -count=1 -short
+named bench 'BenchmarkScalePoint' ./internal/harness -benchtime=1x
 
 echo "== observability gate"
 # Live plane: mid-run /metrics satisfies the strict parser, /status and
 # /healthz answer in flight, json logs are machine-parseable, and exports
 # stay byte-identical with -serve attached (see scripts/obsv_gate.sh).
-go test -count=1 -run 'TestServeScrapeMidRun|TestMetricsGoldenScrape|TestTeeForwardsExactly' ./internal/obsv
+named run 'TestServeScrapeMidRun|TestMetricsGoldenScrape|TestTeeForwardsExactly' ./internal/obsv -count=1
 ./scripts/obsv_gate.sh
 
 echo "== daemon gate"
@@ -125,8 +146,8 @@ echo "== daemon gate"
 # signals — SIGHUP reload mid-run, /status walking the degradation ladder
 # under forced chaos, SIGTERM exit 0, kill -9 + restart restoring exports
 # byte-identical to an uninterrupted run (see scripts/daemon_gate.sh).
-go test -count=1 -run 'TestReloadVsColdStart|TestCheckpointRestoreBitIdentity|TestQuarantineOnlyUnderChaos|TestHaltLadder' \
-	./internal/daemon
+named run 'TestReloadVsColdStart|TestCheckpointRestoreBitIdentity|TestQuarantineOnlyUnderChaos|TestHaltLadder' \
+	./internal/daemon -count=1
 ./scripts/daemon_gate.sh
 
 echo "check: OK"

@@ -39,7 +39,6 @@ import (
 	"thermostat/internal/cgroup"
 	"thermostat/internal/chaos"
 	"thermostat/internal/core"
-	"thermostat/internal/hugepaged"
 	"thermostat/internal/mem"
 	"thermostat/internal/sim"
 	"thermostat/internal/telemetry"
@@ -272,22 +271,6 @@ func Run(m *Machine, app App, pol Policy, rc RunConfig) (*RunResult, error) {
 	return sim.Run(m, app, pol, rc)
 }
 
-// Tenant pairs an application with its own policy for multi-tenant runs.
-type Tenant = sim.Tenant
-
-// TenantResult is one tenant's outcome from RunMulti.
-type TenantResult = sim.TenantResult
-
-// MultiResult is the outcome of RunMulti.
-type MultiResult = sim.MultiResult
-
-// RunMulti drives several tenants on one shared machine (shared TLB, LLC
-// and memory tiers), each with its own policy — scope per-tenant engines
-// with Engine.SetScope so they manage only their own cgroup's pages.
-func RunMulti(m *Machine, tenants []Tenant, rc RunConfig) (*MultiResult, error) {
-	return sim.RunMulti(m, tenants, rc)
-}
-
 // Slowdown compares a policy run to its all-DRAM baseline: 0.03 means 3%.
 func Slowdown(baseline, policy *RunResult) float64 {
 	return sim.Slowdown(baseline, policy)
@@ -355,12 +338,3 @@ func NewTelemetryCollector() *TelemetryCollector { return telemetry.NewCollector
 func NewTelemetryCollectorWith(cfg TelemetryConfig) *TelemetryCollector {
 	return telemetry.NewCollectorWith(cfg)
 }
-
-// Stack composes a placement policy with background daemons; all tick at
-// their own intervals within one run.
-type Stack = sim.Stack
-
-// Khugepaged is the THP collapse daemon: it repairs huge mappings for
-// memory that starts life (or fragments into) 4KB pages, skipping pages
-// Thermostat has split for sampling.
-type Khugepaged = hugepaged.Daemon
