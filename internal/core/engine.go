@@ -117,17 +117,6 @@ func (e *Engine) Group() *cgroup.Group { return e.group }
 // Policy returns the composed placement policy.
 func (e *Engine) Policy() Policy { return e.pol }
 
-// SetRetryPolicy overrides the migration retry/quarantine parameters (for
-// tests and experiments) when the composed policy supports them.
-// maxAttempts < 1 is clamped to 1.
-func (e *Engine) SetRetryPolicy(maxAttempts int, backoffBaseNs int64, quarantinePeriods uint64) {
-	if rp, ok := e.pol.(interface {
-		SetRetryPolicy(int, int64, uint64)
-	}); ok {
-		rp.SetRetryPolicy(maxAttempts, backoffBaseNs, quarantinePeriods)
-	}
-}
-
 // SetPrefilter enables or disables the poison tracker's §3.2 Accessed-bit
 // pre-filter (a no-op for trackers without one). For ablation studies.
 func (e *Engine) SetPrefilter(on bool) {
@@ -145,19 +134,10 @@ func (e *Engine) SetCorrection(on bool) {
 }
 
 // StateBytes reports the engine's own resident metadata — tracker and policy
-// state, when they account for it. The machine's page table, allocator and
-// trap state are counted separately by sim.Machine.StateBytes; together the
-// two are the scaling benchmark's state-bytes numerator.
-func (e *Engine) StateBytes() uint64 {
-	var b uint64
-	if sb, ok := e.tr.(interface{ StateBytes() uint64 }); ok {
-		b += sb.StateBytes()
-	}
-	if sb, ok := e.pol.(interface{ StateBytes() uint64 }); ok {
-		b += sb.StateBytes()
-	}
-	return b
-}
+// state. The machine's page table, allocator and trap state are counted
+// separately by sim.Machine.StateBytes; together the two are the scaling
+// benchmark's state-bytes numerator.
+func (e *Engine) StateBytes() uint64 { return e.tr.StateBytes() + e.pol.StateBytes() }
 
 // SetScope restricts the engine to the address ranges returned by provider
 // — its cgroup's memory — so several engines can manage disjoint tenants on
@@ -223,26 +203,15 @@ func (e *Engine) FaultReport() chaos.Report {
 }
 
 // QuarantinedPages returns the number of pages currently serving a
-// quarantine sentence (including lazily-unexpired entries), when the
-// composed policy quarantines at all.
-func (e *Engine) QuarantinedPages() int {
-	if q, ok := e.pol.(interface{ QuarantinedPages() int }); ok {
-		return q.QuarantinedPages()
-	}
-	return 0
-}
+// quarantine sentence (including lazily-unexpired entries).
+func (e *Engine) QuarantinedPages() int { return e.pol.QuarantinedPages() }
 
 // ActiveQuarantinedPages returns the pages whose quarantine sentence is
 // still running — lazily-unexpired entries excluded. While the engine is
 // frozen nothing queries (and thus expires) the bench, so this is the
 // signal for "quarantine pressure persists" as distinct from "stale
 // bookkeeping remains".
-func (e *Engine) ActiveQuarantinedPages() int {
-	if q, ok := e.pol.(interface{ ActiveQuarantinedPages() int }); ok {
-		return q.ActiveQuarantinedPages()
-	}
-	return 0
-}
+func (e *Engine) ActiveQuarantinedPages() int { return e.pol.ActiveQuarantinedPages() }
 
 // ColdPages returns the number of huge pages currently placed in slow
 // memory by the engine.
@@ -269,16 +238,11 @@ func (e *Engine) LastEstimates() []Estimate {
 }
 
 // MeasuredColdRate returns the aggregate measured access rate to the cold
-// set from the policy's most recent correction pass, in accesses/sec (0 for
-// policies that do not measure one). Multiplied by the slow-memory latency
-// this is the engine's own §3.4 estimate of the slowdown it is inflicting —
-// the per-tenant SLO-feedback signal the fleet arbiter consumes.
-func (e *Engine) MeasuredColdRate() float64 {
-	if cm, ok := e.pol.(interface{ MeasuredColdRate() float64 }); ok {
-		return cm.MeasuredColdRate()
-	}
-	return 0
-}
+// set from the policy's most recent correction pass, in accesses/sec.
+// Multiplied by the slow-memory latency this is the engine's own §3.4
+// estimate of the slowdown it is inflicting — the per-tenant SLO-feedback
+// signal the fleet arbiter consumes.
+func (e *Engine) MeasuredColdRate() float64 { return e.pol.MeasuredColdRate() }
 
 // EstimatedSlowdownPct converts the measured cold-access rate into the
 // paper's slowdown estimate: rate × ts, as a percentage of execution time.
@@ -288,19 +252,8 @@ func (e *Engine) EstimatedSlowdownPct() float64 {
 }
 
 // QuarantinedBases returns the currently-quarantined page bases in address
-// order, when the composed policy quarantines at all. Pure inspection.
-func (e *Engine) QuarantinedBases() []addr.Virt {
-	if q, ok := e.pol.(interface{ QuarantinedBases() []addr.Virt }); ok {
-		return q.QuarantinedBases()
-	}
-	return nil
-}
-
-// capacityDemoter is the optional Policy extension Squeeze rides on: demote
-// one specific top-tier page through the policy's own placement machinery.
-type capacityDemoter interface {
-	DemoteForCapacity(base addr.Virt) (bool, error)
-}
+// order. Pure inspection.
+func (e *Engine) QuarantinedBases() []addr.Virt { return e.pol.QuarantinedBases() }
 
 // Squeeze demotes the coldest estimated top-tier pages until at least
 // maxBytes of top-tier memory has been released (or candidates run out) —
@@ -308,11 +261,11 @@ type capacityDemoter interface {
 // below its residency. Candidates come from the most recent classify scan,
 // coldest first with address-order ties, skipping pages already below the
 // top tier; each demotion runs the policy's normal retry/quarantine path
-// and lands in the cold set, so the §3.5 corrector can undo a squeeze that
-// turns out too aggressive. Returns the bytes actually released.
+// (a benched page is passed over, not re-attempted) and lands in the cold
+// set, so the §3.5 corrector can undo a squeeze that turns out too
+// aggressive. Returns the bytes actually released.
 func (e *Engine) Squeeze(maxBytes uint64) (uint64, error) {
-	cd, ok := e.pol.(capacityDemoter)
-	if !ok || maxBytes == 0 || len(e.lastEstimates) == 0 {
+	if maxBytes == 0 || len(e.lastEstimates) == 0 {
 		return 0, nil
 	}
 	cands := make([]Estimate, 0, len(e.lastEstimates))
@@ -332,7 +285,7 @@ func (e *Engine) Squeeze(maxBytes uint64) (uint64, error) {
 		if freed >= maxBytes {
 			break
 		}
-		moved, err := cd.DemoteForCapacity(c.Base)
+		moved, err := e.pol.DemoteForCapacity(c.Base)
 		if err != nil {
 			return freed, err
 		}

@@ -502,3 +502,34 @@ func TestEngineDeterminism(t *testing.T) {
 			ops1, cold1, dem1, ops2, cold2, dem2)
 	}
 }
+
+// TestStateBytesCoversEveryCell: once a composition has demoted, both halves
+// of Engine.StateBytes hold something, for every tracker × policy cell.
+func TestStateBytesCoversEveryCell(t *testing.T) {
+	if testing.Short() {
+		t.Skip("eight multi-second scaled runs")
+	}
+	t.Parallel()
+	for _, tracker := range TrackerNames() {
+		for _, policy := range PolicyNames() {
+			t.Run(tracker+"+"+policy, func(t *testing.T) {
+				t.Parallel()
+				m := testMachine(t)
+				eng, err := ComposeByName(testGroup(t, nil), tracker, policy, 42)
+				if err != nil {
+					t.Fatal(err)
+				}
+				app := &skewApp{r: rng.New(1), size: 32 << 20, hotPages: 4}
+				if _, err := sim.Run(m, app, eng, sim.RunConfig{DurationNs: 4e9}); err != nil {
+					t.Fatal(err)
+				}
+				if eng.Stats().Demotions == 0 {
+					t.Fatalf("setup: no demotions: %+v", eng.Stats())
+				}
+				if tb, pb := eng.Tracker().StateBytes(), eng.Policy().StateBytes(); tb == 0 || pb == 0 {
+					t.Errorf("StateBytes: tracker %d, policy %d; want both non-zero", tb, pb)
+				}
+			})
+		}
+	}
+}

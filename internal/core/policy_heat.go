@@ -7,9 +7,7 @@ import (
 
 	"thermostat/internal/addr"
 	"thermostat/internal/cgroup"
-	"thermostat/internal/mem"
 	"thermostat/internal/sim"
-	"thermostat/internal/telemetry"
 )
 
 // Heat policy defaults, as fractions of the cgroup's target slow-access
@@ -39,9 +37,7 @@ const (
 // composes with binary trackers (idlebit, softdirty) whose rate ladders
 // would make a cumulative budget mostly meaningless.
 type HeatPolicy struct {
-	group *cgroup.Group
-	m     *sim.Machine
-	tr    Tracker
+	ledger
 
 	// PromoteFraction and DemoteFraction position the watermarks as
 	// fractions of the target slow-access rate; PromoteFraction must stay
@@ -54,45 +50,38 @@ type HeatPolicy struct {
 	HalfLifeNs int64
 
 	heat map[addr.Virt]float64
-	cold map[addr.Virt]bool
 
 	// moved guards single-tick oscillation: a page migrated in this
 	// tick's Correct phase is not a candidate in its Place phase (and
 	// vice versa). Cleared in EndPeriod.
 	moved map[addr.Virt]bool
 
-	scope func() []addr.Range
-
 	// lastInterval carries the tick's measurement interval from Correct
 	// (which receives it) to Place (which does not).
 	lastInterval float64
-
-	// lastColdRate is the aggregate measured access rate to the cold set
-	// from the most recent Correct pass (accesses/sec).
-	lastColdRate float64
-
-	mv mover
 }
 
 // NewHeatPolicy builds the heat policy with default watermarks.
 func NewHeatPolicy() *HeatPolicy {
 	return &HeatPolicy{
-		heat:  make(map[addr.Virt]float64),
-		cold:  make(map[addr.Virt]bool),
-		moved: make(map[addr.Virt]bool),
-		mv:    newMover(),
+		ledger: newLedger(),
+		heat:   make(map[addr.Virt]float64),
+		moved:  make(map[addr.Virt]bool),
 	}
 }
 
 // Name implements Policy.
 func (p *HeatPolicy) Name() string { return "heat" }
 
+// StateBytes implements Policy: one entry per page ever estimated in the
+// heat map, one per cold page, one per page moved this period.
+func (p *HeatPolicy) StateBytes() uint64 {
+	return uint64(len(p.heat))*16 + uint64(len(p.cold))*16 + uint64(len(p.moved))*16
+}
+
 // Attach implements Policy.
 func (p *HeatPolicy) Attach(m *sim.Machine, g *cgroup.Group, tr Tracker) error {
-	p.m = m
-	p.group = g
-	p.tr = tr
-	p.mv.m = m
+	p.attach(m, g, tr)
 	if p.PromoteFraction == 0 {
 		p.PromoteFraction = defaultPromoteFraction
 	}
@@ -109,40 +98,10 @@ func (p *HeatPolicy) Attach(m *sim.Machine, g *cgroup.Group, tr Tracker) error {
 	return nil
 }
 
-// SetScope implements Policy.
-func (p *HeatPolicy) SetScope(provider func() []addr.Range) { p.scope = provider }
-
-// SetRetryPolicy overrides the migration retry/quarantine parameters.
-func (p *HeatPolicy) SetRetryPolicy(maxAttempts int, backoffBaseNs int64, quarantinePeriods uint64) {
-	p.mv.setRetryPolicy(maxAttempts, backoffBaseNs, quarantinePeriods)
-}
-
-// IsCold implements Policy.
-func (p *HeatPolicy) IsCold(base addr.Virt) bool { return p.cold[base] }
-
-// ColdPages implements Policy.
-func (p *HeatPolicy) ColdPages() int { return len(p.cold) }
-
-// QuarantinedPages returns the pages currently serving a quarantine
-// sentence.
-func (p *HeatPolicy) QuarantinedPages() int { return len(p.mv.quarUntil) }
-
-// ActiveQuarantinedPages returns the pages whose quarantine sentence is
-// still running (excludes lazily-unexpired entries).
-func (p *HeatPolicy) ActiveQuarantinedPages() int { return p.mv.activeQuarantined() }
-
-// PlacementStats implements Policy.
-func (p *HeatPolicy) PlacementStats() PlacementStats { return p.mv.stats() }
-
 // EndPeriod implements Policy.
 func (p *HeatPolicy) EndPeriod() {
-	p.mv.endPeriod()
-	p.moved = make(map[addr.Virt]bool)
-}
-
-// Footprint implements Policy.
-func (p *HeatPolicy) Footprint(m *sim.Machine) sim.Footprint {
-	return sim.ScanFootprint(m, scopeRangesOf(p.scope))
+	p.ledger.EndPeriod()
+	clear(p.moved)
 }
 
 // Heat returns the page's current heat score (for inspection and tests).
@@ -188,17 +147,11 @@ func (p *HeatPolicy) watermarks() (promote, demote float64) {
 // first, so a full top tier serves the strongest candidates.
 func (p *HeatPolicy) Correct(intervalSec float64) error {
 	p.lastInterval = intervalSec
-	p.lastColdRate = 0
-	if len(p.cold) == 0 {
-		return nil
-	}
-	measured := p.tr.MeasureCold(sortedColdSet(p.cold), intervalSec)
 	promoteWM, _ := p.watermarks()
 	var cands []Measured
-	for _, c := range measured {
-		p.lastColdRate += c.Rate
+	for _, c := range p.measureCold(intervalSec) {
 		p.bump(c.Base, c.Rate, intervalSec)
-		if p.mv.isQuarantined(c.Base) || p.moved[c.Base] {
+		if p.isQuarantined(c.Base) || p.moved[c.Base] {
 			continue
 		}
 		if p.heat[c.Base] >= promoteWM {
@@ -211,43 +164,18 @@ func (p *HeatPolicy) Correct(intervalSec float64) error {
 		}
 		return cands[i].Base < cands[j].Base
 	})
-	if rec := p.m.Recorder(); rec != nil {
-		for _, c := range cands {
-			rec.Event(telemetry.Event{
-				Kind: telemetry.KindClassified, TimeNs: p.m.Clock(),
-				Page: c.Base, Rate: c.Rate, Cold: false,
-			})
-		}
+	for _, c := range cands {
+		p.classified(c.Base, c.Rate, false)
 	}
 	for _, c := range cands {
-		if err := p.promote(c.Base); err != nil {
+		moved, err := p.promote(c.Base)
+		if err != nil {
 			return err
 		}
+		if moved {
+			p.moved[c.Base] = true
+		}
 	}
-	return nil
-}
-
-// promote moves a cold page one tier up; reaching the top tier removes it
-// from the cold set, an intermediate stop keeps it monitored.
-func (p *HeatPolicy) promote(base addr.Virt) error {
-	handled, err := p.mv.attemptMove(base, func() error {
-		_, err := p.m.Promote(base)
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	if handled {
-		p.mv.promoteFailures.Inc()
-		return nil
-	}
-	p.mv.promotions.Inc()
-	p.moved[base] = true
-	if tier, err := p.m.Migrator().TierOfPage(base); err == nil && tier != mem.Fast {
-		p.tr.NotePlaced(base)
-		return nil
-	}
-	delete(p.cold, base)
 	return nil
 }
 
@@ -264,7 +192,7 @@ func (p *HeatPolicy) Place(ests []Estimate) error {
 	var cands []Estimate
 	for _, est := range ests {
 		p.bump(est.Base, est.Rate, dt)
-		if p.cold[est.Base] || p.moved[est.Base] || p.mv.isQuarantined(est.Base) {
+		if p.moved[est.Base] || !p.placeable(est.Base) {
 			continue
 		}
 		if p.heat[est.Base] <= demoteWM {
@@ -277,58 +205,25 @@ func (p *HeatPolicy) Place(ests []Estimate) error {
 		}
 		return cands[i].Base < cands[j].Base
 	})
-	if rec := p.m.Recorder(); rec != nil && len(ests) > 0 {
-		chosen := make(map[addr.Virt]bool, len(cands))
-		for _, c := range cands {
-			chosen[c.Base] = true
-		}
-		for _, est := range ests {
-			rec.Event(telemetry.Event{
-				Kind: telemetry.KindClassified, TimeNs: p.m.Clock(),
-				Page: est.Base, Rate: est.Rate, Cold: chosen[est.Base],
-			})
-		}
+	chosen := make([]addr.Virt, len(cands))
+	for i, c := range cands {
+		chosen[i] = c.Base
 	}
-	for _, c := range cands {
-		if err := p.demote(c.Base); err != nil {
+	p.placeVerdicts(ests, chosen)
+	for _, base := range chosen {
+		if _, err := p.DemoteForCapacity(base); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// demote moves a top-tier page one tier down.
-func (p *HeatPolicy) demote(base addr.Virt) error {
-	_, err := p.DemoteForCapacity(base)
-	return err
-}
-
-// DemoteForCapacity demotes one top-tier page through the normal placement
-// machinery and reports whether it actually moved (the arbiter's squeeze
-// path, see ThresholdPolicy.DemoteForCapacity).
+// DemoteForCapacity implements Policy: the shared demotion, plus the
+// moved-this-tick mark so a squeezed page cannot promote in the same period.
 func (p *HeatPolicy) DemoteForCapacity(base addr.Virt) (bool, error) {
-	handled, err := p.mv.attemptMove(base, func() error {
-		_, err := p.m.Demote(base)
-		return err
-	})
-	if err != nil {
-		return false, err
+	moved, err := p.ledger.DemoteForCapacity(base)
+	if moved {
+		p.moved[base] = true
 	}
-	if handled {
-		p.mv.demoteFailures.Inc()
-		return false, nil
-	}
-	p.tr.NotePlaced(base)
-	p.cold[base] = true
-	p.moved[base] = true
-	p.mv.demotions.Inc()
-	return true, nil
+	return moved, err
 }
-
-// MeasuredColdRate returns the aggregate measured access rate to the cold
-// set from the most recent correction pass, in accesses/sec.
-func (p *HeatPolicy) MeasuredColdRate() float64 { return p.lastColdRate }
-
-// QuarantinedBases returns the currently-quarantined page bases in address
-// order (including lazily-unexpired entries).
-func (p *HeatPolicy) QuarantinedBases() []addr.Virt { return p.mv.quarantinedBases() }

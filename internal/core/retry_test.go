@@ -7,6 +7,8 @@ import (
 	"thermostat/internal/addr"
 	"thermostat/internal/chaos"
 	"thermostat/internal/mem"
+	"thermostat/internal/rng"
+	"thermostat/internal/sim"
 )
 
 // TestAttemptMoveUniformHandling exercises the shared retry/quarantine
@@ -17,7 +19,7 @@ func TestAttemptMoveUniformHandling(t *testing.T) {
 	m := testMachine(t)
 	g := testGroup(t, nil)
 	eng := NewEngine(g, 9)
-	mv := &eng.pol.(*ThresholdPolicy).mv
+	mv := &eng.pol.(*ThresholdPolicy).ledger
 	if err := eng.Attach(m); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +100,7 @@ func TestQuarantineExpires(t *testing.T) {
 	m := testMachine(t)
 	g := testGroup(t, nil)
 	eng := NewEngine(g, 10)
-	mv := &eng.pol.(*ThresholdPolicy).mv
+	mv := &eng.pol.(*ThresholdPolicy).ledger
 	if err := eng.Attach(m); err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +112,7 @@ func TestQuarantineExpires(t *testing.T) {
 	if eng.QuarantinedPages() != 1 {
 		t.Fatalf("QuarantinedPages = %d", eng.QuarantinedPages())
 	}
-	for i := uint64(0); i < mv.quarantinePeriods; i++ {
+	for i := uint64(0); i < defaultQuarantinePeriods; i++ {
 		mv.periods.Inc()
 	}
 	if mv.isQuarantined(base) {
@@ -118,5 +120,54 @@ func TestQuarantineExpires(t *testing.T) {
 	}
 	if eng.QuarantinedPages() != 0 {
 		t.Error("expired quarantine entry not reaped")
+	}
+}
+
+// TestSqueezeSkipsQuarantinedPages pins the quarantine contract on the
+// arbiter's path: with every migration copy failing permanently, a squeeze
+// must attempt (and bench) only the candidates not already serving a
+// sentence.
+func TestSqueezeSkipsQuarantinedPages(t *testing.T) {
+	t.Parallel()
+	cfg := sim.DefaultConfig(256<<20, 256<<20)
+	cfg.TLB.L1Entries, cfg.TLB.L2Entries = 2, 8
+	cfg.Chaos = chaos.Config{
+		Seed:              1,
+		SiteRates:         map[chaos.Site]float64{chaos.MigrateCopy: 1},
+		PermanentFraction: 1,
+	}
+	m, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(testGroup(t, nil), 42)
+	app := &skewApp{r: rng.New(1), size: 32 << 20, hotPages: 4}
+	if _, err := sim.Run(m, app, eng, sim.RunConfig{DurationNs: 1e9}); err != nil {
+		t.Fatal(err)
+	}
+	led := &eng.pol.(*ThresholdPolicy).ledger
+	var benched, fresh uint64
+	for _, est := range eng.LastEstimates() {
+		switch {
+		case eng.IsCold(est.Base):
+		case led.isQuarantined(est.Base):
+			benched++
+		default:
+			fresh++
+		}
+	}
+	if benched == 0 || fresh == 0 {
+		t.Fatalf("setup: want benched and fresh squeeze candidates, have %d and %d", benched, fresh)
+	}
+	before, attempts := eng.Stats().Quarantined, m.FaultReport().Injected
+	freed, err := eng.Squeeze(64 << 20)
+	if err != nil || freed != 0 {
+		t.Fatalf("Squeeze = %d, %v; every copy fails, want 0, nil", freed, err)
+	}
+	if got := m.FaultReport().Injected - attempts; got != fresh {
+		t.Errorf("squeeze attempted %d moves, want %d (benched pages are not attempted)", got, fresh)
+	}
+	if got := eng.Stats().Quarantined - before; got != fresh {
+		t.Errorf("Quarantined grew by %d, want %d (one per newly failed page)", got, fresh)
 	}
 }

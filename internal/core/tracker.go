@@ -14,7 +14,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"thermostat/internal/addr"
 	"thermostat/internal/cgroup"
@@ -80,6 +79,9 @@ type Tracker interface {
 
 	// Sampled counts huge pages profiled over the run (Stats.Sampled).
 	Sampled() uint64
+
+	// StateBytes is the tracker's resident metadata in bytes.
+	StateBytes() uint64
 }
 
 // PlacementStats are a policy's lifetime migration counters.
@@ -102,6 +104,9 @@ type PlacementStats struct {
 // demotions compete for slow-tier capacity; Place consumes the estimates
 // the tracker gathered over the elapsed interval; EndPeriod advances the
 // policy's period clock (quarantine sentences are measured in periods).
+// Between ticks the engine reads the placement state back — for reports,
+// the fleet arbiter and the daemon — and Squeeze demotes on the arbiter's
+// behalf through DemoteForCapacity.
 type Policy interface {
 	// Name is the registry/flag name ("threshold", "heat").
 	Name() string
@@ -136,6 +141,26 @@ type Policy interface {
 
 	// Footprint classifies the managed leaves by grain and tier.
 	Footprint(m *sim.Machine) sim.Footprint
+
+	// DemoteForCapacity demotes one top-tier page through the normal
+	// placement machinery (retry/quarantine, cold-set membership, tracker
+	// notification) and reports whether the page actually moved. A
+	// quarantined page is refused without an attempt.
+	DemoteForCapacity(base addr.Virt) (bool, error)
+
+	// MeasuredColdRate is the aggregate measured access rate to the cold
+	// set from the most recent Correct, in accesses/sec.
+	MeasuredColdRate() float64
+
+	// QuarantinedPages counts pages serving a quarantine sentence,
+	// lazily-unexpired entries included; ActiveQuarantinedPages excludes
+	// those; QuarantinedBases lists the former in address order.
+	QuarantinedPages() int
+	ActiveQuarantinedPages() int
+	QuarantinedBases() []addr.Virt
+
+	// StateBytes is the policy's resident metadata in bytes.
+	StateBytes() uint64
 }
 
 // TrackerNames lists the selectable trackers in presentation order.
@@ -195,13 +220,10 @@ func scopeContains(base addr.Virt, ranges []addr.Range) bool {
 	return false
 }
 
-// sortedColdSet flattens a cold-set map into a base-sorted slice, the
-// canonical order MeasureCold expects.
-func sortedColdSet(cold map[addr.Virt]bool) []addr.Virt {
-	out := make([]addr.Virt, 0, len(cold))
-	for base := range cold {
-		out = append(out, base)
+// scopeRangesOf resolves a scope provider (nil = everything).
+func scopeRangesOf(scope func() []addr.Range) []addr.Range {
+	if scope == nil {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return scope()
 }

@@ -155,11 +155,3 @@ func (t *BitTracker) Estimates(intervalSec float64) ([]Estimate, error) {
 	sort.Slice(ests, func(i, j int) bool { return ests[i].Base < ests[j].Base })
 	return ests, nil
 }
-
-// scopeRangesOf resolves a scope provider (nil = everything).
-func scopeRangesOf(scope func() []addr.Range) []addr.Range {
-	if scope == nil {
-		return nil
-	}
-	return scope()
-}

@@ -82,6 +82,16 @@ func (t *DamonTracker) Coverage() float64 { return 1.0 }
 // Sampled implements Tracker: cumulative single-page probes.
 func (t *DamonTracker) Sampled() uint64 { return t.sampled.Value() }
 
+// StateBytes implements Tracker: the region records (a slice header and two
+// counters, 40 bytes) and their page lists.
+func (t *DamonTracker) StateBytes() uint64 {
+	b := uint64(len(t.regions)) * 40
+	for i := range t.regions {
+		b += uint64(len(t.regions[i].pages)) * 8
+	}
+	return b
+}
+
 // NotePlaced implements Tracker: region membership is by address, not
 // tier, so a migration changes nothing.
 func (t *DamonTracker) NotePlaced(base addr.Virt) {}

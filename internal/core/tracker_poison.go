@@ -109,14 +109,6 @@ func (t *PoisonTracker) Sampled() uint64 { return t.sampled.Value() }
 // sampling (both pipeline cohorts).
 func (t *PoisonTracker) InflightPages() int { return len(t.splitCohort) + len(t.poisonedCohort) }
 
-// scopeRanges returns the current scope (nil = everything).
-func (t *PoisonTracker) scopeRanges() []addr.Range {
-	if t.scope == nil {
-		return nil
-	}
-	return t.scope()
-}
-
 // delta returns the page's fault-count increase since this tracker last
 // looked, without disturbing the shared trap state. base is always the base
 // address of a currently-mapped leaf (a cold huge page or a split child), so
@@ -280,7 +272,7 @@ func (t *PoisonTracker) Arm() error {
 // splitCandidates returns the in-scope, non-inflight huge pages in address
 // order.
 func (t *PoisonTracker) splitCandidates() []addr.Virt {
-	ranges := t.scopeRanges()
+	ranges := scopeRangesOf(t.scope)
 	var out []addr.Virt
 	t.m.PageTable().ScanHuge(func(base addr.Virt) {
 		if !t.inflight(base) && scopeContains(base, ranges) {

@@ -271,3 +271,87 @@ func TestPlanShapesMatchSeedEntryPoints(t *testing.T) {
 		})
 	}
 }
+
+// goldenBenchCells pins redis at Bench() scale (3% target, seed 1) for the
+// tracker × policy cells nothing else covers byte for byte: the heat policy
+// with a promotion, the threshold policy over a non-sampling tracker, and
+// the threshold policy sinking through three tiers. Recorded at the commit
+// before the placement ledger (PR 24) and unchanged by it.
+var goldenBenchCells = []struct {
+	tracker, placement string
+	threeTier          bool
+
+	stats                        core.Stats
+	hot2M, hot4K, cold2M, cold4K uint64
+	ops, slowAccesses            uint64
+	clockNs                      int64
+	coldPages                    int
+}{
+	{
+		tracker: "poison", placement: "heat",
+		stats: core.Stats{Periods: 30, Sampled: 180, Demotions: 12, Promotions: 1},
+		hot2M: 249561088, hot4K: 18874368, cold2M: 16777216, cold4K: 6291456,
+		ops: 23744570, slowAccesses: 87433, clockNs: 30000000950, coldPages: 11,
+	},
+	{
+		tracker: "idlebit", placement: "heat",
+		stats: core.Stats{Periods: 30, Sampled: 3837, Demotions: 18, Promotions: 1},
+		hot2M: 255852544, cold2M: 35651584,
+		ops: 24430867, slowAccesses: 53961, clockNs: 30000001222, coldPages: 17,
+	},
+	{
+		tracker: "damon", placement: "threshold",
+		stats: core.Stats{Periods: 30, Sampled: 140, Demotions: 2, Promotions: 2},
+		hot2M: 291504128,
+		ops:   24430748, slowAccesses: 10303, clockNs: 30000000789, coldPages: 0,
+	},
+	{
+		tracker: "idlebit", placement: "threshold", threeTier: true,
+		stats: core.Stats{Periods: 30, Sampled: 3687, Demotions: 20, Promotions: 4, Sinks: 20},
+		hot2M: 253755392, cold2M: 37748736,
+		ops: 24391241, slowAccesses: 237815, clockNs: 30000001129, coldPages: 18,
+	},
+}
+
+func TestBenchScaleGoldenCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four bench-scale runs")
+	}
+	t.Parallel()
+	for _, g := range goldenBenchCells {
+		name := g.tracker + "+" + g.placement
+		if g.threeTier {
+			name += "/three-tier"
+		}
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			plan := Plan{SlowdownPct: 3, Tracker: g.tracker, Placement: g.placement}
+			if g.threeTier {
+				plan.Tiers = DefaultThreeTier(0)
+			}
+			out, err := Run(workload.Redis(), Bench(), plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := out.Engine.Stats(); st != g.stats {
+				t.Errorf("Stats = %+v, want %+v", st, g.stats)
+			}
+			fp := out.Result.FinalFootprint
+			met := out.Result.Metrics
+			check := func(what string, got, want uint64) {
+				t.Helper()
+				if got != want {
+					t.Errorf("%s = %d, want %d", what, got, want)
+				}
+			}
+			check("Hot2M", fp.Hot2M, g.hot2M)
+			check("Hot4K", fp.Hot4K, g.hot4K)
+			check("Cold2M", fp.Cold2M, g.cold2M)
+			check("Cold4K", fp.Cold4K, g.cold4K)
+			check("Ops", out.Result.Ops, g.ops)
+			check("SlowAccesses", met.SlowAccesses, g.slowAccesses)
+			check("ClockNs", uint64(met.ClockNs), uint64(g.clockNs))
+			check("ColdPages", uint64(out.Engine.ColdPages()), uint64(g.coldPages))
+		})
+	}
+}

@@ -91,7 +91,11 @@ echo "== policy matrix smoke gate"
 named run 'TestMatrixSmoke' ./internal/harness -short -count=1
 named run 'TestRunAllTelemetryWorkerInvariance|TestComposedThermostatMatchesSeedEngine' \
 	./internal/harness -count=1
-echo "matrix: all tracker x policy cells run; seed composition byte-identical"
+# And the committed matrix: all 32 tracker x policy x topology x app cells
+# at tiny scale regenerate results/policy_matrix.csv byte for byte.
+go run ./cmd/repro -exp matrix -scale tiny -csv "$tracedir/matrix" >/dev/null
+cmp "$tracedir/matrix/policy_matrix.csv" results/policy_matrix.csv
+echo "matrix: all tracker x policy cells run; seed composition and committed matrix byte-identical"
 
 echo "== chaos gates"
 # Inertness: -chaos-rate 0 must be byte-identical to a run without any
