@@ -12,13 +12,23 @@ var (
 	diffThetas = []float64{0.5, 0.9, YCSBTheta}
 )
 
+// refItem is what z must return where the reference draws rank v: v, or
+// for a scrambled sampler the scrambled item.
+func refItem(z *Zipfian, v uint64) uint64 {
+	if z.scramble {
+		return Hash64(v) % z.n
+	}
+	return v
+}
+
 // diffDraws compares z with the Pow reference on the same seeded stream.
 func diffDraws(z *Zipfian, seed uint64, draws int) error {
 	z.r = New(seed)
 	ref := newRefZipfian(New(seed), z)
 	for i := 0; i < draws; i++ {
-		if got, want := z.Next(), ref.Next(); got != want {
-			return fmt.Errorf("n=%d theta=%v seed=%d draw %d: got %d, reference %d", z.n, z.theta, seed, i, got, want)
+		if got, want := z.Next(), refItem(z, ref.Next()); got != want {
+			return fmt.Errorf("n=%d theta=%v scrambled=%v seed=%d draw %d: got %d, reference %d",
+				z.n, z.theta, z.scramble, seed, i, got, want)
 		}
 	}
 	return nil
@@ -28,8 +38,9 @@ func diffDraws(z *Zipfian, seed uint64, draws int) error {
 func diffKs(z *Zipfian, ks ...uint64) error {
 	ref := newRefZipfian(nil, z)
 	for _, k := range ks {
-		if got, want := z.draw(k), ref.draw(unit(k)); got != want {
-			return fmt.Errorf("n=%d theta=%v k=%#x (bucket %d): got %d, reference %d", z.n, z.theta, k, k>>guideShift, got, want)
+		if got, want := z.draw(k), refItem(z, ref.draw(unit(k))); got != want {
+			return fmt.Errorf("n=%d theta=%v scrambled=%v k=%#x (bucket %d): got %d, reference %d",
+				z.n, z.theta, z.scramble, k, k>>guideShift, got, want)
 		}
 	}
 	return nil
@@ -47,6 +58,8 @@ func diffBucketEdges(z *Zipfian) error {
 	return diffKs(z, ks...)
 }
 
+// TestZipfianMatchesPowReference runs the plain sampler, and the scrambled
+// one on a quarter of the random draws, against the reference.
 func TestZipfianMatchesPowReference(t *testing.T) {
 	draws := 1 << 22
 	if testing.Short() {
@@ -54,18 +67,23 @@ func TestZipfianMatchesPowReference(t *testing.T) {
 	}
 	for _, n := range diffNs {
 		for _, theta := range diffThetas {
-			z := NewZipfian(nil, n, theta)
-			if z.guide == nil {
-				t.Fatalf("n=%d theta=%v: no guide table", n, theta)
-			}
-			// Random draws first, so the edges meet a partly filled table;
-			// then again, so every classified bucket is read back.
-			for pass := uint64(1); pass <= 2; pass++ {
-				if err := diffDraws(z, pass, draws/2); err != nil {
-					t.Fatal(err)
+			for _, z := range []*Zipfian{NewZipfian(nil, n, theta), NewScrambledZipfian(nil, n, theta)} {
+				if z.guide == nil {
+					t.Fatalf("n=%d theta=%v: no guide table", n, theta)
 				}
-				if err := diffBucketEdges(z); err != nil {
-					t.Fatal(err)
+				perPass := draws / 2
+				if z.scramble {
+					perPass /= 4
+				}
+				// Random draws first, so the edges meet a partly filled
+				// table; then again, so every classified bucket is read back.
+				for pass := uint64(1); pass <= 2; pass++ {
+					if err := diffDraws(z, pass, perPass); err != nil {
+						t.Fatal(err)
+					}
+					if err := diffBucketEdges(z); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 		}
@@ -90,6 +108,36 @@ func TestZipfianDiffCatchesLooseGuide(t *testing.T) {
 		}
 		if diffDraws(loose(), 1, 1<<16) == nil {
 			t.Errorf("n=%d: 2^16 draws agree with a guide built from first draws only", n)
+		}
+	}
+}
+
+// TestZipfianDiffCatchesLooseHead seeds the mutation the straddle case of
+// Zipfian.constant exists to prevent — each bucket holding a head threshold
+// called constant from its first draw, every other bucket classified
+// correctly — and requires the differential checks to notice.
+func TestZipfianDiffCatchesLooseHead(t *testing.T) {
+	for _, n := range []uint64{512, 83968} {
+		loose := func() *Zipfian {
+			z := NewZipfian(nil, n, YCSBTheta)
+			for b := range z.guide {
+				z.classify(uint64(b))
+				lo := unit(uint64(b)<<guideShift) * z.zetan
+				hi := unit(uint64(b)<<guideShift|(1<<guideShift-1)) * z.zetan
+				switch {
+				case lo < 1 && hi >= 1:
+					z.guide[b] = guideConst
+				case lo < z.head2 && hi >= z.head2:
+					z.guide[b] = guideConst + 1
+				}
+			}
+			return z
+		}
+		if diffBucketEdges(loose()) == nil {
+			t.Errorf("n=%d: bucket edges agree with head buckets called constant", n)
+		}
+		if diffDraws(loose(), 1, 1<<20) == nil {
+			t.Errorf("n=%d: 2^20 draws agree with head buckets called constant", n)
 		}
 	}
 }
@@ -177,7 +225,7 @@ func TestZipfianNextDoesNotAllocate(t *testing.T) {
 // built. zetan is a 2^13-term sum plus the integral of the rest: the exact
 // sum is up to 2^20 Pow calls per input, and a zetan within a fraction of a
 // percent of it exercises the same code.
-func fuzzZipfian(data []byte) (z *Zipfian, ks []uint64) {
+func fuzzZipfian(data []byte, scramble bool) (z *Zipfian, ks []uint64) {
 	if len(data) < 9 {
 		return nil, nil
 	}
@@ -195,21 +243,25 @@ func fuzzZipfian(data []byte) (z *Zipfian, ks []uint64) {
 	for data = data[9:]; len(data) >= 8; data = data[8:] {
 		ks = append(ks, binary.LittleEndian.Uint64(data)&(1<<53-1))
 	}
-	return newZipfian(nil, n, theta, zetan), ks
+	z = newZipfian(nil, n, theta, zetan)
+	z.scramble = scramble
+	return z, ks
 }
 
-// FuzzZipfianVsPow feeds raw draws to a fresh sampler and the Pow reference,
-// twice so that every bucket is first classified and then read back; seeds
-// are in testdata/fuzz/FuzzZipfianVsPow.
+// FuzzZipfianVsPow feeds raw draws to a fresh sampler, plain and scrambled,
+// and the Pow reference, twice so that every bucket is first classified and
+// then read back; seeds are in testdata/fuzz/FuzzZipfianVsPow.
 func FuzzZipfianVsPow(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		z, ks := fuzzZipfian(data)
-		if z == nil {
-			return
-		}
-		for pass := 0; pass < 2; pass++ {
-			if err := diffKs(z, ks...); err != nil {
-				t.Fatal(err)
+		for _, scramble := range []bool{false, true} {
+			z, ks := fuzzZipfian(data, scramble)
+			if z == nil {
+				return
+			}
+			for pass := 0; pass < 2; pass++ {
+				if err := diffKs(z, ks...); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	})

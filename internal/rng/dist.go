@@ -35,14 +35,20 @@ func (u *Uniform) N() uint64 { return u.n }
 // using the Gray et al. rejection-free method popularized by YCSB. Item 0 is
 // the most popular.
 //
-// A draw is a 53-bit integer k, u = k/2^53, and (past the two head tests)
-// the item is trunc(n * Pow(eta*u-eta+1, alpha)). math.Pow is most of that
-// cost, so the inverse CDF is memoised in a guide table over k's top bits:
-// each of the guideBuckets equal slices of [0, 2^53) is unknown, mixed, or
-// constant v. A constant bucket answers from the table; a mixed one
-// evaluates the expression as before. The sequence is bit-for-bit the one
-// the expression alone produces, by this argument:
+// A draw is a 53-bit integer k, u = k/2^53: item 0 if u*zetan < 1, item 1 if
+// u*zetan < 1+0.5^theta, otherwise trunc(n * Pow(eta*u-eta+1, alpha)). The
+// whole map is memoised in a guide table over k's top bits: each of the
+// guideBuckets equal slices of [0, 2^53) is unknown, mixed, or constant v.
+// The table is read first; a constant bucket is the answer, and only a mixed
+// one evaluates the expression, head tests and Pow, as before. The sequence
+// is bit-for-bit the one the expression alone produces, by this argument:
 //
+//   - unit(k)*zetan is one correctly rounded product of an exact k/2^53, so
+//     it is non-decreasing in k. A bucket whose last value is below 1 is
+//     item 0 throughout; one whose first value is at least 1 and whose last
+//     is below 1+0.5^theta is item 1 throughout; one that straddles either
+//     threshold is mixed; and in one whose first value passes both tests
+//     every draw reaches Pow, where the next three points apply.
 //   - With 0 < eta <= 1 the base x(k) = eta*u-eta+1 is computed by
 //     correctly rounded (or fused) operations that are each monotone in
 //     their varying operand, so as a float64 it is non-decreasing in k and
@@ -61,21 +67,24 @@ func (u *Uniform) N() uint64 { return u.n }
 //     interior value is then within 2*2^-44*(j+1) = m/8 of that interval,
 //     so it truncates to j as well.
 //
-// A bucket that fails any test is mixed and merely keeps paying for Pow;
-// parameters outside the argument (n <= 2, an item that does not fit the
-// entry, a very large alpha) get no table at all. Buckets are classified
-// on first touch, so a short run pays for the few it reaches.
+// A bucket that fails any test is mixed and merely keeps paying for the
+// expression; parameters outside the argument (n <= 2, an item that does
+// not fit the entry, a very large alpha) get no table at all. Buckets are
+// classified on first touch, so a short run pays for the few it reaches. A
+// scrambled sampler's entries hold the scrambled item, so its hash and
+// divide run only on a mixed bucket.
 type Zipfian struct {
-	r     *PCG
-	n     uint64
-	nf    float64 // float64(n)
-	theta float64
-	alpha float64
-	zetan float64
-	eta   float64
-	zeta2 float64
-	head2 float64  // 1 + 0.5^theta: u*zetan below this is item 1
-	guide []uint32 // per bucket: guideUnknown, guideMixed, or guideConst+v
+	r        *PCG
+	n        uint64
+	nf       float64 // float64(n)
+	theta    float64
+	alpha    float64
+	zetan    float64
+	eta      float64
+	zeta2    float64
+	head2    float64  // 1 + 0.5^theta: u*zetan below this is item 1
+	guide    []uint32 // per bucket: guideUnknown, guideMixed, or guideConst+v
+	scramble bool     // items are Hash64(v) % n (NewScrambledZipfian)
 }
 
 // YCSBTheta is the Zipfian skew YCSB uses by default.
@@ -149,26 +158,37 @@ func (z *Zipfian) Next() uint64 { return z.draw(z.r.Uint64() >> 11) }
 
 // draw maps the 53-bit uniform k (PCG.Float64's numerator) to its item.
 func (z *Zipfian) draw(k uint64) uint64 {
-	u := unit(k)
-	uz := u * z.zetan
-	if uz < 1 {
-		return 0
-	}
-	if uz < z.head2 {
-		return 1
-	}
 	if b := k >> guideShift; b < uint64(len(z.guide)) {
-		e := z.guide[b]
-		if e == guideUnknown {
-			e = z.classify(b)
-		}
-		if e >= guideConst {
+		if e := z.guide[b]; e >= guideConst {
 			return uint64(e - guideConst)
 		}
 	}
-	v := uint64(z.tail(u))
-	if v >= z.n {
-		v = z.n - 1
+	return z.slow(k)
+}
+
+// slow classifies an unknown bucket, and evaluates the expression when the
+// bucket is mixed or there is no table.
+func (z *Zipfian) slow(k uint64) uint64 {
+	if b := k >> guideShift; b < uint64(len(z.guide)) && z.guide[b] == guideUnknown {
+		if e := z.classify(b); e >= guideConst {
+			return uint64(e - guideConst)
+		}
+	}
+	u := unit(k)
+	uz := u * z.zetan
+	if uz < 1 {
+		return z.item(0)
+	}
+	if uz < z.head2 {
+		return z.item(1)
+	}
+	return z.item(min(uint64(z.tail(u)), z.n-1))
+}
+
+// item is the value a draw of Zipfian rank v returns.
+func (z *Zipfian) item(v uint64) uint64 {
+	if z.scramble {
+		return Hash64(v) % z.n
 	}
 	return v
 }
@@ -183,41 +203,47 @@ func (z *Zipfian) tail(u float64) float64 {
 // leave the bucket mixed.
 func (z *Zipfian) classify(b uint64) uint32 {
 	first := b << guideShift
-	lo := z.tail(unit(first))
-	hi := z.tail(unit(first | (1<<guideShift - 1)))
-	j := math.Floor(lo)
-	m := (j + 1) * guideMargin
+	last := first | (1<<guideShift - 1)
 	e := uint32(guideMixed)
-	if lo-j >= m && hi-j >= m && j+1-lo >= m && j+1-hi >= m {
-		e = guideConst + uint32(min(uint64(j), z.n-1))
+	if v, ok := z.constant(unit(first), unit(last)); ok {
+		e = guideConst + uint32(z.item(v))
 	}
 	z.guide[b] = e
 	return e
 }
 
+// constant reports the rank every draw in [lo, hi] maps to, if the argument
+// on Zipfian proves there is one.
+func (z *Zipfian) constant(lo, hi float64) (uint64, bool) {
+	switch {
+	case hi*z.zetan < 1:
+		return 0, true
+	case lo*z.zetan >= 1 && hi*z.zetan < z.head2:
+		return 1, true
+	case lo*z.zetan < z.head2: // straddles a head threshold
+		return 0, false
+	}
+	plo, phi := z.tail(lo), z.tail(hi)
+	j := math.Floor(plo)
+	m := (j + 1) * guideMargin
+	if plo-j >= m && phi-j >= m && j+1-plo >= m && j+1-phi >= m {
+		return min(uint64(j), z.n-1), true
+	}
+	return 0, false
+}
+
 // N returns the population size.
 func (z *Zipfian) N() uint64 { return z.n }
 
-// ScrambledZipfian spreads Zipfian popularity across the key space by
-// hashing, so hot items are not clustered at low indices. This matches how
-// YCSB drives key-value stores: popularity is skewed but hot keys land at
-// arbitrary positions.
-type ScrambledZipfian struct {
-	z *Zipfian
+// NewScrambledZipfian returns a Zipfian distribution over [0, n) whose
+// items are scrambled: the draw of rank v returns Hash64(v) % n, so
+// popularity stays skewed but hot keys land at arbitrary positions instead
+// of clustering at low indices, as when YCSB drives a key-value store.
+func NewScrambledZipfian(r *PCG, n uint64, theta float64) *Zipfian {
+	z := NewZipfian(r, n, theta)
+	z.scramble = true
+	return z
 }
-
-// NewScrambledZipfian returns a scrambled Zipfian distribution over [0, n).
-func NewScrambledZipfian(r *PCG, n uint64, theta float64) *ScrambledZipfian {
-	return &ScrambledZipfian{z: NewZipfian(r, n, theta)}
-}
-
-// Next returns the next item index.
-func (s *ScrambledZipfian) Next() uint64 {
-	return Hash64(s.z.Next()) % s.z.n
-}
-
-// N returns the population size.
-func (s *ScrambledZipfian) N() uint64 { return s.z.n }
 
 // Hash64 is the 64-bit finalizer from MurmurHash3: a cheap bijective mixer.
 func Hash64(x uint64) uint64 {

@@ -6,6 +6,8 @@
 // so every generator is seeded explicitly and never touches global state.
 package rng
 
+import "math/bits"
+
 // PCG is a 64-bit PCG-XSH-RR random number generator. The zero value is not
 // usable; construct with New.
 type PCG struct {
@@ -29,32 +31,46 @@ func NewStream(seed, stream uint64) *PCG {
 	return p
 }
 
-// Uint64 returns the next 64 random bits.
+// Uint64 returns the next 64 random bits: two 32-bit PCG outputs glued
+// together. Both steps are written out so that the method inlines.
 func (p *PCG) Uint64() uint64 {
-	// Two 32-bit PCG outputs glued together.
-	return uint64(p.next32())<<32 | uint64(p.next32())
+	s0 := p.state
+	s1 := s0*pcgMult + p.inc
+	p.state = s1*pcgMult + p.inc
+	return uint64(xshrr(s0))<<32 | uint64(xshrr(s1))
 }
 
-func (p *PCG) next32() uint32 {
-	old := p.state
-	p.state = old*pcgMult + p.inc
-	xorshifted := uint32(((old >> 18) ^ old) >> 27)
-	rot := uint32(old >> 59)
-	return xorshifted>>rot | xorshifted<<((-rot)&31)
+// xshrr is PCG's XSH-RR output permutation of a state.
+func xshrr(s uint64) uint32 {
+	return bits.RotateLeft32(uint32(((s>>18)^s)>>27), -int(s>>59))
 }
 
-// Uint64n returns a uniform value in [0, n). Panics if n == 0.
+// Uint64n returns a uniform value in [0, n). Panics if n == 0. It is modulo
+// rejection, and finding the limit is a divide on every call; a caller
+// drawing often from one n computes RejectLimit(n) once and calls Below.
 func (p *PCG) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("rng: Uint64n(0)")
 	}
-	// Lemire's multiply-shift rejection method, 64-bit variant simplified:
-	// fall back to modulo bias rejection over the high bits.
-	mask := ^uint64(0)
-	if n&(n-1) == 0 { // power of two
+	return p.Below(n, RejectLimit(n))
+}
+
+// RejectLimit returns the bound Uint64n(n) redraws at, the largest multiple
+// of n that fits 64 bits, or 0 when n is a power of two (one masked draw).
+func RejectLimit(n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return 0
+	}
+	const mask = ^uint64(0)
+	return mask - mask%n
+}
+
+// Below is Uint64n(n) for n > 0 given limit = RejectLimit(n): it consumes
+// the generator exactly as Uint64n(n) does.
+func (p *PCG) Below(n, limit uint64) uint64 {
+	if limit == 0 {
 		return p.Uint64() & (n - 1)
 	}
-	limit := mask - mask%n
 	for {
 		v := p.Uint64()
 		if v < limit {

@@ -131,8 +131,17 @@ func findSegment(segs []SegmentSpec, name string) int {
 
 // segment is a segment's runtime state.
 type segment struct {
-	spec    SegmentSpec
-	regions []addr.Range
+	spec SegmentSpec
+	span span
+}
+
+// setRegions points the segment at regions, rebuilding its span and
+// rebinding its picker. Init and growth are the only callers.
+func (seg *segment) setRegions(regions []addr.Range) {
+	seg.span = newSpan(regions)
+	if b, ok := seg.spec.Picker.(binder); ok {
+		b.bind(&seg.span)
+	}
 }
 
 // App is a runnable instance of a Spec. It implements sim.App.
@@ -218,7 +227,9 @@ func (a *App) Init(m *sim.Machine) error {
 		if err != nil {
 			return fmt.Errorf("workload: %s segment %q: %w", a.spec.Name, spec.Name, err)
 		}
-		a.segs = append(a.segs, &segment{spec: spec, regions: []addr.Range{reg}})
+		seg := &segment{spec: spec}
+		seg.setRegions([]addr.Range{reg})
+		a.segs = append(a.segs, seg)
 		total += spec.Weight
 		a.cum = append(a.cum, total)
 	}
@@ -236,34 +247,40 @@ func (a *App) Init(m *sim.Machine) error {
 
 // Next implements sim.App.
 func (a *App) Next() (addr.Virt, bool) {
-	x := a.r.Float64() * a.cum[len(a.cum)-1]
-	idx := 0
-	for idx < len(a.cum)-1 && x >= a.cum[idx] {
-		idx++
-	}
-	seg := a.segs[idx]
-	v := seg.spec.Picker.Pick(a.r, seg.regions)
-	return v, a.r.Bool(seg.spec.WriteFrac)
+	var req [1]sim.Req
+	a.NextBatch(req[:])
+	return req[0].V, req[0].Write
 }
 
-// NextBatch implements sim.BatchApp: it generates len(reqs) accesses with
-// the identical RNG call sequence Next uses (segment draw, picker, write
-// draw per op), so batched and per-op runs consume the same random stream.
+// NextBatch implements sim.BatchApp: it generates len(reqs) accesses, each
+// a segment draw, the segment's picker and a write draw, so a batch consumes
+// the RNG exactly as that many Next calls do.
 func (a *App) NextBatch(reqs []sim.Req) int {
 	r := a.r
-	cum := a.cum
-	total := cum[len(cum)-1]
+	bounds := a.cum[:len(a.cum)-1]
+	total := a.cum[len(a.cum)-1]
 	for i := range reqs {
+		// The segment is the first whose cumulative weight exceeds x. cum is
+		// non-decreasing, so that index is the count of bounds x has passed,
+		// which compiles to no data-dependent branch.
 		x := r.Float64() * total
 		idx := 0
-		for idx < len(cum)-1 && x >= cum[idx] {
-			idx++
+		for _, c := range bounds {
+			idx += b2i(x >= c)
 		}
 		seg := a.segs[idx]
-		v := seg.spec.Picker.Pick(r, seg.regions)
+		v := seg.spec.Picker.pick(r, &seg.span)
 		reqs[i] = sim.Req{V: v, Write: r.Bool(seg.spec.WriteFrac)}
 	}
 	return len(reqs)
+}
+
+// b2i is 1 for true; the compiler turns it into a flag read, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // pickerTicker is implemented by pickers with time-driven behaviour
@@ -306,8 +323,8 @@ func (a *App) Tick(m *sim.Machine, now int64) error {
 		retire := a.segs[a.retireIdx]
 		// Retire the active segment's current regions, switch writes to
 		// the fresh chunk.
-		retire.regions = append(retire.regions, active.regions...)
-		active.regions = []addr.Range{chunk}
+		retire.setRegions(append(retire.span.regions, active.span.regions...))
+		active.setRegions([]addr.Range{chunk})
 		a.growthN++
 		a.nextGrow += g.PeriodNs
 	}
@@ -331,7 +348,7 @@ func (a *App) Rotations() int { return a.rotations }
 func (a *App) FootprintBytes() (rss, file uint64) {
 	for _, seg := range a.segs {
 		var n uint64
-		for _, reg := range seg.regions {
+		for _, reg := range seg.span.regions {
 			n += reg.Size()
 		}
 		if seg.spec.FileMapped {
@@ -348,7 +365,7 @@ func (a *App) FootprintBytes() (rss, file uint64) {
 func (a *App) Regions() []addr.Range {
 	var out []addr.Range
 	for _, seg := range a.segs {
-		out = append(out, seg.regions...)
+		out = append(out, seg.span.regions...)
 	}
 	return out
 }
@@ -358,7 +375,7 @@ func (a *App) Regions() []addr.Range {
 func (a *App) SegmentRegions(name string) []addr.Range {
 	for _, seg := range a.segs {
 		if seg.spec.Name == name {
-			return append([]addr.Range(nil), seg.regions...)
+			return append([]addr.Range(nil), seg.span.regions...)
 		}
 	}
 	return nil

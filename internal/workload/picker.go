@@ -11,6 +11,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 
 	"thermostat/internal/addr"
 	"thermostat/internal/rng"
@@ -18,42 +19,63 @@ import (
 
 // Picker selects the next accessed address within a segment's regions.
 // Pickers may keep state (e.g. sweep position); each segment owns one
-// instance.
+// instance. The set is closed: the pickers of this package are all there
+// is.
 type Picker interface {
-	// Pick returns an address within one of the regions. The regions
-	// slice is never empty.
-	Pick(r *rng.PCG, regions []addr.Range) addr.Virt
+	// pick returns an address within s, drawing from r.
+	pick(r *rng.PCG, s *span) addr.Virt
 }
 
-// totalPages4K sums the 4KB page count across regions.
-func totalPages4K(regions []addr.Range) uint64 {
-	var n uint64
-	for _, reg := range regions {
-		n += reg.Pages4K()
+// binder is implemented by pickers that derive something from their span (a
+// stride, a hot-set size, a sub-span) once, when it is built, instead of on
+// every draw.
+type binder interface {
+	bind(s *span)
+}
+
+// span is a segment's regions as its picker reads them: the prefix sums
+// that turn a page index into an address, the page count n, and the
+// rejection limit for drawing below n. A segment builds it at Init and again
+// when growth changes its regions; draws only read it.
+type span struct {
+	regions []addr.Range
+	ends    []uint64 // ends[i]: 4KB pages in regions[:i+1]
+	n       uint64
+	limit   uint64 // rng.RejectLimit(n)
+}
+
+// newSpan builds the span of a non-empty region list.
+func newSpan(regions []addr.Range) span {
+	s := span{regions: regions, ends: make([]uint64, len(regions))}
+	for i, reg := range regions {
+		s.n += reg.Pages4K()
+		s.ends[i] = s.n
 	}
-	return n
+	s.limit = rng.RejectLimit(s.n)
+	return s
 }
 
-// pageAt returns the base address of the idx-th 4KB page across regions.
-func pageAt(regions []addr.Range, idx uint64) addr.Virt {
-	for _, reg := range regions {
-		n := reg.Pages4K()
-		if idx < n {
-			return reg.Start.Base4K() + addr.Virt(idx*addr.PageSize4K)
+// at returns an address in the idx-th 4KB page across the regions: the page
+// base plus an offset drawn as r.Uint64n(PageSize4K) draws it (a power of
+// two, so one masked draw).
+func (s *span) at(r *rng.PCG, idx uint64) addr.Virt {
+	i := 0
+	if len(s.ends) > 1 {
+		i, _ = slices.BinarySearch(s.ends, idx+1)
+		if i > 0 {
+			idx -= s.ends[i-1]
 		}
-		idx -= n
 	}
-	panic("workload: page index out of range")
+	return s.regions[i].Start.Base4K() + addr.Virt(idx*addr.PageSize4K) +
+		addr.Virt(r.Uint64()&(addr.PageSize4K-1))
 }
 
 // Uniform picks uniformly over the segment's bytes (at 4KB-page grain with
 // a random in-page offset).
 type Uniform struct{}
 
-// Pick implements Picker.
-func (Uniform) Pick(r *rng.PCG, regions []addr.Range) addr.Virt {
-	n := totalPages4K(regions)
-	return pageAt(regions, r.Uint64n(n)) + addr.Virt(r.Uint64n(addr.PageSize4K))
+func (Uniform) pick(r *rng.PCG, s *span) addr.Virt {
+	return s.at(r, r.Below(s.n, s.limit))
 }
 
 // Zipf picks 4KB pages with scrambled-Zipfian popularity — the YCSB-style
@@ -62,20 +84,18 @@ type Zipf struct {
 	// Theta is the skew (default rng.YCSBTheta).
 	Theta float64
 
-	z *rng.ScrambledZipfian
+	z *rng.Zipfian
 }
 
-// Pick implements Picker.
-func (p *Zipf) Pick(r *rng.PCG, regions []addr.Range) addr.Virt {
-	n := totalPages4K(regions)
-	if p.z == nil || p.z.N() != n {
+func (p *Zipf) pick(r *rng.PCG, s *span) addr.Virt {
+	if p.z == nil || p.z.N() != s.n {
 		theta := p.Theta
 		if theta == 0 {
 			theta = rng.YCSBTheta
 		}
-		p.z = rng.NewScrambledZipfian(rng.NewStream(n, 0x5eed), n, theta)
+		p.z = rng.NewScrambledZipfian(rng.NewStream(s.n, 0x5eed), s.n, theta)
 	}
-	return pageAt(regions, p.z.Next()) + addr.Virt(r.Uint64n(addr.PageSize4K))
+	return s.at(r, p.z.Next())
 }
 
 // Hotspot picks pages so that HotOpFrac of accesses go to the HotSetFrac
@@ -88,13 +108,11 @@ type Hotspot struct {
 	h *rng.Hotspot
 }
 
-// Pick implements Picker.
-func (p *Hotspot) Pick(r *rng.PCG, regions []addr.Range) addr.Virt {
-	n := totalPages4K(regions)
-	if p.h == nil || p.h.N() != n {
-		p.h = rng.NewHotspot(rng.NewStream(n, 0x407), n, p.HotSetFrac, p.HotOpFrac)
+func (p *Hotspot) pick(r *rng.PCG, s *span) addr.Virt {
+	if p.h == nil || p.h.N() != s.n {
+		p.h = rng.NewHotspot(rng.NewStream(s.n, 0x407), s.n, p.HotSetFrac, p.HotOpFrac)
 	}
-	return pageAt(regions, p.h.Next()) + addr.Virt(r.Uint64n(addr.PageSize4K))
+	return s.at(r, p.h.Next())
 }
 
 // Sweep cycles sequentially through the segment's pages, dwelling on each
@@ -110,22 +128,16 @@ type Sweep struct {
 	count int
 }
 
-// Pick implements Picker.
-func (p *Sweep) Pick(r *rng.PCG, regions []addr.Range) addr.Virt {
-	n := totalPages4K(regions)
-	dwell := p.Dwell
-	if dwell < 1 {
-		dwell = 1
-	}
-	if p.pos >= n {
+func (p *Sweep) pick(r *rng.PCG, s *span) addr.Virt {
+	if p.pos >= s.n {
 		p.pos = 0
 	}
-	v := pageAt(regions, p.pos) + addr.Virt(r.Uint64n(addr.PageSize4K))
+	v := s.at(r, p.pos)
 	p.count++
-	if p.count >= dwell {
+	if p.count >= max(p.Dwell, 1) {
 		p.count = 0
 		p.pos++
-		if p.pos >= n {
+		if p.pos >= s.n {
 			p.pos = 0
 		}
 	}
@@ -138,25 +150,36 @@ func (p *Sweep) Pick(r *rng.PCG, regions []addr.Range) addr.Virt {
 // Sweep it touches a different page on every access, so its traffic is
 // visible to TLB-miss-based rate estimation at full fidelity.
 type StridedScan struct {
-	// Stride is the page step per access (coprime with the page count
-	// works best; adjusted internally if it divides the page count).
+	// Stride is the page step per access (default 97). The scan uses the
+	// largest step no greater than Stride that is coprime with the page
+	// count, so every page is visited once per n accesses.
 	Stride uint64
 
-	pos uint64
+	pos    uint64
+	stride uint64
 }
 
-// Pick implements Picker.
-func (p *StridedScan) Pick(r *rng.PCG, regions []addr.Range) addr.Virt {
-	n := totalPages4K(regions)
+func (p *StridedScan) bind(s *span) {
 	stride := p.Stride
 	if stride == 0 {
 		stride = 97
 	}
-	for n%stride == 0 && stride > 1 {
+	for stride > 1 && gcd(stride, s.n) != 1 {
 		stride--
 	}
-	p.pos = (p.pos + stride) % n
-	return pageAt(regions, p.pos) + addr.Virt(r.Uint64n(addr.PageSize4K))
+	p.stride = stride
+}
+
+func gcd(a, b uint64) uint64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+func (p *StridedScan) pick(r *rng.PCG, s *span) addr.Virt {
+	p.pos = (p.pos + p.stride) % s.n
+	return s.at(r, p.pos)
 }
 
 // Append writes sequentially like a log: it dwells on the last region's
@@ -166,13 +189,14 @@ type Append struct {
 	Dwell int
 
 	sweep Sweep
+	last  span // the most recent region: appending touches only it
 }
 
-// Pick implements Picker.
-func (p *Append) Pick(r *rng.PCG, regions []addr.Range) addr.Virt {
+func (p *Append) bind(s *span) { p.last = newSpan(s.regions[len(s.regions)-1:]) }
+
+func (p *Append) pick(r *rng.PCG, _ *span) addr.Virt {
 	p.sweep.Dwell = p.Dwell
-	// Appending only touches the most recent region.
-	return p.sweep.Pick(r, regions[len(regions)-1:])
+	return p.sweep.pick(r, &p.last)
 }
 
 // HotspotSweep is the Redis traffic model: HotOpFrac of accesses hit a
@@ -199,6 +223,8 @@ type HotspotSweep struct {
 	salt       uint64
 	nextRotate int64
 	sweep      Sweep
+	hot        uint64 // hot-set size for the bound span
+	hotLimit   uint64 // rng.RejectLimit(hot)
 }
 
 // TickPicker implements pickerTicker: advances hot-set rotation.
@@ -216,31 +242,31 @@ func (p *HotspotSweep) TickPicker(nowNs int64) {
 	}
 }
 
-// Pick implements Picker.
-func (p *HotspotSweep) Pick(r *rng.PCG, regions []addr.Range) addr.Virt {
-	n := totalPages4K(regions)
+// hotCount is the hot-set size over n pages (at least one page).
+func (p *HotspotSweep) hotCount(n uint64) uint64 {
+	return max(uint64(float64(n)*p.HotSetFrac), 1)
+}
+
+func (p *HotspotSweep) bind(s *span) {
+	p.hot = p.hotCount(s.n)
+	p.hotLimit = rng.RejectLimit(p.hot)
+}
+
+func (p *HotspotSweep) pick(r *rng.PCG, s *span) addr.Virt {
 	if r.Float64() < p.HotOpFrac {
-		hot := uint64(float64(n) * p.HotSetFrac)
-		if hot == 0 {
-			hot = 1
-		}
 		// Hash-scatter the hot set across the keyspace; the salt changes
 		// on rotation, moving popularity to a fresh key set.
-		page := rng.Hash64(r.Uint64n(hot)+0x9e3779b9+p.salt) % n
-		return pageAt(regions, page) + addr.Virt(r.Uint64n(addr.PageSize4K))
+		return s.at(r, rng.Hash64(r.Below(p.hot, p.hotLimit)+0x9e3779b9+p.salt)%s.n)
 	}
 	p.sweep.Dwell = p.Dwell
-	return p.sweep.Pick(r, regions)
+	return p.sweep.pick(r, s)
 }
 
 // HotPages returns the distinct hot 4KB page indices the picker currently
 // draws from, given the region page count (ground truth for tests and
 // analyses; reflects the current rotation salt).
 func (p *HotspotSweep) HotPages(n uint64) map[uint64]bool {
-	hot := uint64(float64(n) * p.HotSetFrac)
-	if hot == 0 {
-		hot = 1
-	}
+	hot := p.hotCount(n)
 	out := make(map[uint64]bool, hot)
 	for i := uint64(0); i < hot; i++ {
 		out[rng.Hash64(i+0x9e3779b9+p.salt)%n] = true

@@ -11,13 +11,21 @@ import (
 
 const testScale = 256 // tiny footprints for unit tests
 
-func newMachine(t *testing.T) *sim.Machine {
+func newMachine(t testing.TB) *sim.Machine {
 	t.Helper()
 	m, err := sim.New(sim.DefaultConfig(512<<20, 512<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// pickIn draws one address from p over regions, binding it to them as a
+// segment holding those regions would.
+func pickIn(p Picker, r *rng.PCG, regions []addr.Range) addr.Virt {
+	seg := segment{spec: SegmentSpec{Picker: p}}
+	seg.setRegions(regions)
+	return p.pick(r, &seg.span)
 }
 
 func TestAllSpecsValidate(t *testing.T) {
@@ -272,7 +280,7 @@ func TestSweepCyclesThroughAllPages(t *testing.T) {
 	r := rng.New(1)
 	seen := map[uint64]int{}
 	for i := 0; i < 16; i++ { // two full cycles at dwell 2
-		v := s.Pick(r, regions)
+		v := pickIn(s, r, regions)
 		seen[v.PageNum4K()]++
 	}
 	if len(seen) != 4 {
@@ -293,7 +301,7 @@ func TestAppendPicksOnlyLastRegion(t *testing.T) {
 	}
 	r := rng.New(2)
 	for i := 0; i < 20; i++ {
-		v := a.Pick(r, regions)
+		v := pickIn(a, r, regions)
 		if !regions[1].Contains(v) {
 			t.Fatalf("append picked outside last region: %s", v)
 		}
@@ -307,7 +315,7 @@ func TestZipfPickerSkewed(t *testing.T) {
 	counts := map[uint64]int{}
 	const iters = 100000
 	for i := 0; i < iters; i++ {
-		counts[z.Pick(r, regions).PageNum4K()]++
+		counts[pickIn(z, r, regions).PageNum4K()]++
 	}
 	max := 0
 	for _, n := range counts {
@@ -410,7 +418,7 @@ func TestStridedScanCoversAllPagesEvenly(t *testing.T) {
 	r := rng.New(4)
 	seen := map[uint64]int{}
 	for i := 0; i < 30; i++ { // three full passes at stride 3 over 10 pages
-		seen[s.Pick(r, regions).PageNum4K()]++
+		seen[pickIn(s, r, regions).PageNum4K()]++
 	}
 	if len(seen) != 10 {
 		t.Fatalf("strided scan covered %d pages, want 10", len(seen))
@@ -430,10 +438,29 @@ func TestStridedScanAdjustsDegenerateStride(t *testing.T) {
 	r := rng.New(5)
 	seen := map[uint64]bool{}
 	for i := 0; i < 64; i++ {
-		seen[s.Pick(r, regions).PageNum4K()] = true
+		seen[pickIn(s, r, regions).PageNum4K()] = true
 	}
 	if len(seen) != 8 {
 		t.Fatalf("degenerate stride covered %d pages, want 8", len(seen))
+	}
+}
+
+// TestStridedScanCoprimeStride: a stride that shares a factor with the page
+// count without dividing it (6 over 8 pages; the spec's 97 over 97·512,
+// which a divides-only adjustment lowers to 96) must still visit every page
+// once per pass.
+func TestStridedScanCoprimeStride(t *testing.T) {
+	for _, c := range []struct{ stride, pages uint64 }{{6, 8}, {97, 97 * 512}} {
+		s := &StridedScan{Stride: c.stride}
+		regions := []addr.Range{addr.NewRange(0, c.pages*addr.PageSize4K)}
+		r := rng.New(6)
+		seen := make(map[uint64]bool, c.pages)
+		for i := uint64(0); i < c.pages; i++ {
+			seen[pickIn(s, r, regions).PageNum4K()] = true
+		}
+		if uint64(len(seen)) != c.pages {
+			t.Errorf("stride %d over %d pages touched %d pages in one pass", c.stride, c.pages, len(seen))
+		}
 	}
 }
 
@@ -467,7 +494,7 @@ func TestHotspotSweepRotation(t *testing.T) {
 	r := rng.New(3)
 	regions := []addr.Range{addr.NewRange(0, 10000*addr.PageSize4K)}
 	for i := 0; i < 1000; i++ {
-		v := p.Pick(r, regions)
+		v := pickIn(p, r, regions)
 		if !after[v.PageNum4K()] {
 			t.Fatalf("pick %d outside rotated hot set", i)
 		}
@@ -683,5 +710,52 @@ func TestScaleSynthetic(t *testing.T) {
 		if s.Name == spec.Name {
 			t.Fatal("scale-synth leaked into All()")
 		}
+	}
+}
+
+// appSpecs are the specs the allocation test and the benchmark cover: the
+// six paper applications and the scaling workload.
+func appSpecs() []Spec { return append(All(), ScaleSynthetic()) }
+
+// TestNextBatchDoesNotAllocate: once every segment has drawn (and built its
+// sampler), generating a batch allocates nothing.
+func TestNextBatchDoesNotAllocate(t *testing.T) {
+	for _, spec := range appSpecs() {
+		app, err := NewApp(spec, testScale, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := app.Init(newMachine(t)); err != nil {
+			t.Fatal(err)
+		}
+		reqs := make([]sim.Req, sim.MaxBlockOps)
+		for i := 0; i < 32; i++ {
+			app.NextBatch(reqs)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { app.NextBatch(reqs) }); allocs != 0 {
+			t.Errorf("%s: %v allocations per batch", spec.Name, allocs)
+		}
+	}
+}
+
+// BenchmarkAppNextBatch times request generation per draw, in blocks of
+// sim.MaxBlockOps, for each app at the bench profile's footprint divisor.
+func BenchmarkAppNextBatch(b *testing.B) {
+	for _, spec := range appSpecs() {
+		b.Run(spec.Name, func(b *testing.B) {
+			app, err := NewApp(spec.WithDwell(64), 64, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := app.Init(newMachine(b)); err != nil {
+				b.Fatal(err)
+			}
+			reqs := make([]sim.Req, sim.MaxBlockOps)
+			app.NextBatch(reqs)
+			b.ResetTimer()
+			for done := 0; done < b.N; done += len(reqs) {
+				app.NextBatch(reqs[:min(len(reqs), b.N-done)])
+			}
+		})
 	}
 }

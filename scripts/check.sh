@@ -52,13 +52,14 @@ if [ "${SHORT:-0}" = "1" ]; then
 	# at the 16 GiB bigmem-scan shape) and its walk at both grains, the TLB (hit, miss and evicting
 	# insert at the 2/8, 2/16 and 64/1024 sizes the runs use), the LLC, the
 	# Zipfian sampler's guide table (at the page counts of websearch-tlbhit
-	# and bigmem-scan), the access path, and one fleet-night run under
-	# fleet.Run's block loop. The measured numbers come from `make bench`
-	# (see bench/README.md).
+	# and bigmem-scan), request generation per app, the access path, and one
+	# fleet-night run under fleet.Run's block loop. The measured numbers come
+	# from `make bench` (see bench/README.md).
 	named bench 'BenchmarkPT|BenchmarkWalk|BenchmarkSplit' ./internal/pagetable -benchtime=100x
 	named bench 'BenchmarkLookup|BenchmarkInsert' ./internal/tlb -benchtime=100x
 	named bench 'BenchmarkCache' ./internal/cache -benchtime=100x
 	named bench 'BenchmarkZipfian' ./internal/rng -benchtime=100x
+	named bench 'BenchmarkAppNextBatch' ./internal/workload -benchtime=100x
 	named bench 'BenchmarkAccess' . -benchtime=100x
 	named bench 'BenchmarkFleetNight' . -benchtime=1x
 else
