@@ -7,10 +7,13 @@
 package thermostat
 
 import (
+	"fmt"
+	"strconv"
 	"testing"
 
 	"thermostat/internal/harness"
 	"thermostat/internal/sim"
+	"thermostat/internal/stats"
 	"thermostat/internal/workload"
 )
 
@@ -23,17 +26,49 @@ func benchOptions(apps ...workload.Spec) harness.Options {
 	return harness.Options{Scale: sc, Apps: apps}
 }
 
+// experiment runs the named repro experiment and returns its outputs by
+// name (a figure's printed chart under "").
+func experiment(b *testing.B, name string, opt harness.Options) map[string]harness.Output {
+	b.Helper()
+	for _, x := range harness.Experiments {
+		if x.Name == name {
+			outs, err := x.Run(opt, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			byName := map[string]harness.Output{}
+			for _, o := range outs {
+				byName[o.Name] = o
+			}
+			return byName
+		}
+	}
+	b.Fatalf("no experiment %q", name)
+	return nil
+}
+
+// num parses one numeric table cell.
+func num(b *testing.B, cell string) float64 {
+	b.Helper()
+	v, err := strconv.ParseFloat(cell, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return v
+}
+
 func BenchmarkFig1IdleFraction(b *testing.B) {
 	opt := benchOptions(workload.MySQLTPCC(), workload.Redis())
 	for i := 0; i < b.N; i++ {
-		res, err := harness.Fig1(opt)
-		if err != nil {
-			b.Fatal(err)
+		out := experiment(b, "fig1", opt)
+		idle := map[string]float64{}
+		for _, row := range out["fig1"].Table.Rows {
+			idle[row[0]] = num(b, row[1])
 		}
-		b.ReportMetric(res.IdleFrac["mysql-tpcc"]*100, "mysql_idle_%")
-		b.ReportMetric(res.IdleFrac["redis"]*100, "redis_idle_%")
+		b.ReportMetric(idle["mysql-tpcc"], "mysql_idle_%")
+		b.ReportMetric(idle["redis"], "redis_idle_%")
 		if i == 0 {
-			b.Log("\n" + res.Bar())
+			b.Log("\n" + out[""].Text)
 		}
 	}
 }
@@ -42,32 +77,29 @@ func BenchmarkFig2AccessedBitCorrelation(b *testing.B) {
 	opt := benchOptions()
 	opt.Scale.DurationNs = 4e9
 	for i := 0; i < b.N; i++ {
-		res, err := harness.Fig2(opt)
-		if err != nil {
-			b.Fatal(err)
+		t := experiment(b, "fig2", opt)["fig2"].Table
+		var hot, rate []float64
+		for _, row := range t.Rows {
+			hot = append(hot, num(b, row[0]))
+			rate = append(rate, num(b, row[1]))
 		}
-		b.ReportMetric(res.Pearson, "pearson_r")
-		b.ReportMetric(float64(len(res.Points)), "pages")
+		b.ReportMetric(stats.Pearson(hot, rate), "pearson_r")
+		b.ReportMetric(float64(len(t.Rows)), "pages")
 	}
 }
 
 func BenchmarkTable1HugePageGain(b *testing.B) {
 	opt := benchOptions(workload.Redis(), workload.WebSearch())
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.Table1(opt)
-		if err != nil {
-			b.Fatal(err)
+		t := experiment(b, "table1", opt)["table1"].Table
+		gain := map[string]float64{}
+		for _, row := range t.Rows {
+			gain[row[0]] = num(b, row[1])
 		}
-		for _, r := range rows {
-			switch r.App {
-			case "redis":
-				b.ReportMetric(r.GainPct, "redis_gain_%")
-			case "web-search":
-				b.ReportMetric(r.GainPct, "websearch_gain_%")
-			}
-		}
+		b.ReportMetric(gain["redis"], "redis_gain_%")
+		b.ReportMetric(gain["web-search"], "websearch_gain_%")
 		if i == 0 {
-			b.Log("\n" + harness.Table1Table(rows).String())
+			b.Log("\n" + t.String())
 		}
 	}
 }
@@ -148,20 +180,14 @@ func BenchmarkTable2Footprints(b *testing.B) {
 func BenchmarkFig11SlowdownSweep(b *testing.B) {
 	opt := benchOptions(workload.MySQLTPCC())
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.Fig11(opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			switch r.SlowdownPct {
-			case 3:
-				b.ReportMetric(r.ColdFraction*100, "cold@3%_%")
-			case 10:
-				b.ReportMetric(r.ColdFraction*100, "cold@10%_%")
+		t := experiment(b, "fig11", opt)["fig11"].Table
+		for _, row := range t.Rows {
+			if target := num(b, row[1]); target == 3 || target == 10 {
+				b.ReportMetric(num(b, row[2]), fmt.Sprintf("cold@%g%%_%%", target))
 			}
 		}
 		if i == 0 {
-			b.Log("\n" + harness.Fig11Table(rows).String())
+			b.Log("\n" + t.String())
 		}
 	}
 }

@@ -42,7 +42,6 @@ import (
 	"time"
 
 	"thermostat/internal/cgroup"
-	"thermostat/internal/chaos"
 	"thermostat/internal/core"
 	"thermostat/internal/daemon"
 	"thermostat/internal/harness"
@@ -97,22 +96,17 @@ func main() {
 		fatal(err)
 	}
 	logger, _ = obsv.NewLogger(os.Stderr, cfg.LogFormat) // format vetted above
-	tracker := cfg.Tracker
-	if tracker == "" {
-		tracker = "poison"
-	}
-
-	spec, err := harness.ResolveSpec(cfg.App, cfg.Footprint)
-	if err != nil {
-		fatal(err)
-	}
-	sc, err := harness.ResolveScale(cfg.Scale, cfg.Seed, cfg.DurationS)
+	spec, sc, plan, err := cfg.Resolve()
 	if err != nil {
 		fatal(err)
 	}
 
 	var pub *obsv.Publisher
 	if cfg.Serve != "" {
+		tracker := cfg.Tracker
+		if tracker == "" {
+			tracker = "poison"
+		}
 		pub = obsv.NewPublisher()
 		pub.SetInfo(obsv.Info{
 			Binary: "thermostat-sim", App: cfg.App, Tracker: tracker,
@@ -130,64 +124,34 @@ func main() {
 		defer pub.SetPhase(obsv.PhaseDone)
 	}
 
-	// A zero -chaos-rate builds no injector, so the config attaches
-	// unconditionally.
-	chaosCfg := chaos.Config{Seed: cfg.Chaos.Seed, Rate: cfg.Chaos.Rate, PermanentFraction: cfg.Chaos.PermanentFraction}
-
 	tel := cfg.Telemetry
 	if len(cfg.Tenants) > 0 {
-		runFleet(cfg.Tenants, sc, tracker, cfg.Policy, cfg.SlowdownPct, cfg.Workers, fleetIO{
-			tel: tel, chaos: chaosCfg, pub: pub,
-		})
-		return
-	}
-
-	// One plan per -policy arm; the hooks below attach to whichever it is.
-	plan := harness.Plan{SlowdownPct: cfg.SlowdownPct, Placement: cfg.Policy, Tracker: cfg.Tracker}
-	switch cfg.Policy {
-	case "idle-demote":
-		interval := int64(cfg.IdleWindowS * 1e9 * float64(sc.TimeDilate) / 4)
-		plan = harness.Plan{Policy: &core.IdleDemote{Interval: interval, IdleScans: 4}}
-	case "all-dram":
-		plan = harness.Plan{}
-	}
-
-	if len(cfg.Tiers) > 0 {
-		if plan.Tiers, err = harness.ResolveTiers(cfg.Tiers); err != nil {
-			fatal(err)
-		}
-		runNTier(spec, sc, strings.Join(cfg.Tiers, ","), plan)
+		runFleet(cfg, sc, pub, plan.Config)
 		return
 	}
 
 	// A collector attaches to the policy run when any telemetry output was
 	// requested. Events are recorded in virtual time, so the files are
 	// byte-identical at any -workers setting — and unchanged by -serve,
-	// whose publisher tee is strictly read-side.
+	// whose publisher tee is strictly read-side. Chaos (the resolved Config
+	// hook) applies only to the policy run; the all-DRAM baseline arm below
+	// never migrates and stays uninjected.
 	var col *telemetry.Collector
 	if tel.Trace != "" || tel.Metrics != "" || tel.Epochs {
 		col = telemetry.NewCollector()
 	}
 	runLabel := spec.Name + "/" + cfg.Policy
-	var rec telemetry.Recorder
-	if pub != nil {
-		rec = pub.Recorder(runLabel, col)
-	} else if col != nil {
-		rec = col
+	rec, census := harness.Observe(pub, runLabel, col)
+	withChaos := plan.Config
+	plan.Config = func(c *sim.Config) {
+		withChaos(c)
+		c.Recorder = rec
 	}
-	plan.Config = func(cfg *sim.Config) {
-		if rec != nil {
-			cfg.Recorder = rec
-		}
-		// Chaos applies only to the policy run; the all-DRAM baseline arm
-		// below never migrates and stays uninjected.
-		cfg.Chaos = chaosCfg
-	}
-	if pub != nil {
-		plan.Engine = func(_ *cgroup.Group, eng *core.Engine) {
-			eng.EnablePublish()
-			pub.AttachEngine(runLabel, eng)
-		}
+	plan.Engine = func(_ *cgroup.Group, eng *core.Engine) { census(runLabel, eng) }
+
+	if len(cfg.Tiers) > 0 {
+		runNTier(spec, sc, strings.Join(cfg.Tiers, ","), plan, col, tel)
+		return
 	}
 
 	// The all-DRAM baseline and the policy run are independent simulations;
@@ -280,49 +244,42 @@ func validate(cfg daemon.Config) error {
 	return cfg.Validate()
 }
 
-// fleetIO bundles the output, chaos, and observability hooks the fleet
-// mode honors.
-type fleetIO struct {
-	tel   daemon.TelemetryConfig
-	chaos chaos.Config
-	pub   *obsv.Publisher
-}
-
-// runFleet runs the named application models as co-located tenants of one
-// machine under fleet DRAM arbitration and prints the per-tenant report:
-// each tenant's SLO is -slowdown, its engine the -tracker × -policy
-// composition, and its measured slowdown comes from a solo all-DRAM
-// baseline of the same workload (fanned across -workers).
-func runFleet(names []string, sc harness.Scale, tracker, policy string, slowdown float64, workers int, fio fleetIO) {
+// runFleet runs the -tenants models as co-located tenants of one machine
+// under fleet DRAM arbitration and prints the per-tenant report: each
+// tenant's SLO is -slowdown, its engine the -tracker × -policy composition,
+// and its measured slowdown comes from a solo all-DRAM baseline of the same
+// workload (fanned across -workers). mutate installs the chaos injector.
+func runFleet(cfg daemon.Config, sc harness.Scale, pub *obsv.Publisher, mutate func(*sim.Config)) {
+	tracker, policy := cfg.Tracker, cfg.Policy
 	if policy == "thermostat" {
 		// The paper's arm is the poison+threshold composition.
 		tracker, policy = "poison", "threshold"
 	}
 	var tenants []harness.FleetTenant
-	for _, name := range names {
+	for _, name := range cfg.Tenants {
 		spec, _ := workload.ByName(strings.TrimSpace(name))
 		// Leave Name empty: the harness default ("<spec>-<i>") keeps cgroup
 		// names unique even when the same model is listed twice.
 		tenants = append(tenants, harness.FleetTenant{
-			Spec: spec, SLOPct: slowdown, Tracker: tracker, Policy: policy,
+			Spec: spec, SLOPct: cfg.SlowdownPct, Tracker: tracker, Policy: policy,
 		})
 	}
 	opt := harness.FleetOptions{
-		Scale: sc, Tenants: tenants, Workers: workers, Baselines: true,
-		Publisher:    fio.pub,
-		ConfigMutate: func(cfg *sim.Config) { cfg.Chaos = fio.chaos },
+		Scale: sc, Tenants: tenants, Workers: cfg.Workers, Baselines: true,
+		Publisher: pub, ConfigMutate: mutate,
 	}
-	if fio.tel.Trace != "" || fio.tel.Metrics != "" || fio.tel.Epochs {
+	tel := cfg.Telemetry
+	if tel.Trace != "" || tel.Metrics != "" || tel.Epochs {
 		opt.Telemetry = &harness.TelemetryOptions{}
 	}
 	logger.Info("running tenants under fleet arbitration",
-		"tenants", len(tenants), "apps", strings.Join(names, ","))
+		"tenants", len(tenants), "apps", strings.Join(cfg.Tenants, ","))
 	fo, err := harness.FleetRun(opt)
 	if err != nil {
 		fatal(err)
 	}
 
-	emitTelemetry(fo.Telemetry, fio.tel)
+	emitTelemetry(fo.Telemetry, tel)
 
 	// The fleet interleave time-shares the machine, so tenant throughput is
 	// not comparable to the solo baseline's (that deficit is mostly
@@ -364,7 +321,8 @@ func runFleet(names []string, sc harness.Scale, tracker, policy string, slowdown
 
 // runNTier runs spec on the plan's device hierarchy and prints the N-tier
 // reports: run summary, per-tier-pair migration traffic, per-tier cost.
-func runNTier(spec workload.Spec, sc harness.Scale, names string, plan harness.Plan) {
+func runNTier(spec workload.Spec, sc harness.Scale, names string, plan harness.Plan,
+	col *telemetry.Collector, tel daemon.TelemetryConfig) {
 	logger.Info("running N-tier hierarchy",
 		"app", spec.Name, "tiers", names, "target_pct", plan.SlowdownPct)
 	out, err := harness.Run(spec, sc, plan)
@@ -375,6 +333,7 @@ func runNTier(spec workload.Spec, sc harness.Scale, names string, plan harness.P
 	if err != nil {
 		fatal(err)
 	}
+	emitTelemetry(col, tel)
 
 	res := out.Result
 	st := out.Engine.Stats()

@@ -15,9 +15,12 @@ import (
 	"slices"
 	"strings"
 
+	"thermostat/internal/chaos"
 	"thermostat/internal/core"
 	"thermostat/internal/harness"
+	"thermostat/internal/mem"
 	"thermostat/internal/obsv"
+	"thermostat/internal/sim"
 	"thermostat/internal/workload"
 )
 
@@ -301,7 +304,7 @@ func (c Config) Validate() error {
 		if len(c.Tiers) < 2 {
 			return fmt.Errorf("-tiers needs at least two tiers, got %d", len(c.Tiers))
 		}
-		if _, err := harness.ResolveTiers(c.Tiers); err != nil {
+		if _, err := resolveTiers(c.Tiers); err != nil {
 			return err
 		}
 	}
@@ -321,6 +324,76 @@ func (c Config) Validate() error {
 		return fmt.Errorf("daemon.degrade.widen_factor %d is negative", g.WidenFactor)
 	}
 	return nil
+}
+
+// Resolve turns c into what harness.Run takes, the one resolution
+// thermostat-sim, thermostatd and repro share: App's model rescaled to
+// Footprint (the zero Spec when App is empty; repro names its models in
+// Apps), the Scale profile with Seed, DurationS and PeriodS applied (a
+// shortened run keeps its warm-up inside it), and the Plan of the Policy
+// arm over Tiers, installing the Chaos injector (a zero rate installs none).
+// Callers attach only their own hooks; one that sets Plan.Config calls the
+// resolved hook first.
+func (c Config) Resolve() (workload.Spec, harness.Scale, harness.Plan, error) {
+	var spec workload.Spec
+	if c.App != "" {
+		var ok bool
+		if spec, ok = workload.ByName(c.App); !ok {
+			return spec, harness.Scale{}, harness.Plan{}, fmt.Errorf("unknown application %q", c.App)
+		}
+		if c.Footprint != "" {
+			target, err := workload.ParseSize(c.Footprint)
+			if err != nil {
+				return spec, harness.Scale{}, harness.Plan{}, err
+			}
+			spec = spec.WithFootprint(target)
+		}
+	}
+	sc, ok := harness.ScaleByName(c.Scale)
+	if !ok {
+		return spec, sc, harness.Plan{}, fmt.Errorf("unknown scale %q (tiny, bench, repro)", c.Scale)
+	}
+	sc.Seed = c.Seed
+	if c.DurationS > 0 {
+		sc = sc.WithDuration(int64(c.DurationS * 1e9))
+	}
+	if c.PeriodS > 0 {
+		sc.PeriodNs = int64(c.PeriodS * 1e9)
+	}
+	tiers, err := resolveTiers(c.Tiers)
+	if err != nil {
+		return spec, sc, harness.Plan{}, err
+	}
+	plan := harness.Plan{SlowdownPct: c.SlowdownPct, Placement: c.Policy, Tracker: c.Tracker}
+	switch c.Policy {
+	case "idle-demote":
+		plan = harness.Plan{Policy: &core.IdleDemote{
+			Interval: int64(c.IdleWindowS * 1e9 * float64(sc.TimeDilate) / 4), IdleScans: 4,
+		}}
+	case "all-dram":
+		plan = harness.Plan{}
+	}
+	plan.Tiers = tiers
+	injector := chaos.Config{Seed: c.Chaos.Seed, Rate: c.Chaos.Rate, PermanentFraction: c.Chaos.PermanentFraction}
+	plan.Config = func(cfg *sim.Config) { cfg.Chaos = injector }
+	return spec, sc, plan, nil
+}
+
+// resolveTiers maps device preset names ("dram", "cxl", "nvm"), fastest
+// first, to the tier list of an N-tier Plan. Capacities are left zero:
+// harness.Scale.TieredMachineConfig sizes them per workload.
+func resolveTiers(names []string) ([]mem.Spec, error) {
+	var tiers []mem.Spec
+	for _, name := range names {
+		name = strings.TrimSpace(name)
+		t, ok := mem.Preset(name, 0)
+		if !ok {
+			return nil, fmt.Errorf("unknown device preset %q (presets: %s)",
+				name, strings.Join(mem.PresetNames(), ", "))
+		}
+		tiers = append(tiers, t)
+	}
+	return tiers, nil
 }
 
 // ValidateForDaemon layers thermostatd's own requirements on Validate: the

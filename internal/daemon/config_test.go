@@ -2,8 +2,16 @@ package daemon
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
+
+	"thermostat/internal/chaos"
+	"thermostat/internal/core"
+	"thermostat/internal/harness"
+	"thermostat/internal/mem"
+	"thermostat/internal/sim"
+	"thermostat/internal/workload"
 )
 
 const sampleYAML = `
@@ -225,5 +233,62 @@ func TestDiffReload(t *testing.T) {
 	}
 	if _, err := DiffReload(enabled, quiet); err != nil {
 		t.Fatalf("chaos disable should be allowed: %v", err)
+	}
+}
+
+// TestResolve pins the one Config → run resolution the CLIs, the daemon and
+// repro share: profile, seed, a shortened duration with its warm-up kept
+// inside, the period override, footprint, tiers, chaos and every policy arm.
+func TestResolve(t *testing.T) {
+	c := Config{App: "redis", Policy: "thermostat", Scale: "tiny", SlowdownPct: 3, IdleWindowS: 10,
+		Seed: 7, DurationS: 1, PeriodS: 0.5, Footprint: "64G", Tiers: []string{"dram", " cxl"},
+		Chaos: ChaosConfig{Rate: 0.1, Seed: 3}}
+	spec, sc, plan, err := c.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := workload.Redis().WithFootprint(64 << 30); !reflect.DeepEqual(spec, want) {
+		t.Errorf("spec not rescaled to the footprint")
+	}
+	want := harness.Tiny()
+	want.Seed, want.DurationNs, want.WarmupNs, want.PeriodNs = 7, 1e9, 2e8, 5e8
+	if sc != want {
+		t.Errorf("scale = %+v, want %+v", sc, want)
+	}
+	cxl, _ := mem.Preset("cxl", 0)
+	if plan.SlowdownPct != 3 || plan.Placement != "thermostat" || len(plan.Tiers) != 2 || plan.Tiers[1] != cxl {
+		t.Errorf("thermostat plan = %+v", plan)
+	}
+	var cfg sim.Config
+	plan.Config(&cfg)
+	if !reflect.DeepEqual(cfg.Chaos, chaos.Config{Seed: 3, Rate: 0.1}) {
+		t.Errorf("chaos = %+v", cfg.Chaos)
+	}
+
+	c.Tiers, c.Footprint = nil, ""
+	for policy, check := range map[string]func(harness.Plan) bool{
+		"idle-demote": func(p harness.Plan) bool {
+			d, ok := p.Policy.(*core.IdleDemote)
+			return ok && d.Interval == 10e9*8/4 && d.IdleScans == 4 && p.SlowdownPct == 0
+		},
+		"all-dram": func(p harness.Plan) bool { return p.Policy == nil && p.SlowdownPct == 0 && p.Placement == "" },
+		"heat":     func(p harness.Plan) bool { return p.Placement == "heat" && p.Tracker == "damon" && p.SlowdownPct == 3 },
+	} {
+		c.Policy, c.Tracker = policy, ""
+		if policy == "heat" {
+			c.Tracker = "damon"
+		}
+		if _, _, p, err := c.Resolve(); err != nil || !check(p) {
+			t.Errorf("%s: plan %+v, err %v", policy, p, err)
+		}
+	}
+
+	if spec, _, _, err := (Config{Scale: "tiny"}).Resolve(); err != nil || spec.Name != "" {
+		t.Errorf("an empty app resolves to %q, %v; want the zero spec", spec.Name, err)
+	}
+	for _, bad := range []Config{{Scale: "huge"}, {Scale: "tiny", App: "nope"}, {Scale: "tiny", Tiers: []string{"dram", "tape"}}} {
+		if _, _, _, err := bad.Resolve(); err == nil {
+			t.Errorf("%+v resolved", bad)
+		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"thermostat/internal/cgroup"
-	"thermostat/internal/chaos"
 	"thermostat/internal/core"
 	"thermostat/internal/harness"
 	"thermostat/internal/obsv"
@@ -246,53 +245,26 @@ func (r *Runner) run() (*RunOutcome, error) {
 	return out, nil
 }
 
-// assemble resolves cfg into a workload, scale and harness.Plan and builds
-// the run through harness.Assemble — the same function the CLIs use, so a
+// assemble resolves cfg (Config.Resolve) and builds the run through
+// harness.Assemble — the same resolution and assembly the CLIs use, so a
 // daemon run of a config is bit-identical to the equivalent CLI run.
 func (r *Runner) assemble(cfg Config) (*runState, *harness.Assembly, error) {
-	spec, err := harness.ResolveSpec(cfg.App, cfg.Footprint)
+	spec, sc, plan, err := cfg.Resolve()
 	if err != nil {
 		return nil, nil, err
 	}
-	sc, err := harness.ResolveScale(cfg.Scale, cfg.Seed, cfg.DurationS)
-	if err != nil {
-		return nil, nil, err
-	}
-	if cfg.PeriodS > 0 {
-		sc.PeriodNs = int64(cfg.PeriodS * 1e9)
-	}
-	tiers, err := harness.ResolveTiers(cfg.Tiers)
-	if err != nil {
-		return nil, nil, err
-	}
-
 	// The daemon always collects telemetry (bounded ring), so a reload can
 	// turn on exports mid-run and the crash-flush path always has data.
 	r.col = telemetry.NewCollector()
 	label := cfg.App + "/" + cfg.Policy
-	var inner telemetry.Recorder = r.col
-	if r.Publisher != nil {
-		inner = r.Publisher.Recorder(label, r.col)
-	}
+	inner, census := harness.Observe(r.Publisher, label, r.col)
 	shed := &shedRecorder{inner: inner}
-
-	plan := harness.Plan{
-		SlowdownPct: cfg.SlowdownPct, Placement: cfg.Policy, Tracker: cfg.Tracker, Tiers: tiers,
-		Config: func(c *sim.Config) {
-			c.Recorder = shed
-			// A zero rate builds no injector.
-			c.Chaos = chaos.Config{
-				Seed: cfg.Chaos.Seed, Rate: cfg.Chaos.Rate,
-				PermanentFraction: cfg.Chaos.PermanentFraction,
-			}
-		},
+	withChaos := plan.Config
+	plan.Config = func(c *sim.Config) {
+		withChaos(c)
+		c.Recorder = shed
 	}
-	if r.Publisher != nil {
-		plan.Engine = func(_ *cgroup.Group, eng *core.Engine) {
-			eng.EnablePublish()
-			r.Publisher.AttachEngine(label, eng)
-		}
-	}
+	plan.Engine = func(_ *cgroup.Group, eng *core.Engine) { census(label, eng) }
 	asm, err := harness.Assemble(spec, sc, plan)
 	if err != nil {
 		return nil, nil, err

@@ -312,8 +312,8 @@ func TestLadderUnit(t *testing.T) {
 }
 
 // TestRunnerMatchesHarnessRun pins the one-assembly contract from the
-// daemon's side: a Runner run of a config and harness.Run of the plan that
-// config resolves to — on the two-tier machine and on a named three-tier
+// daemon's side: a Runner run of a config and harness.Run of the plan
+// Config.Resolve gives it — on the two-tier machine and on a named three-tier
 // hierarchy with a composed engine — finish in the same state (equal
 // RunResult, equal state digest, byte-equal telemetry exports).
 func TestRunnerMatchesHarnessRun(t *testing.T) {
@@ -335,23 +335,17 @@ func TestRunnerMatchesHarnessRun(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			spec, err := harness.ResolveSpec(cfg.App, cfg.Footprint)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sc, err := harness.ResolveScale(cfg.Scale, cfg.Seed, cfg.DurationS)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tiers, err := harness.ResolveTiers(cfg.Tiers)
+			spec, sc, plan, err := cfg.Resolve()
 			if err != nil {
 				t.Fatal(err)
 			}
 			col := telemetry.NewCollector()
-			want, err := harness.Run(spec, sc, harness.Plan{
-				SlowdownPct: cfg.SlowdownPct, Placement: cfg.Policy, Tracker: cfg.Tracker, Tiers: tiers,
-				Config: func(c *sim.Config) { c.Recorder = col },
-			})
+			withChaos := plan.Config
+			plan.Config = func(c *sim.Config) {
+				withChaos(c)
+				c.Recorder = col
+			}
+			want, err := harness.Run(spec, sc, plan)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -84,47 +85,40 @@ func TestChaosRateZeroIsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestChaosSweepWorkerInvariance: a nonzero-rate seeded sweep must be
-// bit-identical at any worker count — every arm owns its machine, injector
-// stream, and RNG.
-func TestChaosSweepWorkerInvariance(t *testing.T) {
+// TestChaosRateSweepWorkerInvariance: a seeded injection-rate sweep, one row of
+// Thermostat arms on the grid, must be bit-identical at any worker count —
+// every arm owns its machine, injector stream, and RNG. Rate 0 installs no
+// injector at all, so that arm doubles as the sweep's control run.
+func TestChaosRateSweepWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second scaled run")
 	}
 	t.Parallel()
 	spec, _ := workload.ByName("redis")
-	rates := []float64{0, 0.02, 0.1}
-	opt := ChaosOptions{
-		Scale: chaosScale(),
-		Base:  chaos.Config{Seed: 11, PermanentFraction: 0.25},
+	sweep := row{spec: spec, sc: chaosScale()}
+	for _, rate := range []float64{0, 0.02, 0.1} {
+		cfg := chaos.Config{Seed: 11, Rate: rate, PermanentFraction: 0.25}
+		sweep.arms = append(sweep.arms, arm{name: fmt.Sprintf("rate=%g", rate),
+			plan: Plan{SlowdownPct: 3, Config: func(c *sim.Config) { c.Chaos = cfg }}})
 	}
-	run := func(workers int) []ChaosPoint {
-		o := opt
-		o.Workers = workers
-		pts, err := ChaosSweep(spec, rates, o)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return pts
-	}
-	p1, p8 := run(1), run(8)
+	p1, p8 := runRow(t, 1, sweep), runRow(t, 8, sweep)
 	for i := range p1 {
-		a, b := p1[i], p8[i]
-		if a.Outcome.Faults != b.Outcome.Faults {
-			t.Errorf("rate %g: fault reports differ across worker counts:\n  w1: %+v\n  w8: %+v",
-				a.Rate, a.Outcome.Faults, b.Outcome.Faults)
+		a, b, name := p1[i], p8[i], sweep.arms[i].name
+		if a.Faults != b.Faults {
+			t.Errorf("%s: fault reports differ across worker counts:\n  w1: %+v\n  w8: %+v",
+				name, a.Faults, b.Faults)
 		}
-		if !reflect.DeepEqual(a.Outcome.Result.Metrics, b.Outcome.Result.Metrics) {
-			t.Errorf("rate %g: machine counters differ across worker counts", a.Rate)
+		if !reflect.DeepEqual(a.Result.Metrics, b.Result.Metrics) {
+			t.Errorf("%s: machine counters differ across worker counts", name)
 		}
-		if a.Outcome.Result.Throughput != b.Outcome.Result.Throughput {
-			t.Errorf("rate %g: throughput differs across worker counts", a.Rate)
+		if a.Result.Throughput != b.Result.Throughput {
+			t.Errorf("%s: throughput differs across worker counts", name)
 		}
 	}
-	if !p1[0].Outcome.Faults.Zero() {
-		t.Errorf("rate-0 arm reports fault activity: %+v", p1[0].Outcome.Faults)
+	if !p1[0].Faults.Zero() {
+		t.Errorf("rate-0 arm reports fault activity: %+v", p1[0].Faults)
 	}
-	if p1[2].Outcome.Faults.Injected == 0 {
+	if p1[2].Faults.Injected == 0 {
 		t.Error("rate-0.1 arm injected nothing — the sweep exercised no faults")
 	}
 }

@@ -7,8 +7,6 @@ import (
 	"thermostat/internal/cgroup"
 	"thermostat/internal/core"
 	"thermostat/internal/mem"
-	"thermostat/internal/obsv"
-	"thermostat/internal/pool"
 	"thermostat/internal/pricing"
 	"thermostat/internal/report"
 	"thermostat/internal/sim"
@@ -16,43 +14,6 @@ import (
 	"thermostat/internal/telemetry"
 	"thermostat/internal/workload"
 )
-
-// Options configures an experiment.
-type Options struct {
-	// Scale is the size/time transform (default Repro()).
-	Scale Scale
-	// Apps restricts the application set (default workload.All()).
-	Apps []workload.Spec
-	// SlowdownPct is the Thermostat target (default 3).
-	SlowdownPct float64
-	// Workers bounds the goroutines fanning independent runs out: 0 uses
-	// every core (GOMAXPROCS), 1 runs the exact old serial path. Results
-	// are bit-for-bit identical at any setting — each run owns its own
-	// machine and seeded RNG (see DESIGN.md's determinism contract).
-	Workers int
-	// Telemetry, when non-nil, attaches a collector to every RunAll run
-	// and exports per-run trace files (Chrome trace + JSONL) under
-	// Telemetry.Dir. Traces are in virtual time: byte-identical at any
-	// Workers setting.
-	Telemetry *TelemetryOptions
-	// Publisher, when non-nil, tees every run's recorder stream into the
-	// live observability plane (see internal/obsv). Strictly read-side:
-	// exports stay byte-identical with or without it.
-	Publisher *obsv.Publisher
-}
-
-func (o Options) withDefaults() Options {
-	if o.Scale.Div == 0 {
-		o.Scale = Repro()
-	}
-	if len(o.Apps) == 0 {
-		o.Apps = workload.All()
-	}
-	if o.SlowdownPct == 0 {
-		o.SlowdownPct = 3
-	}
-	return o
-}
 
 // AppRun pairs a Thermostat run with its all-DRAM baseline.
 type AppRun struct {
@@ -65,307 +26,275 @@ type AppRun struct {
 }
 
 // RunAll executes the paired baseline/Thermostat runs for every app — the
-// shared input of Figures 3 and 5-10 and Tables 3 and 4. The per-app pairs
-// are independent and fan out across opt.Workers goroutines; the baseline
-// and Thermostat runs of one app stay paired in a single task so the serial
-// order within each pair is preserved.
+// shared input of Figures 3 and 5-10 and Tables 2-4 — as one row per app.
+// Each run gets its own collector when telemetry is on, exported under the
+// run's label, and its tee into the live plane when a publisher is attached.
 func RunAll(opt Options) (map[string]*AppRun, error) {
 	opt = opt.withDefaults()
-	tasks := make([]pool.Task[*AppRun], len(opt.Apps))
-	for i, spec := range opt.Apps {
-		tasks[i] = pool.Task[*AppRun]{Label: "runall/" + spec.Name, Run: func() (*AppRun, error) {
-			// arm runs one side of the pair with its own collector and, when
-			// a publisher is attached, a tee into the live plane (the tee
-			// forwards to the collector only when there is one).
-			arm := func(name string, plan Plan) (*Outcome, error) {
-				label := spec.Name + "/" + name
+	var rows []row
+	for _, spec := range opt.apps() {
+		r := row{spec: spec, sc: opt.Scale}
+		for _, a := range []arm{baseline, {name: "thermostat", plan: Plan{SlowdownPct: opt.SlowdownPct}}} {
+			r.arms = append(r.arms, arm{name: a.name, run: func(spec workload.Spec, sc Scale) (*Outcome, error) {
+				label := spec.Name + "/" + a.name
 				var col *telemetry.Collector
-				var rec telemetry.Recorder
 				if opt.Telemetry != nil {
 					col = opt.Telemetry.NewCollector()
-					rec = col
 				}
-				if opt.Publisher != nil {
-					rec = opt.Publisher.Recorder(label, col)
-					plan.Engine = func(_ *cgroup.Group, eng *core.Engine) {
-						eng.EnablePublish()
-						opt.Publisher.AttachEngine(label, eng)
-					}
-				}
-				if rec != nil {
-					plan.Config = func(cfg *sim.Config) { cfg.Recorder = rec }
-				}
-				out, err := Run(spec, opt.Scale, plan)
+				rec, census := Observe(opt.Publisher, label, col)
+				plan := a.plan
+				plan.Config = func(cfg *sim.Config) { cfg.Recorder = rec }
+				plan.Engine = func(_ *cgroup.Group, eng *core.Engine) { census(label, eng) }
+				out, err := Run(spec, sc, plan)
 				if err != nil || col == nil {
 					return out, err
 				}
 				out.Telemetry = col
-				_, _, err = opt.Telemetry.Export("runall-"+spec.Name+"-"+name, col)
+				_, _, err = opt.Telemetry.Export("runall-"+spec.Name+"-"+a.name, col)
 				return out, err
-			}
-			base, err := arm("baseline", Plan{})
-			if err != nil {
-				return nil, err
-			}
-			th, err := arm("thermostat", Plan{SlowdownPct: opt.SlowdownPct})
-			if err != nil {
-				return nil, err
-			}
-			return &AppRun{
-				Base:         base,
-				Thermo:       th,
-				Slowdown:     sim.Slowdown(base.Result, th.Result),
-				ColdFraction: th.Result.MeanColdFraction(opt.Scale.WarmupNs),
-			}, nil
-		}}
+			}})
+		}
+		rows = append(rows, r)
 	}
-	runs, err := pool.Map(opt.Workers, tasks)
+	outs, err := runGrid(opt.Workers, rows)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]*AppRun, len(runs))
-	for i, r := range runs {
-		out[opt.Apps[i].Name] = r
+	runs := make(map[string]*AppRun, len(rows))
+	for i, r := range rows {
+		base, th := outs[i][0], outs[i][1]
+		runs[r.spec.Name] = &AppRun{Base: base, Thermo: th, Slowdown: sim.Slowdown(base.Result, th.Result),
+			ColdFraction: th.Result.MeanColdFraction(opt.Scale.WarmupNs)}
 	}
-	return out, nil
+	return runs, nil
 }
 
-// ---------------------------------------------------------------- Figure 1
+// idleScans is how many consecutive idle Accessed-bit scans, a quarter of
+// the 10 s window each, make a page idle in Figure 1 and its naive check.
+const idleScans = 4
 
-// Fig1Result is the fraction of 2MB pages idle for the 10s-equivalent
-// window, detected via hardware Accessed bits (the kstaled baseline).
-type Fig1Result struct {
-	Scale Scale
-	// IdleFrac maps app name to idle fraction in [0, 1].
-	IdleFrac map[string]float64
-	order    []string
-}
-
-// Fig1 regenerates Figure 1.
-func Fig1(opt Options) (*Fig1Result, error) {
-	opt = opt.withDefaults()
-	res := &Fig1Result{Scale: opt.Scale, IdleFrac: map[string]float64{}}
-	// 10s of paper time is 10s·F of simulated time; detect idleness as 4
-	// consecutive idle scans of window/4 each.
-	const idleScans = 4
-	window := 10e9 * opt.Scale.TimeDilate
-	sc := opt.Scale
-	sc.PeriodNs = window / idleScans
-	// The run must span several idle windows regardless of profile.
-	sc = sc.WithDuration(max(sc.DurationNs, 3*window))
-	tasks := make([]pool.Task[float64], len(opt.Apps))
-	for i, spec := range opt.Apps {
-		tasks[i] = pool.Task[float64]{Label: "fig1/" + spec.Name, Run: func() (float64, error) {
-			pol := &scanOnly{interval: sc.PeriodNs}
-			if _, err := Run(spec, sc, Plan{Policy: pol}); err != nil {
-				return 0, err
-			}
-			return pol.scanner.IdleFraction(idleScans), nil
-		}}
-	}
-	fracs, err := pool.Map(opt.Workers, tasks)
-	if err != nil {
-		return nil, err
-	}
-	for i, spec := range opt.Apps {
-		res.IdleFrac[spec.Name] = fracs[i]
-		res.order = append(res.order, spec.Name)
-	}
-	return res, nil
-}
-
-// Table renders the result.
-func (r *Fig1Result) Table() *report.Table {
-	t := report.NewTable(
-		"Figure 1: fraction of 2MB pages idle for 10s (Accessed-bit detection)",
-		"application", "idle_fraction_pct")
-	for _, name := range r.order {
-		t.AddF(name, r.IdleFrac[name]*100)
-	}
-	return t
-}
-
-// Bar renders the result as an ASCII bar chart.
-func (r *Fig1Result) Bar() string {
-	var labels []string
-	var vals []float64
-	for _, name := range r.order {
-		labels = append(labels, name)
-		vals = append(vals, r.IdleFrac[name])
-	}
-	return report.Bar("Figure 1: 2MB pages idle for 10s", labels, vals, 50)
-}
-
-// NaiveResult quantifies what happens when the Figure 1 idle pages are
-// actually placed in slow memory by an Accessed-bit-only policy — the
-// paper's caption: for Redis the degradation exceeds 10%.
-type NaiveResult struct {
-	App          string
-	Slowdown     float64
-	ColdFraction float64
-	Demotions    uint64
-	Promotions   uint64
-}
-
-// NaivePlacement runs the idle-demote baseline on one app and measures the
-// damage. The run is long enough to span several hot-set rotations, and any
-// rotating picker is accelerated to twice the idle window (ratios between
-// window, rotation and run length mirror the paper's 10s window against
-// minutes of drift) — the idle set looks safe when placed and becomes hot
-// afterwards, with no correction mechanism to undo the damage.
-func NaivePlacement(spec workload.Spec, opt Options) (*NaiveResult, error) {
-	opt = opt.withDefaults()
-	const idleScans = 4
-	sc := opt.Scale
+// idleWindow returns sc rescheduled for idle detection: 10 s of paper time
+// is 10 s·F of simulated time, scanned idleScans times per window.
+func idleWindow(sc Scale) (Scale, int64) {
 	window := 10e9 * sc.TimeDilate
 	sc.PeriodNs = window / idleScans
+	return sc, window
+}
+
+// fig1 is Figure 1: per app, a kstaled scan that never moves a page, run
+// across several idle windows whatever the profile; the idle fraction is
+// the share of 2MB pages idle for the whole window.
+func fig1(opt Options) ([]row, render) {
+	sc, window := idleWindow(opt.Scale)
+	sc = sc.WithDuration(max(sc.DurationNs, 3*window))
+	var rows []row
+	var scans []*scanOnly
+	for _, spec := range opt.apps() {
+		pol := &scanOnly{interval: sc.PeriodNs}
+		rows = append(rows, row{spec: spec, sc: sc, arms: []arm{{name: "kstaled", plan: Plan{Policy: pol}}}})
+		scans = append(scans, pol)
+	}
+	return rows, func([][]*Outcome) ([]Output, error) {
+		t := report.NewTable(
+			"Figure 1: fraction of 2MB pages idle for 10s (Accessed-bit detection)",
+			"application", "idle_fraction_pct")
+		var labels []string
+		var fracs, pcts []float64
+		for i, r := range rows {
+			f := scans[i].scanner.IdleFraction(idleScans)
+			t.AddF(r.spec.Name, f*100)
+			labels = append(labels, r.spec.Name)
+			fracs = append(fracs, f)
+			pcts = append(pcts, f*100)
+		}
+		const title = "Figure 1: 2MB pages idle for 10s"
+		return []Output{
+			{Text: report.Bar(title, labels, fracs, 50)},
+			{Name: "fig1", Table: t, SVG: (&report.BarPlot{
+				Title: title, YLabel: "idle fraction (%)", Labels: labels, Groups: [][]float64{pcts},
+			}).WriteSVG},
+		}, nil
+	}
+}
+
+// naive is the Figure 1 caption check: what happens when the idle pages are
+// actually placed in slow memory by an Accessed-bit-only policy with no
+// correction (for Redis the paper sees more than 10%). The run spans several
+// hot-set rotations, and any rotating picker is accelerated to twice the
+// idle window (ratios between window, rotation and run length mirror the
+// paper's 10s window against minutes of drift): the idle set looks safe when
+// placed and becomes hot afterwards.
+func naive(opt Options) ([]row, render) {
+	spec := workload.Redis()
+	sc, window := idleWindow(opt.Scale)
 	if sc.DurationNs < 8*window {
 		sc.DurationNs = 8 * window
 	}
 	sc.WarmupNs = 2 * window
-	// Accelerate hot-set drift: rotation lands at 2x the idle window after
-	// the harness's time dilation.
 	for i := range spec.Segments {
 		if p, ok := spec.Segments[i].Picker.(*workload.HotspotSweep); ok && p.RotatePeriodNs > 0 {
 			p.RotatePeriodNs = 20e9
 		}
 	}
-	// The paper's naive baseline has no correction mechanism: pages placed
-	// on idle-bit evidence stay in slow memory. The all-DRAM reference and
-	// the naive run are independent; fan them out.
 	pol := &core.IdleDemote{Interval: sc.PeriodNs, IdleScans: idleScans, NoPromote: true}
-	outs, err := pool.Map(opt.Workers, []pool.Task[*Outcome]{
-		{Label: "naive/" + spec.Name + "/baseline", Run: func() (*Outcome, error) {
-			return RunBaseline(spec, sc)
-		}},
-		{Label: "naive/" + spec.Name + "/idle-demote", Run: func() (*Outcome, error) {
-			return Run(spec, sc, Plan{Policy: pol})
-		}},
-	})
-	if err != nil {
-		return nil, err
+	rows := []row{{spec: spec, sc: sc, arms: []arm{baseline, {name: "idle-demote", plan: Plan{Policy: pol}}}}}
+	return rows, func(outs [][]*Outcome) ([]Output, error) {
+		base, idle := outs[0][0].Result, outs[0][1].Result
+		t := report.NewTable("Naive Accessed-bit placement (Figure 1 caption check)",
+			"application", "slowdown_pct", "cold_fraction_pct", "demotions", "promotions")
+		t.AddF(spec.Name, sim.Slowdown(base, idle)*100, idle.MeanColdFraction(sc.WarmupNs)*100,
+			pol.Demotions(), pol.Promotions())
+		return []Output{{Name: "naive", Table: t}}, nil
 	}
-	base, naive := outs[0], outs[1]
-	return &NaiveResult{
-		App:          spec.Name,
-		Slowdown:     sim.Slowdown(base.Result, naive.Result),
-		ColdFraction: naive.Result.MeanColdFraction(sc.WarmupNs),
-		Demotions:    pol.Demotions(),
-		Promotions:   pol.Promotions(),
-	}, nil
 }
 
-// ---------------------------------------------------------------- Figure 2
-
-// Fig2Point is one 2MB page in the Figure 2 scatter.
-type Fig2Point struct {
-	// HotRegions is the number of 4KB children accessed in three
-	// consecutive scan intervals.
-	HotRegions int
-	// RatePerSec is the ground-truth memory access rate (paper units).
-	RatePerSec float64
+// fig2Point is one 2MB page in the Figure 2 scatter: its 4KB children
+// accessed in three consecutive scan intervals, and its ground-truth access
+// rate in paper units.
+type fig2Point struct {
+	hot  int
+	rate float64
 }
 
-// Fig2Result is the Accessed-bit-vs-true-rate scatter for Redis.
-type Fig2Result struct {
-	Points []Fig2Point
-	// Pearson is the correlation between the two axes; the paper's claim
-	// is that it is weak.
-	Pearson float64
-}
-
-// Fig2 regenerates Figure 2: split every huge page of Redis, scan Accessed
-// bits at the maximum frequency compatible with the slowdown budget, and
-// compare hot-region counts against the simulator's ground-truth access
-// rates.
-func Fig2(opt Options) (*Fig2Result, error) {
-	opt = opt.withDefaults()
-	spec := workload.Redis()
-	sc := opt.Scale
-	pol := &splitScan{scanOnly: scanOnly{interval: sc.PeriodNs}}
-	run, err := Run(spec, sc, Plan{Policy: pol, Machine: (*sim.Machine).EnablePageCounts})
-	if err != nil {
-		return nil, err
-	}
-	counts := run.Machine.PageCounts()
-	durSec := float64(run.Result.DurationNs) / 1e9
-	out := &Fig2Result{}
-	var xs, ys []float64
+// fig2Points reads the scatter off a split-scan outcome, in scan order.
+func fig2Points(pol *splitScan, out *Outcome) []fig2Point {
+	counts := out.Machine.PageCounts()
+	durSec := float64(out.Result.DurationNs) / 1e9
+	var pts []fig2Point
 	for _, base := range pol.bases {
-		hot := pol.scanner.HotSubpages(base, 3)
-		rate := sc.PaperRate(float64(counts[base]) / durSec)
-		out.Points = append(out.Points, Fig2Point{HotRegions: hot, RatePerSec: rate})
-		xs = append(xs, float64(hot))
-		ys = append(ys, rate)
+		pts = append(pts, fig2Point{pol.scanner.HotSubpages(base, 3), out.Scale.PaperRate(float64(counts[base]) / durSec)})
 	}
-	out.Pearson = stats.Pearson(xs, ys)
+	return pts
+}
+
+// fig2 is Figure 2: split every huge page of Redis, scan Accessed bits at
+// the maximum frequency compatible with the slowdown budget, and compare
+// hot-region counts against the simulator's ground-truth access rates. The
+// paper's claim is that the correlation is weak.
+func fig2(opt Options) ([]row, render) {
+	pol := &splitScan{scanOnly: scanOnly{interval: opt.Scale.PeriodNs}}
+	rows := []row{{spec: workload.Redis(), sc: opt.Scale, arms: []arm{{name: "split-scan",
+		plan: Plan{Policy: pol, Machine: (*sim.Machine).EnablePageCounts}}}}}
+	return rows, func(outs [][]*Outcome) ([]Output, error) {
+		pts := fig2Points(pol, outs[0][0])
+		var xs, ys []float64
+		for _, p := range pts {
+			xs = append(xs, float64(p.hot))
+			ys = append(ys, p.rate)
+		}
+		r := stats.Pearson(xs, ys)
+		t := report.NewTable(
+			fmt.Sprintf("Figure 2: Redis access rate vs Accessed-bit hot 4KB regions (Pearson r = %.3f)", r),
+			"hot_4k_regions", "true_accesses_per_sec")
+		sorted := append([]fig2Point(nil), pts...)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i].hot < sorted[j].hot })
+		for _, p := range sorted {
+			t.AddF(p.hot, p.rate)
+		}
+		return []Output{{Name: "fig2", Table: t, SVG: (&report.ScatterPlot{
+			Title:  fmt.Sprintf("Figure 2: Redis (Pearson r = %.2f)", r),
+			XLabel: "hot 4KB regions per 2MB page", YLabel: "true accesses/sec",
+			X: xs, Y: ys,
+		}).WriteSVG}}, nil
+	}
+}
+
+// table1 is Table 1: throughput gain from 2MB pages at both guest and host
+// (the all-DRAM baseline) versus 4KB at both, under nested paging.
+// Placement plays no role here, so the schedule is a third as long.
+func table1(opt Options) ([]row, render) {
+	sc := opt.Scale.WithDuration(opt.Scale.DurationNs / 3)
+	var rows []row
+	for _, spec := range opt.apps() {
+		rows = append(rows, row{spec: spec, sc: sc, arms: []arm{baseline, {name: "4K", plan: Plan{SmallPages: true}}}})
+	}
+	return rows, func(outs [][]*Outcome) ([]Output, error) {
+		t := report.NewTable(
+			"Table 1: throughput gain from 2MB huge pages under virtualization",
+			"application", "gain_pct")
+		for i, r := range rows {
+			gain := outs[i][0].Result.Throughput/outs[i][1].Result.Throughput - 1
+			t.AddF(r.spec.Name, gain*100)
+		}
+		return []Output{{Name: "table1", Table: t}}, nil
+	}
+}
+
+// fig11Targets are the tolerable-slowdown points Figure 11 visits.
+var fig11Targets = []float64{3, 6, 10}
+
+// fig11 is Figure 11: per app, the all-DRAM baseline and Thermostat at each
+// tolerable-slowdown target.
+func fig11(opt Options) ([]row, render) {
+	var rows []row
+	for _, spec := range opt.apps() {
+		r := row{spec: spec, sc: opt.Scale, arms: []arm{baseline}}
+		for _, pct := range fig11Targets {
+			r.arms = append(r.arms, arm{name: fmt.Sprintf("%g%%", pct), plan: Plan{SlowdownPct: pct}})
+		}
+		rows = append(rows, r)
+	}
+	return rows, func(outs [][]*Outcome) ([]Output, error) {
+		t := report.NewTable(
+			"Figure 11: cold data fraction vs specified tolerable slowdown",
+			"application", "target_slowdown_pct", "cold_fraction_pct", "measured_slowdown_pct")
+		var labels []string
+		groups := make([][]float64, len(fig11Targets))
+		for i, r := range rows {
+			labels = append(labels, r.spec.Name)
+			for j, pct := range fig11Targets {
+				th := outs[i][j+1].Result
+				cold := th.MeanColdFraction(r.sc.WarmupNs)
+				t.AddF(r.spec.Name, pct, cold*100, sim.Slowdown(outs[i][0].Result, th)*100)
+				groups[j] = append(groups[j], cold*100)
+			}
+		}
+		return []Output{{Name: "fig11", Table: t, SVG: (&report.BarPlot{
+			Title:  "Figure 11: cold fraction vs tolerable slowdown",
+			YLabel: "cold fraction (%)", Labels: labels,
+			Groups: groups, GroupNames: []string{"3%", "6%", "10%"},
+		}).WriteSVG}}, nil
+	}
+}
+
+// fig3 renders Figure 3 from RunAll's pairs, with the target line.
+func fig3(opt Options, runs map[string]*AppRun) ([]Output, error) {
+	series := Fig3(runs, opt)
+	plot := &report.LinePlot{
+		Title:  "Figure 3: slow memory access rate over time",
+		XLabel: "time (s)", YLabel: "accesses/sec (paper units)",
+		HLine: opt.SlowdownPct / 100 / 1e-6,
+	}
+	for _, s := range series {
+		plot.Series = append(plot.Series, s.Rate)
+	}
+	return []Output{{Name: "fig3", Table: Fig3Table(series), SVG: plot.WriteSVG}}, nil
+}
+
+// coldData renders Figures 5-10 from RunAll's pairs, one per app.
+func coldData(opt Options, runs map[string]*AppRun) ([]Output, error) {
+	var out []Output
+	for _, f := range ColdData(runs, opt) {
+		out = append(out, Output{Name: "colddata-" + f.App, Table: f.Table(), SVG: (&report.LinePlot{
+			Title:  fmt.Sprintf("Cold data over time: %s (slowdown %.1f%%)", f.App, f.Slowdown*100),
+			XLabel: "time (s)", YLabel: "memory footprint (GB)",
+			Series:  []*stats.Series{f.Cold2M, f.Cold4K, f.Hot2M, f.Hot4K},
+			Stacked: true,
+		}).WriteSVG})
+	}
 	return out, nil
 }
 
-// Table renders the scatter points.
-func (r *Fig2Result) Table() *report.Table {
-	t := report.NewTable(
-		fmt.Sprintf("Figure 2: Redis access rate vs Accessed-bit hot 4KB regions (Pearson r = %.3f)", r.Pearson),
-		"hot_4k_regions", "true_accesses_per_sec")
-	pts := append([]Fig2Point(nil), r.Points...)
-	sort.Slice(pts, func(i, j int) bool { return pts[i].HotRegions < pts[j].HotRegions })
-	for _, p := range pts {
-		t.AddF(p.HotRegions, p.RatePerSec)
-	}
-	return t
-}
-
-// ---------------------------------------------------------------- Table 1
-
-// Table1Row is one app's huge-page gain under virtualization.
-type Table1Row struct {
-	App string
-	// GainPct is (2M/2M throughput / 4K/4K throughput - 1) · 100.
-	GainPct float64
-}
-
-// Table1 regenerates Table 1: throughput gain from 2MB pages at both guest
-// and host versus 4KB at both, under nested paging.
-func Table1(opt Options) ([]Table1Row, error) {
-	opt = opt.withDefaults()
-	// Placement plays no role here; shorten the schedule.
-	sc := opt.Scale.WithDuration(opt.Scale.DurationNs / 3)
-	grid := make([][]pool.Task[*Outcome], len(opt.Apps))
-	for i, spec := range opt.Apps {
-		grid[i] = []pool.Task[*Outcome]{
-			{Label: "table1/" + spec.Name + "/2M", Run: func() (*Outcome, error) {
-				return RunBaseline(spec, sc)
-			}},
-			{Label: "table1/" + spec.Name + "/4K", Run: func() (*Outcome, error) {
-				return Run(spec, sc, Plan{SmallPages: true})
-			}},
+// pairs is RunAll's pairs in app order, without the apps it did not run.
+func pairs(opt Options, runs map[string]*AppRun) []*AppRun {
+	var out []*AppRun
+	for _, spec := range opt.apps() {
+		if run, ok := runs[spec.Name]; ok {
+			out = append(out, run)
 		}
 	}
-	outs, err := pool.Grid(opt.Workers, grid)
-	if err != nil {
-		return nil, err
-	}
-	var rows []Table1Row
-	for i, spec := range opt.Apps {
-		huge, small := outs[i][0], outs[i][1]
-		gain := huge.Result.Throughput/small.Result.Throughput - 1
-		rows = append(rows, Table1Row{App: spec.Name, GainPct: gain * 100})
-	}
-	return rows, nil
+	return out
 }
-
-// Table1Table renders the rows.
-func Table1Table(rows []Table1Row) *report.Table {
-	t := report.NewTable(
-		"Table 1: throughput gain from 2MB huge pages under virtualization",
-		"application", "gain_pct")
-	for _, r := range rows {
-		t.AddF(r.App, r.GainPct)
-	}
-	return t
-}
-
-// ---------------------------------------------------------------- Figure 3
 
 // Fig3Series is one app's slow-memory access rate over time in paper units.
 type Fig3Series struct {
@@ -383,21 +312,13 @@ func Fig3(runs map[string]*AppRun, opt Options) []Fig3Series {
 	opt = opt.withDefaults()
 	target := opt.SlowdownPct / 100 / 1e-6 // paper units: ts = 1us
 	var out []Fig3Series
-	for _, spec := range opt.Apps {
-		run, ok := runs[spec.Name]
-		if !ok {
-			continue
-		}
+	for _, run := range pairs(opt, runs) {
+		spec := run.Thermo.Spec
 		conv := stats.NewSeries("slow_rate_" + spec.Name)
 		for i, ts := range run.Thermo.Result.SlowRate.Times {
 			conv.Append(ts, opt.Scale.PaperRate(run.Thermo.Result.SlowRate.Values[i]))
 		}
-		out = append(out, Fig3Series{
-			App:            spec.Name,
-			Rate:           conv,
-			MeanPostWarmup: conv.MeanAfter(opt.Scale.WarmupNs),
-			TargetRate:     target,
-		})
+		out = append(out, Fig3Series{spec.Name, conv, conv.MeanAfter(opt.Scale.WarmupNs), target})
 	}
 	return out
 }
@@ -415,8 +336,6 @@ func Fig3Table(series []Fig3Series) *report.Table {
 	return report.SeriesTable(title, ss...)
 }
 
-// ---------------------------------------------------------------- Table 2
-
 // Table2Row is one app's footprint.
 type Table2Row struct {
 	App    string
@@ -428,11 +347,8 @@ type Table2Row struct {
 func Table2(runs map[string]*AppRun, opt Options) []Table2Row {
 	opt = opt.withDefaults()
 	var rows []Table2Row
-	for _, spec := range opt.Apps {
-		run, ok := runs[spec.Name]
-		if !ok {
-			continue
-		}
+	for _, run := range pairs(opt, runs) {
+		spec := run.Thermo.Spec
 		rss, file := run.Thermo.App.FootprintBytes()
 		rows = append(rows, Table2Row{
 			App:    spec.Name,
@@ -452,8 +368,6 @@ func Table2Table(rows []Table2Row) *report.Table {
 	}
 	return t
 }
-
-// ------------------------------------------------- Figures 5-10 (cold data)
 
 // ColdDataFigure is one app's footprint-over-time breakdown plus the
 // headline numbers the paper quotes in each figure caption.
@@ -476,21 +390,12 @@ func ColdData(runs map[string]*AppRun, opt Options) []ColdDataFigure {
 		return out
 	}
 	var out []ColdDataFigure
-	for _, spec := range opt.Apps {
-		run, ok := runs[spec.Name]
-		if !ok {
-			continue
-		}
+	for _, run := range pairs(opt, runs) {
+		spec := run.Thermo.Spec
 		r := run.Thermo.Result
-		out = append(out, ColdDataFigure{
-			App:          spec.Name,
-			Slowdown:     run.Slowdown,
-			ColdFraction: run.ColdFraction,
-			Cold2M:       toGB("2MB_cold_GB", r.Cold2M),
-			Cold4K:       toGB("4KB_cold_GB", r.Cold4K),
-			Hot2M:        toGB("2MB_hot_GB", r.Hot2M),
-			Hot4K:        toGB("4KB_hot_GB", r.Hot4K),
-		})
+		out = append(out, ColdDataFigure{spec.Name, run.Slowdown, run.ColdFraction,
+			toGB("2MB_cold_GB", r.Cold2M), toGB("4KB_cold_GB", r.Cold4K),
+			toGB("2MB_hot_GB", r.Hot2M), toGB("4KB_hot_GB", r.Hot4K)})
 	}
 	return out
 }
@@ -502,74 +407,6 @@ func (f ColdDataFigure) Table() *report.Table {
 		f.App, f.Slowdown*100, f.ColdFraction*100)
 	return report.SeriesTable(title, f.Cold2M, f.Cold4K, f.Hot2M, f.Hot4K)
 }
-
-// ---------------------------------------------------------------- Figure 11
-
-// Fig11Row is one app at one slowdown target.
-type Fig11Row struct {
-	App          string
-	SlowdownPct  float64
-	ColdFraction float64
-	Measured     float64 // measured slowdown fraction
-}
-
-// fig11Targets are the tolerable-slowdown points the sweep visits.
-var fig11Targets = []float64{3, 6, 10}
-
-// Fig11 sweeps the tolerable-slowdown knob over {3, 6, 10}%. Every cell of
-// the app × target grid (plus each app's all-DRAM reference) is an
-// independent run; the whole grid fans out across opt.Workers goroutines
-// and merges back in app-major, target-minor order.
-func Fig11(opt Options) ([]Fig11Row, error) {
-	opt = opt.withDefaults()
-	grid := make([][]pool.Task[*Outcome], len(opt.Apps))
-	for i, spec := range opt.Apps {
-		row := []pool.Task[*Outcome]{
-			{Label: "fig11/" + spec.Name + "/baseline", Run: func() (*Outcome, error) {
-				return RunBaseline(spec, opt.Scale)
-			}},
-		}
-		for _, pct := range fig11Targets {
-			row = append(row, pool.Task[*Outcome]{
-				Label: fmt.Sprintf("fig11/%s/%g%%", spec.Name, pct),
-				Run: func() (*Outcome, error) {
-					return Run(spec, opt.Scale, Plan{SlowdownPct: pct})
-				}})
-		}
-		grid[i] = row
-	}
-	outs, err := pool.Grid(opt.Workers, grid)
-	if err != nil {
-		return nil, err
-	}
-	var rows []Fig11Row
-	for i, spec := range opt.Apps {
-		base := outs[i][0]
-		for j, pct := range fig11Targets {
-			th := outs[i][j+1]
-			rows = append(rows, Fig11Row{
-				App:          spec.Name,
-				SlowdownPct:  pct,
-				ColdFraction: th.Result.MeanColdFraction(opt.Scale.WarmupNs),
-				Measured:     sim.Slowdown(base.Result, th.Result),
-			})
-		}
-	}
-	return rows, nil
-}
-
-// Fig11Table renders the sweep.
-func Fig11Table(rows []Fig11Row) *report.Table {
-	t := report.NewTable(
-		"Figure 11: cold data fraction vs specified tolerable slowdown",
-		"application", "target_slowdown_pct", "cold_fraction_pct", "measured_slowdown_pct")
-	for _, r := range rows {
-		t.AddF(r.App, r.SlowdownPct, r.ColdFraction*100, r.Measured*100)
-	}
-	return t
-}
-
-// ---------------------------------------------------------------- Table 3
 
 // Table3Row is one app's migration traffic.
 type Table3Row struct {
@@ -586,11 +423,8 @@ type Table3Row struct {
 func Table3(runs map[string]*AppRun, opt Options) []Table3Row {
 	opt = opt.withDefaults()
 	var rows []Table3Row
-	for _, spec := range opt.Apps {
-		run, ok := runs[spec.Name]
-		if !ok {
-			continue
-		}
+	for _, run := range pairs(opt, runs) {
+		spec := run.Thermo.Spec
 		m := run.Thermo.Machine.Migrator().Meter()
 		now := run.Thermo.Machine.Clock()
 		conv := float64(opt.Scale.Div) / opt.Scale.PeriodCompression()
@@ -613,8 +447,6 @@ func Table3Table(rows []Table3Row) *report.Table {
 	return t
 }
 
-// ---------------------------------------------------------------- Table 4
-
 // Table4Row is one app's memory cost savings across slow-memory price
 // points.
 type Table4Row struct {
@@ -627,11 +459,8 @@ type Table4Row struct {
 func Table4(runs map[string]*AppRun, opt Options) ([]Table4Row, error) {
 	opt = opt.withDefaults()
 	var rows []Table4Row
-	for _, spec := range opt.Apps {
-		run, ok := runs[spec.Name]
-		if !ok {
-			continue
-		}
+	for _, run := range pairs(opt, runs) {
+		spec := run.Thermo.Spec
 		row := Table4Row{App: spec.Name}
 		for i, ratio := range pricing.PaperRatios {
 			s, err := pricing.Savings(run.ColdFraction, ratio)

@@ -7,7 +7,6 @@ import (
 	"thermostat/internal/core"
 	"thermostat/internal/fleet"
 	"thermostat/internal/obsv"
-	"thermostat/internal/pool"
 	"thermostat/internal/sim"
 	"thermostat/internal/telemetry"
 	"thermostat/internal/workload"
@@ -167,10 +166,10 @@ func FleetRun(opt FleetOptions) (*FleetOutcome, error) {
 	var col *telemetry.Collector
 	if opt.Telemetry != nil {
 		col = opt.Telemetry.NewCollector()
-		m.SetRecorder(col)
 	}
-	if opt.Publisher != nil {
-		m.SetRecorder(opt.Publisher.Recorder("fleet", col))
+	rec, census := Observe(opt.Publisher, "fleet", col)
+	if rec != nil {
+		m.SetRecorder(rec)
 	}
 
 	rootParams := cgroup.Default()
@@ -199,10 +198,7 @@ func FleetRun(opt FleetOptions) (*FleetOutcome, error) {
 		if err != nil {
 			return nil, err
 		}
-		if opt.Publisher != nil {
-			eng.EnablePublish()
-			opt.Publisher.AttachEngine("fleet/"+t.Name, eng)
-		}
+		census("fleet/"+t.Name, eng)
 		ten := core.NewTenant(t.Name, app, g, eng)
 		ten.SLOPct = t.SLOPct
 		ten.Priority = t.Priority
@@ -229,55 +225,21 @@ func FleetRun(opt FleetOptions) (*FleetOutcome, error) {
 	out.Telemetry = col
 
 	if opt.Baselines {
-		tasks := make([]pool.Task[*sim.RunResult], len(tens))
+		rows := make([]row, len(tens))
 		for i, t := range tens {
-			scb := sc
-			scb.Seed = sc.Seed + t.SeedDelta
-			tasks[i] = pool.Task[*sim.RunResult]{
-				Label: "fleet-baseline/" + t.Name,
-				Run: func() (*sim.RunResult, error) {
-					o, err := RunBaseline(t.Spec, scb)
-					if err != nil {
-						return nil, err
-					}
-					return o.Result, nil
-				},
-			}
+			rows[i] = row{spec: t.Spec, sc: sc, arms: []arm{baseline}}
+			rows[i].sc.Seed += t.SeedDelta
 		}
-		results, err := pool.Map(opt.Workers, tasks)
+		outs, err := runGrid(opt.Workers, rows)
 		if err != nil {
 			return nil, err
 		}
 		out.Baselines = make(map[string]*sim.RunResult, len(tens))
 		for i, t := range tens {
-			out.Baselines[t.Name] = results[i]
+			out.Baselines[t.Name] = outs[i][0].Result
 		}
 	}
 	return out, nil
-}
-
-// ExportTenantTraces writes one Chrome-trace + JSONL pair per tenant,
-// filtered from the fleet's shared collector by the tenant's name tag and
-// address ranges. Returns tenant name → [trace, metrics] paths. Exports are
-// derived from virtual-time state only, so they are byte-identical at any
-// worker count.
-func (o *FleetOutcome) ExportTenantTraces(topt *TelemetryOptions) (map[string][2]string, error) {
-	if o.Telemetry == nil {
-		return nil, fmt.Errorf("harness: fleet ran without telemetry")
-	}
-	if topt == nil {
-		topt = &TelemetryOptions{}
-	}
-	paths := make(map[string][2]string, len(o.Tenants))
-	for _, t := range o.Tenants {
-		sub := o.Telemetry.Filter(telemetry.TenantEventFilter(t.Name, t.Regions()))
-		tp, mp, err := topt.Export("fleet-"+t.Name, sub)
-		if err != nil {
-			return nil, err
-		}
-		paths[t.Name] = [2]string{tp, mp}
-	}
-	return paths, nil
 }
 
 // FleetSavings prices the fleet's final machine-wide placement against an

@@ -110,11 +110,20 @@ func FleetNight(opt Options) (*FleetNightResult, error) {
 	return res, nil
 }
 
-// TenantCSV renders the run's per-tenant period series as CSV.
-func (r *FleetNightResult) TenantCSV() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := telemetry.WriteTenantCSV(&buf, r.Outcome.Result.Series); err != nil {
+// fleetNight is the night as a repro entry: the report, and the committed
+// fleet_night.{txt,csv} pair.
+func fleetNight(opt Options, _ map[string]*AppRun) ([]Output, error) {
+	res, err := FleetNight(opt)
+	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	var csv bytes.Buffer
+	if err := telemetry.WriteTenantCSV(&csv, res.Outcome.Result.Series); err != nil {
+		return nil, err
+	}
+	return []Output{
+		{Name: "fleet_night", Text: res.Text, Table: res.Table},
+		{Name: "fleet_night.txt", File: []byte(res.Text)},
+		{Name: "fleet_night.csv", File: csv.Bytes()},
+	}, nil
 }

@@ -15,7 +15,6 @@ package harness
 
 import (
 	"fmt"
-	"strings"
 
 	"thermostat/internal/cgroup"
 	"thermostat/internal/chaos"
@@ -267,8 +266,9 @@ type Outcome struct {
 	App     *workload.App
 	Engine  *core.Engine // nil for non-engine policies
 	Result  *sim.RunResult
-	// Telemetry is the run's collector when the experiment enabled
-	// telemetry (nil otherwise).
+	// Telemetry is the run's collector: the machine's recorder when that is
+	// a telemetry.Collector, or the one RunAll teed into the live plane
+	// (nil otherwise).
 	Telemetry *telemetry.Collector
 	// Faults summarizes chaos fault handling over the whole run: all
 	// zeros unless the machine config installed an injector. Engine runs
@@ -292,8 +292,9 @@ func (a *Assembly) Run(tickHook func(nowNs int64) error) (*Outcome, error) {
 	if a.Engine != nil {
 		faults = a.Engine.FaultReport
 	}
+	col, _ := a.Machine.Recorder().(*telemetry.Collector)
 	return &Outcome{Spec: a.Spec, Scale: sc, Machine: a.Machine, App: a.App,
-		Engine: a.Engine, Result: res, Faults: faults()}, nil
+		Engine: a.Engine, Result: res, Telemetry: col, Faults: faults()}, nil
 }
 
 // Run assembles plan for spec under sc and runs it to completion.
@@ -313,30 +314,12 @@ func RunBaseline(spec workload.Spec, sc Scale) (*Outcome, error) {
 
 // ScaleByName returns the named profile: "tiny", "bench" or "repro".
 func ScaleByName(name string) (Scale, bool) {
-	switch name {
-	case "tiny":
-		return Tiny(), true
-	case "bench":
-		return Bench(), true
-	case "repro":
-		return Repro(), true
+	for _, sc := range []Scale{Tiny(), Bench(), Repro()} {
+		if sc.Name == name {
+			return sc, true
+		}
 	}
 	return Scale{}, false
-}
-
-// ResolveScale turns the run selection every front end carries — profile
-// name, seed, optional run-length override in simulated seconds — into a
-// Scale. A shortened run keeps its warm-up inside it.
-func ResolveScale(name string, seed uint64, durationS float64) (Scale, error) {
-	sc, ok := ScaleByName(name)
-	if !ok {
-		return Scale{}, fmt.Errorf("unknown scale %q (tiny, bench, repro)", name)
-	}
-	sc.Seed = seed
-	if durationS > 0 {
-		sc = sc.WithDuration(int64(durationS * 1e9))
-	}
-	return sc, nil
 }
 
 // WithDuration returns s running for ns with its warm-up kept inside the run.
@@ -346,38 +329,4 @@ func (s Scale) WithDuration(ns int64) Scale {
 		s.WarmupNs = ns / 5
 	}
 	return s
-}
-
-// ResolveSpec looks up an application model by name and, when footprint is
-// non-empty ("64G", "1T"), rescales it to that total size.
-func ResolveSpec(app, footprint string) (workload.Spec, error) {
-	spec, ok := workload.ByName(app)
-	if !ok {
-		return workload.Spec{}, fmt.Errorf("unknown application %q", app)
-	}
-	if footprint != "" {
-		target, err := workload.ParseSize(footprint)
-		if err != nil {
-			return workload.Spec{}, err
-		}
-		spec = spec.WithFootprint(target)
-	}
-	return spec, nil
-}
-
-// ResolveTiers maps device preset names ("dram", "cxl", "nvm"), fastest
-// first, to the tier list of an N-tier Plan. Capacities are left zero:
-// TieredMachineConfig sizes them per workload.
-func ResolveTiers(names []string) ([]mem.Spec, error) {
-	var tiers []mem.Spec
-	for _, name := range names {
-		name = strings.TrimSpace(name)
-		t, ok := mem.Preset(name, 0)
-		if !ok {
-			return nil, fmt.Errorf("unknown device preset %q (presets: %s)",
-				name, strings.Join(mem.PresetNames(), ", "))
-		}
-		tiers = append(tiers, t)
-	}
-	return tiers, nil
 }

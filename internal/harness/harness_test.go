@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"thermostat/internal/stats"
 	"thermostat/internal/workload"
 )
 
@@ -170,24 +171,22 @@ func TestTable1TinyOrdering(t *testing.T) {
 	sc := Tiny()
 	sc.DurationNs = 3e9
 	sc.WarmupNs = 5e8
-	rows, err := Table1(Options{
-		Scale: sc,
-		Apps:  []workload.Spec{workload.Redis(), workload.WebSearch()},
-	})
+	rows, _ := table1(Options{Scale: sc, Apps: []workload.Spec{workload.Redis(), workload.WebSearch()}})
+	outs, err := runGrid(0, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byName := map[string]float64{}
-	for _, r := range rows {
-		byName[r.App] = r.GainPct
+	gain := map[string]float64{}
+	for i, r := range rows {
+		gain[r.spec.Name] = (outs[i][0].Result.Throughput/outs[i][1].Result.Throughput - 1) * 100
 	}
 	// Table 1's shape: Redis gains most from huge pages, web-search least.
-	if byName["redis"] <= byName["web-search"] {
+	if gain["redis"] <= gain["web-search"] {
 		t.Errorf("huge-page gain ordering wrong: redis %.2f%% vs web-search %.2f%%",
-			byName["redis"], byName["web-search"])
+			gain["redis"], gain["web-search"])
 	}
-	if byName["redis"] <= 0 {
-		t.Errorf("redis gain %.2f%% should be positive", byName["redis"])
+	if gain["redis"] <= 0 {
+		t.Errorf("redis gain %.2f%% should be positive", gain["redis"])
 	}
 }
 
@@ -199,21 +198,29 @@ func TestFig2ProducesDispersedScatter(t *testing.T) {
 	sc := Tiny()
 	sc.DurationNs = 4e9
 	sc.WarmupNs = 5e8
-	res, err := Fig2(Options{Scale: sc})
+	rows, render := fig2(Options{Scale: sc})
+	outs, err := runGrid(0, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) < 10 {
-		t.Fatalf("points = %d", len(res.Points))
+	pts := fig2Points(rows[0].arms[0].plan.Policy.(*splitScan), outs[0][0])
+	if len(pts) < 10 {
+		t.Fatalf("points = %d", len(pts))
+	}
+	var xs, ys []float64
+	for _, p := range pts {
+		xs = append(xs, float64(p.hot))
+		ys = append(ys, p.rate)
 	}
 	// The paper's claim: hot-region counts are a poor predictor of access
 	// rate. Perfect correlation would be ~1; we require it to be visibly
 	// imperfect.
-	if res.Pearson > 0.8 {
-		t.Errorf("Pearson r = %.3f: Accessed bits predict rates too well", res.Pearson)
+	if r := stats.Pearson(xs, ys); r > 0.8 {
+		t.Errorf("Pearson r = %.3f: Accessed bits predict rates too well", r)
 	}
-	if res.Table().String() == "" {
-		t.Fatal("empty table")
+	o, err := render(outs)
+	if err != nil || len(o) != 1 || len(o[0].Table.Rows) != len(pts) {
+		t.Fatalf("render: %v, %+v", err, o)
 	}
 }
 
@@ -225,20 +232,26 @@ func TestFig1IdleFractionsShape(t *testing.T) {
 	sc := Tiny()
 	sc.TimeDilate = 2 // shrink the idle window so the test stays fast
 	opt := Options{Scale: sc, Apps: []workload.Spec{workload.MySQLTPCC(), workload.Aerospike(workload.ReadHeavy)}}
-	res, err := Fig1(opt)
+	rows, render := fig1(opt)
+	outs, err := runGrid(0, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
+	idle := map[string]float64{}
+	for _, r := range rows {
+		idle[r.spec.Name] = r.arms[0].plan.Policy.(*scanOnly).scanner.IdleFraction(idleScans)
+	}
 	// MySQL's LINEITEM-dominated footprint idles far more than Aerospike's
 	// uniformly-warm data (Figure 1's ordering).
-	if res.IdleFrac["mysql-tpcc"] <= res.IdleFrac["aerospike"] {
+	if idle["mysql-tpcc"] <= idle["aerospike"] {
 		t.Errorf("idle ordering wrong: mysql %.2f vs aerospike %.2f",
-			res.IdleFrac["mysql-tpcc"], res.IdleFrac["aerospike"])
+			idle["mysql-tpcc"], idle["aerospike"])
 	}
-	if res.IdleFrac["mysql-tpcc"] < 0.25 {
-		t.Errorf("mysql idle fraction = %.2f, want large", res.IdleFrac["mysql-tpcc"])
+	if idle["mysql-tpcc"] < 0.25 {
+		t.Errorf("mysql idle fraction = %.2f, want large", idle["mysql-tpcc"])
 	}
-	if res.Bar() == "" || res.Table().String() == "" {
-		t.Fatal("rendering failed")
+	o, err := render(outs)
+	if err != nil || len(o) != 2 || o[0].Text == "" || o[1].Table.String() == "" {
+		t.Fatalf("rendering failed: %v", err)
 	}
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"thermostat/internal/sim"
@@ -80,6 +81,17 @@ func TestComposedThermostatMatchesSeedEngine(t *testing.T) {
 	}
 }
 
+// matrixTwoTier is the matrix row of redis on the paper's two tiers.
+func matrixTwoTier(t *testing.T, sc Scale) row {
+	t.Helper()
+	rows, _ := matrix(Options{Scale: sc, Apps: []workload.Spec{workload.Redis()}, SlowdownPct: 3})
+	if r := rows[0]; len(r.arms[0].plan.Tiers) == 0 {
+		return r
+	}
+	t.Fatal("first matrix row is not the two-tier topology")
+	return row{}
+}
+
 // TestMatrixDeterministicAcrossWorkers: every new tracker × policy cell must
 // produce identical scores whether the sweep runs serially or fanned out.
 func TestMatrixDeterministicAcrossWorkers(t *testing.T) {
@@ -87,28 +99,35 @@ func TestMatrixDeterministicAcrossWorkers(t *testing.T) {
 		t.Skip("multi-second scaled run")
 	}
 	t.Parallel()
-	spec, _ := workload.ByName("redis")
-	opts := func(workers int) MatrixOptions {
-		return MatrixOptions{
-			Scale:      matrixScale(),
-			Apps:       []workload.Spec{spec},
-			Trackers:   []string{"idlebit", "damon"},
-			Policies:   []string{"threshold", "heat"},
-			Topologies: []MatrixTopology{TwoTierTopology()},
-			Workers:    workers,
+	r := matrixTwoTier(t, matrixScale())
+	arms := r.arms[:1]
+	for _, a := range r.arms[1:] {
+		tracker, policy, _ := strings.Cut(a.name, "+")
+		if (tracker == "idlebit" || tracker == "damon") && (policy == "threshold" || policy == "heat") {
+			arms = append(arms, a)
 		}
 	}
-	serial, err := PolicyMatrix(opts(1))
-	if err != nil {
-		t.Fatal(err)
+	r.arms = arms
+	if len(r.arms) != 5 {
+		t.Fatalf("sliced %d arms, want the baseline and 2 trackers × 2 policies", len(r.arms))
 	}
-	fanned, err := PolicyMatrix(opts(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial.Cells, fanned.Cells) {
-		t.Fatalf("matrix cells depend on worker count:\n w1: %+v\n w8: %+v",
-			serial.Cells, fanned.Cells)
+	serial, fanned := runRow(t, 1, r), runRow(t, 8, r)
+	for j, a := range r.arms {
+		s, f := serial[j], fanned[j]
+		if !reflect.DeepEqual(s.Result, f.Result) {
+			t.Errorf("%s: run results depend on worker count", a.name)
+		}
+		if j == 0 {
+			continue
+		}
+		if s.Engine.Stats() != f.Engine.Stats() {
+			t.Errorf("%s: engine stats depend on worker count: %+v vs %+v", a.name, s.Engine.Stats(), f.Engine.Stats())
+		}
+		sa, sok := confusionAccuracy(s.Telemetry, r.sc.WarmupNs)
+		fa, fok := confusionAccuracy(f.Telemetry, r.sc.WarmupNs)
+		if sa != fa || sok != fok {
+			t.Errorf("%s: accuracy depends on worker count: %v vs %v", a.name, sa, fa)
+		}
 	}
 }
 
@@ -122,27 +141,21 @@ func TestMatrixSmoke(t *testing.T) {
 		sc.DurationNs = 2_000_000_000
 		sc.WarmupNs = 500_000_000
 	}
-	spec, _ := workload.ByName("redis")
-	rep, err := PolicyMatrix(MatrixOptions{
-		Scale:      sc,
-		Apps:       []workload.Spec{spec},
-		Topologies: []MatrixTopology{TwoTierTopology()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Cells) != 8 {
-		t.Fatalf("expected 4 trackers × 2 policies = 8 cells, got %d", len(rep.Cells))
+	r := matrixTwoTier(t, sc)
+	outs := runRow(t, 0, r)
+	if len(outs) != 9 {
+		t.Fatalf("expected the baseline and 4 trackers × 2 policies = 8 cells, got %d runs", len(outs))
 	}
 	var demotions uint64
-	for _, c := range rep.Cells {
-		if c.SlowdownPct < -1 || c.SlowdownPct > 50 {
-			t.Errorf("%s+%s: implausible slowdown %v%%", c.Tracker, c.Policy, c.SlowdownPct)
+	for j, out := range outs[1:] {
+		name := r.arms[j+1].name
+		if sd := 100 * sim.Slowdown(outs[0].Result, out.Result); sd < -1 || sd > 50 {
+			t.Errorf("%s: implausible slowdown %v%%", name, sd)
 		}
-		if c.ColdFraction < 0 || c.ColdFraction > 1 {
-			t.Errorf("%s+%s: cold fraction %v outside [0, 1]", c.Tracker, c.Policy, c.ColdFraction)
+		if cf := out.Result.MeanColdFraction(sc.WarmupNs); cf < 0 || cf > 1 {
+			t.Errorf("%s: cold fraction %v outside [0, 1]", name, cf)
 		}
-		demotions += c.Stats.Demotions
+		demotions += out.Engine.Stats().Demotions
 	}
 	if demotions == 0 {
 		t.Fatal("no composition demoted anything")

@@ -1,7 +1,3 @@
-// N-tier experiment: run Thermostat's engine over a hierarchy deeper than
-// the paper's two tiers (e.g. local DRAM, a CXL expander, and NVM) and
-// report what the two-tier tables cannot: the per-tier-pair migration
-// traffic matrix and the per-tier cost breakdown of the final placement.
 package harness
 
 import (
@@ -9,7 +5,6 @@ import (
 
 	"thermostat/internal/core"
 	"thermostat/internal/mem"
-	"thermostat/internal/pool"
 	"thermostat/internal/report"
 	"thermostat/internal/sim"
 	"thermostat/internal/workload"
@@ -50,28 +45,29 @@ func (s Scale) TieredMachineConfig(spec workload.Spec, tiers []mem.Spec) sim.Con
 	return cfg
 }
 
-// NTierSweep runs every app in opt.Apps under Thermostat on the given
-// hierarchy and returns the analyzed reports in app order. The engine's
-// demote/promote mechanics are tier-relative (cold pages sink one tier at a
-// time, reheated pages climb back), so only the machine differs from a
-// two-tier run. The per-app runs are independent and fan out across
-// opt.Workers goroutines.
-func NTierSweep(opt Options, tiers []mem.Spec) ([]*NTierReport, error) {
-	opt = opt.withDefaults()
-	tasks := make([]pool.Task[*NTierReport], len(opt.Apps))
-	for i, spec := range opt.Apps {
-		tasks[i] = pool.Task[*NTierReport]{
-			Label: fmt.Sprintf("ntier/%s/%d-tiers", spec.Name, len(tiers)),
-			Run: func() (*NTierReport, error) {
-				out, err := Run(spec, opt.Scale, Plan{SlowdownPct: opt.SlowdownPct, Tiers: tiers})
-				if err != nil {
-					return nil, err
-				}
-				return AnalyzeNTier(out)
-			},
-		}
+// ntier runs every app under Thermostat on the DRAM/CXL/NVM hierarchy and
+// reports, per app, the per-tier-pair migration traffic and the per-tier
+// cost of the final placement. The engine's demote/promote mechanics are
+// tier-relative (cold pages sink one tier at a time, reheated pages climb
+// back), so only the machine differs from a two-tier run.
+func ntier(opt Options) ([]row, render) {
+	var rows []row
+	for _, spec := range opt.apps() {
+		rows = append(rows, row{spec: spec, sc: opt.Scale, arms: []arm{{name: "3-tiers",
+			plan: Plan{SlowdownPct: opt.SlowdownPct, Tiers: DefaultThreeTier(0)}}}})
 	}
-	return pool.Map(opt.Workers, tasks)
+	return rows, func(outs [][]*Outcome) ([]Output, error) {
+		var out []Output
+		for i, r := range rows {
+			rep, err := AnalyzeNTier(outs[i][0])
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, Output{Name: "ntier-traffic-" + r.spec.Name, Table: rep.TrafficTable()},
+				Output{Name: "ntier-cost-" + r.spec.Name, Table: rep.CostTable()})
+		}
+		return out, nil
+	}
 }
 
 // TierUsage is one tier's slice of the final placement.

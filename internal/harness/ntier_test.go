@@ -126,10 +126,7 @@ func TestTierNamesFollowTheMachine(t *testing.T) {
 	}
 	t.Parallel()
 	sc := Tiny()
-	tiers, err := ResolveTiers([]string{"dram", "cxl", "nvm"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tiers := DefaultThreeTier(0)
 	render := func(plan Plan) string {
 		out, err := Run(workload.Redis(), sc, plan)
 		if err != nil {

@@ -11,6 +11,7 @@ import (
 
 	"thermostat/internal/pool"
 	"thermostat/internal/rng"
+	"thermostat/internal/telemetry"
 	"thermostat/internal/workload"
 )
 
@@ -67,25 +68,24 @@ func TestSerialEquivalenceRunAll(t *testing.T) {
 	}
 }
 
-// TestSerialEquivalenceAblation pins one design-choice grid: the rows the
-// pooled grid produces must be bit-identical to the serial ones.
+// TestSerialEquivalenceAblation pins one design-choice row: the outcomes
+// and the table the pooled grid produces must be bit-identical to the serial
+// ones.
 func TestSerialEquivalenceAblation(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
 		t.Skip("integration run")
 	}
-	spec := workload.MySQLTPCC()
-	serial, _, err := AblationPoisonBudget(spec, Options{Scale: equivScale(), Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	r := ablationRow(t, Options{Scale: equivScale()}, "K=10")
+	r.spec = workload.MySQLTPCC()
+	serial, parallel := runRow(t, 1, r), runRow(t, 8, r)
+	for j, a := range r.arms {
+		if !reflect.DeepEqual(serial[j].Result, parallel[j].Result) {
+			t.Errorf("%s: results diverge between worker counts", a.name)
+		}
 	}
-	parallel, _, err := AblationPoisonBudget(spec, Options{Scale: equivScale(), Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Errorf("ablation rows diverge between worker counts:\nserial:   %+v\nparallel: %+v",
-			serial, parallel)
+	if s, p := ablationTable("K", r, serial).String(), ablationTable("K", r, parallel).String(); s != p {
+		t.Errorf("ablation rows diverge between worker counts:\nserial:\n%s\nparallel:\n%s", s, p)
 	}
 }
 
@@ -96,18 +96,27 @@ func TestSerialEquivalenceFig11(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration run")
 	}
-	apps := []workload.Spec{workload.Redis()}
-	serial, err := Fig11(Options{Scale: equivScale(), Apps: apps, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	run := func(workers int) ([][]*Outcome, string) {
+		rows, render := fig11(Options{Scale: equivScale(), Apps: []workload.Spec{workload.Redis()}})
+		outs, err := runGrid(workers, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := render(outs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outs, o[0].Table.String()
 	}
-	parallel, err := Fig11(Options{Scale: equivScale(), Apps: apps, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
+	serial, st := run(1)
+	parallel, pt := run(8)
+	for j := range serial[0] {
+		if !reflect.DeepEqual(serial[0][j].Result, parallel[0][j].Result) {
+			t.Errorf("fig11 arm %d diverges between worker counts", j)
+		}
 	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Errorf("fig11 rows diverge between worker counts:\nserial:   %+v\nparallel: %+v",
-			serial, parallel)
+	if st != pt {
+		t.Errorf("fig11 rows diverge between worker counts:\nserial:\n%s\nparallel:\n%s", st, pt)
 	}
 }
 
@@ -211,7 +220,7 @@ func TestSerialEquivalenceFleetRun(t *testing.T) {
 		if err != nil {
 			return nil, nil, err
 		}
-		paths, err := fo.ExportTenantTraces(&TelemetryOptions{Dir: t.TempDir()})
+		paths, err := exportTenantTraces(fo, &TelemetryOptions{Dir: t.TempDir()})
 		return fo, paths, err
 	}
 	serial, serialPaths, err := run(1)
@@ -248,4 +257,20 @@ func TestSerialEquivalenceFleetRun(t *testing.T) {
 			}
 		}
 	}
+}
+
+// exportTenantTraces writes one Chrome-trace + JSONL pair per tenant,
+// filtered from the fleet's shared collector by the tenant's name tag and
+// address ranges, and returns tenant name → [trace, metrics] paths.
+func exportTenantTraces(fo *FleetOutcome, topt *TelemetryOptions) (map[string][2]string, error) {
+	paths := make(map[string][2]string, len(fo.Tenants))
+	for _, t := range fo.Tenants {
+		sub := fo.Telemetry.Filter(telemetry.TenantEventFilter(t.Name, t.Regions()))
+		tp, mp, err := topt.Export("fleet-"+t.Name, sub)
+		if err != nil {
+			return nil, err
+		}
+		paths[t.Name] = [2]string{tp, mp}
+	}
+	return paths, nil
 }

@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"fmt"
-
 	"thermostat/internal/addr"
 	"thermostat/internal/kstaled"
 	"thermostat/internal/sim"
@@ -20,9 +18,6 @@ func (p *scanOnly) Name() string      { return "kstaled-scan" }
 func (p *scanOnly) IntervalNs() int64 { return p.interval }
 
 func (p *scanOnly) Attach(m *sim.Machine) error {
-	if p.interval <= 0 {
-		return fmt.Errorf("harness: scanOnly needs an interval")
-	}
 	p.scanner = kstaled.New(m.PageTable(), m.TLB(), m.VPID(), 0)
 	return nil
 }

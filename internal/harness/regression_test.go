@@ -178,10 +178,11 @@ func TestThreeTierGoldenRegression(t *testing.T) {
 
 // TestPlanShapesMatchSeedEntryPoints runs every Plan shape the thirteen old
 // entry points covered (RunThermostat, RunComposed, RunBaseline, RunPolicy,
-// RunPageMode, RunNTier{,Composed}, RunMatrixCell, the matrix's tiered
-// baseline, RunProfileGuided) on redis at Tiny scale, seed 1, and pins each
-// to the numbers those entry points produced at the commit before the
-// collapse. One assembly must mean the same runs, not similar ones.
+// RunPageMode, RunNTier{,Composed}, RunMatrixCell — now the policy matrix's
+// cells — the matrix's tiered baseline, RunProfileGuided) on redis at Tiny
+// scale, seed 1, and pins each to the numbers those entry points produced
+// at the commit before the collapse. One assembly must mean the same runs,
+// not similar ones.
 func TestPlanShapesMatchSeedEntryPoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a dozen multi-second scaled runs")
@@ -190,6 +191,18 @@ func TestPlanShapesMatchSeedEntryPoints(t *testing.T) {
 	spec, sc := workload.Redis(), Tiny()
 	plan := func(p Plan) func() (*Outcome, error) {
 		return func() (*Outcome, error) { return Run(spec, sc, p) }
+	}
+	// cell is the matrix arm name on topology row topo (0 two-tier, 1
+	// three-tier) of redis's policy-matrix rows.
+	matrixRows, _ := matrix(Options{Scale: sc, Apps: []workload.Spec{spec}, SlowdownPct: 3})
+	cell := func(topo int, name string) func() (*Outcome, error) {
+		for _, a := range matrixRows[topo].arms {
+			if a.name == name {
+				return plan(a.plan)
+			}
+		}
+		t.Fatalf("no matrix cell %s", name)
+		return nil
 	}
 	for _, tc := range []struct {
 		name string
@@ -222,13 +235,9 @@ func TestPlanShapesMatchSeedEntryPoints(t *testing.T) {
 			policy: "damon+heat", ops: 6542321, clockNs: 8000000241},
 		{name: "three-tier-baseline", run: plan(Plan{Tiers: DefaultThreeTier(0)}),
 			policy: "all-dram", ops: 6542321, clockNs: 8000000117},
-		{name: "matrix-cell-two-tier", run: func() (*Outcome, error) {
-			return RunMatrixCell(spec, sc, TwoTierTopology(), "poison", "threshold", 3)
-		}, policy: "poison+threshold", ops: 6413283, slow: 2228, poison: 151390, coldByte: 4194304, clockNs: 8000001045,
+		{name: "matrix-cell-two-tier", run: cell(0, "poison+threshold"), policy: "poison+threshold", ops: 6413283, slow: 2228, poison: 151390, coldByte: 4194304, clockNs: 8000001045,
 			pages: 31, misses: 34192, events: 151530},
-		{name: "matrix-cell-three-tier", run: func() (*Outcome, error) {
-			return RunMatrixCell(spec, sc, ThreeTierTopology(), "softdirty", "heat", 3)
-		}, policy: "softdirty+heat", ops: 6540684, slow: 1629, poison: 1620, coldByte: 12582912, clockNs: 8000000475,
+		{name: "matrix-cell-three-tier", run: cell(1, "softdirty+heat"), policy: "softdirty+heat", ops: 6540684, slow: 1629, poison: 1620, coldByte: 12582912, clockNs: 8000000475,
 			pages: 31, misses: 34825, events: 2349},
 		{name: "profile-guided", run: func() (*Outcome, error) { return RunProfileGuided(spec, sc, 3) },
 			policy: "profile-guided", ops: 4380478, slow: 3777083, poison: 2643511, coldByte: 73400320, clockNs: 8000000581},

@@ -4,13 +4,35 @@ import (
 	"strings"
 	"testing"
 
+	"thermostat/internal/core"
+	"thermostat/internal/sim"
 	"thermostat/internal/stats"
+	"thermostat/internal/workload"
 )
+
+// fakeRun is a finished run at the given throughput whose one window holds
+// cold and hot footprint bytes.
+func fakeRun(throughput, cold, hot float64) *Outcome {
+	series := func(v float64) *stats.Series {
+		s := stats.NewSeries("")
+		s.Append(1e9, v)
+		return s
+	}
+	return &Outcome{Result: &sim.RunResult{Throughput: throughput,
+		Cold2M: series(cold), Cold4K: series(0), Hot2M: series(hot), Hot4K: series(0)}}
+}
 
 func TestTable1TableRendering(t *testing.T) {
 	t.Parallel()
-	rows := []Table1Row{{App: "redis", GainPct: 12.3}, {App: "web-search", GainPct: 0.4}}
-	out := Table1Table(rows).String()
+	_, render := table1(Options{Apps: []workload.Spec{workload.Redis(), workload.WebSearch()}})
+	o, err := render([][]*Outcome{
+		{fakeRun(112.3, 0, 1), fakeRun(100, 0, 1)},
+		{fakeRun(100.4, 0, 1), fakeRun(100, 0, 1)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := o[0].Table.String()
 	for _, want := range []string{"Table 1", "redis", "12.300", "web-search"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
@@ -49,12 +71,14 @@ func TestTable4TableRendering(t *testing.T) {
 
 func TestFig11TableRendering(t *testing.T) {
 	t.Parallel()
-	rows := []Fig11Row{
-		{App: "mysql-tpcc", SlowdownPct: 3, ColdFraction: 0.45, Measured: 0.013},
-		{App: "mysql-tpcc", SlowdownPct: 10, ColdFraction: 0.46, Measured: 0.02},
+	_, render := fig11(Options{Apps: []workload.Spec{workload.MySQLTPCC()}})
+	base := fakeRun(101.3, 0, 100)
+	o, err := render([][]*Outcome{{base, fakeRun(100, 45, 55), fakeRun(100, 46, 54), fakeRun(100, 46, 54)}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	out := Fig11Table(rows).String()
-	if !strings.Contains(out, "45.000") || !strings.Contains(out, "1.300") {
+	out := o[0].Table.String()
+	if !strings.Contains(out, "45.000") || !strings.Contains(out, "1.300") || len(o[0].Table.Rows) != 3 {
 		t.Errorf("bad render:\n%s", out)
 	}
 }
@@ -96,9 +120,16 @@ func TestColdDataFigureRendering(t *testing.T) {
 
 func TestAblationTableRendering(t *testing.T) {
 	t.Parallel()
-	rows := []AblationRow{{Config: "K=50", ColdFraction: 0.4, Slowdown: 0.02, PoisonFaults: 123, Promotions: 4}}
-	out := ablationTable("Ablation: test", rows).String()
-	for _, want := range []string{"K=50", "40.000", "123"} {
+	g, err := Tiny().Group(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k50 := fakeRun(100, 40, 60)
+	k50.Result.Metrics.PoisonFaults = 123
+	k50.Engine = core.NewEngine(g, 1)
+	r := row{arms: []arm{baseline, {name: "K=50"}}}
+	out := ablationTable("Ablation: test", r, []*Outcome{fakeRun(102, 0, 100), k50}).String()
+	for _, want := range []string{"K=50", "40.000", "2.000", "123"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q:\n%s", want, out)
 		}

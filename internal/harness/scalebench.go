@@ -1,25 +1,16 @@
 // Scaling benchmark: how simulation cost grows with simulated footprint.
-//
-// The sweep runs the synthetic scaling workload (workload.ScaleSynthetic,
-// stretched with WithFootprint) under the full Thermostat engine at
-// footprints from 1 GB to 1 TB, and reports per point:
-//
-//   - ns per simulated access (wall-clock over the whole run, allocation
-//     and engine ticks included). The access path does not see the
-//     footprint; the engine tick does — it samples a fraction of all huge
-//     pages and sweeps every index slot for candidates — but Split and
-//     Collapse never touch the slot index, so a sampled page costs the same
-//     at any size;
-//   - simulator state bytes per simulated GB (page table + allocator +
-//     trap + engine metadata): one 4 KB PT node per in-flight sampled page
-//     plus the poisoned cohort's fault-count snapshots, about 0.34 MB per
-//     simulated GB (the index ref and the PD node are 17 KB of it);
-//   - what the engine did — huge pages sampled, pages demoted, final cold
-//     fraction — so a row shows the mechanism ran, not only that accesses
-//     were issued.
+// The sweep runs the synthetic scaling workload under the full Thermostat
+// engine from 1 GB to 1 TB and reports per point the wall-clock ns per
+// simulated access (the access path does not see the footprint; the engine
+// tick samples a fraction of all huge pages), the simulator state bytes per
+// simulated GB (one 4 KB PT node per in-flight sampled page plus the
+// poisoned cohort's snapshots, about 0.34 MB), and what the engine did —
+// pages sampled and demoted, the final cold fraction — so a row shows the
+// mechanism ran, not only that accesses were issued.
 package harness
 
 import (
+	"encoding/json"
 	"fmt"
 	"time"
 
@@ -122,13 +113,22 @@ func ScaleSweep(sc Scale, footprints []uint64) ([]*ScalePoint, error) {
 	return points, nil
 }
 
-// ScaleFootprints is the committed sweep's footprint ladder, 1 GB to 1 TB.
-func ScaleFootprints() []uint64 {
-	return []uint64{1 << 30, 4 << 30, 16 << 30, 64 << 30, 256 << 30, 1 << 40}
+// scaleArtifact is the machine-readable shape results/BENCH_scale.json pins.
+type scaleArtifact struct {
+	Workload string        `json:"workload"`
+	Seed     uint64        `json:"seed"`
+	Points   []*ScalePoint `json:"points"`
 }
 
-// ScaleTable renders a completed sweep as the repro report table.
-func ScaleTable(points []*ScalePoint) *report.Table {
+// scaleSweep runs the committed sweep, 1 GB to 1 TB at the run's seed: the
+// table and results/BENCH_scale.{json,txt}.
+func scaleSweep(opt Options, _ map[string]*AppRun) ([]Output, error) {
+	sc := ScaleBenchProfile()
+	sc.Seed = opt.Scale.Seed
+	points, err := ScaleSweep(sc, []uint64{1 << 30, 4 << 30, 16 << 30, 64 << 30, 256 << 30, 1 << 40})
+	if err != nil {
+		return nil, err
+	}
 	t := report.NewTable("Scaling sweep: simulator cost vs simulated footprint",
 		"footprint", "ops", "ns/op", "state_bytes", "state_B/GB", "regions",
 		"sampled", "demotions", "cold_pct")
@@ -138,5 +138,13 @@ func ScaleTable(points []*ScalePoint) *report.Table {
 			fmt.Sprintf("%.0f", p.StatePerGB), p.Regions,
 			p.Sampled, p.Demotions, fmt.Sprintf("%.1f", p.ColdPct))
 	}
-	return t
+	js, err := json.MarshalIndent(scaleArtifact{Workload: "scale-synth", Seed: sc.Seed, Points: points}, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return []Output{
+		{Name: "scale", Table: t},
+		{Name: "BENCH_scale.json", File: append(js, '\n')},
+		{Name: "BENCH_scale.txt", File: []byte(t.String() + "\n")},
+	}, nil
 }

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 
+	"thermostat/internal/core"
+	"thermostat/internal/obsv"
 	"thermostat/internal/telemetry"
 )
 
@@ -25,18 +27,30 @@ type TelemetryOptions struct {
 	MaxSnapshots int
 }
 
-func (t *TelemetryOptions) dir() string {
-	if t.Dir != "" {
-		return t.Dir
-	}
-	return filepath.Join("results", "traces")
-}
-
 // NewCollector builds a collector with this option set's bounds.
 func (t *TelemetryOptions) NewCollector() *telemetry.Collector {
 	return telemetry.NewCollectorWith(telemetry.Config{
 		MaxEvents: t.MaxEvents, MaxSnapshots: t.MaxSnapshots,
 	})
+}
+
+// Observe is the one wiring of a run into the live observability plane. It
+// returns the recorder the run installs — col teed into pub under label, or
+// col alone without a publisher (nil when col is nil too) — and census,
+// which publishes an engine's classification census under a label. census
+// does nothing without a publisher: publishing costs host time every tick.
+func Observe(pub *obsv.Publisher, label string, col *telemetry.Collector) (rec telemetry.Recorder, census func(label string, eng *core.Engine)) {
+	if pub == nil {
+		census = func(string, *core.Engine) {}
+		if col == nil {
+			return nil, census
+		}
+		return col, census
+	}
+	return pub.Recorder(label, col), func(label string, eng *core.Engine) {
+		eng.EnablePublish()
+		pub.AttachEngine(label, eng)
+	}
 }
 
 // sanitizeLabel maps a run label to a safe file stem.
@@ -56,7 +70,10 @@ func sanitizeLabel(label string) string {
 // directory and returns the two paths. Distinct labels yield distinct files,
 // so exports are safe under pool parallelism.
 func (t *TelemetryOptions) Export(label string, c *telemetry.Collector) (tracePath, metricsPath string, err error) {
-	dir := t.dir()
+	dir := t.Dir
+	if dir == "" {
+		dir = filepath.Join("results", "traces")
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", "", fmt.Errorf("harness: telemetry dir: %w", err)
 	}

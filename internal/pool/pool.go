@@ -12,10 +12,7 @@
 // Failures never tear down the process: a task that returns an error or
 // panics is reported as a *TaskError carrying the task's label and index,
 // and every other task still runs to completion. All failures are joined
-// (in task order) into the single error Map returns. Options.FailFast
-// trades that run-everything guarantee for early cancellation: the first
-// failure stops dispatching queued tasks (in-flight tasks drain normally)
-// and every never-dispatched task reports ErrSkipped.
+// (in task order) into the single error Map returns.
 package pool
 
 import (
@@ -24,7 +21,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 )
 
 // Task is one labelled unit of independent work.
@@ -69,55 +65,19 @@ func Workers(n int) int {
 	return n
 }
 
-// ErrSkipped marks a task that was never dispatched because an earlier
-// task had already failed under Options.FailFast. It reaches the caller
-// wrapped in that task's *TaskError, so errors.Is(err, ErrSkipped)
-// distinguishes "never ran" from "ran and failed".
-var ErrSkipped = errors.New("pool: task skipped after earlier failure")
-
-// Options configures a MapOpts invocation.
-type Options struct {
-	// Workers bounds concurrency; <= 0 selects all cores (see Workers).
-	Workers int
-	// FailFast stops dispatching queued tasks once any task fails.
-	// Tasks already in flight drain to completion and keep their
-	// results; tasks never dispatched report ErrSkipped. The default
-	// (false) preserves Map's run-everything behavior. On the serial
-	// (Workers <= 1) path the cut-off is deterministic: everything
-	// after the first failing task is skipped.
-	FailFast bool
-}
-
 // Map runs every task on at most Workers(workers) goroutines and returns
 // the results in task order. All tasks run regardless of failures; the
 // returned error joins every *TaskError in task order (nil if none).
 func Map[T any](workers int, tasks []Task[T]) ([]T, error) {
-	return MapOpts(Options{Workers: workers}, tasks)
-}
-
-// MapOpts is Map with scheduling options.
-func MapOpts[T any](opt Options, tasks []Task[T]) ([]T, error) {
 	results := make([]T, len(tasks))
 	errs := make([]error, len(tasks))
-	w := Workers(opt.Workers)
-	if w > len(tasks) {
-		w = len(tasks)
-	}
+	w := min(Workers(workers), len(tasks))
 	if w <= 1 {
-		stopped := false
 		for i := range tasks {
-			if stopped {
-				errs[i] = &TaskError{Index: i, Label: tasks[i].Label, Err: ErrSkipped}
-				continue
-			}
 			results[i], errs[i] = runOne(i, tasks[i])
-			if errs[i] != nil && opt.FailFast {
-				stopped = true
-			}
 		}
 		return results, errors.Join(errs...)
 	}
-	var failed atomic.Bool
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for g := 0; g < w; g++ {
@@ -126,18 +86,10 @@ func MapOpts[T any](opt Options, tasks []Task[T]) ([]T, error) {
 			defer wg.Done()
 			for i := range idx {
 				results[i], errs[i] = runOne(i, tasks[i])
-				if errs[i] != nil {
-					failed.Store(true)
-				}
 			}
 		}()
 	}
 	for i := range tasks {
-		if opt.FailFast && failed.Load() {
-			// Never dispatched, so no worker touches this slot.
-			errs[i] = &TaskError{Index: i, Label: tasks[i].Label, Err: ErrSkipped}
-			continue
-		}
 		idx <- i
 	}
 	close(idx)

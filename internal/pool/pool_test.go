@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -94,155 +93,6 @@ func TestMapCollectsErrorsAndKeepsRunning(t *testing.T) {
 		}
 		if !errors.Is(err, boom) {
 			t.Errorf("workers=%d: joined error loses the cause", w)
-		}
-	}
-}
-
-// TestMapOptsDefaultRunsEverything pins the default contract: without
-// FailFast, a failure never prevents later tasks from running — the
-// behavior every existing experiment depends on.
-func TestMapOptsDefaultRunsEverything(t *testing.T) {
-	t.Parallel()
-	boom := errors.New("boom")
-	var ran [4]atomic.Bool
-	tasks := make([]Task[int], 4)
-	for i := range tasks {
-		tasks[i] = Task[int]{Label: fmt.Sprintf("t%d", i), Run: func() (int, error) {
-			ran[i].Store(true)
-			if i == 0 {
-				return 0, boom
-			}
-			return i, nil
-		}}
-	}
-	for _, w := range []int{1, 3} {
-		for i := range ran {
-			ran[i].Store(false)
-		}
-		_, err := MapOpts(Options{Workers: w}, tasks)
-		if !errors.Is(err, boom) {
-			t.Fatalf("workers=%d: failure not reported: %v", w, err)
-		}
-		if errors.Is(err, ErrSkipped) {
-			t.Fatalf("workers=%d: default options skipped a task", w)
-		}
-		for i := range ran {
-			if !ran[i].Load() {
-				t.Errorf("workers=%d: task %d skipped without FailFast", w, i)
-			}
-		}
-	}
-}
-
-// skippedIndices walks a joined error and collects the indices of tasks
-// that report ErrSkipped.
-func skippedIndices(t *testing.T, err error) map[int]bool {
-	t.Helper()
-	skipped := map[int]bool{}
-	var walk func(error)
-	walk = func(e error) {
-		if joined, ok := e.(interface{ Unwrap() []error }); ok {
-			for _, sub := range joined.Unwrap() {
-				walk(sub)
-			}
-			return
-		}
-		var te *TaskError
-		if errors.As(e, &te) && errors.Is(te.Err, ErrSkipped) {
-			skipped[te.Index] = true
-		}
-	}
-	walk(err)
-	return skipped
-}
-
-func TestMapOptsFailFastSerial(t *testing.T) {
-	t.Parallel()
-	boom := errors.New("boom")
-	ran := make([]bool, 5)
-	tasks := make([]Task[int], 5)
-	for i := range tasks {
-		tasks[i] = Task[int]{Label: fmt.Sprintf("t%d", i), Run: func() (int, error) {
-			ran[i] = true
-			if i == 1 {
-				return 0, boom
-			}
-			return i, nil
-		}}
-	}
-	res, err := MapOpts(Options{Workers: 1, FailFast: true}, tasks)
-	if !errors.Is(err, boom) || !errors.Is(err, ErrSkipped) {
-		t.Fatalf("error misses cause or skip marker: %v", err)
-	}
-	if !ran[0] || !ran[1] {
-		t.Fatal("tasks before the failure did not run")
-	}
-	for i := 2; i < 5; i++ {
-		if ran[i] {
-			t.Errorf("task %d ran after serial fail-fast cut-off", i)
-		}
-	}
-	if res[0] != 0 {
-		t.Errorf("pre-failure result lost: %d", res[0])
-	}
-	want := map[int]bool{2: true, 3: true, 4: true}
-	if got := skippedIndices(t, err); len(got) != 3 || !got[2] || !got[3] || !got[4] {
-		t.Fatalf("skipped = %v, want %v", got, want)
-	}
-}
-
-func TestMapOptsFailFastParallelDrainsInFlight(t *testing.T) {
-	t.Parallel()
-	boom := errors.New("boom")
-	started := make(chan struct{}) // task 1 is running
-	failed := make(chan struct{})  // task 0 is about to fail
-	tasks := make([]Task[int], 8)
-	tasks[0] = Task[int]{Label: "t0", Run: func() (int, error) {
-		<-started // guarantee task 1 is in flight before failing
-		close(failed)
-		return 0, boom
-	}}
-	tasks[1] = Task[int]{Label: "t1", Run: func() (int, error) {
-		close(started)
-		<-failed
-		return 1, nil
-	}}
-	for i := 2; i < len(tasks); i++ {
-		tasks[i] = Task[int]{Label: fmt.Sprintf("t%d", i), Run: func() (int, error) {
-			// Give the failing worker ample time to publish the flag
-			// before the dispatcher can commit another task.
-			time.Sleep(2 * time.Millisecond)
-			return i, nil
-		}}
-	}
-	res, err := MapOpts(Options{Workers: 2, FailFast: true}, tasks)
-	if !errors.Is(err, boom) || !errors.Is(err, ErrSkipped) {
-		t.Fatalf("error misses cause or skip marker: %v", err)
-	}
-	// Task 1 was in flight when task 0 failed and must drain with its
-	// result intact.
-	if res[1] != 1 {
-		t.Errorf("in-flight task 1 lost its result: %d", res[1])
-	}
-	// Cancellation is racy by design, but the skip set is always a
-	// contiguous suffix: once the dispatcher observes the failure it
-	// never dispatches again.
-	skipped := skippedIndices(t, err)
-	if len(skipped) == 0 {
-		t.Fatal("no tasks skipped under fail-fast")
-	}
-	first := len(tasks)
-	for i := range skipped {
-		if i < first {
-			first = i
-		}
-	}
-	for i := first; i < len(tasks); i++ {
-		if !skipped[i] {
-			t.Errorf("skip set is not a suffix: task %d ran after task %d was skipped", i, first)
-		}
-		if res[i] != 0 {
-			t.Errorf("skipped task %d has a result", i)
 		}
 	}
 }

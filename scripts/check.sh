@@ -82,7 +82,18 @@ go run ./cmd/thermostat-sim -app redis -scale tiny -duration 4 -workers 8 \
 	-trace "$tracedir/w8.trace.json" -metrics "$tracedir/w8.metrics.jsonl" >/dev/null
 cmp "$tracedir/w1.trace.json" "$tracedir/w8.trace.json"
 cmp "$tracedir/w1.metrics.jsonl" "$tracedir/w8.metrics.jsonl"
-echo "traces byte-identical at -workers 1 and -workers 8"
+# The N-tier path attaches the same recorder: both files must be written
+# (and be non-empty) before they are compared.
+for w in 1 8; do
+	go run ./cmd/thermostat-sim -app redis -scale tiny -duration 2 -tiers dram,cxl,nvm -workers "$w" \
+		-trace "$tracedir/n$w.trace.json" -metrics "$tracedir/n$w.metrics.jsonl" >/dev/null
+	for f in "$tracedir/n$w.trace.json" "$tracedir/n$w.metrics.jsonl"; do
+		[ -s "$f" ] || { echo "check: -tiers run wrote no $(basename "$f")" >&2; exit 1; }
+	done
+done
+cmp "$tracedir/n1.trace.json" "$tracedir/n8.trace.json"
+cmp "$tracedir/n1.metrics.jsonl" "$tracedir/n8.metrics.jsonl"
+echo "traces byte-identical at -workers 1 and -workers 8 (two tiers and dram,cxl,nvm)"
 
 echo "== policy matrix smoke gate"
 # One abbreviated run per tracker × policy cell (TestMatrixSmoke at its
@@ -97,6 +108,18 @@ named run 'TestRunAllTelemetryWorkerInvariance|TestComposedThermostatMatchesSeed
 go run ./cmd/repro -exp matrix -scale tiny -csv "$tracedir/matrix" >/dev/null
 cmp "$tracedir/matrix/policy_matrix.csv" results/policy_matrix.csv
 echo "matrix: all tracker x policy cells run; seed composition and committed matrix byte-identical"
+
+if [ "${SHORT:-0}" != "1" ]; then
+	echo "== repro table gate"
+	# Every experiment of the paper's evaluation at tiny scale: stdout and
+	# every -csv/-svg file must match results/repro_tiny.sha256 byte for
+	# byte (about 2.5 minutes on two cores).
+	mkdir "$tracedir/repro"
+	go run ./cmd/repro -exp all -scale tiny -csv "$tracedir/repro/csv" -svg "$tracedir/repro/svg" \
+		>"$tracedir/repro/stdout.txt"
+	(cd "$tracedir/repro" && sha256sum --quiet -c -) <results/repro_tiny.sha256
+	echo "repro: stdout, CSVs and SVGs byte-identical to results/repro_tiny.sha256"
+fi
 
 echo "== chaos gates"
 # Inertness: -chaos-rate 0 must be byte-identical to a run without any
