@@ -262,7 +262,6 @@ func BenchmarkAccessBatch(b *testing.B) {
 	}
 	const batch = 2048
 	reqs := make([]sim.Req, batch)
-	lats := make([]int64, batch)
 	b.ResetTimer()
 	for i := 0; i < b.N; i += batch {
 		n := batch
@@ -270,7 +269,7 @@ func BenchmarkAccessBatch(b *testing.B) {
 			n = rem
 		}
 		got := app.NextBatch(reqs[:n])
-		if err := m.AccessBatch(reqs[:got], 0, lats[:got], nil); err != nil {
+		if err := m.AccessBatch(reqs[:got], 0); err != nil {
 			b.Fatal(err)
 		}
 	}

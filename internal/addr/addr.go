@@ -58,14 +58,6 @@ func (v Virt) SubpageIndex() int {
 	return int((uint64(v) >> PageShift4K) & (uint64(PagesPerHuge) - 1))
 }
 
-// Canonical reports whether v is a canonical 48-bit address (upper bits are a
-// sign extension of bit 47). The simulator only hands out lower-half
-// canonical addresses, so in practice this checks bits 48..63 are zero.
-func (v Virt) Canonical() bool {
-	upper := uint64(v) >> (CanonicalBits - 1)
-	return upper == 0 || upper == (1<<(65-CanonicalBits))-1
-}
-
 // String renders the address in hex.
 func (v Virt) String() string { return fmt.Sprintf("0x%012x", uint64(v)) }
 
@@ -169,16 +161,6 @@ func (r Range) Each2M(fn func(base Virt)) {
 	}
 	for n := r.Start.PageNum2M(); n <= (r.End - 1).PageNum2M(); n++ {
 		fn(Virt2M(n))
-	}
-}
-
-// Each4K calls fn with the base address of every 4KB page the range touches.
-func (r Range) Each4K(fn func(base Virt)) {
-	if r.Size() == 0 {
-		return
-	}
-	for n := r.Start.PageNum4K(); n <= (r.End - 1).PageNum4K(); n++ {
-		fn(Virt4K(n))
 	}
 }
 

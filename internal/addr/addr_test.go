@@ -70,18 +70,6 @@ func TestIndexPanicsOnBadLevel(t *testing.T) {
 	Index(0, 0)
 }
 
-func TestCanonical(t *testing.T) {
-	if !Virt(0x7fffffffffff).Canonical() {
-		t.Error("top of lower half should be canonical")
-	}
-	if Virt(0x800000000000).Canonical() {
-		t.Error("just past lower half should be non-canonical")
-	}
-	if !Virt(0xffff800000000000).Canonical() {
-		t.Error("bottom of upper half should be canonical")
-	}
-}
-
 func TestRangeBasics(t *testing.T) {
 	r := NewRange(Virt(0x1000), 0x3000)
 	if r.Size() != 0x3000 {
@@ -133,16 +121,6 @@ func TestEach2M(t *testing.T) {
 	}
 }
 
-func TestEach4KCount(t *testing.T) {
-	r := NewRange(Virt(0x1234), 3*PageSize4K)
-	n := 0
-	r.Each4K(func(Virt) { n++ })
-	if uint64(n) != r.Pages4K() {
-		t.Errorf("Each4K visited %d, Pages4K says %d", n, r.Pages4K())
-	}
-}
-
-// Property: page base plus offset reconstructs the address, at both grains.
 func TestAddressDecompositionProperty(t *testing.T) {
 	f := func(raw uint64) bool {
 		v := Virt(raw & 0x0000ffffffffffff) // keep canonical lower-half

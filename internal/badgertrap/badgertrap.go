@@ -53,9 +53,6 @@ func New(pt *pagetable.Table, tl *tlb.TLB, faultLatencyNs int64) *Trap {
 	return &Trap{pt: pt, tl: tl, lat: faultLatencyNs, counts: make(map[addr.Virt]uint64)}
 }
 
-// FaultLatency returns the per-fault handling latency in nanoseconds.
-func (t *Trap) FaultLatency() int64 { return t.lat }
-
 // Poison arms interception on the leaf page containing v: sets the entry's
 // reserved bit and flushes the translation so the next access faults. Works
 // at either grain — per-4KB-PTE for sampled split pages, per-PMD for whole
@@ -86,7 +83,8 @@ func (t *Trap) IsPoisoned(v addr.Virt) bool {
 }
 
 // Handle services a poison fault: unpoison, install a transient TLB
-// translation, re-poison, count. Implements fault.Handler.
+// translation, re-poison, count. It returns the handling latency in
+// nanoseconds; the machine calls it on every poison fault its walk raises.
 //
 // Because the PTE is re-poisoned but the TLB now holds a valid translation,
 // subsequent accesses to the same page hit the TLB and do not fault until

@@ -16,9 +16,17 @@ func setup() (*pagetable.Table, *tlb.TLB, *Trap) {
 }
 
 func TestDefaultLatency(t *testing.T) {
-	_, _, bt := setup()
-	if bt.FaultLatency() != DefaultFaultLatencyNs {
-		t.Fatalf("latency = %d", bt.FaultLatency())
+	pt, _, bt := setup()
+	v := addr.Virt4K(1)
+	if err := pt.Map4K(v, addr.Phys4K(1), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := bt.Poison(v, 1); err != nil {
+		t.Fatal(err)
+	}
+	// New with a non-positive latency selects the paper's default.
+	if lat, err := bt.Handle(fault.Fault{Kind: fault.Poison, Virt: v, VPID: 1}); err != nil || lat != DefaultFaultLatencyNs {
+		t.Fatalf("latency = %d, err = %v", lat, err)
 	}
 }
 
@@ -213,25 +221,5 @@ func TestCountsSnapshotIsCopy(t *testing.T) {
 	snap[v.Base4K()] = 99
 	if bt.Count(v) != 1 {
 		t.Fatal("snapshot mutation leaked")
-	}
-}
-
-func TestRegistryDispatchToTrap(t *testing.T) {
-	pt, _, bt := setup()
-	v := addr.Virt4K(6)
-	if err := pt.Map4K(v, addr.Phys4K(2), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := bt.Poison(v, 1); err != nil {
-		t.Fatal(err)
-	}
-	reg := fault.NewRegistry()
-	reg.Register(fault.Poison, bt)
-	lat, err := reg.Dispatch(fault.Fault{Kind: fault.Poison, Virt: v, VPID: 1})
-	if err != nil || lat != DefaultFaultLatencyNs {
-		t.Fatalf("dispatch: lat=%d err=%v", lat, err)
-	}
-	if _, err := reg.Dispatch(fault.Fault{Kind: fault.NotPresent, Virt: v}); err == nil {
-		t.Fatal("unregistered kind should error")
 	}
 }

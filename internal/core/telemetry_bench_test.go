@@ -29,10 +29,11 @@ func benchLoop(b *testing.B, m *sim.Machine) {
 		b.Fatal(err)
 	}
 	next := m.Clock() + eng.IntervalNs()
+	var req [1]sim.Req
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v, w := app.Next()
-		if _, err := m.Access(v, w); err != nil {
+		app.NextBatch(req[:])
+		if _, err := m.Access(req[0].V, req[0].Write); err != nil {
 			b.Fatal(err)
 		}
 		m.AdvanceClock(app.ComputeNs())

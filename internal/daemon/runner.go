@@ -147,14 +147,6 @@ func (r *Runner) Health() Health {
 	return r.health
 }
 
-// EffectiveConfig returns the current configuration (base + applied
-// reloads).
-func (r *Runner) EffectiveConfig() Config {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.cfg
-}
-
 // Journal returns a copy of the applied reload timeline so far.
 func (r *Runner) Journal() []TimelineEntry {
 	r.mu.Lock()

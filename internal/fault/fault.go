@@ -1,6 +1,6 @@
-// Package fault defines the simulated MMU's fault taxonomy and a dispatch
-// registry, the analogue of the kernel's page-fault entry point that
-// BadgerTrap hooks to intercept reserved-bit protection faults.
+// Package fault defines the simulated MMU's fault record: what the hardware
+// walk hands the kernel's page-fault entry point that BadgerTrap hooks to
+// intercept reserved-bit protection faults.
 package fault
 
 import (
@@ -13,25 +13,16 @@ import (
 // Kind classifies a fault.
 type Kind int
 
-// Fault kinds.
-const (
-	// NotPresent is a true page fault: no translation exists.
-	NotPresent Kind = iota
-	// Poison is a reserved-bit protection fault from a poisoned PTE —
-	// the signal BadgerTrap intercepts.
-	Poison
-)
+// Poison is a reserved-bit protection fault from a poisoned PTE — the
+// signal BadgerTrap intercepts, and the only kind the simulator raises.
+const Poison Kind = iota
 
 // String names the kind.
 func (k Kind) String() string {
-	switch k {
-	case NotPresent:
-		return "not-present"
-	case Poison:
+	if k == Poison {
 		return "poison"
-	default:
-		return fmt.Sprintf("kind%d", int(k))
 	}
+	return fmt.Sprintf("kind%d", int(k))
 }
 
 // Fault describes one faulting access.
@@ -42,48 +33,4 @@ type Fault struct {
 	VPID  tlb.VPID
 	// TimeNs is the virtual time at which the fault was raised.
 	TimeNs int64
-}
-
-// Handler services faults of one kind. It returns the handling latency in
-// nanoseconds. Returning an error aborts the faulting access (the simulator
-// treats it as a fatal workload error, as an unhandled fault would be).
-type Handler interface {
-	Handle(f Fault) (latencyNs int64, err error)
-}
-
-// HandlerFunc adapts a function to Handler.
-type HandlerFunc func(f Fault) (int64, error)
-
-// Handle implements Handler.
-func (fn HandlerFunc) Handle(f Fault) (int64, error) { return fn(f) }
-
-// Registry dispatches faults to per-kind handlers.
-type Registry struct {
-	handlers map[Kind]Handler
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{handlers: make(map[Kind]Handler)}
-}
-
-// Register installs h for kind, replacing any previous handler. A nil h
-// removes the kind's handler, so subsequent faults of that kind report
-// "unhandled" instead of panicking through a nil interface.
-func (r *Registry) Register(kind Kind, h Handler) {
-	if h == nil {
-		delete(r.handlers, kind)
-		return
-	}
-	r.handlers[kind] = h
-}
-
-// Dispatch routes f to its handler. An unregistered kind is an error — the
-// simulated kernel would oops.
-func (r *Registry) Dispatch(f Fault) (int64, error) {
-	h, ok := r.handlers[f.Kind]
-	if !ok {
-		return 0, fmt.Errorf("fault: unhandled %s fault at %s", f.Kind, f.Virt)
-	}
-	return h.Handle(f)
 }

@@ -1,107 +1,12 @@
 package fault
 
-import (
-	"errors"
-	"strings"
-	"testing"
-
-	"thermostat/internal/addr"
-)
+import "testing"
 
 func TestKindString(t *testing.T) {
-	if NotPresent.String() != "not-present" || Poison.String() != "poison" {
-		t.Fatal("kind names wrong")
+	if Poison.String() != "poison" {
+		t.Fatal("kind name wrong")
 	}
 	if Kind(42).String() != "kind42" {
 		t.Fatal("unknown kind name wrong")
-	}
-}
-
-func TestRegistryDispatch(t *testing.T) {
-	r := NewRegistry()
-	called := 0
-	r.Register(Poison, HandlerFunc(func(f Fault) (int64, error) {
-		called++
-		if f.Virt != addr.Virt4K(7) || !f.Write {
-			t.Errorf("fault fields lost: %+v", f)
-		}
-		return 123, nil
-	}))
-	lat, err := r.Dispatch(Fault{Kind: Poison, Virt: addr.Virt4K(7), Write: true})
-	if err != nil || lat != 123 || called != 1 {
-		t.Fatalf("dispatch: lat=%d err=%v called=%d", lat, err, called)
-	}
-}
-
-func TestRegistryUnhandled(t *testing.T) {
-	r := NewRegistry()
-	if _, err := r.Dispatch(Fault{Kind: NotPresent}); err == nil {
-		t.Fatal("unhandled kind should error")
-	}
-}
-
-func TestRegistryReplace(t *testing.T) {
-	r := NewRegistry()
-	r.Register(Poison, HandlerFunc(func(Fault) (int64, error) { return 1, nil }))
-	r.Register(Poison, HandlerFunc(func(Fault) (int64, error) { return 2, nil }))
-	lat, _ := r.Dispatch(Fault{Kind: Poison})
-	if lat != 2 {
-		t.Fatalf("replacement not effective: %d", lat)
-	}
-}
-
-func TestRegisterNilRemovesHandler(t *testing.T) {
-	r := NewRegistry()
-	r.Register(Poison, HandlerFunc(func(Fault) (int64, error) { return 1, nil }))
-	r.Register(Poison, nil)
-	// Must degrade to the unhandled-kind error, not panic through a nil
-	// interface value.
-	if _, err := r.Dispatch(Fault{Kind: Poison}); err == nil {
-		t.Fatal("deregistered kind should report unhandled")
-	}
-	// Deregistering a kind that was never registered is a no-op.
-	r.Register(NotPresent, nil)
-	if _, err := r.Dispatch(Fault{Kind: NotPresent}); err == nil {
-		t.Fatal("never-registered kind should report unhandled")
-	}
-}
-
-func TestUnhandledErrorNamesKindAndAddress(t *testing.T) {
-	r := NewRegistry()
-	_, err := r.Dispatch(Fault{Kind: Poison, Virt: addr.Virt4K(3)})
-	if err == nil {
-		t.Fatal("unhandled kind should error")
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, "poison") {
-		t.Errorf("error %q does not name the fault kind", msg)
-	}
-	if !strings.Contains(msg, addr.Virt4K(3).String()) {
-		t.Errorf("error %q does not name the faulting address", msg)
-	}
-}
-
-func TestDispatchPreservesAllFields(t *testing.T) {
-	r := NewRegistry()
-	want := Fault{Kind: Poison, Virt: addr.Virt4K(9), Write: true, VPID: 5, TimeNs: 1234}
-	var got Fault
-	r.Register(Poison, HandlerFunc(func(f Fault) (int64, error) {
-		got = f
-		return 0, nil
-	}))
-	if _, err := r.Dispatch(want); err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("handler saw %+v, want %+v", got, want)
-	}
-}
-
-func TestHandlerError(t *testing.T) {
-	r := NewRegistry()
-	sentinel := errors.New("boom")
-	r.Register(NotPresent, HandlerFunc(func(Fault) (int64, error) { return 0, sentinel }))
-	if _, err := r.Dispatch(Fault{Kind: NotPresent}); !errors.Is(err, sentinel) {
-		t.Fatalf("error not propagated: %v", err)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"thermostat/internal/cgroup"
 	"thermostat/internal/core"
 	"thermostat/internal/sim"
-	"thermostat/internal/stats"
 	"thermostat/internal/telemetry"
 )
 
@@ -25,21 +24,18 @@ type Member struct {
 	EstBytes uint64
 }
 
-// Config controls a fleet run.
+// Config controls a fleet run. The DRAM pool arbitrated among tenants is
+// the fast tier's capacity.
 type Config struct {
-	// PoolBytes is the DRAM budget arbitrated among tenants (default: the
-	// fast tier's capacity).
-	PoolBytes uint64
 	// Root, when non-nil, is the cgroup parent of every tenant group; its
-	// limit is set to PoolBytes so hierarchical accounting caps the fleet.
+	// limit is set to the pool so hierarchical accounting caps the fleet.
 	Root *cgroup.Group
 	// DurationNs is the virtual run length; WindowNs the metric window
 	// (default: the arbiter period); WarmupNs the span excluded from
-	// summary statistics; MaxOps a safety valve — all as sim.RunConfig.
+	// summary statistics — all as sim.RunConfig.
 	DurationNs int64
 	WindowNs   int64
 	WarmupNs   int64
-	MaxOps     uint64
 	// ArbiterPeriodNs is the grant-revision period (default: the largest
 	// tenant engine interval).
 	ArbiterPeriodNs int64
@@ -101,10 +97,8 @@ type tenantState struct {
 	active   bool
 	rejected bool
 
-	// batcher is the app's NextBatch, nil when it has none; planned counts
-	// the tenant's picks while a block's interleave is planned, and reqs
-	// holds its requests of the block not yet issued.
-	batcher sim.BatchApp
+	// planned counts the tenant's picks while a block's interleave is
+	// planned, and reqs holds its requests of the block not yet issued.
 	planned int
 	reqs    []sim.Req
 
@@ -135,17 +129,15 @@ type runner struct {
 	start       int64
 	end         int64
 	warmupClock int64
-	window, arb int64
-	nextWindow  int64
+	arb         int64
 	nextArb     int64
 	totalShare  int
 	periods     uint64
 	series      []telemetry.TenantSnapshot
 
 	totalOps, warmupOps uint64
-	windowStartSlow     uint64
 	et                  *sim.EpochTracker
-	res                 *sim.RunResult
+	tally               *sim.Tally
 
 	// maxAdv bounds one op's clock advance for any member (BlockOps' U);
 	// order is the block's planned interleave, as indexes into states, and
@@ -175,7 +167,7 @@ func Run(m *sim.Machine, cfg Config, members []Member) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for m.Clock() < r.end && !r.opsSpent() {
+	for m.Clock() < r.end {
 		if err := r.block(); err != nil {
 			return nil, err
 		}
@@ -195,10 +187,7 @@ func newRunner(m *sim.Machine, cfg Config, members []Member) (*runner, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("fleet: no members")
 	}
-	pool := cfg.PoolBytes
-	if pool == 0 {
-		pool = m.Memory().Tier(0).Capacity()
-	}
+	pool := m.Memory().Tier(0).Capacity()
 	r := &runner{m: m, cfg: cfg, pool: pool, states: make([]tenantState, len(members))}
 	var maxInterval, maxCompute int64
 	for i, mb := range members {
@@ -218,7 +207,6 @@ func newRunner(m *sim.Machine, cfg Config, members []Member) (*runner, error) {
 			interval:  iv,
 			computeNs: mb.Tenant.App.ComputeNs(),
 		}
-		st.batcher, _ = mb.Tenant.App.(sim.BatchApp)
 		maxCompute = max(maxCompute, st.computeNs)
 		r.states[i] = st
 	}
@@ -229,9 +217,9 @@ func newRunner(m *sim.Machine, cfg Config, members []Member) (*runner, error) {
 	if r.arb <= 0 {
 		r.arb = maxInterval
 	}
-	r.window = cfg.WindowNs
-	if r.window <= 0 {
-		r.window = r.arb
+	window := cfg.WindowNs
+	if window <= 0 {
+		window = r.arb
 	}
 	if cfg.Root != nil {
 		cfg.Root.SetLimit(pool)
@@ -240,8 +228,10 @@ func newRunner(m *sim.Machine, cfg Config, members []Member) (*runner, error) {
 	r.start = m.Clock()
 	r.end = r.start + cfg.DurationNs
 	r.warmupClock = r.start + cfg.WarmupNs
-	r.nextWindow = r.start + r.window
 	r.nextArb = r.start + r.arb
+	r.tally = sim.NewTally(m, r.fleetName(), "fleet", window, func(m *sim.Machine) sim.Footprint {
+		return sim.ScanFootprint(m, nil)
+	})
 
 	// Admit the initial population in member order, then assign initial
 	// grants silently (no telemetry: tenants present at start are part of
@@ -257,7 +247,7 @@ func newRunner(m *sim.Machine, cfg Config, members []Member) (*runner, error) {
 	if r.totalShare == 0 && !r.anyPendingArrival() {
 		return nil, fmt.Errorf("fleet: no tenant ever present")
 	}
-	if err := r.assignGrants(r.start); err != nil {
+	if _, _, err := r.grantRound(r.start); err != nil {
 		return nil, err
 	}
 
@@ -271,32 +261,16 @@ func newRunner(m *sim.Machine, cfg Config, members []Member) (*runner, error) {
 	} else {
 		r.et = sim.NewEpochTracker(m, nil)
 	}
-
-	r.res = &sim.RunResult{
-		AppName:    r.fleetName(),
-		PolicyName: "fleet",
-		SlowRate:   stats.NewSeries("slow-access-rate"),
-		Cold2M:     stats.NewSeries("cold-2M-bytes"),
-		Cold4K:     stats.NewSeries("cold-4K-bytes"),
-		Hot2M:      stats.NewSeries("hot-2M-bytes"),
-		Hot4K:      stats.NewSeries("hot-4K-bytes"),
-	}
 	return r, nil
-}
-
-// opsSpent reports whether the MaxOps safety valve has closed.
-func (r *runner) opsSpent() bool {
-	return r.cfg.MaxOps > 0 && r.totalOps >= r.cfg.MaxOps
 }
 
 // horizon returns the earliest time at which drain has work — the next
 // window or arbiter round, the end, a resident tenant's tick or departure, a
-// pending arrival — and whether anybody is resident and every resident's
-// app can draw a batch. (The warm-up mark is not in it: block keeps the
-// warm-up counters op by op, so no block has to end there.)
-func (r *runner) horizon() (h int64, resident, batchable bool) {
-	h = min(r.nextWindow, r.nextArb, r.end)
-	batchable = true
+// pending arrival — and whether anybody is resident. (The warm-up mark is
+// not in it: block keeps the warm-up counters op by op, so no block has to
+// end there.)
+func (r *runner) horizon() (h int64, resident bool) {
+	h = min(r.tally.NextWindow(), r.nextArb, r.end)
 	for i := range r.states {
 		st := &r.states[i]
 		switch {
@@ -306,14 +280,11 @@ func (r *runner) horizon() (h int64, resident, batchable bool) {
 			if st.mem.DepartNs > 0 {
 				h = min(h, r.start+st.mem.DepartNs)
 			}
-			if st.batcher == nil {
-				batchable = false
-			}
 		case !st.arrived && !st.rejected && st.mem.ArriveNs > 0:
 			h = min(h, r.start+st.mem.ArriveNs)
 		}
 	}
-	return h, resident, batchable
+	return h, resident
 }
 
 // block issues the ops up to the horizon, or idles to it when nobody is
@@ -322,15 +293,12 @@ func (r *runner) horizon() (h int64, resident, batchable bool) {
 func (r *runner) block() error {
 	m := r.m
 	now := m.Clock()
-	h, resident, batchable := r.horizon()
+	h, resident := r.horizon()
 	if !resident {
 		m.AdvanceClockTo(h)
 		return nil
 	}
-	n := 1
-	if batchable {
-		n = m.BlockOps(h, r.maxAdv, r.cfg.MaxOps, r.totalOps)
-	}
+	n := m.BlockOps(h, r.maxAdv)
 	for k := 0; k < n; k++ {
 		pick := r.pickTenant()
 		st := &r.states[pick]
@@ -347,14 +315,8 @@ func (r *runner) block() error {
 		st.reqs = r.reqs[off : off+st.planned]
 		off += st.planned
 		st.planned = 0
-		// A NextBatch that stops short — or an app without one, in its
-		// block of one — is topped up with Next: the same stream.
-		got := 0
-		if st.batcher != nil {
-			got = st.batcher.NextBatch(st.reqs)
-		}
-		for k := got; k < len(st.reqs); k++ {
-			st.reqs[k].V, st.reqs[k].Write = st.t.App.Next()
+		if err := sim.Draw(st.t.App, st.reqs); err != nil {
+			return fmt.Errorf("fleet: %s: %w", st.t.Name, err)
 		}
 	}
 	inWarmup := r.cfg.WarmupNs > 0 && now <= r.warmupClock
@@ -381,20 +343,9 @@ func (r *runner) block() error {
 // drain runs everything due at now, in sim.Run's order: metric windows,
 // then churn, then tenant ticks and arbiter rounds.
 func (r *runner) drain(now int64) error {
-	m, res := r.m, r.res
 	// Window drain first, exactly as sim.Run: the metric series see
 	// machine state before any boundary work at the same instant.
-	for now >= r.nextWindow {
-		slow := m.Metrics().SlowAccesses
-		res.SlowRate.Append(r.nextWindow-r.start, stats.Rate(slow-r.windowStartSlow, r.window))
-		r.windowStartSlow = slow
-		fp := sim.ScanFootprint(m, nil)
-		res.Cold2M.Append(r.nextWindow-r.start, float64(fp.Cold2M))
-		res.Cold4K.Append(r.nextWindow-r.start, float64(fp.Cold4K))
-		res.Hot2M.Append(r.nextWindow-r.start, float64(fp.Hot2M))
-		res.Hot4K.Append(r.nextWindow-r.start, float64(fp.Hot4K))
-		r.nextWindow += r.window
-	}
+	r.tally.Windows(now)
 	// Churn: due arrivals then due departures, member order.
 	for i := range r.states {
 		st := &r.states[i]
@@ -436,10 +387,10 @@ func (r *runner) drain(now int64) error {
 			return nil
 		}
 		st := &r.states[bi]
-		if err := st.t.App.Tick(m, now); err != nil {
+		if err := st.t.App.Tick(r.m, now); err != nil {
 			return fmt.Errorf("fleet: %s tick: %w", st.t.Name, err)
 		}
-		if err := st.t.Engine.Tick(m, now); err != nil {
+		if err := st.t.Engine.Tick(r.m, now); err != nil {
 			return fmt.Errorf("fleet: %s tick: %w", st.t.Name, err)
 		}
 		st.nextTick += st.interval
@@ -449,21 +400,9 @@ func (r *runner) drain(now int64) error {
 // result closes the run's telemetry and assembles the global and
 // per-tenant summaries.
 func (r *runner) result() *Result {
-	m, res, cfg := r.m, r.res, r.cfg
+	m := r.m
 	r.et.End(m.Clock())
-
-	res.Ops = r.totalOps
-	res.DurationNs = m.Clock() - r.start
-	span := res.DurationNs - cfg.WarmupNs
-	warmupOps := r.warmupOps
-	if span <= 0 {
-		span = res.DurationNs
-		warmupOps = 0
-	}
-	res.Throughput = stats.Rate(r.totalOps-warmupOps, span)
-	res.FinalFootprint = sim.ScanFootprint(m, nil)
-	res.Metrics = m.Metrics()
-
+	res := r.tally.Close(r.totalOps, r.warmupOps, r.cfg.WarmupNs)
 	out := &Result{Global: res, PoolBytes: r.pool, Periods: r.periods, Series: r.series}
 	for i := range r.states {
 		st := &r.states[i]
@@ -484,21 +423,11 @@ func (r *runner) result() *Result {
 			tr.MeanSlowdownPct = st.slowdownSum / float64(st.slowdownN)
 		}
 		if st.arrived {
-			from := st.arrivedAt
-			if r.warmupClock > from {
-				from = r.warmupClock
-			}
 			to := st.departedAt
 			if to == 0 {
 				to = m.Clock()
 			}
-			tspan := to - from
-			tops := st.ops - st.warmupOps
-			if tspan <= 0 {
-				tspan = to - st.arrivedAt
-				tops = st.ops
-			}
-			tr.Throughput = stats.Rate(tops, tspan)
+			tr.Throughput = sim.Throughput(st.ops, st.warmupOps, st.arrivedAt, r.warmupClock, to)
 		}
 		out.Tenants = append(out.Tenants, tr)
 	}
@@ -698,15 +627,10 @@ func (r *runner) syncUsage(st *tenantState) {
 	}
 }
 
-// assignGrants runs one grant computation over the resident tenants and
+// grantRound runs one grant computation over the resident tenants and
 // applies the results — the arbitration core, shared by the initial silent
 // assignment and the periodic rounds. Returns the demands and member
 // indexes it acted on.
-func (r *runner) assignGrants(now int64) error {
-	_, _, err := r.grantRound(now)
-	return err
-}
-
 func (r *runner) grantRound(now int64) ([]Demand, []int, error) {
 	ds := make([]Demand, 0, len(r.states))
 	idx := make([]int, 0, len(r.states))

@@ -21,7 +21,7 @@ const fuzzPeriodNs = 200_000
 //	2  window:  b%4 → default, P/2, P, 3P/2
 //	3  arbiter: b%4 → default, P/2, P, 3P/2
 //	4  warm-up: b%4 eighths of the run, plus b>>2 ns
-//	5  MaxOps:  0 → unlimited, else b*251
+//	5  unused (the committed corpus fixes the layout)
 //	6  threads: b%3 → 1, 2, 8
 //	7  pool:    (8 + b%5)/8 of the initial population's footprint
 //	8  seed
@@ -31,8 +31,8 @@ const fuzzPeriodNs = 200_000
 //	0  share-1 (mod 5)
 //	1  arrival:   0 → present at the start, else (b%8)/8 of the run + b>>3 ns
 //	2  departure: 0 → stays, else (b%8)/8 of the run + b>>3 ns
-//	3  flags: 1 hides NextBatch, 2 grows the footprint, 4 drops the
-//	   admission estimate
+//	3  flags: 2 grows the footprint, 4 drops the admission estimate (1 is
+//	   unused)
 //	4  hot segment's picker b%4 (uniform, Zipf, rotating hotspot sweep,
 //	   strided scan) and compute time (b>>2)%3 → 400, 2000, 6000 ns
 //	5  scan interval: b%3 → P, 3P/4, 3P/2
@@ -67,7 +67,6 @@ func fuzzCast(data []byte) *cast {
 			WindowNs:        periods[at(2)%4],
 			ArbiterPeriodNs: periods[at(3)%4],
 			WarmupNs:        duration*(at(4)%4)/8 + at(4)>>2,
-			MaxOps:          uint64(at(5)) * 251,
 		},
 	}
 	for i := 0; i <= int(at(0)%4); i++ {
@@ -103,7 +102,6 @@ func fuzzCast(data []byte) *cast {
 			intervalNs: []int64{p, 3 * p / 4, 3 * p / 2}[at(o+5)%3],
 			floorFrac:  float64(at(o+6)%4) / 8,
 			noEst:      flags&4 != 0,
-			hideBatch:  flags&1 != 0,
 		})
 	}
 	return c
@@ -113,9 +111,9 @@ func fuzzCast(data []byte) *cast {
 // four tenants with arbitrary shares, arrivals and departures (including
 // stretches with nobody resident, at the start, in the middle and at the
 // end), windows, arbiter rounds and scan intervals out of step with each
-// other, warm-up marks off any boundary, MaxOps budgets, tenants that cannot
-// batch, admissions that are squeezed in or rejected. Whatever the run does
-// — including failing — both loops must do identically.
+// other, warm-up marks off any boundary, admissions that are squeezed in or
+// rejected. Whatever the run does — including failing — both loops must do
+// identically.
 func FuzzFleetRunVsPerOp(f *testing.F) {
 	// The night in miniature: two residents, a departure, an arrival.
 	f.Add([]byte{3, 4, 2, 2, 1, 0, 2, 1, 1,
@@ -127,7 +125,7 @@ func FuzzFleetRunVsPerOp(f *testing.F) {
 	f.Add([]byte{1, 8, 1, 3, 0x0e, 0, 0, 4, 7,
 		2, 0, 0x1a, 0, 0, 0, 0, 0,
 		0, 0x2d, 0, 1, 1, 1, 0, 6})
-	// A budget that runs out mid-block, four tenants, one unable to batch.
+	// Four tenants with unequal shares, pickers and scan intervals.
 	f.Add([]byte{3, 2, 0, 0, 2, 9, 1, 0, 3,
 		4, 0, 0, 0, 1, 0, 0, 0,
 		0, 0, 0, 1, 6, 0, 0, 0,

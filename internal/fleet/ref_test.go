@@ -8,7 +8,7 @@ import (
 
 // refRun is the loop Run replaced, kept as the oracle for
 // TestFleetBlocksMatchPerOp and FuzzFleetRunVsPerOp: one smooth-WRR pick,
-// one App.Next, one access and every boundary test after every op. It
+// one request drawn, one access and every boundary test after every op. It
 // shares Run's set-up, drain and result assembly, so a difference between
 // the two is a difference in how ops are grouped, planned or drawn. Its idle
 // branch moves the clock to the next boundary (the loop it was copied from
@@ -19,15 +19,15 @@ func refRun(m *sim.Machine, cfg Config, members []Member) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	var req [1]sim.Req
 	for m.Clock() < r.end {
-		if r.opsSpent() {
-			break
-		}
 		if pick := r.pickTenant(); pick >= 0 {
 			st := &r.states[pick]
 			st.wrr -= r.totalShare
-			v, write := st.t.App.Next()
-			if _, err := m.Access(v, write); err != nil {
+			if err := sim.Draw(st.t.App, req[:]); err != nil {
+				return nil, fmt.Errorf("fleet: %s: %w", st.t.Name, err)
+			}
+			if _, err := m.Access(req[0].V, req[0].Write); err != nil {
 				return nil, fmt.Errorf("fleet: %s op %d: %w", st.t.Name, st.ops, err)
 			}
 			if st.computeNs > 0 {
@@ -42,7 +42,7 @@ func refRun(m *sim.Machine, cfg Config, members []Member) (*Result, error) {
 		} else {
 			// Nobody resident: idle forward to the next boundary or
 			// arrival so churn-only stretches cannot spin.
-			next := r.nextWindow
+			next := r.tally.NextWindow()
 			if r.nextArb < next {
 				next = r.nextArb
 			}

@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
-	"thermostat/internal/addr"
 	"thermostat/internal/cgroup"
 	"thermostat/internal/core"
 	"thermostat/internal/sim"
@@ -28,8 +28,9 @@ type castTenant struct {
 	floorFrac float64
 	// noEst skips the admission estimate (Member.EstBytes = 0).
 	noEst bool
-	// hideBatch wraps the app so it has no NextBatch.
-	hideBatch bool
+	// short wraps the app so its NextBatch fills one request fewer than
+	// asked.
+	short bool
 }
 
 // cast is a whole test fleet: the tenants, the scale their specs are built
@@ -50,25 +51,10 @@ type cast struct {
 	cfg              Config
 }
 
-// perOpApp hides NextBatch — embedding the interface promotes only
-// core.ScopedApp's methods, so the fleet sees an app that cannot batch — and
-// does what only such an app may: its Next reads the machine (the clock's
-// low bits pick the cache line within the page), so a request drawn any
-// earlier than the access before it completed is a different request.
-type perOpApp struct {
-	core.ScopedApp
-	m *sim.Machine
-}
+// shortApp's NextBatch fills one request fewer than asked.
+type shortApp struct{ core.ScopedApp }
 
-func (a *perOpApp) Init(m *sim.Machine) error {
-	a.m = m
-	return a.ScopedApp.Init(m)
-}
-
-func (a *perOpApp) Next() (addr.Virt, bool) {
-	v, write := a.ScopedApp.Next()
-	return v ^ addr.Virt(a.m.Clock()&7)<<6, write
-}
+func (a shortApp) NextBatch(reqs []sim.Req) int { return a.ScopedApp.NextBatch(reqs) - 1 }
 
 // footprint is the spec's committed bytes at the cast's divisor plus
 // huge-page rounding slop per segment, as harness sizes machines.
@@ -162,8 +148,8 @@ func (c *cast) run(tb testing.TB, loop func(*sim.Machine, Config, []Member) (*Re
 			tb.Fatal(err)
 		}
 		var scoped core.ScopedApp = app
-		if t.hideBatch {
-			scoped = &perOpApp{ScopedApp: app}
+		if t.short {
+			scoped = shortApp{app}
 		}
 		eng := core.NewEngine(g, seed+0x7e)
 		ten := core.NewTenant(t.name, scoped, g, eng)
@@ -287,11 +273,6 @@ func TestFleetBlocksMatchPerOp(t *testing.T) {
 			c.cfg.WarmupNs = 800e6 + 12_345
 			return c
 		}},
-		{name: "maxops-mid-block", build: func() *cast {
-			c := nightCast(1)
-			c.cfg.MaxOps = 1_200_001
-			return c
-		}},
 		{name: "unequal-shares", build: func() *cast {
 			c := nightCast(3)
 			for i, s := range []int{3, 1, 2, 5} {
@@ -303,22 +284,6 @@ func TestFleetBlocksMatchPerOp(t *testing.T) {
 			c := nightCast(4)
 			c.cfg.WindowNs, c.cfg.ArbiterPeriodNs = 300e6, 500e6
 			c.tenants[1].intervalNs = 250e6
-			return c
-		}},
-		// Blocks of one: every boundary decision Run makes, none of the
-		// planning or prefetch.
-		{name: "no-nextbatch", short: true, build: func() *cast {
-			c := nightCast(1)
-			for i := range c.tenants {
-				c.tenants[i].hideBatch = true
-			}
-			return c
-		}},
-		// One tenant without NextBatch makes every block it is resident
-		// for a block of one; after it departs the rest batch again.
-		{name: "one-without-nextbatch", build: func() *cast {
-			c := nightCast(2)
-			c.tenants[2].hideBatch = true
 			return c
 		}},
 	}
@@ -348,34 +313,16 @@ func TestFleetBlocksMatchPerOp(t *testing.T) {
 	}
 }
 
-// TestFleetMaxOpsStopsExactly pins the MaxOps clamp: a budget that falls in
-// the middle of a block stops the run at exactly that many ops, split among
-// the tenants as the interleave dictates.
-func TestFleetMaxOpsStopsExactly(t *testing.T) {
+// TestFleetShortBatchFails: a tenant whose NextBatch comes back short fails
+// the run with an error that names the tenant and its app, rather than
+// running on a stream with a hole in it.
+func TestFleetShortBatchFails(t *testing.T) {
 	t.Parallel()
-	for _, maxOps := range []uint64{1, 2047, 2048, 2049, 10_007} {
-		c := nightCast(1)
-		c.cfg.MaxOps = maxOps
-		got := c.run(t, Run)
-		if got.err != nil {
-			t.Fatal(got.err)
-		}
-		if got.res.Global.Ops != maxOps || got.metrics.Accesses != maxOps {
-			t.Fatalf("MaxOps %d: ran %d ops, machine saw %d accesses",
-				maxOps, got.res.Global.Ops, got.metrics.Accesses)
-		}
-		var sum uint64
-		for _, tr := range got.res.Tenants {
-			sum += tr.Ops
-		}
-		if sum != maxOps {
-			t.Fatalf("MaxOps %d: tenant ops sum to %d", maxOps, sum)
-		}
-		// Shares 2:1:1 over the three residents, smooth WRR: never more
-		// than one turn away from proportional.
-		if r, q := int64(got.res.Tenants[0].Ops), int64(got.res.Tenants[1].Ops); r < 2*q-2 || r > 2*q+2 {
-			t.Fatalf("MaxOps %d: share-2 tenant ran %d ops against %d", maxOps, r, q)
-		}
+	c := smallCast(0, 0)
+	c.tenants[0].short = true
+	out := c.run(t, runOrHang(t))
+	if out.err == nil || !strings.Contains(out.err.Error(), "small") || !strings.Contains(out.err.Error(), "NextBatch") {
+		t.Fatalf("fleet with a short NextBatch: err = %v, want an error naming the tenant's NextBatch", out.err)
 	}
 }
 

@@ -25,10 +25,13 @@ func (a *skewApp) Init(m *sim.Machine) error {
 	a.region = reg
 	return err
 }
-func (a *skewApp) Next() (addr.Virt, bool) {
-	page := a.r.Uint64n(a.hotPages)
-	off := a.r.Uint64n(addr.PageSize2M)
-	return a.region.Start + addr.Virt(page*addr.PageSize2M+off), a.r.Bool(0.1)
+func (a *skewApp) NextBatch(reqs []sim.Req) int {
+	for i := range reqs {
+		page := a.r.Uint64n(a.hotPages)
+		off := a.r.Uint64n(addr.PageSize2M)
+		reqs[i] = sim.Req{V: a.region.Start + addr.Virt(page*addr.PageSize2M+off), Write: a.r.Bool(0.1)}
+	}
+	return len(reqs)
 }
 func (a *skewApp) ComputeNs() int64               { return 4000 }
 func (a *skewApp) Tick(*sim.Machine, int64) error { return nil }

@@ -13,7 +13,6 @@ package kstaled
 import (
 	"thermostat/internal/addr"
 	"thermostat/internal/pagetable"
-	"thermostat/internal/stats"
 	"thermostat/internal/tlb"
 )
 
@@ -47,7 +46,6 @@ type Scanner struct {
 
 	state map[addr.Virt]*PageState
 
-	scans       stats.Counter
 	entryCostNs int64
 }
 
@@ -113,7 +111,6 @@ func (s *Scanner) Scan() Result {
 			delete(s.state, base)
 		}
 	}
-	s.scans.Inc()
 	res.CostNs = int64(res.Scanned) * s.entryCostNs
 	return res
 }
@@ -125,19 +122,9 @@ func (s *Scanner) StateBytes() uint64 {
 	return uint64(len(s.state)) * 48
 }
 
-// Scans returns the number of completed passes.
-func (s *Scanner) Scans() uint64 { return s.scans.Value() }
-
 // State returns the scan history of the leaf page with the given base
 // address, or nil if unknown.
 func (s *Scanner) State(base addr.Virt) *PageState { return s.state[base] }
-
-// IdleFor reports whether the page at base has been idle for at least n
-// consecutive scans.
-func (s *Scanner) IdleFor(base addr.Virt, n int) bool {
-	st := s.state[base]
-	return st != nil && st.IdleScans >= n
-}
 
 // IdleFraction returns the fraction of tracked bytes idle for at least n
 // consecutive scans (0 if nothing is tracked). This is Figure 1's metric

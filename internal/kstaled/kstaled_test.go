@@ -49,10 +49,10 @@ func TestIdleAccumulation(t *testing.T) {
 		pt.Walk(hot, false) // touch the hot page each interval
 		s.Scan()
 	}
-	if !s.IdleFor(cold, 5) {
+	if s.State(cold).IdleScans < 5 {
 		t.Fatal("cold page not idle after 5 scans")
 	}
-	if s.IdleFor(hot, 1) {
+	if s.State(hot).IdleScans >= 1 {
 		t.Fatal("hot page reported idle")
 	}
 	if st := s.State(hot); st.HotStreak != 5 {
@@ -69,12 +69,12 @@ func TestIdleResetOnAccess(t *testing.T) {
 	v := addr.Virt2M(0)
 	s.Scan()
 	s.Scan()
-	if !s.IdleFor(v, 2) {
+	if s.State(v).IdleScans < 2 {
 		t.Fatal("page should be idle")
 	}
 	pt.Walk(v, false)
 	s.Scan()
-	if s.IdleFor(v, 1) {
+	if s.State(v).IdleScans >= 1 {
 		t.Fatal("idle streak should reset after access")
 	}
 }
@@ -159,14 +159,5 @@ func TestAccessedSubpages(t *testing.T) {
 	got := AccessedSubpages(pt, v)
 	if len(got) != 2 || got[0] != 5 || got[1] != 400 {
 		t.Fatalf("AccessedSubpages = %v", got)
-	}
-}
-
-func TestScansCounter(t *testing.T) {
-	_, _, s := setup(t, 1)
-	s.Scan()
-	s.Scan()
-	if s.Scans() != 2 {
-		t.Fatalf("Scans = %d", s.Scans())
 	}
 }

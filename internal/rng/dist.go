@@ -295,6 +295,3 @@ func (h *Hotspot) Next() uint64 {
 
 // N returns the population size.
 func (h *Hotspot) N() uint64 { return h.n }
-
-// HotN returns the size of the hot set.
-func (h *Hotspot) HotN() uint64 { return h.hotN }

@@ -98,19 +98,6 @@ func (p *PCG) Bool(prob float64) bool {
 	return p.Float64() < prob
 }
 
-// Perm returns a random permutation of [0, n) (Fisher-Yates).
-func (p *PCG) Perm(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := p.Intn(i + 1)
-		out[i], out[j] = out[j], out[i]
-	}
-	return out
-}
-
 // Sample returns k distinct uniform values from [0, n) in arbitrary order.
 // If k >= n it returns all of [0, n). Uses Floyd's algorithm: O(k) expected.
 func (p *PCG) Sample(n, k int) []int {

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"thermostat/internal/addr"
@@ -11,22 +12,6 @@ import (
 	"thermostat/internal/rng"
 	"thermostat/internal/telemetry"
 )
-
-// batchUniformApp is uniformApp plus the BatchApp fast path. NextBatch must
-// consume the RNG in exactly the order Next does.
-type batchUniformApp struct {
-	uniformApp
-	batches int // NextBatch calls, so the differential can tell its two sides apart
-}
-
-func (a *batchUniformApp) NextBatch(reqs []Req) int {
-	a.batches++
-	for i := range reqs {
-		off := a.r.Uint64n(a.region.Size())
-		reqs[i] = Req{V: a.region.Start + addr.Virt(off), Write: a.r.Bool(0.1)}
-	}
-	return len(reqs)
-}
 
 // churnPolicy demotes a sliding window of huge pages each tick and promotes
 // the previously demoted window, keeping poison faults and migrations active
@@ -65,28 +50,23 @@ func (p *churnPolicy) Tick(m *Machine, now int64) error {
 	return nil
 }
 
-// perOp hides NextBatch: embedding the App interface promotes only App's
-// own methods, so sim.Run sees an app that cannot batch and issues blocks of
-// one — the reference the batched run is compared against.
-type perOp struct{ App }
-
 // batchRun is one side of the differential: the result, the machine, the
-// (virtual time, accesses so far) pair at every policy tick, and the
-// telemetry exports.
+// (virtual time, accesses so far) pair at every policy tick, the telemetry
+// exports and the largest batch the app was asked for.
 type batchRun struct {
 	res        *RunResult
 	m          *Machine
 	trajectory [][2]uint64
 	trace      []byte
 	metrics    []byte
-	batches    int
+	maxBatch   int
 }
 
-// runPair executes the same seeded workload twice — once batched, once with
-// NextBatch hidden behind perOp — and returns both sides.
+// runPair executes the same seeded workload twice — under Run and under the
+// per-op oracle refRun — and returns both sides.
 func runPair(t *testing.T, rc RunConfig, mode SlowMemMode) (batched, serial batchRun) {
 	t.Helper()
-	run := func(hide bool) batchRun {
+	run := func(loop func(*Machine, App, Policy, RunConfig) (*RunResult, error)) batchRun {
 		cfg := DefaultConfig(64<<20, 64<<20)
 		cfg.Mode = mode
 		col := telemetry.NewCollector()
@@ -97,21 +77,18 @@ func runPair(t *testing.T, rc RunConfig, mode SlowMemMode) (batched, serial batc
 		}
 		m.EnablePageCounts()
 		pol := &churnPolicy{interval: 1e8}
-		inner := &batchUniformApp{uniformApp: uniformApp{
+		inner := &uniformApp{
 			name: "batch-uniform", size: 8 << 20, huge: true,
 			r: rng.New(42), compute: 300,
-		}}
-		var app App = &regionWire{app: inner, pol: pol}
-		if hide {
-			app = perOp{app}
 		}
+		app := &regionWire{app: inner, pol: pol}
 		out := batchRun{m: m}
 		rc := rc
 		rc.TickHook = func(now int64) error {
 			out.trajectory = append(out.trajectory, [2]uint64{uint64(now), m.Metrics().Accesses})
 			return nil
 		}
-		if out.res, err = Run(m, app, pol, rc); err != nil {
+		if out.res, err = loop(m, app, pol, rc); err != nil {
 			t.Fatal(err)
 		}
 		var tr, mt bytes.Buffer
@@ -121,17 +98,17 @@ func runPair(t *testing.T, rc RunConfig, mode SlowMemMode) (batched, serial batc
 		if err := col.WriteJSONL(&mt); err != nil {
 			t.Fatal(err)
 		}
-		out.trace, out.metrics, out.batches = tr.Bytes(), mt.Bytes(), inner.batches
+		out.trace, out.metrics, out.maxBatch = tr.Bytes(), mt.Bytes(), inner.maxBatch
 		return out
 	}
-	return run(false), run(true)
+	return run(Run), run(refRun)
 }
 
 // regionWire forwards App calls and points the policy at the app's region
 // once Init has allocated it (Attach is too early: the app allocates in
 // Init).
 type regionWire struct {
-	app *batchUniformApp
+	app *uniformApp
 	pol *churnPolicy
 }
 
@@ -143,7 +120,6 @@ func (w *regionWire) Init(m *Machine) error {
 	w.pol.region = w.app.region
 	return nil
 }
-func (w *regionWire) Next() (addr.Virt, bool)          { return w.app.Next() }
 func (w *regionWire) NextBatch(reqs []Req) int         { return w.app.NextBatch(reqs) }
 func (w *regionWire) ComputeNs() int64                 { return w.app.ComputeNs() }
 func (w *regionWire) Tick(m *Machine, now int64) error { return w.app.Tick(m, now) }
@@ -151,8 +127,8 @@ func (w *regionWire) Tick(m *Machine, now int64) error { return w.app.Tick(m, no
 func checkRunPairEqual(t *testing.T, b, s batchRun) {
 	t.Helper()
 	batched, serial := b.res, s.res
-	if b.batches == 0 || s.batches != 0 {
-		t.Errorf("NextBatch calls: batched side %d (want > 0), per-op side %d (want 0)", b.batches, s.batches)
+	if b.maxBatch < 2 || s.maxBatch != 1 {
+		t.Errorf("largest NextBatch: batched side %d (want > 1), per-op side %d (want 1)", b.maxBatch, s.maxBatch)
 	}
 	if batched.Ops != serial.Ops {
 		t.Errorf("ops: batched %d serial %d", batched.Ops, serial.Ops)
@@ -180,16 +156,16 @@ func checkRunPairEqual(t *testing.T, b, s batchRun) {
 	}
 }
 
-// TestBatchSerialEquivalence is the differential proof that blocks of N are
-// bit-identical to blocks of one: same seeded run, same policy churn,
-// compared field by field including histograms, series, the clock at every
-// tick and the telemetry exports.
+// TestBatchSerialEquivalence is the differential proof that Run's blocks of N
+// are bit-identical to refRun's one op at a time: same seeded run, same
+// policy churn, compared field by field including histograms, series, the
+// clock at every tick and the telemetry exports.
 func TestBatchSerialEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second differential run")
 	}
 	t.Parallel()
-	rc := RunConfig{DurationNs: 8e8, WindowNs: 1e8, WarmupNs: 3e8, OpsPerRequest: 16}
+	rc := RunConfig{DurationNs: 8e8, WindowNs: 1e8, WarmupNs: 3e8}
 	for _, mode := range []SlowMemMode{EmulatedFault, Device} {
 		batched, serial := runPair(t, rc, mode)
 		checkRunPairEqual(t, batched, serial)
@@ -202,33 +178,37 @@ func TestBatchSerialEquivalence(t *testing.T) {
 	}
 }
 
-// TestBatchSerialEquivalenceMaxOps pins the MaxOps cap interaction: the
-// batch sizing must clamp to the remaining budget so both paths stop at the
-// same op.
-func TestBatchSerialEquivalenceMaxOps(t *testing.T) {
+// shortApp is uniformApp with a NextBatch that fills one request fewer
+// than asked.
+type shortApp struct{ *uniformApp }
+
+func (a shortApp) NextBatch(reqs []Req) int { return a.uniformApp.NextBatch(reqs) - 1 }
+
+// TestRunShortBatchFails: an app whose NextBatch comes back short fails the
+// run with an error that names it, rather than running on a stream with a
+// hole in it.
+func TestRunShortBatchFails(t *testing.T) {
 	t.Parallel()
-	rc := RunConfig{DurationNs: 1e12, WindowNs: 1e8, MaxOps: 12345}
-	batched, serial := runPair(t, rc, EmulatedFault)
-	checkRunPairEqual(t, batched, serial)
-	if batched.res.Ops != 12345 {
-		t.Errorf("ops = %d, want MaxOps 12345", batched.res.Ops)
+	app := shortApp{&uniformApp{name: "short-drawer", size: 2 << 20, huge: true, r: rng.New(4), compute: 100}}
+	_, err := Run(newMachine(t), app, NullPolicy{Interval: 1e8}, RunConfig{DurationNs: 1e9})
+	if err == nil || !strings.Contains(err.Error(), "short-drawer") || !strings.Contains(err.Error(), "NextBatch") {
+		t.Fatalf("Run with a short NextBatch: err = %v, want an error naming short-drawer's NextBatch", err)
 	}
 }
 
 // TestBlockOps pins the block-size arithmetic sim.Run and fleet.Run share:
 // n-1 ops at the per-op bound end strictly before the limit, a due limit is
-// a block of one, and the MaxBlockOps cap, the MaxOps clamp and the miss-hook
-// rule each take precedence where they bind.
+// a block of one, and the MaxBlockOps cap and the miss-hook rule each take
+// precedence where they bind.
 func TestBlockOps(t *testing.T) {
 	t.Parallel()
 	const now, u = 1000, 100
 	hook := func(addr.Virt, bool) int64 { return 0 }
 	for _, tc := range []struct {
-		name         string
-		limit        int64
-		maxOps, done uint64
-		hook         func(addr.Virt, bool) int64
-		want         int
+		name  string
+		limit int64
+		hook  func(addr.Virt, bool) int64
+		want  int
 	}{
 		{name: "limit far behind", limit: now - 5*u, want: 1},
 		{name: "limit at now", limit: now, want: 1},
@@ -242,22 +222,18 @@ func TestBlockOps(t *testing.T) {
 		{name: "one short of the cap", limit: now + (MaxBlockOps-1)*u, want: MaxBlockOps - 1},
 		{name: "at the cap", limit: now + (MaxBlockOps-1)*u + 1, want: MaxBlockOps},
 		{name: "capped", limit: now + 1e12, want: MaxBlockOps},
-		{name: "MaxOps looser than the block", limit: now + 7*u, maxOps: 50, done: 43, want: 7},
-		{name: "MaxOps clamps", limit: now + 7*u, maxOps: 50, done: 47, want: 3},
-		{name: "MaxOps clamps the cap", limit: now + 1e12, maxOps: 5000, done: 4000, want: 1000},
-		{name: "one op left", limit: now + 1e12, maxOps: 50, done: 49, want: 1},
 		{name: "miss hook", limit: now + 1e12, hook: hook, want: 1},
 	} {
 		m := newMachine(t)
 		m.AdvanceClockTo(now)
 		m.SetMissHook(tc.hook)
-		if got := m.BlockOps(tc.limit, u, tc.maxOps, tc.done); got != tc.want {
-			t.Errorf("%s: BlockOps(%d, %d, %d, %d) at clock %d = %d, want %d",
-				tc.name, tc.limit, u, tc.maxOps, tc.done, now, got, tc.want)
+		if got := m.BlockOps(tc.limit, u); got != tc.want {
+			t.Errorf("%s: BlockOps(%d, %d) at clock %d = %d, want %d",
+				tc.name, tc.limit, u, now, got, tc.want)
 		}
 		// The defining property, where nothing else binds: n-1 ops at the
 		// bound stay short of the limit and one more would not.
-		if tc.hook == nil && tc.maxOps == 0 && tc.limit > now && tc.want < MaxBlockOps {
+		if tc.hook == nil && tc.limit > now && tc.want < MaxBlockOps {
 			n := int64(tc.want)
 			if (n-1)*u >= tc.limit-now || n*u < tc.limit-now {
 				t.Errorf("%s: n = %d is not the largest with (n-1)*U < limit-now", tc.name, n)
@@ -268,7 +244,7 @@ func TestBlockOps(t *testing.T) {
 
 // TestPageCountsRegression pins the dense-counter PageCounts against the
 // original map semantics: counts key on 2MB bases, record LLC misses only,
-// include the below-base map fallback, and survive resets.
+// and include the below-base map fallback.
 func TestPageCountsRegression(t *testing.T) {
 	t.Parallel()
 	m := newMachine(t)
@@ -320,14 +296,4 @@ func TestPageCountsRegression(t *testing.T) {
 		t.Fatalf("PageCounts with low page = %v, want %v", got, want)
 	}
 
-	m.ResetPageCounts()
-	if got := m.PageCounts(); len(got) != 0 {
-		t.Fatalf("PageCounts after reset = %v, want empty", got)
-	}
-	if _, err := m.Access(base+addr.Virt(512*64), false); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.PageCounts(); len(got) != 1 || got[base] != 1 {
-		t.Fatalf("PageCounts after reset+miss = %v, want {%v:1}", got, base)
-	}
 }

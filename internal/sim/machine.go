@@ -164,7 +164,6 @@ type Machine struct {
 	wm    *walk.Model
 	guest *VM
 	trap  *badgertrap.Trap
-	reg   *fault.Registry
 	mig   *numa.Migrator
 	meter *mem.Meter
 
@@ -281,8 +280,6 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m.fastReadLat = m.tierReadLat[mem.Fast]
 	m.trap = badgertrap.New(m.pt, m.tl, cfg.FaultLatencyNs)
-	m.reg = fault.NewRegistry()
-	m.reg.Register(fault.Poison, m.trap)
 	// The machine owns one traffic meter and shares it with the migrator,
 	// so every migration — whoever initiates it — lands in the same
 	// traffic matrix that Metrics and the N-tier reports read.
@@ -622,7 +619,7 @@ func (m *Machine) access(v addr.Virt, write bool, vpid tlb.VPID) (int64, error) 
 		if wr.Poisoned {
 			// Protection fault: BadgerTrap services it (counts the
 			// access, installs a transient translation, re-poisons).
-			fl, err := m.reg.Dispatch(fault.Fault{
+			fl, err := m.trap.Handle(fault.Fault{
 				Kind: fault.Poison, Virt: v, Write: write,
 				VPID: vpid, TimeNs: m.clock,
 			})
@@ -690,7 +687,7 @@ func (m *Machine) access(v addr.Virt, write bool, vpid tlb.VPID) (int64, error) 
 }
 
 // Req is one memory access request, the element type of AccessBatch and
-// BatchApp.NextBatch.
+// App.NextBatch.
 type Req struct {
 	V     addr.Virt
 	Write bool
@@ -732,37 +729,26 @@ const MaxBlockOps = 2048
 // and only op n can reach it — the block is then exactly n serial
 // iterations of a loop that tests limit after every op. limit is the
 // caller's nearest boundary; one already due gives a block of one. n is
-// capped at MaxBlockOps and, when maxOps > 0, at the maxOps-done ops the run
-// has left (callers stop before asking once none are). A miss hook adds
-// latency maxAdv cannot see, so a machine with one runs blocks of one.
-func (m *Machine) BlockOps(limit, maxAdv int64, maxOps, done uint64) int {
+// capped at MaxBlockOps. A miss hook adds latency maxAdv cannot see, so a
+// machine with one runs blocks of one.
+func (m *Machine) BlockOps(limit, maxAdv int64) int {
 	if m.missHook != nil || limit <= m.clock {
 		return 1
 	}
-	n := min((limit-m.clock-1)/maxAdv, MaxBlockOps-1) + 1
-	if maxOps > 0 && uint64(n) > maxOps-done {
-		n = int64(maxOps - done)
-	}
-	return int(n)
+	return int(min((limit-m.clock-1)/maxAdv, MaxBlockOps-1) + 1)
 }
 
 // AccessBatch simulates len(reqs) consecutive accesses: each request takes
 // the same per-op path as Access, followed by AdvanceClock(computeNs) when
-// computeNs > 0. lats[i] receives each op's modeled latency; clocks, when
-// non-nil, receives the virtual time after each op.
-func (m *Machine) AccessBatch(reqs []Req, computeNs int64, lats, clocks []int64) error {
+// computeNs > 0.
+func (m *Machine) AccessBatch(reqs []Req, computeNs int64) error {
 	vpid := m.guest.VPID()
-	for i := range reqs {
-		lat, err := m.access(reqs[i].V, reqs[i].Write, vpid)
-		if err != nil {
+	for _, q := range reqs {
+		if _, err := m.access(q.V, q.Write, vpid); err != nil {
 			return err
 		}
 		if computeNs > 0 {
 			m.AdvanceClock(computeNs)
-		}
-		lats[i] = lat
-		if clocks != nil {
-			clocks[i] = m.clock
 		}
 	}
 	return nil
@@ -824,14 +810,6 @@ func (m *Machine) PageCounts() map[addr.Virt]uint64 {
 		out[k] = c
 	}
 	return out
-}
-
-// ResetPageCounts clears the ground-truth counters (keeps counting enabled).
-func (m *Machine) ResetPageCounts() {
-	for i := range m.pcCounts {
-		m.pcCounts[i] = 0
-	}
-	m.pcLow = nil
 }
 
 // StateBytes estimates the machine's footprint-dependent simulator state:

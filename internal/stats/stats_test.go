@@ -56,33 +56,9 @@ func TestRate(t *testing.T) {
 	}
 }
 
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	if e.Set() {
-		t.Fatal("fresh EWMA reports Set")
-	}
-	e.Observe(10)
-	if e.Value() != 10 {
-		t.Fatalf("first observation should seed: %v", e.Value())
-	}
-	e.Observe(20)
-	if e.Value() != 15 {
-		t.Fatalf("EWMA = %v, want 15", e.Value())
-	}
-}
-
-func TestEWMABadAlphaPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for alpha=0")
-		}
-	}()
-	NewEWMA(0)
-}
-
 func TestHistogramBasics(t *testing.T) {
 	h := NewHistogram()
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 || h.Min() != 0 {
+	if h.Quantile(0.5) != 0 || h.Mean() != 0 || h.Quantile(0) != 0 {
 		t.Fatal("empty histogram should return zeros")
 	}
 	for i := uint64(1); i <= 1000; i++ {
@@ -91,8 +67,8 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Count() != 1000 {
 		t.Fatalf("Count = %d", h.Count())
 	}
-	if h.Min() != 1 || h.Max() != 1000 {
-		t.Fatalf("Min/Max = %d/%d", h.Min(), h.Max())
+	if h.Quantile(0) != 1 || h.Max() != 1000 {
+		t.Fatalf("Min/Max = %d/%d", h.Quantile(0), h.Max())
 	}
 	if m := h.Mean(); math.Abs(m-500.5) > 0.01 {
 		t.Fatalf("Mean = %v", m)
@@ -138,8 +114,8 @@ func TestHistogramQuantileEmpty(t *testing.T) {
 			t.Fatalf("empty Quantile(%v) = %d, want 0", q, got)
 		}
 	}
-	if h.Min() != 0 || h.Max() != 0 || h.Mean() != 0 {
-		t.Fatalf("empty Min/Max/Mean = %d/%d/%v", h.Min(), h.Max(), h.Mean())
+	if h.Quantile(0) != 0 || h.Max() != 0 || h.Mean() != 0 {
+		t.Fatalf("empty Min/Max/Mean = %d/%d/%v", h.Quantile(0), h.Max(), h.Mean())
 	}
 }
 
@@ -186,8 +162,8 @@ func TestHistogramMerge(t *testing.T) {
 	if a.Count() != 200 {
 		t.Fatalf("merged count = %d", a.Count())
 	}
-	if a.Min() != 0 || a.Max() != 199 {
-		t.Fatalf("merged min/max = %d/%d", a.Min(), a.Max())
+	if a.Quantile(0) != 0 || a.Max() != 199 {
+		t.Fatalf("merged min/max = %d/%d", a.Quantile(0), a.Max())
 	}
 	// Merging an empty histogram is a no-op.
 	before := a.Count()
@@ -201,8 +177,8 @@ func TestHistogramExtremes(t *testing.T) {
 	h := NewHistogram()
 	h.Observe(0)
 	h.Observe(math.MaxUint64)
-	if h.Min() != 0 || h.Max() != math.MaxUint64 {
-		t.Fatalf("min/max = %d/%d", h.Min(), h.Max())
+	if h.Quantile(0) != 0 || h.Max() != math.MaxUint64 {
+		t.Fatalf("min/max = %d/%d", h.Quantile(0), h.Max())
 	}
 	if h.Quantile(0) != 0 {
 		t.Fatal("q0 should be min")
@@ -252,26 +228,6 @@ func TestPearson(t *testing.T) {
 	}
 	if r := Pearson(x, []float64{1}); r != 0 {
 		t.Fatalf("mismatched lengths r = %v, want 0", r)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	s := []float64{5, 1, 4, 2, 3}
-	if got := Percentile(s, 0); got != 1 {
-		t.Fatalf("p0 = %v", got)
-	}
-	if got := Percentile(s, 100); got != 5 {
-		t.Fatalf("p100 = %v", got)
-	}
-	if got := Percentile(s, 50); got != 3 {
-		t.Fatalf("p50 = %v", got)
-	}
-	if got := Percentile(nil, 50); got != 0 {
-		t.Fatalf("empty percentile = %v", got)
-	}
-	// Input must not be reordered.
-	if s[0] != 5 {
-		t.Fatal("Percentile mutated its input")
 	}
 }
 

@@ -200,16 +200,6 @@ type TenantSink interface {
 	TenantSnapshot(TenantSnapshot)
 }
 
-// Nop is the no-op Recorder: it discards everything. It exists for callers
-// that want an always-valid Recorder instead of a nil check.
-type Nop struct{}
-
-// Event implements Recorder.
-func (Nop) Event(Event) {}
-
-// Snapshot implements Recorder.
-func (Nop) Snapshot(Snapshot) {}
-
 // Config bounds a Collector's memory.
 type Config struct {
 	// MaxEvents caps buffered events (default 1<<20); past the cap events

@@ -131,12 +131,6 @@ func TestCollectorSnapshotCopiesSlices(t *testing.T) {
 	}
 }
 
-func TestNopRecorder(t *testing.T) {
-	var r Recorder = Nop{}
-	r.Event(Event{Kind: KindMigrated})
-	r.Snapshot(Snapshot{})
-}
-
 // syntheticCollector builds a small, fully deterministic collector whose
 // exports are pinned as golden files.
 func syntheticCollector() *Collector {

@@ -245,14 +245,15 @@ func (a *App) Init(m *sim.Machine) error {
 	return nil
 }
 
-// Next implements sim.App.
+// Next draws one access: NextBatch of one, for callers that issue accesses
+// by hand.
 func (a *App) Next() (addr.Virt, bool) {
 	var req [1]sim.Req
 	a.NextBatch(req[:])
 	return req[0].V, req[0].Write
 }
 
-// NextBatch implements sim.BatchApp: it generates len(reqs) accesses, each
+// NextBatch implements sim.App: it generates len(reqs) accesses, each
 // a segment draw, the segment's picker and a write draw, so a batch consumes
 // the RNG exactly as that many Next calls do.
 func (a *App) NextBatch(reqs []sim.Req) int {
