@@ -71,6 +71,7 @@ func (cfg Config) Normalize(top addr.Phys) (Config, error) {
 type Cache struct {
 	lineShift uint
 	nSets     uint64
+	sets      stats.Divider // divides by nSets
 	ways      int
 	// slabs[set>>slabShift] holds the tags of slabSets consecutive sets,
 	// ways per set, most recent first. The set index is line % nSets, so a
@@ -96,6 +97,7 @@ func New(cfg Config) *Cache {
 	return &Cache{
 		lineShift: uint(bits.TrailingZeros64(cfg.LineSize)),
 		nSets:     nSets,
+		sets:      stats.NewDivider(nSets),
 		ways:      cfg.Ways,
 		slabs:     make([][]uint32, (nSets+slabSets-1)>>slabShift),
 	}
@@ -106,7 +108,7 @@ func New(cfg Config) *Cache {
 // beyond what Normalize was asked to cover.
 func (c *Cache) Access(p addr.Phys) bool {
 	line := uint64(p) >> c.lineShift
-	set, q := line%c.nSets, line/c.nSets
+	q, set := c.sets.DivMod(line)
 	if q > maxQuotient {
 		panic(fmt.Sprintf("cache: %d sets cannot tag physical address %s in 32 bits", c.nSets, p))
 	}

@@ -161,7 +161,6 @@ type Machine struct {
 	pt    *pagetable.Table
 	tl    *tlb.TLB
 	llc   *cache.Cache
-	wm    *walk.Model
 	guest *VM
 	trap  *badgertrap.Trap
 	mig   *numa.Migrator
@@ -185,6 +184,11 @@ type Machine struct {
 	tierReadLat  []int64
 	tierWriteLat []int64
 	fastReadLat  int64
+	// walkLat[d] is the latency of a page walk whose guest dimension
+	// touched d levels, from the walk model at construction.
+	walkLat [5]int64
+	// threads divides an access's latency into clock advance.
+	threads stats.Divider
 	// maxAccessLat is a lazily computed conservative upper bound on one
 	// access's modeled latency (see MaxOpAdvanceNs).
 	maxAccessLat int64
@@ -265,8 +269,8 @@ func New(cfg Config) (*Machine, error) {
 		pt:           pagetable.New(),
 		tl:           tlb.New(cfg.TLB),
 		llc:          cache.New(cfg.LLC),
-		wm:           wm,
 		guest:        guest,
+		threads:      stats.NewDivider(uint64(cfg.Threads)),
 		next:         cfg.VirtBase,
 		latHist:      stats.NewHistogram(),
 		tierAccesses: make([]stats.Counter, sys.NumTiers()),
@@ -279,6 +283,9 @@ func New(cfg Config) (*Machine, error) {
 		m.tierWriteLat[t] = spec.WriteLatency
 	}
 	m.fastReadLat = m.tierReadLat[mem.Fast]
+	for d := 1; d < len(m.walkLat); d++ {
+		m.walkLat[d] = wm.Latency(guest.Nested(), d, guest.HostWalkDepth())
+	}
 	m.trap = badgertrap.New(m.pt, m.tl, cfg.FaultLatencyNs)
 	// The machine owns one traffic meter and shares it with the migrator,
 	// so every migration — whoever initiates it — lands in the same
@@ -615,7 +622,7 @@ func (m *Machine) access(v addr.Virt, write bool, vpid tlb.VPID) (int64, error) 
 		if !wr.Found {
 			return 0, fmt.Errorf("sim: access to unmapped %s", v)
 		}
-		lat += m.wm.Latency(m.guest.Nested(), wr.Depth, m.guest.HostWalkDepth())
+		lat += m.walkLat[wr.Depth]
 		if wr.Poisoned {
 			// Protection fault: BadgerTrap services it (counts the
 			// access, installs a transient translation, re-poisons).
@@ -640,7 +647,7 @@ func (m *Machine) access(v addr.Virt, write bool, vpid tlb.VPID) (int64, error) 
 			frame, lvl = res.Frame, res.Level
 		} else {
 			frame, lvl = wr.Entry.Frame, wr.Level
-			m.tl.Insert(v, lvl, frame, vpid)
+			m.tl.Fill(v, lvl, frame, vpid)
 		}
 	}
 
@@ -680,9 +687,11 @@ func (m *Machine) access(v addr.Virt, write bool, vpid tlb.VPID) (int64, error) 
 		}
 	}
 
+	// lat ≥ 0 (every term is a latency), so it divides as a uint64.
 	m.accesses.Inc()
 	m.latHist.Observe(uint64(lat))
-	m.clock += lat / int64(m.cfg.Threads)
+	adv, _ := m.threads.DivMod(uint64(lat))
+	m.clock += int64(adv)
 	return lat, nil
 }
 
@@ -702,7 +711,7 @@ type Req struct {
 // cannot see, so BlockOps issues one op at a time while one is installed.
 func (m *Machine) MaxOpAdvanceNs(computeNs int64) int64 {
 	if m.maxAccessLat == 0 {
-		walkMax := m.wm.Latency(m.guest.Nested(), 4, m.guest.HostWalkDepth())
+		walkMax := m.walkLat[walk.Depth4K]
 		devMax := int64(0)
 		for t := range m.tierReadLat {
 			if m.tierReadLat[t] > devMax {
@@ -743,13 +752,15 @@ func (m *Machine) BlockOps(limit, maxAdv int64) int {
 // computeNs > 0.
 func (m *Machine) AccessBatch(reqs []Req, computeNs int64) error {
 	vpid := m.guest.VPID()
+	var step int64 // AdvanceClock(computeNs), divided once per batch
+	if computeNs > 0 {
+		step = computeNs / int64(m.cfg.Threads)
+	}
 	for _, q := range reqs {
 		if _, err := m.access(q.V, q.Write, vpid); err != nil {
 			return err
 		}
-		if computeNs > 0 {
-			m.AdvanceClock(computeNs)
-		}
+		m.clock += step
 	}
 	return nil
 }

@@ -1,7 +1,7 @@
 // Package stats provides the measurement primitives the simulator and the
-// experiment harness share: counters, rates, exponentially weighted moving
-// averages, log-scaled latency histograms with percentile queries, and
-// fixed-interval time series.
+// experiment harness share: counters, rates, log-scaled latency histograms
+// with percentile queries, fixed-interval time series, and the reciprocal
+// divider the access path divides by a fixed divisor with.
 package stats
 
 import (
@@ -36,6 +36,34 @@ func (c *Counter) Value() uint64 { return c.n }
 
 // Reset zeroes the counter.
 func (c *Counter) Reset() { c.n = 0 }
+
+// Divider divides by a divisor fixed at construction with a multiply and one
+// correction step instead of a hardware divide, exactly for every uint64
+// numerator. r = ⌊(2^64−1)/d⌋ satisfies 2^64 − d ≤ r·d < 2^64, so the
+// estimate hi(n·r) lies in (n/d − 2, n/d) and is ⌊n/d⌋ or one less; one
+// compare of the remainder against d settles which (DESIGN.md "LLC tags").
+type Divider struct {
+	d, r uint64
+}
+
+// NewDivider returns the divider for d. It panics on d == 0.
+func NewDivider(d uint64) Divider {
+	if d == 0 {
+		panic("stats: division by zero")
+	}
+	return Divider{d: d, r: math.MaxUint64 / d}
+}
+
+// DivMod returns n / d and n % d.
+func (v Divider) DivMod(n uint64) (q, rem uint64) {
+	q, _ = bits.Mul64(n, v.r)
+	rem = n - q*v.d
+	if rem >= v.d {
+		q++
+		rem -= v.d
+	}
+	return q, rem
+}
 
 // Rate converts a count observed over a duration (in nanoseconds) to a
 // per-second rate. Returns 0 for non-positive durations.

@@ -241,3 +241,45 @@ func TestBucketMonotonicProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestDividerMatchesHardwareDivide: the reciprocal gives the quotient and
+// remainder of / and % at the divisors the LLC and the clock use (1 000 and
+// 46 080 sets, 8 threads), at powers of two, small primes and 2^32 − 1, for
+// numerators at and around multiples of d, the last line a 32-bit LLC tag
+// covers ((2^32 − 1)·d − 1), and 2^64 − 1.
+func TestDividerMatchesHardwareDivide(t *testing.T) {
+	for _, d := range []uint64{1, 2, 3, 7, 8, 720, 1000, 1024, 46080, 1<<32 - 1} {
+		div := NewDivider(d)
+		ns := []uint64{0, d - 1, d, (1<<32-1)*d - 1, math.MaxUint64}
+		for _, k := range []uint64{2, 3, 1000, 1<<20 + 7, 1 << 31, math.MaxUint64 / d} {
+			ns = append(ns, k*d-1, k*d)
+		}
+		for _, n := range ns {
+			if q, rem := div.DivMod(n); q != n/d || rem != n%d {
+				t.Errorf("DivMod(%d) by %d = %d, %d; want %d, %d", n, d, q, rem, n/d, n%d)
+			}
+		}
+	}
+}
+
+func TestDividerProperty(t *testing.T) {
+	f := func(n, d uint64) bool {
+		if d == 0 {
+			d = 1
+		}
+		q, rem := NewDivider(d).DivMod(n)
+		return q == n/d && rem == n%d
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100_000}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestDividerRejectsZero(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("NewDivider(0) did not panic")
+		}
+	}()
+	NewDivider(0)
+}

@@ -18,8 +18,9 @@ var diffCaps = []Config{{2, 8}, {2, 16}, {4, 64}, {64, 1024}, {8, 8}, {3, 5}}
 const opBytes = 4
 
 // runDiff decodes prog into Lookup/Insert/Invalidate/InvalidateRange/
-// InvalidateVPID/Flush calls over three VPIDs and both grains, applies each
-// to a flat TLB and to the map-backed reference, and fails on the first
+// InvalidateVPID/Flush calls and Lookups that Fill on a miss, over three
+// VPIDs and both grains, applies each to a flat TLB and to the map-backed
+// reference (which takes a Fill as an Insert), and fails on the first
 // difference in Result or Size, on a structural violation, or on different
 // Stats at the end. Page selectors are taken modulo 2×L2Entries and
 // the whole-TLB operations are rare, so every capacity fills up and sees L1
@@ -44,6 +45,7 @@ func runDiff(t *testing.T, cfg Config, prog []byte) {
 		if mod&0x20 != 0 {
 			lvl = pagetable.Level2M
 		}
+		frame := addr.Phys4K(uint64(arg)<<8 | uint64(prog[1]))
 		desc := ""
 		switch {
 		case op == 15 && arg == 0 && mod&0x0f == 0:
@@ -68,7 +70,6 @@ func runDiff(t *testing.T, cfg Config, prog []byte) {
 			got.Invalidate(v, vpid)
 			want.Invalidate(v, vpid)
 		case op >= 7 && op < 12:
-			frame := addr.Phys4K(uint64(arg)<<8 | uint64(prog[1]))
 			desc = fmt.Sprintf("Insert(%v, %v, %v, %d)", v, lvl, frame, vpid)
 			got.Insert(v, lvl, frame, vpid)
 			want.Insert(v, lvl, frame, vpid)
@@ -79,6 +80,11 @@ func runDiff(t *testing.T, cfg Config, prog []byte) {
 			if gr != wr || gok != wok {
 				t.Fatalf("%d/%d op %d %s = %+v %v, reference %+v %v",
 					cfg.L1Entries, cfg.L2Entries, n, desc, gr, gok, wr, wok)
+			}
+			if op == 6 && !gok {
+				desc += fmt.Sprintf(" missed, Fill(%v, %v, %v, %d)", v, lvl, frame, vpid)
+				got.Fill(v, lvl, frame, vpid)
+				want.Insert(v, lvl, frame, vpid)
 			}
 		}
 		g1, g2 := got.Size()
@@ -102,7 +108,8 @@ func runDiff(t *testing.T, cfg Config, prog []byte) {
 }
 
 // checkStructure verifies that the index, the LRU list with its L1 prefix,
-// and the freelist account for every slot exactly once.
+// and the freelist account for every slot exactly once, and that every
+// occupied index cell carries its slot's key.
 func (t *TLB) checkStructure() error {
 	if t.n1 > t.cap1 || t.n1 > t.n2 || t.n2 > len(t.entries) {
 		return fmt.Errorf("sizes n1=%d n2=%d caps %d/%d", t.n1, t.n2, t.cap1, len(t.entries))
@@ -129,7 +136,7 @@ func (t *TLB) checkStructure() error {
 		if e.inL1 {
 			lastL1 = s
 		}
-		if t.find(e.vpn, e.lvl, e.vpid) != s {
+		if t.find(e.vpn, tagOf(e.lvl, e.vpid)) != s {
 			return fmt.Errorf("slot %d not reachable through the index", s)
 		}
 		prev, pos = s, pos+1
@@ -150,9 +157,14 @@ func (t *TLB) checkStructure() error {
 		return fmt.Errorf("freelist holds %d, want %d", nfree, len(t.entries)-t.n2)
 	}
 	cells := 0
-	for _, s := range t.index {
-		if s >= 0 {
-			cells++
+	for i, c := range t.index {
+		if c.slot < 0 {
+			continue
+		}
+		cells++
+		if e := &t.entries[c.slot]; c.vpn != e.vpn || c.tag != tagOf(e.lvl, e.vpid) {
+			return fmt.Errorf("cell %d holds key (%d, %#x) for slot %d keyed (%d, %v, %d)",
+				i, c.vpn, c.tag, c.slot, e.vpn, e.lvl, e.vpid)
 		}
 	}
 	// Every live slot is reachable and find never returns a wrong slot, so
@@ -195,8 +207,8 @@ func FuzzTLBVsMapLRU(f *testing.F) {
 }
 
 // TestAccessPathDoesNotAllocate pins the steady state on a full TLB: an L1
-// hit, an L2 hit, a miss, an insert into a free slot, an insert that evicts,
-// and both invalidations reuse the preallocated slots.
+// hit, an L2 hit, a miss, the fill after it (which evicts), inserts into
+// free slots, and both invalidations reuse the preallocated slots.
 func TestAccessPathDoesNotAllocate(t *testing.T) {
 	for _, cfg := range []Config{{2, 8}, {64, 1024}} {
 		tl := New(cfg)
@@ -210,14 +222,14 @@ func TestAccessPathDoesNotAllocate(t *testing.T) {
 		page := func(i uint64) addr.Virt { return addr.Virt4K(base + i) }
 		const runs = 200
 		allocs := testing.AllocsPerRun(runs, func() {
-			tl.Lookup(page(n-1), 1) // L1 hit
-			tl.Lookup(page(0), 1)   // L2 hit
-			tl.Lookup(page(n), 1)   // miss
+			tl.Lookup(page(n-1), 1)                                   // L1 hit
+			tl.Lookup(page(0), 1)                                     // L2 hit
+			tl.Lookup(page(n), 1)                                     // miss
+			tl.Fill(page(n), pagetable.Level4K, addr.Phys4K(base), 1) // evicts page(1)
 			tl.Invalidate(page(0), 1)
-			tl.Insert(page(n), pagetable.Level4K, addr.Phys4K(base), 1)   // free slot
-			tl.Insert(page(n+1), pagetable.Level4K, addr.Phys4K(base), 1) // evicts page(1)
+			tl.Insert(page(n+1), pagetable.Level4K, addr.Phys4K(base), 1) // free slot
 			tl.InvalidateRange(addr.Range{Start: page(2), End: page(3)}, 1)
-			tl.Insert(page(n+2), pagetable.Level4K, addr.Phys4K(base), 1)
+			tl.Insert(page(n+2), pagetable.Level4K, addr.Phys4K(base), 1) // free slot
 			base += 3
 		})
 		if allocs != 0 {

@@ -41,6 +41,20 @@ type entry struct {
 	inL1  bool // within the L1 prefix of the list
 }
 
+// cell is one index cell: a slot number and the key of the entry in it, so
+// a probe compares and rehashes keys without loading entries. tag packs the
+// grain and the VPID (tagOf); slot is nilSlot in an empty cell. 16 bytes.
+type cell struct {
+	vpn  uint64
+	tag  uint32
+	slot int32
+}
+
+// tagOf is the half of a key beside the page number: grain above VPID.
+func tagOf(lvl pagetable.Level, vpid VPID) uint32 {
+	return uint32(lvl)<<16 | uint32(vpid)
+}
+
 // Config sizes the TLB hierarchy. The hierarchy is inclusive (L1 ⊆ L2), so
 // L2Entries must be at least L1Entries once defaults are applied.
 type Config struct {
@@ -96,9 +110,9 @@ const (
 // spells the argument out.
 type TLB struct {
 	entries []entry
-	// index is an open-addressed table of slot numbers over entries,
-	// linear probing, at most half full.
-	index []int32
+	// index is an open-addressed table of keyed cells over entries, linear
+	// probing, at most half full.
+	index []cell
 	shift uint   // 64 - log2(len(index))
 	mask  uint32 // len(index) - 1
 
@@ -123,7 +137,7 @@ func New(cfg Config) *TLB {
 	logCells := bits.Len(uint(2*cfg.L2Entries - 1)) // smallest power of two >= 2 x capacity
 	t := &TLB{
 		entries: make([]entry, cfg.L2Entries),
-		index:   make([]int32, 1<<logCells),
+		index:   make([]cell, 1<<logCells),
 		shift:   uint(64 - logCells),
 		mask:    1<<logCells - 1,
 		cap1:    cfg.L1Entries,
@@ -140,21 +154,21 @@ type Result struct {
 }
 
 // home is the index cell a key's probe sequence starts at: a multiply-shift
-// hash of the page number mixed with the grain and VPID.
-func (t *TLB) home(vpn uint64, lvl pagetable.Level, vpid VPID) uint32 {
-	x := vpn ^ uint64(lvl)<<62 ^ uint64(vpid)<<40
+// hash of the page number mixed with the tag.
+func (t *TLB) home(vpn uint64, tag uint32) uint32 {
+	x := vpn ^ uint64(tag)<<46
 	return uint32((x * 0x9E3779B97F4A7C15) >> t.shift)
 }
 
-// find returns the slot caching (vpn, lvl, vpid), or nilSlot.
-func (t *TLB) find(vpn uint64, lvl pagetable.Level, vpid VPID) int32 {
-	for i := t.home(vpn, lvl, vpid); ; i = (i + 1) & t.mask {
-		s := t.index[i]
-		if s < 0 {
+// find returns the slot caching (vpn, tag), or nilSlot.
+func (t *TLB) find(vpn uint64, tag uint32) int32 {
+	for i := t.home(vpn, tag); ; i = (i + 1) & t.mask {
+		c := &t.index[i]
+		if c.slot < 0 {
 			return nilSlot
 		}
-		if e := &t.entries[s]; e.vpn == vpn && e.lvl == lvl && e.vpid == vpid {
-			return s
+		if c.vpn == vpn && c.tag == tag {
+			return c.slot
 		}
 	}
 }
@@ -163,22 +177,21 @@ func (t *TLB) find(vpn uint64, lvl pagetable.Level, vpid VPID) int32 {
 // probe run back over the hole so no tombstone is left.
 func (t *TLB) unindex(s int32) {
 	e := &t.entries[s]
-	i := t.home(e.vpn, e.lvl, e.vpid)
-	for t.index[i] != s {
+	i := t.home(e.vpn, tagOf(e.lvl, e.vpid))
+	for t.index[i].slot != s {
 		i = (i + 1) & t.mask
 	}
-	for j := (i + 1) & t.mask; t.index[j] >= 0; j = (j + 1) & t.mask {
-		r := &t.entries[t.index[j]]
-		h := t.home(r.vpn, r.lvl, r.vpid)
-		// An entry whose home lies in (i, j] would become unreachable
-		// from its home if moved to i.
-		if (j-h)&t.mask < (j-i)&t.mask {
+	for j := (i + 1) & t.mask; t.index[j].slot >= 0; j = (j + 1) & t.mask {
+		c := &t.index[j]
+		// A cell whose home lies in (i, j] would become unreachable from
+		// its home if moved to i.
+		if (j-t.home(c.vpn, c.tag))&t.mask < (j-i)&t.mask {
 			continue
 		}
-		t.index[i] = t.index[j]
+		t.index[i] = *c
 		i = j
 	}
-	t.index[i] = nilSlot
+	t.index[i].slot = nilSlot
 }
 
 func (t *TLB) pushFront(s int32) {
@@ -260,12 +273,12 @@ func (t *TLB) hit(s int32, at HitLevel) (Result, bool) {
 // translation and a 2MB entry can coexist); within a level the 2MB grain is
 // tried first. On an L2 hit the entry is promoted to L1.
 func (t *TLB) Lookup(v addr.Virt, vpid VPID) (Result, bool) {
-	s2 := t.find(v.PageNum2M(), pagetable.Level2M, vpid)
+	s2 := t.find(v.PageNum2M(), tagOf(pagetable.Level2M, vpid))
 	if s2 >= 0 && t.entries[s2].inL1 {
 		t.hitsL1.Inc()
 		return t.hit(s2, HitL1)
 	}
-	s4 := t.find(v.PageNum4K(), pagetable.Level4K, vpid)
+	s4 := t.find(v.PageNum4K(), tagOf(pagetable.Level4K, vpid))
 	if s4 >= 0 && t.entries[s4].inL1 {
 		t.hitsL1.Inc()
 		return t.hit(s4, HitL1)
@@ -291,11 +304,26 @@ func pageNum(v addr.Virt, lvl pagetable.Level) uint64 {
 // Insert caches a translation in both levels (inclusive hierarchy).
 func (t *TLB) Insert(v addr.Virt, lvl pagetable.Level, frame addr.Phys, vpid VPID) {
 	vpn := pageNum(v, lvl)
-	if s := t.find(vpn, lvl, vpid); s >= 0 {
+	if s := t.find(vpn, tagOf(lvl, vpid)); s >= 0 {
 		t.entries[s].frame = frame
 		t.touch(s)
 		return
 	}
+	t.add(vpn, lvl, frame, vpid)
+}
+
+// Fill is Insert for a translation Lookup(v, vpid) has just missed: the key
+// is known to be absent, so Fill skips Insert's probe for it. Only a page
+// walk may run between the miss and the fill, and lvl must be the grain the
+// walk found — one of the two keys the miss probed.
+func (t *TLB) Fill(v addr.Virt, lvl pagetable.Level, frame addr.Phys, vpid VPID) {
+	t.add(pageNum(v, lvl), lvl, frame, vpid)
+}
+
+// add caches a translation whose key is absent, evicting the least recent
+// entry when the TLB is full. Its cell is the first empty one of the key's
+// probe run: no key is compared.
+func (t *TLB) add(vpn uint64, lvl pagetable.Level, frame addr.Phys, vpid VPID) {
 	if t.n2 == len(t.entries) {
 		t.remove(t.tail)
 	}
@@ -303,11 +331,12 @@ func (t *TLB) Insert(v addr.Virt, lvl pagetable.Level, frame addr.Phys, vpid VPI
 	e := &t.entries[s]
 	t.free = e.next
 	*e = entry{vpn: vpn, frame: frame, lvl: lvl, vpid: vpid}
-	i := t.home(vpn, lvl, vpid)
-	for t.index[i] >= 0 {
+	tag := tagOf(lvl, vpid)
+	i := t.home(vpn, tag)
+	for t.index[i].slot >= 0 {
 		i = (i + 1) & t.mask
 	}
-	t.index[i] = s
+	t.index[i] = cell{vpn: vpn, tag: tag, slot: s}
 	t.n2++
 	t.pushFront(s)
 	t.touch(s)
@@ -316,10 +345,10 @@ func (t *TLB) Insert(v addr.Virt, lvl pagetable.Level, frame addr.Phys, vpid VPI
 // Invalidate drops any cached translation of v (both grains) under vpid —
 // the invlpg analogue, required after poisoning or remapping a page.
 func (t *TLB) Invalidate(v addr.Virt, vpid VPID) {
-	if s := t.find(v.PageNum4K(), pagetable.Level4K, vpid); s >= 0 {
+	if s := t.find(v.PageNum4K(), tagOf(pagetable.Level4K, vpid)); s >= 0 {
 		t.remove(s)
 	}
-	if s := t.find(v.PageNum2M(), pagetable.Level2M, vpid); s >= 0 {
+	if s := t.find(v.PageNum2M(), tagOf(pagetable.Level2M, vpid)); s >= 0 {
 		t.remove(s)
 	}
 }
@@ -362,7 +391,7 @@ func (e *entry) base() addr.Virt {
 // Flush empties the whole TLB.
 func (t *TLB) Flush() {
 	for i := range t.index {
-		t.index[i] = nilSlot
+		t.index[i].slot = nilSlot
 	}
 	for s := range t.entries {
 		t.entries[s].next = int32(s) + 1

@@ -244,6 +244,23 @@ func BenchmarkLookupMiss(b *testing.B) {
 	})
 }
 
+// BenchmarkLookupMissFill is a TLB miss as the access path takes it on a
+// full TLB: a lookup that finds neither grain, then the fill that evicts.
+func BenchmarkLookupMissFill(b *testing.B) {
+	benchEachCap(b, func(b *testing.B, cfg Config, tl *TLB) {
+		for i := 0; i < cfg.L2Entries; i++ {
+			tl.Insert(addr.Virt4K(uint64(i)), pagetable.Level4K, addr.Phys4K(uint64(i)), 1)
+		}
+		b.ResetTimer()
+		for i := cfg.L2Entries; i < cfg.L2Entries+b.N; i++ {
+			v := addr.Virt4K(uint64(i))
+			if _, ok := tl.Lookup(v, 1); !ok {
+				tl.Fill(v, pagetable.Level4K, addr.Phys4K(uint64(i)), 1)
+			}
+		}
+	})
+}
+
 func BenchmarkInsertEvict(b *testing.B) {
 	benchEachCap(b, func(b *testing.B, _ Config, tl *TLB) {
 		for i := 0; i < b.N; i++ {

@@ -119,6 +119,12 @@ if [ "${SHORT:-0}" != "1" ]; then
 		>"$tracedir/repro/stdout.txt"
 	(cd "$tracedir/repro" && sha256sum --quiet -c -) <results/repro_tiny.sha256
 	echo "repro: stdout, CSVs and SVGs byte-identical to results/repro_tiny.sha256"
+
+	echo "== benchmark digest gate"
+	# Every benchmark workload once at seeds 1 and 2 (about 15 s): each
+	# sim_digest and exact end-to-end metric must equal the newest committed
+	# BENCH_<n>.json / BENCH_<n>_seed2.json (see scripts/digest_gate.sh).
+	./scripts/digest_gate.sh
 fi
 
 echo "== chaos gates"
