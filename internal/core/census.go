@@ -60,24 +60,21 @@ func (e *Engine) PublishedCensus() (Census, bool) {
 // simulation goroutine only; all reads here are the same ones the
 // reporting accessors perform, so the published copy is pure observation.
 func (e *Engine) publishCensus(now int64) {
-	quar := map[addr.Virt]bool{}
-	for _, b := range e.QuarantinedBases() {
-		quar[b] = true
-	}
 	pages := make([]PageClass, 0, len(e.lastEstimates))
 	for _, est := range e.lastEstimates {
+		_, benched := e.led.quarUntil[est.Base]
 		pages = append(pages, PageClass{
 			Base:        est.Base,
 			RatePerSec:  est.Rate,
-			Cold:        e.pol.IsCold(est.Base),
-			Quarantined: quar[est.Base],
+			Cold:        e.led.cold[est.Base],
+			Quarantined: benched,
 		})
 	}
 	sort.Slice(pages, func(i, j int) bool { return pages[i].Base < pages[j].Base })
 	c := &Census{
 		TimeNs:      now,
 		Name:        e.name,
-		Periods:     e.periods.Value(),
+		Periods:     e.led.periods.Value(),
 		Stats:       e.Stats(),
 		SlowdownPct: e.EstimatedSlowdownPct(),
 		Inflight:    e.InflightPages(),

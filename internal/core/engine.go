@@ -9,7 +9,6 @@ import (
 	"thermostat/internal/cgroup"
 	"thermostat/internal/chaos"
 	"thermostat/internal/sim"
-	"thermostat/internal/stats"
 )
 
 // Stats are the engine's lifetime counters.
@@ -48,11 +47,14 @@ type Stats struct {
 //
 // which for the poison tracker + threshold policy replays the monolithic
 // Thermostat engine's correct → classify → poison → split cycle exactly.
+// Every report — counters, cold set, quarantine, measured cold rate — reads
+// the policy's ledger directly.
 type Engine struct {
 	group *cgroup.Group
 	m     *sim.Machine
 	tr    Tracker
 	pol   Policy
+	led   *ledger
 
 	name     string
 	lastTick int64
@@ -64,9 +66,11 @@ type Engine struct {
 	// boundary.
 	frozen bool
 
-	lastEstimates []Estimate
+	// noCorrection skips the Correct phase on every tick, frozen or not
+	// (the §3.5 corrector ablation); MeasuredColdRate then reads 0.
+	noCorrection bool
 
-	periods stats.Counter
+	lastEstimates []Estimate
 
 	// pub is the engine's published observability census (see census.go);
 	// publish is flipped once before the run starts and read on every tick.
@@ -81,6 +85,7 @@ func Compose(group *cgroup.Group, tr Tracker, pol Policy) *Engine {
 		group: group,
 		tr:    tr,
 		pol:   pol,
+		led:   pol.placement(),
 		name:  tr.Name() + "+" + pol.Name(),
 	}
 }
@@ -125,13 +130,11 @@ func (e *Engine) SetPrefilter(on bool) {
 	}
 }
 
-// SetCorrection enables or disables the policy's mis-classification
-// corrector (a no-op for policies without one). For ablation studies.
-func (e *Engine) SetCorrection(on bool) {
-	if c, ok := e.pol.(interface{ SetCorrection(bool) }); ok {
-		c.SetCorrection(on)
-	}
-}
+// SetCorrection enables or disables the §3.5 mis-classification corrector
+// (the Correct phase). For ablation studies: without it, mis-classified
+// pages stay in slow memory until resampled, and slowdown is unbounded
+// under working-set changes.
+func (e *Engine) SetCorrection(on bool) { e.noCorrection = !on }
 
 // StateBytes reports the engine's own resident metadata — tracker and policy
 // state. The machine's page table, allocator and trap state are counted
@@ -144,7 +147,7 @@ func (e *Engine) StateBytes() uint64 { return e.tr.StateBytes() + e.pol.StateByt
 // one machine. The provider is consulted at every scan (ranges may grow).
 func (e *Engine) SetScope(provider func() []addr.Range) {
 	e.tr.SetScope(provider)
-	e.pol.SetScope(provider)
+	e.led.scope = provider
 }
 
 // SetFrozen switches quarantine-only mode on or off: a frozen engine still
@@ -167,7 +170,7 @@ func (e *Engine) IntervalNs() int64 { return e.group.Params().SamplePeriodNs }
 func (e *Engine) Attach(m *sim.Machine) error {
 	e.m = m
 	e.lastTick = m.Clock()
-	if err := e.tr.Attach(m, e.pol); err != nil {
+	if err := e.tr.Attach(m, e.led); err != nil {
 		return err
 	}
 	return e.pol.Attach(m, e.group, e.tr)
@@ -175,17 +178,17 @@ func (e *Engine) Attach(m *sim.Machine) error {
 
 // Stats returns a snapshot of the engine counters.
 func (e *Engine) Stats() Stats {
-	ps := e.pol.PlacementStats()
+	l := e.led
 	return Stats{
-		Periods:         e.periods.Value(),
+		Periods:         l.periods.Value(),
 		Sampled:         e.tr.Sampled(),
-		Demotions:       ps.Demotions,
-		Promotions:      ps.Promotions,
-		Sinks:           ps.Sinks,
-		DemoteFailures:  ps.DemoteFailures,
-		PromoteFailures: ps.PromoteFailures,
-		Retries:         ps.Retries,
-		Quarantined:     ps.Quarantined,
+		Demotions:       l.demotions.Value(),
+		Promotions:      l.promotions.Value(),
+		Sinks:           l.sinks.Value(),
+		DemoteFailures:  l.demoteFailures.Value(),
+		PromoteFailures: l.promoteFailures.Value(),
+		Retries:         l.retries.Value(),
+		Quarantined:     l.quarantined.Value(),
 	}
 }
 
@@ -196,31 +199,39 @@ func (e *Engine) FaultReport() chaos.Report {
 	if e.m != nil {
 		r = e.m.FaultReport()
 	}
-	ps := e.pol.PlacementStats()
-	r.Retried = ps.Retries
-	r.Quarantined = ps.Quarantined
+	r.Retried = e.led.retries.Value()
+	r.Quarantined = e.led.quarantined.Value()
 	return r
 }
 
 // QuarantinedPages returns the number of pages currently serving a
 // quarantine sentence (including lazily-unexpired entries).
-func (e *Engine) QuarantinedPages() int { return e.pol.QuarantinedPages() }
+func (e *Engine) QuarantinedPages() int { return len(e.led.quarUntil) }
 
 // ActiveQuarantinedPages returns the pages whose quarantine sentence is
 // still running — lazily-unexpired entries excluded. While the engine is
 // frozen nothing queries (and thus expires) the bench, so this is the
 // signal for "quarantine pressure persists" as distinct from "stale
-// bookkeeping remains".
-func (e *Engine) ActiveQuarantinedPages() int { return e.pol.ActiveQuarantinedPages() }
+// bookkeeping remains". Pure inspection: no sentence expires.
+func (e *Engine) ActiveQuarantinedPages() int {
+	n := 0
+	now := e.led.periods.Value()
+	for _, until := range e.led.quarUntil {
+		if now < until {
+			n++
+		}
+	}
+	return n
+}
 
 // ColdPages returns the number of huge pages currently placed in slow
 // memory by the engine.
-func (e *Engine) ColdPages() int { return e.pol.ColdPages() }
+func (e *Engine) ColdPages() int { return len(e.led.cold) }
 
 // IsCold implements sim.ColdChecker: it reports whether the engine has
 // classified the 2MB page at base cold (any tier below the top). The
 // telemetry layer uses it for the confusion matrix against LLC ground truth.
-func (e *Engine) IsCold(base addr.Virt) bool { return e.pol.IsCold(base) }
+func (e *Engine) IsCold(base addr.Virt) bool { return e.led.cold[base] }
 
 // InflightPages returns the number of huge pages currently mid-sample, for
 // trackers with a sampling pipeline (0 for the rest).
@@ -238,11 +249,16 @@ func (e *Engine) LastEstimates() []Estimate {
 }
 
 // MeasuredColdRate returns the aggregate measured access rate to the cold
-// set from the policy's most recent correction pass, in accesses/sec.
-// Multiplied by the slow-memory latency this is the engine's own §3.4
-// estimate of the slowdown it is inflicting — the per-tenant SLO-feedback
-// signal the fleet arbiter consumes.
-func (e *Engine) MeasuredColdRate() float64 { return e.pol.MeasuredColdRate() }
+// set from the policy's most recent correction pass, in accesses/sec (0
+// while correction is off). Multiplied by the slow-memory latency this is
+// the engine's own §3.4 estimate of the slowdown it is inflicting — the
+// per-tenant SLO-feedback signal the fleet arbiter consumes.
+func (e *Engine) MeasuredColdRate() float64 {
+	if e.noCorrection {
+		return 0
+	}
+	return e.led.lastColdRate
+}
 
 // EstimatedSlowdownPct converts the measured cold-access rate into the
 // paper's slowdown estimate: rate × ts, as a percentage of execution time.
@@ -252,8 +268,15 @@ func (e *Engine) EstimatedSlowdownPct() float64 {
 }
 
 // QuarantinedBases returns the currently-quarantined page bases in address
-// order. Pure inspection.
-func (e *Engine) QuarantinedBases() []addr.Virt { return e.pol.QuarantinedBases() }
+// order, lazily-unexpired entries included. Pure inspection.
+func (e *Engine) QuarantinedBases() []addr.Virt {
+	bases := make([]addr.Virt, 0, len(e.led.quarUntil))
+	for base := range e.led.quarUntil {
+		bases = append(bases, base)
+	}
+	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
+	return bases
+}
 
 // Squeeze demotes the coldest estimated top-tier pages until at least
 // maxBytes of top-tier memory has been released (or candidates run out) —
@@ -270,7 +293,7 @@ func (e *Engine) Squeeze(maxBytes uint64) (uint64, error) {
 	}
 	cands := make([]Estimate, 0, len(e.lastEstimates))
 	for _, est := range e.lastEstimates {
-		if !e.pol.IsCold(est.Base) {
+		if !e.led.cold[est.Base] {
 			cands = append(cands, est)
 		}
 	}
@@ -311,7 +334,7 @@ func (e *Engine) Tick(m *sim.Machine, now int64) error {
 	// estimates, place, and arm tracking for the next interval. In
 	// quarantine-only mode both migration phases are skipped: tracking
 	// stays warm so recovery has fresh estimates, but no page moves.
-	if !e.frozen {
+	if !e.frozen && !e.noCorrection {
 		if err := e.pol.Correct(interval); err != nil {
 			return err
 		}
@@ -330,7 +353,6 @@ func (e *Engine) Tick(m *sim.Machine, now int64) error {
 		return err
 	}
 	e.pol.EndPeriod()
-	e.periods.Inc()
 	e.lastTick = now
 	if e.publish.Load() {
 		e.publishCensus(now)

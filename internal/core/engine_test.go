@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"thermostat/internal/addr"
@@ -123,33 +124,50 @@ func TestEngineRespectsSlowdownBudget(t *testing.T) {
 	}
 }
 
+// TestEngineCorrectsMisclassification: pages cold during the first half of
+// a phase change become the only hot pages in the second half, and the
+// corrector must promote them. With the engine's correction switch off the
+// Correct phase never runs under either policy: nothing is promoted and the
+// measured cold rate reads 0.
 func TestEngineCorrectsMisclassification(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-second scaled run")
+		t.Skip("multi-second scaled runs")
 	}
 	t.Parallel()
-	// Phase change: pages cold during the first half become the only hot
-	// pages in the second half. The corrector must promote them.
-	m := testMachine(t)
-	g := testGroup(t, nil)
-	eng := NewEngine(g, 13)
-	app := &phaseApp{r: rng.New(3), size: 48 << 20, switchNs: 2e9}
-
-	_, err := sim.Run(m, app, eng, sim.RunConfig{DurationNs: 6e9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := eng.Stats()
-	if st.Demotions == 0 {
-		t.Fatal("nothing was demoted in phase one")
-	}
-	if st.Promotions == 0 {
-		t.Fatal("corrector never promoted after the phase change")
-	}
-	// The now-hot pages must be back in fast memory.
-	fp := eng.Footprint(m)
-	if fp.ColdFraction() > 0.55 {
-		t.Fatalf("cold fraction %v after correction", fp.ColdFraction())
+	for _, policy := range PolicyNames() {
+		for _, on := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/correction=%v", policy, on), func(t *testing.T) {
+				t.Parallel()
+				m := testMachine(t)
+				eng, err := ComposeByName(testGroup(t, nil), "poison", policy, 13)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng.SetCorrection(on)
+				app := &phaseApp{r: rng.New(3), size: 48 << 20, switchNs: 2e9}
+				if _, err := sim.Run(m, app, eng, sim.RunConfig{DurationNs: 6e9}); err != nil {
+					t.Fatal(err)
+				}
+				st := eng.Stats()
+				if st.Demotions == 0 {
+					t.Fatal("nothing was demoted in phase one")
+				}
+				if !on {
+					if st.Promotions != 0 || eng.MeasuredColdRate() != 0 {
+						t.Fatalf("correction off: %d promotions, measured cold rate %v; want 0, 0",
+							st.Promotions, eng.MeasuredColdRate())
+					}
+					return
+				}
+				if st.Promotions == 0 {
+					t.Fatal("corrector never promoted after the phase change")
+				}
+				// The now-hot pages must be back in fast memory.
+				if fp := eng.Footprint(m); fp.ColdFraction() > 0.55 {
+					t.Fatalf("cold fraction %v after correction", fp.ColdFraction())
+				}
+			})
+		}
 	}
 }
 
@@ -304,7 +322,7 @@ func TestPoisonTrackerForgetsRestoredSamples(t *testing.T) {
 			got, st.Periods, eng.ColdPages(), tr.InflightPages(), bound)
 	}
 	// Every cold page not mid-sample still has its snapshot.
-	for base := range eng.pol.(*ThresholdPolicy).cold {
+	for base := range eng.led.cold {
 		if _, ok := tr.seen[base]; !ok && !tr.inflight(base) {
 			t.Fatalf("cold page %s lost its snapshot", base)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"testing"
 
 	"thermostat/internal/addr"
@@ -117,5 +118,61 @@ func TestHeatNoSingleTickOscillation(t *testing.T) {
 			t.Fatalf("page %v migrated %d times within one tick (t=%dns)",
 				ev.Page, seen[key], ev.TimeNs)
 		}
+	}
+}
+
+// TestHeatSqueezeGuard: a page Engine.Squeeze demotes between ticks keeps
+// the moved-this-period mark through the next tick, so that tick's Correct
+// leaves it cold even with its heat above the promotion watermark. The mark
+// lasts one period: later ticks promote the page.
+func TestHeatSqueezeGuard(t *testing.T) {
+	t.Parallel()
+	m := testMachine(t)
+	g := testGroup(t, nil)
+	eng, err := ComposeByName(g, "poison", "heat", 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := &skewApp{r: rng.New(1), size: 32 << 20, hotPages: 4}
+	if _, err := sim.Run(m, app, eng, sim.RunConfig{DurationNs: 1e9}); err != nil {
+		t.Fatal(err)
+	}
+	wasCold := maps.Clone(eng.led.cold)
+	if _, err := eng.Squeeze(64 << 20); err != nil {
+		t.Fatal(err)
+	}
+	// Only a page outside the sampling pipeline is measured by Correct.
+	tr := eng.Tracker().(*PoisonTracker)
+	var squeezed []addr.Virt
+	for b := range eng.led.cold {
+		if !wasCold[b] && !tr.inflight(b) {
+			squeezed = append(squeezed, b)
+		}
+	}
+	if len(squeezed) == 0 {
+		t.Fatal("setup: squeeze demoted no page Correct can measure")
+	}
+	p := eng.Policy().(*HeatPolicy)
+	promotions := eng.Stats().Promotions
+	now, period := m.Clock(), g.Params().SamplePeriodNs
+	tick := func(n int64) {
+		for _, b := range squeezed {
+			p.heat[b] = p.maxHeat()
+		}
+		if err := eng.Tick(m, now+n*period); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tick(1)
+	for _, b := range squeezed {
+		if !eng.IsCold(b) {
+			t.Fatalf("squeezed page %s promoted by the next tick's Correct", b)
+		}
+	}
+	for n := int64(2); n <= 10 && eng.Stats().Promotions == promotions; n++ {
+		tick(n)
+	}
+	if eng.Stats().Promotions == promotions {
+		t.Fatal("no squeezed page promoted in ten ticks at maximum heat")
 	}
 }

@@ -26,8 +26,10 @@ const (
 // ledger is the placement state every policy shares: which pages sit below
 // the top tier, which are benched, and the lifetime counters of every move.
 // A policy embeds it and adds only its decision rule — which pages to hand
-// to promote and DemoteForCapacity, and when. Every move goes through the
-// retry/backoff/quarantine protocol in attemptMove.
+// to promote and DemoteForCapacity, and when. The engine owns the one
+// pointer to it (Policy.placement) and reads every report from it directly.
+// Every move goes through the retry/backoff/quarantine protocol in
+// attemptMove.
 type ledger struct {
 	group *cgroup.Group
 	m     *sim.Machine
@@ -49,8 +51,8 @@ type ledger struct {
 	// becomes eligible again; entries expire lazily.
 	quarUntil map[addr.Virt]uint64
 
-	// periods counts completed sampling periods; quarantine sentences are
-	// measured against it.
+	// periods counts completed sampling periods (Stats.Periods);
+	// quarantine sentences are measured against it.
 	periods stats.Counter
 
 	demotions       stats.Counter
@@ -77,14 +79,19 @@ func (l *ledger) attach(m *sim.Machine, g *cgroup.Group, tr Tracker) {
 	l.tr = tr
 }
 
-// SetScope implements Policy.
-func (l *ledger) SetScope(provider func() []addr.Range) { l.scope = provider }
+// placement implements Policy: the engine and the tracker read placement
+// state from the ledger itself, never back through the policy.
+func (l *ledger) placement() *ledger { return l }
 
-// IsCold implements Policy (and sim.ColdChecker through the engine).
+// IsCold implements View.
 func (l *ledger) IsCold(base addr.Virt) bool { return l.cold[base] }
 
-// ColdPages implements Policy.
-func (l *ledger) ColdPages() int { return len(l.cold) }
+// stateBytes is the ledger's resident metadata: 16 B per cold page and per
+// quarantine entry, lazily-unexpired sentences included. A policy adds its
+// own maps on top.
+func (l *ledger) stateBytes() uint64 {
+	return uint64(len(l.cold))*16 + uint64(len(l.quarUntil))*16
+}
 
 // Footprint implements Policy: classify every in-scope mapped leaf by
 // backing tier and grain.
@@ -94,50 +101,6 @@ func (l *ledger) Footprint(m *sim.Machine) sim.Footprint {
 
 // EndPeriod implements Policy: the quarantine clock advances one period.
 func (l *ledger) EndPeriod() { l.periods.Inc() }
-
-// MeasuredColdRate implements Policy.
-func (l *ledger) MeasuredColdRate() float64 { return l.lastColdRate }
-
-// PlacementStats implements Policy.
-func (l *ledger) PlacementStats() PlacementStats {
-	return PlacementStats{
-		Demotions:       l.demotions.Value(),
-		Promotions:      l.promotions.Value(),
-		Sinks:           l.sinks.Value(),
-		DemoteFailures:  l.demoteFailures.Value(),
-		PromoteFailures: l.promoteFailures.Value(),
-		Retries:         l.retries.Value(),
-		Quarantined:     l.quarantined.Value(),
-	}
-}
-
-// QuarantinedPages implements Policy.
-func (l *ledger) QuarantinedPages() int { return len(l.quarUntil) }
-
-// QuarantinedBases implements Policy. Pure inspection: no sentence expires.
-func (l *ledger) QuarantinedBases() []addr.Virt {
-	bases := make([]addr.Virt, 0, len(l.quarUntil))
-	for base := range l.quarUntil {
-		bases = append(bases, base)
-	}
-	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
-	return bases
-}
-
-// ActiveQuarantinedPages implements Policy. Unlike QuarantinedPages it
-// answers "is quarantine pressure still live?" — the question the daemon's
-// degradation ladder asks while the engine is frozen and nothing else
-// queries (and thus expires) the bench. Pure inspection.
-func (l *ledger) ActiveQuarantinedPages() int {
-	n := 0
-	now := l.periods.Value()
-	for _, until := range l.quarUntil {
-		if now < until {
-			n++
-		}
-	}
-	return n
-}
 
 // quarantine benches base for defaultQuarantinePeriods sampling periods: no
 // placement decision (demote, promote, sink, squeeze) will touch it until

@@ -65,8 +65,8 @@ func TestMultiTenantSharedTrapNoInterference(t *testing.T) {
 	if _, err := m.Demote(pageB); err != nil {
 		t.Fatal(err)
 	}
-	engA.pol.(*ThresholdPolicy).cold[pageA] = true
-	engB.pol.(*ThresholdPolicy).cold[pageB] = true
+	engA.led.cold[pageA] = true
+	engB.led.cold[pageB] = true
 
 	// Fault both cold pages heavily (evict TLB in between).
 	for i := 0; i < 50; i++ {

@@ -73,10 +73,10 @@ func NewHeatPolicy() *HeatPolicy {
 // Name implements Policy.
 func (p *HeatPolicy) Name() string { return "heat" }
 
-// StateBytes implements Policy: one entry per page ever estimated in the
-// heat map, one per cold page, one per page moved this period.
+// StateBytes implements Policy: the ledger, plus one entry per page ever
+// estimated in the heat map and one per page moved this period.
 func (p *HeatPolicy) StateBytes() uint64 {
-	return uint64(len(p.heat))*16 + uint64(len(p.cold))*16 + uint64(len(p.moved))*16
+	return p.stateBytes() + uint64(len(p.heat))*16 + uint64(len(p.moved))*16
 }
 
 // Attach implements Policy.

@@ -24,9 +24,6 @@ type ThresholdPolicy struct {
 	// cold page; pages idle for sinkAfterIdleScans passes sink one tier
 	// deeper when the hierarchy has more than two tiers.
 	idleScans map[addr.Virt]int
-
-	// noCorrection disables the §3.5 corrector (ablation).
-	noCorrection bool
 }
 
 // NewThresholdPolicy builds the slowdown-threshold policy.
@@ -40,11 +37,11 @@ func NewThresholdPolicy() *ThresholdPolicy {
 // Name implements Policy.
 func (p *ThresholdPolicy) Name() string { return "threshold" }
 
-// StateBytes implements Policy: the cold set and the sink idle-streak map.
-// Both hold one entry per cold page, not per mapped page, so a
+// StateBytes implements Policy: the ledger and the sink idle-streak map.
+// All hold one entry per cold or benched page, not per mapped page, so a
 // mostly-untouched terabyte costs the policy almost nothing.
 func (p *ThresholdPolicy) StateBytes() uint64 {
-	return uint64(len(p.cold))*16 + uint64(len(p.idleScans))*16
+	return p.stateBytes() + uint64(len(p.idleScans))*16
 }
 
 // Attach implements Policy.
@@ -53,21 +50,12 @@ func (p *ThresholdPolicy) Attach(m *sim.Machine, g *cgroup.Group, tr Tracker) er
 	return nil
 }
 
-// SetCorrection enables or disables the §3.5 corrector. For ablation
-// studies: without it, mis-classified pages stay in slow memory until
-// resampled, and slowdown is unbounded under working-set changes.
-func (p *ThresholdPolicy) SetCorrection(on bool) { p.noCorrection = !on }
-
 // Correct implements §3.5: measure every cold page's access rate through
 // the tracker and promote the hottest pages one tier up until the aggregate
 // is back under the target rate. In hierarchies deeper than the paper's two
 // tiers, it additionally sinks persistently idle cold pages one tier
 // further down.
 func (p *ThresholdPolicy) Correct(intervalSec float64) error {
-	if p.noCorrection {
-		p.lastColdRate = 0
-		return nil
-	}
 	all := p.measureCold(intervalSec)
 	measured := make([]Measured, 0, len(all))
 	for _, c := range all {

@@ -19,7 +19,7 @@ func TestAttemptMoveUniformHandling(t *testing.T) {
 	m := testMachine(t)
 	g := testGroup(t, nil)
 	eng := NewEngine(g, 9)
-	mv := &eng.pol.(*ThresholdPolicy).ledger
+	led := eng.led
 	if err := eng.Attach(m); err != nil {
 		t.Fatal(err)
 	}
@@ -29,21 +29,21 @@ func TestAttemptMoveUniformHandling(t *testing.T) {
 	// Plain OOM: retried to exhaustion with backoff, then quarantined —
 	// never fatal, for demote and promote alike.
 	calls := 0
-	handled, err := mv.attemptMove(base, func() error { calls++; return mem.ErrOutOfMemory })
+	handled, err := led.attemptMove(base, func() error { calls++; return mem.ErrOutOfMemory })
 	if !handled || err != nil {
 		t.Fatalf("OOM exhaustion: handled=%v err=%v", handled, err)
 	}
 	if calls != defaultMaxAttempts {
 		t.Errorf("OOM attempted %d times, want %d", calls, defaultMaxAttempts)
 	}
-	if !mv.isQuarantined(base) {
+	if !led.isQuarantined(base) {
 		t.Error("exhausted page not quarantined")
 	}
 
 	// Transient injected fault: one retry, then success — no quarantine.
 	transient := next()
 	calls = 0
-	handled, err = mv.attemptMove(transient, func() error {
+	handled, err = led.attemptMove(transient, func() error {
 		calls++
 		if calls == 1 {
 			return &chaos.Fault{Site: chaos.MigrateCopy}
@@ -53,28 +53,28 @@ func TestAttemptMoveUniformHandling(t *testing.T) {
 	if handled || err != nil || calls != 2 {
 		t.Fatalf("transient fault: handled=%v err=%v calls=%d", handled, err, calls)
 	}
-	if mv.isQuarantined(transient) {
+	if led.isQuarantined(transient) {
 		t.Error("recovered page wrongly quarantined")
 	}
 
 	// Permanent injected fault: immediate quarantine, no further attempts.
 	perm := next()
 	calls = 0
-	handled, err = mv.attemptMove(perm, func() error {
+	handled, err = led.attemptMove(perm, func() error {
 		calls++
 		return &chaos.Fault{Site: chaos.MigrateCopy, Permanent: true}
 	})
 	if !handled || err != nil || calls != 1 {
 		t.Fatalf("permanent fault: handled=%v err=%v calls=%d", handled, err, calls)
 	}
-	if !mv.isQuarantined(perm) {
+	if !led.isQuarantined(perm) {
 		t.Error("permanently failed page not quarantined")
 	}
 
 	// Non-injected, non-OOM errors stay fatal: real bugs must not be
 	// absorbed by the degradation machinery.
 	boom := errors.New("boom")
-	handled, err = mv.attemptMove(next(), func() error { return boom })
+	handled, err = led.attemptMove(next(), func() error { return boom })
 	if handled || !errors.Is(err, boom) {
 		t.Fatalf("fatal error swallowed: handled=%v err=%v", handled, err)
 	}
@@ -100,22 +100,22 @@ func TestQuarantineExpires(t *testing.T) {
 	m := testMachine(t)
 	g := testGroup(t, nil)
 	eng := NewEngine(g, 10)
-	mv := &eng.pol.(*ThresholdPolicy).ledger
+	led := eng.led
 	if err := eng.Attach(m); err != nil {
 		t.Fatal(err)
 	}
 	base := addr.Virt(1 << 40)
-	mv.quarantine(base)
-	if !mv.isQuarantined(base) {
+	led.quarantine(base)
+	if !led.isQuarantined(base) {
 		t.Fatal("fresh quarantine not in effect")
 	}
 	if eng.QuarantinedPages() != 1 {
 		t.Fatalf("QuarantinedPages = %d", eng.QuarantinedPages())
 	}
 	for i := uint64(0); i < defaultQuarantinePeriods; i++ {
-		mv.periods.Inc()
+		led.periods.Inc()
 	}
-	if mv.isQuarantined(base) {
+	if led.isQuarantined(base) {
 		t.Error("quarantine outlived its sentence")
 	}
 	if eng.QuarantinedPages() != 0 {
@@ -129,23 +129,8 @@ func TestQuarantineExpires(t *testing.T) {
 // sentence.
 func TestSqueezeSkipsQuarantinedPages(t *testing.T) {
 	t.Parallel()
-	cfg := sim.DefaultConfig(256<<20, 256<<20)
-	cfg.TLB.L1Entries, cfg.TLB.L2Entries = 2, 8
-	cfg.Chaos = chaos.Config{
-		Seed:              1,
-		SiteRates:         map[chaos.Site]float64{chaos.MigrateCopy: 1},
-		PermanentFraction: 1,
-	}
-	m, err := sim.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := NewEngine(testGroup(t, nil), 42)
-	app := &skewApp{r: rng.New(1), size: 32 << 20, hotPages: 4}
-	if _, err := sim.Run(m, app, eng, sim.RunConfig{DurationNs: 1e9}); err != nil {
-		t.Fatal(err)
-	}
-	led := &eng.pol.(*ThresholdPolicy).ledger
+	m, eng := failingCopyRun(t, "threshold")
+	led := eng.led
 	var benched, fresh uint64
 	for _, est := range eng.LastEstimates() {
 		switch {
@@ -170,4 +155,55 @@ func TestSqueezeSkipsQuarantinedPages(t *testing.T) {
 	if got := eng.Stats().Quarantined - before; got != fresh {
 		t.Errorf("Quarantined grew by %d, want %d (one per newly failed page)", got, fresh)
 	}
+}
+
+// TestStateBytesCountsQuarantine: a quarantine sentence is resident
+// metadata. Under both policies, every page a squeeze benches adds 16 B to
+// the policy's StateBytes.
+func TestStateBytesCountsQuarantine(t *testing.T) {
+	t.Parallel()
+	for _, policy := range PolicyNames() {
+		t.Run(policy, func(t *testing.T) {
+			t.Parallel()
+			_, eng := failingCopyRun(t, policy)
+			bytes, quar := eng.Policy().StateBytes(), eng.QuarantinedPages()
+			if _, err := eng.Squeeze(64 << 20); err != nil {
+				t.Fatal(err)
+			}
+			benched := eng.QuarantinedPages() - quar
+			if benched <= 0 {
+				t.Fatalf("setup: squeeze benched %d pages", benched)
+			}
+			if got, want := eng.Policy().StateBytes()-bytes, 16*uint64(benched); got != want {
+				t.Errorf("StateBytes grew by %d B for %d new quarantine entries, want %d", got, benched, want)
+			}
+		})
+	}
+}
+
+// failingCopyRun runs the skew app for one second under the poison tracker
+// and the named policy, on a machine where every migration copy fails
+// permanently: every placement attempt ends in quarantine.
+func failingCopyRun(t *testing.T, policy string) (*sim.Machine, *Engine) {
+	t.Helper()
+	cfg := sim.DefaultConfig(256<<20, 256<<20)
+	cfg.TLB.L1Entries, cfg.TLB.L2Entries = 2, 8
+	cfg.Chaos = chaos.Config{
+		Seed:              1,
+		SiteRates:         map[chaos.Site]float64{chaos.MigrateCopy: 1},
+		PermanentFraction: 1,
+	}
+	m, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := ComposeByName(testGroup(t, nil), "poison", policy, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := &skewApp{r: rng.New(1), size: 32 << 20, hotPages: 4}
+	if _, err := sim.Run(m, app, eng, sim.RunConfig{DurationNs: 1e9}); err != nil {
+		t.Fatal(err)
+	}
+	return m, eng
 }

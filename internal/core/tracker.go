@@ -20,13 +20,13 @@ import (
 	"thermostat/internal/sim"
 )
 
-// View is the slice of policy placement state a tracker may consult. The
+// View is the slice of placement state a tracker may consult. The
 // poison tracker needs it to decide which sampled pages carry whole-region
 // poison (cold pages inherit the PMD poison at split time) and which need
 // the §3.2 Accessed-bit subset selection.
 type View interface {
-	// IsCold reports whether the policy currently places the 2MB page at
-	// base below the top tier.
+	// IsCold reports whether the 2MB page at base is placed below the top
+	// tier.
 	IsCold(base addr.Virt) bool
 }
 
@@ -44,8 +44,8 @@ type Tracker interface {
 	Name() string
 
 	// Attach binds the tracker to a machine. view exposes the composed
-	// policy's placement verdicts and is valid for the lifetime of the
-	// run; it may be consulted during any phase.
+	// policy's ledger and is valid for the lifetime of the run; it may be
+	// consulted during any phase.
 	Attach(m *sim.Machine, view View) error
 
 	// SetScope restricts tracking to the ranges returned by provider (nil
@@ -84,29 +84,18 @@ type Tracker interface {
 	StateBytes() uint64
 }
 
-// PlacementStats are a policy's lifetime migration counters.
-type PlacementStats struct {
-	Demotions       uint64
-	Promotions      uint64
-	Sinks           uint64
-	DemoteFailures  uint64
-	PromoteFailures uint64
-	Retries         uint64
-	Quarantined     uint64
-}
-
-// Policy turns a tracker's estimates into placement. One Tick drives it
-// through three phases, always in this order:
+// Policy is a placement decision rule over the ledger it embeds. One Tick
+// drives it through three phases, always in this order:
 //
 //	Correct → Place → EndPeriod
 //
 // Correct runs first so mis-classified cold pages come back before new
 // demotions compete for slow-tier capacity; Place consumes the estimates
 // the tracker gathered over the elapsed interval; EndPeriod advances the
-// policy's period clock (quarantine sentences are measured in periods).
-// Between ticks the engine reads the placement state back — for reports,
-// the fleet arbiter and the daemon — and Squeeze demotes on the arbiter's
-// behalf through DemoteForCapacity.
+// period clock (quarantine sentences are measured in periods). The engine
+// reads placement state — the cold set, the counters, the quarantine bench,
+// the measured cold rate — straight from the ledger, and Squeeze demotes on
+// the fleet arbiter's behalf through DemoteForCapacity.
 type Policy interface {
 	// Name is the registry/flag name ("threshold", "heat").
 	Name() string
@@ -114,9 +103,6 @@ type Policy interface {
 	// Attach binds the policy to a machine, its cgroup (tuning
 	// parameters) and the tracker it consumes estimates from.
 	Attach(m *sim.Machine, g *cgroup.Group, tr Tracker) error
-
-	// SetScope restricts footprint accounting to the provider's ranges.
-	SetScope(provider func() []addr.Range)
 
 	// Correct measures the current cold set through the tracker and
 	// undoes mis-classifications (promotions, and sinks in deep
@@ -130,37 +116,21 @@ type Policy interface {
 	// EndPeriod marks the end of one sampling period.
 	EndPeriod()
 
-	// IsCold reports the policy's verdict for one 2MB page (sim.ColdChecker).
-	IsCold(base addr.Virt) bool
-
-	// ColdPages is the current size of the cold set.
-	ColdPages() int
-
-	// PlacementStats snapshots the lifetime migration counters.
-	PlacementStats() PlacementStats
-
-	// Footprint classifies the managed leaves by grain and tier.
-	Footprint(m *sim.Machine) sim.Footprint
-
 	// DemoteForCapacity demotes one top-tier page through the normal
 	// placement machinery (retry/quarantine, cold-set membership, tracker
 	// notification) and reports whether the page actually moved. A
 	// quarantined page is refused without an attempt.
 	DemoteForCapacity(base addr.Virt) (bool, error)
 
-	// MeasuredColdRate is the aggregate measured access rate to the cold
-	// set from the most recent Correct, in accesses/sec.
-	MeasuredColdRate() float64
-
-	// QuarantinedPages counts pages serving a quarantine sentence,
-	// lazily-unexpired entries included; ActiveQuarantinedPages excludes
-	// those; QuarantinedBases lists the former in address order.
-	QuarantinedPages() int
-	ActiveQuarantinedPages() int
-	QuarantinedBases() []addr.Virt
+	// Footprint classifies the managed leaves by grain and tier.
+	Footprint(m *sim.Machine) sim.Footprint
 
 	// StateBytes is the policy's resident metadata in bytes.
 	StateBytes() uint64
+
+	// placement returns the ledger the policy embeds: the one owner of
+	// placement state, which the engine and the tracker read directly.
+	placement() *ledger
 }
 
 // TrackerNames lists the selectable trackers in presentation order.

@@ -3,8 +3,9 @@
 # detector. Run from the repository root (or via `make check`).
 #
 # SHORT=1 runs the fast tier only (go test -short): the scaled harness
-# integration runs are skipped, so the whole gate finishes in well under
-# a minute. The default (full) tier runs every test.
+# integration runs and the repro table gate are skipped, so the whole gate
+# finishes in a few minutes; the benchmark digest gate runs in both tiers.
+# The default (full) tier runs every test.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -119,13 +120,15 @@ if [ "${SHORT:-0}" != "1" ]; then
 		>"$tracedir/repro/stdout.txt"
 	(cd "$tracedir/repro" && sha256sum --quiet -c -) <results/repro_tiny.sha256
 	echo "repro: stdout, CSVs and SVGs byte-identical to results/repro_tiny.sha256"
-
-	echo "== benchmark digest gate"
-	# Every benchmark workload once at seeds 1 and 2 (about 15 s): each
-	# sim_digest and exact end-to-end metric must equal the newest committed
-	# BENCH_<n>.json / BENCH_<n>_seed2.json (see scripts/digest_gate.sh).
-	./scripts/digest_gate.sh
 fi
+
+echo "== benchmark digest gate"
+# Both tiers: every benchmark workload once at seeds 1 and 2 (about 15 s):
+# each sim_digest and exact end-to-end metric must equal the newest
+# committed BENCH_<n>.json / BENCH_<n>_seed2.json (see
+# scripts/digest_gate.sh), so every push checks that no simulated number
+# moved.
+./scripts/digest_gate.sh
 
 echo "== chaos gates"
 # Inertness: -chaos-rate 0 must be byte-identical to a run without any

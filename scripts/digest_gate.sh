@@ -1,5 +1,5 @@
 #!/bin/sh
-# Digest gate (called by scripts/check.sh, full tier): the benchmark's
+# Digest gate (called by scripts/check.sh, both tiers): the benchmark's
 # workloads, run once each at seeds 1 and 2, must reproduce the newest
 # committed BENCH_<n>.json / BENCH_<n>_seed2.json pair exactly: every
 # sim_digest, every exact end-to-end metric (state_mb, virt_throughput_kops,

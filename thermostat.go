@@ -113,13 +113,15 @@ type EngineStats = core.Stats
 // Tracker estimates per-page access rates (the engine's sensing half).
 type Tracker = core.Tracker
 
-// PlacementPolicy turns tracker estimates into migrations (the engine's
-// acting half). The name avoids clashing with Policy, the sim-level
+// PlacementPolicy is the engine's acting half: the decision rule that turns
+// tracker estimates into migrations. It embeds the placement ledger (cold
+// set, quarantine bench, migration counters), which the Engine reads
+// directly, so the policy itself exposes only its phases (Correct, Place,
+// EndPeriod), DemoteForCapacity, Footprint and StateBytes. Only the core
+// package's ThresholdPolicy and HeatPolicy, and types embedding them,
+// implement it. The name avoids clashing with Policy, the sim-level
 // interface every engine implements.
 type PlacementPolicy = core.Policy
-
-// PlacementStats are a placement policy's lifetime migration counters.
-type PlacementStats = core.PlacementStats
 
 // IdleDemote is the naive Accessed-bit baseline (demote pages idle for N
 // scans) the paper argues against.
