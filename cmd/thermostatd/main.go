@@ -21,7 +21,7 @@
 //     rung is visible in /status and the structured log.
 //
 // Exit codes: 0 completed or stopped, 1 run error or panic, 2 config
-// error, 3 halted by the degradation ladder.
+// error or an unreadable checkpoint, 3 halted by the degradation ladder.
 package main
 
 import (
@@ -79,8 +79,9 @@ func run() int {
 	if cfg.Daemon.CheckpointPath != "" {
 		cp, err := daemon.ReadCheckpoint(cfg.Daemon.CheckpointPath)
 		if err != nil {
+			// A torn or damaged checkpoint is bad input, like a bad config.
 			fmt.Fprintf(os.Stderr, "thermostatd: %v\n", err)
-			return 1
+			return 2
 		}
 		if cp != nil {
 			logger.Info("checkpoint found; resuming previous run",

@@ -20,23 +20,16 @@ import (
 	"fmt"
 
 	"thermostat/internal/addr"
-	"thermostat/internal/badgertrap"
 	"thermostat/internal/sim"
 )
 
 // Backend counts accesses to armed leaf pages.
 type Backend interface {
-	// Name identifies the mechanism.
-	Name() string
 	// Arm starts counting the leaf page with the given base address.
 	Arm(base addr.Virt) error
-	// Disarm stops counting the page.
-	Disarm(base addr.Virt) error
-	// Count returns the events recorded for the page since the last
-	// Reset, scaled to estimated true accesses.
+	// Count returns the events recorded for the page, scaled to estimated
+	// true accesses.
 	Count(base addr.Virt) uint64
-	// Reset clears all counts (armed pages stay armed).
-	Reset()
 }
 
 // BadgerTrap adapts the machine's poison-fault trap to Backend.
@@ -47,29 +40,15 @@ type BadgerTrap struct {
 // NewBadgerTrap wraps the machine's trap.
 func NewBadgerTrap(m *sim.Machine) *BadgerTrap { return &BadgerTrap{m: m} }
 
-// Name implements Backend.
-func (b *BadgerTrap) Name() string { return "badgertrap" }
-
 // Arm implements Backend.
 func (b *BadgerTrap) Arm(base addr.Virt) error {
 	return b.m.Trap().Poison(base, b.m.VPID())
-}
-
-// Disarm implements Backend.
-func (b *BadgerTrap) Disarm(base addr.Virt) error {
-	return b.m.Trap().Unpoison(base)
 }
 
 // Count implements Backend.
 func (b *BadgerTrap) Count(base addr.Virt) uint64 {
 	return b.m.Trap().Count(base)
 }
-
-// Reset implements Backend.
-func (b *BadgerTrap) Reset() { b.m.Trap().ResetCounts() }
-
-// Trap exposes the underlying trap.
-func (b *BadgerTrap) Trap() *badgertrap.Trap { return b.m.Trap() }
 
 // CMBitOverheadNs is the modeled per-event cost of a CM-bit fault: §6.1.1
 // notes the memory access can proceed in parallel with the fault handler,
@@ -83,24 +62,18 @@ type CMBit struct {
 	m      *sim.Machine
 	armed  map[addr.Virt]bool // leaf base -> armed
 	counts map[addr.Virt]uint64
-	// OverheadNs per counted event (default CMBitOverheadNs).
-	OverheadNs int64
 }
 
 // NewCMBit installs the CM-bit model on the machine's miss path.
 func NewCMBit(m *sim.Machine) *CMBit {
 	c := &CMBit{
-		m:          m,
-		armed:      make(map[addr.Virt]bool),
-		counts:     make(map[addr.Virt]uint64),
-		OverheadNs: CMBitOverheadNs,
+		m:      m,
+		armed:  make(map[addr.Virt]bool),
+		counts: make(map[addr.Virt]uint64),
 	}
-	m.SetMissHook(c.onMiss)
+	m.SetMissHook(c.onMiss, CMBitOverheadNs)
 	return c
 }
-
-// Name implements Backend.
-func (c *CMBit) Name() string { return "cm-bit" }
 
 func (c *CMBit) leafBase(v addr.Virt) (addr.Virt, bool) {
 	// An armed page may be tagged at either grain; check 4K then 2M.
@@ -119,7 +92,7 @@ func (c *CMBit) onMiss(v addr.Virt, write bool) int64 {
 		return 0
 	}
 	c.counts[base]++
-	return c.OverheadNs
+	return CMBitOverheadNs
 }
 
 // Arm implements Backend.
@@ -131,70 +104,48 @@ func (c *CMBit) Arm(base addr.Virt) error {
 	return nil
 }
 
-// Disarm implements Backend.
-func (c *CMBit) Disarm(base addr.Virt) error {
-	if !c.armed[base] {
-		return fmt.Errorf("counter: CM-bit disarm of unarmed %s", base)
-	}
-	delete(c.armed, base)
-	return nil
-}
-
 // Count implements Backend.
 func (c *CMBit) Count(base addr.Virt) uint64 { return c.counts[base] }
 
-// Reset implements Backend.
-func (c *CMBit) Reset() { c.counts = make(map[addr.Virt]uint64) }
-
-// Close detaches the model from the machine.
-func (c *CMBit) Close() { c.m.SetMissHook(nil) }
-
-// PEBS defaults: the kernel's 1000Hz cap on PEBS interrupts translates, at
-// typical miss rates, to sampling roughly every 1000th miss; each record
+// PEBS parameters: the kernel's 1000Hz cap on PEBS interrupts translates,
+// at typical miss rates, to sampling roughly every 1000th miss; each record
 // write is cheap, and the buffer-drain interrupt is amortized.
 const (
-	DefaultPEBSPeriod       = 1000
+	PEBSPeriod              = 1000
 	PEBSRecordOverheadNs    = 20
 	PEBSInterruptOverheadNs = 4000
 	PEBSBufferRecords       = 64
 )
 
-// PEBS models §6.1.2: the CPU samples every Period-th LLC miss system-wide
-// and stores the page address in a buffer; a full buffer raises an
-// interrupt. Per-page counts are estimated as samples · Period, so pages
-// whose true rate is below Period per interval are often missed — the
-// resolution limit the paper notes makes PEBS unsuitable at 30K events/s.
+// PEBS models §6.1.2: the CPU samples every PEBSPeriod-th LLC miss
+// system-wide and stores the page address in a buffer; a full buffer raises
+// an interrupt. Per-page counts are estimated as samples · PEBSPeriod, so
+// pages whose true rate is below PEBSPeriod per interval are often missed —
+// the resolution limit the paper notes makes PEBS unsuitable at 30K
+// events/s.
 type PEBS struct {
-	m *sim.Machine
-	// Period is the sampling period in misses (default DefaultPEBSPeriod).
-	Period uint64
-
+	m       *sim.Machine
 	armed   map[addr.Virt]bool
 	samples map[addr.Virt]uint64
 	misses  uint64
 	inBuf   int
 }
 
-// NewPEBS installs the PEBS model on the machine's miss path.
-func NewPEBS(m *sim.Machine, period uint64) *PEBS {
-	if period == 0 {
-		period = DefaultPEBSPeriod
-	}
+// NewPEBS installs the PEBS model on the machine's miss path. One event
+// costs at most a record write plus the buffer-drain interrupt.
+func NewPEBS(m *sim.Machine) *PEBS {
 	p := &PEBS{
-		m: m, Period: period,
+		m:       m,
 		armed:   make(map[addr.Virt]bool),
 		samples: make(map[addr.Virt]uint64),
 	}
-	m.SetMissHook(p.onMiss)
+	m.SetMissHook(p.onMiss, PEBSRecordOverheadNs+PEBSInterruptOverheadNs)
 	return p
 }
 
-// Name implements Backend.
-func (p *PEBS) Name() string { return "pebs" }
-
 func (p *PEBS) onMiss(v addr.Virt, write bool) int64 {
 	p.misses++
-	if p.misses%p.Period != 0 {
+	if p.misses%PEBSPeriod != 0 {
 		return 0
 	}
 	// Sampled: record the page (whether armed or not — PEBS is
@@ -222,22 +173,7 @@ func (p *PEBS) Arm(base addr.Virt) error {
 	return nil
 }
 
-// Disarm implements Backend.
-func (p *PEBS) Disarm(base addr.Virt) error {
-	if !p.armed[base] {
-		return fmt.Errorf("counter: PEBS disarm of unarmed %s", base)
-	}
-	delete(p.armed, base)
-	return nil
-}
-
 // Count implements Backend: samples scaled by the sampling period.
 func (p *PEBS) Count(base addr.Virt) uint64 {
-	return p.samples[base] * p.Period
+	return p.samples[base] * PEBSPeriod
 }
-
-// Reset implements Backend.
-func (p *PEBS) Reset() { p.samples = make(map[addr.Virt]uint64) }
-
-// Close detaches the model from the machine.
-func (p *PEBS) Close() { p.m.SetMissHook(nil) }

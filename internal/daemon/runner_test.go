@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -205,6 +206,36 @@ func TestRestoreDigestMismatch(t *testing.T) {
 	restore := &Runner{Config: cp.Config, Timeline: cp.Timeline, Restore: cp, NoPacing: true}
 	if _, err := restore.Run(); err == nil {
 		t.Fatal("restore with a corrupt digest must fail")
+	}
+}
+
+// TestTornCheckpointIsNamedError: a checkpoint cut short anywhere inside its
+// JSON object — a torn write, a truncated copy — is refused by ReadCheckpoint
+// with an error that names the file, never returned as a checkpoint and
+// never a panic (thermostatd exits 2 on it, as on a bad config).
+func TestTornCheckpointIsNamedError(t *testing.T) {
+	dir := t.TempDir()
+	cfg := tinyConfig(t, dir)
+	cp := &Checkpoint{Version: checkpointVersion, SavedAtEpoch: 6, VirtualNs: 2.4e9, Digest: "00c0ffee00c0ffee",
+		Config: cfg, Timeline: []TimelineEntry{{ApplyAtNs: 8e8, Epoch: 2, Config: cfg}}}
+	whole := filepath.Join(dir, "whole.ckpt")
+	if err := WriteCheckpoint(whole, cp); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ReadCheckpoint(whole); err != nil || got == nil {
+		t.Fatalf("intact checkpoint: %v, %v", got, err)
+	}
+	data := readFileT(t, whole)
+	torn := filepath.Join(dir, "torn.ckpt")
+	for n := 0; n <= bytes.LastIndexByte(data, '}'); n++ {
+		if err := os.WriteFile(torn, data[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadCheckpoint(torn)
+		if got != nil || err == nil || !strings.Contains(err.Error(), torn) {
+			t.Fatalf("checkpoint cut to %d of %d bytes: got %v, err %v; want no checkpoint and an error naming %s",
+				n, len(data), got, err, torn)
+		}
 	}
 }
 

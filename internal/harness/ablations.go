@@ -9,6 +9,7 @@ import (
 	"thermostat/internal/cgroup"
 	"thermostat/internal/core"
 	"thermostat/internal/counter"
+	"thermostat/internal/pagetable"
 	"thermostat/internal/report"
 	"thermostat/internal/sim"
 	"thermostat/internal/workload"
@@ -133,99 +134,88 @@ func ablationTable(title string, r row, outs []*Outcome) *report.Table {
 
 // counters is the §6.1 head-to-head: BadgerTrap (TLB-miss proxy, ~1us per
 // event) vs the proposed CM bit (exact, cheap) vs PEBS sampling (cheap,
-// resolution-limited), each armed on every 8th huge page of redis's
-// keyspace, against an uninstrumented reference. It returns the row and
-// the table of its outcomes: mean relative error of the per-page counts
-// against true LLC misses, and the mechanism's own overhead.
+// resolution-limited), each a probe over redis against an uninstrumented
+// reference. Every arm counts ground truth and runs a third of the
+// profile's duration with no warm-up. It returns the row and the table of
+// its outcomes: mean relative error of the per-page counts against true LLC
+// misses, and the mechanism's own overhead.
 func counters(opt Options) (row, func([]*Outcome) *report.Table) {
-	backends := []struct {
-		name string
-		mk   func(m *sim.Machine) counter.Backend
-	}{
-		{"baseline", nil},
-		{"badgertrap", func(m *sim.Machine) counter.Backend { return counter.NewBadgerTrap(m) }},
-		{"cm-bit", func(m *sim.Machine) counter.Backend { return counter.NewCMBit(m) }},
-		{"pebs", func(m *sim.Machine) counter.Backend { return counter.NewPEBS(m, 0) }},
+	probes := []*probe{
+		{name: "badgertrap", mk: func(m *sim.Machine) counter.Backend { return counter.NewBadgerTrap(m) }},
+		{name: "cm-bit", mk: func(m *sim.Machine) counter.Backend { return counter.NewCMBit(m) }},
+		{name: "pebs", mk: func(m *sim.Machine) counter.Backend { return counter.NewPEBS(m) }},
 	}
-	relErr := make([]float64, len(backends))
-	r := row{spec: workload.Redis(), sc: opt.Scale}
-	for i, b := range backends {
-		r.arms = append(r.arms, arm{name: b.name, run: func(spec workload.Spec, sc Scale) (*Outcome, error) {
-			return runCounter(spec, sc, b.mk, &relErr[i])
-		}})
+	sc := opt.Scale
+	sc.DurationNs, sc.WarmupNs = sc.DurationNs/3, 0
+	truth := Plan{Machine: (*sim.Machine).EnablePageCounts}
+	r := row{spec: workload.Redis(), sc: sc, arms: []arm{{name: "baseline", plan: truth}}}
+	for _, p := range probes {
+		p.Interval = sc.PeriodNs
+		plan := truth
+		plan.Policy = p
+		r.arms = append(r.arms, arm{name: p.name, plan: plan})
 	}
 	return r, func(outs []*Outcome) *report.Table {
 		t := report.NewTable("Ablation: §6.1 access-counting mechanisms (redis, 1/8 of pages armed)",
 			"backend", "mean_rel_error", "overhead_pct")
-		for i, b := range backends[1:] {
-			t.AddF(b.name, relErr[i+1], (outs[0].Result.Throughput/outs[i+1].Result.Throughput-1)*100)
+		for i, p := range probes {
+			t.AddF(p.name, p.meanRelError(outs[i+1].Machine.PageCounts()),
+				(outs[0].Result.Throughput/outs[i+1].Result.Throughput-1)*100)
 		}
 		return t
 	}
 }
 
-// runCounter is one counters arm, assembled like any run and then driven by
-// hand for a third of the run: the backend arms pages between Init and the
-// first access, and the loop is raw accesses with nothing ticking. With a
-// backend it stores the mean relative error of its counts, over armed pages
-// with non-trivial traffic, in relErr.
-func runCounter(spec workload.Spec, sc Scale, mk func(*sim.Machine) counter.Backend, relErr *float64) (*Outcome, error) {
-	a, err := Assemble(spec, sc, Plan{Machine: (*sim.Machine).EnablePageCounts})
-	if err != nil {
-		return nil, err
-	}
-	m, app := a.Machine, a.App
-	if err := app.Init(m); err != nil {
-		return nil, err
-	}
-	var armed []addr.Virt
-	var b counter.Backend
-	if mk != nil {
-		b = mk(m)
-		i := 0
-		app.SegmentRegions("keyspace")[0].Each2M(func(base addr.Virt) {
-			if i%8 == 0 {
-				if err := b.Arm(base); err != nil {
-					panic(err) // the pool reports it as this arm's error
-				}
-				armed = append(armed, base)
-			}
-			i++
-		})
-	}
-	start := m.Clock()
-	var ops uint64
-	for m.Clock()-start < sc.DurationNs/3 {
-		v, w := app.Next()
-		if _, err := m.Access(v, w); err != nil {
-			return nil, err
+// probe is a counters arm's policy: it places nothing, and on Attach it
+// installs its backend and arms every 8th mapped 2MB page in address order.
+// For redis that is every 8th keyspace page: the keyspace is mapped first,
+// and the one config-file page after it sits at index 35, 138 or 551 (tiny,
+// bench, repro), never a multiple of 8.
+type probe struct {
+	sim.NullPolicy
+	name  string
+	mk    func(*sim.Machine) counter.Backend
+	b     counter.Backend
+	armed []addr.Virt
+}
+
+func (p *probe) Name() string { return p.name }
+
+func (p *probe) Attach(m *sim.Machine) error {
+	p.b = p.mk(m)
+	var pages []addr.Virt
+	m.PageTable().Scan(func(base addr.Virt, _ *pagetable.PTE, _ pagetable.Level) {
+		if b := base.Base2M(); len(pages) == 0 || pages[len(pages)-1] != b {
+			pages = append(pages, b)
 		}
-		m.AdvanceClock(app.ComputeNs())
-		ops++
+	})
+	for i := 0; i < len(pages); i += 8 {
+		if err := p.b.Arm(pages[i]); err != nil {
+			return err
+		}
+		p.armed = append(p.armed, pages[i])
 	}
-	res := &sim.RunResult{AppName: spec.Name, Ops: ops, DurationNs: m.Clock() - start}
-	res.Throughput = float64(ops) * 1e9 / float64(res.DurationNs)
-	if b != nil {
-		truth := m.PageCounts()
-		var errs []float64
-		for _, base := range armed {
-			tr := float64(truth[base])
-			if tr < 50 {
-				continue // too little traffic for a meaningful ratio
-			}
-			errs = append(errs, math.Abs(float64(b.Count(base))-tr)/tr)
+	return nil
+}
+
+// meanRelError is the mean relative error of the backend's counts against
+// truth, over armed pages with enough traffic for a meaningful ratio.
+func (p *probe) meanRelError(truth map[addr.Virt]uint64) float64 {
+	var errs []float64
+	for _, base := range p.armed {
+		if tr := float64(truth[base]); tr >= 50 {
+			errs = append(errs, math.Abs(float64(p.b.Count(base))-tr)/tr)
 		}
-		sort.Float64s(errs)
-		mean := 0.0
-		for _, e := range errs {
-			mean += e
-		}
-		if len(errs) > 0 {
-			mean /= float64(len(errs))
-		}
-		*relErr = mean
 	}
-	return &Outcome{Spec: spec, Scale: sc, Machine: m, App: app, Result: res}, nil
+	sort.Float64s(errs)
+	mean := 0.0
+	for _, e := range errs {
+		mean += e
+	}
+	if len(errs) > 0 {
+		mean /= float64(len(errs))
+	}
+	return mean
 }
 
 // baselines is the §7 comparison: per app, every placement approach the
@@ -237,9 +227,7 @@ func baselines(opt Options) ([]row, render) {
 	for _, spec := range opt.apps(workload.Cassandra(workload.WriteHeavy), workload.Redis()) {
 		rows = append(rows, row{spec: spec, sc: opt.Scale, arms: []arm{
 			{name: "all-dram"},
-			{name: "profile-guided (X-Mem-like)", run: func(spec workload.Spec, sc Scale) (*Outcome, error) {
-				return RunProfileGuided(spec, sc, opt.SlowdownPct)
-			}},
+			{name: "profile-guided (X-Mem-like)", plan: Plan{Policy: &profileGuided{spec, opt.Scale, opt.SlowdownPct}}},
 			{name: "idle-demote (kstaled-like)", plan: Plan{Policy: &core.IdleDemote{
 				Interval: opt.Scale.PeriodNs, IdleScans: 4, NoPromote: true,
 			}}},

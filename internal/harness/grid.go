@@ -55,14 +55,13 @@ func (o Options) apps(def ...workload.Spec) []workload.Spec {
 	return workload.All()
 }
 
-// arm is one column of a row: a name and the Plan it runs. run, when set,
-// stands in for Run, for the shapes that are not one Plan: the
-// profile-guided arm's two chained runs and the §6.1 counters' hand-driven
-// loop.
+// arm is one column of a row: a name and the Plan it runs. Every experiment
+// arm is one Plan; a shape that needs more than the machine, app and policy
+// Assemble builds (the §6.1 counters' probes, the X-Mem baseline's profiling
+// run) is a sim.Policy whose Attach does it.
 type arm struct {
 	name string
 	plan Plan
-	run  func(workload.Spec, Scale) (*Outcome, error)
 }
 
 // row is one line of an experiment: an app at a scale and the arms that run
@@ -86,13 +85,9 @@ func runGrid(workers int, rows []row) ([][]*Outcome, error) {
 	tasks := make([][]pool.Task[*Outcome], len(rows))
 	for i, r := range rows {
 		for _, a := range r.arms {
-			run := a.run
-			if run == nil {
-				run = func(spec workload.Spec, sc Scale) (*Outcome, error) { return Run(spec, sc, a.plan) }
-			}
 			tasks[i] = append(tasks[i], pool.Task[*Outcome]{
 				Label: r.spec.Name + "/" + a.name,
-				Run:   func() (*Outcome, error) { return run(r.spec, r.sc) },
+				Run:   func() (*Outcome, error) { return Run(r.spec, r.sc, a.plan) },
 			})
 		}
 	}

@@ -179,10 +179,10 @@ func TestThreeTierGoldenRegression(t *testing.T) {
 // TestPlanShapesMatchSeedEntryPoints runs every Plan shape the thirteen old
 // entry points covered (RunThermostat, RunComposed, RunBaseline, RunPolicy,
 // RunPageMode, RunNTier{,Composed}, RunMatrixCell — now the policy matrix's
-// cells — the matrix's tiered baseline, RunProfileGuided) on redis at Tiny
-// scale, seed 1, and pins each to the numbers those entry points produced
-// at the commit before the collapse. One assembly must mean the same runs,
-// not similar ones.
+// cells — the matrix's tiered baseline, RunProfileGuided — now the
+// profileGuided policy) on redis at Tiny scale, seed 1, and pins each to the
+// numbers those entry points produced at the commit before the collapse.
+// One assembly must mean the same runs, not similar ones.
 func TestPlanShapesMatchSeedEntryPoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a dozen multi-second scaled runs")
@@ -239,7 +239,7 @@ func TestPlanShapesMatchSeedEntryPoints(t *testing.T) {
 			pages: 31, misses: 34192, events: 151530},
 		{name: "matrix-cell-three-tier", run: cell(1, "softdirty+heat"), policy: "softdirty+heat", ops: 6540684, slow: 1629, poison: 1620, coldByte: 12582912, clockNs: 8000000475,
 			pages: 31, misses: 34825, events: 2349},
-		{name: "profile-guided", run: func() (*Outcome, error) { return RunProfileGuided(spec, sc, 3) },
+		{name: "profile-guided", run: plan(Plan{Policy: &profileGuided{spec, sc, 3}}),
 			policy: "profile-guided", ops: 4380478, slow: 3777083, poison: 2643511, coldByte: 73400320, clockNs: 8000000581},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

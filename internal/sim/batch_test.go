@@ -50,9 +50,46 @@ func (p *churnPolicy) Tick(m *Machine, now int64) error {
 	return nil
 }
 
+// missHook builds a fresh stateful miss hook that counts its charged events
+// in events, and returns it with its declared bound.
+type missHook func(events *uint64) (func(addr.Virt, bool) int64, int64)
+
+// cmStyleHook charges a CM-bit-style flat fault cost on every miss to an
+// even-numbered huge page.
+func cmStyleHook(events *uint64) (func(addr.Virt, bool) int64, int64) {
+	return func(v addr.Virt, _ bool) int64 {
+		if (uint64(v)/addr.PageSize2M)%2 != 0 {
+			return 0
+		}
+		*events++
+		return 100
+	}, 100
+}
+
+// pebsStyleHook samples every 7th miss at a record cost, and every 64th
+// record adds a buffer-drain interrupt: the charge varies per event and
+// reaches its declared bound only on a drain. The drain is stretched from
+// PEBS's 4 µs to 200 µs, far above the rest of the per-op bound, so that a
+// block bound leaving the hook out lets a drain cross a boundary mid-block
+// and fails the differential.
+func pebsStyleHook(events *uint64) (func(addr.Virt, bool) int64, int64) {
+	var misses, records uint64
+	return func(addr.Virt, bool) int64 {
+		if misses++; misses%7 != 0 {
+			return 0
+		}
+		*events++
+		if records++; records%64 == 0 {
+			return 20 + 200_000
+		}
+		return 20
+	}, 20 + 200_000
+}
+
 // batchRun is one side of the differential: the result, the machine, the
 // (virtual time, accesses so far) pair at every policy tick, the telemetry
-// exports and the largest batch the app was asked for.
+// exports, the largest batch the app was asked for and the miss hook's
+// charged events.
 type batchRun struct {
 	res        *RunResult
 	m          *Machine
@@ -60,15 +97,22 @@ type batchRun struct {
 	trace      []byte
 	metrics    []byte
 	maxBatch   int
+	hookEvents uint64
 }
 
 // runPair executes the same seeded workload twice — under Run and under the
-// per-op oracle refRun — and returns both sides.
-func runPair(t *testing.T, rc RunConfig, mode SlowMemMode) (batched, serial batchRun) {
+// per-op oracle refRun — with hook, when non-nil, installed on each side's
+// machine, and returns both sides. A hooked run gets a 1 MB LLC, so that
+// misses, and with them hook charges, keep coming up to every boundary
+// rather than only after the churn moves pages.
+func runPair(t *testing.T, rc RunConfig, mode SlowMemMode, hook missHook) (batched, serial batchRun) {
 	t.Helper()
 	run := func(loop func(*Machine, App, Policy, RunConfig) (*RunResult, error)) batchRun {
 		cfg := DefaultConfig(64<<20, 64<<20)
 		cfg.Mode = mode
+		if hook != nil {
+			cfg.LLC.SizeBytes = 1 << 20
+		}
 		col := telemetry.NewCollector()
 		cfg.Recorder = col
 		m, err := New(cfg)
@@ -76,13 +120,16 @@ func runPair(t *testing.T, rc RunConfig, mode SlowMemMode) (batched, serial batc
 			t.Fatal(err)
 		}
 		m.EnablePageCounts()
+		out := batchRun{m: m}
+		if hook != nil {
+			m.SetMissHook(hook(&out.hookEvents))
+		}
 		pol := &churnPolicy{interval: 1e8}
 		inner := &uniformApp{
 			name: "batch-uniform", size: 8 << 20, huge: true,
 			r: rng.New(42), compute: 300,
 		}
 		app := &regionWire{app: inner, pol: pol}
-		out := batchRun{m: m}
 		rc := rc
 		rc.TickHook = func(now int64) error {
 			out.trajectory = append(out.trajectory, [2]uint64{uint64(now), m.Metrics().Accesses})
@@ -154,27 +201,57 @@ func checkRunPairEqual(t *testing.T, b, s batchRun) {
 	if !bytes.Equal(b.trace, s.trace) || !bytes.Equal(b.metrics, s.metrics) {
 		t.Error("telemetry exports diverge")
 	}
+	if b.hookEvents != s.hookEvents {
+		t.Errorf("miss hook events: batched %d serial %d", b.hookEvents, s.hookEvents)
+	}
 }
 
 // TestBatchSerialEquivalence is the differential proof that Run's blocks of N
 // are bit-identical to refRun's one op at a time: same seeded run, same
 // policy churn, compared field by field including histograms, series, the
-// clock at every tick and the telemetry exports.
+// clock at every tick and the telemetry exports — also with a CM-style or
+// a PEBS-style miss hook charging latency inside the blocks.
 func TestBatchSerialEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second differential run")
 	}
 	t.Parallel()
 	rc := RunConfig{DurationNs: 8e8, WindowNs: 1e8, WarmupNs: 3e8}
-	for _, mode := range []SlowMemMode{EmulatedFault, Device} {
-		batched, serial := runPair(t, rc, mode)
+	for _, tc := range []struct {
+		name string
+		mode SlowMemMode
+		hook missHook
+	}{
+		{"emulated", EmulatedFault, nil},
+		{"device", Device, nil},
+		{"emulated+cm-hook", EmulatedFault, cmStyleHook},
+		{"device+pebs-hook", Device, pebsStyleHook},
+	} {
+		batched, serial := runPair(t, rc, tc.mode, tc.hook)
 		checkRunPairEqual(t, batched, serial)
 		if len(batched.trajectory) == 0 || len(batched.trace) == 0 {
-			t.Errorf("%s: no ticks or no trace recorded — differential run too weak", mode)
+			t.Errorf("%s: no ticks or no trace recorded — differential run too weak", tc.name)
 		}
 		if batched.res.Metrics.PoisonFaults == 0 {
-			t.Errorf("%s: no poison faults — differential run not exercising the fault path", mode)
+			t.Errorf("%s: no poison faults — differential run not exercising the fault path", tc.name)
 		}
+		if tc.hook != nil && batched.hookEvents == 0 {
+			t.Errorf("%s: the miss hook never charged — differential run not exercising it", tc.name)
+		}
+	}
+}
+
+// TestMissHookOverBoundFails: a hook that charges more than its declared
+// maximum would break block exactness silently, so the access fails with an
+// error naming both the charge and the bound, and the run with it.
+func TestMissHookOverBoundFails(t *testing.T) {
+	t.Parallel()
+	m := newMachine(t)
+	m.SetMissHook(func(addr.Virt, bool) int64 { return 250 }, 200)
+	app := &uniformApp{name: "over-bound", size: 2 << 20, huge: true, r: rng.New(5), compute: 100}
+	_, err := Run(m, app, NullPolicy{Interval: 1e8}, RunConfig{DurationNs: 1e8})
+	if err == nil || !strings.Contains(err.Error(), "charged 250 ns") || !strings.Contains(err.Error(), "bound of 200 ns") {
+		t.Fatalf("Run with an over-bound miss hook: err = %v, want one naming the 250 ns charge and the 200 ns bound", err)
 	}
 }
 
@@ -198,17 +275,19 @@ func TestRunShortBatchFails(t *testing.T) {
 
 // TestBlockOps pins the block-size arithmetic sim.Run and fleet.Run share:
 // n-1 ops at the per-op bound end strictly before the limit, a due limit is
-// a block of one, and the MaxBlockOps cap and the miss-hook rule each take
-// precedence where they bind.
+// a block of one, the MaxBlockOps cap takes precedence where it binds, and
+// a miss hook's declared bound widens the per-op bound instead of forcing
+// blocks of one.
 func TestBlockOps(t *testing.T) {
 	t.Parallel()
 	const now, u = 1000, 100
-	hook := func(addr.Virt, bool) int64 { return 0 }
 	for _, tc := range []struct {
 		name  string
 		limit int64
-		hook  func(addr.Virt, bool) int64
-		want  int
+		// hookMaxNs, when set, installs a miss hook with this bound, which
+		// widens U by hookMaxNs/Threads.
+		hookMaxNs int64
+		want      int
 	}{
 		{name: "limit far behind", limit: now - 5*u, want: 1},
 		{name: "limit at now", limit: now, want: 1},
@@ -222,20 +301,30 @@ func TestBlockOps(t *testing.T) {
 		{name: "one short of the cap", limit: now + (MaxBlockOps-1)*u, want: MaxBlockOps - 1},
 		{name: "at the cap", limit: now + (MaxBlockOps-1)*u + 1, want: MaxBlockOps},
 		{name: "capped", limit: now + 1e12, want: MaxBlockOps},
-		{name: "miss hook", limit: now + 1e12, hook: hook, want: 1},
+		// A bound of U·Threads doubles U, so the 8 of "gap just above 7U"
+		// become (7U)/(2U) + 1 = 4.
+		{name: "miss hook widens U", limit: now + 7*u + 1, hookMaxNs: u * 8, want: 4},
 	} {
 		m := newMachine(t)
 		m.AdvanceClockTo(now)
-		m.SetMissHook(tc.hook)
-		if got := m.BlockOps(tc.limit, u); got != tc.want {
+		adv := int64(u)
+		if tc.hookMaxNs > 0 {
+			bare := m.MaxOpAdvanceNs(0)
+			m.SetMissHook(func(addr.Virt, bool) int64 { return 0 }, tc.hookMaxNs)
+			if threads := int64(m.Config().Threads); threads != 8 {
+				t.Fatalf("%s: machine has %d threads, the row assumes 8", tc.name, threads)
+			}
+			adv += m.MaxOpAdvanceNs(0) - bare
+		}
+		if got := m.BlockOps(tc.limit, adv); got != tc.want {
 			t.Errorf("%s: BlockOps(%d, %d) at clock %d = %d, want %d",
-				tc.name, tc.limit, u, now, got, tc.want)
+				tc.name, tc.limit, adv, now, got, tc.want)
 		}
 		// The defining property, where nothing else binds: n-1 ops at the
 		// bound stay short of the limit and one more would not.
-		if tc.hook == nil && tc.limit > now && tc.want < MaxBlockOps {
+		if tc.limit > now && tc.want < MaxBlockOps {
 			n := int64(tc.want)
-			if (n-1)*u >= tc.limit-now || n*u < tc.limit-now {
+			if (n-1)*adv >= tc.limit-now || n*adv < tc.limit-now {
 				t.Errorf("%s: n = %d is not the largest with (n-1)*U < limit-now", tc.name, n)
 			}
 		}

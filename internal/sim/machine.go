@@ -216,8 +216,10 @@ type Machine struct {
 
 	// missHook, when set, observes every LLC miss and returns extra
 	// latency to charge the access — the attachment point for the §6.1
-	// hardware-assisted access counters (CM-bit, PEBS).
-	missHook func(v addr.Virt, write bool) int64
+	// hardware-assisted access counters (CM-bit, PEBS). missMaxNs is its
+	// declared per-event maximum, which MaxOpAdvanceNs counts in.
+	missHook  func(v addr.Virt, write bool) int64
+	missMaxNs int64
 }
 
 // New validates cfg and builds a machine.
@@ -672,7 +674,11 @@ func (m *Machine) access(v addr.Virt, write bool, vpid tlb.VPID) (int64, error) 
 			m.countPage(v)
 		}
 		if m.missHook != nil {
-			lat += m.missHook(v, write)
+			h := m.missHook(v, write)
+			if h < 0 || h > m.missMaxNs {
+				return 0, fmt.Errorf("sim: miss hook charged %d ns at %s, outside its declared bound of %d ns", h, v, m.missMaxNs)
+			}
+			lat += h
 		}
 		switch {
 		case m.cfg.Mode == EmulatedFault && tier != mem.Fast:
@@ -707,8 +713,8 @@ type Req struct {
 // clock. The runner sizes batches so that (n-1) ops at this bound cannot
 // reach the next tick/window boundary, which makes batched execution
 // boundary-exact (see DESIGN.md "Hot path"). Overestimating only shrinks
-// batches; it never affects results. A miss hook adds latency this bound
-// cannot see, so BlockOps issues one op at a time while one is installed.
+// batches; it never affects results. An installed miss hook counts at its
+// declared maximum (SetMissHook).
 func (m *Machine) MaxOpAdvanceNs(computeNs int64) int64 {
 	if m.maxAccessLat == 0 {
 		walkMax := m.walkLat[walk.Depth4K]
@@ -722,7 +728,7 @@ func (m *Machine) MaxOpAdvanceNs(computeNs int64) int64 {
 			}
 		}
 		m.maxAccessLat = m.cfg.TLBHitNs + walkMax + m.cfg.FaultLatencyNs +
-			m.guest.FaultOverheadNs() + m.cfg.LLCHitNs + devMax
+			m.guest.FaultOverheadNs() + m.cfg.LLCHitNs + m.missMaxNs + devMax
 	}
 	threads := int64(m.cfg.Threads)
 	return m.maxAccessLat/threads + computeNs/threads + 1
@@ -738,10 +744,9 @@ const MaxBlockOps = 2048
 // and only op n can reach it — the block is then exactly n serial
 // iterations of a loop that tests limit after every op. limit is the
 // caller's nearest boundary; one already due gives a block of one. n is
-// capped at MaxBlockOps. A miss hook adds latency maxAdv cannot see, so a
-// machine with one runs blocks of one.
+// capped at MaxBlockOps.
 func (m *Machine) BlockOps(limit, maxAdv int64) int {
-	if m.missHook != nil || limit <= m.clock {
+	if limit <= m.clock {
 		return 1
 	}
 	return int(min((limit-m.clock-1)/maxAdv, MaxBlockOps-1) + 1)
@@ -766,10 +771,13 @@ func (m *Machine) AccessBatch(reqs []Req, computeNs int64) error {
 }
 
 // SetMissHook installs an observer invoked on every LLC miss; its return
-// value is added to the access latency. Pass nil to remove. Used by the
-// §6.1 hardware-assisted access-counting models.
-func (m *Machine) SetMissHook(h func(v addr.Virt, write bool) int64) {
-	m.missHook = h
+// value, at most maxNs, is added to the access latency. A charge outside
+// [0, maxNs] fails the access. Pass nil to remove. Used by the §6.1
+// hardware-assisted access-counting models; install it before the run
+// starts, since run loops read MaxOpAdvanceNs once.
+func (m *Machine) SetMissHook(h func(v addr.Virt, write bool) int64, maxNs int64) {
+	m.missHook, m.missMaxNs = h, maxNs
+	m.maxAccessLat = 0 // recomputed with the new bound
 }
 
 // EnablePageCounts turns on ground-truth per-2MB-page memory access (LLC

@@ -5,29 +5,32 @@
 # SHORT=1 runs the fast tier only (go test -short): the scaled harness
 # integration runs and the repro table gate are skipped, so the whole gate
 # finishes in a few minutes; the benchmark digest gate runs in both tiers.
-# The default (full) tier runs every test.
+# The default (full) tier runs every test. FUZZ=1 (either tier) adds the
+# fuzz smoke: every fuzz target for 10 s.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-# named run|bench PATTERN PKG [FLAGS...] is `go test FLAGS -run PATTERN PKG`
-# or `go test -run=NONE FLAGS -bench PATTERN PKG`, after checking that every
-# |-alternative of PATTERN names a test or benchmark of PKG: go test exits 0
-# when a pattern matches nothing ("no tests to run", or for -bench no word at
-# all), so a renamed or deleted test would turn its gate vacuous.
+# named run|bench|fuzz PATTERN PKG [FLAGS...] is `go test FLAGS -run PATTERN
+# PKG`, `go test -run=NONE FLAGS -bench PATTERN PKG` or `go test -run='^$'
+# FLAGS -fuzz PATTERN PKG`, after checking that every |-alternative of
+# PATTERN names a test, benchmark or fuzz target of PKG: go test exits 0 when
+# a pattern matches nothing ("no tests to run", or for -bench and -fuzz no
+# word at all), so a renamed or deleted test would turn its gate vacuous.
 named() {
 	kind="$1" pattern="$2" pkg="$3"
 	shift 3
 	listed="$(go test -list "$pattern" "$pkg")"
 	for name in $(echo "$pattern" | tr '|' ' '); do
 		if ! echo "$listed" | grep -q "^$name"; then
-			echo "check: '$name' names no test or benchmark in $pkg" >&2
+			echo "check: '$name' names no test, benchmark or fuzz target in $pkg" >&2
 			exit 1
 		fi
 	done
 	case "$kind" in
 	run) go test "$@" -run "$pattern" "$pkg" ;;
 	bench) go test -run=NONE "$@" -bench "$pattern" "$pkg" ;;
+	fuzz) go test -run='^$' "$@" -fuzz "$pattern" "$pkg" ;;
 	esac
 }
 
@@ -186,5 +189,23 @@ echo "== daemon gate"
 named run 'TestReloadVsColdStart|TestCheckpointRestoreBitIdentity|TestQuarantineOnlyUnderChaos|TestHaltLadder' \
 	./internal/daemon -count=1
 ./scripts/daemon_gate.sh
+
+if [ "${FUZZ:-0}" = "1" ]; then
+	echo "== fuzz smoke"
+	# Ten seconds per target: leaf index, packed page table vs [512]Entry
+	# table, TLB vs map LRU, LLC vs 64-bit tags, Zipfian vs Pow, request
+	# path vs reference App, fleet arbiter, fleet blocks vs per-op, daemon
+	# config. Through named, so a renamed target fails instead of fuzzing
+	# nothing.
+	named fuzz FuzzLeafIndex ./internal/pagetable -fuzztime 10s
+	named fuzz FuzzTableVsRef ./internal/pagetable -fuzztime 10s
+	named fuzz FuzzTLBVsMapLRU ./internal/tlb -fuzztime 10s
+	named fuzz FuzzCacheVsRef ./internal/cache -fuzztime 10s
+	named fuzz FuzzZipfianVsPow ./internal/rng -fuzztime 10s
+	named fuzz FuzzAppVsRef ./internal/workload -fuzztime 10s
+	named fuzz FuzzFleetArbiter ./internal/fleet -fuzztime 10s
+	named fuzz FuzzFleetRunVsPerOp ./internal/fleet -fuzztime 10s
+	named fuzz FuzzDaemonConfig ./internal/daemon -fuzztime 10s
+fi
 
 echo "check: OK"

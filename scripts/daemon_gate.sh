@@ -7,9 +7,10 @@
 #     health=quarantine-only, and the run keeps going (bounded backpressure,
 #     not a crash).
 #  3. Graceful stop: SIGTERM exits 0 with telemetry flushed.
-#  4. Crash safety: kill -9 mid-run leaves a checkpoint; a restart restores
-#     from it (journal replay + digest check) and the final exports are
-#     byte-identical to an uninterrupted reference run.
+#  4. Crash safety: kill -9 mid-run leaves a checkpoint; a torn copy of it
+#     makes a restart exit 2; a restart from the intact one restores (journal
+#     replay + digest check) and the final exports are byte-identical to an
+#     uninterrupted reference run.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -191,6 +192,16 @@ kill -9 "$pid"
 wait "$pid" 2>/dev/null || true
 pid=""
 [ ! -e "$dir/crash.trace.json" ] || { echo "daemon gate: exports written despite kill -9" >&2; exit 1; }
+
+# A torn copy of that checkpoint is bad input: a restart that finds it must
+# refuse it by name and exit 2, like a bad config, before running anything.
+head -c "$(($(wc -c <"$dir/daemon.ckpt") / 2))" "$dir/daemon.ckpt" >"$dir/torn.ckpt"
+sed "s|checkpoint_path: .*|checkpoint_path: $dir/torn.ckpt|" "$dir/crash.yaml" >"$dir/torn.yaml"
+rc=0
+"$dir/thermostatd" -config "$dir/torn.yaml" 2>"$dir/torn.log" || rc=$?
+[ "$rc" = "2" ] || { echo "daemon gate: torn checkpoint exit code $rc, want 2" >&2; cat "$dir/torn.log" >&2; exit 1; }
+grep -q "torn.ckpt" "$dir/torn.log"
+echo "daemon: a torn checkpoint is refused by name with exit 2"
 
 # Restart with the same config: the surviving checkpoint must be picked up,
 # replayed to its digest, and the completed run must match the reference
