@@ -239,6 +239,48 @@ func TestTornCheckpointIsNamedError(t *testing.T) {
 	}
 }
 
+// TestTornConfigIsNamedError: a config file cut short never panics. Every
+// cut of the JSON example before its final brace is refused by LoadFile
+// with an error naming the file; a cut of the YAML example is refused the
+// same way or is itself a shorter YAML document, on which ValidateForDaemon
+// must return rather than panic (thermostatd exits 2 on either error).
+func TestTornConfigIsNamedError(t *testing.T) {
+	torn := filepath.Join(t.TempDir(), "torn.conf")
+	load := func(data []byte) (Config, error) {
+		t.Helper()
+		if err := os.WriteFile(torn, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return LoadFile(torn)
+	}
+	js := readFileT(t, filepath.Join("..", "..", "examples", "configs", "batch.json"))
+	for n := 0; n <= bytes.LastIndexByte(js, '}'); n++ {
+		c, err := load(js[:n])
+		if n == 0 && err == nil {
+			// Zero bytes are not JSON but the YAML subset's empty document:
+			// the defaults, which name no app, so the daemon refuses them.
+			if c.ValidateForDaemon() == nil {
+				t.Fatal("an empty config file passed ValidateForDaemon")
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), torn) {
+			t.Fatalf("batch.json cut to %d of %d bytes: err %v; want an error naming %s", n, len(js), err, torn)
+		}
+	}
+	ym := readFileT(t, filepath.Join("..", "..", "examples", "configs", "daemon.yaml"))
+	for n := 0; n < len(ym); n++ {
+		c, err := load(ym[:n])
+		if err == nil {
+			_ = c.ValidateForDaemon() // an error is a refusal; only a panic fails
+			continue
+		}
+		if !strings.Contains(err.Error(), torn) {
+			t.Fatalf("daemon.yaml cut to %d of %d bytes: err %v; want it to name %s", n, len(ym), err, torn)
+		}
+	}
+}
+
 // TestQuarantineOnlyUnderChaos drives sustained permanent-fault chaos and
 // requires the ladder to reach quarantine-only without the run crashing:
 // bounded backpressure, not a fatal.

@@ -10,9 +10,11 @@ import (
 )
 
 // diffCaps are the L1/L2 pairs the differential tests cover: the two sizes
-// the benchmark workloads run at, an example size, the paper's, and the two
-// edge shapes (L1 == L2, neither a power of two).
-var diffCaps = []Config{{2, 8}, {2, 16}, {4, 64}, {64, 1024}, {8, 8}, {3, 5}}
+// the benchmark workloads run at, an example size, the paper's, two edge
+// shapes (L1 == L2, neither a power of two), and the smallest shape on each
+// side of the set/index boundary. FuzzTLBVsMapLRU picks by index, so new
+// pairs are appended to keep the committed seeds' geometry.
+var diffCaps = []Config{{2, 8}, {2, 16}, {4, 64}, {64, 1024}, {8, 8}, {3, 5}, {1, 1}, {2, 9}}
 
 // opBytes is the length of one encoded operation of a differential program.
 const opBytes = 4
@@ -107,10 +109,14 @@ func runDiff(t *testing.T, cfg Config, prog []byte) {
 	}
 }
 
-// checkStructure verifies that the index, the LRU list with its L1 prefix,
-// and the freelist account for every slot exactly once, and that every
-// occupied index cell carries its slot's key.
+// checkStructure verifies the set form's sizes and keys (checkSet), or that
+// the index form's index, LRU list with its L1 prefix, and freelist account
+// for every slot exactly once, and that every occupied index cell carries
+// its slot's key.
 func (t *TLB) checkStructure() error {
+	if t.set != nil {
+		return t.checkSet()
+	}
 	if t.n1 > t.cap1 || t.n1 > t.n2 || t.n2 > len(t.entries) {
 		return fmt.Errorf("sizes n1=%d n2=%d caps %d/%d", t.n1, t.n2, t.cap1, len(t.entries))
 	}
@@ -175,6 +181,28 @@ func (t *TLB) checkStructure() error {
 	return nil
 }
 
+// checkSet verifies that the set form's L1 prefix and live entries fit
+// their capacities, that no key is cached twice, and that every tag names a
+// 4 KB or 2 MB grain.
+func (t *TLB) checkSet() error {
+	if t.n1 < 0 || t.n1 > t.cap1 || t.n1 > t.n2 || t.n2 > len(t.set) {
+		return fmt.Errorf("sizes n1=%d n2=%d caps %d/%d", t.n1, t.n2, t.cap1, len(t.set))
+	}
+	live := t.set[:t.n2]
+	for i := range live {
+		w := &live[i]
+		if l := w.lvl(); l != pagetable.Level4K && l != pagetable.Level2M {
+			return fmt.Errorf("position %d tag %#x has grain %v", i, w.tag, l)
+		}
+		for j := range live[:i] {
+			if live[j].vpn == w.vpn && live[j].tag == w.tag {
+				return fmt.Errorf("key (%d, %#x) at positions %d and %d", w.vpn, w.tag, j, i)
+			}
+		}
+	}
+	return nil
+}
+
 // randomProgram is a seeded op sequence for runDiff.
 func randomProgram(seed uint64, ops int) []byte {
 	r := rng.New(seed)
@@ -206,9 +234,10 @@ func FuzzTLBVsMapLRU(f *testing.F) {
 	})
 }
 
-// TestAccessPathDoesNotAllocate pins the steady state on a full TLB: an L1
-// hit, an L2 hit, a miss, the fill after it (which evicts), inserts into
-// free slots, and both invalidations reuse the preallocated slots.
+// TestAccessPathDoesNotAllocate pins the steady state on a full TLB of each
+// form (2/8 the set, 64/1024 the index): an L1 hit, an L2 hit, a miss, the
+// fill after it (which evicts), inserts into free slots, and both
+// invalidations reuse the preallocated entries.
 func TestAccessPathDoesNotAllocate(t *testing.T) {
 	for _, cfg := range []Config{{2, 8}, {64, 1024}} {
 		tl := New(cfg)
@@ -245,6 +274,24 @@ func TestAccessPathDoesNotAllocate(t *testing.T) {
 		}
 		if err := tl.checkStructure(); err != nil {
 			t.Errorf("%d/%d: %v", cfg.L1Entries, cfg.L2Entries, err)
+		}
+	}
+}
+
+// TestNewPicksFormBySize: New holds up to 8 L2 entries as the set form and
+// more as the index form, whatever L1Entries is.
+func TestNewPicksFormBySize(t *testing.T) {
+	for _, tc := range []struct {
+		cfg Config
+		set bool
+	}{
+		{Config{1, 1}, true}, {Config{2, 5}, true}, {Config{8, 8}, true},
+		{Config{2, 9}, false}, {Config{2, 16}, false}, {Config{64, 1024}, false},
+	} {
+		tl := New(tc.cfg)
+		if gotSet, gotIndex := tl.set != nil, tl.index != nil; gotSet != tc.set || gotIndex == tc.set {
+			t.Errorf("New(%d/%d): set form %v, index form %v; want set form %v",
+				tc.cfg.L1Entries, tc.cfg.L2Entries, gotSet, gotIndex, tc.set)
 		}
 	}
 }

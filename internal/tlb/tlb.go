@@ -4,6 +4,11 @@
 // a 2MB entry gives huge pages their larger reach, which is the TLB half of
 // the paper's Table 1 huge-page advantage.
 //
+// A TLB of at most 8 L2 entries (the tiny-scale runs' 2/8) is held as one
+// recency-ordered set that lookups scan; a larger one (2/16, the testbed's
+// 64/1024) as a keyed index over an LRU list. Both are exact LRU with the
+// same results.
+//
 // Poisoned translations are never cached: BadgerTrap relies on every access
 // to a poisoned page missing the TLB so the poison fault fires (the fault
 // handler installs only a transient translation).
@@ -96,7 +101,10 @@ const (
 )
 
 // TLB is the two-level translation cache: both levels are fully associative
-// exact LRU, held in one preallocated slot array.
+// exact LRU, held in one preallocated array. New picks the form from
+// L2Entries alone: up to 8 entries, the set form, an array in recency order
+// whose first n1 positions are L1 (set.go); above 8, the index form, slots
+// threaded on an LRU list and found through a keyed index.
 //
 // Every operation applies one key to both levels, so L1 is not merely a
 // subset of L2: its LRU order is a prefix of L2's. A hit or insert puts the
@@ -105,10 +113,15 @@ const (
 // when the prefix is the whole list, and then capacities are equal and both
 // levels evict it (hence L2Entries >= L1Entries); an invalidation deletes
 // the entry from the list and, if it was there, from the prefix. So one
-// list serves both levels: its first n1 entries, ending at l1tail and
-// flagged inL1, are L1, and the whole list is L2. DESIGN.md "Flat TLB"
+// order serves both levels: the set form's array is that order, its first
+// n1 positions L1; the index form threads it as a list whose first n1
+// entries, ending at l1tail and flagged inL1, are L1. DESIGN.md "Flat TLB"
 // spells the argument out.
 type TLB struct {
+	// set holds the set form's entries, most recent first. It is nil in
+	// the index form, and the set form leaves entries through free unused.
+	set []way
+
 	entries []entry
 	// index is an open-addressed table of keyed cells over entries, linear
 	// probing, at most half full.
@@ -119,7 +132,7 @@ type TLB struct {
 	head, tail int32 // LRU list of live entries (L2)
 	l1tail     int32 // last entry of the L1 prefix, nilSlot when n1 == 0
 	free       int32 // freelist head
-	n1, n2     int
+	n1, n2     int   // live entries in L1 and L2 (both forms)
 	cap1       int
 
 	hitsL1 stats.Counter
@@ -133,6 +146,9 @@ func New(cfg Config) *TLB {
 	cfg, err := cfg.Normalize()
 	if err != nil {
 		panic("tlb: " + err.Error())
+	}
+	if cfg.L2Entries <= setMax {
+		return &TLB{set: make([]way, cfg.L2Entries), cap1: cfg.L1Entries}
 	}
 	logCells := bits.Len(uint(2*cfg.L2Entries - 1)) // smallest power of two >= 2 x capacity
 	t := &TLB{
@@ -273,6 +289,9 @@ func (t *TLB) hit(s int32, at HitLevel) (Result, bool) {
 // translation and a 2MB entry can coexist); within a level the 2MB grain is
 // tried first. On an L2 hit the entry is promoted to L1.
 func (t *TLB) Lookup(v addr.Virt, vpid VPID) (Result, bool) {
+	if t.set != nil {
+		return t.lookupSet(v, vpid)
+	}
 	s2 := t.find(v.PageNum2M(), tagOf(pagetable.Level2M, vpid))
 	if s2 >= 0 && t.entries[s2].inL1 {
 		t.hitsL1.Inc()
@@ -304,6 +323,10 @@ func pageNum(v addr.Virt, lvl pagetable.Level) uint64 {
 // Insert caches a translation in both levels (inclusive hierarchy).
 func (t *TLB) Insert(v addr.Virt, lvl pagetable.Level, frame addr.Phys, vpid VPID) {
 	vpn := pageNum(v, lvl)
+	if t.set != nil {
+		t.insertSet(way{vpn: vpn, frame: frame, tag: tagOf(lvl, vpid)})
+		return
+	}
 	if s := t.find(vpn, tagOf(lvl, vpid)); s >= 0 {
 		t.entries[s].frame = frame
 		t.touch(s)
@@ -317,6 +340,10 @@ func (t *TLB) Insert(v addr.Virt, lvl pagetable.Level, frame addr.Phys, vpid VPI
 // walk may run between the miss and the fill, and lvl must be the grain the
 // walk found — one of the two keys the miss probed.
 func (t *TLB) Fill(v addr.Virt, lvl pagetable.Level, frame addr.Phys, vpid VPID) {
+	if t.set != nil {
+		t.addSet(way{vpn: pageNum(v, lvl), frame: frame, tag: tagOf(lvl, vpid)})
+		return
+	}
 	t.add(pageNum(v, lvl), lvl, frame, vpid)
 }
 
@@ -345,6 +372,12 @@ func (t *TLB) add(vpn uint64, lvl pagetable.Level, frame addr.Phys, vpid VPID) {
 // Invalidate drops any cached translation of v (both grains) under vpid —
 // the invlpg analogue, required after poisoning or remapping a page.
 func (t *TLB) Invalidate(v addr.Virt, vpid VPID) {
+	if t.set != nil {
+		k2, t2 := v.PageNum2M(), tagOf(pagetable.Level2M, vpid)
+		k4, t4 := v.PageNum4K(), tagOf(pagetable.Level4K, vpid)
+		t.dropSet(func(w *way) bool { return w.vpn == k2 && w.tag == t2 || w.vpn == k4 && w.tag == t4 })
+		return
+	}
 	if s := t.find(v.PageNum4K(), tagOf(pagetable.Level4K, vpid)); s >= 0 {
 		t.remove(s)
 	}
@@ -355,6 +388,10 @@ func (t *TLB) Invalidate(v addr.Virt, vpid VPID) {
 
 // InvalidateVPID drops all translations tagged with vpid.
 func (t *TLB) InvalidateVPID(vpid VPID) {
+	if t.set != nil {
+		t.dropSet(func(w *way) bool { return VPID(w.tag) == vpid })
+		return
+	}
 	for s := t.head; s >= 0; {
 		e := &t.entries[s]
 		next := e.next
@@ -370,26 +407,36 @@ func (t *TLB) InvalidateVPID(vpid VPID) {
 // Invalidate it also catches transient 4KB translations BadgerTrap installed
 // inside poisoned huge pages, whose bases the caller cannot enumerate.
 func (t *TLB) InvalidateRange(r addr.Range, vpid VPID) {
+	if t.set != nil {
+		t.dropSet(func(w *way) bool {
+			return VPID(w.tag) == vpid && r.Contains(pageBase(w.vpn, w.lvl()))
+		})
+		return
+	}
 	for s := t.head; s >= 0; {
 		e := &t.entries[s]
 		next := e.next
-		if e.vpid == vpid && r.Contains(e.base()) {
+		if e.vpid == vpid && r.Contains(pageBase(e.vpn, e.lvl)) {
 			t.remove(s)
 		}
 		s = next
 	}
 }
 
-// base is the first virtual address the entry translates.
-func (e *entry) base() addr.Virt {
-	if e.lvl == pagetable.Level2M {
-		return addr.Virt2M(e.vpn)
+// pageBase is the first virtual address of page vpn at grain lvl.
+func pageBase(vpn uint64, lvl pagetable.Level) addr.Virt {
+	if lvl == pagetable.Level2M {
+		return addr.Virt2M(vpn)
 	}
-	return addr.Virt4K(e.vpn)
+	return addr.Virt4K(vpn)
 }
 
 // Flush empties the whole TLB.
 func (t *TLB) Flush() {
+	t.n1, t.n2 = 0, 0
+	if t.set != nil {
+		return
+	}
 	for i := range t.index {
 		t.index[i].slot = nilSlot
 	}
@@ -399,7 +446,6 @@ func (t *TLB) Flush() {
 	t.entries[len(t.entries)-1].next = nilSlot
 	t.free = 0
 	t.head, t.tail, t.l1tail = nilSlot, nilSlot, nilSlot
-	t.n1, t.n2 = 0, 0
 }
 
 // Stats reports lookup outcome counts since construction.

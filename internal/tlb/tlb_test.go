@@ -205,8 +205,8 @@ func TestTLBConsistencyProperty(t *testing.T) {
 	}
 }
 
-// benchCaps are the sizes the runs use: harness.Tiny, harness.Bench and the
-// paper's testbed.
+// benchCaps are the sizes the runs use: harness.Tiny (the set form),
+// harness.Bench and the paper's testbed (the index form).
 var benchCaps = []Config{{2, 8}, {2, 16}, {64, 1024}}
 
 func benchEachCap(b *testing.B, fn func(b *testing.B, cfg Config, tl *TLB)) {

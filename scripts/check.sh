@@ -54,7 +54,8 @@ if [ "${SHORT:-0}" = "1" ]; then
 	# One quick pass over the hot-path micro-benchmarks: catches bit-rot in
 	# the page table's slot index (scan and split/collapse, at 512 pages and
 	# at the 16 GiB bigmem-scan shape) and its walk at both grains, the TLB (hit, miss and evicting
-	# insert at the 2/8, 2/16 and 64/1024 sizes the runs use), the LLC, the
+	# insert at the sizes the runs use: 2/8 runs the set form, 2/16 and
+	# 64/1024 the index form), the LLC, the
 	# Zipfian sampler's guide table (at the page counts of websearch-tlbhit
 	# and bigmem-scan), request generation per app, the access path, and one
 	# fleet-night run under fleet.Run's block loop. The measured numbers come

@@ -7,10 +7,10 @@
 #     health=quarantine-only, and the run keeps going (bounded backpressure,
 #     not a crash).
 #  3. Graceful stop: SIGTERM exits 0 with telemetry flushed.
-#  4. Crash safety: kill -9 mid-run leaves a checkpoint; a torn copy of it
-#     makes a restart exit 2; a restart from the intact one restores (journal
-#     replay + digest check) and the final exports are byte-identical to an
-#     uninterrupted reference run.
+#  4. Crash safety: kill -9 mid-run leaves a checkpoint; a torn copy of it,
+#     like a torn config file, makes a restart exit 2; a restart from the
+#     intact one restores (journal replay + digest check) and the final
+#     exports are byte-identical to an uninterrupted reference run.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -202,6 +202,14 @@ rc=0
 [ "$rc" = "2" ] || { echo "daemon gate: torn checkpoint exit code $rc, want 2" >&2; cat "$dir/torn.log" >&2; exit 1; }
 grep -q "torn.ckpt" "$dir/torn.log"
 echo "daemon: a torn checkpoint is refused by name with exit 2"
+
+# So is a torn config file: the first half of a valid JSON config.
+head -c "$(($(wc -c <examples/configs/batch.json) / 2))" examples/configs/batch.json >"$dir/torn.json"
+rc=0
+"$dir/thermostatd" -config "$dir/torn.json" 2>"$dir/torn-config.log" || rc=$?
+[ "$rc" = "2" ] || { echo "daemon gate: torn config exit code $rc, want 2" >&2; cat "$dir/torn-config.log" >&2; exit 1; }
+grep -q "torn.json" "$dir/torn-config.log"
+echo "daemon: a torn config is refused by name with exit 2"
 
 # Restart with the same config: the surviving checkpoint must be picked up,
 # replayed to its digest, and the completed run must match the reference
