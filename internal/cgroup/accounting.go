@@ -7,10 +7,11 @@
 //
 // Two charge flavours exist on purpose:
 //
-//   - TryCharge is the admission path: it atomically checks the limit at
+//   - TryCharge is the checked path: it atomically checks the limit at
 //     every ancestor and either applies the charge at all levels or none.
-//     The arbiter uses it when a tenant arrives, so the pool can refuse an
-//     admission that would not fit.
+//     Nothing in the simulator calls it (bench/replay.go times it): fleet
+//     admission is fleet.Arbitrate over the floors and demands plus a check
+//     that the top tier's free bytes hold the newcomer's estimate.
 //   - Charge is the residency-mirror path: it applies unconditionally,
 //     because it records what the hardware already did (a migration that
 //     has happened cannot be refused). A group driven over its limit this

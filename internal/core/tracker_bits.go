@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"thermostat/internal/addr"
 	"thermostat/internal/cgroup"
 	"thermostat/internal/kstaled"
@@ -140,7 +138,7 @@ func (t *BitTracker) MeasureCold(cold []addr.Virt, intervalSec float64) []Measur
 }
 
 // Estimates implements Tracker: one estimate per in-scope top-tier huge
-// page, in ascending base order.
+// page, in ascending base order (ScanHuge visits in address order).
 func (t *BitTracker) Estimates(intervalSec float64) ([]Estimate, error) {
 	t.ensureScanned()
 	ranges := scopeRangesOf(t.scope)
@@ -152,6 +150,5 @@ func (t *BitTracker) Estimates(intervalSec float64) ([]Estimate, error) {
 		ests = append(ests, Estimate{Base: base, Rate: t.rateOf(base)})
 		t.sampled.Inc()
 	})
-	sort.Slice(ests, func(i, j int) bool { return ests[i].Base < ests[j].Base })
 	return ests, nil
 }

@@ -102,7 +102,8 @@ func (t *DamonTracker) Arm() error {
 	return nil
 }
 
-// mappedPages lists the in-scope mapped 2MB bases in ascending order.
+// mappedPages lists the in-scope mapped 2MB bases in ascending order
+// (ScanHuge visits in address order).
 func (t *DamonTracker) mappedPages() []addr.Virt {
 	ranges := scopeRangesOf(t.scope)
 	var pages []addr.Virt
@@ -111,7 +112,6 @@ func (t *DamonTracker) mappedPages() []addr.Virt {
 			pages = append(pages, base)
 		}
 	})
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
 	return pages
 }
 
@@ -298,7 +298,9 @@ func (t *DamonTracker) MeasureCold(cold []addr.Virt, intervalSec float64) []Meas
 }
 
 // Estimates implements Tracker: one estimate per in-scope top-tier 2MB
-// page, in ascending base order (regions are address-sorted).
+// page, in ascending base order. Regions are sorted by first page, but
+// after page churn a new region can start inside an older region's gap,
+// so the pages are sorted here.
 func (t *DamonTracker) Estimates(intervalSec float64) ([]Estimate, error) {
 	t.ensureScanned()
 	var ests []Estimate

@@ -196,7 +196,7 @@ func (t *PoisonTracker) Estimates(intervalSec float64) ([]Estimate, error) {
 		}
 		daemon += int64(addr.PagesPerHuge) * perLeafScanNs
 	}
-	sort.Slice(fastEsts, func(i, j int) bool { return fastEsts[i].Base < fastEsts[j].Base })
+	// fastEsts is in base order: cohortSorted is.
 
 	// Restore all sampled pages to huge mappings.
 	for _, s := range cohort {

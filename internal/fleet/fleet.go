@@ -493,28 +493,18 @@ func (r *runner) attach(st *tenantState, now int64) error {
 // to the post-arrival grants, verify the fast tier can hold the newcomer,
 // then attach it. A rejected tenant never joins arbitration again.
 func (r *runner) admit(st *tenantState, now int64) error {
-	var floors uint64
-	for i := range r.states {
-		if r.states[i].active {
-			floors += r.states[i].t.FloorBytes
-		}
+	ds, idx := r.residents()
+	floors := st.t.FloorBytes
+	for _, d := range ds {
+		floors += d.FloorBytes
 	}
-	if floors+st.t.FloorBytes > r.pool {
+	if floors > r.pool {
 		st.rejected = true
 		return nil
 	}
 	// Provisional arbitration with the newcomer's estimate as its demand:
 	// incumbents shrink to their post-arrival grants and squeeze out the
 	// difference before the newcomer allocates.
-	ds := make([]Demand, 0, len(r.states))
-	idx := make([]int, 0, len(r.states))
-	for i := range r.states {
-		s := &r.states[i]
-		if s.active {
-			ds = append(ds, r.demandOf(s))
-			idx = append(idx, i)
-		}
-	}
 	ds = append(ds, Demand{Name: st.t.Name, Priority: st.t.Priority,
 		FloorBytes: st.t.FloorBytes, DemandBytes: st.mem.EstBytes, SLOPct: st.t.SLOPct})
 	grants, err := Arbitrate(r.pool, ds)
@@ -522,10 +512,8 @@ func (r *runner) admit(st *tenantState, now int64) error {
 		st.rejected = true
 		return nil
 	}
-	for k, i := range idx {
-		if err := r.applyGrant(&r.states[i], grants[k], now); err != nil {
-			return err
-		}
+	if err := r.applyGrants(idx, grants, now); err != nil {
+		return err
 	}
 	if st.mem.EstBytes > 0 && r.m.Memory().Tier(0).Free() < st.mem.EstBytes {
 		st.rejected = true
@@ -632,15 +620,7 @@ func (r *runner) syncUsage(st *tenantState) {
 // assignment and the periodic rounds. Returns the demands and member
 // indexes it acted on.
 func (r *runner) grantRound(now int64) ([]Demand, []int, error) {
-	ds := make([]Demand, 0, len(r.states))
-	idx := make([]int, 0, len(r.states))
-	for i := range r.states {
-		st := &r.states[i]
-		if st.active {
-			ds = append(ds, r.demandOf(st))
-			idx = append(idx, i)
-		}
-	}
+	ds, idx := r.residents()
 	if len(ds) == 0 {
 		return nil, nil, nil
 	}
@@ -648,12 +628,34 @@ func (r *runner) grantRound(now int64) ([]Demand, []int, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	for k, i := range idx {
-		if err := r.applyGrant(&r.states[i], grants[k], now); err != nil {
-			return nil, nil, err
-		}
+	if err := r.applyGrants(idx, grants, now); err != nil {
+		return nil, nil, err
 	}
 	return ds, idx, nil
+}
+
+// residents returns the demand of every resident tenant and its index in
+// r.states, in state order: the members of an arbitration round.
+func (r *runner) residents() ([]Demand, []int) {
+	ds := make([]Demand, 0, len(r.states)+1)
+	idx := make([]int, 0, len(r.states))
+	for i := range r.states {
+		if st := &r.states[i]; st.active {
+			ds = append(ds, r.demandOf(st))
+			idx = append(idx, i)
+		}
+	}
+	return ds, idx
+}
+
+// applyGrants applies grants[k] to the resident tenant r.states[idx[k]].
+func (r *runner) applyGrants(idx []int, grants []uint64, now int64) error {
+	for k, i := range idx {
+		if err := r.applyGrant(&r.states[i], grants[k], now); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // arbitrate runs one grant-revision round over the resident tenants and

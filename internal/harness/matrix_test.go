@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"thermostat/internal/core"
 	"thermostat/internal/sim"
 	"thermostat/internal/telemetry"
 	"thermostat/internal/workload"
@@ -159,5 +160,65 @@ func TestMatrixSmoke(t *testing.T) {
 	}
 	if demotions == 0 {
 		t.Fatal("no composition demoted anything")
+	}
+}
+
+// ascendingEstimates wraps a tracker and fails the test the moment an
+// Estimates batch is not strictly ascending by base, the order the Tracker
+// contract promises and the policies rely on.
+type ascendingEstimates struct {
+	core.Tracker
+	t     *testing.T
+	cell  string
+	count *int
+}
+
+func (a ascendingEstimates) Estimates(intervalSec float64) ([]core.Estimate, error) {
+	ests, err := a.Tracker.Estimates(intervalSec)
+	for i := 1; i < len(ests); i++ {
+		if ests[i].Base <= ests[i-1].Base {
+			a.t.Errorf("%s: Estimates[%d].Base %#x follows %#x", a.cell, i, ests[i].Base, ests[i-1].Base)
+		}
+	}
+	*a.count += len(ests)
+	return ests, err
+}
+
+// TestEstimatesAscendByBase runs every registry tracker through the matrix
+// smoke cells (at TestMatrixSmoke's short duration) and checks that each
+// Estimates batch is strictly ascending by base: the poison, idle-bit and
+// soft-dirty trackers build theirs in address order without sorting.
+func TestEstimatesAscendByBase(t *testing.T) {
+	t.Parallel()
+	sc := matrixScale()
+	sc.DurationNs = 2_000_000_000
+	sc.WarmupNs = 500_000_000
+	r := matrixTwoTier(t, sc)
+	for _, a := range r.arms[1:] {
+		t.Run(a.name, func(t *testing.T) {
+			t.Parallel()
+			tracker, policy, _ := strings.Cut(a.name, "+")
+			g, err := sc.Group(a.plan.SlowdownPct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := core.NewTrackerByName(tracker, g, sc.Seed+engineSeedOffset)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pol, err := core.NewPolicyByName(policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var n int
+			p := a.plan
+			p.Policy = core.Compose(g, ascendingEstimates{tr, t, a.name, &n}, pol)
+			if _, err := Run(r.spec, sc, p); err != nil {
+				t.Fatal(err)
+			}
+			if n == 0 {
+				t.Fatal("the tracker returned no estimates")
+			}
+		})
 	}
 }

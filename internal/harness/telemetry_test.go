@@ -2,15 +2,13 @@ package harness
 
 import (
 	"bytes"
-	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"thermostat/internal/golden"
 	"thermostat/internal/workload"
 )
-
-var update = flag.Bool("update", false, "rewrite golden telemetry export files")
 
 // telemetryScale is a short schedule for the export tests: enough epochs for
 // several sampling periods without the full Tiny run length.
@@ -95,24 +93,7 @@ func TestRunAllTelemetryWorkerInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		golden := filepath.Join("testdata", name)
-		if *update {
-			if err := os.MkdirAll("testdata", 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(golden, got, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		want, err := os.ReadFile(golden)
-		if err != nil {
-			t.Fatalf("missing golden %s (run with -update): %v", golden, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s drifted from golden (%d vs %d bytes; verify and run with -update)",
-				name, len(got), len(want))
-		}
+		golden.Bytes(t, name, got)
 	}
 }
 

@@ -218,8 +218,8 @@ func TestAllocatorInvariantProperty(t *testing.T) {
 
 func TestMeter(t *testing.T) {
 	m := NewMeter(0)
-	m.Record(Demotion, addr.PageSize2M)
-	m.Record(Promotion, addr.PageSize4K)
+	m.RecordPair(Demotion, 0, 1, addr.PageSize2M)
+	m.RecordPair(Promotion, 1, 0, addr.PageSize4K)
 	if m.Bytes(Demotion) != addr.PageSize2M {
 		t.Fatalf("demotion bytes = %d", m.Bytes(Demotion))
 	}

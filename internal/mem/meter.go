@@ -67,34 +67,22 @@ func NewMeter(startNs int64) *Meter {
 	return &Meter{startNs: startNs, pairs: make(map[TierPair]*pairCounters)}
 }
 
-// Record accounts one page movement of the given kind and size without pair
-// attribution (legacy two-tier entry point; the pair is implied by the
-// kind there). Prefer RecordPair.
-func (m *Meter) Record(kind TrafficKind, bytes uint64) {
-	m.bytes[kind].Add(bytes)
-	switch {
-	case bytes >= 2<<20:
-		m.pages2M[kind].Add(bytes / (2 << 20))
-	default:
-		m.pages4K[kind].Add(bytes / 4096)
-	}
-}
-
 // RecordPair accounts one page movement of the given kind and size over the
 // (src, dst) tier pair.
 func (m *Meter) RecordPair(kind TrafficKind, src, dst TierID, bytes uint64) {
-	m.Record(kind, bytes)
 	key := TierPair{Src: src, Dst: dst}
 	pc, ok := m.pairs[key]
 	if !ok {
 		pc = &pairCounters{}
 		m.pairs[key] = pc
 	}
+	m.bytes[kind].Add(bytes)
 	pc.bytes.Add(bytes)
-	switch {
-	case bytes >= 2<<20:
+	if bytes >= 2<<20 {
+		m.pages2M[kind].Add(bytes / (2 << 20))
 		pc.pages2M.Add(bytes / (2 << 20))
-	default:
+	} else {
+		m.pages4K[kind].Add(bytes / 4096)
 		pc.pages4K.Add(bytes / 4096)
 	}
 }

@@ -7,26 +7,22 @@ package obsv_test
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"thermostat/internal/cgroup"
 	"thermostat/internal/core"
+	"thermostat/internal/golden"
 	"thermostat/internal/harness"
 	"thermostat/internal/obsv"
 	"thermostat/internal/sim"
 	"thermostat/internal/telemetry"
 	"thermostat/internal/workload"
 )
-
-var update = flag.Bool("update", false, "rewrite the golden scrape file")
 
 // liveScale is the short seeded schedule the live tests run at.
 func liveScale() harness.Scale {
@@ -253,24 +249,7 @@ func TestMetricsGoldenScrape(t *testing.T) {
 		t.Fatalf("suspiciously few families: %d", len(fams))
 	}
 
-	golden := filepath.Join("testdata", "metrics_golden.prom")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden %s (run with -update): %v", golden, err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("scrape drifted from golden (%d vs %d bytes; verify and run with -update)",
-			buf.Len(), len(want))
-	}
+	golden.Bytes(t, "metrics_golden.prom", buf.Bytes())
 }
 
 // TestFleetPublisherTenants runs a two-tenant fleet with the live plane

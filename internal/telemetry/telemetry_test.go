@@ -2,16 +2,12 @@ package telemetry
 
 import (
 	"bytes"
-	"flag"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"thermostat/internal/addr"
+	"thermostat/internal/golden"
 )
-
-var update = flag.Bool("update", false, "rewrite golden export files")
 
 func TestCollectorEpochStamping(t *testing.T) {
 	c := NewCollector()
@@ -158,28 +154,6 @@ func syntheticCollector() *Collector {
 	return c
 }
 
-func checkGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden %s (run with -update): %v", path, err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("%s drifted from golden (run with -update after verifying):\n--- got ---\n%s\n--- want ---\n%s",
-			name, got, want)
-	}
-}
-
 func TestChromeTraceGolden(t *testing.T) {
 	var buf bytes.Buffer
 	if err := syntheticCollector().WriteChromeTrace(&buf); err != nil {
@@ -197,7 +171,7 @@ func TestChromeTraceGolden(t *testing.T) {
 			t.Errorf("trace missing %s", want)
 		}
 	}
-	checkGolden(t, "synthetic.trace.json", out)
+	golden.Bytes(t, "synthetic.trace.json", out)
 }
 
 func TestJSONLGolden(t *testing.T) {
@@ -205,7 +179,7 @@ func TestJSONLGolden(t *testing.T) {
 	if err := syntheticCollector().WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "synthetic.metrics.jsonl", buf.Bytes())
+	golden.Bytes(t, "synthetic.metrics.jsonl", buf.Bytes())
 }
 
 func TestEpochTable(t *testing.T) {

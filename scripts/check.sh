@@ -3,36 +3,16 @@
 # detector. Run from the repository root (or via `make check`).
 #
 # SHORT=1 runs the fast tier only (go test -short): the scaled harness
-# integration runs and the repro table gate are skipped, so the whole gate
-# finishes in a few minutes; the benchmark digest gate runs in both tiers.
-# The default (full) tier runs every test. FUZZ=1 (either tier) adds the
-# fuzz smoke: every fuzz target for 10 s.
+# integration runs are skipped, and scripts/goldens.sh checks only its fast
+# entries (the policy matrix and the benchmark pair), so the whole gate
+# finishes in a few minutes. The default (full) tier runs every test and
+# checks every committed artifact. FUZZ=1 (either tier) adds the fuzz smoke:
+# every fuzz target for 10 s.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-# named run|bench|fuzz PATTERN PKG [FLAGS...] is `go test FLAGS -run PATTERN
-# PKG`, `go test -run=NONE FLAGS -bench PATTERN PKG` or `go test -run='^$'
-# FLAGS -fuzz PATTERN PKG`, after checking that every |-alternative of
-# PATTERN names a test, benchmark or fuzz target of PKG: go test exits 0 when
-# a pattern matches nothing ("no tests to run", or for -bench and -fuzz no
-# word at all), so a renamed or deleted test would turn its gate vacuous.
-named() {
-	kind="$1" pattern="$2" pkg="$3"
-	shift 3
-	listed="$(go test -list "$pattern" "$pkg")"
-	for name in $(echo "$pattern" | tr '|' ' '); do
-		if ! echo "$listed" | grep -q "^$name"; then
-			echo "check: '$name' names no test, benchmark or fuzz target in $pkg" >&2
-			exit 1
-		fi
-	done
-	case "$kind" in
-	run) go test "$@" -run "$pattern" "$pkg" ;;
-	bench) go test -run=NONE "$@" -bench "$pattern" "$pkg" ;;
-	fuzz) go test -run='^$' "$@" -fuzz "$pattern" "$pkg" ;;
-	esac
-}
+. scripts/named.sh
 
 echo "== go build ./..."
 go build ./...
@@ -108,31 +88,16 @@ echo "== policy matrix smoke gate"
 named run 'TestMatrixSmoke' ./internal/harness -short -count=1
 named run 'TestRunAllTelemetryWorkerInvariance|TestComposedThermostatMatchesSeedEngine' \
 	./internal/harness -count=1
-# And the committed matrix: all 32 tracker x policy x topology x app cells
-# at tiny scale regenerate results/policy_matrix.csv byte for byte.
-go run ./cmd/repro -exp matrix -scale tiny -csv "$tracedir/matrix" >/dev/null
-cmp "$tracedir/matrix/policy_matrix.csv" results/policy_matrix.csv
-echo "matrix: all tracker x policy cells run; seed composition and committed matrix byte-identical"
+echo "matrix: all tracker x policy cells run; seed composition byte-identical"
 
-if [ "${SHORT:-0}" != "1" ]; then
-	echo "== repro table gate"
-	# Every experiment of the paper's evaluation at tiny scale: stdout and
-	# every -csv/-svg file must match results/repro_tiny.sha256 byte for
-	# byte (about 2.5 minutes on two cores).
-	mkdir "$tracedir/repro"
-	go run ./cmd/repro -exp all -scale tiny -csv "$tracedir/repro/csv" -svg "$tracedir/repro/svg" \
-		>"$tracedir/repro/stdout.txt"
-	(cd "$tracedir/repro" && sha256sum --quiet -c -) <results/repro_tiny.sha256
-	echo "repro: stdout, CSVs and SVGs byte-identical to results/repro_tiny.sha256"
-fi
-
-echo "== benchmark digest gate"
-# Both tiers: every benchmark workload once at seeds 1 and 2 (about 15 s):
-# each sim_digest and exact end-to-end metric must equal the newest
-# committed BENCH_<n>.json / BENCH_<n>_seed2.json (see
-# scripts/digest_gate.sh), so every push checks that no simulated number
-# moved.
-./scripts/digest_gate.sh
+echo "== goldens gate"
+# Every committed artifact that pins a simulated number is regenerated and
+# compared (scripts/goldens.sh): the short tier checks the tiny-scale policy
+# matrix and the benchmark pair's sim_digest and exact metrics at seeds 1
+# and 2 (about 40 s); the full tier adds the tiny- and repro-scale paper
+# experiments, the fleet night and the scaling sweep (about 21 minutes on
+# two cores).
+./scripts/goldens.sh check
 
 echo "== chaos gates"
 # Inertness: -chaos-rate 0 must be byte-identical to a run without any
