@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -71,19 +72,17 @@ func TestZipfianMatchesPowReference(t *testing.T) {
 				if z.guide == nil {
 					t.Fatalf("n=%d theta=%v: no guide table", n, theta)
 				}
-				perPass := draws / 2
+				perSeed := draws / 2
 				if z.scramble {
-					perPass /= 4
+					perSeed /= 4
 				}
-				// Random draws first, so the edges meet a partly filled
-				// table; then again, so every classified bucket is read back.
-				for pass := uint64(1); pass <= 2; pass++ {
-					if err := diffDraws(z, pass, perPass); err != nil {
+				for seed := uint64(1); seed <= 2; seed++ {
+					if err := diffDraws(z, seed, perSeed); err != nil {
 						t.Fatal(err)
 					}
-					if err := diffBucketEdges(z); err != nil {
-						t.Fatal(err)
-					}
+				}
+				if err := diffBucketEdges(z); err != nil {
+					t.Fatal(err)
 				}
 			}
 		}
@@ -112,16 +111,15 @@ func TestZipfianDiffCatchesLooseGuide(t *testing.T) {
 	}
 }
 
-// TestZipfianDiffCatchesLooseHead seeds the mutation the straddle case of
+// TestZipfianDiffCatchesLooseHead plants the mutation the straddle case of
 // Zipfian.constant exists to prevent — each bucket holding a head threshold
-// called constant from its first draw, every other bucket classified
-// correctly — and requires the differential checks to notice.
+// called constant from its first draw — into the built table, and requires
+// the differential checks to notice.
 func TestZipfianDiffCatchesLooseHead(t *testing.T) {
 	for _, n := range []uint64{512, 83968} {
 		loose := func() *Zipfian {
 			z := NewZipfian(nil, n, YCSBTheta)
 			for b := range z.guide {
-				z.classify(uint64(b))
 				lo := unit(uint64(b)<<guideShift) * z.zetan
 				hi := unit(uint64(b)<<guideShift|(1<<guideShift-1)) * z.zetan
 				switch {
@@ -195,27 +193,62 @@ func TestZipfianTinyPopulations(t *testing.T) {
 	}
 }
 
-// TestZipfianNextDoesNotAllocate pins 0 allocations per draw once
-// constructed, across first-touch classification, table hits and mixed
-// buckets.
+// TestZipfianNextDoesNotAllocate pins 0 allocations per draw, over table
+// hits and mixed buckets, and a table that construction filled: both kinds
+// of entry present, every constant a valid item, and no entry written by a
+// draw.
 func TestZipfianNextDoesNotAllocate(t *testing.T) {
-	z := NewZipfian(New(1), 83968, YCSBTheta)
+	const n = 83968
+	z := NewZipfian(New(1), n, YCSBTheta)
+	built := slices.Clone(z.guide)
 	if allocs := testing.AllocsPerRun(1<<16, func() { z.Next() }); allocs != 0 {
 		t.Errorf("%v allocs per draw", allocs)
 	}
-	var unknown, mixed, constant int
-	for _, e := range z.guide {
+	if !slices.Equal(z.guide, built) {
+		t.Error("draws wrote the guide table")
+	}
+	var mixed, constant int
+	for b, e := range z.guide {
 		switch {
-		case e == guideUnknown:
-			unknown++
 		case e == guideMixed:
 			mixed++
-		default:
+		case e-guideConst < n:
 			constant++
+		default:
+			t.Fatalf("guide[%d] = %d: neither mixed nor an item below %d", b, e, n)
 		}
 	}
-	if unknown == 0 || mixed == 0 || constant == 0 {
-		t.Errorf("draws did not leave all three kinds of bucket: %d unknown, %d mixed, %d constant", unknown, mixed, constant)
+	if mixed == 0 || constant == 0 {
+		t.Errorf("construction did not leave both kinds of bucket: %d mixed, %d constant", mixed, constant)
+	}
+}
+
+// TestZipfianBisectionMatchesPerBucket holds the bisection-built table to
+// the per-bucket classification it replaced (refGuide): a bucket may be
+// mixed where the oracle is constant, but never constant where it is mixed,
+// and never a different constant.
+func TestZipfianBisectionMatchesPerBucket(t *testing.T) {
+	for _, n := range diffNs {
+		for _, theta := range diffThetas {
+			zetan := zeta(n, theta)
+			for _, scramble := range []bool{false, true} {
+				z := newZipfian(nil, n, theta, zetan, scramble)
+				ref := refGuide(z)
+				var mixed, refMixed int
+				for b, e := range z.guide {
+					if e == guideMixed {
+						mixed++
+					} else if e != ref[b] {
+						t.Fatalf("n=%d theta=%v scrambled=%v: guide[%d] = %d, per-bucket %d",
+							n, theta, scramble, b, e, ref[b])
+					}
+					if ref[b] == guideMixed {
+						refMixed++
+					}
+				}
+				t.Logf("n=%d theta=%v scrambled=%v: %d mixed buckets, per-bucket %d", n, theta, scramble, mixed, refMixed)
+			}
+		}
 	}
 }
 
@@ -243,14 +276,11 @@ func fuzzZipfian(data []byte, scramble bool) (z *Zipfian, ks []uint64) {
 	for data = data[9:]; len(data) >= 8; data = data[8:] {
 		ks = append(ks, binary.LittleEndian.Uint64(data)&(1<<53-1))
 	}
-	z = newZipfian(nil, n, theta, zetan)
-	z.scramble = scramble
-	return z, ks
+	return newZipfian(nil, n, theta, zetan, scramble), ks
 }
 
 // FuzzZipfianVsPow feeds raw draws to a fresh sampler, plain and scrambled,
-// and the Pow reference, twice so that every bucket is first classified and
-// then read back; seeds are in testdata/fuzz/FuzzZipfianVsPow.
+// and to the Pow reference; seeds are in testdata/fuzz/FuzzZipfianVsPow.
 func FuzzZipfianVsPow(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, scramble := range []bool{false, true} {
@@ -258,24 +288,41 @@ func FuzzZipfianVsPow(f *testing.F) {
 			if z == nil {
 				return
 			}
-			for pass := 0; pass < 2; pass++ {
-				if err := diffKs(z, ks...); err != nil {
-					t.Fatal(err)
-				}
+			if err := diffKs(z, ks...); err != nil {
+				t.Fatal(err)
 			}
 		}
 	})
 }
 
+// zipfBenchNs are the Zipf segments of websearch-tlbhit (512 and 4096
+// pages), bigmem-scan (83 968) and the 2^20 population BenchmarkZipfianNext
+// always had.
+var zipfBenchNs = []uint64{512, 4096, 83968, 1 << 20}
+
 func BenchmarkZipfianNext(b *testing.B) {
-	// The Zipf segments of websearch-tlbhit (512 and 4096 pages), bigmem-scan
-	// (83 968) and the 2^20 population this benchmark always had.
-	for _, n := range []uint64{512, 4096, 83968, 1 << 20} {
+	for _, n := range zipfBenchNs {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			z := NewZipfian(New(1), n, YCSBTheta)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				_ = z.Next()
+			}
+		})
+	}
+}
+
+// BenchmarkZipfianBuild times the construction of a scrambled sampler, the
+// kind workload.Zipf draws from, with its guide table. zeta's O(n) sum (up
+// to 2^20 Pow calls, unchanged by the table) is taken once, before the
+// timer.
+func BenchmarkZipfianBuild(b *testing.B) {
+	for _, n := range zipfBenchNs {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			zetan := zeta(n, YCSBTheta)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = newZipfian(nil, n, YCSBTheta, zetan, true)
 			}
 		})
 	}

@@ -38,23 +38,24 @@ func (u *Uniform) N() uint64 { return u.n }
 // A draw is a 53-bit integer k, u = k/2^53: item 0 if u*zetan < 1, item 1 if
 // u*zetan < 1+0.5^theta, otherwise trunc(n * Pow(eta*u-eta+1, alpha)). The
 // whole map is memoised in a guide table over k's top bits: each of the
-// guideBuckets equal slices of [0, 2^53) is unknown, mixed, or constant v.
-// The table is read first; a constant bucket is the answer, and only a mixed
-// one evaluates the expression, head tests and Pow, as before. The sequence
-// is bit-for-bit the one the expression alone produces, by this argument:
+// guideBuckets equal slices of [0, 2^53) is mixed or constant v. The table
+// is read first; a constant bucket is the answer, and only a mixed one
+// evaluates the expression, head tests and Pow, as before. The sequence is
+// bit-for-bit the one the expression alone produces, by this argument about
+// a range of draws [a, b], where b may lie past the range:
 //
 //   - unit(k)*zetan is one correctly rounded product of an exact k/2^53, so
-//     it is non-decreasing in k. A bucket whose last value is below 1 is
-//     item 0 throughout; one whose first value is at least 1 and whose last
-//     is below 1+0.5^theta is item 1 throughout; one that straddles either
-//     threshold is mixed; and in one whose first value passes both tests
-//     every draw reaches Pow, where the next three points apply.
+//     it is non-decreasing in k. A range whose value at b is below 1 is item
+//     0 throughout; one whose value at a is at least 1 and at b below
+//     1+0.5^theta is item 1 throughout; one that straddles either threshold
+//     is not constant; and in one whose value at a passes both tests every
+//     draw reaches Pow, where the next three points apply.
 //   - With 0 < eta <= 1 the base x(k) = eta*u-eta+1 is computed by
 //     correctly rounded (or fused) operations that are each monotone in
 //     their varying operand, so as a float64 it is non-decreasing in k and
 //     stays in [0, 1]. The true power x^alpha is monotone on [0, 1], so
-//     every k inside a bucket has a true value between the true values at
-//     the bucket's two endpoints.
+//     every k inside the range has a true value between the true values at
+//     a and b.
 //   - math.Pow(x, alpha) is Exp(yf*Log x), |yf| <= 1/2, times one
 //     square-and-multiply step per bit of alpha's integer part. The first
 //     factor is good to a few dozen ulp at worst (a value that can be
@@ -62,17 +63,22 @@ func (u *Uniform) N() uint64 { return u.n }
 //     add about one ulp per unit of alpha, and the product with n one more:
 //     a relative error under (alpha+64) ulp, below 2^-44 for
 //     alpha <= guideMaxAlpha.
-//   - A bucket is constant only when both endpoint values p truncate to the
-//     same j and lie in [j+m, j+1-m] with m = (j+1)*guideMargin. An
-//     interior value is then within 2*2^-44*(j+1) = m/8 of that interval,
-//     so it truncates to j as well.
+//   - A range is constant only when both edge values p truncate to the same
+//     j and lie in [j+m, j+1-m] with m = (j+1)*guideMargin. An interior
+//     value is then within 2*2^-44*(j+1) = m/8 of that interval, so it
+//     truncates to j as well.
 //
-// A bucket that fails any test is mixed and merely keeps paying for the
-// expression; parameters outside the argument (n <= 2, an item that does
-// not fit the entry, a very large alpha) get no table at all. Buckets are
-// classified on first touch, so a short run pays for the few it reaches. A
-// scrambled sampler's entries hold the scrambled item, so its hash and
-// divide run only on a mixed bucket.
+// NewZipfian fills the table by bisection over bucket ranges (fill): a
+// range [lo, hi) is checked on the first draw of bucket lo and the first
+// draw of bucket hi, which bounds every draw of the range from above (at hi
+// = guideBuckets it is u = 1 exactly). A range that passes is that constant;
+// one that fails is split at its midpoint, whose edge serves both halves,
+// down to single buckets, which stay mixed. So a build pays one Pow per
+// edge it evaluates, about one per rank change, not two per bucket. A mixed
+// bucket merely keeps paying for the expression; parameters outside the
+// argument (n <= 2, an item that does not fit the entry, a very large alpha)
+// get no table at all. A scrambled sampler's entries hold the scrambled
+// item, so its hash and divide run only on a mixed bucket.
 type Zipfian struct {
 	r        *PCG
 	n        uint64
@@ -83,7 +89,7 @@ type Zipfian struct {
 	eta      float64
 	zeta2    float64
 	head2    float64  // 1 + 0.5^theta: u*zetan below this is item 1
-	guide    []uint32 // per bucket: guideUnknown, guideMixed, or guideConst+v
+	guide    []uint32 // per bucket: guideMixed or guideConst+v
 	scramble bool     // items are Hash64(v) % n (NewScrambledZipfian)
 }
 
@@ -95,9 +101,8 @@ const (
 	guideBuckets = 1 << guideBits
 	guideShift   = 53 - guideBits
 
-	guideUnknown = 0 // not classified yet (the zero value)
-	guideMixed   = 1 // draws in the bucket disagree, or too close to call
-	guideConst   = 2 // entry - guideConst is every draw's item
+	guideMixed = 0 // draws in the bucket disagree, or too close to call
+	guideConst = 1 // entry - guideConst is every draw's item
 
 	guideMargin   = 1.0 / (1 << 40)
 	guideMaxAlpha = 1 << 8
@@ -107,18 +112,28 @@ const (
 // NewZipfian returns a Zipfian distribution over [0, n) with skew theta
 // (0 < theta < 1; larger is more skewed).
 func NewZipfian(r *PCG, n uint64, theta float64) *Zipfian {
+	return newZipfian(r, n, theta, zeta(n, theta), false)
+}
+
+// NewScrambledZipfian returns a Zipfian distribution over [0, n) whose
+// items are scrambled: the draw of rank v returns Hash64(v) % n, so
+// popularity stays skewed but hot keys land at arbitrary positions instead
+// of clustering at low indices, as when YCSB drives a key-value store.
+func NewScrambledZipfian(r *PCG, n uint64, theta float64) *Zipfian {
+	return newZipfian(r, n, theta, zeta(n, theta), true)
+}
+
+// newZipfian is the constructors given zetan = zeta(n, theta), their O(n)
+// part. The table's constant entries hold items, so scramble is fixed here,
+// before they are filled.
+func newZipfian(r *PCG, n uint64, theta, zetan float64, scramble bool) *Zipfian {
 	if n == 0 {
 		panic("rng: NewZipfian(0)")
 	}
-	if theta <= 0 || theta >= 1 {
+	if !(theta > 0 && theta < 1) {
 		panic("rng: Zipfian theta must be in (0, 1)")
 	}
-	return newZipfian(r, n, theta, zeta(n, theta))
-}
-
-// newZipfian is NewZipfian given zetan = zeta(n, theta), its O(n) part.
-func newZipfian(r *PCG, n uint64, theta, zetan float64) *Zipfian {
-	z := &Zipfian{r: r, n: n, nf: float64(n), theta: theta, zetan: zetan}
+	z := &Zipfian{r: r, n: n, nf: float64(n), theta: theta, zetan: zetan, scramble: scramble}
 	z.zeta2 = zeta(2, theta)
 	z.alpha = 1 / (1 - theta)
 	if n <= 2 {
@@ -132,6 +147,7 @@ func newZipfian(r *PCG, n uint64, theta, zetan float64) *Zipfian {
 	z.eta = (1 - math.Pow(2/z.nf, 1-theta)) / (1 - z.zeta2/z.zetan)
 	if z.eta > 0 && z.eta <= 1 && z.alpha <= guideMaxAlpha && n <= guideMaxN {
 		z.guide = make([]uint32, guideBuckets)
+		z.fill(0, guideBuckets, z.edge(0), z.edge(guideBuckets<<guideShift))
 	}
 	return z
 }
@@ -159,21 +175,16 @@ func (z *Zipfian) Next() uint64 { return z.draw(z.r.Uint64() >> 11) }
 // draw maps the 53-bit uniform k (PCG.Float64's numerator) to its item.
 func (z *Zipfian) draw(k uint64) uint64 {
 	if b := k >> guideShift; b < uint64(len(z.guide)) {
-		if e := z.guide[b]; e >= guideConst {
+		if e := z.guide[b]; e != guideMixed {
 			return uint64(e - guideConst)
 		}
 	}
 	return z.slow(k)
 }
 
-// slow classifies an unknown bucket, and evaluates the expression when the
-// bucket is mixed or there is no table.
+// slow evaluates the expression, for a mixed bucket or when there is no
+// table.
 func (z *Zipfian) slow(k uint64) uint64 {
-	if b := k >> guideShift; b < uint64(len(z.guide)) && z.guide[b] == guideUnknown {
-		if e := z.classify(b); e >= guideConst {
-			return uint64(e - guideConst)
-		}
-	}
 	u := unit(k)
 	uz := u * z.zetan
 	if uz < 1 {
@@ -198,35 +209,55 @@ func (z *Zipfian) tail(u float64) float64 {
 	return z.nf * math.Pow(z.eta*u-z.eta+1, z.alpha)
 }
 
-// classify fills in and returns guide entry b from the bucket's first and
-// last draw. NaN and infinite endpoint values fail the comparisons and
-// leave the bucket mixed.
-func (z *Zipfian) classify(b uint64) uint32 {
-	first := b << guideShift
-	last := first | (1<<guideShift - 1)
-	e := uint32(guideMixed)
-	if v, ok := z.constant(unit(first), unit(last)); ok {
-		e = guideConst + uint32(z.item(v))
+// edge is a range boundary's first draw as constant reads it: uz =
+// u*zetan, and p = tail(u) once uz passes both head tests (unused before).
+type edge struct{ uz, p float64 }
+
+func (z *Zipfian) edge(k uint64) edge {
+	u := unit(k)
+	e := edge{uz: u * z.zetan}
+	if e.uz >= z.head2 {
+		e.p = z.tail(u)
 	}
-	z.guide[b] = e
 	return e
 }
 
-// constant reports the rank every draw in [lo, hi] maps to, if the argument
-// on Zipfian proves there is one.
-func (z *Zipfian) constant(lo, hi float64) (uint64, bool) {
+// fill classifies buckets [lo, hi), given the first draws of buckets lo and
+// hi: the whole range if the argument on Zipfian proves it constant, else
+// each half, sharing the midpoint's edge. A single bucket that fails stays
+// mixed, the zero value.
+func (z *Zipfian) fill(lo, hi uint64, elo, ehi edge) {
+	if v, ok := z.constant(elo, ehi); ok {
+		e := guideConst + uint32(z.item(v))
+		for b := lo; b < hi; b++ {
+			z.guide[b] = e
+		}
+		return
+	}
+	if hi-lo == 1 {
+		return
+	}
+	mid := lo + (hi-lo)/2
+	emid := z.edge(mid << guideShift)
+	z.fill(lo, mid, elo, emid)
+	z.fill(mid, hi, emid, ehi)
+}
+
+// constant reports the rank every draw from lo up to hi maps to, if the
+// argument on Zipfian proves there is one. NaN and infinite values fail the
+// comparisons and prove nothing.
+func (z *Zipfian) constant(lo, hi edge) (uint64, bool) {
 	switch {
-	case hi*z.zetan < 1:
+	case hi.uz < 1:
 		return 0, true
-	case lo*z.zetan >= 1 && hi*z.zetan < z.head2:
+	case lo.uz >= 1 && hi.uz < z.head2:
 		return 1, true
-	case lo*z.zetan < z.head2: // straddles a head threshold
+	case lo.uz < z.head2: // straddles a head threshold
 		return 0, false
 	}
-	plo, phi := z.tail(lo), z.tail(hi)
-	j := math.Floor(plo)
+	j := math.Floor(lo.p)
 	m := (j + 1) * guideMargin
-	if plo-j >= m && phi-j >= m && j+1-plo >= m && j+1-phi >= m {
+	if lo.p-j >= m && hi.p-j >= m && j+1-lo.p >= m && j+1-hi.p >= m {
 		return min(uint64(j), z.n-1), true
 	}
 	return 0, false
@@ -234,16 +265,6 @@ func (z *Zipfian) constant(lo, hi float64) (uint64, bool) {
 
 // N returns the population size.
 func (z *Zipfian) N() uint64 { return z.n }
-
-// NewScrambledZipfian returns a Zipfian distribution over [0, n) whose
-// items are scrambled: the draw of rank v returns Hash64(v) % n, so
-// popularity stays skewed but hot keys land at arbitrary positions instead
-// of clustering at low indices, as when YCSB drives a key-value store.
-func NewScrambledZipfian(r *PCG, n uint64, theta float64) *Zipfian {
-	z := NewZipfian(r, n, theta)
-	z.scramble = true
-	return z
-}
 
 // Hash64 is the 64-bit finalizer from MurmurHash3: a cheap bijective mixer.
 func Hash64(x uint64) uint64 {

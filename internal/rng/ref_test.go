@@ -43,3 +43,39 @@ func (z *refZipfian) draw(u float64) uint64 {
 	}
 	return v
 }
+
+// refGuide is the guide table as the sampler classified it before it was
+// built by bisection: each bucket on its own, from its first and last draw,
+// two Pow calls per bucket past the head. It is the oracle of
+// TestZipfianBisectionMatchesPerBucket.
+func refGuide(z *Zipfian) []uint32 {
+	guide := make([]uint32, guideBuckets)
+	for b := range guide {
+		first := uint64(b) << guideShift
+		last := first | (1<<guideShift - 1)
+		if v, ok := refConstant(z, unit(first), unit(last)); ok {
+			guide[b] = guideConst + uint32(refItem(z, v))
+		}
+	}
+	return guide
+}
+
+// refConstant reports the rank every draw in [lo, hi] maps to, if the
+// argument on Zipfian proves there is one.
+func refConstant(z *Zipfian, lo, hi float64) (uint64, bool) {
+	switch {
+	case hi*z.zetan < 1:
+		return 0, true
+	case lo*z.zetan >= 1 && hi*z.zetan < z.head2:
+		return 1, true
+	case lo*z.zetan < z.head2: // straddles a head threshold
+		return 0, false
+	}
+	plo, phi := z.tail(lo), z.tail(hi)
+	j := math.Floor(plo)
+	m := (j + 1) * guideMargin
+	if plo-j >= m && phi-j >= m && j+1-plo >= m && j+1-phi >= m {
+		return min(uint64(j), z.n-1), true
+	}
+	return 0, false
+}

@@ -182,6 +182,19 @@ func TestScrambledZipfianSpreads(t *testing.T) {
 	}
 }
 
+func TestZipfianBadThetaPanics(t *testing.T) {
+	for _, theta := range []float64{0, 1, -0.5, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("theta %v did not panic", theta)
+				}
+			}()
+			NewScrambledZipfian(nil, 512, theta)
+		}()
+	}
+}
+
 func TestHotspotShares(t *testing.T) {
 	// A 0.0001 hot fraction of 1 000 000 items is the first 100.
 	h := NewHotspot(New(23), 1_000_000, 0.0001, 0.90)

@@ -281,6 +281,11 @@ func validatePicker(p Picker, segName string) {
 		if v.HotSetFrac <= 0 || v.HotSetFrac > 1 || v.HotOpFrac < 0 || v.HotOpFrac > 1 {
 			panic(fmt.Sprintf("workload: segment %q hotspot fractions invalid", segName))
 		}
+	case *Zipf:
+		// 0 is the default, rng.YCSBTheta; rng.NewZipfian takes (0, 1).
+		if !(v.Theta >= 0 && v.Theta < 1) {
+			panic(fmt.Sprintf("workload: segment %q Zipf theta %v not in [0, 1)", segName, v.Theta))
+		}
 	case nil:
 		panic(fmt.Sprintf("workload: segment %q has no picker", segName))
 	}

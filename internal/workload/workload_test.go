@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -326,6 +328,32 @@ func TestZipfPickerSkewed(t *testing.T) {
 	// Zipfian: the hottest page is far above the uniform expectation.
 	if max < 5*iters/1024 {
 		t.Fatalf("hottest page got %d draws, want skew", max)
+	}
+}
+
+// TestNewAppRejectsBadZipfTheta requires a Zipf theta outside [0, 1) to
+// fail at NewApp, not at the first draw of a run.
+func TestNewAppRejectsBadZipfTheta(t *testing.T) {
+	newApp := func(theta float64) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("%v", r)
+			}
+		}()
+		spec := WebSearch()
+		spec.Segments[0].Picker = &Zipf{Theta: theta}
+		_, err = NewApp(spec, testScale, 1)
+		return err
+	}
+	for _, theta := range []float64{-0.5, 1, 1.5, math.NaN()} {
+		if newApp(theta) == nil {
+			t.Errorf("theta %v accepted", theta)
+		}
+	}
+	for _, theta := range []float64{0, 0.5, rng.YCSBTheta} {
+		if err := newApp(theta); err != nil {
+			t.Errorf("theta %v rejected: %v", theta, err)
+		}
 	}
 }
 

@@ -36,8 +36,9 @@ if [ "${SHORT:-0}" = "1" ]; then
 	# at the 16 GiB bigmem-scan shape) and its walk at both grains, the TLB (hit, miss and evicting
 	# insert at the sizes the runs use: 2/8 runs the set form, 2/16 and
 	# 64/1024 the index form), the LLC, the
-	# Zipfian sampler's guide table (at the page counts of websearch-tlbhit
-	# and bigmem-scan), request generation per app, the access path, and one
+	# Zipfian sampler's guide table (draws and the bisection build, at the
+	# page counts of websearch-tlbhit and bigmem-scan), request generation
+	# per app, the access path, and one
 	# fleet-night run under fleet.Run's block loop. The measured numbers come
 	# from `make bench` (see bench/README.md).
 	named bench 'BenchmarkPT|BenchmarkWalk|BenchmarkSplit' ./internal/pagetable -benchtime=100x
