@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"strings"
 
 	"thermostat/internal/cgroup"
 	"thermostat/internal/core"
@@ -88,7 +89,8 @@ type Result struct {
 	Periods   uint64
 }
 
-// tenantState is the runner's per-member bookkeeping.
+// tenantState is the runner's per-member bookkeeping beside the
+// Scheduler's member of the same index.
 type tenantState struct {
 	mem Member
 	t   *core.Tenant
@@ -97,18 +99,7 @@ type tenantState struct {
 	active   bool
 	rejected bool
 
-	// planned counts the tenant's picks while a block's interleave is
-	// planned, and reqs holds its requests of the block not yet issued.
-	planned int
-	reqs    []sim.Req
-
-	ops       uint64
-	warmupOps uint64
-	grant     uint64
-	interval  int64
-	computeNs int64
-	nextTick  int64
-	wrr       int
+	grant uint64
 
 	arrivedAt   int64
 	departedAt  int64
@@ -122,53 +113,31 @@ type tenantState struct {
 
 type runner struct {
 	m      *sim.Machine
-	cfg    Config
+	s      *sim.Scheduler
 	pool   uint64
 	states []tenantState
 
 	start       int64
-	end         int64
 	warmupClock int64
 	arb         int64
 	nextArb     int64
-	totalShare  int
 	periods     uint64
 	series      []telemetry.TenantSnapshot
-
-	totalOps, warmupOps uint64
-	et                  *sim.EpochTracker
-	tally               *sim.Tally
-
-	// maxAdv bounds one op's clock advance for any member (BlockOps' U);
-	// order is the block's planned interleave, as indexes into states, and
-	// reqs the block's requests, carved into one run per tenant.
-	maxAdv int64
-	order  []int32
-	reqs   []sim.Req
 }
 
 // Run executes the members' workloads concurrently on one machine under
-// fleet arbitration. The serial ordering is sim.Run's — access, clock
-// advance, window drain, then boundary drain — with the tenant interleave
-// chosen by smooth weighted round-robin over Share and the arbiter riding
-// the boundary drain at its own period. Like sim.Run it issues ops in
-// blocks that end on a boundary: a block is sized (sim.Machine.BlockOps) so
-// that only its last op can reach the horizon, the earliest time a window,
-// arbiter round, tick, arrival, departure or the end falls due, and the
-// drains run once after it — exactly when a loop that tested them after
-// every op would first find work. Within a block the interleave is planned
-// ahead and each tenant's requests are drawn with one NextBatch, which is
-// exact because a tenant's request stream depends only on its own app's
-// state and that changes only in App.Init and App.Tick, both boundary work.
-// While nobody is resident the clock jumps to the horizon. One tenant with
-// the full pool and no churn reduces to sim.Run verbatim.
+// fleet arbitration. The run loop is sim.Scheduler's, one member per
+// tenant, interleaved by smooth weighted round-robin over Share; the fleet
+// adds its own boundaries to each block's horizon — arbiter rounds,
+// arrivals, departures — and its own work to the drain after it. One
+// tenant with the full pool and no churn reduces to sim.Run verbatim.
 func Run(m *sim.Machine, cfg Config, members []Member) (*Result, error) {
 	r, err := newRunner(m, cfg, members)
 	if err != nil {
 		return nil, err
 	}
-	for m.Clock() < r.end {
-		if err := r.block(); err != nil {
+	for !r.s.Done() {
+		if err := r.s.Block(r.horizon()); err != nil {
 			return nil, err
 		}
 		if err := r.drain(m.Clock()); err != nil {
@@ -188,8 +157,9 @@ func newRunner(m *sim.Machine, cfg Config, members []Member) (*runner, error) {
 		return nil, fmt.Errorf("fleet: no members")
 	}
 	pool := m.Memory().Tier(0).Capacity()
-	r := &runner{m: m, cfg: cfg, pool: pool, states: make([]tenantState, len(members))}
-	var maxInterval, maxCompute int64
+	r := &runner{m: m, pool: pool, states: make([]tenantState, len(members))}
+	var maxInterval int64
+	names := make([]string, len(members))
 	for i, mb := range members {
 		if mb.Tenant == nil {
 			return nil, fmt.Errorf("fleet: member %d has no tenant", i)
@@ -202,17 +172,9 @@ func newRunner(m *sim.Machine, cfg Config, members []Member) (*runner, error) {
 			return nil, fmt.Errorf("fleet: tenant %q interval %d <= 0", mb.Tenant.Name, iv)
 		}
 		maxInterval = max(maxInterval, iv)
-		st := tenantState{
-			mem: mb, t: mb.Tenant,
-			interval:  iv,
-			computeNs: mb.Tenant.App.ComputeNs(),
-		}
-		maxCompute = max(maxCompute, st.computeNs)
-		r.states[i] = st
+		r.states[i] = tenantState{mem: mb, t: mb.Tenant}
+		names[i] = mb.Tenant.Name
 	}
-	r.maxAdv = m.MaxOpAdvanceNs(maxCompute)
-	r.order = make([]int32, sim.MaxBlockOps)
-	r.reqs = make([]sim.Req, sim.MaxBlockOps)
 	r.arb = cfg.ArbiterPeriodNs
 	if r.arb <= 0 {
 		r.arb = maxInterval
@@ -226,131 +188,68 @@ func newRunner(m *sim.Machine, cfg Config, members []Member) (*runner, error) {
 	}
 
 	r.start = m.Clock()
-	r.end = r.start + cfg.DurationNs
 	r.warmupClock = r.start + cfg.WarmupNs
 	r.nextArb = r.start + r.arb
-	r.tally = sim.NewTally(m, r.fleetName(), "fleet", window, func(m *sim.Machine) sim.Footprint {
-		return sim.ScanFootprint(m, nil)
-	})
+	r.s = sim.NewScheduler(m, sim.RunConfig{DurationNs: cfg.DurationNs, WindowNs: window, WarmupNs: cfg.WarmupNs},
+		strings.Join(names, "+"), "fleet", func(m *sim.Machine) sim.Footprint { return sim.ScanFootprint(m, nil) })
+	for i := range r.states {
+		t := r.states[i].t
+		r.s.Add(t.Name, t.App, t.Engine, t.Share)
+	}
 
 	// Admit the initial population in member order, then assign initial
 	// grants silently (no telemetry: tenants present at start are part of
 	// the run's shape, not churn events).
 	for i := range r.states {
-		st := &r.states[i]
-		if st.mem.ArriveNs <= 0 {
-			if err := r.attach(st, r.start); err != nil {
+		if r.states[i].mem.ArriveNs <= 0 {
+			if err := r.attach(i, r.start); err != nil {
 				return nil, err
 			}
 		}
-	}
-	if r.totalShare == 0 && !r.anyPendingArrival() {
-		return nil, fmt.Errorf("fleet: no tenant ever present")
 	}
 	if _, _, err := r.grantRound(r.start); err != nil {
 		return nil, err
 	}
 
 	// A single-tenant no-churn fleet is the degenerate case the
-	// differential tests pin against sim.Run: bind the epoch tracker to
-	// that tenant's engine so per-epoch confusion and fault columns match
-	// the solo run. With real multi-tenancy no single policy owns the
-	// machine and the tracker runs unbound.
+	// differential tests pin against sim.Run: its epochs take that
+	// tenant's engine's cold set and fault report, so per-epoch confusion
+	// and fault columns match the solo run. With real multi-tenancy no
+	// single policy owns the machine.
+	var owner sim.Policy
 	if len(r.states) == 1 && r.states[0].mem.ArriveNs <= 0 && r.states[0].mem.DepartNs == 0 {
-		r.et = sim.NewEpochTracker(m, r.states[0].t.Engine)
-	} else {
-		r.et = sim.NewEpochTracker(m, nil)
+		owner = r.states[0].t.Engine
 	}
+	r.s.Begin(owner)
 	return r, nil
 }
 
-// horizon returns the earliest time at which drain has work — the next
-// window or arbiter round, the end, a resident tenant's tick or departure, a
-// pending arrival — and whether anybody is resident. (The warm-up mark is
-// not in it: block keeps the warm-up counters op by op, so no block has to
-// end there.)
-func (r *runner) horizon() (h int64, resident bool) {
-	h = min(r.tally.NextWindow(), r.nextArb, r.end)
+// horizon returns the earliest time at which the fleet's own boundary work
+// falls due: the next arbiter round, a resident tenant's departure or a
+// pending arrival. The Scheduler bounds each block by it as well as by its
+// own boundaries (windows, ticks, the warm-up mark, the end).
+func (r *runner) horizon() int64 {
+	h := r.nextArb
 	for i := range r.states {
 		st := &r.states[i]
 		switch {
-		case st.active:
-			resident = true
-			h = min(h, st.nextTick)
-			if st.mem.DepartNs > 0 {
-				h = min(h, r.start+st.mem.DepartNs)
-			}
+		case st.active && st.mem.DepartNs > 0:
+			h = min(h, r.start+st.mem.DepartNs)
 		case !st.arrived && !st.rejected && st.mem.ArriveNs > 0:
 			h = min(h, r.start+st.mem.ArriveNs)
 		}
 	}
-	return h, resident
+	return h
 }
 
-// block issues the ops up to the horizon, or idles to it when nobody is
-// resident: plan the interleave, draw each tenant's requests, issue them in
-// the planned order.
-func (r *runner) block() error {
-	m := r.m
-	now := m.Clock()
-	h, resident := r.horizon()
-	if !resident {
-		m.AdvanceClockTo(h)
-		return nil
-	}
-	n := m.BlockOps(h, r.maxAdv)
-	for k := 0; k < n; k++ {
-		pick := r.pickTenant()
-		st := &r.states[pick]
-		st.wrr -= r.totalShare
-		st.planned++
-		r.order[k] = int32(pick)
-	}
-	off := 0
-	for i := range r.states {
-		st := &r.states[i]
-		if st.planned == 0 {
-			continue
-		}
-		st.reqs = r.reqs[off : off+st.planned]
-		off += st.planned
-		st.planned = 0
-		if err := sim.Draw(st.t.App, st.reqs); err != nil {
-			return fmt.Errorf("fleet: %s: %w", st.t.Name, err)
-		}
-	}
-	inWarmup := r.cfg.WarmupNs > 0 && now <= r.warmupClock
-	for _, pick := range r.order[:n] {
-		st := &r.states[pick]
-		q := st.reqs[0]
-		st.reqs = st.reqs[1:]
-		if _, err := m.Access(q.V, q.Write); err != nil {
-			return fmt.Errorf("fleet: %s op %d: %w", st.t.Name, st.ops, err)
-		}
-		if st.computeNs > 0 {
-			m.AdvanceClock(st.computeNs)
-		}
-		st.ops++
-		r.totalOps++
-		if inWarmup && m.Clock() <= r.warmupClock {
-			r.warmupOps = r.totalOps
-			st.warmupOps = st.ops
-		}
-	}
-	return nil
-}
-
-// drain runs everything due at now, in sim.Run's order: metric windows,
-// then churn, then tenant ticks and arbiter rounds.
+// drain runs the boundary work due at now, after the Scheduler's window
+// drain: churn, then tenant ticks and arbiter rounds in time order.
 func (r *runner) drain(now int64) error {
-	// Window drain first, exactly as sim.Run: the metric series see
-	// machine state before any boundary work at the same instant.
-	r.tally.Windows(now)
 	// Churn: due arrivals then due departures, member order.
 	for i := range r.states {
 		st := &r.states[i]
 		if !st.arrived && !st.rejected && st.mem.ArriveNs > 0 && now >= r.start+st.mem.ArriveNs {
-			if err := r.admit(st, now); err != nil {
+			if err := r.admit(i, now); err != nil {
 				return err
 			}
 		}
@@ -358,42 +257,30 @@ func (r *runner) drain(now int64) error {
 	for i := range r.states {
 		st := &r.states[i]
 		if st.active && st.mem.DepartNs > 0 && now >= r.start+st.mem.DepartNs {
-			if err := r.depart(st, now); err != nil {
+			if err := r.depart(i, now); err != nil {
 				return err
 			}
 		}
 	}
-	// Boundary drain: tenant ticks and arbiter rounds in time order,
-	// ties to the tenant (matching sim.Run, where the policy tick runs
-	// before the epoch roll at the same boundary).
+	// Tenant ticks and arbiter rounds in time order, ties to the tenant
+	// (as under sim.Run, where the policy tick runs before the epoch roll
+	// at the same boundary).
 	for {
-		bi, bt := -1, int64(0)
-		for i := range r.states {
-			st := &r.states[i]
-			if st.active && now >= st.nextTick && (bi == -1 || st.nextTick < bt) {
-				bi, bt = i, st.nextTick
-			}
-		}
-		if now >= r.nextArb && (bi == -1 || r.nextArb < bt) {
-			if err := r.arbitrate(now); err != nil {
+		if i := r.s.DueTick(min(now, r.nextArb)); i >= 0 {
+			if err := r.s.Tick(i, now); err != nil {
 				return err
 			}
-			r.periods++
-			r.et.Roll(now)
-			r.nextArb += r.arb
 			continue
 		}
-		if bi == -1 {
+		if now < r.nextArb {
 			return nil
 		}
-		st := &r.states[bi]
-		if err := st.t.App.Tick(r.m, now); err != nil {
-			return fmt.Errorf("fleet: %s tick: %w", st.t.Name, err)
+		if err := r.arbitrate(now); err != nil {
+			return err
 		}
-		if err := st.t.Engine.Tick(r.m, now); err != nil {
-			return fmt.Errorf("fleet: %s tick: %w", st.t.Name, err)
-		}
-		st.nextTick += st.interval
+		r.periods++
+		r.s.RollEpoch(now)
+		r.nextArb += r.arb
 	}
 }
 
@@ -401,8 +288,7 @@ func (r *runner) drain(now int64) error {
 // per-tenant summaries.
 func (r *runner) result() *Result {
 	m := r.m
-	r.et.End(m.Clock())
-	res := r.tally.Close(r.totalOps, r.warmupOps, r.cfg.WarmupNs)
+	res := r.s.Close()
 	out := &Result{Global: res, PoolBytes: r.pool, Periods: r.periods, Series: r.series}
 	for i := range r.states {
 		st := &r.states[i]
@@ -413,7 +299,7 @@ func (r *runner) result() *Result {
 		}
 		tr := TenantResult{
 			Name: st.t.Name, Priority: st.t.Priority, Share: st.t.Share,
-			SLOPct: st.t.SLOPct, Ops: st.ops, Stats: st.finalStats,
+			SLOPct: st.t.SLOPct, Ops: r.s.Ops(i), Stats: st.finalStats,
 			GrantBytes: st.grant, FastBytes: st.finalFast,
 			FootprintBytes: st.finalFootprint,
 			ArrivedNs:      st.arrivedAt, DepartedNs: st.departedAt,
@@ -427,55 +313,17 @@ func (r *runner) result() *Result {
 			if to == 0 {
 				to = m.Clock()
 			}
-			tr.Throughput = sim.Throughput(st.ops, st.warmupOps, st.arrivedAt, r.warmupClock, to)
+			tr.Throughput = r.s.Throughput(i, st.arrivedAt, to)
 		}
 		out.Tenants = append(out.Tenants, tr)
 	}
 	return out
 }
 
-// fleetName joins the member names for the global result.
-func (r *runner) fleetName() string {
-	name := ""
-	for i := range r.states {
-		if i > 0 {
-			name += "+"
-		}
-		name += r.states[i].t.Name
-	}
-	return name
-}
-
-// pickTenant runs one step of smooth weighted round-robin over the resident
-// tenants: bump every credit by its share, run the highest (first wins
-// ties), debit it by the total. Deterministic, and with one tenant it
-// degenerates to "always tenant 0".
-func (r *runner) pickTenant() int {
-	pick := -1
-	for i := range r.states {
-		st := &r.states[i]
-		if !st.active {
-			continue
-		}
-		st.wrr += st.t.Share
-		if pick < 0 || st.wrr > r.states[pick].wrr {
-			pick = i
-		}
-	}
-	return pick
-}
-
-func (r *runner) anyPendingArrival() bool {
-	for i := range r.states {
-		if !r.states[i].arrived && r.states[i].mem.ArriveNs > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// attach initializes a tenant's workload and engine on the machine.
-func (r *runner) attach(st *tenantState, now int64) error {
+// attach initializes tenant i's workload and engine on the machine and
+// makes it resident.
+func (r *runner) attach(i int, now int64) error {
+	st := &r.states[i]
 	if err := st.t.App.Init(r.m); err != nil {
 		return fmt.Errorf("fleet: init %s: %w", st.t.Name, err)
 	}
@@ -484,15 +332,15 @@ func (r *runner) attach(st *tenantState, now int64) error {
 	}
 	st.arrived, st.active = true, true
 	st.arrivedAt = now
-	st.nextTick = now + st.interval
-	r.totalShare += st.t.Share
+	r.s.Join(i)
 	return nil
 }
 
 // admit handles one mid-run arrival: check floors, squeeze incumbents down
 // to the post-arrival grants, verify the fast tier can hold the newcomer,
 // then attach it. A rejected tenant never joins arbitration again.
-func (r *runner) admit(st *tenantState, now int64) error {
+func (r *runner) admit(i int, now int64) error {
+	st := &r.states[i]
 	ds, idx := r.residents()
 	floors := st.t.FloorBytes
 	for _, d := range ds {
@@ -519,7 +367,7 @@ func (r *runner) admit(st *tenantState, now int64) error {
 		st.rejected = true
 		return nil
 	}
-	if err := r.attach(st, now); err != nil {
+	if err := r.attach(i, now); err != nil {
 		return err
 	}
 	if err := r.applyGrant(st, grants[len(grants)-1], now); err != nil {
@@ -537,7 +385,8 @@ func (r *runner) admit(st *tenantState, now int64) error {
 // accounting, and freeze its summary counters. The pages, TLB entries and
 // trap state all vanish with FreeRegion, so nothing of the tenant outlives
 // it on the machine — the fuzz battery holds the run to that.
-func (r *runner) depart(st *tenantState, now int64) error {
+func (r *runner) depart(i int, now int64) error {
+	st := &r.states[i]
 	st.finalStats = st.t.Engine.Stats()
 	var freed uint64
 	for _, reg := range st.t.Regions() {
@@ -553,7 +402,7 @@ func (r *runner) depart(st *tenantState, now int64) error {
 	st.t.Group.SetLimit(0)
 	st.active = false
 	st.departedAt = now
-	r.totalShare -= st.t.Share
+	r.s.Leave(i)
 	if rec := r.m.Recorder(); rec != nil {
 		rec.Event(telemetry.Event{Kind: telemetry.KindTenantDeparted,
 			TimeNs: now, Tenant: st.t.Name, Bytes: freed})
@@ -679,7 +528,7 @@ func (r *runner) arbitrate(now int64) error {
 			Epoch: r.periods + 1, EndNs: now, Tenant: st.t.Name,
 			GrantBytes: st.grant, UsageBytes: st.t.Group.Usage(),
 			FootprintBytes: ds[k].DemandBytes,
-			SlowdownPct:    sd, SLOPct: st.t.SLOPct, Ops: st.ops,
+			SlowdownPct:    sd, SLOPct: st.t.SLOPct, Ops: r.s.Ops(i),
 			ColdPages:        st.t.Engine.ColdPages(),
 			QuarantinedPages: st.t.Engine.QuarantinedPages(),
 		}

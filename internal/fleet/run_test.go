@@ -248,8 +248,8 @@ func nightCast(seed uint64) *cast {
 	}
 }
 
-// TestFleetBlocksMatchPerOp holds Run's blocks to the per-op loop they
-// replaced: the night cast with its arrival and its departure must leave
+// TestFleetBlocksMatchPerOp holds Run's blocks to the per-op oracle
+// refRun: the night cast with its arrival and its departure must leave
 // the same Result, machine, engines and telemetry exports whether ops are
 // issued in planned blocks with per-tenant NextBatch draws or one at a time
 // with every boundary tested after each.

@@ -172,20 +172,15 @@ func FleetRun(opt FleetOptions) (*FleetOutcome, error) {
 		m.SetRecorder(rec)
 	}
 
-	rootParams := cgroup.Default()
-	rootParams.SamplePeriodNs = sc.PeriodNs
-	rootParams.SlowMemLatencyNs = 1000 * sc.TimeDilate
-	root, err := cgroup.NewGroup("fleet", rootParams)
+	root, err := cgroup.NewGroup("fleet", sc.groupParams())
 	if err != nil {
 		return nil, err
 	}
 
 	out := &FleetOutcome{Scale: sc, Machine: m, Root: root}
 	for _, t := range tens {
-		p := cgroup.Default()
+		p := sc.groupParams()
 		p.TolerableSlowdownPct = t.SLOPct
-		p.SamplePeriodNs = sc.PeriodNs
-		p.SlowMemLatencyNs = 1000 * sc.TimeDilate
 		g, err := root.NewChild(t.Name, p)
 		if err != nil {
 			return nil, err

@@ -18,89 +18,99 @@ import (
 // anchor: one tenant holding the full DRAM pool with no churn must replay
 // the solo composed run exactly — identical engine counters, identical
 // RunResult, byte-identical trace and metrics exports. The arbiter runs
-// every period but, with nothing to redistribute, must leave no trace.
+// every period but, with nothing to redistribute, must leave no trace. The
+// cassandra row grows its footprint at App.Tick, so regions are mapped at
+// boundaries mid-run.
 func TestFleetSingleTenantMatchesRunComposed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second scaled run")
 	}
 	t.Parallel()
-	spec, _ := workload.ByName("redis")
-	sc := matrixScale()
-
-	soloCol := telemetry.NewCollector()
-	solo, err := Run(spec, sc, Plan{SlowdownPct: 3, Tracker: "poison", Placement: "threshold",
-		Config: func(cfg *sim.Config) { cfg.Recorder = soloCol }})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ftel := &TelemetryOptions{Dir: t.TempDir()}
-	fo, err := FleetRun(FleetOptions{
-		Scale: sc,
-		Tenants: []FleetTenant{{
-			Name: "solo", Spec: spec, SLOPct: 3,
-		}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Re-run with telemetry for the export comparison; the no-telemetry
-	// run above guards against recorder-dependent behavior creeping in.
-	fot, err := FleetRun(FleetOptions{
-		Scale: sc,
-		Tenants: []FleetTenant{{
-			Name: "solo", Spec: spec, SLOPct: 3,
-		}},
-		Telemetry: ftel,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, out := range []*FleetOutcome{fo, fot} {
-		if got, want := out.Tenants[0].Engine.Stats(), solo.Engine.Stats(); got != want {
-			t.Fatalf("fleet tenant stats diverged from solo run:\n got %+v\nwant %+v", got, want)
-		}
-		soloRes, fleetRes := *solo.Result, *out.Result.Global
-		if fleetRes.PolicyName != "fleet" || soloRes.PolicyName != "poison+threshold" {
-			t.Fatalf("unexpected policy names %q / %q", fleetRes.PolicyName, soloRes.PolicyName)
-		}
-		soloRes.PolicyName, fleetRes.PolicyName = "", ""
-		soloRes.AppName, fleetRes.AppName = "", ""
-		if !reflect.DeepEqual(soloRes, fleetRes) {
-			t.Fatalf("run results diverged:\n got %+v\nwant %+v", fleetRes, soloRes)
-		}
-		// The arbiter must have run (one round per period) yet granted the
-		// full pool to the lone tenant every time.
-		if out.Result.Periods == 0 {
-			t.Fatal("arbiter never ran")
-		}
-		for _, s := range out.Result.Series {
-			if s.GrantBytes != out.Result.PoolBytes {
-				t.Fatalf("period %d: lone tenant granted %d of pool %d",
-					s.Epoch, s.GrantBytes, out.Result.PoolBytes)
+	for _, tc := range []struct {
+		app, tracker, policy string
+		durationNs           int64 // 0 keeps matrixScale's
+	}{
+		{app: "redis", tracker: "poison", policy: "threshold"},
+		{app: "cassandra-write-heavy", tracker: "damon", policy: "heat", durationNs: 8e9},
+	} {
+		t.Run(tc.app, func(t *testing.T) {
+			t.Parallel()
+			spec, _ := workload.ByName(tc.app)
+			sc := matrixScale()
+			if tc.durationNs > 0 {
+				sc.DurationNs = tc.durationNs
 			}
-		}
-	}
+			soloCol := telemetry.NewCollector()
+			solo, err := Run(spec, sc, Plan{SlowdownPct: 3, Tracker: tc.tracker, Placement: tc.policy,
+				Config: func(cfg *sim.Config) { cfg.Recorder = soloCol }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The fleet runs twice: with telemetry for the export comparison,
+			// and without, which guards against recorder-dependent behavior
+			// creeping in.
+			var outs []*FleetOutcome
+			for _, tel := range []*TelemetryOptions{nil, {Dir: t.TempDir()}} {
+				out, err := FleetRun(FleetOptions{
+					Scale: sc,
+					Tenants: []FleetTenant{{
+						Name: "solo", Spec: spec, SLOPct: 3, Tracker: tc.tracker, Policy: tc.policy,
+					}},
+					Telemetry: tel,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				outs = append(outs, out)
+			}
 
-	var soloTrace, fleetTrace, soloMetrics, fleetMetrics bytes.Buffer
-	if err := soloCol.WriteChromeTrace(&soloTrace); err != nil {
-		t.Fatal(err)
-	}
-	if err := fot.Telemetry.WriteChromeTrace(&fleetTrace); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(soloTrace.Bytes(), fleetTrace.Bytes()) {
-		t.Fatal("trace streams diverged between solo run and single-tenant fleet")
-	}
-	if err := soloCol.WriteJSONL(&soloMetrics); err != nil {
-		t.Fatal(err)
-	}
-	if err := fot.Telemetry.WriteJSONL(&fleetMetrics); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(soloMetrics.Bytes(), fleetMetrics.Bytes()) {
-		t.Fatal("metric streams diverged between solo run and single-tenant fleet")
+			for _, out := range outs {
+				if got, want := out.Tenants[0].Engine.Stats(), solo.Engine.Stats(); got != want {
+					t.Fatalf("fleet tenant stats diverged from solo run:\n got %+v\nwant %+v", got, want)
+				}
+				soloRes, fleetRes := *solo.Result, *out.Result.Global
+				if want := tc.tracker + "+" + tc.policy; fleetRes.PolicyName != "fleet" || soloRes.PolicyName != want {
+					t.Fatalf("unexpected policy names %q / %q", fleetRes.PolicyName, soloRes.PolicyName)
+				}
+				soloRes.PolicyName, fleetRes.PolicyName = "", ""
+				soloRes.AppName, fleetRes.AppName = "", ""
+				if !reflect.DeepEqual(soloRes, fleetRes) {
+					t.Fatalf("run results diverged:\n got %+v\nwant %+v", fleetRes, soloRes)
+				}
+				// The arbiter must have run (one round per period) yet
+				// granted the full pool to the lone tenant every time.
+				if out.Result.Periods == 0 {
+					t.Fatal("arbiter never ran")
+				}
+				for _, s := range out.Result.Series {
+					if s.GrantBytes != out.Result.PoolBytes {
+						t.Fatalf("period %d: lone tenant granted %d of pool %d",
+							s.Epoch, s.GrantBytes, out.Result.PoolBytes)
+					}
+				}
+			}
+
+			var soloTrace, fleetTrace, soloMetrics, fleetMetrics bytes.Buffer
+			fot := outs[1]
+			if err := soloCol.WriteChromeTrace(&soloTrace); err != nil {
+				t.Fatal(err)
+			}
+			if err := fot.Telemetry.WriteChromeTrace(&fleetTrace); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(soloTrace.Bytes(), fleetTrace.Bytes()) {
+				t.Fatal("trace streams diverged between solo run and single-tenant fleet")
+			}
+			if err := soloCol.WriteJSONL(&soloMetrics); err != nil {
+				t.Fatal(err)
+			}
+			if err := fot.Telemetry.WriteJSONL(&fleetMetrics); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(soloMetrics.Bytes(), fleetMetrics.Bytes()) {
+				t.Fatal("metric streams diverged between solo run and single-tenant fleet")
+			}
+		})
 	}
 }
 

@@ -141,11 +141,18 @@ func (s Scale) NewApp(spec workload.Spec, seed uint64) (*workload.App, error) {
 
 // Group builds the Thermostat cgroup for this scale and slowdown target.
 func (s Scale) Group(slowdownPct float64) (*cgroup.Group, error) {
-	p := cgroup.Default()
+	p := s.groupParams()
 	p.TolerableSlowdownPct = slowdownPct
+	return cgroup.NewGroup("thermostat", p)
+}
+
+// groupParams is cgroup.Default with the scan period and the slow-memory
+// latency of this scale.
+func (s Scale) groupParams() cgroup.Params {
+	p := cgroup.Default()
 	p.SamplePeriodNs = s.PeriodNs
 	p.SlowMemLatencyNs = 1000 * s.TimeDilate
-	return cgroup.NewGroup("thermostat", p)
+	return p
 }
 
 // engineSeedOffset separates an engine's sampling stream from the access

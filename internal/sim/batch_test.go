@@ -102,10 +102,11 @@ type batchRun struct {
 
 // runPair executes the same seeded workload twice — under Run and under the
 // per-op oracle refRun — with hook, when non-nil, installed on each side's
-// machine, and returns both sides. A hooked run gets a 1 MB LLC, so that
+// machine, and the tick hook stopping the run (ErrStopRun) at tick stopAt
+// when it is positive, and returns both sides. A hooked run gets a 1 MB LLC, so that
 // misses, and with them hook charges, keep coming up to every boundary
 // rather than only after the churn moves pages.
-func runPair(t *testing.T, rc RunConfig, mode SlowMemMode, hook missHook) (batched, serial batchRun) {
+func runPair(t *testing.T, rc RunConfig, mode SlowMemMode, hook missHook, stopAt int) (batched, serial batchRun) {
 	t.Helper()
 	run := func(loop func(*Machine, App, Policy, RunConfig) (*RunResult, error)) batchRun {
 		cfg := DefaultConfig(64<<20, 64<<20)
@@ -133,6 +134,9 @@ func runPair(t *testing.T, rc RunConfig, mode SlowMemMode, hook missHook) (batch
 		rc := rc
 		rc.TickHook = func(now int64) error {
 			out.trajectory = append(out.trajectory, [2]uint64{uint64(now), m.Metrics().Accesses})
+			if len(out.trajectory) == stopAt {
+				return ErrStopRun
+			}
 			return nil
 		}
 		if out.res, err = loop(m, app, pol, rc); err != nil {
@@ -210,7 +214,8 @@ func checkRunPairEqual(t *testing.T, b, s batchRun) {
 // are bit-identical to refRun's one op at a time: same seeded run, same
 // policy churn, compared field by field including histograms, series, the
 // clock at every tick and the telemetry exports — also with a CM-style or
-// a PEBS-style miss hook charging latency inside the blocks.
+// a PEBS-style miss hook charging latency inside the blocks, and with the
+// tick hook stopping the run at its first tick (inside warm-up) or its fifth.
 func TestBatchSerialEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second differential run")
@@ -218,21 +223,29 @@ func TestBatchSerialEquivalence(t *testing.T) {
 	t.Parallel()
 	rc := RunConfig{DurationNs: 8e8, WindowNs: 1e8, WarmupNs: 3e8}
 	for _, tc := range []struct {
-		name string
-		mode SlowMemMode
-		hook missHook
+		name   string
+		mode   SlowMemMode
+		hook   missHook
+		stopAt int
 	}{
-		{"emulated", EmulatedFault, nil},
-		{"device", Device, nil},
-		{"emulated+cm-hook", EmulatedFault, cmStyleHook},
-		{"device+pebs-hook", Device, pebsStyleHook},
+		{"emulated", EmulatedFault, nil, 0},
+		{"device", Device, nil, 0},
+		{"emulated+cm-hook", EmulatedFault, cmStyleHook, 0},
+		{"device+pebs-hook", Device, pebsStyleHook, 0},
+		{"stop-at-tick-1", EmulatedFault, nil, 1},
+		{"stop-at-tick-5", Device, nil, 5},
 	} {
-		batched, serial := runPair(t, rc, tc.mode, tc.hook)
+		batched, serial := runPair(t, rc, tc.mode, tc.hook, tc.stopAt)
 		checkRunPairEqual(t, batched, serial)
+		if want := tc.stopAt; want > 0 && (len(batched.trajectory) != want || batched.res.DurationNs >= rc.DurationNs) {
+			t.Errorf("%s: run went on past its stop: %d ticks over %d ns", tc.name, len(batched.trajectory), batched.res.DurationNs)
+		}
 		if len(batched.trajectory) == 0 || len(batched.trace) == 0 {
 			t.Errorf("%s: no ticks or no trace recorded — differential run too weak", tc.name)
 		}
-		if batched.res.Metrics.PoisonFaults == 0 {
+		// The churn first demotes at the first tick, so a run stopped
+		// there has had no slow page to fault on.
+		if tc.stopAt != 1 && batched.res.Metrics.PoisonFaults == 0 {
 			t.Errorf("%s: no poison faults — differential run not exercising the fault path", tc.name)
 		}
 		if tc.hook != nil && batched.hookEvents == 0 {
@@ -273,7 +286,7 @@ func TestRunShortBatchFails(t *testing.T) {
 	}
 }
 
-// TestBlockOps pins the block-size arithmetic sim.Run and fleet.Run share:
+// TestBlockOps pins the Scheduler's block-size arithmetic:
 // n-1 ops at the per-op bound end strictly before the limit, a due limit is
 // a block of one, the MaxBlockOps cap takes precedence where it binds, and
 // a miss hook's declared bound widens the per-op bound instead of forcing
@@ -309,15 +322,15 @@ func TestBlockOps(t *testing.T) {
 		m.AdvanceClockTo(now)
 		adv := int64(u)
 		if tc.hookMaxNs > 0 {
-			bare := m.MaxOpAdvanceNs(0)
+			bare := m.maxOpAdvanceNs(0)
 			m.SetMissHook(func(addr.Virt, bool) int64 { return 0 }, tc.hookMaxNs)
 			if threads := int64(m.Config().Threads); threads != 8 {
 				t.Fatalf("%s: machine has %d threads, the row assumes 8", tc.name, threads)
 			}
-			adv += m.MaxOpAdvanceNs(0) - bare
+			adv += m.maxOpAdvanceNs(0) - bare
 		}
-		if got := m.BlockOps(tc.limit, adv); got != tc.want {
-			t.Errorf("%s: BlockOps(%d, %d) at clock %d = %d, want %d",
+		if got := m.blockOps(tc.limit, adv); got != tc.want {
+			t.Errorf("%s: blockOps(%d, %d) at clock %d = %d, want %d",
 				tc.name, tc.limit, adv, now, got, tc.want)
 		}
 		// The defining property, where nothing else binds: n-1 ops at the

@@ -190,7 +190,7 @@ type Machine struct {
 	// threads divides an access's latency into clock advance.
 	threads stats.Divider
 	// maxAccessLat is a lazily computed conservative upper bound on one
-	// access's modeled latency (see MaxOpAdvanceNs).
+	// access's modeled latency (see maxOpAdvanceNs).
 	maxAccessLat int64
 
 	accesses     stats.Counter
@@ -217,7 +217,7 @@ type Machine struct {
 	// missHook, when set, observes every LLC miss and returns extra
 	// latency to charge the access — the attachment point for the §6.1
 	// hardware-assisted access counters (CM-bit, PEBS). missMaxNs is its
-	// declared per-event maximum, which MaxOpAdvanceNs counts in.
+	// declared per-event maximum, which maxOpAdvanceNs counts in.
 	missHook  func(v addr.Virt, write bool) int64
 	missMaxNs int64
 }
@@ -708,14 +708,10 @@ type Req struct {
 	Write bool
 }
 
-// MaxOpAdvanceNs returns a conservative upper bound on how far one access
-// followed by computeNs of application compute can advance the virtual
-// clock. The runner sizes batches so that (n-1) ops at this bound cannot
-// reach the next tick/window boundary, which makes batched execution
-// boundary-exact (see DESIGN.md "Hot path"). Overestimating only shrinks
-// batches; it never affects results. An installed miss hook counts at its
-// declared maximum (SetMissHook).
-func (m *Machine) MaxOpAdvanceNs(computeNs int64) int64 {
+// maxOpAdvanceNs bounds how far one access plus computeNs of compute can
+// advance the clock, a miss hook counted at its declared maximum: the U
+// blockOps sizes blocks with. Overestimating only shrinks blocks.
+func (m *Machine) maxOpAdvanceNs(computeNs int64) int64 {
 	if m.maxAccessLat == 0 {
 		walkMax := m.walkLat[walk.Depth4K]
 		devMax := int64(0)
@@ -734,18 +730,16 @@ func (m *Machine) MaxOpAdvanceNs(computeNs int64) int64 {
 	return m.maxAccessLat/threads + computeNs/threads + 1
 }
 
-// MaxBlockOps caps a run-loop block, and so sizes the request buffers the
-// run loops allocate.
+// MaxBlockOps caps a Scheduler block, and so is the most requests an
+// App's NextBatch is asked for at once.
 const MaxBlockOps = 2048
 
-// BlockOps sizes one run-loop block for sim.Run and fleet.Run: the largest
-// n with (n-1)*maxAdv < limit-now, so that with maxAdv an upper bound on one
-// op's clock advance (MaxOpAdvanceNs) ops 1..n-1 end strictly before limit
-// and only op n can reach it — the block is then exactly n serial
-// iterations of a loop that tests limit after every op. limit is the
-// caller's nearest boundary; one already due gives a block of one. n is
-// capped at MaxBlockOps.
-func (m *Machine) BlockOps(limit, maxAdv int64) int {
+// blockOps sizes one Scheduler block: the largest n, at most MaxBlockOps,
+// with (n-1)*maxAdv < limit-now, so that with maxAdv an upper bound on one
+// op's clock advance only op n can reach limit — the block is exactly n
+// iterations of a loop that tests limit after every op. A limit already due
+// gives a block of one.
+func (m *Machine) blockOps(limit, maxAdv int64) int {
 	if limit <= m.clock {
 		return 1
 	}
@@ -773,8 +767,8 @@ func (m *Machine) AccessBatch(reqs []Req, computeNs int64) error {
 // SetMissHook installs an observer invoked on every LLC miss; its return
 // value, at most maxNs, is added to the access latency. A charge outside
 // [0, maxNs] fails the access. Pass nil to remove. Used by the §6.1
-// hardware-assisted access-counting models; install it before the run
-// starts, since run loops read MaxOpAdvanceNs once.
+// hardware-assisted access-counting models; the Scheduler reads the bound
+// afresh for every block.
 func (m *Machine) SetMissHook(h func(v addr.Virt, write bool) int64, maxNs int64) {
 	m.missHook, m.missMaxNs = h, maxNs
 	m.maxAccessLat = 0 // recomputed with the new bound

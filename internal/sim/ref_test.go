@@ -8,9 +8,9 @@ import (
 // refRun is the loop Run replaced, kept as the oracle for
 // TestBatchSerialEquivalence and TestThermostatBatchSerialEquivalence: one
 // request drawn, one Machine.Access, and the warm-up, window and tick tests
-// after every op. It keeps Run's result bookkeeping (Tally) and epoch
-// tracking, so a difference between the two is a difference in how ops are
-// grouped.
+// after every op. It keeps its result bookkeeping — window series, op
+// counts, epochs — in a Scheduler member it never asks for a block, so a
+// difference between the two is a difference in how ops are grouped.
 func refRun(m *Machine, app App, pol Policy, rc RunConfig) (*RunResult, error) {
 	if rc.DurationNs <= 0 {
 		return nil, fmt.Errorf("sim: non-positive duration %d", rc.DurationNs)
@@ -21,32 +21,31 @@ func refRun(m *Machine, app App, pol Policy, rc RunConfig) (*RunResult, error) {
 	if err := pol.Attach(m); err != nil {
 		return nil, fmt.Errorf("sim: attach %s: %w", pol.Name(), err)
 	}
-	window := rc.WindowNs
-	if window <= 0 {
-		window = pol.IntervalNs()
+	if rc.WindowNs <= 0 {
+		rc.WindowNs = pol.IntervalNs()
 	}
-	tally := NewTally(m, app.Name(), pol.Name(), window, pol.Footprint)
-	et := NewEpochTracker(m, pol)
-	start := m.Clock()
-	end, nextTick, warmupClock := start+rc.DurationNs, start+pol.IntervalNs(), start+rc.WarmupNs
-	var ops, warmupOps uint64
+	s := NewScheduler(m, rc, app.Name(), pol.Name(), pol.Footprint)
+	s.Add(app.Name(), app, pol, 1)
+	s.Begin(pol)
+	mb := &s.members[0]
+	nextTick := s.start + pol.IntervalNs()
 	var req [1]Req
-	for m.Clock() < end {
-		if err := Draw(app, req[:]); err != nil {
-			return nil, err
+	for m.Clock() < s.end {
+		if got := app.NextBatch(req[:]); got != 1 {
+			return nil, fmt.Errorf("sim: %s NextBatch drew %d of 1 requests", app.Name(), got)
 		}
 		if _, err := m.Access(req[0].V, req[0].Write); err != nil {
-			return nil, fmt.Errorf("sim: %s op %d: %w", app.Name(), ops, err)
+			return nil, fmt.Errorf("sim: %s op %d: %w", app.Name(), mb.ops, err)
 		}
 		if c := app.ComputeNs(); c > 0 {
 			m.AdvanceClock(c)
 		}
-		ops++
-		if rc.WarmupNs > 0 && m.Clock() <= warmupClock {
-			warmupOps = ops
+		mb.ops++
+		if rc.WarmupNs > 0 && m.Clock() <= s.warmupClock {
+			mb.warmupOps = mb.ops
 		}
 		now := m.Clock()
-		tally.Windows(now)
+		s.windows(now)
 		for now >= nextTick {
 			if err := app.Tick(m, now); err != nil {
 				return nil, fmt.Errorf("sim: %s tick: %w", app.Name(), err)
@@ -54,11 +53,10 @@ func refRun(m *Machine, app App, pol Policy, rc RunConfig) (*RunResult, error) {
 			if err := pol.Tick(m, now); err != nil {
 				return nil, fmt.Errorf("sim: %s tick: %w", pol.Name(), err)
 			}
-			et.Roll(now)
+			s.RollEpoch(now)
 			if rc.TickHook != nil {
 				if err := rc.TickHook(now); errors.Is(err, ErrStopRun) {
-					et.End(m.Clock())
-					return tally.Close(ops, warmupOps, rc.WarmupNs), nil
+					return s.Close(), nil
 				} else if err != nil {
 					return nil, fmt.Errorf("sim: tick hook: %w", err)
 				}
@@ -66,6 +64,5 @@ func refRun(m *Machine, app App, pol Policy, rc RunConfig) (*RunResult, error) {
 			nextTick += pol.IntervalNs()
 		}
 	}
-	et.End(m.Clock())
-	return tally.Close(ops, warmupOps, rc.WarmupNs), nil
+	return s.Close(), nil
 }

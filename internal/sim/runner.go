@@ -24,24 +24,15 @@ type App interface {
 	// Init allocates and maps the app's memory on the machine.
 	Init(m *Machine) error
 	// NextBatch fills reqs with the app's next len(reqs) accesses and
-	// returns len(reqs); a short count fails the run (see Draw). The run
-	// loops draw a block's requests before issuing them, so the stream may
-	// depend on the machine only through Init and Tick.
+	// returns len(reqs); a short count fails the run. The Scheduler draws a
+	// block's requests before issuing them, so the stream may depend on the
+	// machine only through Init and Tick.
 	NextBatch(reqs []Req) int
 	// ComputeNs is the fixed computation time between accesses (per op).
 	ComputeNs() int64
 	// Tick runs app phase behaviour (footprint growth, phase changes) and
 	// is called at every policy interval boundary.
 	Tick(m *Machine, nowNs int64) error
-}
-
-// Draw fills reqs from app, failing with an error that names the app when
-// NextBatch comes back short.
-func Draw(app App, reqs []Req) error {
-	if got := app.NextBatch(reqs); got != len(reqs) {
-		return fmt.Errorf("sim: %s NextBatch drew %d of %d requests", app.Name(), got, len(reqs))
-	}
-	return nil
 }
 
 // TierBytes is one tier's share of a footprint, by mapping grain.
@@ -190,88 +181,10 @@ func (r *RunResult) MeanColdFraction(fromNs int64) float64 {
 	return sum / float64(len(fracs))
 }
 
-// Tally is the result bookkeeping Run and fleet.Run share: the RunResult's
-// series, one point per metric window, and the run totals at the end. Each
-// loop supplies its own footprint view — its policy's for Run, the whole
-// page table for the fleet.
-type Tally struct {
-	m         *Machine
-	res       *RunResult
-	footprint func(*Machine) Footprint
-	start     int64
-	window    int64
-	next      int64  // when the open window closes
-	slow      uint64 // SlowAccesses when the open window opened
-}
-
-// NewTally opens the first window of windowNs at m's clock.
-func NewTally(m *Machine, appName, policyName string, windowNs int64, footprint func(*Machine) Footprint) *Tally {
-	return &Tally{
-		m: m,
-		res: &RunResult{
-			AppName:    appName,
-			PolicyName: policyName,
-			SlowRate:   stats.NewSeries("slow-access-rate"),
-			Cold2M:     stats.NewSeries("cold-2M-bytes"),
-			Cold4K:     stats.NewSeries("cold-4K-bytes"),
-			Hot2M:      stats.NewSeries("hot-2M-bytes"),
-			Hot4K:      stats.NewSeries("hot-4K-bytes"),
-		},
-		footprint: footprint,
-		start:     m.Clock(),
-		window:    windowNs,
-		next:      m.Clock() + windowNs,
-	}
-}
-
-// NextWindow returns when the open window closes.
-func (t *Tally) NextWindow() int64 { return t.next }
-
-// Windows closes every window that has ended by now, recording its
-// slow-access rate and the footprint at that instant. Loops call it before
-// any other boundary work, so the series see the machine as the window left
-// it.
-func (t *Tally) Windows(now int64) {
-	for now >= t.next {
-		at := t.next - t.start
-		slow := t.m.Metrics().SlowAccesses
-		t.res.SlowRate.Append(at, stats.Rate(slow-t.slow, t.window))
-		t.slow = slow
-		fp := t.footprint(t.m)
-		t.res.Cold2M.Append(at, float64(fp.Cold2M))
-		t.res.Cold4K.Append(at, float64(fp.Cold4K))
-		t.res.Hot2M.Append(at, float64(fp.Hot2M))
-		t.res.Hot4K.Append(at, float64(fp.Hot4K))
-		t.next += t.window
-	}
-}
-
-// Close completes the result at the machine's clock with the run's
-// throughput, final footprint and counters.
-func (t *Tally) Close(ops, warmupOps uint64, warmupNs int64) *RunResult {
-	res := t.res
-	res.Ops = ops
-	res.DurationNs = t.m.Clock() - t.start
-	res.Throughput = Throughput(ops, warmupOps, t.start, t.start+warmupNs, t.m.Clock())
-	res.FinalFootprint = t.footprint(t.m)
-	res.Metrics = t.m.Metrics()
-	return res
-}
-
-// Throughput is ops per virtual second over a span that opens at from and
-// closes at to: the ops after the first warmupOps, counted from the warm-up
-// mark when that falls later than from; a span that closes by the mark
-// counts every op from from.
-func Throughput(ops, warmupOps uint64, from, warmupClock, to int64) float64 {
-	span := to - max(from, warmupClock)
-	if span <= 0 {
-		span, warmupOps = to-from, 0
-	}
-	return stats.Rate(ops-warmupOps, span)
-}
-
-// Run executes app under pol on m for the configured duration. The app must
-// not have been initialized already.
+// Run executes app under pol on m for the configured duration: the
+// Scheduler with one member, whose every tick also rolls the telemetry
+// epoch and runs rc.TickHook. The app must not have been initialized
+// already.
 func Run(m *Machine, app App, pol Policy, rc RunConfig) (*RunResult, error) {
 	if rc.DurationNs <= 0 {
 		return nil, fmt.Errorf("sim: non-positive duration %d", rc.DurationNs)
@@ -282,86 +195,37 @@ func Run(m *Machine, app App, pol Policy, rc RunConfig) (*RunResult, error) {
 	if err := pol.Attach(m); err != nil {
 		return nil, fmt.Errorf("sim: attach %s: %w", pol.Name(), err)
 	}
-	interval := pol.IntervalNs()
-	if interval <= 0 {
+	if pol.IntervalNs() <= 0 {
 		return nil, fmt.Errorf("sim: policy %s has non-positive interval", pol.Name())
 	}
-	window := rc.WindowNs
-	if window <= 0 {
-		window = interval
+	if rc.WindowNs <= 0 {
+		rc.WindowNs = pol.IntervalNs()
 	}
-	tally := NewTally(m, app.Name(), pol.Name(), window, pol.Footprint)
+	s := NewScheduler(m, rc, app.Name(), pol.Name(), pol.Footprint)
+	s.Add(app.Name(), app, pol, 1)
+	s.Join(0)
 	// Telemetry epochs follow the policy tick: one epoch per scan interval,
 	// recorded in virtual time so traces are deterministic.
-	et := NewEpochTracker(m, pol)
-
-	start := m.Clock()
-	end := start + rc.DurationNs
-	nextTick := start + interval
-	warmupClock := start + rc.WarmupNs
-	var ops, warmupOps uint64
-
-	// Ops run through AccessBatch in blocks sized so that no tick, window,
-	// warmup or end boundary can fire before the block's last op — the block
-	// is then exactly that many serial iterations (see DESIGN.md "Hot path").
-	computeNs := app.ComputeNs()
-	maxAdv := m.MaxOpAdvanceNs(computeNs)
-	reqs := make([]Req, MaxBlockOps)
-	for m.Clock() < end {
-		inWarmup := rc.WarmupNs > 0 && m.Clock() <= warmupClock
-		// Nearest boundary the block must not cross before its last op.
-		limit := min(nextTick, tally.NextWindow(), end)
-		if inWarmup {
-			limit = min(limit, warmupClock+1)
-		}
-		block := reqs[:m.BlockOps(limit, maxAdv)]
-		if err := Draw(app, block); err != nil {
+	s.Begin(pol)
+	for !s.Done() {
+		if err := s.Block(s.end); err != nil {
 			return nil, err
 		}
-		if err := m.AccessBatch(block, computeNs); err != nil {
-			return nil, fmt.Errorf("sim: %s op %d: %w", app.Name(), ops, err)
-		}
-		ops += uint64(len(block))
-		if inWarmup {
-			// All but the last op ended at or before warmupClock by
-			// construction; only the last can have crossed.
-			warmupOps = ops
-			if m.Clock() > warmupClock {
-				warmupOps--
+		for now := m.Clock(); s.DueTick(now) == 0; {
+			if err := s.Tick(0, now); err != nil {
+				return nil, err
 			}
-		}
-
-		now := m.Clock()
-		tally.Windows(now)
-		stopped := false
-		for now >= nextTick {
-			if err := app.Tick(m, now); err != nil {
-				return nil, fmt.Errorf("sim: %s tick: %w", app.Name(), err)
-			}
-			if err := pol.Tick(m, now); err != nil {
-				return nil, fmt.Errorf("sim: %s tick: %w", pol.Name(), err)
-			}
-			et.Roll(now)
+			s.RollEpoch(now)
 			if rc.TickHook != nil {
-				if err := rc.TickHook(now); err != nil {
-					if errors.Is(err, ErrStopRun) {
-						stopped = true
-						break
-					}
+				if err := rc.TickHook(now); errors.Is(err, ErrStopRun) {
+					return s.Close(), nil
+				} else if err != nil {
 					return nil, fmt.Errorf("sim: tick hook: %w", err)
 				}
 			}
-			// Re-read the interval: a TickHook may have retuned the scan
-			// period (reload or degradation), and the change must govern
-			// the very next tick.
-			nextTick += pol.IntervalNs()
-		}
-		if stopped {
-			break
 		}
 	}
-	et.End(m.Clock())
-	return tally.Close(ops, warmupOps, rc.WarmupNs), nil
+	return s.Close(), nil
 }
 
 // Slowdown compares a policy run against a baseline run of the same app:

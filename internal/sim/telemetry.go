@@ -39,13 +39,13 @@ type epochBase struct {
 	chaos        chaos.Report
 }
 
-// EpochTracker drives the telemetry epoch protocol for one run loop (Run
-// here, the fleet runner outside this package): it brackets every policy
-// interval with EpochStart/End events and emits one metric Snapshot per
-// epoch. It only exists when a Recorder is installed, and Roll and End on a
+// epochTracker drives the telemetry epoch protocol for a Scheduler: it
+// brackets every epoch (a policy interval under Run, an arbiter period under
+// fleet.Run) with EpochStart/End events and emits one metric Snapshot per
+// epoch. It only exists when a Recorder is installed, and roll and end on a
 // nil tracker are no-ops, so the disabled path costs nothing and callers
 // need no telemetry-enabled check.
-type EpochTracker struct {
+type epochTracker struct {
 	m   *Machine
 	rec telemetry.Recorder
 	cc  ColdChecker   // nil when the policy has no cold set
@@ -57,15 +57,15 @@ type EpochTracker struct {
 	prevCounts map[addr.Virt]uint64 // LLC ground truth at epoch start
 }
 
-// NewEpochTracker starts epoch 1 at the machine's current clock, recording
+// newEpochTracker starts epoch 1 at the machine's current clock, recording
 // into the machine's installed Recorder; it returns nil when there is none.
 // pol, when non-nil, supplies the cold set (confusion matrix) and fault
 // report; pass nil when no single policy owns the whole machine.
-func NewEpochTracker(m *Machine, pol Policy) *EpochTracker {
+func newEpochTracker(m *Machine, pol Policy) *epochTracker {
 	if m.Recorder() == nil {
 		return nil
 	}
-	t := &EpochTracker{m: m, rec: m.Recorder(), epoch: 1}
+	t := &epochTracker{m: m, rec: m.Recorder(), epoch: 1}
 	if pol != nil {
 		t.cc, _ = pol.(ColdChecker)
 		t.fr, _ = pol.(FaultReporter)
@@ -76,14 +76,14 @@ func NewEpochTracker(m *Machine, pol Policy) *EpochTracker {
 
 // faultReport reads the richest available chaos summary: the policy's (which
 // includes retries/quarantines) when it reports one, else the machine's.
-func (t *EpochTracker) faultReport() chaos.Report {
+func (t *epochTracker) faultReport() chaos.Report {
 	if t.fr != nil {
 		return t.fr.FaultReport()
 	}
 	return t.m.FaultReport()
 }
 
-func (t *EpochTracker) capture() epochBase {
+func (t *epochTracker) capture() epochBase {
 	met := t.m.Metrics()
 	meter := t.m.Meter()
 	return epochBase{
@@ -100,7 +100,7 @@ func (t *EpochTracker) capture() epochBase {
 	}
 }
 
-func (t *EpochTracker) begin(nowNs int64) {
+func (t *epochTracker) begin(nowNs int64) {
 	t.startNs = nowNs
 	t.base = t.capture()
 	if t.m.PageCounts() != nil && t.cc != nil {
@@ -109,19 +109,19 @@ func (t *EpochTracker) begin(nowNs int64) {
 	t.rec.Event(telemetry.Event{Kind: telemetry.KindEpochStart, TimeNs: nowNs, Epoch: t.epoch})
 }
 
-// Roll closes the current epoch at nowNs (summary event + snapshot) and
+// roll closes the current epoch at nowNs (summary event + snapshot) and
 // opens the next.
-func (t *EpochTracker) Roll(nowNs int64) {
+func (t *epochTracker) roll(nowNs int64) {
 	if t == nil {
 		return
 	}
-	t.End(nowNs)
+	t.end(nowNs)
 	t.epoch++
 	t.begin(nowNs)
 }
 
-// End closes the current epoch without opening a new one (run teardown).
-func (t *EpochTracker) End(nowNs int64) {
+// end closes the current epoch without opening a new one (run teardown).
+func (t *epochTracker) end(nowNs int64) {
 	if t == nil {
 		return
 	}

@@ -37,7 +37,7 @@ type benchColdPolicy struct{ NullPolicy }
 func (benchColdPolicy) IsCold(addr.Virt) bool { return false }
 
 // BenchmarkEpochSnapshot measures one epoch-boundary close (the snapshot
-// sweep in EpochTracker.End) over a 64 GB mapped footprint:
+// sweep in epochTracker.end) over a 64 GB mapped footprint:
 //
 //   - dense: one visit per mapped 2MB leaf;
 //   - dense-confusion: page counts enabled and a policy exposing a cold
@@ -60,10 +60,10 @@ func BenchmarkEpochSnapshot(b *testing.B) {
 				m.EnablePageCounts()
 				pol = benchColdPolicy{}
 			}
-			tr := NewEpochTracker(m, pol)
+			tr := newEpochTracker(m, pol)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tr.End(int64(i + 1))
+				tr.end(int64(i + 1))
 			}
 		})
 	}

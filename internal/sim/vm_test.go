@@ -48,14 +48,14 @@ func TestModeString(t *testing.T) {
 
 // TestWalkLatencyTable: the per-depth walk table the access path reads holds
 // the walk model's latency at every guest depth, for native and nested
-// guests over huge and 4 KB host pages, and MaxOpAdvanceNs, which reads its
+// guests over huge and 4 KB host pages, and maxOpAdvanceNs, which reads its
 // depth-4 entry, returns the bounds the model gave when it was called per
 // access.
 func TestWalkLatencyTable(t *testing.T) {
 	cases := []struct {
 		vm      VMConfig
 		threads int
-		adv     [2]int64 // MaxOpAdvanceNs(0), MaxOpAdvanceNs(1234)
+		adv     [2]int64 // maxOpAdvanceNs(0), maxOpAdvanceNs(1234)
 	}{
 		{VMConfig{Mode: Native}, 8, [2]int64{263, 417}},
 		{VMConfig{Mode: Native, HostHugePages: true}, 3, [2]int64{699, 1110}},
@@ -81,8 +81,8 @@ func TestWalkLatencyTable(t *testing.T) {
 				t.Errorf("%+v: walkLat[%d] = %d, model says %d", c.vm, d, m.walkLat[d], want)
 			}
 		}
-		if got := [2]int64{m.MaxOpAdvanceNs(0), m.MaxOpAdvanceNs(1234)}; got != c.adv {
-			t.Errorf("%+v, %d threads: MaxOpAdvanceNs(0), (1234) = %v, want %v", c.vm, c.threads, got, c.adv)
+		if got := [2]int64{m.maxOpAdvanceNs(0), m.maxOpAdvanceNs(1234)}; got != c.adv {
+			t.Errorf("%+v, %d threads: maxOpAdvanceNs(0), (1234) = %v, want %v", c.vm, c.threads, got, c.adv)
 		}
 	}
 }

@@ -38,15 +38,17 @@ if [ "${SHORT:-0}" = "1" ]; then
 	# 64/1024 the index form), the LLC, the
 	# Zipfian sampler's guide table (draws and the bisection build, at the
 	# page counts of websearch-tlbhit and bigmem-scan), request generation
-	# per app, the access path, and one
-	# fleet-night run under fleet.Run's block loop. The measured numbers come
-	# from `make bench` (see bench/README.md).
+	# per app, the access path, and the two callers of sim.Scheduler's block
+	# loop: one solo redis run under sim.Run and one fleet-night run under
+	# fleet.Run. The measured numbers come from `make bench` (see
+	# bench/README.md).
 	named bench 'BenchmarkPT|BenchmarkWalk|BenchmarkSplit' ./internal/pagetable -benchtime=100x
 	named bench 'BenchmarkLookup|BenchmarkInsert' ./internal/tlb -benchtime=100x
 	named bench 'BenchmarkCache' ./internal/cache -benchtime=100x
 	named bench 'BenchmarkZipfian' ./internal/rng -benchtime=100x
 	named bench 'BenchmarkAppNextBatch' ./internal/workload -benchtime=100x
 	named bench 'BenchmarkAccess' . -benchtime=100x
+	named bench 'BenchmarkRunRedis' . -benchtime=1x
 	named bench 'BenchmarkFleetNight' . -benchtime=1x
 else
 	echo "== go test -race ./..."
