@@ -244,11 +244,13 @@ func BenchmarkAccessPath(b *testing.B) {
 	}
 }
 
-// BenchmarkAccessBatch measures the batched access engine on the same
-// machine and workload as BenchmarkAccessPath; the per-op delta between the
-// two is the overhead AccessBatch amortizes (VPID fetch, counter increments,
-// per-op call dispatch).
-func BenchmarkAccessBatch(b *testing.B) {
+// BenchmarkAccessBlock measures the access path as runs issue it, on the
+// same machine and workload as BenchmarkAccessPath: a one-member
+// Scheduler's blocks, each one NextBatch and one loop of up to
+// sim.MaxBlockOps accesses. The per-op delta between the two is what
+// blocks amortize (VPID fetch, compute-step divide, per-op call dispatch).
+// The last block may overshoot b.N, so ns/op is over the accesses issued.
+func BenchmarkAccessBlock(b *testing.B) {
 	m, err := NewMachine(DefaultMachineConfig(64<<20, 64<<20))
 	if err != nil {
 		b.Fatal(err)
@@ -260,19 +262,19 @@ func BenchmarkAccessBatch(b *testing.B) {
 	if err := app.Init(m); err != nil {
 		b.Fatal(err)
 	}
-	const batch = 2048
-	reqs := make([]sim.Req, batch)
+	// No window, tick or end falls inside the benchmark.
+	const never = 1 << 60
+	pol := NullPolicy{Interval: never}
+	s := sim.NewScheduler(m, RunConfig{DurationNs: never, WindowNs: never}, app.Name(), pol.Name(), pol.Footprint)
+	s.Add(app.Name(), app, pol, 1)
+	s.Join(0)
 	b.ResetTimer()
-	for i := 0; i < b.N; i += batch {
-		n := batch
-		if rem := b.N - i; rem < n {
-			n = rem
-		}
-		got := app.NextBatch(reqs[:n])
-		if err := m.AccessBatch(reqs[:got], 0); err != nil {
+	for s.Ops(0) < uint64(b.N) {
+		if err := s.Block(never); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(s.Ops(0)), "ns/op")
 }
 
 // benchRun times one seeded Thermostat run of spec at sc per iteration.

@@ -41,20 +41,26 @@ func diffKs(z *Zipfian, ks ...uint64) error {
 	for _, k := range ks {
 		if got, want := z.draw(k), refItem(z, ref.draw(unit(k))); got != want {
 			return fmt.Errorf("n=%d theta=%v scrambled=%v k=%#x (bucket %d): got %d, reference %d",
-				z.n, z.theta, z.scramble, k, k>>guideShift, got, want)
+				z.n, z.theta, z.scramble, k, k>>z.shift, got, want)
 		}
 	}
 	return nil
+}
+
+// bucketDraws returns bucket b's first and last draw at z's own width.
+func bucketDraws(z *Zipfian, b uint64) (first, last uint64) {
+	first = b << z.shift
+	return first, first | (1<<z.shift - 1)
 }
 
 // diffBucketEdges feeds z every bucket's first and last draw: the two draws
 // that decide its classification and the pair on either side of every
 // boundary between buckets.
 func diffBucketEdges(z *Zipfian) error {
-	ks := make([]uint64, 0, 2*guideBuckets)
-	for b := uint64(0); b < guideBuckets; b++ {
-		first := b << guideShift
-		ks = append(ks, first, first|(1<<guideShift-1))
+	ks := make([]uint64, 0, 2*len(z.guide))
+	for b := range z.guide {
+		first, last := bucketDraws(z, uint64(b))
+		ks = append(ks, first, last)
 	}
 	return diffKs(z, ks...)
 }
@@ -97,7 +103,7 @@ func TestZipfianDiffCatchesLooseGuide(t *testing.T) {
 		loose := func() *Zipfian {
 			z := NewZipfian(nil, n, YCSBTheta)
 			for b := range z.guide {
-				lo := z.tail(unit(uint64(b) << guideShift))
+				lo := z.tail(unit(uint64(b) << z.shift))
 				z.guide[b] = guideConst + uint32(min(uint64(lo), z.n-1))
 			}
 			return z
@@ -120,8 +126,8 @@ func TestZipfianDiffCatchesLooseHead(t *testing.T) {
 		loose := func() *Zipfian {
 			z := NewZipfian(nil, n, YCSBTheta)
 			for b := range z.guide {
-				lo := unit(uint64(b)<<guideShift) * z.zetan
-				hi := unit(uint64(b)<<guideShift|(1<<guideShift-1)) * z.zetan
+				first, last := bucketDraws(z, uint64(b))
+				lo, hi := unit(first)*z.zetan, unit(last)*z.zetan
 				switch {
 				case lo < 1 && hi >= 1:
 					z.guide[b] = guideConst
@@ -147,8 +153,10 @@ func TestZipfianDiffCatchesLooseHead(t *testing.T) {
 func TestZipfianMarginRejectsCloseCall(t *testing.T) {
 	const n, bucket = 5984, 61207
 	z := NewZipfian(nil, n, YCSBTheta)
-	first := uint64(bucket) << guideShift
-	last := first | (1<<guideShift - 1)
+	if len(z.guide) != 1<<guideMaxBits {
+		t.Fatalf("%d buckets, want %d", len(z.guide), 1<<guideMaxBits)
+	}
+	first, last := bucketDraws(z, bucket)
 	lo, hi := z.tail(unit(first)), z.tail(unit(last))
 	if math.Floor(lo) != 3272 || math.Floor(hi) != 3272 || 3273-hi >= 3273*guideMargin {
 		t.Fatalf("endpoints %v, %v are no longer a close call", lo, hi)
@@ -220,6 +228,34 @@ func TestZipfianNextDoesNotAllocate(t *testing.T) {
 	}
 	if mixed == 0 || constant == 0 {
 		t.Errorf("construction did not leave both kinds of bucket: %d mixed, %d constant", mixed, constant)
+	}
+}
+
+// TestZipfianGuideSize pins the table size, 2^ceil(log2(16n)) buckets up to
+// 2^16, at the populations the benchmark workloads' samplers draw from, and
+// logs the share of constant buckets — of draws that the table answers — of
+// a scrambled sampler at YCSB's theta. A rank change leaves at most one
+// bucket mixed, so at most n buckets in 16n are.
+func TestZipfianGuideSize(t *testing.T) {
+	for _, tc := range []struct{ n, buckets uint64 }{
+		{86, 2048}, {512, 8192}, {922, 16384}, {1024, 16384},
+		{1741, 32768}, {2048, 32768}, {2560, 65536}, {4096, 65536},
+	} {
+		z := NewScrambledZipfian(nil, tc.n, YCSBTheta)
+		if got := uint64(len(z.guide)); got != tc.buckets || got<<z.shift != 1<<53 {
+			t.Errorf("n=%d: %d buckets of 2^%d draws, want %d buckets spanning 2^53", tc.n, got, z.shift, tc.buckets)
+		}
+		mixed := 0
+		for _, e := range z.guide {
+			if e == guideMixed {
+				mixed++
+			}
+		}
+		if uint64(mixed) > tc.n {
+			t.Errorf("n=%d: %d mixed buckets, more than one per item", tc.n, mixed)
+		}
+		t.Logf("n=%d: %d buckets (%d KB), %.1f %% constant", tc.n, len(z.guide), 4*len(z.guide)>>10,
+			100*float64(len(z.guide)-mixed)/float64(len(z.guide)))
 	}
 }
 

@@ -1,35 +1,9 @@
 package rng
 
-import "math"
-
-// Dist draws item indices from a fixed-size population with some popularity
-// distribution. Implementations must be deterministic given their PCG.
-type Dist interface {
-	// Next returns the next item index in [0, N).
-	Next() uint64
-	// N returns the population size.
-	N() uint64
-}
-
-// Uniform draws uniformly from [0, n).
-type Uniform struct {
-	r *PCG
-	n uint64
-}
-
-// NewUniform returns a uniform distribution over [0, n).
-func NewUniform(r *PCG, n uint64) *Uniform {
-	if n == 0 {
-		panic("rng: NewUniform(0)")
-	}
-	return &Uniform{r: r, n: n}
-}
-
-// Next returns the next item index.
-func (u *Uniform) Next() uint64 { return u.r.Uint64n(u.n) }
-
-// N returns the population size.
-func (u *Uniform) N() uint64 { return u.n }
+import (
+	"math"
+	"math/bits"
+)
 
 // Zipfian draws from a Zipfian distribution over [0, n) with parameter theta,
 // using the Gray et al. rejection-free method popularized by YCSB. Item 0 is
@@ -37,8 +11,8 @@ func (u *Uniform) N() uint64 { return u.n }
 //
 // A draw is a 53-bit integer k, u = k/2^53: item 0 if u*zetan < 1, item 1 if
 // u*zetan < 1+0.5^theta, otherwise trunc(n * Pow(eta*u-eta+1, alpha)). The
-// whole map is memoised in a guide table over k's top bits: each of the
-// guideBuckets equal slices of [0, 2^53) is mixed or constant v. The table
+// whole map is memoised in a guide table over k's top bits: each of its
+// equal slices of [0, 2^53) is mixed or constant v. The table
 // is read first; a constant bucket is the answer, and only a mixed one
 // evaluates the expression, head tests and Pow, as before. The sequence is
 // bit-for-bit the one the expression alone produces, by this argument about
@@ -68,10 +42,15 @@ func (u *Uniform) N() uint64 { return u.n }
 //     value is then within 2*2^-44*(j+1) = m/8 of that interval, so it
 //     truncates to j as well.
 //
+// The argument holds for buckets of any width, so the table is sized to the
+// population: 2^ceil(log2(16n)) buckets, at most 2^guideMaxBits. A rank
+// change leaves about one bucket mixed, so about one bucket in 16 or fewer
+// is, and the table of a small population stays small in the host's caches.
+//
 // NewZipfian fills the table by bisection over bucket ranges (fill): a
 // range [lo, hi) is checked on the first draw of bucket lo and the first
 // draw of bucket hi, which bounds every draw of the range from above (at hi
-// = guideBuckets it is u = 1 exactly). A range that passes is that constant;
+// = len(guide) it is u = 1 exactly). A range that passes is that constant;
 // one that fails is split at its midpoint, whose edge serves both halves,
 // down to single buckets, which stay mixed. So a build pays one Pow per
 // edge it evaluates, about one per rank change, not two per bucket. A mixed
@@ -90,6 +69,7 @@ type Zipfian struct {
 	zeta2    float64
 	head2    float64  // 1 + 0.5^theta: u*zetan below this is item 1
 	guide    []uint32 // per bucket: guideMixed or guideConst+v
+	shift    uint     // a draw k falls in bucket k >> shift
 	scramble bool     // items are Hash64(v) % n (NewScrambledZipfian)
 }
 
@@ -97,9 +77,8 @@ type Zipfian struct {
 const YCSBTheta = 0.99
 
 const (
-	guideBits    = 16 // 2^16 uint32 entries: 256 KB per Zipfian
-	guideBuckets = 1 << guideBits
-	guideShift   = 53 - guideBits
+	guideMaxBits = 16 // at most 2^16 uint32 entries: 256 KB per Zipfian
+	guidePerItem = 16 // buckets per item, before rounding up to a power of two
 
 	guideMixed = 0 // draws in the bucket disagree, or too close to call
 	guideConst = 1 // entry - guideConst is every draw's item
@@ -146,10 +125,18 @@ func newZipfian(r *PCG, n uint64, theta, zetan float64, scramble bool) *Zipfian 
 	z.head2 = 1 + math.Pow(0.5, theta)
 	z.eta = (1 - math.Pow(2/z.nf, 1-theta)) / (1 - z.zeta2/z.zetan)
 	if z.eta > 0 && z.eta <= 1 && z.alpha <= guideMaxAlpha && n <= guideMaxN {
-		z.guide = make([]uint32, guideBuckets)
-		z.fill(0, guideBuckets, z.edge(0), z.edge(guideBuckets<<guideShift))
+		b := guideBits(n)
+		z.guide = make([]uint32, 1<<b)
+		z.shift = 53 - b
+		z.fill(0, 1<<b, z.edge(0), z.edge(1<<53))
 	}
 	return z
+}
+
+// guideBits is log2 of the table size for a population of n:
+// ceil(log2(guidePerItem*n)), at most guideMaxBits.
+func guideBits(n uint64) uint {
+	return uint(min(bits.Len64(guidePerItem*n-1), guideMaxBits))
 }
 
 func zeta(n uint64, theta float64) float64 {
@@ -174,7 +161,8 @@ func (z *Zipfian) Next() uint64 { return z.draw(z.r.Uint64() >> 11) }
 
 // draw maps the 53-bit uniform k (PCG.Float64's numerator) to its item.
 func (z *Zipfian) draw(k uint64) uint64 {
-	if b := k >> guideShift; b < uint64(len(z.guide)) {
+	// shift is at most 53; the mask spares the guard for shifts of 64 or more.
+	if b := k >> (z.shift & 63); b < uint64(len(z.guide)) {
 		if e := z.guide[b]; e != guideMixed {
 			return uint64(e - guideConst)
 		}
@@ -238,7 +226,7 @@ func (z *Zipfian) fill(lo, hi uint64, elo, ehi edge) {
 		return
 	}
 	mid := lo + (hi-lo)/2
-	emid := z.edge(mid << guideShift)
+	emid := z.edge(mid << z.shift)
 	z.fill(lo, mid, elo, emid)
 	z.fill(mid, hi, emid, ehi)
 }

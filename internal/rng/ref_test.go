@@ -46,13 +46,12 @@ func (z *refZipfian) draw(u float64) uint64 {
 
 // refGuide is the guide table as the sampler classified it before it was
 // built by bisection: each bucket on its own, from its first and last draw,
-// two Pow calls per bucket past the head. It is the oracle of
-// TestZipfianBisectionMatchesPerBucket.
+// two Pow calls per bucket past the head, at z's own bucket width. It is the
+// oracle of TestZipfianBisectionMatchesPerBucket.
 func refGuide(z *Zipfian) []uint32 {
-	guide := make([]uint32, guideBuckets)
+	guide := make([]uint32, len(z.guide))
 	for b := range guide {
-		first := uint64(b) << guideShift
-		last := first | (1<<guideShift - 1)
+		first, last := bucketDraws(z, uint64(b))
 		if v, ok := refConstant(z, unit(first), unit(last)); ok {
 			guide[b] = guideConst + uint32(refItem(z, v))
 		}

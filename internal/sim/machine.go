@@ -607,7 +607,7 @@ func (m *Machine) Access(v addr.Virt, write bool) (int64, error) {
 }
 
 // access is the one per-op path every simulated access takes, whether it
-// arrives through Access or AccessBatch: TLB lookup, hardware page walk,
+// arrives through Access or a Scheduler block: TLB lookup, hardware page walk,
 // poison-fault dispatch, LLC, miss hook, tier latency; then the counters,
 // the latency histogram and the virtual clock.
 func (m *Machine) access(v addr.Virt, write bool, vpid tlb.VPID) (int64, error) {
@@ -701,8 +701,7 @@ func (m *Machine) access(v addr.Virt, write bool, vpid tlb.VPID) (int64, error) 
 	return lat, nil
 }
 
-// Req is one memory access request, the element type of AccessBatch and
-// App.NextBatch.
+// Req is one memory access request, the element type of App.NextBatch.
 type Req struct {
 	V     addr.Virt
 	Write bool
@@ -744,24 +743,6 @@ func (m *Machine) blockOps(limit, maxAdv int64) int {
 		return 1
 	}
 	return int(min((limit-m.clock-1)/maxAdv, MaxBlockOps-1) + 1)
-}
-
-// AccessBatch simulates len(reqs) consecutive accesses: each request takes
-// the same per-op path as Access, followed by AdvanceClock(computeNs) when
-// computeNs > 0.
-func (m *Machine) AccessBatch(reqs []Req, computeNs int64) error {
-	vpid := m.guest.VPID()
-	var step int64 // AdvanceClock(computeNs), divided once per batch
-	if computeNs > 0 {
-		step = computeNs / int64(m.cfg.Threads)
-	}
-	for _, q := range reqs {
-		if _, err := m.access(q.V, q.Write, vpid); err != nil {
-			return err
-		}
-		m.clock += step
-	}
-	return nil
 }
 
 // SetMissHook installs an observer invoked on every LLC miss; its return

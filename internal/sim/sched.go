@@ -38,6 +38,7 @@ type member struct {
 	pol       Policy
 	share     int
 	computeNs int64
+	step      int64 // the clock advance of computeNs, divided once
 
 	resident bool
 	// lastTick is when the member last ticked, or joined. The interval to
@@ -87,7 +88,11 @@ func NewScheduler(m *Machine, rc RunConfig, appName, policyName string, footprin
 // Add registers app under pol, with share of the interleave, as the next
 // member, not yet resident. name labels its errors.
 func (s *Scheduler) Add(name string, app App, pol Policy, share int) {
-	s.members = append(s.members, member{name: name, app: app, pol: pol, share: share, computeNs: app.ComputeNs()})
+	mb := member{name: name, app: app, pol: pol, share: share, computeNs: app.ComputeNs()}
+	if mb.computeNs > 0 {
+		mb.step = mb.computeNs / int64(s.m.cfg.Threads)
+	}
+	s.members = append(s.members, mb)
 }
 
 // Join makes member i resident from now: it is picked from the next block
@@ -160,11 +165,18 @@ func (s *Scheduler) Block(limit int64) error {
 			return fmt.Errorf("sim: %s NextBatch drew %d of %d requests", mb.name, got, len(mb.reqs))
 		}
 	}
+	// Issue the spans in order, the one issue loop: each op is
+	// Machine.access followed by its member's compute step.
+	vpid := m.guest.VPID()
 	var last *member
 	for _, sp := range s.spans {
 		last = &s.members[sp.member]
-		if err := m.AccessBatch(last.reqs[:sp.n], last.computeNs); err != nil {
-			return fmt.Errorf("sim: %s op %d: %w", last.name, last.ops, err)
+		step := last.step
+		for j, q := range last.reqs[:sp.n] {
+			if _, err := m.access(q.V, q.Write, vpid); err != nil {
+				return fmt.Errorf("sim: %s op %d: %w", last.name, last.ops+uint64(j), err)
+			}
+			m.clock += step
 		}
 		last.reqs = last.reqs[sp.n:]
 		last.ops += uint64(sp.n)

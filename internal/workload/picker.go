@@ -15,6 +15,7 @@ import (
 
 	"thermostat/internal/addr"
 	"thermostat/internal/rng"
+	"thermostat/internal/stats"
 )
 
 // Picker selects the next accessed address within a segment's regions.
@@ -157,6 +158,7 @@ type StridedScan struct {
 
 	pos    uint64
 	stride uint64
+	n      stats.Divider // the bound span's page count
 }
 
 func (p *StridedScan) bind(s *span) {
@@ -167,7 +169,7 @@ func (p *StridedScan) bind(s *span) {
 	for stride > 1 && gcd(stride, s.n) != 1 {
 		stride--
 	}
-	p.stride = stride
+	p.stride, p.n = stride, stats.NewDivider(s.n)
 }
 
 func gcd(a, b uint64) uint64 {
@@ -178,7 +180,7 @@ func gcd(a, b uint64) uint64 {
 }
 
 func (p *StridedScan) pick(r *rng.PCG, s *span) addr.Virt {
-	p.pos = (p.pos + p.stride) % s.n
+	_, p.pos = p.n.DivMod(p.pos + p.stride)
 	return s.at(r, p.pos)
 }
 
@@ -223,8 +225,9 @@ type HotspotSweep struct {
 	salt       uint64
 	nextRotate int64
 	sweep      Sweep
-	hot        uint64 // hot-set size for the bound span
-	hotLimit   uint64 // rng.RejectLimit(hot)
+	hot        uint64        // hot-set size for the bound span
+	hotLimit   uint64        // rng.RejectLimit(hot)
+	n          stats.Divider // the bound span's page count
 }
 
 // TickPicker implements pickerTicker: advances hot-set rotation.
@@ -250,13 +253,15 @@ func (p *HotspotSweep) hotCount(n uint64) uint64 {
 func (p *HotspotSweep) bind(s *span) {
 	p.hot = p.hotCount(s.n)
 	p.hotLimit = rng.RejectLimit(p.hot)
+	p.n = stats.NewDivider(s.n)
 }
 
 func (p *HotspotSweep) pick(r *rng.PCG, s *span) addr.Virt {
 	if r.Float64() < p.HotOpFrac {
 		// Hash-scatter the hot set across the keyspace; the salt changes
 		// on rotation, moving popularity to a fresh key set.
-		return s.at(r, rng.Hash64(r.Below(p.hot, p.hotLimit)+0x9e3779b9+p.salt)%s.n)
+		_, idx := p.n.DivMod(rng.Hash64(r.Below(p.hot, p.hotLimit) + 0x9e3779b9 + p.salt))
+		return s.at(r, idx)
 	}
 	p.sweep.Dwell = p.Dwell
 	return p.sweep.pick(r, s)
