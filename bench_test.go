@@ -247,8 +247,10 @@ func BenchmarkAccessPath(b *testing.B) {
 // BenchmarkAccessBlock measures the access path as runs issue it, on the
 // same machine and workload as BenchmarkAccessPath: a one-member
 // Scheduler's blocks, each one NextBatch and one loop of up to
-// sim.MaxBlockOps accesses. The per-op delta between the two is what
-// blocks amortize (VPID fetch, compute-step divide, per-op call dispatch).
+// sim.MaxBlockOps accesses, the draws of all but the first on the
+// Scheduler's producer. The per-op delta between the two is what blocks
+// amortize (VPID fetch, compute-step divide, per-op call dispatch) and what
+// drawing ahead takes off the simulation goroutine.
 // The last block may overshoot b.N, so ns/op is over the accesses issued.
 func BenchmarkAccessBlock(b *testing.B) {
 	m, err := NewMachine(DefaultMachineConfig(64<<20, 64<<20))
@@ -266,6 +268,7 @@ func BenchmarkAccessBlock(b *testing.B) {
 	const never = 1 << 60
 	pol := NullPolicy{Interval: never}
 	s := sim.NewScheduler(m, RunConfig{DurationNs: never, WindowNs: never}, app.Name(), pol.Name(), pol.Footprint)
+	defer s.Stop()
 	s.Add(app.Name(), app, pol, 1)
 	s.Join(0)
 	b.ResetTimer()

@@ -136,6 +136,7 @@ func Run(m *sim.Machine, cfg Config, members []Member) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer r.s.Stop()
 	for !r.s.Done() {
 		if err := r.s.Block(r.horizon()); err != nil {
 			return nil, err

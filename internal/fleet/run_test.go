@@ -49,6 +49,11 @@ type cast struct {
 	poolNum, poolDen uint64
 	seed             uint64
 	cfg              Config
+	// noRecorder leaves the machine without a telemetry Recorder, so the
+	// run may draw blocks ahead; its exports are then empty.
+	noRecorder bool
+	// wrap, when non-nil, decorates each tenant's app.
+	wrap func(core.ScopedApp) core.ScopedApp
 }
 
 // shortApp's NextBatch fills one request fewer than asked.
@@ -111,7 +116,9 @@ func (c *cast) run(tb testing.TB, loop func(*sim.Machine, Config, []Member) (*Re
 		tb.Fatal(err)
 	}
 	col := telemetry.NewCollector()
-	m.SetRecorder(col)
+	if !c.noRecorder {
+		m.SetRecorder(col)
+	}
 
 	params := func(t castTenant) cgroup.Params {
 		p := cgroup.Default()
@@ -150,6 +157,9 @@ func (c *cast) run(tb testing.TB, loop func(*sim.Machine, Config, []Member) (*Re
 		var scoped core.ScopedApp = app
 		if t.short {
 			scoped = shortApp{app}
+		}
+		if c.wrap != nil {
+			scoped = c.wrap(scoped)
 		}
 		eng := core.NewEngine(g, seed+0x7e)
 		ten := core.NewTenant(t.name, scoped, g, eng)

@@ -26,7 +26,9 @@ type App interface {
 	// NextBatch fills reqs with the app's next len(reqs) accesses and
 	// returns len(reqs); a short count fails the run. The Scheduler draws a
 	// block's requests before issuing them, so the stream may depend on the
-	// machine only through Init and Tick.
+	// machine only through Init and Tick. It may run on the Scheduler's
+	// producer goroutine, concurrently only with the simulator's own access
+	// path: never with Init, Tick, a Recorder or a miss hook.
 	NextBatch(reqs []Req) int
 	// ComputeNs is the fixed computation time between accesses (per op).
 	ComputeNs() int64
@@ -202,6 +204,7 @@ func Run(m *Machine, app App, pol Policy, rc RunConfig) (*RunResult, error) {
 		rc.WindowNs = pol.IntervalNs()
 	}
 	s := NewScheduler(m, rc, app.Name(), pol.Name(), pol.Footprint)
+	defer s.Stop()
 	s.Add(app.Name(), app, pol, 1)
 	s.Join(0)
 	// Telemetry epochs follow the policy tick: one epoch per scan interval,

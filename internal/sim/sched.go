@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime/debug"
 
 	"thermostat/internal/stats"
 )
@@ -27,8 +28,53 @@ type Scheduler struct {
 	slow               uint64
 	footprint          func(*Machine) Footprint
 
-	reqs  []Req  // the block's requests, one run per member
-	spans []span // the block's planned interleave
+	// ring[cur] is the block being issued; the ahead blocks after it, in
+	// ring order, are planned and with the producer, which draws their
+	// requests on its own goroutine while the current block issues.
+	ring       []block
+	cur, ahead int
+	// todo and done carry blocks to and from the producer; nil until a run
+	// first draws ahead, and again after Stop.
+	todo, done chan *block
+}
+
+// aheadMax is the most blocks drawn ahead of the one issuing.
+const aheadMax = 4
+
+// block is one planned block: its interleave, and each picked member's
+// requests in reqs, in member order.
+type block struct {
+	n     int
+	spans []span
+	draws []draw
+	reqs  []Req
+	// A block drawn ahead carries its draw's outcome back to Block: a short
+	// count, or a panic in NextBatch.
+	err      error
+	panicked *DrawPanic
+}
+
+// DrawPanic is a panic in an app's NextBatch drawn ahead on the producer,
+// raised again on the simulation goroutine: Value is what NextBatch
+// panicked with, and Stack the producer's stack at the panic, which names
+// the app's frame that panicked (the raising goroutine's stack does not).
+type DrawPanic struct {
+	Value any
+	Stack []byte
+}
+
+func (p *DrawPanic) Error() string {
+	return fmt.Sprintf("%v\n[NextBatch drawn ahead; producer stack:]\n%s", p.Value, p.Stack)
+}
+
+// draw is one member's NextBatch of a block. It holds the app and name
+// rather than the member's index alone, so the producer reads nothing the
+// simulation goroutine writes.
+type draw struct {
+	member int
+	app    App
+	name   string
+	n      int
 }
 
 // member is one app on the machine under its own policy.
@@ -80,9 +126,12 @@ func NewScheduler(m *Machine, rc RunConfig, appName, policyName string, footprin
 		window:      rc.WindowNs,
 		nextWindow:  start + rc.WindowNs,
 		footprint:   footprint,
-		reqs:        make([]Req, MaxBlockOps),
-		spans:       make([]span, 0, MaxBlockOps),
+		ring:        []block{newBlock()},
 	}
+}
+
+func newBlock() block {
+	return block{spans: make([]span, 0, MaxBlockOps), reqs: make([]Req, MaxBlockOps)}
 }
 
 // Add registers app under pol, with share of the interleave, as the next
@@ -96,11 +145,28 @@ func (s *Scheduler) Add(name string, app App, pol Policy, share int) {
 }
 
 // Join makes member i resident from now: it is picked from the next block
-// on and first ticks one policy interval from now.
-func (s *Scheduler) Join(i int) { s.members[i].resident, s.members[i].lastTick = true, s.m.Clock() }
+// on and first ticks one policy interval from now. Join, Leave and Tick
+// belong at a boundary that the last Block's limit named, as in Run and
+// fleet.Run, where no block is drawn ahead; elsewhere they panic, since
+// the drawn blocks were planned with the old interleave and their
+// NextBatch calls may still be running.
+func (s *Scheduler) Join(i int) {
+	s.atBoundary("Join")
+	s.members[i].resident, s.members[i].lastTick = true, s.m.Clock()
+}
 
 // Leave takes member i out of the interleave and the tick drain.
-func (s *Scheduler) Leave(i int) { s.members[i].resident = false }
+func (s *Scheduler) Leave(i int) {
+	s.atBoundary("Leave")
+	s.members[i].resident = false
+}
+
+// atBoundary panics unless no block is drawn ahead.
+func (s *Scheduler) atBoundary(op string) {
+	if s.ahead > 0 {
+		panic(fmt.Sprintf("sim: Scheduler.%s with %d blocks drawn ahead: call it only at a boundary that the last Block's limit named", op, s.ahead))
+	}
+}
 
 // Begin opens the first telemetry epoch. owner, when non-nil, supplies the
 // epochs' cold set and fault report; nil when no one policy owns the machine.
@@ -121,7 +187,11 @@ func (s *Scheduler) Throughput(i int, from, to int64) float64 {
 // Block issues one block of ops ending on the nearest boundary no later
 // than limit, or idles to that boundary when no member is resident; then it
 // closes every metric window that has ended, so the series see the machine
-// before any other boundary work.
+// before any other boundary work. While the access path runs no caller
+// code (no Recorder, no miss hook), it also hands the producer the blocks
+// after this one that are certain to be full and to end before any
+// boundary, to draw while this one issues (DESIGN.md, "One per-op core,
+// blocks of N").
 func (s *Scheduler) Block(limit int64) error {
 	m := s.m
 	limit = min(limit, s.nextWindow, s.end)
@@ -138,38 +208,33 @@ func (s *Scheduler) Block(limit int64) error {
 		s.windows(m.Clock())
 		return nil
 	}
+	if residents > 1 {
+		lone = -1
+	}
 	// With the warm-up mark a boundary, only a block's last op can cross it.
 	inWarmup := s.warmupClock > s.start && m.Clock() <= s.warmupClock
 	if inWarmup {
 		limit = min(limit, s.warmupClock+1)
 	}
-	n := m.blockOps(limit, m.maxOpAdvanceNs(compute))
-	if residents == 1 {
-		// A lone resident's credit gains its share and loses the total,
-		// its share, at every pick: the plan is n picks of it.
-		s.spans = append(s.spans[:0], span{lone, n})
-		s.members[lone].planned = n
-	} else {
-		s.plan(n, total)
+	u := m.maxOpAdvanceNs(compute)
+	n := m.blockOps(limit, u)
+	b, err := s.next(n, total, lone)
+	if err != nil {
+		return err
+	}
+	if m.rec == nil && m.missHook == nil {
+		s.drawAhead(fullAhead(limit-m.Clock(), u, n), total, lone)
 	}
 	off := 0
-	for i := range s.members {
-		mb := &s.members[i]
-		if mb.planned == 0 {
-			continue
-		}
-		mb.reqs = s.reqs[off : off+mb.planned]
-		off += mb.planned
-		mb.planned = 0
-		if got := mb.app.NextBatch(mb.reqs); got != len(mb.reqs) {
-			return fmt.Errorf("sim: %s NextBatch drew %d of %d requests", mb.name, got, len(mb.reqs))
-		}
+	for _, d := range b.draws {
+		s.members[d.member].reqs = b.reqs[off : off+d.n]
+		off += d.n
 	}
 	// Issue the spans in order, the one issue loop: each op is
 	// Machine.access followed by its member's compute step.
 	vpid := m.guest.VPID()
 	var last *member
-	for _, sp := range s.spans {
+	for _, sp := range b.spans {
 		last = &s.members[sp.member]
 		step := last.step
 		for j, q := range last.reqs[:sp.n] {
@@ -191,6 +256,124 @@ func (s *Scheduler) Block(limit int64) error {
 	return nil
 }
 
+// fullAhead is how many blocks after one of n ops are certain to be full
+// and to start before any boundary work, with gap = limit − now and u the
+// per-op bound: each block of k ops ends by now + k·u, so at the start of
+// the j-th block after this one ⌊(gap−1)/u⌋ has fallen by at most n +
+// (j−1)·M, M = MaxBlockOps. With rem = ⌊(gap−1)/u⌋ − n, that block is full
+// while rem − (j−1)·M ≥ M−1, and the block before it, with at least one more
+// M in hand, ends short of the limit, so no boundary falls between them.
+func fullAhead(gap, u int64, n int) int {
+	const full = MaxBlockOps
+	if gap <= 0 {
+		return 0
+	}
+	rem := (gap-1)/u - int64(n)
+	if rem < full-1 {
+		return 0
+	}
+	return int(min((rem-(full-1))/full+1, aheadMax))
+}
+
+// next returns the block to issue: the oldest drawn ahead, which must be
+// the n ops Block has just sized, or else one planned and drawn now.
+func (s *Scheduler) next(n, total, lone int) (*block, error) {
+	if s.ahead == 0 {
+		b := &s.ring[s.cur]
+		s.plan(b, n, total, lone)
+		return b, b.draw()
+	}
+	s.cur, s.ahead = (s.cur+1)%len(s.ring), s.ahead-1
+	b := <-s.done
+	if b.panicked != nil {
+		panic(b.panicked)
+	}
+	if b.err != nil {
+		return nil, b.err
+	}
+	if b.n != n {
+		return nil, fmt.Errorf("sim: a block of %d ops was drawn ahead where Block sized %d: a block is drawn ahead only when certain to be full, and the effective limit may not shrink between blocks that end short of it", b.n, n)
+	}
+	return b, nil
+}
+
+// drawAhead plans the next blocks, up to f ahead of the current one, and
+// hands them to the producer, starting it on first use. Planning stays on
+// the simulation goroutine, so the credits advance in issue order.
+func (s *Scheduler) drawAhead(f, total, lone int) {
+	if s.ahead >= f {
+		return
+	}
+	if s.todo == nil {
+		s.startProducer()
+	}
+	for s.ahead < f {
+		s.ahead++
+		b := &s.ring[(s.cur+s.ahead)%len(s.ring)]
+		s.plan(b, MaxBlockOps, total, lone)
+		s.todo <- b
+	}
+}
+
+// startProducer fills the ring and starts the one goroutine that draws
+// blocks ahead for this Scheduler. Its channels hold every block in flight,
+// so neither side blocks on a send.
+func (s *Scheduler) startProducer() {
+	for len(s.ring) < aheadMax+1 {
+		s.ring = append(s.ring, newBlock())
+	}
+	s.todo, s.done = make(chan *block, aheadMax), make(chan *block, aheadMax)
+	go produce(s.todo, s.done)
+}
+
+// produce draws each block it is sent and sends it back, until todo closes.
+func produce(todo <-chan *block, done chan<- *block) {
+	defer close(done)
+	for b := range todo {
+		b.drawCaught()
+		done <- b
+	}
+}
+
+// drawCaught draws b, keeping a panic, with the stack that raised it, for
+// Block to raise again on the simulation goroutine.
+func (b *block) drawCaught() {
+	b.panicked = nil
+	defer func() {
+		if p := recover(); p != nil {
+			b.panicked = &DrawPanic{Value: p, Stack: debug.Stack()}
+		}
+	}()
+	b.err = b.draw()
+}
+
+// draw fills b's requests, one NextBatch per picked member; inline and
+// drawn-ahead blocks both draw here.
+func (b *block) draw() error {
+	off := 0
+	for _, d := range b.draws {
+		if got := d.app.NextBatch(b.reqs[off : off+d.n]); got != d.n {
+			return fmt.Errorf("sim: %s NextBatch drew %d of %d requests", d.name, got, d.n)
+		}
+		off += d.n
+	}
+	return nil
+}
+
+// Stop ends the producer once it has drawn what it holds, and drops the
+// blocks drawn ahead and not issued: the run is over. Close calls it, and
+// so do Run's and fleet.Run's early returns; it is a no-op when nothing
+// draws ahead.
+func (s *Scheduler) Stop() {
+	if s.todo == nil {
+		return
+	}
+	close(s.todo)
+	for range s.done {
+	}
+	s.todo, s.done, s.ahead = nil, nil, 0
+}
+
 // windows closes every metric window that has ended by now, recording its
 // slow-access rate and the footprint at that instant.
 func (s *Scheduler) windows(now int64) {
@@ -208,30 +391,43 @@ func (s *Scheduler) windows(now int64) {
 	}
 }
 
-// plan splits n ops among the resident members into spans by smooth
-// weighted round-robin: credit every resident its share, pick the highest
-// (the lower index on a tie), debit the pick the residents' total share.
-func (s *Scheduler) plan(n, total int) {
-	ms, spans := s.members, s.spans[:0]
-	for k := 0; k < n; k++ {
-		pick := -1
-		for i := range ms {
-			if mb := &ms[i]; mb.resident {
-				mb.wrr += mb.share
-				if pick < 0 || mb.wrr > ms[pick].wrr {
-					pick = i
+// plan makes b the next n picks: spans by smooth weighted round-robin
+// (credit every resident its share, pick the highest, the lower index on a
+// tie, debit the pick the residents' total share), then one draw per picked
+// member. A lone resident's credit gains its share and loses the total, its
+// share, at every pick: its plan is n picks of it.
+func (s *Scheduler) plan(b *block, n, total, lone int) {
+	ms, spans := s.members, b.spans[:0]
+	if lone >= 0 {
+		spans = append(spans, span{lone, n})
+		ms[lone].planned = n
+	} else {
+		for k := 0; k < n; k++ {
+			pick := -1
+			for i := range ms {
+				if mb := &ms[i]; mb.resident {
+					mb.wrr += mb.share
+					if pick < 0 || mb.wrr > ms[pick].wrr {
+						pick = i
+					}
 				}
 			}
-		}
-		ms[pick].wrr -= total
-		ms[pick].planned++
-		if last := len(spans) - 1; last >= 0 && spans[last].member == pick {
-			spans[last].n++
-		} else {
-			spans = append(spans, span{pick, 1})
+			ms[pick].wrr -= total
+			ms[pick].planned++
+			if last := len(spans) - 1; last >= 0 && spans[last].member == pick {
+				spans[last].n++
+			} else {
+				spans = append(spans, span{pick, 1})
+			}
 		}
 	}
-	s.spans = spans
+	b.n, b.spans, b.draws = n, spans, b.draws[:0]
+	for i := range ms {
+		if mb := &ms[i]; mb.planned > 0 {
+			b.draws = append(b.draws, draw{member: i, app: mb.app, name: mb.name, n: mb.planned})
+			mb.planned = 0
+		}
+	}
 }
 
 // nextTick is when the member's next tick falls due.
@@ -253,6 +449,7 @@ func (s *Scheduler) DueTick(at int64) int {
 
 // Tick runs member i's due tick at now: its app's, then its policy's.
 func (s *Scheduler) Tick(i int, now int64) error {
+	s.atBoundary("Tick")
 	mb := &s.members[i]
 	mb.lastTick = mb.nextTick()
 	if err := mb.app.Tick(s.m, now); err != nil {
@@ -267,8 +464,10 @@ func (s *Scheduler) Tick(i int, now int64) error {
 // RollEpoch closes the telemetry epoch at now and opens the next.
 func (s *Scheduler) RollEpoch(now int64) { s.et.roll(now) }
 
-// Close ends the last epoch and completes the result at the clock.
+// Close stops the producer, ends the last epoch and completes the result at
+// the clock.
 func (s *Scheduler) Close() *RunResult {
+	s.Stop()
 	now := s.m.Clock()
 	s.et.end(now)
 	var warmupOps uint64

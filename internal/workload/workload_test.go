@@ -766,6 +766,52 @@ func TestNextBatchDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestAppsDrawConcurrently: two apps built from one Spec share no mutable
+// state, so each may draw on its own goroutine — as every run's Scheduler
+// draws blocks ahead on a producer while other runs of the same spec do the
+// same — and each still draws exactly the stream of a lone app. Under the
+// race detector it also fails on any state the two share.
+func TestAppsDrawConcurrently(t *testing.T) {
+	t.Parallel()
+	const batches = 8
+	draw := func(app *App) []sim.Req {
+		out := make([]sim.Req, batches*sim.MaxBlockOps)
+		for i := 0; i < batches; i++ {
+			app.NextBatch(out[i*sim.MaxBlockOps : (i+1)*sim.MaxBlockOps])
+		}
+		return out
+	}
+	for _, spec := range appSpecs() {
+		apps := make([]*App, 3)
+		for i := range apps {
+			app, err := NewApp(spec, testScale, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := app.Init(newMachine(t)); err != nil {
+				t.Fatal(err)
+			}
+			apps[i] = app
+		}
+		want := draw(apps[0])
+		got := make([][]sim.Req, 2)
+		done := make(chan struct{})
+		for i := range got {
+			go func() {
+				got[i] = draw(apps[i+1])
+				done <- struct{}{}
+			}()
+		}
+		<-done
+		<-done
+		for i := range got {
+			if !slices.Equal(got[i], want) {
+				t.Errorf("%s: an app drawing beside another of its spec drew a different stream", spec.Name)
+			}
+		}
+	}
+}
+
 // BenchmarkAppNextBatch times request generation per draw, in blocks of
 // sim.MaxBlockOps, for each app at the bench profile's footprint divisor.
 func BenchmarkAppNextBatch(b *testing.B) {

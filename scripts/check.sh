@@ -40,7 +40,9 @@ if [ "${SHORT:-0}" = "1" ]; then
 	# page counts of websearch-tlbhit and bigmem-scan), request generation
 	# per app, the access path, and the two callers of sim.Scheduler's block
 	# loop: one solo redis run under sim.Run and one fleet-night run under
-	# fleet.Run. The measured numbers come from `make bench` (see
+	# fleet.Run, each at GOMAXPROCS 1 and 2, so the path where the producer
+	# that draws blocks ahead shares the one P with the simulation runs on
+	# every push. The measured numbers come from `make bench` (see
 	# bench/README.md).
 	named bench 'BenchmarkPT|BenchmarkWalk|BenchmarkSplit' ./internal/pagetable -benchtime=100x
 	named bench 'BenchmarkLookup|BenchmarkInsert' ./internal/tlb -benchtime=100x
@@ -48,13 +50,19 @@ if [ "${SHORT:-0}" = "1" ]; then
 	named bench 'BenchmarkZipfian' ./internal/rng -benchtime=100x
 	named bench 'BenchmarkAppNextBatch' ./internal/workload -benchtime=100x
 	named bench 'BenchmarkAccess' . -benchtime=100x
-	named bench 'BenchmarkRunRedis' . -benchtime=1x
-	named bench 'BenchmarkFleetNight' . -benchtime=1x
+	named bench 'BenchmarkRunRedis' . -benchtime=1x -cpu 1,2
+	named bench 'BenchmarkFleetNight' . -benchtime=1x -cpu 1,2
 else
 	echo "== go test -race ./..."
 	# The harness package runs full scaled experiments; under the race
 	# detector it needs well over go test's default 10m budget.
 	go test -race -timeout 45m ./...
+	echo "== go test -C bench -race ./..."
+	# The benchmark's traced runs wrap the app, the policies and the
+	# Recorder in decorators that share one tracer: the race detector
+	# catches any of them running on the Scheduler's producer beside the
+	# access path (about 90 s).
+	go test -C bench -race ./...
 fi
 
 echo "== trace determinism gate"
