@@ -8,12 +8,14 @@ package thermostat
 
 import (
 	"fmt"
+	"io"
 	"strconv"
 	"testing"
 
 	"thermostat/internal/harness"
 	"thermostat/internal/sim"
 	"thermostat/internal/stats"
+	"thermostat/internal/telemetry"
 	"thermostat/internal/workload"
 )
 
@@ -303,6 +305,35 @@ func BenchmarkRunRedis(b *testing.B) {
 	sc.DurationNs = 4e9
 	sc.WarmupNs = 1e9
 	benchRun(b, workload.Redis(), sc)
+}
+
+// BenchmarkRunRedisRecorded is BenchmarkRunRedis with telemetry on, as the
+// daemon runs: a Collector records every event and epoch snapshot, and
+// each iteration ends by writing both exports. The run still draws blocks
+// ahead, since the access path stages its events for the Scheduler to hand
+// over between blocks.
+func BenchmarkRunRedisRecorded(b *testing.B) {
+	sc := harness.Tiny()
+	sc.DurationNs = 4e9
+	sc.WarmupNs = 1e9
+	for i := 0; i < b.N; i++ {
+		col := telemetry.NewCollector()
+		out, err := harness.Run(workload.Redis(), sc, harness.Plan{SlowdownPct: 3,
+			Config: func(cfg *sim.Config) { cfg.Recorder = col }})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := col.WriteChromeTrace(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+		if err := col.WriteJSONL(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			b.ReportMetric(float64(out.Result.Ops), "sim_ops")
+			b.ReportMetric(float64(col.EventCount()), "events")
+		}
+	}
 }
 
 // BenchmarkRunWebSearch is BenchmarkRunRedis for a Zipfian app: web-search

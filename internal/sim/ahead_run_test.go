@@ -1,8 +1,10 @@
 package sim_test
 
 import (
+	"bytes"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"thermostat/internal/addr"
@@ -19,24 +21,28 @@ func atProcs(procs int, f func()) {
 }
 
 // runRedisTiny runs the tiny-scale Thermostat redis run through loop, with
-// config applied to its machine config, and returns the result and how
-// many of the app's NextBatch calls ran on a producer.
+// config applied to its machine config. A non-nil ahead counts the app's
+// NextBatch calls that ran on a producer; the count reads each call's
+// stack, which would dominate a run through the per-op oracle.
 func runRedisTiny(t *testing.T, loop func(*sim.Machine, sim.App, sim.Policy, sim.RunConfig) (*sim.RunResult, error),
-	config func(*sim.Config)) (*sim.RunResult, int) {
+	config func(*sim.Config), ahead *int) *sim.RunResult {
 	t.Helper()
 	sc := harness.Tiny()
 	a, err := harness.Assemble(workload.Redis(), sc, harness.Plan{SlowdownPct: 3, Config: config})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ahead := 0
-	res, err := loop(a.Machine, sim.SpyAhead(a.App, &ahead), a.Policy, sim.RunConfig{
+	var app sim.App = a.App
+	if ahead != nil {
+		app = sim.SpyAhead(app, ahead)
+	}
+	res, err := loop(a.Machine, app, a.Policy, sim.RunConfig{
 		DurationNs: sc.DurationNs, WarmupNs: sc.WarmupNs, WindowNs: sc.PeriodNs,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, ahead
+	return res
 }
 
 // TestDrawAheadRunIsExact: a run with no caller code on its access path
@@ -48,14 +54,15 @@ func TestDrawAheadRunIsExact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second differential run")
 	}
-	want, refAhead := runRedisTiny(t, sim.RefRun, nil)
+	refAhead := 0
+	want := runRedisTiny(t, sim.RefRun, nil, &refAhead)
 	if refAhead != 0 {
 		t.Fatalf("the per-op oracle drew %d blocks ahead", refAhead)
 	}
 	for _, procs := range []int{1, 2} {
 		var got *sim.RunResult
 		var ahead int
-		atProcs(procs, func() { got, ahead = runRedisTiny(t, sim.Run, nil) })
+		atProcs(procs, func() { got = runRedisTiny(t, sim.Run, nil, &ahead) })
 		if ahead == 0 {
 			t.Fatalf("GOMAXPROCS %d: the run drew no block ahead", procs)
 		}
@@ -65,24 +72,163 @@ func TestDrawAheadRunIsExact(t *testing.T) {
 	}
 }
 
-// TestDrawAheadOffWithCallerCode: a Recorder or a miss hook is caller code
-// on the access path, which may share state with the app's NextBatch (a
-// tracing decorator does), so a run with either draws every block on the
-// simulation goroutine.
+// TestDrawAheadWithRecorderIsExact: a Recorder does not keep a run from
+// drawing ahead, since the access path stages its events on the Machine
+// and the Scheduler hands them over only between blocks with nothing drawn
+// ahead. The run still matches the per-op oracle, which hands each event
+// over as it happens, in its result, in every event and snapshot the
+// Collector holds, and byte for byte in both exports, at GOMAXPROCS 1 and
+// 2. Not parallel: it sets GOMAXPROCS.
+func TestDrawAheadWithRecorderIsExact(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second differential run")
+	}
+	run := func(loop func(*sim.Machine, sim.App, sim.Policy, sim.RunConfig) (*sim.RunResult, error), ahead *int) (*sim.RunResult, *telemetry.Collector) {
+		col := telemetry.NewCollector()
+		return runRedisTiny(t, loop, func(cfg *sim.Config) { cfg.Recorder = col }, ahead), col
+	}
+	want, wantCol := run(sim.RefRun, nil)
+	wantTrace, wantJSONL := exports(t, wantCol)
+	if faultEvents(wantCol) == 0 {
+		t.Fatal("the oracle recorded no access-path event: the comparison would not cover staging")
+	}
+	for _, procs := range []int{1, 2} {
+		var got *sim.RunResult
+		var col *telemetry.Collector
+		var ahead int
+		atProcs(procs, func() { got, col = run(sim.Run, &ahead) })
+		if ahead == 0 {
+			t.Fatalf("GOMAXPROCS %d: with a Recorder the run drew no block ahead", procs)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("GOMAXPROCS %d: the run differs from the per-op oracle (%d ops, want %d)", procs, got.Ops, want.Ops)
+		}
+		if !reflect.DeepEqual(col.Events(), wantCol.Events()) {
+			t.Fatalf("GOMAXPROCS %d: %d events, the oracle %d, or they differ", procs, len(col.Events()), len(wantCol.Events()))
+		}
+		if !reflect.DeepEqual(col.Snapshots(), wantCol.Snapshots()) {
+			t.Fatalf("GOMAXPROCS %d: the epoch snapshots differ from the oracle's", procs)
+		}
+		trace, jsonl := exports(t, col)
+		if !bytes.Equal(trace, wantTrace) || !bytes.Equal(jsonl, wantJSONL) {
+			t.Fatalf("GOMAXPROCS %d: the exports differ from the oracle's", procs)
+		}
+	}
+}
+
+// faultEvents counts col's access-path events.
+func faultEvents(col *telemetry.Collector) int {
+	n := 0
+	for _, e := range col.Events() {
+		if e.Kind == telemetry.KindFaultInjected {
+			n++
+		}
+	}
+	return n
+}
+
+// exports returns col's Chrome trace and JSONL metrics.
+func exports(t *testing.T, col *telemetry.Collector) (trace, jsonl []byte) {
+	t.Helper()
+	var tb, jb bytes.Buffer
+	if err := col.WriteChromeTrace(&tb); err != nil {
+		t.Fatal(err)
+	}
+	if err := col.WriteJSONL(&jb); err != nil {
+		t.Fatal(err)
+	}
+	return tb.Bytes(), jb.Bytes()
+}
+
+// TestDrawAheadOffWithCallerCode: a miss hook is caller code on the access
+// path, which may share state with the app's NextBatch, so a run with one
+// draws every block on the simulation goroutine.
 func TestDrawAheadOffWithCallerCode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second scaled run")
 	}
 	t.Parallel()
-	recorded := func(cfg *sim.Config) { cfg.Recorder = telemetry.NewCollector() }
-	if _, ahead := runRedisTiny(t, sim.Run, recorded); ahead != 0 {
-		t.Errorf("with a Recorder the run drew %d blocks ahead", ahead)
-	}
 	hooked := func(m *sim.Machine, app sim.App, pol sim.Policy, rc sim.RunConfig) (*sim.RunResult, error) {
 		m.SetMissHook(func(addr.Virt, bool) int64 { return 0 }, 0)
 		return sim.Run(m, app, pol, rc)
 	}
-	if _, ahead := runRedisTiny(t, hooked, nil); ahead != 0 {
+	ahead := 0
+	if runRedisTiny(t, hooked, nil, &ahead); ahead != 0 {
 		t.Errorf("with a miss hook the run drew %d blocks ahead", ahead)
+	}
+}
+
+// sharedTracer is the shape of a tracing harness: one tracer that an App
+// decorator and a Recorder decorator both write, with no lock. calls is the
+// unsynchronized counter the race detector watches; drawing is set, with
+// atomics, while a NextBatch runs, so that a Recorder call beside one is
+// seen without the race detector too.
+type sharedTracer struct {
+	calls    int
+	drawing  atomic.Bool
+	overlaps atomic.Int64
+}
+
+type tracedApp struct {
+	sim.App
+	tr *sharedTracer
+}
+
+func (a tracedApp) NextBatch(reqs []sim.Req) int {
+	a.tr.drawing.Store(true)
+	a.tr.calls++
+	n := a.App.NextBatch(reqs)
+	a.tr.drawing.Store(false)
+	return n
+}
+
+type tracedRecorder struct {
+	telemetry.Recorder
+	tr *sharedTracer
+}
+
+func (r tracedRecorder) Event(e telemetry.Event) {
+	if r.tr.drawing.Load() {
+		r.tr.overlaps.Add(1)
+	}
+	r.tr.calls++
+	r.Recorder.Event(e)
+}
+
+func (r tracedRecorder) Snapshot(s telemetry.Snapshot) {
+	if r.tr.drawing.Load() {
+		r.tr.overlaps.Add(1)
+	}
+	r.tr.calls++
+	r.Recorder.Snapshot(s)
+}
+
+// TestRecorderNeverBesideProducer pins what a tracing harness relies on: a
+// run with a Recorder draws blocks ahead, yet the Recorder is never called
+// while the producer draws, so an App decorator and a Recorder decorator
+// may share a tracer without a lock. Under -race an overlap is a reported
+// race on the shared counter; without it, the atomic flag counts it.
+func TestRecorderNeverBesideProducer(t *testing.T) {
+	sc := harness.Tiny()
+	col := telemetry.NewCollector()
+	tr := &sharedTracer{}
+	a, err := harness.Assemble(workload.Redis(), sc, harness.Plan{SlowdownPct: 3,
+		Config: func(cfg *sim.Config) { cfg.Recorder = tracedRecorder{col, tr} }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ahead := 0
+	app := sim.SpyAhead(tracedApp{a.App, tr}, &ahead)
+	if _, err := sim.Run(a.Machine, app, a.Policy, sim.RunConfig{DurationNs: 2e9, WindowNs: sc.PeriodNs}); err != nil {
+		t.Fatal(err)
+	}
+	if ahead == 0 {
+		t.Fatal("the run drew no block ahead")
+	}
+	if faultEvents(col) == 0 {
+		t.Fatal("the run recorded no access-path event")
+	}
+	if n := tr.overlaps.Load(); n != 0 {
+		t.Fatalf("the Recorder was called %d times while a NextBatch ran", n)
 	}
 }

@@ -169,6 +169,10 @@ type Machine struct {
 	// rec is the telemetry sink; nil (the default) means telemetry is off
 	// and every instrumentation site reduces to one nil check.
 	rec telemetry.Recorder
+	// pending stages the access path's events, in order, until they are
+	// handed to rec at a point where no caller code runs beside the
+	// simulation goroutine (flushEvents); it is empty at every boundary.
+	pending []telemetry.Event
 
 	// chaos is the fault injector; nil (the default) means chaos is off
 	// and every injection site reduces to one nil check.
@@ -334,8 +338,10 @@ func (m *Machine) Recorder() telemetry.Recorder { return m.rec }
 
 // SetRecorder installs (or, with nil, removes) the telemetry sink and hooks
 // the migrator so every page move emits a Migrated event stamped with the
-// machine's virtual clock.
+// machine's virtual clock. Events the access path has staged go first to
+// the Recorder they were recorded under.
 func (m *Machine) SetRecorder(r telemetry.Recorder) {
+	m.flushEvents()
 	m.rec = r
 	if r == nil {
 		m.mig.SetObserver(nil)
@@ -601,15 +607,29 @@ func (m *Machine) Promote(v addr.Virt) (int64, error) {
 
 // Access simulates one memory access to v, charging the full latency path
 // and advancing the virtual clock by latency/threads. Returns the modeled
-// latency of this access.
+// latency of this access. The access's telemetry event, if any, reaches the
+// Recorder before Access returns.
 func (m *Machine) Access(v addr.Virt, write bool) (int64, error) {
-	return m.access(v, write, m.guest.VPID())
+	lat, err := m.access(v, write, m.guest.VPID())
+	m.flushEvents()
+	return lat, err
+}
+
+// flushEvents hands the access path's staged events to the Recorder, in
+// the order they were recorded. The Scheduler calls it only while no block
+// is drawn ahead, so the Recorder never runs beside an app's NextBatch.
+func (m *Machine) flushEvents() {
+	for _, e := range m.pending {
+		m.rec.Event(e)
+	}
+	m.pending = m.pending[:0]
 }
 
 // access is the one per-op path every simulated access takes, whether it
 // arrives through Access or a Scheduler block: TLB lookup, hardware page walk,
 // poison-fault dispatch, LLC, miss hook, tier latency; then the counters,
-// the latency histogram and the virtual clock.
+// the latency histogram and the virtual clock. It calls no Recorder: its
+// one event is staged in pending for flushEvents.
 func (m *Machine) access(v addr.Virt, write bool, vpid tlb.VPID) (int64, error) {
 	var lat int64
 	var frame addr.Phys
@@ -637,7 +657,7 @@ func (m *Machine) access(v addr.Virt, write bool, vpid tlb.VPID) (int64, error) 
 			}
 			lat += fl + m.guest.FaultOverheadNs()
 			if m.rec != nil {
-				m.rec.Event(telemetry.Event{
+				m.pending = append(m.pending, telemetry.Event{
 					Kind: telemetry.KindFaultInjected, TimeNs: m.clock,
 					Page: v.Base4K(), Count: 1,
 				})

@@ -145,10 +145,10 @@ func (s *Scheduler) Add(name string, app App, pol Policy, share int) {
 }
 
 // Join makes member i resident from now: it is picked from the next block
-// on and first ticks one policy interval from now. Join, Leave and Tick
-// belong at a boundary that the last Block's limit named, as in Run and
-// fleet.Run, where no block is drawn ahead; elsewhere they panic, since
-// the drawn blocks were planned with the old interleave and their
+// on and first ticks one policy interval from now. Join, Leave, Tick and
+// RollEpoch belong at a boundary that the last Block's limit named, as in
+// Run and fleet.Run, where no block is drawn ahead; elsewhere they panic,
+// since the drawn blocks were planned with the old interleave and their
 // NextBatch calls may still be running.
 func (s *Scheduler) Join(i int) {
 	s.atBoundary("Join")
@@ -188,10 +188,13 @@ func (s *Scheduler) Throughput(i int, from, to int64) float64 {
 // than limit, or idles to that boundary when no member is resident; then it
 // closes every metric window that has ended, so the series see the machine
 // before any other boundary work. While the access path runs no caller
-// code (no Recorder, no miss hook), it also hands the producer the blocks
-// after this one that are certain to be full and to end before any
-// boundary, to draw while this one issues (DESIGN.md, "One per-op core,
-// blocks of N").
+// code (no miss hook), it also hands the producer the blocks after this
+// one that are certain to be full and to end before any boundary, to draw
+// while this one issues (DESIGN.md, "One per-op core, blocks of N"). The
+// access path stages its telemetry events on the Machine; a Block that
+// leaves no block drawn ahead hands them to the Recorder before it
+// returns, so the Recorder runs only while the producer is idle, and every
+// boundary finds them delivered.
 func (s *Scheduler) Block(limit int64) error {
 	m := s.m
 	limit = min(limit, s.nextWindow, s.end)
@@ -222,7 +225,7 @@ func (s *Scheduler) Block(limit int64) error {
 	if err != nil {
 		return err
 	}
-	if m.rec == nil && m.missHook == nil {
+	if m.missHook == nil {
 		s.drawAhead(fullAhead(limit-m.Clock(), u, n), total, lone)
 	}
 	off := 0
@@ -251,6 +254,9 @@ func (s *Scheduler) Block(limit int64) error {
 	}
 	if inWarmup && m.Clock() > s.warmupClock {
 		last.warmupOps--
+	}
+	if s.ahead == 0 {
+		m.flushEvents()
 	}
 	s.windows(m.Clock())
 	return nil
@@ -360,18 +366,18 @@ func (b *block) draw() error {
 	return nil
 }
 
-// Stop ends the producer once it has drawn what it holds, and drops the
-// blocks drawn ahead and not issued: the run is over. Close calls it, and
-// so do Run's and fleet.Run's early returns; it is a no-op when nothing
-// draws ahead.
+// Stop ends the producer once it has drawn what it holds, drops the blocks
+// drawn ahead and not issued, and hands the Recorder the events the access
+// path has staged: the run is over. Close calls it, and so do Run's and
+// fleet.Run's early returns.
 func (s *Scheduler) Stop() {
-	if s.todo == nil {
-		return
+	if s.todo != nil {
+		close(s.todo)
+		for range s.done {
+		}
+		s.todo, s.done, s.ahead = nil, nil, 0
 	}
-	close(s.todo)
-	for range s.done {
-	}
-	s.todo, s.done, s.ahead = nil, nil, 0
+	s.m.flushEvents()
 }
 
 // windows closes every metric window that has ended by now, recording its
@@ -461,8 +467,12 @@ func (s *Scheduler) Tick(i int, now int64) error {
 	return nil
 }
 
-// RollEpoch closes the telemetry epoch at now and opens the next.
-func (s *Scheduler) RollEpoch(now int64) { s.et.roll(now) }
+// RollEpoch closes the telemetry epoch at now and opens the next. Like
+// Tick, it belongs at a boundary.
+func (s *Scheduler) RollEpoch(now int64) {
+	s.atBoundary("RollEpoch")
+	s.et.roll(now)
+}
 
 // Close stops the producer, ends the last epoch and completes the result at
 // the clock.

@@ -5,7 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"sort"
+	"strconv"
 	"strings"
 
 	"thermostat/internal/chaos"
@@ -49,19 +52,6 @@ var laneNames = map[int]string{
 	laneDaemons:   "daemons",
 }
 
-// chromeEvent is one trace_event object. Field order is fixed by the struct,
-// and encoding/json sorts map keys, so output is deterministic.
-type chromeEvent struct {
-	Name  string         `json:"name"`
-	Phase string         `json:"ph"`
-	TsUs  float64        `json:"ts"`
-	DurUs *float64       `json:"dur,omitempty"`
-	Pid   int            `json:"pid"`
-	Tid   int            `json:"tid"`
-	Scope string         `json:"s,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
-}
-
 func usOf(ns int64) float64 { return float64(ns) / 1e3 }
 
 // WriteChromeTrace writes the collector's contents in Chrome trace_event
@@ -69,130 +59,294 @@ func usOf(ns int64) float64 { return float64(ns) / 1e3 }
 // Epochs render as duration slices, decision events as instants on
 // per-family lanes, and snapshot metrics as counter tracks. Output is
 // deterministic: byte-identical for identical collector contents.
+//
+// Each record is appended by hand, byte for byte what encoding/json makes
+// of it (keys in its sorted order, its number and string forms, an error
+// for a NaN or infinite rate); ref_test.go keeps the json.Marshal writer
+// as the oracle that pins this.
 func (c *Collector) WriteChromeTrace(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("[\n"); err != nil {
-		return err
-	}
-	first := true
-	emit := func(ev chromeEvent) error {
-		b, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		if !first {
-			if _, err := bw.WriteString(",\n"); err != nil {
-				return err
-			}
-		}
-		first = false
-		_, err = bw.Write(b)
-		return err
-	}
+	t := traceWriter{bw: bufio.NewWriter(w)}
+	t.bw.WriteString("[\n")
 
 	// Metadata: name the process and lanes.
-	if err := emit(chromeEvent{Name: "process_name", Phase: "M", Pid: 1,
-		Args: map[string]any{"name": "thermostat-sim"}}); err != nil {
-		return err
-	}
+	t.open("process_name", 'M', 0, 0)
+	t.args()
+	t.stringArg("name", "thermostat-sim")
+	t.close()
 	for tid := laneEpochs; tid <= laneDaemons; tid++ {
-		if err := emit(chromeEvent{Name: "thread_name", Phase: "M", Pid: 1, Tid: tid,
-			Args: map[string]any{"name": laneNames[tid]}}); err != nil {
-			return err
-		}
+		t.open("thread_name", 'M', 0, tid)
+		t.args()
+		t.stringArg("name", laneNames[tid])
+		t.close()
 	}
 
 	// Events. EpochStart/End pairs become B/E slices on the epoch lane.
-	for _, e := range c.events {
-		ev := chromeEvent{Name: e.Kind.String(), TsUs: usOf(e.TimeNs), Pid: 1, Tid: laneOf(e.Kind)}
+	for i := range c.events {
+		e := &c.events[i]
 		switch e.Kind {
-		case KindEpochStart:
-			ev.Name = fmt.Sprintf("epoch %d", e.Epoch)
-			ev.Phase = "B"
-		case KindEpochEnd:
-			ev.Name = fmt.Sprintf("epoch %d", e.Epoch)
-			ev.Phase = "E"
+		case KindEpochStart, KindEpochEnd:
+			ph := byte('B')
+			if e.Kind == KindEpochEnd {
+				ph = 'E'
+			}
+			t.b = append(t.b, `{"name":"epoch `...)
+			t.b = strconv.AppendUint(t.b, e.Epoch, 10)
+			t.b = append(t.b, '"')
+			t.fields(ph, usOf(e.TimeNs), laneEpochs)
 		default:
-			ev.Phase = "i"
-			ev.Scope = "t"
-			args := map[string]any{"epoch": e.Epoch}
-			if e.Page != 0 {
-				args["page"] = e.Page.String()
+			t.open(e.Kind.String(), 'i', usOf(e.TimeNs), laneOf(e.Kind))
+			t.b = append(t.b, `,"s":"t"`...)
+			if err := t.instantArgs(e); err != nil {
+				return err
 			}
-			if e.Kind == KindMigrated {
-				args["from_tier"] = e.FromTier
-				args["to_tier"] = e.ToTier
-			}
-			if e.Bytes != 0 {
-				args["bytes"] = e.Bytes
-			}
-			if e.Count != 0 {
-				args["count"] = e.Count
-			}
-			if e.Kind == KindClassified {
-				args["rate"] = e.Rate
-				args["cold"] = e.Cold
-			}
-			if e.Kind == KindPageSampled {
-				args["was_cold"] = e.Cold
-			}
-			if e.Kind == KindChaosFault {
-				args["site"] = chaos.Site(e.Site).String()
-				args["permanent"] = e.Permanent
-			}
-			if e.Tenant != "" {
-				args["tenant"] = e.Tenant
-			}
-			ev.Args = args
 		}
-		if err := emit(ev); err != nil {
-			return err
-		}
+		t.close()
 	}
 
 	// Snapshots become counter tracks.
 	for _, s := range c.Snapshots() {
 		ts := usOf(s.EndNs)
-		occ := map[string]any{}
-		for i, b := range s.TierOccupancy {
-			occ[fmt.Sprintf("tier%d_bytes", i)] = b
+		t.open("occupancy", 'C', ts, 0)
+		if len(s.TierOccupancy) > 0 {
+			t.args()
+			for _, k := range t.tierKeys(len(s.TierOccupancy)) {
+				t.uintArg(k.key, s.TierOccupancy[k.tier])
+			}
 		}
-		if err := emit(chromeEvent{Name: "occupancy", Phase: "C", TsUs: ts, Pid: 1, Args: occ}); err != nil {
-			return err
-		}
-		acc := map[string]any{"slow": s.SlowAccesses, "total": s.Accesses}
-		if err := emit(chromeEvent{Name: "accesses", Phase: "C", TsUs: ts, Pid: 1, Args: acc}); err != nil {
-			return err
-		}
-		mig := map[string]any{
-			"bytes": s.MigrationBytes, "demotions": s.Demotions, "promotions": s.Promotions,
-		}
-		if err := emit(chromeEvent{Name: "migration", Phase: "C", TsUs: ts, Pid: 1, Args: mig}); err != nil {
-			return err
-		}
+		t.close()
+		t.open("accesses", 'C', ts, 0)
+		t.args()
+		t.uintArg("slow", s.SlowAccesses)
+		t.uintArg("total", s.Accesses)
+		t.close()
+		t.open("migration", 'C', ts, 0)
+		t.args()
+		t.uintArg("bytes", s.MigrationBytes)
+		t.uintArg("demotions", s.Demotions)
+		t.uintArg("promotions", s.Promotions)
+		t.close()
 		// The chaos track appears only when the epoch saw fault activity, so
 		// traces from uninjected runs stay byte-identical.
 		if s.FaultsInjected != 0 || s.MigrationRetries != 0 || s.MigrationRollbacks != 0 || s.PagesQuarantined != 0 {
-			ch := map[string]any{
-				"injected": s.FaultsInjected, "retried": s.MigrationRetries,
-				"rolled_back": s.MigrationRollbacks, "quarantined": s.PagesQuarantined,
-			}
-			if err := emit(chromeEvent{Name: "chaos", Phase: "C", TsUs: ts, Pid: 1, Args: ch}); err != nil {
-				return err
-			}
+			t.open("chaos", 'C', ts, 0)
+			t.args()
+			t.uintArg("injected", s.FaultsInjected)
+			t.uintArg("quarantined", s.PagesQuarantined)
+			t.uintArg("retried", s.MigrationRetries)
+			t.uintArg("rolled_back", s.MigrationRollbacks)
+			t.close()
 		}
 	}
 
 	if c.dropped > 0 {
-		if err := emit(chromeEvent{Name: "dropped_events", Phase: "M", Pid: 1,
-			Args: map[string]any{"count": c.dropped}}); err != nil {
-			return err
+		t.open("dropped_events", 'M', 0, 0)
+		t.args()
+		t.uintArg("count", c.dropped)
+		t.close()
+	}
+	t.bw.WriteString("\n]\n")
+	return t.bw.Flush()
+}
+
+// traceWriter appends one trace_event record at a time to b and hands each
+// to bw whole. bw keeps the first write error, which Flush returns.
+type traceWriter struct {
+	bw      *bufio.Writer
+	b       []byte
+	records int
+	// nargs counts the args written into the open args object, or is -1
+	// while the record has none.
+	nargs int
+	// tiers is tierKeys' last answer.
+	tiers []tierKey
+}
+
+// tierKey is one occupancy arg's key and the tier it names.
+type tierKey struct {
+	key  string
+	tier int
+}
+
+// open starts a record with its name, then the fields every record has.
+func (t *traceWriter) open(name string, ph byte, ts float64, tid int) {
+	t.b = append(t.b, `{"name":`...)
+	t.b = appendString(t.b, name)
+	t.fields(ph, ts, tid)
+}
+
+// fields appends the phase, timestamp, pid and tid after the name.
+func (t *traceWriter) fields(ph byte, ts float64, tid int) {
+	t.b = append(t.b, `,"ph":"`...)
+	t.b = append(t.b, ph)
+	t.b = append(t.b, `","ts":`...)
+	t.b = appendFloat(t.b, ts)
+	t.b = append(t.b, `,"pid":1,"tid":`...)
+	t.b = strconv.AppendInt(t.b, int64(tid), 10)
+	t.nargs = -1
+}
+
+// args opens the record's args object, its last field.
+func (t *traceWriter) args() {
+	t.b = append(t.b, `,"args":{`...)
+	t.nargs = 0
+}
+
+// key starts the next arg, a comma after the first: "k":. Keys go in raw,
+// so every k is plain ASCII, and the caller writes args in sorted key
+// order.
+func (t *traceWriter) key(k string) {
+	if t.nargs > 0 {
+		t.b = append(t.b, ',')
+	}
+	t.nargs++
+	t.b = append(t.b, '"')
+	t.b = append(t.b, k...)
+	t.b = append(t.b, `":`...)
+}
+
+func (t *traceWriter) uintArg(k string, v uint64) {
+	t.key(k)
+	t.b = strconv.AppendUint(t.b, v, 10)
+}
+
+func (t *traceWriter) intArg(k string, v int64) {
+	t.key(k)
+	t.b = strconv.AppendInt(t.b, v, 10)
+}
+
+func (t *traceWriter) boolArg(k string, v bool) {
+	t.key(k)
+	t.b = strconv.AppendBool(t.b, v)
+}
+
+func (t *traceWriter) stringArg(k, v string) {
+	t.key(k)
+	t.b = appendString(t.b, v)
+}
+
+// close ends the record, and its args if open, and writes it after the
+// separator from the one before.
+func (t *traceWriter) close() {
+	if t.nargs >= 0 {
+		t.b = append(t.b, '}')
+	}
+	t.b = append(t.b, '}')
+	if t.records > 0 {
+		t.bw.WriteString(",\n")
+	}
+	t.records++
+	t.bw.Write(t.b)
+	t.b = t.b[:0]
+}
+
+// instantArgs appends e's args in encoding/json's sorted key order.
+func (t *traceWriter) instantArgs(e *Event) error {
+	t.args()
+	if e.Bytes != 0 {
+		t.uintArg("bytes", e.Bytes)
+	}
+	if e.Kind == KindClassified {
+		t.boolArg("cold", e.Cold)
+	}
+	if e.Count != 0 {
+		t.uintArg("count", e.Count)
+	}
+	t.uintArg("epoch", e.Epoch)
+	if e.Kind == KindMigrated {
+		t.intArg("from_tier", int64(e.FromTier))
+	}
+	if e.Page != 0 {
+		t.key("page")
+		t.b = append(t.b, `"0x`...)
+		t.b = appendHex12(t.b, uint64(e.Page))
+		t.b = append(t.b, '"')
+	}
+	if e.Kind == KindChaosFault {
+		t.boolArg("permanent", e.Permanent)
+	}
+	if e.Kind == KindClassified {
+		if math.IsNaN(e.Rate) || math.IsInf(e.Rate, 0) {
+			return fmt.Errorf("telemetry: %s event at %d ns has rate %v, which JSON cannot write", e.Kind, e.TimeNs, e.Rate)
+		}
+		t.key("rate")
+		t.b = appendFloat(t.b, e.Rate)
+	}
+	if e.Kind == KindChaosFault {
+		t.stringArg("site", chaos.Site(e.Site).String())
+	}
+	if e.Tenant != "" {
+		t.stringArg("tenant", e.Tenant)
+	}
+	if e.Kind == KindMigrated {
+		t.intArg("to_tier", int64(e.ToTier))
+	}
+	if e.Kind == KindPageSampled {
+		t.boolArg("was_cold", e.Cold)
+	}
+	return nil
+}
+
+// tierKeys returns the occupancy keys of n tiers, tier0_bytes ..
+// tier<n-1>_bytes, in the order encoding/json writes them, sorted as
+// strings: tier10_bytes before tier2_bytes.
+func (t *traceWriter) tierKeys(n int) []tierKey {
+	if len(t.tiers) == n {
+		return t.tiers
+	}
+	t.tiers = make([]tierKey, n)
+	for i := range t.tiers {
+		t.tiers[i] = tierKey{fmt.Sprintf("tier%d_bytes", i), i}
+	}
+	sort.Slice(t.tiers, func(i, j int) bool { return t.tiers[i].key < t.tiers[j].key })
+	return t.tiers
+}
+
+// appendFloat appends f as encoding/json writes a float64: the shortest
+// 'f' form, or the 'e' form below 1e-6 and from 1e21 on, with a one-digit
+// negative exponent unpadded. f must be finite.
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
 		}
 	}
-	if _, err := bw.WriteString("\n]\n"); err != nil {
-		return err
+	return b
+}
+
+// appendString appends s as a JSON string the way encoding/json writes it.
+// Printable ASCII without a quote, a backslash or one of the HTML
+// characters it escapes (<, >, &) goes in as it is; anything else takes
+// json.Marshal itself, so every escape stays exact.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
 	}
-	return bw.Flush()
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendHex12 appends v in lower-case hex, zero-padded to 12 digits: the
+// digits of addr.Virt's String after its 0x.
+func appendHex12(b []byte, v uint64) []byte {
+	const width = 12
+	digits := 1
+	for x := v >> 4; x != 0; x >>= 4 {
+		digits++
+	}
+	for ; digits < width; digits++ {
+		b = append(b, '0')
+	}
+	return strconv.AppendUint(b, v, 16)
 }
 
 // jsonlSnapshot fixes the JSONL field order.

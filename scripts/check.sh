@@ -38,19 +38,21 @@ if [ "${SHORT:-0}" = "1" ]; then
 	# 64/1024 the index form), the LLC, the
 	# Zipfian sampler's guide table (draws and the bisection build, at the
 	# page counts of websearch-tlbhit and bigmem-scan), request generation
-	# per app, the access path, and the two callers of sim.Scheduler's block
-	# loop: one solo redis run under sim.Run and one fleet-night run under
-	# fleet.Run, each at GOMAXPROCS 1 and 2, so the path where the producer
-	# that draws blocks ahead shares the one P with the simulation runs on
-	# every push. The measured numbers come from `make bench` (see
-	# bench/README.md).
+	# per app, the access path, the Chrome-trace writer on a daemon-sized
+	# collector, and the two callers of sim.Scheduler's block loop: one solo
+	# redis run under sim.Run, bare and with a Recorder, and one fleet-night
+	# run under fleet.Run, each at GOMAXPROCS 1 and 2, so the path where the
+	# producer that draws blocks ahead shares the one P with the simulation
+	# runs on every push, telemetry on and off. The measured numbers come
+	# from `make bench` (see bench/README.md).
 	named bench 'BenchmarkPT|BenchmarkWalk|BenchmarkSplit' ./internal/pagetable -benchtime=100x
 	named bench 'BenchmarkLookup|BenchmarkInsert' ./internal/tlb -benchtime=100x
 	named bench 'BenchmarkCache' ./internal/cache -benchtime=100x
 	named bench 'BenchmarkZipfian' ./internal/rng -benchtime=100x
 	named bench 'BenchmarkAppNextBatch' ./internal/workload -benchtime=100x
 	named bench 'BenchmarkAccess' . -benchtime=100x
-	named bench 'BenchmarkRunRedis' . -benchtime=1x -cpu 1,2
+	named bench 'BenchmarkWriteChromeTrace' ./internal/telemetry -benchtime=10x
+	named bench 'BenchmarkRunRedis$|BenchmarkRunRedisRecorded' . -benchtime=1x -cpu 1,2
 	named bench 'BenchmarkFleetNight' . -benchtime=1x -cpu 1,2
 else
 	echo "== go test -race ./..."
@@ -172,8 +174,8 @@ if [ "${FUZZ:-0}" = "1" ]; then
 	# Ten seconds per target: leaf index, packed page table vs [512]Entry
 	# table, TLB vs map LRU, LLC vs 64-bit tags, Zipfian vs Pow, request
 	# path vs reference App, fleet arbiter, fleet blocks vs per-op, daemon
-	# config. Through named, so a renamed target fails instead of fuzzing
-	# nothing.
+	# config, Chrome trace vs json.Marshal. Through named, so a renamed
+	# target fails instead of fuzzing nothing.
 	named fuzz FuzzLeafIndex ./internal/pagetable -fuzztime 10s
 	named fuzz FuzzTableVsRef ./internal/pagetable -fuzztime 10s
 	named fuzz FuzzTLBVsMapLRU ./internal/tlb -fuzztime 10s
@@ -183,6 +185,7 @@ if [ "${FUZZ:-0}" = "1" ]; then
 	named fuzz FuzzFleetArbiter ./internal/fleet -fuzztime 10s
 	named fuzz FuzzFleetRunVsPerOp ./internal/fleet -fuzztime 10s
 	named fuzz FuzzDaemonConfig ./internal/daemon -fuzztime 10s
+	named fuzz FuzzChromeTraceVsMarshal ./internal/telemetry -fuzztime 10s
 fi
 
 echo "check: OK"
