@@ -248,11 +248,13 @@ func BenchmarkAccessPath(b *testing.B) {
 
 // BenchmarkAccessBlock measures the access path as runs issue it, on the
 // same machine and workload as BenchmarkAccessPath: a one-member
-// Scheduler's blocks, each one NextBatch and one loop of up to
-// sim.MaxBlockOps accesses, the draws of all but the first on the
-// Scheduler's producer. The per-op delta between the two is what blocks
-// amortize (VPID fetch, compute-step divide, per-op call dispatch) and what
-// drawing ahead takes off the simulation goroutine.
+// Scheduler's blocks, each one NextBatch, one translation pass and one
+// charge loop of up to sim.MaxBlockOps accesses; for all but the first,
+// the draw runs on the Scheduler's producer and the translation on its
+// translator, so the simulation goroutine only charges. The per-op delta
+// between the two is what blocks amortize (VPID fetch, compute-step
+// divide, per-op call dispatch) and what drawing and translating ahead
+// take off the simulation goroutine.
 // The last block may overshoot b.N, so ns/op is over the accesses issued.
 func BenchmarkAccessBlock(b *testing.B) {
 	m, err := NewMachine(DefaultMachineConfig(64<<20, 64<<20))

@@ -31,6 +31,4 @@ type Fault struct {
 	Virt  addr.Virt
 	Write bool
 	VPID  tlb.VPID
-	// TimeNs is the virtual time at which the fault was raised.
-	TimeNs int64
 }

@@ -18,33 +18,54 @@ func atProcs(procs int, f func()) {
 	f()
 }
 
-// TestFleetDrawAheadMatchesPerOp: with no Recorder the night cast's blocks
-// are drawn ahead on the Scheduler's producer, and Run still matches the
-// per-op oracle (which never draws ahead) at GOMAXPROCS 1 and 2. Not
-// parallel: it sets GOMAXPROCS.
+// TestFleetDrawAheadMatchesPerOp: the night cast's blocks are drawn ahead
+// on the Scheduler's producer and translated on its translator, and Run
+// still matches the per-op oracle (which never works ahead) at GOMAXPROCS 1
+// and 2: without a Recorder, and with one and unequal shares, so that every
+// block interleaves the tenants' spans and each span's requests start
+// part-way into its tenant's draw. Not parallel: it sets GOMAXPROCS.
 func TestFleetDrawAheadMatchesPerOp(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second scaled run")
 	}
-	var ahead bool
-	build := func() *cast {
-		c := nightCast(1)
-		c.noRecorder = true
-		c.wrap = func(app core.ScopedApp) core.ScopedApp { return &faultyApp{ScopedApp: app, ahead: &ahead} }
-		return c
-	}
-	want := build().run(t, refRun)
-	if want.err != nil {
-		t.Fatal(want.err)
-	}
-	if ahead {
-		t.Fatal("the per-op oracle drew on the producer")
-	}
-	for _, procs := range []int{1, 2} {
-		atProcs(procs, func() { requireSameRun(t, build().run(t, Run), want) })
-	}
-	if !ahead {
-		t.Fatal("no NextBatch ran on the producer")
+	for _, tc := range []struct {
+		name  string
+		build func() *cast
+	}{
+		{"no-recorder", func() *cast {
+			c := nightCast(1)
+			c.noRecorder = true
+			return c
+		}},
+		{"unequal-shares", func() *cast {
+			c := nightCast(3)
+			for i, s := range []int{3, 1, 2, 5} {
+				c.tenants[i].share = s
+			}
+			return c
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var ahead bool
+			build := func() *cast {
+				c := tc.build()
+				c.wrap = func(app core.ScopedApp) core.ScopedApp { return &faultyApp{ScopedApp: app, ahead: &ahead} }
+				return c
+			}
+			want := build().run(t, refRun)
+			if want.err != nil {
+				t.Fatal(want.err)
+			}
+			if ahead {
+				t.Fatal("the per-op oracle drew on the producer")
+			}
+			for _, procs := range []int{1, 2} {
+				atProcs(procs, func() { requireSameRun(t, build().run(t, Run), want) })
+			}
+			if !ahead {
+				t.Fatal("no NextBatch ran on the producer")
+			}
+		})
 	}
 }
 
@@ -61,12 +82,14 @@ const (
 
 // faultyApp goes wrong at its third NextBatch call, or at its first tick
 // for tickFails, and sets ahead once a NextBatch runs on the Scheduler's
-// producer.
+// producer. A non-nil translator is set once one of its first NextBatch
+// calls there sees the Scheduler's translator running beside it.
 type faultyApp struct {
 	core.ScopedApp
-	kind  faultKind
-	calls int
-	ahead *bool
+	kind       faultKind
+	calls      int
+	ahead      *bool
+	translator *bool
 }
 
 var errTick = errors.New("tick failed on purpose")
@@ -74,9 +97,14 @@ var errTick = errors.New("tick failed on purpose")
 func (a *faultyApp) NextBatch(reqs []sim.Req) int {
 	n := a.ScopedApp.NextBatch(reqs)
 	// A run that draws ahead does so from its second block on.
-	if !*a.ahead && a.calls < 64 {
+	if (!*a.ahead || a.translator != nil && !*a.translator) && a.calls < 64 {
 		var stack [4096]byte
-		*a.ahead = bytes.Contains(stack[:runtime.Stack(stack[:], false)], []byte("sim.produce("))
+		if bytes.Contains(stack[:runtime.Stack(stack[:], false)], []byte("sim.produce(")) {
+			*a.ahead = true
+			if a.translator != nil {
+				*a.translator = running("sim.translateAhead(")
+			}
+		}
 	}
 	if a.calls++; a.calls != 3 {
 		return n
@@ -90,6 +118,12 @@ func (a *faultyApp) NextBatch(reqs []sim.Req) int {
 	return n
 }
 
+// running reports whether some goroutine's stack has frame.
+func running(frame string) bool {
+	buf := make([]byte, 1<<20)
+	return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte(frame))
+}
+
 func (a *faultyApp) Tick(m *sim.Machine, now int64) error {
 	if a.kind == tickFails {
 		return errTick
@@ -97,10 +131,11 @@ func (a *faultyApp) Tick(m *sim.Machine, now int64) error {
 	return a.ScopedApp.Tick(m, now)
 }
 
-// TestFleetRunStopsProducer: fleet.Run leaves no producer behind when it
-// returns early on an access error, a short draw or a tick error. Each run
-// must have drawn on a producer, or the test would pass without one. Not
-// parallel: it counts the process's goroutines.
+// TestFleetRunStopsProducer: fleet.Run leaves neither producer nor
+// translator behind when it returns early on an access error (met by the
+// translator), a short draw or a tick error. Each run must have drawn on a
+// producer with the translator alive, or the test would pass without
+// them. Not parallel: it counts the process's goroutines.
 func TestFleetRunStopsProducer(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -112,11 +147,11 @@ func TestFleetRunStopsProducer(t *testing.T) {
 		{"tick-error", tickFails, errTick.Error()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			base, ahead := runtime.NumGoroutine(), false
+			base, ahead, translator := runtime.NumGoroutine(), false, false
 			c := smallCast(0, 0)
 			c.noRecorder = true
 			c.wrap = func(app core.ScopedApp) core.ScopedApp {
-				return &faultyApp{ScopedApp: app, kind: tc.kind, ahead: &ahead}
+				return &faultyApp{ScopedApp: app, kind: tc.kind, ahead: &ahead, translator: &translator}
 			}
 			out := c.run(t, Run)
 			if out.err == nil || !strings.Contains(out.err.Error(), tc.wantErr) {
@@ -125,10 +160,13 @@ func TestFleetRunStopsProducer(t *testing.T) {
 			if !ahead {
 				t.Fatal("no NextBatch ran on the producer")
 			}
+			if !translator {
+				t.Fatal("no translator ran beside the producer")
+			}
 			deadline := time.Now().Add(5 * time.Second)
-			for runtime.NumGoroutine() > base {
+			for runtime.NumGoroutine() > base || running("sim.produce(") || running("sim.translateAhead(") {
 				if time.Now().After(deadline) {
-					t.Fatalf("%d goroutines after the run, %d before: the producer outlived fleet.Run", runtime.NumGoroutine(), base)
+					t.Fatalf("%d goroutines after the run, %d before: a producer or translator outlived fleet.Run", runtime.NumGoroutine(), base)
 				}
 				time.Sleep(time.Millisecond)
 			}

@@ -9,6 +9,7 @@ import (
 
 	"thermostat/internal/addr"
 	"thermostat/internal/harness"
+	"thermostat/internal/pagetable"
 	"thermostat/internal/sim"
 	"thermostat/internal/telemetry"
 	"thermostat/internal/workload"
@@ -46,19 +47,17 @@ func runRedisTiny(t *testing.T, loop func(*sim.Machine, sim.App, sim.Policy, sim
 }
 
 // TestDrawAheadRunIsExact: a run with no caller code on its access path
-// draws blocks ahead on the producer and still matches the per-op oracle
-// exactly, at GOMAXPROCS 1 (the producer only runs while Block waits for
-// it) and 2. The count guards the comparison: a run that drew nothing
-// ahead would pass it vacuously. Not parallel: it sets GOMAXPROCS.
+// draws blocks ahead on the producer and translates them on the translator,
+// and still matches the per-op oracle exactly, at GOMAXPROCS 1 (the
+// producer and the translator only run while Block waits for them) and 2.
+// The count guards the comparison: a run that drew nothing ahead would
+// pass it vacuously. The oracle never calls Block, so it runs unspied. Not
+// parallel: it sets GOMAXPROCS.
 func TestDrawAheadRunIsExact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second differential run")
 	}
-	refAhead := 0
-	want := runRedisTiny(t, sim.RefRun, nil, &refAhead)
-	if refAhead != 0 {
-		t.Fatalf("the per-op oracle drew %d blocks ahead", refAhead)
-	}
+	want := runRedisTiny(t, sim.RefRun, nil, nil)
 	for _, procs := range []int{1, 2} {
 		var got *sim.RunResult
 		var ahead int
@@ -230,5 +229,50 @@ func TestRecorderNeverBesideProducer(t *testing.T) {
 	}
 	if n := tr.overlaps.Load(); n != 0 {
 		t.Fatalf("the Recorder was called %d times while a NextBatch ran", n)
+	}
+}
+
+// probingPolicy reads, at every tick, what translation writes: the TLB's
+// counters, BadgerTrap's fault counts and every leaf's A/D bits. seen sums
+// what it read, so a run that never touched that state shows.
+type probingPolicy struct {
+	sim.Policy
+	ticks int
+	seen  uint64
+}
+
+func (p *probingPolicy) Tick(m *sim.Machine, now int64) error {
+	p.ticks++
+	p.seen += m.TLB().Stats().Lookups() + m.Trap().TotalFaults()
+	m.PageTable().Scan(func(base addr.Virt, e *pagetable.PTE, _ pagetable.Level) {
+		if e.Has(pagetable.Accessed) || e.Has(pagetable.Dirty) {
+			p.seen++
+		}
+		p.seen += m.Trap().CountLeaf(base)
+	})
+	return p.Policy.Tick(m, now)
+}
+
+// TestTranslatorNeverBesideTicks pins what makes translating ahead exact:
+// a run translates blocks ahead on the translator, yet a policy that reads
+// the TLB, the trap and the page table at every tick never reads them
+// while the translator writes them. Under -race a tick beside the
+// translator is a reported race.
+func TestTranslatorNeverBesideTicks(t *testing.T) {
+	sc := harness.Tiny()
+	a, err := harness.Assemble(workload.Redis(), sc, harness.Plan{SlowdownPct: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ahead := 0
+	pol := &probingPolicy{Policy: a.Policy}
+	if _, err := sim.Run(a.Machine, sim.SpyAhead(a.App, &ahead), pol, sim.RunConfig{DurationNs: 2e9, WindowNs: sc.PeriodNs}); err != nil {
+		t.Fatal(err)
+	}
+	if ahead == 0 {
+		t.Fatal("the run drew, and so translated, no block ahead")
+	}
+	if pol.ticks == 0 || pol.seen == 0 {
+		t.Fatalf("the probe ticked %d times and read %d: it covered nothing", pol.ticks, pol.seen)
 	}
 }

@@ -5,4 +5,4 @@ var RefRun = refRun
 
 // SpyAhead wraps app so that *ahead counts its NextBatch calls drawn on a
 // Scheduler's producer.
-func SpyAhead(app App, ahead *int) App { return aheadSpy{app, ahead} }
+func SpyAhead(app App, ahead *int) App { return aheadSpy{App: app, ahead: ahead} }

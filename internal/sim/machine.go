@@ -12,6 +12,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"thermostat/internal/addr"
 	"thermostat/internal/badgertrap"
@@ -291,6 +292,10 @@ func New(cfg Config) (*Machine, error) {
 	m.fastReadLat = m.tierReadLat[mem.Fast]
 	for d := 1; d < len(m.walkLat); d++ {
 		m.walkLat[d] = wm.Latency(guest.Nested(), d, guest.HostWalkDepth())
+	}
+	// A block translated ahead keeps each op's translation latency in 32 bits.
+	if most := max(cfg.TLBHitNs, m.walkLat[walk.Depth4K]+cfg.FaultLatencyNs+guest.FaultOverheadNs()); most > math.MaxInt32 {
+		return nil, fmt.Errorf("sim: a translation can take %d ns, more than the %d ns a block records", most, math.MaxInt32)
 	}
 	m.trap = badgertrap.New(m.pt, m.tl, cfg.FaultLatencyNs)
 	// The machine owns one traffic meter and shares it with the migrator,
@@ -625,60 +630,69 @@ func (m *Machine) flushEvents() {
 	m.pending = m.pending[:0]
 }
 
-// access is the one per-op path every simulated access takes, whether it
-// arrives through Access or a Scheduler block: TLB lookup, hardware page walk,
-// poison-fault dispatch, LLC, miss hook, tier latency; then the counters,
-// the latency histogram and the virtual clock. It calls no Recorder: its
-// one event is staged in pending for flushEvents.
+// access is the one per-op path of Machine.Access and of blocks with a miss
+// hook: translate, then charge.
 func (m *Machine) access(v addr.Virt, write bool, vpid tlb.VPID) (int64, error) {
-	var lat int64
-	var frame addr.Phys
-	var lvl pagetable.Level
-
-	if res, ok := m.tl.Lookup(v, vpid); ok {
-		lat += m.cfg.TLBHitNs
-		frame, lvl = res.Frame, res.Level
-	} else {
-		// Hardware page walk.
-		wr := m.pt.Walk(v, write)
-		if !wr.Found {
-			return 0, fmt.Errorf("sim: access to unmapped %s", v)
-		}
-		lat += m.walkLat[wr.Depth]
-		if wr.Poisoned {
-			// Protection fault: BadgerTrap services it (counts the
-			// access, installs a transient translation, re-poisons).
-			fl, err := m.trap.Handle(fault.Fault{
-				Kind: fault.Poison, Virt: v, Write: write,
-				VPID: vpid, TimeNs: m.clock,
-			})
-			if err != nil {
-				return 0, err
-			}
-			lat += fl + m.guest.FaultOverheadNs()
-			if m.rec != nil {
-				m.pending = append(m.pending, telemetry.Event{
-					Kind: telemetry.KindFaultInjected, TimeNs: m.clock,
-					Page: v.Base4K(), Count: 1,
-				})
-			}
-			res, ok := m.tl.Lookup(v, vpid)
-			if !ok {
-				return 0, fmt.Errorf("sim: fault handler left %s untranslated", v)
-			}
-			frame, lvl = res.Frame, res.Level
-		} else {
-			frame, lvl = wr.Entry.Frame, wr.Level
-			m.tl.Fill(v, lvl, frame, vpid)
-		}
+	pa, lat, faulted, err := m.translate(v, write, vpid)
+	if err != nil {
+		return 0, err
 	}
+	return m.charge(v, write, pa, lat, faulted)
+}
 
-	// Physical address of the accessed byte.
-	var pa addr.Phys
+// translate is the access path's MMU half: TLB lookup, hardware page walk
+// (which sets the leaf's A/D bits) and poison-fault dispatch to BadgerTrap.
+// It returns the physical address of the accessed byte, the translation's
+// latency, and whether a poison fault was taken. It owns the TLB, the page
+// table and the trap, and reads neither the clock nor anything charge
+// writes, so a Scheduler may translate blocks ahead on another goroutine.
+func (m *Machine) translate(v addr.Virt, write bool, vpid tlb.VPID) (addr.Phys, int64, bool, error) {
+	if res, ok := m.tl.Lookup(v, vpid); ok {
+		return physAddr(v, res.Frame, res.Level), m.cfg.TLBHitNs, false, nil
+	}
+	// Hardware page walk.
+	wr := m.pt.Walk(v, write)
+	if !wr.Found {
+		return 0, 0, false, fmt.Errorf("sim: access to unmapped %s", v)
+	}
+	lat := m.walkLat[wr.Depth]
+	if !wr.Poisoned {
+		m.tl.Fill(v, wr.Level, wr.Entry.Frame, vpid)
+		return physAddr(v, wr.Entry.Frame, wr.Level), lat, false, nil
+	}
+	// Protection fault: BadgerTrap services it (counts the access,
+	// installs a transient translation, re-poisons).
+	fl, err := m.trap.Handle(fault.Fault{Kind: fault.Poison, Virt: v, Write: write, VPID: vpid})
+	if err != nil {
+		return 0, 0, false, err
+	}
+	res, ok := m.tl.Lookup(v, vpid)
+	if !ok {
+		return 0, 0, false, fmt.Errorf("sim: fault handler left %s untranslated", v)
+	}
+	return physAddr(v, res.Frame, res.Level), lat + fl + m.guest.FaultOverheadNs(), true, nil
+}
+
+// physAddr is the physical address of v's byte in the leaf frame at lvl.
+func physAddr(v addr.Virt, frame addr.Phys, lvl pagetable.Level) addr.Phys {
 	if lvl == pagetable.Level2M {
-		pa = frame + addr.Phys(v.Offset2M())
-	} else {
-		pa = frame + addr.Phys(v.Offset4K())
+		return frame + addr.Phys(v.Offset2M())
+	}
+	return frame + addr.Phys(v.Offset4K())
+}
+
+// charge is the access path's memory half, given translate's results for
+// v: the tier counters, the LLC, ground-truth page counts, the miss hook,
+// the device latency; then the access count, the latency histogram and the
+// virtual clock. It returns the access's whole latency. It calls no
+// Recorder: a poison fault's event, stamped with the clock at the access,
+// is staged in pending for flushEvents.
+func (m *Machine) charge(v addr.Virt, write bool, pa addr.Phys, lat int64, faulted bool) (int64, error) {
+	if faulted && m.rec != nil {
+		m.pending = append(m.pending, telemetry.Event{
+			Kind: telemetry.KindFaultInjected, TimeNs: m.clock,
+			Page: v.Base4K(), Count: 1,
+		})
 	}
 	tier := m.sys.TierOf(pa)
 	m.tierAccesses[tier].Inc()
@@ -703,8 +717,8 @@ func (m *Machine) access(v addr.Virt, write bool, vpid tlb.VPID) (int64, error) 
 		switch {
 		case m.cfg.Mode == EmulatedFault && tier != mem.Fast:
 			// Paper methodology: data physically in DRAM; the poison
-			// fault above supplied the emulated slow latency. Charge
-			// DRAM device time for the actual fill.
+			// fault supplied the emulated slow latency. Charge DRAM
+			// device time for the actual fill.
 			lat += m.fastReadLat
 		case write:
 			lat += m.tierWriteLat[tier]
@@ -769,7 +783,9 @@ func (m *Machine) blockOps(limit, maxAdv int64) int {
 // value, at most maxNs, is added to the access latency. A charge outside
 // [0, maxNs] fails the access. Pass nil to remove. Used by the §6.1
 // hardware-assisted access-counting models; the Scheduler reads the bound
-// afresh for every block.
+// afresh for every block. Install it before a run or at a boundary, where
+// no block is translated ahead: a hook may read what translation writes,
+// so a Scheduler translates nothing ahead while one is installed.
 func (m *Machine) SetMissHook(h func(v addr.Virt, write bool) int64, maxNs int64) {
 	m.missHook, m.missMaxNs = h, maxNs
 	m.maxAccessLat = 0 // recomputed with the new bound

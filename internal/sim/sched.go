@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"runtime/debug"
 
+	"thermostat/internal/addr"
 	"thermostat/internal/stats"
+	"thermostat/internal/tlb"
 )
 
 // Scheduler is the one run loop: it issues the accesses of the apps that
@@ -29,42 +32,61 @@ type Scheduler struct {
 	footprint          func(*Machine) Footprint
 
 	// ring[cur] is the block being issued; the ahead blocks after it, in
-	// ring order, are planned and with the producer, which draws their
-	// requests on its own goroutine while the current block issues.
+	// ring order, are planned and in the pipeline: the producer draws their
+	// requests and the translator then translates them, each on its own
+	// goroutine, while the current block issues.
 	ring       []block
 	cur, ahead int
-	// todo and done carry blocks to and from the producer; nil until a run
-	// first draws ahead, and again after Stop.
+	// todo carries blocks to the producer, and done brings them back from
+	// the translator; nil until a run first works ahead, and again after
+	// Stop.
 	todo, done chan *block
 }
 
 // aheadMax is the most blocks drawn ahead of the one issuing.
 const aheadMax = 4
 
-// block is one planned block: its interleave, and each picked member's
-// requests in reqs, in member order.
+// block is one planned block: its interleave, each picked member's
+// requests in reqs, in member order, and the ops' translations in xl, in
+// issue order.
 type block struct {
 	n     int
 	spans []span
 	draws []draw
 	reqs  []Req
-	// A block drawn ahead carries its draw's outcome back to Block: a short
-	// count, or a panic in NextBatch.
+	// xl[:xn] are the translated ops; xn < n when translating op xn failed
+	// with xerr.
+	xl   []xlat
+	xn   int
+	xerr error
+	// A block worked ahead carries its draw's outcome back to Block: a short
+	// count, or a panic in NextBatch or in translation.
 	err      error
-	panicked *DrawPanic
+	panicked *AheadPanic
 }
 
-// DrawPanic is a panic in an app's NextBatch drawn ahead on the producer,
-// raised again on the simulation goroutine: Value is what NextBatch
-// panicked with, and Stack the producer's stack at the panic, which names
-// the app's frame that panicked (the raising goroutine's stack does not).
-type DrawPanic struct {
-	Value any
-	Stack []byte
+// xlat is one op's translation: the physical address, the latency, and
+// whether it took a poison fault.
+type xlat struct {
+	pa      addr.Phys
+	lat     int32
+	faulted bool
 }
 
-func (p *DrawPanic) Error() string {
-	return fmt.Sprintf("%v\n[NextBatch drawn ahead; producer stack:]\n%s", p.Value, p.Stack)
+// AheadPanic is a panic on a goroutine that works ahead of the simulation
+// goroutine — in an app's NextBatch on the producer, or in translation on
+// the translator — raised again on the simulation goroutine: Goroutine
+// names which, Value is what was panicked with, and Stack is that
+// goroutine's stack at the panic, which names the frame that panicked (the
+// raising goroutine's stack does not).
+type AheadPanic struct {
+	Goroutine string
+	Value     any
+	Stack     []byte
+}
+
+func (p *AheadPanic) Error() string {
+	return fmt.Sprintf("%v\n[raised ahead on the Scheduler's %s; its stack:]\n%s", p.Value, p.Goroutine, p.Stack)
 }
 
 // draw is one member's NextBatch of a block. It holds the app and name
@@ -92,16 +114,17 @@ type member struct {
 	// TickHook) governs the very next one.
 	lastTick int64
 	wrr      int
-	planned  int   // picks in the block being planned
-	reqs     []Req // its requests of the block not yet issued
+	planned  int // picks in the block being planned
+	next     int // where its next span's requests start in that block's reqs
 
 	ops, warmupOps uint64
 }
 
-// span is a stretch of consecutive ops of one member within a block.
+// span is a stretch of consecutive ops of one member within a block, whose
+// requests are the block's reqs[off:off+n].
 type span struct {
 	member int
-	n      int
+	n, off int
 }
 
 // NewScheduler opens a run of rc.DurationNs at m's clock, with metric
@@ -131,7 +154,7 @@ func NewScheduler(m *Machine, rc RunConfig, appName, policyName string, footprin
 }
 
 func newBlock() block {
-	return block{spans: make([]span, 0, MaxBlockOps), reqs: make([]Req, MaxBlockOps)}
+	return block{spans: make([]span, 0, MaxBlockOps), reqs: make([]Req, MaxBlockOps), xl: make([]xlat, MaxBlockOps)}
 }
 
 // Add registers app under pol, with share of the interleave, as the next
@@ -188,13 +211,14 @@ func (s *Scheduler) Throughput(i int, from, to int64) float64 {
 // than limit, or idles to that boundary when no member is resident; then it
 // closes every metric window that has ended, so the series see the machine
 // before any other boundary work. While the access path runs no caller
-// code (no miss hook), it also hands the producer the blocks after this
-// one that are certain to be full and to end before any boundary, to draw
-// while this one issues (DESIGN.md, "One per-op core, blocks of N"). The
-// access path stages its telemetry events on the Machine; a Block that
-// leaves no block drawn ahead hands them to the Recorder before it
-// returns, so the Recorder runs only while the producer is idle, and every
-// boundary finds them delivered.
+// code (no miss hook), a block is translated whole before it is charged,
+// and Block hands the producer the blocks after this one that are certain
+// to be full and to end before any boundary, to draw and then translate on
+// the translator while this one issues (DESIGN.md, "One per-op core,
+// blocks of N"). The access path stages its telemetry events on the
+// Machine; a Block that leaves no block drawn ahead hands them to the
+// Recorder before it returns, so the Recorder runs only while the producer
+// and the translator are idle, and every boundary finds them delivered.
 func (s *Scheduler) Block(limit int64) error {
 	m := s.m
 	limit = min(limit, s.nextWindow, s.end)
@@ -221,32 +245,55 @@ func (s *Scheduler) Block(limit int64) error {
 	}
 	u := m.maxOpAdvanceNs(compute)
 	n := m.blockOps(limit, u)
+	// A block from the pipeline comes translated. One drawn here is
+	// translated whole before any later block is handed over, so blocks
+	// are translated in issue order — unless a miss hook, caller code that
+	// may read what translation writes, runs between its ops.
+	translated := s.ahead > 0
 	b, err := s.next(n, total, lone)
 	if err != nil {
 		return err
 	}
-	if m.missHook == nil {
-		s.drawAhead(fullAhead(limit-m.Clock(), u, n), total, lone)
-	}
-	off := 0
-	for _, d := range b.draws {
-		s.members[d.member].reqs = b.reqs[off : off+d.n]
-		off += d.n
-	}
-	// Issue the spans in order, the one issue loop: each op is
-	// Machine.access followed by its member's compute step.
 	vpid := m.guest.VPID()
+	if m.missHook == nil {
+		if !translated {
+			b.translate(m, vpid)
+			translated = true
+		}
+		if b.xn == b.n {
+			s.drawAhead(fullAhead(limit-m.Clock(), u, n), total, lone)
+		}
+	}
+	// Issue the spans in order: each op is Machine.charge of its
+	// translation, or else Machine.access, followed by its member's
+	// compute step.
 	var last *member
+	k := 0 // the ops of b issued
 	for _, sp := range b.spans {
 		last = &s.members[sp.member]
 		step := last.step
-		for j, q := range last.reqs[:sp.n] {
-			if _, err := m.access(q.V, q.Write, vpid); err != nil {
-				return fmt.Errorf("sim: %s op %d: %w", last.name, last.ops+uint64(j), err)
+		reqs := b.reqs[sp.off : sp.off+sp.n]
+		if translated {
+			xl := b.xl[k:min(k+sp.n, b.xn)]
+			for j, x := range xl {
+				q := reqs[j]
+				if _, err := m.charge(q.V, q.Write, x.pa, int64(x.lat), x.faulted); err != nil {
+					return last.opErr(j, err)
+				}
+				m.clock += step
 			}
-			m.clock += step
+			if len(xl) < sp.n {
+				return last.opErr(len(xl), b.xerr)
+			}
+		} else {
+			for j, q := range reqs {
+				if _, err := m.access(q.V, q.Write, vpid); err != nil {
+					return last.opErr(j, err)
+				}
+				m.clock += step
+			}
 		}
-		last.reqs = last.reqs[sp.n:]
+		k += sp.n
 		last.ops += uint64(sp.n)
 		if inWarmup {
 			last.warmupOps = last.ops
@@ -281,6 +328,11 @@ func fullAhead(gap, u int64, n int) int {
 	return int(min((rem-(full-1))/full+1, aheadMax))
 }
 
+// opErr is err at the member's op j of its span being issued.
+func (mb *member) opErr(j int, err error) error {
+	return fmt.Errorf("sim: %s op %d: %w", mb.name, mb.ops+uint64(j), err)
+}
+
 // next returns the block to issue: the oldest drawn ahead, which must be
 // the n ops Block has just sized, or else one planned and drawn now.
 func (s *Scheduler) next(n, total, lone int) (*block, error) {
@@ -304,8 +356,8 @@ func (s *Scheduler) next(n, total, lone int) (*block, error) {
 }
 
 // drawAhead plans the next blocks, up to f ahead of the current one, and
-// hands them to the producer, starting it on first use. Planning stays on
-// the simulation goroutine, so the credits advance in issue order.
+// hands them to the producer, starting the pipeline on first use. Planning
+// stays on the simulation goroutine, so the credits advance in issue order.
 func (s *Scheduler) drawAhead(f, total, lone int) {
 	if s.ahead >= f {
 		return
@@ -321,36 +373,79 @@ func (s *Scheduler) drawAhead(f, total, lone int) {
 	}
 }
 
-// startProducer fills the ring and starts the one goroutine that draws
-// blocks ahead for this Scheduler. Its channels hold every block in flight,
-// so neither side blocks on a send.
+// startProducer fills the ring and starts this Scheduler's pipeline: the
+// producer, which draws blocks ahead, and the translator, which translates
+// them as they come. Its channels hold every block in flight, so no side
+// blocks on a send.
 func (s *Scheduler) startProducer() {
 	for len(s.ring) < aheadMax+1 {
 		s.ring = append(s.ring, newBlock())
 	}
+	drawn := make(chan *block, aheadMax)
 	s.todo, s.done = make(chan *block, aheadMax), make(chan *block, aheadMax)
-	go produce(s.todo, s.done)
+	go produce(s.todo, drawn)
+	go translateAhead(s.m, s.m.guest.VPID(), drawn, s.done)
 }
 
-// produce draws each block it is sent and sends it back, until todo closes.
-func produce(todo <-chan *block, done chan<- *block) {
-	defer close(done)
+// produce draws each block it is sent and sends it on, until todo closes.
+func produce(todo <-chan *block, drawn chan<- *block) {
+	defer close(drawn)
 	for b := range todo {
-		b.drawCaught()
+		b.panicked = nil
+		b.caught("producer", func() { b.err = b.draw() })
+		drawn <- b
+	}
+}
+
+// errUntranslated fails a block left untranslated after an earlier failure.
+var errUntranslated = errors.New("sim: not translated: an earlier block failed")
+
+// translateAhead translates each block it is sent, in order, and sends it
+// on, until drawn closes. From the first block that failed to draw or to
+// translate on, it translates nothing more, so the machine stays as the run
+// left it at that block's failing op.
+func translateAhead(m *Machine, vpid tlb.VPID, drawn <-chan *block, done chan<- *block) {
+	defer close(done)
+	failed := false
+	for b := range drawn {
+		if failed = failed || b.err != nil || b.panicked != nil; failed {
+			b.xn, b.xerr = 0, errUntranslated
+		} else {
+			b.caught("translator", func() { b.translate(m, vpid) })
+			failed = b.xn < b.n || b.panicked != nil
+		}
 		done <- b
 	}
 }
 
-// drawCaught draws b, keeping a panic, with the stack that raised it, for
-// Block to raise again on the simulation goroutine.
-func (b *block) drawCaught() {
-	b.panicked = nil
+// caught runs f, keeping a panic, with the stack that raised it on the
+// named goroutine, for Block to raise again on the simulation goroutine.
+func (b *block) caught(goroutine string, f func()) {
 	defer func() {
 		if p := recover(); p != nil {
-			b.panicked = &DrawPanic{Value: p, Stack: debug.Stack()}
+			b.panicked = &AheadPanic{Goroutine: goroutine, Value: p, Stack: debug.Stack()}
 		}
 	}()
-	b.err = b.draw()
+	f()
+}
+
+// translate fills xl with b's ops' translations, in issue order, up to the
+// first that fails; inline and translated-ahead blocks both translate here.
+func (b *block) translate(m *Machine, vpid tlb.VPID) {
+	b.xn, b.xerr = 0, nil
+	xl, k := b.xl, 0
+	for _, sp := range b.spans {
+		for _, q := range b.reqs[sp.off : sp.off+sp.n] {
+			pa, lat, faulted, err := m.translate(q.V, q.Write, vpid)
+			if err != nil {
+				b.xn, b.xerr = k, err
+				return
+			}
+			xl[k] = xlat{pa: pa, lat: int32(lat), faulted: faulted}
+			k++
+		}
+	}
+	b.xn = k
 }
 
 // draw fills b's requests, one NextBatch per picked member; inline and
@@ -366,10 +461,13 @@ func (b *block) draw() error {
 	return nil
 }
 
-// Stop ends the producer once it has drawn what it holds, drops the blocks
-// drawn ahead and not issued, and hands the Recorder the events the access
-// path has staged: the run is over. Close calls it, and so do Run's and
-// fleet.Run's early returns.
+// Stop ends the producer and the translator once they have worked through
+// what they hold, drops the blocks drawn ahead and not issued, and hands
+// the Recorder the events the access path has staged: the run is over.
+// Close calls it, and so do Run's and fleet.Run's early returns. Those
+// leave blocks in flight only after a failure, past which the translator
+// translates nothing; a Scheduler driven by hand and stopped off a
+// boundary leaves the blocks it drops translated.
 func (s *Scheduler) Stop() {
 	if s.todo != nil {
 		close(s.todo)
@@ -405,7 +503,7 @@ func (s *Scheduler) windows(now int64) {
 func (s *Scheduler) plan(b *block, n, total, lone int) {
 	ms, spans := s.members, b.spans[:0]
 	if lone >= 0 {
-		spans = append(spans, span{lone, n})
+		spans = append(spans, span{member: lone, n: n})
 		ms[lone].planned = n
 	} else {
 		for k := 0; k < n; k++ {
@@ -423,16 +521,23 @@ func (s *Scheduler) plan(b *block, n, total, lone int) {
 			if last := len(spans) - 1; last >= 0 && spans[last].member == pick {
 				spans[last].n++
 			} else {
-				spans = append(spans, span{pick, 1})
+				spans = append(spans, span{member: pick, n: 1})
 			}
 		}
 	}
 	b.n, b.spans, b.draws = n, spans, b.draws[:0]
+	off := 0
 	for i := range ms {
 		if mb := &ms[i]; mb.planned > 0 {
 			b.draws = append(b.draws, draw{member: i, app: mb.app, name: mb.name, n: mb.planned})
+			mb.next, off = off, off+mb.planned
 			mb.planned = 0
 		}
+	}
+	for k := range spans {
+		sp := &spans[k]
+		mb := &ms[sp.member]
+		sp.off, mb.next = mb.next, mb.next+sp.n
 	}
 }
 

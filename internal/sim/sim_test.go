@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -556,6 +558,29 @@ func TestNewRejectsNonInclusiveTLB(t *testing.T) {
 	_, err := New(cfg)
 	if err == nil || !strings.Contains(err.Error(), "sim: TLB L2Entries 4 < L1Entries 8") {
 		t.Fatalf("New with L2Entries < L1Entries: err = %v", err)
+	}
+}
+
+// TestNewRejectsLongTranslation: a block translated ahead records each
+// op's translation latency in 32 bits, so New refuses a machine whose
+// slowest translation, a full walk plus a poison fault, would not fit, and
+// accepts the longest that does.
+func TestNewRejectsLongTranslation(t *testing.T) {
+	t.Parallel()
+	cfg := DefaultConfig(64<<20, 64<<20)
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walkMax := m.walkLat[walk.Depth4K] + m.guest.FaultOverheadNs()
+	cfg.FaultLatencyNs = math.MaxInt32 - walkMax
+	if _, err := New(cfg); err != nil {
+		t.Fatalf("New with a translation of exactly 2^31-1 ns: %v", err)
+	}
+	cfg.FaultLatencyNs++
+	want := fmt.Sprintf("sim: a translation can take %d ns, more than the %d ns a block records", int64(math.MaxInt32)+1, math.MaxInt32)
+	if _, err := New(cfg); err == nil || err.Error() != want {
+		t.Fatalf("New with a translation of 2^31 ns: err = %v, want %q", err, want)
 	}
 }
 
