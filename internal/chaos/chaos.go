@@ -139,26 +139,6 @@ type Report struct {
 	Quarantined uint64           // pages quarantined after permanent/exhausted failure
 }
 
-// Sub returns the per-field difference r - base (counters are monotonic).
-func (r Report) Sub(base Report) Report {
-	out := Report{
-		Injected:    r.Injected - base.Injected,
-		Permanent:   r.Permanent - base.Permanent,
-		Retried:     r.Retried - base.Retried,
-		RolledBack:  r.RolledBack - base.RolledBack,
-		Quarantined: r.Quarantined - base.Quarantined,
-	}
-	for i := range out.BySite {
-		out.BySite[i] = r.BySite[i] - base.BySite[i]
-	}
-	return out
-}
-
-// Zero reports whether every counter in r is zero.
-func (r Report) Zero() bool {
-	return r == Report{}
-}
-
 // Injector decides, per fault site, whether an operation fails. All methods
 // are nil-receiver safe (a nil Injector never injects).
 type Injector struct {

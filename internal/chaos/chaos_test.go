@@ -26,7 +26,7 @@ func TestNilInjectorIsInert(t *testing.T) {
 	if i := in.AbortIndex(512); i != 0 {
 		t.Fatalf("nil injector AbortIndex = %d, want 0", i)
 	}
-	if r := in.Report(); !r.Zero() {
+	if r := in.Report(); r != (Report{}) {
 		t.Fatalf("nil injector report = %+v, want zero", r)
 	}
 }
@@ -72,7 +72,7 @@ func TestInjectionDeterministic(t *testing.T) {
 	if a.Report() != b.Report() {
 		t.Fatalf("reports diverged: %+v vs %+v", a.Report(), b.Report())
 	}
-	if a.Report().Zero() {
+	if a.Report() == (Report{}) {
 		t.Fatalf("rate 0.3 over 500 draws injected nothing")
 	}
 }
@@ -136,25 +136,6 @@ func TestFaultErrorChain(t *testing.T) {
 	}
 	if IsInjected(errors.New("plain")) {
 		t.Fatalf("IsInjected on plain error")
-	}
-}
-
-func TestReportSubAndZero(t *testing.T) {
-	t.Parallel()
-	a := Report{Injected: 5, Permanent: 2, Retried: 7, RolledBack: 3, Quarantined: 1}
-	a.BySite[MigrateCopy] = 4
-	a.BySite[DestFull] = 1
-	b := Report{Injected: 2, Permanent: 1, Retried: 3, RolledBack: 1}
-	b.BySite[MigrateCopy] = 2
-	d := a.Sub(b)
-	want := Report{Injected: 3, Permanent: 1, Retried: 4, RolledBack: 2, Quarantined: 1}
-	want.BySite[MigrateCopy] = 2
-	want.BySite[DestFull] = 1
-	if d != want {
-		t.Fatalf("Sub = %+v, want %+v", d, want)
-	}
-	if !(Report{}).Zero() || a.Zero() {
-		t.Fatalf("Zero misbehaves")
 	}
 }
 

@@ -80,7 +80,7 @@ func TestChaosRateZeroIsByteIdentical(t *testing.T) {
 	if plain.Result.Throughput != zero.Result.Throughput {
 		t.Errorf("throughput differs: %g vs %g", plain.Result.Throughput, zero.Result.Throughput)
 	}
-	if !zero.Faults.Zero() {
+	if zero.Faults != (chaos.Report{}) {
 		t.Errorf("rate-0 run reports fault activity: %+v", zero.Faults)
 	}
 }
@@ -115,7 +115,7 @@ func TestChaosRateSweepWorkerInvariance(t *testing.T) {
 			t.Errorf("%s: throughput differs across worker counts", name)
 		}
 	}
-	if !p1[0].Faults.Zero() {
+	if p1[0].Faults != (chaos.Report{}) {
 		t.Errorf("rate-0 arm reports fault activity: %+v", p1[0].Faults)
 	}
 	if p1[2].Faults.Injected == 0 {

@@ -3,6 +3,8 @@ package obsv
 import (
 	"io"
 	"strconv"
+
+	"thermostat/internal/telemetry"
 )
 
 // Families renders the publisher's current state as Prometheus metric
@@ -46,32 +48,13 @@ func (p *Publisher) Families() []Family {
 			func(s StreamState) (float64, bool) { return float64(s.TimeNs) / 1e9, true }},
 		{"thermostat_epoch", "Current telemetry epoch.", TypeGauge,
 			func(s StreamState) (float64, bool) { return float64(s.Epoch), true }},
-		{"thermostat_accesses_total", "Memory accesses executed.", TypeCounter,
-			func(s StreamState) (float64, bool) { return float64(s.Totals.Accesses), true }},
-		{"thermostat_slow_accesses_total", "Accesses served from non-top tiers.", TypeCounter,
-			func(s StreamState) (float64, bool) { return float64(s.Totals.SlowAccesses), true }},
-		{"thermostat_tlb_misses_total", "Simulated TLB misses.", TypeCounter,
-			func(s StreamState) (float64, bool) { return float64(s.Totals.TLBMisses), true }},
-		{"thermostat_llc_misses_total", "Simulated LLC misses.", TypeCounter,
-			func(s StreamState) (float64, bool) { return float64(s.Totals.LLCMisses), true }},
-		{"thermostat_poison_faults_total", "BadgerTrap poison faults serviced.", TypeCounter,
-			func(s StreamState) (float64, bool) { return float64(s.Totals.PoisonFaults), true }},
-		{"thermostat_migration_bytes_total", "Bytes moved between tiers.", TypeCounter,
-			func(s StreamState) (float64, bool) { return float64(s.Totals.MigrationBytes), true }},
-		{"thermostat_demotions_total", "Pages demoted toward slower tiers.", TypeCounter,
-			func(s StreamState) (float64, bool) { return float64(s.Totals.Demotions), true }},
-		{"thermostat_promotions_total", "Pages promoted back toward DRAM.", TypeCounter,
-			func(s StreamState) (float64, bool) { return float64(s.Totals.Promotions), true }},
-		{"thermostat_chaos_faults_injected_total", "Chaos faults injected.", TypeCounter,
-			func(s StreamState) (float64, bool) { return float64(s.Totals.FaultsInjected), true }},
-		{"thermostat_chaos_faults_permanent_total", "Chaos faults marked permanent.", TypeCounter,
-			func(s StreamState) (float64, bool) { return float64(s.Totals.FaultsPermanent), true }},
-		{"thermostat_migration_retries_total", "Migration attempts retried after an injected fault.", TypeCounter,
-			func(s StreamState) (float64, bool) { return float64(s.Totals.MigrationRetries), true }},
-		{"thermostat_migration_rollbacks_total", "Migration transactions rolled back.", TypeCounter,
-			func(s StreamState) (float64, bool) { return float64(s.Totals.MigrationRollbacks), true }},
-		{"thermostat_pages_quarantined_total", "Pages quarantined after exhausting retries.", TypeCounter,
-			func(s StreamState) (float64, bool) { return float64(s.Totals.PagesQuarantined), true }},
+	}
+	// Then every telemetry.Counters row's lifetime total, in its order.
+	for _, c := range telemetry.Counters {
+		counters = append(counters, perStream{c.Family, c.Help, TypeCounter,
+			func(s StreamState) (float64, bool) { return float64(*c.Of(&s.Totals)), true }})
+	}
+	counters = append(counters, []perStream{
 		{"thermostat_cold_bytes", "Bytes classified cold at the last epoch boundary.", TypeGauge,
 			func(s StreamState) (float64, bool) { return float64(s.Last.ColdBytes), s.HasSnapshot }},
 		{"thermostat_hot_bytes", "Bytes classified hot at the last epoch boundary.", TypeGauge,
@@ -86,7 +69,7 @@ func (p *Publisher) Families() []Family {
 			func(s StreamState) (float64, bool) { return float64(s.SnapshotsSeen), true }},
 		{"thermostat_telemetry_ring_high_water", "Snapshot-ring high-water mark (caps at MaxSnapshots).", TypeGauge,
 			func(s StreamState) (float64, bool) { return float64(s.RingHighWater), true }},
-	}
+	}...)
 	for _, m := range counters {
 		var samples []Sample
 		for _, s := range st.Streams {

@@ -42,26 +42,6 @@ const (
 	PhaseDone    = "done"
 )
 
-// Counters accumulates per-epoch Snapshot deltas into lifetime counter totals
-// (Prometheus counters must be monotonic; individual snapshots are deltas).
-type Counters struct {
-	Accesses       uint64
-	SlowAccesses   uint64
-	TierAccesses   []uint64
-	TLBMisses      uint64
-	LLCMisses      uint64
-	PoisonFaults   uint64
-	MigrationBytes uint64
-	Demotions      uint64
-	Promotions     uint64
-
-	FaultsInjected     uint64
-	FaultsPermanent    uint64
-	MigrationRetries   uint64
-	MigrationRollbacks uint64
-	PagesQuarantined   uint64
-}
-
 // stream is the mirrored state of one recorder stream (one simulation run).
 type stream struct {
 	label  string
@@ -71,9 +51,12 @@ type stream struct {
 	timeNs    int64
 	events    uint64 // events offered (recorded + dropped)
 	snapsSeen uint64
-	totals    Counters
-	last      telemetry.Snapshot // latest snapshot (gauges); slices owned
-	hasSnap   bool
+	// totals sums the snapshots' Counters rows and TierAccesses: the
+	// lifetime counters (Prometheus counters are monotonic; snapshots are
+	// deltas).
+	totals  telemetry.Snapshot
+	last    telemetry.Snapshot // latest snapshot (gauges); slices owned
+	hasSnap bool
 }
 
 // dropped mirrors the Collector's deterministic event-drop accounting:
@@ -267,26 +250,7 @@ func (p *Publisher) observeSnapshot(s *stream, snap telemetry.Snapshot) {
 	if snap.EndNs > s.timeNs {
 		s.timeNs = snap.EndNs
 	}
-	t := &s.totals
-	t.Accesses += snap.Accesses
-	t.SlowAccesses += snap.SlowAccesses
-	for len(t.TierAccesses) < len(snap.TierAccesses) {
-		t.TierAccesses = append(t.TierAccesses, 0)
-	}
-	for i, v := range snap.TierAccesses {
-		t.TierAccesses[i] += v
-	}
-	t.TLBMisses += snap.TLBMisses
-	t.LLCMisses += snap.LLCMisses
-	t.PoisonFaults += snap.PoisonFaults
-	t.MigrationBytes += snap.MigrationBytes
-	t.Demotions += snap.Demotions
-	t.Promotions += snap.Promotions
-	t.FaultsInjected += snap.FaultsInjected
-	t.FaultsPermanent += snap.FaultsPermanent
-	t.MigrationRetries += snap.MigrationRetries
-	t.MigrationRollbacks += snap.MigrationRollbacks
-	t.PagesQuarantined += snap.PagesQuarantined
+	s.totals.Add(&snap)
 	s.last = snap
 	s.hasSnap = true
 }
@@ -327,7 +291,7 @@ type StreamState struct {
 	Dropped       uint64
 	SnapshotsSeen uint64
 	RingHighWater int
-	Totals        Counters
+	Totals        telemetry.Snapshot // lifetime sums of the Counters rows and TierAccesses
 	Last          telemetry.Snapshot
 	HasSnapshot   bool
 }

@@ -14,14 +14,21 @@ func feed(r telemetry.Recorder, epochs int) {
 		r.Event(telemetry.Event{Kind: telemetry.KindEpochStart, TimeNs: start, Epoch: uint64(e)})
 		r.Event(telemetry.Event{Kind: telemetry.KindMigrated, TimeNs: start + 10, Bytes: 2 << 20, ToTier: 1})
 		r.Event(telemetry.Event{Kind: telemetry.KindEpochEnd, TimeNs: start + 1_000_000})
-		r.Snapshot(telemetry.Snapshot{
+		snap := telemetry.Snapshot{
 			Epoch: uint64(e), StartNs: start, EndNs: start + 1_000_000,
 			Accesses: 100, SlowAccesses: 7,
 			TierAccesses:   []uint64{93, 7},
 			TierOccupancy:  []uint64{64 << 20, 2 << 20},
 			MigrationBytes: 2 << 20, Demotions: 1,
 			ColdBytes: 2 << 20, HotBytes: 62 << 20,
-		})
+		}
+		// Every other counter moves too, by an amount that varies by epoch.
+		for i, c := range telemetry.Counters {
+			if *c.Of(&snap) == 0 {
+				*c.Of(&snap) = uint64(e * (i + 1))
+			}
+		}
+		r.Snapshot(snap)
 	}
 }
 
@@ -82,9 +89,24 @@ func TestPublisherMirrorsCollectorAccounting(t *testing.T) {
 	if s.Epoch != 6 || s.TimeNs != 6*1_000_000 {
 		t.Fatalf("stream position epoch=%d timeNs=%d", s.Epoch, s.TimeNs)
 	}
-	// Counter totals accumulate the per-epoch deltas.
+	// Counter totals accumulate the per-epoch deltas: every row's total is
+	// its sum over the snapshots of a collector whose ring keeps them all.
 	if s.Totals.Accesses != 600 || s.Totals.MigrationBytes != 6*(2<<20) {
 		t.Fatalf("totals = %+v", s.Totals)
+	}
+	all := telemetry.NewCollector()
+	feed(all, 6)
+	for _, c := range telemetry.Counters {
+		var want uint64
+		for _, snap := range all.Snapshots() {
+			want += *c.Of(&snap)
+		}
+		if got := *c.Of(&s.Totals); got != want || want == 0 {
+			t.Errorf("%s: total %d, want the snapshots' nonzero sum %d", c.Family, got, want)
+		}
+	}
+	if !reflect.DeepEqual(s.Totals.TierAccesses, []uint64{6 * 93, 6 * 7}) {
+		t.Errorf("tier access totals %v, want [%d %d]", s.Totals.TierAccesses, 6*93, 6*7)
 	}
 	if !s.HasSnapshot || s.Last.Epoch != 6 {
 		t.Fatalf("last snapshot = %+v", s.Last)

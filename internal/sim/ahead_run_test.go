@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"thermostat/internal/addr"
+	"thermostat/internal/counter"
 	"thermostat/internal/harness"
 	"thermostat/internal/pagetable"
 	"thermostat/internal/sim"
@@ -139,21 +140,78 @@ func exports(t *testing.T, col *telemetry.Collector) (trace, jsonl []byte) {
 	return tb.Bytes(), jb.Bytes()
 }
 
-// TestDrawAheadOffWithCallerCode: a miss hook is caller code on the access
-// path, which may share state with the app's NextBatch, so a run with one
-// draws every block on the simulation goroutine.
-func TestDrawAheadOffWithCallerCode(t *testing.T) {
+// cmBitPolicy is a policy that first installs the CM-bit model on the
+// machine's miss path and arms every 8th mapped 2MB page, as the §6.1
+// counters ablation does, then attaches the policy it wraps.
+type cmBitPolicy struct {
+	sim.Policy
+	cm    *counter.CMBit
+	armed []addr.Virt
+}
+
+func (p *cmBitPolicy) Attach(m *sim.Machine) error {
+	p.cm = counter.NewCMBit(m)
+	var pages []addr.Virt
+	m.PageTable().Scan(func(base addr.Virt, _ *pagetable.PTE, _ pagetable.Level) {
+		if b := base.Base2M(); len(pages) == 0 || pages[len(pages)-1] != b {
+			pages = append(pages, b)
+		}
+	})
+	for i := 0; i < len(pages); i += 8 {
+		if err := p.cm.Arm(pages[i]); err != nil {
+			return err
+		}
+		p.armed = append(p.armed, pages[i])
+	}
+	return p.Policy.Attach(m)
+}
+
+// TestDrawAheadWithMissHookIsExact: a miss hook runs inside charge and
+// shares no state with the app or with translation, so a run with the CM
+// bit on its miss path still draws and translates blocks ahead, and
+// matches the per-op oracle under the same hook, in its result and in
+// every armed page's count, at GOMAXPROCS 1 and 2. Under -race a hook that
+// touched what the producer or the translator writes would be a reported
+// race. Not parallel: it sets GOMAXPROCS.
+func TestDrawAheadWithMissHookIsExact(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-second scaled run")
+		t.Skip("multi-second differential run")
 	}
-	t.Parallel()
-	hooked := func(m *sim.Machine, app sim.App, pol sim.Policy, rc sim.RunConfig) (*sim.RunResult, error) {
-		m.SetMissHook(func(addr.Virt, bool) int64 { return 0 }, 0)
-		return sim.Run(m, app, pol, rc)
+	run := func(loop func(*sim.Machine, sim.App, sim.Policy, sim.RunConfig) (*sim.RunResult, error), ahead *int) (*sim.RunResult, []uint64) {
+		var pol *cmBitPolicy
+		hooked := func(m *sim.Machine, app sim.App, p sim.Policy, rc sim.RunConfig) (*sim.RunResult, error) {
+			pol = &cmBitPolicy{Policy: p}
+			return loop(m, app, pol, rc)
+		}
+		res := runRedisTiny(t, hooked, nil, ahead)
+		counts := make([]uint64, len(pol.armed))
+		for i, base := range pol.armed {
+			counts[i] = pol.cm.Count(base)
+		}
+		return res, counts
 	}
-	ahead := 0
-	if runRedisTiny(t, hooked, nil, &ahead); ahead != 0 {
-		t.Errorf("with a miss hook the run drew %d blocks ahead", ahead)
+	want, wantCounts := run(sim.RefRun, nil)
+	var counted uint64
+	for _, c := range wantCounts {
+		counted += c
+	}
+	if counted == 0 {
+		t.Fatal("the oracle's CM bit counted no miss: the comparison would not cover the hook")
+	}
+	for _, procs := range []int{1, 2} {
+		var got *sim.RunResult
+		var counts []uint64
+		var ahead int
+		atProcs(procs, func() { got, counts = run(sim.Run, &ahead) })
+		if ahead == 0 {
+			t.Fatalf("GOMAXPROCS %d: with a miss hook the run drew no block ahead", procs)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("GOMAXPROCS %d: the run differs from the per-op oracle (%d ops, want %d)", procs, got.Ops, want.Ops)
+		}
+		if !reflect.DeepEqual(counts, wantCounts) {
+			t.Fatalf("GOMAXPROCS %d: the CM bit's per-page counts differ from the oracle's", procs)
+		}
 	}
 }
 

@@ -613,9 +613,13 @@ func (m *Machine) Promote(v addr.Virt) (int64, error) {
 // Access simulates one memory access to v, charging the full latency path
 // and advancing the virtual clock by latency/threads. Returns the modeled
 // latency of this access. The access's telemetry event, if any, reaches the
-// Recorder before Access returns.
+// Recorder before Access returns. It is the per-op path: translate, then
+// charge, as a Scheduler block issues each op.
 func (m *Machine) Access(v addr.Virt, write bool) (int64, error) {
-	lat, err := m.access(v, write, m.guest.VPID())
+	pa, lat, faulted, err := m.translate(v, write, m.guest.VPID())
+	if err == nil {
+		lat, err = m.charge(v, write, pa, lat, faulted)
+	}
 	m.flushEvents()
 	return lat, err
 }
@@ -628,16 +632,6 @@ func (m *Machine) flushEvents() {
 		m.rec.Event(e)
 	}
 	m.pending = m.pending[:0]
-}
-
-// access is the one per-op path of Machine.Access and of blocks with a miss
-// hook: translate, then charge.
-func (m *Machine) access(v addr.Virt, write bool, vpid tlb.VPID) (int64, error) {
-	pa, lat, faulted, err := m.translate(v, write, vpid)
-	if err != nil {
-		return 0, err
-	}
-	return m.charge(v, write, pa, lat, faulted)
 }
 
 // translate is the access path's MMU half: TLB lookup, hardware page walk
@@ -783,9 +777,11 @@ func (m *Machine) blockOps(limit, maxAdv int64) int {
 // value, at most maxNs, is added to the access latency. A charge outside
 // [0, maxNs] fails the access. Pass nil to remove. Used by the §6.1
 // hardware-assisted access-counting models; the Scheduler reads the bound
-// afresh for every block. Install it before a run or at a boundary, where
-// no block is translated ahead: a hook may read what translation writes,
-// so a Scheduler translates nothing ahead while one is installed.
+// afresh for every block. The hook runs inside Machine.charge, while later
+// blocks may be drawn and translated ahead on other goroutines, so it must
+// share no state with an App or with translation (the TLB, the page table,
+// the trap): the CM bit and PEBS touch only their own maps. Install it
+// before a run or at a boundary.
 func (m *Machine) SetMissHook(h func(v addr.Virt, write bool) int64, maxNs int64) {
 	m.missHook, m.missMaxNs = h, maxNs
 	m.maxAccessLat = 0 // recomputed with the new bound

@@ -28,9 +28,9 @@ type App interface {
 	// block's requests before issuing them, so the stream may depend on the
 	// machine only through Init and Tick. It may run on the Scheduler's
 	// producer goroutine, concurrently only with the simulator's own access
-	// path: never with Init, Tick or a miss hook, and never with a
-	// Recorder, which the Scheduler calls only between blocks when none is
-	// drawn ahead.
+	// path and its miss hook, which shares no state with an App: never with
+	// Init or Tick, and never with a Recorder, which the Scheduler calls
+	// only between blocks when none is drawn ahead.
 	NextBatch(reqs []Req) int
 	// ComputeNs is the fixed computation time between accesses (per op).
 	ComputeNs() int64

@@ -210,15 +210,15 @@ func (s *Scheduler) Throughput(i int, from, to int64) float64 {
 // Block issues one block of ops ending on the nearest boundary no later
 // than limit, or idles to that boundary when no member is resident; then it
 // closes every metric window that has ended, so the series see the machine
-// before any other boundary work. While the access path runs no caller
-// code (no miss hook), a block is translated whole before it is charged,
-// and Block hands the producer the blocks after this one that are certain
-// to be full and to end before any boundary, to draw and then translate on
-// the translator while this one issues (DESIGN.md, "One per-op core,
-// blocks of N"). The access path stages its telemetry events on the
-// Machine; a Block that leaves no block drawn ahead hands them to the
-// Recorder before it returns, so the Recorder runs only while the producer
-// and the translator are idle, and every boundary finds them delivered.
+// before any other boundary work. A block is translated whole before it is
+// charged, and Block hands the producer the blocks after this one that are
+// certain to be full and to end before any boundary, to draw and then
+// translate on the translator while this one issues (DESIGN.md, "One
+// per-op core, blocks of N"). The access path stages its telemetry events
+// on the Machine; a Block that leaves no block drawn ahead hands them to
+// the Recorder before it returns, so the Recorder runs only while the
+// producer and the translator are idle, and every boundary finds them
+// delivered.
 func (s *Scheduler) Block(limit int64) error {
 	m := s.m
 	limit = min(limit, s.nextWindow, s.end)
@@ -245,53 +245,31 @@ func (s *Scheduler) Block(limit int64) error {
 	}
 	u := m.maxOpAdvanceNs(compute)
 	n := m.blockOps(limit, u)
-	// A block from the pipeline comes translated. One drawn here is
-	// translated whole before any later block is handed over, so blocks
-	// are translated in issue order — unless a miss hook, caller code that
-	// may read what translation writes, runs between its ops.
-	translated := s.ahead > 0
 	b, err := s.next(n, total, lone)
 	if err != nil {
 		return err
 	}
-	vpid := m.guest.VPID()
-	if m.missHook == nil {
-		if !translated {
-			b.translate(m, vpid)
-			translated = true
-		}
-		if b.xn == b.n {
-			s.drawAhead(fullAhead(limit-m.Clock(), u, n), total, lone)
-		}
+	if b.xn == b.n {
+		s.drawAhead(fullAhead(limit-m.Clock(), u, n), total, lone)
 	}
 	// Issue the spans in order: each op is Machine.charge of its
-	// translation, or else Machine.access, followed by its member's
-	// compute step.
+	// translation, followed by its member's compute step.
 	var last *member
 	k := 0 // the ops of b issued
 	for _, sp := range b.spans {
 		last = &s.members[sp.member]
 		step := last.step
 		reqs := b.reqs[sp.off : sp.off+sp.n]
-		if translated {
-			xl := b.xl[k:min(k+sp.n, b.xn)]
-			for j, x := range xl {
-				q := reqs[j]
-				if _, err := m.charge(q.V, q.Write, x.pa, int64(x.lat), x.faulted); err != nil {
-					return last.opErr(j, err)
-				}
-				m.clock += step
+		xl := b.xl[k:min(k+sp.n, b.xn)]
+		for j, x := range xl {
+			q := reqs[j]
+			if _, err := m.charge(q.V, q.Write, x.pa, int64(x.lat), x.faulted); err != nil {
+				return last.opErr(j, err)
 			}
-			if len(xl) < sp.n {
-				return last.opErr(len(xl), b.xerr)
-			}
-		} else {
-			for j, q := range reqs {
-				if _, err := m.access(q.V, q.Write, vpid); err != nil {
-					return last.opErr(j, err)
-				}
-				m.clock += step
-			}
+			m.clock += step
+		}
+		if len(xl) < sp.n {
+			return last.opErr(len(xl), b.xerr)
 		}
 		k += sp.n
 		last.ops += uint64(sp.n)
@@ -333,13 +311,19 @@ func (mb *member) opErr(j int, err error) error {
 	return fmt.Errorf("sim: %s op %d: %w", mb.name, mb.ops+uint64(j), err)
 }
 
-// next returns the block to issue: the oldest drawn ahead, which must be
-// the n ops Block has just sized, or else one planned and drawn now.
+// next returns the block to issue, translated: the oldest drawn ahead,
+// which must be the n ops Block has just sized, or else one planned, drawn
+// and translated now, before Block hands any later block over, so blocks
+// are translated in issue order.
 func (s *Scheduler) next(n, total, lone int) (*block, error) {
 	if s.ahead == 0 {
 		b := &s.ring[s.cur]
 		s.plan(b, n, total, lone)
-		return b, b.draw()
+		if err := b.draw(); err != nil {
+			return nil, err
+		}
+		b.translate(s.m, s.m.guest.VPID())
+		return b, nil
 	}
 	s.cur, s.ahead = (s.cur+1)%len(s.ring), s.ahead-1
 	b := <-s.done

@@ -24,21 +24,6 @@ type FaultReporter interface {
 	FaultReport() chaos.Report
 }
 
-// epochBase is the machine counter baseline captured at an epoch boundary;
-// the next boundary's snapshot is the delta against it.
-type epochBase struct {
-	accesses     uint64
-	slow         uint64
-	tierAccesses []uint64
-	tlbMisses    uint64
-	llcMisses    uint64
-	faults       uint64
-	migBytes     uint64
-	demotions    uint64
-	promotions   uint64
-	chaos        chaos.Report
-}
-
 // epochTracker drives the telemetry epoch protocol for a Scheduler: it
 // brackets every epoch (a policy interval under Run, an arbiter period under
 // fleet.Run) with EpochStart/End events and emits one metric Snapshot per
@@ -51,9 +36,11 @@ type epochTracker struct {
 	cc  ColdChecker   // nil when the policy has no cold set
 	fr  FaultReporter // nil when the policy has no fault handling
 
-	epoch      uint64
-	startNs    int64
-	base       epochBase
+	epoch   uint64
+	startNs int64
+	// base is the cumulative counters at epoch start; the epoch's
+	// snapshot is the delta against it.
+	base       telemetry.Snapshot
 	prevCounts map[addr.Virt]uint64 // LLC ground truth at epoch start
 }
 
@@ -74,29 +61,34 @@ func newEpochTracker(m *Machine, pol Policy) *epochTracker {
 	return t
 }
 
-// faultReport reads the richest available chaos summary: the policy's (which
-// includes retries/quarantines) when it reports one, else the machine's.
-func (t *epochTracker) faultReport() chaos.Report {
-	if t.fr != nil {
-		return t.fr.FaultReport()
-	}
-	return t.m.FaultReport()
-}
-
-func (t *epochTracker) capture() epochBase {
+// capture reads the machine's cumulative counters into the Counters rows
+// of a Snapshot, and the per-tier accesses. The chaos counters come from
+// the richest summary: the policy's (which includes retries and
+// quarantines) when it reports one, else the machine's.
+func (t *epochTracker) capture() telemetry.Snapshot {
 	met := t.m.Metrics()
 	meter := t.m.Meter()
-	return epochBase{
-		accesses:     met.Accesses,
-		slow:         met.SlowAccesses,
-		tierAccesses: met.TierAccesses,
-		tlbMisses:    met.TLB.Misses,
-		llcMisses:    met.LLC.Misses,
-		faults:       met.PoisonFaults,
-		migBytes:     met.MigrationBytes,
-		demotions:    meter.Pages2M(mem.Demotion) + meter.Pages4K(mem.Demotion),
-		promotions:   meter.Pages2M(mem.Promotion) + meter.Pages4K(mem.Promotion),
-		chaos:        t.faultReport(),
+	var rep chaos.Report
+	if t.fr != nil {
+		rep = t.fr.FaultReport()
+	} else {
+		rep = t.m.FaultReport()
+	}
+	return telemetry.Snapshot{
+		Accesses:           met.Accesses,
+		SlowAccesses:       met.SlowAccesses,
+		TierAccesses:       met.TierAccesses,
+		TLBMisses:          met.TLB.Misses,
+		LLCMisses:          met.LLC.Misses,
+		PoisonFaults:       met.PoisonFaults,
+		MigrationBytes:     met.MigrationBytes,
+		Demotions:          meter.Pages2M(mem.Demotion) + meter.Pages4K(mem.Demotion),
+		Promotions:         meter.Pages2M(mem.Promotion) + meter.Pages4K(mem.Promotion),
+		FaultsInjected:     rep.Injected,
+		FaultsPermanent:    rep.Permanent,
+		MigrationRetries:   rep.Retried,
+		MigrationRollbacks: rep.RolledBack,
+		PagesQuarantined:   rep.Quarantined,
 	}
 }
 
@@ -125,31 +117,9 @@ func (t *epochTracker) end(nowNs int64) {
 	if t == nil {
 		return
 	}
-	cur := t.capture()
-	snap := telemetry.Snapshot{
-		Epoch:          t.epoch,
-		StartNs:        t.startNs,
-		EndNs:          nowNs,
-		Accesses:       cur.accesses - t.base.accesses,
-		SlowAccesses:   cur.slow - t.base.slow,
-		TLBMisses:      cur.tlbMisses - t.base.tlbMisses,
-		LLCMisses:      cur.llcMisses - t.base.llcMisses,
-		PoisonFaults:   cur.faults - t.base.faults,
-		MigrationBytes: cur.migBytes - t.base.migBytes,
-		Demotions:      cur.demotions - t.base.demotions,
-		Promotions:     cur.promotions - t.base.promotions,
-	}
-	if d := cur.chaos.Sub(t.base.chaos); !d.Zero() {
-		snap.FaultsInjected = d.Injected
-		snap.FaultsPermanent = d.Permanent
-		snap.MigrationRetries = d.Retried
-		snap.MigrationRollbacks = d.RolledBack
-		snap.PagesQuarantined = d.Quarantined
-	}
-	snap.TierAccesses = make([]uint64, len(cur.tierAccesses))
-	for i := range cur.tierAccesses {
-		snap.TierAccesses[i] = cur.tierAccesses[i] - t.base.tierAccesses[i]
-	}
+	snap := t.capture()
+	snap.Sub(&t.base)
+	snap.Epoch, snap.StartNs, snap.EndNs = t.epoch, t.startNs, nowNs
 	snap.TierOccupancy = make([]uint64, t.m.Memory().NumTiers())
 	for i, tier := range t.m.Memory().Tiers() {
 		snap.TierOccupancy[i] = tier.Used()
@@ -173,13 +143,15 @@ func (t *epochTracker) end(nowNs int64) {
 		if e.Has(pagetable.Poisoned) {
 			snap.PoisonedPages++
 		}
-		cold := sys.TierOf(e.Frame()) != mem.Fast
 		grain := addr.PageSize4K
 		if lvl == pagetable.Level2M {
 			grain = addr.PageSize2M
 		}
-		snap.ColdBytes += boolBytes(cold, grain)
-		snap.HotBytes += boolBytes(!cold, grain)
+		if sys.TierOf(e.Frame()) != mem.Fast {
+			snap.ColdBytes += grain
+		} else {
+			snap.HotBytes += grain
+		}
 		if pages != nil {
 			pages[base.Base2M()] = true
 		}
@@ -211,11 +183,4 @@ func (t *epochTracker) end(nowNs int64) {
 	})
 	t.rec.Event(telemetry.Event{Kind: telemetry.KindEpochEnd, TimeNs: nowNs, Epoch: t.epoch})
 	t.rec.Snapshot(snap)
-}
-
-func boolBytes(b bool, n uint64) uint64 {
-	if b {
-		return n
-	}
-	return 0
 }

@@ -349,58 +349,15 @@ func appendHex12(b []byte, v uint64) []byte {
 	return strconv.AppendUint(b, v, 16)
 }
 
-// jsonlSnapshot fixes the JSONL field order.
-type jsonlSnapshot struct {
-	Epoch          uint64   `json:"epoch"`
-	StartNs        int64    `json:"start_ns"`
-	EndNs          int64    `json:"end_ns"`
-	Accesses       uint64   `json:"accesses"`
-	SlowAccesses   uint64   `json:"slow_accesses"`
-	TierAccesses   []uint64 `json:"tier_accesses,omitempty"`
-	TierOccupancy  []uint64 `json:"tier_occupancy,omitempty"`
-	TLBMisses      uint64   `json:"tlb_misses"`
-	LLCMisses      uint64   `json:"llc_misses"`
-	PoisonFaults   uint64   `json:"poison_faults"`
-	PoisonedPages  uint64   `json:"poisoned_pages"`
-	MigrationBytes uint64   `json:"migration_bytes"`
-	Demotions      uint64   `json:"demotions"`
-	Promotions     uint64   `json:"promotions"`
-	ColdBytes      uint64   `json:"cold_bytes"`
-	HotBytes       uint64   `json:"hot_bytes"`
-	ConfusionValid bool     `json:"confusion_valid,omitempty"`
-	ColdIdle       uint64   `json:"cold_idle,omitempty"`
-	ColdAccessed   uint64   `json:"cold_accessed,omitempty"`
-	HotIdle        uint64   `json:"hot_idle,omitempty"`
-	HotAccessed    uint64   `json:"hot_accessed,omitempty"`
-	// Chaos counters are omitted when zero so uninjected runs keep their
-	// pre-chaos byte layout.
-	FaultsInjected     uint64 `json:"chaos_injected,omitempty"`
-	FaultsPermanent    uint64 `json:"chaos_permanent,omitempty"`
-	MigrationRetries   uint64 `json:"migration_retries,omitempty"`
-	MigrationRollbacks uint64 `json:"migration_rollbacks,omitempty"`
-	PagesQuarantined   uint64 `json:"pages_quarantined,omitempty"`
-}
-
 // WriteJSONL writes one JSON object per retained epoch snapshot, oldest
-// first — the metrics sink for offline analysis (jq, pandas).
+// first — the metrics sink for offline analysis (jq, pandas). Each is the
+// Snapshot as encoding/json writes it, in its field order and by its tags.
 func (c *Collector) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, s := range c.Snapshots() {
-		if err := enc.Encode(jsonlSnapshot{
-			Epoch: s.Epoch, StartNs: s.StartNs, EndNs: s.EndNs,
-			Accesses: s.Accesses, SlowAccesses: s.SlowAccesses,
-			TierAccesses: s.TierAccesses, TierOccupancy: s.TierOccupancy,
-			TLBMisses: s.TLBMisses, LLCMisses: s.LLCMisses,
-			PoisonFaults: s.PoisonFaults, PoisonedPages: s.PoisonedPages,
-			MigrationBytes: s.MigrationBytes, Demotions: s.Demotions,
-			Promotions: s.Promotions, ColdBytes: s.ColdBytes, HotBytes: s.HotBytes,
-			ConfusionValid: s.ConfusionValid, ColdIdle: s.ColdIdle,
-			ColdAccessed: s.ColdAccessed, HotIdle: s.HotIdle, HotAccessed: s.HotAccessed,
-			FaultsInjected: s.FaultsInjected, FaultsPermanent: s.FaultsPermanent,
-			MigrationRetries: s.MigrationRetries, MigrationRollbacks: s.MigrationRollbacks,
-			PagesQuarantined: s.PagesQuarantined,
-		}); err != nil {
+	snaps := c.Snapshots()
+	for i := range snaps {
+		if err := enc.Encode(&snaps[i]); err != nil {
 			return err
 		}
 	}

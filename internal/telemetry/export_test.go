@@ -11,30 +11,33 @@ import (
 	"thermostat/internal/addr"
 )
 
-// chromeTraces returns c's trace from WriteChromeTrace and from the
-// json.Marshal oracle, with each writer's error.
-func chromeTraces(c *Collector) (got, want []byte, gotErr, wantErr error) {
-	var g, w bytes.Buffer
-	gotErr = c.WriteChromeTrace(&g)
-	wantErr = refWriteChromeTrace(c, &w)
-	return g.Bytes(), w.Bytes(), gotErr, wantErr
-}
-
-// requireMarshalEqual fails unless WriteChromeTrace and the oracle both
-// fail on c, or both succeed with the same bytes.
+// requireMarshalEqual fails unless WriteChromeTrace and WriteJSONL each
+// match their oracle on c: both writers fail, or both succeed with the
+// same bytes.
 func requireMarshalEqual(t *testing.T, c *Collector) {
 	t.Helper()
-	got, want, gotErr, wantErr := chromeTraces(c)
-	switch {
-	case (gotErr != nil) != (wantErr != nil):
-		t.Fatalf("WriteChromeTrace error %v, json.Marshal writer error %v", gotErr, wantErr)
-	case gotErr == nil && !bytes.Equal(got, want):
-		i := 0
-		for i < len(got) && i < len(want) && got[i] == want[i] {
-			i++
+	for _, w := range []struct {
+		name      string
+		write     func(io.Writer) error
+		reference func(*Collector, io.Writer) error
+	}{
+		{"WriteChromeTrace", c.WriteChromeTrace, refWriteChromeTrace},
+		{"WriteJSONL", c.WriteJSONL, refWriteJSONL},
+	} {
+		var g, r bytes.Buffer
+		gotErr, wantErr := w.write(&g), w.reference(c, &r)
+		got, want := g.Bytes(), r.Bytes()
+		switch {
+		case (gotErr != nil) != (wantErr != nil):
+			t.Fatalf("%s error %v, its json.Marshal oracle's error %v", w.name, gotErr, wantErr)
+		case gotErr == nil && !bytes.Equal(got, want):
+			i := 0
+			for i < len(got) && i < len(want) && got[i] == want[i] {
+				i++
+			}
+			t.Fatalf("%s differs from its json.Marshal oracle at byte %d:\n got %q\nwant %q", w.name,
+				i, got[max(0, i-60):min(len(got), i+60)], want[max(0, i-60):min(len(want), i+60)])
 		}
-		t.Fatalf("the trace differs from the json.Marshal writer's at byte %d:\n got %q\nwant %q",
-			i, got[max(0, i-60):min(len(got), i+60)], want[max(0, i-60):min(len(want), i+60)])
 	}
 }
 
@@ -117,9 +120,14 @@ func (d *fuzzDecoder) rate() float64 {
 	return math.Float64frombits(d.u64())
 }
 
+// scaled is a byte shifted left by a second byte: any magnitude, and zero
+// one time in 256.
+func (d *fuzzDecoder) scaled() uint64 { return uint64(d.u8()) << (d.u8() % 64) }
+
 // collectorFromBytes decodes a fuzz input into a collector: a header byte
 // of bounds, then records, each an event (an even tag) or a snapshot (an
-// odd one) of 0 to 12 tiers.
+// odd one) of 0 to 12 tiers with every field set: each Counters row, each
+// gauge and each confusion cell.
 func collectorFromBytes(data []byte) *Collector {
 	d := &fuzzDecoder{data}
 	h := d.u8()
@@ -152,17 +160,19 @@ func collectorFromBytes(data []byte) *Collector {
 			c.Event(e)
 			continue
 		}
-		s := Snapshot{Epoch: uint64(d.u8()), EndNs: int64(d.u64())}
-		s.TierOccupancy = make([]uint64, int(tag>>1)%13)
-		for i := range s.TierOccupancy {
-			s.TierOccupancy[i] = uint64(d.u8()) << (d.u8() % 64)
+		s := Snapshot{Epoch: uint64(d.u8()), StartNs: int64(d.u64()), EndNs: int64(d.u64())}
+		tiers := int(tag>>1) % 13
+		s.TierAccesses, s.TierOccupancy = make([]uint64, tiers), make([]uint64, tiers)
+		for i := 0; i < tiers; i++ {
+			s.TierAccesses[i], s.TierOccupancy[i] = uint64(d.u8()), d.scaled()
 		}
-		s.Accesses, s.SlowAccesses = d.u64(), uint64(d.u8())
-		s.MigrationBytes, s.Demotions, s.Promotions = d.u64(), uint64(d.u8()), uint64(d.u8())
-		if chaos := d.u8(); chaos != 0 {
-			s.FaultsInjected, s.MigrationRetries = uint64(chaos&3), uint64(chaos>>2&3)
-			s.MigrationRollbacks, s.PagesQuarantined = uint64(chaos>>4&3), uint64(chaos>>6)
+		for _, row := range Counters {
+			*row.Of(&s) = d.scaled()
 		}
+		s.PoisonedPages, s.ColdBytes, s.HotBytes = d.scaled(), d.scaled(), d.scaled()
+		s.ConfusionValid = d.u8()&1 != 0
+		s.ColdIdle, s.ColdAccessed = uint64(d.u8()), uint64(d.u8())
+		s.HotIdle, s.HotAccessed = uint64(d.u8()), uint64(d.u8())
 		c.Snapshot(s)
 	}
 	return c
@@ -194,17 +204,21 @@ func fuzzEvent(k Kind, flags byte, page addr.Virt, rateSel byte, tenant string) 
 	return b
 }
 
-// fuzzSnapshot encodes one snapshot record of tiers tiers.
-func fuzzSnapshot(tiers int, chaos byte) []byte {
+// fuzzSnapshot encodes one snapshot record of tiers tiers. Its counters
+// and gauges are seed times their index, so a zero seed makes them all
+// zero (no chaos track, every omitempty key left out), and an odd seed
+// makes the confusion matrix valid.
+func fuzzSnapshot(tiers int, seed byte) []byte {
 	b := []byte{byte(tiers)<<1 | 1, 9}
+	b = binary.LittleEndian.AppendUint64(b, 500_000_000)   // StartNs
 	b = binary.LittleEndian.AppendUint64(b, 1_500_000_000) // EndNs
 	for i := 0; i < tiers; i++ {
-		b = append(b, byte(i+1), byte(20+i))
+		b = append(b, byte(i)*seed, byte(i+1), byte(20+i))
 	}
-	b = binary.LittleEndian.AppendUint64(b, 1<<30)
-	b = append(b, 5)
-	b = binary.LittleEndian.AppendUint64(b, 4<<20)
-	return append(b, 2, 1, chaos)
+	for i := 0; i < len(Counters)+3; i++ {
+		b = append(b, byte(i+1)*seed, byte(3*i))
+	}
+	return append(b, seed, seed, 2*seed, 3*seed, 4*seed)
 }
 
 // fuzzSeeds are the inputs FuzzChromeTraceVsMarshal starts from: every

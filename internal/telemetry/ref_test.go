@@ -150,3 +150,62 @@ func refWriteChromeTrace(c *Collector, w io.Writer) error {
 	}
 	return bw.Flush()
 }
+
+// jsonlSnapshot is the struct WriteJSONL encoded before Snapshot carried
+// the JSONL tags itself: the fields in JSONL order, each copied by hand.
+type jsonlSnapshot struct {
+	Epoch          uint64   `json:"epoch"`
+	StartNs        int64    `json:"start_ns"`
+	EndNs          int64    `json:"end_ns"`
+	Accesses       uint64   `json:"accesses"`
+	SlowAccesses   uint64   `json:"slow_accesses"`
+	TierAccesses   []uint64 `json:"tier_accesses,omitempty"`
+	TierOccupancy  []uint64 `json:"tier_occupancy,omitempty"`
+	TLBMisses      uint64   `json:"tlb_misses"`
+	LLCMisses      uint64   `json:"llc_misses"`
+	PoisonFaults   uint64   `json:"poison_faults"`
+	PoisonedPages  uint64   `json:"poisoned_pages"`
+	MigrationBytes uint64   `json:"migration_bytes"`
+	Demotions      uint64   `json:"demotions"`
+	Promotions     uint64   `json:"promotions"`
+	ColdBytes      uint64   `json:"cold_bytes"`
+	HotBytes       uint64   `json:"hot_bytes"`
+	ConfusionValid bool     `json:"confusion_valid,omitempty"`
+	ColdIdle       uint64   `json:"cold_idle,omitempty"`
+	ColdAccessed   uint64   `json:"cold_accessed,omitempty"`
+	HotIdle        uint64   `json:"hot_idle,omitempty"`
+	HotAccessed    uint64   `json:"hot_accessed,omitempty"`
+	// Chaos counters are omitted when zero so uninjected runs keep their
+	// pre-chaos byte layout.
+	FaultsInjected     uint64 `json:"chaos_injected,omitempty"`
+	FaultsPermanent    uint64 `json:"chaos_permanent,omitempty"`
+	MigrationRetries   uint64 `json:"migration_retries,omitempty"`
+	MigrationRollbacks uint64 `json:"migration_rollbacks,omitempty"`
+	PagesQuarantined   uint64 `json:"pages_quarantined,omitempty"`
+}
+
+// refWriteJSONL is the writer WriteJSONL replaced, the oracle that pins
+// Snapshot's tags and field order to the JSONL schema byte for byte.
+func refWriteJSONL(c *Collector, w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	for _, s := range c.Snapshots() {
+		if err := enc.Encode(jsonlSnapshot{
+			Epoch: s.Epoch, StartNs: s.StartNs, EndNs: s.EndNs,
+			Accesses: s.Accesses, SlowAccesses: s.SlowAccesses,
+			TierAccesses: s.TierAccesses, TierOccupancy: s.TierOccupancy,
+			TLBMisses: s.TLBMisses, LLCMisses: s.LLCMisses,
+			PoisonFaults: s.PoisonFaults, PoisonedPages: s.PoisonedPages,
+			MigrationBytes: s.MigrationBytes, Demotions: s.Demotions,
+			Promotions: s.Promotions, ColdBytes: s.ColdBytes, HotBytes: s.HotBytes,
+			ConfusionValid: s.ConfusionValid, ColdIdle: s.ColdIdle,
+			ColdAccessed: s.ColdAccessed, HotIdle: s.HotIdle, HotAccessed: s.HotAccessed,
+			FaultsInjected: s.FaultsInjected, FaultsPermanent: s.FaultsPermanent,
+			MigrationRetries: s.MigrationRetries, MigrationRollbacks: s.MigrationRollbacks,
+			PagesQuarantined: s.PagesQuarantined,
+		}); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}

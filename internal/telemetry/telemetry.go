@@ -131,56 +131,128 @@ type Event struct {
 }
 
 // Snapshot is one epoch's metric snapshot, built from machine counter deltas
-// at the closing policy tick.
+// at the closing policy tick. Its fields, in order, with their tags, are
+// WriteJSONL's schema. The per-epoch counters among them are the rows of
+// Counters; the rest are the epoch's bounds, gauges read at epoch end, and
+// the confusion cells.
 type Snapshot struct {
-	Epoch   uint64
-	StartNs int64
-	EndNs   int64
+	Epoch   uint64 `json:"epoch"`
+	StartNs int64  `json:"start_ns"`
+	EndNs   int64  `json:"end_ns"`
 
 	// Accesses and SlowAccesses are access counts within the epoch;
 	// TierAccesses breaks them down per tier (indexed by mem.TierID).
-	Accesses     uint64
-	SlowAccesses uint64
-	TierAccesses []uint64
+	Accesses     uint64   `json:"accesses"`
+	SlowAccesses uint64   `json:"slow_accesses"`
+	TierAccesses []uint64 `json:"tier_accesses,omitempty"`
 	// TierOccupancy is each tier's used bytes at epoch end.
-	TierOccupancy []uint64
+	TierOccupancy []uint64 `json:"tier_occupancy,omitempty"`
 
-	TLBMisses    uint64
-	LLCMisses    uint64
-	PoisonFaults uint64
+	TLBMisses    uint64 `json:"tlb_misses"`
+	LLCMisses    uint64 `json:"llc_misses"`
+	PoisonFaults uint64 `json:"poison_faults"`
 	// PoisonedPages is the number of leaf mappings armed for fault
 	// interception at epoch end.
-	PoisonedPages uint64
+	PoisonedPages uint64 `json:"poisoned_pages"`
 
 	// MigrationBytes, Demotions and Promotions are inter-tier traffic
 	// within the epoch (page counts at 2MB grain).
-	MigrationBytes uint64
-	Demotions      uint64
-	Promotions     uint64
+	MigrationBytes uint64 `json:"migration_bytes"`
+	Demotions      uint64 `json:"demotions"`
+	Promotions     uint64 `json:"promotions"`
 
 	// ColdBytes/HotBytes are the policy's classification at epoch end.
-	ColdBytes uint64
-	HotBytes  uint64
+	ColdBytes uint64 `json:"cold_bytes"`
+	HotBytes  uint64 `json:"hot_bytes"`
 
 	// Classification confusion vs. LLC ground truth, valid only when the
 	// machine's page counting is enabled and the policy exposes its cold
 	// set (ConfusionValid). A page is "truly accessed" if it took at least
 	// one LLC miss within the epoch.
-	ConfusionValid bool
-	ColdIdle       uint64 // classified cold, truly idle   (correct)
-	ColdAccessed   uint64 // classified cold, truly active (false cold: pays slow-mem)
-	HotIdle        uint64 // classified hot, truly idle    (missed saving)
-	HotAccessed    uint64 // classified hot, truly active  (correct)
+	ConfusionValid bool   `json:"confusion_valid,omitempty"`
+	ColdIdle       uint64 `json:"cold_idle,omitempty"`     // classified cold, truly idle   (correct)
+	ColdAccessed   uint64 `json:"cold_accessed,omitempty"` // classified cold, truly active (false cold: pays slow-mem)
+	HotIdle        uint64 `json:"hot_idle,omitempty"`      // classified hot, truly idle    (missed saving)
+	HotAccessed    uint64 `json:"hot_accessed,omitempty"`  // classified hot, truly active  (correct)
 
 	// Chaos/robustness counters within the epoch: injected faults, retried
 	// migration attempts, rolled-back migration transactions, and pages
-	// newly quarantined. All zero (and omitted from JSONL) when no chaos
-	// injector is installed and no migration failed.
-	FaultsInjected     uint64
-	FaultsPermanent    uint64
-	MigrationRetries   uint64
-	MigrationRollbacks uint64
-	PagesQuarantined   uint64
+	// newly quarantined. All zero, and omitted from JSONL so uninjected
+	// runs keep their pre-chaos byte layout, when no chaos injector is
+	// installed and no migration failed.
+	FaultsInjected     uint64 `json:"chaos_injected,omitempty"`
+	FaultsPermanent    uint64 `json:"chaos_permanent,omitempty"`
+	MigrationRetries   uint64 `json:"migration_retries,omitempty"`
+	MigrationRollbacks uint64 `json:"migration_rollbacks,omitempty"`
+	PagesQuarantined   uint64 `json:"pages_quarantined,omitempty"`
+}
+
+// Counter is one per-epoch counter of Snapshot: its JSONL key, the
+// Prometheus counter family that sums it over a run's epochs, that
+// family's help text, and the field itself.
+type Counter struct {
+	Key    string
+	Family string
+	Help   string
+	Of     func(*Snapshot) *uint64
+}
+
+// Counters lists Snapshot's per-epoch counters in JSONL order: the schema
+// that the epoch delta (Sub), the live totals (Add) and the /metrics
+// counter families all iterate. A new counter is one tagged Snapshot field
+// and one row here.
+var Counters = []Counter{
+	{"accesses", "thermostat_accesses_total", "Memory accesses executed.",
+		func(s *Snapshot) *uint64 { return &s.Accesses }},
+	{"slow_accesses", "thermostat_slow_accesses_total", "Accesses served from non-top tiers.",
+		func(s *Snapshot) *uint64 { return &s.SlowAccesses }},
+	{"tlb_misses", "thermostat_tlb_misses_total", "Simulated TLB misses.",
+		func(s *Snapshot) *uint64 { return &s.TLBMisses }},
+	{"llc_misses", "thermostat_llc_misses_total", "Simulated LLC misses.",
+		func(s *Snapshot) *uint64 { return &s.LLCMisses }},
+	{"poison_faults", "thermostat_poison_faults_total", "BadgerTrap poison faults serviced.",
+		func(s *Snapshot) *uint64 { return &s.PoisonFaults }},
+	{"migration_bytes", "thermostat_migration_bytes_total", "Bytes moved between tiers.",
+		func(s *Snapshot) *uint64 { return &s.MigrationBytes }},
+	{"demotions", "thermostat_demotions_total", "Pages demoted toward slower tiers.",
+		func(s *Snapshot) *uint64 { return &s.Demotions }},
+	{"promotions", "thermostat_promotions_total", "Pages promoted back toward DRAM.",
+		func(s *Snapshot) *uint64 { return &s.Promotions }},
+	{"chaos_injected", "thermostat_chaos_faults_injected_total", "Chaos faults injected.",
+		func(s *Snapshot) *uint64 { return &s.FaultsInjected }},
+	{"chaos_permanent", "thermostat_chaos_faults_permanent_total", "Chaos faults marked permanent.",
+		func(s *Snapshot) *uint64 { return &s.FaultsPermanent }},
+	{"migration_retries", "thermostat_migration_retries_total", "Migration attempts retried after an injected fault.",
+		func(s *Snapshot) *uint64 { return &s.MigrationRetries }},
+	{"migration_rollbacks", "thermostat_migration_rollbacks_total", "Migration transactions rolled back.",
+		func(s *Snapshot) *uint64 { return &s.MigrationRollbacks }},
+	{"pages_quarantined", "thermostat_pages_quarantined_total", "Pages quarantined after exhausting retries.",
+		func(s *Snapshot) *uint64 { return &s.PagesQuarantined }},
+}
+
+// Add adds o's counters, TierAccesses included, to s's, growing s's
+// TierAccesses to o's length.
+func (s *Snapshot) Add(o *Snapshot) {
+	for _, c := range Counters {
+		*c.Of(s) += *c.Of(o)
+	}
+	for len(s.TierAccesses) < len(o.TierAccesses) {
+		s.TierAccesses = append(s.TierAccesses, 0)
+	}
+	for i, v := range o.TierAccesses {
+		s.TierAccesses[i] += v
+	}
+}
+
+// Sub subtracts base's counters, TierAccesses included, from s's: with s
+// and base cumulative, s becomes the delta since base.
+func (s *Snapshot) Sub(base *Snapshot) {
+	for _, c := range Counters {
+		*c.Of(s) -= *c.Of(base)
+	}
+	for i := range s.TierAccesses {
+		s.TierAccesses[i] -= base.TierAccesses[i]
+	}
 }
 
 // Recorder receives events and snapshots. Implementations must not retain

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -204,5 +205,73 @@ func TestExportsDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("two identical collectors exported different traces")
+	}
+}
+
+// notCounters are Snapshot's uint64 fields that are not per-epoch
+// counters: the epoch number, the gauges read at epoch end, and the
+// confusion family's cells.
+var notCounters = map[string]bool{"Epoch": true, "PoisonedPages": true, "ColdBytes": true, "HotBytes": true,
+	"ColdIdle": true, "ColdAccessed": true, "HotIdle": true, "HotAccessed": true}
+
+// TestCountersCoverSnapshot pins the one counter schema: every uint64
+// field of Snapshot is one Counters row, exactly once, or a named
+// non-counter, and each row's Key is its field's JSONL key, so a new
+// counter cannot be left out of the epoch delta, the live totals or the
+// /metrics families.
+func TestCountersCoverSnapshot(t *testing.T) {
+	var s Snapshot
+	rows := map[*uint64]Counter{}
+	families := map[string]bool{}
+	for _, c := range Counters {
+		if _, dup := rows[c.Of(&s)]; dup {
+			t.Errorf("row %q names a field another row names", c.Key)
+		}
+		if families[c.Family] || !strings.HasSuffix(c.Family, "_total") || c.Help == "" {
+			t.Errorf("row %q: family %q is repeated, lacks _total or has no help", c.Key, c.Family)
+		}
+		rows[c.Of(&s)], families[c.Family] = c, true
+	}
+	v := reflect.ValueOf(&s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		if f.Type.Kind() != reflect.Uint64 {
+			continue
+		}
+		p := v.Field(i).Addr().Interface().(*uint64)
+		c, ok := rows[p]
+		switch key, _, _ := strings.Cut(f.Tag.Get("json"), ","); {
+		case ok == notCounters[f.Name]:
+			t.Errorf("Snapshot.%s: in Counters %v, named a non-counter %v: want exactly one", f.Name, ok, notCounters[f.Name])
+		case ok && c.Key != key:
+			t.Errorf("Snapshot.%s: row key %q, JSONL key %q", f.Name, c.Key, key)
+		}
+		delete(rows, p)
+	}
+	for _, c := range rows {
+		t.Errorf("row %q names no uint64 field of Snapshot", c.Key)
+	}
+}
+
+// TestSnapshotAddSub: Add sums every Counters row and the per-tier
+// accesses, growing the tiers, and Sub takes back what Add put in.
+func TestSnapshotAddSub(t *testing.T) {
+	one := Snapshot{TierAccesses: []uint64{5, 7}}
+	for i, c := range Counters {
+		*c.Of(&one) = uint64(i + 1)
+	}
+	var sum Snapshot
+	sum.Add(&one)
+	sum.Add(&one)
+	for i, c := range Counters {
+		if got := *c.Of(&sum); got != 2*uint64(i+1) {
+			t.Errorf("%s: sum %d, want %d", c.Key, got, 2*(i+1))
+		}
+	}
+	if !reflect.DeepEqual(sum.TierAccesses, []uint64{10, 14}) {
+		t.Errorf("tier accesses sum %v, want [10 14]", sum.TierAccesses)
+	}
+	if sum.Sub(&one); !reflect.DeepEqual(sum, one) {
+		t.Errorf("sum less one = %+v, want %+v", sum, one)
 	}
 }

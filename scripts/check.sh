@@ -20,6 +20,15 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+echo "== gofmt -l"
+# Every tracked Go file, bench/ included, is gofmt-clean.
+unformatted="$(git ls-files '*.go' | xargs gofmt -l)"
+if [ -n "$unformatted" ]; then
+	echo "gofmt would reformat:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
+
 echo "== benchmark module (bench/): build, vet, test"
 # bench/ is its own module, outside ./...: an API change that breaks it must
 # fail this gate, not the benchmark run.
