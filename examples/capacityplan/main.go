@@ -11,7 +11,7 @@ import (
 	"log"
 
 	"thermostat"
-	"thermostat/internal/pricing"
+	"thermostat/internal/harness"
 )
 
 func main() {
@@ -33,8 +33,11 @@ func main() {
 		}
 		slow := baselineThroughput/res.Throughput - 1
 		fmt.Printf("%5.0f%%  %7.2f%%  %5.1f%%", target, slow*100, cold*100)
-		for _, ratio := range pricing.PaperRatios {
-			s, err := pricing.Savings(cold, ratio)
+		for _, ratio := range harness.PaperRatios {
+			s, err := harness.Savings([]harness.TierShare{
+				{Name: "dram", Fraction: 1 - cold, CostRatio: 1},
+				{Name: "slow", Fraction: cold, CostRatio: ratio},
+			})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -47,7 +50,7 @@ func main() {
 	fmt.Println("Reading the table: pick the row whose measured slowdown your SLA absorbs,")
 	fmt.Println("then check the savings column for the slow-memory price you were quoted.")
 	fmt.Println("If memory is ~20% of system cost, savings must exceed slowdown·(80/20) to")
-	fmt.Println("be a net win (see pricing.BreakEvenSlowdown).")
+	fmt.Println("be a net win.")
 }
 
 func run(spec thermostat.WorkloadSpec, scale uint64, targetPct float64) (*thermostat.RunResult, float64) {

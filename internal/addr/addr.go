@@ -24,9 +24,6 @@ const (
 
 	// PagesPerHuge is the number of 4KB pages spanned by one 2MB page (512).
 	PagesPerHuge = int(PageSize2M / PageSize4K)
-
-	// CanonicalBits is the number of significant virtual-address bits.
-	CanonicalBits = 48
 )
 
 // Virt is a virtual address in the simulated guest address space.

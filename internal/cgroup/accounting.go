@@ -24,9 +24,9 @@ import (
 	"fmt"
 )
 
-// ErrOverLimit is returned by TryCharge when the charge would exceed the
+// errOverLimit is returned by TryCharge when the charge would exceed the
 // limit of the group or any of its ancestors.
-var ErrOverLimit = errors.New("cgroup: charge exceeds limit")
+var errOverLimit = errors.New("cgroup: charge exceeds limit")
 
 // NewChild validates p and creates a child group that charges through g.
 func (g *Group) NewChild(name string, p Params) (*Group, error) {
@@ -86,7 +86,7 @@ func (g *Group) chain() []*Group {
 
 // TryCharge atomically charges bytes to the group and every ancestor, or —
 // if the charge would push any of them over its limit — charges nothing and
-// returns ErrOverLimit naming the level that refused.
+// returns errOverLimit naming the level that refused.
 func (g *Group) TryCharge(bytes uint64) error {
 	cs := g.chain()
 	for _, n := range cs {
@@ -99,7 +99,7 @@ func (g *Group) TryCharge(bytes uint64) error {
 	}()
 	for _, n := range cs {
 		if n.limit != 0 && n.usage+bytes > n.limit {
-			return fmt.Errorf("%w: %s at %d/%d +%d", ErrOverLimit, n.name, n.usage, n.limit, bytes)
+			return fmt.Errorf("%w: %s at %d/%d +%d", errOverLimit, n.name, n.usage, n.limit, bytes)
 		}
 	}
 	for _, n := range cs {

@@ -78,7 +78,7 @@ func TestTryChargeIsAtomicAcrossLevels(t *testing.T) {
 	}
 
 	// Refused by the child's own limit: nothing changes anywhere.
-	if err := a.TryCharge(20 * mb); !errors.Is(err, ErrOverLimit) {
+	if err := a.TryCharge(20 * mb); !errors.Is(err, errOverLimit) {
 		t.Fatalf("want ErrOverLimit, got %v", err)
 	}
 	if a.Usage() != 30*mb || root.Usage() != 30*mb {
@@ -86,7 +86,7 @@ func TestTryChargeIsAtomicAcrossLevels(t *testing.T) {
 	}
 
 	// Refused by the root even though the child has headroom.
-	if err := b.TryCharge(80 * mb); !errors.Is(err, ErrOverLimit) {
+	if err := b.TryCharge(80 * mb); !errors.Is(err, errOverLimit) {
 		t.Fatalf("want ErrOverLimit from root, got %v", err)
 	}
 	if b.Usage() != 0 || root.Usage() != 30*mb {
@@ -108,7 +108,7 @@ func TestLimitChangeMidRun(t *testing.T) {
 	if got := a.OverLimit(); got != 15*mb {
 		t.Fatalf("OverLimit = %d, want %d", got, 15*mb)
 	}
-	if err := a.TryCharge(mb); !errors.Is(err, ErrOverLimit) {
+	if err := a.TryCharge(mb); !errors.Is(err, errOverLimit) {
 		t.Fatal("over-limit group accepted a TryCharge")
 	}
 	// Residency mirroring still lands (the migration already happened).

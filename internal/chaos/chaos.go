@@ -41,8 +41,8 @@ const (
 	// PoisonDisarm fails clearing a PTE poison before promotion.
 	PoisonDisarm
 
-	// NumSites is the number of injection sites; not itself a site.
-	NumSites
+	// numSites is the number of injection sites; not itself a site.
+	numSites
 )
 
 // String returns the site's stable lowercase name.
@@ -133,7 +133,7 @@ func (c Config) Enabled() bool {
 type Report struct {
 	Injected    uint64           // faults injected, total
 	Permanent   uint64           // of which permanent
-	BySite      [NumSites]uint64 // injected, per site
+	BySite      [numSites]uint64 // injected, per site
 	Retried     uint64           // migration attempts retried after a failure
 	RolledBack  uint64           // migration transactions aborted and undone
 	Quarantined uint64           // pages quarantined after permanent/exhausted failure
@@ -143,12 +143,12 @@ type Report struct {
 // are nil-receiver safe (a nil Injector never injects).
 type Injector struct {
 	r     *rng.PCG
-	rates [NumSites]float64
+	rates [numSites]float64
 	perm  float64
 
 	injected  uint64
 	permanent uint64
-	bySite    [NumSites]uint64
+	bySite    [numSites]uint64
 }
 
 // New builds an Injector from cfg. Returns nil when cfg is disabled, so
@@ -161,7 +161,7 @@ func New(cfg Config) *Injector {
 		r:    rng.NewStream(cfg.Seed, chaosStream),
 		perm: cfg.PermanentFraction,
 	}
-	for s := Site(0); s < NumSites; s++ {
+	for s := Site(0); s < numSites; s++ {
 		in.rates[s] = cfg.Rate
 		if r, ok := cfg.SiteRates[s]; ok {
 			in.rates[s] = r
@@ -210,7 +210,7 @@ func (in *Injector) SetRates(rate, permanentFraction float64) {
 		return
 	}
 	rate = clamp01(rate)
-	for s := Site(0); s < NumSites; s++ {
+	for s := Site(0); s < numSites; s++ {
 		in.rates[s] = rate
 	}
 	in.perm = clamp01(permanentFraction)

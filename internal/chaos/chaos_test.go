@@ -41,7 +41,7 @@ func TestZeroRateSiteConsumesNoDraws(t *testing.T) {
 	var seqA, seqB []bool
 	for i := 0; i < 200; i++ {
 		seqA = append(seqA, a.Inject(MigrateCopy, int64(i)) != nil)
-		for s := Site(0); s < NumSites; s++ {
+		for s := Site(0); s < numSites; s++ {
 			if s != MigrateCopy {
 				if f := b.Inject(s, int64(i)); f != nil {
 					t.Fatalf("zero-rate site %s injected", s)
@@ -60,7 +60,7 @@ func TestInjectionDeterministic(t *testing.T) {
 	cfg := Config{Seed: 99, Rate: 0.3, PermanentFraction: 0.25}
 	a, b := New(cfg), New(cfg)
 	for i := 0; i < 500; i++ {
-		site := Site(i % int(NumSites))
+		site := Site(i % int(numSites))
 		fa, fb := a.Inject(site, int64(i)), b.Inject(site, int64(i))
 		if (fa == nil) != (fb == nil) {
 			t.Fatalf("step %d: injectors diverged", i)

@@ -7,8 +7,8 @@ import (
 	"thermostat/internal/addr"
 )
 
-// PageClass is one huge page's classification in a published Census.
-type PageClass struct {
+// pageClass is one huge page's classification in a published Census.
+type pageClass struct {
 	Base        addr.Virt
 	RatePerSec  float64
 	Cold        bool
@@ -26,7 +26,7 @@ type Census struct {
 	Stats       Stats
 	SlowdownPct float64
 	Inflight    int
-	Pages       []PageClass // sorted by Base
+	Pages       []pageClass // sorted by Base
 }
 
 // censusPub holds the engine's published census behind its own mutex so
@@ -52,7 +52,7 @@ func (e *Engine) PublishedCensus() (Census, bool) {
 		return Census{}, false
 	}
 	c := *e.pub.c
-	c.Pages = append([]PageClass(nil), e.pub.c.Pages...)
+	c.Pages = append([]pageClass(nil), e.pub.c.Pages...)
 	return c, true
 }
 
@@ -60,10 +60,10 @@ func (e *Engine) PublishedCensus() (Census, bool) {
 // simulation goroutine only; all reads here are the same ones the
 // reporting accessors perform, so the published copy is pure observation.
 func (e *Engine) publishCensus(now int64) {
-	pages := make([]PageClass, 0, len(e.lastEstimates))
+	pages := make([]pageClass, 0, len(e.lastEstimates))
 	for _, est := range e.lastEstimates {
 		_, benched := e.led.quarUntil[est.Base]
-		pages = append(pages, PageClass{
+		pages = append(pages, pageClass{
 			Base:        est.Base,
 			RatePerSec:  est.Rate,
 			Cold:        e.led.cold[est.Base],

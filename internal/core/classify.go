@@ -61,11 +61,11 @@ type Measured struct {
 	Rate float64
 }
 
-// SelectPromotions implements the §3.5 correction rule: given the measured
+// selectPromotions implements the §3.5 correction rule: given the measured
 // rates of all pages currently in slow memory, if their aggregate exceeds
 // target (accesses/second), promote the most frequently accessed pages until
 // the remainder fits. Returns the pages to promote, hottest first.
-func SelectPromotions(cold []Measured, target float64) []addr.Virt {
+func selectPromotions(cold []Measured, target float64) []addr.Virt {
 	total := 0.0
 	for _, c := range cold {
 		total += c.Rate
@@ -86,11 +86,11 @@ func SelectPromotions(cold []Measured, target float64) []addr.Virt {
 	return out
 }
 
-// ScaleEstimate implements the §3.2 spatial extrapolation: the aggregate
+// scaleEstimate implements the §3.2 spatial extrapolation: the aggregate
 // rate of a 2MB page is the observed fault rate over the poisoned sample
 // scaled by the ratio of accessed 4KB pages to poisoned 4KB pages. The
 // remaining (never-accessed) pages are assumed to contribute nothing.
-func ScaleEstimate(faultCount uint64, intervalSec float64, nAccessed, nPoisoned int) float64 {
+func scaleEstimate(faultCount uint64, intervalSec float64, nAccessed, nPoisoned int) float64 {
 	if nPoisoned == 0 || intervalSec <= 0 {
 		return 0
 	}

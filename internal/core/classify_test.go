@@ -60,7 +60,7 @@ func TestSelectColdSetDoesNotMutateInput(t *testing.T) {
 func TestSelectPromotionsUnderTargetIsNil(t *testing.T) {
 	t.Parallel()
 	cold := []Measured{{Base: addr.Virt2M(1), Rate: 10}, {Base: addr.Virt2M(2), Rate: 15}}
-	if got := SelectPromotions(cold, 30); got != nil {
+	if got := selectPromotions(cold, 30); got != nil {
 		t.Fatalf("got %v, want nil", got)
 	}
 }
@@ -72,7 +72,7 @@ func TestSelectPromotionsEvictsHottestFirst(t *testing.T) {
 		{Base: addr.Virt2M(2), Rate: 100},
 		{Base: addr.Virt2M(3), Rate: 40},
 	}
-	got := SelectPromotions(cold, 45)
+	got := selectPromotions(cold, 45)
 	// Total 150 > 45: evict 100 (total 50, still over), then 40 (total 10).
 	want := []addr.Virt{addr.Virt2M(2), addr.Virt2M(3)}
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
@@ -83,7 +83,7 @@ func TestSelectPromotionsEvictsHottestFirst(t *testing.T) {
 func TestSelectPromotionsAllIfNeeded(t *testing.T) {
 	t.Parallel()
 	cold := []Measured{{Base: addr.Virt2M(1), Rate: 50}, {Base: addr.Virt2M(2), Rate: 50}}
-	if got := SelectPromotions(cold, 0); len(got) != 2 {
+	if got := selectPromotions(cold, 0); len(got) != 2 {
 		t.Fatalf("got %v", got)
 	}
 }
@@ -129,7 +129,7 @@ func TestSelectColdSetBudgetProperty(t *testing.T) {
 	}
 }
 
-// Property: after applying SelectPromotions the remaining rate is within
+// Property: after applying selectPromotions the remaining rate is within
 // target (or everything was promoted).
 func TestSelectPromotionsConvergesProperty(t *testing.T) {
 	t.Parallel()
@@ -144,7 +144,7 @@ func TestSelectPromotionsConvergesProperty(t *testing.T) {
 			total += cold[i].Rate
 		}
 		promoted := map[addr.Virt]bool{}
-		for _, b := range SelectPromotions(cold, target) {
+		for _, b := range selectPromotions(cold, target) {
 			promoted[b] = true
 		}
 		remaining := 0.0
@@ -164,18 +164,18 @@ func TestScaleEstimate(t *testing.T) {
 	t.Parallel()
 	// 30 faults in 10s over 10 poisoned of 100 accessed pages:
 	// observed 3/s scaled by 10x = 30/s.
-	if got := ScaleEstimate(30, 10, 100, 10); got != 30 {
+	if got := scaleEstimate(30, 10, 100, 10); got != 30 {
 		t.Fatalf("ScaleEstimate = %v, want 30", got)
 	}
 	// Degenerate inputs.
-	if ScaleEstimate(5, 10, 100, 0) != 0 {
+	if scaleEstimate(5, 10, 100, 0) != 0 {
 		t.Fatal("zero poisoned should give 0")
 	}
-	if ScaleEstimate(5, 0, 100, 10) != 0 {
+	if scaleEstimate(5, 0, 100, 10) != 0 {
 		t.Fatal("zero interval should give 0")
 	}
 	// Full coverage: no scaling.
-	if got := ScaleEstimate(50, 1, 50, 50); got != 50 {
+	if got := scaleEstimate(50, 1, 50, 50); got != 50 {
 		t.Fatalf("unscaled = %v", got)
 	}
 }

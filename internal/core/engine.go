@@ -102,11 +102,11 @@ func NewEngine(group *cgroup.Group, seed uint64) *Engine {
 // ComposeByName builds an engine from registry names (see TrackerNames and
 // PolicyNames).
 func ComposeByName(group *cgroup.Group, tracker, policy string, seed uint64) (*Engine, error) {
-	tr, err := NewTrackerByName(tracker, group, seed)
+	tr, err := newTrackerByName(tracker, group, seed)
 	if err != nil {
 		return nil, err
 	}
-	pol, err := NewPolicyByName(policy)
+	pol, err := newPolicyByName(policy)
 	if err != nil {
 		return nil, err
 	}

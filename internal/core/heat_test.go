@@ -5,17 +5,29 @@ import (
 	"testing"
 
 	"thermostat/internal/addr"
+	"thermostat/internal/cgroup"
 	"thermostat/internal/rng"
 	"thermostat/internal/sim"
 	"thermostat/internal/telemetry"
 )
 
+// attachedHeat returns a heat policy attached to a test machine under a
+// group sampling every periodNs, so its half-life is two periods.
+func attachedHeat(t *testing.T, periodNs int64) *heatPolicy {
+	t.Helper()
+	g := testGroup(t, func(p *cgroup.Params) { p.SamplePeriodNs = periodNs })
+	p := newHeatPolicy()
+	if err := p.Attach(testMachine(t), g, NewPoisonTracker(g, 1)); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // TestHeatDecayMonotone: the decay factor never exceeds 1 and is monotone
 // non-increasing in idle time — waiting longer can only cool a page.
 func TestHeatDecayMonotone(t *testing.T) {
 	t.Parallel()
-	p := NewHeatPolicy()
-	p.HalfLifeNs = 800e6
+	p := attachedHeat(t, 400e6) // half-life 0.8 s
 	prev := p.DecayFactor(0)
 	if prev != 1 {
 		t.Fatalf("DecayFactor(0) = %v, want 1", prev)
@@ -43,9 +55,7 @@ func TestHeatDecayMonotone(t *testing.T) {
 // maxHeatFactor bound, and heat never goes negative.
 func TestHeatBounded(t *testing.T) {
 	t.Parallel()
-	p := NewHeatPolicy()
-	p.group = testGroup(t, nil)
-	p.HalfLifeNs = 400e6
+	p := attachedHeat(t, 200e6) // half-life 0.4 s
 	base := addr.Virt(0x200000)
 	max := p.maxHeat()
 	for i := 0; i < 1000; i++ {
@@ -57,19 +67,6 @@ func TestHeatBounded(t *testing.T) {
 	p.bump(base, 0, 1e9) // decay for ~forever
 	if h := p.Heat(base); h < 0 {
 		t.Fatalf("heat decayed below zero: %v", h)
-	}
-}
-
-// TestHeatWatermarksValidated: Attach rejects an inverted hysteresis band.
-func TestHeatWatermarksValidated(t *testing.T) {
-	t.Parallel()
-	m := testMachine(t)
-	g := testGroup(t, nil)
-	p := NewHeatPolicy()
-	p.PromoteFraction, p.DemoteFraction = 0.1, 0.5
-	tr := NewPoisonTracker(g, 1)
-	if err := p.Attach(m, g, tr); err == nil {
-		t.Fatal("inverted watermarks accepted")
 	}
 }
 
@@ -152,7 +149,7 @@ func TestHeatSqueezeGuard(t *testing.T) {
 	if len(squeezed) == 0 {
 		t.Fatal("setup: squeeze demoted no page Correct can measure")
 	}
-	p := eng.Policy().(*HeatPolicy)
+	p := eng.Policy().(*heatPolicy)
 	promotions := eng.Stats().Promotions
 	now, period := m.Clock(), g.Params().SamplePeriodNs
 	tick := func(n int64) {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -10,21 +9,22 @@ import (
 	"thermostat/internal/sim"
 )
 
-// Heat policy defaults, as fractions of the cgroup's target slow-access
-// rate. With the default half-life (two sampling periods) a steady access
-// rate r settles at heat ≈ 3.4·r, so the promotion watermark (1.0·target)
-// fires for cold pages sustaining roughly 0.3·target and the demotion
-// watermark (0.1·target) catches top-tier pages below roughly 0.03·target.
+// Heat policy watermarks, as fractions of the cgroup's target slow-access
+// rate, and its half-life. With a half-life of two sampling periods a
+// steady access rate r settles at heat ≈ 3.4·r, so the promotion watermark
+// (1.0·target) fires for cold pages sustaining roughly 0.3·target and the
+// demotion watermark (0.1·target) catches top-tier pages below roughly
+// 0.03·target. Promotion stays strictly above demotion (hysteresis).
 const (
-	defaultPromoteFraction = 1.0
-	defaultDemoteFraction  = 0.1
-	defaultHalfLifePeriods = 2
+	promoteFraction = 1.0
+	demoteFraction  = 0.1
+	halfLifePeriods = 2
 	// maxHeatFactor bounds accumulated heat at this multiple of the
 	// target rate — the "heat is bounded" invariant.
 	maxHeatFactor = 1000
 )
 
-// HeatPolicy is an age/heat placement rule in the memtierd style: every
+// heatPolicy is an age/heat placement rule in the memtierd style: every
 // page carries a heat score that decays exponentially with idle time and is
 // recharged by measured access rate, and placement is hysteresis between
 // two watermarks — cold pages whose heat climbs above the promotion
@@ -36,18 +36,12 @@ const (
 // Unlike the threshold policy it needs no aggregate rate budget, so it
 // composes with binary trackers (idlebit, softdirty) whose rate ladders
 // would make a cumulative budget mostly meaningless.
-type HeatPolicy struct {
+type heatPolicy struct {
 	ledger
 
-	// PromoteFraction and DemoteFraction position the watermarks as
-	// fractions of the target slow-access rate; PromoteFraction must stay
-	// strictly above DemoteFraction (hysteresis). Zero values select the
-	// defaults at Attach.
-	PromoteFraction float64
-	DemoteFraction  float64
-	// HalfLifeNs is the heat half-life; zero selects two sampling periods
+	// halfLifeNs is the heat half-life: halfLifePeriods sampling periods
 	// at Attach.
-	HalfLifeNs int64
+	halfLifeNs int64
 
 	heat map[addr.Virt]float64
 
@@ -61,9 +55,9 @@ type HeatPolicy struct {
 	lastInterval float64
 }
 
-// NewHeatPolicy builds the heat policy with default watermarks.
-func NewHeatPolicy() *HeatPolicy {
-	return &HeatPolicy{
+// newHeatPolicy builds the heat policy; Attach sets its half-life.
+func newHeatPolicy() *heatPolicy {
+	return &heatPolicy{
 		ledger: newLedger(),
 		heat:   make(map[addr.Virt]float64),
 		moved:  make(map[addr.Virt]bool),
@@ -71,55 +65,43 @@ func NewHeatPolicy() *HeatPolicy {
 }
 
 // Name implements Policy.
-func (p *HeatPolicy) Name() string { return "heat" }
+func (p *heatPolicy) Name() string { return "heat" }
 
 // StateBytes implements Policy: the ledger, plus one entry per page ever
 // estimated in the heat map and one per page moved this period.
-func (p *HeatPolicy) StateBytes() uint64 {
+func (p *heatPolicy) StateBytes() uint64 {
 	return p.stateBytes() + uint64(len(p.heat))*16 + uint64(len(p.moved))*16
 }
 
 // Attach implements Policy.
-func (p *HeatPolicy) Attach(m *sim.Machine, g *cgroup.Group, tr Tracker) error {
+func (p *heatPolicy) Attach(m *sim.Machine, g *cgroup.Group, tr Tracker) error {
 	p.attach(m, g, tr)
-	if p.PromoteFraction == 0 {
-		p.PromoteFraction = defaultPromoteFraction
-	}
-	if p.DemoteFraction == 0 {
-		p.DemoteFraction = defaultDemoteFraction
-	}
-	if p.HalfLifeNs == 0 {
-		p.HalfLifeNs = defaultHalfLifePeriods * g.Params().SamplePeriodNs
-	}
-	if p.PromoteFraction <= p.DemoteFraction {
-		return fmt.Errorf("core: heat policy watermarks inverted (promote %.3g ≤ demote %.3g)",
-			p.PromoteFraction, p.DemoteFraction)
-	}
+	p.halfLifeNs = halfLifePeriods * g.Params().SamplePeriodNs
 	return nil
 }
 
 // EndPeriod implements Policy.
-func (p *HeatPolicy) EndPeriod() {
+func (p *heatPolicy) EndPeriod() {
 	p.ledger.EndPeriod()
 	clear(p.moved)
 }
 
 // Heat returns the page's current heat score (for inspection and tests).
-func (p *HeatPolicy) Heat(base addr.Virt) float64 { return p.heat[base] }
+func (p *heatPolicy) Heat(base addr.Virt) float64 { return p.heat[base] }
 
 // maxHeat bounds the accumulated score.
-func (p *HeatPolicy) maxHeat() float64 {
+func (p *heatPolicy) maxHeat() float64 {
 	return maxHeatFactor * p.group.Params().TargetSlowAccessRate()
 }
 
 // DecayFactor returns the multiplicative heat decay over an idle stretch of
 // dtSec seconds: 2^(-dt/halfLife). It is monotonically non-increasing in
 // dtSec and never exceeds 1.
-func (p *HeatPolicy) DecayFactor(dtSec float64) float64 {
+func (p *heatPolicy) DecayFactor(dtSec float64) float64 {
 	if dtSec <= 0 {
 		return 1
 	}
-	half := float64(p.HalfLifeNs) / 1e9
+	half := float64(p.halfLifeNs) / 1e9
 	if half <= 0 {
 		return 0
 	}
@@ -128,7 +110,7 @@ func (p *HeatPolicy) DecayFactor(dtSec float64) float64 {
 
 // bump applies one interval's measurement to a page's heat: decay the old
 // score over the interval, add the measured rate, clamp to the bound.
-func (p *HeatPolicy) bump(base addr.Virt, rate, dtSec float64) {
+func (p *heatPolicy) bump(base addr.Virt, rate, dtSec float64) {
 	h := p.heat[base]*p.DecayFactor(dtSec) + rate
 	if max := p.maxHeat(); h > max {
 		h = max
@@ -137,15 +119,15 @@ func (p *HeatPolicy) bump(base addr.Virt, rate, dtSec float64) {
 }
 
 // watermarks resolves the current promotion/demotion heat thresholds.
-func (p *HeatPolicy) watermarks() (promote, demote float64) {
+func (p *heatPolicy) watermarks() (promote, demote float64) {
 	target := p.group.Params().TargetSlowAccessRate()
-	return p.PromoteFraction * target, p.DemoteFraction * target
+	return promoteFraction * target, demoteFraction * target
 }
 
 // Correct implements Policy: measure the cold set, recharge heats, and
 // promote pages whose heat crossed the promotion watermark — hottest
 // first, so a full top tier serves the strongest candidates.
-func (p *HeatPolicy) Correct(intervalSec float64) error {
+func (p *heatPolicy) Correct(intervalSec float64) error {
 	p.lastInterval = intervalSec
 	promoteWM, _ := p.watermarks()
 	var cands []Measured
@@ -183,7 +165,7 @@ func (p *HeatPolicy) Correct(intervalSec float64) error {
 // estimates and demote pages whose heat decayed below the demotion
 // watermark — coldest first. Pages promoted earlier this tick are immune
 // (no single-tick oscillation), as are quarantined pages.
-func (p *HeatPolicy) Place(ests []Estimate) error {
+func (p *heatPolicy) Place(ests []Estimate) error {
 	dt := p.lastInterval
 	if dt <= 0 {
 		dt = float64(p.group.Params().SamplePeriodNs) / 1e9
@@ -220,7 +202,7 @@ func (p *HeatPolicy) Place(ests []Estimate) error {
 
 // DemoteForCapacity implements Policy: the shared demotion, plus the
 // moved-this-tick mark so a squeezed page cannot promote in the same period.
-func (p *HeatPolicy) DemoteForCapacity(base addr.Virt) (bool, error) {
+func (p *heatPolicy) DemoteForCapacity(base addr.Virt) (bool, error) {
 	moved, err := p.ledger.DemoteForCapacity(base)
 	if moved {
 		p.moved[base] = true

@@ -63,7 +63,7 @@ func (p *ThresholdPolicy) Correct(intervalSec float64) error {
 			measured = append(measured, c)
 		}
 	}
-	promos := SelectPromotions(measured, p.group.Params().TargetSlowAccessRate())
+	promos := selectPromotions(measured, p.group.Params().TargetSlowAccessRate())
 	if len(promos) > 0 && p.m.Recorder() != nil {
 		rates := make(map[addr.Virt]float64, len(measured))
 		for _, c := range measured {

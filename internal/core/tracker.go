@@ -150,29 +150,29 @@ const (
 	streamDamon     = 0xda303712
 )
 
-// NewTrackerByName builds a tracker by registry name, drawing tuning
+// newTrackerByName builds a tracker by registry name, drawing tuning
 // parameters from group and randomness from seed.
-func NewTrackerByName(name string, group *cgroup.Group, seed uint64) (Tracker, error) {
+func newTrackerByName(name string, group *cgroup.Group, seed uint64) (Tracker, error) {
 	switch name {
 	case "poison":
 		return NewPoisonTracker(group, seed), nil
 	case "idlebit":
-		return NewIdleBitTracker(group, seed), nil
+		return newIdleBitTracker(group, seed), nil
 	case "softdirty":
-		return NewSoftDirtyTracker(group, seed), nil
+		return newSoftDirtyTracker(group, seed), nil
 	case "damon":
-		return NewDamonTracker(group, seed), nil
+		return newDamonTracker(group, seed), nil
 	}
 	return nil, fmt.Errorf("core: unknown tracker %q (have %v)", name, TrackerNames())
 }
 
-// NewPolicyByName builds a placement policy by registry name.
-func NewPolicyByName(name string) (Policy, error) {
+// newPolicyByName builds a placement policy by registry name.
+func newPolicyByName(name string) (Policy, error) {
 	switch name {
 	case "threshold":
 		return NewThresholdPolicy(), nil
 	case "heat":
-		return NewHeatPolicy(), nil
+		return newHeatPolicy(), nil
 	}
 	return nil, fmt.Errorf("core: unknown policy %q (have %v)", name, PolicyNames())
 }

@@ -13,7 +13,7 @@ import (
 // estimate drop to zero (kstaled's classic "idle for N windows" rule).
 const bitIdleDemoteScans = 3
 
-// BitTracker estimates access rates from a single page-table bit: the
+// bitTracker estimates access rates from a single page-table bit: the
 // Accessed bit (kstaled-style idle bitmap, tracker name "idlebit") or the
 // Dirty bit (soft-dirty write tracking, tracker name "softdirty").
 //
@@ -27,7 +27,7 @@ const bitIdleDemoteScans = 3
 //
 // The softdirty variant inherits a second blindness: read-only hot pages
 // never set the Dirty bit, so read-mostly working sets look cold to it.
-type BitTracker struct {
+type bitTracker struct {
 	name  string
 	group *cgroup.Group
 	m     *sim.Machine
@@ -45,25 +45,25 @@ type BitTracker struct {
 	sampled stats.Counter
 }
 
-// NewIdleBitTracker builds the kstaled-backed idle-bitmap tracker. The seed
+// newIdleBitTracker builds the kstaled-backed idle-bitmap tracker. The seed
 // is accepted for registry uniformity; bit scanning draws no randomness.
-func NewIdleBitTracker(group *cgroup.Group, seed uint64) *BitTracker {
+func newIdleBitTracker(group *cgroup.Group, seed uint64) *bitTracker {
 	_ = seed
-	return &BitTracker{name: "idlebit", group: group, flag: pagetable.Accessed}
+	return &bitTracker{name: "idlebit", group: group, flag: pagetable.Accessed}
 }
 
-// NewSoftDirtyTracker builds the soft-dirty write tracker: identical scan
+// newSoftDirtyTracker builds the soft-dirty write tracker: identical scan
 // machinery over the Dirty bit.
-func NewSoftDirtyTracker(group *cgroup.Group, seed uint64) *BitTracker {
+func newSoftDirtyTracker(group *cgroup.Group, seed uint64) *bitTracker {
 	_ = seed
-	return &BitTracker{name: "softdirty", group: group, flag: pagetable.Dirty}
+	return &bitTracker{name: "softdirty", group: group, flag: pagetable.Dirty}
 }
 
 // Name implements Tracker.
-func (t *BitTracker) Name() string { return t.name }
+func (t *bitTracker) Name() string { return t.name }
 
 // Attach implements Tracker.
-func (t *BitTracker) Attach(m *sim.Machine, view View) error {
+func (t *bitTracker) Attach(m *sim.Machine, view View) error {
 	t.m = m
 	t.view = view
 	t.scanner = kstaled.NewWithFlag(m.PageTable(), m.TLB(), m.VPID(), 0, t.flag)
@@ -72,7 +72,7 @@ func (t *BitTracker) Attach(m *sim.Machine, view View) error {
 
 // StateBytes reports the tracker's resident metadata (the scanner's
 // per-region scan histories).
-func (t *BitTracker) StateBytes() uint64 {
+func (t *bitTracker) StateBytes() uint64 {
 	if t.scanner == nil {
 		return 0
 	}
@@ -82,26 +82,26 @@ func (t *BitTracker) StateBytes() uint64 {
 // SetScope implements Tracker. Like the real kstaled, the scan pass itself
 // walks the whole page table (clearing bits is global); the scope only
 // restricts which pages produce estimates.
-func (t *BitTracker) SetScope(provider func() []addr.Range) { t.scope = provider }
+func (t *bitTracker) SetScope(provider func() []addr.Range) { t.scope = provider }
 
 // Coverage implements Tracker: every scan covers the whole footprint.
-func (t *BitTracker) Coverage() float64 { return 1.0 }
+func (t *bitTracker) Coverage() float64 { return 1.0 }
 
 // Sampled implements Tracker: 2MB pages visited across all scan passes.
-func (t *BitTracker) Sampled() uint64 { return t.sampled.Value() }
+func (t *bitTracker) Sampled() uint64 { return t.sampled.Value() }
 
 // NotePlaced implements Tracker: bit state carries across migrations
 // unchanged (the PTE moves with the page), so nothing rebases.
-func (t *BitTracker) NotePlaced(base addr.Virt) {}
+func (t *bitTracker) NotePlaced(base addr.Virt) {}
 
 // Arm implements Tracker: the next period gets a fresh scan pass.
-func (t *BitTracker) Arm() error {
+func (t *bitTracker) Arm() error {
 	t.scannedTick = false
 	return nil
 }
 
 // ensureScanned runs the period's single scan-and-clear pass on first use.
-func (t *BitTracker) ensureScanned() {
+func (t *bitTracker) ensureScanned() {
 	if t.scannedTick {
 		return
 	}
@@ -114,12 +114,12 @@ func (t *BitTracker) ensureScanned() {
 // window: twice the target slow-access rate, so one touched cold page is
 // enough to trigger the threshold policy's correction and a touched
 // top-tier page can never fit in its demotion budget.
-func (t *BitTracker) assumedHotRate() float64 {
+func (t *bitTracker) assumedHotRate() float64 {
 	return 2 * t.group.Params().TargetSlowAccessRate()
 }
 
 // rateOf converts a page's scan history into the coarse rate ladder.
-func (t *BitTracker) rateOf(base addr.Virt) float64 {
+func (t *bitTracker) rateOf(base addr.Virt) float64 {
 	st := t.scanner.State(base)
 	if st == nil || st.IdleScans >= bitIdleDemoteScans {
 		return 0
@@ -128,7 +128,7 @@ func (t *BitTracker) rateOf(base addr.Virt) float64 {
 }
 
 // MeasureCold implements Tracker.
-func (t *BitTracker) MeasureCold(cold []addr.Virt, intervalSec float64) []Measured {
+func (t *bitTracker) MeasureCold(cold []addr.Virt, intervalSec float64) []Measured {
 	t.ensureScanned()
 	out := make([]Measured, 0, len(cold))
 	for _, base := range cold {
@@ -139,7 +139,7 @@ func (t *BitTracker) MeasureCold(cold []addr.Virt, intervalSec float64) []Measur
 
 // Estimates implements Tracker: one estimate per in-scope top-tier huge
 // page, in ascending base order (ScanHuge visits in address order).
-func (t *BitTracker) Estimates(intervalSec float64) ([]Estimate, error) {
+func (t *bitTracker) Estimates(intervalSec float64) ([]Estimate, error) {
 	t.ensureScanned()
 	ranges := scopeRangesOf(t.scope)
 	var ests []Estimate

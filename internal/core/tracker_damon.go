@@ -32,7 +32,7 @@ type damonRegion struct {
 	sampleSize int
 }
 
-// DamonTracker estimates access rates by adaptive region sampling, after
+// damonTracker estimates access rates by adaptive region sampling, after
 // the kernel's DAMON: the address space is partitioned into regions of
 // contiguous 2MB pages, each region is probed with a constant number of
 // random single-page checks per interval (read-and-clear the Accessed
@@ -40,7 +40,7 @@ type damonRegion struct {
 // agree merge, regions whose own samples disagree split. Sampling cost per
 // interval is O(regions × samples), not O(footprint), which is the DAMON
 // trade: cheap, but a region's estimate smears over all its pages.
-type DamonTracker struct {
+type damonTracker struct {
 	group *cgroup.Group
 	m     *sim.Machine
 	view  View
@@ -54,37 +54,37 @@ type DamonTracker struct {
 	sampled stats.Counter
 }
 
-// NewDamonTracker builds the region sampler. Randomness (which page each
+// newDamonTracker builds the region sampler. Randomness (which page each
 // region probe lands on, where a heterogeneous region splits) comes from a
 // dedicated rng stream of seed, so composing this tracker never perturbs
 // the workload or chaos streams.
-func NewDamonTracker(group *cgroup.Group, seed uint64) *DamonTracker {
-	return &DamonTracker{group: group, r: rng.NewStream(seed, streamDamon)}
+func newDamonTracker(group *cgroup.Group, seed uint64) *damonTracker {
+	return &damonTracker{group: group, r: rng.NewStream(seed, streamDamon)}
 }
 
 // Name implements Tracker.
-func (t *DamonTracker) Name() string { return "damon" }
+func (t *damonTracker) Name() string { return "damon" }
 
 // Attach implements Tracker.
-func (t *DamonTracker) Attach(m *sim.Machine, view View) error {
+func (t *damonTracker) Attach(m *sim.Machine, view View) error {
 	t.m = m
 	t.view = view
 	return nil
 }
 
 // SetScope implements Tracker.
-func (t *DamonTracker) SetScope(provider func() []addr.Range) { t.scope = provider }
+func (t *damonTracker) SetScope(provider func() []addr.Range) { t.scope = provider }
 
 // Coverage implements Tracker: every page belongs to a sampled region, so
 // each interval yields an estimate for the whole footprint.
-func (t *DamonTracker) Coverage() float64 { return 1.0 }
+func (t *damonTracker) Coverage() float64 { return 1.0 }
 
 // Sampled implements Tracker: cumulative single-page probes.
-func (t *DamonTracker) Sampled() uint64 { return t.sampled.Value() }
+func (t *damonTracker) Sampled() uint64 { return t.sampled.Value() }
 
 // StateBytes implements Tracker: the region records (a slice header and two
 // counters, 40 bytes) and their page lists.
-func (t *DamonTracker) StateBytes() uint64 {
+func (t *damonTracker) StateBytes() uint64 {
 	b := uint64(len(t.regions)) * 40
 	for i := range t.regions {
 		b += uint64(len(t.regions[i].pages)) * 8
@@ -94,17 +94,17 @@ func (t *DamonTracker) StateBytes() uint64 {
 
 // NotePlaced implements Tracker: region membership is by address, not
 // tier, so a migration changes nothing.
-func (t *DamonTracker) NotePlaced(base addr.Virt) {}
+func (t *damonTracker) NotePlaced(base addr.Virt) {}
 
 // Arm implements Tracker: the next period gets a fresh sampling pass.
-func (t *DamonTracker) Arm() error {
+func (t *damonTracker) Arm() error {
 	t.scannedTick = false
 	return nil
 }
 
 // mappedPages lists the in-scope mapped 2MB bases in ascending order
 // (ScanHuge visits in address order).
-func (t *DamonTracker) mappedPages() []addr.Virt {
+func (t *damonTracker) mappedPages() []addr.Virt {
 	ranges := scopeRangesOf(t.scope)
 	var pages []addr.Virt
 	t.m.PageTable().ScanHuge(func(base addr.Virt) {
@@ -119,7 +119,7 @@ func (t *DamonTracker) mappedPages() []addr.Virt {
 // vanished pages drop out, new pages extend the nearest region or start
 // fresh ones, and region page lists stay sorted. Regions are kept sorted by
 // their first page.
-func (t *DamonTracker) syncRegions(pages []addr.Virt) {
+func (t *damonTracker) syncRegions(pages []addr.Virt) {
 	known := make(map[addr.Virt]int, len(pages)*2)
 	for i, reg := range t.regions {
 		for _, p := range reg.pages {
@@ -172,7 +172,7 @@ func (t *DamonTracker) syncRegions(pages []addr.Virt) {
 
 // probe checks one 2MB page's Accessed bit and rearms it (clear + TLB
 // flush) so the next interval observes fresh accesses.
-func (t *DamonTracker) probe(base addr.Virt) bool {
+func (t *damonTracker) probe(base addr.Virt) bool {
 	prior, ok := t.m.PageTable().ClearFlags(base, pagetable.Accessed)
 	if !ok {
 		return false
@@ -187,7 +187,7 @@ func (t *DamonTracker) probe(base addr.Virt) bool {
 // ensureScanned runs the period's sampling pass on first use: probe every
 // region, then merge homogeneous neighbours and split heterogeneous
 // regions.
-func (t *DamonTracker) ensureScanned() {
+func (t *damonTracker) ensureScanned() {
 	if t.scannedTick {
 		return
 	}
@@ -220,7 +220,7 @@ func (t *DamonTracker) ensureScanned() {
 // Then split: a region whose own samples disagreed — some accessed, some
 // not — is not homogeneous, so it splits at a random page boundary, while
 // the region count stays under damonMaxRegions.
-func (t *DamonTracker) adapt() {
+func (t *damonTracker) adapt() {
 	// Merge pass (left to right, deterministic).
 	merged := t.regions[:0]
 	for _, reg := range t.regions {
@@ -272,7 +272,7 @@ func (t *DamonTracker) adapt() {
 }
 
 // rateOf smears a region's sampled density over each of its pages.
-func (t *DamonTracker) rateOf(reg *damonRegion) float64 {
+func (t *damonTracker) rateOf(reg *damonRegion) float64 {
 	if reg.sampleSize == 0 {
 		return 0
 	}
@@ -281,7 +281,7 @@ func (t *DamonTracker) rateOf(reg *damonRegion) float64 {
 }
 
 // MeasureCold implements Tracker.
-func (t *DamonTracker) MeasureCold(cold []addr.Virt, intervalSec float64) []Measured {
+func (t *damonTracker) MeasureCold(cold []addr.Virt, intervalSec float64) []Measured {
 	t.ensureScanned()
 	rate := make(map[addr.Virt]float64)
 	for i := range t.regions {
@@ -301,7 +301,7 @@ func (t *DamonTracker) MeasureCold(cold []addr.Virt, intervalSec float64) []Meas
 // page, in ascending base order. Regions are sorted by first page, but
 // after page churn a new region can start inside an older region's gap,
 // so the pages are sorted here.
-func (t *DamonTracker) Estimates(intervalSec float64) ([]Estimate, error) {
+func (t *damonTracker) Estimates(intervalSec float64) ([]Estimate, error) {
 	t.ensureScanned()
 	var ests []Estimate
 	for i := range t.regions {

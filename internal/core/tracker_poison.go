@@ -191,7 +191,7 @@ func (t *PoisonTracker) Estimates(intervalSec float64) ([]Estimate, error) {
 			for _, child := range s.poisoned {
 				faults += t.delta(child)
 			}
-			rate := ScaleEstimate(faults, intervalSec, s.nAccessed, len(s.poisoned))
+			rate := scaleEstimate(faults, intervalSec, s.nAccessed, len(s.poisoned))
 			fastEsts = append(fastEsts, Estimate{Base: s.base, Rate: rate})
 		}
 		daemon += int64(addr.PagesPerHuge) * perLeafScanNs

@@ -188,14 +188,14 @@ func isCompositionPolicy(name string) bool {
 	return slices.Contains(core.PolicyNames(), name)
 }
 
-// MigratesPages reports whether the policy arm moves pages between tiers
+// migratesPages reports whether the policy arm moves pages between tiers
 // (every arm except the all-DRAM baseline does).
-func MigratesPages(policy string) bool { return policy != "all-dram" }
+func migratesPages(policy string) bool { return policy != "all-dram" }
 
-// EnginePolicy reports whether the policy runs through a core.Engine — the
+// enginePolicy reports whether the policy runs through a core.Engine — the
 // paper's arm or any tracker × policy composition. Only engine runs carry
 // the daemon's quarantine ladder and checkpoint digests.
-func EnginePolicy(policy string) bool {
+func enginePolicy(policy string) bool {
 	return policy == "thermostat" || isCompositionPolicy(policy)
 }
 
@@ -250,7 +250,7 @@ func (c Config) Validate() error {
 			return fmt.Errorf("-footprint is ambiguous with -tenants; size each tenant's model instead")
 		}
 	}
-	if EnginePolicy(c.Policy) && c.Policy != "" && c.SlowdownPct <= 0 {
+	if enginePolicy(c.Policy) && c.Policy != "" && c.SlowdownPct <= 0 {
 		return fmt.Errorf("-slowdown %g must be positive for -policy %s", c.SlowdownPct, c.Policy)
 	}
 	if c.Policy == "idle-demote" && c.IdleWindowS <= 0 {
@@ -262,7 +262,7 @@ func (c Config) Validate() error {
 	if c.Chaos.PermanentFraction < 0 || c.Chaos.PermanentFraction > 1 {
 		return fmt.Errorf("-chaos-permanent %g outside [0, 1]", c.Chaos.PermanentFraction)
 	}
-	if c.Chaos.Rate > 0 && !MigratesPages(c.Policy) {
+	if c.Chaos.Rate > 0 && !migratesPages(c.Policy) {
 		return fmt.Errorf("-chaos-rate needs a migrating policy; all-dram never migrates")
 	}
 	if !obsv.ValidLogFormat(c.LogFormat) {
@@ -279,7 +279,7 @@ func (c Config) Validate() error {
 		if len(c.Tiers) > 0 {
 			return fmt.Errorf("-tenants is not supported with -tiers (the fleet pool is the two-tier DRAM budget)")
 		}
-		if !EnginePolicy(c.Policy) {
+		if !enginePolicy(c.Policy) {
 			return fmt.Errorf("-tenants needs a migrating per-tenant engine (-policy thermostat, %s)",
 				strings.Join(core.PolicyNames(), ", or "))
 		}
@@ -294,7 +294,7 @@ func (c Config) Validate() error {
 		// A deep hierarchy only makes sense under an engine that migrates
 		// between its tiers: the paper's arm or any tracker × policy
 		// composition.
-		if !EnginePolicy(c.Policy) {
+		if !enginePolicy(c.Policy) {
 			return fmt.Errorf("-tiers needs a migrating engine (-policy thermostat, %s)",
 				strings.Join(core.PolicyNames(), ", or "))
 		}
@@ -413,7 +413,7 @@ func (c Config) ValidateForDaemon() error {
 	if len(c.Tenants) > 0 {
 		return fmt.Errorf("daemon: thermostatd does not run tenant fleets yet; use thermostat-sim -tenants")
 	}
-	if !EnginePolicy(c.Policy) {
+	if !enginePolicy(c.Policy) {
 		return fmt.Errorf("daemon: policy %q has no engine; thermostatd needs thermostat or a tracker × policy composition (%s)",
 			c.Policy, strings.Join(core.PolicyNames(), ", "))
 	}
@@ -490,14 +490,14 @@ func (c Config) Encode() []byte {
 	return append(b, '\n')
 }
 
-// DiffReload splits a proposed new config against the running one into the
+// diffReload splits a proposed new config against the running one into the
 // permitted live changes and returns them as human-readable "key: old →
 // new" lines. A change to any structural field — anything that would alter
 // the seeded simulation already in flight (app, policy, scale, seed,
 // footprint, tiers, listeners, ...) — rejects the whole reload with an
 // error, so a bad edit never half-applies. An empty slice with a nil error
 // means the reload is a no-op.
-func DiffReload(old, new Config) ([]string, error) {
+func diffReload(old, new Config) ([]string, error) {
 	type structural struct {
 		name     string
 		old, new any

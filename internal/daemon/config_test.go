@@ -207,7 +207,7 @@ func TestDiffReload(t *testing.T) {
 	now := old
 	now.SlowdownPct = 5
 	now.Chaos.Rate = 0.4
-	changes, err := DiffReload(old, now)
+	changes, err := diffReload(old, now)
 	if err != nil {
 		t.Fatalf("DiffReload: %v", err)
 	}
@@ -215,23 +215,23 @@ func TestDiffReload(t *testing.T) {
 		t.Fatalf("want 2 changes, got %v", changes)
 	}
 
-	if changes, err := DiffReload(old, old); err != nil || len(changes) != 0 {
+	if changes, err := diffReload(old, old); err != nil || len(changes) != 0 {
 		t.Fatalf("no-op reload: %v %v", changes, err)
 	}
 
 	bad := old
 	bad.Seed = 99
-	if _, err := DiffReload(old, bad); err == nil || !strings.Contains(err.Error(), "not reloadable") {
+	if _, err := diffReload(old, bad); err == nil || !strings.Contains(err.Error(), "not reloadable") {
 		t.Fatalf("structural change should reject: %v", err)
 	}
 
 	quiet := old
 	quiet.Chaos.Rate = 0
 	enabled := old
-	if _, err := DiffReload(quiet, enabled); err == nil || !strings.Contains(err.Error(), "cannot be enabled") {
+	if _, err := diffReload(quiet, enabled); err == nil || !strings.Contains(err.Error(), "cannot be enabled") {
 		t.Fatalf("chaos enable should reject: %v", err)
 	}
-	if _, err := DiffReload(enabled, quiet); err != nil {
+	if _, err := diffReload(enabled, quiet); err != nil {
 		t.Fatalf("chaos disable should be allowed: %v", err)
 	}
 }

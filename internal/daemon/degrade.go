@@ -2,39 +2,39 @@ package daemon
 
 import "thermostat/internal/telemetry"
 
-// Health is the daemon's position on the graceful-degradation ladder.
+// health is the daemon's position on the graceful-degradation ladder.
 // The ladder replaces "retry until quarantine, then shrug" with bounded,
 // observable backpressure: each rung sheds a class of work, and hysteresis
 // (RecoverAfter ≫ DegradeAfter by default) keeps a flapping fault source
 // from bouncing the daemon between rungs every epoch.
-type Health int
+type health int
 
 const (
-	// Healthy: full operation.
-	Healthy Health = iota
-	// Degraded: scan intervals widened by WidenFactor and fine-grained
+	// healthy: full operation.
+	healthy health = iota
+	// degraded: scan intervals widened by WidenFactor and fine-grained
 	// telemetry events shed, trading fidelity for reduced daemon work
 	// while faults persist. Migrations still run.
-	Degraded
-	// QuarantineOnly: the engine is frozen — tracking continues so
+	degraded
+	// quarantineOnly: the engine is frozen — tracking continues so
 	// recovery has fresh estimates, but no new migrations start. Pages
 	// already quarantined serve out their sentences.
-	QuarantineOnly
-	// Halted: the run is stopped at an epoch boundary; telemetry is
+	quarantineOnly
+	// halted: the run is stopped at an epoch boundary; telemetry is
 	// flushed and the daemon exits nonzero. Terminal.
-	Halted
+	halted
 )
 
 // String returns the health name used in /status, slog and the gate script.
-func (h Health) String() string {
+func (h health) String() string {
 	switch h {
-	case Healthy:
+	case healthy:
 		return "healthy"
-	case Degraded:
+	case degraded:
 		return "degraded"
-	case QuarantineOnly:
+	case quarantineOnly:
 		return "quarantine-only"
-	case Halted:
+	case halted:
 		return "halted"
 	}
 	return "unknown"
@@ -48,7 +48,7 @@ func (h Health) String() string {
 // and the reload-vs-cold-start differential test rely on.
 type ladder struct {
 	cfg    DegradeConfig
-	health Health
+	health health
 	faulty int // consecutive faulty epochs at the current rung
 	clean  int // consecutive clean epochs at the current rung
 }
@@ -57,8 +57,8 @@ type ladder struct {
 // plus whether a transition happened. Counters reset on every transition
 // and whenever the epoch kind flips, so each rung demands a fresh
 // consecutive streak.
-func (l *ladder) Observe(faultyEpoch bool) (Health, bool) {
-	if l.cfg.Disabled || l.health == Halted {
+func (l *ladder) Observe(faultyEpoch bool) (health, bool) {
+	if l.cfg.Disabled || l.health == halted {
 		return l.health, false
 	}
 	if faultyEpoch {
@@ -66,11 +66,11 @@ func (l *ladder) Observe(faultyEpoch bool) (Health, bool) {
 		l.faulty++
 		var threshold int
 		switch l.health {
-		case Healthy:
+		case healthy:
 			threshold = l.cfg.DegradeAfter
-		case Degraded:
+		case degraded:
 			threshold = l.cfg.QuarantineAfter
-		case QuarantineOnly:
+		case quarantineOnly:
 			threshold = l.cfg.HaltAfter // 0 = never halt
 		}
 		if threshold > 0 && l.faulty >= threshold {
@@ -81,7 +81,7 @@ func (l *ladder) Observe(faultyEpoch bool) (Health, bool) {
 		return l.health, false
 	}
 	l.faulty = 0
-	if l.health == Healthy {
+	if l.health == healthy {
 		return l.health, false
 	}
 	l.clean++

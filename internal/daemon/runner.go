@@ -26,7 +26,7 @@ import (
 // "crash" in-process.
 var ErrSimulatedCrash = errors.New("daemon: simulated crash")
 
-// ErrHalted is returned by Run when the degradation ladder reaches Halted:
+// ErrHalted is returned by Run when the degradation ladder reaches halted:
 // the run was stopped at an epoch boundary and telemetry was flushed, but
 // the outcome is a deliberate failure, not a completion.
 var ErrHalted = errors.New("daemon: halted by degradation ladder")
@@ -67,7 +67,7 @@ type Runner struct {
 	cfg     Config  // current effective config (base + applied reloads)
 	pending *Config // latest posted reload, coalesced until the next epoch
 	stopReq bool
-	health  Health
+	health  health
 	epoch   uint64
 	journal []TimelineEntry // applied reload entries, in order
 
@@ -87,7 +87,7 @@ type RunOutcome struct {
 	// Epochs is the number of completed policy ticks.
 	Epochs uint64
 	// Health is the final ladder position.
-	Health Health
+	Health health
 }
 
 // runState bundles the live simulation objects the tick hook manipulates.
@@ -121,7 +121,7 @@ func (r *Runner) Reload(next Config) ([]string, error) {
 	if r.pending != nil {
 		cur = *r.pending // diff against the latest queued state
 	}
-	changes, err := DiffReload(cur, next)
+	changes, err := diffReload(cur, next)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +141,7 @@ func (r *Runner) Stop() {
 }
 
 // Health returns the current ladder position.
-func (r *Runner) Health() Health {
+func (r *Runner) Health() health {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.health
@@ -175,7 +175,7 @@ func (r *Runner) Run() (*RunOutcome, error) {
 	if werr := r.writeExports(); werr != nil && err == nil {
 		err = werr
 	}
-	if err == nil && out != nil && out.Health == Halted {
+	if err == nil && out != nil && out.Health == halted {
 		err = ErrHalted
 	}
 	return out, err
@@ -200,7 +200,7 @@ func (r *Runner) run() (*RunOutcome, error) {
 	r.mu.Lock()
 	r.cfg = cfg
 	r.journal = nil
-	r.health = Healthy
+	r.health = healthy
 	r.epoch = 0
 	r.mu.Unlock()
 
@@ -208,7 +208,7 @@ func (r *Runner) run() (*RunOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.setPublishedHealth(Healthy)
+	r.setPublishedHealth(healthy)
 
 	res, err := asm.Run(func(now int64) error { return r.tick(rs, now) })
 	if err != nil {
@@ -311,7 +311,7 @@ func (r *Runner) tick(rs *runState, now int64) error {
 	activity := rep.Injected + rep.RolledBack + rep.Quarantined
 	faulty := activity > rs.lastFaults
 	rs.lastFaults = activity
-	if !faulty && rs.ladder.health == QuarantineOnly {
+	if !faulty && rs.ladder.health == quarantineOnly {
 		faulty = rs.eng.ActiveQuarantinedPages() > 0
 	}
 	if h, changed := rs.ladder.Observe(faulty); changed {
@@ -373,7 +373,7 @@ func (r *Runner) applyEntry(rs *runState, e TimelineEntry, live bool) {
 	old := r.cfg
 	r.mu.Unlock()
 	next := e.Config.Normalize()
-	changes, err := DiffReload(old, next)
+	changes, err := diffReload(old, next)
 	if err != nil {
 		r.logger().Error("reload rejected at apply", "err", err, "live", live)
 		return
@@ -412,14 +412,14 @@ func (r *Runner) applyEntry(rs *runState, e TimelineEntry, live bool) {
 // transition applies one ladder move: widen or restore the scan interval,
 // shed or restore telemetry, freeze or thaw the engine, and log it. All on
 // the simulation goroutine at an epoch boundary.
-func (r *Runner) transition(rs *runState, h Health, epoch uint64, now int64) {
+func (r *Runner) transition(rs *runState, h health, epoch uint64, now int64) {
 	r.mu.Lock()
 	from := r.health
 	r.health = h
 	r.mu.Unlock()
-	rs.shed.shed = h >= Degraded
-	rs.eng.SetFrozen(h >= QuarantineOnly)
-	if h == Halted {
+	rs.shed.shed = h >= degraded
+	rs.eng.SetFrozen(h >= quarantineOnly)
+	if h == halted {
 		rs.halted = true
 	}
 	r.applyInterval(rs)
@@ -436,7 +436,7 @@ func (r *Runner) applyInterval(rs *runState) {
 	widen := r.cfg.Daemon.Degrade.WidenFactor
 	r.mu.Unlock()
 	effective := rs.basePeriodNs
-	if h >= Degraded && h < Halted && widen > 1 {
+	if h >= degraded && h < halted && widen > 1 {
 		effective *= widen
 	}
 	p := rs.group.Params()
@@ -476,7 +476,7 @@ func (r *Runner) logger() *slog.Logger {
 	return discardLogger
 }
 
-func (r *Runner) setPublishedHealth(h Health) {
+func (r *Runner) setPublishedHealth(h health) {
 	if r.Publisher != nil {
 		r.Publisher.SetHealth(h.String())
 	}

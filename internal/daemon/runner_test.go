@@ -63,7 +63,7 @@ func TestRunDeterministic(t *testing.T) {
 			t.Errorf("%s differs between identical runs", name)
 		}
 	}
-	if outA.Health != Healthy {
+	if outA.Health != healthy {
 		t.Errorf("clean run ended %v, want healthy", outA.Health)
 	}
 }
@@ -171,7 +171,7 @@ func TestCheckpointRestoreBitIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restored run: %v", err)
 	}
-	if outR.Health != Healthy {
+	if outR.Health != healthy {
 		t.Fatalf("restored run ended %v", outR.Health)
 	}
 	for _, name := range []string{"trace.json", "metrics.jsonl"} {
@@ -296,7 +296,7 @@ func TestQuarantineOnlyUnderChaos(t *testing.T) {
 	if err != nil {
 		t.Fatalf("chaos run must not crash: %v", err)
 	}
-	if out.Health != QuarantineOnly {
+	if out.Health != quarantineOnly {
 		t.Fatalf("health %v, want quarantine-only (epochs %d, faults %+v)",
 			out.Health, out.Epochs, out.Engine.FaultReport())
 	}
@@ -319,7 +319,7 @@ func TestHaltLadder(t *testing.T) {
 	if !errors.Is(err, ErrHalted) {
 		t.Fatalf("err %v, want ErrHalted", err)
 	}
-	if out == nil || out.Health != Halted {
+	if out == nil || out.Health != halted {
 		t.Fatalf("outcome %+v, want halted", out)
 	}
 	readFileT(t, cfg.Telemetry.Trace) // halt still flushes telemetry
@@ -355,13 +355,13 @@ func TestLadderUnit(t *testing.T) {
 	l := &ladder{cfg: DegradeConfig{DegradeAfter: 2, QuarantineAfter: 2, HaltAfter: 2, RecoverAfter: 3, WidenFactor: 4}}
 	seq := []struct {
 		faulty bool
-		want   Health
+		want   health
 	}{
-		{true, Healthy}, {true, Degraded}, // 2 faulty → degraded
-		{true, Degraded}, {true, QuarantineOnly}, // 2 more → quarantine-only
-		{false, QuarantineOnly}, {false, QuarantineOnly}, {false, Degraded}, // 3 clean → climb
-		{false, Degraded}, {true, Degraded}, // streak broken by fault
-		{false, Degraded}, {false, Degraded}, {false, Healthy}, // fresh 3 clean → healthy
+		{true, healthy}, {true, degraded}, // 2 faulty → degraded
+		{true, degraded}, {true, quarantineOnly}, // 2 more → quarantine-only
+		{false, quarantineOnly}, {false, quarantineOnly}, {false, degraded}, // 3 clean → climb
+		{false, degraded}, {true, degraded}, // streak broken by fault
+		{false, degraded}, {false, degraded}, {false, healthy}, // fresh 3 clean → healthy
 	}
 	for i, s := range seq {
 		h, _ := l.Observe(s.faulty)
@@ -374,12 +374,12 @@ func TestLadderUnit(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		l2.Observe(true)
 	}
-	if h, _ := l2.Observe(false); h != Halted {
+	if h, _ := l2.Observe(false); h != halted {
 		t.Fatalf("halted must be terminal, got %v", h)
 	}
 	// Disabled ladder never moves.
 	l3 := &ladder{cfg: DegradeConfig{Disabled: true, DegradeAfter: 1}}
-	if h, changed := l3.Observe(true); h != Healthy || changed {
+	if h, changed := l3.Observe(true); h != healthy || changed {
 		t.Fatalf("disabled ladder moved: %v", h)
 	}
 }

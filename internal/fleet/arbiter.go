@@ -37,8 +37,8 @@ type Demand struct {
 	SLOPct      float64
 }
 
-// ErrOversubscribed reports that the tenants' floors alone exceed the pool.
-var ErrOversubscribed = errors.New("fleet: floor grants oversubscribe the pool")
+// errOversubscribed reports that the tenants' floors alone exceed the pool.
+var errOversubscribed = errors.New("fleet: floor grants oversubscribe the pool")
 
 // sloBoostCap bounds the SLO-pressure multiplier so one badly-missing
 // tenant cannot starve the rest of the surplus.
@@ -85,7 +85,7 @@ func Arbitrate(poolBytes uint64, ds []Demand) ([]uint64, error) {
 			return nil, fmt.Errorf("fleet: tenant %d (%s) priority %d < 1", i, d.Name, d.Priority)
 		}
 		if d.FloorBytes > poolBytes-floors {
-			return nil, ErrOversubscribed
+			return nil, errOversubscribed
 		}
 		floors += d.FloorBytes
 	}

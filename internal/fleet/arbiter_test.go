@@ -81,7 +81,7 @@ func TestArbitrateFloorsAndOversubscription(t *testing.T) {
 		{Name: "a", Priority: 1, FloorBytes: 90 << 20},
 		{Name: "b", Priority: 1, FloorBytes: 20 << 20},
 	})
-	if !errors.Is(err, ErrOversubscribed) {
+	if !errors.Is(err, errOversubscribed) {
 		t.Fatalf("want ErrOversubscribed, got %v", err)
 	}
 }
@@ -147,7 +147,7 @@ func FuzzFleetArbiter(f *testing.F) {
 		ds := decodeDemands(data)
 		grants, err := Arbitrate(pool, ds)
 		if err != nil {
-			if !errors.Is(err, ErrOversubscribed) {
+			if !errors.Is(err, errOversubscribed) {
 				t.Fatalf("unexpected error class: %v", err)
 			}
 			var floors uint64

@@ -42,8 +42,8 @@ type Config struct {
 	ArbiterPeriodNs int64
 }
 
-// TenantResult summarizes one tenant's run.
-type TenantResult struct {
+// tenantResult summarizes one tenant's run.
+type tenantResult struct {
 	Name     string
 	Priority int
 	Share    int
@@ -79,7 +79,7 @@ type Result struct {
 	// bit-identical to the solo sim.Run result.
 	Global *sim.RunResult
 	// Tenants holds per-tenant summaries in member order.
-	Tenants []TenantResult
+	Tenants []tenantResult
 	// Series holds per-tenant snapshots, one per resident tenant per
 	// arbiter period, period-major in member order.
 	Series []telemetry.TenantSnapshot
@@ -298,7 +298,7 @@ func (r *runner) result() *Result {
 			st.finalFast = st.t.FastBytes(m)
 			st.finalFootprint = st.t.FootprintBytes(m)
 		}
-		tr := TenantResult{
+		tr := tenantResult{
 			Name: st.t.Name, Priority: st.t.Priority, Share: st.t.Share,
 			SLOPct: st.t.SLOPct, Ops: r.s.Ops(i), Stats: st.finalStats,
 			GrantBytes: st.grant, FastBytes: st.finalFast,

@@ -86,7 +86,7 @@ func TestFleetEnginesStayInTheirLane(t *testing.T) {
 	if a.Ops == 0 || b.Ops == 0 {
 		t.Fatal("a tenant made no progress")
 	}
-	coldFrac := func(tr TenantResult) float64 {
+	coldFrac := func(tr tenantResult) float64 {
 		return 1 - float64(tr.FastBytes)/float64(tr.FootprintBytes)
 	}
 	// Tenant A found its idle pages; tenant B stayed hot.

@@ -8,7 +8,6 @@ import (
 	"thermostat/internal/addr"
 	"thermostat/internal/cgroup"
 	"thermostat/internal/core"
-	"thermostat/internal/counter"
 	"thermostat/internal/pagetable"
 	"thermostat/internal/report"
 	"thermostat/internal/sim"
@@ -111,12 +110,12 @@ func ablations(opt Options) ([]row, render) {
 	}
 	counters, countersTable := counters(opt)
 	rows = append(rows, counters)
-	return rows, func(outs [][]*Outcome) ([]Output, error) {
-		var out []Output
+	return rows, func(outs [][]*Outcome) ([]output, error) {
+		var out []output
 		for i, s := range studies {
-			out = append(out, Output{Name: s.name, Table: ablationTable(s.title, rows[i], outs[i])})
+			out = append(out, output{Name: s.name, Table: ablationTable(s.title, rows[i], outs[i])})
 		}
-		return append(out, Output{Name: "ablation-counters", Table: countersTable(outs[len(studies)])}), nil
+		return append(out, output{Name: "ablation-counters", Table: countersTable(outs[len(studies)])}), nil
 	}
 }
 
@@ -141,9 +140,9 @@ func ablationTable(title string, r row, outs []*Outcome) *report.Table {
 // misses, and the mechanism's own overhead.
 func counters(opt Options) (row, func([]*Outcome) *report.Table) {
 	probes := []*probe{
-		{name: "badgertrap", mk: func(m *sim.Machine) counter.Backend { return counter.NewBadgerTrap(m) }},
-		{name: "cm-bit", mk: func(m *sim.Machine) counter.Backend { return counter.NewCMBit(m) }},
-		{name: "pebs", mk: func(m *sim.Machine) counter.Backend { return counter.NewPEBS(m) }},
+		{name: "badgertrap", mk: func(m *sim.Machine) accessCounter { return badgerTrapCounter{m} }},
+		{name: "cm-bit", mk: func(m *sim.Machine) accessCounter { return newCMBit(m) }},
+		{name: "pebs", mk: func(m *sim.Machine) accessCounter { return newPEBS(m) }},
 	}
 	sc := opt.Scale
 	sc.DurationNs, sc.WarmupNs = sc.DurationNs/3, 0
@@ -174,8 +173,8 @@ func counters(opt Options) (row, func([]*Outcome) *report.Table) {
 type probe struct {
 	sim.NullPolicy
 	name  string
-	mk    func(*sim.Machine) counter.Backend
-	b     counter.Backend
+	mk    func(*sim.Machine) accessCounter
+	b     accessCounter
 	armed []addr.Virt
 }
 
@@ -190,7 +189,7 @@ func (p *probe) Attach(m *sim.Machine) error {
 		}
 	})
 	for i := 0; i < len(pages); i += 8 {
-		if err := p.b.Arm(pages[i]); err != nil {
+		if err := p.b.arm(pages[i]); err != nil {
 			return err
 		}
 		p.armed = append(p.armed, pages[i])
@@ -204,7 +203,7 @@ func (p *probe) meanRelError(truth map[addr.Virt]uint64) float64 {
 	var errs []float64
 	for _, base := range p.armed {
 		if tr := float64(truth[base]); tr >= 50 {
-			errs = append(errs, math.Abs(float64(p.b.Count(base))-tr)/tr)
+			errs = append(errs, math.Abs(float64(p.b.count(base))-tr)/tr)
 		}
 	}
 	sort.Float64s(errs)
@@ -217,6 +216,150 @@ func (p *probe) meanRelError(truth map[addr.Virt]uint64) float64 {
 	}
 	return mean
 }
+
+// accessCounter is one of the §6.1 page-access-counting mechanisms a probe
+// compares head to head: the deployed software-only BadgerTrap poisoning
+// (§3.3), the proposed "count miss" (CM) PTE bit that faults on LLC misses
+// to tagged pages, and a PEBS-style sampler of LLC-miss page addresses.
+//
+//   - BadgerTrap counts TLB misses as a proxy for memory accesses; each
+//     event costs ~1us and over/under-estimates as documented in the paper.
+//   - The CM bit counts true LLC misses; the fault can be overlapped with
+//     the memory access, so the modeled overhead is small.
+//   - PEBS samples every Nth LLC miss system-wide at negligible per-event
+//     cost but bounded resolution: counts are estimates scaled by the
+//     sampling period, and low-rate pages may be missed entirely.
+type accessCounter interface {
+	// arm starts counting the leaf page with the given base address.
+	arm(base addr.Virt) error
+	// count returns the events recorded for the page, scaled to estimated
+	// true accesses.
+	count(base addr.Virt) uint64
+}
+
+// badgerTrapCounter reads the machine's poison-fault trap.
+type badgerTrapCounter struct{ m *sim.Machine }
+
+func (b badgerTrapCounter) arm(base addr.Virt) error {
+	return b.m.Trap().Poison(base, b.m.VPID())
+}
+
+func (b badgerTrapCounter) count(base addr.Virt) uint64 { return b.m.Trap().Count(base) }
+
+// cmBitOverheadNs is the modeled per-event cost of a CM-bit fault: §6.1.1
+// notes the memory access can proceed in parallel with the fault handler,
+// hiding most of its latency.
+const cmBitOverheadNs = 100
+
+// cmBit models the §6.1.1 "count miss" PTE bit: every LLC miss to an armed
+// page raises a lightweight fault whose handler increments a counter.
+// Counting is exact (true memory accesses, not TLB misses).
+type cmBit struct {
+	m      *sim.Machine
+	armed  map[addr.Virt]bool // leaf base -> armed
+	counts map[addr.Virt]uint64
+}
+
+// newCMBit installs the CM-bit model on the machine's miss path.
+func newCMBit(m *sim.Machine) *cmBit {
+	c := &cmBit{
+		m:      m,
+		armed:  make(map[addr.Virt]bool),
+		counts: make(map[addr.Virt]uint64),
+	}
+	m.SetMissHook(c.onMiss, cmBitOverheadNs)
+	return c
+}
+
+func (c *cmBit) onMiss(v addr.Virt, write bool) int64 {
+	// An armed page may be tagged at either grain; check 4K then 2M.
+	base := v.Base4K()
+	if !c.armed[base] {
+		if base = v.Base2M(); !c.armed[base] {
+			return 0
+		}
+	}
+	c.counts[base]++
+	return cmBitOverheadNs
+}
+
+func (c *cmBit) arm(base addr.Virt) error {
+	if _, _, ok := c.m.PageTable().Lookup(base); !ok {
+		return fmt.Errorf("harness: CM-bit arm of unmapped %s", base)
+	}
+	c.armed[base] = true
+	return nil
+}
+
+func (c *cmBit) count(base addr.Virt) uint64 { return c.counts[base] }
+
+// PEBS parameters: the kernel's 1000Hz cap on PEBS interrupts translates,
+// at typical miss rates, to sampling roughly every 1000th miss; each record
+// write is cheap, and the buffer-drain interrupt is amortized.
+const (
+	pebsPeriod              = 1000
+	pebsRecordOverheadNs    = 20
+	pebsInterruptOverheadNs = 4000
+	pebsBufferRecords       = 64
+)
+
+// pebs models §6.1.2: the CPU samples every pebsPeriod-th LLC miss
+// system-wide and stores the page address in a buffer; a full buffer raises
+// an interrupt. Per-page counts are estimated as samples · pebsPeriod, so
+// pages whose true rate is below pebsPeriod per interval are often missed —
+// the resolution limit the paper notes makes PEBS unsuitable at 30K
+// events/s.
+type pebs struct {
+	m       *sim.Machine
+	armed   map[addr.Virt]bool
+	samples map[addr.Virt]uint64
+	misses  uint64
+	inBuf   int
+}
+
+// newPEBS installs the PEBS model on the machine's miss path. One event
+// costs at most a record write plus the buffer-drain interrupt.
+func newPEBS(m *sim.Machine) *pebs {
+	p := &pebs{
+		m:       m,
+		armed:   make(map[addr.Virt]bool),
+		samples: make(map[addr.Virt]uint64),
+	}
+	m.SetMissHook(p.onMiss, pebsRecordOverheadNs+pebsInterruptOverheadNs)
+	return p
+}
+
+func (p *pebs) onMiss(v addr.Virt, write bool) int64 {
+	p.misses++
+	if p.misses%pebsPeriod != 0 {
+		return 0
+	}
+	// Sampled: record the page (whether armed or not — PEBS is
+	// system-wide; attribution happens at read-out).
+	var lat int64 = pebsRecordOverheadNs
+	if p.armed[v.Base4K()] {
+		p.samples[v.Base4K()]++
+	} else if p.armed[v.Base2M()] {
+		p.samples[v.Base2M()]++
+	}
+	p.inBuf++
+	if p.inBuf >= pebsBufferRecords {
+		p.inBuf = 0
+		lat += pebsInterruptOverheadNs
+	}
+	return lat
+}
+
+func (p *pebs) arm(base addr.Virt) error {
+	if _, _, ok := p.m.PageTable().Lookup(base); !ok {
+		return fmt.Errorf("harness: PEBS arm of unmapped %s", base)
+	}
+	p.armed[base] = true
+	return nil
+}
+
+// count is the samples scaled by the sampling period.
+func (p *pebs) count(base addr.Virt) uint64 { return p.samples[base] * pebsPeriod }
 
 // baselines is the §7 comparison: per app, every placement approach the
 // paper discusses — all-DRAM, X-Mem-style profile-guided, kstaled-style
@@ -234,8 +377,8 @@ func baselines(opt Options) ([]row, render) {
 			{name: "thermostat", plan: Plan{SlowdownPct: opt.SlowdownPct}},
 		}})
 	}
-	return rows, func(outs [][]*Outcome) ([]Output, error) {
-		var out []Output
+	return rows, func(outs [][]*Outcome) ([]output, error) {
+		var out []output
 		for i, r := range rows {
 			t := report.NewTable("Placement policy comparison ("+r.spec.Name+")",
 				"policy", "cold_fraction_pct", "slowdown_pct")
@@ -243,7 +386,7 @@ func baselines(opt Options) ([]row, render) {
 				res := outs[i][j].Result
 				t.AddF(a.name, res.MeanColdFraction(r.sc.WarmupNs)*100, sim.Slowdown(outs[i][0].Result, res)*100)
 			}
-			out = append(out, Output{Name: "baselines-" + r.spec.Name, Table: t})
+			out = append(out, output{Name: "baselines-" + r.spec.Name, Table: t})
 		}
 		return out, nil
 	}

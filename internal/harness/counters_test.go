@@ -1,4 +1,4 @@
-package counter
+package harness
 
 import (
 	"testing"
@@ -8,7 +8,7 @@ import (
 	"thermostat/internal/sim"
 )
 
-func newMachine(t *testing.T) (*sim.Machine, addr.Range) {
+func newCounterMachine(t *testing.T) (*sim.Machine, addr.Range) {
 	t.Helper()
 	cfg := sim.DefaultConfig(64<<20, 64<<20)
 	cfg.TLB.L1Entries, cfg.TLB.L2Entries = 2, 4
@@ -26,7 +26,7 @@ func newMachine(t *testing.T) (*sim.Machine, addr.Range) {
 	return m, r
 }
 
-func touchPages(t *testing.T, m *sim.Machine, r addr.Range, perPage int) {
+func touchArmed(t *testing.T, m *sim.Machine, r addr.Range, perPage int) {
 	t.Helper()
 	for v := r.Start; v < r.End; v += addr.Virt(addr.PageSize2M) {
 		for i := 0; i < perPage; i++ {
@@ -40,51 +40,51 @@ func touchPages(t *testing.T, m *sim.Machine, r addr.Range, perPage int) {
 }
 
 func TestBadgerTrapBackend(t *testing.T) {
-	m, r := newMachine(t)
-	b := NewBadgerTrap(m)
+	m, r := newCounterMachine(t)
+	b := badgerTrapCounter{m}
 	page := r.Start.Base2M()
-	if err := b.Arm(page); err != nil {
+	if err := b.arm(page); err != nil {
 		t.Fatal(err)
 	}
-	touchPages(t, m, addr.NewRange(page, addr.PageSize2M), 10)
-	if b.Count(page) == 0 {
+	touchArmed(t, m, addr.NewRange(page, addr.PageSize2M), 10)
+	if b.count(page) == 0 {
 		t.Fatal("no events counted")
 	}
 	// BadgerTrap under-counts when the transient TLB entry is resident.
-	if b.Count(page) > 10 {
-		t.Fatalf("count %d exceeds true accesses", b.Count(page))
+	if b.count(page) > 10 {
+		t.Fatalf("count %d exceeds true accesses", b.count(page))
 	}
-	if err := b.Arm(addr.Virt(0xdead) << 30); err == nil {
+	if err := b.arm(addr.Virt(0xdead) << 30); err == nil {
 		t.Fatal("arming unmapped page should fail")
 	}
 }
 
 func TestCMBitExactCounting(t *testing.T) {
-	m, r := newMachine(t)
-	c := NewCMBit(m)
+	m, r := newCounterMachine(t)
+	c := newCMBit(m)
 	page := r.Start.Base2M()
 	other := page + addr.Virt(addr.PageSize2M)
-	if err := c.Arm(page); err != nil {
+	if err := c.arm(page); err != nil {
 		t.Fatal(err)
 	}
 	const n = 25
-	touchPages(t, m, addr.NewRange(page, addr.PageSize2M), n)
-	touchPages(t, m, addr.NewRange(other, addr.PageSize2M), n)
+	touchArmed(t, m, addr.NewRange(page, addr.PageSize2M), n)
+	touchArmed(t, m, addr.NewRange(other, addr.PageSize2M), n)
 	// Every touch is an LLC miss (tiny cache, distinct lines), so the
 	// CM-bit count is exact for the armed page and zero elsewhere.
-	if got := c.Count(page); got != n {
+	if got := c.count(page); got != n {
 		t.Fatalf("armed count = %d, want %d", got, n)
 	}
-	if got := c.Count(other); got != 0 {
+	if got := c.count(other); got != 0 {
 		t.Fatalf("unarmed count = %d", got)
 	}
 }
 
 func TestCMBitChargesSmallOverhead(t *testing.T) {
-	m, r := newMachine(t)
-	c := NewCMBit(m)
+	m, r := newCounterMachine(t)
+	c := newCMBit(m)
 	page := r.Start.Base2M()
-	if err := c.Arm(page); err != nil {
+	if err := c.arm(page); err != nil {
 		t.Fatal(err)
 	}
 	lat, err := m.Access(page, false)
@@ -92,61 +92,61 @@ func TestCMBitChargesSmallOverhead(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Overhead must be far below a BadgerTrap fault (1us) and present.
-	if lat < CMBitOverheadNs || lat > 1000 {
+	if lat < cmBitOverheadNs || lat > 1000 {
 		t.Fatalf("CM-bit miss latency = %d", lat)
 	}
 }
 
 func TestCMBit4KGrain(t *testing.T) {
-	m, r := newMachine(t)
-	c := NewCMBit(m)
+	m, r := newCounterMachine(t)
+	c := newCMBit(m)
 	if err := m.PageTable().Split(r.Start); err != nil {
 		t.Fatal(err)
 	}
 	child := r.Start + 4096
-	if err := c.Arm(child); err != nil {
+	if err := c.arm(child); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Access(child+64, false); err != nil {
 		t.Fatal(err)
 	}
-	if c.Count(child) != 1 {
-		t.Fatalf("4K-grain count = %d", c.Count(child))
+	if c.count(child) != 1 {
+		t.Fatalf("4K-grain count = %d", c.count(child))
 	}
 }
 
 func TestPEBSSamplingAccuracy(t *testing.T) {
-	m, r := newMachine(t)
-	p := NewPEBS(m)
+	m, r := newCounterMachine(t)
+	p := newPEBS(m)
 	page := r.Start.Base2M()
-	if err := p.Arm(page); err != nil {
+	if err := p.arm(page); err != nil {
 		t.Fatal(err)
 	}
-	const n = 10 * PEBSPeriod
-	touchPages(t, m, addr.NewRange(page, addr.PageSize2M), n)
-	got := p.Count(page)
-	// Estimate = samples * period; with deterministic every-PEBSPeriod-th
+	const n = 10 * pebsPeriod
+	touchArmed(t, m, addr.NewRange(page, addr.PageSize2M), n)
+	got := p.count(page)
+	// Estimate = samples * period; with deterministic every-pebsPeriod-th
 	// sampling of a single armed page, the estimate is within one period
 	// of truth.
-	if got < n-PEBSPeriod || got > n+PEBSPeriod {
+	if got < n-pebsPeriod || got > n+pebsPeriod {
 		t.Fatalf("PEBS estimate = %d, want ~%d", got, n)
 	}
 }
 
 func TestPEBSMissesLowRatePages(t *testing.T) {
-	m, r := newMachine(t)
-	p := NewPEBS(m)
+	m, r := newCounterMachine(t)
+	p := newPEBS(m)
 	cold := r.Start.Base2M()
 	hot := cold + addr.Virt(addr.PageSize2M)
-	if err := p.Arm(cold); err != nil {
+	if err := p.arm(cold); err != nil {
 		t.Fatal(err)
 	}
 	// 5 accesses to the cold page drowned in hot traffic: with a period
 	// of 1000 the cold page is essentially never sampled — the §6.1.2
 	// resolution limit.
-	touchPages(t, m, addr.NewRange(cold, addr.PageSize2M), 5)
-	touchPages(t, m, addr.NewRange(hot, addr.PageSize2M), 400)
-	if got := p.Count(cold); got > PEBSPeriod {
+	touchArmed(t, m, addr.NewRange(cold, addr.PageSize2M), 5)
+	touchArmed(t, m, addr.NewRange(hot, addr.PageSize2M), 400)
+	if got := p.count(cold); got > pebsPeriod {
 		t.Fatalf("cold estimate = %d from 5 true accesses", got)
 	}
 }
@@ -155,7 +155,7 @@ func TestBackendsCompareOnSkew(t *testing.T) {
 	// Head-to-head §6.1 accuracy check: drive identical traffic at two
 	// pages (100 vs 10 accesses) and compare each backend's ratio
 	// estimate. CM-bit must be exact; BadgerTrap must preserve ordering.
-	runWith := func(mk func(m *sim.Machine) Backend) (hot, cold uint64) {
+	runWith := func(mk func(m *sim.Machine) accessCounter) (hot, cold uint64) {
 		cfg := sim.DefaultConfig(64<<20, 64<<20)
 		cfg.TLB.L1Entries, cfg.TLB.L2Entries = 2, 4
 		cfg.LLC.SizeBytes, cfg.LLC.Ways = 64<<10, 8
@@ -170,10 +170,10 @@ func TestBackendsCompareOnSkew(t *testing.T) {
 		b := mk(m)
 		hotP := r.Start.Base2M()
 		coldP := hotP + addr.Virt(addr.PageSize2M)
-		if err := b.Arm(hotP); err != nil {
+		if err := b.arm(hotP); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.Arm(coldP); err != nil {
+		if err := b.arm(coldP); err != nil {
 			t.Fatal(err)
 		}
 		// Interleave so TLB entries churn.
@@ -196,14 +196,14 @@ func TestBackendsCompareOnSkew(t *testing.T) {
 				}
 			}
 		}
-		return b.Count(hotP), b.Count(coldP)
+		return b.count(hotP), b.count(coldP)
 	}
 
-	hotCM, coldCM := runWith(func(m *sim.Machine) Backend { return NewCMBit(m) })
+	hotCM, coldCM := runWith(func(m *sim.Machine) accessCounter { return newCMBit(m) })
 	if hotCM != 100 || coldCM != 10 {
 		t.Fatalf("CM-bit counts %d/%d, want 100/10", hotCM, coldCM)
 	}
-	hotBT, coldBT := runWith(func(m *sim.Machine) Backend { return NewBadgerTrap(m) })
+	hotBT, coldBT := runWith(func(m *sim.Machine) accessCounter { return badgerTrapCounter{m} })
 	if hotBT <= coldBT {
 		t.Fatalf("BadgerTrap ordering lost: hot %d vs cold %d", hotBT, coldBT)
 	}
@@ -238,7 +238,7 @@ func TestTLBMissProxyValidForColdPages(t *testing.T) {
 		}
 		coldPages = append(coldPages, base)
 	}
-	rng1 := newRand()
+	rng1 := rng.New(99)
 	for i := 0; i < 300000; i++ {
 		var page uint64
 		if rng1.Bool(0.05) {
@@ -266,5 +266,3 @@ func TestTLBMissProxyValidForColdPages(t *testing.T) {
 		}
 	}
 }
-
-func newRand() *rng.PCG { return rng.New(99) }

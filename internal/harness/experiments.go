@@ -7,7 +7,6 @@ import (
 	"thermostat/internal/cgroup"
 	"thermostat/internal/core"
 	"thermostat/internal/mem"
-	"thermostat/internal/pricing"
 	"thermostat/internal/report"
 	"thermostat/internal/sim"
 	"thermostat/internal/stats"
@@ -98,7 +97,7 @@ func fig1(opt Options) ([]row, render) {
 		rows = append(rows, row{spec: spec, sc: sc, arms: []arm{{name: "kstaled", plan: Plan{Policy: pol}}}})
 		scans = append(scans, pol)
 	}
-	return rows, func([][]*Outcome) ([]Output, error) {
+	return rows, func([][]*Outcome) ([]output, error) {
 		t := report.NewTable(
 			"Figure 1: fraction of 2MB pages idle for 10s (Accessed-bit detection)",
 			"application", "idle_fraction_pct")
@@ -112,7 +111,7 @@ func fig1(opt Options) ([]row, render) {
 			pcts = append(pcts, f*100)
 		}
 		const title = "Figure 1: 2MB pages idle for 10s"
-		return []Output{
+		return []output{
 			{Text: report.Bar(title, labels, fracs, 50)},
 			{Name: "fig1", Table: t, SVG: (&report.BarPlot{
 				Title: title, YLabel: "idle fraction (%)", Labels: labels, Groups: [][]float64{pcts},
@@ -142,13 +141,13 @@ func naive(opt Options) ([]row, render) {
 	}
 	pol := &core.IdleDemote{Interval: sc.PeriodNs, IdleScans: idleScans, NoPromote: true}
 	rows := []row{{spec: spec, sc: sc, arms: []arm{baseline, {name: "idle-demote", plan: Plan{Policy: pol}}}}}
-	return rows, func(outs [][]*Outcome) ([]Output, error) {
+	return rows, func(outs [][]*Outcome) ([]output, error) {
 		base, idle := outs[0][0].Result, outs[0][1].Result
 		t := report.NewTable("Naive Accessed-bit placement (Figure 1 caption check)",
 			"application", "slowdown_pct", "cold_fraction_pct", "demotions", "promotions")
 		t.AddF(spec.Name, sim.Slowdown(base, idle)*100, idle.MeanColdFraction(sc.WarmupNs)*100,
 			pol.Demotions(), pol.Promotions())
-		return []Output{{Name: "naive", Table: t}}, nil
+		return []output{{Name: "naive", Table: t}}, nil
 	}
 }
 
@@ -179,7 +178,7 @@ func fig2(opt Options) ([]row, render) {
 	pol := &splitScan{scanOnly: scanOnly{interval: opt.Scale.PeriodNs}}
 	rows := []row{{spec: workload.Redis(), sc: opt.Scale, arms: []arm{{name: "split-scan",
 		plan: Plan{Policy: pol, Machine: (*sim.Machine).EnablePageCounts}}}}}
-	return rows, func(outs [][]*Outcome) ([]Output, error) {
+	return rows, func(outs [][]*Outcome) ([]output, error) {
 		pts := fig2Points(pol, outs[0][0])
 		var xs, ys []float64
 		for _, p := range pts {
@@ -195,7 +194,7 @@ func fig2(opt Options) ([]row, render) {
 		for _, p := range sorted {
 			t.AddF(p.hot, p.rate)
 		}
-		return []Output{{Name: "fig2", Table: t, SVG: (&report.ScatterPlot{
+		return []output{{Name: "fig2", Table: t, SVG: (&report.ScatterPlot{
 			Title:  fmt.Sprintf("Figure 2: Redis (Pearson r = %.2f)", r),
 			XLabel: "hot 4KB regions per 2MB page", YLabel: "true accesses/sec",
 			X: xs, Y: ys,
@@ -212,7 +211,7 @@ func table1(opt Options) ([]row, render) {
 	for _, spec := range opt.apps() {
 		rows = append(rows, row{spec: spec, sc: sc, arms: []arm{baseline, {name: "4K", plan: Plan{SmallPages: true}}}})
 	}
-	return rows, func(outs [][]*Outcome) ([]Output, error) {
+	return rows, func(outs [][]*Outcome) ([]output, error) {
 		t := report.NewTable(
 			"Table 1: throughput gain from 2MB huge pages under virtualization",
 			"application", "gain_pct")
@@ -220,7 +219,7 @@ func table1(opt Options) ([]row, render) {
 			gain := outs[i][0].Result.Throughput/outs[i][1].Result.Throughput - 1
 			t.AddF(r.spec.Name, gain*100)
 		}
-		return []Output{{Name: "table1", Table: t}}, nil
+		return []output{{Name: "table1", Table: t}}, nil
 	}
 }
 
@@ -238,7 +237,7 @@ func fig11(opt Options) ([]row, render) {
 		}
 		rows = append(rows, r)
 	}
-	return rows, func(outs [][]*Outcome) ([]Output, error) {
+	return rows, func(outs [][]*Outcome) ([]output, error) {
 		t := report.NewTable(
 			"Figure 11: cold data fraction vs specified tolerable slowdown",
 			"application", "target_slowdown_pct", "cold_fraction_pct", "measured_slowdown_pct")
@@ -253,7 +252,7 @@ func fig11(opt Options) ([]row, render) {
 				groups[j] = append(groups[j], cold*100)
 			}
 		}
-		return []Output{{Name: "fig11", Table: t, SVG: (&report.BarPlot{
+		return []output{{Name: "fig11", Table: t, SVG: (&report.BarPlot{
 			Title:  "Figure 11: cold fraction vs tolerable slowdown",
 			YLabel: "cold fraction (%)", Labels: labels,
 			Groups: groups, GroupNames: []string{"3%", "6%", "10%"},
@@ -262,8 +261,8 @@ func fig11(opt Options) ([]row, render) {
 }
 
 // fig3 renders Figure 3 from RunAll's pairs, with the target line.
-func fig3(opt Options, runs map[string]*AppRun) ([]Output, error) {
-	series := Fig3(runs, opt)
+func fig3(opt Options, runs map[string]*AppRun) ([]output, error) {
+	series := fig3Series(runs, opt)
 	plot := &report.LinePlot{
 		Title:  "Figure 3: slow memory access rate over time",
 		XLabel: "time (s)", YLabel: "accesses/sec (paper units)",
@@ -272,14 +271,14 @@ func fig3(opt Options, runs map[string]*AppRun) ([]Output, error) {
 	for _, s := range series {
 		plot.Series = append(plot.Series, s.Rate)
 	}
-	return []Output{{Name: "fig3", Table: Fig3Table(series), SVG: plot.WriteSVG}}, nil
+	return []output{{Name: "fig3", Table: fig3Table(series), SVG: plot.WriteSVG}}, nil
 }
 
 // coldData renders Figures 5-10 from RunAll's pairs, one per app.
-func coldData(opt Options, runs map[string]*AppRun) ([]Output, error) {
-	var out []Output
-	for _, f := range ColdData(runs, opt) {
-		out = append(out, Output{Name: "colddata-" + f.App, Table: f.Table(), SVG: (&report.LinePlot{
+func coldData(opt Options, runs map[string]*AppRun) ([]output, error) {
+	var out []output
+	for _, f := range coldDataFigures(runs, opt) {
+		out = append(out, output{Name: "colddata-" + f.App, Table: f.Table(), SVG: (&report.LinePlot{
 			Title:  fmt.Sprintf("Cold data over time: %s (slowdown %.1f%%)", f.App, f.Slowdown*100),
 			XLabel: "time (s)", YLabel: "memory footprint (GB)",
 			Series:  []*stats.Series{f.Cold2M, f.Cold4K, f.Hot2M, f.Hot4K},
@@ -300,8 +299,8 @@ func pairs(opt Options, runs map[string]*AppRun) []*AppRun {
 	return out
 }
 
-// Fig3Series is one app's slow-memory access rate over time in paper units.
-type Fig3Series struct {
+// slowRateSeries is one app's slow-memory access rate over time in paper units.
+type slowRateSeries struct {
 	App string
 	// Rate is accesses/sec (paper units) per window.
 	Rate *stats.Series
@@ -311,24 +310,24 @@ type Fig3Series struct {
 	TargetRate float64
 }
 
-// Fig3 extracts the slow-memory access-rate series from completed runs.
-func Fig3(runs map[string]*AppRun, opt Options) []Fig3Series {
+// fig3Series extracts the slow-memory access-rate series from completed runs.
+func fig3Series(runs map[string]*AppRun, opt Options) []slowRateSeries {
 	opt = opt.withDefaults()
 	target := opt.SlowdownPct / 100 / 1e-6 // paper units: ts = 1us
-	var out []Fig3Series
+	var out []slowRateSeries
 	for _, run := range pairs(opt, runs) {
 		spec := run.Thermo.Spec
 		conv := stats.NewSeries("slow_rate_" + spec.Name)
 		for i, ts := range run.Thermo.Result.SlowRate.Times {
 			conv.Append(ts, opt.Scale.PaperRate(run.Thermo.Result.SlowRate.Values[i]))
 		}
-		out = append(out, Fig3Series{spec.Name, conv, conv.MeanAfter(opt.Scale.WarmupNs), target})
+		out = append(out, slowRateSeries{spec.Name, conv, conv.MeanAfter(opt.Scale.WarmupNs), target})
 	}
 	return out
 }
 
-// Fig3Table renders the series side by side.
-func Fig3Table(series []Fig3Series) *report.Table {
+// fig3Table renders the series side by side.
+func fig3Table(series []slowRateSeries) *report.Table {
 	ss := make([]*stats.Series, len(series))
 	for i, s := range series {
 		ss[i] = s.Rate
@@ -340,21 +339,21 @@ func Fig3Table(series []Fig3Series) *report.Table {
 	return report.SeriesTable(title, ss...)
 }
 
-// Table2Row is one app's footprint.
-type Table2Row struct {
+// table2Row is one app's footprint.
+type table2Row struct {
 	App    string
 	RSSGB  float64
 	FileGB float64
 }
 
-// Table2 measures end-of-run footprints in paper units (scaled back up).
-func Table2(runs map[string]*AppRun, opt Options) []Table2Row {
+// table2 measures end-of-run footprints in paper units (scaled back up).
+func table2(runs map[string]*AppRun, opt Options) []table2Row {
 	opt = opt.withDefaults()
-	var rows []Table2Row
+	var rows []table2Row
 	for _, run := range pairs(opt, runs) {
 		spec := run.Thermo.Spec
 		rss, file := run.Thermo.App.FootprintBytes()
-		rows = append(rows, Table2Row{
+		rows = append(rows, table2Row{
 			App:    spec.Name,
 			RSSGB:  float64(rss*opt.Scale.Div) / (1 << 30),
 			FileGB: float64(file*opt.Scale.Div) / (1 << 30),
@@ -363,8 +362,8 @@ func Table2(runs map[string]*AppRun, opt Options) []Table2Row {
 	return rows
 }
 
-// Table2Table renders the rows.
-func Table2Table(rows []Table2Row) *report.Table {
+// table2Table renders the rows.
+func table2Table(rows []table2Row) *report.Table {
 	t := report.NewTable("Table 2: application memory footprints (paper units)",
 		"application", "resident_set_gb", "file_mapped_gb")
 	for _, r := range rows {
@@ -373,9 +372,9 @@ func Table2Table(rows []Table2Row) *report.Table {
 	return t
 }
 
-// ColdDataFigure is one app's footprint-over-time breakdown plus the
+// coldDataFigure is one app's footprint-over-time breakdown plus the
 // headline numbers the paper quotes in each figure caption.
-type ColdDataFigure struct {
+type coldDataFigure struct {
 	App          string
 	Slowdown     float64
 	ColdFraction float64
@@ -383,8 +382,8 @@ type ColdDataFigure struct {
 	Cold2M, Cold4K, Hot2M, Hot4K *stats.Series
 }
 
-// ColdData builds the Figure 5-10 artifacts from completed runs.
-func ColdData(runs map[string]*AppRun, opt Options) []ColdDataFigure {
+// coldDataFigures builds the Figure 5-10 artifacts from completed runs.
+func coldDataFigures(runs map[string]*AppRun, opt Options) []coldDataFigure {
 	opt = opt.withDefaults()
 	toGB := func(name string, s *stats.Series) *stats.Series {
 		out := stats.NewSeries(name)
@@ -393,11 +392,11 @@ func ColdData(runs map[string]*AppRun, opt Options) []ColdDataFigure {
 		}
 		return out
 	}
-	var out []ColdDataFigure
+	var out []coldDataFigure
 	for _, run := range pairs(opt, runs) {
 		spec := run.Thermo.Spec
 		r := run.Thermo.Result
-		out = append(out, ColdDataFigure{spec.Name, run.Slowdown, run.ColdFraction,
+		out = append(out, coldDataFigure{spec.Name, run.Slowdown, run.ColdFraction,
 			toGB("2MB_cold_GB", r.Cold2M), toGB("4KB_cold_GB", r.Cold4K),
 			toGB("2MB_hot_GB", r.Hot2M), toGB("4KB_hot_GB", r.Hot4K)})
 	}
@@ -405,15 +404,15 @@ func ColdData(runs map[string]*AppRun, opt Options) []ColdDataFigure {
 }
 
 // Table renders one cold-data figure.
-func (f ColdDataFigure) Table() *report.Table {
+func (f coldDataFigure) Table() *report.Table {
 	title := fmt.Sprintf(
 		"Cold data over time: %s (slowdown %.1f%%, mean cold fraction %.0f%%)",
 		f.App, f.Slowdown*100, f.ColdFraction*100)
 	return report.SeriesTable(title, f.Cold2M, f.Cold4K, f.Hot2M, f.Hot4K)
 }
 
-// Table3Row is one app's migration traffic.
-type Table3Row struct {
+// table3Row is one app's migration traffic.
+type table3Row struct {
 	App string
 	// MigrationMBps is demotion traffic, false-classification is the
 	// correction (promotion) traffic — both in paper-unit MB/s.
@@ -421,18 +420,18 @@ type Table3Row struct {
 	FalseClassMBps float64
 }
 
-// Table3 extracts migration bandwidths from completed runs, converting to
+// table3 extracts migration bandwidths from completed runs, converting to
 // paper units: bytes scale back up by the footprint divisor, and the run's
 // compressed timeline stretches back out by the scan-interval compression.
-func Table3(runs map[string]*AppRun, opt Options) []Table3Row {
+func table3(runs map[string]*AppRun, opt Options) []table3Row {
 	opt = opt.withDefaults()
-	var rows []Table3Row
+	var rows []table3Row
 	for _, run := range pairs(opt, runs) {
 		spec := run.Thermo.Spec
 		m := run.Thermo.Machine.Migrator().Meter()
 		now := run.Thermo.Machine.Clock()
 		conv := float64(opt.Scale.Div) / opt.Scale.PeriodCompression()
-		rows = append(rows, Table3Row{
+		rows = append(rows, table3Row{
 			App:            spec.Name,
 			MigrationMBps:  m.RateMBps(mem.Demotion, now) * conv,
 			FalseClassMBps: m.RateMBps(mem.Promotion, now) * conv,
@@ -441,8 +440,8 @@ func Table3(runs map[string]*AppRun, opt Options) []Table3Row {
 	return rows
 }
 
-// Table3Table renders the rows.
-func Table3Table(rows []Table3Row) *report.Table {
+// table3Table renders the rows.
+func table3Table(rows []table3Row) *report.Table {
 	t := report.NewTable("Table 3: migration and false-classification rates (MB/s, paper units)",
 		"application", "migration_mbps", "false_classification_mbps")
 	for _, r := range rows {
@@ -451,23 +450,23 @@ func Table3Table(rows []Table3Row) *report.Table {
 	return t
 }
 
-// Table4Row is one app's memory cost savings across slow-memory price
+// table4Row is one app's memory cost savings across slow-memory price
 // points.
-type Table4Row struct {
+type table4Row struct {
 	App string
-	// SavingsPct is indexed like pricing.PaperRatios (1/3, 1/4, 1/5).
+	// SavingsPct is indexed like PaperRatios (1/3, 1/4, 1/5).
 	SavingsPct [3]float64
 }
 
-// Table4 computes cost savings from the measured cold fractions.
-func Table4(runs map[string]*AppRun, opt Options) ([]Table4Row, error) {
+// table4 computes cost savings from the measured cold fractions.
+func table4(runs map[string]*AppRun, opt Options) ([]table4Row, error) {
 	opt = opt.withDefaults()
-	var rows []Table4Row
+	var rows []table4Row
 	for _, run := range pairs(opt, runs) {
 		spec := run.Thermo.Spec
-		row := Table4Row{App: spec.Name}
-		for i, ratio := range pricing.PaperRatios {
-			s, err := pricing.Savings(run.ColdFraction, ratio)
+		row := table4Row{App: spec.Name}
+		for i, ratio := range PaperRatios {
+			s, err := Savings(twoTier(run.ColdFraction, ratio))
 			if err != nil {
 				return nil, err
 			}
@@ -478,8 +477,8 @@ func Table4(runs map[string]*AppRun, opt Options) ([]Table4Row, error) {
 	return rows, nil
 }
 
-// Table4Table renders the rows.
-func Table4Table(rows []Table4Row) *report.Table {
+// table4Table renders the rows.
+func table4Table(rows []table4Row) *report.Table {
 	t := report.NewTable("Table 4: memory spending savings vs all-DRAM",
 		"application", "slow_cost_0.33x", "slow_cost_0.25x", "slow_cost_0.2x")
 	for _, r := range rows {

@@ -76,7 +76,7 @@ func (t FleetTenant) scaledFootprint(sc Scale) uint64 {
 
 // FleetOptions configures a FleetRun.
 type FleetOptions struct {
-	// Scale is the size/time transform (default Repro()).
+	// Scale is the size/time transform (default the repro profile).
 	Scale Scale
 	// Tenants is the fleet population in member order.
 	Tenants []FleetTenant
@@ -105,8 +105,8 @@ type FleetOptions struct {
 	ConfigMutate func(*sim.Config)
 }
 
-// FleetOutcome bundles a fleet run with everything reports and tests need.
-type FleetOutcome struct {
+// fleetOutcome bundles a fleet run with everything reports and tests need.
+type fleetOutcome struct {
 	Scale   Scale
 	Machine *sim.Machine
 	Root    *cgroup.Group
@@ -125,9 +125,9 @@ type FleetOutcome struct {
 // runs them under fleet arbitration. The per-tenant all-DRAM baselines, when
 // requested, fan out across opt.Workers; everything is deterministic and
 // bit-identical at any worker count.
-func FleetRun(opt FleetOptions) (*FleetOutcome, error) {
+func FleetRun(opt FleetOptions) (*fleetOutcome, error) {
 	if opt.Scale.Div == 0 {
-		opt.Scale = Repro()
+		opt.Scale = repro()
 	}
 	sc := opt.Scale
 	if err := sc.Validate(); err != nil {
@@ -177,7 +177,7 @@ func FleetRun(opt FleetOptions) (*FleetOutcome, error) {
 		return nil, err
 	}
 
-	out := &FleetOutcome{Scale: sc, Machine: m, Root: root}
+	out := &fleetOutcome{Scale: sc, Machine: m, Root: root}
 	for _, t := range tens {
 		p := sc.groupParams()
 		p.TolerableSlowdownPct = t.SLOPct
@@ -240,6 +240,6 @@ func FleetRun(opt FleetOptions) (*FleetOutcome, error) {
 // FleetSavings prices the fleet's final machine-wide placement against an
 // all-DRAM system of the same footprint (the paper's cost model applied to
 // the whole pool).
-func FleetSavings(o *FleetOutcome) (float64, error) {
+func FleetSavings(o *fleetOutcome) (float64, error) {
 	return placementSavings(o.Machine.Memory(), o.Result.Global.FinalFootprint)
 }

@@ -49,7 +49,7 @@ func TestFleetSingleTenantMatchesRunComposed(t *testing.T) {
 			// The fleet runs twice: with telemetry for the export comparison,
 			// and without, which guards against recorder-dependent behavior
 			// creeping in.
-			var outs []*FleetOutcome
+			var outs []*fleetOutcome
 			for _, tel := range []*TelemetryOptions{nil, {Dir: t.TempDir()}} {
 				out, err := FleetRun(FleetOptions{
 					Scale: sc,
@@ -131,7 +131,7 @@ func TestFleetNightScenario(t *testing.T) {
 		t.Skip("multi-second scaled run")
 	}
 	t.Parallel()
-	res, err := FleetNight(Options{Scale: fleetNightScale(), Workers: 2})
+	res, err := runFleetNight(Options{Scale: fleetNightScale(), Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestFleetNightSqueezedSampleSeeds(t *testing.T) {
 			t.Parallel()
 			sc := Tiny()
 			sc.Seed = seed
-			res, err := FleetNight(Options{Scale: sc, Workers: 1})
+			res, err := runFleetNight(Options{Scale: sc, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -272,7 +272,7 @@ func TestFleetChaosIsolation(t *testing.T) {
 		{Name: "left", Spec: workload.Redis(), SLOPct: 3},
 		{Name: "right", Spec: workload.WebSearch(), SLOPct: 6},
 	}
-	run := func(mutate func(*sim.Config)) *FleetOutcome {
+	run := func(mutate func(*sim.Config)) *fleetOutcome {
 		fo, err := FleetRun(FleetOptions{
 			Scale: sc, Tenants: tenants,
 			Telemetry:    &TelemetryOptions{Dir: t.TempDir()},

@@ -27,9 +27,9 @@ func FleetNightTenants(sc Scale) []FleetTenant {
 	}
 }
 
-// FleetNightResult is the night scenario's full report bundle.
-type FleetNightResult struct {
-	Outcome *FleetOutcome
+// fleetNightResult is the night scenario's full report bundle.
+type fleetNightResult struct {
+	Outcome *fleetOutcome
 	// SavingsPct prices the final machine-wide placement against all-DRAM.
 	SavingsPct float64
 	// Table is the per-tenant summary; Text the full rendered report.
@@ -37,12 +37,12 @@ type FleetNightResult struct {
 	Text  string
 }
 
-// FleetNight runs the seeded datacenter-night scenario: the FleetNightTenants
+// runFleetNight runs the seeded datacenter-night scenario: the FleetNightTenants
 // cast on one machine whose DRAM pool is sized to the initial population
 // (plus 8% headroom) with per-tenant floors at 10% of footprint, so the
 // mid-run arrival has to be carved out of incumbents' cold memory by the
 // arbiter. Fully deterministic from opt.Scale.Seed.
-func FleetNight(opt Options) (*FleetNightResult, error) {
+func runFleetNight(opt Options) (*fleetNightResult, error) {
 	opt = opt.withDefaults()
 	sc := opt.Scale
 	tens := FleetNightTenants(sc)
@@ -64,7 +64,7 @@ func FleetNight(opt Options) (*FleetNightResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &FleetNightResult{Outcome: fo}
+	res := &fleetNightResult{Outcome: fo}
 	if sv, err := FleetSavings(fo); err == nil {
 		res.SavingsPct = 100 * sv
 	}
@@ -112,8 +112,8 @@ func FleetNight(opt Options) (*FleetNightResult, error) {
 
 // fleetNight is the night as a repro entry: the report, and the committed
 // fleet_night.{txt,csv} pair.
-func fleetNight(opt Options, _ map[string]*AppRun) ([]Output, error) {
-	res, err := FleetNight(opt)
+func fleetNight(opt Options, _ map[string]*AppRun) ([]output, error) {
+	res, err := runFleetNight(opt)
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +121,7 @@ func fleetNight(opt Options, _ map[string]*AppRun) ([]Output, error) {
 	if err := telemetry.WriteTenantCSV(&csv, res.Outcome.Result.Series); err != nil {
 		return nil, err
 	}
-	return []Output{
+	return []output{
 		{Name: "fleet_night", Text: res.Text, Table: res.Table},
 		{Name: "fleet_night.txt", File: []byte(res.Text)},
 		{Name: "fleet_night.csv", File: csv.Bytes()},

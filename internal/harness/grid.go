@@ -11,7 +11,7 @@ import (
 
 // Options configures an experiment.
 type Options struct {
-	// Scale is the size/time transform (default Repro()).
+	// Scale is the size/time transform (default the repro profile).
 	Scale Scale
 	// Apps restricts the application set (default: the experiment's own,
 	// which is all six paper applications for most).
@@ -36,7 +36,7 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.Scale.Div == 0 {
-		o.Scale = Repro()
+		o.Scale = repro()
 	}
 	if o.SlowdownPct == 0 {
 		o.SlowdownPct = 3
@@ -76,7 +76,7 @@ type row struct {
 var baseline = arm{name: "baseline"}
 
 // render turns a grid's outcomes, in the shape of its rows, into output.
-type render func(outs [][]*Outcome) ([]Output, error)
+type render func(outs [][]*Outcome) ([]output, error)
 
 // runGrid runs every arm of every row on internal/pool as one flat Map in
 // row-major order, so rows share the worker budget, and returns the
@@ -94,11 +94,11 @@ func runGrid(workers int, rows []row) ([][]*Outcome, error) {
 	return pool.Grid(workers, tasks)
 }
 
-// Output is one piece of an experiment's output, in print order. Text is
+// output is one piece of an experiment's output, in print order. Text is
 // printed as is; a Table is printed (Text, when set, stands in for it) and
 // is Name.csv under -csv; SVG is Name.svg under -svg; File is a committed
 // result, Name under -results.
-type Output struct {
+type output struct {
 	Name  string
 	Text  string
 	Table *report.Table
@@ -118,11 +118,11 @@ type Experiment struct {
 	Paired bool
 
 	grid func(Options) ([]row, render)
-	run  func(Options, map[string]*AppRun) ([]Output, error)
+	run  func(Options, map[string]*AppRun) ([]output, error)
 }
 
 // Run runs the experiment; runs holds RunAll's pairs for a Paired one.
-func (x Experiment) Run(opt Options, runs map[string]*AppRun) ([]Output, error) {
+func (x Experiment) Run(opt Options, runs map[string]*AppRun) ([]output, error) {
 	opt = opt.withDefaults()
 	if x.run != nil {
 		return x.run(opt, runs)
@@ -142,18 +142,18 @@ var Experiments = []Experiment{
 	{Name: "naive", InAll: true, grid: naive},
 	{Name: "fig2", InAll: true, grid: fig2},
 	{Name: "table1", InAll: true, grid: table1},
-	{Name: "table2", InAll: true, Paired: true, run: func(opt Options, runs map[string]*AppRun) ([]Output, error) {
-		return []Output{{Name: "table2", Table: Table2Table(Table2(runs, opt))}}, nil
+	{Name: "table2", InAll: true, Paired: true, run: func(opt Options, runs map[string]*AppRun) ([]output, error) {
+		return []output{{Name: "table2", Table: table2Table(table2(runs, opt))}}, nil
 	}},
 	{Name: "fig3", InAll: true, Paired: true, run: fig3},
 	{Name: "colddata", InAll: true, Paired: true, run: coldData},
 	{Name: "fig11", InAll: true, grid: fig11},
-	{Name: "table3", InAll: true, Paired: true, run: func(opt Options, runs map[string]*AppRun) ([]Output, error) {
-		return []Output{{Name: "table3", Table: Table3Table(Table3(runs, opt))}}, nil
+	{Name: "table3", InAll: true, Paired: true, run: func(opt Options, runs map[string]*AppRun) ([]output, error) {
+		return []output{{Name: "table3", Table: table3Table(table3(runs, opt))}}, nil
 	}},
-	{Name: "table4", InAll: true, Paired: true, run: func(opt Options, runs map[string]*AppRun) ([]Output, error) {
-		rows, err := Table4(runs, opt)
-		return []Output{{Name: "table4", Table: Table4Table(rows)}}, err
+	{Name: "table4", InAll: true, Paired: true, run: func(opt Options, runs map[string]*AppRun) ([]output, error) {
+		rows, err := table4(runs, opt)
+		return []output{{Name: "table4", Table: table4Table(rows)}}, err
 	}},
 	{Name: "baselines", InAll: true, grid: baselines},
 	{Name: "ablations", InAll: true, grid: ablations},

@@ -53,10 +53,10 @@ func (s Scale) Validate() error {
 	return nil
 }
 
-// Repro is the full-fidelity profile cmd/repro uses: 1/16 footprints, 4x
+// repro is the full-fidelity profile cmd/repro uses: 1/16 footprints, 4x
 // time dilation, 2s scan intervals over a 100s run (the equivalent of a 30s
 // interval over a 1500s run at paper scale).
-func Repro() Scale {
+func repro() Scale {
 	return Scale{
 		Name: "repro", Div: 16, TimeDilate: 4,
 		PeriodNs: 2e9, DurationNs: 100e9, WarmupNs: 20e9, Seed: 1,
@@ -321,7 +321,7 @@ func RunBaseline(spec workload.Spec, sc Scale) (*Outcome, error) {
 
 // ScaleByName returns the named profile: "tiny", "bench" or "repro".
 func ScaleByName(name string) (Scale, bool) {
-	for _, sc := range []Scale{Tiny(), Bench(), Repro()} {
+	for _, sc := range []Scale{Tiny(), Bench(), repro()} {
 		if sc.Name == name {
 			return sc, true
 		}

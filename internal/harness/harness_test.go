@@ -10,17 +10,17 @@ import (
 
 func TestScaleValidate(t *testing.T) {
 	t.Parallel()
-	for _, sc := range []Scale{Repro(), Bench(), Tiny()} {
+	for _, sc := range []Scale{repro(), Bench(), Tiny()} {
 		if err := sc.Validate(); err != nil {
 			t.Errorf("%s: %v", sc.Name, err)
 		}
 	}
-	bad := Repro()
+	bad := repro()
 	bad.Div = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("zero Div accepted")
 	}
-	bad = Repro()
+	bad = repro()
 	bad.WarmupNs = bad.DurationNs
 	if err := bad.Validate(); err == nil {
 		t.Error("warmup >= duration accepted")
@@ -29,7 +29,7 @@ func TestScaleValidate(t *testing.T) {
 
 func TestScaleConversions(t *testing.T) {
 	t.Parallel()
-	sc := Repro() // F=4, period 2s
+	sc := repro() // F=4, period 2s
 	if got := sc.PaperRate(7500); got != 30000 {
 		t.Fatalf("PaperRate = %v", got)
 	}
@@ -40,7 +40,7 @@ func TestScaleConversions(t *testing.T) {
 
 func TestMachineConfigScaling(t *testing.T) {
 	t.Parallel()
-	sc := Repro()
+	sc := repro()
 	cfg := sc.MachineConfig(workload.Redis(), true)
 	if cfg.TLB.L1Entries != 4 || cfg.TLB.L2Entries != 64 {
 		t.Fatalf("TLB = %d/%d", cfg.TLB.L1Entries, cfg.TLB.L2Entries)
@@ -65,7 +65,7 @@ func TestMachineConfigScaling(t *testing.T) {
 
 func TestGroupParamsFromScale(t *testing.T) {
 	t.Parallel()
-	sc := Repro()
+	sc := repro()
 	g, err := sc.Group(3)
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestRunAllTinyTwoApps(t *testing.T) {
 	}
 
 	// Downstream artifacts from the same runs.
-	t3 := Table3(runs, opt)
+	t3 := table3(runs, opt)
 	if len(t3) != 2 {
 		t.Fatalf("Table3 rows = %d", len(t3))
 	}
@@ -123,7 +123,7 @@ func TestRunAllTinyTwoApps(t *testing.T) {
 			t.Errorf("%s migration rate %v implausible", row.App, row.MigrationMBps)
 		}
 	}
-	t4, err := Table4(runs, opt)
+	t4, err := table4(runs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,13 +132,13 @@ func TestRunAllTinyTwoApps(t *testing.T) {
 			t.Errorf("%s: savings must grow as slow memory gets cheaper", row.App)
 		}
 	}
-	t2 := Table2(runs, opt)
+	t2 := table2(runs, opt)
 	for _, row := range t2 {
 		if row.RSSGB <= 0 {
 			t.Errorf("%s: zero RSS", row.App)
 		}
 	}
-	f3 := Fig3(runs, opt)
+	f3 := fig3Series(runs, opt)
 	if len(f3) != 2 {
 		t.Fatalf("Fig3 series = %d", len(f3))
 	}
@@ -151,7 +151,7 @@ func TestRunAllTinyTwoApps(t *testing.T) {
 			t.Errorf("%s: slow rate %v far above target", s.App, s.MeanPostWarmup)
 		}
 	}
-	cd := ColdData(runs, opt)
+	cd := coldDataFigures(runs, opt)
 	for _, f := range cd {
 		if f.Cold2M.Len() == 0 {
 			t.Errorf("%s: empty cold series", f.App)

@@ -6,7 +6,6 @@ import (
 
 	"thermostat/internal/core"
 	"thermostat/internal/mem"
-	"thermostat/internal/pricing"
 	"thermostat/internal/report"
 	"thermostat/internal/sim"
 	"thermostat/internal/telemetry"
@@ -25,7 +24,7 @@ func matrix(opt Options) ([]row, render) {
 	topologies := []struct {
 		name  string
 		tiers []mem.Spec
-	}{{"2tier", nil}, {"3tier", DefaultThreeTier(0)}}
+	}{{"2tier", nil}, {"3tier", defaultThreeTier(0)}}
 	var rows []row
 	var topos []string
 	for _, spec := range opt.apps(workload.Redis(), workload.MySQLTPCC()) {
@@ -44,7 +43,7 @@ func matrix(opt Options) ([]row, render) {
 			topos = append(topos, topo.name)
 		}
 	}
-	return rows, func(outs [][]*Outcome) ([]Output, error) {
+	return rows, func(outs [][]*Outcome) ([]output, error) {
 		t := report.NewTable(
 			fmt.Sprintf("Policy matrix (%s scale): slowdown vs. savings vs. accuracy", opt.Scale.Name),
 			"app", "topology", "tracker", "policy",
@@ -70,7 +69,7 @@ func matrix(opt Options) ([]row, render) {
 					st.Demotions, st.Promotions, st.Sinks, st.Quarantined)
 			}
 		}
-		return []Output{{Name: "policy_matrix", Table: t}}, nil
+		return []output{{Name: "policy_matrix", Table: t}}, nil
 	}
 }
 
@@ -102,14 +101,14 @@ func placementSavings(sys *mem.System, fp sim.Footprint) (float64, error) {
 	if topCost <= 0 {
 		return 0, fmt.Errorf("harness: top tier has no cost")
 	}
-	var shares []pricing.TierShare
+	var shares []TierShare
 	for i := 0; i < sys.NumTiers(); i++ {
 		t := sys.Tier(mem.TierID(i))
-		shares = append(shares, pricing.TierShare{
+		shares = append(shares, TierShare{
 			Name:      t.Name(),
 			Fraction:  float64(fp.ByTier[i].Total()) / float64(fp.Total()),
 			CostRatio: t.Spec().CostPerGB / topCost,
 		})
 	}
-	return pricing.SavingsTiered(shares)
+	return Savings(shares)
 }

@@ -202,17 +202,13 @@ func TestEstimatesAscendByBase(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr, err := core.NewTrackerByName(tracker, g, sc.Seed+engineSeedOffset)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pol, err := core.NewPolicyByName(policy)
+			eng, err := core.ComposeByName(g, tracker, policy, sc.Seed+engineSeedOffset)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var n int
 			p := a.plan
-			p.Policy = core.Compose(g, ascendingEstimates{tr, t, a.name, &n}, pol)
+			p.Policy = core.Compose(g, ascendingEstimates{eng.Tracker(), t, a.name, &n}, eng.Policy())
 			if _, err := Run(r.spec, sc, p); err != nil {
 				t.Fatal(err)
 			}

@@ -10,10 +10,10 @@ import (
 	"thermostat/internal/workload"
 )
 
-// DefaultThreeTier returns the DRAM/CXL/NVM hierarchy the N-tier experiment
+// defaultThreeTier returns the DRAM/CXL/NVM hierarchy the N-tier experiment
 // evaluates: 80ns local DRAM, a 250ns CXL-attached expander at half DRAM
 // cost, and 1000ns NVM at a fifth. Each tier gets the given capacity.
-func DefaultThreeTier(capacity uint64) []mem.Spec {
+func defaultThreeTier(capacity uint64) []mem.Spec {
 	return []mem.Spec{
 		mem.DefaultDRAM(capacity),
 		mem.DefaultCXL(capacity),
@@ -54,24 +54,24 @@ func ntier(opt Options) ([]row, render) {
 	var rows []row
 	for _, spec := range opt.apps() {
 		rows = append(rows, row{spec: spec, sc: opt.Scale, arms: []arm{{name: "3-tiers",
-			plan: Plan{SlowdownPct: opt.SlowdownPct, Tiers: DefaultThreeTier(0)}}}})
+			plan: Plan{SlowdownPct: opt.SlowdownPct, Tiers: defaultThreeTier(0)}}}})
 	}
-	return rows, func(outs [][]*Outcome) ([]Output, error) {
-		var out []Output
+	return rows, func(outs [][]*Outcome) ([]output, error) {
+		var out []output
 		for i, r := range rows {
 			rep, err := AnalyzeNTier(outs[i][0])
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, Output{Name: "ntier-traffic-" + r.spec.Name, Table: rep.TrafficTable()},
-				Output{Name: "ntier-cost-" + r.spec.Name, Table: rep.CostTable()})
+			out = append(out, output{Name: "ntier-traffic-" + r.spec.Name, Table: rep.TrafficTable()},
+				output{Name: "ntier-cost-" + r.spec.Name, Table: rep.CostTable()})
 		}
 		return out, nil
 	}
 }
 
-// TierUsage is one tier's slice of the final placement.
-type TierUsage struct {
+// tierUsage is one tier's slice of the final placement.
+type tierUsage struct {
 	ID        mem.TierID
 	Name      string
 	Bytes     uint64
@@ -80,8 +80,8 @@ type TierUsage struct {
 	Accesses  uint64
 }
 
-// PairTrafficRow is one cell of the migration traffic matrix.
-type PairTrafficRow struct {
+// pairTrafficRow is one cell of the migration traffic matrix.
+type pairTrafficRow struct {
 	Src, Dst mem.TierID
 	// SrcName and DstName are the tiers' device-class names, taken from the
 	// machine that moved the pages.
@@ -93,19 +93,19 @@ type PairTrafficRow struct {
 	PaperMBps float64
 }
 
-// NTierReport summarizes an N-tier outcome: where the footprint ended up,
+// nTierReport summarizes an N-tier outcome: where the footprint ended up,
 // what moving it cost in migration traffic, and what the placement saves
 // relative to an all-DRAM system.
-type NTierReport struct {
+type nTierReport struct {
 	App     string
-	Tiers   []TierUsage
-	Pairs   []PairTrafficRow
+	Tiers   []tierUsage
+	Pairs   []pairTrafficRow
 	Stats   core.Stats
 	Savings float64
 }
 
 // AnalyzeNTier builds the report from a finished N-tier outcome.
-func AnalyzeNTier(out *Outcome) (*NTierReport, error) {
+func AnalyzeNTier(out *Outcome) (*nTierReport, error) {
 	if out.Engine == nil {
 		return nil, fmt.Errorf("harness: N-tier report needs an engine outcome")
 	}
@@ -114,14 +114,14 @@ func AnalyzeNTier(out *Outcome) (*NTierReport, error) {
 	fp := out.Result.FinalFootprint
 	met := out.Result.Metrics
 
-	rep := &NTierReport{App: out.Spec.Name, Stats: out.Engine.Stats()}
+	rep := &nTierReport{App: out.Spec.Name, Stats: out.Engine.Stats()}
 	var err error
 	if rep.Savings, err = placementSavings(sys, fp); err != nil {
 		return nil, fmt.Errorf("harness: N-tier savings: %w", err)
 	}
 	for i := 0; i < sys.NumTiers(); i++ {
 		t := sys.Tier(mem.TierID(i))
-		rep.Tiers = append(rep.Tiers, TierUsage{
+		rep.Tiers = append(rep.Tiers, tierUsage{
 			ID: t.ID(), Name: t.Name(),
 			Bytes:     fp.ByTier[i].Total(),
 			Fraction:  float64(fp.ByTier[i].Total()) / float64(fp.Total()),
@@ -136,7 +136,7 @@ func AnalyzeNTier(out *Outcome) (*NTierReport, error) {
 	conv := out.Scale.PeriodCompression() / float64(out.Scale.Div)
 	for _, p := range meter.Pairs() {
 		tr := meter.PairTraffic(p.Src, p.Dst)
-		rep.Pairs = append(rep.Pairs, PairTrafficRow{
+		rep.Pairs = append(rep.Pairs, pairTrafficRow{
 			Src: p.Src, Dst: p.Dst,
 			SrcName: sys.Tier(p.Src).Name(), DstName: sys.Tier(p.Dst).Name(),
 			Bytes: tr.Bytes, Pages2M: tr.Pages2M, Pages4K: tr.Pages4K,
@@ -147,7 +147,7 @@ func AnalyzeNTier(out *Outcome) (*NTierReport, error) {
 }
 
 // TrafficTable renders the per-tier-pair migration matrix.
-func (r *NTierReport) TrafficTable() *report.Table {
+func (r *nTierReport) TrafficTable() *report.Table {
 	t := report.NewTable(fmt.Sprintf("%s: per-tier-pair migration traffic", r.App),
 		"src", "dst", "MB moved", "2M pages", "4K pages", "MB/s (paper)")
 	for _, p := range r.Pairs {
@@ -158,7 +158,7 @@ func (r *NTierReport) TrafficTable() *report.Table {
 }
 
 // CostTable renders the per-tier placement and the blended savings.
-func (r *NTierReport) CostTable() *report.Table {
+func (r *nTierReport) CostTable() *report.Table {
 	t := report.NewTable(fmt.Sprintf("%s: placement and cost (savings vs all-DRAM: %.1f%%)",
 		r.App, r.Savings*100),
 		"tier", "resident MB", "footprint %", "cost/GB", "accesses")

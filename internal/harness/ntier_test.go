@@ -13,7 +13,7 @@ func TestRunNTierThreeTierEndToEnd(t *testing.T) {
 	}
 	t.Parallel()
 	sc := Tiny()
-	out, err := Run(workload.Redis(), sc, Plan{SlowdownPct: 3, Tiers: DefaultThreeTier(0)})
+	out, err := Run(workload.Redis(), sc, Plan{SlowdownPct: 3, Tiers: defaultThreeTier(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestRunNTierThreeTierEndToEnd(t *testing.T) {
 func TestTieredMachineConfigDilation(t *testing.T) {
 	t.Parallel()
 	sc := Tiny()
-	cfg := sc.TieredMachineConfig(workload.Redis(), DefaultThreeTier(0))
+	cfg := sc.TieredMachineConfig(workload.Redis(), defaultThreeTier(0))
 	if len(cfg.Tiers) != 3 {
 		t.Fatalf("Tiers = %d", len(cfg.Tiers))
 	}
@@ -110,7 +110,7 @@ func TestTieredMachineConfigDilation(t *testing.T) {
 	if cfg.Mode.String() != "device" {
 		t.Errorf("mode = %v, want device", cfg.Mode)
 	}
-	if _, err := Run(workload.Redis(), sc, Plan{SlowdownPct: 3, Tiers: DefaultThreeTier(0)[:1]}); err == nil {
+	if _, err := Run(workload.Redis(), sc, Plan{SlowdownPct: 3, Tiers: defaultThreeTier(0)[:1]}); err == nil {
 		t.Error("single-tier hierarchy accepted")
 	}
 }
@@ -126,7 +126,7 @@ func TestTierNamesFollowTheMachine(t *testing.T) {
 	}
 	t.Parallel()
 	sc := Tiny()
-	tiers := DefaultThreeTier(0)
+	tiers := defaultThreeTier(0)
 	render := func(plan Plan) string {
 		out, err := Run(workload.Redis(), sc, plan)
 		if err != nil {

@@ -5,13 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
 	"thermostat/internal/pool"
 	"thermostat/internal/rng"
-	"thermostat/internal/telemetry"
 	"thermostat/internal/workload"
 )
 
@@ -199,14 +199,15 @@ func TestPoolMapPropertyUnderHarness(t *testing.T) {
 // TestSerialEquivalenceFleetRun extends the workers differential to the
 // fleet: a churning two-tenant run with per-tenant baselines fanned over 1
 // vs 8 workers must produce DeepEqual outcomes — fleet result, per-tenant
-// series, baselines — and byte-identical per-tenant trace exports.
+// series, baselines — and byte-identical trace and metrics exports of the
+// shared collector.
 func TestSerialEquivalenceFleetRun(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
 		t.Skip("integration run")
 	}
 	sc := equivScale()
-	run := func(workers int) (*FleetOutcome, map[string][2]string, error) {
+	run := func(workers int) (*fleetOutcome, [2]string, error) {
 		fo, err := FleetRun(FleetOptions{
 			Scale: sc,
 			Tenants: []FleetTenant{
@@ -218,10 +219,10 @@ func TestSerialEquivalenceFleetRun(t *testing.T) {
 			Telemetry: &TelemetryOptions{Dir: t.TempDir()},
 		})
 		if err != nil {
-			return nil, nil, err
+			return nil, [2]string{}, err
 		}
-		paths, err := exportTenantTraces(fo, &TelemetryOptions{Dir: t.TempDir()})
-		return fo, paths, err
+		tp, mp, err := (&TelemetryOptions{Dir: t.TempDir()}).Export("fleet", fo.Telemetry)
+		return fo, [2]string{tp, mp}, err
 	}
 	serial, serialPaths, err := run(1)
 	if err != nil {
@@ -238,39 +239,17 @@ func TestSerialEquivalenceFleetRun(t *testing.T) {
 	if !reflect.DeepEqual(serial.Baselines, fanned.Baselines) {
 		t.Error("per-tenant baselines diverge between worker counts")
 	}
-	for name, sp := range serialPaths {
-		fp, ok := fannedPaths[name]
-		if !ok {
-			t.Fatalf("tenant %s missing from fanned exports", name)
-		}
-		for i := 0; i < 2; i++ {
-			sb, err := os.ReadFile(sp[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			fb, err := os.ReadFile(fp[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(sb, fb) {
-				t.Errorf("tenant %s export %d differs between worker counts", name, i)
-			}
-		}
-	}
-}
-
-// exportTenantTraces writes one Chrome-trace + JSONL pair per tenant,
-// filtered from the fleet's shared collector by the tenant's name tag and
-// address ranges, and returns tenant name → [trace, metrics] paths.
-func exportTenantTraces(fo *FleetOutcome, topt *TelemetryOptions) (map[string][2]string, error) {
-	paths := make(map[string][2]string, len(fo.Tenants))
-	for _, t := range fo.Tenants {
-		sub := fo.Telemetry.Filter(telemetry.TenantEventFilter(t.Name, t.Regions()))
-		tp, mp, err := topt.Export("fleet-"+t.Name, sub)
+	for i := range serialPaths {
+		sb, err := os.ReadFile(serialPaths[i])
 		if err != nil {
-			return nil, err
+			t.Fatal(err)
 		}
-		paths[t.Name] = [2]string{tp, mp}
+		fb, err := os.ReadFile(fannedPaths[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sb, fb) {
+			t.Errorf("fleet export %s differs between worker counts", filepath.Base(serialPaths[i]))
+		}
 	}
-	return paths, nil
 }

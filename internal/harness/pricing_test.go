@@ -1,4 +1,4 @@
-package pricing
+package harness
 
 import (
 	"math"
@@ -20,7 +20,7 @@ func TestSavingsMatchesTable4(t *testing.T) {
 		{0.15, 1.0 / 5, 0.12},
 	}
 	for _, c := range cases {
-		got, err := Savings(c.cold, c.ratio)
+		got, err := Savings(twoTier(c.cold, c.ratio))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,16 +31,16 @@ func TestSavingsMatchesTable4(t *testing.T) {
 }
 
 func TestSavingsBounds(t *testing.T) {
-	if _, err := Savings(-0.1, 0.3); err == nil {
+	if _, err := Savings(twoTier(-0.1, 0.3)); err == nil {
 		t.Error("negative cold fraction accepted")
 	}
-	if _, err := Savings(0.5, 1.5); err == nil {
+	if _, err := Savings(twoTier(0.5, 1.5)); err == nil {
 		t.Error("cost ratio > 1 accepted")
 	}
-	if s, _ := Savings(0, 0.3); s != 0 {
+	if s, _ := Savings(twoTier(0, 0.3)); s != 0 {
 		t.Error("no cold data should save nothing")
 	}
-	if s, _ := Savings(1, 0); s != 1 {
+	if s, _ := Savings(twoTier(1, 0)); s != 1 {
 		t.Error("all-cold free memory should save everything")
 	}
 }
@@ -56,41 +56,25 @@ func TestPaperRatios(t *testing.T) {
 	}
 }
 
-func TestBreakEvenSlowdown(t *testing.T) {
-	// 30% savings when memory is 20% of system cost: tolerable slowdown
-	// before net loss = 0.3*0.2/0.8 = 7.5%.
-	got, err := BreakEvenSlowdown(0.30, 0.20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-0.075) > 1e-9 {
-		t.Fatalf("BreakEvenSlowdown = %v, want 0.075", got)
-	}
-	if _, err := BreakEvenSlowdown(0.3, 0); err == nil {
-		t.Error("zero memory share accepted")
-	}
-	if _, err := BreakEvenSlowdown(2, 0.5); err == nil {
-		t.Error("savings > 1 accepted")
-	}
-}
-
 func TestSavingsTiered(t *testing.T) {
-	// Two-tier degenerate case reproduces Savings exactly.
-	want, _ := Savings(0.40, 1.0/3)
-	got, err := SavingsTiered([]TierShare{
-		{Name: "dram", Fraction: 0.60, CostRatio: 1.0},
-		{Name: "slow", Fraction: 0.40, CostRatio: 1.0 / 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("two-tier SavingsTiered = %v, Savings = %v", got, want)
+	// The paper's two-tier model is coldFrac · (1 − costRatio), bit for bit:
+	// Table 4 rounds it to whole percents, where a last-bit difference can
+	// flip a tie.
+	for _, cold := range []float64{0, 0.13125, 0.40, 1} {
+		for _, ratio := range PaperRatios {
+			got, err := Savings(twoTier(cold, ratio))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := cold * (1 - ratio); got != want {
+				t.Fatalf("two-tier Savings(%v, %v) = %v, want %v", cold, ratio, got, want)
+			}
+		}
 	}
 
 	// Three-tier DRAM/CXL/NVM split: blended cost 0.5 + 0.3*0.5 + 0.2*0.2
 	// = 0.69, saving 31%.
-	got, err = SavingsTiered([]TierShare{
+	got, err := Savings([]TierShare{
 		{Name: "dram", Fraction: 0.5, CostRatio: 1.0},
 		{Name: "cxl", Fraction: 0.3, CostRatio: 0.5},
 		{Name: "nvm", Fraction: 0.2, CostRatio: 0.2},
@@ -99,26 +83,26 @@ func TestSavingsTiered(t *testing.T) {
 		t.Fatal(err)
 	}
 	if math.Abs(got-0.31) > 1e-12 {
-		t.Fatalf("three-tier SavingsTiered = %v, want 0.31", got)
+		t.Fatalf("three-tier Savings = %v, want 0.31", got)
 	}
 
 	// All bytes in DRAM saves nothing.
-	got, err = SavingsTiered([]TierShare{{Name: "dram", Fraction: 1, CostRatio: 1}})
+	got, err = Savings([]TierShare{{Name: "dram", Fraction: 1, CostRatio: 1}})
 	if err != nil || got != 0 {
 		t.Fatalf("all-DRAM = %v, %v", got, err)
 	}
 
 	// Validation: empty, bad fraction, bad ratio, fractions not summing to 1.
-	if _, err := SavingsTiered(nil); err == nil {
+	if _, err := Savings(nil); err == nil {
 		t.Error("empty shares accepted")
 	}
-	if _, err := SavingsTiered([]TierShare{{Fraction: 1.2, CostRatio: 1}}); err == nil {
+	if _, err := Savings([]TierShare{{Fraction: 1.2, CostRatio: 1}}); err == nil {
 		t.Error("fraction > 1 accepted")
 	}
-	if _, err := SavingsTiered([]TierShare{{Fraction: 1, CostRatio: 2}}); err == nil {
+	if _, err := Savings([]TierShare{{Fraction: 1, CostRatio: 2}}); err == nil {
 		t.Error("cost ratio > 1 accepted")
 	}
-	if _, err := SavingsTiered([]TierShare{
+	if _, err := Savings([]TierShare{
 		{Fraction: 0.5, CostRatio: 1},
 		{Fraction: 0.2, CostRatio: 0.5},
 	}); err == nil {

@@ -59,23 +59,23 @@ func goldenRuns() []goldenRun {
 	return []goldenRun{
 		{"TestTwoTierGoldenRegression", "redis", shape(Plan{SlowdownPct: 3})},
 		{"TestTwoTierGoldenRegression", "mysql-tpcc", run(workload.MySQLTPCC(), tiny, Plan{SlowdownPct: 3})},
-		{"TestThreeTierGoldenRegression", "redis", shape(Plan{SlowdownPct: 3, Tiers: DefaultThreeTier(0)})},
+		{"TestThreeTierGoldenRegression", "redis", shape(Plan{SlowdownPct: 3, Tiers: defaultThreeTier(0)})},
 		{shapes, "thermostat", shape(Plan{SlowdownPct: 3})},
 		{shapes, "composed", shape(Plan{SlowdownPct: 3, Tracker: "poison", Placement: "threshold"})},
 		{shapes, "composed-idlebit-heat", shape(Plan{SlowdownPct: 3, Tracker: "idlebit", Placement: "heat"})},
 		{shapes, "baseline", shape(Plan{})},
 		{shapes, "idle-demote-policy", shape(Plan{Policy: &core.IdleDemote{Interval: tiny.PeriodNs, IdleScans: 4, NoPromote: true}})},
 		{shapes, "4k-page-mode", shape(Plan{SmallPages: true})},
-		{shapes, "three-tier", shape(Plan{SlowdownPct: 3, Tiers: DefaultThreeTier(0)})},
-		{shapes, "three-tier-composed", shape(Plan{SlowdownPct: 3, Tracker: "damon", Placement: "heat", Tiers: DefaultThreeTier(0)})},
-		{shapes, "three-tier-baseline", shape(Plan{Tiers: DefaultThreeTier(0)})},
+		{shapes, "three-tier", shape(Plan{SlowdownPct: 3, Tiers: defaultThreeTier(0)})},
+		{shapes, "three-tier-composed", shape(Plan{SlowdownPct: 3, Tracker: "damon", Placement: "heat", Tiers: defaultThreeTier(0)})},
+		{shapes, "three-tier-baseline", shape(Plan{Tiers: defaultThreeTier(0)})},
 		{shapes, "matrix-cell-two-tier", cell(0, "poison+threshold")},
 		{shapes, "matrix-cell-three-tier", cell(1, "softdirty+heat")},
 		{shapes, "profile-guided", shape(Plan{Policy: &profileGuided{redis, tiny, 3}})},
 		{"TestBenchScaleGoldenCells", "poison+heat", bench("poison", "heat", nil)},
 		{"TestBenchScaleGoldenCells", "idlebit+heat", bench("idlebit", "heat", nil)},
 		{"TestBenchScaleGoldenCells", "damon+threshold", bench("damon", "threshold", nil)},
-		{"TestBenchScaleGoldenCells", "idlebit+threshold/three-tier", bench("idlebit", "threshold", DefaultThreeTier(0))},
+		{"TestBenchScaleGoldenCells", "idlebit+threshold/three-tier", bench("idlebit", "threshold", defaultThreeTier(0))},
 	}
 }
 

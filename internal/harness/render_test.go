@@ -42,8 +42,8 @@ func TestTable1TableRendering(t *testing.T) {
 
 func TestTable2TableRendering(t *testing.T) {
 	t.Parallel()
-	rows := []Table2Row{{App: "cassandra", RSSGB: 8.01, FileGB: 4.02}}
-	out := Table2Table(rows).String()
+	rows := []table2Row{{App: "cassandra", RSSGB: 8.01, FileGB: 4.02}}
+	out := table2Table(rows).String()
 	if !strings.Contains(out, "cassandra") || !strings.Contains(out, "8.010") {
 		t.Errorf("bad render:\n%s", out)
 	}
@@ -51,8 +51,8 @@ func TestTable2TableRendering(t *testing.T) {
 
 func TestTable3TableRendering(t *testing.T) {
 	t.Parallel()
-	rows := []Table3Row{{App: "redis", MigrationMBps: 11.3, FalseClassMBps: 10}}
-	out := Table3Table(rows).String()
+	rows := []table3Row{{App: "redis", MigrationMBps: 11.3, FalseClassMBps: 10}}
+	out := table3Table(rows).String()
 	if !strings.Contains(out, "11.300") || !strings.Contains(out, "10.000") {
 		t.Errorf("bad render:\n%s", out)
 	}
@@ -60,8 +60,8 @@ func TestTable3TableRendering(t *testing.T) {
 
 func TestTable4TableRendering(t *testing.T) {
 	t.Parallel()
-	rows := []Table4Row{{App: "cassandra", SavingsPct: [3]float64{27, 30, 32}}}
-	out := Table4Table(rows).String()
+	rows := []table4Row{{App: "cassandra", SavingsPct: [3]float64{27, 30, 32}}}
+	out := table4Table(rows).String()
 	for _, want := range []string{"27%", "30%", "32%"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q:\n%s", want, out)
@@ -87,13 +87,13 @@ func TestFig3TableRendering(t *testing.T) {
 	t.Parallel()
 	s := stats.NewSeries("slow_rate_redis")
 	s.Append(2e9, 29000)
-	series := []Fig3Series{{App: "redis", Rate: s, MeanPostWarmup: 29000, TargetRate: 30000}}
-	out := Fig3Table(series).String()
+	series := []slowRateSeries{{App: "redis", Rate: s, MeanPostWarmup: 29000, TargetRate: 30000}}
+	out := fig3Table(series).String()
 	if !strings.Contains(out, "target 30000/s") || !strings.Contains(out, "2.9e+04") {
 		t.Errorf("bad render:\n%s", out)
 	}
 	// Empty input doesn't panic.
-	if Fig3Table(nil).String() == "" {
+	if fig3Table(nil).String() == "" {
 		t.Error("empty Fig3 table should still render a title")
 	}
 }
@@ -105,7 +105,7 @@ func TestColdDataFigureRendering(t *testing.T) {
 		s.Append(1e9, v)
 		return s
 	}
-	f := ColdDataFigure{
+	f := coldDataFigure{
 		App: "cassandra", Slowdown: 0.02, ColdFraction: 0.45,
 		Cold2M: mk("2MB_cold_GB", 3.5), Cold4K: mk("4KB_cold_GB", 0.2),
 		Hot2M: mk("2MB_hot_GB", 4), Hot4K: mk("4KB_hot_GB", 0),

@@ -13,11 +13,11 @@ import "testing"
 func TestScalePointRunsThermostat(t *testing.T) {
 	sc := ScaleBenchProfile()
 	sc.DurationNs, sc.WarmupNs = 4e9, 1e9
-	small, err := RunScalePoint(sc, 1<<30)
+	small, err := runScalePoint(sc, 1<<30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := RunScalePoint(sc, 16<<30)
+	large, err := runScalePoint(sc, 16<<30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestScalePointRunsThermostat(t *testing.T) {
 		t.Fatalf("16 GiB point keeps %.0f state bytes per simulated GB (%d in all), want <= 0.5 MB",
 			large.StatePerGB, large.StateBytes)
 	}
-	for _, p := range []*ScalePoint{small, large} {
+	for _, p := range []*scalePoint{small, large} {
 		if p.Demotions == 0 {
 			t.Fatalf("footprint %d: no demotions (sampled %d)", p.Footprint, p.Sampled)
 		}
@@ -48,7 +48,7 @@ func TestScaleSweepGate(t *testing.T) {
 	sc := ScaleBenchProfile()
 	sc.DurationNs, sc.WarmupNs = 4e9, 1e9
 	footprints := []uint64{1 << 30, 4 << 30, 128 << 30}
-	points, err := ScaleSweep(sc, footprints)
+	points, err := runScaleSweep(sc, footprints)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func BenchmarkScalePoint(b *testing.B) {
 	sc := ScaleBenchProfile()
 	sc.DurationNs, sc.WarmupNs = 2e9, 500e6
 	for i := 0; i < b.N; i++ {
-		if _, err := RunScalePoint(sc, 1<<30); err != nil {
+		if _, err := runScalePoint(sc, 1<<30); err != nil {
 			b.Fatal(err)
 		}
 	}

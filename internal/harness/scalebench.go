@@ -18,8 +18,8 @@ import (
 	"thermostat/internal/workload"
 )
 
-// ScalePoint is one footprint of the scaling sweep.
-type ScalePoint struct {
+// scalePoint is one footprint of the scaling sweep.
+type scalePoint struct {
 	Footprint  uint64  `json:"footprint_bytes"`
 	Ops        uint64  `json:"ops"`
 	WallNs     int64   `json:"wall_ns"`
@@ -68,10 +68,10 @@ func scaleSpec(footprint uint64) workload.Spec {
 	return spec
 }
 
-// RunScalePoint measures one sweep point: footprint simulated bytes under the
+// runScalePoint measures one sweep point: footprint simulated bytes under the
 // Thermostat engine. The profile's Div must be 1 — the footprint is not
 // re-divided.
-func RunScalePoint(sc Scale, footprint uint64) (*ScalePoint, error) {
+func runScalePoint(sc Scale, footprint uint64) (*scalePoint, error) {
 	if sc.Div != 1 {
 		return nil, fmt.Errorf("harness: scale bench needs Div=1, got %d", sc.Div)
 	}
@@ -83,7 +83,7 @@ func RunScalePoint(sc Scale, footprint uint64) (*ScalePoint, error) {
 	}
 	wall := time.Since(start)
 	st := out.Engine.Stats()
-	p := &ScalePoint{
+	p := &scalePoint{
 		Footprint:  footprint,
 		Ops:        out.Result.Ops,
 		WallNs:     wall.Nanoseconds(),
@@ -100,11 +100,11 @@ func RunScalePoint(sc Scale, footprint uint64) (*ScalePoint, error) {
 	return p, nil
 }
 
-// ScaleSweep runs the scaling benchmark at every footprint in footprints.
-func ScaleSweep(sc Scale, footprints []uint64) ([]*ScalePoint, error) {
-	var points []*ScalePoint
+// runScaleSweep runs the scaling benchmark at every footprint in footprints.
+func runScaleSweep(sc Scale, footprints []uint64) ([]*scalePoint, error) {
+	var points []*scalePoint
 	for _, fp := range footprints {
-		p, err := RunScalePoint(sc, fp)
+		p, err := runScalePoint(sc, fp)
 		if err != nil {
 			return nil, err
 		}
@@ -117,15 +117,15 @@ func ScaleSweep(sc Scale, footprints []uint64) ([]*ScalePoint, error) {
 type scaleArtifact struct {
 	Workload string        `json:"workload"`
 	Seed     uint64        `json:"seed"`
-	Points   []*ScalePoint `json:"points"`
+	Points   []*scalePoint `json:"points"`
 }
 
 // scaleSweep runs the committed sweep, 1 GB to 1 TB at the run's seed: the
 // table and results/BENCH_scale.{json,txt}.
-func scaleSweep(opt Options, _ map[string]*AppRun) ([]Output, error) {
+func scaleSweep(opt Options, _ map[string]*AppRun) ([]output, error) {
 	sc := ScaleBenchProfile()
 	sc.Seed = opt.Scale.Seed
-	points, err := ScaleSweep(sc, []uint64{1 << 30, 4 << 30, 16 << 30, 64 << 30, 256 << 30, 1 << 40})
+	points, err := runScaleSweep(sc, []uint64{1 << 30, 4 << 30, 16 << 30, 64 << 30, 256 << 30, 1 << 40})
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +142,7 @@ func scaleSweep(opt Options, _ map[string]*AppRun) ([]Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []Output{
+	return []output{
 		{Name: "scale", Table: t},
 		{Name: "BENCH_scale.json", File: append(js, '\n')},
 		{Name: "BENCH_scale.txt", File: []byte(t.String() + "\n")},

@@ -20,8 +20,8 @@ import (
 // clear the Accessed bit plus the amortized invlpg.
 const DefaultEntryCostNs = 150
 
-// PageState tracks one leaf page's scan history.
-type PageState struct {
+// pageState tracks one leaf page's scan history.
+type pageState struct {
 	// IdleScans is the number of consecutive completed scans in which the
 	// page's Accessed bit stayed clear.
 	IdleScans int
@@ -44,7 +44,7 @@ type Scanner struct {
 	// write tracking.
 	flag pagetable.Flags
 
-	state map[addr.Virt]*PageState
+	state map[addr.Virt]*pageState
 
 	entryCostNs int64
 }
@@ -65,13 +65,13 @@ func NewWithFlag(pt *pagetable.Table, tl *tlb.TLB, vpid tlb.VPID, entryCostNs in
 	return &Scanner{
 		pt: pt, tl: tl, vpid: vpid,
 		flag:        flag,
-		state:       make(map[addr.Virt]*PageState),
+		state:       make(map[addr.Virt]*pageState),
 		entryCostNs: entryCostNs,
 	}
 }
 
-// Result summarizes one scan pass.
-type Result struct {
+// scanResult summarizes one scan pass.
+type scanResult struct {
 	// Scanned is the number of leaf entries visited.
 	Scanned int
 	// AccessedSet is how many had the Accessed bit set.
@@ -83,14 +83,14 @@ type Result struct {
 // Scan performs one pass: for every present leaf, record whether Accessed
 // was set, clear it, and flush the page's TLB entry so the next touch
 // re-sets it. Pages that disappeared since the last pass are forgotten.
-func (s *Scanner) Scan() Result {
-	var res Result
+func (s *Scanner) Scan() scanResult {
+	var res scanResult
 	seen := make(map[addr.Virt]struct{}, len(s.state))
 	s.pt.ScanClear(s.flag, func(base addr.Virt, prior pagetable.Flags, lvl pagetable.Level) {
 		res.Scanned++
 		st := s.state[base]
 		if st == nil {
-			st = &PageState{}
+			st = &pageState{}
 			s.state[base] = st
 		}
 		st.Level = lvl
@@ -118,13 +118,13 @@ func (s *Scanner) Scan() Result {
 // StateBytes reports the scanner's resident metadata: one history record
 // per tracked page.
 func (s *Scanner) StateBytes() uint64 {
-	// map key + pointer + PageState: ~8 + 8 + 32 bytes per entry.
+	// map key + pointer + pageState: ~8 + 8 + 32 bytes per entry.
 	return uint64(len(s.state)) * 48
 }
 
 // State returns the scan history of the leaf page with the given base
 // address, or nil if unknown.
-func (s *Scanner) State(base addr.Virt) *PageState { return s.state[base] }
+func (s *Scanner) State(base addr.Virt) *pageState { return s.state[base] }
 
 // IdleFraction returns the fraction of tracked bytes idle for at least n
 // consecutive scans (0 if nothing is tracked). This is Figure 1's metric

@@ -82,7 +82,10 @@ func TestTierOfBounds(t *testing.T) {
 		TierOf(addr.Phys(uint64(MaxTiers) << TierShift))
 	})
 
-	s := NewSystem(DefaultDRAM(4<<20), DefaultSlow(4<<20))
+	s, err := NewHierarchy(DefaultDRAM(4<<20), DefaultSlow(4<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
 	// System.TierOf additionally validates against the configured depth.
 	mustPanic(t, "only 2 tiers are configured", func() {
 		s.TierOf(addr.Phys(uint64(2) << TierShift))
@@ -94,7 +97,7 @@ func TestTierOfBounds(t *testing.T) {
 		s.Tier(TierID(-1))
 	})
 	mustPanic(t, "outside [0, 8)", func() {
-		NewTier(TierID(MaxTiers), DefaultSlow(2<<20))
+		newTier(TierID(MaxTiers), DefaultSlow(2<<20))
 	})
 }
 
@@ -112,7 +115,10 @@ func TestTierNames(t *testing.T) {
 	}
 	// Device-class names come from the system that owns the tiers, so two
 	// hierarchies in one process keep their own, whichever was built last.
-	plain := NewSystem(Spec{Capacity: 2 << 20}, Spec{Capacity: 2 << 20})
+	plain, err := NewHierarchy(Spec{Capacity: 2 << 20}, Spec{Capacity: 2 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, want := range []string{"fast", "cxl", "nvm"} {
 		if got := named.Tier(TierID(i)).Name(); got != want {
 			t.Errorf("named tier %d Name() = %q, want %q", i, got, want)
@@ -176,7 +182,7 @@ func TestMeterPairs(t *testing.T) {
 	}
 
 	pairs := m.Pairs()
-	want := []TierPair{{0, 1}, {1, 2}, {2, 0}}
+	want := []tierPair{{0, 1}, {1, 2}, {2, 0}}
 	if len(pairs) != len(want) {
 		t.Fatalf("Pairs() = %v, want %v", pairs, want)
 	}

@@ -5,10 +5,9 @@
 // address space, a frame allocator at 4KB and 2MB grains, and
 // latency/bandwidth parameters used by the machine model.
 //
-// The paper's system is the two-tier special case (DRAM + slow memory);
-// NewSystem builds exactly that. NewHierarchy accepts any ordered spec list
-// up to MaxTiers, and the rest of the stack (migrator, simulator, policies)
-// is tier-count-agnostic.
+// The paper's system is the two-tier special case (DRAM + slow memory).
+// NewHierarchy accepts any ordered spec list up to MaxTiers, and the rest of
+// the stack (migrator, simulator, policies) is tier-count-agnostic.
 //
 // Physical address space layout: tier i owns addresses [i<<TierShift,
 // (i+1)<<TierShift), so the owning tier of any physical address is recovered
@@ -233,8 +232,8 @@ func (c *childMap) put(i int) bool {
 	return true
 }
 
-// NewTier builds a tier with the given identity and spec.
-func NewTier(id TierID, spec Spec) *Tier {
+// newTier builds a tier with the given identity and spec.
+func newTier(id TierID, spec Spec) *Tier {
 	if id < 0 || id >= MaxTiers {
 		panic(fmt.Sprintf("mem: tier id %d outside [0, %d)", int(id), MaxTiers))
 	}
@@ -361,16 +360,6 @@ type System struct {
 	tiers []*Tier
 }
 
-// NewSystem builds the paper's two-tier system from the given specs,
-// indexed by TierID (Fast, Slow).
-func NewSystem(fast, slow Spec) *System {
-	s, err := NewHierarchy(fast, slow)
-	if err != nil {
-		panic(err) // unreachable: two specs always form a valid hierarchy
-	}
-	return s
-}
-
 // NewHierarchy builds an N-tier system from an ordered spec list, fastest
 // first. Between 1 and MaxTiers tiers are supported.
 func NewHierarchy(specs ...Spec) (*System, error) {
@@ -382,7 +371,7 @@ func NewHierarchy(specs ...Spec) (*System, error) {
 	}
 	s := &System{tiers: make([]*Tier, len(specs))}
 	for i, spec := range specs {
-		s.tiers[i] = NewTier(TierID(i), spec)
+		s.tiers[i] = newTier(TierID(i), spec)
 	}
 	return s, nil
 }

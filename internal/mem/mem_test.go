@@ -10,11 +10,14 @@ import (
 )
 
 func testTier(capacity uint64) *Tier {
-	return NewTier(Fast, DefaultDRAM(capacity))
+	return newTier(Fast, DefaultDRAM(capacity))
 }
 
 func TestTierOf(t *testing.T) {
-	s := NewSystem(DefaultDRAM(16<<20), DefaultSlow(16<<20))
+	s, err := NewHierarchy(DefaultDRAM(16<<20), DefaultSlow(16<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
 	pf, err := s.Tier(Fast).Alloc2M()
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +145,10 @@ func TestMixedGrainAccounting(t *testing.T) {
 }
 
 func TestSystemLatencies(t *testing.T) {
-	s := NewSystem(DefaultDRAM(4<<20), DefaultSlow(4<<20))
+	s, err := NewHierarchy(DefaultDRAM(4<<20), DefaultSlow(4<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
 	pf, _ := s.Tier(Fast).Alloc2M()
 	ps, _ := s.Tier(Slow).Alloc2M()
 	if s.ReadLatency(pf) >= s.ReadLatency(ps) {

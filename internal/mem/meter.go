@@ -32,14 +32,14 @@ func (k TrafficKind) String() string {
 	}
 }
 
-// TierPair is one ordered (source, destination) tier pair of the migration
+// tierPair is one ordered (source, destination) tier pair of the migration
 // traffic matrix.
-type TierPair struct {
+type tierPair struct {
 	Src, Dst TierID
 }
 
-// PairTraffic is the accumulated movement over one tier pair.
-type PairTraffic struct {
+// pairTraffic is the accumulated movement over one tier pair.
+type pairTraffic struct {
 	Bytes   uint64
 	Pages2M uint64
 	Pages4K uint64
@@ -58,19 +58,19 @@ type Meter struct {
 	bytes   [nTrafficKinds]stats.Counter
 	pages4K [nTrafficKinds]stats.Counter
 	pages2M [nTrafficKinds]stats.Counter
-	pairs   map[TierPair]*pairCounters
+	pairs   map[tierPair]*pairCounters
 	startNs int64
 }
 
 // NewMeter returns a meter whose rate window starts at startNs.
 func NewMeter(startNs int64) *Meter {
-	return &Meter{startNs: startNs, pairs: make(map[TierPair]*pairCounters)}
+	return &Meter{startNs: startNs, pairs: make(map[tierPair]*pairCounters)}
 }
 
 // RecordPair accounts one page movement of the given kind and size over the
 // (src, dst) tier pair.
 func (m *Meter) RecordPair(kind TrafficKind, src, dst TierID, bytes uint64) {
-	key := TierPair{Src: src, Dst: dst}
+	key := tierPair{Src: src, Dst: dst}
 	pc, ok := m.pairs[key]
 	if !ok {
 		pc = &pairCounters{}
@@ -113,8 +113,8 @@ func (m *Meter) Pages4K(kind TrafficKind) uint64 { return m.pages4K[kind].Value(
 
 // Pairs returns every tier pair with recorded traffic, ordered by (src,
 // dst) so reports render deterministically.
-func (m *Meter) Pairs() []TierPair {
-	out := make([]TierPair, 0, len(m.pairs))
+func (m *Meter) Pairs() []tierPair {
+	out := make([]tierPair, 0, len(m.pairs))
 	for k := range m.pairs {
 		out = append(out, k)
 	}
@@ -128,12 +128,12 @@ func (m *Meter) Pairs() []TierPair {
 }
 
 // PairTraffic returns the accumulated movement over the (src, dst) pair.
-func (m *Meter) PairTraffic(src, dst TierID) PairTraffic {
-	pc, ok := m.pairs[TierPair{Src: src, Dst: dst}]
+func (m *Meter) PairTraffic(src, dst TierID) pairTraffic {
+	pc, ok := m.pairs[tierPair{Src: src, Dst: dst}]
 	if !ok {
-		return PairTraffic{}
+		return pairTraffic{}
 	}
-	return PairTraffic{
+	return pairTraffic{
 		Bytes:   pc.bytes.Value(),
 		Pages2M: pc.pages2M.Value(),
 		Pages4K: pc.pages4K.Value(),
@@ -143,7 +143,7 @@ func (m *Meter) PairTraffic(src, dst TierID) PairTraffic {
 // PairRateMBps returns the (src, dst) pair's average rate in MB/s over
 // virtual time [startNs, nowNs].
 func (m *Meter) PairRateMBps(src, dst TierID, nowNs int64) float64 {
-	pc, ok := m.pairs[TierPair{Src: src, Dst: dst}]
+	pc, ok := m.pairs[tierPair{Src: src, Dst: dst}]
 	if !ok {
 		return 0
 	}

@@ -22,13 +22,9 @@ import (
 	"thermostat/internal/tlb"
 )
 
-// DefaultPerPageOverheadNs approximates the kernel's fixed migrate_pages
+// defaultPerPageOverheadNs approximates the kernel's fixed migrate_pages
 // bookkeeping cost per page (unmap, copy setup, remap).
-const DefaultPerPageOverheadNs = 3000
-
-// Observer is notified after every successful page migration — the
-// telemetry layer's attachment point. It must not migrate pages itself.
-type Observer func(v addr.Virt, src, dst mem.TierID, bytes uint64, kind mem.TrafficKind, costNs int64)
+const defaultPerPageOverheadNs = 3000
 
 // Migrator moves pages between tiers. Every move is transactional: it either
 // commits fully (remap + shootdown + source freed + traffic metered) or
@@ -40,7 +36,7 @@ type Migrator struct {
 	tl    *tlb.TLB
 	meter *mem.Meter
 
-	observer Observer
+	observer func(v addr.Virt, src, dst mem.TierID, bytes uint64, kind mem.TrafficKind, costNs int64)
 
 	inj       *chaos.Injector
 	clock     func() int64
@@ -54,7 +50,7 @@ type Migrator struct {
 func NewMigrator(sys *mem.System, pt *pagetable.Table, tl *tlb.TLB, meter *mem.Meter) *Migrator {
 	return &Migrator{
 		sys: sys, pt: pt, tl: tl, meter: meter,
-		perPageOverheadNs: DefaultPerPageOverheadNs,
+		perPageOverheadNs: defaultPerPageOverheadNs,
 	}
 }
 
@@ -62,9 +58,12 @@ func NewMigrator(sys *mem.System, pt *pagetable.Table, tl *tlb.TLB, meter *mem.M
 func (m *Migrator) Meter() *mem.Meter { return m.meter }
 
 // SetObserver installs fn to be called after every successful migration
-// (nil removes). The machine uses this to emit telemetry Migrated events
-// with its virtual clock.
-func (m *Migrator) SetObserver(fn Observer) { m.observer = fn }
+// (nil removes) — the telemetry layer's attachment point: the machine uses
+// it to emit telemetry Migrated events with its virtual clock. fn must not
+// migrate pages itself.
+func (m *Migrator) SetObserver(fn func(v addr.Virt, src, dst mem.TierID, bytes uint64, kind mem.TrafficKind, costNs int64)) {
+	m.observer = fn
+}
 
 // SetInjector installs a chaos injector (nil removes) and the virtual-clock
 // source used to stamp injected faults. With a nil injector the migrator's

@@ -18,7 +18,10 @@ type fixture struct {
 
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
-	sys := mem.NewSystem(mem.DefaultDRAM(16<<20), mem.DefaultSlow(16<<20))
+	sys, err := mem.NewHierarchy(mem.DefaultDRAM(16<<20), mem.DefaultSlow(16<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
 	pt := pagetable.New()
 	tl := tlb.New(tlb.DefaultConfig())
 	return &fixture{sys: sys, pt: pt, tl: tl, mig: NewMigrator(sys, pt, tl, mem.NewMeter(0))}
@@ -121,7 +124,10 @@ func TestMoveHugeErrors(t *testing.T) {
 }
 
 func TestMoveHugeDestinationFull(t *testing.T) {
-	sys := mem.NewSystem(mem.DefaultDRAM(16<<20), mem.DefaultSlow(0))
+	sys, err := mem.NewHierarchy(mem.DefaultDRAM(16<<20), mem.DefaultSlow(0))
+	if err != nil {
+		t.Fatal(err)
+	}
 	pt := pagetable.New()
 	tl := tlb.New(tlb.DefaultConfig())
 	mig := NewMigrator(sys, pt, tl, mem.NewMeter(0))
@@ -226,7 +232,7 @@ func TestCopyCostReflectsBandwidth(t *testing.T) {
 	// 2MiB at the slow tier's 10GB/s plus per-page overhead ≈ 210us + 3us.
 	bytes := float64(addr.PageSize2M)
 	wantCopy := int64(bytes / 10e9 * 1e9)
-	if cost < wantCopy || cost > wantCopy+2*DefaultPerPageOverheadNs {
-		t.Fatalf("cost = %dns, want ~%dns", cost, wantCopy+DefaultPerPageOverheadNs)
+	if cost < wantCopy || cost > wantCopy+2*defaultPerPageOverheadNs {
+		t.Fatalf("cost = %dns, want ~%dns", cost, wantCopy+defaultPerPageOverheadNs)
 	}
 }

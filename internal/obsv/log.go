@@ -9,12 +9,12 @@ import (
 // Log formats accepted by -log-format.
 const (
 	LogText = "text"
-	LogJSON = "json"
+	logJSON = "json"
 )
 
 // ValidLogFormat reports whether f names a supported log format ("" means
 // the text default, matching NewLogger).
-func ValidLogFormat(f string) bool { return f == LogText || f == LogJSON || f == "" }
+func ValidLogFormat(f string) bool { return f == LogText || f == logJSON || f == "" }
 
 // NewLogger builds the command-line logger: text (human, the default) or
 // json (machine-parseable, one object per line). Unknown formats error so
@@ -23,9 +23,9 @@ func NewLogger(w io.Writer, format string) (*slog.Logger, error) {
 	switch format {
 	case LogText, "":
 		return slog.New(slog.NewTextHandler(w, nil)), nil
-	case LogJSON:
+	case logJSON:
 		return slog.New(slog.NewJSONHandler(w, nil)), nil
 	default:
-		return nil, fmt.Errorf("unknown log format %q (want %s or %s)", format, LogText, LogJSON)
+		return nil, fmt.Errorf("unknown log format %q (want %s or %s)", format, LogText, logJSON)
 	}
 }

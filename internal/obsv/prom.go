@@ -14,33 +14,33 @@ import (
 // we need (HELP/TYPE headers, counter and gauge samples with escaped
 // labels) is small.
 
-// MetricType is the TYPE of a metric family.
-type MetricType string
+// metricType is the TYPE of a metric family.
+type metricType string
 
 // Supported metric types.
 const (
-	TypeCounter MetricType = "counter"
-	TypeGauge   MetricType = "gauge"
+	typeCounter metricType = "counter"
+	typeGauge   metricType = "gauge"
 )
 
-// Label is one name="value" pair.
-type Label struct {
+// promLabel is one name="value" pair.
+type promLabel struct {
 	Name  string
 	Value string
 }
 
-// Sample is one sample line within a family.
-type Sample struct {
-	Labels []Label
+// sample is one sample line within a family.
+type sample struct {
+	Labels []promLabel
 	Value  float64
 }
 
-// Family is one metric family: HELP + TYPE + samples.
-type Family struct {
+// family is one metric family: HELP + TYPE + samples.
+type family struct {
 	Name    string
 	Help    string
-	Type    MetricType
-	Samples []Sample
+	Type    metricType
+	Samples []sample
 }
 
 // escapeLabelValue applies the exposition-format label escaping rules:
@@ -99,11 +99,11 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// WriteProm encodes families in the text exposition format. Families and
+// writeProm encodes families in the text exposition format. Families and
 // samples are emitted in the order given; the encoder assumes callers
 // provide unique family names and unique label sets per family (ParseProm
 // enforces both, and tests scrape through it).
-func WriteProm(w io.Writer, fams []Family) error {
+func writeProm(w io.Writer, fams []family) error {
 	bw := bufio.NewWriter(w)
 	for _, f := range fams {
 		if len(f.Samples) == 0 {
@@ -140,9 +140,9 @@ func WriteProm(w io.Writer, fams []Family) error {
 // (HELP first), names must be legal, label values must use legal escapes,
 // no duplicate families, and no duplicate samples (same name + label set).
 // It exists for tests and the promlint tool; a valid scrape round-trips.
-func ParseProm(r io.Reader) ([]Family, error) {
+func ParseProm(r io.Reader) ([]family, error) {
 	var (
-		fams    []Family
+		fams    []family
 		byName  = map[string]int{}
 		helpFor = map[string]bool{}
 		seen    = map[string]bool{} // name + sorted label set
@@ -168,7 +168,7 @@ func ParseProm(r io.Reader) ([]Family, error) {
 			}
 			byName[name] = len(fams)
 			helpFor[name] = true
-			fams = append(fams, Family{Name: name, Help: unescapeHelp(help)})
+			fams = append(fams, family{Name: name, Help: unescapeHelp(help)})
 		case strings.HasPrefix(line, "# TYPE "):
 			rest := line[len("# TYPE "):]
 			name, typ, ok := strings.Cut(rest, " ")
@@ -182,9 +182,9 @@ func ParseProm(r io.Reader) ([]Family, error) {
 			if fams[i].Type != "" {
 				return nil, fmt.Errorf("line %d: duplicate TYPE for %q", lineNo, name)
 			}
-			switch MetricType(typ) {
-			case TypeCounter, TypeGauge:
-				fams[i].Type = MetricType(typ)
+			switch metricType(typ) {
+			case typeCounter, typeGauge:
+				fams[i].Type = metricType(typ)
 			default:
 				return nil, fmt.Errorf("line %d: unsupported metric type %q", lineNo, typ)
 			}
@@ -207,7 +207,7 @@ func ParseProm(r io.Reader) ([]Family, error) {
 				return nil, fmt.Errorf("line %d: duplicate sample %s", lineNo, key)
 			}
 			seen[key] = true
-			fams[i].Samples = append(fams[i].Samples, Sample{Labels: labels, Value: val})
+			fams[i].Samples = append(fams[i].Samples, sample{Labels: labels, Value: val})
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -225,7 +225,7 @@ func ParseProm(r io.Reader) ([]Family, error) {
 }
 
 // parseSample parses one sample line: name[{labels}] value.
-func parseSample(line string) (string, []Label, float64, error) {
+func parseSample(line string) (string, []promLabel, float64, error) {
 	var name, rest string
 	if i := strings.IndexByte(line, '{'); i >= 0 {
 		name = line[:i]
@@ -270,8 +270,8 @@ func parseValue(s string) (float64, error) {
 
 // parseLabels parses the inside of a {...} label set, validating names and
 // escape sequences.
-func parseLabels(s string) ([]Label, error) {
-	var out []Label
+func parseLabels(s string) ([]promLabel, error) {
+	var out []promLabel
 	i := 0
 	for i < len(s) {
 		eq := strings.IndexByte(s[i:], '=')
@@ -319,7 +319,7 @@ func parseLabels(s string) ([]Label, error) {
 		if !closed {
 			return nil, fmt.Errorf("label %s: unterminated value", name)
 		}
-		out = append(out, Label{Name: name, Value: b.String()})
+		out = append(out, promLabel{Name: name, Value: b.String()})
 		if i < len(s) {
 			if s[i] != ',' {
 				return nil, fmt.Errorf("expected ',' between labels, got %q", s[i:])
@@ -331,8 +331,8 @@ func parseLabels(s string) ([]Label, error) {
 }
 
 // sampleKey identifies a sample by family name + sorted label set.
-func sampleKey(name string, labels []Label) string {
-	ls := append([]Label(nil), labels...)
+func sampleKey(name string, labels []promLabel) string {
+	ls := append([]promLabel(nil), labels...)
 	sort.Slice(ls, func(i, j int) bool { return ls[i].Name < ls[j].Name })
 	var b strings.Builder
 	b.WriteString(name)

@@ -8,19 +8,19 @@ import (
 
 func TestWritePromRoundTrip(t *testing.T) {
 	t.Parallel()
-	fams := []Family{
-		{Name: "a_total", Help: "a counter", Type: TypeCounter, Samples: []Sample{
+	fams := []family{
+		{Name: "a_total", Help: "a counter", Type: typeCounter, Samples: []sample{
 			{Value: 42},
 		}},
-		{Name: "b_bytes", Help: `tricky help with \ backslash`, Type: TypeGauge, Samples: []Sample{
-			{Labels: []Label{{"run", "redis/thermostat"}, {"tier", "0"}}, Value: 1.5},
-			{Labels: []Label{{"run", "redis/thermostat"}, {"tier", "1"}}, Value: 0},
-			{Labels: []Label{{"run", `we"ird\lab` + "\nel"}}, Value: -3},
+		{Name: "b_bytes", Help: `tricky help with \ backslash`, Type: typeGauge, Samples: []sample{
+			{Labels: []promLabel{{"run", "redis/thermostat"}, {"tier", "0"}}, Value: 1.5},
+			{Labels: []promLabel{{"run", "redis/thermostat"}, {"tier", "1"}}, Value: 0},
+			{Labels: []promLabel{{"run", `we"ird\lab` + "\nel"}}, Value: -3},
 		}},
-		{Name: "empty_family_skipped", Help: "no samples", Type: TypeGauge},
+		{Name: "empty_family_skipped", Help: "no samples", Type: typeGauge},
 	}
 	var sb strings.Builder
-	if err := WriteProm(&sb, fams); err != nil {
+	if err := writeProm(&sb, fams); err != nil {
 		t.Fatal(err)
 	}
 	text := sb.String()

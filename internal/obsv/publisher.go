@@ -19,10 +19,6 @@ import (
 	"thermostat/internal/telemetry"
 )
 
-// Census is the engine classification census rendered by /dump (an alias
-// of core.Census so obsv callers need not import core).
-type Census = core.Census
-
 // Info is static run identification set once by the command before the run
 // starts; it becomes the thermostat_run_info metric and part of /status.
 type Info struct {
@@ -37,7 +33,7 @@ type Info struct {
 
 // Run phases reported by /status.
 const (
-	PhaseIdle    = "idle"
+	phaseIdle    = "idle"
 	PhaseRunning = "running"
 	PhaseDone    = "done"
 )
@@ -88,16 +84,16 @@ type tenantState struct {
 	hasSnap    bool
 }
 
-// CensusSource exposes an engine's published classification census
+// censusSource exposes an engine's published classification census
 // (implemented by *core.Engine after EnablePublish).
-type CensusSource interface {
-	PublishedCensus() (Census, bool)
+type censusSource interface {
+	PublishedCensus() (core.Census, bool)
 }
 
 // engineRef pairs a census source with its display label.
 type engineRef struct {
 	label string
-	src   CensusSource
+	src   censusSource
 }
 
 // Publisher is the live observability plane's state hub. One Publisher
@@ -119,7 +115,7 @@ type Publisher struct {
 // NewPublisher returns an empty publisher in the idle phase.
 func NewPublisher() *Publisher {
 	return &Publisher{
-		phase:    PhaseIdle,
+		phase:    phaseIdle,
 		byLabel:  map[string]*stream{},
 		byTenant: map[string]*tenantState{},
 	}
@@ -149,7 +145,7 @@ func (p *Publisher) SetHealth(health string) {
 }
 
 // AttachEngine registers an engine census source under a display label.
-func (p *Publisher) AttachEngine(label string, src CensusSource) {
+func (p *Publisher) AttachEngine(label string, src censusSource) {
 	p.mu.Lock()
 	p.engines = append(p.engines, engineRef{label: label, src: src})
 	p.mu.Unlock()
@@ -282,8 +278,8 @@ func (p *Publisher) tenant(name string) *tenantState {
 	return t
 }
 
-// StreamState is one stream's mirrored state, exported by copy.
-type StreamState struct {
+// streamCopy is one stream's mirrored state, exported by copy.
+type streamCopy struct {
 	Label         string
 	Epoch         uint64
 	TimeNs        int64
@@ -296,8 +292,8 @@ type StreamState struct {
 	HasSnapshot   bool
 }
 
-// TenantState is one tenant's mirrored state, exported by copy.
-type TenantState struct {
+// tenantCopy is one tenant's mirrored state, exported by copy.
+type tenantCopy struct {
 	Name       string
 	Resident   bool
 	ArrivedNs  int64
@@ -307,23 +303,23 @@ type TenantState struct {
 	HasSnap    bool
 }
 
-// State is a point-in-time copy of everything the publisher mirrors.
-type State struct {
+// publishedState is a point-in-time copy of everything the publisher mirrors.
+type publishedState struct {
 	Info    Info
 	Phase   string
 	Health  string
-	Streams []StreamState
-	Tenants []TenantState
+	Streams []streamCopy
+	Tenants []tenantCopy
 }
 
 // State returns a deep copy of the published state. Streams keep
 // registration order; tenants are sorted by name for deterministic output.
-func (p *Publisher) State() State {
+func (p *Publisher) State() publishedState {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	st := State{Info: p.info, Phase: p.phase, Health: p.health}
+	st := publishedState{Info: p.info, Phase: p.phase, Health: p.health}
 	for _, s := range p.streams {
-		cp := StreamState{
+		cp := streamCopy{
 			Label:         s.label,
 			Epoch:         s.epoch,
 			TimeNs:        s.timeNs,
@@ -341,7 +337,7 @@ func (p *Publisher) State() State {
 		st.Streams = append(st.Streams, cp)
 	}
 	for _, t := range p.tenants {
-		st.Tenants = append(st.Tenants, TenantState{
+		st.Tenants = append(st.Tenants, tenantCopy{
 			Name:       t.name,
 			Resident:   t.resident,
 			ArrivedNs:  t.arrivedNs,
@@ -355,22 +351,22 @@ func (p *Publisher) State() State {
 	return st
 }
 
-// EngineCensus pairs an engine label with its latest published census.
-type EngineCensus struct {
+// engineCensus pairs an engine label with its latest published census.
+type engineCensus struct {
 	Label  string
-	Census Census
+	Census core.Census
 }
 
 // Engines returns the latest census from every registered source that has
 // published one, in registration order.
-func (p *Publisher) Engines() []EngineCensus {
+func (p *Publisher) Engines() []engineCensus {
 	p.mu.Lock()
 	refs := append([]engineRef(nil), p.engines...)
 	p.mu.Unlock()
-	var out []EngineCensus
+	var out []engineCensus
 	for _, r := range refs {
 		if c, ok := r.src.PublishedCensus(); ok {
-			out = append(out, EngineCensus{Label: r.label, Census: c})
+			out = append(out, engineCensus{Label: r.label, Census: c})
 		}
 	}
 	return out

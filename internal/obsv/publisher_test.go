@@ -158,7 +158,7 @@ func TestPublisherTenantLifecycle(t *testing.T) {
 
 func TestLogFormats(t *testing.T) {
 	t.Parallel()
-	for _, f := range []string{LogText, LogJSON, ""} {
+	for _, f := range []string{LogText, logJSON, ""} {
 		if _, err := NewLogger(nil, f); err != nil {
 			t.Fatalf("NewLogger(%q): %v", f, err)
 		}
@@ -166,7 +166,7 @@ func TestLogFormats(t *testing.T) {
 	if _, err := NewLogger(nil, "yaml"); err == nil {
 		t.Fatal("NewLogger accepted unknown format")
 	}
-	if ValidLogFormat("yaml") || !ValidLogFormat(LogJSON) {
+	if ValidLogFormat("yaml") || !ValidLogFormat(logJSON) {
 		t.Fatal("ValidLogFormat wrong")
 	}
 }

@@ -14,7 +14,7 @@ import (
 	"time"
 )
 
-// Server exposes a Publisher over HTTP. It replaces the old sim-only debug
+// server exposes a Publisher over HTTP. It replaces the old sim-only debug
 // server: the same mux carries the observability endpoints plus pprof and
 // expvar, so one -serve address inspects everything.
 //
@@ -27,7 +27,7 @@ import (
 //	/dump?what=accessed[&n=N]  plain-text classification census
 //	/debug/pprof/...  runtime profiles
 //	/debug/vars       expvar
-type Server struct {
+type server struct {
 	pub *Publisher
 	mux *http.ServeMux
 	srv *http.Server
@@ -37,9 +37,9 @@ type Server struct {
 	reload func() ([]string, error)
 }
 
-// NewServer builds a server for pub (which must be non-nil).
-func NewServer(pub *Publisher) *Server {
-	s := &Server{pub: pub, mux: http.NewServeMux()}
+// newServer builds a server for pub (which must be non-nil).
+func newServer(pub *Publisher) *server {
+	s := &server{pub: pub, mux: http.NewServeMux()}
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/status", s.handleStatus)
@@ -56,12 +56,12 @@ func NewServer(pub *Publisher) *Server {
 }
 
 // Handler returns the server's mux (for tests via httptest).
-func (s *Server) Handler() http.Handler { return s.mux }
+func (s *server) Handler() http.Handler { return s.mux }
 
 // SetReloadHandler installs the function POST /reload invokes (the daemon
 // wires it to a config re-read). Without one, /reload answers 501. The
 // handler returns the queued change list, or an error rendered as 409.
-func (s *Server) SetReloadHandler(fn func() ([]string, error)) {
+func (s *server) SetReloadHandler(fn func() ([]string, error)) {
 	s.mu.Lock()
 	s.reload = fn
 	s.mu.Unlock()
@@ -72,7 +72,7 @@ func (s *Server) SetReloadHandler(fn func() ([]string, error)) {
 // timeouts so a stalled client (slowloris) cannot pin a connection
 // forever; there is deliberately no write timeout, which would cut off
 // streaming pprof profiles.
-func (s *Server) Start(addr string) (string, error) {
+func (s *server) Start(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", fmt.Errorf("obsv: listen %s: %w", addr, err)
@@ -90,7 +90,7 @@ func (s *Server) Start(addr string) (string, error) {
 
 // Close stops the listener immediately, dropping in-flight requests
 // (idempotent; nil-safe before Start). Prefer Shutdown on orderly exits.
-func (s *Server) Close() error {
+func (s *server) Close() error {
 	if s.srv == nil {
 		return nil
 	}
@@ -101,17 +101,17 @@ func (s *Server) Close() error {
 // in-flight requests (a /metrics scrape, a /dump) finish within ctx's
 // deadline before connections are torn down. Idempotent; nil-safe before
 // Start. Both CLIs and the daemon call this on SIGINT/SIGTERM.
-func (s *Server) Shutdown(ctx context.Context) error {
+func (s *server) Shutdown(ctx context.Context) error {
 	if s.srv == nil {
 		return nil
 	}
 	return s.srv.Shutdown(ctx)
 }
 
-// Serve is the one-call helper the cmds use: build a server on pub and
+// serve is the one-call helper the cmds use: build a server on pub and
 // start it on addr.
-func Serve(addr string, pub *Publisher) (*Server, string, error) {
-	s := NewServer(pub)
+func serve(addr string, pub *Publisher) (*server, string, error) {
+	s := newServer(pub)
 	bound, err := s.Start(addr)
 	if err != nil {
 		return nil, "", err
@@ -121,15 +121,15 @@ func Serve(addr string, pub *Publisher) (*Server, string, error) {
 
 // ServeAll starts one full server on pub per distinct non-empty address,
 // logging each bound listener.
-func ServeAll(pub *Publisher, logger *slog.Logger, addrs ...string) ([]*Server, error) {
-	var servers []*Server
+func ServeAll(pub *Publisher, logger *slog.Logger, addrs ...string) ([]*server, error) {
+	var servers []*server
 	seen := map[string]bool{}
 	for _, addr := range addrs {
 		if addr == "" || seen[addr] {
 			continue
 		}
 		seen[addr] = true
-		srv, bound, err := Serve(addr, pub)
+		srv, bound, err := serve(addr, pub)
 		if err != nil {
 			return servers, err
 		}
@@ -140,7 +140,7 @@ func ServeAll(pub *Publisher, logger *slog.Logger, addrs ...string) ([]*Server, 
 	return servers, nil
 }
 
-func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST /reload", http.StatusMethodNotAllowed)
 		return
@@ -163,12 +163,12 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"queued": changes})
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := s.pub.WriteMetrics(w); err != nil {
 		// Headers are gone; nothing useful to do beyond dropping the conn.
@@ -196,7 +196,7 @@ type statusBody struct {
 	Tenants      int         `json:"tenants"`
 }
 
-func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
+func (s *server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	st := s.pub.State()
 	body := statusBody{Phase: st.Phase, Health: st.Health, Info: st.Info, Runs: []statusRun{}, Tenants: len(st.Tenants)}
 	for _, r := range st.Streams {
@@ -233,7 +233,7 @@ type tenantBody struct {
 	QuarantinedPages int     `json:"quarantined_pages"`
 }
 
-func (s *Server) handleTenants(w http.ResponseWriter, _ *http.Request) {
+func (s *server) handleTenants(w http.ResponseWriter, _ *http.Request) {
 	st := s.pub.State()
 	out := []tenantBody{}
 	for _, t := range st.Tenants {
@@ -256,7 +256,7 @@ func (s *Server) handleTenants(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, out)
 }
 
-func (s *Server) handleDump(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleDump(w http.ResponseWriter, r *http.Request) {
 	what := r.URL.Query().Get("what")
 	if what == "" {
 		what = "accessed"

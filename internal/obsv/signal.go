@@ -16,7 +16,7 @@ import (
 // listeners mid-scrape; the daemon has its own, richer signal loop and does
 // not. The returned stop function uninstalls the handler (call it when the
 // run ends normally, so late signals get default handling again).
-func ShutdownOnSignal(grace time.Duration, logger *slog.Logger, servers ...*Server) (stop func()) {
+func ShutdownOnSignal(grace time.Duration, logger *slog.Logger, servers ...*server) (stop func()) {
 	ch := make(chan os.Signal, 1)
 	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
 	done := make(chan struct{})

@@ -57,7 +57,7 @@ var diffTiers = [4]addr.Phys{0, 1 << 44, 8<<44 - 64<<addr.PageShift2M, 3 << 44}
 //
 // A misaligned Remap is the one place the tables differ by design: the
 // reference stores the frame as given, so only the Table sees it, must name
-// ErrBadFrame (or report the address unmapped, or a huge leaf's misalignment)
+// errBadFrame (or report the address unmapped, or a huge leaf's misalignment)
 // and must leave every leaf as it was.
 func runTableDiff(t *testing.T, prog []byte) {
 	t.Helper()
@@ -123,7 +123,7 @@ func runTableDiff(t *testing.T, prog []byte) {
 				before := tableLeaves(pt)
 				_, lvl, mapped := pt.Lookup(cv)
 				_, err := pt.Remap(cv, p)
-				if err == nil || (mapped && lvl == Level4K && !errors.Is(err, ErrBadFrame)) {
+				if err == nil || (mapped && lvl == Level4K && !errors.Is(err, errBadFrame)) {
 					fail("Remap to misaligned %s: err = %v", p, err)
 				}
 				if after := tableLeaves(pt); !slices.Equal(before, after) {

@@ -22,7 +22,7 @@ const probeFlag Flags = 1 << 15
 // scanRadix is the depth-first radix walk the slot index replaced: the
 // reference visit order the index must reproduce (checkLeafIndex) and the
 // radix side of BenchmarkPTScan.
-func (t *Table) scanRadix(fn LeafVisitor) {
+func (t *Table) scanRadix(fn leafVisitor) {
 	for i4, pdpt := range t.root {
 		if pdpt == nil {
 			continue

@@ -76,13 +76,13 @@ const (
 	frameMask   = (1<<frameEnd - 1) &^ lowFlagMask
 )
 
-// ErrBadFrame rejects a physical frame a PTE cannot hold: not 4KB-aligned, or
+// errBadFrame rejects a physical frame a PTE cannot hold: not 4KB-aligned, or
 // reaching past bit 51.
-var ErrBadFrame = errors.New("pagetable: frame not 4KB-aligned below 2^52")
+var errBadFrame = errors.New("pagetable: frame not 4KB-aligned below 2^52")
 
 func checkFrame(p addr.Phys) error {
 	if PTE(p)&^frameMask != 0 {
-		return fmt.Errorf("%w: %s", ErrBadFrame, p)
+		return fmt.Errorf("%w: %s", errBadFrame, p)
 	}
 	return nil
 }
@@ -360,8 +360,8 @@ func (t *Table) Translate(v addr.Virt) (addr.Phys, bool) {
 	return e.Frame + addr.Phys(v.Offset4K()), true
 }
 
-// WalkResult describes a simulated hardware page walk.
-type WalkResult struct {
+// walkResult describes a simulated hardware page walk.
+type walkResult struct {
 	// Entry is the leaf translation found (zero if !Found).
 	Entry Entry
 	// Level is the leaf level (Level4K or Level2M).
@@ -380,14 +380,14 @@ type WalkResult struct {
 // (and Dirty for writes) unless the entry is poisoned, and reports the walk
 // depth. A poisoned leaf reports Poisoned=true and leaves flags untouched —
 // the MMU raises the fault before retiring the access.
-func (t *Table) Walk(v addr.Virt, write bool) WalkResult {
+func (t *Table) Walk(v addr.Virt, write bool) walkResult {
 	pdpt := t.root[idx4(v)]
 	if pdpt == nil {
-		return WalkResult{Depth: 1}
+		return walkResult{Depth: 1}
 	}
 	pd := pdpt.pds[idx3(v)]
 	if pd == nil {
-		return WalkResult{Depth: 2}
+		return walkResult{Depth: 2}
 	}
 	i := idx2(v)
 	if e := &pd.ptes[i]; e.Has(Present | Huge) {
@@ -395,26 +395,26 @@ func (t *Table) Walk(v addr.Virt, write bool) WalkResult {
 	}
 	pt := pd.pts[i]
 	if pt == nil {
-		return WalkResult{Depth: 3}
+		return walkResult{Depth: 3}
 	}
 	e := &pt[idx1(v)]
 	if !e.Has(Present) {
-		return WalkResult{Depth: 4}
+		return walkResult{Depth: 4}
 	}
 	return finishWalk(e, Level4K, 4, write)
 }
 
-func finishWalk(e *PTE, lvl Level, depth int, write bool) WalkResult {
+func finishWalk(e *PTE, lvl Level, depth int, write bool) walkResult {
 	w := *e
 	if w.Has(Poisoned) {
-		return WalkResult{Entry: w.Entry(), Level: lvl, Found: true, Poisoned: true, Depth: depth}
+		return walkResult{Entry: w.Entry(), Level: lvl, Found: true, Poisoned: true, Depth: depth}
 	}
 	w |= flagBits(Accessed)
 	if write {
 		w |= flagBits(Dirty)
 	}
 	*e = w
-	return WalkResult{Entry: w.Entry(), Level: lvl, Found: true, Depth: depth}
+	return walkResult{Entry: w.Entry(), Level: lvl, Found: true, Depth: depth}
 }
 
 // SetFlags ORs mask into the leaf entry mapping v. Returns false if unmapped.
@@ -443,7 +443,7 @@ func (t *Table) ClearFlags(v addr.Virt, mask Flags) (Flags, bool) {
 // The grain of the existing mapping is preserved; flags other than Accessed
 // and Dirty are kept, and Accessed/Dirty are cleared (fresh page, as after a
 // migration the kernel re-establishes the mapping). p must be aligned to the
-// mapping's grain (ErrBadFrame for a 4KB leaf). Returns the old frame.
+// mapping's grain (errBadFrame for a 4KB leaf). Returns the old frame.
 func (t *Table) Remap(v addr.Virt, p addr.Phys) (addr.Phys, error) {
 	e, lvl := t.entryRef(v)
 	if e == nil {
@@ -589,15 +589,15 @@ func (t *Table) IsSplit(v addr.Virt) bool {
 	return e != nil && e.Has(SplitSampled)
 }
 
-// LeafVisitor receives each present leaf entry during a Scan. base is the
+// leafVisitor receives each present leaf entry during a Scan. base is the
 // leaf's virtual base address; e points at the live entry, so flag edits
 // through it are visible to subsequent walks.
-type LeafVisitor func(base addr.Virt, e *PTE, lvl Level)
+type leafVisitor func(base addr.Virt, e *PTE, lvl Level)
 
 // Scan visits every present leaf in the table in address order. It sweeps
 // the slot index linearly; the visitor must not structurally mutate the
 // table (Map/Unmap/Split/Collapse) mid-scan — collect first, mutate after.
-func (t *Table) Scan(fn LeafVisitor) {
+func (t *Table) Scan(fn leafVisitor) {
 	t.ScanRange(addr.Range{End: ^addr.Virt(0)}, fn)
 }
 
@@ -605,7 +605,7 @@ func (t *Table) Scan(fn LeafVisitor) {
 // search to the PD slot holding r.Start, then a linear sweep to r.End. The
 // bounds need not be 2MB-aligned; a split slot they cut through is walked
 // only between them.
-func (t *Table) ScanRange(r addr.Range, fn LeafVisitor) {
+func (t *Table) ScanRange(r addr.Range, fn leafVisitor) {
 	idx := t.index
 	for i := t.slotPos(r.Start.Base2M()); i < len(idx) && idx[i].base < r.End; i++ {
 		ref := idx[i]

@@ -331,7 +331,7 @@ func TestRemapRejectsBadFrame(t *testing.T) {
 		t.Fatalf("Map4K stored %s, want the round-down %s", before.Frame, addr.Phys4K(5))
 	}
 	for _, p := range []addr.Phys{addr.Phys4K(6) + 1, addr.Phys4K(6) + 0x800, 1 << 52, 1<<63 | addr.Phys4K(6)} {
-		if _, err := pt.Remap(v, p); !errors.Is(err, ErrBadFrame) {
+		if _, err := pt.Remap(v, p); !errors.Is(err, errBadFrame) {
 			t.Fatalf("Remap to %s: err = %v, want ErrBadFrame", p, err)
 		}
 		if after, _, _ := pt.Lookup(v); after != before {
@@ -341,10 +341,10 @@ func TestRemapRejectsBadFrame(t *testing.T) {
 	if pa, _ := pt.Translate(v + 0x10); pa != addr.Phys4K(5)+0x10 {
 		t.Fatalf("Translate after refused remaps = %s", pa)
 	}
-	if err := pt.Map2M(addr.Virt2M(3), 1<<52, 0); !errors.Is(err, ErrBadFrame) {
+	if err := pt.Map2M(addr.Virt2M(3), 1<<52, 0); !errors.Is(err, errBadFrame) {
 		t.Fatalf("Map2M beyond bit 51: err = %v, want ErrBadFrame", err)
 	}
-	if err := pt.Map4K(addr.Virt4K(10), 1<<52, 0); !errors.Is(err, ErrBadFrame) {
+	if err := pt.Map4K(addr.Virt4K(10), 1<<52, 0); !errors.Is(err, errBadFrame) {
 		t.Fatalf("Map4K beyond bit 51: err = %v, want ErrBadFrame", err)
 	}
 	if pt.RegionCount() != 1 || pt.nPD != 1 {

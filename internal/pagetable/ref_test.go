@@ -4,7 +4,7 @@ package pagetable
 // as the differential oracle (FuzzTableVsRef): one 12 304-byte node type for
 // every level — a 16-byte Entry and a child pointer per slot — descended by a
 // level loop over addr.Index. Only the type names changed (refTable, refNode,
-// refRegion); Flags, Entry, Level and WalkResult are the package's own.
+// refRegion); Flags, Entry, Level and walkResult are the package's own.
 
 import (
 	"fmt"
@@ -15,7 +15,7 @@ import (
 	"thermostat/internal/addr"
 )
 
-// refVisitor is the old LeafVisitor: the entry pointer aims into the node.
+// refVisitor is the old leafVisitor: the entry pointer aims into the node.
 type refVisitor func(base addr.Virt, e *Entry, lvl Level)
 
 // refNode is one 512-entry radix table.
@@ -223,7 +223,7 @@ func (t *refTable) Translate(v addr.Virt) (addr.Phys, bool) {
 // (and Dirty for writes) unless the entry is poisoned, and reports the walk
 // depth. A poisoned leaf reports Poisoned=true and leaves flags untouched —
 // the MMU raises the fault before retiring the access.
-func (t *refTable) Walk(v addr.Virt, write bool) WalkResult {
+func (t *refTable) Walk(v addr.Virt, write bool) walkResult {
 	n := t.root
 	depth := 0
 	for l := 4; l >= 1; l-- {
@@ -234,27 +234,27 @@ func (t *refTable) Walk(v addr.Virt, write bool) WalkResult {
 		}
 		if l == 1 {
 			if !n.entries[i].Flags.Has(Present) {
-				return WalkResult{Depth: depth}
+				return walkResult{Depth: depth}
 			}
 			return t.finishWalk(&n.entries[i], Level4K, depth, write)
 		}
 		if n.children[i] == nil {
-			return WalkResult{Depth: depth}
+			return walkResult{Depth: depth}
 		}
 		n = n.children[i]
 	}
-	return WalkResult{Depth: depth}
+	return walkResult{Depth: depth}
 }
 
-func (t *refTable) finishWalk(e *Entry, lvl Level, depth int, write bool) WalkResult {
+func (t *refTable) finishWalk(e *Entry, lvl Level, depth int, write bool) walkResult {
 	if e.Flags.Has(Poisoned) {
-		return WalkResult{Entry: *e, Level: lvl, Found: true, Poisoned: true, Depth: depth}
+		return walkResult{Entry: *e, Level: lvl, Found: true, Poisoned: true, Depth: depth}
 	}
 	e.Flags |= Accessed
 	if write {
 		e.Flags |= Dirty
 	}
-	return WalkResult{Entry: *e, Level: lvl, Found: true, Depth: depth}
+	return walkResult{Entry: *e, Level: lvl, Found: true, Depth: depth}
 }
 
 // entryRef returns a pointer to the leaf entry mapping v, or nil.

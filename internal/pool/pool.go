@@ -56,22 +56,22 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("panic: %v\n%s", e.Value, e.Stack)
 }
 
-// Workers resolves a worker-count option: n <= 0 selects GOMAXPROCS (all
+// resolveWorkers resolves a worker-count option: n <= 0 selects GOMAXPROCS (all
 // available cores), anything else is taken literally.
-func Workers(n int) int {
+func resolveWorkers(n int) int {
 	if n <= 0 {
 		return runtime.GOMAXPROCS(0)
 	}
 	return n
 }
 
-// Map runs every task on at most Workers(workers) goroutines and returns
+// Map runs every task on at most resolveWorkers(workers) goroutines and returns
 // the results in task order. All tasks run regardless of failures; the
 // returned error joins every *TaskError in task order (nil if none).
 func Map[T any](workers int, tasks []Task[T]) ([]T, error) {
 	results := make([]T, len(tasks))
 	errs := make([]error, len(tasks))
-	w := min(Workers(workers), len(tasks))
+	w := min(resolveWorkers(workers), len(tasks))
 	if w <= 1 {
 		for i := range tasks {
 			results[i], errs[i] = runOne(i, tasks[i])

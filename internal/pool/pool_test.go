@@ -12,13 +12,13 @@ import (
 
 func TestWorkers(t *testing.T) {
 	t.Parallel()
-	if got := Workers(0); got != runtime.GOMAXPROCS(0) {
+	if got := resolveWorkers(0); got != runtime.GOMAXPROCS(0) {
 		t.Errorf("Workers(0) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
-	if got := Workers(-3); got != runtime.GOMAXPROCS(0) {
+	if got := resolveWorkers(-3); got != runtime.GOMAXPROCS(0) {
 		t.Errorf("Workers(-3) = %d", got)
 	}
-	if got := Workers(5); got != 5 {
+	if got := resolveWorkers(5); got != 5 {
 		t.Errorf("Workers(5) = %d", got)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"thermostat/internal/addr"
-	"thermostat/internal/counter"
 	"thermostat/internal/harness"
 	"thermostat/internal/pagetable"
 	"thermostat/internal/sim"
@@ -140,35 +139,42 @@ func exports(t *testing.T, col *telemetry.Collector) (trace, jsonl []byte) {
 	return tb.Bytes(), jb.Bytes()
 }
 
-// cmBitPolicy is a policy that first installs the CM-bit model on the
-// machine's miss path and arms every 8th mapped 2MB page, as the §6.1
-// counters ablation does, then attaches the policy it wraps.
-type cmBitPolicy struct {
+// missPolicy is a policy that first installs a miss hook counting the LLC
+// misses to every 8th mapped 2MB page, charging each counted miss 100 ns as
+// the §6.1 counters ablation's CM bit does, then attaches the policy it
+// wraps.
+type missPolicy struct {
 	sim.Policy
-	cm    *counter.CMBit
-	armed []addr.Virt
+	armed  []addr.Virt
+	counts map[addr.Virt]uint64 // armed 2MB base -> misses
 }
 
-func (p *cmBitPolicy) Attach(m *sim.Machine) error {
-	p.cm = counter.NewCMBit(m)
+func (p *missPolicy) Attach(m *sim.Machine) error {
 	var pages []addr.Virt
 	m.PageTable().Scan(func(base addr.Virt, _ *pagetable.PTE, _ pagetable.Level) {
 		if b := base.Base2M(); len(pages) == 0 || pages[len(pages)-1] != b {
 			pages = append(pages, b)
 		}
 	})
+	p.counts = map[addr.Virt]uint64{}
 	for i := 0; i < len(pages); i += 8 {
-		if err := p.cm.Arm(pages[i]); err != nil {
-			return err
-		}
 		p.armed = append(p.armed, pages[i])
+		p.counts[pages[i]] = 0
 	}
+	m.SetMissHook(func(v addr.Virt, _ bool) int64 {
+		base := v.Base2M()
+		if _, ok := p.counts[base]; !ok {
+			return 0
+		}
+		p.counts[base]++
+		return 100
+	}, 100)
 	return p.Policy.Attach(m)
 }
 
 // TestDrawAheadWithMissHookIsExact: a miss hook runs inside charge and
-// shares no state with the app or with translation, so a run with the CM
-// bit on its miss path still draws and translates blocks ahead, and
+// shares no state with the app or with translation, so a run with a
+// counting hook on its miss path still draws and translates blocks ahead, and
 // matches the per-op oracle under the same hook, in its result and in
 // every armed page's count, at GOMAXPROCS 1 and 2. Under -race a hook that
 // touched what the producer or the translator writes would be a reported
@@ -178,15 +184,15 @@ func TestDrawAheadWithMissHookIsExact(t *testing.T) {
 		t.Skip("multi-second differential run")
 	}
 	run := func(loop func(*sim.Machine, sim.App, sim.Policy, sim.RunConfig) (*sim.RunResult, error), ahead *int) (*sim.RunResult, []uint64) {
-		var pol *cmBitPolicy
+		var pol *missPolicy
 		hooked := func(m *sim.Machine, app sim.App, p sim.Policy, rc sim.RunConfig) (*sim.RunResult, error) {
-			pol = &cmBitPolicy{Policy: p}
+			pol = &missPolicy{Policy: p}
 			return loop(m, app, pol, rc)
 		}
 		res := runRedisTiny(t, hooked, nil, ahead)
 		counts := make([]uint64, len(pol.armed))
 		for i, base := range pol.armed {
-			counts[i] = pol.cm.Count(base)
+			counts[i] = pol.counts[base]
 		}
 		return res, counts
 	}
@@ -196,7 +202,7 @@ func TestDrawAheadWithMissHookIsExact(t *testing.T) {
 		counted += c
 	}
 	if counted == 0 {
-		t.Fatal("the oracle's CM bit counted no miss: the comparison would not cover the hook")
+		t.Fatal("the oracle's miss hook counted no miss: the comparison would not cover the hook")
 	}
 	for _, procs := range []int{1, 2} {
 		var got *sim.RunResult
@@ -210,7 +216,7 @@ func TestDrawAheadWithMissHookIsExact(t *testing.T) {
 			t.Fatalf("GOMAXPROCS %d: the run differs from the per-op oracle (%d ops, want %d)", procs, got.Ops, want.Ops)
 		}
 		if !reflect.DeepEqual(counts, wantCounts) {
-			t.Fatalf("GOMAXPROCS %d: the CM bit's per-page counts differ from the oracle's", procs)
+			t.Fatalf("GOMAXPROCS %d: the miss hook's per-page counts differ from the oracle's", procs)
 		}
 	}
 }

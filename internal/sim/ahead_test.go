@@ -187,7 +187,7 @@ func TestRunStopsProducer(t *testing.T) {
 // TestDrawnAheadPanicReachesPool: a panic in a NextBatch drawn on the
 // producer is raised again on the simulation goroutine, so pool.Map's
 // containment reports it as the task's PanicError. Its value is an
-// AheadPanic carrying the app's value and the producer's stack, which
+// aheadPanic carrying the app's value and the producer's stack, which
 // names the app's frame that panicked; and the producer and the translator
 // are gone once Map returns. Not parallel: it counts the process's
 // goroutines.
@@ -201,7 +201,7 @@ func TestDrawnAheadPanicReachesPool(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want a pool.PanicError", err)
 	}
-	dp, ok := pe.Value.(*AheadPanic)
+	dp, ok := pe.Value.(*aheadPanic)
 	if !ok || dp.Goroutine != "producer" || dp.Value != "NextBatch panicked on purpose" {
 		t.Fatalf("panic value %#v, want an AheadPanic carrying the app's value", pe.Value)
 	}
@@ -216,7 +216,7 @@ func TestDrawnAheadPanicReachesPool(t *testing.T) {
 }
 
 // TestTranslatedAheadPanicReachesPool: a panic in translation on the
-// translator reaches pool.Map the same way, as an AheadPanic whose stack
+// translator reaches pool.Map the same way, as an aheadPanic whose stack
 // names the translator's frames. The panic is a nil dereference in
 // BadgerTrap's handler, whose trap is swapped for one without a page table
 // once a page is poisoned; only the app's bad request touches that page,
@@ -241,7 +241,7 @@ func TestTranslatedAheadPanicReachesPool(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want a pool.PanicError", err)
 	}
-	ap, ok := pe.Value.(*AheadPanic)
+	ap, ok := pe.Value.(*aheadPanic)
 	if !ok || ap.Goroutine != "translator" {
 		t.Fatalf("panic value %#v, want an AheadPanic from the translator", pe.Value)
 	}

@@ -14,7 +14,7 @@ import (
 func TestFootprintAddLeaf(t *testing.T) {
 	t.Parallel()
 	var fp Footprint
-	fp.ByTier = make([]TierBytes, 3)
+	fp.ByTier = make([]tierBytes, 3)
 
 	fp.AddLeaf(pagetable.Level2M, mem.Fast)
 	fp.AddLeaf(pagetable.Level2M, mem.TierID(1))

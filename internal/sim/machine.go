@@ -61,7 +61,7 @@ func (m SlowMemMode) String() string {
 // Config assembles a machine.
 type Config struct {
 	// VM is the virtualization setup (default: nested, huge host pages).
-	VM VMConfig
+	VM vmConfig
 	// TLB sizes the translation caches (L2Entries must be at least
 	// L1Entries: the hierarchy is inclusive).
 	TLB tlb.Config
@@ -106,7 +106,7 @@ type Config struct {
 // slow-memory emulation.
 func DefaultConfig(fastBytes, slowBytes uint64) Config {
 	return Config{
-		VM:       DefaultVMConfig(),
+		VM:       defaultVMConfig(),
 		TLB:      tlb.DefaultConfig(),
 		LLC:      cache.DefaultConfig(),
 		Walk:     walk.DefaultConfig(),
@@ -162,7 +162,7 @@ type Machine struct {
 	pt    *pagetable.Table
 	tl    *tlb.TLB
 	llc   *cache.Cache
-	guest *VM
+	guest *virtualMachine
 	trap  *badgertrap.Trap
 	mig   *numa.Migrator
 	meter *mem.Meter
@@ -256,7 +256,7 @@ func New(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	vpid := tlb.VPID(1)
-	if cfg.VM.Mode == Native {
+	if cfg.VM.Mode == native {
 		vpid = tlb.HostVPID
 	}
 	guest, err := newVM(cfg.VM, vpid)
@@ -373,7 +373,7 @@ func (m *Machine) FaultReport() chaos.Report {
 }
 
 // Guest returns the virtualization layer.
-func (m *Machine) Guest() *VM { return m.guest }
+func (m *Machine) Guest() *virtualMachine { return m.guest }
 
 // VPID returns the guest's TLB tag.
 func (m *Machine) VPID() tlb.VPID { return m.guest.VPID() }

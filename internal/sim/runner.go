@@ -39,14 +39,14 @@ type App interface {
 	Tick(m *Machine, nowNs int64) error
 }
 
-// TierBytes is one tier's share of a footprint, by mapping grain.
-type TierBytes struct {
+// tierBytes is one tier's share of a footprint, by mapping grain.
+type tierBytes struct {
 	Bytes2M uint64
 	Bytes4K uint64
 }
 
 // Total returns the tier's mapped bytes.
-func (t TierBytes) Total() uint64 { return t.Bytes2M + t.Bytes4K }
+func (t tierBytes) Total() uint64 { return t.Bytes2M + t.Bytes4K }
 
 // Footprint classifies the app's mapped bytes for the paper's
 // footprint-over-time figures. Hot is the top (fast) tier; Cold aggregates
@@ -59,7 +59,7 @@ type Footprint struct {
 	// ByTier, when populated (ScanFootprint does), breaks mapped bytes
 	// down per tier, indexed by mem.TierID. Nil for policies that only
 	// track the hot/cold binary.
-	ByTier []TierBytes
+	ByTier []tierBytes
 }
 
 // Total returns all mapped bytes.
@@ -249,7 +249,7 @@ func Slowdown(baseline, policy *RunResult) float64 {
 // machine's whole hierarchy; the Hot/Cold aggregates fold every non-top
 // tier into Cold.
 func ScanFootprint(m *Machine, ranges []addr.Range) Footprint {
-	fp := Footprint{ByTier: make([]TierBytes, m.Memory().NumTiers())}
+	fp := Footprint{ByTier: make([]tierBytes, m.Memory().NumTiers())}
 	m.PageTable().Scan(func(base addr.Virt, e *pagetable.PTE, lvl pagetable.Level) {
 		if ranges != nil {
 			in := false

@@ -62,7 +62,7 @@ type block struct {
 	// A block worked ahead carries its draw's outcome back to Block: a short
 	// count, or a panic in NextBatch or in translation.
 	err      error
-	panicked *AheadPanic
+	panicked *aheadPanic
 }
 
 // xlat is one op's translation: the physical address, the latency, and
@@ -73,19 +73,19 @@ type xlat struct {
 	faulted bool
 }
 
-// AheadPanic is a panic on a goroutine that works ahead of the simulation
+// aheadPanic is a panic on a goroutine that works ahead of the simulation
 // goroutine — in an app's NextBatch on the producer, or in translation on
 // the translator — raised again on the simulation goroutine: Goroutine
 // names which, Value is what was panicked with, and Stack is that
 // goroutine's stack at the panic, which names the frame that panicked (the
 // raising goroutine's stack does not).
-type AheadPanic struct {
+type aheadPanic struct {
 	Goroutine string
 	Value     any
 	Stack     []byte
 }
 
-func (p *AheadPanic) Error() string {
+func (p *aheadPanic) Error() string {
 	return fmt.Sprintf("%v\n[raised ahead on the Scheduler's %s; its stack:]\n%s", p.Value, p.Goroutine, p.Stack)
 }
 
@@ -407,7 +407,7 @@ func translateAhead(m *Machine, vpid tlb.VPID, drawn <-chan *block, done chan<- 
 func (b *block) caught(goroutine string, f func()) {
 	defer func() {
 		if p := recover(); p != nil {
-			b.panicked = &AheadPanic{Goroutine: goroutine, Value: p, Stack: debug.Stack()}
+			b.panicked = &aheadPanic{Goroutine: goroutine, Value: p, Stack: debug.Stack()}
 		}
 	}()
 	f()

@@ -240,7 +240,7 @@ func TestClockAdvancesByLatencyOverThreads(t *testing.T) {
 func TestNativeModeMachine(t *testing.T) {
 	t.Parallel()
 	cfg := DefaultConfig(64<<20, 64<<20)
-	cfg.VM = VMConfig{Mode: Native}
+	cfg.VM = vmConfig{Mode: native}
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -8,19 +8,19 @@ import (
 	"thermostat/internal/telemetry"
 )
 
-// ColdChecker is an optional Policy extension: it reports the policy's
+// coldChecker is an optional Policy extension: it reports the policy's
 // classification verdict for one 2MB page, letting the telemetry layer build
 // the per-epoch classification-confusion matrix against the simulator's LLC
 // ground truth (which no real hardware can observe).
-type ColdChecker interface {
+type coldChecker interface {
 	IsCold(base addr.Virt) bool
 }
 
-// FaultReporter is an optional Policy extension: it summarizes chaos fault
+// faultReporter is an optional Policy extension: it summarizes chaos fault
 // handling (injected/retried/rolled-back/quarantined). Policies that retry
 // and quarantine (core.Engine) implement it; for the rest the tracker falls
 // back to the machine-level report.
-type FaultReporter interface {
+type faultReporter interface {
 	FaultReport() chaos.Report
 }
 
@@ -33,8 +33,8 @@ type FaultReporter interface {
 type epochTracker struct {
 	m   *Machine
 	rec telemetry.Recorder
-	cc  ColdChecker   // nil when the policy has no cold set
-	fr  FaultReporter // nil when the policy has no fault handling
+	cc  coldChecker   // nil when the policy has no cold set
+	fr  faultReporter // nil when the policy has no fault handling
 
 	epoch   uint64
 	startNs int64
@@ -54,8 +54,8 @@ func newEpochTracker(m *Machine, pol Policy) *epochTracker {
 	}
 	t := &epochTracker{m: m, rec: m.Recorder(), epoch: 1}
 	if pol != nil {
-		t.cc, _ = pol.(ColdChecker)
-		t.fr, _ = pol.(FaultReporter)
+		t.cc, _ = pol.(coldChecker)
+		t.fr, _ = pol.(faultReporter)
 	}
 	t.begin(m.Clock())
 	return t

@@ -7,39 +7,39 @@ import (
 	"thermostat/internal/walk"
 )
 
-// PagingMode selects native or nested translation.
-type PagingMode int
+// pagingMode selects native or nested translation.
+type pagingMode int
 
 // Paging modes.
 const (
-	// Native runs the workload bare-metal: one-dimensional walks.
-	Native PagingMode = iota
-	// Nested runs under a hypervisor with EPT/NPT: two-dimensional walks.
-	Nested
+	// native runs the workload bare-metal: one-dimensional walks.
+	native pagingMode = iota
+	// nested runs under a hypervisor with EPT/NPT: two-dimensional walks.
+	nested
 )
 
 // String names the mode.
-func (m PagingMode) String() string {
+func (m pagingMode) String() string {
 	switch m {
-	case Native:
+	case native:
 		return "native"
-	case Nested:
+	case nested:
 		return "nested"
 	default:
 		return fmt.Sprintf("mode%d", int(m))
 	}
 }
 
-// DefaultVMExitLatencyNs approximates a KVM vmexit/vmentry round trip plus
+// defaultVMExitLatencyNs approximates a KVM vmexit/vmentry round trip plus
 // host fault dispatch.
-const DefaultVMExitLatencyNs = 4000
+const defaultVMExitLatencyNs = 4000
 
-// VMConfig describes one guest's virtualization setup.
-type VMConfig struct {
+// vmConfig describes one guest's virtualization setup.
+type vmConfig struct {
 	// Mode selects native or nested paging.
-	Mode PagingMode
+	Mode pagingMode
 	// HostHugePages selects 2MB host (EPT) mappings; false means the host
-	// maps guest memory with 4KB pages. Only meaningful under Nested.
+	// maps guest memory with 4KB pages. Only meaningful under nested.
 	HostHugePages bool
 	// TrapInHost moves the BadgerTrap handler to the host, charging a
 	// vmexit on every poison fault (the configuration the paper rejects).
@@ -48,13 +48,13 @@ type VMConfig struct {
 	VMExitLatencyNs int64
 }
 
-// DefaultVMConfig is the paper's evaluated configuration: KVM with huge pages
+// defaultVMConfig is the paper's evaluated configuration: KVM with huge pages
 // at both levels and BadgerTrap in the guest.
-func DefaultVMConfig() VMConfig {
-	return VMConfig{Mode: Nested, HostHugePages: true}
+func defaultVMConfig() vmConfig {
+	return vmConfig{Mode: nested, HostHugePages: true}
 }
 
-// VM is one guest of the paper's testbed: KVM with nested (two-dimensional)
+// virtualMachine is one guest of the paper's testbed: KVM with nested (two-dimensional)
 // paging, VPID-tagged TLB entries, and vmexit costs.
 //
 // The parts of virtualization that matter to Thermostat are (a) nested page
@@ -64,31 +64,31 @@ func DefaultVMConfig() VMConfig {
 // the host every fault would vmexit, destroy the VPID-0-tagging invariant,
 // and cost far more — which is why the paper installs BadgerTrap in the
 // guest (§4.2).
-type VM struct {
-	cfg  VMConfig
+type virtualMachine struct {
+	cfg  vmConfig
 	vpid tlb.VPID
 }
 
 // newVM builds a guest with the given VPID (must be non-zero; VPID 0 is the
 // host).
-func newVM(cfg VMConfig, vpid tlb.VPID) (*VM, error) {
-	if vpid == tlb.HostVPID && cfg.Mode == Nested {
+func newVM(cfg vmConfig, vpid tlb.VPID) (*virtualMachine, error) {
+	if vpid == tlb.HostVPID && cfg.Mode == nested {
 		return nil, fmt.Errorf("sim: guest VPID must be non-zero")
 	}
 	if cfg.VMExitLatencyNs == 0 {
-		cfg.VMExitLatencyNs = DefaultVMExitLatencyNs
+		cfg.VMExitLatencyNs = defaultVMExitLatencyNs
 	}
-	return &VM{cfg: cfg, vpid: vpid}, nil
+	return &virtualMachine{cfg: cfg, vpid: vpid}, nil
 }
 
 // VPID returns the guest's TLB tag.
-func (v *VM) VPID() tlb.VPID { return v.vpid }
+func (v *virtualMachine) VPID() tlb.VPID { return v.vpid }
 
 // Nested reports whether translation is two-dimensional.
-func (v *VM) Nested() bool { return v.cfg.Mode == Nested }
+func (v *virtualMachine) Nested() bool { return v.cfg.Mode == nested }
 
 // HostWalkDepth returns the host-dimension walk depth for nested walks.
-func (v *VM) HostWalkDepth() int {
+func (v *virtualMachine) HostWalkDepth() int {
 	if v.cfg.HostHugePages {
 		return walk.Depth2M
 	}
@@ -98,7 +98,7 @@ func (v *VM) HostWalkDepth() int {
 // FaultOverheadNs returns the extra latency a poison fault incurs beyond the
 // handler itself: zero with the handler in the guest, a vmexit round trip
 // with the handler in the host.
-func (v *VM) FaultOverheadNs() int64 {
+func (v *virtualMachine) FaultOverheadNs() int64 {
 	if v.cfg.TrapInHost && v.Nested() {
 		return v.cfg.VMExitLatencyNs
 	}

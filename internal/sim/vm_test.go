@@ -7,41 +7,41 @@ import (
 )
 
 func TestGuestVPIDValidation(t *testing.T) {
-	if _, err := newVM(DefaultVMConfig(), 0); err == nil {
+	if _, err := newVM(defaultVMConfig(), 0); err == nil {
 		t.Fatal("nested guest with VPID 0 accepted")
 	}
-	g, err := newVM(DefaultVMConfig(), 1)
+	g, err := newVM(defaultVMConfig(), 1)
 	if err != nil || g.VPID() != 1 {
 		t.Fatalf("New: %v", err)
 	}
 	// Native mode may use VPID 0 (bare metal host).
-	if _, err := newVM(VMConfig{Mode: Native}, 0); err != nil {
+	if _, err := newVM(vmConfig{Mode: native}, 0); err != nil {
 		t.Fatalf("native VPID 0 rejected: %v", err)
 	}
 }
 
 func TestFaultOverhead(t *testing.T) {
-	guestTrap, _ := newVM(DefaultVMConfig(), 1)
+	guestTrap, _ := newVM(defaultVMConfig(), 1)
 	if guestTrap.FaultOverheadNs() != 0 {
 		t.Fatal("guest-side trap should have no vmexit overhead")
 	}
-	hostTrap, _ := newVM(VMConfig{Mode: Nested, TrapInHost: true}, 1)
-	if hostTrap.FaultOverheadNs() != DefaultVMExitLatencyNs {
+	hostTrap, _ := newVM(vmConfig{Mode: nested, TrapInHost: true}, 1)
+	if hostTrap.FaultOverheadNs() != defaultVMExitLatencyNs {
 		t.Fatalf("host-side trap overhead = %d", hostTrap.FaultOverheadNs())
 	}
-	custom, _ := newVM(VMConfig{Mode: Nested, TrapInHost: true, VMExitLatencyNs: 9999}, 1)
+	custom, _ := newVM(vmConfig{Mode: nested, TrapInHost: true, VMExitLatencyNs: 9999}, 1)
 	if custom.FaultOverheadNs() != 9999 {
 		t.Fatal("custom vmexit latency ignored")
 	}
 	// TrapInHost is meaningless without nesting.
-	native, _ := newVM(VMConfig{Mode: Native, TrapInHost: true}, 0)
+	native, _ := newVM(vmConfig{Mode: native, TrapInHost: true}, 0)
 	if native.FaultOverheadNs() != 0 {
 		t.Fatal("native mode should never charge vmexit")
 	}
 }
 
 func TestModeString(t *testing.T) {
-	if Native.String() != "native" || Nested.String() != "nested" {
+	if native.String() != "native" || nested.String() != "nested" {
 		t.Fatal("mode names wrong")
 	}
 }
@@ -53,17 +53,17 @@ func TestModeString(t *testing.T) {
 // access.
 func TestWalkLatencyTable(t *testing.T) {
 	cases := []struct {
-		vm      VMConfig
+		vm      vmConfig
 		threads int
 		adv     [2]int64 // maxOpAdvanceNs(0), maxOpAdvanceNs(1234)
 	}{
-		{VMConfig{Mode: Native}, 8, [2]int64{263, 417}},
-		{VMConfig{Mode: Native, HostHugePages: true}, 3, [2]int64{699, 1110}},
-		{VMConfig{Mode: Nested, HostHugePages: true}, 8, [2]int64{293, 447}},
-		{VMConfig{Mode: Nested, HostHugePages: true}, 3, [2]int64{780, 1191}},
-		{VMConfig{Mode: Nested}, 8, [2]int64{303, 457}},
-		{VMConfig{Mode: Nested}, 3, [2]int64{808, 1219}},
-		{VMConfig{Mode: Nested, TrapInHost: true}, 8, [2]int64{803, 957}},
+		{vmConfig{Mode: native}, 8, [2]int64{263, 417}},
+		{vmConfig{Mode: native, HostHugePages: true}, 3, [2]int64{699, 1110}},
+		{vmConfig{Mode: nested, HostHugePages: true}, 8, [2]int64{293, 447}},
+		{vmConfig{Mode: nested, HostHugePages: true}, 3, [2]int64{780, 1191}},
+		{vmConfig{Mode: nested}, 8, [2]int64{303, 457}},
+		{vmConfig{Mode: nested}, 3, [2]int64{808, 1219}},
+		{vmConfig{Mode: nested, TrapInHost: true}, 8, [2]int64{803, 957}},
 	}
 	for _, c := range cases {
 		cfg := DefaultConfig(64<<20, 64<<20)

@@ -7,8 +7,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-
-	"thermostat/internal/addr"
 )
 
 // TenantSnapshot is one tenant's state at one arbiter period boundary —
@@ -58,45 +56,4 @@ func WriteTenantCSV(w io.Writer, snaps []TenantSnapshot) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// Filter returns a new collector holding only the events keep admits (in
-// original order, same epoch stamps) plus every snapshot. The receiver is
-// unchanged. Used to extract one tenant's trace from a shared fleet
-// collector: keep page-scoped events inside the tenant's ranges and the
-// non-page-scoped skeleton (epoch brackets, summaries).
-func (c *Collector) Filter(keep func(Event) bool) *Collector {
-	out := NewCollectorWith(c.cfg)
-	for _, e := range c.events {
-		if keep(e) {
-			out.events = append(out.events, e)
-		}
-	}
-	for _, s := range c.Snapshots() {
-		out.Snapshot(s)
-	}
-	out.epoch = c.epoch
-	out.dropped = c.dropped
-	return out
-}
-
-// TenantEventFilter is the standard per-tenant trace predicate: admit
-// events explicitly tagged with the tenant's name, page-scoped events whose
-// page lies in one of the tenant's ranges, and the non-page-scoped run
-// skeleton (epoch brackets, per-epoch summaries).
-func TenantEventFilter(name string, ranges []addr.Range) func(Event) bool {
-	return func(e Event) bool {
-		if e.Tenant != "" {
-			return e.Tenant == name
-		}
-		if e.Page == 0 {
-			return true
-		}
-		for _, r := range ranges {
-			if r.Contains(e.Page) {
-				return true
-			}
-		}
-		return false
-	}
 }

@@ -187,10 +187,10 @@ type Snapshot struct {
 	PagesQuarantined   uint64 `json:"pages_quarantined,omitempty"`
 }
 
-// Counter is one per-epoch counter of Snapshot: its JSONL key, the
+// counter is one per-epoch counter of Snapshot: its JSONL key, the
 // Prometheus counter family that sums it over a run's epochs, that
 // family's help text, and the field itself.
-type Counter struct {
+type counter struct {
 	Key    string
 	Family string
 	Help   string
@@ -201,7 +201,7 @@ type Counter struct {
 // that the epoch delta (Sub), the live totals (Add) and the /metrics
 // counter families all iterate. A new counter is one tagged Snapshot field
 // and one row here.
-var Counters = []Counter{
+var Counters = []counter{
 	{"accesses", "thermostat_accesses_total", "Memory accesses executed.",
 		func(s *Snapshot) *uint64 { return &s.Accesses }},
 	{"slow_accesses", "thermostat_slow_accesses_total", "Accesses served from non-top tiers.",
@@ -284,8 +284,8 @@ type Config struct {
 
 // Default collector bounds.
 const (
-	DefaultMaxEvents    = 1 << 20
-	DefaultMaxSnapshots = 4096
+	defaultMaxEvents    = 1 << 20
+	defaultMaxSnapshots = 4096
 )
 
 // Collector is the standard Recorder: it buffers events, stamps them with
@@ -311,10 +311,10 @@ func NewCollector() *Collector { return NewCollectorWith(Config{}) }
 // select defaults).
 func NewCollectorWith(cfg Config) *Collector {
 	if cfg.MaxEvents <= 0 {
-		cfg.MaxEvents = DefaultMaxEvents
+		cfg.MaxEvents = defaultMaxEvents
 	}
 	if cfg.MaxSnapshots <= 0 {
-		cfg.MaxSnapshots = DefaultMaxSnapshots
+		cfg.MaxSnapshots = defaultMaxSnapshots
 	}
 	return &Collector{cfg: cfg, snaps: make([]Snapshot, 0, cfg.MaxSnapshots)}
 }

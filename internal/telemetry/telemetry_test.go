@@ -221,7 +221,7 @@ var notCounters = map[string]bool{"Epoch": true, "PoisonedPages": true, "ColdByt
 // /metrics families.
 func TestCountersCoverSnapshot(t *testing.T) {
 	var s Snapshot
-	rows := map[*uint64]Counter{}
+	rows := map[*uint64]counter{}
 	families := map[string]bool{}
 	for _, c := range Counters {
 		if _, dup := rows[c.Of(&s)]; dup {

@@ -23,7 +23,7 @@ const opBytes = 4
 // InvalidateVPID/Flush calls and Lookups that Fill on a miss, over three
 // VPIDs and both grains, applies each to a flat TLB and to the map-backed
 // reference (which takes a Fill as an Insert), and fails on the first
-// difference in Result or Size, on a structural violation, or on different
+// difference in lookupResult or Size, on a structural violation, or on different
 // Stats at the end. Page selectors are taken modulo 2×L2Entries and
 // the whole-TLB operations are rare, so every capacity fills up and sees L1
 // hits, L2 hits, evictions and coexisting 4KB/2MB entries.

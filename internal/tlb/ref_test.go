@@ -152,13 +152,13 @@ func newRefTLB(cfg Config) *refTLB {
 	return &refTLB{l1: newRefLRU(cfg.L1Entries), l2: newRefLRU(cfg.L2Entries)}
 }
 
-func (t *refTLB) Lookup(v addr.Virt, vpid VPID) (Result, bool) {
+func (t *refTLB) Lookup(v addr.Virt, vpid VPID) (lookupResult, bool) {
 	for _, lvl := range [2]pagetable.Level{pagetable.Level2M, pagetable.Level4K} {
 		k := refKeyFor(v, lvl, vpid)
 		if e, ok := t.l1.get(k); ok {
 			t.hitsL1++
 			t.l2.get(k) // keep L2 recency in sync (inclusive hierarchy)
-			return Result{Frame: e.frame, Level: lvl, Hit: HitL1}, true
+			return lookupResult{Frame: e.frame, Level: lvl, Hit: hitL1}, true
 		}
 	}
 	for _, lvl := range [2]pagetable.Level{pagetable.Level2M, pagetable.Level4K} {
@@ -166,11 +166,11 @@ func (t *refTLB) Lookup(v addr.Virt, vpid VPID) (Result, bool) {
 		if e, ok := t.l2.get(k); ok {
 			t.hitsL2++
 			t.l1.put(k, e.frame)
-			return Result{Frame: e.frame, Level: lvl, Hit: HitL2}, true
+			return lookupResult{Frame: e.frame, Level: lvl, Hit: hitL2}, true
 		}
 	}
 	t.misses++
-	return Result{}, false
+	return lookupResult{}, false
 }
 
 func refKeyFor(v addr.Virt, lvl pagetable.Level, vpid VPID) refKey {

@@ -25,7 +25,7 @@ func (w *way) lvl() pagetable.Level { return pagetable.Level(w.tag >> 16) }
 // which is at most once in the set. At the first match the lookup is
 // settled unless that is the 4 KB key; then a 2 MB match further on wins
 // unless the 4 KB one sits in the L1 prefix and the 2 MB one past it.
-func (t *TLB) lookupSet(v addr.Virt, vpid VPID) (Result, bool) {
+func (t *TLB) lookupSet(v addr.Virt, vpid VPID) (lookupResult, bool) {
 	k2, t2 := v.PageNum2M(), tagOf(pagetable.Level2M, vpid)
 	k4, t4 := v.PageNum4K(), tagOf(pagetable.Level4K, vpid)
 	live := t.set[:t.n2]
@@ -37,7 +37,7 @@ func (t *TLB) lookupSet(v addr.Virt, vpid VPID) (Result, bool) {
 	}
 	if i == len(live) {
 		t.misses.Inc()
-		return Result{}, false
+		return lookupResult{}, false
 	}
 	if live[i].tag == t4 {
 		for j := i + 1; j < len(live); j++ {
@@ -49,16 +49,16 @@ func (t *TLB) lookupSet(v addr.Virt, vpid VPID) (Result, bool) {
 			}
 		}
 	}
-	at := HitL1
+	at := hitL1
 	if i < t.n1 {
 		t.hitsL1.Inc()
 	} else {
 		t.hitsL2.Inc()
-		at = HitL2
+		at = hitL2
 	}
 	t.toFront(i)
 	w := &t.set[0]
-	return Result{Frame: w.frame, Level: w.lvl(), Hit: at}, true
+	return lookupResult{Frame: w.frame, Level: w.lvl(), Hit: at}, true
 }
 
 // toFront makes position i the most recent entry of both levels. An entry

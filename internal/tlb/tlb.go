@@ -87,17 +87,17 @@ func (c Config) Normalize() (Config, error) {
 	return c, nil
 }
 
-// HitLevel says where a lookup was satisfied.
-type HitLevel int
+// hitLevel says where a lookup was satisfied.
+type hitLevel int
 
 // Lookup outcomes.
 const (
-	// Miss means neither level held the translation.
-	Miss HitLevel = iota
-	// HitL1 means the first level hit.
-	HitL1
-	// HitL2 means the second level hit (entry is promoted to L1).
-	HitL2
+	// noHit means neither level held the translation.
+	noHit hitLevel = iota
+	// hitL1 means the first level hit.
+	hitL1
+	// hitL2 means the second level hit (entry is promoted to L1).
+	hitL2
 )
 
 // TLB is the two-level translation cache: both levels are fully associative
@@ -162,11 +162,11 @@ func New(cfg Config) *TLB {
 	return t
 }
 
-// Result is a successful lookup.
-type Result struct {
+// lookupResult is a successful lookup.
+type lookupResult struct {
 	Frame addr.Phys
 	Level pagetable.Level
-	Hit   HitLevel
+	Hit   hitLevel
 }
 
 // home is the index cell a key's probe sequence starts at: a multiply-shift
@@ -278,39 +278,39 @@ func (t *TLB) remove(s int32) {
 	t.n2--
 }
 
-func (t *TLB) hit(s int32, at HitLevel) (Result, bool) {
+func (t *TLB) hit(s int32, at hitLevel) (lookupResult, bool) {
 	t.touch(s)
 	e := &t.entries[s]
-	return Result{Frame: e.frame, Level: e.lvl, Hit: at}, true
+	return lookupResult{Frame: e.frame, Level: e.lvl, Hit: at}, true
 }
 
 // Lookup searches both grains at both levels for a translation of v under
 // vpid. An L1 hit at either grain beats an L2 hit (a transient 4KB
 // translation and a 2MB entry can coexist); within a level the 2MB grain is
 // tried first. On an L2 hit the entry is promoted to L1.
-func (t *TLB) Lookup(v addr.Virt, vpid VPID) (Result, bool) {
+func (t *TLB) Lookup(v addr.Virt, vpid VPID) (lookupResult, bool) {
 	if t.set != nil {
 		return t.lookupSet(v, vpid)
 	}
 	s2 := t.find(v.PageNum2M(), tagOf(pagetable.Level2M, vpid))
 	if s2 >= 0 && t.entries[s2].inL1 {
 		t.hitsL1.Inc()
-		return t.hit(s2, HitL1)
+		return t.hit(s2, hitL1)
 	}
 	s4 := t.find(v.PageNum4K(), tagOf(pagetable.Level4K, vpid))
 	if s4 >= 0 && t.entries[s4].inL1 {
 		t.hitsL1.Inc()
-		return t.hit(s4, HitL1)
+		return t.hit(s4, hitL1)
 	}
 	if s2 < 0 {
 		s2 = s4
 	}
 	if s2 >= 0 {
 		t.hitsL2.Inc()
-		return t.hit(s2, HitL2)
+		return t.hit(s2, hitL2)
 	}
 	t.misses.Inc()
-	return Result{}, false
+	return lookupResult{}, false
 }
 
 func pageNum(v addr.Virt, lvl pagetable.Level) uint64 {

@@ -26,7 +26,7 @@ func TestInsertHit4K(t *testing.T) {
 	v, p := addr.Virt4K(10), addr.Phys4K(20)
 	tl.Insert(v, pagetable.Level4K, p, 1)
 	r, ok := tl.Lookup(v+100, 1)
-	if !ok || r.Frame != p || r.Level != pagetable.Level4K || r.Hit != HitL1 {
+	if !ok || r.Frame != p || r.Level != pagetable.Level4K || r.Hit != hitL1 {
 		t.Fatalf("lookup %+v ok=%v", r, ok)
 	}
 	// A different 4K page in the same 2M region must miss.
@@ -101,12 +101,12 @@ func TestL1EvictionFallsBackToL2(t *testing.T) {
 	}
 	// Entry 0 must have been evicted from L1 (capacity 4) but still be in L2.
 	r, ok := tl.Lookup(addr.Virt4K(0), 1)
-	if !ok || r.Hit != HitL2 {
+	if !ok || r.Hit != hitL2 {
 		t.Fatalf("want L2 hit, got %+v ok=%v", r, ok)
 	}
 	// The L2 hit promotes to L1: immediate re-lookup hits L1.
 	r, ok = tl.Lookup(addr.Virt4K(0), 1)
-	if !ok || r.Hit != HitL1 {
+	if !ok || r.Hit != hitL1 {
 		t.Fatalf("want promoted L1 hit, got %+v ok=%v", r, ok)
 	}
 }
@@ -217,7 +217,7 @@ func benchEachCap(b *testing.B, fn func(b *testing.B, cfg Config, tl *TLB)) {
 	}
 }
 
-var benchSink Result
+var benchSink lookupResult
 
 func BenchmarkLookupHit(b *testing.B) {
 	benchEachCap(b, func(b *testing.B, _ Config, tl *TLB) {

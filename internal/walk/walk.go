@@ -23,12 +23,12 @@ const (
 	Depth2M = 3
 )
 
-// Accesses returns the number of page-table memory accesses for a walk where
+// accesses returns the number of page-table memory accesses for a walk where
 // the guest mapping walk has depth gDepth. For a native (non-virtualized)
 // walk hDepth is ignored. For a nested walk, every guest step plus the final
 // guest-physical access is translated by an (hDepth+1)-access host walk,
 // minus the final data access itself: (g+1)·(h+1)−1.
-func Accesses(nested bool, gDepth, hDepth int) int {
+func accesses(nested bool, gDepth, hDepth int) int {
 	if gDepth <= 0 {
 		panic(fmt.Sprintf("walk: non-positive guest depth %d", gDepth))
 	}
@@ -85,6 +85,6 @@ func (m *Model) StepLatency() float64 {
 // Latency returns the expected total latency (ns) of a walk with the given
 // shape.
 func (m *Model) Latency(nested bool, gDepth, hDepth int) int64 {
-	n := Accesses(nested, gDepth, hDepth)
+	n := accesses(nested, gDepth, hDepth)
 	return int64(float64(n) * m.StepLatency())
 }

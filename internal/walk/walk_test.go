@@ -6,10 +6,10 @@ import (
 )
 
 func TestNativeAccesses(t *testing.T) {
-	if got := Accesses(false, Depth4K, 0); got != 4 {
+	if got := accesses(false, Depth4K, 0); got != 4 {
 		t.Errorf("native 4K = %d, want 4", got)
 	}
-	if got := Accesses(false, Depth2M, 0); got != 3 {
+	if got := accesses(false, Depth2M, 0); got != 3 {
 		t.Errorf("native 2M = %d, want 3", got)
 	}
 }
@@ -18,25 +18,25 @@ func TestNestedAccessesMatchPaper(t *testing.T) {
 	// Section 2.2: "the cost of a page walk can be as high as 24 memory
 	// accesses. When memory is mapped to a 2MB huge page in both the guest
 	// and host, the worst-case page walk is reduced to 15 accesses."
-	if got := Accesses(true, Depth4K, Depth4K); got != 24 {
+	if got := accesses(true, Depth4K, Depth4K); got != 24 {
 		t.Errorf("nested 4K/4K = %d, want 24", got)
 	}
-	if got := Accesses(true, Depth2M, Depth2M); got != 15 {
+	if got := accesses(true, Depth2M, Depth2M); got != 15 {
 		t.Errorf("nested 2M/2M = %d, want 15", got)
 	}
 	// Mixed configurations fall between.
-	if got := Accesses(true, Depth2M, Depth4K); got != 19 {
+	if got := accesses(true, Depth2M, Depth4K); got != 19 {
 		t.Errorf("nested 2M guest/4K host = %d, want 19", got)
 	}
-	if got := Accesses(true, Depth4K, Depth2M); got != 19 {
+	if got := accesses(true, Depth4K, Depth2M); got != 19 {
 		t.Errorf("nested 4K guest/2M host = %d, want 19", got)
 	}
 }
 
 func TestAccessesPanicsOnBadDepth(t *testing.T) {
 	for _, fn := range []func(){
-		func() { Accesses(false, 0, 4) },
-		func() { Accesses(true, 4, 0) },
+		func() { accesses(false, 0, 4) },
+		func() { accesses(true, 4, 0) },
 	} {
 		func() {
 			defer func() {
@@ -102,14 +102,14 @@ func TestAccessMonotonicityProperty(t *testing.T) {
 	f := func(gRaw, hRaw uint8) bool {
 		g := int(gRaw%4) + 1
 		h := int(hRaw%4) + 1
-		n := Accesses(true, g, h)
-		if n <= Accesses(false, g, 0) {
+		n := accesses(true, g, h)
+		if n <= accesses(false, g, 0) {
 			return false
 		}
-		if g < 4 && Accesses(true, g+1, h) <= n {
+		if g < 4 && accesses(true, g+1, h) <= n {
 			return false
 		}
-		if h < 4 && Accesses(true, g, h+1) <= n {
+		if h < 4 && accesses(true, g, h+1) <= n {
 			return false
 		}
 		return true

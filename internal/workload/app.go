@@ -419,8 +419,8 @@ func (s Spec) ClonePickers() Spec {
 
 // WithDwell rescales the dwell of every sweep-style picker for a footprint
 // divisor d: a sweep's revisit period is pages·dwell/rate, so multiplying
-// dwell by d/DefaultScale preserves the real system's revisit period under
-// scaling (see DESIGN.md). Specs express dwell at DefaultScale. The
+// dwell by d/defaultScale preserves the real system's revisit period under
+// scaling (see DESIGN.md). Specs express dwell at defaultScale. The
 // receiver's pickers are cloned, never mutated. Returns the transformed
 // copy.
 func (s Spec) WithDwell(d int) Spec {
@@ -432,7 +432,7 @@ func (s Spec) WithDwell(d int) Spec {
 		if dwell < 1 {
 			dwell = 1
 		}
-		out := dwell * d / DefaultScale
+		out := dwell * d / defaultScale
 		if out < 1 {
 			out = 1
 		}

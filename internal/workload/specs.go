@@ -33,10 +33,10 @@ func (m Mix) String() string {
 	return "read-heavy"
 }
 
-// DefaultScale is the footprint divisor the experiments are calibrated at:
+// defaultScale is the footprint divisor the experiments are calibrated at:
 // Table 2's gigabyte footprints become tens-to-hundreds of megabytes, with
 // the TLB and LLC scaled by the same factor (see harness.ScaledMachine).
-const DefaultScale = 16
+const defaultScale = 16
 
 // Aerospike models the multi-threaded key-value store: a hot primary index,
 // a large uniformly-warm data area (Zipfian keys hash-spread over fixed-size
@@ -55,7 +55,7 @@ func Aerospike(mix Mix) Spec {
 			// admission budgets at repro scale, so the movable fraction
 			// grows with the slowdown knob (Figure 11).
 			{Name: "data-warm", Bytes: 42 * gib / 10, Weight: 0.122, Picker: Uniform{}, WriteFrac: wf},
-			{Name: "slab-idle", Bytes: 18 * gib / 10, Weight: 0.004, Picker: &Sweep{Dwell: DefaultScale}},
+			{Name: "slab-idle", Bytes: 18 * gib / 10, Weight: 0.004, Picker: &Sweep{Dwell: defaultScale}},
 			{Name: "config-file", Bytes: 5 * mib, Weight: 0.001, Picker: Uniform{}, FileMapped: true},
 		},
 	}
@@ -74,11 +74,11 @@ func Cassandra(mix Mix) Spec {
 		ComputeNs: 2500,
 		Segments: []SegmentSpec{
 			{Name: "memtable", Bytes: 5 * gib / 10, Weight: 0.40, Picker: Uniform{}, WriteFrac: wf},
-			{Name: "flushed", Bytes: 25 * gib / 10, Weight: 0.01, Picker: &Sweep{Dwell: DefaultScale}},
+			{Name: "flushed", Bytes: 25 * gib / 10, Weight: 0.01, Picker: &Sweep{Dwell: defaultScale}},
 			{Name: "row-hot", Bytes: 25 * gib / 10, Weight: 0.30, Picker: &Zipf{}, WriteFrac: 0.1},
 			{Name: "heap-work", Bytes: 25 * gib / 10, Weight: 0.20, Picker: Uniform{}, WriteFrac: 0.3},
 			{Name: "sstable-recent", Bytes: 1 * gib, Weight: 0.088, Picker: &Zipf{}, FileMapped: true},
-			{Name: "sstable-cold", Bytes: 3 * gib, Weight: 0.002, Picker: &Sweep{Dwell: DefaultScale}, FileMapped: true},
+			{Name: "sstable-cold", Bytes: 3 * gib, Weight: 0.002, Picker: &Sweep{Dwell: defaultScale}, FileMapped: true},
 		},
 		Growth: &GrowthSpec{
 			PeriodNs:      20e9,
@@ -101,14 +101,14 @@ func MySQLTPCC() Spec {
 		Name:      "mysql-tpcc",
 		ComputeNs: 2500,
 		Segments: []SegmentSpec{
-			{Name: "lineitem", Bytes: 38 * gib / 10, Weight: 0.002, Picker: &Sweep{Dwell: DefaultScale}},
+			{Name: "lineitem", Bytes: 38 * gib / 10, Weight: 0.002, Picker: &Sweep{Dwell: defaultScale}},
 			// Lukewarm band: admitted only at 6%+ targets (Figure 11's
 			// partial scaling before TPCC saturates).
 			{Name: "orders-old", Bytes: 7 * gib / 10, Weight: 0.018, Picker: Uniform{}},
 			{Name: "hot-tables", Bytes: 1 * gib, Weight: 0.40, Picker: &Zipf{}, WriteFrac: 0.3},
 			{Name: "index", Bytes: 5 * gib / 10, Weight: 0.35, Picker: &Zipf{}, WriteFrac: 0.1},
 			{Name: "bufferpool-files", Bytes: 25 * gib / 10, Weight: 0.225, Picker: &Zipf{}, WriteFrac: 0.2, FileMapped: true},
-			{Name: "log-archive", Bytes: 1 * gib, Weight: 0.003, Picker: &Sweep{Dwell: DefaultScale}, FileMapped: true},
+			{Name: "log-archive", Bytes: 1 * gib, Weight: 0.003, Picker: &Sweep{Dwell: defaultScale}, FileMapped: true},
 		},
 	}
 }
@@ -142,7 +142,7 @@ func Redis() Spec {
 				Picker: &HotspotSweep{
 					HotSetFrac:     0.004,
 					HotOpFrac:      0.90,
-					Dwell:          6 * DefaultScale,
+					Dwell:          6 * defaultScale,
 					RotatePeriodNs: 120e9,
 				},
 				WriteFrac: 0.1,
@@ -164,7 +164,7 @@ func InMemAnalytics() Spec {
 		Segments: []SegmentSpec{
 			{Name: "ratings", Bytes: 3 * gib, Weight: 0.45, Picker: &StridedScan{Stride: 97}},
 			{Name: "model", Bytes: 17 * gib / 10, Weight: 0.50, Picker: &Zipf{}, WriteFrac: 0.5},
-			{Name: "spill", Bytes: 5 * gib / 10, Weight: 0.004, Picker: &Sweep{Dwell: DefaultScale}},
+			{Name: "spill", Bytes: 5 * gib / 10, Weight: 0.004, Picker: &Sweep{Dwell: defaultScale}},
 			{Name: "spill-active", Bytes: 1 * gib, Weight: 0.045, Picker: Uniform{}, WriteFrac: 0.8},
 			{Name: "jar-file", Bytes: 1 * mib, Weight: 0.0005, Picker: Uniform{}, FileMapped: true},
 		},
@@ -190,7 +190,7 @@ func WebSearch() Spec {
 		Segments: []SegmentSpec{
 			{Name: "dictionary", Bytes: 5 * gib / 10, Weight: 0.45, Picker: &Zipf{}},
 			{Name: "postings-hot", Bytes: 9 * gib / 10, Weight: 0.50, Picker: &Zipf{}},
-			{Name: "postings-rare", Bytes: 88 * gib / 100, Weight: 0.004, Picker: &Sweep{Dwell: DefaultScale}},
+			{Name: "postings-rare", Bytes: 88 * gib / 100, Weight: 0.004, Picker: &Sweep{Dwell: defaultScale}},
 			{Name: "index-files", Bytes: 86 * mib, Weight: 0.046, Picker: &Zipf{}, FileMapped: true},
 		},
 	}
@@ -211,7 +211,7 @@ func ScaleSynthetic() Spec {
 		Segments: []SegmentSpec{
 			{Name: "hot", Bytes: 2 * gib / 100, Weight: 0.90, Picker: &Zipf{}, WriteFrac: 0.2},
 			{Name: "warm", Bytes: 3 * gib / 100, Weight: 0.098, Picker: Uniform{}, WriteFrac: 0.1},
-			{Name: "cold", Bytes: 95 * gib / 100, Weight: 0.002, Picker: &Sweep{Dwell: DefaultScale}},
+			{Name: "cold", Bytes: 95 * gib / 100, Weight: 0.002, Picker: &Sweep{Dwell: defaultScale}},
 		},
 	}
 }

@@ -543,7 +543,7 @@ func TestHotspotSweepNoRotationByDefault(t *testing.T) {
 }
 
 func TestWithDwellRescalesProportionally(t *testing.T) {
-	spec := Redis() // keyspace dwell = 6*DefaultScale
+	spec := Redis() // keyspace dwell = 6*defaultScale
 	spec = spec.WithDwell(64)
 	p := spec.Segments[0].Picker.(*HotspotSweep)
 	if p.Dwell != 6*64 {

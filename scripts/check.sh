@@ -29,6 +29,13 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
+echo "== surface gate"
+# Every exported name in internal/ has a non-test caller outside its package
+# (bench/ counts) or sits on the allowlist, which may only shrink, and
+# internal/ holds at most 25 packages. Through named, so a renamed test
+# fails the gate instead of matching nothing.
+named run 'TestExportedNamesHaveOutsideCallers' . -count=1
+
 echo "== benchmark module (bench/): build, vet, test"
 # bench/ is its own module, outside ./...: an API change that breaks it must
 # fail this gate, not the benchmark run.

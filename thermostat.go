@@ -118,7 +118,7 @@ type Tracker = core.Tracker
 // set, quarantine bench, migration counters), which the Engine reads
 // directly, so the policy itself exposes only its phases (Correct, Place,
 // EndPeriod), DemoteForCapacity, Footprint and StateBytes. Only the core
-// package's ThresholdPolicy and HeatPolicy, and types embedding them,
+// package's threshold and heat policies, and types embedding them,
 // implement it. The name avoids clashing with Policy, the sim-level
 // interface every engine implements.
 type PlacementPolicy = core.Policy
