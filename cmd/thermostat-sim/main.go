@@ -105,7 +105,7 @@ func main() {
 	if cfg.Serve != "" {
 		tracker := cfg.Tracker
 		if tracker == "" {
-			tracker = "poison"
+			tracker = core.DefaultTracker
 		}
 		pub = obsv.NewPublisher()
 		pub.SetInfo(obsv.Info{
@@ -253,7 +253,7 @@ func runFleet(cfg daemon.Config, sc harness.Scale, pub *obsv.Publisher, mutate f
 	tracker, policy := cfg.Tracker, cfg.Policy
 	if policy == "thermostat" {
 		// The paper's arm is the poison+threshold composition.
-		tracker, policy = "poison", "threshold"
+		tracker, policy = core.DefaultTracker, "threshold"
 	}
 	var tenants []harness.FleetTenant
 	for _, name := range cfg.Tenants {
@@ -269,9 +269,7 @@ func runFleet(cfg daemon.Config, sc harness.Scale, pub *obsv.Publisher, mutate f
 		Publisher: pub, ConfigMutate: mutate,
 	}
 	tel := cfg.Telemetry
-	if tel.Trace != "" || tel.Metrics != "" || tel.Epochs {
-		opt.Telemetry = &harness.TelemetryOptions{}
-	}
+	opt.Telemetry = tel.Trace != "" || tel.Metrics != "" || tel.Epochs
 	logger.Info("running tenants under fleet arbitration",
 		"tenants", len(tenants), "apps", strings.Join(cfg.Tenants, ","))
 	fo, err := harness.FleetRun(opt)

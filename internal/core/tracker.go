@@ -133,6 +133,10 @@ type Policy interface {
 	placement() *ledger
 }
 
+// DefaultTracker is the tracker a composition policy runs with when none is
+// named: the paper's BadgerTrap poison sampling.
+const DefaultTracker = "poison"
+
 // TrackerNames lists the selectable trackers in presentation order.
 func TrackerNames() []string { return []string{"poison", "idlebit", "softdirty", "damon"} }
 

@@ -15,13 +15,13 @@ import (
 // version is rejected rather than misread.
 const checkpointVersion = 1
 
-// TimelineEntry is one applied configuration change, stamped with the
+// timelineEntry is one applied configuration change, stamped with the
 // virtual time and epoch of the tick boundary it took effect at. The
 // timeline is the daemon's reload journal: a cold start fed the same
 // timeline applies the same changes at the same virtual instants, making a
 // live SIGHUP byte-identical to a scripted one (the differential test's
 // contract), and a restore replays the journal to reconstruct state.
-type TimelineEntry struct {
+type timelineEntry struct {
 	ApplyAtNs int64  `json:"apply_at_ns"`
 	Epoch     uint64 `json:"epoch"`
 	Config    Config `json:"config"`
@@ -42,7 +42,7 @@ type Checkpoint struct {
 	VirtualNs    int64           `json:"virtual_ns"`
 	Digest       string          `json:"digest"`
 	Config       Config          `json:"config"`
-	Timeline     []TimelineEntry `json:"timeline,omitempty"`
+	Timeline     []timelineEntry `json:"timeline,omitempty"`
 }
 
 // stateDigest fingerprints the simulation at an epoch boundary: virtual

@@ -10,8 +10,10 @@ package daemon
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
+	"reflect"
 	"slices"
 	"strings"
 
@@ -66,7 +68,7 @@ type Config struct {
 	// (thermostat-sim only; thermostatd rejects it for now).
 	Tenants []string `json:"tenants,omitempty"`
 	// Chaos configures deterministic fault injection.
-	Chaos ChaosConfig `json:"chaos"`
+	Chaos chaosConfig `json:"chaos"`
 	// Telemetry selects the run's export sinks.
 	Telemetry TelemetryConfig `json:"telemetry"`
 	// Serve is the observability listener address.
@@ -74,13 +76,13 @@ type Config struct {
 	// LogFormat is "text" or "json".
 	LogFormat string `json:"log_format,omitempty"`
 	// Daemon holds the thermostatd lifecycle knobs.
-	Daemon Lifecycle `json:"daemon"`
+	Daemon lifecycle `json:"daemon"`
 }
 
-// ChaosConfig mirrors the -chaos-* flags. Rate and PermanentFraction are
+// chaosConfig mirrors the -chaos-* flags. Rate and PermanentFraction are
 // reloadable while an injector exists (initial Rate > 0); a zero initial
 // rate installs no injector at all, so chaos cannot be enabled by reload.
-type ChaosConfig struct {
+type chaosConfig struct {
 	Rate              float64 `json:"rate,omitempty"`
 	PermanentFraction float64 `json:"permanent_fraction,omitempty"`
 	Seed              uint64  `json:"seed,omitempty"`
@@ -97,9 +99,9 @@ type TelemetryConfig struct {
 	Epochs bool `json:"epochs,omitempty"`
 }
 
-// Lifecycle holds the thermostatd-only knobs: checkpointing, wall-clock
+// lifecycle holds the thermostatd-only knobs: checkpointing, wall-clock
 // pacing, and the degradation ladder. All reloadable.
-type Lifecycle struct {
+type lifecycle struct {
 	// CheckpointPath, when set, enables crash-safe checkpoints: the run's
 	// deterministic closure (config, reload timeline, progress, state
 	// digest) is written there temp-then-rename at epoch boundaries, and
@@ -113,13 +115,13 @@ type Lifecycle struct {
 	// results are unchanged. 0 runs flat out.
 	EpochWallMs int `json:"epoch_wall_ms,omitempty"`
 	// Degrade parameterizes the degradation ladder.
-	Degrade DegradeConfig `json:"degrade"`
+	Degrade degradeConfig `json:"degrade"`
 }
 
-// DegradeConfig parameterizes the graceful-degradation state machine (see
+// degradeConfig parameterizes the graceful-degradation state machine (see
 // degrade.go). An epoch is "faulty" when the chaos report grew — injected
 // faults, rollbacks or fresh quarantines — and "clean" otherwise.
-type DegradeConfig struct {
+type degradeConfig struct {
 	// Disabled pins the daemon to healthy regardless of faults.
 	Disabled bool `json:"disabled,omitempty"`
 	// DegradeAfter consecutive faulty epochs move healthy → degraded
@@ -453,17 +455,48 @@ func Decode(data []byte) (Config, error) {
 }
 
 // strictUnmarshal decodes JSON into v rejecting unknown fields and
-// trailing non-whitespace.
+// trailing non-whitespace. A value of the wrong type is reported by its key
+// path ("chaos.rate") and the kind of value the key takes, not by the Go
+// types it decodes into.
 func strictUnmarshal(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var te *json.UnmarshalTypeError
+		if errors.As(err, &te) {
+			key := te.Field
+			if key == "" {
+				key = "top level"
+			}
+			return fmt.Errorf("%s: cannot unmarshal %s into %s", key, te.Value, kindName(te.Type))
+		}
 		return err
 	}
 	if dec.More() {
 		return fmt.Errorf("trailing data after config document")
 	}
 	return nil
+}
+
+// kindName names the kind of value a config key of type t takes, in the
+// terms of the file rather than of Go.
+func kindName(t reflect.Type) string {
+	switch t.Kind() {
+	case reflect.Float32, reflect.Float64:
+		return "a number"
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return "an integer"
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return "a non-negative integer"
+	case reflect.String:
+		return "a string"
+	case reflect.Bool:
+		return "a boolean"
+	case reflect.Slice, reflect.Array:
+		return "a list"
+	default:
+		return "a mapping"
+	}
 }
 
 // LoadFile reads and decodes the config file at path.

@@ -123,6 +123,26 @@ func TestDecodeRejects(t *testing.T) {
 	}
 }
 
+// TestDecodeTypeErrorNamesKeyPath: a value of the wrong type is reported by
+// the key path the file wrote and the format it was written in, in both
+// formats, and never by the Go types behind them.
+func TestDecodeTypeErrorNamesKeyPath(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"chaos:\n  rate: x\n", "daemon: parse yaml config: chaos.rate: cannot unmarshal string into a number"},
+		{`{"chaos": {"rate": "x"}}`, "daemon: parse json config: chaos.rate: cannot unmarshal string into a number"},
+		{"daemon:\n  degrade:\n    halt_after: x\n", "daemon: parse yaml config: daemon.degrade.halt_after: cannot unmarshal string into an integer"},
+		{`{"daemon": {"degrade": {"halt_after": "x"}}}`, "daemon: parse json config: daemon.degrade.halt_after: cannot unmarshal string into an integer"},
+		{"seed: -1\n", "daemon: parse yaml config: seed: cannot unmarshal number -1 into a non-negative integer"},
+		{`{"tiers": "dram"}`, "daemon: parse json config: tiers: cannot unmarshal string into a list"},
+		{`{"chaos": 3}`, "daemon: parse json config: chaos: cannot unmarshal number into a mapping"},
+	} {
+		_, err := Decode([]byte(tc.in))
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Decode(%q) = %v, want %q", tc.in, err, tc.want)
+		}
+	}
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	c, err := Decode([]byte(sampleYAML))
 	if err != nil {
@@ -242,7 +262,7 @@ func TestDiffReload(t *testing.T) {
 func TestResolve(t *testing.T) {
 	c := Config{App: "redis", Policy: "thermostat", Scale: "tiny", SlowdownPct: 3, IdleWindowS: 10,
 		Seed: 7, DurationS: 1, PeriodS: 0.5, Footprint: "64G", Tiers: []string{"dram", " cxl"},
-		Chaos: ChaosConfig{Rate: 0.1, Seed: 3}}
+		Chaos: chaosConfig{Rate: 0.1, Seed: 3}}
 	spec, sc, plan, err := c.Resolve()
 	if err != nil {
 		t.Fatal(err)

@@ -47,7 +47,7 @@ func (h health) String() string {
 // run walks the same rungs at the same epochs, which the checkpoint digest
 // and the reload-vs-cold-start differential test rely on.
 type ladder struct {
-	cfg    DegradeConfig
+	cfg    degradeConfig
 	health health
 	faulty int // consecutive faulty epochs at the current rung
 	clean  int // consecutive clean epochs at the current rung

@@ -49,7 +49,7 @@ type Runner struct {
 	// applied at the first epoch boundary with virtual time >=
 	// ApplyAtNs. A cold start fed a live run's journal replays its
 	// reloads bit-identically; a restore replays its own.
-	Timeline []TimelineEntry
+	Timeline []timelineEntry
 	// Restore resumes from a checkpoint: the run replays from the seed
 	// with the checkpoint's journal preloaded (pacing and checkpoint
 	// writes suppressed), verifies the state digest at SavedAtEpoch, and
@@ -69,7 +69,7 @@ type Runner struct {
 	stopReq bool
 	health  health
 	epoch   uint64
-	journal []TimelineEntry // applied reload entries, in order
+	journal []timelineEntry // applied reload entries, in order
 
 	col *telemetry.Collector // survives panics for the flush path
 }
@@ -83,7 +83,7 @@ type RunOutcome struct {
 	// Config is the effective configuration at run end.
 	Config Config
 	// Timeline is the applied reload journal (preloaded + live entries).
-	Timeline []TimelineEntry
+	Timeline []timelineEntry
 	// Epochs is the number of completed policy ticks.
 	Epochs uint64
 	// Health is the final ladder position.
@@ -92,19 +92,22 @@ type RunOutcome struct {
 
 // runState bundles the live simulation objects the tick hook manipulates.
 type runState struct {
-	sc     harness.Scale
 	m      *sim.Machine
 	eng    *core.Engine
 	group  *cgroup.Group
 	shed   *shedRecorder
 	ladder *ladder
 
-	basePeriodNs int64
-	preload      []TimelineEntry // unapplied timeline entries, in order
-	replaying    bool            // restoring: suppress pacing/checkpoints/reloads
-	halted       bool
-	crashed      bool
-	lastFaults   uint64 // chaos activity total at the previous epoch
+	// profilePeriodNs is the scale profile's scan interval, which a
+	// period_s of 0 restores; basePeriodNs is the one in force, before
+	// the ladder widens it.
+	profilePeriodNs int64
+	basePeriodNs    int64
+	preload         []timelineEntry // unapplied timeline entries, in order
+	replaying       bool            // restoring: suppress pacing/checkpoints/reloads
+	halted          bool
+	crashed         bool
+	lastFaults      uint64 // chaos activity total at the previous epoch
 }
 
 // Reload validates next and queues it for the coming epoch boundary.
@@ -148,10 +151,10 @@ func (r *Runner) Health() health {
 }
 
 // Journal returns a copy of the applied reload timeline so far.
-func (r *Runner) Journal() []TimelineEntry {
+func (r *Runner) Journal() []timelineEntry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]TimelineEntry(nil), r.journal...)
+	return append([]timelineEntry(nil), r.journal...)
 }
 
 // Epoch returns the number of completed policy ticks.
@@ -218,7 +221,7 @@ func (r *Runner) run() (*RunOutcome, error) {
 	finalCfg := r.cfg
 	finalHealth := r.health
 	epochs := r.epoch
-	journal := append([]TimelineEntry(nil), r.journal...)
+	journal := append([]timelineEntry(nil), r.journal...)
 	r.mu.Unlock()
 	out := &RunOutcome{
 		Result: res.Result, Machine: rs.m, Engine: rs.eng, Collector: r.col,
@@ -262,12 +265,16 @@ func (r *Runner) assemble(cfg Config) (*runState, *harness.Assembly, error) {
 		return nil, nil, err
 	}
 
+	// Resolve has already applied period_s to sc; a reload back to 0 needs
+	// the profile's own interval.
+	profile, _ := harness.ScaleByName(cfg.Scale)
 	rs := &runState{
-		sc: sc, m: asm.Machine, eng: asm.Engine, group: asm.Engine.Group(), shed: shed,
-		ladder:       &ladder{cfg: cfg.Daemon.Degrade},
-		basePeriodNs: sc.PeriodNs,
-		preload:      append([]TimelineEntry(nil), r.Timeline...),
-		replaying:    r.Restore != nil,
+		m: asm.Machine, eng: asm.Engine, group: asm.Engine.Group(), shed: shed,
+		ladder:          &ladder{cfg: cfg.Daemon.Degrade},
+		profilePeriodNs: profile.PeriodNs,
+		basePeriodNs:    sc.PeriodNs,
+		preload:         append([]timelineEntry(nil), r.Timeline...),
+		replaying:       r.Restore != nil,
 	}
 	return rs, asm, nil
 }
@@ -298,7 +305,7 @@ func (r *Runner) tick(rs *runState, now int64) error {
 		r.pending = nil
 		r.mu.Unlock()
 		if p != nil {
-			r.applyEntry(rs, TimelineEntry{ApplyAtNs: now, Epoch: epoch, Config: *p}, true)
+			r.applyEntry(rs, timelineEntry{ApplyAtNs: now, Epoch: epoch, Config: *p}, true)
 		}
 	}
 
@@ -368,7 +375,7 @@ func (r *Runner) tick(rs *runState, now int64) error {
 // live entry that no longer diffs cleanly (cannot happen for preloaded
 // journals, which were validated when written) is logged and skipped, so a
 // bad reload never half-applies.
-func (r *Runner) applyEntry(rs *runState, e TimelineEntry, live bool) {
+func (r *Runner) applyEntry(rs *runState, e timelineEntry, live bool) {
 	r.mu.Lock()
 	old := r.cfg
 	r.mu.Unlock()
@@ -383,7 +390,7 @@ func (r *Runner) applyEntry(rs *runState, e TimelineEntry, live bool) {
 	}
 	r.mu.Lock()
 	r.cfg = next
-	r.journal = append(r.journal, TimelineEntry{ApplyAtNs: e.ApplyAtNs, Epoch: e.Epoch, Config: next})
+	r.journal = append(r.journal, timelineEntry{ApplyAtNs: e.ApplyAtNs, Epoch: e.Epoch, Config: next})
 	r.mu.Unlock()
 
 	if next.SlowdownPct != old.SlowdownPct {
@@ -392,7 +399,7 @@ func (r *Runner) applyEntry(rs *runState, e TimelineEntry, live bool) {
 		}
 	}
 	if next.PeriodS != old.PeriodS {
-		rs.basePeriodNs = rs.sc.PeriodNs
+		rs.basePeriodNs = rs.profilePeriodNs
 		if next.PeriodS > 0 {
 			rs.basePeriodNs = int64(next.PeriodS * 1e9)
 		}

@@ -72,17 +72,41 @@ func TestRunDeterministic(t *testing.T) {
 // mid-run reload, journaled with its virtual apply time, must be
 // byte-identical to a cold start fed that journal as a preloaded timeline.
 func TestReloadVsColdStart(t *testing.T) {
+	live := reloadVsColdStart(t, func(c *Config) {}, func(c *Config) { c.SlowdownPct = 8 })
+	if live.Config.SlowdownPct != 8 {
+		t.Fatalf("reload not applied: %+v", live.Config)
+	}
+}
+
+// TestReloadPeriodVsColdStart reloads period_s from 0.5 back to 0 (the
+// profile's interval): the engine must end on tiny's own scan interval, not
+// the starting override, and a cold start fed the journal must replay the
+// run byte for byte.
+func TestReloadPeriodVsColdStart(t *testing.T) {
+	tiny, _ := harness.ScaleByName("tiny")
+	live := reloadVsColdStart(t, func(c *Config) { c.PeriodS = 0.5 }, func(c *Config) { c.PeriodS = 0 })
+	if got := live.Engine.Group().Params().SamplePeriodNs; got != tiny.PeriodNs {
+		t.Fatalf("after reloading period_s 0.5 → 0 the scan interval is %d ns, want the profile's %d", got, tiny.PeriodNs)
+	}
+}
+
+// reloadVsColdStart runs tinyConfig with base applied, reloads it live with
+// reload applied on top, then cold-starts the same base fed the live run's
+// journal, and fails unless both runs export the same bytes and counters.
+// It returns the live run's outcome.
+func reloadVsColdStart(t *testing.T, base, reload func(*Config)) *RunOutcome {
+	t.Helper()
 	liveDir, coldDir := t.TempDir(), t.TempDir()
 
 	// Live run: wall-paced so the reload posted from this goroutine lands
 	// mid-run at some epoch boundary (which one doesn't matter — the
 	// journal records it).
 	liveCfg := tinyConfig(t, liveDir)
+	base(&liveCfg)
 	liveCfg.Daemon.EpochWallMs = 5
 	live := &Runner{Config: liveCfg}
 	reloaded := liveCfg
-	reloaded.SlowdownPct = 8
-	reloaded.Daemon.EpochWallMs = 5
+	reload(&reloaded)
 	errc := make(chan error, 1)
 	var out *RunOutcome
 	go func() {
@@ -100,15 +124,13 @@ func TestReloadVsColdStart(t *testing.T) {
 	if len(out.Timeline) != 1 {
 		t.Fatalf("reload did not land mid-run (timeline %d entries, %d epochs)", len(out.Timeline), out.Epochs)
 	}
-	if out.Config.SlowdownPct != 8 {
-		t.Fatalf("reload not applied: %+v", out.Config)
-	}
 
 	// Cold start: same base config, the live run's journal preloaded, with
 	// the telemetry paths redirected (paths are not part of the stream).
 	coldCfg := tinyConfig(t, coldDir)
+	base(&coldCfg)
 	coldCfg.Daemon.EpochWallMs = 5
-	timeline := make([]TimelineEntry, len(out.Timeline))
+	timeline := make([]timelineEntry, len(out.Timeline))
 	copy(timeline, out.Timeline)
 	timeline[0].Config.Telemetry = coldCfg.Telemetry
 	cold := &Runner{Config: coldCfg, Timeline: timeline, NoPacing: true}
@@ -131,6 +153,7 @@ func TestReloadVsColdStart(t *testing.T) {
 		outCold.Result.Metrics.MigrationBytes != out.Result.Metrics.MigrationBytes {
 		t.Errorf("counters diverged: live %+v cold %+v", out.Result.Metrics, outCold.Result.Metrics)
 	}
+	return out
 }
 
 // TestCheckpointRestoreBitIdentity kills a run at an epoch boundary
@@ -217,7 +240,7 @@ func TestTornCheckpointIsNamedError(t *testing.T) {
 	dir := t.TempDir()
 	cfg := tinyConfig(t, dir)
 	cp := &Checkpoint{Version: checkpointVersion, SavedAtEpoch: 6, VirtualNs: 2.4e9, Digest: "00c0ffee00c0ffee",
-		Config: cfg, Timeline: []TimelineEntry{{ApplyAtNs: 8e8, Epoch: 2, Config: cfg}}}
+		Config: cfg, Timeline: []timelineEntry{{ApplyAtNs: 8e8, Epoch: 2, Config: cfg}}}
 	whole := filepath.Join(dir, "whole.ckpt")
 	if err := WriteCheckpoint(whole, cp); err != nil {
 		t.Fatal(err)
@@ -287,8 +310,8 @@ func TestTornConfigIsNamedError(t *testing.T) {
 func TestQuarantineOnlyUnderChaos(t *testing.T) {
 	dir := t.TempDir()
 	cfg := tinyConfig(t, dir)
-	cfg.Chaos = ChaosConfig{Rate: 1, PermanentFraction: 1, Seed: 1}
-	cfg.Daemon.Degrade = DegradeConfig{
+	cfg.Chaos = chaosConfig{Rate: 1, PermanentFraction: 1, Seed: 1}
+	cfg.Daemon.Degrade = degradeConfig{
 		DegradeAfter: 1, QuarantineAfter: 1, RecoverAfter: 1000, WidenFactor: 1,
 	}
 	r := &Runner{Config: cfg, NoPacing: true}
@@ -310,8 +333,8 @@ func TestQuarantineOnlyUnderChaos(t *testing.T) {
 func TestHaltLadder(t *testing.T) {
 	dir := t.TempDir()
 	cfg := tinyConfig(t, dir)
-	cfg.Chaos = ChaosConfig{Rate: 1, PermanentFraction: 1, Seed: 1}
-	cfg.Daemon.Degrade = DegradeConfig{
+	cfg.Chaos = chaosConfig{Rate: 1, PermanentFraction: 1, Seed: 1}
+	cfg.Daemon.Degrade = degradeConfig{
 		DegradeAfter: 1, QuarantineAfter: 1, HaltAfter: 1, RecoverAfter: 1000, WidenFactor: 1,
 	}
 	r := &Runner{Config: cfg, NoPacing: true}
@@ -352,7 +375,7 @@ func TestGracefulStop(t *testing.T) {
 
 // TestLadderUnit walks the state machine directly.
 func TestLadderUnit(t *testing.T) {
-	l := &ladder{cfg: DegradeConfig{DegradeAfter: 2, QuarantineAfter: 2, HaltAfter: 2, RecoverAfter: 3, WidenFactor: 4}}
+	l := &ladder{cfg: degradeConfig{DegradeAfter: 2, QuarantineAfter: 2, HaltAfter: 2, RecoverAfter: 3, WidenFactor: 4}}
 	seq := []struct {
 		faulty bool
 		want   health
@@ -370,7 +393,7 @@ func TestLadderUnit(t *testing.T) {
 		}
 	}
 	// Halt path and terminality.
-	l2 := &ladder{cfg: DegradeConfig{DegradeAfter: 1, QuarantineAfter: 1, HaltAfter: 1, RecoverAfter: 2}}
+	l2 := &ladder{cfg: degradeConfig{DegradeAfter: 1, QuarantineAfter: 1, HaltAfter: 1, RecoverAfter: 2}}
 	for i := 0; i < 3; i++ {
 		l2.Observe(true)
 	}
@@ -378,7 +401,7 @@ func TestLadderUnit(t *testing.T) {
 		t.Fatalf("halted must be terminal, got %v", h)
 	}
 	// Disabled ladder never moves.
-	l3 := &ladder{cfg: DegradeConfig{Disabled: true, DegradeAfter: 1}}
+	l3 := &ladder{cfg: degradeConfig{Disabled: true, DegradeAfter: 1}}
 	if h, changed := l3.Observe(true); h != healthy || changed {
 		t.Fatalf("disabled ladder moved: %v", h)
 	}

@@ -22,7 +22,8 @@ const fuzzPeriodNs = 200_000
 //	3  arbiter: b%4 → default, P/2, P, 3P/2
 //	4  warm-up: b%4 eighths of the run, plus b>>2 ns
 //	5  unused (the committed corpus fixes the layout)
-//	6  threads: b%3 → 1, 2, 8
+//	6  dilation: b%3 → 8, 4, 1 (latencies and compute, so blocks hold
+//	   fewer ops the larger it is)
 //	7  pool:    (8 + b%5)/8 of the initial population's footprint
 //	8  seed
 //
@@ -58,8 +59,7 @@ func fuzzCast(data []byte) *cast {
 		return duration*(b%8)/8 + b>>3
 	}
 	c := &cast{
-		div: div, dilate: 1, periodNs: p, sampleFraction: 0.5,
-		threads: []int{1, 2, 8}[at(6)%3],
+		div: div, dilate: []int64{8, 4, 1}[at(6)%3], periodNs: p, sampleFraction: 0.5,
 		poolNum: uint64(8 + at(7)%5), poolDen: 8,
 		seed: uint64(at(8)),
 		cfg: Config{

@@ -42,7 +42,6 @@ type cast struct {
 	dilate         int64
 	periodNs       int64
 	sampleFraction float64
-	threads        int
 	// poolNum/poolDen size the fast tier, and so the arbitrated pool,
 	// relative to the footprint of the tenants present at the start (of all
 	// of them when the machine starts empty).
@@ -108,9 +107,6 @@ func (c *cast) run(tb testing.TB, loop func(*sim.Machine, Config, []Member) (*Re
 	mc.SlowSpec.ReadLatency = 1000 * c.dilate
 	mc.SlowSpec.WriteLatency = 1000 * c.dilate
 	mc.VM.HostHugePages = true
-	if c.threads > 0 {
-		mc.Threads = c.threads
-	}
 	m, err := sim.New(mc)
 	if err != nil {
 		tb.Fatal(err)
@@ -407,7 +403,7 @@ func TestFleetIdleUntilFirstArrival(t *testing.T) {
 // TestFleetIdleAfterLastDeparture: once the sole tenant has left, the run
 // idles boundary to boundary and ends at exactly its end — including from a
 // departure a few nanoseconds off a boundary, where a clock that advanced
-// by gap/Threads stopped moving.
+// by gap/threads stopped moving.
 func TestFleetIdleAfterLastDeparture(t *testing.T) {
 	t.Parallel()
 	c := smallCast(0, 1e9+3)

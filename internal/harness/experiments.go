@@ -10,7 +10,6 @@ import (
 	"thermostat/internal/report"
 	"thermostat/internal/sim"
 	"thermostat/internal/stats"
-	"thermostat/internal/telemetry"
 	"thermostat/internal/workload"
 )
 
@@ -26,25 +25,18 @@ type AppRun struct {
 
 // RunAll executes the paired baseline/Thermostat runs for every app — the
 // shared input of Figures 3 and 5-10 and Tables 2-4 — as one row per app.
-// Each run gets its own collector when telemetry is on, and its tee into the
-// live plane when a publisher is attached, both made as the run is
-// assembled; the collectors are exported under the runs' labels once every
-// run is done.
+// With a publisher attached, each run is teed into the live plane as it is
+// assembled.
 func RunAll(opt Options) (map[string]*AppRun, error) {
 	opt = opt.withDefaults()
-	apps := opt.apps()
 	var rows []row
-	cols := make([][2]*telemetry.Collector, len(apps)) // per row and arm; nil without telemetry
-	for i, spec := range apps {
+	for _, spec := range opt.apps() {
 		r := row{spec: spec, sc: opt.Scale}
-		for j, a := range []arm{baseline, {name: "thermostat", plan: Plan{SlowdownPct: opt.SlowdownPct}}} {
+		for _, a := range []arm{baseline, {name: "thermostat", plan: Plan{SlowdownPct: opt.SlowdownPct}}} {
 			label := spec.Name + "/" + a.name
 			var census func(string, *core.Engine)
 			a.plan.Config = func(cfg *sim.Config) {
-				if opt.Telemetry != nil {
-					cols[i][j] = opt.Telemetry.NewCollector()
-				}
-				cfg.Recorder, census = Observe(opt.Publisher, label, cols[i][j])
+				cfg.Recorder, census = Observe(opt.Publisher, label, nil)
 			}
 			a.plan.Engine = func(_ *cgroup.Group, eng *core.Engine) { census(label, eng) }
 			r.arms = append(r.arms, a)
@@ -57,14 +49,6 @@ func RunAll(opt Options) (map[string]*AppRun, error) {
 	}
 	runs := make(map[string]*AppRun, len(rows))
 	for i, r := range rows {
-		for j, a := range r.arms {
-			if col := cols[i][j]; col != nil {
-				outs[i][j].Telemetry = col
-				if _, _, err := opt.Telemetry.Export("runall-"+r.spec.Name+"-"+a.name, col); err != nil {
-					return nil, err
-				}
-			}
-		}
 		base, th := outs[i][0], outs[i][1]
 		runs[r.spec.Name] = &AppRun{Base: base, Thermo: th, Slowdown: sim.Slowdown(base.Result, th.Result),
 			ColdFraction: th.Result.MeanColdFraction(opt.Scale.WarmupNs)}

@@ -26,21 +26,21 @@ type FleetTenant struct {
 	Share    int
 	// FloorBytes is the guaranteed minimum DRAM grant (already scaled).
 	FloorBytes uint64
-	// Tracker and Policy pick the engine composition (defaults "poison"
-	// and "threshold" — the paper's Thermostat).
+	// Tracker and Policy pick the engine composition (defaults
+	// core.DefaultTracker and "threshold" — the paper's Thermostat).
 	Tracker string
 	Policy  string
 	// ArriveNs and DepartNs schedule churn relative to run start
 	// (0 = present from the start / stays to the end).
 	ArriveNs int64
 	DepartNs int64
-	// SeedDelta offsets this tenant's app seed from Scale.Seed so tenants
-	// draw independent streams. Tenant 0 defaults to 0 — its app and
-	// engine then seed exactly as a solo Run would, which is what the
-	// degenerate-fleet differential test pins — and tenant i>0 defaults
-	// to i spaced by a large odd constant.
-	SeedDelta uint64
 }
+
+// seedDelta offsets tenant i's app and engine seeds from Scale.Seed so
+// tenants draw independent streams: i spaced by a large odd constant.
+// Tenant 0's delta is 0 — its app and engine then seed exactly as a solo
+// Run would, which is what the degenerate-fleet differential test pins.
+func seedDelta(i int) uint64 { return uint64(i) * 0x9e3779b97f4a7c15 }
 
 func (t FleetTenant) withDefaults(i int) FleetTenant {
 	if t.Name == "" {
@@ -56,13 +56,10 @@ func (t FleetTenant) withDefaults(i int) FleetTenant {
 		t.Share = 1
 	}
 	if t.Tracker == "" {
-		t.Tracker = "poison"
+		t.Tracker = core.DefaultTracker
 	}
 	if t.Policy == "" {
 		t.Policy = "threshold"
-	}
-	if t.SeedDelta == 0 {
-		t.SeedDelta = uint64(i) * 0x9e3779b97f4a7c15
 	}
 	return t
 }
@@ -91,8 +88,9 @@ type FleetOptions struct {
 	Workers int
 	// Baselines enables the per-tenant solo all-DRAM baseline runs.
 	Baselines bool
-	// Telemetry attaches a collector to the fleet machine.
-	Telemetry *TelemetryOptions
+	// Telemetry attaches a collector with the default bounds to the fleet
+	// machine.
+	Telemetry bool
 	// Publisher, when non-nil, tees the fleet machine's recorder stream
 	// (and per-tenant arbiter snapshots) into the live observability plane
 	// and publishes each tenant engine's classification census. Strictly
@@ -164,8 +162,8 @@ func FleetRun(opt FleetOptions) (*fleetOutcome, error) {
 	// differential tests compare against attach a bare Recorder, and the
 	// confusion-matrix columns must agree (absent) for byte-identity.
 	var col *telemetry.Collector
-	if opt.Telemetry != nil {
-		col = opt.Telemetry.NewCollector()
+	if opt.Telemetry {
+		col = telemetry.NewCollector()
 	}
 	rec, census := Observe(opt.Publisher, "fleet", col)
 	if rec != nil {
@@ -178,18 +176,18 @@ func FleetRun(opt FleetOptions) (*fleetOutcome, error) {
 	}
 
 	out := &fleetOutcome{Scale: sc, Machine: m, Root: root}
-	for _, t := range tens {
+	for i, t := range tens {
 		p := sc.groupParams()
 		p.TolerableSlowdownPct = t.SLOPct
 		g, err := root.NewChild(t.Name, p)
 		if err != nil {
 			return nil, err
 		}
-		app, err := sc.NewApp(t.Spec, sc.Seed+t.SeedDelta)
+		app, err := sc.NewApp(t.Spec, sc.Seed+seedDelta(i))
 		if err != nil {
 			return nil, err
 		}
-		eng, err := core.ComposeByName(g, t.Tracker, t.Policy, sc.Seed+t.SeedDelta+engineSeedOffset)
+		eng, err := core.ComposeByName(g, t.Tracker, t.Policy, sc.Seed+seedDelta(i)+engineSeedOffset)
 		if err != nil {
 			return nil, err
 		}
@@ -223,7 +221,7 @@ func FleetRun(opt FleetOptions) (*fleetOutcome, error) {
 		rows := make([]row, len(tens))
 		for i, t := range tens {
 			rows[i] = row{spec: t.Spec, sc: sc, arms: []arm{baseline}}
-			rows[i].sc.Seed += t.SeedDelta
+			rows[i].sc.Seed += seedDelta(i)
 		}
 		outs, err := runGrid(opt.Workers, rows)
 		if err != nil {

@@ -50,7 +50,7 @@ func TestFleetSingleTenantMatchesRunComposed(t *testing.T) {
 			// and without, which guards against recorder-dependent behavior
 			// creeping in.
 			var outs []*fleetOutcome
-			for _, tel := range []*TelemetryOptions{nil, {Dir: t.TempDir()}} {
+			for _, tel := range []bool{false, true} {
 				out, err := FleetRun(FleetOptions{
 					Scale: sc,
 					Tenants: []FleetTenant{{
@@ -275,7 +275,7 @@ func TestFleetChaosIsolation(t *testing.T) {
 	run := func(mutate func(*sim.Config)) *fleetOutcome {
 		fo, err := FleetRun(FleetOptions{
 			Scale: sc, Tenants: tenants,
-			Telemetry:    &TelemetryOptions{Dir: t.TempDir()},
+			Telemetry:    true,
 			ConfigMutate: mutate,
 		})
 		if err != nil {

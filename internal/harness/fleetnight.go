@@ -58,7 +58,7 @@ func runFleetNight(opt Options) (*fleetNightResult, error) {
 
 	fo, err := FleetRun(FleetOptions{
 		Scale: sc, Tenants: tens, FastBytes: pool,
-		Workers: opt.Workers, Baselines: true, Telemetry: opt.Telemetry,
+		Workers: opt.Workers, Baselines: true,
 		Publisher: opt.Publisher,
 	})
 	if err != nil {

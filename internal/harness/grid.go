@@ -23,11 +23,6 @@ type Options struct {
 	// are bit-for-bit identical at any setting — each run owns its own
 	// machine and seeded RNG (see DESIGN.md's determinism contract).
 	Workers int
-	// Telemetry, when non-nil, attaches a collector to every RunAll run
-	// and exports per-run trace files (Chrome trace + JSONL) under
-	// Telemetry.Dir. Traces are in virtual time: byte-identical at any
-	// Workers setting.
-	Telemetry *TelemetryOptions
 	// Publisher, when non-nil, tees every RunAll and fleet run's recorder
 	// stream into the live observability plane (see internal/obsv).
 	// Strictly read-side: exports stay byte-identical with or without it.

@@ -171,7 +171,7 @@ type Plan struct {
 	SlowdownPct float64
 	// Placement and Tracker pick the engine: "" or "thermostat" is the
 	// paper's engine (core.NewEngine); any other Placement is a policy from
-	// the core registry composed with Tracker (default "poison").
+	// the core registry composed with Tracker (default core.DefaultTracker).
 	Placement, Tracker string
 	// Tiers, when non-empty, replaces the two-tier machine with this
 	// hierarchy in Device mode (see TieredMachineConfig).
@@ -251,7 +251,7 @@ func Assemble(spec workload.Spec, sc Scale, plan Plan) (*Assembly, error) {
 		} else {
 			tracker := plan.Tracker
 			if tracker == "" {
-				tracker = "poison"
+				tracker = core.DefaultTracker
 			}
 			if a.Engine, err = core.ComposeByName(g, tracker, plan.Placement, seed); err != nil {
 				return nil, err
@@ -274,8 +274,7 @@ type Outcome struct {
 	Engine  *core.Engine // nil for non-engine policies
 	Result  *sim.RunResult
 	// Telemetry is the run's collector: the machine's recorder when that is
-	// a telemetry.Collector, or the one RunAll teed into the live plane
-	// (nil otherwise).
+	// a telemetry.Collector (nil otherwise).
 	Telemetry *telemetry.Collector
 	// Faults summarizes chaos fault handling over the whole run: all
 	// zeros unless the machine config installed an injector. Engine runs

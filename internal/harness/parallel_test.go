@@ -215,14 +215,14 @@ func TestSerialEquivalenceFleetRun(t *testing.T) {
 				{Name: "batch", Spec: workload.MySQLTPCC(), SLOPct: 10,
 					DepartNs: sc.DurationNs * 3 / 4},
 			},
-			Workers: workers, Baselines: true,
-			Telemetry: &TelemetryOptions{Dir: t.TempDir()},
+			Workers: workers, Baselines: true, Telemetry: true,
 		})
 		if err != nil {
 			return nil, [2]string{}, err
 		}
-		tp, mp, err := (&TelemetryOptions{Dir: t.TempDir()}).Export("fleet", fo.Telemetry)
-		return fo, [2]string{tp, mp}, err
+		dir := t.TempDir()
+		paths := [2]string{filepath.Join(dir, "fleet.trace.json"), filepath.Join(dir, "fleet.metrics.jsonl")}
+		return fo, paths, fo.Telemetry.WriteFiles(paths[0], paths[1])
 	}
 	serial, serialPaths, err := run(1)
 	if err != nil {

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"thermostat/internal/golden"
+	"thermostat/internal/sim"
+	"thermostat/internal/telemetry"
 	"thermostat/internal/workload"
 )
 
@@ -19,25 +21,33 @@ func telemetryScale() Scale {
 	return sc
 }
 
-// exportAll runs the Redis baseline+Thermostat pair with telemetry into dir
-// at the given worker count and returns the exported file names.
+// exportAll runs RunAll's Redis baseline+Thermostat pair on workers
+// goroutines, each arm with its own collector, exports both collectors into
+// dir under the arms' labels, and returns the exported file names.
 func exportAll(t *testing.T, dir string, workers int) []string {
 	t.Helper()
 	spec, _ := workload.ByName("redis")
-	runs, err := RunAll(Options{
-		Scale:   telemetryScale(),
-		Apps:    []workload.Spec{spec},
-		Workers: workers,
+	r := row{spec: spec, sc: telemetryScale()}
+	var cols [2]*telemetry.Collector
+	for j, a := range []arm{baseline, {name: "thermostat", plan: Plan{SlowdownPct: 3}}} {
 		// A small event cap keeps files reviewable and exercises the
 		// deterministic drop accounting.
-		Telemetry: &TelemetryOptions{Dir: dir, MaxEvents: 512},
-	})
+		cols[j] = telemetry.NewCollectorWith(telemetry.Config{MaxEvents: 512})
+		a.plan.Config = func(cfg *sim.Config) { cfg.Recorder = cols[j] }
+		r.arms = append(r.arms, a)
+	}
+	outs, err := runGrid(workers, []row{r})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := runs[spec.Name]
-	if run.Base.Telemetry == nil || run.Thermo.Telemetry == nil {
-		t.Fatal("outcomes missing their collectors")
+	for j, a := range r.arms {
+		if outs[0][j].Telemetry != cols[j] {
+			t.Fatalf("%s outcome missing its collector", a.name)
+		}
+		stem := filepath.Join(dir, "runall-"+spec.Name+"-"+a.name)
+		if err := cols[j].WriteFiles(stem+".trace.json", stem+".metrics.jsonl"); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -53,10 +63,10 @@ func exportAll(t *testing.T, dir string, workers int) []string {
 	return names
 }
 
-// TestRunAllTelemetryWorkerInvariance is the acceptance-criteria differential
-// test: the same experiment at Workers=1 and Workers=8 must export
-// byte-identical trace and metrics files, because telemetry is recorded in
-// virtual time by per-run collectors.
+// TestRunAllTelemetryWorkerInvariance is the worker-count differential: the
+// same pair at Workers=1 and Workers=8 must export byte-identical trace and
+// metrics files, because telemetry is recorded in virtual time by per-run
+// collectors.
 func TestRunAllTelemetryWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second scaled run")
@@ -94,15 +104,5 @@ func TestRunAllTelemetryWorkerInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		golden.Bytes(t, name, got)
-	}
-}
-
-func TestSanitizeLabel(t *testing.T) {
-	t.Parallel()
-	if got := sanitizeLabel("runall/redis:3%"); got != "runall-redis-3-" {
-		t.Fatalf("sanitizeLabel = %q", got)
-	}
-	if got := sanitizeLabel("ok-name_1.2"); got != "ok-name_1.2" {
-		t.Fatalf("safe label mangled: %q", got)
 	}
 }

@@ -298,7 +298,7 @@ func TestBlockOps(t *testing.T) {
 		name  string
 		limit int64
 		// hookMaxNs, when set, installs a miss hook with this bound, which
-		// widens U by hookMaxNs/Threads.
+		// widens U by hookMaxNs/threads.
 		hookMaxNs int64
 		want      int
 	}{
@@ -314,9 +314,9 @@ func TestBlockOps(t *testing.T) {
 		{name: "one short of the cap", limit: now + (MaxBlockOps-1)*u, want: MaxBlockOps - 1},
 		{name: "at the cap", limit: now + (MaxBlockOps-1)*u + 1, want: MaxBlockOps},
 		{name: "capped", limit: now + 1e12, want: MaxBlockOps},
-		// A bound of U·Threads doubles U, so the 8 of "gap just above 7U"
+		// A bound of U·threads doubles U, so the 8 of "gap just above 7U"
 		// become (7U)/(2U) + 1 = 4.
-		{name: "miss hook widens U", limit: now + 7*u + 1, hookMaxNs: u * 8, want: 4},
+		{name: "miss hook widens U", limit: now + 7*u + 1, hookMaxNs: u * threads, want: 4},
 	} {
 		m := newMachine(t)
 		m.AdvanceClockTo(now)
@@ -324,9 +324,6 @@ func TestBlockOps(t *testing.T) {
 		if tc.hookMaxNs > 0 {
 			bare := m.maxOpAdvanceNs(0)
 			m.SetMissHook(func(addr.Virt, bool) int64 { return 0 }, tc.hookMaxNs)
-			if threads := int64(m.Config().Threads); threads != 8 {
-				t.Fatalf("%s: machine has %d threads, the row assumes 8", tc.name, threads)
-			}
 			adv += m.maxOpAdvanceNs(0) - bare
 		}
 		if got := m.blockOps(tc.limit, adv); got != tc.want {
@@ -382,7 +379,7 @@ func TestPageCountsRegression(t *testing.T) {
 
 	// Below-base addresses (never produced by AllocRegion) still count via
 	// the map fallback with identical key semantics.
-	low := m.Config().VirtBase - addr.Virt(4*addr.PageSize2M)
+	low := virtBase - addr.Virt(4*addr.PageSize2M)
 	frame, err := m.Memory().Tier(mem.Fast).Alloc2M()
 	if err != nil {
 		t.Fatal(err)

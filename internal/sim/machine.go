@@ -5,7 +5,7 @@
 //
 // The simulator is closed-loop: each access is charged its full latency
 // (TLB, page walk, poison faults, cache, memory device) and the virtual
-// clock advances by that latency divided by the thread count, so throughput
+// clock advances by that latency divided by the eight threads, so throughput
 // degradation emerges from the latency model exactly as wall-clock slowdown
 // does on the paper's testbed.
 package sim
@@ -58,9 +58,24 @@ func (m SlowMemMode) String() string {
 	}
 }
 
+// The paper's testbed fixes these, and no experiment varies them.
+const (
+	// threads is the number of worker threads sharing the machine, the
+	// paper's medium cloud instance: an access or compute time advances
+	// the clock by its latency over threads.
+	threads = 8
+	// tlbHitNs and llcHitNs are the TLB and LLC hit latencies.
+	tlbHitNs = 1
+	llcHitNs = 30
+	// virtBase is where region allocation starts (the 1 TB mark, 2MB
+	// aligned).
+	virtBase addr.Virt = 1 << 40
+)
+
 // Config assembles a machine.
 type Config struct {
-	// VM is the virtualization setup (default: nested, huge host pages).
+	// VM is the virtualization setup (default: huge host pages, the trap in
+	// the guest).
 	VM vmConfig
 	// TLB sizes the translation caches (L2Entries must be at least
 	// L1Entries: the hierarchy is inclusive).
@@ -78,17 +93,9 @@ type Config struct {
 	FastSpec, SlowSpec mem.Spec
 	// Mode selects slow-memory costing (default EmulatedFault).
 	Mode SlowMemMode
-	// Threads is the number of worker threads sharing the machine
-	// (default 8, the paper's medium cloud instance).
-	Threads int
-	// TLBHitNs, LLCHitNs are hit latencies (defaults 1, 30).
-	TLBHitNs int64
-	LLCHitNs int64
 	// FaultLatencyNs is the BadgerTrap poison-fault service time
 	// (default 1000, the paper's ~1us).
 	FaultLatencyNs int64
-	// VirtBase is where region allocation starts (default 16TB mark).
-	VirtBase addr.Virt
 	// Recorder, when non-nil, receives telemetry events from every
 	// instrumented component (machine, migrator, engine, daemons). Nil
 	// (the default) compiles the instrumentation down to one nil check
@@ -113,7 +120,6 @@ func DefaultConfig(fastBytes, slowBytes uint64) Config {
 		FastSpec: mem.DefaultDRAM(fastBytes),
 		SlowSpec: mem.DefaultSlow(slowBytes),
 		Mode:     EmulatedFault,
-		Threads:  8,
 	}
 }
 
@@ -192,8 +198,6 @@ type Machine struct {
 	// walkLat[d] is the latency of a page walk whose guest dimension
 	// touched d levels, from the walk model at construction.
 	walkLat [5]int64
-	// threads divides an access's latency into clock advance.
-	threads stats.Divider
 	// maxAccessLat is a lazily computed conservative upper bound on one
 	// access's modeled latency (see maxOpAdvanceNs).
 	maxAccessLat int64
@@ -210,12 +214,11 @@ type Machine struct {
 
 	// Ground-truth per-2MB-page access (LLC miss) counting — Figure 2's
 	// y-axis, which no real x86 can observe but a simulator can. Counts
-	// live in a dense slice indexed by 2MB region number above pcBase
+	// live in a dense slice indexed by 2MB region number above virtBase
 	// (regions come from a 2MB-aligned bump allocator, so the space is
 	// contiguous); pcLow catches the stray below-base address so the
 	// map-based semantics are preserved exactly.
 	pcEnabled bool
-	pcBase    addr.Virt
 	pcCounts  []uint64
 	pcLow     map[addr.Virt]uint64
 
@@ -229,23 +232,8 @@ type Machine struct {
 
 // New validates cfg and builds a machine.
 func New(cfg Config) (*Machine, error) {
-	if cfg.Threads <= 0 {
-		cfg.Threads = 8
-	}
-	if cfg.TLBHitNs <= 0 {
-		cfg.TLBHitNs = 1
-	}
-	if cfg.LLCHitNs <= 0 {
-		cfg.LLCHitNs = 30
-	}
 	if cfg.FaultLatencyNs <= 0 {
 		cfg.FaultLatencyNs = badgertrap.DefaultFaultLatencyNs
-	}
-	if cfg.VirtBase == 0 {
-		cfg.VirtBase = addr.Virt(1) << 40
-	}
-	if cfg.VirtBase.Base2M() != cfg.VirtBase {
-		return nil, fmt.Errorf("sim: VirtBase %s not 2MB-aligned", cfg.VirtBase)
 	}
 	var err error
 	if cfg.TLB, err = cfg.TLB.Normalize(); err != nil {
@@ -255,14 +243,7 @@ func New(cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	vpid := tlb.VPID(1)
-	if cfg.VM.Mode == native {
-		vpid = tlb.HostVPID
-	}
-	guest, err := newVM(cfg.VM, vpid)
-	if err != nil {
-		return nil, err
-	}
+	guest := &virtualMachine{cfg: cfg.VM}
 	sys, err := mem.NewHierarchy(cfg.TierSpecs()...)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
@@ -277,8 +258,7 @@ func New(cfg Config) (*Machine, error) {
 		tl:           tlb.New(cfg.TLB),
 		llc:          cache.New(cfg.LLC),
 		guest:        guest,
-		threads:      stats.NewDivider(uint64(cfg.Threads)),
-		next:         cfg.VirtBase,
+		next:         virtBase,
 		latHist:      stats.NewHistogram(),
 		tierAccesses: make([]stats.Counter, sys.NumTiers()),
 	}
@@ -294,7 +274,7 @@ func New(cfg Config) (*Machine, error) {
 		m.walkLat[d] = wm.Latency(guest.Nested(), d, guest.HostWalkDepth())
 	}
 	// A block translated ahead keeps each op's translation latency in 32 bits.
-	if most := max(cfg.TLBHitNs, m.walkLat[walk.Depth4K]+cfg.FaultLatencyNs+guest.FaultOverheadNs()); most > math.MaxInt32 {
+	if most := max(tlbHitNs, m.walkLat[walk.Depth4K]+cfg.FaultLatencyNs+guest.FaultOverheadNs()); most > math.MaxInt32 {
 		return nil, fmt.Errorf("sim: a translation can take %d ns, more than the %d ns a block records", most, math.MaxInt32)
 	}
 	m.trap = badgertrap.New(m.pt, m.tl, cfg.FaultLatencyNs)
@@ -389,7 +369,7 @@ func (m *Machine) Clock() int64 { return m.clock }
 
 // AdvanceClock adds application compute time (divided across threads).
 func (m *Machine) AdvanceClock(ns int64) {
-	m.clock += ns / int64(m.cfg.Threads)
+	m.clock += ns / threads
 }
 
 // AdvanceClockTo moves the clock forward to t — a stretch in which the
@@ -642,7 +622,7 @@ func (m *Machine) flushEvents() {
 // writes, so a Scheduler may translate blocks ahead on another goroutine.
 func (m *Machine) translate(v addr.Virt, write bool, vpid tlb.VPID) (addr.Phys, int64, bool, error) {
 	if res, ok := m.tl.Lookup(v, vpid); ok {
-		return physAddr(v, res.Frame, res.Level), m.cfg.TLBHitNs, false, nil
+		return physAddr(v, res.Frame, res.Level), tlbHitNs, false, nil
 	}
 	// Hardware page walk.
 	wr := m.pt.Walk(v, write)
@@ -696,7 +676,7 @@ func (m *Machine) charge(v addr.Virt, write bool, pa addr.Phys, lat int64, fault
 
 	// Cache hierarchy and memory device.
 	if m.llc.Access(pa) {
-		lat += m.cfg.LLCHitNs
+		lat += llcHitNs
 	} else {
 		if m.pcEnabled {
 			m.countPage(v)
@@ -724,8 +704,7 @@ func (m *Machine) charge(v addr.Virt, write bool, pa addr.Phys, lat int64, fault
 	// lat ≥ 0 (every term is a latency), so it divides as a uint64.
 	m.accesses.Inc()
 	m.latHist.Observe(uint64(lat))
-	adv, _ := m.threads.DivMod(uint64(lat))
-	m.clock += int64(adv)
+	m.clock += int64(uint64(lat) / threads)
 	return lat, nil
 }
 
@@ -750,10 +729,9 @@ func (m *Machine) maxOpAdvanceNs(computeNs int64) int64 {
 				devMax = m.tierWriteLat[t]
 			}
 		}
-		m.maxAccessLat = m.cfg.TLBHitNs + walkMax + m.cfg.FaultLatencyNs +
-			m.guest.FaultOverheadNs() + m.cfg.LLCHitNs + m.missMaxNs + devMax
+		m.maxAccessLat = tlbHitNs + walkMax + m.cfg.FaultLatencyNs +
+			m.guest.FaultOverheadNs() + llcHitNs + m.missMaxNs + devMax
 	}
-	threads := int64(m.cfg.Threads)
 	return m.maxAccessLat/threads + computeNs/threads + 1
 }
 
@@ -790,20 +768,15 @@ func (m *Machine) SetMissHook(h func(v addr.Virt, write bool) int64, maxNs int64
 // EnablePageCounts turns on ground-truth per-2MB-page memory access (LLC
 // miss) counting. This is simulator-only instrumentation: the paper's
 // motivation is precisely that real x86 hardware cannot observe this.
-func (m *Machine) EnablePageCounts() {
-	if !m.pcEnabled {
-		m.pcEnabled = true
-		m.pcBase = m.cfg.VirtBase
-	}
-}
+func (m *Machine) EnablePageCounts() { m.pcEnabled = true }
 
 // countPage records one LLC miss against the 2MB page containing v. Regions
-// are bump-allocated from pcBase, so the common case is one bounds check and
+// are bump-allocated from virtBase, so the common case is one bounds check and
 // a slice increment; addresses below the base (never produced by
 // AllocRegion) fall back to a map to keep semantics identical.
 func (m *Machine) countPage(v addr.Virt) {
-	if v >= m.pcBase {
-		idx := uint64(v-m.pcBase) >> addr.PageShift2M
+	if v >= virtBase {
+		idx := uint64(v-virtBase) >> addr.PageShift2M
 		if idx >= uint64(len(m.pcCounts)) {
 			grown := make([]uint64, idx+1, (idx+1)*2)
 			copy(grown, m.pcCounts)
@@ -829,7 +802,7 @@ func (m *Machine) PageCounts() map[addr.Virt]uint64 {
 	out := make(map[addr.Virt]uint64, len(m.pcCounts)+len(m.pcLow))
 	for i, c := range m.pcCounts {
 		if c != 0 {
-			out[m.pcBase+addr.Virt(uint64(i)<<addr.PageShift2M)] = c
+			out[virtBase+addr.Virt(uint64(i)<<addr.PageShift2M)] = c
 		}
 	}
 	for k, c := range m.pcLow {

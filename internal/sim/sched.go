@@ -162,7 +162,7 @@ func newBlock() block {
 func (s *Scheduler) Add(name string, app App, pol Policy, share int) {
 	mb := member{name: name, app: app, pol: pol, share: share, computeNs: app.ComputeNs()}
 	if mb.computeNs > 0 {
-		mb.step = mb.computeNs / int64(s.m.cfg.Threads)
+		mb.step = mb.computeNs / threads
 	}
 	s.members = append(s.members, mb)
 }

@@ -103,7 +103,7 @@ func TestAccessLatencyPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want2 := m.Config().TLBHitNs + m.Config().LLCHitNs; lat2 != want2 {
+	if want2 := int64(tlbHitNs + llcHitNs); lat2 != want2 {
 		t.Fatalf("warm access lat = %d, want %d", lat2, want2)
 	}
 	if lat2 >= lat1 {
@@ -173,7 +173,7 @@ func TestSlowAccessCountingAndEmulation(t *testing.T) {
 	// In EmulatedFault mode an unpoisoned slow page costs DRAM speed (the
 	// emulation latency comes from poison faults, which the policy arms).
 	lat, _ := m.Access(v, false)
-	if lat > 2*m.Config().LLCHitNs+m.Config().TLBHitNs {
+	if lat > 2*llcHitNs+tlbHitNs {
 		t.Fatalf("emulated-mode slow access lat = %d, want DRAM-class", lat)
 	}
 }
@@ -205,12 +205,7 @@ func TestDeviceModeChargesSlowLatency(t *testing.T) {
 
 func TestClockAdvancesByLatencyOverThreads(t *testing.T) {
 	t.Parallel()
-	cfg := DefaultConfig(64<<20, 64<<20)
-	cfg.Threads = 4
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newMachine(t)
 	r, err := m.AllocRegion(2<<20, true)
 	if err != nil {
 		t.Fatal(err)
@@ -220,11 +215,11 @@ func TestClockAdvancesByLatencyOverThreads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Clock() - before; got != lat/4 {
-		t.Fatalf("clock advanced %d, want %d", got, lat/4)
+	if got := m.Clock() - before; got != lat/threads {
+		t.Fatalf("clock advanced %d, want %d", got, lat/threads)
 	}
 	m.AdvanceClock(400)
-	if got := m.Clock() - before; got != lat/4+100 {
+	if got := m.Clock() - before; got != lat/threads+400/threads {
 		t.Fatalf("AdvanceClock wrong: %d", got)
 	}
 	// Idle time is not compute: AdvanceClockTo lands on its target exactly
@@ -234,30 +229,6 @@ func TestClockAdvancesByLatencyOverThreads(t *testing.T) {
 	m.AdvanceClockTo(at - 50)
 	if got := m.Clock(); got != at+3 {
 		t.Fatalf("AdvanceClockTo: clock %d, want %d", got, at+3)
-	}
-}
-
-func TestNativeModeMachine(t *testing.T) {
-	t.Parallel()
-	cfg := DefaultConfig(64<<20, 64<<20)
-	cfg.VM = vmConfig{Mode: native}
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := m.AllocRegion(2<<20, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lat, err := m.Access(r.Start, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Native 2M walk = 3 steps: cheaper than the nested machine's 15.
-	wm, _ := walk.NewModel(cfg.Walk)
-	want := wm.Latency(false, walk.Depth2M, 0) + m.Memory().Tier(mem.Fast).Spec().ReadLatency
-	if lat != want {
-		t.Fatalf("native cold access = %d, want %d", lat, want)
 	}
 }
 

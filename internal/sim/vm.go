@@ -1,57 +1,32 @@
 package sim
 
 import (
-	"fmt"
-
 	"thermostat/internal/tlb"
 	"thermostat/internal/walk"
 )
 
-// pagingMode selects native or nested translation.
-type pagingMode int
+// vmExitLatencyNs approximates a KVM vmexit/vmentry round trip plus host
+// fault dispatch.
+const vmExitLatencyNs = 4000
 
-// Paging modes.
-const (
-	// native runs the workload bare-metal: one-dimensional walks.
-	native pagingMode = iota
-	// nested runs under a hypervisor with EPT/NPT: two-dimensional walks.
-	nested
-)
+// guestVPID is the guest's TLB tag; VPID 0 is the host's.
+const guestVPID tlb.VPID = 1
 
-// String names the mode.
-func (m pagingMode) String() string {
-	switch m {
-	case native:
-		return "native"
-	case nested:
-		return "nested"
-	default:
-		return fmt.Sprintf("mode%d", int(m))
-	}
-}
-
-// defaultVMExitLatencyNs approximates a KVM vmexit/vmentry round trip plus
-// host fault dispatch.
-const defaultVMExitLatencyNs = 4000
-
-// vmConfig describes one guest's virtualization setup.
+// vmConfig describes the guest's virtualization setup. Paging is always
+// nested (EPT/NPT, two-dimensional walks), as on the paper's testbed.
 type vmConfig struct {
-	// Mode selects native or nested paging.
-	Mode pagingMode
 	// HostHugePages selects 2MB host (EPT) mappings; false means the host
-	// maps guest memory with 4KB pages. Only meaningful under nested.
+	// maps guest memory with 4KB pages.
 	HostHugePages bool
 	// TrapInHost moves the BadgerTrap handler to the host, charging a
 	// vmexit on every poison fault (the configuration the paper rejects).
 	TrapInHost bool
-	// VMExitLatencyNs is the vmexit cost; 0 selects the default.
-	VMExitLatencyNs int64
 }
 
 // defaultVMConfig is the paper's evaluated configuration: KVM with huge pages
 // at both levels and BadgerTrap in the guest.
 func defaultVMConfig() vmConfig {
-	return vmConfig{Mode: nested, HostHugePages: true}
+	return vmConfig{HostHugePages: true}
 }
 
 // virtualMachine is one guest of the paper's testbed: KVM with nested (two-dimensional)
@@ -65,27 +40,15 @@ func defaultVMConfig() vmConfig {
 // and cost far more — which is why the paper installs BadgerTrap in the
 // guest (§4.2).
 type virtualMachine struct {
-	cfg  vmConfig
-	vpid tlb.VPID
-}
-
-// newVM builds a guest with the given VPID (must be non-zero; VPID 0 is the
-// host).
-func newVM(cfg vmConfig, vpid tlb.VPID) (*virtualMachine, error) {
-	if vpid == tlb.HostVPID && cfg.Mode == nested {
-		return nil, fmt.Errorf("sim: guest VPID must be non-zero")
-	}
-	if cfg.VMExitLatencyNs == 0 {
-		cfg.VMExitLatencyNs = defaultVMExitLatencyNs
-	}
-	return &virtualMachine{cfg: cfg, vpid: vpid}, nil
+	cfg vmConfig
 }
 
 // VPID returns the guest's TLB tag.
-func (v *virtualMachine) VPID() tlb.VPID { return v.vpid }
+func (v *virtualMachine) VPID() tlb.VPID { return guestVPID }
 
-// Nested reports whether translation is two-dimensional.
-func (v *virtualMachine) Nested() bool { return v.cfg.Mode == nested }
+// Nested reports whether translation is two-dimensional: always, since the
+// guest runs under EPT/NPT.
+func (v *virtualMachine) Nested() bool { return true }
 
 // HostWalkDepth returns the host-dimension walk depth for nested walks.
 func (v *virtualMachine) HostWalkDepth() int {
@@ -99,8 +62,8 @@ func (v *virtualMachine) HostWalkDepth() int {
 // handler itself: zero with the handler in the guest, a vmexit round trip
 // with the handler in the host.
 func (v *virtualMachine) FaultOverheadNs() int64 {
-	if v.cfg.TrapInHost && v.Nested() {
-		return v.cfg.VMExitLatencyNs
+	if v.cfg.TrapInHost {
+		return vmExitLatencyNs
 	}
 	return 0
 }

@@ -27,9 +27,6 @@ import (
 // is reserved for the host (and is what a vmexit switches to).
 type VPID uint16
 
-// HostVPID is the host's VPID.
-const HostVPID VPID = 0
-
 // nilSlot is the null link: end of a list, empty index cell.
 const nilSlot int32 = -1
 

@@ -70,6 +70,10 @@ if [ "${SHORT:-0}" = "1" ]; then
 	named bench 'BenchmarkWriteChromeTrace' ./internal/telemetry -benchtime=10x
 	named bench 'BenchmarkRunRedis$|BenchmarkRunRedisRecorded' . -benchtime=1x -cpu 1,2
 	named bench 'BenchmarkFleetNight' . -benchtime=1x -cpu 1,2
+	# One pass of every paper figure and table benchmark (the fourteen
+	# BenchmarkFig*/BenchmarkTable* in internal/harness, about 30 s on two
+	# cores), so a figure whose run no longer builds or completes fails here.
+	named bench 'BenchmarkFig|BenchmarkTable' ./internal/harness -benchtime=1x
 else
 	echo "== go test -race ./..."
 	# The harness package runs full scaled experiments; under the race

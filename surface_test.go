@@ -20,7 +20,7 @@ import (
 // gains a caller or disappears must be removed.
 const (
 	surfaceAllowlist  = "testdata/surface_allowlist.txt"
-	maxAllowlisted    = 19
+	maxAllowlisted    = 15
 	maxInternalPkgs   = 25
 	surfaceModulePath = "thermostat"
 )

@@ -49,7 +49,11 @@ import (
 // for the full method set (Access, Demote, Promote, Metrics, ...).
 type Machine = sim.Machine
 
-// MachineConfig assembles a Machine.
+// MachineConfig assembles a Machine: TLB and LLC geometry, the walk model,
+// the memory tiers, slow-memory costing, the poison-fault latency, host page
+// size and trap placement, a telemetry Recorder and the chaos injector. The
+// rest of the paper's testbed is fixed: nested paging, eight threads, 1 ns
+// TLB and 30 ns LLC hits, a guest VPID and a 4 us vmexit.
 type MachineConfig = sim.Config
 
 // ChaosConfig configures deterministic fault injection into the migration
