@@ -15,6 +15,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -133,21 +134,9 @@ func main() {
 		opt.Publisher = pub
 	}
 
-	// The baseline/Thermostat pairs are shared: run once, before the first
-	// experiment that reads them.
-	var runs map[string]*harness.AppRun
-	if slices.ContainsFunc(picked, func(x harness.Experiment) bool { return x.Paired }) {
-		logger.Info("running baseline + thermostat pairs", "scale", sc.Name)
-		if runs, err = harness.RunAll(opt); err != nil {
-			fatal(err)
-		}
-	}
-	for _, x := range picked {
-		logger.Info("running experiment", "exp", x.Name)
-		outs, err := x.Run(opt, runs)
-		if err != nil {
-			fatal(err)
-		}
+	logger.Info("running experiments", "exp", *expFlag, "scale", sc.Name)
+	err = harness.RunExperiments(opt, picked, func(name string, outs []harness.Output) {
+		logger.Info("finished experiment", "exp", name)
 		for _, o := range outs {
 			switch {
 			case o.Text != "":
@@ -166,11 +155,14 @@ func main() {
 				logger.Info("wrote committed result", "path", filepath.Join(*outDir, o.Name))
 			}
 		}
+	})
+	if err != nil {
+		fatal(err)
 	}
 }
 
 // write creates dir/name and fills it; an empty dir is an output nobody
-// asked for.
+// asked for. A file that fails to fill or to close is fatal.
 func write(dir, name string, fill func(io.Writer) error) {
 	if dir == "" {
 		return
@@ -182,8 +174,7 @@ func write(dir, name string, fill func(io.Writer) error) {
 	if err != nil {
 		fatal(err)
 	}
-	defer f.Close()
-	if err := fill(f); err != nil {
+	if err := errors.Join(fill(f), f.Close()); err != nil {
 		fatal(err)
 	}
 }

@@ -457,7 +457,7 @@ func Decode(data []byte) (Config, error) {
 // strictUnmarshal decodes JSON into v rejecting unknown fields and
 // trailing non-whitespace. A value of the wrong type is reported by its key
 // path ("chaos.rate") and the kind of value the key takes, not by the Go
-// types it decodes into.
+// types it decodes into; an unknown key by its key path too.
 func strictUnmarshal(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -470,12 +470,60 @@ func strictUnmarshal(data []byte, v any) error {
 			}
 			return fmt.Errorf("%s: cannot unmarshal %s into %s", key, te.Value, kindName(te.Type))
 		}
+		// encoding/json names an unknown field by its leaf alone.
+		var doc any
+		if strings.HasPrefix(err.Error(), "json: unknown field ") &&
+			json.NewDecoder(bytes.NewReader(data)).Decode(&doc) == nil {
+			if key := unknownKey(doc, reflect.TypeOf(v).Elem()); key != "" {
+				return fmt.Errorf("%s: unknown key", key)
+			}
+		}
 		return err
 	}
 	if dec.More() {
 		return fmt.Errorf("trailing data after config document")
 	}
 	return nil
+}
+
+// unknownKey returns the key path of the first key of doc, a decoded JSON
+// value, in sorted order at each level, that names no field of t, matching
+// names as encoding/json does; "" when every key names one.
+func unknownKey(doc any, t reflect.Type) string {
+	m, ok := doc.(map[string]any)
+	if !ok || t.Kind() != reflect.Struct {
+		return ""
+	}
+	keys := make([]string, 0, len(m))
+	for key := range m {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	for _, key := range keys {
+		f, ok := fieldByKey(t, key)
+		if !ok {
+			return key
+		}
+		if sub := unknownKey(m[key], f.Type); sub != "" {
+			return key + "." + sub
+		}
+	}
+	return ""
+}
+
+// fieldByKey finds the field of struct type t that the JSON key decodes
+// into: by its json tag name, or its Go name untagged, ignoring case.
+func fieldByKey(t reflect.Type, key string) (reflect.StructField, bool) {
+	for _, f := range reflect.VisibleFields(t) {
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if name == "" {
+			name = f.Name
+		}
+		if f.IsExported() && name != "-" && strings.EqualFold(name, key) {
+			return f, true
+		}
+	}
+	return reflect.StructField{}, false
 }
 
 // kindName names the kind of value a config key of type t takes, in the

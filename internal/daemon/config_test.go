@@ -98,14 +98,14 @@ func TestDecodeDefaults(t *testing.T) {
 
 func TestDecodeRejects(t *testing.T) {
 	cases := []struct{ name, in, want string }{
-		{"unknown key", "app: redis\nbogus: 1\n", "unknown field"},
-		{"unknown nested key", "chaos:\n  frequency: 1\n", "unknown field"},
-		{"removed key", "app: redis\nshard_workers: 8\n", `unknown field "shard_workers"`},
-		{"removed key json", `{"app": "redis", "shard_workers": 8}`, `unknown field "shard_workers"`},
-		{"removed sparse", "app: redis\nsparse: true\n", `unknown field "sparse"`},
-		{"removed sparse json", `{"app": "redis", "sparse": true}`, `unknown field "sparse"`},
-		{"removed pprof", "app: redis\npprof: localhost:6060\n", `unknown field "pprof"`},
-		{"removed pprof json", `{"app": "redis", "pprof": "localhost:6060"}`, `unknown field "pprof"`},
+		{"unknown key", "app: redis\nbogus: 1\n", "bogus: unknown key"},
+		{"unknown nested key", "chaos:\n  frequency: 1\n", "chaos.frequency: unknown key"},
+		{"removed key", "app: redis\nshard_workers: 8\n", "shard_workers: unknown key"},
+		{"removed key json", `{"app": "redis", "shard_workers": 8}`, "shard_workers: unknown key"},
+		{"removed sparse", "app: redis\nsparse: true\n", "sparse: unknown key"},
+		{"removed sparse json", `{"app": "redis", "sparse": true}`, "sparse: unknown key"},
+		{"removed pprof", "app: redis\npprof: localhost:6060\n", "pprof: unknown key"},
+		{"removed pprof json", `{"app": "redis", "pprof": "localhost:6060"}`, "pprof: unknown key"},
 		{"duplicate key", "app: redis\napp: memcached\n", "duplicate key"},
 		{"type mismatch", "app: 3\n", "cannot unmarshal"},
 		{"tab indent", "daemon:\n\tepoch_wall_ms: 1\n", "tab in indentation"},
@@ -135,6 +135,24 @@ func TestDecodeTypeErrorNamesKeyPath(t *testing.T) {
 		{"seed: -1\n", "daemon: parse yaml config: seed: cannot unmarshal number -1 into a non-negative integer"},
 		{`{"tiers": "dram"}`, "daemon: parse json config: tiers: cannot unmarshal string into a list"},
 		{`{"chaos": 3}`, "daemon: parse json config: chaos: cannot unmarshal number into a mapping"},
+	} {
+		_, err := Decode([]byte(tc.in))
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Decode(%q) = %v, want %q", tc.in, err, tc.want)
+		}
+	}
+}
+
+// TestDecodeUnknownKeyNamesKeyPath: an unknown key is reported by its key
+// path, however deep, in both formats.
+func TestDecodeUnknownKeyNamesKeyPath(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"chaos:\n  frequency: 1\n", "daemon: parse yaml config: chaos.frequency: unknown key"},
+		{`{"chaos": {"frequency": 1}}`, "daemon: parse json config: chaos.frequency: unknown key"},
+		{"daemon:\n  degrade:\n    x: 1\n", "daemon: parse yaml config: daemon.degrade.x: unknown key"},
+		{`{"daemon": {"degrade": {"x": 1}}}`, "daemon: parse json config: daemon.degrade.x: unknown key"},
+		{"colour: red\n", "daemon: parse yaml config: colour: unknown key"},
+		{`{"app": "redis", "colour": "red"}`, "daemon: parse json config: colour: unknown key"},
 	} {
 		_, err := Decode([]byte(tc.in))
 		if err == nil || err.Error() != tc.want {

@@ -110,12 +110,12 @@ func ablations(opt Options) ([]row, render) {
 	}
 	counters, countersTable := counters(opt)
 	rows = append(rows, counters)
-	return rows, func(outs [][]*Outcome) ([]output, error) {
-		var out []output
+	return rows, func(outs [][]*Outcome) ([]Output, error) {
+		var out []Output
 		for i, s := range studies {
-			out = append(out, output{Name: s.name, Table: ablationTable(s.title, rows[i], outs[i])})
+			out = append(out, Output{Name: s.name, Table: ablationTable(s.title, rows[i], outs[i])})
 		}
-		return append(out, output{Name: "ablation-counters", Table: countersTable(outs[len(studies)])}), nil
+		return append(out, Output{Name: "ablation-counters", Table: countersTable(outs[len(studies)])}), nil
 	}
 }
 
@@ -377,8 +377,8 @@ func baselines(opt Options) ([]row, render) {
 			{name: "thermostat", plan: Plan{SlowdownPct: opt.SlowdownPct}},
 		}})
 	}
-	return rows, func(outs [][]*Outcome) ([]output, error) {
-		var out []output
+	return rows, func(outs [][]*Outcome) ([]Output, error) {
+		var out []Output
 		for i, r := range rows {
 			t := report.NewTable("Placement policy comparison ("+r.spec.Name+")",
 				"policy", "cold_fraction_pct", "slowdown_pct")
@@ -386,7 +386,7 @@ func baselines(opt Options) ([]row, render) {
 				res := outs[i][j].Result
 				t.AddF(a.name, res.MeanColdFraction(r.sc.WarmupNs)*100, sim.Slowdown(outs[i][0].Result, res)*100)
 			}
-			out = append(out, output{Name: "baselines-" + r.spec.Name, Table: t})
+			out = append(out, Output{Name: "baselines-" + r.spec.Name, Table: t})
 		}
 		return out, nil
 	}

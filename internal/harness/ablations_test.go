@@ -32,7 +32,7 @@ func ablationRow(t *testing.T, opt Options, first string) row {
 // runRow runs one row on the grid at the given worker count.
 func runRow(t *testing.T, workers int, r row) []*Outcome {
 	t.Helper()
-	outs, err := runGrid(workers, []row{r})
+	outs, err := runRows(workers, []row{r})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestCompareBaselines(t *testing.T) {
 	opt := ablationOpt().withDefaults()
 	opt.Apps = []workload.Spec{workload.MySQLTPCC()}
 	rows, render := baselines(opt)
-	outs, err := runGrid(0, rows)
+	outs, err := runRows(0, rows)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,9 +92,9 @@ type FleetOptions struct {
 	// machine.
 	Telemetry bool
 	// Publisher, when non-nil, tees the fleet machine's recorder stream
-	// (and per-tenant arbiter snapshots) into the live observability plane
-	// and publishes each tenant engine's classification census. Strictly
-	// read-side; exports stay byte-identical.
+	// (and per-tenant arbiter snapshots) and every baseline run's into the
+	// live observability plane and publishes each engine's classification
+	// census. Strictly read-side; exports stay byte-identical.
 	Publisher *obsv.Publisher
 	// ConfigMutate, when non-nil, adjusts the machine config before the
 	// machine is built — the hook chaos experiments install their
@@ -223,7 +223,8 @@ func FleetRun(opt FleetOptions) (*fleetOutcome, error) {
 			rows[i] = row{spec: t.Spec, sc: sc, arms: []arm{baseline}}
 			rows[i].sc.Seed += seedDelta(i)
 		}
-		outs, err := runGrid(opt.Workers, rows)
+		var s simulations
+		outs, err := runGrid(Options{Workers: opt.Workers, Publisher: opt.Publisher}, s.plan(rows))
 		if err != nil {
 			return nil, err
 		}

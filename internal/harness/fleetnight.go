@@ -112,7 +112,7 @@ func runFleetNight(opt Options) (*fleetNightResult, error) {
 
 // fleetNight is the night as a repro entry: the report, and the committed
 // fleet_night.{txt,csv} pair.
-func fleetNight(opt Options, _ map[string]*AppRun) ([]output, error) {
+func fleetNight(opt Options) ([]Output, error) {
 	res, err := runFleetNight(opt)
 	if err != nil {
 		return nil, err
@@ -121,7 +121,7 @@ func fleetNight(opt Options, _ map[string]*AppRun) ([]output, error) {
 	if err := telemetry.WriteTenantCSV(&csv, res.Outcome.Result.Series); err != nil {
 		return nil, err
 	}
-	return []output{
+	return []Output{
 		{Name: "fleet_night", Text: res.Text, Table: res.Table},
 		{Name: "fleet_night.txt", File: []byte(res.Text)},
 		{Name: "fleet_night.csv", File: csv.Bytes()},

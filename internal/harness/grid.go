@@ -1,11 +1,18 @@
 package harness
 
 import (
+	"fmt"
 	"io"
+	"reflect"
+	"slices"
 
+	"thermostat/internal/cgroup"
+	"thermostat/internal/core"
 	"thermostat/internal/obsv"
 	"thermostat/internal/pool"
 	"thermostat/internal/report"
+	"thermostat/internal/sim"
+	"thermostat/internal/telemetry"
 	"thermostat/internal/workload"
 )
 
@@ -23,9 +30,10 @@ type Options struct {
 	// are bit-for-bit identical at any setting — each run owns its own
 	// machine and seeded RNG (see DESIGN.md's determinism contract).
 	Workers int
-	// Publisher, when non-nil, tees every RunAll and fleet run's recorder
-	// stream into the live observability plane (see internal/obsv).
-	// Strictly read-side: exports stay byte-identical with or without it.
+	// Publisher, when non-nil, tees the recorder stream of every run an
+	// experiment simulates, grid arm or fleet, into the live observability
+	// plane (see internal/obsv). Strictly read-side: exports stay
+	// byte-identical with or without it.
 	Publisher *obsv.Publisher
 }
 
@@ -71,29 +79,124 @@ type row struct {
 var baseline = arm{name: "baseline"}
 
 // render turns a grid's outcomes, in the shape of its rows, into output.
-type render func(outs [][]*Outcome) ([]output, error)
+type render func(outs [][]*Outcome) ([]Output, error)
 
-// runGrid runs every arm of every row on internal/pool as one flat Map in
-// row-major order, so rows share the worker budget, and returns the
-// outcomes in the rows' shape, baseline first.
-func runGrid(workers int, rows []row) ([][]*Outcome, error) {
-	tasks := make([][]pool.Task[*Outcome], len(rows))
-	for i, r := range rows {
-		for _, a := range r.arms {
-			tasks[i] = append(tasks[i], pool.Task[*Outcome]{
-				Label: r.spec.Name + "/" + a.name,
-				Run:   func() (*Outcome, error) { return Run(r.spec, r.sc, a.plan) },
-			})
-		}
-	}
-	return pool.Grid(workers, tasks)
+// simulation is one run a RunExperiments call plans: the spec, scale and
+// Plan of the arm that first names it, labelled after that arm, its outcome
+// once run, and how many planned arms have yet to read it.
+type simulation struct {
+	spec    workload.Spec
+	sc      Scale
+	plan    Plan
+	label   string
+	readers int
+	out     *Outcome
 }
 
-// output is one piece of an experiment's output, in print order. Text is
+// simulations holds the runs one RunExperiments call plans.
+type simulations []*simulation
+
+// plan returns the simulation behind each arm of rows, in the rows' shape.
+// An arm without a Policy object shares the simulation of an earlier arm
+// when their specs and Plans are reflect.DeepEqual and their scales ==;
+// DeepEqual is false for any non-nil func field, so an arm with a hook, like
+// one with a Policy its render reads, always runs on its own.
+func (s *simulations) plan(rows []row) [][]*simulation {
+	grid := make([][]*simulation, len(rows))
+	for i, r := range rows {
+		for _, a := range r.arms {
+			var sm *simulation
+			if a.plan.Policy == nil {
+				for _, prev := range *s {
+					if prev.sc == r.sc && reflect.DeepEqual(prev.spec, r.spec) && reflect.DeepEqual(prev.plan, a.plan) {
+						sm = prev
+						break
+					}
+				}
+			}
+			if sm == nil {
+				sm = &simulation{spec: r.spec, sc: r.sc, plan: a.plan, label: r.spec.Name + "/" + a.name}
+				*s = append(*s, sm)
+			}
+			sm.readers++
+			grid[i] = append(grid[i], sm)
+		}
+	}
+	return grid
+}
+
+// runGrid runs the simulations of one planned grid that have not run yet on
+// internal/pool as one flat Map, so rows share the worker budget, and
+// returns the grid's outcomes in its shape. A simulation this grid reads
+// last lets its outcome go.
+func runGrid(opt Options, grid [][]*simulation) ([][]*Outcome, error) {
+	var todo simulations
+	var tasks []pool.Task[*Outcome]
+	for _, r := range grid {
+		for _, sm := range r {
+			if sm.out == nil && !slices.Contains(todo, sm) {
+				todo = append(todo, sm)
+				tasks = append(tasks, pool.Task[*Outcome]{Label: sm.label,
+					Run: func() (*Outcome, error) { return sm.run(opt.Publisher) }})
+			}
+		}
+	}
+	res, err := pool.Map(opt.Workers, tasks)
+	if err != nil {
+		return nil, err
+	}
+	for i, sm := range todo {
+		sm.out = res[i]
+	}
+	outs := make([][]*Outcome, len(grid))
+	for i, r := range grid {
+		for _, sm := range r {
+			outs[i] = append(outs[i], sm.out)
+			if sm.readers--; sm.readers == 0 {
+				sm.out = nil // no planned arm reads it after this one
+			}
+		}
+	}
+	return outs, nil
+}
+
+// run simulates sm, teed into pub's live plane when pub is non-nil: the
+// machine's collector, if its Plan installs one, keeps recording beneath
+// the tee and stays the outcome's Telemetry.
+func (sm *simulation) run(pub *obsv.Publisher) (*Outcome, error) {
+	plan := sm.plan
+	if pub == nil {
+		return Run(sm.spec, sm.sc, plan)
+	}
+	var col *telemetry.Collector
+	var census func(string, *core.Engine)
+	config, engine := plan.Config, plan.Engine
+	plan.Config = func(cfg *sim.Config) {
+		if config != nil {
+			config(cfg)
+		}
+		col, _ = cfg.Recorder.(*telemetry.Collector)
+		cfg.Recorder, census = Observe(pub, sm.label, col)
+	}
+	plan.Engine = func(g *cgroup.Group, eng *core.Engine) {
+		if engine != nil {
+			engine(g, eng)
+		}
+		census(sm.label, eng)
+	}
+	out, err := Run(sm.spec, sm.sc, plan)
+	if err != nil {
+		return nil, err
+	}
+	out.Telemetry = col
+	return out, nil
+}
+
+// Output is one piece of an experiment's output, in print order. Text is
 // printed as is; a Table is printed (Text, when set, stands in for it) and
 // is Name.csv under -csv; SVG is Name.svg under -svg; File is a committed
 // result, Name under -results.
-type output struct {
+type Output struct {
 	Name  string
 	Text  string
 	Table *report.Table
@@ -103,31 +206,53 @@ type output struct {
 
 // Experiment is one entry of the repro table (DESIGN.md's experiment
 // index). A grid experiment is data: grid builds its rows for the options
-// and the render of their outcomes. The readers of RunAll's shared pairs,
-// the fleet night and the scaling sweep run by hand instead.
+// and the render of their outcomes. The fleet night and the scaling sweep
+// run by hand instead.
 type Experiment struct {
 	Name string
 	// InAll marks the paper's evaluation, which 'repro -exp all' runs.
 	InAll bool
-	// Paired experiments read RunAll's baseline/Thermostat pairs.
-	Paired bool
 
 	grid func(Options) ([]row, render)
-	run  func(Options, map[string]*AppRun) ([]output, error)
+	run  func(Options) ([]Output, error)
 }
 
-// Run runs the experiment; runs holds RunAll's pairs for a Paired one.
-func (x Experiment) Run(opt Options, runs map[string]*AppRun) ([]output, error) {
+// RunExperiments runs xs in order and hands each one's outputs to emit as
+// soon as it finishes. Every grid is planned before the first runs, so an
+// arm identical to an earlier one (see simulations.plan) is simulated once
+// for the whole call, and its outcome is kept until the last arm that reads
+// it has rendered.
+func RunExperiments(opt Options, xs []Experiment, emit func(name string, outs []Output)) error {
 	opt = opt.withDefaults()
-	if x.run != nil {
-		return x.run(opt, runs)
+	var s simulations
+	grids := make([][][]*simulation, len(xs))
+	renders := make([]render, len(xs))
+	for i, x := range xs {
+		if x.grid != nil {
+			var rows []row
+			rows, renders[i] = x.grid(opt)
+			grids[i] = s.plan(rows)
+		}
 	}
-	rows, render := x.grid(opt)
-	outs, err := runGrid(opt.Workers, rows)
-	if err != nil {
-		return nil, err
+	for i, x := range xs {
+		var outs []Output
+		var err error
+		if x.run != nil {
+			outs, err = x.run(opt)
+		} else {
+			var res [][]*Outcome
+			if res, err = runGrid(opt, grids[i]); err == nil {
+				outs, err = renders[i](res)
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("harness: %s: %w", x.Name, err)
+		}
+		// A render and the Policies of its rows hold their runs' machines.
+		grids[i], renders[i] = nil, nil
+		emit(x.Name, outs)
 	}
-	return render(outs)
+	return nil
 }
 
 // Experiments is the repro table, in the order repro runs it whatever order
@@ -137,19 +262,12 @@ var Experiments = []Experiment{
 	{Name: "naive", InAll: true, grid: naive},
 	{Name: "fig2", InAll: true, grid: fig2},
 	{Name: "table1", InAll: true, grid: table1},
-	{Name: "table2", InAll: true, Paired: true, run: func(opt Options, runs map[string]*AppRun) ([]output, error) {
-		return []output{{Name: "table2", Table: table2Table(table2(runs, opt))}}, nil
-	}},
-	{Name: "fig3", InAll: true, Paired: true, run: fig3},
-	{Name: "colddata", InAll: true, Paired: true, run: coldData},
+	{Name: "table2", InAll: true, grid: table2},
+	{Name: "fig3", InAll: true, grid: fig3},
+	{Name: "colddata", InAll: true, grid: coldData},
 	{Name: "fig11", InAll: true, grid: fig11},
-	{Name: "table3", InAll: true, Paired: true, run: func(opt Options, runs map[string]*AppRun) ([]output, error) {
-		return []output{{Name: "table3", Table: table3Table(table3(runs, opt))}}, nil
-	}},
-	{Name: "table4", InAll: true, Paired: true, run: func(opt Options, runs map[string]*AppRun) ([]output, error) {
-		rows, err := table4(runs, opt)
-		return []output{{Name: "table4", Table: table4Table(rows)}}, err
-	}},
+	{Name: "table3", InAll: true, grid: table3},
+	{Name: "table4", InAll: true, grid: table4},
 	{Name: "baselines", InAll: true, grid: baselines},
 	{Name: "ablations", InAll: true, grid: ablations},
 	// This repo's extensions, not the paper's evaluation: the tracker ×

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -80,6 +82,11 @@ func TestGroupParamsFromScale(t *testing.T) {
 	}
 }
 
+// paired is the experiments that read the baseline/Thermostat pairs.
+var paired = []string{"table2", "fig3", "colddata", "table3", "table4"}
+
+// TestRunAllTinyTwoApps runs every experiment that reads the pairs, for
+// two apps at tiny scale, and checks their tables.
 func TestRunAllTinyTwoApps(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
@@ -89,76 +96,74 @@ func TestRunAllTinyTwoApps(t *testing.T) {
 		Scale: Tiny(),
 		Apps:  []workload.Spec{workload.MySQLTPCC(), workload.WebSearch()},
 	}
-	runs, err := RunAll(opt)
-	if err != nil {
-		t.Fatal(err)
+	outs := outputs(t, opt, paired...)
+	cell := func(s string) float64 {
+		t.Helper()
+		v, err := strconv.ParseFloat(strings.TrimSuffix(s, "%"), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
 	}
-	for name, r := range runs {
-		if r.Thermo.Result.Ops == 0 {
-			t.Fatalf("%s: no ops", name)
+	for _, app := range []string{"mysql-tpcc", "web-search"} {
+		tbl := outs["colddata-"+app].Table
+		var slowdown, cold float64
+		caption := tbl.Title[strings.Index(tbl.Title, "("):]
+		if _, err := fmt.Sscanf(caption, "(slowdown %f%%, mean cold fraction %f%%)", &slowdown, &cold); err != nil {
+			t.Fatalf("%s: caption %q: %v", app, caption, err)
 		}
 		// Thermostat must find cold data in both (each has a large idle
 		// region) without blowing the budget. The tiny 8s schedule only
 		// covers the start of the discovery ramp, so the bar is low; the
 		// repro-scale runs in EXPERIMENTS.md measure the real fractions.
-		if r.ColdFraction < 0.05 {
-			t.Errorf("%s: cold fraction %.3f too low", name, r.ColdFraction)
+		if cold < 5 {
+			t.Errorf("%s: cold fraction %.0f%% too low", app, cold)
 		}
-		if r.Slowdown > 0.10 {
-			t.Errorf("%s: slowdown %.3f too high", name, r.Slowdown)
+		if slowdown > 10 {
+			t.Errorf("%s: slowdown %.1f%% too high", app, slowdown)
 		}
-		st := r.Thermo.Engine.Stats()
-		if st.Demotions == 0 {
-			t.Errorf("%s: no demotions", name)
+		if len(tbl.Rows) == 0 || tbl.Header[1] != "2MB_cold_GB" {
+			t.Errorf("%s: cold series missing from table:\n%s", app, tbl)
 		}
 	}
 
-	// Downstream artifacts from the same runs.
-	t3 := table3(runs, opt)
-	if len(t3) != 2 {
-		t.Fatalf("Table3 rows = %d", len(t3))
+	t3 := outs["table3"].Table
+	if len(t3.Rows) != 2 {
+		t.Fatalf("Table3 rows = %d", len(t3.Rows))
 	}
-	for _, row := range t3 {
-		if row.MigrationMBps < 0 || row.MigrationMBps > 1000 {
-			t.Errorf("%s migration rate %v implausible", row.App, row.MigrationMBps)
+	for _, row := range t3.Rows {
+		// Demotions happened, at a plausible rate.
+		if mbps := cell(row[1]); mbps <= 0 || mbps > 1000 {
+			t.Errorf("%s migration rate %v implausible", row[0], mbps)
 		}
 	}
-	t4, err := table4(runs, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range t4 {
-		if row.SavingsPct[2] < row.SavingsPct[0] {
-			t.Errorf("%s: savings must grow as slow memory gets cheaper", row.App)
+	for _, row := range outs["table4"].Table.Rows {
+		if cell(row[3]) < cell(row[1]) {
+			t.Errorf("%s: savings must grow as slow memory gets cheaper", row[0])
 		}
 	}
-	t2 := table2(runs, opt)
-	for _, row := range t2 {
-		if row.RSSGB <= 0 {
-			t.Errorf("%s: zero RSS", row.App)
+	for _, row := range outs["table2"].Table.Rows {
+		if cell(row[1]) <= 0 {
+			t.Errorf("%s: zero RSS", row[0])
 		}
 	}
-	f3 := fig3Series(runs, opt)
-	if len(f3) != 2 {
-		t.Fatalf("Fig3 series = %d", len(f3))
+	f3 := outs["fig3"].Table
+	if len(f3.Header) != 3 || !strings.Contains(f3.Title, "target 30000/s") {
+		t.Fatalf("Fig3 header %v, title %q", f3.Header, f3.Title)
 	}
-	for _, s := range f3 {
-		if s.TargetRate != 30000 {
-			t.Errorf("target rate = %v", s.TargetRate)
+	for j, name := range f3.Header[1:] {
+		// The controller keeps the post-warmup rate within a small
+		// multiple of target.
+		var sum float64
+		var n int
+		for _, row := range f3.Rows {
+			if cell(row[0])*1e9 >= float64(opt.Scale.WarmupNs) {
+				sum += cell(row[j+1])
+				n++
+			}
 		}
-		// The controller keeps the rate within a small multiple of target.
-		if s.MeanPostWarmup > 4*s.TargetRate {
-			t.Errorf("%s: slow rate %v far above target", s.App, s.MeanPostWarmup)
-		}
-	}
-	cd := coldDataFigures(runs, opt)
-	for _, f := range cd {
-		if f.Cold2M.Len() == 0 {
-			t.Errorf("%s: empty cold series", f.App)
-		}
-		out := f.Table().String()
-		if !strings.Contains(out, "2MB_cold_GB") {
-			t.Error("cold series missing from table")
+		if n == 0 || sum/float64(n) > 4*30000 {
+			t.Errorf("%s: slow rate %v over %d windows far above target", name, sum/float64(n), n)
 		}
 	}
 }
@@ -172,7 +177,7 @@ func TestTable1TinyOrdering(t *testing.T) {
 	sc.DurationNs = 3e9
 	sc.WarmupNs = 5e8
 	rows, _ := table1(Options{Scale: sc, Apps: []workload.Spec{workload.Redis(), workload.WebSearch()}})
-	outs, err := runGrid(0, rows)
+	outs, err := runRows(0, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +204,7 @@ func TestFig2ProducesDispersedScatter(t *testing.T) {
 	sc.DurationNs = 4e9
 	sc.WarmupNs = 5e8
 	rows, render := fig2(Options{Scale: sc})
-	outs, err := runGrid(0, rows)
+	outs, err := runRows(0, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +238,7 @@ func TestFig1IdleFractionsShape(t *testing.T) {
 	sc.TimeDilate = 2 // shrink the idle window so the test stays fast
 	opt := Options{Scale: sc, Apps: []workload.Spec{workload.MySQLTPCC(), workload.Aerospike(workload.ReadHeavy)}}
 	rows, render := fig1(opt)
-	outs, err := runGrid(0, rows)
+	outs, err := runRows(0, rows)
 	if err != nil {
 		t.Fatal(err)
 	}

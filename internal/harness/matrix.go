@@ -43,7 +43,7 @@ func matrix(opt Options) ([]row, render) {
 			topos = append(topos, topo.name)
 		}
 	}
-	return rows, func(outs [][]*Outcome) ([]output, error) {
+	return rows, func(outs [][]*Outcome) ([]Output, error) {
 		t := report.NewTable(
 			fmt.Sprintf("Policy matrix (%s scale): slowdown vs. savings vs. accuracy", opt.Scale.Name),
 			"app", "topology", "tracker", "policy",
@@ -69,7 +69,7 @@ func matrix(opt Options) ([]row, render) {
 					st.Demotions, st.Promotions, st.Sinks, st.Quarantined)
 			}
 		}
-		return []output{{Name: "policy_matrix", Table: t}}, nil
+		return []Output{{Name: "policy_matrix", Table: t}}, nil
 	}
 }
 

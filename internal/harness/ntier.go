@@ -56,15 +56,15 @@ func ntier(opt Options) ([]row, render) {
 		rows = append(rows, row{spec: spec, sc: opt.Scale, arms: []arm{{name: "3-tiers",
 			plan: Plan{SlowdownPct: opt.SlowdownPct, Tiers: defaultThreeTier(0)}}}})
 	}
-	return rows, func(outs [][]*Outcome) ([]output, error) {
-		var out []output
+	return rows, func(outs [][]*Outcome) ([]Output, error) {
+		var out []Output
 		for i, r := range rows {
 			rep, err := AnalyzeNTier(outs[i][0])
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, output{Name: "ntier-traffic-" + r.spec.Name, Table: rep.TrafficTable()},
-				output{Name: "ntier-cost-" + r.spec.Name, Table: rep.CostTable()})
+			out = append(out, Output{Name: "ntier-traffic-" + r.spec.Name, Table: rep.TrafficTable()},
+				Output{Name: "ntier-cost-" + r.spec.Name, Table: rep.CostTable()})
 		}
 		return out, nil
 	}

@@ -9,6 +9,7 @@ package harness
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"testing"
 
 	"thermostat/internal/stats"
@@ -26,23 +27,9 @@ func benchOptions(apps ...workload.Spec) Options {
 
 // experiment runs the named repro experiment and returns its outputs by
 // name (a figure's printed chart under "").
-func experiment(b *testing.B, name string, opt Options) map[string]output {
+func experiment(b *testing.B, name string, opt Options) map[string]Output {
 	b.Helper()
-	for _, x := range Experiments {
-		if x.Name == name {
-			outs, err := x.Run(opt, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			byName := map[string]output{}
-			for _, o := range outs {
-				byName[o.Name] = o
-			}
-			return byName
-		}
-	}
-	b.Fatalf("no experiment %q", name)
-	return nil
+	return outputs(b, opt, name)
 }
 
 // num parses one numeric table cell.
@@ -102,22 +89,22 @@ func BenchmarkTable1HugePageGain(b *testing.B) {
 	}
 }
 
-// coldDataBench runs one app's Figure 5-10 style experiment.
+// coldDataBench runs one app's Figure 5-10 and reports the slowdown and
+// mean cold fraction its caption quotes.
 func coldDataBench(b *testing.B, spec workload.Spec) {
 	b.Helper()
 	opt := benchOptions(spec)
 	for i := 0; i < b.N; i++ {
-		runs, err := RunAll(opt)
-		if err != nil {
-			b.Fatal(err)
+		t := experiment(b, "colddata", opt)["colddata-"+spec.Name].Table
+		var slowdown, cold float64
+		caption := t.Title[strings.Index(t.Title, "("):]
+		if _, err := fmt.Sscanf(caption, "(slowdown %f%%, mean cold fraction %f%%)", &slowdown, &cold); err != nil {
+			b.Fatalf("caption %q: %v", caption, err)
 		}
-		r := runs[spec.Name]
-		b.ReportMetric(r.ColdFraction*100, "cold_%")
-		b.ReportMetric(r.Slowdown*100, "slowdown_%")
+		b.ReportMetric(cold, "cold_%")
+		b.ReportMetric(slowdown, "slowdown_%")
 		if i == 0 {
-			for _, f := range coldDataFigures(runs, opt) {
-				b.Log("\n" + f.Table().String())
-			}
+			b.Log("\n" + t.String())
 		}
 	}
 }
@@ -149,29 +136,33 @@ func BenchmarkFig10WebSearchColdData(b *testing.B) {
 func BenchmarkFig3SlowMemRate(b *testing.B) {
 	opt := benchOptions(workload.MySQLTPCC())
 	for i := 0; i < b.N; i++ {
-		runs, err := RunAll(opt)
-		if err != nil {
-			b.Fatal(err)
+		t := experiment(b, "fig3", opt)["fig3"].Table
+		if len(t.Header) != 2 {
+			b.Fatalf("series %v, want one", t.Header[1:])
 		}
-		series := fig3Series(runs, opt)
-		if len(series) != 1 {
-			b.Fatal("missing series")
+		var sum float64
+		var n int
+		for _, row := range t.Rows {
+			if num(b, row[0])*1e9 >= float64(opt.Scale.WarmupNs) {
+				sum += num(b, row[1])
+				n++
+			}
 		}
-		b.ReportMetric(series[0].MeanPostWarmup, "slow_rate_per_s")
-		b.ReportMetric(series[0].TargetRate, "target_per_s")
+		var target float64
+		if _, err := fmt.Sscanf(t.Title[strings.LastIndex(t.Title, "target"):], "target %f/s", &target); err != nil {
+			b.Fatalf("title %q: %v", t.Title, err)
+		}
+		b.ReportMetric(sum/float64(n), "slow_rate_per_s")
+		b.ReportMetric(target, "target_per_s")
 	}
 }
 
 func BenchmarkTable2Footprints(b *testing.B) {
 	opt := benchOptions(workload.Cassandra(workload.WriteHeavy))
 	for i := 0; i < b.N; i++ {
-		runs, err := RunAll(opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows := table2(runs, opt)
-		b.ReportMetric(rows[0].RSSGB, "rss_gb")
-		b.ReportMetric(rows[0].FileGB, "file_gb")
+		row := experiment(b, "table2", opt)["table2"].Table.Rows[0]
+		b.ReportMetric(num(b, row[1]), "rss_gb")
+		b.ReportMetric(num(b, row[2]), "file_gb")
 	}
 }
 
@@ -193,28 +184,17 @@ func BenchmarkFig11SlowdownSweep(b *testing.B) {
 func BenchmarkTable3MigrationBandwidth(b *testing.B) {
 	opt := benchOptions(workload.Redis())
 	for i := 0; i < b.N; i++ {
-		runs, err := RunAll(opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows := table3(runs, opt)
-		b.ReportMetric(rows[0].MigrationMBps, "migration_MBps")
-		b.ReportMetric(rows[0].FalseClassMBps, "falseclass_MBps")
+		row := experiment(b, "table3", opt)["table3"].Table.Rows[0]
+		b.ReportMetric(num(b, row[1]), "migration_MBps")
+		b.ReportMetric(num(b, row[2]), "falseclass_MBps")
 	}
 }
 
 func BenchmarkTable4CostSavings(b *testing.B) {
 	opt := benchOptions(workload.Cassandra(workload.WriteHeavy))
 	for i := 0; i < b.N; i++ {
-		runs, err := RunAll(opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows, err := table4(runs, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].SavingsPct[0], "savings@0.33x_%")
-		b.ReportMetric(rows[0].SavingsPct[2], "savings@0.2x_%")
+		row := experiment(b, "table4", opt)["table4"].Table.Rows[0]
+		b.ReportMetric(num(b, strings.TrimSuffix(row[1], "%")), "savings@0.33x_%")
+		b.ReportMetric(num(b, strings.TrimSuffix(row[3], "%")), "savings@0.2x_%")
 	}
 }

@@ -26,44 +26,27 @@ func equivScale() Scale {
 }
 
 // TestSerialEquivalenceRunAll is the scheduler's core differential test:
-// RunAll with Workers: 1 (the exact old serial path) and Workers: 8 must
-// produce reflect.DeepEqual outcomes — every series point, counter, and
-// engine stat bit-for-bit identical.
+// the experiments that read the baseline/Thermostat pairs, run with
+// Workers: 1 (the exact old serial path) and Workers: 8, must render
+// byte-identical tables, CSVs and figures.
 func TestSerialEquivalenceRunAll(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
 		t.Skip("integration run")
 	}
 	apps := []workload.Spec{workload.MySQLTPCC(), workload.WebSearch()}
-	serial, err := RunAll(Options{Scale: equivScale(), Apps: apps, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunAll(Options{Scale: equivScale(), Apps: apps, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != len(parallel) {
-		t.Fatalf("app sets differ: %d vs %d", len(serial), len(parallel))
+	serial := outputs(t, Options{Scale: equivScale(), Apps: apps, Workers: 1}, paired...)
+	parallel := outputs(t, Options{Scale: equivScale(), Apps: apps, Workers: 8}, paired...)
+	if len(serial) != len(parallel) || len(serial) != 6 {
+		t.Fatalf("outputs differ: %d vs %d, want 6", len(serial), len(parallel))
 	}
 	for name, s := range serial {
 		p, ok := parallel[name]
 		if !ok {
-			t.Fatalf("%s missing from parallel runs", name)
+			t.Fatalf("%s missing from parallel outputs", name)
 		}
-		if !reflect.DeepEqual(s.Base.Result, p.Base.Result) {
-			t.Errorf("%s: baseline results diverge between worker counts", name)
-		}
-		if !reflect.DeepEqual(s.Thermo.Result, p.Thermo.Result) {
-			t.Errorf("%s: thermostat results diverge between worker counts", name)
-		}
-		if !reflect.DeepEqual(s.Thermo.Engine.Stats(), p.Thermo.Engine.Stats()) {
-			t.Errorf("%s: engine stats diverge: %+v vs %+v",
-				name, s.Thermo.Engine.Stats(), p.Thermo.Engine.Stats())
-		}
-		if s.Slowdown != p.Slowdown || s.ColdFraction != p.ColdFraction {
-			t.Errorf("%s: derived metrics diverge: (%v, %v) vs (%v, %v)",
-				name, s.Slowdown, s.ColdFraction, p.Slowdown, p.ColdFraction)
+		if sb, pb := outputBytes(t, s), outputBytes(t, p); !bytes.Equal(sb, pb) {
+			t.Errorf("%s diverges between worker counts:\nserial:\n%s\nparallel:\n%s", name, sb, pb)
 		}
 	}
 }
@@ -98,7 +81,7 @@ func TestSerialEquivalenceFig11(t *testing.T) {
 	}
 	run := func(workers int) ([][]*Outcome, string) {
 		rows, render := fig11(Options{Scale: equivScale(), Apps: []workload.Spec{workload.Redis()}})
-		outs, err := runGrid(workers, rows)
+		outs, err := runRows(workers, rows)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,12 @@
 package harness
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"thermostat/internal/core"
+	"thermostat/internal/mem"
 	"thermostat/internal/sim"
 	"thermostat/internal/stats"
 	"thermostat/internal/workload"
@@ -40,29 +42,75 @@ func TestTable1TableRendering(t *testing.T) {
 	}
 }
 
+// renderOpt is tiny scale with its warm-up at zero, so fakeRun's one
+// window counts.
+func renderOpt(apps ...workload.Spec) Options {
+	sc := Tiny()
+	sc.WarmupNs = 0
+	return Options{Scale: sc, Apps: apps}.withDefaults()
+}
+
+// mapped is an outcome on a real machine with spec's app mapped at tiny
+// scale and the clock at 1 s, no access made.
+func mapped(t *testing.T, spec workload.Spec) *Outcome {
+	t.Helper()
+	a, err := Assemble(spec, Tiny(), Plan{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.App.Init(a.Machine); err != nil {
+		t.Fatal(err)
+	}
+	a.Machine.AdvanceClockTo(1e9)
+	return &Outcome{Spec: spec, Scale: Tiny(), Machine: a.Machine, App: a.App}
+}
+
+// renderPair renders grid for one app from its baseline and Thermostat
+// outcomes.
+func renderPair(t *testing.T, grid func(Options) ([]row, render), opt Options, base, thermo *Outcome) []Output {
+	t.Helper()
+	_, render := grid(opt)
+	o, err := render([][]*Outcome{{base, thermo}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
 func TestTable2TableRendering(t *testing.T) {
 	t.Parallel()
-	rows := []table2Row{{App: "cassandra", RSSGB: 8.01, FileGB: 4.02}}
-	out := table2Table(rows).String()
-	if !strings.Contains(out, "cassandra") || !strings.Contains(out, "8.010") {
-		t.Errorf("bad render:\n%s", out)
+	th := mapped(t, workload.Redis())
+	rss, file := th.App.FootprintBytes()
+	if rss == 0 || file == 0 {
+		t.Fatalf("redis maps %d resident and %d file bytes", rss, file)
+	}
+	out := renderPair(t, table2, renderOpt(workload.Redis()), nil, th)[0].Table.String()
+	for _, want := range []string{"redis",
+		fmt.Sprintf("%.3f", float64(rss*256)/(1<<30)), fmt.Sprintf("%.3f", float64(file*256)/(1<<30))} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %q:\n%s", want, out)
+		}
 	}
 }
 
 func TestTable3TableRendering(t *testing.T) {
 	t.Parallel()
-	rows := []table3Row{{App: "redis", MigrationMBps: 11.3, FalseClassMBps: 10}}
-	out := table3Table(rows).String()
-	if !strings.Contains(out, "11.300") || !strings.Contains(out, "10.000") {
+	th := mapped(t, workload.Redis())
+	meter := th.Machine.Migrator().Meter()
+	meter.RecordPair(mem.Demotion, mem.Fast, mem.Slow, 10<<20)
+	meter.RecordPair(mem.Promotion, mem.Slow, mem.Fast, 5<<20)
+	// 10 and 5 MiB in 1 s, times Div 256 over the 75x period compression.
+	out := renderPair(t, table3, renderOpt(workload.Redis()), nil, th)[0].Table.String()
+	if !strings.Contains(out, "35.791") || !strings.Contains(out, "17.896") {
 		t.Errorf("bad render:\n%s", out)
 	}
 }
 
 func TestTable4TableRendering(t *testing.T) {
 	t.Parallel()
-	rows := []table4Row{{App: "cassandra", SavingsPct: [3]float64{27, 30, 32}}}
-	out := table4Table(rows).String()
-	for _, want := range []string{"27%", "30%", "32%"} {
+	opt := renderOpt(workload.Cassandra(workload.WriteHeavy))
+	out := renderPair(t, table4, opt, nil, fakeRun(100, 40, 60))[0].Table.String()
+	for _, want := range []string{"cassandra", "27%", "30%", "32%"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q:\n%s", want, out)
 		}
@@ -85,33 +133,27 @@ func TestFig11TableRendering(t *testing.T) {
 
 func TestFig3TableRendering(t *testing.T) {
 	t.Parallel()
-	s := stats.NewSeries("slow_rate_redis")
-	s.Append(2e9, 29000)
-	series := []slowRateSeries{{App: "redis", Rate: s, MeanPostWarmup: 29000, TargetRate: 30000}}
-	out := fig3Table(series).String()
-	if !strings.Contains(out, "target 30000/s") || !strings.Contains(out, "2.9e+04") {
-		t.Errorf("bad render:\n%s", out)
-	}
-	// Empty input doesn't panic.
-	if fig3Table(nil).String() == "" {
-		t.Error("empty Fig3 table should still render a title")
+	th := fakeRun(100, 0, 1)
+	th.Result.SlowRate = stats.NewSeries("")
+	th.Result.SlowRate.Append(2e9, 29000/8) // paper units multiply by F = 8
+	out := renderPair(t, fig3, renderOpt(workload.Redis()), nil, th)[0].Table.String()
+	for _, want := range []string{"target 30000/s", "slow_rate_redis", "2.9e+04"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %q:\n%s", want, out)
+		}
 	}
 }
 
 func TestColdDataFigureRendering(t *testing.T) {
 	t.Parallel()
-	mk := func(name string, v float64) *stats.Series {
-		s := stats.NewSeries(name)
-		s.Append(1e9, v)
-		return s
+	// 45 of 100 bytes cold, at 102 vs 100 ops/s.
+	o := renderPair(t, coldData, renderOpt(workload.Cassandra(workload.WriteHeavy)),
+		fakeRun(102, 0, 100), fakeRun(100, 45, 55))
+	if len(o) != 1 || o[0].Name != "colddata-cassandra" || o[0].SVG == nil {
+		t.Fatalf("outputs %+v, want one colddata-cassandra figure", o)
 	}
-	f := coldDataFigure{
-		App: "cassandra", Slowdown: 0.02, ColdFraction: 0.45,
-		Cold2M: mk("2MB_cold_GB", 3.5), Cold4K: mk("4KB_cold_GB", 0.2),
-		Hot2M: mk("2MB_hot_GB", 4), Hot4K: mk("4KB_hot_GB", 0),
-	}
-	out := f.Table().String()
-	for _, want := range []string{"cassandra", "2.0%", "45%", "2MB_cold_GB"} {
+	out := o[0].Table.String()
+	for _, want := range []string{"cassandra", "slowdown 2.0%", "cold fraction 45%", "2MB_cold_GB"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q:\n%s", want, out)
 		}

@@ -122,7 +122,7 @@ type scaleArtifact struct {
 
 // scaleSweep runs the committed sweep, 1 GB to 1 TB at the run's seed: the
 // table and results/BENCH_scale.{json,txt}.
-func scaleSweep(opt Options, _ map[string]*AppRun) ([]output, error) {
+func scaleSweep(opt Options) ([]Output, error) {
 	sc := ScaleBenchProfile()
 	sc.Seed = opt.Scale.Seed
 	points, err := runScaleSweep(sc, []uint64{1 << 30, 4 << 30, 16 << 30, 64 << 30, 256 << 30, 1 << 40})
@@ -142,7 +142,7 @@ func scaleSweep(opt Options, _ map[string]*AppRun) ([]output, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []output{
+	return []Output{
 		{Name: "scale", Table: t},
 		{Name: "BENCH_scale.json", File: append(js, '\n')},
 		{Name: "BENCH_scale.txt", File: []byte(t.String() + "\n")},

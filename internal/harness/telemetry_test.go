@@ -21,8 +21,8 @@ func telemetryScale() Scale {
 	return sc
 }
 
-// exportAll runs RunAll's Redis baseline+Thermostat pair on workers
-// goroutines, each arm with its own collector, exports both collectors into
+// exportAll runs the Redis baseline+Thermostat pair the paired experiments
+// read on workers goroutines, each arm with its own collector, exports both collectors into
 // dir under the arms' labels, and returns the exported file names.
 func exportAll(t *testing.T, dir string, workers int) []string {
 	t.Helper()
@@ -36,7 +36,7 @@ func exportAll(t *testing.T, dir string, workers int) []string {
 		a.plan.Config = func(cfg *sim.Config) { cfg.Recorder = cols[j] }
 		r.arms = append(r.arms, a)
 	}
-	outs, err := runGrid(workers, []row{r})
+	outs, err := runRows(workers, []row{r})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,24 +97,6 @@ func Map[T any](workers int, tasks []Task[T]) ([]T, error) {
 	return results, errors.Join(errs...)
 }
 
-// Grid runs a ragged rows×cols task grid and returns results in the same
-// shape, scheduling every cell through one flat Map so rows share the
-// worker budget.
-func Grid[T any](workers int, tasks [][]Task[T]) ([][]T, error) {
-	var flat []Task[T]
-	for _, row := range tasks {
-		flat = append(flat, row...)
-	}
-	res, err := Map(workers, flat)
-	out := make([][]T, len(tasks))
-	k := 0
-	for r, row := range tasks {
-		out[r] = res[k : k+len(row) : k+len(row)]
-		k += len(row)
-	}
-	return out, err
-}
-
 // runOne executes a single task with panic containment.
 func runOne[T any](i int, t Task[T]) (result T, err error) {
 	defer func() {

@@ -122,40 +122,6 @@ func TestMapRecoversPanicWithLabel(t *testing.T) {
 	}
 }
 
-func TestGridShapeAndOrder(t *testing.T) {
-	t.Parallel()
-	grid := [][]Task[int]{}
-	for r := 0; r < 4; r++ {
-		var row []Task[int]
-		for c := 0; c <= r; c++ { // ragged: row r has r+1 cells
-			row = append(row, Task[int]{
-				Label: fmt.Sprintf("cell/%d/%d", r, c),
-				Run:   func() (int, error) { return 10*r + c, nil },
-			})
-		}
-		grid = append(grid, row)
-	}
-	for _, w := range []int{1, 3} {
-		res, err := Grid(w, grid)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if len(res) != 4 {
-			t.Fatalf("workers=%d: rows = %d", w, len(res))
-		}
-		for r, row := range res {
-			if len(row) != r+1 {
-				t.Fatalf("workers=%d: row %d has %d cells", w, r, len(row))
-			}
-			for c, v := range row {
-				if v != 10*r+c {
-					t.Errorf("workers=%d: cell (%d,%d) = %d", w, r, c, v)
-				}
-			}
-		}
-	}
-}
-
 // TestMapPropertyRandomLatencies is the scheduler's property test: under
 // randomized task latencies and worker counts, Map must preserve input
 // order in its results and collect every error and panic exactly once.

@@ -123,12 +123,21 @@ named run 'TestRunAllTelemetryWorkerInvariance|TestComposedThermostatMatchesSeed
 	./internal/harness -count=1
 echo "matrix: all tracker x policy cells run; seed composition byte-identical"
 
+echo "== shared-run gate"
+# One repro invocation simulates each identical arm once: table3 run after
+# fig11, which plans the same redis baseline and 3% Thermostat arm, must
+# write the same CSV as table3 run alone.
+go run ./cmd/repro -exp table3 -scale tiny -apps redis -csv "$tracedir/alone" >/dev/null
+go run ./cmd/repro -exp fig11,table3 -scale tiny -apps redis -csv "$tracedir/shared" >/dev/null
+cmp "$tracedir/alone/table3.csv" "$tracedir/shared/table3.csv"
+echo "shared runs: table3 byte-identical alone and after fig11"
+
 echo "== goldens gate"
 # Every committed artifact that pins a simulated number is regenerated and
 # compared (scripts/goldens.sh): the short tier checks the tiny-scale policy
 # matrix and the benchmark pair's sim_digest and exact metrics at seeds 1
 # and 2 (about 40 s); the full tier adds the tiny- and repro-scale paper
-# experiments, the fleet night and the scaling sweep (about 21 minutes on
+# experiments, the fleet night and the scaling sweep (about 14 minutes on
 # two cores).
 ./scripts/goldens.sh check
 

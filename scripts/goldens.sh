@@ -34,10 +34,10 @@ short_entries="matrix bench"
 artifacts() {
 	case "$1" in
 	matrix) echo results/policy_matrix.csv results/policy_matrix.txt ;; # 15 s
-	tiny) echo results/repro_tiny.sha256 ;;                              # 2.5 min
+	tiny) echo results/repro_tiny.sha256 ;;                              # 2 min
 	fleet) echo results/fleet_night.csv results/fleet_night.txt ;;       # 70 s
 	scale) echo results/BENCH_scale.json results/BENCH_scale.txt ;;      # 40 s
-	repro) echo results/repro.sha256 results/repro ;;                    # 16 min
+	repro) echo results/repro.sha256 results/repro ;;                    # 10-11 min
 	bench) echo "BENCH_$bench_n.json BENCH_${bench_n}_seed2.json" ;;     # 15 s check, 4 min rebase
 	esac
 }
