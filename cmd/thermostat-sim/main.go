@@ -288,18 +288,12 @@ func runFleet(cfg daemon.Config, sc harness.Scale, pub *obsv.Publisher, mutate f
 		"tenant", "slo%", "est_slow%", "sl_ok", "ops", "tput/s",
 		"solo_dram_tput/s", "grant_mb", "fast_mb", "foot_mb")
 	for _, tr := range r.Tenants {
-		status := "meets"
-		if tr.Rejected {
-			status = "rejected"
-		} else if tr.MeanSlowdownPct > tr.SLOPct {
-			status = "MISSES"
-		}
 		solo := "-"
 		if b := fo.Baselines[tr.Name]; b != nil {
 			solo = fmt.Sprintf("%.0f", b.Throughput)
 		}
 		tbl.AddF(tr.Name, fmt.Sprintf("%.1f", tr.SLOPct),
-			fmt.Sprintf("%.2f", tr.MeanSlowdownPct), status,
+			fmt.Sprintf("%.2f", tr.MeanSlowdownPct), tr.SLOStatus(),
 			tr.Ops, fmt.Sprintf("%.0f", tr.Throughput), solo,
 			fmt.Sprintf("%.0f", float64(tr.GrantBytes)/(1<<20)),
 			fmt.Sprintf("%.0f", float64(tr.FastBytes)/(1<<20)),

@@ -124,11 +124,6 @@ func (r Range) Size() uint64 {
 // Contains reports whether v lies inside the range.
 func (r Range) Contains(v Virt) bool { return v >= r.Start && v < r.End }
 
-// Overlaps reports whether r and o share any address.
-func (r Range) Overlaps(o Range) bool {
-	return r.Start < o.End && o.Start < r.End
-}
-
 // Pages4K returns the number of 4KB pages the range touches, counting partial
 // pages at either end.
 func (r Range) Pages4K() uint64 {
@@ -137,17 +132,6 @@ func (r Range) Pages4K() uint64 {
 	}
 	first := r.Start.PageNum4K()
 	last := (r.End - 1).PageNum4K()
-	return last - first + 1
-}
-
-// Pages2M returns the number of 2MB pages the range touches, counting partial
-// pages at either end.
-func (r Range) Pages2M() uint64 {
-	if r.Size() == 0 {
-		return 0
-	}
-	first := r.Start.PageNum2M()
-	last := (r.End - 1).PageNum2M()
 	return last - first + 1
 }
 

@@ -68,7 +68,7 @@ func (t *Trap) Poison(v addr.Virt, vpid tlb.VPID) error {
 }
 
 // Unpoison disarms interception on the 4KB page containing v. The recorded
-// count survives until ResetCounts.
+// count survives.
 func (t *Trap) Unpoison(v addr.Virt) error {
 	if _, ok := t.pt.ClearFlags(v, pagetable.Poisoned); !ok {
 		return fmt.Errorf("badgertrap: unpoison of unmapped %s", v)
@@ -142,21 +142,6 @@ func (t *Trap) CountLeaf(base addr.Virt) uint64 { return t.counts[base] }
 
 // TotalFaults returns the lifetime number of poison faults handled.
 func (t *Trap) TotalFaults() uint64 { return t.faults.Value() }
-
-// CountsSnapshot returns a copy of the per-page fault counts, keyed by leaf
-// virtual base address.
-func (t *Trap) CountsSnapshot() map[addr.Virt]uint64 {
-	out := make(map[addr.Virt]uint64, len(t.counts))
-	for k, v := range t.counts {
-		out[k] = v
-	}
-	return out
-}
-
-// ResetCounts clears the per-page counts (start of a new sampling interval).
-func (t *Trap) ResetCounts() {
-	t.counts = make(map[addr.Virt]uint64)
-}
 
 // ForgetRange drops the recorded counts for every leaf page in r. Called
 // when an address range is unmapped for good (tenant departure), so the

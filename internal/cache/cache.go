@@ -165,12 +165,12 @@ type Stats struct {
 	Misses uint64
 }
 
-// Accesses returns total lookups.
-func (s Stats) Accesses() uint64 { return s.Hits + s.Misses }
+// accesses returns total lookups.
+func (s Stats) accesses() uint64 { return s.Hits + s.Misses }
 
 // MissRate returns misses/accesses (0 if none).
 func (s Stats) MissRate() float64 {
-	n := s.Accesses()
+	n := s.accesses()
 	if n == 0 {
 		return 0
 	}
@@ -180,10 +180,4 @@ func (s Stats) MissRate() float64 {
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats {
 	return Stats{Hits: c.hits.Value(), Misses: c.misses.Value()}
-}
-
-// ResetStats zeroes the counters.
-func (c *Cache) ResetStats() {
-	c.hits.Reset()
-	c.misses.Reset()
 }

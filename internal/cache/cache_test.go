@@ -122,7 +122,7 @@ func TestReaccessHitsProperty(t *testing.T) {
 			}
 			accesses++
 		}
-		return c.Stats().Accesses() == accesses
+		return c.Stats().accesses() == accesses
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)

@@ -30,14 +30,11 @@ var errOverLimit = errors.New("cgroup: charge exceeds limit")
 
 // NewChild validates p and creates a child group that charges through g.
 func (g *Group) NewChild(name string, p Params) (*Group, error) {
-	if err := p.Validate(); err != nil {
+	if err := p.validate(); err != nil {
 		return nil, err
 	}
 	return &Group{name: name, parent: g, params: p}, nil
 }
-
-// Parent returns the group charged above this one (nil for a root).
-func (g *Group) Parent() *Group { return g.parent }
 
 // SetLimit replaces the accounting limit (0 = unlimited). Lowering the
 // limit below current usage is allowed — exactly like writing memory.max —

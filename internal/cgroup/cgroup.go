@@ -40,8 +40,8 @@ func Default() Params {
 	}
 }
 
-// Validate rejects out-of-range parameters.
-func (p Params) Validate() error {
+// validate rejects out-of-range parameters.
+func (p Params) validate() error {
 	if p.TolerableSlowdownPct <= 0 || p.TolerableSlowdownPct >= 100 {
 		return fmt.Errorf("cgroup: tolerable slowdown %v%% outside (0, 100)", p.TolerableSlowdownPct)
 	}
@@ -86,14 +86,11 @@ type Group struct {
 
 // NewGroup validates p and creates a group.
 func NewGroup(name string, p Params) (*Group, error) {
-	if err := p.Validate(); err != nil {
+	if err := p.validate(); err != nil {
 		return nil, err
 	}
 	return &Group{name: name, params: p}, nil
 }
-
-// Name returns the group's name.
-func (g *Group) Name() string { return g.name }
 
 // Params returns the current parameters.
 func (g *Group) Params() Params {
@@ -104,7 +101,7 @@ func (g *Group) Params() Params {
 
 // Update validates and replaces the parameters (runtime retuning).
 func (g *Group) Update(p Params) error {
-	if err := p.Validate(); err != nil {
+	if err := p.validate(); err != nil {
 		return err
 	}
 	g.mu.Lock()
@@ -119,7 +116,7 @@ func (g *Group) SetTolerableSlowdown(pct float64) error {
 	defer g.mu.Unlock()
 	p := g.params
 	p.TolerableSlowdownPct = pct
-	if err := p.Validate(); err != nil {
+	if err := p.validate(); err != nil {
 		return err
 	}
 	g.params = p

@@ -7,7 +7,7 @@ import (
 )
 
 func TestDefaultValid(t *testing.T) {
-	if err := Default().Validate(); err != nil {
+	if err := Default().validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -46,7 +46,7 @@ func TestValidateRejects(t *testing.T) {
 	for i, mutate := range bad {
 		p := Default()
 		mutate(&p)
-		if err := p.Validate(); err == nil {
+		if err := p.validate(); err == nil {
 			t.Errorf("case %d: invalid params accepted: %+v", i, p)
 		}
 	}

@@ -114,8 +114,8 @@ type Config struct {
 	PermanentFraction float64
 }
 
-// Enabled reports whether any site has a positive injection rate.
-func (c Config) Enabled() bool {
+// enabled reports whether any site has a positive injection rate.
+func (c Config) enabled() bool {
 	if c.Rate > 0 {
 		return true
 	}
@@ -154,7 +154,7 @@ type Injector struct {
 // New builds an Injector from cfg. Returns nil when cfg is disabled, so
 // callers can wire the result unconditionally.
 func New(cfg Config) *Injector {
-	if !cfg.Enabled() {
+	if !cfg.enabled() {
 		return nil
 	}
 	in := &Injector{

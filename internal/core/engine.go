@@ -142,10 +142,10 @@ func (e *Engine) SetCorrection(on bool) { e.noCorrection = !on }
 // benchmark's state-bytes numerator.
 func (e *Engine) StateBytes() uint64 { return e.tr.StateBytes() + e.pol.StateBytes() }
 
-// SetScope restricts the engine to the address ranges returned by provider
+// setScope restricts the engine to the address ranges returned by provider
 // — its cgroup's memory — so several engines can manage disjoint tenants on
 // one machine. The provider is consulted at every scan (ranges may grow).
-func (e *Engine) SetScope(provider func() []addr.Range) {
+func (e *Engine) setScope(provider func() []addr.Range) {
 	e.tr.SetScope(provider)
 	e.led.scope = provider
 }
@@ -242,18 +242,12 @@ func (e *Engine) InflightPages() int {
 	return 0
 }
 
-// LastEstimates returns the rate estimates from the most recent classify
-// scan (for inspection and the Figure 2 style analyses).
-func (e *Engine) LastEstimates() []Estimate {
-	return append([]Estimate(nil), e.lastEstimates...)
-}
-
-// MeasuredColdRate returns the aggregate measured access rate to the cold
+// measuredColdRate returns the aggregate measured access rate to the cold
 // set from the policy's most recent correction pass, in accesses/sec (0
 // while correction is off). Multiplied by the slow-memory latency this is
 // the engine's own §3.4 estimate of the slowdown it is inflicting — the
 // per-tenant SLO-feedback signal the fleet arbiter consumes.
-func (e *Engine) MeasuredColdRate() float64 {
+func (e *Engine) measuredColdRate() float64 {
 	if e.noCorrection {
 		return 0
 	}
@@ -264,7 +258,7 @@ func (e *Engine) MeasuredColdRate() float64 {
 // paper's slowdown estimate: rate × ts, as a percentage of execution time.
 func (e *Engine) EstimatedSlowdownPct() float64 {
 	ts := float64(e.group.Params().SlowMemLatencyNs) * 1e-9
-	return e.MeasuredColdRate() * ts * 100
+	return e.measuredColdRate() * ts * 100
 }
 
 // QuarantinedBases returns the currently-quarantined page bases in address

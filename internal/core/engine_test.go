@@ -153,9 +153,9 @@ func TestEngineCorrectsMisclassification(t *testing.T) {
 					t.Fatal("nothing was demoted in phase one")
 				}
 				if !on {
-					if st.Promotions != 0 || eng.MeasuredColdRate() != 0 {
+					if st.Promotions != 0 || eng.measuredColdRate() != 0 {
 						t.Fatalf("correction off: %d promotions, measured cold rate %v; want 0, 0",
-							st.Promotions, eng.MeasuredColdRate())
+							st.Promotions, eng.measuredColdRate())
 					}
 					return
 				}
@@ -447,7 +447,7 @@ func TestEngineScopeRestrictsSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.SetScope(func() []addr.Range { return []addr.Range{inScope} })
+	eng.setScope(func() []addr.Range { return []addr.Range{inScope} })
 	// Drive several full cycles: everything in scope is idle, so it gets
 	// demoted; the out-of-scope region must be untouched.
 	for i := int64(1); i <= 12; i++ {

@@ -28,15 +28,15 @@ func attachedHeat(t *testing.T, periodNs int64) *heatPolicy {
 func TestHeatDecayMonotone(t *testing.T) {
 	t.Parallel()
 	p := attachedHeat(t, 400e6) // half-life 0.8 s
-	prev := p.DecayFactor(0)
+	prev := p.decayFactor(0)
 	if prev != 1 {
 		t.Fatalf("DecayFactor(0) = %v, want 1", prev)
 	}
-	if p.DecayFactor(-5) != 1 {
+	if p.decayFactor(-5) != 1 {
 		t.Fatalf("negative idle time must not heat a page")
 	}
 	for dt := 0.01; dt < 100; dt *= 1.7 {
-		f := p.DecayFactor(dt)
+		f := p.decayFactor(dt)
 		if f > prev {
 			t.Fatalf("DecayFactor(%v) = %v rose above %v", dt, f, prev)
 		}
@@ -46,7 +46,7 @@ func TestHeatDecayMonotone(t *testing.T) {
 		prev = f
 	}
 	// One half-life halves the score exactly.
-	if f := p.DecayFactor(0.8); f < 0.499 || f > 0.501 {
+	if f := p.decayFactor(0.8); f < 0.499 || f > 0.501 {
 		t.Fatalf("DecayFactor(one half-life) = %v, want 0.5", f)
 	}
 }

@@ -40,7 +40,7 @@ func TestMultiTenantSharedTrapNoInterference(t *testing.T) {
 		p.SlowMemLatencyNs = 100000
 		g, _ := cgroup.NewGroup("t", p)
 		e := NewEngine(g, seed)
-		e.SetScope(app.Regions)
+		e.setScope(app.Regions)
 		return e
 	}
 	engA, engB := mk(1, appA), mk(2, appB)

@@ -38,7 +38,6 @@ type IdleDemote struct {
 
 	demotions  stats.Counter
 	promotions stats.Counter
-	failures   stats.Counter
 }
 
 // Name implements sim.Policy.
@@ -60,10 +59,6 @@ func (p *IdleDemote) Attach(m *sim.Machine) error {
 	p.cold = make(map[addr.Virt]bool)
 	return nil
 }
-
-// Scanner exposes the underlying kstaled scanner (for the Figure 1 idle
-// fraction readout).
-func (p *IdleDemote) Scanner() *kstaled.Scanner { return p.scanner }
 
 // Demotions returns the lifetime demotion count.
 func (p *IdleDemote) Demotions() uint64 { return p.demotions.Value() }
@@ -100,7 +95,6 @@ func (p *IdleDemote) Tick(m *sim.Machine, now int64) error {
 			// Graceful degradation: a full fast tier or an injected fault
 			// leaves the page cold until a later scan retries it.
 			if errors.Is(err, mem.ErrOutOfMemory) || chaos.IsInjected(err) {
-				p.failures.Inc()
 				continue
 			}
 			return err
@@ -114,11 +108,9 @@ func (p *IdleDemote) Tick(m *sim.Machine, now int64) error {
 				// Destination full: later candidates need the same 2MB
 				// frame, so stop this pass (pre-chaos behavior, pinned by
 				// the goldens).
-				p.failures.Inc()
 				break
 			}
 			if chaos.IsInjected(err) {
-				p.failures.Inc()
 				continue
 			}
 			return err
@@ -128,10 +120,6 @@ func (p *IdleDemote) Tick(m *sim.Machine, now int64) error {
 	}
 	return nil
 }
-
-// Failures returns how many placement moves this policy abandoned
-// (destination pressure or injected chaos faults).
-func (p *IdleDemote) Failures() uint64 { return p.failures.Value() }
 
 // Footprint implements sim.Policy.
 func (p *IdleDemote) Footprint(m *sim.Machine) sim.Footprint {

@@ -86,18 +86,15 @@ func (p *heatPolicy) EndPeriod() {
 	clear(p.moved)
 }
 
-// Heat returns the page's current heat score (for inspection and tests).
-func (p *heatPolicy) Heat(base addr.Virt) float64 { return p.heat[base] }
-
 // maxHeat bounds the accumulated score.
 func (p *heatPolicy) maxHeat() float64 {
 	return maxHeatFactor * p.group.Params().TargetSlowAccessRate()
 }
 
-// DecayFactor returns the multiplicative heat decay over an idle stretch of
+// decayFactor returns the multiplicative heat decay over an idle stretch of
 // dtSec seconds: 2^(-dt/halfLife). It is monotonically non-increasing in
 // dtSec and never exceeds 1.
-func (p *heatPolicy) DecayFactor(dtSec float64) float64 {
+func (p *heatPolicy) decayFactor(dtSec float64) float64 {
 	if dtSec <= 0 {
 		return 1
 	}
@@ -111,7 +108,7 @@ func (p *heatPolicy) DecayFactor(dtSec float64) float64 {
 // bump applies one interval's measurement to a page's heat: decay the old
 // score over the interval, add the measured rate, clamp to the bound.
 func (p *heatPolicy) bump(base addr.Virt, rate, dtSec float64) {
-	h := p.heat[base]*p.DecayFactor(dtSec) + rate
+	h := p.heat[base]*p.decayFactor(dtSec) + rate
 	if max := p.maxHeat(); h > max {
 		h = max
 	}

@@ -52,7 +52,7 @@ type Tenant struct {
 // regions and the zero knobs get their minimums.
 func NewTenant(name string, app ScopedApp, group *cgroup.Group, eng *Engine) *Tenant {
 	t := &Tenant{Name: name, App: app, Group: group, Engine: eng, Priority: 1, Share: 1}
-	eng.SetScope(app.Regions)
+	eng.setScope(app.Regions)
 	return t
 }
 

@@ -141,9 +141,9 @@ type degradeConfig struct {
 	WidenFactor int64 `json:"widen_factor,omitempty"`
 }
 
-// Normalize returns c with every "use the default" zero field filled in.
+// normalize returns c with every "use the default" zero field filled in.
 // Decode applies it, so a decoded config re-encodes stably.
-func (c Config) Normalize() Config {
+func (c Config) normalize() Config {
 	if c.Policy == "" {
 		c.Policy = "thermostat"
 	}
@@ -434,7 +434,7 @@ func Decode(data []byte) (Config, error) {
 		if err := strictUnmarshal(trimmed, &c); err != nil {
 			return Config{}, fmt.Errorf("daemon: parse json config: %w", err)
 		}
-		return c.Normalize(), nil
+		return c.normalize(), nil
 	}
 	v, err := parseYAML(data)
 	if err != nil {
@@ -451,7 +451,7 @@ func Decode(data []byte) (Config, error) {
 	if err := strictUnmarshal(b, &c); err != nil {
 		return Config{}, fmt.Errorf("daemon: parse yaml config: %w", err)
 	}
-	return c.Normalize(), nil
+	return c.normalize(), nil
 }
 
 // strictUnmarshal decodes JSON into v rejecting unknown fields and

@@ -178,7 +178,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestValidateRules(t *testing.T) {
 	base := func() Config {
-		return Config{App: "redis", Policy: "thermostat", Scale: "tiny", SlowdownPct: 3, IdleWindowS: 10}.Normalize()
+		return Config{App: "redis", Policy: "thermostat", Scale: "tiny", SlowdownPct: 3, IdleWindowS: 10}.normalize()
 	}
 	cases := []struct {
 		name string
@@ -221,7 +221,7 @@ func TestValidateRules(t *testing.T) {
 }
 
 func TestValidateForDaemon(t *testing.T) {
-	c := Config{Policy: "thermostat", Scale: "tiny", SlowdownPct: 3}.Normalize()
+	c := Config{Policy: "thermostat", Scale: "tiny", SlowdownPct: 3}.normalize()
 	if err := c.ValidateForDaemon(); err == nil || !strings.Contains(err.Error(), "needs an app") {
 		t.Fatalf("missing app: %v", err)
 	}

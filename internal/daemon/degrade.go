@@ -53,11 +53,11 @@ type ladder struct {
 	clean  int // consecutive clean epochs at the current rung
 }
 
-// Observe feeds one epoch's verdict and returns the (possibly new) health
+// observe feeds one epoch's verdict and returns the (possibly new) health
 // plus whether a transition happened. Counters reset on every transition
 // and whenever the epoch kind flips, so each rung demands a fresh
 // consecutive streak.
-func (l *ladder) Observe(faultyEpoch bool) (health, bool) {
+func (l *ladder) observe(faultyEpoch bool) (health, bool) {
 	if l.cfg.Disabled || l.health == halted {
 		return l.health, false
 	}

@@ -143,25 +143,11 @@ func (r *Runner) Stop() {
 	r.mu.Unlock()
 }
 
-// Health returns the current ladder position.
-func (r *Runner) Health() health {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.health
-}
-
-// Journal returns a copy of the applied reload timeline so far.
-func (r *Runner) Journal() []timelineEntry {
+// journalCopy returns a copy of the applied reload timeline so far.
+func (r *Runner) journalCopy() []timelineEntry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]timelineEntry(nil), r.journal...)
-}
-
-// Epoch returns the number of completed policy ticks.
-func (r *Runner) Epoch() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.epoch
 }
 
 // Run executes the configured simulation to completion under supervision:
@@ -196,7 +182,7 @@ func (r *Runner) runSupervised() (out *RunOutcome, err error) {
 }
 
 func (r *Runner) run() (*RunOutcome, error) {
-	cfg := r.Config.Normalize()
+	cfg := r.Config.normalize()
 	if err := cfg.ValidateForDaemon(); err != nil {
 		return nil, err
 	}
@@ -321,7 +307,7 @@ func (r *Runner) tick(rs *runState, now int64) error {
 	if !faulty && rs.ladder.health == quarantineOnly {
 		faulty = rs.eng.ActiveQuarantinedPages() > 0
 	}
-	if h, changed := rs.ladder.Observe(faulty); changed {
+	if h, changed := rs.ladder.observe(faulty); changed {
 		r.transition(rs, h, epoch, now)
 	}
 
@@ -347,7 +333,7 @@ func (r *Runner) tick(rs *runState, now int64) error {
 		cp := &Checkpoint{
 			Version: checkpointVersion, SavedAtEpoch: epoch, VirtualNs: now,
 			Digest: stateDigest(epoch, now, rs.m, rs.eng, r.col.EventCount()),
-			Config: r.Config.Normalize(), Timeline: r.Journal(),
+			Config: r.Config.normalize(), Timeline: r.journalCopy(),
 		}
 		if err := WriteCheckpoint(cfg.Daemon.CheckpointPath, cp); err != nil {
 			r.logger().Error("checkpoint failed", "err", err)
@@ -379,7 +365,7 @@ func (r *Runner) applyEntry(rs *runState, e timelineEntry, live bool) {
 	r.mu.Lock()
 	old := r.cfg
 	r.mu.Unlock()
-	next := e.Config.Normalize()
+	next := e.Config.normalize()
 	changes, err := diffReload(old, next)
 	if err != nil {
 		r.logger().Error("reload rejected at apply", "err", err, "live", live)

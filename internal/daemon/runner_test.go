@@ -26,7 +26,7 @@ func tinyConfig(t *testing.T, dir string) Config {
 			Trace:   filepath.Join(dir, "trace.json"),
 			Metrics: filepath.Join(dir, "metrics.jsonl"),
 		},
-	}.Normalize()
+	}.normalize()
 }
 
 func readFileT(t *testing.T, path string) []byte {
@@ -387,7 +387,7 @@ func TestLadderUnit(t *testing.T) {
 		{false, degraded}, {false, degraded}, {false, healthy}, // fresh 3 clean → healthy
 	}
 	for i, s := range seq {
-		h, _ := l.Observe(s.faulty)
+		h, _ := l.observe(s.faulty)
 		if h != s.want {
 			t.Fatalf("step %d (faulty=%v): health %v, want %v", i, s.faulty, h, s.want)
 		}
@@ -395,14 +395,14 @@ func TestLadderUnit(t *testing.T) {
 	// Halt path and terminality.
 	l2 := &ladder{cfg: degradeConfig{DegradeAfter: 1, QuarantineAfter: 1, HaltAfter: 1, RecoverAfter: 2}}
 	for i := 0; i < 3; i++ {
-		l2.Observe(true)
+		l2.observe(true)
 	}
-	if h, _ := l2.Observe(false); h != halted {
+	if h, _ := l2.observe(false); h != halted {
 		t.Fatalf("halted must be terminal, got %v", h)
 	}
 	// Disabled ladder never moves.
 	l3 := &ladder{cfg: degradeConfig{Disabled: true, DegradeAfter: 1}}
-	if h, changed := l3.Observe(true); h != healthy || changed {
+	if h, changed := l3.observe(true); h != healthy || changed {
 		t.Fatalf("disabled ladder moved: %v", h)
 	}
 }

@@ -72,6 +72,19 @@ type tenantResult struct {
 	Rejected   bool
 }
 
+// SLOStatus is the tenant's verdict against its SLO: "rejected" if the
+// pool never admitted it, "MISSES" if its mean slowdown estimate exceeds
+// SLOPct, else "meets".
+func (t tenantResult) SLOStatus() string {
+	switch {
+	case t.Rejected:
+		return "rejected"
+	case t.MeanSlowdownPct > t.SLOPct:
+		return "MISSES"
+	}
+	return "meets"
+}
+
 // Result is a fleet run's full outcome.
 type Result struct {
 	// Global carries the machine-wide series and counters in sim.Run's

@@ -105,7 +105,7 @@ func fig2Points(pol *splitScan, out *Outcome) []fig2Point {
 	durSec := float64(out.Result.DurationNs) / 1e9
 	var pts []fig2Point
 	for _, base := range pol.bases {
-		pts = append(pts, fig2Point{pol.scanner.HotSubpages(base, 3), out.Scale.PaperRate(float64(counts[base]) / durSec)})
+		pts = append(pts, fig2Point{pol.scanner.HotSubpages(base, 3), out.Scale.paperRate(float64(counts[base]) / durSec)})
 	}
 	return pts
 }
@@ -239,7 +239,7 @@ func fig3(opt Options) ([]row, render) {
 			rate := outs[i][1].Result.SlowRate
 			s := stats.NewSeries("slow_rate_" + r.spec.Name)
 			for j, ts := range rate.Times {
-				s.Append(ts, opt.Scale.PaperRate(rate.Values[j]))
+				s.Append(ts, opt.Scale.paperRate(rate.Values[j]))
 			}
 			series = append(series, s)
 		}
@@ -296,7 +296,7 @@ func table3(opt Options) ([]row, render) {
 	return rows, func(outs [][]*Outcome) ([]Output, error) {
 		t := report.NewTable("Table 3: migration and false-classification rates (MB/s, paper units)",
 			"application", "migration_mbps", "false_classification_mbps")
-		conv := float64(opt.Scale.Div) / opt.Scale.PeriodCompression()
+		conv := float64(opt.Scale.Div) / opt.Scale.periodCompression()
 		for i, r := range rows {
 			m := outs[i][1].Machine
 			meter, now := m.Migrator().Meter(), m.Clock()

@@ -128,7 +128,7 @@ func FleetRun(opt FleetOptions) (*fleetOutcome, error) {
 		opt.Scale = repro()
 	}
 	sc := opt.Scale
-	if err := sc.Validate(); err != nil {
+	if err := sc.validate(); err != nil {
 		return nil, err
 	}
 	if len(opt.Tenants) == 0 {

@@ -73,12 +73,6 @@ func runFleetNight(opt Options) (*fleetNightResult, error) {
 		"tenant", "pri", "share", "slo%", "est_slow%", "sl_ok",
 		"arrive_s", "depart_s", "ops", "tput/s", "grant_mb", "fast_mb", "foot_mb")
 	for _, t := range fo.Result.Tenants {
-		status := "meets"
-		if t.Rejected {
-			status = "rejected"
-		} else if t.MeanSlowdownPct > t.SLOPct {
-			status = "MISSES"
-		}
 		dep := "-"
 		if t.DepartedNs > 0 {
 			dep = fmt.Sprintf("%.0f", float64(t.DepartedNs)/1e9)
@@ -86,7 +80,7 @@ func runFleetNight(opt Options) (*fleetNightResult, error) {
 		tbl.AddF(t.Name, t.Priority, t.Share,
 			fmt.Sprintf("%.1f", t.SLOPct),
 			fmt.Sprintf("%.2f", t.MeanSlowdownPct),
-			status,
+			t.SLOStatus(),
 			fmt.Sprintf("%.0f", float64(t.ArrivedNs)/1e9), dep,
 			t.Ops, fmt.Sprintf("%.0f", t.Throughput),
 			fmt.Sprintf("%.0f", float64(t.GrantBytes)/(1<<20)),

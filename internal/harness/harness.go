@@ -42,8 +42,8 @@ type Scale struct {
 	Seed uint64
 }
 
-// Validate rejects degenerate profiles.
-func (s Scale) Validate() error {
+// validate rejects degenerate profiles.
+func (s Scale) validate() error {
 	if s.Div == 0 || s.TimeDilate <= 0 || s.PeriodNs <= 0 || s.DurationNs <= 0 {
 		return fmt.Errorf("harness: invalid scale %+v", s)
 	}
@@ -79,15 +79,15 @@ func Tiny() Scale {
 	}
 }
 
-// PaperRate converts a measured rate (per second of dilated time) back to
+// paperRate converts a measured rate (per second of dilated time) back to
 // paper units.
-func (s Scale) PaperRate(measured float64) float64 {
+func (s Scale) paperRate(measured float64) float64 {
 	return measured * float64(s.TimeDilate)
 }
 
-// PeriodCompression is the ratio between the paper's 30s scan interval and
+// periodCompression is the ratio between the paper's 30s scan interval and
 // this profile's, used to convert migration bandwidths to paper units.
-func (s Scale) PeriodCompression() float64 {
+func (s Scale) periodCompression() float64 {
 	return 30e9 / float64(s.PeriodNs)
 }
 
@@ -128,7 +128,7 @@ func (s Scale) NewApp(spec workload.Spec, seed uint64) (*workload.App, error) {
 	spec.ComputeNs *= s.TimeDilate
 	if spec.Growth != nil {
 		g := *spec.Growth
-		g.PeriodNs = int64(float64(g.PeriodNs) / s.PeriodCompression())
+		g.PeriodNs = int64(float64(g.PeriodNs) / s.periodCompression())
 		spec.Growth = &g
 	}
 	// Rescale sweep dwells so background-revisit periods survive the
@@ -203,7 +203,7 @@ type Assembly struct {
 // describes — the one place a single-run experiment is put together, shared
 // by every harness experiment, both CLIs and the daemon.
 func Assemble(spec workload.Spec, sc Scale, plan Plan) (*Assembly, error) {
-	if err := sc.Validate(); err != nil {
+	if err := sc.validate(); err != nil {
 		return nil, err
 	}
 	var cfg sim.Config
@@ -211,7 +211,7 @@ func Assemble(spec workload.Spec, sc Scale, plan Plan) (*Assembly, error) {
 	case len(plan.Tiers) == 1:
 		return nil, fmt.Errorf("harness: N-tier run needs at least two tiers, got 1")
 	case len(plan.Tiers) > 0:
-		cfg = sc.TieredMachineConfig(spec, plan.Tiers)
+		cfg = sc.tieredMachineConfig(spec, plan.Tiers)
 	default:
 		cfg = sc.MachineConfig(spec, !plan.SmallPages)
 	}

@@ -13,18 +13,18 @@ import (
 func TestScaleValidate(t *testing.T) {
 	t.Parallel()
 	for _, sc := range []Scale{repro(), Bench(), Tiny()} {
-		if err := sc.Validate(); err != nil {
+		if err := sc.validate(); err != nil {
 			t.Errorf("%s: %v", sc.Name, err)
 		}
 	}
 	bad := repro()
 	bad.Div = 0
-	if err := bad.Validate(); err == nil {
+	if err := bad.validate(); err == nil {
 		t.Error("zero Div accepted")
 	}
 	bad = repro()
 	bad.WarmupNs = bad.DurationNs
-	if err := bad.Validate(); err == nil {
+	if err := bad.validate(); err == nil {
 		t.Error("warmup >= duration accepted")
 	}
 }
@@ -32,10 +32,10 @@ func TestScaleValidate(t *testing.T) {
 func TestScaleConversions(t *testing.T) {
 	t.Parallel()
 	sc := repro() // F=4, period 2s
-	if got := sc.PaperRate(7500); got != 30000 {
+	if got := sc.paperRate(7500); got != 30000 {
 		t.Fatalf("PaperRate = %v", got)
 	}
-	if got := sc.PeriodCompression(); got != 15 {
+	if got := sc.periodCompression(); got != 15 {
 		t.Fatalf("PeriodCompression = %v", got)
 	}
 }

@@ -21,13 +21,13 @@ func defaultThreeTier(capacity uint64) []mem.Spec {
 	}
 }
 
-// TieredMachineConfig sizes a machine over the given hierarchy for spec's
+// tieredMachineConfig sizes a machine over the given hierarchy for spec's
 // footprint under this scale. Capacities follow MachineConfig's sizing (top
 // tier gets 25% headroom for the hot set); every non-top tier's device
 // latency is time-dilated exactly as the two-tier slow tier is. The machine
 // runs in Device mode so each tier's own latency is charged — with more than
 // one slow tier the single-latency fault emulation can't distinguish them.
-func (s Scale) TieredMachineConfig(spec workload.Spec, tiers []mem.Spec) sim.Config {
+func (s Scale) tieredMachineConfig(spec workload.Spec, tiers []mem.Spec) sim.Config {
 	footprint, headroom := s.footprint(spec)
 	cfg := s.MachineConfig(spec, true)
 	cfg.Mode = sim.Device
@@ -133,7 +133,7 @@ func AnalyzeNTier(out *Outcome) (*nTierReport, error) {
 	meter := m.Migrator().Meter()
 	// Convert to paper-scale MB/s like Table 3: undo scan-interval
 	// compression and footprint division.
-	conv := out.Scale.PeriodCompression() / float64(out.Scale.Div)
+	conv := out.Scale.periodCompression() / float64(out.Scale.Div)
 	for _, p := range meter.Pairs() {
 		tr := meter.PairTraffic(p.Src, p.Dst)
 		rep.Pairs = append(rep.Pairs, pairTrafficRow{

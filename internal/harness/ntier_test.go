@@ -88,7 +88,7 @@ func TestRunNTierThreeTierEndToEnd(t *testing.T) {
 func TestTieredMachineConfigDilation(t *testing.T) {
 	t.Parallel()
 	sc := Tiny()
-	cfg := sc.TieredMachineConfig(workload.Redis(), defaultThreeTier(0))
+	cfg := sc.tieredMachineConfig(workload.Redis(), defaultThreeTier(0))
 	if len(cfg.Tiers) != 3 {
 		t.Fatalf("Tiers = %d", len(cfg.Tiers))
 	}

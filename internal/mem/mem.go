@@ -346,10 +346,10 @@ func (t *Tier) Free4K(p addr.Phys) {
 	}
 }
 
-// StateBytes returns the tier allocator's resident simulator-state bytes:
+// stateBytes returns the tier allocator's resident simulator-state bytes:
 // the freed-frame list and the broken-frame maps. The bump region costs
 // nothing, which is what makes constructing terabyte tiers O(1).
-func (t *Tier) StateBytes() uint64 {
+func (t *Tier) stateBytes() uint64 {
 	const perBroken = 8 /* map key */ + 8 /* ptr */ + 72 /* childMap */
 	return uint64(cap(t.freed2M))*8 + uint64(len(t.broken))*perBroken + 64
 }
@@ -423,17 +423,7 @@ func (s *System) Top() addr.Phys {
 func (s *System) StateBytes() uint64 {
 	var b uint64
 	for _, t := range s.tiers {
-		b += t.StateBytes()
+		b += t.stateBytes()
 	}
 	return b
-}
-
-// ReadLatency returns the device read latency for the tier owning p.
-func (s *System) ReadLatency(p addr.Phys) int64 {
-	return s.Tier(s.TierOf(p)).spec.ReadLatency
-}
-
-// WriteLatency returns the device write latency for the tier owning p.
-func (s *System) WriteLatency(p addr.Phys) int64 {
-	return s.Tier(s.TierOf(p)).spec.WriteLatency
 }

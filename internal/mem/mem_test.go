@@ -279,7 +279,7 @@ func TestLazyAllocOrder(t *testing.T) {
 func TestTierStateBytesO1(t *testing.T) {
 	small := testTier(1 << 30)
 	huge := testTier(1 << 40)
-	if small.StateBytes() != huge.StateBytes() {
-		t.Fatalf("state scales with capacity: %d vs %d bytes", small.StateBytes(), huge.StateBytes())
+	if small.stateBytes() != huge.stateBytes() {
+		t.Fatalf("state scales with capacity: %d vs %d bytes", small.stateBytes(), huge.stateBytes())
 	}
 }

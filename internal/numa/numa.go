@@ -42,16 +42,13 @@ type Migrator struct {
 	clock     func() int64
 	rollbacks uint64
 
-	perPageOverheadNs int64
+	children []leaf // MoveHuge's reused list of a split region's 512 leaves
 }
 
 // NewMigrator builds a migrator over the given memory system, page table and
 // TLB. Traffic is recorded into meter.
 func NewMigrator(sys *mem.System, pt *pagetable.Table, tl *tlb.TLB, meter *mem.Meter) *Migrator {
-	return &Migrator{
-		sys: sys, pt: pt, tl: tl, meter: meter,
-		perPageOverheadNs: defaultPerPageOverheadNs,
-	}
+	return &Migrator{sys: sys, pt: pt, tl: tl, meter: meter}
 }
 
 // Meter returns the traffic meter.
@@ -84,8 +81,9 @@ func (m *Migrator) now() int64 {
 	return m.clock()
 }
 
-// undoRec captures one leaf's pre-move mapping so rollback can restore it.
-type undoRec struct {
+// leaf is one leaf mapping a move remaps, with its pre-move frame and flag
+// word so rollback can restore it.
+type leaf struct {
 	v     addr.Virt
 	frame addr.Phys
 	flags pagetable.Flags
@@ -97,9 +95,9 @@ type undoRec struct {
 // stale translations are shot down, and the destination frame is freed.
 // Invalidate is idempotent, so re-shooting a leaf invalidated on the forward
 // path is harmless.
-func (m *Migrator) abort(dst mem.TierID, frame addr.Phys, huge bool, log []undoRec, vpid tlb.VPID) {
-	for i := len(log) - 1; i >= 0; i-- {
-		u := log[i]
+func (m *Migrator) abort(dst mem.TierID, frame addr.Phys, huge bool, done []leaf, vpid tlb.VPID) {
+	for i := len(done) - 1; i >= 0; i-- {
+		u := done[i]
 		if _, err := m.pt.Remap(u.v, u.frame); err != nil {
 			// The leaf was remapped moments ago; undoing it cannot fail.
 			panic(fmt.Sprintf("numa: rollback remap of %s failed: %v", u.v, err))
@@ -125,9 +123,9 @@ func (m *Migrator) copyCost(src, dst mem.TierID, n uint64) int64 {
 		bw = b
 	}
 	if bw <= 0 {
-		return m.perPageOverheadNs
+		return defaultPerPageOverheadNs
 	}
-	return int64(float64(n)/bw*1e9) + m.perPageOverheadNs
+	return int64(float64(n)/bw*1e9) + defaultPerPageOverheadNs
 }
 
 // TierOfPage returns the tier currently backing the leaf mapping v.
@@ -157,97 +155,27 @@ func (m *Migrator) MoveHuge(v addr.Virt, dst mem.TierID, vpid tlb.VPID, kind mem
 	if src == dst {
 		return 0, fmt.Errorf("numa: %s already in %s tier", hv, dst)
 	}
-	var now int64
-	if m.inj != nil {
-		now = m.now()
-	}
-	if f := m.inj.Inject(chaos.DestFull, now); f != nil {
-		f.Cause = mem.ErrOutOfMemory
-		return 0, fmt.Errorf("numa: MoveHuge %s: %w", hv, f)
-	}
-	newFrame, err := m.sys.Tier(dst).Alloc2M()
-	if err != nil {
-		return 0, fmt.Errorf("numa: MoveHuge %s: %w", hv, err)
-	}
-
 	oldBase := e.Frame.Base2M()
-	switch lvl {
-	case pagetable.Level2M:
-		if f := m.inj.Inject(chaos.MigrateCopy, now); f != nil {
-			m.abort(dst, newFrame, true, nil, vpid)
-			return 0, fmt.Errorf("numa: MoveHuge %s: %w", hv, f)
-		}
-		oldFlags := e.Flags
-		if _, err := m.pt.Remap(hv, newFrame); err != nil {
-			m.abort(dst, newFrame, true, nil, vpid)
-			return 0, err
-		}
-		if f := m.inj.Inject(chaos.TLBShootdown, now); f != nil {
-			m.abort(dst, newFrame, true, []undoRec{{hv, oldBase, oldFlags}}, vpid)
-			return 0, fmt.Errorf("numa: MoveHuge %s: %w", hv, f)
-		}
-		m.tl.Invalidate(hv, vpid)
-	case pagetable.Level4K:
-		// Split region: verify contiguity over the old frame, then remap
-		// every child.
-		for i := 0; i < addr.PagesPerHuge; i++ {
-			cv := hv + addr.Virt(uint64(i)*addr.PageSize4K)
-			ce, clvl, ok := m.pt.Lookup(cv)
-			if !ok || clvl != pagetable.Level4K {
-				m.abort(dst, newFrame, true, nil, vpid)
-				return 0, fmt.Errorf("numa: MoveHuge %s: child %d not 4K-mapped", hv, i)
-			}
-			if ce.Frame.Base2M() != oldBase {
-				m.abort(dst, newFrame, true, nil, vpid)
-				return 0, fmt.Errorf("numa: MoveHuge %s: child %d not contiguous", hv, i)
-			}
-		}
-		// Mid-copy abort point: when MigrateCopy fires, the transaction
-		// dies at a deterministic child index with the first failAt
-		// children already remapped — rollback must restore them.
-		failAt := -1
-		var copyFault *chaos.Fault
-		if f := m.inj.Inject(chaos.MigrateCopy, now); f != nil {
-			failAt = m.inj.AbortIndex(addr.PagesPerHuge)
-			copyFault = f
-		}
-		var undo []undoRec
-		if m.inj != nil {
-			undo = make([]undoRec, 0, addr.PagesPerHuge)
-		}
-		for i := 0; i < addr.PagesPerHuge; i++ {
-			cv := hv + addr.Virt(uint64(i)*addr.PageSize4K)
-			if i == failAt {
-				m.abort(dst, newFrame, true, undo, vpid)
-				return 0, fmt.Errorf("numa: MoveHuge %s: %w", hv, copyFault)
-			}
-			ce, _, _ := m.pt.Lookup(cv)
-			poisoned := ce.Flags.Has(pagetable.Poisoned)
-			if undo != nil {
-				undo = append(undo, undoRec{cv, ce.Frame, ce.Flags})
-			}
-			if _, err := m.pt.Remap(cv, newFrame+addr.Phys(uint64(i)*addr.PageSize4K)); err != nil {
-				// Unreachable after the verification pass; fail loudly.
-				panic(fmt.Sprintf("numa: remap of verified child failed: %v", err))
-			}
-			if poisoned {
-				m.pt.SetFlags(cv, pagetable.Poisoned)
-			}
-			m.tl.Invalidate(cv, vpid)
-		}
-		if f := m.inj.Inject(chaos.TLBShootdown, now); f != nil {
-			m.abort(dst, newFrame, true, undo, vpid)
-			return 0, fmt.Errorf("numa: MoveHuge %s: %w", hv, f)
-		}
+	if lvl == pagetable.Level2M {
+		return m.move("MoveHuge", hv, src, dst, []leaf{{hv, oldBase, e.Flags}}, true, nil, vpid, kind)
 	}
-
-	m.sys.Tier(src).Free2M(oldBase)
-	m.meter.RecordPair(kind, src, dst, addr.PageSize2M)
-	cost := m.copyCost(src, dst, addr.PageSize2M)
-	if m.observer != nil {
-		m.observer(hv, src, dst, addr.PageSize2M, kind, cost)
+	// Split region: every child must be 4K-mapped over the old frame.
+	var bad error
+	m.children = m.children[:0]
+	for i := 0; i < addr.PagesPerHuge; i++ {
+		cv := hv + addr.Virt(uint64(i)*addr.PageSize4K)
+		ce, clvl, ok := m.pt.Lookup(cv)
+		if !ok || clvl != pagetable.Level4K {
+			bad = fmt.Errorf("child %d not 4K-mapped", i)
+			break
+		}
+		if ce.Frame.Base2M() != oldBase {
+			bad = fmt.Errorf("child %d not contiguous", i)
+			break
+		}
+		m.children = append(m.children, leaf{cv, ce.Frame, ce.Flags})
 	}
-	return cost, nil
+	return m.move("MoveHuge", hv, src, dst, m.children, true, bad, vpid, kind)
 }
 
 // Move4K migrates a single natively-4K-mapped page (one whose frame was
@@ -268,41 +196,77 @@ func (m *Migrator) Move4K(v addr.Virt, dst mem.TierID, vpid tlb.VPID, kind mem.T
 	if src == dst {
 		return 0, fmt.Errorf("numa: %s already in %s tier", pv, dst)
 	}
+	return m.move("Move4K", pv, src, dst, []leaf{{pv, e.Frame.Base4K(), e.Flags}}, false, nil, vpid, kind)
+}
+
+// move is the one migration transaction: allocate a frame in dst (2MB when
+// huge, else 4KB), copy, remap leaf i onto the new frame at offset i×4KB
+// (Remap keeps Poisoned), shoot the leaves down, then free the source frame
+// and meter and observe the move. Any fault or error in between rolls back
+// to the exact pre-move state. bad is a verification failure the caller
+// found; it fails the move once the destination is allocated, so the
+// DestFull draw and the rollback count see it as they always have. op and v
+// name the move in errors.
+func (m *Migrator) move(op string, v addr.Virt, src, dst mem.TierID, leaves []leaf, huge bool, bad error, vpid tlb.VPID, kind mem.TrafficKind) (int64, error) {
 	var now int64
 	if m.inj != nil {
 		now = m.now()
 	}
 	if f := m.inj.Inject(chaos.DestFull, now); f != nil {
 		f.Cause = mem.ErrOutOfMemory
-		return 0, fmt.Errorf("numa: Move4K %s: %w", pv, f)
+		return 0, fmt.Errorf("numa: %s %s: %w", op, v, f)
 	}
-	newFrame, err := m.sys.Tier(dst).Alloc4K()
+	bytes := addr.PageSize4K
+	alloc := m.sys.Tier(dst).Alloc4K
+	if huge {
+		bytes, alloc = addr.PageSize2M, m.sys.Tier(dst).Alloc2M
+	}
+	newFrame, err := alloc()
 	if err != nil {
-		return 0, fmt.Errorf("numa: Move4K %s: %w", pv, err)
+		return 0, fmt.Errorf("numa: %s %s: %w", op, v, err)
 	}
+	if bad != nil {
+		m.abort(dst, newFrame, huge, nil, vpid)
+		return 0, fmt.Errorf("numa: %s %s: %w", op, v, bad)
+	}
+
+	// Mid-copy abort point: when MigrateCopy fires, the transaction dies
+	// before leaf failAt with the leaves ahead of it already remapped, and
+	// rollback must restore them. A one-leaf move dies before its remap; a
+	// split region draws the index.
+	failAt := -1
+	var copyFault *chaos.Fault
 	if f := m.inj.Inject(chaos.MigrateCopy, now); f != nil {
-		m.abort(dst, newFrame, false, nil, vpid)
-		return 0, fmt.Errorf("numa: Move4K %s: %w", pv, f)
+		copyFault, failAt = f, 0
+		if len(leaves) > 1 {
+			failAt = m.inj.AbortIndex(len(leaves))
+		}
 	}
-	oldFrame, oldFlags := e.Frame.Base4K(), e.Flags
-	poisoned := e.Flags.Has(pagetable.Poisoned)
-	if _, err := m.pt.Remap(pv, newFrame); err != nil {
-		m.abort(dst, newFrame, false, nil, vpid)
-		return 0, err
-	}
-	if poisoned {
-		m.pt.SetFlags(pv, pagetable.Poisoned)
+	for i, l := range leaves {
+		if i == failAt {
+			m.abort(dst, newFrame, huge, leaves[:i], vpid)
+			return 0, fmt.Errorf("numa: %s %s: %w", op, v, copyFault)
+		}
+		if _, err := m.pt.Remap(l.v, newFrame+addr.Phys(uint64(i)*addr.PageSize4K)); err != nil {
+			m.abort(dst, newFrame, huge, leaves[:i], vpid)
+			return 0, err
+		}
+		m.tl.Invalidate(l.v, vpid)
 	}
 	if f := m.inj.Inject(chaos.TLBShootdown, now); f != nil {
-		m.abort(dst, newFrame, false, []undoRec{{pv, oldFrame, oldFlags}}, vpid)
-		return 0, fmt.Errorf("numa: Move4K %s: %w", pv, f)
+		m.abort(dst, newFrame, huge, leaves, vpid)
+		return 0, fmt.Errorf("numa: %s %s: %w", op, v, f)
 	}
-	m.tl.Invalidate(pv, vpid)
-	m.sys.Tier(src).Free4K(oldFrame)
-	m.meter.RecordPair(kind, src, dst, addr.PageSize4K)
-	cost := m.copyCost(src, dst, addr.PageSize4K)
+
+	if huge {
+		m.sys.Tier(src).Free2M(leaves[0].frame.Base2M())
+	} else {
+		m.sys.Tier(src).Free4K(leaves[0].frame)
+	}
+	m.meter.RecordPair(kind, src, dst, bytes)
+	cost := m.copyCost(src, dst, bytes)
 	if m.observer != nil {
-		m.observer(pv, src, dst, addr.PageSize4K, kind, cost)
+		m.observer(v, src, dst, bytes, kind, cost)
 	}
 	return cost, nil
 }

@@ -216,7 +216,7 @@ func TestRoundTripHugePreservesData(t *testing.T) {
 	if f.sys.Tier(mem.Slow).Used() != 0 {
 		t.Fatal("slow tier leaked")
 	}
-	if _, ok := f.pt.Translate(v + 123); !ok {
+	if _, _, ok := f.pt.Lookup(v + 123); !ok {
 		t.Fatal("translation lost")
 	}
 }

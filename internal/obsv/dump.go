@@ -8,17 +8,17 @@ import (
 	"thermostat/internal/addr"
 )
 
-// WriteAccessedDump renders the engine classification census as plain
+// writeAccessedDump renders the engine classification census as plain
 // text, in the spirit of memtierd's `policy -dump accessed` query: one
 // summary table per engine (pages and megabytes per class) followed by up
 // to maxPages per-page rows (base address, estimated rate, class).
 // maxPages <= 0 selects the default of 256.
-func (p *Publisher) WriteAccessedDump(w io.Writer, maxPages int) error {
+func (p *Publisher) writeAccessedDump(w io.Writer, maxPages int) error {
 	if maxPages <= 0 {
 		maxPages = 256
 	}
 	bw := bufio.NewWriter(w)
-	engines := p.Engines()
+	engines := p.censuses()
 	if len(engines) == 0 {
 		fmt.Fprintln(bw, "no engine census published yet (runs attach engines after their first tick)")
 		return bw.Flush()

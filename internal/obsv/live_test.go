@@ -279,7 +279,7 @@ func TestFleetPublisherTenants(t *testing.T) {
 	}
 	pub.SetPhase(obsv.PhaseDone)
 
-	st := pub.State()
+	st := obsv.PublisherState(pub)
 	if len(st.Tenants) != 2 {
 		t.Fatalf("mirrored tenants = %d, want 2", len(st.Tenants))
 	}
@@ -291,7 +291,7 @@ func TestFleetPublisherTenants(t *testing.T) {
 			t.Errorf("tenant %s not resident at end of run", tn.Name)
 		}
 	}
-	if got := len(pub.Engines()); got != 2 {
+	if got := len(obsv.PublisherCensuses(pub)); got != 2 {
 		t.Fatalf("published engine censuses = %d, want 2", got)
 	}
 

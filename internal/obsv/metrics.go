@@ -7,12 +7,12 @@ import (
 	"thermostat/internal/telemetry"
 )
 
-// Families renders the publisher's current state as Prometheus metric
+// families renders the publisher's current state as Prometheus metric
 // families in a fixed, deterministic order. Counters accumulate per-epoch
 // Snapshot deltas; gauges are the latest snapshot's values.
-func (p *Publisher) Families() []family {
-	st := p.State()
-	engines := p.Engines()
+func (p *Publisher) families() []family {
+	st := p.state()
+	engines := p.censuses()
 
 	var fams []family
 	add := func(name, help string, typ metricType, samples ...sample) {
@@ -238,5 +238,5 @@ func (p *Publisher) Families() []family {
 
 // WriteMetrics renders the /metrics payload.
 func (p *Publisher) WriteMetrics(w io.Writer) error {
-	return writeProm(w, p.Families())
+	return writeProm(w, p.families())
 }

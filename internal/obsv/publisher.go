@@ -312,9 +312,9 @@ type publishedState struct {
 	Tenants []tenantCopy
 }
 
-// State returns a deep copy of the published state. Streams keep
+// state returns a deep copy of the published state. Streams keep
 // registration order; tenants are sorted by name for deterministic output.
-func (p *Publisher) State() publishedState {
+func (p *Publisher) state() publishedState {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	st := publishedState{Info: p.info, Phase: p.phase, Health: p.health}
@@ -357,9 +357,9 @@ type engineCensus struct {
 	Census core.Census
 }
 
-// Engines returns the latest census from every registered source that has
+// censuses returns the latest census from every registered source that has
 // published one, in registration order.
-func (p *Publisher) Engines() []engineCensus {
+func (p *Publisher) censuses() []engineCensus {
 	p.mu.Lock()
 	refs := append([]engineRef(nil), p.engines...)
 	p.mu.Unlock()

@@ -66,7 +66,7 @@ func TestPublisherMirrorsCollectorAccounting(t *testing.T) {
 	p := NewPublisher()
 	feed(p.Recorder("run", col), 6)
 
-	st := p.State()
+	st := p.state()
 	if len(st.Streams) != 1 {
 		t.Fatalf("streams = %d", len(st.Streams))
 	}
@@ -77,11 +77,11 @@ func TestPublisherMirrorsCollectorAccounting(t *testing.T) {
 	if s.Dropped == 0 {
 		t.Fatal("test fed too few events to overflow the cap")
 	}
-	if s.RingHighWater != col.RingHighWater() {
-		t.Fatalf("mirrored high water %d, collector %d", s.RingHighWater, col.RingHighWater())
+	if s.RingHighWater != len(col.Snapshots()) {
+		t.Fatalf("mirrored high water %d, collector %d", s.RingHighWater, len(col.Snapshots()))
 	}
-	if s.SnapshotsSeen != col.SnapshotsSeen() {
-		t.Fatalf("mirrored snapshots %d, collector %d", s.SnapshotsSeen, col.SnapshotsSeen())
+	if s.SnapshotsSeen != 6 {
+		t.Fatalf("mirrored snapshots %d, fed 6", s.SnapshotsSeen)
 	}
 	if s.Events != uint64(col.EventCount())+col.Dropped() {
 		t.Fatalf("mirrored events %d, collector %d+%d", s.Events, col.EventCount(), col.Dropped())
@@ -119,7 +119,7 @@ func TestPublisherWithoutCollector(t *testing.T) {
 	t.Parallel()
 	p := NewPublisher()
 	feed(p.Recorder("solo", nil), 2)
-	s := p.State().Streams[0]
+	s := p.state().Streams[0]
 	if s.Dropped != 0 || s.Events == 0 || s.SnapshotsSeen != 2 {
 		t.Fatalf("stream = %+v", s)
 	}
@@ -143,7 +143,7 @@ func TestPublisherTenantLifecycle(t *testing.T) {
 	})
 	rec.Event(telemetry.Event{Kind: telemetry.KindTenantDeparted, TimeNs: 400, Tenant: "redis", Bytes: 2 << 30})
 
-	ts := p.State().Tenants
+	ts := p.state().Tenants
 	if len(ts) != 1 {
 		t.Fatalf("tenants = %d", len(ts))
 	}

@@ -55,9 +55,6 @@ func newServer(pub *Publisher) *server {
 	return s
 }
 
-// Handler returns the server's mux (for tests via httptest).
-func (s *server) Handler() http.Handler { return s.mux }
-
 // SetReloadHandler installs the function POST /reload invokes (the daemon
 // wires it to a config re-read). Without one, /reload answers 501. The
 // handler returns the queued change list, or an error rendered as 409.
@@ -67,12 +64,12 @@ func (s *server) SetReloadHandler(fn func() ([]string, error)) {
 	s.mu.Unlock()
 }
 
-// Start listens on addr and serves in a background goroutine, returning
+// start listens on addr and serves in a background goroutine, returning
 // the bound address (useful with ":0"). The server carries read and idle
 // timeouts so a stalled client (slowloris) cannot pin a connection
 // forever; there is deliberately no write timeout, which would cut off
 // streaming pprof profiles.
-func (s *server) Start(addr string) (string, error) {
+func (s *server) start(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", fmt.Errorf("obsv: listen %s: %w", addr, err)
@@ -84,17 +81,8 @@ func (s *server) Start(addr string) (string, error) {
 		ReadTimeout:       30 * time.Second,
 		IdleTimeout:       120 * time.Second,
 	}
-	go s.srv.Serve(ln) //nolint:errcheck // Serve returns on Close
+	go s.srv.Serve(ln) //nolint:errcheck // Serve returns on Shutdown
 	return ln.Addr().String(), nil
-}
-
-// Close stops the listener immediately, dropping in-flight requests
-// (idempotent; nil-safe before Start). Prefer Shutdown on orderly exits.
-func (s *server) Close() error {
-	if s.srv == nil {
-		return nil
-	}
-	return s.srv.Close()
 }
 
 // Shutdown drains the server gracefully: the listener closes at once, but
@@ -112,7 +100,7 @@ func (s *server) Shutdown(ctx context.Context) error {
 // start it on addr.
 func serve(addr string, pub *Publisher) (*server, string, error) {
 	s := newServer(pub)
-	bound, err := s.Start(addr)
+	bound, err := s.start(addr)
 	if err != nil {
 		return nil, "", err
 	}
@@ -197,7 +185,7 @@ type statusBody struct {
 }
 
 func (s *server) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	st := s.pub.State()
+	st := s.pub.state()
 	body := statusBody{Phase: st.Phase, Health: st.Health, Info: st.Info, Runs: []statusRun{}, Tenants: len(st.Tenants)}
 	for _, r := range st.Streams {
 		vt := float64(r.TimeNs) / 1e9
@@ -234,7 +222,7 @@ type tenantBody struct {
 }
 
 func (s *server) handleTenants(w http.ResponseWriter, _ *http.Request) {
-	st := s.pub.State()
+	st := s.pub.state()
 	out := []tenantBody{}
 	for _, t := range st.Tenants {
 		out = append(out, tenantBody{
@@ -275,7 +263,7 @@ func (s *server) handleDump(w http.ResponseWriter, r *http.Request) {
 		maxPages = v
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	s.pub.WriteAccessedDump(w, maxPages) //nolint:errcheck // best-effort over HTTP
+	s.pub.writeAccessedDump(w, maxPages) //nolint:errcheck // best-effort over HTTP
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -174,7 +174,7 @@ func runTableDiff(t *testing.T, prog []byte) {
 				if ge.Entry() != *we || ge.Has(mask) != we.Flags.Has(mask) {
 					fail("EntryRef reads %+v, reference %+v", ge.Entry(), *we)
 				}
-				ge.Put(ge.Flags() ^ mask)
+				ge.Put(ge.flags() ^ mask)
 				we.Flags ^= mask
 			}
 		}

@@ -156,7 +156,7 @@ func checkRangeSweeps(t *testing.T, pt *Table, ref []visit, salt uint64) {
 				t.Fatalf("ClearFlagsRange(%s): leaf %s in range %v, probe still set %v",
 					r, w.base, inRange, !inRange)
 			}
-			w.e.Put(w.e.Flags() &^ probeFlag)
+			w.e.Put(w.e.flags() &^ probeFlag)
 		}
 	}
 }
@@ -202,7 +202,7 @@ func checkRegionScans(t *testing.T, pt *Table, ref []visit) {
 	// and no other.
 	flags := make([]Flags, len(ref))
 	for k, w := range ref {
-		flags[k] = w.e.Flags()
+		flags[k] = w.e.flags()
 		w.e.Set(probeFlag)
 	}
 	k := 0
@@ -219,8 +219,8 @@ func checkRegionScans(t *testing.T, pt *Table, ref []visit) {
 		t.Fatalf("clear visited %d leaves, want %d", k, len(ref))
 	}
 	for k, w := range ref {
-		if w.e.Flags() != flags[k] {
-			t.Fatalf("after clear %s has flags %b, want %b (only the probe bit gone)", w.base, w.e.Flags(), flags[k])
+		if w.e.flags() != flags[k] {
+			t.Fatalf("after clear %s has flags %b, want %b (only the probe bit gone)", w.base, w.e.flags(), flags[k])
 		}
 	}
 }
@@ -347,7 +347,7 @@ func TestEntryRef(t *testing.T) {
 		t.Fatalf("after Set(Poisoned) through EntryRef, Lookup = %+v", got)
 	}
 	if !e.Has(Poisoned|Writable) || e.Has(Dirty) || e.Frame() != addr.Phys4K(3) {
-		t.Fatalf("handle reads %v / %s after Set", e.Flags(), e.Frame())
+		t.Fatalf("handle reads %v / %s after Set", e.flags(), e.Frame())
 	}
 	e.Put(Present | Dirty | probeFlag)
 	if got, _, _ := pt.Lookup(addr.Virt4K(7)); got.Flags != Present|Dirty|probeFlag || got.Frame != addr.Phys4K(3) {

@@ -95,8 +95,8 @@ func flagBits(f Flags) PTE {
 // Frame returns the physical frame the entry maps.
 func (e PTE) Frame() addr.Phys { return addr.Phys(e & frameMask) }
 
-// Flags returns the entry's flag word.
-func (e PTE) Flags() Flags {
+// flags returns the entry's flag word.
+func (e PTE) flags() Flags {
 	return Flags(e&lowFlagMask) | Flags(e>>frameEnd)<<lowFlagBits
 }
 
@@ -107,7 +107,7 @@ func (e PTE) Has(mask Flags) bool {
 }
 
 // Entry decodes the PTE.
-func (e PTE) Entry() Entry { return Entry{Frame: e.Frame(), Flags: e.Flags()} }
+func (e PTE) Entry() Entry { return Entry{Frame: e.Frame(), Flags: e.flags()} }
 
 // Set ORs mask into the live entry's flags.
 func (e *PTE) Set(mask Flags) { *e |= flagBits(mask) }
@@ -233,11 +233,6 @@ func (t *Table) Count4K() int { return t.count4K }
 // Count2M returns the number of present 2MB leaf entries.
 func (t *Table) Count2M() int { return t.count2M }
 
-// MappedBytes returns the total bytes mapped.
-func (t *Table) MappedBytes() uint64 {
-	return uint64(t.count4K)*addr.PageSize4K + uint64(t.count2M)*addr.PageSize2M
-}
-
 // pd returns the PD node covering v, or nil.
 func (t *Table) pd(v addr.Virt) *pdNode {
 	if pdpt := t.root[idx4(v)]; pdpt != nil {
@@ -348,18 +343,6 @@ func (t *Table) Lookup(v addr.Virt) (Entry, Level, bool) {
 	return e.Entry(), lvl, true
 }
 
-// Translate resolves v to a physical address using Lookup (no side effects).
-func (t *Table) Translate(v addr.Virt) (addr.Phys, bool) {
-	e, lvl, ok := t.Lookup(v)
-	if !ok {
-		return 0, false
-	}
-	if lvl == Level2M {
-		return e.Frame + addr.Phys(v.Offset2M()), true
-	}
-	return e.Frame + addr.Phys(v.Offset4K()), true
-}
-
 // walkResult describes a simulated hardware page walk.
 type walkResult struct {
 	// Entry is the leaf translation found (zero if !Found).
@@ -436,7 +419,7 @@ func (t *Table) ClearFlags(v addr.Virt, mask Flags) (Flags, bool) {
 	}
 	prior := *e
 	*e = prior &^ flagBits(mask)
-	return prior.Flags(), true
+	return prior.flags(), true
 }
 
 // Remap changes the physical frame of the leaf mapping v (page migration).
@@ -582,13 +565,6 @@ func (t *Table) Collapse(v addr.Virt) error {
 	return nil
 }
 
-// IsSplit reports whether the 2MB region containing v is currently mapped by
-// 4KB leaves created from a split huge page.
-func (t *Table) IsSplit(v addr.Virt) bool {
-	e, _ := t.entryRef(v)
-	return e != nil && e.Has(SplitSampled)
-}
-
 // leafVisitor receives each present leaf entry during a Scan. base is the
 // leaf's virtual base address; e points at the live entry, so flag edits
 // through it are visible to subsequent walks.
@@ -660,7 +636,7 @@ func (t *Table) ScanClear(mask Flags, fn func(base addr.Virt, prior Flags, lvl L
 			*e = prior &^ m
 		}
 		if fn != nil {
-			fn(base, prior.Flags(), lvl)
+			fn(base, prior.flags(), lvl)
 		}
 	})
 }

@@ -364,15 +364,15 @@ func TestPTERoundTrip(t *testing.T) {
 		}
 		for f := 0; f <= 0xffff; f++ {
 			e := PTE(frame) | flagBits(Flags(f))
-			if e.Frame() != frame || e.Flags() != Flags(f) || e.Entry() != (Entry{frame, Flags(f)}) {
-				t.Fatalf("pack(%s, %#x) = %#x unpacks to (%s, %#x)", frame, f, uint64(e), e.Frame(), e.Flags())
+			if e.Frame() != frame || e.flags() != Flags(f) || e.Entry() != (Entry{frame, Flags(f)}) {
+				t.Fatalf("pack(%s, %#x) = %#x unpacks to (%s, %#x)", frame, f, uint64(e), e.Frame(), e.flags())
 			}
 			if !e.Has(Flags(f)) || (f != 0xffff && e.Has(0xffff)) {
 				t.Fatalf("Has on %#x disagrees with its flags %#x", uint64(e), f)
 			}
 			e.Put(^Flags(f))
-			if e.Frame() != frame || e.Flags() != ^Flags(f) {
-				t.Fatalf("Put(%#x) on frame %s gives (%s, %#x)", ^Flags(f), frame, e.Frame(), e.Flags())
+			if e.Frame() != frame || e.flags() != ^Flags(f) {
+				t.Fatalf("Put(%#x) on frame %s gives (%s, %#x)", ^Flags(f), frame, e.Frame(), e.flags())
 			}
 		}
 	}
@@ -447,7 +447,7 @@ func TestScanMutationVisible(t *testing.T) {
 	}
 	pt.Walk(v, false)
 	pt.Scan(func(base addr.Virt, e *PTE, lvl Level) {
-		e.Put(e.Flags() &^ Accessed) // kstaled-style clearing
+		e.Put(e.flags() &^ Accessed) // kstaled-style clearing
 	})
 	e, _, _ := pt.Lookup(v)
 	if e.Flags.Has(Accessed) {

@@ -23,9 +23,9 @@ func NewTable(title string, header ...string) *Table {
 	return &Table{Title: title, Header: header}
 }
 
-// Add appends a row; missing cells render empty, extra cells extend the
+// add appends a row; missing cells render empty, extra cells extend the
 // grid.
-func (t *Table) Add(cells ...string) {
+func (t *Table) add(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
@@ -45,7 +45,7 @@ func (t *Table) AddF(cells ...interface{}) {
 			row[i] = fmt.Sprintf("%v", v)
 		}
 	}
-	t.Add(row...)
+	t.add(row...)
 }
 
 func (t *Table) widths() []int {
@@ -177,7 +177,7 @@ func SeriesTable(title string, series ...*stats.Series) *Table {
 				row = append(row, "")
 			}
 		}
-		t.Add(row...)
+		t.add(row...)
 	}
 	return t
 }

@@ -9,8 +9,8 @@ import (
 
 func TestTableAlignment(t *testing.T) {
 	tb := NewTable("Title", "app", "value")
-	tb.Add("redis", "10")
-	tb.Add("cassandra", "45")
+	tb.add("redis", "10")
+	tb.add("cassandra", "45")
 	out := tb.String()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 5 { // title, header, sep, 2 rows
@@ -30,7 +30,7 @@ func TestTableAlignment(t *testing.T) {
 
 func TestTableNoHeader(t *testing.T) {
 	tb := NewTable("")
-	tb.Add("a", "b")
+	tb.add("a", "b")
 	out := tb.String()
 	if strings.Contains(out, "---") {
 		t.Fatal("separator without header")
@@ -48,7 +48,7 @@ func TestAddF(t *testing.T) {
 
 func TestWriteCSVQuoting(t *testing.T) {
 	tb := NewTable("", "name", "note")
-	tb.Add("a,b", `say "hi"`)
+	tb.add("a,b", `say "hi"`)
 	var b strings.Builder
 	if err := tb.WriteCSV(&b); err != nil {
 		t.Fatal(err)

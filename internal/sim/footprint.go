@@ -6,11 +6,11 @@ import (
 	"thermostat/internal/pagetable"
 )
 
-// AddLeaf accumulates one mapped leaf of the given grain, backed by the
+// addLeaf accumulates one mapped leaf of the given grain, backed by the
 // given tier, into the footprint — the single home of the grain/tier →
 // bytes arithmetic every footprint accounting path shares. ByTier is only
 // populated when the caller pre-sized it (ScanFootprint does).
-func (f *Footprint) AddLeaf(lvl pagetable.Level, tier mem.TierID) {
+func (f *Footprint) addLeaf(lvl pagetable.Level, tier mem.TierID) {
 	slow := tier != mem.Fast
 	switch {
 	case lvl == pagetable.Level2M && slow:

@@ -16,11 +16,11 @@ func TestFootprintAddLeaf(t *testing.T) {
 	var fp Footprint
 	fp.ByTier = make([]tierBytes, 3)
 
-	fp.AddLeaf(pagetable.Level2M, mem.Fast)
-	fp.AddLeaf(pagetable.Level2M, mem.TierID(1))
-	fp.AddLeaf(pagetable.Level2M, mem.TierID(2))
-	fp.AddLeaf(pagetable.Level4K, mem.Fast)
-	fp.AddLeaf(pagetable.Level4K, mem.TierID(1))
+	fp.addLeaf(pagetable.Level2M, mem.Fast)
+	fp.addLeaf(pagetable.Level2M, mem.TierID(1))
+	fp.addLeaf(pagetable.Level2M, mem.TierID(2))
+	fp.addLeaf(pagetable.Level4K, mem.Fast)
+	fp.addLeaf(pagetable.Level4K, mem.TierID(1))
 
 	if fp.Hot2M != addr.PageSize2M || fp.Cold2M != 2*addr.PageSize2M {
 		t.Fatalf("2M split wrong: hot=%d cold=%d", fp.Hot2M, fp.Cold2M)
@@ -44,7 +44,7 @@ func TestFootprintAddLeaf(t *testing.T) {
 	// Without a pre-sized ByTier the per-tier breakdown is skipped but the
 	// hot/cold totals still accumulate.
 	var flat Footprint
-	flat.AddLeaf(pagetable.Level2M, mem.TierID(1))
+	flat.addLeaf(pagetable.Level2M, mem.TierID(1))
 	if flat.ByTier != nil || flat.Cold2M != addr.PageSize2M {
 		t.Fatalf("flat accounting wrong: %+v", flat)
 	}

@@ -17,7 +17,11 @@ func TestFreeRegionRestoresMachineState(t *testing.T) {
 	fast := m.Memory().Tier(mem.Fast)
 	slow := m.Memory().Tier(mem.Slow)
 	fastUsed, slowUsed := fast.Used(), slow.Used()
-	mapped := m.PageTable().MappedBytes()
+	mappedBytes := func() uint64 {
+		pt := m.PageTable()
+		return uint64(pt.Count4K())*addr.PageSize4K + uint64(pt.Count2M())*addr.PageSize2M
+	}
+	mapped := mappedBytes()
 
 	r, err := m.AllocRegion(8<<20, true)
 	if err != nil {
@@ -64,7 +68,7 @@ func TestFreeRegionRestoresMachineState(t *testing.T) {
 		t.Errorf("allocator usage not restored: fast %d->%d slow %d->%d",
 			fastUsed, fast.Used(), slowUsed, slow.Used())
 	}
-	if got := m.PageTable().MappedBytes(); got != mapped {
+	if got := mappedBytes(); got != mapped {
 		t.Errorf("mapped bytes = %d, want %d", got, mapped)
 	}
 	for v := r.Start; v < r.End; v += addr.Virt(addr.PageSize2M) {

@@ -133,8 +133,8 @@ func DefaultTieredConfig(tiers ...mem.Spec) Config {
 	return cfg
 }
 
-// TierSpecs returns the ordered hierarchy a config will build.
-func (c Config) TierSpecs() []mem.Spec {
+// tierSpecs returns the ordered hierarchy a config will build.
+func (c Config) tierSpecs() []mem.Spec {
 	if len(c.Tiers) > 0 {
 		return c.Tiers
 	}
@@ -244,7 +244,7 @@ func New(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	guest := &virtualMachine{cfg: cfg.VM}
-	sys, err := mem.NewHierarchy(cfg.TierSpecs()...)
+	sys, err := mem.NewHierarchy(cfg.tierSpecs()...)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
@@ -274,7 +274,7 @@ func New(cfg Config) (*Machine, error) {
 		m.walkLat[d] = wm.Latency(guest.Nested(), d, guest.HostWalkDepth())
 	}
 	// A block translated ahead keeps each op's translation latency in 32 bits.
-	if most := max(tlbHitNs, m.walkLat[walk.Depth4K]+cfg.FaultLatencyNs+guest.FaultOverheadNs()); most > math.MaxInt32 {
+	if most := max(tlbHitNs, m.walkLat[walk.Depth4K]+cfg.FaultLatencyNs+guest.faultOverheadNs()); most > math.MaxInt32 {
 		return nil, fmt.Errorf("sim: a translation can take %d ns, more than the %d ns a block records", most, math.MaxInt32)
 	}
 	m.trap = badgertrap.New(m.pt, m.tl, cfg.FaultLatencyNs)
@@ -356,13 +356,10 @@ func (m *Machine) FaultReport() chaos.Report {
 func (m *Machine) Guest() *virtualMachine { return m.guest }
 
 // VPID returns the guest's TLB tag.
-func (m *Machine) VPID() tlb.VPID { return m.guest.VPID() }
+func (m *Machine) VPID() tlb.VPID { return m.guest.vpid() }
 
 // Config returns the machine's configuration.
 func (m *Machine) Config() Config { return m.cfg }
-
-// Mode returns the slow-memory costing mode.
-func (m *Machine) Mode() SlowMemMode { return m.cfg.Mode }
 
 // Clock returns the virtual time in nanoseconds.
 func (m *Machine) Clock() int64 { return m.clock }
@@ -596,7 +593,7 @@ func (m *Machine) Promote(v addr.Virt) (int64, error) {
 // Recorder before Access returns. It is the per-op path: translate, then
 // charge, as a Scheduler block issues each op.
 func (m *Machine) Access(v addr.Virt, write bool) (int64, error) {
-	pa, lat, faulted, err := m.translate(v, write, m.guest.VPID())
+	pa, lat, faulted, err := m.translate(v, write, m.guest.vpid())
 	if err == nil {
 		lat, err = m.charge(v, write, pa, lat, faulted)
 	}
@@ -644,7 +641,7 @@ func (m *Machine) translate(v addr.Virt, write bool, vpid tlb.VPID) (addr.Phys, 
 	if !ok {
 		return 0, 0, false, fmt.Errorf("sim: fault handler left %s untranslated", v)
 	}
-	return physAddr(v, res.Frame, res.Level), lat + fl + m.guest.FaultOverheadNs(), true, nil
+	return physAddr(v, res.Frame, res.Level), lat + fl + m.guest.faultOverheadNs(), true, nil
 }
 
 // physAddr is the physical address of v's byte in the leaf frame at lvl.
@@ -730,7 +727,7 @@ func (m *Machine) maxOpAdvanceNs(computeNs int64) int64 {
 			}
 		}
 		m.maxAccessLat = tlbHitNs + walkMax + m.cfg.FaultLatencyNs +
-			m.guest.FaultOverheadNs() + llcHitNs + m.missMaxNs + devMax
+			m.guest.faultOverheadNs() + llcHitNs + m.missMaxNs + devMax
 	}
 	return m.maxAccessLat/threads + computeNs/threads + 1
 }

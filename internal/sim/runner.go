@@ -263,7 +263,7 @@ func ScanFootprint(m *Machine, ranges []addr.Range) Footprint {
 				return
 			}
 		}
-		fp.AddLeaf(lvl, m.Memory().TierOf(e.Frame()))
+		fp.addLeaf(lvl, m.Memory().TierOf(e.Frame()))
 	})
 	return fp
 }

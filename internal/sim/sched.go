@@ -322,7 +322,7 @@ func (s *Scheduler) next(n, total, lone int) (*block, error) {
 		if err := b.draw(); err != nil {
 			return nil, err
 		}
-		b.translate(s.m, s.m.guest.VPID())
+		b.translate(s.m, s.m.guest.vpid())
 		return b, nil
 	}
 	s.cur, s.ahead = (s.cur+1)%len(s.ring), s.ahead-1
@@ -368,7 +368,7 @@ func (s *Scheduler) startProducer() {
 	drawn := make(chan *block, aheadMax)
 	s.todo, s.done = make(chan *block, aheadMax), make(chan *block, aheadMax)
 	go produce(s.todo, drawn)
-	go translateAhead(s.m, s.m.guest.VPID(), drawn, s.done)
+	go translateAhead(s.m, s.m.guest.vpid(), drawn, s.done)
 }
 
 // produce draws each block it is sent and sends it on, until todo closes.

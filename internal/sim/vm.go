@@ -43,8 +43,8 @@ type virtualMachine struct {
 	cfg vmConfig
 }
 
-// VPID returns the guest's TLB tag.
-func (v *virtualMachine) VPID() tlb.VPID { return guestVPID }
+// vpid returns the guest's TLB tag.
+func (v *virtualMachine) vpid() tlb.VPID { return guestVPID }
 
 // Nested reports whether translation is two-dimensional: always, since the
 // guest runs under EPT/NPT.
@@ -58,10 +58,10 @@ func (v *virtualMachine) HostWalkDepth() int {
 	return walk.Depth4K
 }
 
-// FaultOverheadNs returns the extra latency a poison fault incurs beyond the
+// faultOverheadNs returns the extra latency a poison fault incurs beyond the
 // handler itself: zero with the handler in the guest, a vmexit round trip
 // with the handler in the host.
-func (v *virtualMachine) FaultOverheadNs() int64 {
+func (v *virtualMachine) faultOverheadNs() int64 {
 	if v.cfg.TrapInHost {
 		return vmExitLatencyNs
 	}

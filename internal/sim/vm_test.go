@@ -10,8 +10,8 @@ import (
 // its own, never the host's VPID 0, and the machine's accesses use it.
 func TestGuestVPIDValidation(t *testing.T) {
 	m := newMachine(t)
-	if m.VPID() == 0 || m.VPID() != m.Guest().VPID() {
-		t.Fatalf("machine VPID %d, guest VPID %d: want one non-host tag", m.VPID(), m.Guest().VPID())
+	if m.VPID() == 0 || m.VPID() != m.Guest().vpid() {
+		t.Fatalf("machine VPID %d, guest VPID %d: want one non-host tag", m.VPID(), m.Guest().vpid())
 	}
 	r, err := m.AllocRegion(2<<20, true)
 	if err != nil {
@@ -30,12 +30,12 @@ func TestGuestVPIDValidation(t *testing.T) {
 
 func TestFaultOverhead(t *testing.T) {
 	guestTrap := &virtualMachine{cfg: defaultVMConfig()}
-	if guestTrap.FaultOverheadNs() != 0 {
+	if guestTrap.faultOverheadNs() != 0 {
 		t.Fatal("guest-side trap should have no vmexit overhead")
 	}
 	hostTrap := &virtualMachine{cfg: vmConfig{TrapInHost: true}}
-	if hostTrap.FaultOverheadNs() != vmExitLatencyNs {
-		t.Fatalf("host-side trap overhead = %d", hostTrap.FaultOverheadNs())
+	if hostTrap.faultOverheadNs() != vmExitLatencyNs {
+		t.Fatalf("host-side trap overhead = %d", hostTrap.faultOverheadNs())
 	}
 }
 

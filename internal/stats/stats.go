@@ -34,9 +34,6 @@ func (c *Counter) Inc() { c.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.n }
 
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
-
 // Divider divides by a divisor fixed at construction with a multiply and one
 // correction step instead of a hardware divide, exactly for every uint64
 // numerator. r = ⌊(2^64−1)/d⌋ satisfies 2^64 − d ≤ r·d < 2^64, so the
@@ -130,8 +127,8 @@ func (h *Histogram) Count() uint64 { return h.count }
 // Sum returns the sum of all samples.
 func (h *Histogram) Sum() uint64 { return h.sum }
 
-// Mean returns the sample mean (0 if empty).
-func (h *Histogram) Mean() float64 {
+// mean returns the sample mean (0 if empty).
+func (h *Histogram) mean() float64 {
 	if h.count == 0 {
 		return 0
 	}
@@ -165,30 +162,10 @@ func (h *Histogram) Quantile(q float64) uint64 {
 	return h.max
 }
 
-// Merge folds other into h.
-func (h *Histogram) Merge(other *Histogram) {
-	if other.count == 0 {
-		return
-	}
-	h.count += other.count
-	h.sum += other.sum
-	if other.min < h.min {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
-	for b := range h.buckets {
-		for s := range h.buckets[b] {
-			h.buckets[b][s] += other.buckets[b][s]
-		}
-	}
-}
-
 // String summarizes the distribution.
 func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d mean=%.1f p50=%d p95=%d p99=%d max=%d",
-		h.count, h.Mean(), h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99), h.max)
+		h.count, h.mean(), h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99), h.max)
 }
 
 // Series is a fixed-interval time series of float64 samples, used for the
@@ -211,53 +188,6 @@ func (s *Series) Append(timeNs int64, v float64) {
 
 // Len returns the number of points.
 func (s *Series) Len() int { return len(s.Values) }
-
-// Last returns the most recent value (0 if empty).
-func (s *Series) Last() float64 {
-	if len(s.Values) == 0 {
-		return 0
-	}
-	return s.Values[len(s.Values)-1]
-}
-
-// Mean returns the average of all points (0 if empty).
-func (s *Series) Mean() float64 {
-	if len(s.Values) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range s.Values {
-		sum += v
-	}
-	return sum / float64(len(s.Values))
-}
-
-// Max returns the largest value (0 if empty).
-func (s *Series) Max() float64 {
-	m := 0.0
-	for i, v := range s.Values {
-		if i == 0 || v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// MeanAfter returns the average of points with time >= fromNs, useful for
-// skipping warm-up. Returns 0 if no points qualify.
-func (s *Series) MeanAfter(fromNs int64) float64 {
-	sum, n := 0.0, 0
-	for i, ts := range s.Times {
-		if ts >= fromNs {
-			sum += s.Values[i]
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
 
 // Pearson returns the Pearson correlation coefficient of two equal-length
 // sample vectors. Returns 0 when undefined (fewer than two points or zero

@@ -58,7 +58,7 @@ func TestRate(t *testing.T) {
 
 func TestHistogramBasics(t *testing.T) {
 	h := NewHistogram()
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 || h.Quantile(0) != 0 {
+	if h.Quantile(0.5) != 0 || h.mean() != 0 || h.Quantile(0) != 0 {
 		t.Fatal("empty histogram should return zeros")
 	}
 	for i := uint64(1); i <= 1000; i++ {
@@ -70,7 +70,7 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Quantile(0) != 1 || h.Max() != 1000 {
 		t.Fatalf("Min/Max = %d/%d", h.Quantile(0), h.Max())
 	}
-	if m := h.Mean(); math.Abs(m-500.5) > 0.01 {
+	if m := h.mean(); math.Abs(m-500.5) > 0.01 {
 		t.Fatalf("Mean = %v", m)
 	}
 	p50 := h.Quantile(0.5)
@@ -114,8 +114,8 @@ func TestHistogramQuantileEmpty(t *testing.T) {
 			t.Fatalf("empty Quantile(%v) = %d, want 0", q, got)
 		}
 	}
-	if h.Quantile(0) != 0 || h.Max() != 0 || h.Mean() != 0 {
-		t.Fatalf("empty Min/Max/Mean = %d/%d/%v", h.Quantile(0), h.Max(), h.Mean())
+	if h.Quantile(0) != 0 || h.Max() != 0 || h.mean() != 0 {
+		t.Fatalf("empty Min/Max/Mean = %d/%d/%v", h.Quantile(0), h.Max(), h.mean())
 	}
 }
 
@@ -190,26 +190,19 @@ func TestHistogramExtremes(t *testing.T) {
 
 func TestSeries(t *testing.T) {
 	s := NewSeries("cold")
-	if s.Last() != 0 || s.Mean() != 0 {
-		t.Fatal("empty series should return zeros")
+	if s.Len() != 0 {
+		t.Fatal("new series should be empty")
 	}
 	s.Append(0, 1)
 	s.Append(1e9, 3)
 	s.Append(2e9, 5)
-	if s.Len() != 3 || s.Last() != 5 {
-		t.Fatalf("Len/Last = %d/%v", s.Len(), s.Last())
+	if s.Len() != 3 || s.Name != "cold" {
+		t.Fatalf("Len/Name = %d/%q", s.Len(), s.Name)
 	}
-	if s.Mean() != 3 {
-		t.Fatalf("Mean = %v", s.Mean())
-	}
-	if s.Max() != 5 {
-		t.Fatalf("Max = %v", s.Max())
-	}
-	if got := s.MeanAfter(1e9); got != 4 {
-		t.Fatalf("MeanAfter = %v, want 4", got)
-	}
-	if got := s.MeanAfter(3e9); got != 0 {
-		t.Fatalf("MeanAfter past end = %v, want 0", got)
+	for i, want := range []float64{1, 3, 5} {
+		if s.Times[i] != int64(i)*1e9 || s.Values[i] != want {
+			t.Fatalf("point %d = (%d, %v), want (%d, %v)", i, s.Times[i], s.Values[i], int64(i)*1e9, want)
+		}
 	}
 }
 

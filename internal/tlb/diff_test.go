@@ -52,7 +52,7 @@ func runDiff(t *testing.T, cfg Config, prog []byte) {
 		switch {
 		case op == 15 && arg == 0 && mod&0x0f == 0:
 			desc = "Flush"
-			got.Flush()
+			got.flush()
 			want.Flush()
 		case op == 15 && arg < 4 && mod&0x0c == 0:
 			desc = fmt.Sprintf("InvalidateVPID(%d)", vpid)

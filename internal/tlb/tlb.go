@@ -155,7 +155,7 @@ func New(cfg Config) *TLB {
 		mask:    1<<logCells - 1,
 		cap1:    cfg.L1Entries,
 	}
-	t.Flush()
+	t.flush()
 	return t
 }
 
@@ -383,22 +383,6 @@ func (t *TLB) Invalidate(v addr.Virt, vpid VPID) {
 	}
 }
 
-// InvalidateVPID drops all translations tagged with vpid.
-func (t *TLB) InvalidateVPID(vpid VPID) {
-	if t.set != nil {
-		t.dropSet(func(w *way) bool { return VPID(w.tag) == vpid })
-		return
-	}
-	for s := t.head; s >= 0; {
-		e := &t.entries[s]
-		next := e.next
-		if e.vpid == vpid {
-			t.remove(s)
-		}
-		s = next
-	}
-}
-
 // InvalidateRange drops every cached translation under vpid whose virtual
 // page falls in r — the range-shootdown a munmap performs. Unlike per-page
 // Invalidate it also catches transient 4KB translations BadgerTrap installed
@@ -428,8 +412,8 @@ func pageBase(vpn uint64, lvl pagetable.Level) addr.Virt {
 	return addr.Virt4K(vpn)
 }
 
-// Flush empties the whole TLB.
-func (t *TLB) Flush() {
+// flush empties the whole TLB.
+func (t *TLB) flush() {
 	t.n1, t.n2 = 0, 0
 	if t.set != nil {
 		return
@@ -468,13 +452,3 @@ func (s Stats) MissRate() float64 {
 func (t *TLB) Stats() Stats {
 	return Stats{HitsL1: t.hitsL1.Value(), HitsL2: t.hitsL2.Value(), Misses: t.misses.Value()}
 }
-
-// ResetStats zeroes the counters.
-func (t *TLB) ResetStats() {
-	t.hitsL1.Reset()
-	t.hitsL2.Reset()
-	t.misses.Reset()
-}
-
-// Size returns the number of live entries at each level.
-func (t *TLB) Size() (l1, l2 int) { return t.n1, t.n2 }

@@ -140,7 +140,7 @@ func TestLRUOrderRespected(t *testing.T) {
 func TestFlush(t *testing.T) {
 	tl := New(DefaultConfig())
 	tl.Insert(addr.Virt4K(1), pagetable.Level4K, addr.Phys4K(1), 1)
-	tl.Flush()
+	tl.flush()
 	if l1, l2 := tl.Size(); l1 != 0 || l2 != 0 {
 		t.Fatalf("sizes after flush %d/%d", l1, l2)
 	}

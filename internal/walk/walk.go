@@ -76,8 +76,8 @@ func NewModel(cfg Config) (*Model, error) {
 	return &Model{cfg: cfg}, nil
 }
 
-// StepLatency returns the expected latency of one walk step.
-func (m *Model) StepLatency() float64 {
+// stepLatency returns the expected latency of one walk step.
+func (m *Model) stepLatency() float64 {
 	return m.cfg.CacheHitRatio*float64(m.cfg.CachedStepLatency) +
 		(1-m.cfg.CacheHitRatio)*float64(m.cfg.MemStepLatency)
 }
@@ -86,5 +86,5 @@ func (m *Model) StepLatency() float64 {
 // shape.
 func (m *Model) Latency(nested bool, gDepth, hDepth int) int64 {
 	n := accesses(nested, gDepth, hDepth)
-	return int64(float64(n) * m.StepLatency())
+	return int64(float64(n) * m.stepLatency())
 }

@@ -82,16 +82,16 @@ func TestLatencyOrdering(t *testing.T) {
 
 func TestStepLatencyBlend(t *testing.T) {
 	m, _ := NewModel(Config{CachedStepLatency: 10, MemStepLatency: 100, CacheHitRatio: 0.5})
-	if got := m.StepLatency(); got != 55 {
+	if got := m.stepLatency(); got != 55 {
 		t.Fatalf("StepLatency = %v, want 55", got)
 	}
 	// Degenerate ratios.
 	m0, _ := NewModel(Config{CachedStepLatency: 10, MemStepLatency: 100, CacheHitRatio: 0})
-	if m0.StepLatency() != 100 {
+	if m0.stepLatency() != 100 {
 		t.Fatal("ratio 0 should give pure memory latency")
 	}
 	m1, _ := NewModel(Config{CachedStepLatency: 10, MemStepLatency: 100, CacheHitRatio: 1})
-	if m1.StepLatency() != 10 {
+	if m1.stepLatency() != 10 {
 		t.Fatal("ratio 1 should give pure cache latency")
 	}
 }

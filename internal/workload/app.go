@@ -71,8 +71,8 @@ type Spec struct {
 	Rotate *RotateSpec
 }
 
-// Validate rejects inconsistent specs.
-func (s Spec) Validate() error {
+// validate rejects inconsistent specs.
+func (s Spec) validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("workload: spec without name")
 	}
@@ -168,7 +168,7 @@ type App struct {
 // NewApp instantiates spec with footprints divided by scale (>= 1) and
 // deterministic randomness from seed.
 func NewApp(spec Spec, scale uint64, seed uint64) (*App, error) {
-	if err := spec.Validate(); err != nil {
+	if err := spec.validate(); err != nil {
 		return nil, err
 	}
 	if scale == 0 {
@@ -177,7 +177,7 @@ func NewApp(spec Spec, scale uint64, seed uint64) (*App, error) {
 	// Each app owns fresh picker state: two apps built from one spec (e.g.
 	// a baseline and a policy run) must not share sweep positions or
 	// rotation salts.
-	spec = spec.ClonePickers()
+	spec = spec.clonePickers()
 	for _, seg := range spec.Segments {
 		validatePicker(seg.Picker, seg.Name)
 	}
@@ -190,9 +190,6 @@ func (a *App) Name() string { return a.spec.Name }
 
 // ComputeNs implements sim.App.
 func (a *App) ComputeNs() int64 { return a.spec.ComputeNs }
-
-// Scale returns the footprint divisor.
-func (a *App) Scale() uint64 { return a.scale }
 
 // DisableHugePages switches allocation to 4KB mappings (the THP-off
 // configuration Table 1 compares against). Must be called before Init.
@@ -341,9 +338,6 @@ func (a *App) rebuildWeights() {
 	}
 }
 
-// Rotations reports how many weight swaps have occurred.
-func (a *App) Rotations() int { return a.rotations }
-
 // FootprintBytes reports the current mapped footprint split into anonymous
 // (RSS) and file-mapped bytes — Table 2's columns.
 func (a *App) FootprintBytes() (rss, file uint64) {
@@ -371,22 +365,11 @@ func (a *App) Regions() []addr.Range {
 	return out
 }
 
-// SegmentRegions exposes a segment's current regions by name (for tests and
-// ground-truth analysis).
-func (a *App) SegmentRegions(name string) []addr.Range {
-	for _, seg := range a.segs {
-		if seg.spec.Name == name {
-			return append([]addr.Range(nil), seg.span.regions...)
-		}
-	}
-	return nil
-}
-
-// ClonePickers returns a copy of the spec whose segments carry fresh copies
+// clonePickers returns a copy of the spec whose segments carry fresh copies
 // of every stateful picker, so transforms and runs cannot leak state between
 // spec uses (e.g. a baseline run and a policy run built from the same spec
 // value).
-func (s Spec) ClonePickers() Spec {
+func (s Spec) clonePickers() Spec {
 	segs := make([]SegmentSpec, len(s.Segments))
 	copy(segs, s.Segments)
 	for i := range segs {
@@ -427,7 +410,7 @@ func (s Spec) WithDwell(d int) Spec {
 	if d < 1 {
 		d = 1
 	}
-	s = s.ClonePickers()
+	s = s.clonePickers()
 	rescale := func(dwell int) int {
 		if dwell < 1 {
 			dwell = 1
@@ -462,7 +445,7 @@ func (s Spec) WithFootprint(target uint64) Spec {
 	if target == 0 {
 		return s
 	}
-	s = s.ClonePickers()
+	s = s.clonePickers()
 	var total uint64
 	for _, seg := range s.Segments {
 		total += seg.Bytes
@@ -498,7 +481,7 @@ func (s Spec) WithTimeDilation(f int64) Spec {
 	if f <= 1 {
 		return s
 	}
-	s = s.ClonePickers()
+	s = s.clonePickers()
 	for _, seg := range s.Segments {
 		if p, ok := seg.Picker.(*HotspotSweep); ok && p.RotatePeriodNs > 0 {
 			p.RotatePeriodNs *= f

@@ -180,7 +180,7 @@ func fuzzSpec(data []byte) (Spec, []byte, bool) {
 		spec.Rotate = &RotateSpec{PeriodNs: 4e6,
 			SegmentA: "s0", SegmentB: fmt.Sprintf("s%d", int(flags>>3)%nseg)}
 	}
-	if spec.Validate() != nil {
+	if spec.validate() != nil {
 		return Spec{}, nil, false
 	}
 	return spec, data[2+4*nseg:], true

@@ -267,18 +267,6 @@ func (p *HotspotSweep) pick(r *rng.PCG, s *span) addr.Virt {
 	return p.sweep.pick(r, s)
 }
 
-// HotPages returns the distinct hot 4KB page indices the picker currently
-// draws from, given the region page count (ground truth for tests and
-// analyses; reflects the current rotation salt).
-func (p *HotspotSweep) HotPages(n uint64) map[uint64]bool {
-	hot := p.hotCount(n)
-	out := make(map[uint64]bool, hot)
-	for i := uint64(0); i < hot; i++ {
-		out[rng.Hash64(i+0x9e3779b9+p.salt)%n] = true
-	}
-	return out
-}
-
 // validatePicker panics early on nonsense configurations.
 func validatePicker(p Picker, segName string) {
 	switch v := p.(type) {

@@ -232,7 +232,7 @@ type refApp struct {
 }
 
 func newRefApp(spec Spec, scale uint64, seed uint64) (*refApp, error) {
-	if err := spec.Validate(); err != nil {
+	if err := spec.validate(); err != nil {
 		return nil, err
 	}
 	if scale == 0 {

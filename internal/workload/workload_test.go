@@ -36,7 +36,7 @@ func TestAllSpecsValidate(t *testing.T) {
 		t.Fatalf("All returned %d specs, want 6", len(All()))
 	}
 	for _, s := range specs {
-		if err := s.Validate(); err != nil {
+		if err := s.validate(); err != nil {
 			t.Errorf("%s: %v", s.Name, err)
 		}
 	}
@@ -60,14 +60,14 @@ func TestSpecValidationRejects(t *testing.T) {
 		s := good
 		s.Segments = append([]SegmentSpec(nil), good.Segments...)
 		mutate(&s)
-		if err := s.Validate(); err == nil {
+		if err := s.validate(); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 	// Growth validation.
 	c := Cassandra(WriteHeavy)
 	c.Growth.ActiveSegment = "nope"
-	if err := c.Validate(); err == nil {
+	if err := c.validate(); err == nil {
 		t.Error("unknown growth segment accepted")
 	}
 }
@@ -431,11 +431,11 @@ func TestRotationSwapsWeights(t *testing.T) {
 func TestRotateValidation(t *testing.T) {
 	spec := Redis()
 	spec.Rotate = &RotateSpec{PeriodNs: 0, SegmentA: "keyspace", SegmentB: "keyspace"}
-	if err := spec.Validate(); err == nil {
+	if err := spec.validate(); err == nil {
 		t.Fatal("zero rotate period accepted")
 	}
 	spec.Rotate = &RotateSpec{PeriodNs: 1e9, SegmentA: "nope", SegmentB: "keyspace"}
-	if err := spec.Validate(); err == nil {
+	if err := spec.validate(); err == nil {
 		t.Fatal("unknown rotate segment accepted")
 	}
 }
@@ -604,7 +604,7 @@ func TestWithFootprint(t *testing.T) {
 	}
 	target := uint64(16) << 30
 	scaled := spec.WithFootprint(target)
-	if err := scaled.Validate(); err != nil {
+	if err := scaled.validate(); err != nil {
 		t.Fatal(err)
 	}
 	var total uint64
@@ -661,7 +661,7 @@ func TestWithFootprintTiny(t *testing.T) {
 	// A target smaller than one huge page per segment clamps every segment
 	// to one huge page instead of producing empty segments.
 	scaled := ScaleSynthetic().WithFootprint(1 << 20)
-	if err := scaled.Validate(); err != nil {
+	if err := scaled.validate(); err != nil {
 		t.Fatal(err)
 	}
 	for _, seg := range scaled.Segments {
@@ -727,7 +727,7 @@ func TestFormatSize(t *testing.T) {
 
 func TestScaleSynthetic(t *testing.T) {
 	spec := ScaleSynthetic()
-	if err := spec.Validate(); err != nil {
+	if err := spec.validate(); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := ByName("scale-synth"); !ok {

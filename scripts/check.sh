@@ -32,9 +32,13 @@ fi
 echo "== surface gate"
 # Every exported name in internal/ has a non-test caller outside its package
 # (bench/ counts) or sits on the allowlist, which may only shrink, and
-# internal/ holds at most 25 packages. Through named, so a renamed test
-# fails the gate instead of matching nothing.
-named run 'TestExportedNamesHaveOutsideCallers' . -count=1
+# internal/ holds at most 25 packages. Every exported method in internal/
+# has a non-test caller outside its package, or an interface that non-test
+# code declares or calls through needs it, or it sits on the method
+# allowlist, which may only shrink; methods only tests call live in
+# export_test.go. Through named, so a renamed test fails the gate instead of
+# matching nothing.
+named run 'TestExportedNamesHaveOutsideCallers|TestExportedMethodsHaveCallers' . -count=1
 
 echo "== benchmark module (bench/): build, vet, test"
 # bench/ is its own module, outside ./...: an API change that breaks it must

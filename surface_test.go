@@ -3,8 +3,10 @@ package thermostat
 import (
 	"bufio"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path"
@@ -31,15 +33,9 @@ const (
 // and the root package count), or be on the allowlist. Packages that only
 // _test.go files import are test support and are not audited.
 func TestExportedNamesHaveOutsideCallers(t *testing.T) {
-	pkgs, testImported := parseTree(t, ".")
+	pkgs, testImported := parseTree(t, token.NewFileSet(), ".")
 
-	var internal []string
-	for dir := range pkgs {
-		if strings.HasPrefix(dir, "internal/") && !strings.Contains(strings.TrimPrefix(dir, "internal/"), "/") {
-			internal = append(internal, dir)
-		}
-	}
-	sort.Strings(internal)
+	internal := internalDirs(pkgs)
 	if len(internal) > maxInternalPkgs {
 		t.Errorf("internal/ holds %d packages, want at most %d", len(internal), maxInternalPkgs)
 	}
@@ -94,7 +90,7 @@ func TestExportedNamesHaveOutsideCallers(t *testing.T) {
 		}
 	}
 
-	allowed := readAllowlist(t)
+	allowed := readAllowlist(t, surfaceAllowlist)
 	if len(allowed) > maxAllowlisted {
 		t.Errorf("%s has %d names, more than %d: the allowlist may only shrink", surfaceAllowlist, len(allowed), maxAllowlisted)
 	}
@@ -155,9 +151,8 @@ func (p *surfacePkg) exported() []string {
 // every test file: testImported holds the directories some _test.go file
 // outside them imports. Hidden directories and testdata are skipped;
 // bench/, a module of its own, is included.
-func parseTree(t *testing.T, root string) (pkgs map[string]*surfacePkg, testImported map[string]bool) {
+func parseTree(t *testing.T, fset *token.FileSet, root string) (pkgs map[string]*surfacePkg, testImported map[string]bool) {
 	t.Helper()
-	fset := token.NewFileSet()
 	pkgs, testImported = map[string]*surfacePkg{}, map[string]bool{}
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -202,9 +197,21 @@ func parseTree(t *testing.T, root string) (pkgs map[string]*surfacePkg, testImpo
 	return pkgs, testImported
 }
 
-func readAllowlist(t *testing.T) map[string]bool {
+// internalDirs lists the packages directly under internal/, sorted.
+func internalDirs(pkgs map[string]*surfacePkg) []string {
+	var dirs []string
+	for dir := range pkgs {
+		if strings.HasPrefix(dir, "internal/") && !strings.Contains(strings.TrimPrefix(dir, "internal/"), "/") {
+			dirs = append(dirs, dir)
+		}
+	}
+	sort.Strings(dirs)
+	return dirs
+}
+
+func readAllowlist(t *testing.T, name string) map[string]bool {
 	t.Helper()
-	f, err := os.Open(surfaceAllowlist)
+	f, err := os.Open(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,4 +227,210 @@ func readAllowlist(t *testing.T) map[string]bool {
 		t.Fatal(err)
 	}
 	return allowed
+}
+
+// methodAllowlist names, one "pkg.Type.Method" a line under the reason it
+// is kept, the exported methods of internal/ that no non-test code outside
+// their package calls and no interface needs. Like surfaceAllowlist it may
+// only shrink: maxMethodAllowlisted is its length.
+const (
+	methodAllowlist      = "testdata/surface_method_allowlist.txt"
+	maxMethodAllowlisted = 10
+)
+
+// stdlibMethods are the methods the standard library calls through
+// interfaces it declares itself: fmt.Stringer, error and errors.Unwrap.
+var stdlibMethods = map[string]bool{"String": true, "Error": true, "Unwrap": true}
+
+// TestExportedMethodsHaveCallers extends the surface audit to methods:
+// every exported method declared in a non-test file of an internal package,
+// on an exported or unexported type, must be called by non-test code
+// outside its package (bench/, cmd/, examples/ and the root package count),
+// be needed by an interface, or be on the method allowlist. A method is
+// needed by an interface when its type satisfies an interface that the
+// non-test code of either module declares (named or anonymous) or calls a
+// method through, and the interface names the method; String, Error and
+// Unwrap are needed by the standard library's. A method that only its own
+// package's tests call belongs in that package's export_test.go.
+func TestExportedMethodsHaveCallers(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, testImported := parseTree(t, fset, ".")
+	m := &moduleImporter{fset: fset, pkgs: pkgs, std: importer.Default(), checked: map[string]*checkedPkg{}}
+	for dir := range pkgs {
+		if _, err := m.check(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// called: a non-test file outside the method's package selects it.
+	// ifaces: every interface non-test code declares or calls through.
+	called := map[*types.Func]bool{}
+	ifaces := map[*types.Interface]bool{}
+	var named []*types.Named
+	for dir, c := range m.checked {
+		for _, sel := range c.info.Selections {
+			fn, ok := sel.Obj().(*types.Func)
+			if !ok {
+				continue
+			}
+			recv := fn.Type().(*types.Signature).Recv()
+			if it, ok := recv.Type().Underlying().(*types.Interface); ok {
+				ifaces[it] = true
+			} else if fn.Pkg() != c.pkg {
+				called[fn.Origin()] = true
+			}
+		}
+		for _, f := range pkgs[dir].files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.InterfaceType); ok {
+					if it, ok := c.info.TypeOf(lit).(*types.Interface); ok {
+						ifaces[it] = true
+					}
+				}
+				return true
+			})
+		}
+		named = append(named, namedTypes(c.pkg)...)
+	}
+
+	// needed: the method an interface reaches on a type that satisfies it,
+	// promoted methods included.
+	needed := map[*types.Func]bool{}
+	for it := range ifaces {
+		if it.NumMethods() == 0 {
+			continue
+		}
+		for _, n := range named {
+			for _, typ := range []types.Type{n, types.NewPointer(n)} {
+				if !types.Implements(typ, it) {
+					continue
+				}
+				for i := 0; i < it.NumMethods(); i++ {
+					im := it.Method(i)
+					if obj, _, _ := types.LookupFieldOrMethod(typ, false, im.Pkg(), im.Name()); obj != nil {
+						needed[obj.(*types.Func).Origin()] = true
+					}
+				}
+			}
+		}
+	}
+
+	var audited int
+	var unused []string
+	for _, dir := range internalDirs(pkgs) {
+		if !m.imported(dir) && testImported[dir] {
+			continue // test support, such as internal/golden
+		}
+		pkg := m.checked[dir].pkg
+		for _, n := range namedTypes(pkg) {
+			for i := 0; i < n.NumMethods(); i++ {
+				fn := n.Method(i)
+				if !fn.Exported() {
+					continue
+				}
+				audited++
+				if !called[fn] && !needed[fn] && !stdlibMethods[fn.Name()] {
+					unused = append(unused, pkg.Name()+"."+n.Obj().Name()+"."+fn.Name())
+				}
+			}
+		}
+	}
+	t.Logf("%d exported methods in internal/, %d without a caller or an interface", audited, len(unused))
+
+	allowed := readAllowlist(t, methodAllowlist)
+	if len(allowed) != maxMethodAllowlisted {
+		t.Errorf("%s has %d methods, want %d: the allowlist may only shrink, and maxMethodAllowlisted follows it down", methodAllowlist, len(allowed), maxMethodAllowlisted)
+	}
+	isUnused := map[string]bool{}
+	for _, name := range unused {
+		isUnused[name] = true
+		if !allowed[name] {
+			t.Errorf("%s is exported but no non-test code outside its package calls it and no interface needs it: delete it, unexport it, or move it to export_test.go", name)
+		}
+	}
+	for name := range allowed {
+		if !isUnused[name] {
+			t.Errorf("%s is on the method allowlist but has an outside caller or is gone: remove it from %s", name, methodAllowlist)
+		}
+	}
+}
+
+// namedTypes lists pkg's top-level defined types other than interfaces:
+// the types that declare methods.
+func namedTypes(pkg *types.Package) []*types.Named {
+	var out []*types.Named
+	scope := pkg.Scope()
+	for _, name := range scope.Names() {
+		if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+			if n, ok := tn.Type().(*types.Named); ok && !types.IsInterface(n) {
+				out = append(out, n)
+			}
+		}
+	}
+	return out
+}
+
+// checkedPkg is one directory's non-test files, type-checked.
+type checkedPkg struct {
+	pkg  *types.Package
+	info *types.Info
+}
+
+// moduleImporter type-checks the module's packages (bench/ included) from
+// the parsed non-test files, once each, and imports the standard library
+// from export data.
+type moduleImporter struct {
+	fset    *token.FileSet
+	pkgs    map[string]*surfacePkg
+	std     types.Importer
+	checked map[string]*checkedPkg
+}
+
+func (m *moduleImporter) Import(path string) (*types.Package, error) {
+	dir, ok := strings.CutPrefix(path, surfaceModulePath+"/")
+	if path == surfaceModulePath {
+		dir, ok = ".", true
+	}
+	if !ok || m.pkgs[dir] == nil {
+		return m.std.Import(path)
+	}
+	c, err := m.check(dir)
+	if err != nil {
+		return nil, err
+	}
+	return c.pkg, nil
+}
+
+func (m *moduleImporter) check(dir string) (*checkedPkg, error) {
+	if c := m.checked[dir]; c != nil {
+		return c, nil
+	}
+	path := surfaceModulePath
+	if dir != "." {
+		path += "/" + dir
+	}
+	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
+	conf := types.Config{Importer: m}
+	pkg, err := conf.Check(path, m.fset, m.pkgs[dir].files, info)
+	if err != nil {
+		return nil, err
+	}
+	c := &checkedPkg{pkg: pkg, info: info}
+	m.checked[dir] = c
+	return c, nil
+}
+
+// imported reports whether a non-test package other than dir imports it.
+func (m *moduleImporter) imported(dir string) bool {
+	for other, c := range m.checked {
+		if other == dir {
+			continue
+		}
+		for _, imp := range c.pkg.Imports() {
+			if imp.Path() == surfaceModulePath+"/"+dir {
+				return true
+			}
+		}
+	}
+	return false
 }
