@@ -30,7 +30,7 @@ import (
 // policy composition, scale and schedule, chaos injection, telemetry sinks,
 // observability listeners, and the daemon lifecycle knobs. Keys mirror the
 // CLI flags (config files use snake_case); the zero value of most fields
-// means "use the default" and Normalize fills them in. Config doubles as
+// means "use the default" and normalize fills them in. Config doubles as
 // the shared validator for cmd/thermostat-sim and cmd/repro: their flags
 // write straight into this struct and Validate holds the one copy of the
 // rules.
@@ -383,7 +383,7 @@ func (c Config) Resolve() (workload.Spec, harness.Scale, harness.Plan, error) {
 
 // resolveTiers maps device preset names ("dram", "cxl", "nvm"), fastest
 // first, to the tier list of an N-tier Plan. Capacities are left zero:
-// harness.Scale.TieredMachineConfig sizes them per workload.
+// the harness sizes them per workload.
 func resolveTiers(names []string) ([]mem.Spec, error) {
 	var tiers []mem.Spec
 	for _, name := range names {

@@ -174,7 +174,7 @@ type Plan struct {
 	// the core registry composed with Tracker (default core.DefaultTracker).
 	Placement, Tracker string
 	// Tiers, when non-empty, replaces the two-tier machine with this
-	// hierarchy in Device mode (see TieredMachineConfig).
+	// hierarchy in Device mode (see Scale.tieredMachineConfig).
 	Tiers []mem.Spec
 	// SmallPages maps 4KB pages at guest and host — Table 1's THP-off arm.
 	SmallPages bool
