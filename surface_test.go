@@ -90,22 +90,7 @@ func TestExportedNamesHaveOutsideCallers(t *testing.T) {
 		}
 	}
 
-	allowed := readAllowlist(t, surfaceAllowlist)
-	if len(allowed) > maxAllowlisted {
-		t.Errorf("%s has %d names, more than %d: the allowlist may only shrink", surfaceAllowlist, len(allowed), maxAllowlisted)
-	}
-	isUnused := map[string]bool{}
-	for _, name := range unused {
-		isUnused[name] = true
-		if !allowed[name] {
-			t.Errorf("%s is exported but nothing outside its package uses it: delete it, unexport it, or move it to export_test.go", name)
-		}
-	}
-	for name := range allowed {
-		if !isUnused[name] {
-			t.Errorf("%s is on the allowlist but has an outside caller or is gone: remove it from %s", name, surfaceAllowlist)
-		}
-	}
+	checkAllowlist(t, surfaceAllowlist, maxAllowlisted, unused, "nothing outside its package uses it")
 }
 
 // surfacePkg is one directory's non-test Go files.
@@ -207,6 +192,30 @@ func internalDirs(pkgs map[string]*surfacePkg) []string {
 	}
 	sort.Strings(dirs)
 	return dirs
+}
+
+// checkAllowlist fails on every unused entry the allowlist at path lacks,
+// on every allowlisted entry that is no longer unused, and unless the list
+// holds exactly max entries: it may only shrink, and its cap follows it
+// down.
+func checkAllowlist(t *testing.T, path string, max int, unused []string, why string) {
+	t.Helper()
+	allowed := readAllowlist(t, path)
+	if len(allowed) != max {
+		t.Errorf("%s has %d entries, want %d: the allowlist may only shrink, and its cap follows it down", path, len(allowed), max)
+	}
+	isUnused := map[string]bool{}
+	for _, name := range unused {
+		isUnused[name] = true
+		if !allowed[name] {
+			t.Errorf("%s is exported but %s: delete it, unexport it, or move it to export_test.go", name, why)
+		}
+	}
+	for name := range allowed {
+		if !isUnused[name] {
+			t.Errorf("%s is on %s but is no longer unused or is gone: remove it", name, path)
+		}
+	}
 }
 
 func readAllowlist(t *testing.T, name string) map[string]bool {
@@ -337,22 +346,7 @@ func TestExportedMethodsHaveCallers(t *testing.T) {
 	}
 	t.Logf("%d exported methods in internal/, %d without a caller or an interface", audited, len(unused))
 
-	allowed := readAllowlist(t, methodAllowlist)
-	if len(allowed) != maxMethodAllowlisted {
-		t.Errorf("%s has %d methods, want %d: the allowlist may only shrink, and maxMethodAllowlisted follows it down", methodAllowlist, len(allowed), maxMethodAllowlisted)
-	}
-	isUnused := map[string]bool{}
-	for _, name := range unused {
-		isUnused[name] = true
-		if !allowed[name] {
-			t.Errorf("%s is exported but no non-test code outside its package calls it and no interface needs it: delete it, unexport it, or move it to export_test.go", name)
-		}
-	}
-	for name := range allowed {
-		if !isUnused[name] {
-			t.Errorf("%s is on the method allowlist but has an outside caller or is gone: remove it from %s", name, methodAllowlist)
-		}
-	}
+	checkAllowlist(t, methodAllowlist, maxMethodAllowlisted, unused, "no non-test code outside its package calls it and no interface needs it")
 }
 
 // namedTypes lists pkg's top-level defined types other than interfaces:
